@@ -89,12 +89,9 @@ def rdx_link_code(handle: CodeFlow, program: BpfProgram) -> Generator:
     The program must have been compiled (``rdx_JIT_compile_code`` or
     :meth:`RdxControlPlane.prepare`); returns the linked image.
     """
-    key = (program.tag(), handle.manifest.arch)
-    entry = handle.control_plane.registry.get(key)
-    if entry is None:
+    binary = handle.control_plane.compiled_binary(program, handle.manifest.arch)
+    if binary is None:
         binary = yield from rdx_jit_compile_code(handle, program)
-    else:
-        binary = entry.binary
     linked = yield from handle.link_code(binary)
     return linked
 

@@ -5,15 +5,17 @@ JIT compilation, linking, state access -- onto a dedicated server,
 and drives targets exclusively through one-sided RDMA.
 
 Key property from §3.2: **validate once, deploy anywhere**.  The
-compile cache is keyed by (program tag, architecture); repeat
-deployments of a cached program skip both phases entirely, which is
-why RDX's injection path contains no verification or JIT cost
-(Fig 4b).
+compile cache is keyed by (program tag, architecture) plus everything
+else the verdict was reached under (map names and geometry, context
+size; see :meth:`RdxControlPlane.prepare`); repeat deployments of a
+cached program skip both phases entirely, which is why RDX's injection
+path contains no verification or JIT cost (Fig 4b).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
@@ -36,6 +38,10 @@ from repro.core.journal import IntentJournal
 from repro.core.retry import RetryPolicy
 from repro.core.security import Principal, SecurityPolicy
 from repro.core.sync import RemoteSync
+
+
+#: What the verifier reads of a map.
+_map_geometry = operator.attrgetter("key_size", "value_size")
 
 
 @dataclass
@@ -95,12 +101,13 @@ class RdxControlPlane:
         self._verbs = open_device(host)
         self._pd = self._verbs.alloc_pd()
         self._cq = self._verbs.create_cq()
-        #: (tag, arch) -> RegistryEntry; the §3.2 compile cache.
-        self.registry: dict[tuple[str, str], RegistryEntry] = {}
-        #: (tag, arch) -> in-flight compile event.  Single-flight dedup:
+        #: (tag, arch, map names, map geometry, ctx size) ->
+        #: RegistryEntry; the §3.2 compile cache (see :meth:`prepare`).
+        self.registry: dict[tuple, RegistryEntry] = {}
+        #: Same key -> in-flight compile event.  Single-flight dedup:
         #: the first miss becomes the leader and everyone else waits on
         #: its event instead of duplicating validate+JIT.
-        self._inflight: dict[tuple[str, str], object] = {}
+        self._inflight: dict[tuple, object] = {}
         #: (code CRC, arch, GOT-layout fingerprint) -> linked JitBinary.
         #: Targets with identical layouts skip per-relocation rewriting
         #: entirely (see :meth:`CodeFlow.link_code`).
@@ -306,8 +313,19 @@ class RdxControlPlane:
         leader failure propagates to every waiter (same error a solo
         caller would see) and clears the in-flight slot so a later
         retry can compile fresh.
+
+        The key is everything the result may be reused for.  The tag
+        covers the instructions only; the compiled image also depends
+        on the architecture and the map *names* (its relocation
+        symbols), the verdict also on each map's ``(key_size,
+        value_size)`` and on the readable context window.  A hit on
+        anything less would hand a target a verdict reached for
+        another target's maps.
         """
-        key = (program.tag(), arch)
+        key = (
+            program.tag(), arch, tuple(program.map_names),
+            tuple(map(_map_geometry, maps)), ctx_size,
+        )
         entry = self.registry.get(key)
         if entry is not None:
             self.cache_hits += 1
@@ -346,6 +364,20 @@ class RdxControlPlane:
         self._inflight.pop(key, None)
         done.succeed(entry)
         return entry
+
+    def compiled_binary(
+        self, program: BpfProgram, arch: str
+    ) -> Optional[JitBinary]:
+        """The registry's compiled image of ``program`` for ``arch``.
+
+        For callers that link without validating: the image, unlike
+        the verdict, is the same under every map geometry.
+        """
+        wanted = (program.tag(), arch, tuple(program.map_names))
+        for key, entry in self.registry.items():
+            if key[:3] == wanted:
+                return entry.binary
+        return None
 
     def prepare_for(
         self,

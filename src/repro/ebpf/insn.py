@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from repro.errors import ReproError
 from repro.ebpf import opcodes as op
@@ -11,29 +11,40 @@ from repro.ebpf import opcodes as op
 _INSN = struct.Struct("<BBhi")  # opcode, dst|src<<4, off, imm
 
 
-@dataclass(frozen=True)
-class Insn:
-    """One eBPF instruction.
-
-    ``imm64`` is only meaningful on the first half of an LDDW pair; the
-    encoder splits it into the two 32-bit immediates automatically.
-    """
-
+class _Fields(NamedTuple):
     opcode: int
     dst: int = 0
     src: int = 0
     off: int = 0
     imm: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.dst <= op.MAX_REG:
-            raise ReproError(f"bad dst register r{self.dst}")
-        if not 0 <= self.src <= 15:
-            raise ReproError(f"bad src register field {self.src}")
-        if not -(2**15) <= self.off < 2**15:
-            raise ReproError(f"offset {self.off} out of s16 range")
-        if not -(2**31) <= self.imm < 2**32:
-            raise ReproError(f"imm {self.imm} out of 32-bit range")
+
+class Insn(_Fields):
+    """One eBPF instruction: an immutable ``(opcode, dst, src, off, imm)``.
+
+    The constructor range-checks every field.  ``imm`` may be written
+    unsigned (up to ``2**32 - 1``, as :func:`lddw_pair` does); the
+    encoder folds it to the signed 32-bit field, and decoding always
+    yields the signed form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, opcode: int, dst: int = 0, src: int = 0, off: int = 0,
+                imm: int = 0) -> "Insn":
+        if not 0 <= dst <= op.MAX_REG:
+            raise ReproError(f"bad dst register r{dst}")
+        if not 0 <= src <= 15:
+            raise ReproError(f"bad src register field {src}")
+        if not -(2**15) <= off < 2**15:
+            raise ReproError(f"offset {off} out of s16 range")
+        if not -(2**31) <= imm < 2**32:
+            raise ReproError(f"imm {imm} out of 32-bit range")
+        return tuple.__new__(cls, (opcode, dst, src, off, imm))
+
+    def _replace(self, **changes) -> "Insn":
+        """A copy with some fields changed, range-checked like a new one."""
+        return Insn(**{**self._asdict(), **changes})
 
     @property
     def is_lddw(self) -> bool:
@@ -57,16 +68,25 @@ class Insn:
         )
 
 
-def encode_program(insns: list[Insn]) -> bytes:
+def encode_program(insns: Iterable[Insn]) -> bytes:
     """Serialize a program to its flat 8-bytes-per-insn image."""
-    return b"".join(insn.encode() for insn in insns)
+    pack = _INSN.pack
+    return b"".join(
+        [
+            pack(opcode, (src << 4) | dst, off, imm if imm < 2**31 else imm - 2**32)
+            for opcode, dst, src, off, imm in insns
+        ]
+    )
 
 
 def decode_program(data: bytes) -> list[Insn]:
     """Parse a flat instruction image back into :class:`Insn` objects."""
     if len(data) % 8:
         raise ReproError(f"program image not a multiple of 8 bytes: {len(data)}")
-    return [Insn.decode(data[i : i + 8]) for i in range(0, len(data), 8)]
+    return [
+        Insn(opcode, regs & 0xF, regs >> 4, off, imm)
+        for opcode, regs, off, imm in _INSN.iter_unpack(data)
+    ]
 
 
 def lddw_pair(dst: int, imm64: int, src: int = 0) -> list[Insn]:

@@ -43,6 +43,13 @@ MAGIC = b"RJ"
 VERSION = 1
 _HEADER = struct.Struct("<2sBBI")
 _SLOT_BYTES = 10
+#: One slot as (prefix, payload, checksum) ...
+_SLOT = struct.Struct("<B8sB")
+#: ... and with the payload read as instruction fields
+#: (prefix, opcode, dst|src<<4, off, imm, checksum).
+_SLOT_FIELDS = struct.Struct("<BBBhiB")
+#: What the second half of a resolved map LDDW decodes to.
+_LDDW_TAIL = Insn(opcode=0)
 
 #: Placeholder operand emitted for every unresolved external reference.
 PLACEHOLDER = 0xDEAD_BEEF_DEAD_BEEF
@@ -119,68 +126,75 @@ class JitBinary:
         )
 
 
+#: Opcodes of ``call imm`` (the source bit does not matter to a call).
+_CALL_OPCODES = frozenset(
+    op.BPF_JMP | op.BPF_CALL | source for source in (op.BPF_K, op.BPF_X)
+)
+_PLACEHOLDER_BYTES = PLACEHOLDER.to_bytes(8, "little")
+
+
 def jit_compile(program: BpfProgram, arch: str = "x86_64") -> JitBinary:
-    """Compile a (verified) program for ``arch``."""
+    """Compile a (verified) program for ``arch``.
+
+    One slot per instruction, cut from the program's flat image.  An
+    operand slot holding a placeholder for the linker to patch follows
+    each helper call, and stands in for the second half of each map
+    reference's LDDW pair.
+    """
     try:
         insn_prefix, operand_prefix = _ARCH_PREFIX[arch]
     except KeyError:
         raise JitError(f"unsupported target architecture {arch!r}") from None
 
-    slots: list[bytes] = []
+    insns = program.insns
+    image = program.image()
+    body = bytearray(_HEADER.size)
     relocations: list[Relocation] = []
     symbols: dict[str, list[int]] = {}
-
-    def emit(prefix: int, payload: bytes) -> int:
-        """Append one slot; returns the byte offset of its payload."""
-        if len(payload) != 8:
-            raise JitError("slot payload must be 8 bytes")
-        offset = _HEADER.size + len(slots) * _SLOT_BYTES + 1
-        checksum = (prefix + sum(payload)) & 0xFF
-        slots.append(bytes([prefix]) + payload + bytes([checksum]))
-        return offset
+    operand_slot = (
+        bytes([operand_prefix])
+        + _PLACEHOLDER_BYTES
+        + bytes([(operand_prefix + sum(_PLACEHOLDER_BYTES)) & 0xFF])
+    )
 
     def emit_reloc(kind: RelocKind, symbol: str) -> None:
-        offset = emit(operand_prefix, PLACEHOLDER.to_bytes(8, "little"))
+        offset = len(body) + 1
+        body.extend(operand_slot)
         relocations.append(Relocation(offset=offset, kind=kind, symbol=symbol))
         symbols.setdefault(symbol, []).append(offset)
 
-    index = 0
-    insns = program.insns
-    while index < len(insns):
-        insn = insns[index]
-        if insn.opcode == op.LDDW:
+    lddw_tail = -1  # index of the second half of the last LDDW seen
+    tail_replaced = False  # ... which a map operand slot stands in for
+    for index, insn in enumerate(insns):
+        if index == lddw_tail and tail_replaced:
+            continue
+        payload = image[index * 8 : index * 8 + 8]
+        body.append(insn_prefix)
+        body += payload
+        body.append((insn_prefix + sum(payload)) & 0xFF)
+        if index == lddw_tail:
+            continue  # an immediate, whatever its opcode byte says
+        opcode = insn.opcode
+        if opcode == op.LDDW:
             if index + 1 >= len(insns):
                 raise JitError("truncated LDDW pair")
-            if insn.src == op.PSEUDO_MAP_FD:
-                slot_index = insn.imm
-                if slot_index >= len(program.map_names):
-                    raise JitError(f"map slot {slot_index} out of range")
-                emit(insn_prefix, insn.encode())
-                emit_reloc(RelocKind.MAP, program.map_names[slot_index])
-            else:
-                emit(insn_prefix, insn.encode())
-                emit(insn_prefix, insns[index + 1].encode())
-            index += 2
-            continue
-        if (
-            op.insn_class(insn.opcode) == op.BPF_JMP
-            and op.alu_op(insn.opcode) == op.BPF_CALL
-        ):
+            lddw_tail = index + 1
+            tail_replaced = insn.src == op.PSEUDO_MAP_FD
+            if tail_replaced:
+                if insn.imm >= len(program.map_names):
+                    raise JitError(f"map slot {insn.imm} out of range")
+                emit_reloc(RelocKind.MAP, program.map_names[insn.imm])
+        elif opcode in _CALL_OPCODES:
             helper = helper_by_id(insn.imm)
             if helper is None:
                 raise JitError(f"call to unknown helper id {insn.imm}")
-            emit(insn_prefix, insn.encode())
             emit_reloc(RelocKind.HELPER, helper.name)
-            index += 1
-            continue
-        emit(insn_prefix, insn.encode())
-        index += 1
 
-    header = _HEADER.pack(MAGIC, VERSION, _arch_id(arch), len(slots))
-    body = header + b"".join(slots)
+    slot_count = (len(body) - _HEADER.size) // _SLOT_BYTES
+    _HEADER.pack_into(body, 0, MAGIC, VERSION, _arch_id(arch), slot_count)
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return JitBinary(
-        code=body + crc.to_bytes(4, "little"),
+        code=bytes(body) + crc.to_bytes(4, "little"),
         arch=arch,
         insn_cnt=len(insns),
         relocations=relocations,
@@ -231,66 +245,61 @@ def decode_image(
         raise SandboxCrash("image CRC mismatch (torn or corrupt write)")
 
     insn_prefix, operand_prefix = _ARCH_PREFIX[arch]
-    slots: list[tuple[int, bytes]] = []
-    for slot_index in range(slot_count):
-        start = _HEADER.size + slot_index * _SLOT_BYTES
-        slot = code[start : start + _SLOT_BYTES]
-        if (slot[0] + sum(slot[1:9])) & 0xFF != slot[9]:
+    body = memoryview(code)[_HEADER.size : -4]
+    for slot_index, (prefix, payload, checksum) in enumerate(
+        _SLOT.iter_unpack(body)
+    ):
+        if (prefix + sum(payload)) & 0xFF != checksum:
             raise SandboxCrash(f"slot {slot_index} checksum mismatch")
-        slots.append((slot[0], slot[1:9]))
 
+    # Every field comes out of a fixed-width unpack, so it is in range
+    # by construction -- except dst, a nibble that must name R0..R10.
+    make = Insn._make
     insns: list[Insn] = []
-    index = 0
-    while index < len(slots):
-        prefix, payload = slots[index]
+    lddw_tail = False  # the slot is the second half of a literal LDDW
+    slots = enumerate(_SLOT_FIELDS.iter_unpack(body))
+    for index, (prefix, opcode, regs, off, imm, _checksum) in slots:
         if prefix != insn_prefix:
+            if lddw_tail:
+                break
             raise SandboxCrash(f"unexpected operand slot at {index}")
-        insn = Insn.decode(payload)
-        if insn.opcode == op.LDDW and insn.src == op.PSEUDO_MAP_FD:
-            index += 1
-            prefix2, operand = _expect_operand(slots, index, operand_prefix)
-            address = int.from_bytes(operand, "little")
+        dst, src = regs & 0xF, regs >> 4
+        if dst > op.MAX_REG:
+            raise SandboxCrash(f"bad dst register r{dst} in slot {index}")
+        if lddw_tail:
+            lddw_tail = False  # an immediate, whatever its opcode byte says
+            insns.append(make((opcode, dst, src, off, imm)))
+        elif opcode == op.LDDW and src == op.PSEUDO_MAP_FD:
+            address = _operand(slots, operand_prefix)
             if address == PLACEHOLDER:
                 raise SandboxCrash("unresolved map relocation")
             slot = map_slot_at(address)
             if slot is None:
                 raise SandboxCrash(f"map address {address:#x} unknown")
-            insns.append(
-                Insn(opcode=insn.opcode, dst=insn.dst, src=op.PSEUDO_MAP_FD, imm=slot)
-            )
-            insns.append(Insn(opcode=0))
-        elif insn.opcode == op.LDDW:
-            index += 1
-            prefix2, payload2 = slots[index]
-            if prefix2 != insn_prefix:
-                raise SandboxCrash("LDDW second half missing")
-            insns.append(insn)
-            insns.append(Insn.decode(payload2))
-        elif (
-            op.insn_class(insn.opcode) == op.BPF_JMP
-            and op.alu_op(insn.opcode) == op.BPF_CALL
-        ):
-            index += 1
-            _prefix2, operand = _expect_operand(slots, index, operand_prefix)
-            address = int.from_bytes(operand, "little")
+            insns.append(make((opcode, dst, op.PSEUDO_MAP_FD, 0, slot)))
+            insns.append(_LDDW_TAIL)
+        elif opcode in _CALL_OPCODES:
+            address = _operand(slots, operand_prefix)
             if address == PLACEHOLDER:
                 raise SandboxCrash("unresolved helper relocation")
             helper_id = helper_at(address)
             if helper_id is None:
                 raise SandboxCrash(f"helper address {address:#x} unknown")
-            insns.append(
-                Insn(opcode=insn.opcode, dst=insn.dst, src=insn.src, imm=helper_id)
-            )
+            insns.append(make((opcode, dst, src, 0, helper_id)))
         else:
-            insns.append(insn)
-        index += 1
+            lddw_tail = opcode == op.LDDW
+            insns.append(make((opcode, dst, src, off, imm)))
+    if lddw_tail:
+        raise SandboxCrash("LDDW second half missing")
     return insns
 
 
-def _expect_operand(slots, index: int, operand_prefix: int):
-    if index >= len(slots):
+def _operand(slots, operand_prefix: int) -> int:
+    """Consume the operand slot that must come next; its 64-bit value."""
+    following = next(slots, None)
+    if following is None:
         raise SandboxCrash("truncated operand slot")
-    prefix, payload = slots[index]
+    _index, (prefix, low, mid, high, top, _checksum) = following
     if prefix != operand_prefix:
         raise SandboxCrash("expected operand slot")
-    return prefix, payload
+    return low | mid << 8 | (high & 0xFFFF) << 16 | (top & 0xFFFFFFFF) << 32

@@ -46,8 +46,10 @@ class LocalLoader:
         # so re-running it on an identical image is pure waste for the
         # *host machine running the simulation*.  The simulated CPU
         # cost is still charged in full on every load -- real agents
-        # have no cross-load verifier cache.
-        self._memo: dict[tuple[str, str], LoadResult] = {}
+        # have no cross-load verifier cache.  Keyed by everything the
+        # verdict and the image depend on: tag, map names, geometry
+        # (arch and ctx_size are this loader's own).
+        self._memo: dict[tuple, LoadResult] = {}
 
     def geometry_for(self, maps: Sequence[BpfMap]) -> dict[int, MapGeometry]:
         return {
@@ -63,11 +65,14 @@ class LocalLoader:
         The returned :class:`LoadResult` carries both the functional
         artifacts and the simulated CPU costs the caller must charge.
         """
-        memo_key = (program.tag(), self.arch)
+        geometry = self.geometry_for(maps)
+        memo_key = (
+            program.tag(), tuple(program.map_names), tuple(geometry.values())
+        )
         cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
-        stats = verify(program, self.geometry_for(maps), ctx_size=self.ctx_size)
+        stats = verify(program, geometry, ctx_size=self.ctx_size)
         binary = jit_compile(program, arch=self.arch)
         assert program.metadata is not None
         program.metadata.verified_insns = stats.states_visited

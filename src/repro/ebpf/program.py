@@ -11,12 +11,57 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable, Optional
 
 from repro.ebpf.insn import Insn, encode_program
 
 _prog_ids = itertools.count(1)
+
+
+class ProgramIdentity:
+    """What a deployable program is known by: its image and its tag.
+
+    Mixin for the program dataclasses (:class:`BpfProgram`, the Wasm
+    module).  Their ``__post_init__`` calls :meth:`_seal`, which freezes
+    ``insns`` to a tuple and derives image and tag from it, once.  From
+    then on ``insns`` cannot be rebound and a tuple cannot be edited in
+    place, so the pair can never describe other instructions than the
+    program holds -- every cache, signature and journal record keyed by
+    ``tag()`` leans on that.  An edited program is a new object
+    (``dataclasses.replace(program, insns=...)``) with its own tag.
+    """
+
+    insns: tuple
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "insns" and "_tag" in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__}.insns is immutable: build a new "
+                "program with dataclasses.replace(program, insns=...)"
+            )
+        object.__setattr__(self, name, value)
+
+    def _seal(
+        self, encode: Callable[[Iterable], bytes], salt: bytes = b""
+    ) -> None:
+        self.insns = tuple(self.insns)
+        self._image = encode(self.insns)
+        self._tag = hashlib.sha1(salt + self._image).hexdigest()[:16]
+
+    def image(self) -> bytes:
+        """The flat bytecode image (what a verifier/JIT consumes)."""
+        return self._image
+
+    def tag(self) -> str:
+        """Kernel-style 8-byte program tag (truncated SHA-1 of the image)."""
+        return self._tag
+
+    def __len__(self) -> int:
+        return len(self.insns)
+
+    def size_bytes(self) -> int:
+        return len(self._image)
 
 
 class ProgType(enum.Enum):
@@ -76,10 +121,10 @@ class BpfProgMetadata:
 
 
 @dataclass
-class BpfProgram:
+class BpfProgram(ProgramIdentity):
     """An eBPF program: instructions + declared map slots + metadata."""
 
-    insns: list[Insn]
+    insns: tuple[Insn, ...]
     name: str = "prog"
     prog_type: ProgType = ProgType.SOCKET_FILTER
     #: Names of maps the program references, indexed by map slot.
@@ -88,6 +133,7 @@ class BpfProgram:
     metadata: Optional[BpfProgMetadata] = None
 
     def __post_init__(self):
+        self._seal(encode_program)
         if self.metadata is None:
             self.metadata = BpfProgMetadata(
                 name=self.name,
@@ -96,17 +142,9 @@ class BpfProgram:
                 map_slots=tuple(range(len(self.map_names))),
                 tag=self.tag(),
             )
-
-    def __len__(self) -> int:
-        return len(self.insns)
-
-    def image(self) -> bytes:
-        """The flat bytecode image (what a verifier/JIT consumes)."""
-        return encode_program(self.insns)
-
-    def tag(self) -> str:
-        """Kernel-style 8-byte program tag (truncated SHA-1 of the image)."""
-        return hashlib.sha1(self.image()).hexdigest()[:16]
-
-    def size_bytes(self) -> int:
-        return len(self.insns) * 8
+        elif self.metadata.tag != self.tag():
+            # ``dataclasses.replace(program, insns=...)`` hands over the
+            # original's descriptor; the copy must not share it.
+            self.metadata = replace(
+                self.metadata, insn_cnt=len(self.insns), tag=self.tag()
+            )

@@ -115,15 +115,13 @@ def make_stress_variant(
     layout -- untouched.  Raises when ``base`` has no padding to edit
     (sizes that divide evenly into generator blocks).
     """
-    from dataclasses import replace
-
     pad = Asm()
     pad.alu64_imm(op.BPF_ADD, op.R7, 0)
     (pad_insn,) = pad.build()
     insns = list(base.insns)
     for index in range(len(insns) - _EPILOGUE_LEN - 1, -1, -1):
         if insns[index] == pad_insn:
-            insns[index] = replace(insns[index], imm=imm)
+            insns[index] = insns[index]._replace(imm=imm)
             break
     else:
         raise ReproError(f"{base.name}: no padding no-op to edit")

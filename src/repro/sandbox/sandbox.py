@@ -149,10 +149,15 @@ class Sandbox:
         self._helper_addr_to_id: dict[int, int] = {}
         self._hostcall_addr_to_id: dict[int, int] = {}
         self._code_len_by_addr: dict[int, int] = {}
-        # Instruction-cache analogue: decoded images keyed by their
-        # exact bytes.  A torn/corrupt image has different bytes, so
-        # it always misses and the decoder still crashes on it.
-        self._decode_cache: dict[bytes, list] = {}
+        # Instruction-cache analogue: code address -> (the exact image
+        # bytes that were decoded, the decoded instructions), least
+        # recently executed first.  A hit needs the bytes now at the
+        # address to *equal* the remembered ones (a memcmp, no hash of
+        # the image), so a torn/corrupt image always misses and the
+        # decoder still crashes on it.  Bounded: two per declared hook
+        # -- the live image and the one it is being swapped with.
+        self._decode_cache: dict[int, tuple[bytes, list]] = {}
+        self._decode_cache_cap = max(4, 2 * len(self._hooks))
         self.events_executed = 0
         self.mr: Optional[MemoryRegionMr] = None
         self.ctx_manifest: Optional[BootManifest] = None
@@ -289,6 +294,7 @@ class Sandbox:
             if block.code_addr and self.code_allocator.size_of(block.code_addr):
                 self.code_allocator.free(block.code_addr)
             self._code_len_by_addr.pop(block.code_addr, None)
+            self._decode_cache.pop(block.code_addr, None)
             detached = True
         else:
             detached = False
@@ -352,6 +358,7 @@ class Sandbox:
                 break
         self.code_allocator.free(code_addr)
         self._code_len_by_addr.pop(code_addr, None)
+        self._decode_cache.pop(code_addr, None)
 
     def register_map(self, name: str, bpf_map: MemoryBackedMap) -> int:
         """Expose a live map to programs; returns its slot index."""
@@ -450,7 +457,10 @@ class Sandbox:
         if params.RDX_HB_CHECK:
             self._emit_hb_exec(hook_name, pointer)
         try:
-            insns = self._decode_at(pointer)
+            insns = self._decoded_at(
+                pointer, decode_image,
+                helper_at=self._helper_at, map_slot_at=self._map_slot_at,
+            )
             interp = Interpreter(maps=self.maps, time_ns=time_ns)
             result = interp.run(insns, ctx)
         except SandboxCrash as crash:
@@ -485,20 +495,10 @@ class Sandbox:
         if params.RDX_HB_CHECK:
             self._emit_hb_exec(hook_name, pointer)
         try:
-            header = self.host.cache.cpu_read(pointer, 8)
-            slot_count = int.from_bytes(header[4:8], "little")
-            total = 8 + slot_count * 10 + 4
-            if total > self.code_bytes or slot_count > 2_000_000:
-                raise SandboxCrash(f"implausible image header at {pointer:#x}")
-            image = self.host.cache.cpu_read(pointer, total)
-            instrs = self._decode_cache.get(image)
-            if instrs is None:
-                instrs = decode_wasm_image(
-                    image,
-                    host_call_at=self._hostcall_addr_to_id.get,
-                    expect_arch=self.arch,
-                )
-                self._decode_cache[image] = instrs
+            instrs = self._decoded_at(
+                pointer, decode_wasm_image,
+                host_call_at=self._hostcall_addr_to_id.get,
+            )
             result = WasmRuntime().run(instrs, request_ctx, args=args)
         except SandboxCrash as crash:
             self.crashed = True
@@ -567,23 +567,24 @@ class Sandbox:
             length=total,
         )
 
-    def _decode_at(self, code_addr: int):
+    def _decoded_at(self, code_addr: int, decode, **reverse_got) -> list:
+        """The instructions of the image at ``code_addr``, through the
+        decode cache; ``decode`` is the extension family's decoder and
+        ``reverse_got`` its address lookups.  Reads go through the CPU
+        cache, so what is decoded is what this CPU would fetch."""
         header = self.host.cache.cpu_read(code_addr, 8)
         slot_count = int.from_bytes(header[4:8], "little")
         total = 8 + slot_count * 10 + 4
         if total > self.code_bytes or slot_count > 2_000_000:
             raise SandboxCrash(f"implausible image header at {code_addr:#x}")
         image = self.host.cache.cpu_read(code_addr, total)
-        cached = self._decode_cache.get(image)
-        if cached is None:
-            cached = decode_image(
-                image,
-                helper_at=self._helper_at,
-                map_slot_at=self._map_slot_at,
-                expect_arch=self.arch,
-            )
-            self._decode_cache[image] = cached
-        return cached
+        cached = self._decode_cache.pop(code_addr, None)
+        if cached is None or cached[0] != image:
+            cached = (image, decode(image, expect_arch=self.arch, **reverse_got))
+        self._decode_cache[code_addr] = cached  # most recently executed last
+        if len(self._decode_cache) > self._decode_cache_cap:
+            del self._decode_cache[next(iter(self._decode_cache))]
+        return cached[1]
 
     # -- control block accessors ------------------------------------------
 

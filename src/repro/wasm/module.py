@@ -9,12 +9,13 @@ expressed as relative instruction offsets (the validator enforces it).
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import ReproError
+from repro.ebpf.program import ProgramIdentity
 
 _WINSTR = struct.Struct("<BBHi")
 _module_ids = itertools.count(1)
@@ -72,8 +73,12 @@ class WInstr:
         return cls(op=op, aux=aux, imm=imm)
 
 
+def _encode_module(insns: Iterable[WInstr]) -> bytes:
+    return b"".join(instr.encode() for instr in insns)
+
+
 @dataclass
-class WasmModule:
+class WasmModule(ProgramIdentity):
     """A filter module: instructions + declared locals + host imports.
 
     Exposes the same duck-typed surface the RDX control plane expects
@@ -81,7 +86,7 @@ class WasmModule:
     ``tag()``, ``size_bytes()``, ``map_names``).
     """
 
-    insns: list[WInstr]
+    insns: tuple[WInstr, ...]
     name: str = "filter"
     n_locals: int = 4
     #: Host calls the module imports (validated against HOST_CALLS).
@@ -89,17 +94,8 @@ class WasmModule:
     map_names: tuple[str, ...] = ()
     prog_id: int = field(default_factory=lambda: next(_module_ids))
 
-    def image(self) -> bytes:
-        return b"".join(instr.encode() for instr in self.insns)
-
-    def tag(self) -> str:
-        return hashlib.sha1(b"wasm" + self.image()).hexdigest()[:16]
-
-    def size_bytes(self) -> int:
-        return len(self.insns) * 8
-
-    def __len__(self) -> int:
-        return len(self.insns)
+    def __post_init__(self):
+        self._seal(_encode_module, salt=b"wasm")
 
 
 class WasmBuilder:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeployError, SecurityError, XStateError
+from repro.errors import DeployError, SecurityError, VerifierError, XStateError
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.stress import make_stress_program
@@ -241,6 +241,36 @@ class TestControlPlane:
         with pytest.raises(SecurityError, match="instruction limit"):
             inject(testbed, make_stress_program(100, seed=1))
 
+    def test_registry_hit_never_crosses_map_geometry(self, testbed2):
+        """A verdict holds for the map geometry it was reached under.
+
+        ``stress_map`` has 8-byte values on node0 and 2-byte values on
+        node1; the program reads 4 bytes of the value, so it is safe on
+        node0 only.  Deploying to node0 first used to leave a registry
+        entry under ``(tag, arch)`` that node1 then hit.
+        """
+        bed = testbed2
+        for codeflow, value_size in zip(bed.codeflows, (8, 2)):
+            spec = XStateSpec("stress_map", MapType.ARRAY, 4, value_size, 4)
+            bed.sim.run_process(codeflow.deploy_xstate(spec))
+        program = make_stress_program(300, seed=1, with_map=True)
+        bed.sim.run_process(
+            bed.control.inject(bed.codeflows[0], program, "ingress")
+        )
+        process = bed.sim.spawn(
+            bed.control.inject(bed.codeflows[1], program, "ingress")
+        )
+        bed.sim.run()
+        with pytest.raises(VerifierError, match=r"outside value_size=2"):
+            _ = process.value
+        assert bed.control.compiles_run == 1
+        # Same geometry again: still one verdict, served from the registry.
+        hits = bed.control.cache_hits
+        bed.sim.run_process(
+            bed.control.inject(bed.codeflows[0], program, "ingress")
+        )
+        assert bed.control.cache_hits == hits + 1
+
     def test_arch_specific_compilation(self, testbed2):
         """One program, two architectures: both cached separately."""
         program = make_stress_program(100, seed=1)
@@ -253,7 +283,9 @@ class TestControlPlane:
         bed.sim.run_process(
             bed.control.inject(bed.codeflows[1], program, "ingress")
         )
-        assert (program.tag(), "x86_64") in bed.control.registry
-        assert (program.tag(), "arm64") in bed.control.registry
+        assert bed.control.compiles_run == 2
+        x86 = bed.control.compiled_binary(program, "x86_64")
+        arm = bed.control.compiled_binary(program, "arm64")
+        assert (x86.arch, arm.arch) == ("x86_64", "arm64")
         result, _ = bed.sandboxes[1].run_hook("ingress", bytes(256))
         assert result is not None

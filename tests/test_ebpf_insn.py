@@ -67,3 +67,75 @@ class TestProgramImage:
         pair = lddw_pair(dst=1, imm64=3, src=op.PSEUDO_MAP_FD)
         assert pair[0].src == op.PSEUDO_MAP_FD
         assert pair[0].imm == 3
+
+
+class TestProgramIdentity:
+    """``tag()`` is memoised; it must be impossible to make it stale."""
+
+    def program(self):
+        from repro.ebpf.stress import make_stress_program
+
+        return make_stress_program(71, seed=3)
+
+    def test_image_and_tag_follow_the_instructions(self):
+        import hashlib
+
+        program = self.program()
+        assert program.image() == encode_program(program.insns)
+        assert program.tag() == hashlib.sha1(program.image()).hexdigest()[:16]
+        assert program.metadata.tag == program.tag()
+
+    def test_variant_has_its_own_tag(self):
+        from repro.ebpf.stress import make_stress_variant
+
+        program = self.program()
+        variant = make_stress_variant(program, imm=9)
+        assert variant.tag() != program.tag()
+        assert variant.image() == encode_program(variant.insns)
+
+    def test_replace_recomputes_the_tag(self):
+        from dataclasses import replace
+
+        program = self.program()
+        edited = replace(program, insns=program.insns[:-2] + program.insns[-1:])
+        assert edited.tag() != program.tag()
+        assert edited.tag() == type(program)(edited.insns).tag()
+        assert edited.metadata.tag == edited.tag()
+        assert edited.metadata.insn_cnt == len(edited.insns)
+        assert program.metadata.tag == program.tag()  # the original's is intact
+
+    def test_instructions_cannot_be_edited_in_place(self):
+        program = self.program()
+        tag = program.tag()
+        other = Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=0, imm=7)
+        with pytest.raises(TypeError):
+            program.insns[0] = other
+        with pytest.raises(AttributeError):
+            program.insns.append(other)
+        with pytest.raises(AttributeError):
+            program.insns = [other]
+        with pytest.raises(AttributeError):
+            program.insns[0].imm = 7
+        assert program.tag() == tag
+
+    def test_caller_keeps_no_handle_on_the_instructions(self):
+        from repro.ebpf.program import BpfProgram
+
+        source = list(self.program().insns)
+        program = BpfProgram(source)
+        tag = program.tag()
+        source[0] = Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=0, imm=7)
+        assert program.tag() == tag
+        assert program.image() == encode_program(program.insns)
+
+    def test_wasm_module_identity_is_sealed_too(self):
+        from dataclasses import replace
+
+        from repro.wasm.filters import make_header_filter
+
+        module = make_header_filter(version=1)
+        tag = module.tag()
+        with pytest.raises(AttributeError):
+            module.insns = module.insns[:-1]
+        assert module.tag() == tag
+        assert replace(module, insns=module.insns[:-1]).tag() != tag

@@ -286,3 +286,21 @@ class TestComplexity:
         )
         with pytest.raises(VerifierError, match="too large"):
             verify(BpfProgram(insns))
+
+
+class TestLoaderMemo:
+    def test_memo_never_crosses_map_geometry(self):
+        """The local loader's memo may not hand a verdict reached for
+        8-byte map values to a load against 2-byte ones."""
+        from repro.ebpf.loader import LocalLoader
+        from repro.ebpf.maps import BpfMap, MapType
+        from repro.ebpf.stress import make_stress_program
+
+        program = make_stress_program(100, seed=1, with_map=True)
+        loader = LocalLoader()
+        wide = BpfMap(MapType.ARRAY, 4, 8, 4, name="stress_map")
+        narrow = BpfMap(MapType.ARRAY, 4, 2, 4, name="stress_map")
+        first = loader.verify_and_jit(program, [wide])
+        assert loader.verify_and_jit(program, [wide]) is first
+        with pytest.raises(VerifierError, match="outside value_size=2"):
+            loader.verify_and_jit(program, [narrow])

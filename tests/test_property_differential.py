@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
+from repro.ebpf.insn import decode_program, encode_program
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.jit import decode_image, jit_compile
 from repro.ebpf.program import BpfProgram
@@ -90,6 +91,39 @@ class TestEbpfDifferential:
             via_jit = Interpreter().run(insns, ctx)
             assert via_jit.r0 == direct.r0
             assert via_jit.insns_executed == direct.insns_executed
+
+    @given(ebpf_programs(), st.integers(0, (1 << 64) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decode_returns_the_program(self, program, literal):
+        """encode -> JIT -> link -> decode_image gives back ``program.insns``.
+
+        The generated body is extended with the three shapes that do not
+        survive as plain slots: a 64-bit literal, a helper call and a map
+        reference (the last two leave the JIT as placeholders and come
+        back through the reverse GOT).
+        """
+        asm = Asm()
+        for insn in program.insns[:-1]:
+            asm.raw(insn)
+        asm.lddw(op.R3, literal).call(5).ld_map_fd(op.R1, 0).exit_()
+        program = BpfProgram(asm.build(), name="hyp", map_names=("m0",))
+        # Decoding yields immediates in their signed 32-bit form; that
+        # aside, ``expected`` is ``program.insns``.
+        expected = decode_program(program.image())
+        assert encode_program(expected) == encode_program(program.insns)
+
+        addresses = {"bpf_ktime_get_ns": 0xFFFF_0000_0000_1140, "m0": 0x7000_2000}
+        for arch in ("x86_64", "arm64"):
+            binary = jit_compile(program, arch=arch)
+            assert not binary.is_linked
+            linked = binary.link(lambda reloc: addresses[reloc.symbol])
+            insns = decode_image(
+                linked.code,
+                helper_at={addresses["bpf_ktime_get_ns"]: 5}.get,
+                map_slot_at={addresses["m0"]: 0}.get,
+                expect_arch=arch,
+            )
+            assert insns == expected
 
     @given(ebpf_programs())
     @settings(max_examples=40, deadline=None)

@@ -278,6 +278,52 @@ class TestSandboxLifecycle:
         with pytest.raises(SandboxCrash):
             sandbox.run_hook("ingress", b"\x00" * 64)
 
+    def test_executed_image_torn_later_still_crashes(self, sandbox, host):
+        """The decode cache may never stand in for the image's CRC."""
+        deploy_locally(sandbox, Asm().mov_imm(op.R0, 1).exit_())
+        result, _ = sandbox.run_hook("ingress", b"\x00" * 64)
+        assert result.r0 == 1  # decoded once: the address is cached now
+        pointer = sandbox.hook_table.pointer_in_dram("ingress")
+        raw = host.memory.read(pointer + 11, 1)
+        host.cache.cpu_write(pointer + 11, bytes([raw[0] ^ 0xFF]))
+        with pytest.raises(SandboxCrash, match="CRC mismatch"):
+            sandbox.run_hook("ingress", b"\x00" * 64)
+        host.cache.cpu_write(pointer + 11, raw)
+        result, _ = sandbox.run_hook("ingress", b"\x00" * 64)
+        assert result.r0 == 1
+
+    def test_decode_cache_drops_freed_extents(self, sandbox):
+        for version in range(100):
+            deploy_locally(
+                sandbox, Asm().mov_imm(op.R0, version).exit_(), name=f"v{version}"
+            )
+            result, _ = sandbox.run_hook("ingress", b"\x00" * 64)
+            assert result.r0 == version
+            assert len(sandbox._decode_cache) == 1
+
+    def test_decode_cache_is_bounded_when_extents_stay(self):
+        """100 deploys that each keep their extent: O(1) decoded images."""
+        from repro.ebpf.stress import make_stress_program
+        from repro.exp.harness import make_testbed
+
+        bed = make_testbed(n_hosts=1, cores_per_host=4, with_agents=False)
+        sandbox = bed.sandbox
+        for version in range(100):
+            program = make_stress_program(64, seed=version, name="churn")
+            bed.sim.run_process(
+                bed.control.inject(
+                    bed.codeflow, program, "ingress", retain_history=True
+                )
+            )
+            result, _ = sandbox.run_hook("ingress", bytes(256))
+            assert result is not None
+        addresses = {
+            bed.codeflow.deployed["churn"].code_addr,
+            *bed.codeflow.deployed["churn"].history,
+        }
+        assert len(addresses) == 100
+        assert 0 < len(sandbox._decode_cache) <= 2 * len(sandbox._hooks)
+
     def test_lock_mutual_exclusion(self, sandbox):
         assert sandbox.cpu_try_lock(owner=1)
         assert not sandbox.cpu_try_lock(owner=2)
