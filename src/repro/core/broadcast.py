@@ -674,7 +674,7 @@ class CodeFlowGroup:
         write so a stale control plane never raises a bubble on (let
         alone deploys to) a successor's target.  Fence failures are
         per-leg failures, feeding the normal abort/partial machinery;
-        the no-BBU path is fenced by ``_deploy_body`` instead."""
+        the no-BBU path is fenced by ``CodeFlow._execute`` instead."""
         try:
             yield from codeflow.check_fence()
             yield from self._raise_bubble(codeflow)

@@ -109,13 +109,30 @@ class DeployedProgram:
 
 
 @dataclass
-class _DeltaPlan:
-    """A certified delta: which dirty spans go into which extent."""
+class _DeployPlan:
+    """What one deploy moves, decided before its first byte is posted.
 
-    existing: DeployedProgram
-    target_addr: int
-    ranges: list[tuple[int, bytes]]
-    base_version: int
+    Two shapes: a *full* plan stages the whole image into a fresh
+    extent; a *delta* plan rewrites only the dirty spans of the
+    resident baseline extent and flips the hook to it.
+    """
+
+    #: Record that owns the hook now (None: the hook is empty).  The
+    #: commit CAS expects its ``code_addr``.
+    existing: Optional[DeployedProgram]
+    #: Extent the hook will point at once the commit lands.
+    code_addr: int
+    #: Ordered write set, ``(remote address, payload)``.
+    writes: list[tuple[int, bytes]]
+    #: ``(remote address, length)`` spans the target CPU may hold stale
+    #: lines for; flushed after the commit, *before* the hook line.
+    flush: list[tuple[int, int]]
+    #: True: a fresh allocation this deploy owns -- a failed deploy
+    #: frees it.  False: the baseline, borrowed -- a failed deploy may
+    #: have half-rewritten it, so it is poisoned instead.
+    owned: bool
+    #: Version the borrowed baseline shipped as (delta provenance).
+    base_version: int = 0
 
 
 def _delta_ranges(old: bytes, new: bytes) -> list[tuple[int, bytes]]:
@@ -184,7 +201,7 @@ class CodeFlow:
         #: trace roots (multi-tenant aggregation; "" = unowned).
         self.tenant = ""
         #: True when the last :meth:`link_code` was served from the
-        #: control plane's linked-image cache -- the fast deploy path
+        #: control plane's linked-image cache -- the pipelined deploy
         #: then skips the stub rendezvous (the layout is already known).
         self._last_link_cached = False
         #: The cache key of the last :meth:`link_code` -- its
@@ -286,7 +303,7 @@ class CodeFlow:
     ) -> Generator:
         """Link ``binary`` against this target; returns the linked image.
 
-        On the pipelined path the control plane's linked-image cache,
+        In the pipelined arm the control plane's linked-image cache,
         keyed by (code CRC, arch, GOT-layout fingerprint), skips the
         per-relocation rewriting when this target resolves every symbol
         to the same addresses a previous link did.  The fingerprint
@@ -377,7 +394,6 @@ class CodeFlow:
         program: BpfProgram,
         linked: JitBinary,
         hook_name: str,
-        flush_hook: bool = True,
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
         fenced: bool = False,
@@ -385,18 +401,15 @@ class CodeFlow:
         """One-sided injection of a linked image + metadata + hook flip.
 
         Returns a :class:`DeployReport`.  The hook flip is a
-        transactional qword swap, optionally followed by a
-        cache-coherence event on the hook line.  With ``retain_history``
-        the previous image stays resident as a rollback target; without
-        it, its code pages are freed.
+        transactional qword swap followed by a cache-coherence event on
+        the hook line.  With ``retain_history`` the previous image
+        stays resident as a rollback target; without it, its code
+        pages are freed once no exec can still be decoding them.
 
-        With :data:`repro.params.RDX_PIPELINED_DEPLOY` set (default)
-        the body runs on the batched fast path (one WR chain for image
-        + metadata, direct CAS commit); the serial path remains as the
-        ablation baseline.  ``fenced`` certifies the caller already ran
-        :meth:`check_fence` for this operation (a broadcast leg fences
-        when its bubble rises); the fast path then skips the duplicate
-        epoch read -- one fence per transaction, not one per op.
+        ``fenced`` certifies the caller already ran :meth:`check_fence`
+        for this operation (a broadcast leg fences when its bubble
+        rises); the pipelined arm then skips the duplicate epoch read
+        -- one fence per transaction, not one per op.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -409,21 +422,13 @@ class CodeFlow:
             "rdx.deploy", parent=parent_span,
             program=program.name, target=self.sandbox.name, hook=hook_name,
         )
-        body = (
-            self._deploy_body_delta
-            if params.RDX_PIPELINED_DEPLOY and params.RDX_DELTA_DEPLOY
-            else self._deploy_body_fast
-            if params.RDX_PIPELINED_DEPLOY
-            else self._deploy_body
-        )
-        # Trace context rides the sync layer for the body's duration:
+        # Trace context rides the sync layer for the deploy's duration:
         # every WR chain, chunk land, commit CAS, and cc flush below
         # is recorded under this span's trace id.
         saved_trace, self.sync.trace_span = self.sync.trace_span, span
         try:
-            report = yield from body(
-                program, linked, hook_name, flush_hook, retain_history,
-                report, fenced,
+            yield from self._execute(
+                program, linked, hook_name, retain_history, report, fenced
             )
         except BaseException as err:
             span.status = "error"
@@ -432,441 +437,263 @@ class CodeFlow:
         finally:
             self.sync.trace_span = saved_trace
         span.finish(total_us=report.total_us, code_addr=report.code_addr)
-        self._observe_deploy(report, len(linked.code))
+        self._observe_deploy(report)
         return report
 
-    def _deploy_body(
+    def _plan(self, linked: JitBinary, hook_name: str) -> _DeployPlan:
+        """Decide what this deploy moves; costs no simulated time.
+
+        A delta plan is the exception and eligibility is conservative:
+        the hook must already be owned by a record carrying a
+        registered baseline whose layout fingerprint matches the one
+        :meth:`link_code` just produced, the image size must be
+        unchanged, and the diff must be under break-even.  Anything
+        else is a full plan, with the reason counted in
+        ``rdx.delta.fallback`` -- correctness never depends on delta
+        eligibility.
+        """
+        owner_name = self._hook_owner.get(hook_name)
+        existing = self.deployed.get(owner_name) if owner_name else None
+        image = linked.code
+        key = self._last_link_key
+        spans = reason = None
+        if params.RDX_PIPELINED_DEPLOY and params.RDX_DELTA_DEPLOY:
+            if existing is None:
+                reason = "first-deploy"
+            elif existing.baseline_addr is None or existing.baseline_image is None:
+                reason = "no-baseline"
+            elif (
+                key is None
+                or existing.layout is None
+                or existing.layout != key[1:]
+            ):
+                # The link cache could not certify the (arch, GOT
+                # fingerprint) layout is unchanged: resolved addresses
+                # may have moved, so a byte diff would be meaningless.
+                reason = "layout-changed"
+            elif len(image) != len(existing.baseline_image):
+                reason = "size-changed"
+            else:
+                spans = _delta_ranges(existing.baseline_image, image)
+                if len(spans) > params.RDX_DELTA_MAX_CHUNKS:
+                    reason = "past-break-even"
+                elif sum(len(payload) for _, payload in spans) >= len(image):
+                    reason = "no-savings"
+        if reason is not None:
+            self.obs.counter("rdx.delta.fallback", reason=reason).inc()
+        if spans is None or reason is not None:
+            code_addr = self.code_allocator.alloc(len(image), align=64)
+            # Known gap (benchmarks/ledger/README.md): a reused extent
+            # may still be cached by the target CPU, so ``flush``
+            # should list the image whenever the allocator hands back
+            # a previously executed extent.
+            return _DeployPlan(
+                existing, code_addr, [(code_addr, image)], [], owned=True
+            )
+        # The baseline was live (and executed) two generations ago, so
+        # the target CPU may still cache its old lines, and DMA writes
+        # leave those snapshots stale: every span written is flushed.
+        base = existing.baseline_addr
+        plan = _DeployPlan(
+            existing, base, [], [], owned=False,
+            base_version=existing.baseline_version,
+        )
+        for offset, payload in spans:
+            plan.writes.append((base + offset, payload))
+            plan.flush.append((base + offset, len(payload)))
+        return plan
+
+    def _execute(
         self,
         program: BpfProgram,
         linked: JitBinary,
         hook_name: str,
-        flush_hook: bool,
         retain_history: bool,
         report: DeployReport,
-        fenced: bool = False,
+        fenced: bool,
     ) -> Generator:
+        """Ship one plan: fence, dispatch, write, commit, flush, record.
+
+        The only function that posts deploy writes and the commit CAS.
+        :data:`repro.params.RDX_PIPELINED_DEPLOY` picks the cost of four
+        steps, not a different sequence; the serial arm is the
+        paper-calibrated one (fig 4a):
+
+        * dispatch prepares and polls every WQE separately
+          (:data:`~repro.params.RDX_DISPATCH_US`) or once for the
+          whole chain (:data:`~repro.params.RDX_DISPATCH_FAST_US`);
+        * the stub rendezvous always runs, or only when the linked
+          image missed the layout-fingerprinted cache -- a hit
+          certifies the Meta descriptor + GOT window already match;
+        * each write is its own signaled WR, or the write set and the
+          descriptor ride one chain (one doorbell, one CQE; torn-write
+          semantics per WR are the same, the RNIC lands MTU chunks);
+        * the commit is ``rdx_tx`` with its ordering wait, or a bare
+          CAS -- RC ordering retires every chained WR before the CAS
+          issues on the same QP, so the chain's CQE *is* the fence.
+
+        That CQE orders the CAS; it promises nothing about remote
+        *CPU* visibility.  So after the commit the plan's flush spans
+        go first and the hook line last: what was written must be
+        coherent before the pointer that reaches it is.
+        """
+        pipelined = params.RDX_PIPELINED_DEPLOY
         # Fence first: no byte may land on a target owned by a newer
-        # control-plane epoch.  The serial baseline always re-fences
-        # (``fenced`` is a fast-path optimization).
-        del fenced
-        yield from self.check_fence()
+        # control-plane epoch.  Fencing is advisory at op start either
+        # way -- the window between fence and CAS exists at any grain
+        # -- so a caller that fenced this transaction moments ago need
+        # not pay again; the serial arm always does.
+        if not (fenced and pipelined):
+            yield from self.check_fence()
 
         # Dispatch: registry lookup, WQE prep, completion polling --
         # initiator CPU only (the control plane, or a relaying host).
         mark = self.sim.now
-        yield from (
-            self.dispatch_cpu or self.control_plane.host.cpu
-        ).run(params.RDX_DISPATCH_US)
-        yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
-        report.dispatch_us = self.sim.now - mark
-
-        # Stage the image into fresh code pages.  The CAS expectation
-        # is whatever currently owns the hook (possibly a different
-        # program being replaced).
-        mark = self.sim.now
-        owner_name = self._hook_owner.get(hook_name)
-        existing = self.deployed.get(owner_name) if owner_name else None
-        code_addr = self.code_allocator.alloc(len(linked.code), align=64)
-        # One hb transaction ties the body writes to their commit CAS:
-        # the race checker requires the commit to be HB-after every
-        # write carrying the same txn id.
-        txn = (
-            hb.txn_note(publishes=(code_addr, len(linked.code)))
-            if params.RDX_HB_CHECK
-            else None
+        yield from (self.dispatch_cpu or self.control_plane.host.cpu).run(
+            params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
         )
-        body = {"txn": txn["txn"]} if txn else None
-        yield from self.sync.write(code_addr, linked.code, note=body)
-        report.write_us = self.sim.now - mark
-
-        # Metadata slot fill (one 256-byte write).
-        slot = self._pick_metadata_slot()
-        block = MetadataBlock(
-            state=SLOT_LIVE,
-            prog_id=program.prog_id,
-            insn_cnt=len(program.insns),
-            ref_count=1,
-            code_addr=code_addr,
-            code_len=len(linked.code),
-            hook_slot=self.manifest.hook_layout.get(hook_name, -1),
-            version=(existing.version + 1) if existing else 1,
-            tag=program.tag().encode()[:16],
-            name=program.name,
-        )
-        yield from self.sync.write(
-            self.manifest.metadata_addr + slot * 256, block.encode(), note=body
-        )
-
-        # Commit: transactional pointer flip on the hook qword.
-        mark = self.sim.now
-        hook_addr = self._hook_addr(hook_name)
-        expected = existing.code_addr if existing else 0
-        prior = yield from self.sync.tx(
-            obj_addr=code_addr,
-            obj_bytes=b"",  # image already staged above
-            qword_addr=hook_addr,
-            new_qword=code_addr,
-            expect=expected,
-            note=txn,
-        )
-        if prior != expected:
-            self._unwind_failed_deploy(code_addr, slot)
-            raise DeployError(
-                f"{program.name}: hook {hook_name!r} CAS expected "
-                f"{expected:#x}, found {prior:#x} (concurrent update?)"
-            )
-        report.commit_us = self.sim.now - mark
-
-        if flush_hook:
-            mark = self.sim.now
-            yield from self.sync.cc_event(hook_addr, 8)
-            report.cc_us = self.sim.now - mark
-
-        self._bookkeep(
-            program, hook_name, code_addr, len(linked.code), slot,
-            block.version, existing, retain_history, report,
-            image=linked.code,
-        )
-        return report
-
-    def _deploy_body_fast(
-        self,
-        program: BpfProgram,
-        linked: JitBinary,
-        hook_name: str,
-        flush_hook: bool,
-        retain_history: bool,
-        report: DeployReport,
-        fenced: bool = False,
-    ) -> Generator:
-        """Pipelined deploy: image + metadata out as one WR chain.
-
-        Differences from the serial body, and why each is sound:
-
-        * Dispatch prepares the whole WQE list once and polls a single
-          signaled completion (:data:`repro.params.RDX_DISPATCH_FAST_US`
-          instead of :data:`repro.params.RDX_DISPATCH_US`).
-        * The stub rendezvous is skipped when the linked image came out
-          of the layout-fingerprinted cache -- a hit certifies the
-          Meta descriptor + GOT window already match this layout.
-        * Code image and metadata descriptor ride one chain (one
-          doorbell, selective signaling); torn-write semantics per WR
-          are unchanged because the RNIC still lands MTU chunks.
-        * The commit is a direct CAS with no separate ordering fence:
-          the chain's signaled completion *is* the ordering point (RC
-          ordering retires every chained WR before the CAS issues on
-          the same QP), so the serial path's
-          :data:`repro.params.RDX_TX_COMMIT_US` wait disappears.  The
-          completion still guarantees nothing about remote *CPU*
-          visibility -- that remains ``rdx_cc_event``'s job below.
-        * With ``fenced`` the epoch read is elided: the caller fenced
-          this same transaction moments ago (broadcast fences when the
-          bubble rises), and fencing is advisory at op start either
-          way -- the window between fence and CAS exists at any grain.
-        """
-        if not fenced:
-            yield from self.check_fence()
-
-        mark = self.sim.now
-        yield from (
-            self.dispatch_cpu or self.control_plane.host.cpu
-        ).run(params.RDX_DISPATCH_FAST_US)
-        if not self._last_link_cached:
+        if not (pipelined and self._last_link_cached):
             yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
         report.dispatch_us = self.sim.now - mark
 
-        owner_name = self._hook_owner.get(hook_name)
-        existing = self.deployed.get(owner_name) if owner_name else None
         hook_addr = self._hook_addr(hook_name)
-        expected = existing.code_addr if existing else 0
-        code_addr = self.code_allocator.alloc(len(linked.code), align=64)
-        slot = self._pick_metadata_slot()
-        block = MetadataBlock(
-            state=SLOT_LIVE,
-            prog_id=program.prog_id,
-            insn_cnt=len(program.insns),
-            ref_count=1,
-            code_addr=code_addr,
-            code_len=len(linked.code),
-            hook_slot=self.manifest.hook_layout.get(hook_name, -1),
-            version=(existing.version + 1) if existing else 1,
-            tag=program.tag().encode()[:16],
-            name=program.name,
-        )
-
-        txn = (
-            hb.txn_note(publishes=(code_addr, len(linked.code)))
-            if params.RDX_HB_CHECK
-            else None
-        )
-        body = {"txn": txn["txn"]} if txn else None
-        mark = self.sim.now
-        try:
-            yield from self.sync.write_batch(
-                [
-                    (code_addr, linked.code),
-                    (self.manifest.metadata_addr + slot * 256, block.encode()),
-                ],
-                note=body,
-            )
-        except BaseException:
-            self._unwind_failed_deploy(code_addr, slot)
-            raise
-        report.write_us = self.sim.now - mark
-
-        mark = self.sim.now
-        prior = yield from self.sync.cas(hook_addr, expected, code_addr, note=txn)
-        if prior != expected:
-            self._unwind_failed_deploy(code_addr, slot)
-            raise DeployError(
-                f"{program.name}: hook {hook_name!r} CAS expected "
-                f"{expected:#x}, found {prior:#x} (concurrent update?)"
-            )
-        # Semantic parity with the serial path: this was a
-        # transactional install, just with the fence folded into the
-        # chain completion.
-        self.sync.tx_count += 1
-        report.commit_us = self.sim.now - mark
-
-        if flush_hook:
-            mark = self.sim.now
-            yield from self.sync.cc_event(hook_addr, 8)
-            report.cc_us = self.sim.now - mark
-
-        self._bookkeep(
-            program, hook_name, code_addr, len(linked.code), slot,
-            block.version, existing, retain_history, report,
-            image=linked.code,
-        )
-        return report
-
-    def _delta_plan(
-        self, linked: JitBinary, hook_name: str
-    ) -> Optional[_DeltaPlan]:
-        """Decide whether this deploy can ship as a delta.
-
-        Eligibility is conservative: the hook must already be owned by
-        a record carrying a registered baseline whose layout
-        fingerprint matches the one :meth:`link_code` just produced,
-        the image size must be unchanged, and the diff must be under
-        break-even.  Anything else returns None (with the reason
-        counted in ``rdx.delta.fallback``) and the full pipelined body
-        runs instead -- correctness never depends on delta eligibility.
-        """
-
-        def fallback(reason: str) -> None:
-            self.obs.counter("rdx.delta.fallback", reason=reason).inc()
-            return None
-
-        owner_name = self._hook_owner.get(hook_name)
-        existing = self.deployed.get(owner_name) if owner_name else None
-        if existing is None:
-            return fallback("first-deploy")
-        if existing.baseline_addr is None or existing.baseline_image is None:
-            return fallback("no-baseline")
-        key = self._last_link_key
-        if key is None or existing.layout is None or existing.layout != key[1:]:
-            # The link cache could not certify the (arch, GOT
-            # fingerprint) layout is unchanged: resolved addresses may
-            # have moved, so a byte diff would be meaningless.
-            return fallback("layout-changed")
-        if len(linked.code) != len(existing.baseline_image):
-            return fallback("size-changed")
-        ranges = _delta_ranges(existing.baseline_image, linked.code)
-        if len(ranges) > params.RDX_DELTA_MAX_CHUNKS:
-            return fallback("past-break-even")
-        if sum(len(payload) for _, payload in ranges) >= len(linked.code):
-            return fallback("no-savings")
-        return _DeltaPlan(
-            existing=existing,
-            target_addr=existing.baseline_addr,
-            ranges=ranges,
-            base_version=existing.baseline_version,
-        )
-
-    def _deploy_body_delta(
-        self,
-        program: BpfProgram,
-        linked: JitBinary,
-        hook_name: str,
-        flush_hook: bool,
-        retain_history: bool,
-        report: DeployReport,
-        fenced: bool = False,
-    ) -> Generator:
-        """Delta deploy: ship only the chunks that differ from the baseline.
-
-        The target already holds a resident, non-live extent whose
-        exact bytes the control plane knows -- the *baseline*, the
-        image superseded one generation ago and kept alive by
-        :meth:`_bookkeep`.  When the link cache certifies the layout is
-        unchanged, the new image differs from that baseline only where
-        the program text changed, so the body diffs at MTU-chunk
-        granularity, trims each dirty chunk to its cache-line-aligned
-        dirty span, and sends just those spans plus the fresh metadata
-        descriptor as one WR chain *into the baseline extent*.  The
-        commit CAS then flips the hook from the live extent to the
-        rewritten baseline; the two extents ping-pong roles on every
-        subsequent delta.
-
-        Falls back to :meth:`_deploy_body_fast` (reason counted in
-        ``rdx.delta.fallback``) whenever the baseline is unavailable,
-        the layout fingerprint moved, or the diff is past break-even
-        (:data:`repro.params.RDX_DELTA_MAX_CHUNKS`).
-        """
-        plan = self._delta_plan(linked, hook_name)
-        if plan is None:
-            report = yield from self._deploy_body_fast(
-                program, linked, hook_name, flush_hook, retain_history,
-                report, fenced,
-            )
-            return report
-
-        if not fenced:
-            yield from self.check_fence()
-
-        mark = self.sim.now
-        yield from (
-            self.dispatch_cpu or self.control_plane.host.cpu
-        ).run(params.RDX_DISPATCH_FAST_US)
-        if not self._last_link_cached:
-            yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
-        report.dispatch_us = self.sim.now - mark
-
+        # Planned as late as costs nothing, so the hook owner it reads
+        # is as fresh as local state gets and a deploy that was fenced
+        # out above has claimed nothing.
+        plan = self._plan(linked, hook_name)
         existing = plan.existing
-        target_addr = plan.target_addr
-        hook_addr = self._hook_addr(hook_name)
-        slot = self._pick_metadata_slot()
-        block = MetadataBlock(
-            state=SLOT_LIVE,
-            prog_id=program.prog_id,
-            insn_cnt=len(program.insns),
-            ref_count=1,
-            code_addr=target_addr,
-            code_len=len(linked.code),
-            hook_slot=self.manifest.hook_layout.get(hook_name, -1),
-            version=existing.version + 1,
-            tag=program.tag().encode()[:16],
-            name=program.name,
-        )
-
-        # The txn publishes the whole extent the flipped pointer makes
-        # reachable, not just the dirty spans: the checker holds the
-        # commit to the same standard as a full-image install.
-        txn = (
-            hb.txn_note(publishes=(target_addr, len(linked.code)))
-            if params.RDX_HB_CHECK
-            else None
-        )
-        body = {"txn": txn["txn"]} if txn else None
-        ops = [
-            (target_addr + offset, payload)
-            for offset, payload in plan.ranges
-        ]
-        ops.append((self.manifest.metadata_addr + slot * 256, block.encode()))
-        mark = self.sim.now
+        expected = existing.code_addr if existing else 0
+        image = linked.code
+        slot = None
         try:
-            yield from self.sync.write_batch(ops, note=body)
+            slot = self._pick_metadata_slot()
+            block = MetadataBlock(
+                state=SLOT_LIVE,
+                prog_id=program.prog_id,
+                insn_cnt=len(program.insns),
+                ref_count=1,
+                code_addr=plan.code_addr,
+                code_len=len(image),
+                hook_slot=self.manifest.hook_layout.get(hook_name, -1),
+                version=existing.version + 1 if existing else 1,
+                tag=program.tag().encode()[:16],
+                name=program.name,
+            )
+            # One hb transaction ties the writes to their commit CAS:
+            # the race checker requires the commit to be HB-after
+            # every write carrying the same txn id.  It publishes the
+            # whole extent the flipped pointer makes reachable, not
+            # just the spans written.
+            txn = (
+                hb.txn_note(publishes=(plan.code_addr, len(image)))
+                if params.RDX_HB_CHECK
+                else None
+            )
+            body = {"txn": txn["txn"]} if txn else None
+            ops = plan.writes + [
+                (self.manifest.metadata_addr + slot * 256, block.encode())
+            ]
+            mark = self.sim.now
+            if pipelined:
+                yield from self.sync.write_batch(ops, note=body)
+            else:
+                for addr, payload in ops:
+                    yield from self.sync.write(addr, payload, note=body)
+            report.write_us = self.sim.now - mark
         except BaseException:
-            self._unwind_failed_delta(existing, slot)
+            self._unwind(plan, slot)
             raise
-        report.write_us = self.sim.now - mark
 
+        # Commit: transactional pointer flip on the hook qword.  An
+        # *exception* here leaves the outcome unknown (the CAS may have
+        # executed and lost its ACK), so nothing is given back; only a
+        # CAS that answered with the wrong prior value unwinds.
         mark = self.sim.now
-        prior = yield from self.sync.cas(
-            hook_addr, existing.code_addr, target_addr, note=txn
-        )
-        if prior != existing.code_addr:
-            self._unwind_failed_delta(existing, slot)
+        if pipelined:
+            prior = yield from self.sync.cas(
+                hook_addr, expected, plan.code_addr, note=txn
+            )
+        else:
+            prior = yield from self.sync.tx(
+                obj_addr=plan.code_addr,
+                obj_bytes=b"",  # staged above
+                qword_addr=hook_addr,
+                new_qword=plan.code_addr,
+                expect=expected,
+                note=txn,
+            )
+        if prior != expected:
+            self._unwind(plan, slot)
             raise DeployError(
                 f"{program.name}: hook {hook_name!r} CAS expected "
-                f"{existing.code_addr:#x}, found {prior:#x} "
-                "(concurrent update?)"
+                f"{expected:#x}, found {prior:#x} (concurrent update?)"
             )
-        self.sync.tx_count += 1
+        if pipelined:
+            self.sync.tx_count += 1  # rdx_tx counts its own installs
         report.commit_us = self.sim.now - mark
 
-        if flush_hook:
-            mark = self.sim.now
-            # The reused extent was live (and executed) two generations
-            # ago, so the target CPU may still cache its old lines, and
-            # DMA writes leave those snapshots stale.  Flush the dirty
-            # spans *before* the hook line: the code must be coherent
-            # before the pointer that reaches it is.
-            for offset, payload in plan.ranges:
-                yield from self.sync.cc_event(
-                    target_addr + offset, len(payload)
-                )
-            yield from self.sync.cc_event(hook_addr, 8)
-            report.cc_us = self.sim.now - mark
+        mark = self.sim.now
+        for addr, length in plan.flush:
+            yield from self.sync.cc_event(addr, length)
+        yield from self.sync.cc_event(hook_addr, 8)
+        report.cc_us = self.sim.now - mark
 
-        report.mode = "delta"
-        report.delta_chunks = len(plan.ranges)
-        report.bytes_moved = (
-            sum(len(payload) for _, payload in plan.ranges) + 256
-        )
-        report.delta_base_version = plan.base_version
         self._bookkeep(
-            program, hook_name, target_addr, len(linked.code), slot,
-            block.version, existing, retain_history, report,
-            image=linked.code,
+            program, hook_name, plan, slot, block.version, retain_history,
+            report, image,
         )
-        return report
 
-    def _unwind_failed_delta(
-        self, existing: DeployedProgram, slot: int
-    ) -> None:
-        """Roll back a delta body that failed before its commit.
+    def _unwind(self, plan: _DeployPlan, slot: Optional[int]) -> None:
+        """Give back what a deploy claimed before its commit failed.
 
-        The baseline extent may now hold a half-rewritten image, so it
-        can never serve as a diff base (or rollback target) again:
-        drop the registration and retire the extent.  Nothing points
-        at it -- the hook never flipped -- so the deferred free is
-        purely conservative.
+        Both the extent *and* the metadata slot go back -- a slot
+        leaked per CAS conflict exhausts the descriptor array under
+        repeated contention.  A borrowed baseline may now hold a
+        half-rewritten image, so it can never serve as a diff base (or
+        rollback target) again: the registration is dropped and the
+        extent retired.  Nothing points at it -- the hook never
+        flipped -- so the deferred free is purely conservative.
         """
         self._metadata_used.discard(slot)
-        addr = existing.baseline_addr
-        if addr is not None:
-            self._retired.append(addr)
-            existing.history = [a for a in existing.history if a != addr]
+        if plan.owned:
+            self.code_allocator.free(plan.code_addr)
+            return
+        existing = plan.existing
+        self._retired.append(plan.code_addr)
+        existing.history = [
+            addr for addr in existing.history if addr != plan.code_addr
+        ]
         existing.baseline_addr = None
         existing.baseline_image = None
         existing.baseline_version = 0
-
-    def _unwind_failed_deploy(self, code_addr: int, slot: int) -> None:
-        """Release local resources a failed deploy body had claimed.
-
-        Both the code pages *and* the metadata slot go back -- leaking
-        the slot on a CAS conflict used to exhaust the descriptor
-        array under repeated contention.
-        """
-        self.code_allocator.free(code_addr)
-        self._metadata_used.discard(slot)
 
     def _bookkeep(
         self,
         program: BpfProgram,
         hook_name: str,
-        code_addr: int,
-        code_len: int,
+        plan: _DeployPlan,
         slot: int,
         version: int,
-        existing: Optional[DeployedProgram],
         retain_history: bool,
         report: DeployReport,
-        image: Optional[bytes] = None,
+        image: bytes,
     ) -> None:
-        """Shared post-commit record keeping for all deploy bodies."""
+        """Post-commit record keeping: books, baseline roles, report."""
         # This deploy's commit CAS (and hook flush) is now visible, so
         # extents retired by the *previous* generation have outlived
         # every exec that could still have been decoding them: the
         # deferred frees drain here, never at retire time.
-        self._drain_retired()
+        for addr in self._retired:
+            if self.code_allocator.size_of(addr) is not None:
+                self.code_allocator.free(addr)
+        self._retired.clear()
+        existing = plan.existing
+        code_addr = plan.code_addr
         record = DeployedProgram(
             program=program,
             hook_name=hook_name,
             code_addr=code_addr,
-            code_len=code_len,
+            code_len=len(image),
             metadata_slot=slot,
             version=version,
             image=image,
@@ -875,7 +702,7 @@ class CodeFlow:
         if existing:
             # The superseded descriptor slot is reusable either way.
             self._metadata_used.discard(existing.metadata_slot)
-            if report.mode == "delta":
+            if not plan.owned:
                 # Ping-pong: the new image went *into* the old baseline
                 # extent, and the superseded live extent becomes the
                 # next baseline.  The consumed baseline leaves the
@@ -905,10 +732,8 @@ class CodeFlow:
                 elif not retain_history:
                     # No known bytes and no history reference: the
                     # extent is garbage, but in-flight execs may still
-                    # be reading it.  Defer the free until the next
-                    # commit CAS is visible -- freeing it here (the old
-                    # behaviour) destroyed the extent under the data
-                    # path.
+                    # be reading it, so the free is deferred until the
+                    # next commit CAS is visible.
                     self._retired.append(existing.code_addr)
             # The previous baseline is superseded unless something
             # still references it (the new baseline, the live extent,
@@ -927,8 +752,14 @@ class CodeFlow:
         self._hook_owner[hook_name] = program.name
         report.total_us = self.sim.now - report.started_us
         report.code_addr = code_addr
-        if report.mode != "delta":
-            report.bytes_moved = code_len + 256
+        # What crossed the wire: the write set + the 256-byte descriptor.
+        report.bytes_moved = 256
+        for _, payload in plan.writes:
+            report.bytes_moved += len(payload)
+        if not plan.owned:
+            report.mode = "delta"
+            report.delta_chunks = len(plan.writes)
+            report.delta_base_version = plan.base_version
         self.reports.append(report)
         self.control_plane.trace.record(
             self.sim.now,
@@ -938,21 +769,10 @@ class CodeFlow:
             total_us=report.total_us,
         )
 
-    def _drain_retired(self) -> None:
-        """Free extents whose deferred-free window has closed."""
-        for addr in self._retired:
-            if self.code_allocator.size_of(addr) is not None:
-                self.code_allocator.free(addr)
-        self._retired.clear()
-
-    def _observe_deploy(self, report: DeployReport, code_bytes: int) -> None:
+    def _observe_deploy(self, report: DeployReport) -> None:
         """Feed one successful deploy into the metrics registry."""
         self.obs.counter("rdx.deploy.count").inc()
-        # What actually crossed the wire: the full image + 256-byte
-        # metadata descriptor, or just a delta's trimmed dirty spans.
-        self.obs.counter("rdx.deploy.bytes_written").inc(
-            report.bytes_moved or (code_bytes + 256)
-        )
+        self.obs.counter("rdx.deploy.bytes_written").inc(report.bytes_moved)
         if report.mode == "delta":
             self.obs.counter("rdx.deploy.delta").inc()
             self.obs.histogram("rdx.delta.chunks").observe(

@@ -476,8 +476,8 @@ class RdxControlPlane:
                 )
                 report.warm = entry is None
                 if entry is not None and self.warm_pool is not None:
-                    # Cold deploy completed: let the pool count the
-                    # (tag, arch, layout) and admit it once popular.
+                    # Cold deploy completed: let the pool count its
+                    # key and admit it once popular.
                     self.warm_pool.note_deploy(program, codeflow, entry.binary)
         except BaseException as err:
             if txn is not None and not self.crashed:
@@ -558,6 +558,20 @@ def _geometry_proxy(codeflow: CodeFlow, name: str) -> _GeometryOnly:
     raise DeployError(
         f"program references map {name!r} but no XState of that name is "
         f"deployed on {codeflow.sandbox.name} (deploy_xstate first)"
+    )
+
+
+def target_map_geometry(codeflow: CodeFlow, program: BpfProgram) -> tuple:
+    """``(map_names, ((key_size, value_size), ...))`` on one target.
+
+    The target-dependent part of the :meth:`RdxControlPlane.prepare`
+    key: anything that skips validation for ``program`` on
+    ``codeflow`` (the warm pool) must have matched on this first.
+    Raises :class:`DeployError` when a map is not deployed there.
+    """
+    names = tuple(getattr(program, "map_names", ()))
+    return names, tuple(
+        _map_geometry(_geometry_proxy(codeflow, name)) for name in names
     )
 
 

@@ -145,13 +145,14 @@ class RemoteSync:
             getattr(action, "error", None),
         )
 
-    def _attempt(self, wr_factory, what: str) -> Generator:
-        completion = yield self.qp.post_send(wr_factory())
+    def _attempt(self, post, what: str) -> Generator:
+        completion = yield post()
         # ibv_poll_cq discipline: the convenience event mirrors a CQE
         # that also landed in the CQ.  Retire one entry per completed
-        # op, or a long-lived codeflow (the serving tier sustains
-        # thousands of deploys per QP) overruns the CQ -- a fatal
-        # async event -- after ``depth`` operations.
+        # post (a chain has a single signaled CQE), or a long-lived
+        # codeflow (the serving tier sustains thousands of deploys per
+        # QP) overruns the CQ -- a fatal async event -- after ``depth``
+        # operations.
         self.qp.cq.poll()
         self._check(completion, what)
         return completion
@@ -162,11 +163,17 @@ class RemoteSync:
         yield self.sim.timeout(params.RDMA_RETRY_TIMEOUT_US)
         raise error
 
-    def _op(self, wr_factory, what: str, inject=None) -> Generator:
-        """One raw op under the retry policy (transient faults absorbed).
+    def _op(self, post, what: str, inject=None) -> Generator:
+        """One post under the retry policy (transient faults absorbed).
 
-        ``inject`` makes the *first* attempt fail with that exception;
-        retryable injections are then absorbed like any other hiccup.
+        ``post`` builds and posts fresh WRs -- one, or a chained batch
+        -- and returns the completion event; it is called once per
+        attempt.  A failed chain retries *as a whole*: torn prefixes
+        from the failed attempt are overwritten when the retry re-lands
+        every WR (writes are idempotent), so partial progress never
+        leaks into the success path.  ``inject`` makes the *first*
+        attempt fail with that exception; retryable injections are
+        then absorbed like any other hiccup.
         """
         state = {"pending": inject}
 
@@ -174,7 +181,7 @@ class RemoteSync:
             if state["pending"] is not None:
                 error, state["pending"] = state["pending"], None
                 return self._faulted_attempt(error)
-            return self._attempt(wr_factory, what)
+            return self._attempt(post, what)
 
         completion = yield from self.retry.run(
             self.sim, attempt, op=what.lower(), rng=self._rng
@@ -187,43 +194,16 @@ class RemoteSync:
             yield self.sim.timeout(params.RDX_CC_EVENT_US)
             return None
         completion = yield from self._op(
-            lambda: WorkRequest(
+            lambda: self.qp.post_send(WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
                 data=payload, hb=self._hb_note(addr, note),
-            ),
+            )),
             "WRITE",
             inject=inject,
         )
         self._trace_event(
             "rdx.trace.write", addr=addr, length=len(payload),
             chunks=max(1, -(-len(payload) // RNIC_MTU_BYTES)),
-        )
-        return completion
-
-    def _attempt_batch(self, wrs_factory, what: str) -> Generator:
-        completion = yield self.qp.post_send_batch(wrs_factory())
-        self.qp.cq.poll()  # retire the chain's single CQE (see _attempt)
-        self._check(completion, what)
-        return completion
-
-    def _op_batch(self, wrs_factory, what: str, inject=None) -> Generator:
-        """One chained batch under the retry policy.
-
-        A failed batch retries *as a whole*: torn prefixes from the
-        failed attempt are overwritten when the retry re-lands every
-        WR (writes are idempotent), so partial progress never leaks
-        into the success path.
-        """
-        state = {"pending": inject}
-
-        def attempt():
-            if state["pending"] is not None:
-                error, state["pending"] = state["pending"], None
-                return self._faulted_attempt(error)
-            return self._attempt_batch(wrs_factory, what)
-
-        completion = yield from self.retry.run(
-            self.sim, attempt, op=what.lower(), rng=self._rng
         )
         return completion
 
@@ -270,18 +250,18 @@ class RemoteSync:
                 self._m_chain_wrs.observe(len(window))
                 self._m_inflight.observe(len(window))
 
-                def wrs_factory(window=window):
-                    return [
+                def post_chain(window=window):
+                    return self.qp.post_send_batch([
                         WorkRequest(
                             opcode=WrOpcode.RDMA_WRITE, remote_addr=addr,
                             rkey=self.rkey, data=payload,
                             hb=self._hb_note(addr, note),
                         )
                         for addr, payload in window
-                    ]
+                    ])
 
-                completion = yield from self._op_batch(
-                    wrs_factory, "WRITE_BATCH", inject=inject
+                completion = yield from self._op(
+                    post_chain, "WRITE_BATCH", inject=inject
                 )
                 self._trace_event(
                     "rdx.trace.chain", wrs=len(window),
@@ -318,10 +298,10 @@ class RemoteSync:
             yield self.sim.timeout(params.RDX_CC_EVENT_US)
             return bytes(length)
         completion = yield from self._op(
-            lambda: WorkRequest(
+            lambda: self.qp.post_send(WorkRequest(
                 opcode=WrOpcode.RDMA_READ, remote_addr=addr, rkey=self.rkey,
                 length=length, hb=self._hb_note(addr),
-            ),
+            )),
             "READ",
             inject=inject,
         )
@@ -330,11 +310,11 @@ class RemoteSync:
     def cas(self, addr: int, compare: int, swap: int, note=None) -> Generator:
         _, _, inject = self._consult_hook("cas", addr, None)
         completion = yield from self._op(
-            lambda: WorkRequest(
+            lambda: self.qp.post_send(WorkRequest(
                 opcode=WrOpcode.COMP_SWAP, remote_addr=addr, rkey=self.rkey,
                 compare=compare, swap_or_add=swap,
                 hb=self._hb_note(addr, note),
-            ),
+            )),
             "CAS",
             inject=inject,
         )
@@ -343,10 +323,10 @@ class RemoteSync:
 
     def fetch_add(self, addr: int, delta: int) -> Generator:
         completion = yield from self._op(
-            lambda: WorkRequest(
+            lambda: self.qp.post_send(WorkRequest(
                 opcode=WrOpcode.FETCH_ADD, remote_addr=addr, rkey=self.rkey,
                 swap_or_add=delta, hb=self._hb_note(addr),
-            ),
+            )),
             "FETCH_ADD",
         )
         return completion.result

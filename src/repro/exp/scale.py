@@ -13,8 +13,7 @@ bench (``benchmarks/bench_scale.py``) sweeps:
   under a chosen arm (flat / tree / sharded-tree), returning the
   bubble window;
 * :func:`kernel_throughput` -- a pure sim-kernel stress (no RDX stack)
-  measuring dispatched events per wall-clock second under the fast or
-  legacy dispatch loop.
+  measuring dispatched events per wall-clock second.
 
 Everything restores the param flags it flips, so probes compose with
 each other and with the surrounding test process.
@@ -184,34 +183,23 @@ def _kernel_node(sim: Simulator, cpu: CPU, iters: int, seed: int):
         yield sim.timeout(0.1 + (seed % 5) * 0.01)
 
 
-def kernel_throughput(
-    n_nodes: int, fast: bool = True, iters: int = 20
-) -> tuple[float, int]:
+def kernel_throughput(n_nodes: int, iters: int = 20) -> tuple[float, int]:
     """Sim-kernel stress: returns (events per wall second, events).
 
     Builds ``n_nodes`` two-core CPU pools and runs ``iters``
     mixed-priority quantum-sliced tasks on each -- pure kernel work
     (calendar pops, resource grants, generator resumes) with no RDX
-    stack on top, so the two dispatch loops
-    (:data:`repro.params.RDX_SIM_FAST` on/off) are compared on exactly
-    the same event stream.
+    stack on top.
     """
-    saved = params.RDX_SIM_FAST
-    params.RDX_SIM_FAST = fast
-    try:
-        sim = Simulator()
-        for node in range(n_nodes):
-            cpu = CPU(sim, cores=2, name=f"n{node}.cpu")
-            sim.spawn(
-                _kernel_node(sim, cpu, iters, seed=node), name=f"n{node}"
-            )
-        start = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        events = sim._processed_events
-        return events / max(elapsed, 1e-9), events
-    finally:
-        params.RDX_SIM_FAST = saved
+    sim = Simulator()
+    for node in range(n_nodes):
+        cpu = CPU(sim, cores=2, name=f"n{node}.cpu")
+        sim.spawn(_kernel_node(sim, cpu, iters, seed=node), name=f"n{node}")
+    start = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - start
+    events = sim._processed_events
+    return events / max(elapsed, 1e-9), events
 
 
 __all__ = [

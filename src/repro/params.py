@@ -94,23 +94,25 @@ RDX_REGISTRY_CAP = 128
 #: but a deploy never needs more than a handful of WRs per target.
 RDX_SQ_DEPTH = int(os.environ.get("RDX_SQ_DEPTH", "16"))
 
-#: Master switch for the pipelined deploy fast path.  A mutable module
-#: global (not a frozen constant) so the ablation bench can flip both
-#: modes inside one process; the environment sets only the default.
-#: ``RDX_PIPELINED_DEPLOY=0`` falls back to the serial
-#: one-WR-per-doorbell path everywhere.
+#: Which costs the one deploy path pays (DESIGN.md §11): pipelined
+#: (one WR chain, bare commit CAS, 3 us dispatch) or, with
+#: ``RDX_PIPELINED_DEPLOY=0``, the serial paper-calibrated arm (one
+#: signaled WR per doorbell, ``rdx_tx`` commit, 17 us dispatch)
+#: everywhere.  A mutable module global (not a frozen constant) so the
+#: ablation bench can flip both arms inside one process; the
+#: environment sets only the default.
 RDX_PIPELINED_DEPLOY = os.environ.get("RDX_PIPELINED_DEPLOY", "1") not in (
     "0", "false", "no",
 )
 
-#: Master switch for the delta-deploy fast path: when the linked-image
+#: Master switch for delta plans: when the linked-image
 #: cache certifies an identical (arch, GOT-fingerprint) layout and the
 #: superseded image is still resident as a baseline, a redeploy ships
 #: only the MTU chunks that changed (trimmed to dirty cache lines) and
 #: flips the hook with the usual commit CAS.  A mutable module global
 #: like :data:`RDX_PIPELINED_DEPLOY` so the ablation bench can flip
 #: both arms inside one process; the environment sets only the default
-#: (``RDX_DELTA_DEPLOY=1`` to enable).  Requires the pipelined path.
+#: (``RDX_DELTA_DEPLOY=1`` to enable).  Requires the pipelined arm.
 RDX_DELTA_DEPLOY = os.environ.get("RDX_DELTA_DEPLOY", "0") not in (
     "0", "false", "no", "",
 )
@@ -122,18 +124,6 @@ RDX_DELTA_DEPLOY = os.environ.get("RDX_DELTA_DEPLOY", "0") not in (
 #: per-WR overhead (RNIC_OP_OVERHEAD_US each side + chain bookkeeping)
 #: erases the bytes saved.
 RDX_DELTA_MAX_CHUNKS = int(os.environ.get("RDX_DELTA_MAX_CHUNKS", "8"))
-
-#: Master switch for the sim-kernel fast dispatch path: the inlined
-#: event loop in :meth:`repro.sim.core.Simulator.run` plus the
-#: allocation-trimmed poke/bootstrap events.  A mutable module global
-#: like :data:`RDX_PIPELINED_DEPLOY` so ``bench_scale`` can measure
-#: both arms in one process; the environment sets only the default
-#: (``RDX_SIM_FAST=0`` restores the pre-PR ``step()``-per-event loop).
-#: Both arms are semantically identical -- same event ordering, same
-#: tie-breaking -- only the constant factor differs.
-RDX_SIM_FAST = os.environ.get("RDX_SIM_FAST", "1") not in (
-    "0", "false", "no",
-)
 
 #: Master switch for tree broadcast: fan deploy legs out through a
 #: relay tree (already-updated sandboxes forward the chained WR list

@@ -4,11 +4,17 @@ The PR-4 linked-image cache removes per-relocation rewriting from a
 repeat deploy, but its key needs the *compiled* binary (content CRC),
 so a cache hit still walks prepare: policy checks, registry probe,
 span bookkeeping.  The warm pool extends that cache one level up: it
-keys pre-linked popular extensions by ``(program tag, arch,
-GOT-layout fingerprint)`` -- all derivable from the deploy request
-itself -- so a warm hit resolves to ready-to-ship bytes before
-validate, JIT, or link ever run, and the deploy rides the pipelined
-WR chain directly.
+keys pre-linked popular extensions by ``(program tag, arch, map
+geometry, GOT-layout fingerprint)`` -- all derivable from the deploy
+request and the target's own books -- so a warm hit resolves to
+ready-to-ship bytes before validate, JIT, or link ever run, and the
+deploy rides the pipelined WR chain directly.
+
+A hit skips validation, so the key carries everything the verdict
+depended on: the tag (instructions) and the ``(key_size, value_size)``
+of every map the program names *on this target*, exactly as the
+compile registry does.  A same-named map of another shape at the same
+address is a miss, not a stale verdict.
 
 Staleness has the same contract as the link cache: the fingerprint
 covers *resolved addresses*, and the pool recomputes it against the
@@ -24,11 +30,13 @@ monitor can scrape them with one-sided READs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro import params
+from repro.core.control_plane import target_map_geometry
 from repro.ebpf.jit import JitBinary, RelocKind
+from repro.errors import DeployError
 from repro.obs import telemetry_of
 from repro.obs.spans import Span
 
@@ -37,9 +45,6 @@ from repro.obs.spans import Span
 class WarmImage:
     """One pre-linked extension resident in the pool."""
 
-    tag: str
-    arch: str
-    fingerprint: int
     #: The ready-to-deploy linked image.
     linked: JitBinary
     #: Full link-cache key ``(content CRC, arch, fingerprint)`` --
@@ -48,8 +53,8 @@ class WarmImage:
     #: they would after a link-cache hit.
     link_key: tuple
     #: ``(RelocKind, symbol)`` pairs re-resolved at lookup time; the
-    #: recomputed fingerprint must match :attr:`fingerprint` for the
-    #: entry to be served.
+    #: recomputed fingerprint must match the one in the entry's pool
+    #: key for it to be served.
     relocs: tuple[tuple[RelocKind, str], ...] = ()
     hits: int = 0
 
@@ -82,14 +87,16 @@ class WarmLinkedImagePool:
         )
         #: Optional serve telemetry segment mirror (one-sided scrape).
         self.segment = segment
-        #: (tag, arch, fingerprint) -> WarmImage; dict order is the
-        #: LRU recency list, same idiom as the registry + link cache.
+        #: (tag, arch, geometry, fingerprint) -> WarmImage; dict order
+        #: is the LRU recency list, same idiom as the registry + link
+        #: cache.
         self.entries: dict[tuple, WarmImage] = {}
-        #: (tag, arch) -> fingerprints resident for that program, so a
-        #: lookup probes one index entry instead of scanning the pool.
-        self._by_prog: dict[tuple[str, str], set[int]] = {}
-        #: (tag, arch, fingerprint) -> cold deploys observed; admission
-        #: threshold counter.
+        #: (tag, arch, geometry) -> fingerprints resident for that
+        #: program, so a lookup probes one index entry instead of
+        #: scanning the pool.
+        self._by_prog: dict[tuple, set[int]] = {}
+        #: pool key -> cold deploys observed; admission threshold
+        #: counter.
         self._popularity: dict[tuple, int] = {}
         self.hits = 0
         self.misses = 0
@@ -113,7 +120,7 @@ class WarmLinkedImagePool:
         """Process body: probe the pool for ``program`` on ``codeflow``.
 
         Returns the pre-linked :class:`JitBinary` on a hit (with the
-        codeflow's link-cache state stamped, so the deploy body skips
+        codeflow's link-cache state stamped, so the deploy skips
         the stub rendezvous and delta eligibility still certifies), or
         ``None`` on a miss.  Charges one control-plane probe
         (:data:`~repro.params.RDX_WARM_POOL_LOOKUP_US`): an index
@@ -123,15 +130,19 @@ class WarmLinkedImagePool:
         yield from self.control_plane.host.cpu.run(
             params.RDX_WARM_POOL_LOOKUP_US
         )
-        tag = program.tag()
-        arch = codeflow.manifest.arch
-        fingerprints = self._by_prog.get((tag, arch))
+        try:
+            identity = self._identity(codeflow, program)
+        except DeployError:
+            # A named map is not deployed here; the cold path raises
+            # the precise error.
+            return self._miss("unresolved")
+        fingerprints = self._by_prog.get(identity)
         if not fingerprints:
             return self._miss("absent")
-        # Every entry of one (tag, arch) shares the same relocation
+        # Every entry of one identity shares the same relocation
         # symbols (same program, same JIT), so one candidate's relocs
         # resolve the target's current fingerprint for all of them.
-        candidate = self.entries[(tag, arch, next(iter(fingerprints)))]
+        candidate = self.entries[identity + (next(iter(fingerprints)),)]
         fingerprint = codeflow.layout_fingerprint(candidate.relocs)
         if fingerprint is None:
             return self._miss("unresolved")
@@ -140,7 +151,7 @@ class WarmLinkedImagePool:
             # resident image would be byte-wrong here.  Same semantics
             # as a link-cache miss after reboot.
             return self._miss("layout-changed")
-        key = (tag, arch, fingerprint)
+        key = identity + (fingerprint,)
         entry = self.entries[key]
         self.entries[key] = self.entries.pop(key)  # LRU touch
         entry.hits += 1
@@ -151,11 +162,21 @@ class WarmLinkedImagePool:
         if parent_span is not None:
             parent_span.attrs["warm"] = "hit"
         # Stamp the link-cache state a fresh link would have produced:
-        # the fast deploy body skips the stub rendezvous, and a delta
+        # the pipelined deploy skips the stub rendezvous, and a delta
         # redeploy can certify the layout from _last_link_key.
         codeflow._last_link_cached = True
         codeflow._last_link_key = entry.link_key
         return entry.linked
+
+    @staticmethod
+    def _identity(codeflow, program) -> tuple:
+        """``(tag, arch, map geometry)``: what one verdict + compile
+        may be reused for on ``codeflow``'s target."""
+        return (
+            program.tag(),
+            codeflow.manifest.arch,
+            target_map_geometry(codeflow, program),
+        )
 
     def _miss(self, reason: str) -> None:
         self.misses += 1
@@ -171,15 +192,14 @@ class WarmLinkedImagePool:
         """Feed one completed *cold* deploy into popularity accounting.
 
         Called by the control plane after the full pipeline ran.  Once
-        a ``(tag, arch, layout)`` has been cold-deployed
+        a ``(tag, arch, geometry, layout)`` has been cold-deployed
         ``admit_after`` times, its freshly linked image (already in
         the link cache) is promoted into the pool.
         """
         key = codeflow._last_link_key
         if key is None:
             return
-        _content, arch, fingerprint = key
-        pool_key = (program.tag(), arch, fingerprint)
+        pool_key = self._identity(codeflow, program) + (key[2],)
         count = self._popularity.get(pool_key, 0) + 1
         self._popularity[pool_key] = count
         if count < self.admit_after or pool_key in self.entries:
@@ -205,9 +225,9 @@ class WarmLinkedImagePool:
         key = codeflow._last_link_key
         if key is None:
             return False
-        _content, arch, fingerprint = key
         self._admit(
-            (program.tag(), arch, fingerprint), key, entry.binary, linked
+            self._identity(codeflow, program) + (key[2],), key,
+            entry.binary, linked,
         )
         return True
 
@@ -215,18 +235,14 @@ class WarmLinkedImagePool:
         self, pool_key: tuple, link_key: tuple, binary: JitBinary,
         linked: JitBinary,
     ) -> None:
-        tag, arch, fingerprint = pool_key
         self.entries[pool_key] = WarmImage(
-            tag=tag,
-            arch=arch,
-            fingerprint=fingerprint,
             linked=linked,
             link_key=link_key,
             relocs=tuple(
                 (reloc.kind, reloc.symbol) for reloc in binary.relocations
             ),
         )
-        self._by_prog.setdefault((tag, arch), set()).add(fingerprint)
+        self._by_prog.setdefault(pool_key[:-1], set()).add(pool_key[-1])
         self.obs.counter("rdx.serve.warm.admit").inc()
         while len(self.entries) > self.cap:
             victim_key = next(iter(self.entries))
@@ -234,12 +250,12 @@ class WarmLinkedImagePool:
 
     def _evict(self, pool_key: tuple) -> None:
         self.entries.pop(pool_key)
-        tag, arch, fingerprint = pool_key
-        survivors = self._by_prog.get((tag, arch))
+        identity, fingerprint = pool_key[:-1], pool_key[-1]
+        survivors = self._by_prog.get(identity)
         if survivors is not None:
             survivors.discard(fingerprint)
             if not survivors:
-                del self._by_prog[(tag, arch)]
+                del self._by_prog[identity]
         self.evictions += 1
         self.obs.counter("rdx.serve.warm.evict").inc()
         if self.segment is not None:

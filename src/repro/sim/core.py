@@ -8,11 +8,9 @@ sequence number), never by object identity.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro import params
 
 #: One microsecond -- the base unit of simulated time.
 US = 1.0
@@ -102,12 +100,6 @@ class Event:
         self._exception = exception
         self.sim._enqueue(self)
         return self
-
-    def _process(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
 
 
 class _Poke(Event):
@@ -418,7 +410,7 @@ class Simulator:
 
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heappush(self._queue, (self._now + delay, self._seq, event))
 
     # -- factories ---------------------------------------------------
 
@@ -443,15 +435,6 @@ class Simulator:
 
     # -- execution ---------------------------------------------------
 
-    def step(self) -> None:
-        """Process exactly one event, advancing the clock to it."""
-        when, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self._processed_events += 1
-        event._process()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or the clock passes ``until``.
 
@@ -459,25 +442,14 @@ class Simulator:
         even if no event lands on that instant, so back-to-back ``run``
         calls compose predictably.
 
-        With :data:`repro.params.RDX_SIM_FAST` (the default) dispatch
-        is inlined -- no per-event ``step()``/``_process()`` calls --
-        with identical ordering semantics; ``RDX_SIM_FAST=0`` selects
-        the original loop for ablation.
+        Dispatch is inlined in the loops below (and in
+        :meth:`run_process`): popping an event marks it processed and
+        runs its callbacks, with no per-event method call.
         """
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})"
             )
-        if not params.RDX_SIM_FAST:
-            while self._queue:
-                when = self._queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    return
-                self.step()
-            if until is not None:
-                self._now = until
-            return
         queue = self._queue
         processed = self._processed_events
         try:
@@ -520,24 +492,20 @@ class Simulator:
         """
         proc = self.spawn(generator, name=name)
         queue = self._queue
-        if not params.RDX_SIM_FAST:
+        processed = self._processed_events
+        try:
             while not proc._triggered and queue:
-                self.step()
-        else:
-            processed = self._processed_events
-            try:
-                while not proc._triggered and queue:
-                    when, _seq, event = heappop(queue)
-                    self._now = when
-                    processed += 1
-                    event._processed = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-            finally:
-                self._processed_events = processed
+                when, _seq, event = heappop(queue)
+                self._now = when
+                processed += 1
+                event._processed = True
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
+        finally:
+            self._processed_events = processed
         if not proc._triggered:
             raise SimulationError(
                 f"process {proc.name!r} never completed (deadlock?)"

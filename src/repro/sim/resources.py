@@ -12,8 +12,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
-from repro import params
-from repro.sim.core import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import Event, SimulationError, Simulator
 
 
 class Resource:
@@ -154,14 +153,12 @@ class CPU:
             raise ValueError(f"negative CPU cost: {cost_us}")
         remaining = cost_us
         resource = self._resource
-        sim = self.sim
-        fast = params.RDX_SIM_FAST
         users = resource._users
         waiting = resource._waiting
         capacity = resource.capacity
         while True:
             slice_us = remaining if quantum_us is None else min(quantum_us, remaining)
-            if fast and not waiting and len(users) + resource._fast_claims < capacity:
+            if not waiting and len(users) + resource._fast_claims < capacity:
                 # Uncontended fast path: a free core is claimed
                 # synchronously (a counter bump, no grant event)
                 # instead of bouncing a grant through the calendar.
@@ -178,13 +175,10 @@ class CPU:
                 grant = resource.request(priority)
                 yield grant
             try:
-                if fast:
-                    # Bare-number yield: the process's reusable tick
-                    # carries the slice, skipping the per-slice
-                    # Timeout allocation (see sim.core._Tick).
-                    yield slice_us
-                else:
-                    yield Timeout(sim, slice_us)
+                # Bare-number yield: the process's reusable tick carries
+                # the slice, skipping the per-slice Timeout allocation
+                # (see sim.core._Tick).
+                yield slice_us
                 self.busy_us += slice_us
             finally:
                 if grant is None:

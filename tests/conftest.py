@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import params
 from repro.exp.harness import Testbed, make_testbed
 from repro.sim.core import Simulator
 
@@ -23,6 +24,14 @@ def testbed() -> Testbed:
 def testbed2() -> Testbed:
     """Two data hosts (for broadcast/migration tests)."""
     return make_testbed(n_hosts=2, cores_per_host=4)
+
+
+@pytest.fixture
+def pin_pipelined(monkeypatch):
+    """Hold the pipelined deploy arm for tests about what only it has
+    (a WR chain to tear, link-cache counters), so they stay meaningful
+    in CI's ``RDX_PIPELINED_DEPLOY=0`` run."""
+    monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
 
 
 @pytest.fixture(autouse=True)

@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from repro import params
 from repro.core.api import rdx_broadcast
 from repro.core.faults import FaultInjector, FaultKind
 from repro.ebpf.stress import make_stress_program
@@ -252,16 +251,8 @@ class TestCampaignSmoke:
         assert all(r.bubbles_clear for r in result.rounds)
 
 
+@pytest.mark.usefixtures("pin_pipelined")
 class TestTornChainAbort:
-    @pytest.fixture(autouse=True)
-    def _pin_pipelined(self):
-        # The mid-chain tear needs the batched fast path; keep the test
-        # meaningful under an RDX_PIPELINED_DEPLOY=0 ablation run.
-        saved = params.RDX_PIPELINED_DEPLOY
-        params.RDX_PIPELINED_DEPLOY = True
-        yield
-        params.RDX_PIPELINED_DEPLOY = saved
-
     def test_crash_mid_chain_aborts_then_rebroadcast_succeeds(self, testbed2):
         """A target dying mid-WR-chain strands exactly the landed MTU
         prefix; the broadcast aborts all-or-nothing, and a rebroadcast

@@ -252,16 +252,8 @@ class TestSingleFlightCompile:
             assert execution is not None
 
 
+@pytest.mark.usefixtures("pin_pipelined")
 class TestLinkedImageCache:
-    @pytest.fixture(autouse=True)
-    def _pin_pipelined(self):
-        # Cache hit/miss counters only move on the fast path; keep these
-        # tests meaningful under an RDX_PIPELINED_DEPLOY=0 ablation run.
-        saved = params.RDX_PIPELINED_DEPLOY
-        params.RDX_PIPELINED_DEPLOY = True
-        yield
-        params.RDX_PIPELINED_DEPLOY = saved
-
     def test_distinct_programs_get_distinct_keys(self, testbed):
         """Regression: keys must hash the payload, not the full image.
 

@@ -290,17 +290,9 @@ class TestRegistryCapAndClose:
             plane.close_codeflow(codeflow)
 
 
+@pytest.mark.usefixtures("pin_pipelined")
 class TestTornBatchRecovery:
     """Torn WR chains: prefix detection, CRC readback, and repair."""
-
-    @pytest.fixture(autouse=True)
-    def _pin_pipelined(self):
-        # These scenarios tear a *batched* image mid-chain; keep them
-        # meaningful under an RDX_PIPELINED_DEPLOY=0 ablation run.
-        saved = params.RDX_PIPELINED_DEPLOY
-        params.RDX_PIPELINED_DEPLOY = True
-        yield
-        params.RDX_PIPELINED_DEPLOY = saved
 
     def test_crash_mid_chain_strands_exact_mtu_prefix(self, testbed):
         """A target dying mid-chain keeps exactly the landed MTU chunks;

@@ -19,7 +19,7 @@ from repro.ebpf.asm import Asm
 from repro.ebpf.maps import MapType
 from repro.ebpf.program import BpfProgram
 from repro.ebpf.stress import make_stress_program, make_stress_variant
-from repro.errors import ReproError, SecurityError
+from repro.errors import ReproError, SecurityError, VerifierError
 from repro.exp.serve_workload import ServeWorkloadSpec, run_serve_workload
 from repro.obs import tenant_label
 from repro.serve import (
@@ -233,6 +233,45 @@ class TestWarmPool:
         assert pool.miss_reasons.get("layout-changed") == 1
         # The re-linked post-reboot image was admitted alongside; a
         # redeploy on the *new* layout is warm again.
+        report = bed.sim.run_process(
+            bed.control.inject(codeflow, program, "ingress")
+        )
+        assert report.warm
+
+    def test_warm_hit_never_crosses_map_geometry(self, testbed):
+        """A warm image is only as good as the verdict behind it.
+
+        Companion of ``test_registry_hit_never_crosses_map_geometry``.
+        ``stress_map`` is redeployed *at the same address* with 2-byte
+        values instead of 8, so the GOT fingerprint still matches; the
+        program reads 4 bytes of the value.  A pool keyed on ``(tag,
+        arch, fingerprint)`` alone served the image verified against
+        the old map and skipped validation entirely.
+        """
+        bed = testbed
+        codeflow = bed.codeflow
+        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        wide = XStateSpec("stress_map", MapType.ARRAY, 4, 8, 4)
+        narrow = XStateSpec("stress_map", MapType.ARRAY, 4, 2, 4)
+        handle = bed.sim.run_process(codeflow.deploy_xstate(wide))
+        program = make_stress_program(300, seed=1, with_map=True)
+        bed.sim.run_process(bed.control.inject(codeflow, program, "ingress"))
+        assert len(pool) == 1
+
+        bed.sim.run_process(codeflow.destroy_xstate(handle))
+        shrunk = bed.sim.run_process(codeflow.deploy_xstate(narrow))
+        assert shrunk.data_addr == handle.data_addr
+        process = bed.sim.spawn(
+            bed.control.inject(codeflow, program, "ingress")
+        )
+        bed.sim.run()
+        with pytest.raises(VerifierError, match=r"outside value_size=2"):
+            _ = process.value
+        assert pool.hits == 0
+
+        # The old geometry back at the same address: warm again.
+        bed.sim.run_process(codeflow.destroy_xstate(shrunk))
+        bed.sim.run_process(codeflow.deploy_xstate(wide))
         report = bed.sim.run_process(
             bed.control.inject(codeflow, program, "ingress")
         )
