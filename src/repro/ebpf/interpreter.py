@@ -12,13 +12,13 @@ and real :class:`~repro.ebpf.maps.BpfMap` objects.  Used three ways:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SandboxError
 from repro.ebpf import opcodes as op
-from repro.ebpf.helpers import ArgType, helper_by_id
-from repro.ebpf.insn import Insn
+from repro.ebpf.helpers import helper_by_id
 from repro.ebpf.maps import BpfMap
 
 _U64 = (1 << 64) - 1
@@ -40,6 +40,114 @@ def _signed(value: int, bits: int = 64) -> int:
     if value >= 1 << (bits - 1):
         value -= 1 << bits
     return value
+
+
+# -- the ALU and jump operations ------------------------------------------
+#
+# Each operation is defined once, here, as a function of two operands
+# already cut to the instruction's width: the C-level ``operator``
+# function where one fits, so that executing the instruction costs no
+# Python-level call.  ``_OPERATIONS`` below spreads them over every
+# opcode that encodes them.
+
+
+def _div(value: int, divisor: int) -> int:
+    return value // divisor if divisor else 0
+
+
+def _mod(value: int, divisor: int) -> int:
+    return value % divisor if divisor else value
+
+
+def _neg(value: int, _operand: int) -> int:
+    return -value
+
+
+def _arsh(bits: int) -> Callable[[int, int], int]:
+    """The one operation whose function depends on the width."""
+    return lambda value, shift: _signed(value, bits) >> shift
+
+
+def _byte_swap(value: int, imm: int) -> int:
+    size = max(2, min(8, imm // 8)) if imm else 8
+    low = value & ((1 << (size * 8)) - 1)
+    return int.from_bytes(low.to_bytes(size, "little"), "big")
+
+
+_ALU = {
+    op.BPF_ADD: operator.add,
+    op.BPF_SUB: operator.sub,
+    op.BPF_MUL: operator.mul,
+    op.BPF_DIV: _div,
+    op.BPF_OR: operator.or_,
+    op.BPF_AND: operator.and_,
+    op.BPF_LSH: operator.lshift,
+    op.BPF_RSH: operator.rshift,
+    op.BPF_NEG: _neg,
+    op.BPF_MOD: _mod,
+    op.BPF_XOR: operator.xor,
+    op.BPF_MOV: operator.or_,  # onto a destination masked to zero
+    op.BPF_END: _byte_swap,
+}
+#: condition -> (comparison, compares as signed)
+_JUMPS = {
+    op.BPF_JEQ: (operator.eq, False),
+    op.BPF_JGT: (operator.gt, False),
+    op.BPF_JGE: (operator.ge, False),
+    op.BPF_JSET: (operator.and_, False),
+    op.BPF_JNE: (operator.ne, False),
+    op.BPF_JSGT: (operator.gt, True),
+    op.BPF_JSGE: (operator.ge, True),
+    op.BPF_JLT: (operator.lt, False),
+    op.BPF_JLE: (operator.le, False),
+    op.BPF_JSLT: (operator.lt, True),
+    op.BPF_JSLE: (operator.le, True),
+}
+
+
+def _operations() -> dict[int, tuple]:
+    """opcode -> ``(is_jump, function, operand from a register, mask of
+    the left operand, mask of the right operand, last)``.
+
+    An ALU instruction is ``dst = function(dst & left, operand & right)
+    & last``.  The masks carry what differs between operations: both
+    are the width for most; a shift count is taken modulo the width,
+    which is its low bits; ``MOV`` ignores the destination (masked to
+    zero, then or-ed with the operand); the byte swap reads its size
+    from the raw immediate whatever the source bit says.
+
+    A jump is taken when ``function((dst & left) ^ last, (operand &
+    right) ^ last)`` holds.  For a signed comparison ``last`` is the
+    sign bit: flipping it in both operands turns the unsigned order of
+    the results into the signed order of the operands.
+    """
+    table = {}
+    for cls, bits in ((op.BPF_ALU64, 64), (op.BPF_ALU, 32)):
+        width = (1 << bits) - 1
+        for operation, function in {**_ALU, op.BPF_ARSH: _arsh(bits)}.items():
+            for source in (op.BPF_K, op.BPF_X):
+                from_reg, left, right = source == op.BPF_X, width, width
+                if operation in (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH):
+                    right = bits - 1
+                elif operation == op.BPF_MOV:
+                    left = 0
+                elif operation == op.BPF_END:
+                    from_reg, right = False, -1
+                table[cls | operation | source] = (
+                    False, function, from_reg, left, right, width
+                )
+    for cls, bits in ((op.BPF_JMP, 64), (op.BPF_JMP32, 32)):
+        width = (1 << bits) - 1
+        for operation, (function, signed) in _JUMPS.items():
+            for source in (op.BPF_K, op.BPF_X):
+                table[cls | operation | source] = (
+                    True, function, source == op.BPF_X, width, width,
+                    1 << (bits - 1) if signed else 0,
+                )
+    return table
+
+
+_OPERATIONS = _operations()
 
 
 @dataclass
@@ -164,8 +272,13 @@ class Interpreter:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, insns: list[Insn], ctx: bytes = b"") -> ExecutionResult:
-        """Execute ``insns`` with ``ctx`` as the context buffer."""
+    def run(self, insns: Sequence[tuple], ctx: bytes = b"") -> ExecutionResult:
+        """Execute ``insns`` with ``ctx`` as the context buffer.
+
+        An instruction is any ``(opcode, dst, src, off, imm)`` tuple:
+        an :class:`~repro.ebpf.insn.Insn`, or what ``decode_image``
+        returns.
+        """
         self._ctx = bytes(ctx)
         self._stack = bytearray(op.STACK_SIZE)
         self._value_areas.clear()
@@ -174,161 +287,69 @@ class Interpreter:
         regs = [0] * 11
         regs[op.R1] = CTX_BASE
         regs[op.R10] = STACK_TOP
+        count = len(insns)
+        operation_of = _OPERATIONS.get
         pc = 0
-        executed = 0
-        while True:
-            if executed >= self.insn_budget:
-                raise SandboxError("instruction budget exhausted")
-            if not 0 <= pc < len(insns):
+        for executed in range(1, self.insn_budget + 1):
+            if not 0 <= pc < count:
                 raise SandboxError(f"pc {pc} out of range")
-            insn = insns[pc]
-            executed += 1
-            # An Insn is a tuple: index and unpack it here, which is
-            # cheaper per step than five named-field reads.
-            cls = insn[0] & op.CLASS_MASK
+            opcode, dst, src, off, imm = insns[pc]
+            pc += 1
 
-            if cls == op.BPF_ALU64 or cls == op.BPF_ALU:
-                self._alu(regs, insn, cls)
-                pc += 1
+            operation = operation_of(opcode)
+            if operation is not None:
+                is_jump, function, from_reg, left, right, last = operation
+                operand = (regs[src] if from_reg else imm) & right
+                if not is_jump:
+                    regs[dst] = function(regs[dst] & left, operand) & last
+                elif function((regs[dst] & left) ^ last, operand ^ last):
+                    pc += off
                 continue
 
-            opcode, dst, src, off, imm = insn
-            if opcode == op.LDDW:
-                if pc + 1 >= len(insns):
-                    raise SandboxError("truncated LDDW")
-                high = insns[pc + 1].imm & _U32
-                low = imm & _U32
-                if src == op.PSEUDO_MAP_FD:
-                    regs[dst] = MAP_REF_BASE + low
-                else:
-                    regs[dst] = (high << 32) | low
-                pc += 2
-                continue
-
+            cls = opcode & op.CLASS_MASK
             if cls == op.BPF_LDX:
                 size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
                 data = self._read_mem((regs[src] + off) & _U64, size)
                 regs[dst] = int.from_bytes(data, "little")
-                pc += 1
-                continue
-
-            if cls in (op.BPF_ST, op.BPF_STX):
+            elif cls == op.BPF_STX or cls == op.BPF_ST:
                 size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
                 value = regs[src] if cls == op.BPF_STX else imm & _U64
                 data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
                 self._write_mem((regs[dst] + off) & _U64, data)
+            elif opcode == op.LDDW:
+                if pc >= count:
+                    raise SandboxError("truncated LDDW")
+                if src == op.PSEUDO_MAP_FD:
+                    regs[dst] = MAP_REF_BASE + (imm & _U32)
+                else:
+                    regs[dst] = (insns[pc][4] & _U32) << 32 | imm & _U32
                 pc += 1
-                continue
-
-            if cls in (op.BPF_JMP, op.BPF_JMP32):
-                operation = opcode & op.OP_MASK
-                if operation == op.BPF_EXIT:
+            elif cls == op.BPF_JMP or cls == op.BPF_JMP32:
+                control = opcode & op.OP_MASK
+                if control == op.BPF_EXIT:
                     return ExecutionResult(
                         r0=regs[op.R0],
                         insns_executed=executed,
                         printk_lines=self._printk,
                     )
-                if operation == op.BPF_CALL:
-                    self._call(regs, insn)
-                    pc += 1
-                    continue
-                if operation == op.BPF_JA:
-                    pc += 1 + off
-                    continue
-                if self._jump_taken(regs, insn, cls):
-                    pc += 1 + off
+                if control == op.BPF_CALL:
+                    self._call(regs, imm)
+                elif control == op.BPF_JA:
+                    pc += off
                 else:
-                    pc += 1
-                continue
+                    raise SandboxError(f"unsupported jump op {control:#x}")
+            elif cls == op.BPF_ALU64 or cls == op.BPF_ALU:
+                raise SandboxError(
+                    f"unsupported ALU op {opcode & op.OP_MASK:#x}"
+                )
+            else:
+                raise SandboxError(f"unsupported opcode {opcode:#04x}")
+        raise SandboxError("instruction budget exhausted")
 
-            raise SandboxError(f"unsupported opcode {opcode:#04x}")
-
-    def _alu(self, regs: list[int], insn: Insn, cls: int) -> None:
-        opcode, dst, src, _off, imm = insn
-        operation = opcode & op.OP_MASK
-        is64 = cls == op.BPF_ALU64
-        mask = _U64 if is64 else _U32
-        bits = 64 if is64 else 32
-        if opcode & op.BPF_X:
-            operand = regs[src] & mask
-        else:
-            operand = imm & mask
-        value = regs[dst] & mask
-
-        if operation == op.BPF_MOV:
-            result = operand
-        elif operation == op.BPF_ADD:
-            result = value + operand
-        elif operation == op.BPF_SUB:
-            result = value - operand
-        elif operation == op.BPF_MUL:
-            result = value * operand
-        elif operation == op.BPF_DIV:
-            result = value // operand if operand else 0
-        elif operation == op.BPF_MOD:
-            result = value % operand if operand else value
-        elif operation == op.BPF_OR:
-            result = value | operand
-        elif operation == op.BPF_AND:
-            result = value & operand
-        elif operation == op.BPF_XOR:
-            result = value ^ operand
-        elif operation == op.BPF_LSH:
-            result = value << (operand % bits)
-        elif operation == op.BPF_RSH:
-            result = value >> (operand % bits)
-        elif operation == op.BPF_ARSH:
-            result = _signed(value, bits) >> (operand % bits)
-        elif operation == op.BPF_NEG:
-            result = -value
-        elif operation == op.BPF_END:
-            size = max(2, min(8, imm // 8)) if imm else 8
-            result = int.from_bytes(
-                (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little"), "big"
-            )
-        else:
-            raise SandboxError(f"unsupported ALU op {operation:#x}")
-        regs[dst] = result & mask
-
-    def _jump_taken(self, regs: list[int], insn: Insn, cls: int) -> bool:
-        opcode, dst, src, _off, imm = insn
-        operation = opcode & op.OP_MASK
-        bits = 32 if cls == op.BPF_JMP32 else 64
-        mask = (1 << bits) - 1
-        left = regs[dst] & mask
-        if opcode & op.BPF_X:
-            right = regs[src] & mask
-        else:
-            right = imm & mask
-        sleft, sright = _signed(left, bits), _signed(right, bits)
-        if operation == op.BPF_JEQ:
-            return left == right
-        if operation == op.BPF_JNE:
-            return left != right
-        if operation == op.BPF_JGT:
-            return left > right
-        if operation == op.BPF_JGE:
-            return left >= right
-        if operation == op.BPF_JLT:
-            return left < right
-        if operation == op.BPF_JLE:
-            return left <= right
-        if operation == op.BPF_JSET:
-            return bool(left & right)
-        if operation == op.BPF_JSGT:
-            return sleft > sright
-        if operation == op.BPF_JSGE:
-            return sleft >= sright
-        if operation == op.BPF_JSLT:
-            return sleft < sright
-        if operation == op.BPF_JSLE:
-            return sleft <= sright
-        raise SandboxError(f"unsupported jump op {operation:#x}")
-
-    def _call(self, regs: list[int], insn: Insn) -> None:
-        helper = helper_by_id(insn.imm)
+    def _call(self, regs: list[int], helper_id: int) -> None:
+        helper = helper_by_id(helper_id)
         if helper is None:
-            raise SandboxError(f"call to unknown helper {insn.imm}")
+            raise SandboxError(f"call to unknown helper {helper_id}")
         args = [regs[i] for i in range(1, 1 + len(helper.args))]
         result = helper.impl(self, *args)
         regs[op.R0] = (result or 0) & _U64

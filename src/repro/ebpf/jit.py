@@ -36,20 +36,17 @@ from typing import Callable, Optional
 from repro.errors import JitError, SandboxCrash
 from repro.ebpf import opcodes as op
 from repro.ebpf.helpers import helper_by_id
-from repro.ebpf.insn import Insn
 from repro.ebpf.program import BpfProgram
 
 MAGIC = b"RJ"
 VERSION = 1
 _HEADER = struct.Struct("<2sBBI")
 _SLOT_BYTES = 10
-#: One slot as (prefix, payload, checksum) ...
-_SLOT = struct.Struct("<B8sB")
-#: ... and with the payload read as instruction fields
-#: (prefix, opcode, dst|src<<4, off, imm, checksum).
-_SLOT_FIELDS = struct.Struct("<BBBhiB")
+#: The slot's ``off`` and ``imm`` fields; every other byte is taken as
+#: a column of the image.
+_OFF_IMM = "3xhix"
 #: What the second half of a resolved map LDDW decodes to.
-_LDDW_TAIL = Insn(opcode=0)
+_LDDW_TAIL = (0, 0, 0, 0, 0)
 
 #: Placeholder operand emitted for every unresolved external reference.
 PLACEHOLDER = 0xDEAD_BEEF_DEAD_BEEF
@@ -57,6 +54,21 @@ PLACEHOLDER = 0xDEAD_BEEF_DEAD_BEEF
 _ARCH_PREFIX = {
     "x86_64": (0x9A, 0x9B),  # (insn slot, operand slot)
     "arm64": (0xAA, 0xAB),
+}
+
+
+def _byte_table(entry: Callable[[int], int]) -> bytes:
+    """A ``bytes.translate`` table mapping each byte ``b`` to ``entry(b)``."""
+    return bytes(entry(byte) for byte in range(256))
+
+
+# Per-slot questions the decoder asks a whole column at a time.
+_DST = _byte_table(lambda regs: regs & 0xF)
+_SRC = _byte_table(lambda regs: regs >> 4)
+_BAD_DST = _byte_table(lambda regs: regs & 0xF > op.MAX_REG)
+_NOT_PREFIX = {
+    prefix: _byte_table(lambda byte: byte != prefix)
+    for prefix, _operand_prefix in _ARCH_PREFIX.values()
 }
 
 
@@ -129,6 +141,11 @@ class JitBinary:
 #: Opcodes of ``call imm`` (the source bit does not matter to a call).
 _CALL_OPCODES = frozenset(
     op.BPF_JMP | op.BPF_CALL | source for source in (op.BPF_K, op.BPF_X)
+)
+#: Opcodes whose slot is not decoded on its own: the next slot is an
+#: operand, or the second half of a 64-bit literal.
+_SEQUENTIAL_OPCODE = _byte_table(
+    lambda opcode: opcode == op.LDDW or opcode in _CALL_OPCODES
 )
 _PLACEHOLDER_BYTES = PLACEHOLDER.to_bytes(8, "little")
 
@@ -213,12 +230,38 @@ def _arch_name(arch_id: int) -> str:
         raise SandboxCrash(f"unknown architecture id {arch_id}") from None
 
 
+def first_bad_slot(body: bytes) -> int:
+    """Index of the first slot of ``body`` whose checksum is wrong, or -1.
+
+    Every slot is checked at once.  Read little-endian, the slot area
+    is one integer in which slot *i* is the 80-bit lane starting at bit
+    ``80 * i``.  Shifting the whole integer right by one byte at a time
+    and masking each lane's low byte lines the nine summed bytes up,
+    column by column; adding the nine columns adds every lane at once,
+    and since a lane's sum is at most 9 * 255 < 2**12 it never carries
+    into the next lane.  What must hold is that each sum's low byte
+    equals the lane's tenth byte.
+    """
+    lanes = int.from_bytes(body, "little")
+    low_byte = int.from_bytes(
+        (b"\xff" + bytes(_SLOT_BYTES - 1)) * (len(body) // _SLOT_BYTES), "little"
+    )
+    sums = lanes & low_byte
+    for shift in range(8, 72, 8):
+        sums += (lanes >> shift) & low_byte
+    wrong = (sums ^ (lanes >> 72)) & low_byte
+    if not wrong:
+        return -1
+    lowest_wrong_bit = (wrong & -wrong).bit_length() - 1
+    return lowest_wrong_bit // (8 * _SLOT_BYTES)
+
+
 def decode_image(
     code: bytes,
     helper_at: Callable[[int], Optional[int]],
     map_slot_at: Callable[[int], Optional[int]],
     expect_arch: str = "x86_64",
-) -> list[Insn]:
+) -> list[tuple[int, int, int, int, int]]:
     """Decode a *linked* image back to instructions for execution.
 
     ``helper_at``/``map_slot_at`` are the sandbox's reverse GOT: they
@@ -226,6 +269,11 @@ def decode_image(
     Raises :class:`SandboxCrash` on corruption, truncation, unresolved
     placeholders, wrong-architecture images, or addresses the sandbox
     does not know -- i.e. every way an injection can go wrong.
+
+    The instructions come back as plain ``(opcode, dst, src, off, imm)``
+    tuples, field for field what :class:`Insn` holds: every field is
+    cut from a fixed-width slot, so nothing is left for that type's
+    range checks to do -- except ``dst``, which is checked here.
     """
     if len(code) < _HEADER.size + 4:
         raise SandboxCrash("image too short")
@@ -241,65 +289,92 @@ def decode_image(
             f"image length {len(code)} != expected {expected_len}"
         )
     crc = int.from_bytes(code[-4:], "little")
-    if zlib.crc32(code[:-4]) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(code)[:-4]) & 0xFFFFFFFF != crc:
         raise SandboxCrash("image CRC mismatch (torn or corrupt write)")
+    body = code[_HEADER.size : -4]
+    bad_slot = first_bad_slot(body)
+    if bad_slot >= 0:
+        raise SandboxCrash(f"slot {bad_slot} checksum mismatch")
 
+    # The slot's fields as columns of the image, joined into one tuple
+    # per slot: what a slot decodes to when it stands on its own.
     insn_prefix, operand_prefix = _ARCH_PREFIX[arch]
-    body = memoryview(code)[_HEADER.size : -4]
-    for slot_index, (prefix, payload, checksum) in enumerate(
-        _SLOT.iter_unpack(body)
-    ):
-        if (prefix + sum(payload)) & 0xFF != checksum:
-            raise SandboxCrash(f"slot {slot_index} checksum mismatch")
+    prefixes = body[0::_SLOT_BYTES]
+    opcodes = body[1::_SLOT_BYTES]
+    regs = body[2::_SLOT_BYTES]
+    off_imm = struct.unpack("<" + _OFF_IMM * slot_count, body)
+    insns = list(
+        zip(
+            opcodes,
+            regs.translate(_DST),
+            regs.translate(_SRC),
+            off_imm[0::2],
+            off_imm[1::2],
+        )
+    )
 
-    # Every field comes out of a fixed-width unpack, so it is in range
-    # by construction -- except dst, a nibble that must name R0..R10.
-    make = Insn._make
-    insns: list[Insn] = []
-    lddw_tail = False  # the slot is the second half of a literal LDDW
-    slots = enumerate(_SLOT_FIELDS.iter_unpack(body))
-    for index, (prefix, opcode, regs, off, imm, _checksum) in slots:
-        if prefix != insn_prefix:
-            if lddw_tail:
-                break
-            raise SandboxCrash(f"unexpected operand slot at {index}")
-        dst, src = regs & 0xF, regs >> 4
-        if dst > op.MAX_REG:
-            raise SandboxCrash(f"bad dst register r{dst} in slot {index}")
-        if lddw_tail:
-            lddw_tail = False  # an immediate, whatever its opcode byte says
-            insns.append(make((opcode, dst, src, off, imm)))
-        elif opcode == op.LDDW and src == op.PSEUDO_MAP_FD:
-            address = _operand(slots, operand_prefix)
-            if address == PLACEHOLDER:
-                raise SandboxCrash("unresolved map relocation")
-            slot = map_slot_at(address)
-            if slot is None:
-                raise SandboxCrash(f"map address {address:#x} unknown")
-            insns.append(make((opcode, dst, op.PSEUDO_MAP_FD, 0, slot)))
-            insns.append(_LDDW_TAIL)
-        elif opcode in _CALL_OPCODES:
-            address = _operand(slots, operand_prefix)
-            if address == PLACEHOLDER:
-                raise SandboxCrash("unresolved helper relocation")
-            helper_id = helper_at(address)
-            if helper_id is None:
-                raise SandboxCrash(f"helper address {address:#x} unknown")
-            insns.append(make((opcode, dst, src, 0, helper_id)))
-        else:
-            lddw_tail = opcode == op.LDDW
-            insns.append(make((opcode, dst, src, off, imm)))
-    if lddw_tail:
+    # The slots that do not: anything but an instruction prefix, a dst
+    # that names no register, an opcode that owns the slot after it.
+    # The sequential rules run over these alone, in slot order.
+    flags = (
+        int.from_bytes(prefixes.translate(_NOT_PREFIX[insn_prefix]), "little")
+        | int.from_bytes(regs.translate(_BAD_DST), "little")
+        | int.from_bytes(opcodes.translate(_SEQUENTIAL_OPCODE), "little")
+    )
+    if not flags:
+        return insns
+    flagged = flags.to_bytes(slot_count, "little")
+    lddw_tail = -1  # the slot that is the second half of a literal LDDW
+    operand_slots = []  # slots consumed as the operand of the one before
+    operand_at = -1  # ... the latest of them
+    index = flagged.find(1)
+    while index >= 0:
+        if index != operand_at:
+            if prefixes[index] != insn_prefix:
+                if index == lddw_tail:
+                    raise SandboxCrash("LDDW second half missing")
+                raise SandboxCrash(f"unexpected operand slot at {index}")
+            opcode, dst, src, _off, _imm = insns[index]
+            if dst > op.MAX_REG:
+                raise SandboxCrash(f"bad dst register r{dst} in slot {index}")
+            if index == lddw_tail:
+                pass  # an immediate, whatever its opcode byte says
+            elif opcode == op.LDDW and src == op.PSEUDO_MAP_FD:
+                operand_at = index + 1
+                address = _operand(body, operand_at, operand_prefix)
+                if address == PLACEHOLDER:
+                    raise SandboxCrash("unresolved map relocation")
+                slot = map_slot_at(address)
+                if slot is None:
+                    raise SandboxCrash(f"map address {address:#x} unknown")
+                # The operand slot stands in for the LDDW's second half.
+                insns[index] = (opcode, dst, op.PSEUDO_MAP_FD, 0, slot)
+                insns[operand_at] = _LDDW_TAIL
+            elif opcode in _CALL_OPCODES:
+                operand_at = index + 1
+                address = _operand(body, operand_at, operand_prefix)
+                if address == PLACEHOLDER:
+                    raise SandboxCrash("unresolved helper relocation")
+                helper_id = helper_at(address)
+                if helper_id is None:
+                    raise SandboxCrash(f"helper address {address:#x} unknown")
+                insns[index] = (opcode, dst, src, 0, helper_id)
+                operand_slots.append(operand_at)
+            elif opcode == op.LDDW:
+                lddw_tail = index + 1
+        index = flagged.find(1, index + 1)
+    if lddw_tail == slot_count:
         raise SandboxCrash("LDDW second half missing")
+    for operand_at in reversed(operand_slots):
+        del insns[operand_at]
     return insns
 
 
-def _operand(slots, operand_prefix: int) -> int:
-    """Consume the operand slot that must come next; its 64-bit value."""
-    following = next(slots, None)
-    if following is None:
+def _operand(body: bytes, slot: int, operand_prefix: int) -> int:
+    """The 64-bit value of the operand slot that must be at ``slot``."""
+    start = slot * _SLOT_BYTES
+    if start >= len(body):
         raise SandboxCrash("truncated operand slot")
-    _index, (prefix, low, mid, high, top, _checksum) = following
-    if prefix != operand_prefix:
+    if body[start] != operand_prefix:
         raise SandboxCrash("expected operand slot")
-    return low | mid << 8 | (high & 0xFFFF) << 16 | (top & 0xFFFFFFFF) << 32
+    return int.from_bytes(body[start + 1 : start + 9], "little")

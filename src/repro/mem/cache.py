@@ -104,32 +104,55 @@ class CacheModel:
         fills_per_us = self._cpki / 1000.0 * params.CPU_INSN_PER_US
         return fills_per_us / self.effective_lines
 
-    def _sample_residency(self) -> float:
-        """Draw how long a freshly loaded line survives before eviction."""
-        rate = self._eviction_rate()
-        if rate <= 0:
-            return math.inf
-        return self._rng.expovariate(rate)
-
     def _line_addr(self, addr: int) -> int:
         return addr - (addr % self.line_bytes)
 
     # -- CPU side ------------------------------------------------------
 
     def cpu_read(self, addr: int, n: int) -> bytes:
-        """Read ``n`` bytes as the CPU sees them (possibly stale)."""
-        out = bytearray()
-        cursor = addr
-        remaining = n
-        while remaining > 0:
-            line_addr = self._line_addr(cursor)
-            offset = cursor - line_addr
-            take = min(self.line_bytes - offset, remaining)
-            line = self._load_line(line_addr)
-            out += line.snapshot[offset : offset + take]
-            cursor += take
-            remaining -= take
-        return bytes(out)
+        """Read ``n`` bytes as the CPU sees them (possibly stale).
+
+        One walk over the lines the range touches.  A line that is
+        cached and not yet evicted is a hit, stale or not; any other is
+        filled from DRAM with a freshly drawn eviction deadline -- one
+        draw per missed line, in address order.
+        """
+        if n <= 0:
+            return b""
+        line_bytes = self.line_bytes
+        first = addr - addr % line_bytes
+        now = self.sim.now
+        lines = self._lines
+        read = self.memory.read
+        rate = self._eviction_rate()
+        snapshots = []
+        hits = stale_hits = misses = evictions = 0
+        try:
+            for line_addr in range(first, addr + n, line_bytes):
+                line = lines.get(line_addr)
+                if line is not None:
+                    if now < line.evict_at:
+                        hits += 1
+                        stale_hits += line.stale
+                        snapshots.append(line.snapshot)
+                        continue
+                    evictions += 1
+                misses += 1
+                snapshot = read(line_addr, line_bytes)
+                residency = self._rng.expovariate(rate) if rate > 0 else math.inf
+                lines[line_addr] = _Line(snapshot, now, now + residency)
+                snapshots.append(snapshot)
+        finally:
+            # Also on the way out of a read that ran off the end of
+            # memory: the lines before it were loaded all the same.
+            stats = self.stats
+            stats.loads += hits + misses
+            stats.hits += hits
+            stats.stale_hits += stale_hits
+            stats.misses += misses
+            stats.evictions_observed += evictions
+        skip = addr - first
+        return b"".join(snapshots)[skip : skip + n]
 
     def cpu_write(self, addr: int, data: bytes) -> None:
         """CPU store: write-through to DRAM and refresh the snapshot."""
@@ -147,27 +170,6 @@ class CacheModel:
                 line.stale = False
             cursor += take
             remaining -= take
-
-    def _load_line(self, line_addr: int) -> _Line:
-        self.stats.loads += 1
-        line = self._lines.get(line_addr)
-        if line is not None:
-            if self.sim.now < line.evict_at:
-                self.stats.hits += 1
-                if line.stale:
-                    self.stats.stale_hits += 1
-                return line
-            self.stats.evictions_observed += 1
-        # Miss: fill from DRAM with a fresh eviction deadline.
-        self.stats.misses += 1
-        snapshot = self.memory.read(line_addr, self.line_bytes)
-        line = _Line(
-            snapshot=snapshot,
-            loaded_at=self.sim.now,
-            evict_at=self.sim.now + self._sample_residency(),
-        )
-        self._lines[line_addr] = line
-        return line
 
     # -- RNIC / DMA side ------------------------------------------------
 

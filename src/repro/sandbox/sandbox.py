@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import params
-from repro.errors import SandboxCrash, SandboxError
+from repro.errors import MemoryError_, ReproError, SandboxCrash, SandboxError
 from repro.ebpf.helpers import HELPERS
 from repro.ebpf.interpreter import ExecutionResult, Interpreter
 from repro.ebpf.jit import JitBinary, decode_image
@@ -57,6 +57,9 @@ CONTROL_BLOCK_BYTES = 64
 
 #: Base of the per-sandbox helper-function address space.
 HELPER_ADDR_BASE = 0xFFFF_8000_0000_0000
+
+#: No image header may claim more: 2,000,000 slots.
+_MAX_IMAGE_BYTES = 8 + 2_000_000 * 10 + 4
 
 
 @dataclass
@@ -446,66 +449,69 @@ class Sandbox:
 
         Returns ``(result, cpu_cost_us)``; result is None when the hook
         is empty.  All reads go through the cache, so stale pointers
-        and torn images behave exactly as on real hardware; corruption
-        raises :class:`SandboxCrash` and marks the sandbox crashed.
+        and torn images behave exactly as on real hardware: whatever
+        goes wrong between fetching the image and its last instruction
+        marks the sandbox crashed and raises :class:`SandboxCrash`.
         """
-        pointer = self.hook_table.read_pointer(hook_name)
-        if pointer == 0:
-            if params.RDX_OBS:
-                self.telemetry.inc("exec.empty")
-            return None, 0.1  # empty-hook fast path
-        if params.RDX_HB_CHECK:
-            self._emit_hb_exec(hook_name, pointer)
-        try:
-            insns = self._decoded_at(
-                pointer, decode_image,
-                helper_at=self._helper_at, map_slot_at=self._map_slot_at,
-            )
-            interp = Interpreter(maps=self.maps, time_ns=time_ns)
-            result = interp.run(insns, ctx)
-        except SandboxCrash as crash:
-            self.crashed = True
-            self.crash_reason = str(crash)
-            if params.RDX_OBS:
-                self.telemetry.inc("exec.crashes")
-            raise
-        self.events_executed += 1
-        cost_us = result.insns_executed / params.CPU_INSN_PER_US + 0.2
-        if params.RDX_OBS:
-            self._note_exec(hook_name, pointer, result.insns_executed, cost_us)
-        return result, cost_us
+        return self._run_hook(
+            hook_name,
+            decode_image,
+            # Built once the image is decoded: decoding is what adopts
+            # the maps a remotely deployed image brings along.
+            lambda insns: Interpreter(maps=self.maps, time_ns=time_ns).run(
+                insns, ctx
+            ),
+            helper_at=self._helper_at,
+            map_slot_at=self._map_slot_at,
+        )
 
     def run_wasm_hook(
         self, hook_name: str, request_ctx, args: tuple[int, ...] = ()
     ) -> tuple[Optional[object], float]:
         """Execute the Wasm filter attached at ``hook_name``.
 
-        Mirrors :meth:`run_hook` for the stack-machine flavour: reads
-        go through the cache, corruption crashes the sandbox.  Returns
+        :meth:`run_hook` for the stack-machine flavour; returns
         ``(WasmResult | None, cpu_cost_us)``.
         """
         from repro.wasm.compiler import decode_wasm_image
         from repro.wasm.runtime import WasmRuntime
 
+        return self._run_hook(
+            hook_name,
+            decode_wasm_image,
+            lambda instrs: WasmRuntime().run(instrs, request_ctx, args=args),
+            host_call_at=self._hostcall_addr_to_id.get,
+        )
+
+    def _run_hook(self, hook_name: str, decode, execute, **reverse_got):
+        """Fetch, decode and execute whatever ``hook_name`` points at.
+
+        ``decode`` is the extension family's image decoder,
+        ``reverse_got`` its address lookups and ``execute`` runs the
+        decoded instructions.
+        """
         pointer = self.hook_table.read_pointer(hook_name)
         if pointer == 0:
             if params.RDX_OBS:
                 self.telemetry.inc("exec.empty")
-            return None, 0.1
-        if params.RDX_HB_CHECK:
-            self._emit_hb_exec(hook_name, pointer)
+            return None, 0.1  # empty-hook fast path
         try:
-            instrs = self._decoded_at(
-                pointer, decode_wasm_image,
-                host_call_at=self._hostcall_addr_to_id.get,
+            extent = self._image_extent(pointer)
+            if params.RDX_HB_CHECK:
+                self._emit_hb_exec(hook_name, pointer, extent)
+            result = execute(
+                self._decoded_at(pointer, extent, decode, **reverse_got)
             )
-            result = WasmRuntime().run(instrs, request_ctx, args=args)
-        except SandboxCrash as crash:
+        except ReproError as fault:
+            # A wild hook pointer (a memory fault) and a run-time fault
+            # of the program crash the sandbox like a torn image does.
             self.crashed = True
-            self.crash_reason = str(crash)
+            self.crash_reason = str(fault)
             if params.RDX_OBS:
                 self.telemetry.inc("exec.crashes")
-            raise
+            if isinstance(fault, SandboxCrash):
+                raise
+            raise SandboxCrash(str(fault)) from fault
         self.events_executed += 1
         cost_us = result.insns_executed / params.CPU_INSN_PER_US + 0.2
         if params.RDX_OBS:
@@ -537,25 +543,29 @@ class Sandbox:
                 pointer=pointer,
             )
 
-    def _emit_hb_exec(self, hook_name: str, pointer: int) -> None:
+    def _image_extent(self, code_addr: int) -> int:
+        """Bytes the image at ``code_addr`` says it spans: its header,
+        read through the cache, sizes what is fetched and decoded.  A
+        pointer at no memory at all is sized as the header alone, and
+        fetching that is what faults."""
+        try:
+            header = self.host.cache.cpu_read(code_addr, 8)
+        except MemoryError_:
+            return 8
+        return 8 + int.from_bytes(header[4:8], "little") * 10 + 4
+
+    def _emit_hb_exec(self, hook_name: str, pointer: int, extent: int) -> None:
         """Record the hook execution for the happens-before checker.
 
         Emitted *before* decoding, so an exec that crashes on a torn
         image still shows up as the racing read it was.  The code
-        range is sized from the image header through the cache -- the
-        same bytes the decode is about to read -- clamped to the code
-        region when the header itself is torn garbage.
+        range is the extent the decode is about to fetch, clamped to
+        the code region when the header itself is torn garbage.
         """
         from repro.hb import events as hb_events
 
-        try:
-            header = self.host.cache.cpu_read(pointer, 8)
-            slot_count = int.from_bytes(header[4:8], "little")
-            total = 8 + slot_count * 10 + 4
-            if not 0 < total <= self.code_bytes:
-                total = self.code_bytes
-        except Exception:
-            total = 8
+        if not 0 < extent <= self.code_bytes:
+            extent = self.code_bytes
         hb_events.emit(
             self.host.sim,
             "hb.exec",
@@ -564,20 +574,18 @@ class Sandbox:
             hook_addr=self.hook_table.slot_addr(hook_name),
             pointer=pointer,
             addr=pointer,
-            length=total,
+            length=extent,
         )
 
-    def _decoded_at(self, code_addr: int, decode, **reverse_got) -> list:
-        """The instructions of the image at ``code_addr``, through the
-        decode cache; ``decode`` is the extension family's decoder and
-        ``reverse_got`` its address lookups.  Reads go through the CPU
-        cache, so what is decoded is what this CPU would fetch."""
-        header = self.host.cache.cpu_read(code_addr, 8)
-        slot_count = int.from_bytes(header[4:8], "little")
-        total = 8 + slot_count * 10 + 4
-        if total > self.code_bytes or slot_count > 2_000_000:
+    def _decoded_at(self, code_addr: int, extent: int, decode, **reverse_got) -> list:
+        """The instructions of the ``extent``-byte image at
+        ``code_addr``, through the decode cache; ``decode`` is the
+        extension family's decoder and ``reverse_got`` its address
+        lookups.  Reads go through the CPU cache, so what is decoded is
+        what this CPU would fetch."""
+        if extent > min(self.code_bytes, _MAX_IMAGE_BYTES):
             raise SandboxCrash(f"implausible image header at {code_addr:#x}")
-        image = self.host.cache.cpu_read(code_addr, total)
+        image = self.host.cache.cpu_read(code_addr, extent)
         cached = self._decode_cache.pop(code_addr, None)
         if cached is None or cached[0] != image:
             cached = (image, decode(image, expect_arch=self.arch, **reverse_got))

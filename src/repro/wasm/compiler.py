@@ -14,7 +14,13 @@ import zlib
 from typing import Callable, Optional
 
 from repro.errors import JitError, SandboxCrash
-from repro.ebpf.jit import JitBinary, PLACEHOLDER, Relocation, RelocKind
+from repro.ebpf.jit import (
+    PLACEHOLDER,
+    JitBinary,
+    Relocation,
+    RelocKind,
+    first_bad_slot,
+)
 from repro.wasm.hostcalls import host_call_by_id
 from repro.wasm.module import WInstr, WasmModule, WOp
 
@@ -22,6 +28,8 @@ MAGIC = b"RJ"
 VERSION = 1
 _HEADER = struct.Struct("<2sBBI")
 _SLOT_BYTES = 10
+#: One slot as (prefix, payload); its checksum byte is checked apart.
+_SLOT = struct.Struct("<B8sx")
 
 _WASM_ARCH_IDS = {"x86_64": 3, "arm64": 4}
 _WASM_ARCH_NAMES = {v: k for k, v in _WASM_ARCH_IDS.items()}
@@ -96,17 +104,15 @@ def decode_wasm_image(
     if zlib.crc32(code[:-4]) & 0xFFFFFFFF != int.from_bytes(code[-4:], "little"):
         raise SandboxCrash("wasm image CRC mismatch (torn or corrupt write)")
 
+    body = code[_HEADER.size : -4]
+    bad_slot = first_bad_slot(body)
+    if bad_slot >= 0:
+        raise SandboxCrash(f"wasm slot {bad_slot} checksum mismatch")
+
     insn_prefix, operand_prefix = _WASM_PREFIX[arch]
     instrs: list[WInstr] = []
     index = 0
-    raw_slots = []
-    for slot_index in range(slot_count):
-        start = _HEADER.size + slot_index * _SLOT_BYTES
-        slot = code[start : start + _SLOT_BYTES]
-        if (slot[0] + sum(slot[1:9])) & 0xFF != slot[9]:
-            raise SandboxCrash(f"wasm slot {slot_index} checksum mismatch")
-        raw_slots.append((slot[0], slot[1:9]))
-
+    raw_slots = list(_SLOT.iter_unpack(body))
     while index < len(raw_slots):
         prefix, payload = raw_slots[index]
         if prefix != insn_prefix:

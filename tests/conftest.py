@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import params
 from repro.exp.harness import Testbed, make_testbed
 from repro.sim.core import Simulator
+
+#: ``--hypothesis-profile=ci`` (CI's fuzz-smoke job, with a pinned
+#: ``--hypothesis-seed``): the budget for the differentials that leave
+#: ``max_examples`` to the profile -- the decode and cache-read oracles.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

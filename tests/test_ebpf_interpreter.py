@@ -1,11 +1,14 @@
 """Interpreter semantics tests: ALU, jumps, memory, helpers, maps."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SandboxError
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
+from repro.ebpf.insn import Insn, lddw_pair
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
 
@@ -199,8 +202,6 @@ class TestMemory:
     def test_instruction_budget(self):
         # A self-loop via raw backward jump (interpreter-level guard;
         # the verifier would reject this).
-        from repro.ebpf.insn import Insn
-
         insns = [Insn(op.BPF_JMP | op.BPF_JA, off=-1)]
         with pytest.raises(SandboxError, match="budget"):
             Interpreter(insn_budget=1000).run(insns, b"")
@@ -282,3 +283,277 @@ class TestHelpersAndMaps:
             .exit_()
         )
         assert run(asm).r0 == 0  # clobbered to zero
+
+
+# -- operation tables from the parent commit ---------------------------------
+#
+# How ``Interpreter.run`` dispatches an ALU or jump instruction is an
+# implementation detail; what each of them computes is not.  The tables
+# below were taken from the if/elif interpreter of commit a24804d
+# (regenerate with ``PYTHONPATH=src python tests/test_ebpf_interpreter.py``).
+# Every ALU / ALU64 operation, with an immediate and with a register
+# operand, is run on every pair of edge operands and the 70 results are
+# pinned as one digest; every JMP / JMP32 condition likewise, its 70
+# outcomes pinned as a string of 0s and 1s.
+
+EDGES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**63, U64)
+#: Right-hand operands: the edges, then shift counts at and past both
+#: widths, which are also the byte-swap sizes ``END`` takes.
+REG_OPERANDS = EDGES + (16, 32, 64)
+#: ... and what fits an immediate, in its signed and its unsigned form.
+IMM_OPERANDS = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, -1, -(2**31), 16, 32, 64)
+
+ALU_OPS = {
+    "add": op.BPF_ADD, "sub": op.BPF_SUB, "mul": op.BPF_MUL, "div": op.BPF_DIV,
+    "or": op.BPF_OR, "and": op.BPF_AND, "lsh": op.BPF_LSH, "rsh": op.BPF_RSH,
+    "neg": op.BPF_NEG, "mod": op.BPF_MOD, "xor": op.BPF_XOR, "mov": op.BPF_MOV,
+    "arsh": op.BPF_ARSH, "end": op.BPF_END,
+}
+JUMP_OPS = {
+    "jeq": op.BPF_JEQ, "jgt": op.BPF_JGT, "jge": op.BPF_JGE, "jset": op.BPF_JSET,
+    "jne": op.BPF_JNE, "jsgt": op.BPF_JSGT, "jsge": op.BPF_JSGE,
+    "jlt": op.BPF_JLT, "jle": op.BPF_JLE, "jslt": op.BPF_JSLT, "jsle": op.BPF_JSLE,
+}
+CLASSES = {
+    "alu64": op.BPF_ALU64, "alu32": op.BPF_ALU,
+    "jmp": op.BPF_JMP, "jmp32": op.BPF_JMP32,
+}
+
+
+def _r0_after(opcode: int, left: int, right: int, from_reg: bool) -> int:
+    """``r0`` after running one ALU or jump instruction on ``left`` (in
+    r0 / r3) and ``right`` (in r2, or as the immediate); a jump reports
+    whether it was taken."""
+    exit_ = Insn(op.BPF_JMP | op.BPF_EXIT)
+    operand = dict(src=op.R2) if from_reg else dict(imm=right)
+    program = lddw_pair(op.R2, right if from_reg else 0)
+    if opcode & op.CLASS_MASK in (op.BPF_JMP, op.BPF_JMP32):
+        program += lddw_pair(op.R3, left) + [
+            Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=op.R0, imm=1),
+            Insn(opcode, dst=op.R3, off=1, **operand),
+            Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=op.R0, imm=0),
+            exit_,
+        ]
+    else:
+        program += lddw_pair(op.R0, left) + [Insn(opcode, dst=op.R0, **operand), exit_]
+    return Interpreter().run(program, b"").r0
+
+
+def _row(class_name: str, op_name: str, source: str) -> str:
+    from_reg = source == "x"
+    operation = (ALU_OPS if class_name.startswith("alu") else JUMP_OPS)[op_name]
+    opcode = CLASSES[class_name] | operation | (op.BPF_X if from_reg else op.BPF_K)
+    results = [
+        _r0_after(opcode, left, right, from_reg)
+        for left in EDGES
+        for right in (REG_OPERANDS if from_reg else IMM_OPERANDS)
+    ]
+    if class_name.startswith("alu"):
+        return hashlib.blake2b(repr(results).encode(), digest_size=8).hexdigest()
+    return "".join(map(str, results))
+
+
+def _row_names():
+    for class_name in CLASSES:
+        ops = ALU_OPS if class_name.startswith("alu") else JUMP_OPS
+        for op_name in ops:
+            for source in ("k", "x"):
+                yield f"{class_name}.{op_name}.{source}"
+
+
+OPERATIONS = {
+    'alu64.add.k': 'c8a902ea1c2e5cd8',
+    'alu64.add.x': 'b5ca1268f519f30a',
+    'alu64.sub.k': '12d902bfcb652483',
+    'alu64.sub.x': 'fc16e2aa339455eb',
+    'alu64.mul.k': 'efaf0a1cf747109a',
+    'alu64.mul.x': 'f571c1415260c2f8',
+    'alu64.div.k': 'd91b9ebe8710bf10',
+    'alu64.div.x': '849cb1163d04bcf6',
+    'alu64.or.k': 'f5bdf639090e33de',
+    'alu64.or.x': 'c7ce11947fbd5528',
+    'alu64.and.k': '9fcf486cd911360f',
+    'alu64.and.x': '5b37bad290556adb',
+    'alu64.lsh.k': '03e3040159b503bb',
+    'alu64.lsh.x': '1c49a040f0042cf3',
+    'alu64.rsh.k': 'effe1926157657e2',
+    'alu64.rsh.x': '7c29a6e392f5d235',
+    'alu64.neg.k': '7330c03ab61ad742',
+    'alu64.neg.x': '7330c03ab61ad742',
+    'alu64.mod.k': 'd1edbf590ed2d406',
+    'alu64.mod.x': 'd9a7e441fbaacf8e',
+    'alu64.xor.k': '010d3347865f7b2b',
+    'alu64.xor.x': 'cdcc9f02bca2513d',
+    'alu64.mov.k': 'effbe7c3559736ad',
+    'alu64.mov.x': 'e5f848a25ac9884a',
+    'alu64.arsh.k': 'fc7653ed5b56fe03',
+    'alu64.arsh.x': '24336a2791d839f2',
+    'alu64.end.k': '6945d751c2465a9c',
+    'alu64.end.x': '03e54b191a335afd',
+    'alu32.add.k': 'b89074b3beb502ad',
+    'alu32.add.x': '8dd7855e22728feb',
+    'alu32.sub.k': '116c603c8214350e',
+    'alu32.sub.x': '68ea98353b8a4a83',
+    'alu32.mul.k': '84154f90a8ece387',
+    'alu32.mul.x': '4f06b720850c97bd',
+    'alu32.div.k': '2c24b3c4b07b1e3d',
+    'alu32.div.x': '68196d56b5d14f92',
+    'alu32.or.k': '68cb188bf83d1bf5',
+    'alu32.or.x': 'ea6dbe61cd1ad979',
+    'alu32.and.k': 'd17b88f9069e2bb2',
+    'alu32.and.x': '1d5560646fe61b7d',
+    'alu32.lsh.k': '5120344197cf52bc',
+    'alu32.lsh.x': 'bd30873acfb1b2c4',
+    'alu32.rsh.k': '98eabf90997328e3',
+    'alu32.rsh.x': 'a4f0deb931f607d8',
+    'alu32.neg.k': 'd332e6a907a37c4a',
+    'alu32.neg.x': 'd332e6a907a37c4a',
+    'alu32.mod.k': '907b5402a9b918c4',
+    'alu32.mod.x': '08b9cf3111c86528',
+    'alu32.xor.k': '68213ef7db06db05',
+    'alu32.xor.x': 'c4ae76a2d49b8c0c',
+    'alu32.mov.k': '18fe3fe97d055a50',
+    'alu32.mov.x': 'b15f61d67ad95b02',
+    'alu32.arsh.k': '45ae562f88f12b71',
+    'alu32.arsh.x': '824b6dded7042ffb',
+    'alu32.end.k': 'c0338bab7e4b8b33',
+    'alu32.end.x': '742a01fe9e9107eb',
+    'jmp.jeq.k': '1000000000010000000000100000000001000000000010000000000000000000010000',
+    'jmp.jeq.x': '1000000000010000000000100000000001000000000010000000000100000000001000',
+    'jmp.jgt.k': '0000000000100000000011000001111110000111111100011111111001111111101111',
+    'jmp.jgt.x': '0000000000100000000011000001111110000111111100011111111001111111110111',
+    'jmp.jge.k': '1000000000110000000011100001111111000111111110011111111001111111111111',
+    'jmp.jge.x': '1000000000110000000011100001111111000111111110011111111101111111111111',
+    'jmp.jset.k': '0000000000011011000001101101110001111000011111111100000110000111111111',
+    'jmp.jset.x': '0000000000011010100001101011110001101000011110111100000110000111111111',
+    'jmp.jne.k': '0111111111101111111111011111111110111111111101111111111111111111101111',
+    'jmp.jne.x': '0111111111101111111111011111111110111111111101111111111011111111110111',
+    'jmp.jsgt.k': '0000011000100001100011000111111110011111111101111100000000000000001000',
+    'jmp.jsgt.x': '0000011000100001100011000111111110011111111101111100000000000000010000',
+    'jmp.jsge.k': '1000011000110001100011100111111111011111111111111100000000000000011000',
+    'jmp.jsge.x': '1000011000110001100011100111111111011111111111111100000100000000011000',
+    'jmp.jlt.k': '0111111111001111111100011110000000111000000001100000000110000000000000',
+    'jmp.jlt.x': '0111111111001111111100011110000000111000000001100000000010000000000000',
+    'jmp.jle.k': '1111111111011111111100111110000001111000000011100000000110000000010000',
+    'jmp.jle.x': '1111111111011111111100111110000001111000000011100000000110000000001000',
+    'jmp.jslt.k': '0111100111001110011100011000000000100000000000000011111111111111100111',
+    'jmp.jslt.x': '0111100111001110011100011000000000100000000000000011111011111111100111',
+    'jmp.jsle.k': '1111100111011110011100111000000001100000000010000011111111111111110111',
+    'jmp.jsle.x': '1111100111011110011100111000000001100000000010000011111111111111101111',
+    'jmp32.jeq.k': '1000000000010000000000100000000001001000000011000010000000000000110000',
+    'jmp32.jeq.x': '1000010000010000000000100000000001000000000010100010000100000000101000',
+    'jmp32.jgt.k': '0000000000100000000011000001111110000111111100111100000000001111001111',
+    'jmp32.jgt.x': '0000000000100001000011000101111110010111111101011100000000001111010111',
+    'jmp32.jge.k': '1000000000110000000011100001111111001111111111111110000000001111111111',
+    'jmp32.jge.x': '1000010000110001000011100101111111010111111111111110000100001111111111',
+    'jmp32.jset.k': '0000000000011011000001101101110001111000011111111100000000000111111111',
+    'jmp32.jset.x': '0000000000011010100001101011110001101000011110111100000000000111101111',
+    'jmp32.jne.k': '0111111111101111111111011111111110110111111100111101111111111111001111',
+    'jmp32.jne.x': '0111101111101111111111011111111110111111111101011101111011111111010111',
+    'jmp32.jsgt.k': '0001111000100111100011011111110000000000000100100000011110000001001000',
+    'jmp32.jsgt.x': '0001101000100111100011011111110000000000000100000000011010000001000000',
+    'jmp32.jsge.k': '1001111000110111100011111111110001001000000111100010011110000001111000',
+    'jmp32.jsge.x': '1001111000110111100011111111110001000000000110100010011110000001101000',
+    'jmp32.jlt.k': '0111111111001111111100011110000000110000000000000001111111110000000000',
+    'jmp32.jlt.x': '0111101111001110111100011010000000101000000000000001111011110000000000',
+    'jmp32.jle.k': '1111111111011111111100111110000001111000000011000011111111110000110000',
+    'jmp32.jle.x': '1111111111011110111100111010000001101000000010100011111111110000101000',
+    'jmp32.jslt.k': '0110000111001000011100000000001110110111111000011101100001111110000111',
+    'jmp32.jslt.x': '0110000111001000011100000000001110111111111001011101100001111110010111',
+    'jmp32.jsle.k': '1110000111011000011100100000001111111111111011011111100001111110110111',
+    'jmp32.jsle.x': '1110010111011000011100100000001111111111111011111111100101111110111111',
+}
+
+# what goes wrong at run time -> the exact message
+FAULTS = {
+    'budget': 'instruction budget exhausted',
+    'budget-zero': 'instruction budget exhausted',
+    'budget-spent-on-exit': 'r0=0 after 2',
+    'budget-one-short': 'instruction budget exhausted',
+    'fall-off-end': 'pc 1 out of range',
+    'jump-past-end': 'pc 6 out of range',
+    'jump-before-start': 'pc -1 out of range',
+    'empty-program': 'pc 0 out of range',
+    'truncated-lddw': 'truncated LDDW',
+    'ld-abs': 'unsupported opcode 0x20',
+    'ld-imm-word': 'unsupported opcode 0x00',
+    'alu-op-0xe0': 'unsupported ALU op 0xe0',
+    'alu32-op-0xf0': 'unsupported ALU op 0xf0',
+    'jump-op-0xe0': 'unsupported jump op 0xe0',
+    'jump32-op-0xf0': 'unsupported jump op 0xf0',
+    'unknown-helper': 'call to unknown helper 999',
+    'jmp32-exit': 'r0=0 after 2',
+    'jmp32-ja': 'r0=0 after 3',
+    'exit-x': 'r0=0 after 2',
+}
+
+
+def _fault_programs():
+    mov = Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=op.R0, imm=0)
+    exit_ = Insn(op.BPF_JMP | op.BPF_EXIT)
+    return {
+        "budget": ([Insn(op.BPF_JMP | op.BPF_JA, off=-1)], 1000),
+        "budget-zero": ([mov, exit_], 0),
+        "budget-spent-on-exit": ([mov, exit_], 2),
+        "budget-one-short": ([mov, exit_], 1),
+        "fall-off-end": ([mov], None),
+        "jump-past-end": ([Insn(op.BPF_JMP | op.BPF_JA, off=5), exit_], None),
+        "jump-before-start": ([Insn(op.BPF_JMP | op.BPF_JA, off=-2), exit_], None),
+        "empty-program": ([], None),
+        "truncated-lddw": ([mov, Insn(op.LDDW, dst=op.R0, imm=1)], None),
+        "ld-abs": ([Insn(op.BPF_LD | op.BPF_ABS | op.BPF_W), exit_], None),
+        "ld-imm-word": ([Insn(op.BPF_LD | op.BPF_IMM | op.BPF_W), exit_], None),
+        "alu-op-0xe0": ([Insn(op.BPF_ALU64 | 0xE0, dst=op.R0), exit_], None),
+        "alu32-op-0xf0": ([Insn(op.BPF_ALU | 0xF0 | op.BPF_X, dst=op.R0), exit_], None),
+        "jump-op-0xe0": ([Insn(op.BPF_JMP | 0xE0, dst=op.R1), exit_], None),
+        "jump32-op-0xf0": ([Insn(op.BPF_JMP32 | 0xF0, dst=op.R1), exit_], None),
+        "unknown-helper": ([Insn(op.BPF_JMP | op.BPF_CALL, imm=999), exit_], None),
+        "jmp32-exit": ([mov, Insn(op.BPF_JMP32 | op.BPF_EXIT)], None),
+        "jmp32-ja": ([mov, Insn(op.BPF_JMP32 | op.BPF_JA, off=1), exit_, exit_], None),
+        "exit-x": ([mov, Insn(op.BPF_JMP | op.BPF_EXIT | op.BPF_X)], None),
+    }
+
+
+def _fault(name: str) -> str:
+    insns, budget = _fault_programs()[name]
+    interpreter = Interpreter() if budget is None else Interpreter(insn_budget=budget)
+    try:
+        result = interpreter.run(insns, b"")
+    except SandboxError as fault:
+        return str(fault)
+    return f"r0={result.r0} after {result.insns_executed}"
+
+
+class TestParentTables:
+    def test_tables_cover_every_operation(self):
+        assert list(OPERATIONS) == list(_row_names())
+        assert list(FAULTS) == list(_fault_programs())
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    def test_operation_is_pinned(self, name):
+        assert _row(*name.split(".")) == OPERATIONS[name]
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_fault_is_pinned(self, name):
+        assert _fault(name) == FAULTS[name]
+
+    def test_decoded_tuples_run_like_insns(self):
+        """``run`` takes the decoder's plain tuples and the program
+        side's ``Insn`` alike."""
+        from repro.ebpf.stress import make_stress_program
+
+        program = make_stress_program(300, seed=3)
+        ctx = bytes(range(256))
+        as_insns = Interpreter().run(program.insns, ctx)
+        as_tuples = Interpreter().run([tuple(i) for i in program.insns], ctx)
+        assert as_tuples == as_insns
+
+
+if __name__ == "__main__":
+    print("OPERATIONS = {")
+    for row_name in _row_names():
+        print(f"    {row_name!r}: {_row(*row_name.split('.'))!r},")
+    print("}\n\nFAULTS = {")
+    for fault_name in _fault_programs():
+        print(f"    {fault_name!r}: {_fault(fault_name)!r},")
+    print("}")

@@ -1,6 +1,8 @@
 """Unit tests for the CPU cache / DMA incoherence model (Fig 5 substrate)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import params
 from repro.mem.cache import CacheModel
@@ -154,3 +156,143 @@ class TestMultiLine:
         cache.flush(mem.base + line, line)
         view = cache.cpu_read(mem.base, 2 * line)
         assert view[line:] == b"\xee" * line
+
+
+# -- differential against the per-line read of the parent commit ------------
+
+
+class PerLineCache(CacheModel):
+    """``cpu_read`` as commit a24804d had it: one ``_load_line`` per
+    64-byte line, statistics bumped and the residency drawn inside it.
+    The reference the one-walk read must be indistinguishable from."""
+
+    def cpu_read(self, addr: int, n: int) -> bytes:
+        out = bytearray()
+        cursor = addr
+        remaining = n
+        while remaining > 0:
+            line_addr = self._line_addr(cursor)
+            offset = cursor - line_addr
+            take = min(self.line_bytes - offset, remaining)
+            line = self._load_line(line_addr)
+            out += line.snapshot[offset : offset + take]
+            cursor += take
+            remaining -= take
+        return bytes(out)
+
+    def _load_line(self, line_addr: int):
+        from repro.mem.cache import _Line
+
+        self.stats.loads += 1
+        line = self._lines.get(line_addr)
+        if line is not None:
+            if self.sim.now < line.evict_at:
+                self.stats.hits += 1
+                if line.stale:
+                    self.stats.stale_hits += 1
+                return line
+            self.stats.evictions_observed += 1
+        self.stats.misses += 1
+        snapshot = self.memory.read(line_addr, self.line_bytes)
+        rate = self._eviction_rate()
+        line = _Line(
+            snapshot=snapshot,
+            loaded_at=self.sim.now,
+            evict_at=self.sim.now
+            + (self._rng.expovariate(rate) if rate > 0 else float("inf")),
+        )
+        self._lines[line_addr] = line
+        return line
+
+
+MEMORY_BYTES = 1024  # 16 lines: every op lands near every other
+LINE = params.CACHE_LINE_BYTES
+
+_offsets = st.one_of(
+    st.integers(0, MEMORY_BYTES - 1),
+    st.integers(0, MEMORY_BYTES // LINE - 1).map(lambda line: line * LINE),
+)
+_lengths = st.one_of(
+    st.integers(0, 3 * LINE),
+    st.integers(1, 8).map(lambda lines: lines * LINE),
+    st.just(MEMORY_BYTES),
+)
+_payloads = st.binary(min_size=1, max_size=2 * LINE)
+_ops = st.one_of(
+    st.tuples(st.just("cpu_read"), _offsets, _lengths),
+    # ... ending exactly on a line boundary, from an unaligned start
+    st.tuples(st.just("cpu_read_to_boundary"), _offsets, st.integers(1, 4)),
+    # ... and running off the end of memory
+    st.tuples(st.just("cpu_read"), st.integers(MEMORY_BYTES - 3 * LINE, MEMORY_BYTES + LINE), _lengths),
+    st.tuples(st.just("cpu_write"), _offsets, _payloads),
+    st.tuples(st.just("dma_write"), _offsets, _payloads),
+    st.tuples(st.just("flush"), _offsets, _lengths),
+    st.tuples(st.just("advance"), st.sampled_from((0.5, 100.0, 1_000.0, 50_000.0)), st.none()),
+    st.tuples(st.just("cpki"), st.sampled_from((0.0, 0.5, 5.0, 40.0)), st.none()),
+)
+
+
+def _apply(sim, memory, cache, step):
+    """Run one step; what it returned, or the exception it raised."""
+    from repro.errors import MemoryError_
+
+    kind, first, second = step
+    address = memory.base + first if kind not in ("advance", "cpki") else None
+    try:
+        if kind == "cpu_read":
+            return cache.cpu_read(address, second)
+        if kind == "cpu_read_to_boundary":
+            end = (address // LINE + second) * LINE
+            return cache.cpu_read(address, end - address)
+        if kind == "advance":
+            return sim.run(until=sim.now + first)
+        if kind == "cpki":
+            cache.cpki = first
+            return None
+        return getattr(cache, kind)(address, second)
+    except MemoryError_ as fault:
+        return type(fault), str(fault)
+
+
+def _state(cache):
+    return (
+        cache.stats,
+        {
+            addr: (line.snapshot, line.loaded_at, line.evict_at, line.stale)
+            for addr, line in cache._lines.items()
+        },
+    )
+
+
+class TestReadMatchesPerLineModel:
+    @given(
+        st.lists(_ops, max_size=40),
+        st.integers(0, 2**32),
+        st.sampled_from((0.0, 5.0, 40.0)),
+    )
+    @settings(deadline=None)
+    def test_same_bytes_stats_lines_and_rng(self, steps, seed, cpki):
+        beds = []
+        for model in (CacheModel, PerLineCache):
+            sim = Simulator()
+            memory = PhysicalMemory(MEMORY_BYTES)
+            memory.write(memory.base, bytes(range(256)) * (MEMORY_BYTES // 256))
+            beds.append((sim, memory, model(sim, memory, cpki=cpki, seed=seed)))
+        for step in steps:
+            new, old = (_apply(*bed, step) for bed in beds)
+            assert new == old, step
+            assert _state(beds[0][2]) == _state(beds[1][2]), step
+        assert beds[0][2]._rng.random() == beds[1][2]._rng.random()
+
+    def test_read_off_the_end_loads_the_lines_before_it(self):
+        """Named case of the property: the fault comes after the lines
+        in range were filled, counted and given their deadlines."""
+        from repro.errors import MemoryError_
+
+        sim = Simulator()
+        memory = PhysicalMemory(MEMORY_BYTES)
+        cache = CacheModel(sim, memory, cpki=5.0, seed=3)
+        with pytest.raises(MemoryError_, match="outside"):
+            cache.cpu_read(memory.end - 2 * LINE - 5, 4 * LINE)
+        assert sorted(cache._lines) == [memory.end - 3 * LINE, memory.end - 2 * LINE, memory.end - LINE]
+        assert (cache.stats.loads, cache.stats.misses, cache.stats.hits) == (4, 4, 0)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LinkError, SandboxCrash, SandboxError
+from repro.errors import LinkError, MemoryError_, SandboxCrash, SandboxError
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
 from repro.ebpf.jit import jit_compile
@@ -291,6 +291,50 @@ class TestSandboxLifecycle:
         host.cache.cpu_write(pointer + 11, raw)
         result, _ = sandbox.run_hook("ingress", b"\x00" * 64)
         assert result.r0 == 1
+
+    def _assert_crashed(self, sandbox, crash, cause, reason):
+        """The sandbox went down, counted it, and said why."""
+        assert isinstance(crash.value.__cause__, cause)
+        assert reason in str(crash.value)
+        assert sandbox.crashed
+        assert sandbox.crash_reason == str(crash.value)
+        assert sandbox.telemetry.snapshot_local().values["exec.crashes"] == 1
+        assert sandbox.events_executed == 0
+
+    def test_run_time_fault_crashes_the_sandbox(self, sandbox):
+        """A whole, well-linked image that faults while it runs (the
+        verifier is not on the local install path) is a crash too."""
+        deploy_locally(
+            sandbox, Asm().mov_imm(op.R0, 0).ldx_w(op.R1, op.R0, 0).exit_()
+        )
+        with pytest.raises(SandboxCrash) as crash:
+            sandbox.run_hook("ingress", b"\x00" * 64)
+        self._assert_crashed(sandbox, crash, SandboxError, "bad memory access")
+
+    def test_wild_hook_pointer_crashes_the_sandbox(self, sandbox):
+        sandbox.hook_table.write_pointer("ingress", 0xFFFF_FFFF_0000)
+        with pytest.raises(SandboxCrash) as crash:
+            sandbox.run_hook("ingress", b"\x00" * 64)
+        self._assert_crashed(sandbox, crash, MemoryError_, "outside")
+
+    def test_wasm_run_time_fault_crashes_the_sandbox(self, sandbox):
+        """Same accounting on the Wasm path: a filter that pops an
+        empty stack."""
+        from repro.wasm.compiler import wasm_compile
+        from repro.wasm.module import WasmModule, WInstr, WOp
+
+        module = WasmModule(insns=[WInstr(WOp.DROP), WInstr(WOp.RETURN)], name="w")
+        binary = wasm_compile(module, arch=sandbox.arch)
+        sandbox.install_local(module, binary, "ingress")
+        with pytest.raises(SandboxCrash) as crash:
+            sandbox.run_wasm_hook("ingress", None)
+        self._assert_crashed(sandbox, crash, SandboxError, "stack underflow")
+
+    def test_wasm_wild_hook_pointer_crashes_the_sandbox(self, sandbox):
+        sandbox.hook_table.write_pointer("egress", 0xFFFF_FFFF_0000)
+        with pytest.raises(SandboxCrash) as crash:
+            sandbox.run_wasm_hook("egress", None)
+        self._assert_crashed(sandbox, crash, MemoryError_, "outside")
 
     def test_decode_cache_drops_freed_extents(self, sandbox):
         for version in range(100):

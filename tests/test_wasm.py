@@ -252,6 +252,23 @@ class TestCompiler:
         with pytest.raises(SandboxCrash):
             decode_wasm_image(bytes(corrupt), host_call_at=ADDR_TO_ID.get)
 
+    def test_bad_slot_checksum_names_the_first_bad_slot(self):
+        """An image whose CRC holds but whose slots do not: the shared
+        lane check of ``ebpf.jit`` finds the slot, the message is the
+        wasm decoder's own."""
+        import zlib
+
+        linked = wasm_compile(make_header_filter()).link(
+            lambda r: HOSTCALL_ADDR[r.symbol]
+        )
+        corrupt = bytearray(linked.code)
+        for slot in (5, 2):
+            corrupt[8 + slot * 10 + 4] ^= 0x01
+        corrupt[-4:] = zlib.crc32(bytes(corrupt[:-4])).to_bytes(4, "little")
+        with pytest.raises(SandboxCrash) as crash:
+            decode_wasm_image(bytes(corrupt), host_call_at=ADDR_TO_ID.get)
+        assert str(crash.value) == "wasm slot 2 checksum mismatch"
+
     def test_ebpf_image_rejected_as_wasm(self):
         from repro.ebpf.jit import jit_compile
         from repro.ebpf.asm import Asm
