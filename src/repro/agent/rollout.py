@@ -10,14 +10,15 @@ The inconsistency window measured here feeds Fig 2b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.errors import ConsistencyError
 from repro.ebpf.program import BpfProgram
 from repro.agent.controller import AgentController
 from repro.agent.daemon import NodeAgent
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -35,6 +36,8 @@ class RolloutPlan:
     hook_name: str = "ingress"
 
     def __post_init__(self):
+        import networkx as nx
+
         graph = self.graph()
         if not nx.is_directed_acyclic_graph(graph):
             raise ConsistencyError("service dependencies contain a cycle")
@@ -43,6 +46,10 @@ class RolloutPlan:
                 raise ConsistencyError(f"no agent for service {service!r}")
 
     def graph(self) -> nx.DiGraph:
+        # Imported where a graph is built: no deploy path reaches here,
+        # and the import is most of a process's start-up time.
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.services)
         for caller, callees in self.dependencies.items():
@@ -52,6 +59,8 @@ class RolloutPlan:
 
     def dependency_order(self) -> list[str]:
         """Callees before callers (safe application order)."""
+        import networkx as nx
+
         return list(reversed(list(nx.topological_sort(self.graph()))))
 
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
-import networkx as nx
-
 from repro.errors import ConsistencyError, DeployError
 from repro.core.broadcast import CodeFlowGroup
 from repro.core.codeflow import CodeFlow
@@ -160,6 +158,10 @@ def plan_intent(intent: OrchestrationIntent, fleet: Fleet) -> Plan:
     (topological); unknown references and cycles are rejected at plan
     time, never mid-rollout.
     """
+    # Imported where a graph is built: no deploy path reaches here, and
+    # the import is most of a process's start-up time.
+    import networkx as nx
+
     by_name = {spec.name: spec for spec in intent.extensions}
     if len(by_name) != len(intent.extensions):
         raise ConsistencyError("duplicate extension names in intent")

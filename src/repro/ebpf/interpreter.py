@@ -29,6 +29,7 @@ CTX_BASE = 0x0001_0000
 STACK_TOP = 0x0002_0000
 MAP_VALUE_BASE = 0x0010_0000
 MAP_REF_BASE = 0x0040_0000
+_STACK_BASE = STACK_TOP - op.STACK_SIZE
 
 #: Runtime instruction budget (defense in depth behind the verifier).
 DEFAULT_INSN_BUDGET = 4_000_000
@@ -236,9 +237,8 @@ class Interpreter:
     def _area_for(self, addr: int, size: int):
         if CTX_BASE <= addr and addr + size <= CTX_BASE + len(self._ctx):
             return ("ctx", addr - CTX_BASE)
-        stack_base = STACK_TOP - op.STACK_SIZE
-        if stack_base <= addr and addr + size <= STACK_TOP:
-            return ("stack", addr - stack_base)
+        if _STACK_BASE <= addr and addr + size <= STACK_TOP:
+            return ("stack", addr - _STACK_BASE)
         for base, (bpf_map, _key) in self._value_areas.items():
             if base <= addr and addr + size <= base + bpf_map.value_size:
                 return ("map_value", (base, addr - base))
@@ -279,14 +279,15 @@ class Interpreter:
         an :class:`~repro.ebpf.insn.Insn`, or what ``decode_image``
         returns.
         """
-        self._ctx = bytes(ctx)
-        self._stack = bytearray(op.STACK_SIZE)
+        self._ctx = ctx = bytes(ctx)
+        self._stack = stack = bytearray(op.STACK_SIZE)
         self._value_areas.clear()
         self._next_value_base = MAP_VALUE_BASE
         self._printk = []
         regs = [0] * 11
         regs[op.R1] = CTX_BASE
         regs[op.R10] = STACK_TOP
+        ctx_end = CTX_BASE + len(ctx)
         count = len(insns)
         operation_of = _OPERATIONS.get
         pc = 0
@@ -306,16 +307,32 @@ class Interpreter:
                     pc += off
                 continue
 
+            # Loads and stores find the context and the stack here, by
+            # the bounds ``_area_for`` tests; a map value's area, and
+            # every fault, is left to it.
             cls = opcode & op.CLASS_MASK
             if cls == op.BPF_LDX:
                 size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
-                data = self._read_mem((regs[src] + off) & _U64, size)
+                addr = (regs[src] + off) & _U64
+                end = addr + size
+                if CTX_BASE <= addr and end <= ctx_end:
+                    data = ctx[addr - CTX_BASE : end - CTX_BASE]
+                elif _STACK_BASE <= addr and end <= STACK_TOP:
+                    data = stack[addr - _STACK_BASE : end - _STACK_BASE]
+                else:
+                    data = self._read_mem(addr, size)
                 regs[dst] = int.from_bytes(data, "little")
             elif cls == op.BPF_STX or cls == op.BPF_ST:
                 size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
                 value = regs[src] if cls == op.BPF_STX else imm & _U64
                 data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-                self._write_mem((regs[dst] + off) & _U64, data)
+                addr = (regs[dst] + off) & _U64
+                end = addr + size
+                in_ctx = CTX_BASE <= addr and end <= ctx_end
+                if not in_ctx and _STACK_BASE <= addr and end <= STACK_TOP:
+                    stack[addr - _STACK_BASE : end - _STACK_BASE] = data
+                else:
+                    self._write_mem(addr, data)
             elif opcode == op.LDDW:
                 if pc >= count:
                     raise SandboxError("truncated LDDW")

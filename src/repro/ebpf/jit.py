@@ -31,7 +31,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import JitError, SandboxCrash
 from repro.ebpf import opcodes as op
@@ -156,64 +156,103 @@ def jit_compile(program: BpfProgram, arch: str = "x86_64") -> JitBinary:
     One slot per instruction, cut from the program's flat image.  An
     operand slot holding a placeholder for the linker to patch follows
     each helper call, and stands in for the second half of each map
-    reference's LDDW pair.
+    reference's LDDW pair.  Only the instructions ``_SEQUENTIAL_OPCODE``
+    flags are looked at one by one, in program order, to find those.
     """
-    try:
-        insn_prefix, operand_prefix = _ARCH_PREFIX[arch]
-    except KeyError:
-        raise JitError(f"unsupported target architecture {arch!r}") from None
-
+    if arch not in _ARCH_PREFIX:
+        raise JitError(f"unsupported target architecture {arch!r}")
     insns = program.insns
     image = program.image()
-    body = bytearray(_HEADER.size)
-    relocations: list[Relocation] = []
-    symbols: dict[str, list[int]] = {}
-    operand_slot = (
-        bytes([operand_prefix])
-        + _PLACEHOLDER_BYTES
-        + bytes([(operand_prefix + sum(_PLACEHOLDER_BYTES)) & 0xFF])
-    )
+    map_names = program.map_names
+    operands: list[tuple[int, bool, RelocKind, str]] = []
+    flagged = image[0::8].translate(_SEQUENTIAL_OPCODE)
+    lddw_tail = -1  # index of the second half of the last LDDW seen
+    index = flagged.find(1)
+    while index >= 0:
+        # A second half is an immediate, whatever its opcode byte says.
+        if index != lddw_tail:
+            opcode, _dst, src, _off, imm = insns[index]
+            if opcode == op.LDDW:
+                lddw_tail = index + 1
+                if lddw_tail >= len(insns):
+                    raise JitError("truncated LDDW pair")
+                if src == op.PSEUDO_MAP_FD:
+                    if imm >= len(map_names):
+                        raise JitError(f"map slot {imm} out of range")
+                    operands.append((lddw_tail, True, RelocKind.MAP, map_names[imm]))
+            else:
+                helper = helper_by_id(imm)
+                if helper is None:
+                    raise JitError(f"call to unknown helper id {imm}")
+                operands.append((index + 1, False, RelocKind.HELPER, helper.name))
+        index = flagged.find(1, index + 1)
+    return emit_binary(image, arch, _arch_id(arch), _ARCH_PREFIX[arch], operands)
 
-    def emit_reloc(kind: RelocKind, symbol: str) -> None:
-        offset = len(body) + 1
-        body.extend(operand_slot)
+
+def emit_binary(
+    payloads: bytes,
+    arch: str,
+    arch_id: int,
+    prefixes: tuple[int, int],
+    operands: Sequence[tuple[int, bool, RelocKind, str]],
+) -> JitBinary:
+    """Write the image of ``payloads``, eight bytes an instruction.
+
+    The one writer of the slot format, for every extension family, as
+    :func:`first_bad_slot` is its one checker -- and that function run
+    backwards.  Every instruction slot is written at once, a column at
+    a time: the prefix column, the eight payload columns cut from
+    ``payloads`` by stride, and the checksum column.  For the
+    checksums ``payloads`` is read as one little-endian integer of
+    64-bit lanes; shifting it a byte at a time and masking each lane's
+    low byte lines the eight summed bytes up, and adding those columns
+    to the prefix adds every lane at once -- a lane's sum is at most
+    9 * 255 < 2**12, so none carries into the next.  The low byte of
+    each lane's sum is its slot's checksum.
+
+    ``operands`` names, in slot order, where a placeholder operand slot
+    goes: ``(slot, replaces, kind, symbol)`` puts one before
+    instruction slot ``slot``, or with ``replaces`` in its place, for
+    the linker to patch with the address of ``symbol``.
+    """
+    insn_prefix, operand_prefix = prefixes
+    count = len(payloads) // 8
+    slots = bytearray(count * _SLOT_BYTES)
+    slots[0::_SLOT_BYTES] = bytes([insn_prefix]) * count
+    for column in range(8):
+        slots[column + 1 :: _SLOT_BYTES] = payloads[column::8]
+    lanes = int.from_bytes(payloads, "little")
+    low_byte = int.from_bytes((b"\xff" + bytes(7)) * count, "little")
+    sums = int.from_bytes((bytes([insn_prefix]) + bytes(7)) * count, "little")
+    for shift in range(0, 64, 8):
+        sums += (lanes >> shift) & low_byte
+    slots[9::_SLOT_BYTES] = (sums & low_byte).to_bytes(count * 8, "little")[0::8]
+
+    operand_slot = bytes([operand_prefix]) + _PLACEHOLDER_BYTES
+    operand_slot += bytes([sum(operand_slot) & 0xFF])
+    pieces = []  # the slot area, cut where an operand slot is inserted
+    cut = inserted = 0
+    relocations = []
+    symbols: dict[str, list[int]] = {}
+    for slot, replaces, kind, symbol in operands:
+        start = slot * _SLOT_BYTES
+        offset = _HEADER.size + start + inserted * _SLOT_BYTES + 1
+        if replaces:
+            slots[start : start + _SLOT_BYTES] = operand_slot
+        else:
+            pieces += (slots[cut:start], operand_slot)
+            cut = start
+            inserted += 1
         relocations.append(Relocation(offset=offset, kind=kind, symbol=symbol))
         symbols.setdefault(symbol, []).append(offset)
+    pieces.append(slots[cut:])
 
-    lddw_tail = -1  # index of the second half of the last LDDW seen
-    tail_replaced = False  # ... which a map operand slot stands in for
-    for index, insn in enumerate(insns):
-        if index == lddw_tail and tail_replaced:
-            continue
-        payload = image[index * 8 : index * 8 + 8]
-        body.append(insn_prefix)
-        body += payload
-        body.append((insn_prefix + sum(payload)) & 0xFF)
-        if index == lddw_tail:
-            continue  # an immediate, whatever its opcode byte says
-        opcode = insn.opcode
-        if opcode == op.LDDW:
-            if index + 1 >= len(insns):
-                raise JitError("truncated LDDW pair")
-            lddw_tail = index + 1
-            tail_replaced = insn.src == op.PSEUDO_MAP_FD
-            if tail_replaced:
-                if insn.imm >= len(program.map_names):
-                    raise JitError(f"map slot {insn.imm} out of range")
-                emit_reloc(RelocKind.MAP, program.map_names[insn.imm])
-        elif opcode in _CALL_OPCODES:
-            helper = helper_by_id(insn.imm)
-            if helper is None:
-                raise JitError(f"call to unknown helper id {insn.imm}")
-            emit_reloc(RelocKind.HELPER, helper.name)
-
-    slot_count = (len(body) - _HEADER.size) // _SLOT_BYTES
-    _HEADER.pack_into(body, 0, MAGIC, VERSION, _arch_id(arch), slot_count)
+    body = _HEADER.pack(MAGIC, VERSION, arch_id, count + inserted) + b"".join(pieces)
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return JitBinary(
-        code=bytes(body) + crc.to_bytes(4, "little"),
+        code=body + crc.to_bytes(4, "little"),
         arch=arch,
-        insn_cnt=len(insns),
+        insn_cnt=count,
         relocations=relocations,
         symbols=symbols,
     )

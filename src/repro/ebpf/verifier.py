@@ -80,6 +80,9 @@ class Reg(NamedTuple):
 _UNINIT_REG = Reg()
 _SCALAR_REG = Reg(SCALAR)
 _NULL_REG = Reg(NULL)
+#: The context pointer.  Arithmetic on it is rejected, so every copy of
+#: it is this object, at offset 0.
+_CTX_REG = Reg(PTR_CTX)
 
 #: Bit 0 of ``_State.stack_init`` stands for the lowest stack byte.
 _STACK_BIT0 = op.STACK_SIZE
@@ -130,7 +133,7 @@ class _State(NamedTuple):
 _ENTRY = _State(
     regs=(
         _UNINIT_REG,
-        Reg(PTR_CTX),
+        _CTX_REG,
         *[_UNINIT_REG] * 8,
         Reg(PTR_STACK),
     ),
@@ -161,6 +164,98 @@ class MapGeometry:
     value_size: int
 
 
+# -- what an opcode byte says on its own -------------------------------------
+
+# Which rule steps an instruction.
+(
+    _ALU,
+    _LDX,
+    _STORE,
+    _JMP,
+    _LDDW,
+    _LDDW_TAIL,
+    _UNSUPPORTED,
+    _OFF_END,  # no opcode: the slot after the last instruction
+) = range(8)
+
+# When a step is known, without running its rule, to leave the state as
+# it is (``_Verifier.run`` says why).
+(
+    _NEVER,
+    _SCALAR_DST,  # the destination is a scalar already
+    _SCALAR_SHIFT,  # ... and the immediate is a shift count below the width
+    _SCALAR_BOTH,  # ... and the source register is one too
+    _CTX_LOAD,  # ... and the source is the context pointer, in bounds
+) = range(5)
+
+_SHIFTS = (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH)
+_DIVISIONS = (op.BPF_DIV, op.BPF_MOD)
+_ARITHMETIC = _SHIFTS + _DIVISIONS + (
+    op.BPF_ADD, op.BPF_SUB, op.BPF_MUL, op.BPF_OR, op.BPF_AND, op.BPF_XOR,
+    op.BPF_NEG, op.BPF_MOV, op.BPF_END,
+)
+
+
+class _Facts(NamedTuple):
+    """What an opcode byte says, whatever the rest of the instruction
+    holds."""
+
+    rule: int
+    skip: int = _NEVER
+    #: ALU and jumps: the operation, and whether its operand is a
+    #: register.  Stores: whether the value stored is one.
+    operation: int = 0
+    use_reg: bool = False
+    #: ALU: operand width in bits.
+    bits: int = 0
+    #: Loads and stores: bytes accessed, and whether the mode is the
+    #: one supported (``BPF_MEM``).
+    size: int = 0
+    mem: bool = False
+
+
+def _facts(opcode: int) -> _Facts:
+    cls = opcode & op.CLASS_MASK
+    operation = opcode & op.OP_MASK
+    use_reg = bool(opcode & op.BPF_X)
+    if cls == op.BPF_ALU64 or cls == op.BPF_ALU:
+        if operation not in _ARITHMETIC:
+            skip = _NEVER
+        elif use_reg:
+            skip = _SCALAR_BOTH
+        elif operation in _SHIFTS:
+            skip = _SCALAR_SHIFT
+        elif operation in _DIVISIONS:
+            skip = _NEVER
+        else:
+            skip = _SCALAR_DST
+        bits = 64 if cls == op.BPF_ALU64 else 32
+        return _Facts(_ALU, skip, operation, use_reg, bits)
+    if cls == op.BPF_JMP or cls == op.BPF_JMP32:
+        # Call, exit and ja exist in the 64-bit class only: the JIT
+        # gives no other encoding of a call its relocation.
+        if cls == op.BPF_JMP32 and operation in (op.BPF_CALL, op.BPF_EXIT, op.BPF_JA):
+            return _Facts(_UNSUPPORTED)
+        return _Facts(_JMP, _NEVER, operation, use_reg)
+    if cls == op.BPF_LD:
+        if opcode == op.LDDW:
+            return _Facts(_LDDW)
+        return _Facts(_UNSUPPORTED if opcode else _LDDW_TAIL)
+    size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
+    mem = opcode & op.MODE_MASK == op.BPF_MEM
+    if cls == op.BPF_LDX:
+        return _Facts(_LDX, _CTX_LOAD if mem else _NEVER, size=size, mem=mem)
+    return _Facts(_STORE, use_reg=cls == op.BPF_STX, size=size, mem=mem)
+
+
+_FACTS = tuple(_facts(opcode) for opcode in range(256))
+# The two facts the walk itself reads, as ``bytes.translate`` tables, and
+# the bound that goes with a skip: the shift width or the load size.
+_RULE = bytes(facts.rule for facts in _FACTS)
+_SKIP = bytes(facts.skip for facts in _FACTS)
+_SPAN = bytes(facts.bits or facts.size for facts in _FACTS)
+
+
 class _Verifier:
     def __init__(
         self,
@@ -169,103 +264,160 @@ class _Verifier:
         ctx_size: int,
     ):
         self.insns = program.insns
+        #: The opcode of every instruction, as one column of the image.
+        self.opcodes = program.image()[0::8]
         self.maps = maps
         self.ctx_size = ctx_size
         self.stats = VerifierStats(insn_count=len(self.insns))
         self.helpers_used: set[str] = set()
-        #: Per pc, a flag: some explored path executed the instruction.
-        self._reached = bytearray(len(self.insns))
-        #: Work stack of (pc, state) still to explore.
-        self._todo: list[tuple[int, _State]] = []
 
     # -- entry -----------------------------------------------------------
 
     def run(self) -> VerifierStats:
+        """Explore every path, depth first.
+
+        The pair in hand is followed instruction by instruction; only a
+        branch's *other* successor waits on the work stack.  The stack
+        is last-in first-out and takes the successors in the order the
+        rule returns them, the last being the one followed -- so a
+        conditional's fall-through runs to its end before its taken arm
+        starts, and the latest branch's taken arm before an earlier
+        one's.  ``peak_queue`` counts the pair in hand with the stack.
+
+        Most steps change nothing: arithmetic on scalars gives a scalar,
+        a load through the context pointer gives one too.  All scalars
+        are one object, ``_SCALAR_REG``, and all copies of the context
+        pointer another, so "this step's rule would return the state it
+        was given" is a few identity tests on the operands, plus the one
+        bound the rule would check (``_SKIP`` says which, per opcode).
+        Such a step is counted, memoized and walked past without running
+        the rule.  Whatever fails a test -- a pointer or unwritten
+        operand, the frame pointer as destination (never a scalar), an
+        immediate out of bounds -- goes to its ``_do_*`` rule like every
+        other instruction, and that is where each message is raised.
+        """
         insns = self.insns
-        if not insns:
+        count = len(insns)
+        if not count:
             raise VerifierError("empty program")
-        if len(insns) > op.MAX_INSNS:
-            raise VerifierError(f"program too large: {len(insns)} insns")
+        if count > op.MAX_INSNS:
+            raise VerifierError(f"program too large: {count} insns")
         self._check_lddw_pairing()
+        rules = self.opcodes.translate(_RULE) + bytes([_OFF_END])
+        skips = self.opcodes.translate(_SKIP) + bytes([_NEVER])
+        spans = self.opcodes.translate(_SPAN)
+        ctx_size = self.ctx_size
+        scalar, ctx = _SCALAR_REG, _CTX_REG
         # Pruning memo, per pc: None (never reached), the one state seen
         # there, or -- from the second distinct state on -- a set.  Most
         # instructions are reached once, so most states are never
         # hashed; a path rejoining with an equal state is pruned by one
         # tuple comparison.
-        seen: list = [None] * (len(insns) + 1)
-        todo = self._todo
-        todo.append((0, _ENTRY))
-        step = self._step
+        seen: list = [None] * (count + 1)
+        stack = [(0, _ENTRY)]
         visited = peak = 0
-        while todo:
-            if len(todo) > peak:
-                peak = len(todo)
-            pc, state = todo.pop()
-            prior = seen[pc]
-            if prior is None:
-                seen[pc] = state
-            elif prior.__class__ is set:
-                known = len(prior)
-                prior.add(state)
-                if len(prior) == known:
-                    continue
-            elif prior == state:
-                continue
-            else:
-                seen[pc] = {prior, state}
-            visited += 1
-            if visited > MAX_STATES:
-                raise VerifierError("BPF program is too large (state budget)")
-            step(pc, state)
-        self._check_unreachable()
+        while stack:
+            if len(stack) > peak:
+                peak = len(stack)
+            pc, state = stack.pop()
+            regs = state.regs
+            while True:
+                prior = seen[pc]
+                if prior is None:
+                    seen[pc] = state
+                elif prior.__class__ is set:
+                    known = len(prior)
+                    prior.add(state)
+                    if len(prior) == known:
+                        break
+                elif prior == state:
+                    break
+                else:
+                    seen[pc] = {prior, state}
+                visited += 1
+                if visited > MAX_STATES:
+                    raise VerifierError("BPF program is too large (state budget)")
+
+                skip = skips[pc]
+                if skip:
+                    _opcode, dst, src, off, imm = insns[pc]
+                    if regs[dst] is scalar:
+                        if skip == _SCALAR_DST:
+                            unchanged = True
+                        elif skip == _SCALAR_BOTH:
+                            unchanged = regs[src] is scalar
+                        elif skip == _SCALAR_SHIFT:
+                            unchanged = 0 <= imm < spans[pc]
+                        else:
+                            unchanged = (
+                                regs[src] is ctx
+                                and 0 <= off <= ctx_size - spans[pc]
+                            )
+                        if unchanged:
+                            pc += 1
+                            continue
+                rule = rules[pc]
+                if rule == _OFF_END:
+                    raise VerifierError(f"jump out of range to {pc}")
+                insn = insns[pc]
+                if rule == _ALU:
+                    state = self._do_alu(pc, insn, state)
+                    pc += 1
+                elif rule == _LDX:
+                    state = self._do_ldx(pc, insn, state)
+                    pc += 1
+                elif rule == _JMP:
+                    successors = self._do_jmp(pc, insn, state)
+                    if not successors:
+                        break
+                    pc, state = successors.pop()
+                    if successors:
+                        stack += successors
+                        if len(stack) >= peak:
+                            peak = len(stack) + 1
+                elif rule == _STORE:
+                    state = self._do_store(pc, insn, state)
+                    pc += 1
+                elif rule == _LDDW:
+                    state = self._do_lddw(pc, insn, state)
+                    pc += 2
+                elif rule == _LDDW_TAIL:
+                    raise VerifierError(f"jump into the middle of LDDW at {pc}")
+                else:
+                    raise VerifierError(
+                        f"unsupported opcode {insn.opcode:#04x} at {pc}"
+                    )
+                regs = state.regs
+        self._check_unreachable(seen)
         self.stats.states_visited = visited
         self.stats.peak_queue = peak
         self.stats.helpers_called = tuple(sorted(self.helpers_used))
         return self.stats
 
     def _check_lddw_pairing(self) -> None:
-        second_half = False
-        for insn in self.insns:
-            if second_half:
-                if insn.opcode != 0:
-                    raise VerifierError("LDDW second half has nonzero opcode")
-                second_half = False
-            elif insn.opcode == op.LDDW:
-                second_half = True
-        if second_half:
-            raise VerifierError("LDDW at end of program")
+        opcodes = self.opcodes
+        head = opcodes.find(op.LDDW)
+        while head >= 0:
+            tail = head + 1
+            if tail == len(opcodes):
+                raise VerifierError("LDDW at end of program")
+            if opcodes[tail]:
+                raise VerifierError("LDDW second half has nonzero opcode")
+            head = opcodes.find(op.LDDW, tail + 1)
 
-    def _check_unreachable(self) -> None:
-        # An LDDW marks its second half when it is stepped, so the first
-        # unmarked index is always an instruction of its own.
-        index = self._reached.find(0)
-        if index != -1:
-            raise VerifierError(f"unreachable instruction at {index}")
-
-    # -- single step ---------------------------------------------------
-
-    def _step(self, pc: int, state: _State) -> None:
-        """Interpret the instruction at ``pc``; push its successors."""
-        if pc >= len(self.insns):
-            raise VerifierError(f"jump out of range to {pc}")
-        self._reached[pc] = 1
-        insn = self.insns[pc]
-        opcode = insn.opcode
-        cls = opcode & op.CLASS_MASK
-        if cls == op.BPF_ALU64 or cls == op.BPF_ALU:
-            self._todo.append((pc + 1, self._do_alu(pc, insn, state, cls)))
-        elif cls == op.BPF_LDX:
-            self._todo.append((pc + 1, self._do_ldx(pc, insn, state)))
-        elif cls == op.BPF_JMP or cls == op.BPF_JMP32:
-            self._do_jmp(pc, insn, state)
-        elif cls == op.BPF_ST or cls == op.BPF_STX:
-            self._todo.append((pc + 1, self._do_store(pc, insn, state, cls)))
-        elif opcode == op.LDDW:
-            self._todo.append((pc + 2, self._do_lddw(pc, insn, state)))
-        elif opcode == 0:
-            raise VerifierError(f"jump into the middle of LDDW at {pc}")
-        else:
-            raise VerifierError(f"unsupported opcode {opcode:#04x} at {pc}")
+    def _check_unreachable(self, seen: list) -> None:
+        # An instruction no path arrived at has no entry in the pruning
+        # memo.  Nor has the second half of an LDDW, which is stepped
+        # over with its first.
+        opcodes = self.opcodes
+        index = -1
+        while True:
+            try:
+                index = seen.index(None, index + 1, len(opcodes))
+            except ValueError:
+                return
+            if index == 0 or opcodes[index - 1] != op.LDDW:
+                raise VerifierError(f"unreachable instruction at {index}")
 
     # -- ALU ---------------------------------------------------------------
 
@@ -275,17 +427,20 @@ class _Verifier:
             raise VerifierError(f"R{index} !read_ok at insn {pc}")
         return reg
 
-    def _do_alu(self, pc: int, insn: Insn, state: _State, cls: int) -> _State:
-        opcode, dst_index, src_index, _off, imm = insn
-        operation = opcode & op.OP_MASK
-        if dst_index == op.R10:
+    def _check_writable(self, index: int, pc: int) -> None:
+        if index == op.R10:
             raise VerifierError(f"frame pointer is read-only (insn {pc})")
-        use_reg = opcode & op.BPF_X
+
+    def _do_alu(self, pc: int, insn: Insn, state: _State) -> _State:
+        opcode, dst_index, src_index, _off, imm = insn
+        facts = _FACTS[opcode]
+        operation, use_reg = facts.operation, facts.use_reg
+        self._check_writable(dst_index, pc)
 
         if operation == op.BPF_MOV:
             if use_reg:
                 src = self._read_reg(state, src_index, pc)
-                if cls == op.BPF_ALU and src.type is not SCALAR:
+                if facts.bits == 32 and src.type is not SCALAR:
                     # 32-bit mov truncates pointers into scalars.
                     src = _SCALAR_REG
                 return state.with_reg(dst_index, src)
@@ -306,16 +461,14 @@ class _Verifier:
         if use_reg:
             src_type = self._read_reg(state, src_index, pc).type
 
-        if operation in (op.BPF_DIV, op.BPF_MOD) and not use_reg and imm == 0:
+        if operation in _DIVISIONS and not use_reg and imm == 0:
             raise VerifierError(f"division by zero constant at {pc}")
-        if operation in (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH) and not use_reg:
-            width = 64 if cls == op.BPF_ALU64 else 32
-            if not 0 <= imm < width:
-                raise VerifierError(f"invalid shift {imm} at {pc}")
+        if operation in _SHIFTS and not use_reg and not 0 <= imm < facts.bits:
+            raise VerifierError(f"invalid shift {imm} at {pc}")
 
         # Pointer arithmetic: only +/- constant on stack/map-value ptrs.
         if dst.type in (PTR_STACK, PTR_MAP_VALUE):
-            if cls != op.BPF_ALU64 or use_reg or operation not in (
+            if facts.bits != 64 or use_reg or operation not in (
                 op.BPF_ADD,
                 op.BPF_SUB,
             ):
@@ -345,6 +498,7 @@ class _Verifier:
         return slot
 
     def _do_lddw(self, pc: int, insn: Insn, state: _State) -> _State:
+        self._check_writable(insn.dst, pc)
         if insn.src == op.PSEUDO_MAP_FD:
             if insn.imm not in self.maps:
                 raise VerifierError(
@@ -355,13 +509,14 @@ class _Verifier:
             reg = _SCALAR_REG
         else:
             raise VerifierError(f"unsupported LDDW src {insn.src} at {pc}")
-        self._reached[pc + 1] = 1
         return state.with_reg(insn.dst, reg)
 
     def _do_ldx(self, pc: int, insn: Insn, state: _State) -> _State:
-        if (insn.opcode & op.MODE_MASK) != op.BPF_MEM:
+        facts = _FACTS[insn.opcode]
+        if not facts.mem:
             raise VerifierError(f"unsupported load mode at {pc}")
-        size = op.SIZE_BYTES[insn.opcode & op.SIZE_MASK]
+        self._check_writable(insn.dst, pc)
+        size = facts.size
         base = self._read_reg(state, insn.src, pc)
         if base.type is PTR_CTX:
             addr = base.off + insn.off
@@ -399,12 +554,13 @@ class _Verifier:
             f"load from non-pointer R{insn.src} ({base.type.label}) at {pc}"
         )
 
-    def _do_store(self, pc: int, insn: Insn, state: _State, cls: int) -> _State:
-        if (insn.opcode & op.MODE_MASK) != op.BPF_MEM:
+    def _do_store(self, pc: int, insn: Insn, state: _State) -> _State:
+        facts = _FACTS[insn.opcode]
+        if not facts.mem:
             raise VerifierError(f"unsupported store mode at {pc}")
-        size = op.SIZE_BYTES[insn.opcode & op.SIZE_MASK]
+        size = facts.size
         base = self._read_reg(state, insn.dst, pc)
-        if cls == op.BPF_STX:
+        if facts.use_reg:
             value = self._read_reg(state, insn.src, pc)
         else:
             value = _SCALAR_REG
@@ -438,24 +594,26 @@ class _Verifier:
 
     # -- control flow ----------------------------------------------------
 
-    def _do_jmp(self, pc: int, insn: Insn, state: _State) -> None:
-        operation = insn.opcode & op.OP_MASK
+    def _do_jmp(
+        self, pc: int, insn: Insn, state: _State
+    ) -> list[tuple[int, _State]]:
+        """The ``(pc, state)`` pairs that follow, in work-stack order:
+        the last is explored first, and none means the path has ended."""
+        facts = _FACTS[insn.opcode]
+        operation, use_reg = facts.operation, facts.use_reg
         if operation == op.BPF_EXIT:
             if state.regs[op.R0].type is UNINIT:
                 raise VerifierError(f"R0 !read_ok at exit ({pc})")
-            return
+            return []
         if operation == op.BPF_CALL:
-            self._todo.append((pc + 1, self._do_call(pc, insn, state)))
-            return
+            return [(pc + 1, self._do_call(pc, insn, state))]
         target = pc + 1 + insn.off
         self._check_forward(pc, target)
         if operation == op.BPF_JA:
-            self._todo.append((target, state))
-            return
+            return [(target, state)]
 
         # Conditional jump.
         dst = self._read_reg(state, insn.dst, pc)
-        use_reg = insn.opcode & op.BPF_X
         if use_reg:
             self._read_reg(state, insn.src, pc)
 
@@ -483,8 +641,7 @@ class _Verifier:
             raise VerifierError(
                 f"comparison on {dst.type.label} pointer R{insn.dst} at {pc}"
             )
-        self._todo.append((target, taken))
-        self._todo.append((pc + 1, fallthrough))
+        return [(target, taken), (pc + 1, fallthrough)]
 
     def _check_forward(self, pc: int, target: int) -> None:
         if target <= pc:

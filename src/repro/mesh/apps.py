@@ -11,9 +11,7 @@ agent (the baseline) -- RDX replaces the agents with CodeFlows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.agent.daemon import NodeAgent
 from repro.errors import WorkloadError
@@ -21,6 +19,9 @@ from repro.mesh.proxy import SidecarProxy
 from repro.net.fabric import Fabric
 from repro.net.topology import Host
 from repro.sim.core import Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: (label, n_services) for the paper's four applications.
 PAPER_APPS = (("app1", 4), ("app2", 11), ("app3", 17), ("app4", 33))
@@ -33,6 +34,10 @@ def make_app_dag(n_services: int, fanout: int = 3) -> nx.DiGraph:
     services in the next layer.  Shapes match the microservice-depth
     characteristics the paper's Fig 2b spans.
     """
+    # Imported where a graph is built: no deploy path reaches here, and
+    # the import is most of a process's start-up time.
+    import networkx as nx
+
     if n_services < 1:
         raise WorkloadError("need at least one service")
     graph = nx.DiGraph()

@@ -17,8 +17,8 @@ from repro.errors import JitError, SandboxCrash
 from repro.ebpf.jit import (
     PLACEHOLDER,
     JitBinary,
-    Relocation,
     RelocKind,
+    emit_binary,
     first_bad_slot,
 )
 from repro.wasm.hostcalls import host_call_by_id
@@ -37,43 +37,27 @@ _WASM_PREFIX = {"x86_64": (0x9C, 0x9D), "arm64": (0xAC, 0xAD)}
 
 
 def wasm_compile(module: WasmModule, arch: str = "x86_64") -> JitBinary:
-    """Compile a validated module for ``arch``; returns a JitBinary."""
-    try:
-        insn_prefix, operand_prefix = _WASM_PREFIX[arch]
-    except KeyError:
-        raise JitError(f"unsupported wasm target {arch!r}") from None
+    """Compile a validated module for ``arch``; returns a JitBinary.
 
-    slots: list[bytes] = []
-    relocations: list[Relocation] = []
-    symbols: dict[str, list[int]] = {}
-
-    def emit(prefix: int, payload: bytes) -> int:
-        offset = _HEADER.size + len(slots) * _SLOT_BYTES + 1
-        checksum = (prefix + sum(payload)) & 0xFF
-        slots.append(bytes([prefix]) + payload + bytes([checksum]))
-        return offset
-
-    for instr in module.insns:
-        emit(insn_prefix, instr.encode())
-        if instr.op is WOp.CALL_HOST:
-            call = host_call_by_id(instr.imm)
-            if call is None:
-                raise JitError(f"unknown host call id {instr.imm}")
-            offset = emit(operand_prefix, PLACEHOLDER.to_bytes(8, "little"))
-            relocations.append(
-                Relocation(offset=offset, kind=RelocKind.HELPER, symbol=call.name)
-            )
-            symbols.setdefault(call.name, []).append(offset)
-
-    header = _HEADER.pack(MAGIC, VERSION, _WASM_ARCH_IDS[arch], len(slots))
-    body = header + b"".join(slots)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return JitBinary(
-        code=body + crc.to_bytes(4, "little"),
-        arch=arch,
-        insn_cnt=len(module.insns),
-        relocations=relocations,
-        symbols=symbols,
+    One slot per instruction, written from the module's flat image by
+    the slot writer every extension family shares; a placeholder
+    operand slot follows each host call.
+    """
+    if arch not in _WASM_PREFIX:
+        raise JitError(f"unsupported wasm target {arch!r}")
+    image = module.image()
+    opcodes = image[0::8]
+    operands = []
+    index = opcodes.find(WOp.CALL_HOST)
+    while index >= 0:
+        call_id = module.insns[index].imm
+        call = host_call_by_id(call_id)
+        if call is None:
+            raise JitError(f"unknown host call id {call_id}")
+        operands.append((index + 1, False, RelocKind.HELPER, call.name))
+        index = opcodes.find(WOp.CALL_HOST, index + 1)
+    return emit_binary(
+        image, arch, _WASM_ARCH_IDS[arch], _WASM_PREFIX[arch], operands
     )
 
 

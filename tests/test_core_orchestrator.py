@@ -1,7 +1,13 @@
 """Tests for the declarative orchestration language (§7 item 1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.orchestrator import (
     ExtensionSpec,
     Fleet,
@@ -41,6 +47,19 @@ def spec(name, seed, targets=Selector(), after=(), hook="ingress"):
         targets=targets,
         after=after,
     )
+
+
+def test_deploy_stack_starts_without_the_graph_library():
+    """``networkx`` orders intents, rollouts and app DAGs; nothing a
+    deploy or a serving tier runs builds a graph, so importing those
+    must not pay for it (it was most of a process's start-up)."""
+    source = str(Path(repro.__file__).parent.parent)
+    check = (
+        "import sys; import repro.exp.harness, repro.serve; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": source}
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 class TestSelector:

@@ -295,6 +295,12 @@ class TestHelpersAndMaps:
 # operand, is run on every pair of edge operands and the 70 results are
 # pinned as one digest; every JMP / JMP32 condition likewise, its 70
 # outcomes pinned as a string of 0s and 1s.
+#
+# The ``ldx`` / ``st`` / ``stx`` rows and the faults from ``ctx-first-byte``
+# on were added when loads and stores moved into ``run`` (PR 18) and
+# taken from its parent, commit 41e6472: every access size against the
+# first and last byte of the context and of the stack, one byte either
+# side of them, and accesses straddling each edge.
 
 EDGES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**63, U64)
 #: Right-hand operands: the edges, then shift counts at and past both
@@ -339,7 +345,71 @@ def _r0_after(opcode: int, left: int, right: int, from_reg: bool) -> int:
     return Interpreter().run(program, b"").r0
 
 
+#: What the memory rows and faults run against: 16 context bytes.
+CTX = bytes(range(1, 17))
+SIZES = {"b": op.BPF_B, "h": op.BPF_H, "w": op.BPF_W, "dw": op.BPF_DW}
+#: area -> (register pointing at it, offset of its first byte from that
+#: register, offset one past its last)
+AREAS = {"ctx": (op.R1, 0, len(CTX)), "stack": (op.R10, -op.STACK_SIZE, 0)}
+_PATTERN = 0x1122_3344_5566_7788
+
+
+def _outcome(insns, budget=None) -> str:
+    interpreter = Interpreter() if budget is None else Interpreter(insn_budget=budget)
+    try:
+        result = interpreter.run(insns, CTX)
+    except SandboxError as fault:
+        return str(fault)
+    return f"r0={result.r0} after {result.insns_executed}"
+
+
+def _edge_offsets(area: str, size: int) -> list[int]:
+    """Offsets at which an access of ``size`` bytes touches an edge of
+    ``area``: the first that fits, one byte and one whole access before
+    it, the last that fits, one byte past that (straddling the end, or
+    for a byte just past it), the last byte, and one past the end."""
+    _reg, first, end = AREAS[area]
+    return [first, first - 1, first - size, end - size, end - size + 1, end - 1, end]
+
+
+def _memory_row(kind: str, size_name: str, area: str) -> str:
+    """``kind`` accesses of one size at every edge of ``area``.  A load
+    reports what it read (the stack holds a pattern at both ends); a
+    store reports both ends of the stack read back afterwards."""
+    size_bits = SIZES[size_name]
+    reg = AREAS[area][0]
+    top, bottom = -8, -op.STACK_SIZE
+    exit_ = Insn(op.BPF_JMP | op.BPF_EXIT)
+    results = []
+    for offset in _edge_offsets(area, op.SIZE_BYTES[size_bits]):
+        program = lddw_pair(op.R2, _PATTERN)
+        if kind == "ldx":
+            program += [
+                Insn(op.BPF_STX | op.BPF_DW | op.BPF_MEM, dst=op.R10, src=op.R2, off=top),
+                Insn(op.BPF_STX | op.BPF_DW | op.BPF_MEM, dst=op.R10, src=op.R2, off=bottom),
+                Insn(op.BPF_LDX | size_bits | op.BPF_MEM, dst=op.R0, src=reg, off=offset),
+                exit_,
+            ]
+        else:
+            store = (
+                Insn(op.BPF_STX | size_bits | op.BPF_MEM, dst=reg, src=op.R2, off=offset)
+                if kind == "stx"
+                else Insn(op.BPF_ST | size_bits | op.BPF_MEM, dst=reg, off=offset, imm=-0x1234_5679)
+            )
+            program += [
+                store,
+                Insn(op.BPF_LDX | op.BPF_DW | op.BPF_MEM, dst=op.R0, src=op.R10, off=top),
+                Insn(op.BPF_LDX | op.BPF_DW | op.BPF_MEM, dst=op.R3, src=op.R10, off=bottom),
+                Insn(op.BPF_ALU64 | op.BPF_XOR | op.BPF_X, dst=op.R0, src=op.R3),
+                exit_,
+            ]
+        results.append(_outcome(program))
+    return hashlib.blake2b(repr(results).encode(), digest_size=8).hexdigest()
+
+
 def _row(class_name: str, op_name: str, source: str) -> str:
+    if class_name in ("ldx", "st", "stx"):
+        return _memory_row(class_name, op_name, source)
     from_reg = source == "x"
     operation = (ALU_OPS if class_name.startswith("alu") else JUMP_OPS)[op_name]
     opcode = CLASSES[class_name] | operation | (op.BPF_X if from_reg else op.BPF_K)
@@ -359,6 +429,10 @@ def _row_names():
         for op_name in ops:
             for source in ("k", "x"):
                 yield f"{class_name}.{op_name}.{source}"
+    for kind in ("ldx", "st", "stx"):
+        for size_name in SIZES:
+            for area in AREAS:
+                yield f"{kind}.{size_name}.{area}"
 
 
 OPERATIONS = {
@@ -462,6 +536,30 @@ OPERATIONS = {
     'jmp32.jslt.x': '0110000111001000011100000000001110111111111001011101100001111110010111',
     'jmp32.jsle.k': '1110000111011000011100100000001111111111111011011111100001111110110111',
     'jmp32.jsle.x': '1110010111011000011100100000001111111111111011111111100101111110111111',
+    'ldx.b.ctx': '54abb272de44b796',
+    'ldx.b.stack': '091cf04a549d59fa',
+    'ldx.h.ctx': '7a8b40c394ce60a9',
+    'ldx.h.stack': '4eeea98ecfc893b5',
+    'ldx.w.ctx': '54b5a47cfa2c5276',
+    'ldx.w.stack': 'fac6f63fccdc525b',
+    'ldx.dw.ctx': 'a81dbc458e81b95e',
+    'ldx.dw.stack': 'b424dfdc7b00399e',
+    'st.b.ctx': '393ecc33a0848451',
+    'st.b.stack': '65fb6b00fa798953',
+    'st.h.ctx': '8e3b40761e26442a',
+    'st.h.stack': '7d0abed946eb982c',
+    'st.w.ctx': '72916a91cd163524',
+    'st.w.stack': '0cc51357adef5dd2',
+    'st.dw.ctx': '4c83262747b2a1e0',
+    'st.dw.stack': 'bfc3d3949a9b4671',
+    'stx.b.ctx': '393ecc33a0848451',
+    'stx.b.stack': '499f8fe7409a291f',
+    'stx.h.ctx': '8e3b40761e26442a',
+    'stx.h.stack': '67db2725095773bd',
+    'stx.w.ctx': '72916a91cd163524',
+    'stx.w.stack': '54dc6d4bab0106b3',
+    'stx.dw.ctx': '4c83262747b2a1e0',
+    'stx.dw.stack': 'd5158291e3c1c7ea',
 }
 
 # what goes wrong at run time -> the exact message
@@ -485,6 +583,29 @@ FAULTS = {
     'jmp32-exit': 'r0=0 after 2',
     'jmp32-ja': 'r0=0 after 3',
     'exit-x': 'r0=0 after 2',
+    'ctx-first-byte': 'r0=1 after 2',
+    'ctx-last-byte': 'r0=16 after 2',
+    'ctx-last-dword': 'r0=1157159078456920585 after 2',
+    'ctx-one-past': 'bad memory access [0x10010, +1)',
+    'ctx-one-before': 'bad memory access [0xffff, +1)',
+    'ctx-straddles-end': 'bad memory access [0x10009, +8)',
+    'ctx-straddles-start': 'bad memory access [0xffff, +2)',
+    'ctx-stx': 'ctx is read-only',
+    'ctx-st-last-byte': 'ctx is read-only',
+    'ctx-st-one-past': 'bad memory access [0x10010, +1)',
+    'ctx-stx-straddles-end': 'bad memory access [0x1000d, +4)',
+    'stack-first-byte': 'r0=7 after 3',
+    'stack-last-byte': 'r0=7 after 3',
+    'stack-st-sign-extends': 'r0=18446744073709551614 after 3',
+    'stack-stx-truncates': 'r0=65535 after 4',
+    'stack-one-past': 'bad memory access [0x20000, +1)',
+    'stack-one-before': 'bad memory access [0x1fdff, +1)',
+    'stack-stx-straddles-top': 'bad memory access [0x1fffc, +8)',
+    'stack-st-straddles-bottom': 'bad memory access [0x1fdfe, +4)',
+    'between-ctx-and-stack': 'bad memory access [0x14000, +1)',
+    'address-zero': 'bad memory access [0x0, +4)',
+    'address-top-of-space': 'bad memory access [0xffffffffffffffff, +8)',
+    'address-wraps': 'bad memory access [0x7ffe, +1)',
 }
 
 
@@ -511,17 +632,56 @@ def _fault_programs():
         "jmp32-exit": ([mov, Insn(op.BPF_JMP32 | op.BPF_EXIT)], None),
         "jmp32-ja": ([mov, Insn(op.BPF_JMP32 | op.BPF_JA, off=1), exit_, exit_], None),
         "exit-x": ([mov, Insn(op.BPF_JMP | op.BPF_EXIT | op.BPF_X)], None),
+        **{name: (insns + [exit_], None) for name, insns in _memory_faults().items()},
+    }
+
+
+def _memory_faults():
+    def ldx(size, src, off):
+        return Insn(op.BPF_LDX | size | op.BPF_MEM, dst=op.R0, src=src, off=off)
+
+    def stx(size, dst, off, src=op.R1):
+        return Insn(op.BPF_STX | size | op.BPF_MEM, dst=dst, src=src, off=off)
+
+    def st(size, dst, off, imm=7):
+        return Insn(op.BPF_ST | size | op.BPF_MEM, dst=dst, off=off, imm=imm)
+
+    minus_one = Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=op.R2, imm=-1)
+    return {
+        "ctx-first-byte": [ldx(op.BPF_B, op.R1, 0)],
+        "ctx-last-byte": [ldx(op.BPF_B, op.R1, 15)],
+        "ctx-last-dword": [ldx(op.BPF_DW, op.R1, 8)],
+        "ctx-one-past": [ldx(op.BPF_B, op.R1, 16)],
+        "ctx-one-before": [ldx(op.BPF_B, op.R1, -1)],
+        "ctx-straddles-end": [ldx(op.BPF_DW, op.R1, 9)],
+        "ctx-straddles-start": [ldx(op.BPF_H, op.R1, -1)],
+        "ctx-stx": [stx(op.BPF_B, op.R1, 0)],
+        "ctx-st-last-byte": [st(op.BPF_B, op.R1, 15)],
+        "ctx-st-one-past": [st(op.BPF_B, op.R1, 16)],
+        "ctx-stx-straddles-end": [stx(op.BPF_W, op.R1, 13)],
+        "stack-first-byte": [st(op.BPF_B, op.R10, -512), ldx(op.BPF_B, op.R10, -512)],
+        "stack-last-byte": [st(op.BPF_B, op.R10, -1), ldx(op.BPF_B, op.R10, -1)],
+        "stack-st-sign-extends": [
+            st(op.BPF_DW, op.R10, -8, imm=-2), ldx(op.BPF_DW, op.R10, -8),
+        ],
+        "stack-stx-truncates": [
+            minus_one, stx(op.BPF_H, op.R10, -8, src=op.R2), ldx(op.BPF_DW, op.R10, -8),
+        ],
+        "stack-one-past": [ldx(op.BPF_B, op.R10, 0)],
+        "stack-one-before": [ldx(op.BPF_B, op.R10, -513)],
+        "stack-stx-straddles-top": [stx(op.BPF_DW, op.R10, -4)],
+        "stack-st-straddles-bottom": [st(op.BPF_W, op.R10, -514)],
+        "between-ctx-and-stack": [ldx(op.BPF_B, op.R1, 0x4000)],
+        "address-zero": [
+            Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=op.R2), ldx(op.BPF_W, op.R2, 0),
+        ],
+        "address-top-of-space": [minus_one, ldx(op.BPF_DW, op.R2, 0)],
+        "address-wraps": [minus_one, st(op.BPF_B, op.R2, 0x7FFF)],
     }
 
 
 def _fault(name: str) -> str:
-    insns, budget = _fault_programs()[name]
-    interpreter = Interpreter() if budget is None else Interpreter(insn_budget=budget)
-    try:
-        result = interpreter.run(insns, b"")
-    except SandboxError as fault:
-        return str(fault)
-    return f"r0={result.r0} after {result.insns_executed}"
+    return _outcome(*_fault_programs()[name])
 
 
 class TestParentTables:

@@ -108,6 +108,38 @@ class TestRejections:
     def test_write_to_frame_pointer(self):
         reject(Asm().mov_imm(op.R10, 0).exit_(), "read-only")
 
+    def test_load_into_frame_pointer(self):
+        """R10 is read-only to every instruction that writes a
+        register, not to arithmetic alone."""
+        reject(
+            Asm().mov_imm(op.R0, 0).ldx_b(op.R10, op.R1, 0).exit_(),
+            r"^frame pointer is read-only \(insn 1\)$",
+        )
+
+    def test_lddw_into_frame_pointer(self):
+        reject(
+            Asm().mov_imm(op.R0, 0).lddw(op.R10, 0x1234).exit_(),
+            r"^frame pointer is read-only \(insn 1\)$",
+        )
+
+    def test_jmp32_call_is_reserved(self):
+        """The JIT relocates ``BPF_JMP | BPF_CALL`` only, so a call in
+        the 32-bit jump class would run with an address nothing linked
+        or checked."""
+        insn = Insn(op.BPF_JMP32 | op.BPF_CALL, imm=5)
+        reject(Asm().raw(insn).exit_(), r"^unsupported opcode 0x86 at 0$")
+
+    def test_jmp32_exit_is_reserved(self):
+        insn = Insn(op.BPF_JMP32 | op.BPF_EXIT)
+        reject(Asm().mov_imm(op.R0, 0).raw(insn), r"^unsupported opcode 0x96 at 1$")
+
+    def test_jmp32_ja_is_reserved(self):
+        insn = Insn(op.BPF_JMP32 | op.BPF_JA | op.BPF_X, off=0)
+        reject(
+            Asm().mov_imm(op.R0, 0).raw(insn).exit_(),
+            r"^unsupported opcode 0x0e at 1$",
+        )
+
     def test_stack_out_of_bounds_low(self):
         reject(
             Asm().mov_imm(op.R2, 1).stx_dw(op.R10, op.R2, -520).mov_imm(op.R0, 0).exit_(),

@@ -227,7 +227,81 @@ class TestFilters:
         assert ctx_a.headers == ctx_b.headers
 
 
+# What ``wasm_compile`` wrote before it shared the slot writer of
+# ``ebpf.jit`` (per-slot emitter of commit 41e6472; regenerate with
+# ``PYTHONPATH=src python tests/test_wasm.py``): sha256 of the image and
+# the relocation list, or the error.
+COMPILED = {
+    'header': ('2e2d0b5079aeb059', ((39, 'helper', 'proxy_set_header'),)),
+    'header-arm64': ('eccb9e97453e4e47', ((39, 'helper', 'proxy_set_header'),)),
+    'header-padded': ('cda3ec842a04b92c', ((39, 'helper', 'proxy_set_header'),)),
+    'routing': ('715b9946b7032f22', ((19, 'helper', 'proxy_get_path_hash'), (79, 'helper', 'proxy_set_route'), (129, 'helper', 'proxy_set_header'))),
+    'routing-arm64': ('3aa4ca13652dc64b', ((19, 'helper', 'proxy_get_path_hash'), (79, 'helper', 'proxy_set_route'), (129, 'helper', 'proxy_set_header'))),
+    'rate-limit': ('5f6c98a24b91742f', ((29, 'helper', 'proxy_counter_incr'), (99, 'helper', 'proxy_set_header'))),
+    'telemetry': ('433db7d2494f4a16', ((29, 'helper', 'proxy_counter_incr'), (49, 'helper', 'proxy_log'), (99, 'helper', 'proxy_set_header'))),
+    'udf-add': ('cad5cae9174ce657', ()),
+    'udf-clamp': ('0fe9bc83af800539', ()),
+    'host-call-last': ('e35031633be4284a', ((29, 'helper', 'proxy_get_header'),)),
+    'empty': ('0aac033aec0daba1', ()),
+    'unknown-host-call': 'unknown host call id 999',
+    'unknown-target': "unsupported wasm target 'mips'",
+    'unknown-target-wins': "unsupported wasm target 'mips'",
+}
+
+
+def _compiled_modules():
+    from repro.udf.compiler import compile_udf
+    from repro.udf.expr import Arg, BinOp, Call, Const
+    from repro.wasm.module import WasmModule
+
+    clamp = Call("clamp", Arg(0), Const(10), Const(20))
+    return {
+        "header": (make_header_filter(), "x86_64"),
+        "header-arm64": (make_header_filter(), "arm64"),
+        "header-padded": (make_header_filter(version=3, padding=50), "x86_64"),
+        "routing": (make_routing_filter(n_routes=3, version=2), "x86_64"),
+        "routing-arm64": (make_routing_filter(n_routes=3, version=2), "arm64"),
+        "rate-limit": (make_rate_limit_filter(limit=5), "x86_64"),
+        "telemetry": (make_telemetry_filter(), "x86_64"),
+        "udf-add": (compile_udf(BinOp("+", Arg(0), Const(5)), row_width=4), "x86_64"),
+        "udf-clamp": (compile_udf(clamp, row_width=2), "arm64"),
+        "host-call-last": (
+            WasmModule([WInstr(WOp.PUSH, imm=1), WInstr(WOp.CALL_HOST, imm=1)]),
+            "x86_64",
+        ),
+        "empty": (WasmModule([]), "x86_64"),
+        "unknown-host-call": (
+            WasmModule([WInstr(WOp.CALL_HOST, imm=1), WInstr(WOp.CALL_HOST, imm=999)]),
+            "x86_64",
+        ),
+        "unknown-target": (make_header_filter(), "mips"),
+        "unknown-target-wins": (WasmModule([WInstr(WOp.CALL_HOST, imm=999)]), "mips"),
+    }
+
+
+def _compiled(module, arch):
+    import hashlib
+
+    try:
+        binary = wasm_compile(module, arch=arch)
+    except JitError as error:
+        return str(error)
+    assert binary.arch == arch and binary.insn_cnt == len(module.insns)
+    assert binary.symbols == {
+        symbol: [r.offset for r in binary.relocations if r.symbol == symbol]
+        for symbol in dict.fromkeys(r.symbol for r in binary.relocations)
+    }
+    return (
+        hashlib.sha256(binary.code).hexdigest()[:16],
+        tuple((r.offset, r.kind.value, r.symbol) for r in binary.relocations),
+    )
+
+
 class TestCompiler:
+    @pytest.mark.parametrize("name", _compiled_modules())
+    def test_image_is_pinned(self, name):
+        assert _compiled(*_compiled_modules()[name]) == COMPILED[name]
+
     def test_roundtrip(self):
         module = make_routing_filter(n_routes=3, version=2)
         linked = wasm_compile(module).link(lambda r: HOSTCALL_ADDR[r.symbol])
@@ -290,3 +364,10 @@ class TestCompiler:
     def test_unknown_arch_rejected(self):
         with pytest.raises(JitError):
             wasm_compile(make_header_filter(), arch="mips")
+
+
+if __name__ == "__main__":
+    print("COMPILED = {")
+    for row_name, row in _compiled_modules().items():
+        print(f"    {row_name!r}: {_compiled(*row)!r},")
+    print("}")
