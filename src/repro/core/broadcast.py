@@ -252,7 +252,7 @@ class CodeFlowGroup:
                 qp=sync.qp.qpn, node=sync.qp.rnic.host.name,
                 target=codeflow.sandbox.host.name, addr=addr, length=8,
             )
-        yield self.sim.timeout(params.RDX_CC_EVENT_US)
+        yield params.RDX_CC_EVENT_US
         if not dropped:
             codeflow.sandbox.host.cache.flush(addr, 8)
             sync.cc_count += 1

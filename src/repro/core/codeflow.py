@@ -553,7 +553,7 @@ class CodeFlow:
             params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
         )
         if not (pipelined and self._last_link_cached):
-            yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
+            yield params.RDX_STUB_RENDEZVOUS_US
         report.dispatch_us = self.sim.now - mark
 
         hook_addr = self._hook_addr(hook_name)

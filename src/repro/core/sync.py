@@ -160,7 +160,7 @@ class RemoteSync:
     def _faulted_attempt(self, error: BaseException) -> Generator:
         # The op goes out but its ACK never arrives: charge the
         # transport timeout, then surface the injected fault.
-        yield self.sim.timeout(params.RDMA_RETRY_TIMEOUT_US)
+        yield params.RDMA_RETRY_TIMEOUT_US
         raise error
 
     def _op(self, post, what: str, inject=None) -> Generator:
@@ -191,7 +191,7 @@ class RemoteSync:
     def write(self, addr: int, data: bytes, note=None) -> Generator:
         payload, dropped, inject = self._consult_hook("write", addr, data)
         if dropped:
-            yield self.sim.timeout(params.RDX_CC_EVENT_US)
+            yield params.RDX_CC_EVENT_US
             return None
         completion = yield from self._op(
             lambda: self.qp.post_send(WorkRequest(
@@ -274,7 +274,7 @@ class RemoteSync:
             # transport timeout like any lost op, then back off and
             # re-send only the missing writes (writes are idempotent,
             # and the hook is consulted again so one-shot faults heal).
-            yield self.sim.timeout(params.RDMA_RETRY_TIMEOUT_US)
+            yield params.RDMA_RETRY_TIMEOUT_US
             self._obs.counter("rdx.retry.attempts", op="write_batch").inc()
             if attempt == self.retry.max_attempts:
                 self._obs.counter(
@@ -286,7 +286,7 @@ class RemoteSync:
                 )
             delay = self.retry.backoff_us(attempt, self._rng)
             self._obs.histogram("rdx.retry.backoff_us").observe(delay)
-            yield self.sim.timeout(delay)
+            yield delay
             pending = redo
         return completion
 
@@ -295,7 +295,7 @@ class RemoteSync:
         if dropped:
             # Stale read: the response carries pre-write bytes, modeled
             # as zeros (the allocator hands out zeroed regions).
-            yield self.sim.timeout(params.RDX_CC_EVENT_US)
+            yield params.RDX_CC_EVENT_US
             return bytes(length)
         completion = yield from self._op(
             lambda: self.qp.post_send(WorkRequest(
@@ -368,7 +368,7 @@ class RemoteSync:
             }
         if obj_bytes:
             yield from self.write(obj_addr, obj_bytes, note=body_note)
-        yield self.sim.timeout(params.RDX_TX_COMMIT_US)
+        yield params.RDX_TX_COMMIT_US
         if expect is not None:
             prior = yield from self.cas(qword_addr, expect, new_qword, note=note)
         else:
@@ -396,7 +396,7 @@ class RemoteSync:
         _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
         if dropped:
             # Charge the time, skip the effect (DROPPED_FLUSH fault).
-            yield self.sim.timeout(params.RDX_CC_EVENT_US)
+            yield params.RDX_CC_EVENT_US
             return
         doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
         if params.RDX_HB_CHECK:
@@ -409,7 +409,7 @@ class RemoteSync:
             self.write(doorbell, (1).to_bytes(8, "little")),
             name="cc-doorbell",
         )
-        yield self.sim.timeout(params.RDX_CC_EVENT_US)
+        yield params.RDX_CC_EVENT_US
         self.sandbox.host.cache.flush(mem_addr, length)
         self.cc_count += 1
         self._trace_event("rdx.trace.flush", addr=mem_addr, length=length)
@@ -461,7 +461,7 @@ class RemoteSync:
                 # Make the acquisition visible to the local CPU quickly.
                 yield from self.cc_event(lock_addr, 8)
                 return attempt
-            yield self.sim.timeout(policy.backoff_us(attempt, rng))
+            yield policy.backoff_us(attempt, rng)
         raise RdmaError(
             f"lock on {self.sandbox.name} not acquired after {max_attempts} tries"
         )

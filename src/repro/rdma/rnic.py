@@ -88,7 +88,7 @@ class Rnic:
                 params.RDX_FUZZ_WR_DELAY_US,
             )
             if extra:
-                yield self.sim.timeout(extra)
+                yield extra
         bytes_before = self.bytes_dma
         try:
             if qp.state is QpState.ERROR:
@@ -111,7 +111,7 @@ class Rnic:
                 params.RDX_FUZZ_WR_DELAY_US,
             )
             if extra:
-                yield self.sim.timeout(extra)
+                yield extra
         qp.completed += 1
         self.wrs_processed += 1
         self._m_verbs[wr.opcode].inc()
@@ -170,7 +170,7 @@ class Rnic:
                 params.RDX_FUZZ_WR_DELAY_US,
             )
             if extra:
-                yield self.sim.timeout(extra)
+                yield extra
         bytes_before = self.bytes_dma
         try:
             if qp.state is QpState.ERROR:
@@ -191,7 +191,7 @@ class Rnic:
                 params.RDX_FUZZ_WR_DELAY_US,
             )
             if extra:
-                yield self.sim.timeout(extra)
+                yield extra
         qp.completed += len(wrs)
         self.wrs_processed += len(wrs)
         self._m_verbs[wrs[0].opcode].inc(len(wrs))
@@ -220,7 +220,7 @@ class Rnic:
         remote_host = remote_qp.rnic.host
 
         # Doorbell + WQE fetch + initiator NIC processing.
-        yield self.sim.timeout(params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US)
+        yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
 
         try:
             self._check_reachable(remote_host)
@@ -247,7 +247,7 @@ class Rnic:
             # retransmit budget, then surfaces a retryable completion.
             # The QP stays usable -- upper layers decide whether to
             # retry (RetryPolicy) or declare the target dead.
-            yield self.sim.timeout(params.RDMA_RETRY_TIMEOUT_US)
+            yield params.RDMA_RETRY_TIMEOUT_US
             return Completion(
                 wr_id=wr.wr_id,
                 opcode=wr.opcode.value,
@@ -279,16 +279,12 @@ class Rnic:
 
         # One doorbell + one WQE-list fetch covers the whole chain --
         # the doorbell coalescing being measured.
-        yield self.sim.timeout(
-            params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
-        )
+        yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
         landed = 0
         try:
             self._check_reachable(remote_host)
             # First byte of the stream reaches the target once.
-            yield self.sim.timeout(
-                params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
-            )
+            yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
             for wr in wrs:
                 # Per-WR protection check happens when the target NIC
                 # starts placing that WR, not up front: earlier WRs in
@@ -299,7 +295,7 @@ class Rnic:
                 offset = 0
                 while offset < len(wr.data):
                     chunk = wr.data[offset : offset + RNIC_MTU_BYTES]
-                    yield self.sim.timeout(len(chunk) / params.RDMA_BANDWIDTH_BPUS)
+                    yield len(chunk) / params.RDMA_BANDWIDTH_BPUS
                     self._check_reachable(remote_host)
                     remote_host.cache.dma_write(wr.remote_addr + offset, chunk)
                     self.bytes_dma += len(chunk)
@@ -308,7 +304,7 @@ class Rnic:
                 if params.RDX_HB_CHECK:
                     self._emit_write_land(qp, wr, chain)
             # Single ACK for the signaled tail WR.
-            yield self.sim.timeout(params.NET_BASE_LATENCY_US)
+            yield params.NET_BASE_LATENCY_US
         except ProtectionError as err:
             qp.modify(QpState.ERROR)
             return Completion(
@@ -319,7 +315,7 @@ class Rnic:
                 chained=len(wrs),
             )
         except _Unreachable as err:
-            yield self.sim.timeout(params.RDMA_RETRY_TIMEOUT_US)
+            yield params.RDMA_RETRY_TIMEOUT_US
             return Completion(
                 wr_id=wrs[min(landed, len(wrs) - 1)].wr_id,
                 opcode=wrs[0].opcode.value,
@@ -370,15 +366,13 @@ class Rnic:
     def _do_write(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
         self._check_remote(remote_qp, wr, len(wr.data), AccessFlags.REMOTE_WRITE)
         # First byte arrives after one-way latency + remote NIC overhead.
-        yield self.sim.timeout(
-            params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
-        )
+        yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
         # Chunked landing: each MTU lands after its serialization time,
         # so a large object is visible *partially written* in between.
         offset = 0
         while offset < len(wr.data):
             chunk = wr.data[offset : offset + RNIC_MTU_BYTES]
-            yield self.sim.timeout(len(chunk) / params.RDMA_BANDWIDTH_BPUS)
+            yield len(chunk) / params.RDMA_BANDWIDTH_BPUS
             # A crash mid-transfer loses the unACKed remainder: chunks
             # already landed stay (DMA'd DRAM survives), the rest never
             # arrives -- exactly the torn state rdx_tx protects against.
@@ -389,23 +383,19 @@ class Rnic:
         if params.RDX_HB_CHECK:
             self._emit_write_land(qp, wr)
         # ACK back to the initiator.
-        yield self.sim.timeout(params.NET_BASE_LATENCY_US)
+        yield params.NET_BASE_LATENCY_US
         return None
 
     def _do_read(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
         self._check_remote(remote_qp, wr, wr.length, AccessFlags.REMOTE_READ)
-        yield self.sim.timeout(
-            params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
-        )
+        yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
         data = remote_host.cache.dma_read(wr.remote_addr, wr.length)
         self.bytes_dma += wr.length
         if params.RDX_HB_CHECK:
             value = unpack_qword(data) if wr.length == 8 else None
             hb.emit_land(self.sim, qp, wr, value=value)
         # Response serialization + return latency.
-        yield self.sim.timeout(
-            wr.length / params.RDMA_BANDWIDTH_BPUS + params.NET_BASE_LATENCY_US
-        )
+        yield wr.length / params.RDMA_BANDWIDTH_BPUS + params.NET_BASE_LATENCY_US
         return data
 
     def _do_atomic(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
@@ -413,7 +403,7 @@ class Rnic:
             raise ProtectionError("atomic target must be 8-byte aligned")
         self._check_remote(remote_qp, wr, 8, AccessFlags.REMOTE_ATOMIC)
         # Atomics are RTT-bound, independent of payload.
-        yield self.sim.timeout(params.RDMA_ATOMIC_RTT_US)
+        yield params.RDMA_ATOMIC_RTT_US
         original = unpack_qword(remote_host.memory.read(wr.remote_addr, 8))
         if wr.opcode is WrOpcode.COMP_SWAP:
             success = original == wr.compare
@@ -445,7 +435,7 @@ class Rnic:
             raise ProtectionError(
                 f"SEND of {len(wr.data)} bytes into {length}-byte recv buffer"
             )
-        yield self.sim.timeout(
+        yield (
             params.NET_BASE_LATENCY_US
             + params.RNIC_OP_OVERHEAD_US
             + len(wr.data) / params.RDMA_BANDWIDTH_BPUS
@@ -461,5 +451,5 @@ class Rnic:
                 result=addr,
             )
         )
-        yield self.sim.timeout(params.NET_BASE_LATENCY_US)
+        yield params.NET_BASE_LATENCY_US
         return None

@@ -1,15 +1,23 @@
 """Event calendar, events, and the generator-based process model.
 
 The kernel is deliberately small and deterministic: two runs of the same
-simulation with the same seeds produce identical event orderings.  Ties
-in timestamp are broken by insertion order (a monotonically increasing
-sequence number), never by object identity.
+simulation with the same seeds produce identical event orderings.  A
+wake-up fires at its timestamp; wake-ups with equal timestamps fire in
+the order they were scheduled, never by object identity.
+
+The calendar is two containers (DESIGN.md section 16 has the proof that
+they keep that order): a heap of ``(when, seq, entry)`` for the future
+and a FIFO *lane* for whatever is scheduled for the instant it is
+created in -- ``succeed`` / ``fail``, a spawn, a zero delay -- which is
+more than half of all traffic and needs neither a tuple nor a sequence
+number to stay behind everything it can only ever follow.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 
 #: One microsecond -- the base unit of simulated time.
@@ -18,6 +26,9 @@ US = 1.0
 MS = 1_000.0
 #: One second in microseconds.
 S = 1_000_000.0
+
+#: ``until`` of a run that no deadline ends.
+_FOREVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -83,7 +94,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._enqueue(self)
+        self.sim._lane.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -98,20 +109,19 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exception = exception
-        self.sim._enqueue(self)
+        self.sim._lane.append(self)
         return self
 
 
 class _Poke(Event):
     """A pre-triggered single-callback event, minimally constructed.
 
-    The kernel enqueues thousands of these (process bootstraps,
-    interrupts, resumes on already-processed events); they are never
-    yielded, waited on, or observed from user code, so the full
-    :class:`Event` construction protocol (pending state, ``succeed``
-    double-trigger checks) is pure overhead.  Dispatch only touches
-    ``callbacks`` / ``_processed`` / ``_value`` / ``_exception``, which
-    is all this initializer fills in.
+    The kernel enqueues these for interrupts and for resumes on
+    already-processed events; they are never yielded, waited on, or
+    observed from user code, so the full :class:`Event` construction
+    protocol (pending state, ``succeed`` double-trigger checks) is pure
+    overhead.  Dispatch only touches ``callbacks`` / ``_processed`` /
+    ``_value`` / ``_exception``, which is all this initializer fills in.
     """
 
     __slots__ = ()
@@ -129,8 +139,7 @@ class _Poke(Event):
         self._exception = exception
         self._triggered = True
         self._processed = False
-        seq = sim._seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self))
+        sim._lane.append(self)
 
 
 class Timeout(Event):
@@ -139,11 +148,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Flattened Event.__init__ + enqueue: timeouts are the single
-        # most-allocated object in the simulator, so they skip the
-        # two-level constructor and the _enqueue call.
+        # Flattened Event.__init__ + scheduling: timeouts are the most
+        # allocated event in the simulator, so they skip the two-level
+        # constructor.
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -151,40 +158,54 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self.delay = delay
-        seq = sim._seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self))
+        now = sim._now
+        when = now + delay
+        if when > now:
+            seq = sim._seq = sim._seq + 1
+            heappush(sim._queue, (when, seq, self))
+        elif delay >= 0:  # zero, or too small to move the clock
+            sim._lane.append(self)
+        else:  # negative or NaN
+            raise ValueError(f"negative timeout delay: {delay}")
 
 
-class _Tick(Event):
-    """A process's reusable timeout carrier for bare-number yields.
+class _Tick:
+    """A process's wake-up: not an event, just what the calendar calls.
 
-    A process waits on at most one thing at a time, so one tick object
-    per process can carry *every* ``yield <float>`` it ever makes: each
-    use re-arms ``_processed``/``callbacks`` and pushes the same object
-    back on the calendar.  This removes the per-slice :class:`Timeout`
-    allocation from the hottest kernel loop (CPU quantum slicing at
-    rack scale allocates one otherwise-identical timeout per slice).
+    A process waits on at most one thing at a time, so one tick per
+    process carries its first resume (``spawn`` puts it on the lane) and
+    then *every* ``yield <number>`` it makes: the same object goes back
+    on the calendar each time, with nothing re-armed and nothing
+    allocated.  Dispatch recognises it by ``callbacks is None`` and
+    calls ``wake`` -- the process's bound ``_resume`` -- directly; the
+    class-level ``_value`` / ``_exception`` are what ``_resume`` reads
+    from any event.  An interrupt retires the tick by clearing ``wake``:
+    its calendar entry stays where it is, inert, and is still counted
+    when its time comes.
     """
 
-    __slots__ = ()
+    __slots__ = ("wake",)
 
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._triggered = True
-        self._processed = False
+    callbacks = None
+    _value = None
+    _exception = None
+
+    def __init__(self, wake: Callable[["_Tick"], None]):
+        self.wake: Optional[Callable[["_Tick"], None]] = wake
 
 
 class Process(Event):
     """A running generator; completes (as an event) when it returns.
 
-    The wrapped generator yields :class:`Event` instances.  When a
-    yielded event fires, the generator is resumed with the event's value
-    (or the event's exception is thrown into it).  A bare ``int`` or
-    ``float`` yield is a timeout of that many microseconds, serviced by
-    the process's reusable :class:`_Tick` with no allocation.
+    The wrapped generator yields what it waits for.  ``yield <us>`` -- a
+    bare ``int`` or ``float`` -- is *the* way to sleep: one calendar
+    entry and no object, carried by the process's :class:`_Tick`.
+    ``yield event`` waits for an :class:`Event`: when it fires, the
+    generator is resumed with the event's value (or the event's
+    exception is thrown into it).  Write ``sim.timeout(d)`` only for a
+    timer that has to be an object: one that is held and looked at
+    later, composed (``sim.any_of([reply, sim.timeout(deadline)])``) or
+    carries a value.
     """
 
     __slots__ = ("generator", "name", "_waiting_on", "_resume_cb", "_tick")
@@ -193,15 +214,16 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Union[Event, _Tick, None] = None
         #: One bound method for the process's whole life -- every
         #: ``callbacks.append(self._resume)`` would otherwise allocate
         #: a fresh bound-method object per yield.
         self._resume_cb = self._resume
-        #: Lazily-built reusable timeout carrier for bare-number yields.
-        self._tick: Optional[_Tick] = None
-        # Bootstrap: resume once at spawn time (time "now").
-        _Poke(sim, self._resume_cb)
+        # Bootstrap: the tick's first job is one resume at spawn time.
+        # ``_waiting_on`` stays None, so an interrupt that arrives
+        # before the first step leaves this entry alone.
+        tick = self._tick = _Tick(self._resume_cb)
+        sim._lane.append(tick)
 
     @property
     def is_alive(self) -> bool:
@@ -210,23 +232,39 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Interrupting a completed process is a no-op.
+        The wait the process is in is cancelled at once; the exception
+        is thrown from a calendar entry later in this instant, into
+        whatever wait the process is in *then* (which is cancelled the
+        same way).  Interrupting a completed process is a no-op.
         """
         if not self.is_alive:
             return
+        self._cancel_wait()
+        _Poke(self.sim, self._interrupted, None, Interrupt(cause))
+
+    def _cancel_wait(self) -> None:
         target = self._waiting_on
-        if target is not None:
+        if target is None:
+            return
+        self._waiting_on = None
+        if target is self._tick:
+            # Its calendar entry stays queued, so the object cannot
+            # carry another sleep: retire it (the entry fires inert)
+            # and let the next bare-number yield build a fresh one.
+            target.wake = None
+            self._tick = None
+        else:
             try:
                 target.callbacks.remove(self._resume_cb)
             except ValueError:
-                pass
-            if target is self._tick:
-                # The tick stays queued (inert: no callbacks) -- retire
-                # it so a later bare-number yield can't re-arm an
-                # object with a stale, earlier calendar entry.
-                self._tick = None
-            self._waiting_on = None
-        _Poke(self.sim, lambda _ev: self._throw(Interrupt(cause)))
+                pass  # being dispatched right now: the resume is under way
+
+    def _interrupted(self, poke: Event) -> None:
+        # Since interrupt() was called the process may have run -- its
+        # first step, or its handler for an earlier interrupt at this
+        # instant -- and be in a new wait, which must not outlive this.
+        self._cancel_wait()
+        self._throw(poke._exception)
 
     def _throw(self, exc: BaseException) -> None:
         if not self.is_alive:
@@ -242,7 +280,7 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Union[Event, _Tick]) -> None:
         self._waiting_on = None
         try:
             if event._exception is not None:
@@ -257,63 +295,73 @@ class Process(Event):
             self.fail(err)
             return
         # Inlined _wait_on fast paths: _resume is the single hottest
-        # kernel function.  A bare number is a timeout serviced by the
-        # reusable tick (no allocation); nearly every other yield hands
-        # back a pending event in this simulator.
+        # kernel function.  A bare number is a sleep on the tick (no
+        # call, no allocation); nearly every other yield hands back a
+        # pending event in this simulator.
         cls = target.__class__
         if cls is float or cls is int:
-            self._schedule_tick(target)
-            return
-        if isinstance(target, Event) and target.sim is self.sim:
+            tick = self._tick
+            if tick is not None:
+                sim = self.sim
+                now = sim._now
+                when = now + target
+                if when > now:
+                    self._waiting_on = tick
+                    seq = sim._seq = sim._seq + 1
+                    heappush(sim._queue, (when, seq, tick))
+                    return
+                if target >= 0:  # zero, or too small to move the clock
+                    self._waiting_on = tick
+                    sim._lane.append(tick)
+                    return
+        elif (
+            isinstance(target, Event)
+            and target.sim is self.sim
+            and not target._processed
+        ):
             self._waiting_on = target
-            if not target._processed:
-                target.callbacks.append(self._resume_cb)
-            else:
-                _Poke(
-                    self.sim, self._resume_cb, target._value, target._exception
-                )
+            target.callbacks.append(self._resume_cb)
             return
         self._wait_on(target)
 
     def _schedule_tick(self, delay: float) -> None:
-        """Arm the reusable tick ``delay`` microseconds out."""
-        if delay < 0:
+        """A bare-number sleep off :meth:`_resume`'s fast path: a bad
+        delay, a tick retired by an interrupt, a sleep after a throw."""
+        if not delay >= 0:  # negative or NaN
             self._throw(SimulationError(f"negative timeout delay: {delay}"))
             return
         tick = self._tick
         if tick is None:
-            tick = self._tick = _Tick(self.sim)
-        tick._processed = False
-        tick.callbacks.append(self._resume_cb)
+            tick = self._tick = _Tick(self._resume_cb)
         self._waiting_on = tick
         sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, tick))
+        now = sim._now
+        when = now + delay
+        if when > now:
+            seq = sim._seq = sim._seq + 1
+            heappush(sim._queue, (when, seq, tick))
+        else:
+            sim._lane.append(tick)
 
     def _wait_on(self, target: Any) -> None:
         cls = target.__class__
         if cls is float or cls is int:
             self._schedule_tick(target)
-            return
-        # Fast path next: a pending event in this simulator is what
-        # nearly every yield hands back.
-        if isinstance(target, Event) and target.sim is self.sim:
-            self._waiting_on = target
-            if not target._processed:
-                target.callbacks.append(self._resume_cb)
-            else:
-                # Already fired: resume immediately (same timestamp).
-                _Poke(
-                    self.sim, self._resume_cb, target._value, target._exception
-                )
-            return
-        if not isinstance(target, Event):
-            exc = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"
+        elif not isinstance(target, Event):
+            self._throw(
+                SimulationError(f"process {self.name!r} yielded non-event {target!r}")
             )
-            self._throw(exc)
-            return
-        self._throw(SimulationError("yielded event belongs to another simulator"))
+        elif target.sim is not self.sim:
+            self._throw(SimulationError("yielded event belongs to another simulator"))
+        elif not target._processed:
+            self._waiting_on = target
+            target.callbacks.append(self._resume_cb)
+        else:
+            # Already fired: resume at this instant, through a hop of
+            # its own that an interrupt can cancel like any other wait.
+            self._waiting_on = _Poke(
+                self.sim, self._resume_cb, target._value, target._exception
+            )
 
 
 class _Condition(Event):
@@ -373,7 +421,7 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> def hello():
-    ...     yield sim.timeout(5)
+    ...     yield 5
     ...     return sim.now
     >>> proc = sim.spawn(hello())
     >>> sim.run()
@@ -383,7 +431,13 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        #: The future: ``(when, seq, entry)``; ``seq`` counts heap
+        #: pushes, so equal times pop in scheduling order.
+        self._queue: list[tuple[float, int, Union[Event, _Tick]]] = []
+        #: The present: entries scheduled for the instant they were
+        #: created in, in that order.  Always at ``now``, so they also
+        #: survive from one ``run`` call to the next.
+        self._lane: deque[Union[Event, _Tick]] = deque()
         self._seq = 0
         self._spawned = 0
         self._processed_events = 0
@@ -408,10 +462,6 @@ class Simulator:
         """Total number of events processed so far (for diagnostics)."""
         return self._processed_events
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, self._seq, event))
-
     # -- factories ---------------------------------------------------
 
     def event(self) -> Event:
@@ -419,7 +469,12 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` microseconds from now."""
+        """Create an event that fires ``delay`` microseconds from now.
+
+        A process that only sleeps yields the number instead (see
+        :class:`Process`); this is for a timer that is held, composed
+        or carries a value.
+        """
         return Timeout(self, delay, value)
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
@@ -435,52 +490,66 @@ class Simulator:
 
     # -- execution ---------------------------------------------------
 
+    def _dispatch(self, until: float, stop: Event) -> None:
+        """The one dispatch loop: fire entries in ``(when, scheduling
+        order)`` until ``stop`` triggers, the calendar drains or the
+        next entry lies beyond ``until``.
+
+        A heap entry at ``now`` goes before the lane: it was pushed at
+        an earlier instant (at this one it would have gone to the lane),
+        so it was scheduled before everything the lane holds.
+        """
+        queue = self._queue
+        lane = self._lane
+        now = self._now
+        processed = self._processed_events
+        try:
+            while not stop._triggered:
+                if lane:
+                    if queue and queue[0][0] == now:
+                        entry = heappop(queue)[2]
+                    else:
+                        entry = lane.popleft()
+                elif queue:
+                    item = heappop(queue)
+                    now, _seq, entry = item
+                    if now > until:
+                        heappush(queue, item)  # same key: same place
+                        break
+                    self._now = now
+                else:
+                    break
+                processed += 1
+                callbacks = entry.callbacks
+                if callbacks is None:  # a tick: call its process, if not retired
+                    wake = entry.wake
+                    if wake is not None:
+                        wake(entry)
+                else:
+                    entry._processed = True
+                    if callbacks:
+                        entry.callbacks = []
+                        for callback in callbacks:
+                            callback(entry)
+        finally:
+            self._processed_events = processed
+
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or the clock passes ``until``.
 
         When ``until`` is given, the clock is left exactly at ``until``
         even if no event lands on that instant, so back-to-back ``run``
         calls compose predictably.
-
-        Dispatch is inlined in the loops below (and in
-        :meth:`run_process`): popping an event marks it processed and
-        runs its callbacks, with no per-event method call.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            self._dispatch(_FOREVER, Event(self))
+            return
+        if until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})"
             )
-        queue = self._queue
-        processed = self._processed_events
-        try:
-            if until is None:
-                while queue:
-                    when, _seq, event = heappop(queue)
-                    self._now = when
-                    processed += 1
-                    event._processed = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return
-                    when, _seq, event = heappop(queue)
-                    self._now = when
-                    processed += 1
-                    event._processed = True
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-                self._now = until
-        finally:
-            self._processed_events = processed
+        self._dispatch(until, Event(self))
+        self._now = until
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Spawn ``generator``, run until *it* completes, return its value.
@@ -491,21 +560,7 @@ class Simulator:
         instead of being drained to exhaustion here.
         """
         proc = self.spawn(generator, name=name)
-        queue = self._queue
-        processed = self._processed_events
-        try:
-            while not proc._triggered and queue:
-                when, _seq, event = heappop(queue)
-                self._now = when
-                processed += 1
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-        finally:
-            self._processed_events = processed
+        self._dispatch(_FOREVER, proc)
         if not proc._triggered:
             raise SimulationError(
                 f"process {proc.name!r} never completed (deadlock?)"

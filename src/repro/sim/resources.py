@@ -9,7 +9,7 @@ so heavy request load slows injection and vice versa.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator
@@ -26,12 +26,13 @@ class Resource:
     chains parked on one RNIC pipeline) turned the scheduler itself
     into the bottleneck.
 
-    Usage from a process::
+    Usage from a process (the ``yield grant`` inside the ``try``, so a
+    process interrupted while still queued withdraws its request)::
 
         grant = resource.request()
-        yield grant
         try:
-            yield sim.timeout(work)
+            yield grant
+            yield work_us
         finally:
             resource.release(grant)
     """
@@ -41,17 +42,16 @@ class Resource:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
+        #: Slots nobody holds: granted requests and :meth:`CPU.run`'s
+        #: eventless claims both count against it.
+        self._free = capacity
         self._users: set[Event] = set()
         self._waiting: list[tuple[int, int, Event]] = []
         self._seq = 0
-        #: Slots claimed via the eventless fast path (see
-        #: :meth:`CPU.run`): capacity accounting without a grant
-        #: object per claim.
-        self._fast_claims = 0
 
     @property
     def in_use(self) -> int:
-        return len(self._users) + self._fast_claims
+        return self.capacity - self._free
 
     @property
     def queue_len(self) -> int:
@@ -63,7 +63,8 @@ class Resource:
         Lower ``priority`` values are served first; ties are FIFO.
         """
         grant = Event(self.sim)
-        if len(self._users) + self._fast_claims < self.capacity and not self._waiting:
+        if self._free and not self._waiting:
+            self._free -= 1
             self._users.add(grant)
             grant.succeed(self)
         else:
@@ -72,29 +73,37 @@ class Resource:
         return grant
 
     def release(self, grant: Event) -> None:
-        """Return a previously granted slot."""
-        if grant not in self._users:
-            raise SimulationError("release() of a slot that is not held")
-        self._users.discard(grant)
-        self._settle()
-
-    def _release_fast(self) -> None:
-        """Return a slot claimed without a grant event."""
-        self._fast_claims -= 1
-        self._settle()
+        """Return a granted slot, or withdraw a request still queued."""
+        if grant in self._users:
+            self._users.discard(grant)
+            self._free += 1
+            self._settle()
+            return
+        # Abandoned while queued (its process was interrupted): rare, so
+        # a scan and a re-heapify will do.  The keys are unique, hence
+        # the order of the remaining waiters is unchanged.  In place --
+        # CPU.run holds this list.
+        waiting = self._waiting
+        for index, entry in enumerate(waiting):
+            if entry[2] is grant:
+                del waiting[index]
+                heapify(waiting)
+                return
+        raise SimulationError("release() of a slot that is not held")
 
     def _settle(self) -> None:
-        while self._waiting and len(self._users) + self._fast_claims < self.capacity:
+        while self._waiting and self._free:
             _priority, _seq, waiter = heappop(self._waiting)
+            self._free -= 1
             self._users.add(waiter)
             waiter.succeed(self)
 
     def using(self, work_us: float, priority: int = 0) -> Generator:
         """Convenience process body: acquire, hold for ``work_us``, release."""
         grant = self.request(priority)
-        yield grant
         try:
-            yield self.sim.timeout(work_us)
+            yield grant
+            yield work_us
         finally:
             self.release(grant)
 
@@ -153,38 +162,38 @@ class CPU:
             raise ValueError(f"negative CPU cost: {cost_us}")
         remaining = cost_us
         resource = self._resource
-        users = resource._users
         waiting = resource._waiting
-        capacity = resource.capacity
         while True:
-            slice_us = remaining if quantum_us is None else min(quantum_us, remaining)
-            if not waiting and len(users) + resource._fast_claims < capacity:
+            slice_us = (
+                remaining
+                if quantum_us is None or remaining < quantum_us
+                else quantum_us
+            )
+            if resource._free and not waiting:
                 # Uncontended fast path: a free core is claimed
                 # synchronously (a counter bump, no grant event)
                 # instead of bouncing a grant through the calendar.
                 # Capacity accounting is identical -- the claim holds
                 # the slot for the whole slice and later requesters
-                # queue behind it -- and no timestamp moves, so only
-                # same-time tie order can differ from the ablation
-                # arm.  At rack scale the grant hop is the single
-                # most-dispatched event class; eliding it nearly
+                # queue behind it.  At rack scale the grant hop is the
+                # single most-dispatched event class; eliding it nearly
                 # halves kernel work per slice.
-                resource._fast_claims += 1
+                resource._free -= 1
                 grant = None
             else:
                 grant = resource.request(priority)
-                yield grant
             try:
-                # Bare-number yield: the process's reusable tick carries
-                # the slice, skipping the per-slice Timeout allocation
-                # (see sim.core._Tick).
+                if grant is not None:
+                    yield grant
                 yield slice_us
                 self.busy_us += slice_us
             finally:
-                if grant is None:
-                    resource._release_fast()
-                else:
+                if grant is not None:
                     resource.release(grant)
+                else:
+                    resource._free += 1
+                    if waiting:
+                        resource._settle()
             remaining -= slice_us
             if remaining <= 1e-9:
                 break

@@ -41,6 +41,15 @@ class TestClockAndTimeouts:
         with pytest.raises(ValueError):
             sim.timeout(-1)
 
+    def test_nan_timeout_rejected(self):
+        """``nan < 0`` is false: a NaN delay used to be accepted, sort
+        arbitrarily and leave ``sim.now == nan`` for the rest of the run."""
+        sim = Simulator()
+        with pytest.raises(ValueError, match="negative timeout delay: nan"):
+            sim.timeout(float("nan"))
+        sim.run()
+        assert sim.now == 0.0 and sim.processed_events == 0
+
     def test_zero_timeout_fires_same_instant(self):
         sim = Simulator()
 
@@ -175,6 +184,30 @@ class TestEvents:
 
         assert sim.run_process(proc()) == 42.5
 
+    def test_same_instant_entries_survive_between_runs(self, sim):
+        """``run_process`` stops with work scheduled for this instant
+        still on the calendar; the next ``run`` picks it up first."""
+        order = []
+
+        def background():
+            yield 0
+            order.append(("background", sim.now))
+
+        def main():
+            sim.spawn(background())
+            done = sim.event().succeed()
+            done.callbacks.append(lambda _event: order.append(("done", sim.now)))
+            return "main"
+            yield
+
+        assert sim.run_process(main()) == "main"
+        assert order == []
+        sim.timeout(0).callbacks.append(lambda _event: order.append(("late", sim.now)))
+        sim.run(until=3)
+        # background's sleep was scheduled last of all, by its first step
+        assert order == [("done", 0.0), ("late", 0.0), ("background", 0.0)]
+        assert sim.now == 3
+
     def test_negative_bare_number_yield_fails(self, sim):
         def proc():
             yield -1.0
@@ -183,6 +216,18 @@ class TestEvents:
         sim.run()
         with pytest.raises(SimulationError, match="negative"):
             _ = process.value
+
+
+    def test_nan_bare_number_yield_fails(self, sim):
+        def proc():
+            yield 1.0
+            yield float("nan")
+
+        process = sim.spawn(proc())
+        sim.run()
+        with pytest.raises(SimulationError, match="negative timeout delay: nan"):
+            _ = process.value
+        assert sim.now == 1.0
 
 
 class TestProcesses:
@@ -277,6 +322,110 @@ class TestProcesses:
         sim.spawn(killer())
         sim.run()
         assert not sim.failed_processes
+
+    def test_interrupt_before_the_first_step_cancels_the_first_wait(self, sim):
+        """The interrupt lands after the bootstrap, when the victim is
+        already waiting on ``x``: that wait has to go, or ``x`` later
+        resumes the victim inside whatever it is waiting on by then."""
+        x, y = sim.event(), sim.event()
+        seen = []
+
+        def victim():
+            try:
+                yield x
+            except Interrupt as intr:
+                seen.append(("interrupted", intr.cause))
+            seen.append(("y", (yield y)))
+
+        process = sim.spawn(victim())
+        process.interrupt("early")
+        sim.run()
+        x.succeed("from-x")
+        sim.run()
+        assert seen == [("interrupted", "early")] and process.is_alive
+        y.succeed("from-y")
+        sim.run()
+        assert seen == [("interrupted", "early"), ("y", "from-y")]
+        assert not sim.failed_processes
+
+    def test_interrupt_before_the_first_step_cancels_a_processed_event_wait(self, sim):
+        """Same, when the first wait is on an event that already fired
+        and the resume is a hop of its own at this instant."""
+        fired = sim.event().succeed("old")
+        sim.run()
+        y = sim.event()
+        seen = []
+
+        def victim():
+            try:
+                seen.append((yield fired))
+            except Interrupt as intr:
+                seen.append(intr.cause)
+            seen.append((yield y))
+
+        process = sim.spawn(victim())
+        process.interrupt("early")
+        sim.run()
+        assert seen == ["early"]
+        y.succeed("from-y")
+        sim.run()
+        assert seen == ["early", "from-y"] and process.value is None
+
+    def test_two_interrupts_at_one_instant(self, sim):
+        """The victim handles the first and waits again before the
+        second lands; the second cancels *that* wait."""
+        x, y, z = sim.event(), sim.event(), sim.event()
+        seen = []
+
+        def victim():
+            for event in (x, y, z):
+                try:
+                    seen.append((yield event))
+                except Interrupt as intr:
+                    seen.append(intr.cause)
+
+        process = sim.spawn(victim())
+        sim.run()
+        process.interrupt("first")
+        process.interrupt("second")
+        sim.run()
+        assert seen == ["first", "second"]
+        x.succeed("from-x")
+        y.succeed("from-y")
+        sim.run()
+        assert seen == ["first", "second"] and process.is_alive
+        z.succeed("from-z")
+        sim.run()
+        assert seen == ["first", "second", "from-z"]
+        assert not process.is_alive and not sim.failed_processes
+
+    @pytest.mark.parametrize("started", [True, False])
+    def test_interrupted_sleep_leaves_an_inert_entry(self, sim, started):
+        """A bare-number sleep cut short by an interrupt -- landing on a
+        running victim, or on one whose first step just went to sleep --
+        leaves its calendar entry behind: counted when its time comes,
+        waking nobody, and the next sleep has its full length."""
+        woke = []
+
+        def victim():
+            try:
+                yield 10
+            except Interrupt:
+                woke.append(("interrupted", sim.now))
+            yield 20
+            woke.append(("slept", sim.now))
+            yield 5
+            woke.append(("slept", sim.now))
+
+        process = sim.spawn(victim())
+        if started:
+            sim.run(until=5)
+        process.interrupt()
+        sim.run()
+        at = 5.0 if started else 0.0
+        assert woke == [("interrupted", at), ("slept", at + 20), ("slept", at + 25)]
+        # bootstrap, interrupt, stale 10, 20, 5, completion
+        assert sim.processed_events == 6
 
     def test_run_process_detects_deadlock(self, sim):
         never = sim.event()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Simulator
+from repro.sim.core import Interrupt, SimulationError, Simulator
 from repro.sim.resources import CPU, Container, Mutex, Resource, Store
 
 
@@ -68,6 +68,29 @@ class TestResource:
         sim.run()
         assert first.value == 10
         assert second.value == 20
+
+    def test_release_of_a_queued_request_withdraws_it(self, sim):
+        resource = Resource(sim, capacity=1)
+        hold = resource.request()
+        waiters = [resource.request(priority) for priority in (1, 0, 1, 0, -1)]
+        sim.run()
+        resource.release(waiters[1])
+        assert resource.queue_len == 4 and resource.in_use == 1
+        assert not waiters[1].triggered
+        # The others keep their order: priority first, FIFO within it.
+        served = []
+        for _ in range(4):
+            resource.release(hold)
+            sim.run()
+            (hold,) = [w for w in waiters if w.triggered and w not in served]
+            served.append(hold)
+        assert served == [waiters[4], waiters[3], waiters[0], waiters[2]]
+        resource.release(hold)
+        assert resource.in_use == 0 and resource.queue_len == 0
+        with pytest.raises(SimulationError, match="not held"):
+            resource.release(waiters[1])  # neither held nor queued any more
+        with pytest.raises(SimulationError, match="not held"):
+            resource.release(hold)
 
     def test_mutex_is_capacity_one(self, sim):
         assert Mutex(sim).capacity == 1
@@ -146,6 +169,69 @@ class TestCPU:
         sim.spawn(task("kernel", -1))
         sim.run()
         assert order.index("kernel") < order.index("normal")
+
+
+class TestAbandonedRequests:
+    """A process interrupted while it is still queued must not be handed
+    the slot later: nobody would ever give it back."""
+
+    @staticmethod
+    def _bodies(sim):
+        resource = Resource(sim, capacity=1)
+        cpu = CPU(sim, cores=1)
+        return {"using": (resource.using, resource), "run": (cpu.run, cpu)}
+
+    @pytest.mark.parametrize("body", ["using", "run"])
+    def test_interrupted_while_queued(self, sim, body):
+        work, pool = self._bodies(sim)[body]
+        finished = {}
+
+        def task(tag, cost):
+            try:
+                yield from work(cost)
+            except Interrupt:
+                tag += "-interrupted"
+            finished[tag] = sim.now
+
+        def late(tag, at, cost):
+            yield at
+            yield from task(tag, cost)
+
+        sim.spawn(task("holder", 10))
+        waiter = sim.spawn(task("waiter", 10))
+        sim.spawn(late("third", 20, 10))
+        sim.run(until=5)
+        assert pool.queue_len == 1
+        waiter.interrupt()
+        sim.run(until=100)
+        assert finished == {"waiter-interrupted": 5, "holder": 10, "third": 30}
+        assert pool.in_use == 0 and pool.queue_len == 0
+
+    @pytest.mark.parametrize("body", ["using", "run"])
+    def test_interrupted_between_grant_and_resume(self, sim, body):
+        """The slot is already the waiter's when the interrupt is called
+        (the grant fired, its resume is still on the calendar): it goes
+        back through the same ``finally``."""
+        work, pool = self._bodies(sim)[body]
+        finished = {}
+
+        def task(tag, cost):
+            try:
+                yield from work(cost)
+            except Interrupt:
+                tag += "-interrupted"
+            finished[tag] = sim.now
+
+        def holder():
+            yield from task("holder", 10)
+            waiter.interrupt()  # same instant as the release above
+
+        sim.spawn(holder())
+        waiter = sim.spawn(task("waiter", 10))
+        sim.spawn(task("third", 10))
+        sim.run()
+        assert finished == {"holder": 10, "waiter-interrupted": 10, "third": 20}
+        assert pool.in_use == 0
 
 
 class TestContainer:
