@@ -104,6 +104,70 @@ class BroadcastResult:
         return [outcome for outcome in self.outcomes if not outcome.ok]
 
 
+def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
+    """The one commit rule, for a group and for a rack of shards alike.
+
+    ``commit`` -- no leg failed; ``degraded`` -- failures exist,
+    ``allow_partial`` is on and at least one leg survived (quorum
+    mode); ``abort`` -- otherwise: every succeeded leg is rolled back.
+    :class:`~repro.core.shard.ShardCoordinator` applies it to the
+    global tally, an unsharded broadcast to its own.
+    """
+    if not failed:
+        return "commit"
+    return "degraded" if allow_partial and ok else "abort"
+
+
+@dataclass(frozen=True)
+class _FanoutPlan:
+    """The shape of one broadcast's fan-out; costs no simulated time.
+
+    Any list of positions the broadcast walks -- the active legs of
+    the deploy phase, the lowerable bubbles of the lower phase -- is a
+    d-ary forest: the first ``degree`` positions are roots, served by
+    the control plane itself, and position ``p`` hands on to positions
+    ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
+    fanning out to at most ``d`` children, which is exactly what one
+    sandbox host's RNIC pipeline absorbs in parallel.  Hub-and-spoke
+    is the same forest with ``degree`` = the group size: every
+    position a root, no edges.
+    """
+
+    degree: int
+    #: target name -> image linked during this broadcast's Phase 0 --
+    #: the chained WR payload a relay forwards verbatim, so a relayed
+    #: leg never touches the control plane's CPU or QPs.  Empty when
+    #: relays are off: a hub-and-spoke leg goes through ``inject``,
+    #: whose linked-image cache hit skips the stub rendezvous (letting
+    #: flat legs deploy the Phase-0 image instead was measured: the
+    #: N=13 window grows 54.79 -> 61.69 us).
+    images: dict
+    #: Group indices in the order their bubbles are lowered.
+    order: tuple
+    #: True: lower one bubble at a time, in ``order`` (an explicit
+    #: dependency_order -- a caller's bubble only drops once its
+    #: callees confirm new logic -- or the serial arm).  False: the
+    #: caller declared no dependencies, so the lowers walk the forest.
+    sequential: bool
+
+    @classmethod
+    def build(cls, group_size, order, ordered, images) -> "_FanoutPlan":
+        """The one place the fan-out knobs are read."""
+        pipelined = params.RDX_PIPELINED_DEPLOY
+        relays = params.RDX_TREE_BROADCAST and pipelined
+        return cls(
+            degree=max(1, params.RDX_TREE_DEGREE) if relays else group_size,
+            images=images if relays else {},
+            order=tuple(order),
+            sequential=ordered or not pipelined,
+        )
+
+    def children(self, pos: int, size: int) -> range:
+        """Positions handed on to by ``pos`` in a walk of ``size``."""
+        first = (pos + 1) * self.degree
+        return range(first, min(first + self.degree, size))
+
+
 class CodeFlowGroup:
     """A set of CodeFlows updated as one transaction."""
 
@@ -117,117 +181,94 @@ class CodeFlowGroup:
         #: a plain unsharded plane; see :mod:`repro.obs.cardinality`).
         self.shard = getattr(self.control_plane, "shard", "")
         #: (parent sandbox, child sandbox) -> relay RemoteSync, built
-        #: lazily the first time a tree broadcast routes that edge and
+        #: lazily the first time a broadcast routes that edge and
         #: reused across broadcasts (QP setup is one-time state, like
         #: the control plane's own QPs).
         self._relay_syncs: dict[tuple[str, str], RemoteSync] = {}
-        #: target name -> image linked during the last Phase 0 -- the
-        #: chained WR payload a tree relay forwards verbatim, so a
-        #: relayed leg never touches the control plane's CPU or QPs.
-        self._prelinked: dict[str, object] = {}
 
     def __len__(self) -> int:
         return len(self.codeflows)
 
     # -- bubble control -------------------------------------------------------
 
-    def _set_bubble(
-        self, codeflow: CodeFlow, value: int, sync: Optional[RemoteSync] = None
-    ) -> Generator:
-        sync = sync or codeflow.sync
-        addr = codeflow.sandbox.bubble_addr
-        yield from sync.write(addr, pack_qword(value))
-        yield from sync.cc_event(addr, 8)
-
-    def _lower_bubble(
+    def _write_bubble(
         self,
         codeflow: CodeFlow,
-        flushes: list,
-        sync: Optional[RemoteSync] = None,
+        value: int,
+        sync: RemoteSync,
+        flushes: Optional[list] = None,
     ) -> Generator:
-        """Drop one bubble, pipelining the flush on the fast path.
+        """Set one bubble flag and flush it to the target's CPU.
 
-        Raising a bubble must flush *synchronously* -- a data path
-        reading a stale 0 mid-update is the consistency violation BBU
-        exists to prevent.  Lowering is the benign direction: a stale
-        "still raised" just buffers a few extra requests for ~2us.  So
-        the pipelined path chains the lowering write and the cc_event
-        doorbell into ONE WR chain (one doorbell, one completion) and
-        lets the flush *effect* land asynchronously while the next
-        target's lower goes out.  The serial path keeps the blocking
-        write + flush pair.
+        The pipelined path chains the flag write and the ``cc_event``
+        doorbell into ONE WR chain (one doorbell, one completion); the
+        serial path keeps the blocking write + flush pair.  What the
+        chain buys a *raise* is WR accounting: the fire-and-forget
+        doorbell ``cc_event`` posts would otherwise still be sitting
+        in the control RNIC pipeline when the raise barrier completes
+        -- N orphan doorbells draining capacity-at-a-time *ahead of
+        the first deploy chains*, an O(N) serial term inside the very
+        window this phase exists to shrink.  Chaining write+doorbell
+        retires both before the barrier does.
+
+        ``flushes=None`` (a raise) waits for the flush effect: raising
+        must flush *synchronously* -- a data path reading a stale 0
+        mid-update is the consistency violation BBU exists to prevent
+        -- so this generator does not return until the flush has
+        landed and no deploy write can overtake a half-raised bubble.
+        Lowering is the benign direction: a stale "still raised" just
+        buffers a few extra requests for ~2us.  So a lower passes the
+        list its flush is appended to, and the flush *effect* lands
+        asynchronously while the next target's lower goes out.
         """
-        sync = sync or codeflow.sync
-        if not params.RDX_PIPELINED_DEPLOY:
-            yield from self._set_bubble(codeflow, 0, sync=sync)
-            return
         addr = codeflow.sandbox.bubble_addr
+        if not params.RDX_PIPELINED_DEPLOY:
+            yield from sync.write(addr, pack_qword(value))
+            yield from sync.cc_event(addr, 8)
+            return
         doorbell = codeflow.sandbox.control_addr + 24  # OFF_DOORBELL
         yield from sync.write_batch(
-            [(addr, pack_qword(0)), (doorbell, pack_qword(1))]
+            [(addr, pack_qword(value)), (doorbell, pack_qword(1))]
         )
-        flushes.append(
-            self.sim.spawn(
-                self._flush_bubble(codeflow, addr, sync),
-                name=f"bubble-flush:{codeflow.sandbox.name}",
+        flush = self._flush_bubble(codeflow, addr, sync, waited=flushes is None)
+        if flushes is None:
+            yield from flush
+        else:
+            flushes.append(
+                self.sim.spawn(
+                    flush, name=f"bubble-flush:{codeflow.sandbox.name}"
+                )
             )
-        )
-
-    def _raise_bubble(
-        self, codeflow: CodeFlow, sync: Optional[RemoteSync] = None
-    ) -> Generator:
-        """Raise one bubble with the flush doorbell *chained* into the
-        raising write's WR list.
-
-        Raising still flushes synchronously -- this generator does not
-        return until the flush effect has landed, so no deploy write
-        can overtake a half-raised bubble.  What the chain buys is WR
-        accounting: the fire-and-forget doorbell ``cc_event`` posts
-        would otherwise still be sitting in the control RNIC pipeline
-        when the raise barrier completes -- N orphan doorbells
-        draining capacity-at-a-time *ahead of the first deploy
-        chains*, an O(N) serial term inside the very window this
-        phase exists to shrink.  Chaining write+doorbell (one
-        doorbell, one CQE) retires both before the barrier does.
-        """
-        sync = sync or codeflow.sync
-        if not params.RDX_PIPELINED_DEPLOY:
-            yield from self._set_bubble(codeflow, 1, sync=sync)
-            return
-        addr = codeflow.sandbox.bubble_addr
-        doorbell = codeflow.sandbox.control_addr + 24  # OFF_DOORBELL
-        yield from sync.write_batch(
-            [(addr, pack_qword(1)), (doorbell, pack_qword(1))]
-        )
-        yield from self._flush_bubble(codeflow, addr, sync, waited=True)
 
     def _lower_leg(
         self,
         codeflow: CodeFlow,
         flushes: list,
-        obs,
         sync: Optional[RemoteSync] = None,
     ) -> Generator:
         """One lowering, failure-isolated: a target whose lower fails
         (unreachable, flaky) is counted, never fatal -- and when the
         lowers run concurrently, never strands a sibling.  A *relayed*
-        lower (``sync`` riding a tree parent's QP) that fails retries
+        lower (``sync`` riding a forest parent's QP) that fails retries
         once directly from the control plane before being counted --
-        a crashed relay must never leave its subtree buffering."""
+        a crashed relay must never leave its subtree buffering.
+        Returns the codeflow: in a forest walk the children keep
+        relaying through this target -- its QP fan-out is what spreads
+        the lowering load -- even if its own lower was counted as
+        failed."""
         try:
-            if sync is None:
-                yield from self._lower_bubble(codeflow, flushes)
-            else:
-                yield from self._lower_bubble(codeflow, flushes, sync=sync)
+            yield from self._write_bubble(
+                codeflow, 0, sync or codeflow.sync, flushes
+            )
         except ReproError:
-            if sync is not None and sync is not codeflow.sync:
-                self._relay_fallback(codeflow, "lower", obs)
-                yield from self._lower_leg(codeflow, flushes, obs)
-                return
-            obs.counter(
+            if sync is not None:
+                self._relay_fallback(codeflow, "lower")
+                return (yield from self._lower_leg(codeflow, flushes))
+            self.control_plane.obs.counter(
                 "rdx.broadcast.bubble_lower_failed",
                 target=target_label(codeflow.sandbox.name, self.shard),
             ).inc()
+        return codeflow
 
     def _flush_bubble(
         self, codeflow: CodeFlow, addr: int, sync: RemoteSync,
@@ -239,7 +280,7 @@ class CodeFlowGroup:
         event hook executes the flush ~RDX_CC_EVENT_US later.  The
         fault hook is still consulted so DROPPED_FLUSH faults bite
         this path exactly like the blocking one.  ``sync`` is the QP
-        that posted the doorbell -- the codeflow's own, or a tree
+        that posted the doorbell -- the codeflow's own, or a forest
         relay's -- so hb attribution follows the bytes.  ``waited``
         marks the flush as a QP ordering point for the hb graph: True
         on the raise path (the raise barrier blocks on this effect),
@@ -265,7 +306,7 @@ class CodeFlowGroup:
                 )
 
     def _prepare_leg(
-        self, codeflow: CodeFlow, program, span, errors: list
+        self, codeflow: CodeFlow, program, span, errors: list, images: dict
     ) -> Generator:
         """One concurrent Phase-0 prepare; collects instead of raising
         so sibling legs are never stranded as failed background
@@ -287,10 +328,12 @@ class CodeFlowGroup:
         except ReproError:
             pass
         else:
-            # Stash the linked image for tree relays: a relayed leg
+            # Keep the linked image for the plan: a relayed leg
             # forwards exactly these bytes (the chained WR list) from
             # the parent sandbox, never re-linking on the control CPU.
-            self._prelinked[codeflow.sandbox.name] = linked
+            # The images live and die with this broadcast -- a leg
+            # must never find one it did not link itself.
+            images[codeflow.sandbox.name] = linked
 
     # -- rdx_broadcast -----------------------------------------------------------
 
@@ -335,11 +378,14 @@ class CodeFlowGroup:
         before any bubble rises, COMMIT listing exactly the legs that
         kept the new logic).
 
-        With :data:`repro.params.RDX_TREE_BROADCAST` set, the deploy
-        and (unordered) lower phases run as a configurable-degree
-        fan-out tree: already-updated sandboxes relay the chained WR
-        list to their children, so the bubble window grows ~O(log N)
-        instead of serializing N legs through the control RNIC.  A
+        The deploy and (unordered) lower phases walk one forest of
+        the targets (:class:`_FanoutPlan`).  By default every target
+        is a root, served by the control plane; with
+        :data:`repro.params.RDX_TREE_BROADCAST` set the forest has
+        degree :data:`~repro.params.RDX_TREE_DEGREE` and
+        already-updated sandboxes relay the chained WR list to their
+        children, so the bubble window grows ~O(log N) instead of
+        serializing N legs through the control RNIC.  A
         ``coordinator`` (see :class:`repro.core.shard.ShardCoordinator`)
         makes this group one shard of a larger cross-shard transaction:
         bubbles are held until every shard votes, and a sibling shard's
@@ -430,11 +476,14 @@ class CodeFlowGroup:
             # concurrently on the control plane's multi-core CPU pool;
             # single-flight dedup in ``prepare`` collapses simultaneous
             # misses on one key to a single validate+JIT.
+            images: dict = {}
             if params.RDX_PIPELINED_DEPLOY:
                 prep_errors: list[BaseException] = []
                 preps = [
                     self.sim.spawn(
-                        self._prepare_leg(codeflow, program, span, prep_errors),
+                        self._prepare_leg(
+                            codeflow, program, span, prep_errors, images
+                        ),
                         name=f"prepare:{codeflow.sandbox.name}",
                     )
                     for program, codeflow in zip(programs, self.codeflows)
@@ -448,6 +497,7 @@ class CodeFlowGroup:
                     yield from self.control_plane.prepare_for(
                         codeflow, program, parent_span=span
                     )
+            plan = _FanoutPlan.build(len(self.codeflows), order, ordered, images)
             if txn is not None:
                 plane.journal.phase(txn, "prepared")
 
@@ -474,7 +524,7 @@ class CodeFlowGroup:
             if use_bbu:
                 raises = [
                     self.sim.spawn(
-                        self._guarded_bubble(cf, outcome, obs),
+                        self._guarded_bubble(cf, outcome),
                         name=f"bubble+{i}",
                     )
                     for i, (cf, outcome) in enumerate(
@@ -494,54 +544,32 @@ class CodeFlowGroup:
             # target's requests forever -- the §2.2 agent-lockout
             # pathology BBU exists to avoid.
             try:
+                # Phase 2: walk the forest of active legs.  The control
+                # plane seeds the roots; each updated sandbox then
+                # relays the chained WR list to its children, so depth
+                # -- and the bubble window -- grows with log(N)
+                # instead of N/pipeline.
                 active = [
                     index
                     for index, outcome in enumerate(result.outcomes)
                     if not outcome.error
                 ]
-                tree = (
-                    params.RDX_TREE_BROADCAST
-                    and params.RDX_PIPELINED_DEPLOY
-                    and len(active) > 1
-                )
-                if tree:
-                    # Fan-out tree: the control plane seeds the first
-                    # ``degree`` targets; each updated sandbox then
-                    # relays the chained WR list to its children, so
-                    # depth -- and the bubble window -- grows with
-                    # log(N) instead of N/pipeline.
-                    ready = [self.sim.event() for _ in active]
-                    for pos in range(
-                        min(max(1, params.RDX_TREE_DEGREE), len(active))
-                    ):
-                        ready[pos].succeed((None, ""))
-                    deploys = [
-                        self.sim.spawn(
-                            self._tree_leg(
-                                pos, active, ready, programs, result,
-                                hook_name, span, verify, deadline_us, obs,
-                                fenced=use_bbu,
-                            ),
-                            name=f"deploy:{result.outcomes[active[pos]].target}",
-                        )
-                        for pos in range(len(active))
-                    ]
-                else:
-                    deploys = [
-                        self.sim.spawn(
-                            self._target_leg(
-                                cf, prog, outcome, hook_name, span, verify,
-                                deadline_us, obs, fenced=use_bbu,
-                            ),
-                            name=f"deploy:{outcome.target}",
-                        )
-                        for cf, prog, outcome in zip(
-                            self.codeflows, programs, result.outcomes
-                        )
-                        if not outcome.error
-                    ]
-                if deploys:
-                    yield self.sim.all_of(deploys)
+
+                def deploy(pos: int, via: Optional[CodeFlow]) -> Generator:
+                    index = active[pos]
+                    codeflow = self.codeflows[index]
+                    if via is None and pos >= plan.degree:
+                        # A leg that failed mid-fanout never strands
+                        # its subtree: the children are served by the
+                        # control plane instead.
+                        self._relay_fallback(codeflow, "parent-failed")
+                    return self._deploy_leg(
+                        codeflow, programs[index], result.outcomes[index],
+                        plan.images.get(codeflow.sandbox.name), via,
+                        hook_name, span, verify, deadline_us, fenced=use_bbu,
+                    )
+
+                yield from self._walk(plan, active, "deploy", deploy)
                 result.deploys_done_us = self.sim.now
                 if txn is not None:
                     plane.journal.phase(txn, "deployed")
@@ -552,6 +580,7 @@ class CodeFlowGroup:
                 ]
 
                 failures = result.failed_targets
+                survivors = [o.target for o in result.outcomes if o.ok]
                 if coordinator is not None:
                     # Cross-shard 2PC: report this shard's tally and
                     # hold every bubble until the coordinator's
@@ -560,27 +589,22 @@ class CodeFlowGroup:
                     # when a sibling shard failed.
                     decision = yield from coordinator.vote(
                         self.shard or "shard0",
-                        ok=[o.target for o in result.outcomes if o.ok],
+                        ok=survivors,
                         failed=[o.target for o in failures],
                     )
                     if txn is not None:
                         plane.journal.phase(txn, f"decided-{decision}")
-                    if decision == "abort":
-                        yield from self._abort(programs, result, obs)
-                    elif failures:
-                        result.degraded = True
-                        obs.counter("rdx.broadcast.degraded").inc()
+                else:
+                    decision = commit_rule(
+                        len(survivors), len(failures), allow_partial
+                    )
+                if decision == "abort":
+                    yield from self._abort(programs, result)
                 elif failures:
-                    survivors = [o for o in result.outcomes if o.ok]
-                    if allow_partial and survivors:
-                        result.degraded = True
-                        obs.counter("rdx.broadcast.degraded").inc()
-                    else:
-                        yield from self._abort(programs, result, obs)
+                    result.degraded = True
+                    obs.counter("rdx.broadcast.degraded").inc()
             finally:
-                # Phase 3: lower bubbles in dependency order
-                # (sequential: a caller's bubble only drops once its
-                # callees run new logic).  Runs on the failure path
+                # Phase 3: lower the bubbles.  Runs on the failure path
                 # too, so no reachable target is left buffering; a
                 # crashed target's lower is best-effort and counted.
                 # A crashed *control plane* runs no cleanup at all --
@@ -590,50 +614,34 @@ class CodeFlowGroup:
                     flushes = []
                     lowerable = [
                         index
-                        for index in order
+                        for index in plan.order
                         # A fenced leg never raised its bubble, and a
                         # stale writer has no business lowering the
                         # successor's.
                         if result.outcomes[index].error_kind
                         != "StaleEpochError"
                     ]
-                    if params.RDX_PIPELINED_DEPLOY and not ordered:
-                        # The caller declared no dependencies, so no
-                        # ordering constrains the lowers: drop every
-                        # bubble concurrently.  An explicit
-                        # dependency_order always lowers sequentially
-                        # (a caller's bubble only drops once its
-                        # callees confirm new logic).
-                        if (
-                            params.RDX_TREE_BROADCAST
-                            and len(lowerable) > 1
-                        ):
-                            # Tree-relayed lowers: linear lowers
-                            # through the control RNIC would hand the
-                            # window right back its O(N) term.
-                            yield from self._tree_lowers(
-                                lowerable, flushes, obs
-                            )
-                        else:
-                            lowers = [
-                                self.sim.spawn(
-                                    self._lower_leg(
-                                        self.codeflows[index], flushes, obs
-                                    ),
-                                    name=(
-                                        f"lower:"
-                                        f"{result.outcomes[index].target}"
-                                    ),
-                                )
-                                for index in lowerable
-                            ]
-                            if lowers:
-                                yield self.sim.all_of(lowers)
-                    else:
+                    if plan.sequential:
                         for index in lowerable:
                             yield from self._lower_leg(
-                                self.codeflows[index], flushes, obs
+                                self.codeflows[index], flushes
                             )
+                    else:
+                        # Drop the bubbles down the same-shaped forest
+                        # the deploys used: linear lowers through the
+                        # control RNIC would hand the window right
+                        # back its O(N) term.  Each lowering chain
+                        # rides its parent's QP (relay syncs are
+                        # already warm from the deploy phase).
+
+                        def lower(pos: int, via: Optional[CodeFlow]) -> Generator:
+                            codeflow = self.codeflows[lowerable[pos]]
+                            sync = None
+                            if via is not None and not via.sandbox.host.crashed:
+                                sync = self._relay_sync(via, codeflow)
+                            return self._lower_leg(codeflow, flushes, sync)
+
+                        yield from self._walk(plan, lowerable, "lower", lower)
                     if flushes:
                         # The trailing flushes overlap the lowering
                         # writes; only the last target's ~2us flush can
@@ -667,9 +675,44 @@ class CodeFlowGroup:
             )
         return result
 
+    # -- the fan-out ----------------------------------------------------------
+
+    def _walk(self, plan: _FanoutPlan, members, kind: str, visit) -> Generator:
+        """Run ``visit(pos, handed)`` at every position of the forest
+        over ``members`` (group indices, in position order).
+
+        One rule: a root starts at once, handed None; a child starts
+        when its parent's visit ends, handed whatever that visit
+        returned -- or None if it raised, so a subtree is never
+        stranded behind a visit that will not finish.  A root waits on
+        nothing (no event, no wake-up): with every position a root
+        this *is* the hub-and-spoke spawn list.
+        """
+        size = len(members)
+        ready = {pos: self.sim.event() for pos in range(plan.degree, size)}
+
+        def node(pos: int) -> Generator:
+            handed = (yield ready[pos]) if pos in ready else None
+            result = None
+            try:
+                result = yield from visit(pos, handed)
+            finally:
+                for child in plan.children(pos, size):
+                    ready[child].succeed(result)
+
+        nodes = [
+            self.sim.spawn(
+                node(pos),
+                name=f"{kind}:{self.codeflows[members[pos]].sandbox.name}",
+            )
+            for pos in range(size)
+        ]
+        if nodes:
+            yield self.sim.all_of(nodes)
+
     # -- per-target legs ------------------------------------------------------
 
-    def _guarded_bubble(self, codeflow, outcome, obs) -> Generator:
+    def _guarded_bubble(self, codeflow, outcome) -> Generator:
         """Fence, then raise: an 8-byte epoch read precedes the bubble
         write so a stale control plane never raises a bubble on (let
         alone deploys to) a successor's target.  Fence failures are
@@ -677,22 +720,33 @@ class CodeFlowGroup:
         the no-BBU path is fenced by ``CodeFlow._execute`` instead."""
         try:
             yield from codeflow.check_fence()
-            yield from self._raise_bubble(codeflow)
+            yield from self._write_bubble(codeflow, 1, codeflow.sync)
         except ReproError as err:
-            outcome.fail(err)
-            obs.counter(
-                "rdx.broadcast.target_failures", kind=type(err).__name__
-            ).inc()
+            self._leg_failed(outcome, err)
 
-    def _target_leg(
-        self, codeflow, program, outcome, hook_name, span, verify,
-        deadline_us, obs, fenced=False,
+    def _leg_failed(self, outcome: TargetOutcome, err: ReproError) -> None:
+        outcome.fail(err)
+        self.control_plane.obs.counter(
+            "rdx.broadcast.target_failures", kind=type(err).__name__
+        ).inc()
+
+    def _deploy_leg(
+        self, codeflow, program, outcome, linked, via, hook_name, span,
+        verify, deadline_us, fenced,
     ) -> Generator:
-        """One target's deploy under a deadline; never raises."""
+        """One target's deploy under a deadline; never raises.
+
+        The deadline starts when the leg is unblocked, so forest depth
+        never eats into a leg's budget.  Returns what the leg hands
+        down the forest: the codeflow, for the children to relay
+        through, when its image committed; None -- they fall back to
+        the control plane -- when it did not.
+        """
         try:
             inner = self.sim.spawn(
                 self._deploy_target(
-                    codeflow, program, hook_name, span, verify, fenced
+                    codeflow, program, linked, via, hook_name, span, verify,
+                    fenced,
                 ),
                 name=f"inject:{outcome.target}",
             )
@@ -705,36 +759,41 @@ class CodeFlowGroup:
                 )
             outcome.report = inner.value
             outcome.ok = True
+            return codeflow
         except ReproError as err:
-            outcome.fail(err)
-            obs.counter(
-                "rdx.broadcast.target_failures", kind=type(err).__name__
-            ).inc()
+            self._leg_failed(outcome, err)
 
     def _deploy_target(
-        self, codeflow, program, hook_name, span, verify, fenced=False,
-        relay_from=None,
+        self, codeflow, program, linked, via, hook_name, span, verify, fenced,
     ) -> Generator:
+        """Pick the route for one leg: through ``via`` (the forest
+        parent) when there is one and it can be used, else -- and as
+        the fallback when the relay *path* breaks -- the same deploy
+        step over the control plane's own QP.  ``linked`` is the
+        plan's Phase-0 image for this target, None when it has none."""
         obs = self.control_plane.obs
-        relay_name = relay_from.sandbox.name if relay_from is not None else ""
         with obs.span(
             "rdx.broadcast.target", parent=span,
             target=codeflow.sandbox.name, program=program.name,
-            relay=relay_name,
+            relay=via.sandbox.name if via is not None else "",
         ) as child:
             report = None
-            if relay_from is not None:
-                linked = self._prelinked.get(codeflow.sandbox.name)
+            if via is not None:
                 if linked is None:
                     # Phase 0 never produced an image to forward (link
                     # error re-surfacing); only the control plane can
                     # serve this leg.
-                    self._relay_fallback(codeflow, "no-prelink", obs)
-                elif not relay_from.sandbox.host.crashed:
+                    self._relay_fallback(codeflow, "no-prelink")
+                elif via.sandbox.host.crashed:
+                    self._relay_fallback(codeflow, "relay-crashed")
+                else:
                     try:
-                        report = yield from self._relay_deploy(
-                            relay_from, codeflow, program, linked,
-                            hook_name, child, verify,
+                        # The bubble-raise fence rode the control
+                        # plane's QP; this route fences in its own
+                        # right.
+                        report = yield from self._deploy_step(
+                            codeflow, program, linked, hook_name, child,
+                            verify, fenced=False, via=via,
                         )
                     except RdmaError as err:
                         # The relay *path* is broken (crashed parent
@@ -743,46 +802,12 @@ class CodeFlowGroup:
                         # Deploy-semantics failures (CAS conflict,
                         # CRC-failed verify, stale epoch) propagate --
                         # they would fail identically on any path.
-                        self._relay_fallback(
-                            codeflow, type(err).__name__, obs
-                        )
-                else:
-                    self._relay_fallback(codeflow, "relay-crashed", obs)
+                        self._relay_fallback(codeflow, type(err).__name__)
             if report is None:
-                linked = (
-                    self._prelinked.get(codeflow.sandbox.name)
-                    if params.RDX_TREE_BROADCAST
-                    else None
+                report = yield from self._deploy_step(
+                    codeflow, program, linked, hook_name, child, verify,
+                    fenced,
                 )
-                if linked is not None:
-                    # Tree mode, direct leg (root or relay fallback):
-                    # deploy the Phase-0 image as-is.  Re-running
-                    # ``inject`` here would repeat validate/JIT/link
-                    # *inside* the bubble window whenever the prepare
-                    # caches overflow (N > cache capacity) -- the
-                    # window must only move bytes.
-                    self.control_plane._check_alive()
-                    if not fenced:
-                        yield from codeflow.check_fence()
-                    report = yield from codeflow.deploy_prog(
-                        program, linked, hook_name, parent_span=child,
-                        fenced=True,
-                    )
-                else:
-                    report = yield from self.control_plane.inject(
-                        codeflow, program, hook_name, parent_span=child,
-                        record_intent=False,  # broadcast txn owns the WAL entry
-                        fenced=fenced,  # _guarded_bubble fenced this leg already
-                    )
-                if verify:
-                    try:
-                        yield from self._verify_image(codeflow, program)
-                    except ConsistencyError:
-                        # The hook flip already committed onto a corrupt
-                        # image -- undo *this* target immediately (the
-                        # abort path only reverts legs that succeeded).
-                        yield from self._undo(codeflow, program)
-                        raise
             # Delta eligibility is decided per target: each leg holds
             # its own baseline (or none -- fresh targets, post-reboot
             # targets, and diverged layouts all fall back to full), so
@@ -795,109 +820,71 @@ class CodeFlowGroup:
             child.attrs["mode"] = report.mode
         return report
 
-    # -- tree fan-out (rack scale) --------------------------------------------
-
-    def _tree_children(self, pos: int, size: int) -> range:
-        """Positions relayed by tree position ``pos``.
-
-        The tree is the d-ary forest over the active-leg list: the
-        first ``degree`` positions are roots (seeded directly by the
-        control plane), and position ``p`` relays to positions
-        ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every
-        parent fanning out to at most ``d`` children, which is exactly
-        what one sandbox host's RNIC pipeline absorbs in parallel.
-        """
-        degree = max(1, params.RDX_TREE_DEGREE)
-        first = (pos + 1) * degree
-        return range(first, min(first + degree, size))
-
-    def _tree_leg(
-        self, pos, active, ready, programs, result, hook_name, span,
-        verify, deadline_us, obs, fenced=False,
+    def _deploy_step(
+        self, codeflow, program, linked, hook_name, span, verify, fenced,
+        via=None,
     ) -> Generator:
-        """One tree node: wait for a parent, deploy, relay to children.
+        """Fence, ``deploy_prog``, verify-or-undo -- over one route.
 
-        ``ready[pos]`` fires with ``(parent_codeflow, fallback_reason)``
-        -- parent None means direct delivery from the control plane
-        (roots, or children of a leg that failed mid-fanout: a crashed
-        relay's whole subtree falls back to the shard rather than
-        being stranded).  The per-leg deadline starts when the leg is
-        unblocked, so tree depth never eats into a leg's budget.
+        ``via=None`` is the control plane's own QP and CPU.
+        ``via=parent`` deploys *through* an already-updated sandbox:
+        the parent's host forwards the pre-linked chained WR list
+        (image chunks + descriptor + commit CAS) over the cached relay
+        QP and pays the dispatch on its own CPU; the control plane's
+        CPU and RNIC are never touched.  Such a leg is fenced in its
+        own right (``fenced=False``) -- the 8-byte epoch read rides
+        the relay QP, so a target owned by a newer incarnation refuses
+        relayed bytes exactly as it refuses direct ones
+        (:class:`~repro.errors.StaleEpochError`, never retried).
+
+        ``linked=None`` (no Phase-0 image on the plan) goes through
+        ``inject``, which links and then runs the same ``deploy_prog``.
+        Deploying the Phase-0 image as-is matters on the relay arms:
+        re-running ``inject`` would repeat validate/JIT/link *inside*
+        the bubble window whenever the prepare caches overflow
+        (N > cache capacity) -- the window must only move bytes.
         """
-        index = active[pos]
-        codeflow = self.codeflows[index]
-        outcome = result.outcomes[index]
-        program = programs[index]
-        parent_cf, fallback_reason = yield ready[pos]
-        if fallback_reason:
-            self._relay_fallback(codeflow, fallback_reason, obs)
+        if via is not None:
+            relay = self._relay_sync(via, codeflow)
+            direct, codeflow.sync = codeflow.sync, relay
+            codeflow.dispatch_cpu = via.sandbox.host.cpu
         try:
-            inner = self.sim.spawn(
-                self._deploy_target(
-                    codeflow, program, hook_name, span, verify, fenced,
-                    relay_from=parent_cf,
-                ),
-                name=f"inject:{outcome.target}",
-            )
-            timer = self.sim.timeout(deadline_us)
-            yield self.sim.any_of([inner, timer])
-            if not inner.triggered:
-                inner.interrupt("broadcast deadline expired")
-                raise DeadlineExceeded(
-                    f"{outcome.target}: deploy leg exceeded {deadline_us}us"
+            if linked is None:
+                report = yield from self.control_plane.inject(
+                    codeflow, program, hook_name, parent_span=span,
+                    record_intent=False,  # broadcast txn owns the WAL entry
+                    fenced=fenced,  # _guarded_bubble fenced this leg already
                 )
-            outcome.report = inner.value
-            outcome.ok = True
-        except ReproError as err:
-            outcome.fail(err)
-            obs.counter(
-                "rdx.broadcast.target_failures", kind=type(err).__name__
-            ).inc()
+            else:
+                if via is None:
+                    self.control_plane._check_alive()
+                if not fenced:
+                    yield from codeflow.check_fence()
+                report = yield from codeflow.deploy_prog(
+                    program, linked, hook_name, parent_span=span, fenced=True,
+                )
+            if verify:
+                try:
+                    yield from self._verify_image(codeflow, program)
+                except ConsistencyError:
+                    # The hook flip already committed onto a corrupt
+                    # image -- undo *this* target immediately (the
+                    # abort path only reverts legs that succeeded).
+                    yield from self._undo(codeflow, program)
+                    raise
         finally:
-            # Unblock the subtree either way: children relay through
-            # this target when its image committed, and fall back to
-            # the control plane when it did not.
-            relay = codeflow if outcome.ok else None
-            reason = "" if outcome.ok else "parent-failed"
-            for child in self._tree_children(pos, len(active)):
-                ready[child].succeed((relay, reason))
+            if via is not None:
+                codeflow.sync = direct
+                codeflow.dispatch_cpu = None
+                if params.RDX_HB_CHECK:
+                    # The leg's status report (success or failure) is
+                    # the return wire message: the control plane only
+                    # acts on the outcome -- undo, fallback, commit --
+                    # after the relay told it what landed.
+                    hb.emit_handoff(self.sim, relay.qp, direct.qp)
+        return report
 
-    def _tree_lowers(self, lowerable, flushes, obs) -> Generator:
-        """Drop bubbles down the same-shaped tree the deploys used.
-
-        Each position's lowering chain rides its tree parent's QP
-        (relay syncs are already warm from the deploy phase); roots
-        lower directly from the control plane.  Failure isolation per
-        leg is unchanged -- and a failed *relayed* lower retries
-        directly before being counted.
-        """
-        ready = [self.sim.event() for _ in lowerable]
-        for pos in range(min(max(1, params.RDX_TREE_DEGREE), len(lowerable))):
-            ready[pos].succeed(None)
-        legs = [
-            self.sim.spawn(
-                self._tree_lower_leg(pos, lowerable, ready, flushes, obs),
-                name=f"lower:{self.codeflows[lowerable[pos]].sandbox.name}",
-            )
-            for pos in range(len(lowerable))
-        ]
-        if legs:
-            yield self.sim.all_of(legs)
-
-    def _tree_lower_leg(self, pos, lowerable, ready, flushes, obs) -> Generator:
-        codeflow = self.codeflows[lowerable[pos]]
-        parent_cf = yield ready[pos]
-        sync = None
-        if parent_cf is not None and not parent_cf.sandbox.host.crashed:
-            sync = self._relay_sync(parent_cf, codeflow)
-        try:
-            yield from self._lower_leg(codeflow, flushes, obs, sync=sync)
-        finally:
-            # Children keep relaying through this target -- its QP
-            # fan-out is what spreads the lowering load -- even if its
-            # own lower was counted as failed.
-            for child in self._tree_children(pos, len(lowerable)):
-                ready[child].succeed(codeflow)
+    # -- relay routes ---------------------------------------------------------
 
     def _relay_sync(self, parent: CodeFlow, codeflow: CodeFlow) -> RemoteSync:
         """The RemoteSync carrying ``parent`` host -> ``codeflow`` target.
@@ -938,47 +925,8 @@ class CodeFlowGroup:
             hb.emit_handoff(self.sim, codeflow.sync.qp, sync.qp)
         return sync
 
-    def _relay_deploy(
-        self, parent, codeflow, program, linked, hook_name, span, verify
-    ) -> Generator:
-        """Deploy one leg *through* an already-updated sandbox.
-
-        The parent's host forwards the pre-linked chained WR list
-        (image chunks + descriptor + commit CAS) over a relay QP; the
-        control plane's CPU and RNIC are never touched.  The leg is
-        fenced in its own right -- the 8-byte epoch read rides the
-        relay QP, so a target owned by a newer incarnation refuses
-        relayed bytes exactly as it refuses direct ones
-        (:class:`~repro.errors.StaleEpochError`, never retried).
-        """
-        sync = self._relay_sync(parent, codeflow)
-        saved_sync = codeflow.sync
-        codeflow.sync = sync
-        codeflow.dispatch_cpu = parent.sandbox.host.cpu
-        try:
-            yield from codeflow.check_fence()
-            report = yield from codeflow.deploy_prog(
-                program, linked, hook_name, parent_span=span, fenced=True,
-            )
-            if verify:
-                try:
-                    yield from self._verify_image(codeflow, program)
-                except ConsistencyError:
-                    yield from self._undo(codeflow, program)
-                    raise
-        finally:
-            codeflow.sync = saved_sync
-            codeflow.dispatch_cpu = None
-            if params.RDX_HB_CHECK:
-                # The leg's status report (success or failure) is the
-                # return wire message: the control plane only acts on
-                # the outcome -- undo, fallback, commit -- after the
-                # relay told it what landed.
-                hb.emit_handoff(self.sim, sync.qp, saved_sync.qp)
-        return report
-
-    def _relay_fallback(self, codeflow, reason: str, obs) -> None:
-        obs.counter(
+    def _relay_fallback(self, codeflow, reason: str) -> None:
+        self.control_plane.obs.counter(
             "rdx.broadcast.relay_fallback",
             target=target_label(codeflow.sandbox.name, self.shard),
             reason=reason,
@@ -1020,7 +968,7 @@ class CodeFlowGroup:
 
     # -- abort path -----------------------------------------------------------
 
-    def _abort(self, programs, result: BroadcastResult, obs) -> Generator:
+    def _abort(self, programs, result: BroadcastResult) -> Generator:
         """Undo every succeeded leg: all-or-nothing visibility.
 
         A target whose hook previously ran an older image rolls back to
@@ -1030,6 +978,7 @@ class CodeFlowGroup:
         """
         result.aborted = True
         started = self.sim.now
+        obs = self.control_plane.obs
         obs.counter("rdx.broadcast.abort").inc()
         for codeflow, program, outcome in zip(
             self.codeflows, programs, result.outcomes

@@ -31,7 +31,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.errors import BroadcastAborted, ConsistencyError, DeployError, ReproError
 from repro.obs import telemetry_of
-from repro.core.broadcast import BroadcastResult, CodeFlowGroup
+from repro.core.broadcast import BroadcastResult, CodeFlowGroup, commit_rule
 
 
 def partition(items: Sequence, shards: int) -> list[list]:
@@ -61,7 +61,9 @@ class ShardCoordinator:
     The protocol is a two-phase commit with the per-shard broadcast
     bodies as participants: each shard calls :meth:`vote` after its
     deploy fan-out (bubbles still raised) and blocks until every
-    expected shard has voted; the coordinator then decides
+    expected shard has voted; the coordinator then applies
+    :func:`~repro.core.broadcast.commit_rule` -- the rule an unsharded
+    broadcast applies to its own legs -- to the *global* tally:
 
     * ``commit`` -- no leg failed anywhere,
     * ``degraded`` -- failures exist, ``allow_partial`` is on, and at
@@ -133,12 +135,7 @@ class ShardCoordinator:
             return
         ok = sum(len(tally[0]) for tally in self.votes.values())
         failed = sum(len(tally[1]) for tally in self.votes.values())
-        if failed == 0:
-            self.decision = "commit"
-        elif self.allow_partial and ok:
-            self.decision = "degraded"
-        else:
-            self.decision = "abort"
+        self.decision = commit_rule(ok, failed, self.allow_partial)
         # One durable decision record before any voter is released:
         # the reconciler can always tell decided from died-mid-vote.
         if self.journal is not None:
@@ -194,15 +191,25 @@ class ShardedGroup:
 
         ``programs`` is ordered like :attr:`codeflows` (shard 0's
         slice first).  Every other keyword is passed through to each
-        shard's :meth:`~repro.core.broadcast.CodeFlowGroup.broadcast`.
+        shard's :meth:`~repro.core.broadcast.CodeFlowGroup.broadcast`,
+        except ``dependency_order``, which is rejected: a lower order
+        over the whole group cannot be kept by K independent shards.
         All-or-nothing and quorum semantics hold across the whole
         group; the merged result carries the union of outcomes and the
         *global* bubble window (first raise to last lower).
         """
+        # Argument errors are settled here, before the coordinator or
+        # any transaction exists: nothing is journaled, nothing counted.
         if len(programs) != len(self):
             raise DeployError(
                 f"sharded broadcast needs one program per target "
                 f"({len(programs)} != {len(self)})"
+            )
+        if kwargs.get("dependency_order") is not None:
+            raise DeployError(
+                "sharded broadcast cannot honour dependency_order: the "
+                "shards lower their bubbles in K independent loops, so "
+                "no order can hold across them"
             )
         lead = self.groups[0].control_plane
         coordinator = ShardCoordinator(

@@ -71,13 +71,14 @@ class TestBroadcast:
         bed = testbed2
         lowered = []
 
-        original = CodeFlowGroup._lower_bubble
+        original = CodeFlowGroup._write_bubble
 
-        def spying(self, codeflow, flushes):
-            lowered.append(codeflow.sandbox.name)
-            return original(self, codeflow, flushes)
+        def spying(self, codeflow, value, sync, flushes=None):
+            if value == 0:
+                lowered.append(codeflow.sandbox.name)
+            return original(self, codeflow, value, sync, flushes)
 
-        CodeFlowGroup._lower_bubble = spying
+        CodeFlowGroup._write_bubble = spying
         try:
             bed.sim.run_process(
                 rdx_broadcast(
@@ -86,7 +87,7 @@ class TestBroadcast:
                 )
             )
         finally:
-            CodeFlowGroup._lower_bubble = original
+            CodeFlowGroup._write_bubble = original
         assert lowered == [bed.sandboxes[0].name, bed.sandboxes[1].name]
 
     def test_bad_dependency_order(self, testbed2):
@@ -124,20 +125,20 @@ class TestBroadcast:
         for program, codeflow in zip(programs_for(bed), bed.codeflows):
             bed.sim.run_process(bed.control.prepare_for(codeflow, program))
         bubble_writes = []
-        original = CodeFlowGroup._set_bubble
+        original = CodeFlowGroup._write_bubble
 
-        def spying(self, codeflow, value):
+        def spying(self, codeflow, value, sync, flushes=None):
             bubble_writes.append(value)
-            return original(self, codeflow, value)
+            return original(self, codeflow, value, sync, flushes)
 
-        CodeFlowGroup._set_bubble = spying
+        CodeFlowGroup._write_bubble = spying
         try:
             result = bed.sim.run_process(
                 rdx_broadcast(bed.codeflows, programs_for(bed), "ingress",
                               use_bbu=False)
             )
         finally:
-            CodeFlowGroup._set_bubble = original
+            CodeFlowGroup._write_bubble = original
         # Without BBU there is no bubble phase: no flag was ever
         # raised (or lowered) and the "window" is just the raw deploy
         # fan-out span.
@@ -154,9 +155,9 @@ class TestBubbleLeak:
         from repro.errors import BroadcastAborted
 
         bed = testbed2
-        # Patch at deploy_prog, the choke point every arm passes
-        # through (flat legs via inject, tree roots via the prelinked
-        # fast path), so the failure bites regardless of topology.
+        # Patch at deploy_prog, the choke point every route passes
+        # through (via inject, or with the plan's Phase-0 image), so
+        # the failure bites regardless of the forest's degree.
         original = CodeFlow.deploy_prog
 
         def failing(self, program, linked, hook_name, **kwargs):

@@ -20,7 +20,7 @@ down is the *failure* matrix of the relay fan-out:
 import pytest
 
 from repro import params
-from repro.core.broadcast import CodeFlowGroup
+from repro.core.broadcast import CodeFlowGroup, _FanoutPlan
 from repro.core.codeflow import CodeFlow
 from repro.core.shard import ShardCoordinator, partition
 from repro.ebpf.stress import make_stress_program
@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.exp.harness import make_testbed
 from repro.exp.scale import sharded_testbed
+from repro.hb import checker
 from repro.mem.layout import pack_qword
 
 
@@ -39,11 +40,21 @@ from repro.mem.layout import pack_qword
 def tree_params():
     """Force the tree arm with degree 2, so 9 targets give depth > 2
     (roots 0-1; e.g. position 8 is relayed via 3, itself via 0)."""
-    saved = (params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE)
+    saved = (
+        params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE,
+        params.RDX_PIPELINED_DEPLOY,
+    )
     params.RDX_TREE_BROADCAST = True
     params.RDX_TREE_DEGREE = 2
+    # Relays exist in the pipelined arm only; without this pin the
+    # relay tests are vacuous (and three were red) under CI's
+    # ``RDX_PIPELINED_DEPLOY=0`` run.
+    params.RDX_PIPELINED_DEPLOY = True
     yield
-    params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE = saved
+    (
+        params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE,
+        params.RDX_PIPELINED_DEPLOY,
+    ) = saved
 
 
 @pytest.fixture
@@ -85,16 +96,16 @@ class TestTreeFanout:
         """A dead relay link is a *path* problem, not a target problem:
         the shard still owes the target its update, delivered direct."""
         victim = bed.codeflows[-1]
-        original = CodeFlowGroup._relay_deploy
+        original = CodeFlowGroup._deploy_step
 
-        def broken(self, parent, codeflow, *args, **kwargs):
-            if codeflow is victim:
+        def broken(self, codeflow, *args, via=None, **kwargs):
+            if codeflow is victim and via is not None:
                 raise HostUnreachable(
                     f"{codeflow.sandbox.name}: relay link dead"
                 )
-            return original(self, parent, codeflow, *args, **kwargs)
+            return original(self, codeflow, *args, via=via, **kwargs)
 
-        CodeFlowGroup._relay_deploy = broken
+        CodeFlowGroup._deploy_step = broken
         try:
             result = bed.sim.run_process(
                 CodeFlowGroup(bed.codeflows).broadcast(
@@ -102,7 +113,7 @@ class TestTreeFanout:
                 )
             )
         finally:
-            CodeFlowGroup._relay_deploy = original
+            CodeFlowGroup._deploy_step = original
         assert all(outcome.ok for outcome in result.outcomes)
         assert fallback_count(bed, "HostUnreachable") == 1
         out, _ = victim.sandbox.run_hook("ingress", bytes(256))
@@ -172,10 +183,10 @@ class TestTreeFanout:
         no more right to those bytes than the relay did)."""
         progs = programs_for(bed)
         victim = bed.codeflows[-1]  # deep in the tree: a relayed leg
-        original = CodeFlowGroup._relay_deploy
+        original = CodeFlowGroup._deploy_step
 
-        def fencing(self, parent, codeflow, *args, **kwargs):
-            if codeflow is victim:
+        def fencing(self, codeflow, *args, via=None, **kwargs):
+            if codeflow is victim and via is not None:
                 # Successor bumps the fencing word between the bubble
                 # raise and the relayed deploy (write-through, so the
                 # relay QP's 8-byte fence read observes it).
@@ -183,16 +194,16 @@ class TestTreeFanout:
                     codeflow.sandbox.epoch_addr,
                     pack_qword(codeflow.epoch + 1),
                 )
-            return original(self, parent, codeflow, *args, **kwargs)
+            return original(self, codeflow, *args, via=via, **kwargs)
 
-        CodeFlowGroup._relay_deploy = fencing
+        CodeFlowGroup._deploy_step = fencing
         try:
             process = bed.sim.spawn(
                 CodeFlowGroup(bed.codeflows).broadcast(progs, "ingress")
             )
             bed.sim.run()
         finally:
-            CodeFlowGroup._relay_deploy = original
+            CodeFlowGroup._deploy_step = original
         with pytest.raises(BroadcastAborted) as excinfo:
             _ = process.value
         result = excinfo.value.result
@@ -208,6 +219,156 @@ class TestTreeFanout:
         for codeflow in bed.codeflows:
             if codeflow is not victim:
                 assert not codeflow.sandbox.bubble_active()
+
+
+class TestPhaseZeroImagesBelongToTheBroadcast:
+    """The Phase-0 images live on the broadcast's plan, not on the
+    group: a leg can only ever forward an image this broadcast linked."""
+
+    def _bed(self):
+        return make_testbed(
+            n_hosts=5, cores_per_host=2, hooks=("ingress",),
+            with_agents=False, seed=3,
+        )
+
+    def _programs(self, version):
+        return [
+            make_stress_program(150, seed=version * 31 + i + 1, name=f"pz{i}")
+            for i in range(5)
+        ]
+
+    def _r0(self, sandbox):
+        execution, _ = sandbox.run_hook("ingress", bytes(256))
+        return execution.r0
+
+    def _consume(self, bed):
+        """Two relay broadcasts on one group: a relayed *lower* reports
+        back to the control plane without an hb hand-off edge (a
+        relayed deploy has one), so the next raise on that target
+        reads as a bubble-race -- an hb-model gap on the parent too
+        (ROADMAP item 6 iv), not this test's subject."""
+        checker.consume(bed.sim)
+
+    def test_phase0_link_failure_does_not_deploy_previous_image(
+        self, tree_params
+    ):
+        """v0, then v1 with ``link_code`` failing once in Phase 0 for a
+        relayed target.  The completion fallacy in one test: every leg
+        used to report ok -- bytes landed -- while that target ran v0,
+        forwarded from the group's cache under v1's name."""
+        bed = self._bed()
+        group = CodeFlowGroup(bed.codeflows)
+        v0, v1 = self._programs(0), self._programs(1)
+        bed.sim.run_process(group.broadcast(v0, "ingress"))
+
+        victim = bed.codeflows[-1]  # position 4: relayed via position 0
+        original = CodeFlow.link_code
+        armed = [True]
+
+        def flaky(self, binary, **kwargs):
+            if self is victim and armed[0]:
+                armed[0] = False
+                raise DeployError("link blew up in Phase 0")
+            return original(self, binary, **kwargs)
+
+        CodeFlow.link_code = flaky
+        try:
+            result = bed.sim.run_process(group.broadcast(v1, "ingress"))
+        finally:
+            CodeFlow.link_code = original
+        assert all(outcome.ok for outcome in result.outcomes)
+        # What the hooks *run* is v1: the same r0 a v1-only rack returns.
+        fresh = self._bed()
+        fresh.sim.run_process(
+            CodeFlowGroup(fresh.codeflows).broadcast(v1, "ingress")
+        )
+        assert [self._r0(sb) for sb in bed.sandboxes] == [
+            self._r0(sb) for sb in fresh.sandboxes
+        ]
+        for codeflow, program in zip(bed.codeflows, v1):
+            record = codeflow.deployed[program.name]
+            assert record.program.tag() == program.tag()
+        # The leg found no image, said so, and went through inject.
+        assert fallback_count(bed, "no-prelink") == 1
+        self._consume(bed)
+
+    def test_second_broadcast_never_sees_an_image_it_did_not_link(
+        self, tree_params
+    ):
+        bed = self._bed()
+        group = CodeFlowGroup(bed.codeflows)
+        linked_by = {}  # id(image) -> broadcast round that linked it
+        forwarded = []
+        rounds = [0]
+        link, deploy = CodeFlow.link_code, CodeFlow.deploy_prog
+
+        def linking(self, binary, **kwargs):
+            image = yield from link(self, binary, **kwargs)
+            linked_by.setdefault(id(image), rounds[0])
+            return image
+
+        def deploying(self, program, linked, hook_name, **kwargs):
+            forwarded.append((rounds[0], linked_by[id(linked)]))
+            return deploy(self, program, linked, hook_name, **kwargs)
+
+        CodeFlow.link_code, CodeFlow.deploy_prog = linking, deploying
+        try:
+            for version in range(2):
+                rounds[0] = version
+                bed.sim.run_process(
+                    group.broadcast(self._programs(version), "ingress")
+                )
+        finally:
+            CodeFlow.link_code, CodeFlow.deploy_prog = link, deploy
+        assert len(forwarded) == 10
+        assert all(used == linked for used, linked in forwarded)
+        # ...and the group keeps no image between broadcasts: the relay
+        # QPs are its only state that outlives one.
+        assert set(vars(group)) == {
+            "codeflows", "sim", "control_plane", "shard", "_relay_syncs",
+        }
+        self._consume(bed)
+
+
+class TestOneForest:
+    def test_hub_and_spoke_is_the_forest_of_degree_n(self, monkeypatch):
+        monkeypatch.setattr(params, "RDX_TREE_BROADCAST", False)
+        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
+        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {"t": object()})
+        assert plan.degree == 9 and plan.images == {}
+        assert not plan.sequential
+        assert all(not plan.children(pos, 9) for pos in range(9))
+
+    def test_serial_arm_builds_the_edgeless_forest(self, monkeypatch):
+        """``RDX_TREE_BROADCAST=1`` under the serial arm: no relays (a
+        relay forwards a WR chain only the pipelined arm builds), so
+        every position is a root and the lowers run in order."""
+        monkeypatch.setattr(params, "RDX_TREE_BROADCAST", True)
+        monkeypatch.setattr(params, "RDX_TREE_DEGREE", 2)
+        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", False)
+        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {})
+        assert plan.degree == 9 and plan.sequential
+        assert all(not plan.children(pos, 9) for pos in range(9))
+        bed = make_testbed(
+            n_hosts=9, cores_per_host=2, hooks=("ingress",),
+            with_agents=False, seed=3,
+        )
+        group = CodeFlowGroup(bed.codeflows)
+        result = bed.sim.run_process(
+            group.broadcast(programs_for(bed), "ingress")
+        )
+        assert all(outcome.ok for outcome in result.outcomes)
+        assert group._relay_syncs == {}
+
+    def test_relays_on_gives_the_d_ary_forest(self, tree_params):
+        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {})
+        assert plan.degree == 2 and not plan.sequential
+        assert [list(plan.children(pos, 9)) for pos in range(4)] == [
+            [2, 3], [4, 5], [6, 7], [8],
+        ]
+        # An explicit dependency_order keeps the relayed deploys and
+        # lowers one bubble at a time.
+        assert _FanoutPlan.build(9, range(9), True, {}).sequential
 
 
 class TestCrossShardCommit:
@@ -292,6 +453,47 @@ class TestCrossShardCommit:
         for codeflow, prog in zip(bed.codeflows, progs):
             if codeflow is not victim:
                 assert prog.name in codeflow.deployed
+
+
+    def test_dependency_order_is_rejected_before_anything_is_journaled(
+        self, tree_params
+    ):
+        """A cross-shard lower order cannot be kept by K independent
+        lower loops.  It used to be handed to every shard, each of
+        which refused it -- after the coordinator had minted its txn,
+        so an argument error left a ``shard-commit`` begin + abort in
+        the lead journal and counted as an aborted decision."""
+        bed = sharded_testbed(8, shards=2, cores_per_host=2, seed=5)
+        lead = bed.planes[0]
+        records = [len(plane.journal) for plane in bed.planes]
+        with pytest.raises(DeployError, match="dependency_order"):
+            bed.sim.run_process(
+                bed.sharded.broadcast(
+                    self._programs(bed), "ingress",
+                    dependency_order=list(range(8)),
+                )
+            )
+        with pytest.raises(DeployError, match="one program per target"):
+            bed.sim.run_process(
+                bed.sharded.broadcast(self._programs(bed)[:3], "ingress")
+            )
+        assert [len(plane.journal) for plane in bed.planes] == records
+        assert bed.obs.registry.series("rdx.shard.decisions") == []
+        # The txn counter did not move either: the next clean sharded
+        # broadcast is the lead plane's first shard-commit.
+        bed.sim.run_process(
+            bed.sharded.broadcast(self._programs(bed), "ingress")
+        )
+        commits = [
+            record for record in lead.journal.records
+            if record.op == "shard-commit"
+        ]
+        assert [record.rec for record in commits] == ["INTEND", "COMMIT"]
+        assert commits[0].txn == "shard-commit-1.beef0001"
+        decisions = bed.obs.registry.series("rdx.shard.decisions")
+        assert [(m.labels, m.value) for m in decisions] == [
+            ((("decision", "commit"),), 1.0)
+        ]
 
 
 class TestShardCoordinator:
