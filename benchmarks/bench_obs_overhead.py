@@ -1,4 +1,4 @@
-"""Observability overhead gate: RDX_OBS=1 vs RDX_OBS=0 wall clock.
+"""Observability overhead gate: ``obs`` on vs off, wall clock.
 
 The telemetry plane is supposed to be free where it matters -- the
 sandbox side is agentless by construction (one-sided scrapes cost zero
@@ -9,10 +9,10 @@ every chain/CAS/flush, span accounting.  This bench drives the same
 warm pipelined deploy loop with the obs plane on and off and gates the
 wall-clock ratio.
 
-Both arms run in-process by flipping :data:`repro.params.RDX_OBS`
-(a module global read at call time, like ``RDX_PIPELINED_DEPLOY``).
-Plain ``time.perf_counter`` timing, with the arms *interleaved* in
-alternating order and gated on the best paired ratio: a loaded CI
+Both arms run in-process, each measurement on its own testbed built
+with ``config.obs`` on or off.  Plain ``time.perf_counter`` timing,
+with the arms *interleaved* in alternating order and gated on the
+best paired ratio: a loaded CI
 runner drifts over seconds, so timing all of one arm and then all of
 the other would fold that drift straight into the ratio.  Each pair
 runs back-to-back, and any single clean pair under the gate passes.
@@ -21,10 +21,11 @@ Results land in ``BENCH_OBS.json`` under ``$RDX_BENCH_DIR``.
 """
 
 import time
+from dataclasses import replace
 
-from repro import params
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import format_table, make_testbed, write_bench_json
+from repro.params import DEFAULT
 
 #: Warm deploys timed per measurement (one testbed, cache hot).
 DEPLOYS = 60
@@ -34,9 +35,12 @@ PAIRS = 5
 MAX_RATIO = 1.15
 
 
-def _run_warm_deploys() -> float:
-    """One measurement: build a bed, warm the caches, time the loop."""
-    bed = make_testbed(n_hosts=1, cores_per_host=8)
+def _measure(arm_obs: bool) -> float:
+    """One measurement: build a bed on the arm, warm the caches, time
+    the loop."""
+    bed = make_testbed(
+        n_hosts=1, cores_per_host=8, config=replace(DEFAULT, obs=arm_obs)
+    )
     program = make_stress_program(1_300, seed=7)
     # Warm-up: cold validate + JIT + link, outside the timed window.
     bed.sim.run_process(bed.control.inject(bed.codeflow, program, "ingress"))
@@ -46,15 +50,6 @@ def _run_warm_deploys() -> float:
             bed.control.inject(bed.codeflow, program, "ingress")
         )
     return time.perf_counter() - started
-
-
-def _measure(arm_obs: bool) -> float:
-    saved = params.RDX_OBS
-    params.RDX_OBS = arm_obs
-    try:
-        return _run_warm_deploys()
-    finally:
-        params.RDX_OBS = saved
 
 
 def test_bench_obs_overhead():

@@ -4,9 +4,9 @@ Two sweeps, both recorded in ``BENCH_SCALE.json``:
 
 * **Broadcast windows** -- one group update at each N under up to
   three arms: ``flat`` (the PR-4 fan-out, the ablation baseline),
-  ``tree`` (relay fan-out, ``RDX_TREE_BROADCAST``), and ``sharded``
-  (tree fan-out split across ``RDX_BROADCAST_SHARDS`` control planes
-  with the cross-shard commit).  The acceptance shape is sublinear
+  ``tree`` (relay fan-out, ``config.tree_broadcast``), and ``sharded``
+  (tree fan-out split across :data:`SHARDS` control planes with the
+  cross-shard commit).  The acceptance shape is sublinear
   window growth on the tree arm -- window(N=256) <= 4x window(N=16) --
   while the flat arm grows ~linearly until the link cache overflows
   and it falls off a cliff (re-validation inside the window).
@@ -34,7 +34,7 @@ from repro.exp.scale import broadcast_window, kernel_throughput
 
 #: Acceptance: tree window at N=256 within 4x the N=16 window.
 MAX_TREE_GROWTH = 4.0
-#: Shards on the sharded arm (matches RDX_BROADCAST_SHARDS' default).
+#: Control-plane shards on the sharded arm.
 SHARDS = 4
 
 

@@ -351,37 +351,34 @@ def _races(seed: int, nodes: int, rounds: int) -> tuple[str, int]:
     when a known-bad schedule fails to trip its detector (a dead
     detector).
     """
-    from repro import params
+    from dataclasses import replace
+
+    from repro.exp.harness import make_testbed
     from repro.exp.hb_schedules import format_report, run_hb_schedules
     from repro.hb import checker
+    from repro.params import DEFAULT
 
     parts = []
     status = 0
 
-    saved = params.RDX_HB_CHECK
-    params.RDX_HB_CHECK = True
-    checker.reset_active()
-    try:
-        run_fault_campaign(n_hosts=nodes, rounds=rounds, seed=seed)
-        reports = checker.check_active()
-    finally:
-        checker.reset_active()
-        params.RDX_HB_CHECK = saved
-
-    rows = []
-    for index, (_sim, report) in enumerate(reports):
-        rows.append(
-            (
-                index,
-                report.events,
-                len(report.findings),
-                "yes" if report.truncated else "no",
-                "clean" if report.clean else "DIRTY",
-            )
+    bed = make_testbed(
+        n_hosts=nodes, cores_per_host=8, seed=seed,
+        config=replace(DEFAULT, hb_check=True),
+    )
+    run_fault_campaign(n_hosts=nodes, rounds=rounds, seed=seed, testbed=bed)
+    report = checker.consume(bed.sim)
+    rows = [
+        (
+            0,
+            report.events,
+            len(report.findings),
+            "yes" if report.truncated else "no",
+            "clean" if report.clean else "DIRTY",
         )
-        if report.findings:
-            status = 1
-            parts.append(checker.format_findings(report.findings))
+    ]
+    if report.findings:
+        status = 1
+        parts.append(checker.format_findings(report.findings))
     parts.insert(
         0,
         format_table(

@@ -45,7 +45,6 @@ from repro.errors import (
 )
 from repro.ebpf.program import BpfProgram
 from repro.mem.layout import pack_qword
-from repro.obs import target_label
 from repro.rdma.verbs import connect_qps, open_device
 from repro.core.codeflow import CodeFlow
 from repro.core.health import HealthDetector, TargetHealth
@@ -151,12 +150,12 @@ class _FanoutPlan:
     sequential: bool
 
     @classmethod
-    def build(cls, group_size, order, ordered, images) -> "_FanoutPlan":
+    def build(cls, config, group_size, order, ordered, images) -> "_FanoutPlan":
         """The one place the fan-out knobs are read."""
-        pipelined = params.RDX_PIPELINED_DEPLOY
-        relays = params.RDX_TREE_BROADCAST and pipelined
+        pipelined = config.pipelined_deploy
+        relays = config.tree_broadcast and pipelined
         return cls(
-            degree=max(1, params.RDX_TREE_DEGREE) if relays else group_size,
+            degree=max(1, config.tree_degree) if relays else group_size,
             images=images if relays else {},
             order=tuple(order),
             sequential=ordered or not pipelined,
@@ -177,9 +176,11 @@ class CodeFlowGroup:
         self.codeflows = list(codeflows)
         self.sim = codeflows[0].sim
         self.control_plane = codeflows[0].control_plane
+        self.config = codeflows[0].config
         #: Shard name this group's metrics aggregate under (empty for
-        #: a plain unsharded plane; see :mod:`repro.obs.cardinality`).
+        #: a plain unsharded plane), through the hub's ``target_label``.
         self.shard = getattr(self.control_plane, "shard", "")
+        self._label = self.control_plane.obs.target_label
         #: (parent sandbox, child sandbox) -> relay RemoteSync, built
         #: lazily the first time a broadcast routes that edge and
         #: reused across broadcasts (QP setup is one-time state, like
@@ -222,7 +223,7 @@ class CodeFlowGroup:
         asynchronously while the next target's lower goes out.
         """
         addr = codeflow.sandbox.bubble_addr
-        if not params.RDX_PIPELINED_DEPLOY:
+        if not self.config.pipelined_deploy:
             yield from sync.write(addr, pack_qword(value))
             yield from sync.cc_event(addr, 8)
             return
@@ -266,7 +267,7 @@ class CodeFlowGroup:
                 return (yield from self._lower_leg(codeflow, flushes))
             self.control_plane.obs.counter(
                 "rdx.broadcast.bubble_lower_failed",
-                target=target_label(codeflow.sandbox.name, self.shard),
+                target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
         return codeflow
 
@@ -287,7 +288,7 @@ class CodeFlowGroup:
         False on the deferred lowering path, which must order nothing.
         """
         _, dropped, _ = sync._consult_hook("cc_event", addr, None)
-        if params.RDX_HB_CHECK and not dropped:
+        if self.config.hb_check and not dropped:
             hb.emit(
                 self.sim, "hb.flush.post",
                 qp=sync.qp.qpn, node=sync.qp.rnic.host.name,
@@ -297,7 +298,7 @@ class CodeFlowGroup:
         if not dropped:
             codeflow.sandbox.host.cache.flush(addr, 8)
             sync.cc_count += 1
-            if params.RDX_HB_CHECK:
+            if self.config.hb_check:
                 hb.emit(
                     self.sim, "hb.flush",
                     qp=sync.qp.qpn, node=sync.qp.rnic.host.name,
@@ -381,8 +382,8 @@ class CodeFlowGroup:
         The deploy and (unordered) lower phases walk one forest of
         the targets (:class:`_FanoutPlan`).  By default every target
         is a root, served by the control plane; with
-        :data:`repro.params.RDX_TREE_BROADCAST` set the forest has
-        degree :data:`~repro.params.RDX_TREE_DEGREE` and
+        ``config.tree_broadcast`` set the forest has degree
+        ``config.tree_degree`` and
         already-updated sandboxes relay the chained WR list to their
         children, so the bubble window grows ~O(log N) instead of
         serializing N legs through the control RNIC.  A
@@ -477,7 +478,7 @@ class CodeFlowGroup:
             # single-flight dedup in ``prepare`` collapses simultaneous
             # misses on one key to a single validate+JIT.
             images: dict = {}
-            if params.RDX_PIPELINED_DEPLOY:
+            if self.config.pipelined_deploy:
                 prep_errors: list[BaseException] = []
                 preps = [
                     self.sim.spawn(
@@ -497,7 +498,9 @@ class CodeFlowGroup:
                     yield from self.control_plane.prepare_for(
                         codeflow, program, parent_span=span
                     )
-            plan = _FanoutPlan.build(len(self.codeflows), order, ordered, images)
+            plan = _FanoutPlan.build(
+                self.config, len(self.codeflows), order, ordered, images
+            )
             if txn is not None:
                 plane.journal.phase(txn, "prepared")
 
@@ -515,7 +518,7 @@ class CodeFlowGroup:
                     )
                     obs.counter(
                         "rdx.broadcast.lease_skips",
-                        target=target_label(outcome.target, self.shard),
+                        target=self._label(outcome.target, self.shard),
                     ).inc()
 
             # Phase 1: raise every bubble in parallel.  A target whose
@@ -815,7 +818,7 @@ class CodeFlowGroup:
             obs.counter(
                 "rdx.broadcast.legs",
                 mode=report.mode,
-                target=target_label(codeflow.sandbox.name, self.shard),
+                target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
             child.attrs["mode"] = report.mode
         return report
@@ -876,7 +879,7 @@ class CodeFlowGroup:
             if via is not None:
                 codeflow.sync = direct
                 codeflow.dispatch_cpu = None
-                if params.RDX_HB_CHECK:
+                if self.config.hb_check:
                     # The leg's status report (success or failure) is
                     # the return wire message: the control plane only
                     # acts on the outcome -- undo, fallback, commit --
@@ -916,7 +919,7 @@ class CodeFlowGroup:
         sync.hb_epoch = codeflow.sync.hb_epoch
         sync.fault_hook = codeflow.sync.fault_hook
         sync.retry = codeflow.sync.retry
-        if params.RDX_HB_CHECK:
+        if self.config.hb_check:
             # The relay command (forwarded WR chain / lowering order)
             # is a wire message from the control plane: it carries a
             # happens-before edge from whatever the control plane had
@@ -928,7 +931,7 @@ class CodeFlowGroup:
     def _relay_fallback(self, codeflow, reason: str) -> None:
         self.control_plane.obs.counter(
             "rdx.broadcast.relay_fallback",
-            target=target_label(codeflow.sandbox.name, self.shard),
+            target=self._label(codeflow.sandbox.name, self.shard),
             reason=reason,
         ).inc()
 
@@ -947,7 +950,7 @@ class CodeFlowGroup:
         if zlib.crc32(image[:-4]) & 0xFFFFFFFF != stored:
             self.control_plane.obs.counter(
                 "rdx.broadcast.verify_failed",
-                target=target_label(codeflow.sandbox.name, self.shard),
+                target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
             raise ConsistencyError(
                 f"{program.name} on {codeflow.sandbox.name}: image CRC "
@@ -996,7 +999,7 @@ class CodeFlowGroup:
             except ReproError as err:
                 obs.counter(
                     "rdx.broadcast.abort_failed",
-                    target=target_label(outcome.target, self.shard),
+                    target=self._label(outcome.target, self.shard),
                 ).inc()
                 outcome.error = f"abort undo failed: {err}"
         result.abort_us = self.sim.now - started

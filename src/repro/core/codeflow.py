@@ -21,7 +21,7 @@ from repro.ebpf.jit import JitBinary, RelocKind
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
 from repro.mem.memory import RegionAllocator
-from repro.obs import target_label, telemetry_of
+from repro.obs import telemetry_of
 from repro.rdma.rnic import RNIC_MTU_BYTES
 from repro.obs.spans import Span
 from repro.sandbox.metadata import MetadataBlock, SLOT_DETACHED, SLOT_LIVE
@@ -174,6 +174,7 @@ class CodeFlow:
         self.control_plane = control_plane
         self.sim = control_plane.sim
         self.obs = telemetry_of(self.sim)
+        self.config = params.config_of(self.sim)
         self.sandbox = sandbox
         self.sync = sync
         manifest = sandbox.ctx_manifest
@@ -267,7 +268,7 @@ class CodeFlow:
     def _fenced(self, remote_epoch: int) -> None:
         self.obs.counter(
             "rdx.epoch.fenced",
-            target=target_label(
+            target=self.obs.target_label(
                 self.sandbox.name, self.control_plane.shard
             ),
         ).inc()
@@ -316,7 +317,7 @@ class CodeFlow:
         with self.obs.span("rdx.link", parent=parent_span, target=self.sandbox.name):
             key = (
                 self._link_cache_key(binary)
-                if params.RDX_PIPELINED_DEPLOY
+                if self.config.pipelined_deploy
                 else None
             )
             self._last_link_key = key
@@ -422,10 +423,11 @@ class CodeFlow:
             "rdx.deploy", parent=parent_span,
             program=program.name, target=self.sandbox.name, hook=hook_name,
         )
-        # Trace context rides the sync layer for the deploy's duration:
-        # every WR chain, chunk land, commit CAS, and cc flush below
-        # is recorded under this span's trace id.
-        saved_trace, self.sync.trace_span = self.sync.trace_span, span
+        # Trace context rides the sync layer for the deploy's duration
+        # (obs on): every WR chain, chunk land, commit CAS, and cc
+        # flush below is recorded under this span's trace id.
+        saved_trace = self.sync.trace_span
+        self.sync.trace_span = span if self.config.obs else None
         try:
             yield from self._execute(
                 program, linked, hook_name, retain_history, report, fenced
@@ -457,7 +459,7 @@ class CodeFlow:
         image = linked.code
         key = self._last_link_key
         spans = reason = None
-        if params.RDX_PIPELINED_DEPLOY and params.RDX_DELTA_DEPLOY:
+        if self.config.pipelined_deploy and self.config.delta_deploy:
             if existing is None:
                 reason = "first-deploy"
             elif existing.baseline_addr is None or existing.baseline_image is None:
@@ -515,8 +517,8 @@ class CodeFlow:
         """Ship one plan: fence, dispatch, write, commit, flush, record.
 
         The only function that posts deploy writes and the commit CAS.
-        :data:`repro.params.RDX_PIPELINED_DEPLOY` picks the cost of four
-        steps, not a different sequence; the serial arm is the
+        ``config.pipelined_deploy`` picks the cost of four steps, not a
+        different sequence; the serial arm is the
         paper-calibrated one (fig 4a):
 
         * dispatch prepares and polls every WQE separately
@@ -537,7 +539,7 @@ class CodeFlow:
         go first and the hook line last: what was written must be
         coherent before the pointer that reaches it is.
         """
-        pipelined = params.RDX_PIPELINED_DEPLOY
+        pipelined = self.config.pipelined_deploy
         # Fence first: no byte may land on a target owned by a newer
         # control-plane epoch.  Fencing is advisory at op start either
         # way -- the window between fence and CAS exists at any grain
@@ -586,7 +588,7 @@ class CodeFlow:
             # just the spans written.
             txn = (
                 hb.txn_note(publishes=(plan.code_addr, len(image)))
-                if params.RDX_HB_CHECK
+                if self.config.hb_check
                 else None
             )
             body = {"txn": txn["txn"]} if txn else None
@@ -790,7 +792,7 @@ class CodeFlow:
         # can first observe the new pointer.
         self.obs.histogram(
             "rdx.deploy.install_visible_us",
-            target=target_label(
+            target=self.obs.target_label(
                 self.sandbox.name, self.control_plane.shard
             ),
             tenant=self.tenant,

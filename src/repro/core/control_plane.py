@@ -27,7 +27,7 @@ from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
 from repro.ebpf.verifier import MapGeometry, VerifierStats, verify
 from repro.net.topology import Host
-from repro.obs import drop_target_series, telemetry_of
+from repro.obs import telemetry_of
 from repro.obs.spans import Span
 from repro.rdma.mr import AccessFlags
 from repro.rdma.verbs import connect_qps, open_device
@@ -72,7 +72,7 @@ class RdxControlPlane:
         #: Shard name when this plane owns one partition of a larger
         #: group (see :mod:`repro.core.shard`); also the aggregation
         #: key metric sites collapse per-target labels to when
-        #: :data:`repro.params.RDX_OBS_TARGET_LABELS` is off.
+        #: ``config.obs_target_labels`` is off.
         self.shard = shard
         self.policy = policy or SecurityPolicy.permissive()
         self.trace = trace or TraceRecorder(enabled=False)
@@ -98,6 +98,7 @@ class RdxControlPlane:
         #: so ``inject`` and friends only see *persistent* failures.
         self.retry = retry or RetryPolicy()
         self.obs = telemetry_of(host.sim)
+        self.config = params.config_of(host.sim)
         self._verbs = open_device(host)
         self._pd = self._verbs.alloc_pd()
         self._cq = self._verbs.create_cq()
@@ -149,7 +150,7 @@ class RdxControlPlane:
         self.crashed = True
         self.trace.record(self.sim.now, "rdx.control.crash", epoch=self.epoch)
         self.obs.counter("rdx.control.crashes").inc()
-        if params.RDX_OBS:
+        if self.config.obs:
             # Black-box write-out: snapshot the flight recorder (recent
             # spans + metric deltas + still-open spans) into the durable
             # WAL, where the next incarnation -- or an operator running
@@ -451,7 +452,7 @@ class RdxControlPlane:
                 # validate+JIT+link never run, and the deploy rides the
                 # pipelined chain directly.
                 linked = None
-                if self.warm_pool is not None and params.RDX_PIPELINED_DEPLOY:
+                if self.warm_pool is not None and self.config.pipelined_deploy:
                     linked = yield from self.warm_pool.lookup(
                         codeflow, program, parent_span=span
                     )
@@ -502,7 +503,7 @@ class RdxControlPlane:
                     "bytes_moved": report.bytes_moved,
                 }
             self.journal.commit(txn, **detail)
-        if params.RDX_OBS:
+        if self.config.obs:
             # Checkpoint metric deltas into the flight ring at commit
             # boundaries, so a later crash snapshot carries the counter
             # movement of the last few lifecycle ops.
@@ -533,7 +534,8 @@ class RdxControlPlane:
         # long-lived plane churning through targets must not
         # accumulate dead per-target series (no-op when per-target
         # labels are aggregated away -- nothing was ever emitted).
-        drop_target_series(self.obs.registry, codeflow.sandbox.name)
+        if self.obs.per_target_labels:
+            self.obs.registry.drop(target=codeflow.sandbox.name)
         self.trace.record(
             self.sim.now, "rdx.codeflow.closed", target=codeflow.sandbox.name
         )

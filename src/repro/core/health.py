@@ -29,7 +29,7 @@ from typing import Generator, Optional
 
 from repro import params
 from repro.errors import ReproError
-from repro.obs import target_label, telemetry_of
+from repro.obs import telemetry_of
 from repro.core.codeflow import CodeFlow
 from repro.core.retry import RetryPolicy
 
@@ -80,7 +80,7 @@ class HealthDetector:
             )
         self.codeflows = {cf.sandbox.name: cf for cf in codeflows}
         #: target -> owning shard (metric aggregation key when
-        #: per-target labels are off; see repro.obs.cardinality).
+        #: per-target labels are off; see Telemetry.target_label).
         self._shards = {
             name: getattr(cf.control_plane, "shard", "")
             for name, cf in self.codeflows.items()
@@ -137,7 +137,7 @@ class HealthDetector:
         lease.probes += 1
         self.obs.counter(
             "rdx.health.probes",
-            target=target_label(target, self._shards[target]),
+            target=self.obs.target_label(target, self._shards[target]),
         ).inc()
         saved_retry, codeflow.sync.retry = (
             codeflow.sync.retry, self._probe_retry
@@ -168,17 +168,16 @@ class HealthDetector:
     def probe_all(self) -> Generator:
         """Heartbeat every target once, in parallel; returns the states.
 
-        With :data:`repro.params.RDX_HEALTH_BATCH_SWEEP` (default) the
-        round runs as one batched sweep per detector: every 8-byte
+        More than one target runs as one batched sweep: every 8-byte
         READ goes out back to back with a single accounting pass at
         the end, instead of N independent probe processes each paying
         a span, a retry-policy swap, and per-probe metric writes.
         Lease semantics, fault-hook consultation, and the scraper
-        piggyback are identical on both paths.
+        piggyback are identical to :meth:`probe`, which a lone target
+        gets.
         """
-        if params.RDX_HEALTH_BATCH_SWEEP and len(self.codeflows) > 1:
-            states = yield from self._sweep()
-            return states
+        if len(self.codeflows) > 1:
+            return (yield from self._sweep())
         probes = [
             self.sim.spawn(self.probe(name), name=f"hb:{name}")
             for name in sorted(self.codeflows)
@@ -204,16 +203,12 @@ class HealthDetector:
             for name in names
         ]
         yield self.sim.all_of(legs)
-        if params.RDX_OBS_TARGET_LABELS:
-            for name in names:
-                self.obs.counter("rdx.health.probes", target=name).inc()
-        else:
-            by_shard: dict[str, int] = {}
-            for name in names:
-                label = target_label(name, self._shards[name])
-                by_shard[label] = by_shard.get(label, 0) + 1
-            for label, count in by_shard.items():
-                self.obs.counter("rdx.health.probes", target=label).inc(count)
+        by_label: dict[str, int] = {}
+        for name in names:
+            label = self.obs.target_label(name, self._shards[name])
+            by_label[label] = by_label.get(label, 0) + 1
+        for label, count in by_label.items():
+            self.obs.counter("rdx.health.probes", target=label).inc(count)
         for name in names:
             lease = self.leases[name]
             lease.probes += 1
@@ -269,7 +264,7 @@ class HealthDetector:
         lease.consecutive_misses += 1
         self.obs.counter(
             "rdx.health.misses",
-            target=target_label(lease.target, self._shards[lease.target]),
+            target=self.obs.target_label(lease.target, self._shards[lease.target]),
         ).inc()
         if lease.consecutive_misses >= self.dead_after:
             self._transition(lease, TargetHealth.DEAD)
@@ -282,12 +277,12 @@ class HealthDetector:
         shard = self._shards[lease.target]
         self.obs.counter(
             "rdx.health.transitions",
-            target=target_label(lease.target, shard),
+            target=self.obs.target_label(lease.target, shard),
             to=health.value,
         ).inc()
         lease.health = health
         lease.transitions += 1
-        if params.RDX_OBS_TARGET_LABELS:
+        if self.obs.per_target_labels:
             self.obs.gauge("rdx.health.state", target=lease.target).set(
                 {"alive": 0, "suspect": 1, "dead": 2}[health.value]
             )
@@ -298,7 +293,7 @@ class HealthDetector:
             self._refresh_state_counts(shard)
 
     def _refresh_state_counts(self, shard: str) -> None:
-        label = target_label("", shard)
+        label = self.obs.target_label("", shard)
         counts = {state: 0 for state in TargetHealth}
         for name, lease in self.leases.items():
             if self._shards[name] == shard:

@@ -77,18 +77,20 @@ class RemoteSync:
         self.hb_epoch: Optional[int] = None
         obs = telemetry_of(sim)
         self._obs = obs
+        #: The switch this layer branches on per WR, read once.
+        self._hb = params.config_of(sim).hb_check
         #: Pipelined-path instrumentation (resolved once; hot path).
         self._m_chain_wrs = obs.histogram("rdx.deploy.wrs_per_doorbell")
         self._m_inflight = obs.histogram("rdx.deploy.inflight_depth")
         #: Trace context: while a deploy span is parked here (by
-        #: :meth:`repro.core.codeflow.CodeFlow.deploy_prog`), every
+        #: :meth:`repro.core.codeflow.CodeFlow.deploy_prog`, obs on), every
         #: chain/land/CAS/flush below emits a causal trace event under
         #: that span's trace id.
         self.trace_span = None
 
     def _trace_event(self, category: str, **data) -> None:
         span = self.trace_span
-        if span is None or not params.RDX_OBS:
+        if span is None:
             return
         self._obs.recorder.record(
             self.sim.now, category,
@@ -105,7 +107,7 @@ class RemoteSync:
         lock / doorbell) and tags the current epoch, then merges any
         caller-supplied annotation (deploy transaction ids).
         """
-        if not params.RDX_HB_CHECK:
+        if not self._hb:
             return None
         out: dict = {}
         if self.hb_epoch is not None:
@@ -230,7 +232,7 @@ class RemoteSync:
         if not pending:
             return None
         completion = None
-        depth = max(1, params.RDX_SQ_DEPTH)
+        depth = params.RDX_SQ_DEPTH
         inject = None
         for attempt in range(1, self.retry.max_attempts + 1):
             staged = []
@@ -359,7 +361,7 @@ class RemoteSync:
         and the transaction *aborts* (returns the observed value
         without swapping) on mismatch.
         """
-        if params.RDX_HB_CHECK and note is None and obj_bytes:
+        if self._hb and note is None and obj_bytes:
             note = hb.txn_note(publishes=(obj_addr, len(obj_bytes)))
         body_note = None
         if note:
@@ -399,7 +401,7 @@ class RemoteSync:
             yield params.RDX_CC_EVENT_US
             return
         doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
-        if params.RDX_HB_CHECK:
+        if self._hb:
             hb.emit(
                 self.sim, "hb.flush.post",
                 qp=self.qp.qpn, node=self.qp.rnic.host.name,
@@ -413,7 +415,7 @@ class RemoteSync:
         self.sandbox.host.cache.flush(mem_addr, length)
         self.cc_count += 1
         self._trace_event("rdx.trace.flush", addr=mem_addr, length=length)
-        if params.RDX_HB_CHECK:
+        if self._hb:
             # ``waited=True``: this generator blocks until the flush
             # effect, so anything the caller posts on this QP afterwards
             # is causally behind it -- unlike the fire-and-forget flush
@@ -456,7 +458,7 @@ class RemoteSync:
                 self.lock_acquires += 1
                 if attempt > 1:
                     obs.counter("rdx.lock.contended_acquires").inc()
-                if params.RDX_HB_CHECK:
+                if self._hb:
                     self._emit_lock("acquire", owner_token)
                 # Make the acquisition visible to the local CPU quickly.
                 yield from self.cc_event(lock_addr, 8)
@@ -474,7 +476,7 @@ class RemoteSync:
                 f"unlock of {self.sandbox.name}: lock held by {prior}, "
                 f"not {owner_token}"
             )
-        if params.RDX_HB_CHECK:
+        if self._hb:
             self._emit_lock("release", owner_token)
         yield from self.cc_event(lock_addr, 8)
 

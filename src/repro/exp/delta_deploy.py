@@ -1,7 +1,7 @@
 """Delta-deploy ablation: dirty chunks vs the full-image fast path.
 
 The production redeploy shape is a one-instruction edit to a live
-extension.  The delta path (:data:`repro.params.RDX_DELTA_DEPLOY`)
+extension.  The delta path (``config.delta_deploy``)
 diffs the newly linked image against the target's resident baseline at
 MTU-chunk granularity and ships only the dirty spans plus the metadata
 descriptor, committing with the same CAS as the full path.  The
@@ -19,7 +19,7 @@ dirty chunk, trimmed to a single cache line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro import params
@@ -81,9 +81,8 @@ def run_delta_deploy(
 ) -> DeltaDeployResult:
     """Run the hotpatch chain for the chosen arms.
 
-    Each arm gets a fresh testbed (clean caches, clean telemetry); the
-    module-global :data:`repro.params.RDX_DELTA_DEPLOY` flag is flipped
-    per arm and restored afterwards.
+    Each arm gets a fresh testbed (clean caches, clean telemetry)
+    built on that arm's ``config.delta_deploy``.
     """
     result = DeltaDeployResult(insn_size=insn_size)
     for mode in modes:
@@ -95,54 +94,46 @@ def run_delta_deploy(
 
 
 def _run_mode(delta: bool, insn_size: int) -> ModeResult:
-    previous = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = delta
-    try:
-        mode = ModeResult(delta=delta)
-        bed = make_testbed(n_hosts=1, with_agents=False)
-        v1 = make_stress_program(insn_size, seed=7, name="hotpatch")
-        v2 = make_stress_variant(v1, 1)
-        v3 = make_stress_variant(v1, 2)
+    mode = ModeResult(delta=delta)
+    bed = make_testbed(
+        n_hosts=1, with_agents=False,
+        config=replace(params.DEFAULT, delta_deploy=delta),
+    )
+    v1 = make_stress_program(insn_size, seed=7, name="hotpatch")
+    v2 = make_stress_variant(v1, 1)
+    v3 = make_stress_variant(v1, 2)
 
-        cold = bed.sim.run_process(
-            bed.control.inject(
-                bed.codeflow, v1, "ingress", retain_history=False
-            )
-        )
-        bed.sim.run_process(
-            bed.control.inject(
-                bed.codeflow, v2, "ingress", retain_history=False
-            )
-        )
-        # v3 is the measured hotpatch: by now the v1 extent is the
-        # registered baseline, and v3 differs from v1 by one
-        # instruction (plus the trailing image CRC).
-        patch = bed.sim.run_process(
-            bed.control.inject(
-                bed.codeflow, v3, "ingress", retain_history=False
-            )
-        )
-        mode.deploy_cold_us = cold.total_us
-        mode.hotpatch_us = patch.total_us
-        mode.hotpatch_bytes = patch.bytes_moved
-        mode.hotpatch_chunks = patch.delta_chunks
-        mode.mode_used = patch.mode
-        mode.base_version = patch.delta_base_version
+    cold = bed.sim.run_process(
+        bed.control.inject(bed.codeflow, v1, "ingress", retain_history=False)
+    )
+    bed.sim.run_process(
+        bed.control.inject(bed.codeflow, v2, "ingress", retain_history=False)
+    )
+    # v3 is the measured hotpatch: by now the v1 extent is the
+    # registered baseline, and v3 differs from v1 by one
+    # instruction (plus the trailing image CRC).
+    patch = bed.sim.run_process(
+        bed.control.inject(bed.codeflow, v3, "ingress", retain_history=False)
+    )
+    mode.deploy_cold_us = cold.total_us
+    mode.hotpatch_us = patch.total_us
+    mode.hotpatch_bytes = patch.bytes_moved
+    mode.hotpatch_chunks = patch.delta_chunks
+    mode.mode_used = patch.mode
+    mode.base_version = patch.delta_base_version
 
-        # The data path must decode v3 exactly -- a torn delta would
-        # crash or return v2/v1 semantics here.
-        result, _ = bed.sandbox.run_hook("ingress", bytes(range(256)))
-        mode.exec_r0 = result.r0
+    # The data path must decode v3 exactly -- a torn delta would
+    # crash or return v2/v1 semantics here.
+    result, _ = bed.sandbox.run_hook("ingress", bytes(range(256)))
+    mode.exec_r0 = result.r0
 
-        deltas = bed.obs.registry.get("rdx.deploy.delta")
-        mode.delta_deploys = int(deltas.value) if deltas is not None else 0
-        mode.delta_fallbacks = int(
-            sum(
-                metric.value
-                for metric in bed.obs.registry.series("rdx.delta.fallback")
-            )
+    deltas = bed.obs.registry.get("rdx.deploy.delta")
+    mode.delta_deploys = int(deltas.value) if deltas is not None else 0
+    mode.delta_fallbacks = int(
+        sum(
+            metric.value
+            for metric in bed.obs.registry.series("rdx.delta.fallback")
         )
-        mode.sim_time_us = bed.sim.now
-        return mode
-    finally:
-        params.RDX_DELTA_DEPLOY = previous
+    )
+    mode.sim_time_us = bed.sim.now
+    return mode

@@ -1,8 +1,8 @@
 """Deploy fast-path ablation: pipelined WR chains vs serial ops.
 
-The pipelined path (default, :data:`repro.params.RDX_PIPELINED_DEPLOY`)
-posts the deploy's image + metadata as one chained WR list behind a
-single doorbell with selective signaling, commits with a bare CAS
+The pipelined path (default, ``config.pipelined_deploy``) posts the
+deploy's image + metadata as one chained WR list behind a single
+doorbell with selective signaling, commits with a bare CAS
 ordered by the chain completion, serves links out of the layout-
 fingerprinted image cache, and overlaps broadcast bubble-lowering
 flushes.  The serial ablation is the pre-optimization path: one WR,
@@ -18,7 +18,7 @@ Two headline numbers back the claim that the fast path matters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro import params
@@ -76,9 +76,8 @@ def run_deploy_pipeline(
 ) -> DeployPipelineResult:
     """Measure deploy latency + broadcast window for the chosen modes.
 
-    Each mode gets fresh testbeds (clean caches, clean telemetry); the
-    module-global :data:`repro.params.RDX_PIPELINED_DEPLOY` flag is
-    flipped per arm and restored afterwards.
+    Each mode gets fresh testbeds (clean caches, clean telemetry)
+    built on that arm's ``config.pipelined_deploy``.
     """
     result = DeployPipelineResult(insn_size=insn_size, n_targets=n_targets)
     for mode in modes:
@@ -87,48 +86,38 @@ def run_deploy_pipeline(
 
 
 def _run_mode(pipelined: bool, n_targets: int, insn_size: int) -> ModeResult:
-    previous = params.RDX_PIPELINED_DEPLOY
-    params.RDX_PIPELINED_DEPLOY = pipelined
-    try:
-        mode = ModeResult(pipelined=pipelined)
+    config = replace(params.DEFAULT, pipelined_deploy=pipelined)
+    mode = ModeResult(pipelined=pipelined)
 
-        # -- single-target deploy: cold (compile + link) then warm ----
-        single = make_testbed(n_hosts=1, with_agents=False)
-        program = make_stress_program(insn_size, seed=7, name="pipeline")
-        cold = single.sim.run_process(
-            single.control.inject(
-                single.codeflow, program, "ingress", retain_history=False
-            )
-        )
-        warm = single.sim.run_process(
-            single.control.inject(
-                single.codeflow, program, "ingress", retain_history=False
-            )
-        )
-        mode.deploy_cold_us = cold.total_us
-        mode.deploy_warm_us = warm.total_us
+    # -- single-target deploy: cold (compile + link) then warm ----
+    single = make_testbed(n_hosts=1, with_agents=False, config=config)
+    program = make_stress_program(insn_size, seed=7, name="pipeline")
+    cold = single.sim.run_process(
+        single.control.inject(single.codeflow, program, "ingress", retain_history=False)
+    )
+    warm = single.sim.run_process(
+        single.control.inject(single.codeflow, program, "ingress", retain_history=False)
+    )
+    mode.deploy_cold_us = cold.total_us
+    mode.deploy_warm_us = warm.total_us
 
-        # -- fleet broadcast: v1 warms every cache, v2 is measured ----
-        bed = make_testbed(n_hosts=n_targets, with_agents=False)
-        v1 = make_stress_program(insn_size, seed=11, name="fleet")
-        v2 = make_stress_program(insn_size, seed=12, name="fleet")
-        group = CodeFlowGroup(bed.codeflows)
-        bed.sim.run_process(
-            group.broadcast([v1] * n_targets, "ingress", verify=False)
-        )
-        outcome = bed.sim.run_process(
-            group.broadcast([v2] * n_targets, "ingress", verify=False)
-        )
-        mode.bubble_window_us = outcome.bubble_window_us
-        mode.broadcast_total_us = outcome.total_us
-        mode.compiles_run = bed.control.compiles_run
-        mode.prepare_coalesced = bed.control.prepare_coalesced
-        mode.link_cache_hits = bed.control.link_cache_hits
-        mode.link_cache_misses = bed.control.link_cache_misses
-        chain = bed.obs.registry.get("rdx.deploy.wrs_per_doorbell")
-        if chain is not None and chain.count:
-            mode.wrs_per_doorbell_p50 = chain.percentile(50)
-        mode.sim_time_us = bed.sim.now
-        return mode
-    finally:
-        params.RDX_PIPELINED_DEPLOY = previous
+    # -- fleet broadcast: v1 warms every cache, v2 is measured ----
+    bed = make_testbed(n_hosts=n_targets, with_agents=False, config=config)
+    v1 = make_stress_program(insn_size, seed=11, name="fleet")
+    v2 = make_stress_program(insn_size, seed=12, name="fleet")
+    group = CodeFlowGroup(bed.codeflows)
+    bed.sim.run_process(group.broadcast([v1] * n_targets, "ingress", verify=False))
+    outcome = bed.sim.run_process(
+        group.broadcast([v2] * n_targets, "ingress", verify=False)
+    )
+    mode.bubble_window_us = outcome.bubble_window_us
+    mode.broadcast_total_us = outcome.total_us
+    mode.compiles_run = bed.control.compiles_run
+    mode.prepare_coalesced = bed.control.prepare_coalesced
+    mode.link_cache_hits = bed.control.link_cache_hits
+    mode.link_cache_misses = bed.control.link_cache_misses
+    chain = bed.obs.registry.get("rdx.deploy.wrs_per_doorbell")
+    if chain is not None and chain.count:
+        mode.wrs_per_doorbell_p50 = chain.percentile(50)
+    mode.sim_time_us = bed.sim.now
+    return mode

@@ -106,9 +106,9 @@ def run_fault_campaign(
 
     ``hotpatch=True`` makes every round a one-instruction variant of
     the same base program per target -- the layout fingerprint then
-    holds across rounds, so with :data:`repro.params.RDX_DELTA_DEPLOY`
-    set, steady-state rounds ship as deltas and the whole fault
-    schedule lands on the delta path (fresh targets, just-rebooted
+    holds across rounds, so on a ``delta_deploy`` testbed
+    steady-state rounds ship as deltas and the whole fault schedule
+    lands on the delta path (fresh targets, just-rebooted
     targets, and post-rollback rounds still fall back to full).
     """
     rng = random.Random(seed)

@@ -13,6 +13,7 @@ from repro.core.control_plane import RdxControlPlane
 from repro.core.api import bootstrap_sandbox
 from repro.net.topology import Cluster, Host
 from repro.obs import Telemetry, telemetry_of
+from repro.params import Config, configure
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.core import Simulator
 from repro.sim.trace import TraceRecorder
@@ -65,15 +66,21 @@ def make_testbed(
     with_codeflows: bool = True,
     seed: int = 0,
     sim: Optional[Simulator] = None,
+    config: Optional[Config] = None,
 ) -> Testbed:
     """Build the standard single-rack testbed.
 
+    ``config`` is the arm this simulation runs (default: the process
+    default, :data:`repro.params.DEFAULT`); an A/B is two testbeds,
+    ``make_testbed(config=replace(DEFAULT, delta_deploy=True))``.
     ``sim`` lets a caller pre-configure the simulator before any
     component touches it -- the fuzz engine uses this to install its
     decision tape and bounded trace recorder ahead of construction.
     """
     if sim is None:
         sim = Simulator()
+    if config is not None:
+        configure(sim, config)
     trace = TraceRecorder()
     cluster = Cluster(
         sim, n_hosts=n_hosts, cores_per_host=cores_per_host,

@@ -42,7 +42,7 @@ Run directly for the CI gate::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro import params
@@ -108,6 +108,15 @@ def sibling_sync(bed: Testbed, sandbox: Sandbox) -> RemoteSync:
     return RemoteSync(bed.sim, local_qp, sandbox.ctx_manifest.rkey, sandbox)
 
 
+def _bed(seed: int, n_hosts: int = 1, **arm) -> Testbed:
+    """A schedule's testbed: the default arm (plus ``arm``) with hb
+    checking on."""
+    return make_testbed(
+        n_hosts=n_hosts, cores_per_host=4, seed=seed,
+        config=replace(params.DEFAULT, hb_check=True, **arm),
+    )
+
+
 def _finish(bed: Testbed, result: ScheduleResult) -> ScheduleResult:
     report = checker.consume(bed.sim)
     result.events = report.events
@@ -117,7 +126,7 @@ def _finish(bed: Testbed, result: ScheduleResult) -> ScheduleResult:
 
 
 def _schedule_clean_deploy(seed: int) -> ScheduleResult:
-    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
 
@@ -136,7 +145,7 @@ def _schedule_clean_deploy(seed: int) -> ScheduleResult:
 
 
 def _schedule_reordered_commit(seed: int) -> ScheduleResult:
-    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     body_sync = bed.codeflow.sync
@@ -163,7 +172,7 @@ def _schedule_reordered_commit(seed: int) -> ScheduleResult:
 def _schedule_fenceless_stale_writer(seed: int) -> ScheduleResult:
     from repro.core.control_plane import RdxControlPlane
 
-    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     stale_sync = bed.codeflow.sync  # epoch 1, about to be superseded
@@ -190,7 +199,7 @@ def _schedule_fenceless_stale_writer(seed: int) -> ScheduleResult:
 
 
 def _schedule_torn_install(seed: int) -> ScheduleResult:
-    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     program = make_stress_program(400, seed=seed + 5, name="hbtorn")
@@ -212,7 +221,7 @@ def _schedule_torn_install(seed: int) -> ScheduleResult:
 
 
 def _schedule_bubble_race(seed: int) -> ScheduleResult:
-    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     raiser = bed.codeflow.sync
@@ -233,46 +242,36 @@ def _schedule_delta_chunk_reordered(seed: int) -> ScheduleResult:
     primary: the CAS's completion says nothing about the sibling QP's
     chunk, so the published extent can go live half-patched.
     """
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
-        sim = bed.sim
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 3, name="hbdelta")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["hbdelta"]
-        assert record.baseline_addr is not None
-        hook_addr = sandbox.hook_table.slot_addr("ingress")
+    bed = _bed(seed, delta_deploy=True)
+    sim = bed.sim
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 3, name="hbdelta")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["hbdelta"]
+    assert record.baseline_addr is not None
+    hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-        note = hb_events.txn_note(
-            publishes=(record.baseline_addr, record.code_len)
-        )
-        chunk_sync = sibling_sync(bed, sandbox)
-        sim.spawn(
-            chunk_sync.write(
-                record.baseline_addr + 256, b"\xd7" * 64,
-                note={"txn": note["txn"]},
-            ),
-            name="hb-delta-chunk",
-        )
-        sim.spawn(
-            bed.codeflow.sync.cas(
-                hook_addr, record.code_addr, record.baseline_addr, note=note
-            ),
-            name="hb-delta-commit",
-        )
-        sim.run(until=sim.now + 10_000)
-        return _finish(
-            bed,
-            ScheduleResult(
-                "delta-chunk-reordered", expect="commit-before-body"
-            ),
-        )
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+    note = hb_events.txn_note(publishes=(record.baseline_addr, record.code_len))
+    chunk_sync = sibling_sync(bed, sandbox)
+    sim.spawn(
+        chunk_sync.write(
+            record.baseline_addr + 256, b"\xd7" * 64,
+            note={"txn": note["txn"]},
+        ),
+        name="hb-delta-chunk",
+    )
+    sim.spawn(
+        bed.codeflow.sync.cas(
+            hook_addr, record.code_addr, record.baseline_addr, note=note
+        ),
+        name="hb-delta-commit",
+    )
+    sim.run(until=sim.now + 10_000)
+    return _finish(
+        bed, ScheduleResult("delta-chunk-reordered", expect="commit-before-body")
+    )
 
 
 def _schedule_delta_stale_baseline(seed: int) -> ScheduleResult:
@@ -284,45 +283,38 @@ def _schedule_delta_stale_baseline(seed: int) -> ScheduleResult:
     knows as the dormant baseline.  Its precomputed dirty span then
     lands in code the data path is executing.
     """
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
+    bed = _bed(seed, delta_deploy=True)
+    sim = bed.sim
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 9, name="hbstale")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["hbstale"]
+    stale_base = record.baseline_addr
+    assert stale_base is not None
+
+    sandbox.warm_reboot()
+    bed.codeflow.reset_after_reboot()
+    fresh = make_stress_program(400, seed=seed + 23, name="hbfresh")
+    sim.run_process(bed.control.inject(bed.codeflow, fresh, "ingress"))
+    # Address reuse is the point: the reset allocator put the
+    # fresh live image where the stale baseline used to be.
+    assert bed.codeflow.deployed["hbfresh"].code_addr == stale_base
+
+    writer = sibling_sync(bed, sandbox)
+    sim.spawn(
+        writer.write(stale_base + 256, b"\xd7" * 64),
+        name="hb-stale-delta",
+    )
+    sim.run(until=sim.now + 2.5)  # mid-landing
     try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
-        sim = bed.sim
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 9, name="hbstale")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["hbstale"]
-        stale_base = record.baseline_addr
-        assert stale_base is not None
-
-        sandbox.warm_reboot()
-        bed.codeflow.reset_after_reboot()
-        fresh = make_stress_program(400, seed=seed + 23, name="hbfresh")
-        sim.run_process(bed.control.inject(bed.codeflow, fresh, "ingress"))
-        # Address reuse is the point: the reset allocator put the
-        # fresh live image where the stale baseline used to be.
-        assert bed.codeflow.deployed["hbfresh"].code_addr == stale_base
-
-        writer = sibling_sync(bed, sandbox)
-        sim.spawn(
-            writer.write(stale_base + 256, b"\xd7" * 64),
-            name="hb-stale-delta",
-        )
-        sim.run(until=sim.now + 2.5)  # mid-landing
-        try:
-            sandbox.run_hook("ingress", bytes(256))
-        except SandboxCrash:
-            pass  # decoding the half-patched image may crash -- the bug
-        sandbox.crashed = False
-        sim.run(until=sim.now + 10_000)
-        return _finish(
-            bed, ScheduleResult("delta-stale-baseline", expect="torn-exec")
-        )
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+        sandbox.run_hook("ingress", bytes(256))
+    except SandboxCrash:
+        pass  # decoding the half-patched image may crash -- the bug
+    sandbox.crashed = False
+    sim.run(until=sim.now + 10_000)
+    return _finish(bed, ScheduleResult("delta-stale-baseline", expect="torn-exec"))
 
 
 def relay_sync(bed: Testbed, parent: Sandbox, child: Sandbox) -> RemoteSync:
@@ -355,7 +347,7 @@ def _schedule_relay_commit_before_body(seed: int) -> ScheduleResult:
     after the relayed chunks -- the hook can flip onto a half-landed
     image, and the detector must say so.
     """
-    bed = make_testbed(n_hosts=2, cores_per_host=4, seed=seed)
+    bed = _bed(seed, n_hosts=2)
     sim = bed.sim
     parent, child = bed.sandboxes
     body_sync = relay_sync(bed, parent, child)
@@ -394,16 +386,10 @@ _SCHEDULES = (
 
 
 def run_hb_schedules(seed: int = 0) -> HbSchedulesResult:
-    """Run every schedule with checking forced on; restore the flag."""
-    result = HbSchedulesResult(seed=seed)
-    saved = params.RDX_HB_CHECK
-    params.RDX_HB_CHECK = True
-    try:
-        for schedule in _SCHEDULES:
-            result.schedules.append(schedule(seed))
-    finally:
-        params.RDX_HB_CHECK = saved
-    return result
+    """Run every schedule (each builds its own hb-checked testbed)."""
+    return HbSchedulesResult(
+        seed=seed, schedules=[schedule(seed) for schedule in _SCHEDULES]
+    )
 
 
 def format_report(result: HbSchedulesResult) -> str:

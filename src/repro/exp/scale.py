@@ -15,14 +15,14 @@ bench (``benchmarks/bench_scale.py``) sweeps:
 * :func:`kernel_throughput` -- a pure sim-kernel stress (no RDX stack)
   measuring dispatched events per wall-clock second.
 
-Everything restores the param flags it flips, so probes compose with
-each other and with the surrounding test process.
+Each probe builds its own simulator on its own arm, so probes compose
+with each other and with the surrounding test process.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro import params
@@ -31,6 +31,7 @@ from repro.core.broadcast import CodeFlowGroup
 from repro.core.control_plane import RdxControlPlane
 from repro.core.shard import ShardedGroup, partition
 from repro.ebpf.stress import make_stress_program
+from repro.exp.harness import make_testbed
 from repro.net.topology import Cluster, Host
 from repro.obs import Telemetry, telemetry_of
 from repro.sandbox.sandbox import Sandbox
@@ -137,40 +138,23 @@ def broadcast_window(
     adds the same linear term to every arm and the window is the
     quantity under test.
     """
-    saved = (
-        params.RDX_TREE_BROADCAST,
-        params.RDX_TREE_DEGREE,
-        params.RDX_BROADCAST_SHARDS,
+    arm = replace(params.DEFAULT, tree_broadcast=tree)
+    sim = Simulator()
+    params.configure(
+        sim, arm if degree is None else replace(arm, tree_degree=degree)
     )
-    params.RDX_TREE_BROADCAST = tree
-    if degree is not None:
-        params.RDX_TREE_DEGREE = degree
-    params.RDX_BROADCAST_SHARDS = shards
-    try:
-        programs = _programs(n_targets, seed)
-        if shards > 1:
-            bed = sharded_testbed(n_targets, shards, seed=seed)
-            result = bed.sim.run_process(
-                bed.sharded.broadcast(programs, "ingress", verify=False)
-            )
-        else:
-            from repro.exp.harness import make_testbed
-
-            bed = make_testbed(
-                n_hosts=n_targets, cores_per_host=4, hooks=("ingress",),
-                with_agents=False, seed=seed,
-            )
-            group = CodeFlowGroup(bed.codeflows)
-            result = bed.sim.run_process(
-                group.broadcast(programs, "ingress", verify=False)
-            )
-        return result.bubble_window_us
-    finally:
-        (
-            params.RDX_TREE_BROADCAST,
-            params.RDX_TREE_DEGREE,
-            params.RDX_BROADCAST_SHARDS,
-        ) = saved
+    programs = _programs(n_targets, seed)
+    if shards > 1:
+        bed = sharded_testbed(n_targets, shards, seed=seed, sim=sim)
+        group = bed.sharded
+    else:
+        bed = make_testbed(
+            n_hosts=n_targets, cores_per_host=4, hooks=("ingress",),
+            with_agents=False, seed=seed, sim=sim,
+        )
+        group = CodeFlowGroup(bed.codeflows)
+    result = sim.run_process(group.broadcast(programs, "ingress", verify=False))
+    return result.bubble_window_us
 
 
 def _kernel_node(sim: Simulator, cpu: CPU, iters: int, seed: int):

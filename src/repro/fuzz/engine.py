@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro import params
@@ -82,21 +82,19 @@ def run_plan(
 ) -> RunResult:
     """Execute one scenario under one tape, fully isolated.
 
-    Flips ``RDX_HB_CHECK``/``RDX_FUZZ`` on for the run, pins the id
-    counters, binds a fresh bounded recorder, drives the scenario, and
-    unconditionally tears everything down (recorder cleared, hb
-    registry dropped, flags restored) so a million-iteration loop
-    holds one trace in memory at a time.
+    Builds a fresh simulator on the scenario's arm with hb checking
+    on, pins the id counters, binds the tape and a fresh bounded
+    recorder, drives the scenario, and unconditionally tears
+    everything down (recorder cleared, hb registry dropped) so a
+    million-iteration loop holds one trace in memory at a time.
     """
-    saved_check, saved_fuzz = params.RDX_HB_CHECK, params.RDX_FUZZ
-    params.RDX_HB_CHECK = True
-    params.RDX_FUZZ = True
     plan.reset()
     sim: Optional[Simulator] = None
     recorder = None
     try:
         with deterministic_ids():
             sim = Simulator()
+            params.configure(sim, replace(scenario.config, hb_check=True))
             recorder = hooks.bind(sim, plan, max_events=max_events)
             drive_error: Optional[BaseException] = None
             try:
@@ -147,11 +145,8 @@ def run_plan(
     finally:
         if sim is not None:
             hb_events.forget(sim)
-            hooks.uninstall(sim)
         if recorder is not None:
             recorder.clear()
-        params.RDX_HB_CHECK = saved_check
-        params.RDX_FUZZ = saved_fuzz
 
 
 def _digest(recorder) -> str:

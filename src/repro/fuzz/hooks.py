@@ -1,9 +1,10 @@
 """Perturbation hooks: how a plan reaches into the simulation.
 
-The RNIC, fabric, and fault layers call :func:`perturb_us` /
-:func:`plan_of` at their stochastic choice points.  Both are gated on
-:data:`repro.params.RDX_FUZZ` *at the call site* so a normal run pays
-one module-global read per WR and nothing else.
+"Fuzz is on" *is* "a plan is installed on this simulator": the RNIC
+and the fabric ask :func:`plan_of` once, at construction, and consult
+the plan they got at their stochastic choice points (WR service,
+completion delivery, message delay), so a normal run pays one
+attribute read per WR and nothing else.
 
 The plan rides on the :class:`~repro.sim.core.Simulator` instance
 itself (like the telemetry hub), so two concurrently constructed
@@ -25,31 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _SIM_ATTR = "_rdx_fuzz_plan"
 
 
-def install(sim: "Simulator", plan: "SchedulePlan") -> None:
-    """Attach ``plan`` as ``sim``'s decision tape."""
-    setattr(sim, _SIM_ATTR, plan)
-
-
-def uninstall(sim: "Simulator") -> None:
-    if hasattr(sim, _SIM_ATTR):
-        delattr(sim, _SIM_ATTR)
-
-
 def plan_of(sim: "Simulator") -> "Optional[SchedulePlan]":
     return getattr(sim, _SIM_ATTR, None)
-
-
-def perturb_us(sim: "Simulator", site: str, base_us: float) -> float:
-    """Extra delay the installed plan injects at ``site`` (0 if none).
-
-    Callers already checked :data:`repro.params.RDX_FUZZ`; a sim with
-    no plan installed (e.g. a second testbed built while the flag is
-    on) is simply unperturbed.
-    """
-    plan = getattr(sim, _SIM_ATTR, None)
-    if plan is None:
-        return 0.0
-    return plan.delay_us(site, base_us)
 
 
 def bind(
@@ -72,5 +50,5 @@ def bind(
         )
     recorder = TraceRecorder(max_events=max_events)
     setattr(sim, _TELEMETRY_ATTR, Telemetry(sim, recorder=recorder))
-    install(sim, plan)
+    setattr(sim, _SIM_ATTR, plan)
     return recorder

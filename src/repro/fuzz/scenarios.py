@@ -18,22 +18,23 @@ Two families:
   must reproduce.
 
 A scenario's ``drive(sim, seed, plan)`` builds its testbed on the
-engine-provided simulator (plan + bounded recorder already bound),
-runs the workload swallowing *modeled* failures (``SandboxCrash``
-from tape-chosen corruption, ``BroadcastAborted``), and returns.  The
-engine owns flag flipping, checking, and teardown.
+engine-provided simulator (the scenario's ``config``, the plan and a
+bounded recorder already bound), runs the workload swallowing
+*modeled* failures (``SandboxCrash`` from tape-chosen corruption,
+``BroadcastAborted``), and returns.  The engine owns checking and
+teardown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro import params
 from repro.core.faults import FaultInjector
 from repro.errors import ReproError, SandboxCrash
 from repro.exp.harness import make_testbed
 from repro.hb import events as hb_events
+from repro.params import DEFAULT, Config
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fuzz.plan import SchedulePlan
@@ -55,6 +56,8 @@ class Scenario:
     expect: Optional[str] = None
     #: The ``exp/hb_schedules.py`` class a known-bad scenario maps to.
     schedule_class: str = ""
+    #: The arm the engine builds the simulator on (plus hb checking).
+    config: Config = DEFAULT
 
     @property
     def known_bad(self) -> bool:
@@ -114,43 +117,34 @@ def _drive_single_deploy(sim, seed: int, plan: "SchedulePlan") -> None:
 def _drive_delta_hotpatch(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.ebpf.stress import make_stress_program, make_stress_variant
 
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
-        sandbox = bed.sandboxes[0]
-        injector = FaultInjector(bed.codeflow, seed=seed)
-        injector.attach()
-        v1 = make_stress_program(400, seed=seed + 3, name="fzdelta")
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
+    sandbox = bed.sandboxes[0]
+    injector = FaultInjector(bed.codeflow, seed=seed)
+    injector.attach()
+    v1 = make_stress_program(400, seed=seed + 3, name="fzdelta")
 
-        def drive():
-            yield from bed.control.inject(bed.codeflow, v1, "ingress")
-            for patch in range(2):
-                injector.disarm()
-                injector.arm_from_plan(plan, f"fault.kind:patch{patch}")
-                try:
-                    yield from bed.control.inject(
-                        bed.codeflow,
-                        make_stress_variant(v1, patch + 1),
-                        "ingress",
-                    )
-                except ReproError:
-                    continue
-                try:
-                    sandbox.run_hook("ingress", bytes(256))
-                except SandboxCrash:
-                    sandbox.crashed = False
-                yield sim.timeout(
-                    2.0 + plan.delay_us(f"scn.patch-gap:{patch}", 5.0)
+    def drive():
+        yield from bed.control.inject(bed.codeflow, v1, "ingress")
+        for patch in range(2):
+            injector.disarm()
+            injector.arm_from_plan(plan, f"fault.kind:patch{patch}")
+            try:
+                yield from bed.control.inject(
+                    bed.codeflow, make_stress_variant(v1, patch + 1), "ingress"
                 )
+            except ReproError:
+                continue
+            try:
+                sandbox.run_hook("ingress", bytes(256))
+            except SandboxCrash:
+                sandbox.crashed = False
+            yield sim.timeout(2.0 + plan.delay_us(f"scn.patch-gap:{patch}", 5.0))
 
-        try:
-            sim.run_process(drive())
-            sim.run(until=sim.now + _SETTLE_US)
-        finally:
-            injector.detach()
+    try:
+        sim.run_process(drive())
+        sim.run(until=sim.now + _SETTLE_US)
     finally:
-        params.RDX_DELTA_DEPLOY = saved
+        injector.detach()
 
 
 def _drive_broadcast_8(sim, seed: int, plan: "SchedulePlan") -> None:
@@ -192,40 +186,31 @@ def _drive_broadcast_64_tree(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.ebpf.stress import make_stress_program
     from repro.errors import BroadcastAborted
 
-    saved = (params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE)
-    params.RDX_TREE_BROADCAST = True
-    params.RDX_TREE_DEGREE = 4
+    # Lean rack: one core per host and no node agents, so 25 fuzz
+    # iterations of a 64-target round stay within the CI budget.
+    bed = make_testbed(
+        n_hosts=64, cores_per_host=1, with_agents=False, seed=seed, sim=sim,
+    )
+    group = CodeFlowGroup(bed.codeflows)
+    injector = FaultInjector(bed.codeflows[-1], seed=seed)
+    injector.attach()
+    injector.arm_from_plan(plan, "fault.kind:broadcast64")
+    rollout = make_stress_program(300, seed=seed + 13, name="fztree")
     try:
-        # Lean rack: one core per host and no node agents, so 25 fuzz
-        # iterations of a 64-target round stay within the CI budget.
-        bed = make_testbed(
-            n_hosts=64, cores_per_host=1, with_agents=False, seed=seed,
-            sim=sim,
-        )
-        group = CodeFlowGroup(bed.codeflows)
-        injector = FaultInjector(bed.codeflows[-1], seed=seed)
-        injector.attach()
-        injector.arm_from_plan(plan, "fault.kind:broadcast64")
-        rollout = make_stress_program(300, seed=seed + 13, name="fztree")
         try:
+            sim.run_process(
+                group.broadcast([rollout] * len(bed.codeflows), "ingress")
+            )
+        except BroadcastAborted:
+            pass  # tape-chosen fault aborted the round; rollback ran
+        for sandbox in bed.sandboxes[::8]:
             try:
-                sim.run_process(
-                    group.broadcast(
-                        [rollout] * len(bed.codeflows), "ingress"
-                    )
-                )
-            except BroadcastAborted:
-                pass  # tape-chosen fault aborted the round; rollback ran
-            for sandbox in bed.sandboxes[::8]:
-                try:
-                    sandbox.run_hook("ingress", bytes(256))
-                except (SandboxCrash, ReproError):
-                    sandbox.crashed = False
-            sim.run(until=sim.now + _SETTLE_US)
-        finally:
-            injector.detach()
+                sandbox.run_hook("ingress", bytes(256))
+            except (SandboxCrash, ReproError):
+                sandbox.crashed = False
+        sim.run(until=sim.now + _SETTLE_US)
     finally:
-        params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE = saved
+        injector.detach()
 
 
 def _drive_crash_recovery(sim, seed: int, plan: "SchedulePlan") -> None:
@@ -402,55 +387,54 @@ def _drive_delta_shard(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.ebpf.stress import make_stress_program, make_stress_variant
     from repro.exp.hb_schedules import sibling_sync
 
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 3, name="fzshard")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["fzshard"]
-        assert record.baseline_addr is not None
-        hook_addr = sandbox.hook_table.slot_addr("ingress")
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 3, name="fzshard")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["fzshard"]
+    assert record.baseline_addr is not None
+    hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-        note = hb_events.txn_note(
-            publishes=(record.baseline_addr, record.code_len)
-        )
-        chunk_sync = sibling_sync(bed, sandbox)
-        sim.spawn(
-            _staggered(
-                sim, plan,
-                chunk_sync.write(
-                    record.baseline_addr + 256, b"\xd7" * 64,
-                    note={"txn": note["txn"]},
-                ),
-                "scn.chunk-start", 6.0,
+    note = hb_events.txn_note(publishes=(record.baseline_addr, record.code_len))
+    chunk_sync = sibling_sync(bed, sandbox)
+    sim.spawn(
+        _staggered(
+            sim, plan,
+            chunk_sync.write(
+                record.baseline_addr + 256, b"\xd7" * 64,
+                note={"txn": note["txn"]},
             ),
-            name="fz-delta-chunk",
-        )
-        sim.spawn(
-            _staggered(
-                sim, plan,
-                bed.codeflow.sync.cas(
-                    hook_addr, record.code_addr, record.baseline_addr,
-                    note=note,
-                ),
-                "scn.delta-commit-start", 6.0,
+            "scn.chunk-start", 6.0,
+        ),
+        name="fz-delta-chunk",
+    )
+    sim.spawn(
+        _staggered(
+            sim, plan,
+            bed.codeflow.sync.cas(
+                hook_addr, record.code_addr, record.baseline_addr,
+                note=note,
             ),
-            name="fz-delta-commit",
-        )
-        sim.run(until=sim.now + _SETTLE_US)
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+            "scn.delta-commit-start", 6.0,
+        ),
+        name="fz-delta-commit",
+    )
+    sim.run(until=sim.now + _SETTLE_US)
 
 
 _ALL = (
     Scenario("single-deploy", _drive_single_deploy),
-    Scenario("delta-hotpatch", _drive_delta_hotpatch),
+    Scenario(
+        "delta-hotpatch", _drive_delta_hotpatch,
+        config=replace(DEFAULT, delta_deploy=True),
+    ),
     Scenario("broadcast-8", _drive_broadcast_8),
-    Scenario("broadcast-64-tree", _drive_broadcast_64_tree),
+    Scenario(
+        "broadcast-64-tree", _drive_broadcast_64_tree,
+        config=replace(DEFAULT, tree_broadcast=True, tree_degree=4),
+    ),
     Scenario("crash-recovery", _drive_crash_recovery),
     Scenario(
         "sharded-commit", _drive_sharded_commit,
@@ -471,6 +455,7 @@ _ALL = (
     Scenario(
         "delta-shard", _drive_delta_shard,
         expect="commit-before-body", schedule_class="delta-chunk-reordered",
+        config=replace(DEFAULT, delta_deploy=True),
     ),
 )
 

@@ -21,9 +21,9 @@ Layers (each its own module):
 * :mod:`repro.hb.checker` -- orchestration: check a recorder or a
   simulator, format findings, drive the pytest/CLI entry points.
 
-Everything is gated on :data:`repro.params.RDX_HB_CHECK`; with the
-flag off no events are recorded and the hot WR path pays one module
-global read per op.
+Everything is gated on the simulation's ``config.hb_check``
+(:class:`repro.params.Config`); with it off no events are recorded
+and the hot WR path pays one attribute read per op.
 """
 
 from repro.hb.checker import (
@@ -35,7 +35,7 @@ from repro.hb.checker import (
     reset_active,
 )
 from repro.hb.detect import RaceFinding, detect_races
-from repro.hb.events import HbEvent, active_sims, enabled, extract
+from repro.hb.events import HbEvent, active_sims, extract
 from repro.hb.graph import HbGraph
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "check_sim",
     "consume",
     "detect_races",
-    "enabled",
     "extract",
     "format_findings",
     "reset_active",

@@ -2,9 +2,8 @@
 
 Three consumers share these helpers:
 
-* the pytest fixture in ``tests/conftest.py`` (``RDX_HB_CHECK=1``)
-  drains every simulator that emitted hb events during a test and
-  fails the test on findings;
+* the pytest fixture in ``tests/conftest.py`` drains every simulator
+  that emitted hb events during a test and fails the test on findings;
 * ``python -m repro.cli races`` replays the fault campaign and the
   known-bad schedules with checking on;
 * :mod:`repro.exp.hb_schedules` asserts the detectors actually fire.

@@ -55,7 +55,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from repro import params
 from repro.obs import telemetry_of
 from repro.sim.trace import TraceEvent, TraceRecorder
 
@@ -72,11 +71,6 @@ _txn_ids = itertools.count(1)
 #: Keyed by id() so identity (not equality) dedups; insertion-ordered
 #: so the pytest fixture reports findings deterministically.
 _active: "dict[int, Simulator]" = {}
-
-
-def enabled() -> bool:
-    """Whether hb instrumentation is on (one module-global read)."""
-    return params.RDX_HB_CHECK
 
 
 def active_sims() -> "list[Simulator]":

@@ -68,6 +68,8 @@ class Fabric:
         self.messages_sent = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
+        #: The schedule-fuzz decision tape, if this run has one.
+        self._plan = fuzz_hooks.plan_of(sim)
 
     def attach(self, host: Host) -> None:
         """Connect a host to the rack switch."""
@@ -158,13 +160,13 @@ class Fabric:
         propagation_us = self.base_latency_us + self.extra_delay_us(
             message.src, message.dst
         )
-        if params.RDX_FUZZ:
+        if self._plan is not None:
             # Schedule-fuzz choice point: stretch propagation after the
             # egress port is released, so a later message from the same
             # sender can arrive first -- in-fabric reorder, which RoCE
             # permits across flows and the control plane must tolerate.
-            propagation_us += fuzz_hooks.perturb_us(
-                self.sim, f"fabric.delay:{message.src}",
+            propagation_us += self._plan.delay_us(
+                f"fabric.delay:{message.src}",
                 params.RDX_FUZZ_NET_DELAY_US,
             )
         yield self.sim.timeout(propagation_us)

@@ -18,12 +18,6 @@ v2 adds the RDX-native pieces (DESIGN.md §14):
   ``python -m repro.cli blackbox``.
 """
 
-from repro.obs.cardinality import (
-    UNSHARDED,
-    drop_target_series,
-    target_label,
-    tenant_label,
-)
 from repro.obs.exporters import (
     escape_label_value,
     from_jsonl,
@@ -50,6 +44,7 @@ from repro.obs.spans import (
     reconstruct_deploy_traces,
 )
 from repro.obs.telemetry import (
+    UNSHARDED,
     Telemetry,
     export_jsonl,
     export_prometheus,
@@ -76,7 +71,6 @@ __all__ = [
     "TornSnapshotError",
     "UNSHARDED",
     "decode_segment",
-    "drop_target_series",
     "escape_label_value",
     "export_jsonl",
     "export_prometheus",
@@ -85,9 +79,7 @@ __all__ = [
     "parse_prometheus",
     "prom_name",
     "reconstruct_deploy_traces",
-    "target_label",
     "telemetry_of",
-    "tenant_label",
     "to_jsonl",
     "to_prometheus",
 ]

@@ -10,10 +10,11 @@ and defends against The Completion Fallacy with the segment's seqlock:
 
 A mismatch is a *torn* snapshot: retried up to
 ``params.RDX_SCRAPE_MAX_RETRIES`` times with a small backoff, counted,
-and -- crucially -- **never exported**.  An accepted snapshot is
-single-epoch by construction (the incarnation word lives inside the
-bracket), so a post-``warm_reboot`` scrape can't blend pre-crash
-totals into the new incarnation's series.
+and -- crucially -- **never exported**.  :func:`read_segment` is that
+accept loop, for any layout over any one-sided read.  An accepted
+snapshot is single-epoch by construction (the incarnation word lives
+inside the bracket), so a post-``warm_reboot`` scrape can't blend
+pre-crash totals into the new incarnation's series.
 
 Accepted snapshots feed the control plane's metrics registry as
 ``sandbox.*`` series labeled with ``target`` and ``epoch``; counter
@@ -30,7 +31,7 @@ failure-detection interval without its own timer wheel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro import params
 from repro.errors import ReproError
@@ -53,6 +54,49 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class TornSnapshotError(ReproError):
     """Seqlock retries exhausted: the segment never held still."""
+
+
+def read_segment(
+    read: Callable[[int, int], Generator],
+    base_addr: int,
+    layout: SegmentLayout,
+    size: int = 0,
+    max_retries: Optional[int] = None,
+    sim=None,
+    on_torn: Callable[[], None] = lambda: None,
+    what: str = "segment",
+) -> Generator:
+    """Process body: one seqlock-consistent read of a segment.
+
+    ``read(addr, size)`` is any one-sided read generator -- a
+    :meth:`RemoteSync.read <repro.core.sync.RemoteSync.read>` bound to
+    the segment's region, or a monitor-side RDMA shim.  The accept
+    rule is the standard one: seq even before, payload, seq unchanged
+    after; anything else (odd seq, moved seq, bad magic) is torn,
+    retried, and **never returned**.  When ``sim`` is given, retries
+    back off :data:`~repro.params.RDX_SCRAPE_RETRY_US` apiece, so a
+    scraper can ride out a slow writer bracket instead of burning the
+    whole budget inside it.  Returns ``(snapshot, retries)``; raises
+    :class:`TornSnapshotError` when the budget runs out.
+    """
+    if max_retries is None:
+        max_retries = params.RDX_SCRAPE_MAX_RETRIES
+    for retries in range(max_retries + 1):
+        word = yield from read(base_addr + OFF_SEQ, 8)
+        seq_before = int.from_bytes(bytes(word), "little")
+        if seq_before % 2 == 0:
+            raw = bytes((yield from read(base_addr, size or layout.size_bytes)))
+            word = yield from read(base_addr + OFF_SEQ, 8)
+            if int.from_bytes(bytes(word), "little") == seq_before:
+                snapshot: SegmentSnapshot = decode_segment(raw, layout)
+                if snapshot.valid:
+                    return snapshot, retries
+        on_torn()
+        if sim is not None:
+            yield sim.timeout(params.RDX_SCRAPE_RETRY_US)
+    raise TornSnapshotError(
+        f"scrape of {what} torn {max_retries + 1}x; snapshot discarded"
+    )
 
 
 @dataclass
@@ -107,43 +151,27 @@ class TelemetryScraper:
         """
         codeflow = self.codeflows[target]
         manifest = codeflow.manifest
-        base = manifest.telemetry_addr
-        size = manifest.telemetry_bytes or self.layout.size_bytes
-        budget = (
-            self.max_retries
-            if self.max_retries is not None
-            else params.RDX_SCRAPE_MAX_RETRIES
+        try:
+            snapshot, retries = yield from read_segment(
+                codeflow.sync.read, manifest.telemetry_addr, self.layout,
+                size=manifest.telemetry_bytes,
+                max_retries=self.max_retries, sim=self.sim,
+                on_torn=self._m_retries.inc, what=repr(target),
+            )
+        except TornSnapshotError:
+            self._m_torn.inc()
+            raise
+        result = ScrapeResult(
+            target=target,
+            epoch=snapshot.epoch,
+            snapshot=snapshot,
+            retries=retries,
+            scraped_at_us=self.sim.now,
         )
-        retries = 0
-        for _attempt in range(budget + 1):
-            word = yield from codeflow.sync.read(base + OFF_SEQ, 8)
-            seq_before = int.from_bytes(bytes(word), "little")
-            if seq_before % 2 == 0:
-                raw = bytes((yield from codeflow.sync.read(base, size)))
-                word = yield from codeflow.sync.read(base + OFF_SEQ, 8)
-                seq_after = int.from_bytes(bytes(word), "little")
-                if seq_after == seq_before:
-                    snapshot = decode_segment(raw, self.layout)
-                    if snapshot.valid:
-                        result = ScrapeResult(
-                            target=target,
-                            epoch=snapshot.epoch,
-                            snapshot=snapshot,
-                            retries=retries,
-                            scraped_at_us=self.sim.now,
-                        )
-                        self._publish(result)
-                        self._m_count.inc()
-                        self.results.append(result)
-                        return result
-            # Torn (odd seq, moved seq, or bad magic): back off, retry.
-            retries += 1
-            self._m_retries.inc()
-            yield self.sim.timeout(params.RDX_SCRAPE_RETRY_US)
-        self._m_torn.inc()
-        raise TornSnapshotError(
-            f"scrape of {target!r} torn {retries}x; snapshot discarded"
-        )
+        self._publish(result)
+        self._m_count.inc()
+        self.results.append(result)
+        return result
 
     def scrape_all(self):
         """Process body: scrape every registered target, in name order.

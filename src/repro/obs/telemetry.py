@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
+from repro import params
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
@@ -27,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Attribute name used to cache the hub on the simulator instance.
 _SIM_ATTR = "_rdx_telemetry"
 
+#: Aggregate label value used when no shard owns the target (a plain
+#: unsharded control plane).
+UNSHARDED = "_all"
+
 
 class Telemetry:
     """Metrics + spans + trace recorder for one simulation."""
@@ -37,6 +42,9 @@ class Telemetry:
         recorder: Optional[TraceRecorder] = None,
     ):
         self.sim = sim
+        #: Whether ``target=`` / ``tenant=`` labels keep their full
+        #: breakdown (``config.obs_target_labels``) or aggregate.
+        self.per_target_labels = params.config_of(sim).obs_target_labels
         self.registry = MetricsRegistry()
         #: Span events land here; bounded so background workloads
         #: cannot grow it without limit (drop-oldest, counted).
@@ -76,6 +84,29 @@ class Telemetry:
         self.registry.gauge("rdx.obs.spans_open").set(
             len(self.tracer.open_spans)
         )
+
+    # -- label cardinality -------------------------------------------------
+
+    def target_label(self, target: str, shard: str = "") -> str:
+        """The ``target=`` label value to emit for ``target``.
+
+        Every deploy leg, heartbeat and fence trip carries one.  At 8
+        targets that is a readable breakdown; at N=1024 it is thousands
+        of live series per metric name, and the registry, the exporters
+        and every scrape pay for it.  So, as in production metric
+        pipelines, the value is the target itself only when the
+        simulation's config opts in; otherwise the owning ``shard`` (or
+        :data:`UNSHARDED`), collapsing O(targets) series to O(shards).
+        """
+        if self.per_target_labels:
+            return target
+        return shard or UNSHARDED
+
+    #: The ``tenant=`` label is the same trap (a 1000-tenant serving mix
+    #: would mint 1000 series per metric name) with the same way out:
+    #: ``tenant_label(tenant, tenant_class)`` collapses to the tenant's
+    #: *priority class*, a handful of values by construction.
+    tenant_label = target_label
 
     # -- metric passthroughs ----------------------------------------------
 

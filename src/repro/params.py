@@ -21,6 +21,11 @@ The testbed modeled is the paper's: 24-core 3.4 GHz Xeon E5-2643,
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.core import Simulator
 
 # --------------------------------------------------------------------
 # Host hardware (paper §6 testbed)
@@ -92,30 +97,7 @@ RDX_REGISTRY_CAP = 128
 #: chain posted per doorbell carries at most this many WRs.  Matches a
 #: conservative RC SQ depth; real verbs code posts far deeper chains,
 #: but a deploy never needs more than a handful of WRs per target.
-RDX_SQ_DEPTH = int(os.environ.get("RDX_SQ_DEPTH", "16"))
-
-#: Which costs the one deploy path pays (DESIGN.md §11): pipelined
-#: (one WR chain, bare commit CAS, 3 us dispatch) or, with
-#: ``RDX_PIPELINED_DEPLOY=0``, the serial paper-calibrated arm (one
-#: signaled WR per doorbell, ``rdx_tx`` commit, 17 us dispatch)
-#: everywhere.  A mutable module global (not a frozen constant) so the
-#: ablation bench can flip both arms inside one process; the
-#: environment sets only the default.
-RDX_PIPELINED_DEPLOY = os.environ.get("RDX_PIPELINED_DEPLOY", "1") not in (
-    "0", "false", "no",
-)
-
-#: Master switch for delta plans: when the linked-image
-#: cache certifies an identical (arch, GOT-fingerprint) layout and the
-#: superseded image is still resident as a baseline, a redeploy ships
-#: only the MTU chunks that changed (trimmed to dirty cache lines) and
-#: flips the hook with the usual commit CAS.  A mutable module global
-#: like :data:`RDX_PIPELINED_DEPLOY` so the ablation bench can flip
-#: both arms inside one process; the environment sets only the default
-#: (``RDX_DELTA_DEPLOY=1`` to enable).  Requires the pipelined arm.
-RDX_DELTA_DEPLOY = os.environ.get("RDX_DELTA_DEPLOY", "0") not in (
-    "0", "false", "no", "",
-)
+RDX_SQ_DEPTH = 16
 
 #: Break-even threshold for the delta path: a diff dirtying more than
 #: this many MTU chunks falls back to the full-image pipelined deploy.
@@ -123,74 +105,7 @@ RDX_DELTA_DEPLOY = os.environ.get("RDX_DELTA_DEPLOY", "0") not in (
 #: payload stays well under the image size; past ~half the image the
 #: per-WR overhead (RNIC_OP_OVERHEAD_US each side + chain bookkeeping)
 #: erases the bytes saved.
-RDX_DELTA_MAX_CHUNKS = int(os.environ.get("RDX_DELTA_MAX_CHUNKS", "8"))
-
-#: Master switch for tree broadcast: fan deploy legs out through a
-#: relay tree (already-updated sandboxes forward the chained WR list
-#: to their children) instead of hub-and-spoke from the control plane.
-#: A mutable module global like :data:`RDX_PIPELINED_DEPLOY`; the
-#: environment sets only the default (``RDX_TREE_BROADCAST=1`` to
-#: enable).  Off by default: small groups gain nothing and the flat
-#: path is the long-soaked one; ``ShardedGroup`` and the scale bench
-#: turn it on.
-RDX_TREE_BROADCAST = os.environ.get("RDX_TREE_BROADCAST", "0") not in (
-    "0", "false", "no", "",
-)
-
-#: Fan-out degree of the broadcast relay tree: the shard's control
-#: plane seeds this many roots directly and every updated sandbox
-#: relays to at most this many children, giving ~log_d(N) relay
-#: levels.  Degree trades per-node relay load (d chains through one
-#: RNIC) against tree depth.
-RDX_TREE_DEGREE = int(os.environ.get("RDX_TREE_DEGREE", "4"))
-
-#: Number of control-plane shards a :class:`repro.core.shard.ShardedGroup`
-#: partitions a codeflow group across (each shard is a full
-#: RdxControlPlane with its own epoch, journal, and fenced ownership
-#: of its partition).
-RDX_BROADCAST_SHARDS = int(os.environ.get("RDX_BROADCAST_SHARDS", "4"))
-
-#: Opt-in for per-target metric labels.  Off (the default), high-
-#: cardinality series like ``rdx.broadcast.legs{mode,target}`` and the
-#: per-target health counters aggregate their ``target`` label to the
-#: owning shard (or ``_all`` when unsharded), keeping the registry
-#: bounded at N=1024.  Small runs and label-sensitive tests set
-#: ``RDX_OBS_TARGET_LABELS=1`` to get the per-target breakdown back.
-#: A mutable module global like :data:`RDX_OBS`.
-RDX_OBS_TARGET_LABELS = os.environ.get(
-    "RDX_OBS_TARGET_LABELS", "0"
-) not in ("0", "false", "no", "")
-
-#: Batched health sweep: ``HealthDetector.probe_all`` posts every
-#: heartbeat READ of a shard as one doorbell-batched sweep (no
-#: per-probe process, retry ladder, or span) instead of N independent
-#: probes.  ``RDX_HEALTH_BATCH_SWEEP=0`` restores per-target probes.
-RDX_HEALTH_BATCH_SWEEP = os.environ.get(
-    "RDX_HEALTH_BATCH_SWEEP", "1"
-) not in ("0", "false", "no")
-
-#: Master switch for happens-before race checking (:mod:`repro.hb`).
-#: When on, the RNIC / sync / sandbox layers emit ``hb.*`` trace
-#: events and the pytest fixture in ``tests/conftest.py`` runs the
-#: race detectors over every simulator's recorded trace at teardown.
-#: A mutable module global like :data:`RDX_PIPELINED_DEPLOY` so tests
-#: and the ``races`` CLI can flip it inside one process; the
-#: environment sets only the default (``RDX_HB_CHECK=1`` to enable).
-RDX_HB_CHECK = os.environ.get("RDX_HB_CHECK", "0") not in (
-    "0", "false", "no", "",
-)
-
-#: Master switch for schedule-fuzz perturbation (:mod:`repro.fuzz`).
-#: When on, the RNIC / fabric layers consult the simulator's installed
-#: :class:`~repro.fuzz.plan.SchedulePlan` at each stochastic choice
-#: point (WR service, completion delivery, message delay) and stretch
-#: the schedule accordingly.  A mutable module global like
-#: :data:`RDX_HB_CHECK` so the fuzz engine can flip it per iteration;
-#: the environment sets only the default (``RDX_FUZZ=1`` to enable).
-#: Off, the hooks cost one module-global read per WR.
-RDX_FUZZ = os.environ.get("RDX_FUZZ", "0") not in (
-    "0", "false", "no", "",
-)
+RDX_DELTA_MAX_CHUNKS = 8
 
 #: Base magnitude for fuzz-injected WR service/completion delays, us.
 #: Sized to a few RDMA RTTs: enough to push a WR past a sibling QP's
@@ -204,17 +119,6 @@ RDX_FUZZ_WR_DELAY_US = 8.0
 #: interval, so message reorder can invert control-message arrivals
 #: without manufacturing false lease expiries.
 RDX_FUZZ_NET_DELAY_US = 20.0
-
-#: Master switch for the agentless telemetry plane (:mod:`repro.obs`).
-#: When on (the default), sandboxes keep a seqlock-guarded telemetry
-#: segment up to date from the data path, deploy ops record causal
-#: trace events, and the control plane feeds its flight recorder.  A
-#: mutable module global like :data:`RDX_PIPELINED_DEPLOY` so the
-#: overhead bench can flip both modes inside one process; the
-#: environment sets only the default (``RDX_OBS=0`` to disable).
-RDX_OBS = os.environ.get("RDX_OBS", "1") not in (
-    "0", "false", "no",
-)
 
 #: Bounded seqlock retries before a scrape is declared torn (and the
 #: snapshot discarded -- torn snapshots are never exported).
@@ -242,43 +146,10 @@ RDX_LINK_CACHE_LOOKUP_US = 0.2
 #: fleets.
 RDX_LINK_CACHE_CAP = 256
 
-# --------------------------------------------------------------------
-# Multi-tenant deploy service (serve/)
-# --------------------------------------------------------------------
-
-#: Max entries the warm linked-image pool retains (LRU).  Keyed by
-#: (program tag, arch, GOT-layout fingerprint) -- one entry per popular
-#: extension per distinct target layout, so this bounds control-plane
-#: memory the same way :data:`RDX_LINK_CACHE_CAP` does.
-RDX_WARM_POOL_CAP = int(os.environ.get("RDX_WARM_POOL_CAP", "512"))
-
-#: Cold deploys of one (tag, arch, layout) before the pool admits it.
-#: 1 = admit on first sight; higher values reserve pool slots for
-#: genuinely popular extensions.
-RDX_WARM_POOL_ADMIT_DEPLOYS = int(
-    os.environ.get("RDX_WARM_POOL_ADMIT_DEPLOYS", "1")
-)
-
 #: Warm-pool probe cost on the control plane, us: one index lookup
 #: plus re-fingerprinting the entry's relocations against the target's
 #: current layout (the certification that makes a hit byte-correct).
 RDX_WARM_POOL_LOOKUP_US = 0.3
-
-#: Deploy executors a :class:`repro.serve.DeployService` runs -- the
-#: service's concurrency, and the QoS wire width underneath it.
-RDX_SERVE_WORKERS = int(os.environ.get("RDX_SERVE_WORKERS", "8"))
-
-#: Default bounded queue depth per priority class.  Arrivals beyond
-#: this are shed (counted, never silent) in open-loop mode or block
-#: the producer in backpressure mode.
-RDX_SERVE_QUEUE_DEPTH = int(os.environ.get("RDX_SERVE_QUEUE_DEPTH", "64"))
-
-#: Admission-time throttle ceiling, us: a deploy whose class or tenant
-#: token-bucket deficit exceeds this is shed as ``rate-limited``
-#: instead of parking a worker on the wait.
-RDX_SERVE_MAX_THROTTLE_US = float(
-    os.environ.get("RDX_SERVE_MAX_THROTTLE_US", "50000")
-)
 
 #: TCP/gRPC request latency floor for control RPCs (agent path), us.
 #: Kernel network stack both sides + protobuf handling.
@@ -418,3 +289,99 @@ def rpc_transfer_us(n_bytes: int) -> float:
     if n_bytes < 0:
         raise ValueError("negative transfer size")
     return RPC_BASE_LATENCY_US + n_bytes / RPC_BANDWIDTH_BPUS
+
+
+# --------------------------------------------------------------------
+# Configuration: which arm a simulation runs
+# --------------------------------------------------------------------
+
+#: Spellings of "off" an ``RDX_*`` environment switch accepts.
+_OFF = ("0", "false", "no", "off")
+
+
+@dataclass(frozen=True)
+class Config:
+    """The behaviour switches of one simulation, fixed before its first
+    component is built (:func:`configure`) and never changed after.
+
+    The constants above are the cost model; these seven pick the arm
+    of an A/B.  Being a frozen value, an arm needs no restore step
+    (``replace(DEFAULT, delta_deploy=True)``), two arms can run side by
+    side in one process, and a component may read its switch once at
+    construction.
+    """
+
+    #: Which costs the one deploy path pays (DESIGN.md §11): one WR
+    #: chain, bare commit CAS and 3 us dispatch, or -- off -- the serial
+    #: paper-calibrated arm everywhere (one signaled WR per doorbell,
+    #: ``rdx_tx`` commit, 17 us dispatch).
+    pipelined_deploy: bool = True
+    #: Delta plans: when the linked-image cache certifies an identical
+    #: (arch, GOT-fingerprint) layout and the superseded image is still
+    #: resident as a baseline, a redeploy ships only the MTU chunks
+    #: that changed (trimmed to dirty cache lines) and flips the hook
+    #: with the usual commit CAS.  Requires the pipelined arm.
+    delta_deploy: bool = False
+    #: Tree broadcast: fan deploy legs out through a relay forest
+    #: (already-updated sandboxes forward the chained WR list to their
+    #: children) instead of hub-and-spoke from the control plane.  Off
+    #: by default: small groups gain nothing and the flat path is the
+    #: long-soaked one.  Requires the pipelined arm.
+    tree_broadcast: bool = False
+    #: Fan-out degree of the relay forest: the control plane seeds this
+    #: many roots and every updated sandbox relays to at most this many
+    #: children, giving ~log_d(N) relay levels.  Trades per-node relay
+    #: load (d chains through one RNIC) against depth.
+    tree_degree: int = 4
+    #: Happens-before race checking (:mod:`repro.hb`): the RNIC / sync
+    #: / sandbox layers emit ``hb.*`` trace events and the simulator is
+    #: registered for the detectors (the pytest fixture in
+    #: ``tests/conftest.py`` runs them at teardown).
+    hb_check: bool = False
+    #: The agentless telemetry plane (:mod:`repro.obs`): sandboxes keep
+    #: a seqlock-guarded telemetry segment up to date from the data
+    #: path, deploy ops record causal trace events, and the control
+    #: plane feeds its flight recorder.
+    obs: bool = True
+    #: Per-target (and per-tenant) metric labels.  Off, high-cardinality
+    #: series like ``rdx.broadcast.legs{mode,target}`` and the
+    #: per-target health counters aggregate their ``target`` label to
+    #: the owning shard (or ``_all``), keeping the registry bounded at
+    #: N=1024; small runs turn it on to get the breakdown back.
+    obs_target_labels: bool = False
+
+    @classmethod
+    def from_env(cls, env: Mapping[str, str] = os.environ) -> "Config":
+        """The config ``env`` spells: ``RDX_<FIELD>`` per field, the
+        field's default when unset or empty.  The only reader of those
+        seven names."""
+        values = {}
+        for spec in fields(cls):
+            raw = env.get(f"RDX_{spec.name.upper()}", "").strip().lower()
+            if raw:
+                values[spec.name] = (
+                    raw not in _OFF if spec.type == "bool" else int(raw)
+                )
+        return cls(**values)
+
+
+#: The process default: what the environment said at import.
+DEFAULT = Config.from_env()
+
+#: Attribute carrying the config on the simulator instance, next to the
+#: telemetry hub and the fuzz plan.
+_SIM_ATTR = "_rdx_config"
+
+
+def configure(sim: "Simulator", config: Config) -> None:
+    """Fix ``sim``'s config; must precede its first component."""
+    if _SIM_ATTR in vars(sim):
+        raise RuntimeError(
+            "configure() must precede the simulator's first component"
+        )
+    setattr(sim, _SIM_ATTR, config)
+
+
+def config_of(sim: "Simulator") -> Config:
+    """``sim``'s config; the first read settles it on :data:`DEFAULT`."""
+    return vars(sim).setdefault(_SIM_ATTR, DEFAULT)

@@ -59,7 +59,7 @@ class WorkRequest:
     fence: bool = False
     wr_id: int = field(default_factory=lambda: next(_wr_ids))
     #: Happens-before annotations attached by the sync layer when
-    #: :data:`repro.params.RDX_HB_CHECK` is on (epoch tag, control-word
+    #: ``config.hb_check`` is on (epoch tag, control-word
     #: label, transaction id, published range).  ``None`` in normal
     #: runs; the RNIC copies it into the ``hb.*`` trace events.
     hb: Optional[dict] = None

@@ -53,6 +53,10 @@ class Rnic:
         #: per-RNIC ordinal for schedule-fuzz site keys.
         self.qps_created = 0
         host.nic = self
+        # Read once (both are fixed before the first component): the
+        # hb switch, and whether a decision tape perturbs this run.
+        self._hb = params.config_of(self.sim).hb_check
+        self._plan = fuzz_hooks.plan_of(self.sim)
         # Metric handles are resolved once and cached: the WR path is
         # the simulator's hottest loop, so per-op registry lookups are
         # kept off it.
@@ -70,7 +74,7 @@ class Rnic:
 
     def submit(self, qp: QueuePair, wr: WorkRequest) -> Event:
         """Queue a WR for processing; event fires with its Completion."""
-        if params.RDX_HB_CHECK:
+        if self._hb:
             hb.emit_post(self.sim, qp, wr, chain=None, signaled=True)
         done = self.sim.event()
         self.sim.spawn(self._process(qp, wr, done), name=f"wqe:{wr.opcode.value}")
@@ -79,16 +83,11 @@ class Rnic:
     def _process(self, qp: QueuePair, wr: WorkRequest, done: Event):
         grant = self._pipeline.request()
         yield grant
-        if params.RDX_FUZZ:
+        if self._plan is not None:
             # Schedule-fuzz choice point: stall this WR *while holding
             # its pipeline slot*, so WRs on sibling QPs overtake it --
             # true service reorder, not just added latency.
-            extra = fuzz_hooks.perturb_us(
-                self.sim, qp.fuzz_site("rnic.service"),
-                params.RDX_FUZZ_WR_DELAY_US,
-            )
-            if extra:
-                yield extra
+            yield from self._perturb(qp, "rnic.service")
         bytes_before = self.bytes_dma
         try:
             if qp.state is QpState.ERROR:
@@ -102,16 +101,11 @@ class Rnic:
                 completion = yield from self._execute(qp, wr)
         finally:
             self._pipeline.release(grant)
-        if params.RDX_FUZZ:
+        if self._plan is not None:
             # Choice point two: delay CQE delivery after the remote
             # effect landed -- the window where "it completed" and "the
             # initiator knows it completed" diverge.
-            extra = fuzz_hooks.perturb_us(
-                self.sim, qp.fuzz_site("rnic.complete"),
-                params.RDX_FUZZ_WR_DELAY_US,
-            )
-            if extra:
-                yield extra
+            yield from self._perturb(qp, "rnic.complete")
         qp.completed += 1
         self.wrs_processed += 1
         self._m_verbs[wr.opcode].inc()
@@ -120,9 +114,17 @@ class Rnic:
             self._m_errors.inc()
         qp.cq.push(completion)
         self._m_cq_depth.observe(len(qp.cq))
-        if params.RDX_HB_CHECK:
+        if self._hb:
             hb.emit_comp(self.sim, qp, wr.wr_id, status=completion.status.value)
         done.succeed(completion)
+
+    def _perturb(self, qp: QueuePair, site: str):
+        """A schedule-fuzz choice point: whatever the tape adds here."""
+        extra = self._plan.delay_us(
+            qp.fuzz_site(site), params.RDX_FUZZ_WR_DELAY_US
+        )
+        if extra:
+            yield extra
 
     def submit_batch(self, qp: QueuePair, wrs: list[WorkRequest]) -> Event:
         """Queue a chained WR list; event fires with ONE Completion.
@@ -144,7 +146,7 @@ class Rnic:
                     f"WR chains support RDMA_WRITE only, got {wr.opcode}"
                 )
         chain = None
-        if params.RDX_HB_CHECK:
+        if self._hb:
             chain = hb.new_chain_id()
             for wr in wrs:
                 hb.emit_post(
@@ -162,15 +164,10 @@ class Rnic:
     ):
         grant = self._pipeline.request()
         yield grant
-        if params.RDX_FUZZ:
+        if self._plan is not None:
             # Chains perturb as one unit: the doorbell batch is a
             # single schedulable entity (SQ FIFO inside it is fixed).
-            extra = fuzz_hooks.perturb_us(
-                self.sim, qp.fuzz_site("rnic.service"),
-                params.RDX_FUZZ_WR_DELAY_US,
-            )
-            if extra:
-                yield extra
+            yield from self._perturb(qp, "rnic.service")
         bytes_before = self.bytes_dma
         try:
             if qp.state is QpState.ERROR:
@@ -185,13 +182,8 @@ class Rnic:
                 completion = yield from self._execute_chain(qp, wrs, chain)
         finally:
             self._pipeline.release(grant)
-        if params.RDX_FUZZ:
-            extra = fuzz_hooks.perturb_us(
-                self.sim, qp.fuzz_site("rnic.complete"),
-                params.RDX_FUZZ_WR_DELAY_US,
-            )
-            if extra:
-                yield extra
+        if self._plan is not None:
+            yield from self._perturb(qp, "rnic.complete")
         qp.completed += len(wrs)
         self.wrs_processed += len(wrs)
         self._m_verbs[wrs[0].opcode].inc(len(wrs))
@@ -201,7 +193,7 @@ class Rnic:
             self._m_errors.inc()
         qp.cq.push(completion)
         self._m_cq_depth.observe(len(qp.cq))
-        if params.RDX_HB_CHECK:
+        if self._hb:
             hb.emit_comp(
                 self.sim,
                 qp,
@@ -301,7 +293,7 @@ class Rnic:
                     self.bytes_dma += len(chunk)
                     offset += len(chunk)
                 landed += 1
-                if params.RDX_HB_CHECK:
+                if self._hb:
                     self._emit_write_land(qp, wr, chain)
             # Single ACK for the signaled tail WR.
             yield params.NET_BASE_LATENCY_US
@@ -380,7 +372,7 @@ class Rnic:
             remote_host.cache.dma_write(wr.remote_addr + offset, chunk)
             self.bytes_dma += len(chunk)
             offset += len(chunk)
-        if params.RDX_HB_CHECK:
+        if self._hb:
             self._emit_write_land(qp, wr)
         # ACK back to the initiator.
         yield params.NET_BASE_LATENCY_US
@@ -391,7 +383,7 @@ class Rnic:
         yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
         data = remote_host.cache.dma_read(wr.remote_addr, wr.length)
         self.bytes_dma += wr.length
-        if params.RDX_HB_CHECK:
+        if self._hb:
             value = unpack_qword(data) if wr.length == 8 else None
             hb.emit_land(self.sim, qp, wr, value=value)
         # Response serialization + return latency.
@@ -409,7 +401,7 @@ class Rnic:
             success = original == wr.compare
             if success:
                 remote_host.cache.dma_write(wr.remote_addr, pack_qword(wr.swap_or_add))
-            if params.RDX_HB_CHECK:
+            if self._hb:
                 hb.emit_land(
                     self.sim, qp, wr,
                     value=wr.swap_or_add if success else None,
@@ -419,7 +411,7 @@ class Rnic:
             remote_host.cache.dma_write(
                 wr.remote_addr, pack_qword(original + wr.swap_or_add)
             )
-            if params.RDX_HB_CHECK:
+            if self._hb:
                 hb.emit_land(
                     self.sim, qp, wr,
                     value=original + wr.swap_or_add, success=True,

@@ -114,6 +114,10 @@ class Sandbox:
         self.crashed = False
         self.crash_reason = ""
         self.reboots = 0
+        # The two switches the hook path branches on, read once.
+        config = params.config_of(host.sim)
+        self._obs = config.obs
+        self._hb = config.hb_check
 
         allocate = host.allocator.alloc
         self.control_addr = allocate(CONTROL_BLOCK_BYTES, align=64)
@@ -492,12 +496,12 @@ class Sandbox:
         """
         pointer = self.hook_table.read_pointer(hook_name)
         if pointer == 0:
-            if params.RDX_OBS:
+            if self._obs:
                 self.telemetry.inc("exec.empty")
             return None, 0.1  # empty-hook fast path
         try:
             extent = self._image_extent(pointer)
-            if params.RDX_HB_CHECK:
+            if self._hb:
                 self._emit_hb_exec(hook_name, pointer, extent)
             result = execute(
                 self._decoded_at(pointer, extent, decode, **reverse_got)
@@ -507,14 +511,14 @@ class Sandbox:
             # of the program crash the sandbox like a torn image does.
             self.crashed = True
             self.crash_reason = str(fault)
-            if params.RDX_OBS:
+            if self._obs:
                 self.telemetry.inc("exec.crashes")
             if isinstance(fault, SandboxCrash):
                 raise
             raise SandboxCrash(str(fault)) from fault
         self.events_executed += 1
         cost_us = result.insns_executed / params.CPU_INSN_PER_US + 0.2
-        if params.RDX_OBS:
+        if self._obs:
             self._note_exec(hook_name, pointer, result.insns_executed, cost_us)
         return result, cost_us
 
@@ -611,7 +615,7 @@ class Sandbox:
     def bubble_active(self) -> bool:
         """Data-path check of the BBU buffering flag (through cache)."""
         active = unpack_qword(self.host.cache.cpu_read(self.bubble_addr, 8)) != 0
-        if active and params.RDX_OBS:
+        if active and self._obs:
             self.telemetry.inc("bubble.stalls")
         return active
 

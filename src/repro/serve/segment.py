@@ -11,7 +11,7 @@ bypass the sandbox segments get.
 
 The wire format is :class:`repro.obs.segment.SegmentLayout` with
 serve-specific slot tuples; the seqlock protocol, epoch word, and
-torn-read rules are identical (and :func:`scrape_serve` mirrors
+torn-read rules are identical (and :func:`scrape_serve` is
 :class:`~repro.obs.scrape.TelemetryScraper`'s accept loop).
 """
 
@@ -19,16 +19,9 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro import params
-from repro.errors import ReproError
 from repro.net.topology import Host
-from repro.obs.segment import (
-    OFF_SEQ,
-    SegmentLayout,
-    SegmentSnapshot,
-    TelemetrySegment,
-    decode_segment,
-)
+from repro.obs.scrape import read_segment
+from repro.obs.segment import SegmentLayout, TelemetrySegment
 
 #: Monotonic serving counters (u64 each).
 SERVE_COUNTER_SLOTS = (
@@ -83,39 +76,11 @@ def scrape_serve(
     max_retries: Optional[int] = None,
     sim=None,
 ) -> Generator:
-    """Process body: one seqlock-consistent scrape of a serve segment.
-
-    ``read(addr, size)`` is any one-sided read generator -- a
-    :meth:`RemoteSync.read <repro.core.sync.RemoteSync.read>` bound to
-    the control host's region, or a monitor-side RDMA shim.  The
-    accept rule is the standard one: seq even before, payload, seq
-    unchanged after; anything else is torn, retried, and **never
-    returned**.  When ``sim`` is given, retries back off
-    :data:`~repro.params.RDX_SCRAPE_RETRY_US` apiece (the
-    :class:`~repro.obs.scrape.TelemetryScraper` discipline) so a
-    scraper can ride out a slow writer bracket instead of burning the
-    whole budget inside it.  Raises :class:`ReproError` when the
-    retry budget runs out.
-    """
-    budget = (
-        max_retries if max_retries is not None
-        else params.RDX_SCRAPE_MAX_RETRIES
+    """Process body: one seqlock-consistent scrape of a serve segment
+    (:func:`repro.obs.scrape.read_segment` over ``layout``); returns
+    the snapshot."""
+    snapshot, _retries = yield from read_segment(
+        read, base_addr, layout, max_retries=max_retries, sim=sim,
+        what="serve segment",
     )
-    retries = 0
-    for _attempt in range(budget + 1):
-        word = yield from read(base_addr + OFF_SEQ, 8)
-        seq_before = int.from_bytes(bytes(word), "little")
-        if seq_before % 2 == 0:
-            raw = bytes((yield from read(base_addr, layout.size_bytes)))
-            word = yield from read(base_addr + OFF_SEQ, 8)
-            seq_after = int.from_bytes(bytes(word), "little")
-            if seq_after == seq_before:
-                snapshot: SegmentSnapshot = decode_segment(raw, layout)
-                if snapshot.valid:
-                    return snapshot
-        retries += 1
-        if sim is not None:
-            yield sim.timeout(params.RDX_SCRAPE_RETRY_US)
-    raise ReproError(
-        f"serve-segment scrape torn {retries}x; snapshot discarded"
-    )
+    return snapshot

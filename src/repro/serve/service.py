@@ -31,7 +31,7 @@ from repro import params
 from repro.core.control_plane import RdxControlPlane
 from repro.core.qos import QosScheduler
 from repro.errors import ReproError
-from repro.obs import telemetry_of, tenant_label
+from repro.obs import telemetry_of
 from repro.serve.admission import (
     SHED_STOPPED,
     SHED_UNKNOWN_TENANT,
@@ -43,6 +43,10 @@ from repro.serve.tenants import TenantDirectory, default_classes
 from repro.serve.warmpool import WarmLinkedImagePool
 from repro.sim.resources import Resource
 
+#: Deploy executors a :class:`DeployService` runs by default -- the
+#: service's concurrency, and the QoS wire width underneath it.
+SERVE_WORKERS = 8
+
 
 class DeployService:
     """Admission + queues + workers + warm pool over one control plane."""
@@ -51,18 +55,18 @@ class DeployService:
         self,
         control_plane: RdxControlPlane,
         classes=None,
-        workers: Optional[int] = None,
+        workers: int = SERVE_WORKERS,
         warm_pool: Optional[WarmLinkedImagePool] = None,
         with_segment: bool = True,
     ):
         self.control = control_plane
         self.sim = control_plane.sim
         self.obs = telemetry_of(self.sim)
-        self.workers = workers if workers is not None else params.RDX_SERVE_WORKERS
+        self.workers = workers
         #: Serve-plane telemetry segment (one-sided scrape surface).
         self.segment = (
             ServeSegment(control_plane.host)
-            if with_segment and params.RDX_OBS
+            if with_segment and params.config_of(self.sim).obs
             else None
         )
         classes = tuple(classes) if classes is not None else default_classes()
@@ -219,7 +223,7 @@ class DeployService:
         grant = lock.request(priority=cls.priority)
         yield grant
         codeflow = ticket.codeflow
-        codeflow.tenant = tenant_label(ticket.tenant, ticket.class_name)
+        codeflow.tenant = self.obs.tenant_label(ticket.tenant, ticket.class_name)
         try:
             report = yield from self.qos.inject(
                 ticket.tenant, codeflow, ticket.program, ticket.hook_name,

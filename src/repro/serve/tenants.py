@@ -18,9 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import params
 from repro.core.qos import QosScheduler, TenantQuota
 from repro.errors import SecurityError
+
+#: Default bounded queue depth per priority class.  Arrivals beyond
+#: this are shed (counted, never silent) in open-loop mode or block
+#: the producer in backpressure mode.
+SERVE_QUEUE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,10 @@ class PriorityClass:
     max_pending_per_tenant: int = 8
     #: Admission-time throttle ceiling, us: a deploy whose class or
     #: tenant bucket deficit exceeds this is shed as ``rate-limited``.
-    max_throttle_us: float = params.RDX_SERVE_MAX_THROTTLE_US
+    max_throttle_us: float = 50_000.0
 
 
-def default_classes(queue_depth: Optional[int] = None) -> tuple:
+def default_classes(queue_depth: int = SERVE_QUEUE_DEPTH) -> tuple:
     """The stock three-tier mix: hotpatch / standard / bulk.
 
     Hotpatch is the paper's microsecond fix-push: tiny programs,
@@ -55,26 +59,25 @@ def default_classes(queue_depth: Optional[int] = None) -> tuple:
     is the 95K-insn roll: high aggregate bandwidth, lowest priority,
     tighter per-tenant pending cap.  Standard sits between.
     """
-    depth = queue_depth or params.RDX_SERVE_QUEUE_DEPTH
     return (
         PriorityClass(
             "hotpatch", priority=0,
             rate_bytes_per_s=50e6, burst_bytes=256_000,
-            queue_depth=depth,
+            queue_depth=queue_depth,
             tenant_rate_bytes_per_s=2e6, tenant_burst_bytes=64_000,
             max_pending_per_tenant=8,
         ),
         PriorityClass(
             "standard", priority=2,
             rate_bytes_per_s=100e6, burst_bytes=1_000_000,
-            queue_depth=depth,
+            queue_depth=queue_depth,
             tenant_rate_bytes_per_s=5e6, tenant_burst_bytes=256_000,
             max_pending_per_tenant=8,
         ),
         PriorityClass(
             "bulk", priority=5,
             rate_bytes_per_s=200e6, burst_bytes=4_000_000,
-            queue_depth=depth,
+            queue_depth=queue_depth,
             tenant_rate_bytes_per_s=20e6, tenant_burst_bytes=2_000_000,
             max_pending_per_tenant=4,
         ),

@@ -59,6 +59,16 @@ class WarmImage:
     hits: int = 0
 
 
+#: Max entries the pool retains by default (LRU).  One entry per
+#: popular extension per distinct target layout, so this bounds
+#: control-plane memory the way ``RDX_LINK_CACHE_CAP`` does.
+WARM_POOL_CAP = 512
+#: Cold deploys of one (tag, arch, layout) before the pool admits it.
+#: 1 = admit on first sight; higher values reserve pool slots for
+#: genuinely popular extensions.
+WARM_POOL_ADMIT_DEPLOYS = 1
+
+
 class WarmLinkedImagePool:
     """LRU pool of pre-linked popular extensions on a control plane.
 
@@ -72,19 +82,15 @@ class WarmLinkedImagePool:
     def __init__(
         self,
         control_plane,
-        cap: Optional[int] = None,
-        admit_after: Optional[int] = None,
+        cap: int = WARM_POOL_CAP,
+        admit_after: int = WARM_POOL_ADMIT_DEPLOYS,
         segment=None,
     ):
         self.control_plane = control_plane
         self.sim = control_plane.sim
         self.obs = telemetry_of(self.sim)
-        self.cap = cap if cap is not None else params.RDX_WARM_POOL_CAP
-        self.admit_after = (
-            admit_after
-            if admit_after is not None
-            else params.RDX_WARM_POOL_ADMIT_DEPLOYS
-        )
+        self.cap = cap
+        self.admit_after = admit_after
         #: Optional serve telemetry segment mirror (one-sided scrape).
         self.segment = segment
         #: (tag, arch, geometry, fingerprint) -> WarmImage; dict order

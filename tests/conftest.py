@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import settings
 
-from repro import params
 from repro.exp.harness import Testbed, make_testbed
+from repro.params import DEFAULT, Config
 from repro.sim.core import Simulator
 
 #: ``--hypothesis-profile=ci`` (CI's fuzz-smoke job, with a pinned
@@ -21,40 +23,42 @@ def sim() -> Simulator:
 
 
 @pytest.fixture
-def testbed() -> Testbed:
+def config(request) -> Config:
+    """The arm this test runs: the process default (``RDX_*`` in the
+    environment) with the fields its ``arm`` marker pins.  A test about
+    what only one arm has (a WR chain to tear, a delta plan, per-target
+    series) pins that arm and so means the same in every CI run."""
+    fields = {}
+    for marker in reversed(list(request.node.iter_markers("arm"))):
+        fields.update(marker.kwargs)  # module, then class, then test
+    return replace(DEFAULT, **fields)
+
+
+@pytest.fixture
+def testbed(config) -> Testbed:
     """A small standard testbed: 1 data host + control host."""
-    return make_testbed(n_hosts=1, cores_per_host=4)
+    return make_testbed(n_hosts=1, cores_per_host=4, config=config)
 
 
 @pytest.fixture
-def testbed2() -> Testbed:
+def testbed2(config) -> Testbed:
     """Two data hosts (for broadcast/migration tests)."""
-    return make_testbed(n_hosts=2, cores_per_host=4)
-
-
-@pytest.fixture
-def pin_pipelined(monkeypatch):
-    """Hold the pipelined deploy arm for tests about what only it has
-    (a WR chain to tear, link-cache counters), so they stay meaningful
-    in CI's ``RDX_PIPELINED_DEPLOY=0`` run."""
-    monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
+    return make_testbed(n_hosts=2, cores_per_host=4, config=config)
 
 
 @pytest.fixture(autouse=True)
 def _hb_check():
-    """Race-check every simulation a test touched (RDX_HB_CHECK=1).
+    """Race-check every simulation a test touched.
 
-    When checking is enabled, every sim that emitted an hb event is
+    Every sim that emitted an hb event (its config has ``hb_check`` --
+    ``RDX_HB_CHECK=1`` for the whole run, or the test's own arm) is
     registered in :mod:`repro.hb.events`; at teardown each one's trace
     is run through the detectors and any finding fails the test.
     Tests that deliberately construct a race consume their sim first
     (``checker.consume(sim)``) so it is no longer registered here.
     """
-    from repro.hb import checker, enabled
+    from repro.hb import checker
 
-    if not enabled():
-        yield
-        return
     checker.reset_active()
     yield
     reports = checker.check_active()

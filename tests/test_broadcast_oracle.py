@@ -28,13 +28,13 @@ item 1).
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import params
 from repro.core.broadcast import CodeFlowGroup, _FanoutPlan
 from repro.core.codeflow import CodeFlow
 from repro.core.control_plane import RdxControlPlane
@@ -50,6 +50,8 @@ from repro.exp.scale import sharded_testbed
 from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
 from repro.mem.layout import pack_qword
+from repro.params import DEFAULT, Config, configure
+from repro.sim.core import Simulator
 
 N = 13
 ROUNDS = 3
@@ -64,6 +66,14 @@ class Arm(NamedTuple):
     shards: int  # 0: one unsharded CodeFlowGroup
     pipelined: bool = True
 
+    @property
+    def config(self) -> Config:
+        return replace(
+            DEFAULT, tree_broadcast=self.tree, tree_degree=self.degree,
+            pipelined_deploy=self.pipelined, delta_deploy=False,
+            obs=True, obs_target_labels=False,
+        )
+
 
 ARMS = {
     "flat": Arm(False, 4, 0),
@@ -74,23 +84,6 @@ ARMS = {
     # concurrent lowers -- the edgeless forest and the ordered loop.
     "serial": Arm(True, 2, 0, pipelined=False),
 }
-
-
-@contextmanager
-def _pinned(arm: Arm):
-    names = (
-        "RDX_TREE_BROADCAST", "RDX_TREE_DEGREE", "RDX_PIPELINED_DEPLOY",
-        "RDX_DELTA_DEPLOY", "RDX_OBS_TARGET_LABELS",
-    )
-    saved = [getattr(params, name) for name in names]
-    values = (arm.tree, arm.degree, arm.pipelined, False, False)
-    for name, value in zip(names, values):
-        setattr(params, name, value)
-    try:
-        yield
-    finally:
-        for name, value in zip(names, saved):
-            setattr(params, name, value)
 
 
 @contextmanager
@@ -111,14 +104,18 @@ class Rack:
 
     def __init__(self, arm: Arm):
         if arm.shards:
-            bed = sharded_testbed(N, shards=arm.shards, cores_per_host=2, seed=3)
+            sim = Simulator()
+            configure(sim, arm.config)
+            bed = sharded_testbed(
+                N, shards=arm.shards, cores_per_host=2, seed=3, sim=sim
+            )
             self.planes = bed.planes
             self.groups = bed.groups
             self.handle = bed.sharded
         else:
             bed = make_testbed(
                 n_hosts=N, cores_per_host=2, hooks=("ingress",),
-                with_agents=False, seed=3,
+                with_agents=False, seed=3, config=arm.config,
             )
             self.planes = [bed.control]
             self.groups = [CodeFlowGroup(bed.codeflows)]
@@ -379,21 +376,24 @@ def _observe(rack, series_before, marks) -> Round:
     )
 
 
+def rack_rounds(rack: Rack, scenario: "Scenario"):
+    """Run the scenario's rounds on ``rack``, one per ``next``."""
+    for version in range(ROUNDS):
+        series = _series(rack)
+        marks = [len(plane.journal.records) for plane in rack.planes]
+        fault = scenario.fault if version in scenario.faulty else no_fault
+        with fault(rack):
+            rack.process = rack.sim.spawn(
+                rack.broadcast(version, **scenario.kwargs)
+            )
+            rack.sim.run()
+        yield _observe(rack, series, marks)
+
+
 def run_row(arm_name: str, scenario_name: str) -> list:
-    arm, scenario = ARMS[arm_name], SCENARIOS[scenario_name]
-    with _pinned(arm), deterministic_ids():
-        rack = Rack(arm)
-        rounds = []
-        for version in range(ROUNDS):
-            series = _series(rack)
-            marks = [len(plane.journal.records) for plane in rack.planes]
-            fault = scenario.fault if version in scenario.faulty else no_fault
-            with fault(rack):
-                rack.process = rack.sim.spawn(
-                    rack.broadcast(version, **scenario.kwargs)
-                )
-                rack.sim.run()
-            rounds.append(_observe(rack, series, marks))
+    with deterministic_ids():
+        rack = Rack(ARMS[arm_name])
+        rounds = list(rack_rounds(rack, SCENARIOS[scenario_name]))
     checker.consume(rack.sim)  # epoch pokes and crashes are deliberate races
     return rounds
 
@@ -952,15 +952,18 @@ def root_visits(arm_name: str, scenario_name: str, version: int) -> int:
     return visits
 
 
-@pytest.mark.parametrize("arm,scenario", rows())
-def test_three_rounds_match_parent(arm, scenario):
-    got = run_row(arm, scenario)
+def assert_matches_parent(arm: str, scenario: str, got: list) -> None:
     saved = 0
     for version, (have, want) in enumerate(zip(got, ORACLE[arm, scenario])):
         saved += ROOT_WAIT_EVENTS * root_visits(arm, scenario, version)
         want = want._replace(events=want.events - saved)
         assert have == want, f"{arm}/{scenario}/round {version}"
     assert len(got) == len(ORACLE[arm, scenario]) == ROUNDS
+
+
+@pytest.mark.parametrize("arm,scenario", rows())
+def test_three_rounds_match_parent(arm, scenario):
+    assert_matches_parent(arm, scenario, run_row(arm, scenario))
 
 
 def test_the_permitted_movement_is_the_issue_numbers():
@@ -1057,40 +1060,39 @@ def test_abort_over_a_deployed_group_leaks_one_extent_per_target():
     unflushed path item 1 closes: the fix belongs to that PR."""
     from repro.core.rollback import RollbackManager
 
-    with _pinned(ARMS["flat"]):
-        bed = make_testbed(
-            n_hosts=3, cores_per_host=2, hooks=("ingress",),
-            with_agents=False, seed=3,
-        )
-        group = CodeFlowGroup(bed.codeflows)
+    bed = make_testbed(
+        n_hosts=3, cores_per_host=2, hooks=("ingress",),
+        with_agents=False, seed=3, config=ARMS["flat"].config,
+    )
+    group = CodeFlowGroup(bed.codeflows)
 
-        def programs(version):
-            return [
-                make_stress_program(150, seed=version * 31 + i + 1, name=f"lk{i}")
-                for i in range(3)
-            ]
+    def programs(version):
+        return [
+            make_stress_program(150, seed=version * 31 + i + 1, name=f"lk{i}")
+            for i in range(3)
+        ]
 
-        bed.sim.run_process(group.broadcast(programs(0), "ingress"))
-        survivors = bed.codeflows[:2]
-        live = [[cf.code_allocator.bytes_live for cf in survivors]]
-        for version in range(1, 6):
-            with leg_fails(bed), pytest.raises(BroadcastAborted):
-                bed.sim.run_process(group.broadcast(programs(version), "ingress"))
-            live.append([cf.code_allocator.bytes_live for cf in survivors])
-        assert live == [[EXTENT * k] * 2 for k in range(1, 7)]  # should stay 1512
-        for index, cf in enumerate(survivors):
-            record = cf.deployed[f"lk{index}"]
-            assert record.history == [] and cf._retired == []
-            assert len(cf._metadata_used) == 1
-        # The victim's leg never allocated, so it has nothing to leak...
-        victim = bed.codeflows[2]
-        assert victim.code_allocator.bytes_live == EXTENT
-        # ...and the leak is rollback's own, with no broadcast involved.
-        bed.sim.run_process(bed.control.inject(victim, programs(6)[2], "ingress"))
-        assert victim.code_allocator.bytes_live == 2 * EXTENT
-        bed.sim.run_process(RollbackManager(victim).rollback("lk2"))
-        assert victim.deployed["lk2"].history == [] and victim._retired == []
-        assert victim.code_allocator.bytes_live == 2 * EXTENT  # should be 1512
+    bed.sim.run_process(group.broadcast(programs(0), "ingress"))
+    survivors = bed.codeflows[:2]
+    live = [[cf.code_allocator.bytes_live for cf in survivors]]
+    for version in range(1, 6):
+        with leg_fails(bed), pytest.raises(BroadcastAborted):
+            bed.sim.run_process(group.broadcast(programs(version), "ingress"))
+        live.append([cf.code_allocator.bytes_live for cf in survivors])
+    assert live == [[EXTENT * k] * 2 for k in range(1, 7)]  # should stay 1512
+    for index, cf in enumerate(survivors):
+        record = cf.deployed[f"lk{index}"]
+        assert record.history == [] and cf._retired == []
+        assert len(cf._metadata_used) == 1
+    # The victim's leg never allocated, so it has nothing to leak...
+    victim = bed.codeflows[2]
+    assert victim.code_allocator.bytes_live == EXTENT
+    # ...and the leak is rollback's own, with no broadcast involved.
+    bed.sim.run_process(bed.control.inject(victim, programs(6)[2], "ingress"))
+    assert victim.code_allocator.bytes_live == 2 * EXTENT
+    bed.sim.run_process(RollbackManager(victim).rollback("lk2"))
+    assert victim.deployed["lk2"].history == [] and victim._retired == []
+    assert victim.code_allocator.bytes_live == 2 * EXTENT  # should be 1512
 
 
 # -- the plan, model-free -----------------------------------------------------

@@ -251,7 +251,7 @@ class TestCampaignSmoke:
         assert all(r.bubbles_clear for r in result.rounds)
 
 
-@pytest.mark.usefixtures("pin_pipelined")
+@pytest.mark.arm(pipelined_deploy=True)
 class TestTornChainAbort:
     def test_crash_mid_chain_aborts_then_rebroadcast_succeeds(self, testbed2):
         """A target dying mid-WR-chain strands exactly the landed MTU

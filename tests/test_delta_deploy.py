@@ -6,6 +6,8 @@ fixes it leans on: dropped WRs re-entering the retry loop and the
 empty batch costing nothing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import params
@@ -22,9 +24,9 @@ from repro.mem.layout import pack_qword
 INSNS = 400
 
 
-@pytest.fixture
-def delta_on(monkeypatch):
-    monkeypatch.setattr(params, "RDX_DELTA_DEPLOY", True)
+#: This file is about the delta plan, which needs the pipelined arm;
+#: the tests about its absence pin ``delta_deploy=False`` themselves.
+pytestmark = pytest.mark.arm(pipelined_deploy=True, delta_deploy=True)
 
 
 def _counter(bed, name, **labels):
@@ -50,7 +52,7 @@ def _chain(bed, n=3, seed=7, name="hotpatch"):
 
 
 class TestDeltaEngages:
-    def test_third_deploy_ships_delta(self, testbed, delta_on):
+    def test_third_deploy_ships_delta(self, testbed):
         r1, r2, r3 = _chain(testbed, 3)
         assert (r1.mode, r2.mode, r3.mode) == ("full", "full", "delta")
         # One-instruction edit: the edited insn and the trailing CRC
@@ -63,7 +65,7 @@ class TestDeltaEngages:
         assert _counter(testbed, "rdx.delta.fallback", reason="no-baseline") == 1
         assert _counter(testbed, "rdx.deploy.delta") == 1
 
-    def test_extents_ping_pong(self, testbed, delta_on):
+    def test_extents_ping_pong(self, testbed):
         r1, r2, r3, r4 = _chain(testbed, 4)
         # The delta writes into the baseline extent and flips to it, so
         # the two extents swap roles every generation.
@@ -71,7 +73,7 @@ class TestDeltaEngages:
         assert r3.code_addr == r1.code_addr
         assert r4.code_addr == r2.code_addr
 
-    def test_zero_diff_redeploy_is_metadata_only(self, testbed, delta_on):
+    def test_zero_diff_redeploy_is_metadata_only(self, testbed):
         _chain(testbed, 3)
         base = make_stress_program(INSNS, seed=7, name="hotpatch")
         # The diff base is the *baseline* -- the image superseded one
@@ -82,20 +84,22 @@ class TestDeltaEngages:
         assert again.delta_chunks == 0
         assert again.bytes_moved == 256  # just the descriptor
 
-    def test_flag_off_never_deltas(self, testbed, monkeypatch):
-        monkeypatch.setattr(params, "RDX_DELTA_DEPLOY", False)
+    @pytest.mark.arm(delta_deploy=False)
+    def test_flag_off_never_deltas(self, testbed):
         reports = _chain(testbed, 3)
         assert all(r.mode == "full" for r in reports)
         assert _counter(testbed, "rdx.deploy.delta") == 0
 
-    def test_remote_image_matches_full_path(self, delta_on):
+    def test_remote_image_matches_full_path(self, config):
         """The delta-installed extent is byte-identical to a full
         install of the same version, and decodes identically."""
         payload = bytes(range(256))
         states = {}
         for delta in (True, False):
-            params.RDX_DELTA_DEPLOY = delta
-            bed = make_testbed(n_hosts=1, cores_per_host=4)
+            bed = make_testbed(
+                n_hosts=1, cores_per_host=4,
+                config=replace(config, delta_deploy=delta),
+            )
             report = _chain(bed, 3)[-1]
             record = bed.codeflow.deployed["hotpatch"]
             image = bed.sim.run_process(
@@ -107,16 +111,21 @@ class TestDeltaEngages:
 
 
 class TestFallbacks:
-    def test_past_break_even_falls_back(self, testbed, delta_on, monkeypatch):
-        monkeypatch.setattr(params, "RDX_DELTA_MAX_CHUNKS", 0)
-        r3 = _chain(testbed, 3)[-1]
+    def test_past_break_even_falls_back(self, testbed):
+        """An 11-chunk image re-rolled from another seed dirties every
+        chunk: more than ``RDX_DELTA_MAX_CHUNKS`` chains pay for (the
+        count is checked before the byte savings)."""
+        for seed in (7, 8, 9):  # first-deploy, no-baseline, then the diff
+            r3 = _deploy(
+                testbed, make_stress_program(4_100, seed=seed, name="hotpatch")
+            )
         assert r3.mode == "full"
         assert (
             _counter(testbed, "rdx.delta.fallback", reason="past-break-even")
             == 1
         )
 
-    def test_unrelated_image_has_no_savings(self, testbed, delta_on):
+    def test_unrelated_image_has_no_savings(self, testbed):
         _chain(testbed, 3)
         # Same size, same layout, but almost every byte differs: the
         # trimmed spans cover the whole image, so shipping them as a
@@ -128,7 +137,7 @@ class TestFallbacks:
             _counter(testbed, "rdx.delta.fallback", reason="no-savings") == 1
         )
 
-    def test_size_change_falls_back(self, testbed, delta_on):
+    def test_size_change_falls_back(self, testbed):
         _chain(testbed, 3)
         grown = make_stress_program(INSNS + 6, seed=7, name="hotpatch")
         report = _deploy(testbed, grown)
@@ -139,7 +148,7 @@ class TestFallbacks:
 
 
 class TestBaselineLifetime:
-    def test_superseded_extent_stays_resident(self, testbed, delta_on):
+    def test_superseded_extent_stays_resident(self, testbed):
         """retain_history=False used to free the old extent at commit;
         it must stay allocated while registered as the diff baseline."""
         r1, _ = _chain(testbed, 2)
@@ -148,7 +157,7 @@ class TestBaselineLifetime:
         assert record.baseline_addr == r1.code_addr
         assert allocator.size_of(r1.code_addr) is not None
 
-    def test_cas_conflict_unwinds_and_heals(self, testbed, delta_on):
+    def test_cas_conflict_unwinds_and_heals(self, testbed):
         _chain(testbed, 3)
         codeflow = testbed.codeflow
         record = codeflow.deployed["hotpatch"]
@@ -182,7 +191,7 @@ class TestBaselineLifetime:
         assert _deploy(testbed, make_stress_variant(base, 5)).mode == "delta"
         checker.consume(testbed.sim)  # deliberate raw hook pokes above
 
-    def test_reboot_adopt_reseeds_baseline(self, testbed, delta_on):
+    def test_reboot_adopt_reseeds_baseline(self, testbed):
         """After a control-plane handover the reconciler's CRC readback
         re-learns the resident image; the first deploy ships full (the
         link layout is unknown) and the next one deltas again."""
@@ -274,7 +283,7 @@ class TestWriteBatchFaultPaths:
             == sync.retry.max_attempts
         )
 
-    def test_delta_rides_out_transient_fault(self, testbed, delta_on):
+    def test_delta_rides_out_transient_fault(self, testbed):
         """A flaky link during the delta's WR chain is absorbed by the
         retry policy: the deploy still commits as a delta."""
         _chain(testbed, 2)
@@ -293,7 +302,7 @@ class TestWriteBatchFaultPaths:
 
 
 class TestProvenance:
-    def test_journal_commit_records_delta_base(self, testbed, delta_on):
+    def test_journal_commit_records_delta_base(self, testbed):
         report = _chain(testbed, 3)[-1]
         commits = [
             record
@@ -307,7 +316,7 @@ class TestProvenance:
         assert deploy["chunks"] == report.delta_chunks
         assert deploy["bytes_moved"] == report.bytes_moved
 
-    def test_bytes_written_metric_counts_moved_bytes(self, testbed, delta_on):
+    def test_bytes_written_metric_counts_moved_bytes(self, testbed):
         r1, r2, r3 = _chain(testbed, 3)
         written = _counter(testbed, "rdx.deploy.bytes_written")
         assert written == r1.bytes_moved + r2.bytes_moved + r3.bytes_moved
@@ -315,19 +324,26 @@ class TestProvenance:
 
 
 class TestFaultCampaignDelta:
-    def test_campaign_hotpatch_rounds_ship_deltas(self, delta_on):
+    def test_campaign_hotpatch_rounds_ship_deltas(self, config):
         """The §4 invariants hold with every steady-state round on the
         delta path -- and deltas actually engage under the schedule."""
         result = run_fault_campaign(
-            n_hosts=3, rounds=6, seed=0, hotpatch=True
+            n_hosts=3, rounds=6, seed=0, hotpatch=True,
+            testbed=make_testbed(
+                n_hosts=3, cores_per_host=8, seed=0, config=config
+            ),
         )
         assert result.stranded == 0
         assert result.delta_deploys > 0
         assert result.committed + result.aborts == result.rounds_run
 
-    def test_campaign_hotpatch_full_arm(self):
+    @pytest.mark.arm(delta_deploy=False)
+    def test_campaign_hotpatch_full_arm(self, config):
         result = run_fault_campaign(
-            n_hosts=2, rounds=4, seed=1, hotpatch=True
+            n_hosts=2, rounds=4, seed=1, hotpatch=True,
+            testbed=make_testbed(
+                n_hosts=2, cores_per_host=8, seed=1, config=config
+            ),
         )
         assert result.stranded == 0
         assert result.delta_deploys == 0

@@ -19,23 +19,23 @@ Two deliberate departures from that commit, both in the serial arm:
   ``total_us`` is unchanged.
 """
 
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 import pytest
 
-from repro import params
 from repro.core.faults import _HookAction
 from repro.ebpf.stress import make_stress_program, make_stress_variant
 from repro.errors import DeployError, RdmaError
 from repro.exp.harness import make_testbed
 from repro.hb import checker
 from repro.mem.layout import pack_qword
+from repro.params import DEFAULT
 
 ARMS = {
-    # arm -> (RDX_PIPELINED_DEPLOY, RDX_DELTA_DEPLOY)
-    "serial": (False, False),
-    "pipelined": (True, False),
-    "delta": (True, True),
+    "serial": replace(DEFAULT, pipelined_deploy=False, delta_deploy=False),
+    "pipelined": replace(DEFAULT, pipelined_deploy=True, delta_deploy=False),
+    "delta": replace(DEFAULT, pipelined_deploy=True, delta_deploy=True),
 }
 FALLBACK_REASONS = (
     "first-deploy", "no-baseline", "layout-changed", "size-changed",
@@ -167,21 +167,18 @@ def _run_step(bed, program, retain_history, sabotage):
     )
 
 
-def run_arm(arm: str) -> dict:
-    """Drive the scripted sequence under ``arm``: step -> (outcome, state)."""
-    pipelined, delta = ARMS[arm]
-    saved = params.RDX_PIPELINED_DEPLOY, params.RDX_DELTA_DEPLOY
-    params.RDX_PIPELINED_DEPLOY, params.RDX_DELTA_DEPLOY = pipelined, delta
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4)
-        rows = {
-            name: _run_step(bed, program, retain, sabotage)
-            for name, program, retain, sabotage in _script()
-        }
-    finally:
-        params.RDX_PIPELINED_DEPLOY, params.RDX_DELTA_DEPLOY = saved
+def arm_steps(arm: str):
+    """Drive the scripted sequence on ``arm``'s own testbed, a step per
+    ``next``: yields (step, (outcome, state))."""
+    bed = make_testbed(n_hosts=1, cores_per_host=4, config=ARMS[arm])
+    for name, program, retain, sabotage in _script():
+        yield name, _run_step(bed, program, retain, sabotage)
     checker.consume(bed.sim)  # the raw hook pokes are deliberate races
-    return rows
+
+
+def run_arm(arm: str) -> dict:
+    """The whole sequence under ``arm``: step -> (outcome, state)."""
+    return dict(arm_steps(arm))
 
 
 # fmt: off
@@ -340,9 +337,7 @@ ORACLE = {
 # fmt: on
 
 
-@pytest.mark.parametrize("arm", sorted(ARMS))
-def test_scripted_sequence_matches_parent(arm):
-    got = run_arm(arm)
+def assert_matches_parent(arm: str, got: dict) -> None:
     want = ORACLE[arm]
     assert list(got) == list(want)
     for step, (outcome, state) in want.items():
@@ -353,6 +348,11 @@ def test_scripted_sequence_matches_parent(arm):
                 phases=(dispatch, link, write, commit, cc)
             )
         assert got[step] == (outcome, state), f"{arm}/{step}"
+
+
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_scripted_sequence_matches_parent(arm):
+    assert_matches_parent(arm, run_arm(arm))
 
 
 def test_script_reaches_both_plans_and_every_unwind():
@@ -378,11 +378,9 @@ def test_script_reaches_both_plans_and_every_unwind():
 
 
 @pytest.fixture
-def arm(request, monkeypatch):
-    pipelined, delta = ARMS[request.param]
-    monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", pipelined)
-    monkeypatch.setattr(params, "RDX_DELTA_DEPLOY", delta)
-    return request.param
+def config(arm):
+    """The ``testbed`` fixture builds on the parametrized arm."""
+    return ARMS[arm]
 
 
 def _inject(bed, program):
@@ -392,7 +390,7 @@ def _inject(bed, program):
 
 
 @pytest.mark.parametrize("region", ["image", "descriptor"])
-@pytest.mark.parametrize("arm", sorted(ARMS), indirect=True)
+@pytest.mark.parametrize("arm", sorted(ARMS))
 def test_failed_write_on_an_empty_target_leaks_nothing(arm, region, testbed):
     """The serial body had no unwind: at 09041c8 this left the extent
     (3012 B) allocated and, for the descriptor, the slot claimed."""
@@ -410,7 +408,7 @@ def test_failed_write_on_an_empty_target_leaks_nothing(arm, region, testbed):
     assert codeflow.deployed["app"].metadata_slot == 0
 
 
-@pytest.mark.parametrize("arm", ["delta"], indirect=True)
+@pytest.mark.parametrize("arm", ["delta"])
 def test_failed_delta_retires_and_forgets_its_baseline(arm, testbed):
     """A delta writes *into* the baseline: once a write may have landed
     the extent is neither a diff base nor a rollback target again."""

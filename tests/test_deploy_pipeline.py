@@ -15,6 +15,8 @@ Covers the pipelined deploy machinery layer by layer:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import params
@@ -24,6 +26,7 @@ from repro.ebpf.maps import MapType
 from repro.ebpf.stress import make_stress_program
 from repro.errors import RdmaError, TransientFault
 from repro.exp.harness import make_testbed
+from repro.params import DEFAULT
 from repro.rdma.cq import WcStatus
 from repro.rdma.qp import QpState, WorkRequest, WrOpcode
 from repro.rdma.rnic import RNIC_MTU_BYTES
@@ -252,7 +255,7 @@ class TestSingleFlightCompile:
             assert execution is not None
 
 
-@pytest.mark.usefixtures("pin_pipelined")
+@pytest.mark.arm(pipelined_deploy=True)
 class TestLinkedImageCache:
     def test_distinct_programs_get_distinct_keys(self, testbed):
         """Regression: keys must hash the payload, not the full image.
@@ -330,21 +333,14 @@ class TestLinkedImageCache:
 
 class TestModeEquivalence:
     def _deploy(self, pipelined):
-        saved = params.RDX_PIPELINED_DEPLOY
-        params.RDX_PIPELINED_DEPLOY = pipelined
-        try:
-            bed = make_testbed()
-            program = make_stress_program(600, seed=9, name="same")
-            bed.sim.run_process(
-                bed.control.inject(bed.codeflow, program, "ingress")
-            )
-            record = bed.codeflow.deployed["same"]
-            image = bed.host.memory.read(record.code_addr, record.code_len)
-            hook = bed.sandbox.hook_table.read_pointer("ingress")
-            execution, _ = bed.sandbox.run_hook("ingress", bytes(256))
-            return record, image, hook == record.code_addr, execution
-        finally:
-            params.RDX_PIPELINED_DEPLOY = saved
+        bed = make_testbed(config=replace(DEFAULT, pipelined_deploy=pipelined))
+        program = make_stress_program(600, seed=9, name="same")
+        bed.sim.run_process(bed.control.inject(bed.codeflow, program, "ingress"))
+        record = bed.codeflow.deployed["same"]
+        image = bed.host.memory.read(record.code_addr, record.code_len)
+        hook = bed.sandbox.hook_table.read_pointer("ingress")
+        execution, _ = bed.sandbox.run_hook("ingress", bytes(256))
+        return record, image, hook == record.code_addr, execution
 
     def test_serial_and_pipelined_land_identical_state(self):
         fast_record, fast_image, fast_hooked, fast_result = self._deploy(True)

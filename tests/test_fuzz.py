@@ -170,10 +170,12 @@ class TestEngine:
         assert len(digests) > 1
 
     def test_run_plan_restores_globals(self):
-        saved_check, saved_fuzz = params.RDX_HB_CHECK, params.RDX_FUZZ
+        # Nothing to restore: checking and the tape were switched on
+        # for the fuzzed simulator alone, so one built now has neither.
         run_plan(get("bubble-sweep"), SchedulePlan(seed=0))
-        assert params.RDX_HB_CHECK == saved_check
-        assert params.RDX_FUZZ == saved_fuzz
+        after = Simulator()
+        assert params.config_of(after) is params.DEFAULT
+        assert hooks.plan_of(after) is None
         # Teardown dropped the fuzzed simulator from the hb registry:
         # the autouse checker fixture must not re-flag its findings.
         assert hb_events.active_sims() == []
@@ -264,44 +266,39 @@ class TestHooks:
         # RDMA-heavy scenarios rarely exercise the fabric choice
         # point; pin it directly: a frozen tape entry stretches one
         # message's propagation.
-        saved = params.RDX_FUZZ
-        params.RDX_FUZZ = True
-        try:
-            sim = Simulator()
-            plan = SchedulePlan(
-                seed=0,
-                decisions=[Decision("fabric.delay:node0", 0, 4)],
-                frozen=True,
-            )
-            recorder = hooks.bind(sim, plan, max_events=1000)
-            cluster = Cluster(sim, n_hosts=2, cores_per_host=1)
-            fabric = cluster.fabric
-            src, dst = cluster.hosts[0].name, cluster.hosts[1].name
+        sim = Simulator()
+        plan = SchedulePlan(
+            seed=0,
+            decisions=[Decision("fabric.delay:node0", 0, 4)],
+            frozen=True,
+        )
+        recorder = hooks.bind(sim, plan, max_events=1000)
+        cluster = Cluster(sim, n_hosts=2, cores_per_host=1)
+        fabric = cluster.fabric
+        src, dst = cluster.hosts[0].name, cluster.hosts[1].name
 
-            def ping():
-                yield fabric.send(Message(src, dst, "ctl", 64))
+        def ping():
+            yield fabric.send(Message(src, dst, "ctl", 64))
 
-            t0 = sim.now
-            sim.run_process(ping())
-            perturbed = sim.now - t0
-            assert plan.consulted == 1
-            sim2 = Simulator()
-            plan2 = SchedulePlan(seed=0, decisions=[], frozen=True)
-            hooks.bind(sim2, plan2, max_events=1000)
-            cluster2 = Cluster(sim2, n_hosts=2, cores_per_host=1)
+        t0 = sim.now
+        sim.run_process(ping())
+        perturbed = sim.now - t0
+        assert plan.consulted == 1
+        sim2 = Simulator()
+        plan2 = SchedulePlan(seed=0, decisions=[], frozen=True)
+        hooks.bind(sim2, plan2, max_events=1000)
+        cluster2 = Cluster(sim2, n_hosts=2, cores_per_host=1)
 
-            def ping2():
-                yield cluster2.fabric.send(Message(src, dst, "ctl", 64))
+        def ping2():
+            yield cluster2.fabric.send(Message(src, dst, "ctl", 64))
 
-            t0 = sim2.now
-            sim2.run_process(ping2())
-            baseline = sim2.now - t0
-            assert perturbed == pytest.approx(
-                baseline + DELAY_STEPS[4] * params.RDX_FUZZ_NET_DELAY_US
-            )
-            recorder.clear()
-        finally:
-            params.RDX_FUZZ = saved
+        t0 = sim2.now
+        sim2.run_process(ping2())
+        baseline = sim2.now - t0
+        assert perturbed == pytest.approx(
+            baseline + DELAY_STEPS[4] * params.RDX_FUZZ_NET_DELAY_US
+        )
+        recorder.clear()
 
     def test_bind_refuses_existing_hub(self):
         from repro.obs import telemetry_of

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import params
 from repro.ebpf.stress import make_stress_program
 from repro.errors import SandboxCrash
 from repro.exp import hb_schedules
@@ -25,14 +24,6 @@ from repro.hb.detect import detect_races
 from repro.hb.events import HbEvent, extract, txn_note
 from repro.hb.graph import HbGraph
 from repro.sim.trace import TraceRecorder
-
-
-@pytest.fixture
-def hb_on():
-    saved = params.RDX_HB_CHECK
-    params.RDX_HB_CHECK = True
-    yield
-    params.RDX_HB_CHECK = saved
 
 
 # -- TraceRecorder helpers (satellite: overlap filter + since) -------------
@@ -260,9 +251,10 @@ class TestDetectorsSynthetic:
 # -- instrumentation over the real stack -----------------------------------
 
 
+@pytest.mark.arm(hb_check=True)
 class TestInstrumentation:
-    def test_batch_posts_carry_ranges_and_selective_signaling(self, hb_on):
-        bed = make_testbed(n_hosts=1, cores_per_host=2)
+    def test_batch_posts_carry_ranges_and_selective_signaling(self, config):
+        bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         sandbox = bed.sandboxes[0]
         assert sandbox.ctx_manifest is not None
         base = sandbox.ctx_manifest.code_addr
@@ -286,8 +278,8 @@ class TestInstrumentation:
         ]
         assert len(comps) == 1 and comps[0].get("chained") == 3
 
-    def test_deploy_tags_body_and_commit_with_txn(self, hb_on):
-        bed = make_testbed(n_hosts=1, cores_per_host=2)
+    def test_deploy_tags_body_and_commit_with_txn(self, config):
+        bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         program = make_stress_program(120, seed=3, name="hbtag")
         bed.sim.run_process(
             bed.control.inject(bed.codeflow, program, "ingress")
@@ -308,8 +300,8 @@ class TestInstrumentation:
         ]
         assert body, "body writes should share the commit's txn id"
 
-    def test_clean_deploy_and_exec_has_no_findings(self, hb_on):
-        bed = make_testbed(n_hosts=1, cores_per_host=2)
+    def test_clean_deploy_and_exec_has_no_findings(self, config):
+        bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         program = make_stress_program(120, seed=4, name="hbok")
         bed.sim.run_process(
             bed.control.inject(bed.codeflow, program, "ingress")
@@ -336,11 +328,11 @@ class TestInstrumentation:
 
 
 class TestSchedules:
-    def test_clean_schedule(self, hb_on):
+    def test_clean_schedule(self):
         result = hb_schedules._schedule_clean_deploy(seed=0)
         assert result.ok and not result.findings
 
-    def test_reordered_commit_fires(self, hb_on):
+    def test_reordered_commit_fires(self):
         result = hb_schedules._schedule_reordered_commit(seed=0)
         assert "commit-before-body" in result.kinds
         finding = result.findings[0]
@@ -348,19 +340,20 @@ class TestSchedules:
         lo, hi = finding.range
         assert lo < hi  # names the published range
 
-    def test_fenceless_stale_writer_fires(self, hb_on):
+    def test_fenceless_stale_writer_fires(self):
         result = hb_schedules._schedule_fenceless_stale_writer(seed=0)
         assert "stale-epoch-write" in result.kinds
 
-    def test_torn_install_fires(self, hb_on):
+    def test_torn_install_fires(self):
         result = hb_schedules._schedule_torn_install(seed=0)
         assert "torn-exec" in result.kinds
 
-    def test_bubble_race_fires(self, hb_on):
+    def test_bubble_race_fires(self):
         result = hb_schedules._schedule_bubble_race(seed=0)
         assert "bubble-race" in result.kinds
 
-    def test_reconciler_orphan_detach_regression(self, hb_on):
+    @pytest.mark.arm(hb_check=True)
+    def test_reconciler_orphan_detach_regression(self, config):
         """PR 4 regression, reframed as an ordering violation.
 
         The recovery reconciler detaches orphan images and releases
@@ -370,7 +363,7 @@ class TestSchedules:
         address must be HB-after the last exec that observed the old
         pointer -- there is no such edge, and the checker says so.
         """
-        bed = make_testbed(n_hosts=1, cores_per_host=2)
+        bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         sim = bed.sim
         sandbox = bed.sandboxes[0]
         program = make_stress_program(300, seed=9, name="orphan")

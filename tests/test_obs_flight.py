@@ -67,6 +67,7 @@ class TestRing:
         assert journal.committed_intent() == {}
 
 
+@pytest.mark.arm(obs=True)  # the flight recorder is the obs plane's
 class TestCrashSnapshot:
     def _crash_mid_broadcast(self, bed):
         from repro.core.broadcast import CodeFlowGroup

@@ -7,6 +7,9 @@ from repro.core.health import HealthDetector, TargetHealth
 from repro.ebpf.stress import make_stress_program
 from repro.obs.scrape import TelemetryScraper, TornSnapshotError
 
+#: Scraping reads what the obs plane writes: pinned on, by value.
+pytestmark = pytest.mark.arm(obs=True)
+
 
 def _deploy_and_run(bed, insns=400, execs=3):
     """Install a program and execute its hook a few times."""

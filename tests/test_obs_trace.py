@@ -1,11 +1,19 @@
 """Tests for causal deploy-trace reconstruction (spans + trace events)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.broadcast import CodeFlowGroup
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed
 from repro.obs.spans import reconstruct_deploy_traces
+from repro.params import DEFAULT
+
+#: What this file is about: trace events (the obs plane on) of the
+#: pipelined wire protocol, under the default label aggregation.
+ARM = dict(pipelined_deploy=True, obs=True, obs_target_labels=False)
+pytestmark = pytest.mark.arm(**ARM)
 
 #: PR-4 pipelined fast-path anchors (BENCH_deploy_pipeline.json): a
 #: fully-warm single-target deploy and the 8-target bubble window.
@@ -26,7 +34,9 @@ def _programs(n, version):
 @pytest.fixture(scope="module")
 def broadcast_bed():
     """An 8-target bed after a cold then a fully-warm broadcast."""
-    bed = make_testbed(n_hosts=8, cores_per_host=8)
+    bed = make_testbed(
+        n_hosts=8, cores_per_host=8, config=replace(DEFAULT, **ARM)
+    )
     group = CodeFlowGroup(bed.codeflows)
     for codeflow in bed.codeflows:
         codeflow.tenant = "team-a"
@@ -113,13 +123,9 @@ class TestBroadcastTrace:
         }
         assert per_target == {"_all"}
 
-    def test_target_labels_opt_in_restores_per_target_series(
-        self, monkeypatch
-    ):
-        from repro import params
-
-        monkeypatch.setattr(params, "RDX_OBS_TARGET_LABELS", True)
-        bed = make_testbed(n_hosts=4, cores_per_host=8)
+    @pytest.mark.arm(obs_target_labels=True)
+    def test_target_labels_opt_in_restores_per_target_series(self, config):
+        bed = make_testbed(n_hosts=4, cores_per_host=8, config=config)
         group = CodeFlowGroup(bed.codeflows)
         bed.sim.run_process(group.broadcast(_programs(4, 7), "ingress"))
         per_target = {

@@ -290,7 +290,7 @@ class TestRegistryCapAndClose:
             plane.close_codeflow(codeflow)
 
 
-@pytest.mark.usefixtures("pin_pipelined")
+@pytest.mark.arm(pipelined_deploy=True)
 class TestTornBatchRecovery:
     """Torn WR chains: prefix detection, CRC readback, and repair."""
 

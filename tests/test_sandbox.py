@@ -10,6 +10,7 @@ from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.program import BpfProgram
 from repro.net.topology import Host
+from repro.params import configure
 from repro.rdma.verbs import open_device
 from repro.sandbox.got import GlobalContext, SymbolKind
 from repro.sandbox.metadata import (
@@ -24,8 +25,10 @@ from repro.sim.core import Simulator
 
 
 @pytest.fixture
-def host():
-    return Host(Simulator(), "h", cores=4, dram_bytes=64 * 2**20)
+def host(config):
+    sim = Simulator()
+    configure(sim, config)
+    return Host(sim, "h", cores=4, dram_bytes=64 * 2**20)
 
 
 @pytest.fixture
@@ -201,6 +204,7 @@ class TestMemoryBackedMap:
         assert amap.delete(self.key(2)) == -22
 
 
+@pytest.mark.arm(obs=True)  # crashes are counted in the segment
 class TestSandboxLifecycle:
     def test_ctx_register_manifest(self, sandbox):
         ctx = open_device(sandbox.host)

@@ -8,9 +8,10 @@ and the QoS satellites: atomic token-bucket reservation and snapshot
 reporting.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro import params
 from repro.core.faults import FaultInjector, FaultKind
 from repro.core.qos import QosScheduler, TenantQuota, _TokenBucket
 from repro.core.xstate import XStateSpec
@@ -20,8 +21,9 @@ from repro.ebpf.maps import MapType
 from repro.ebpf.program import BpfProgram
 from repro.ebpf.stress import make_stress_program, make_stress_variant
 from repro.errors import ReproError, SecurityError, VerifierError
+from repro.exp.harness import make_testbed
 from repro.exp.serve_workload import ServeWorkloadSpec, run_serve_workload
-from repro.obs import tenant_label
+from repro.params import DEFAULT
 from repro.serve import (
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
@@ -146,6 +148,7 @@ def _service(bed, classes=None, workers=2, **pool_kwargs):
     return service
 
 
+@pytest.mark.arm(pipelined_deploy=True)  # the warm path rides the WR chain
 class TestWarmPool:
     def test_second_deploy_is_a_warm_hit(self, testbed):
         """Popularity admission: cold deploy #1 admits, #2 rides warm."""
@@ -525,6 +528,7 @@ def _control_read(bed):
     return read
 
 
+@pytest.mark.arm(obs=True, pipelined_deploy=True)  # the segment is obs'
 class TestServeSegment:
     def _run_some_traffic(self, bed, service):
         service.register("t", "hotpatch")
@@ -605,14 +609,10 @@ class TestServeSegment:
         service.segment.end_update()
 
     def test_tenant_label_collapses_to_class(self):
-        assert params.RDX_OBS_TARGET_LABELS is False
-        assert tenant_label("hot123", "hotpatch") == "hotpatch"
-        saved = params.RDX_OBS_TARGET_LABELS
-        params.RDX_OBS_TARGET_LABELS = True
-        try:
-            assert tenant_label("hot123", "hotpatch") == "hot123"
-        finally:
-            params.RDX_OBS_TARGET_LABELS = saved
+        for per_tenant, label in ((False, "hotpatch"), (True, "hot123")):
+            arm = replace(DEFAULT, obs_target_labels=per_tenant)
+            hub = make_testbed(config=arm).obs
+            assert hub.tenant_label("hot123", "hotpatch") == label
 
     def test_per_class_series_stay_bounded(self, testbed):
         """1000 tenants, O(classes) label values on serve metrics."""
@@ -633,12 +633,16 @@ class TestServeSegment:
 
 
 class TestServeWorkload:
-    def test_small_open_loop_mix(self):
+    @pytest.mark.arm(pipelined_deploy=True)
+    def test_small_open_loop_mix(self, config):
         spec = ServeWorkloadSpec(
             n_tenants=45, n_targets=2, duration_us=120_000.0,
             n_hot_programs=3, seed=11,
         )
-        result, service = run_serve_workload(spec)
+        result, service = run_serve_workload(
+            spec,
+            make_testbed(n_hosts=2, cores_per_host=8, seed=11, config=config),
+        )
         assert result.offered > 50
         assert result.unaccounted == 0
         assert result.completed + result.failed + sum(

@@ -17,9 +17,10 @@ down is the *failure* matrix of the relay fan-out:
   tally, and a forfeited shard never strands its siblings.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro import params
 from repro.core.broadcast import CodeFlowGroup, _FanoutPlan
 from repro.core.codeflow import CodeFlow
 from repro.core.shard import ShardCoordinator, partition
@@ -34,35 +35,33 @@ from repro.exp.harness import make_testbed
 from repro.exp.scale import sharded_testbed
 from repro.hb import checker
 from repro.mem.layout import pack_qword
+from repro.params import DEFAULT, configure
+from repro.sim.core import Simulator
+
+
+#: The tree arm with degree 2, so 9 targets give depth > 2 (roots
+#: 0-1; e.g. position 8 is relayed via 3, itself via 0).  Relays exist
+#: in the pipelined arm only, and the fallback counters are read under
+#: the aggregated ``_all`` label.
+TREE = replace(
+    DEFAULT, tree_broadcast=True, tree_degree=2, pipelined_deploy=True,
+    obs_target_labels=False,
+)
 
 
 @pytest.fixture
-def tree_params():
-    """Force the tree arm with degree 2, so 9 targets give depth > 2
-    (roots 0-1; e.g. position 8 is relayed via 3, itself via 0)."""
-    saved = (
-        params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE,
-        params.RDX_PIPELINED_DEPLOY,
-    )
-    params.RDX_TREE_BROADCAST = True
-    params.RDX_TREE_DEGREE = 2
-    # Relays exist in the pipelined arm only; without this pin the
-    # relay tests are vacuous (and three were red) under CI's
-    # ``RDX_PIPELINED_DEPLOY=0`` run.
-    params.RDX_PIPELINED_DEPLOY = True
-    yield
-    (
-        params.RDX_TREE_BROADCAST, params.RDX_TREE_DEGREE,
-        params.RDX_PIPELINED_DEPLOY,
-    ) = saved
-
-
-@pytest.fixture
-def bed(tree_params):
+def bed():
     return make_testbed(
         n_hosts=9, cores_per_host=2, hooks=("ingress",),
-        with_agents=False, seed=3,
+        with_agents=False, seed=3, config=TREE,
     )
+
+
+def sharded_bed():
+    """8 targets under 2 control-plane shards, on the tree arm."""
+    sim = Simulator()
+    configure(sim, TREE)
+    return sharded_testbed(8, shards=2, cores_per_host=2, seed=5, sim=sim)
 
 
 def programs_for(bed, size=150):
@@ -228,7 +227,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
     def _bed(self):
         return make_testbed(
             n_hosts=5, cores_per_host=2, hooks=("ingress",),
-            with_agents=False, seed=3,
+            with_agents=False, seed=3, config=TREE,
         )
 
     def _programs(self, version):
@@ -249,9 +248,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
         (ROADMAP item 6 iv), not this test's subject."""
         checker.consume(bed.sim)
 
-    def test_phase0_link_failure_does_not_deploy_previous_image(
-        self, tree_params
-    ):
+    def test_phase0_link_failure_does_not_deploy_previous_image(self):
         """v0, then v1 with ``link_code`` failing once in Phase 0 for a
         relayed target.  The completion fallacy in one test: every leg
         used to report ok -- bytes landed -- while that target ran v0,
@@ -292,9 +289,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
         assert fallback_count(bed, "no-prelink") == 1
         self._consume(bed)
 
-    def test_second_broadcast_never_sees_an_image_it_did_not_link(
-        self, tree_params
-    ):
+    def test_second_broadcast_never_sees_an_image_it_did_not_link(self):
         bed = self._bed()
         group = CodeFlowGroup(bed.codeflows)
         linked_by = {}  # id(image) -> broadcast round that linked it
@@ -325,33 +320,33 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
         # ...and the group keeps no image between broadcasts: the relay
         # QPs are its only state that outlives one.
         assert set(vars(group)) == {
-            "codeflows", "sim", "control_plane", "shard", "_relay_syncs",
+            "codeflows", "sim", "control_plane", "config", "shard",
+            "_label", "_relay_syncs",
         }
         self._consume(bed)
 
 
 class TestOneForest:
-    def test_hub_and_spoke_is_the_forest_of_degree_n(self, monkeypatch):
-        monkeypatch.setattr(params, "RDX_TREE_BROADCAST", False)
-        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
-        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {"t": object()})
+    def test_hub_and_spoke_is_the_forest_of_degree_n(self):
+        flat = replace(TREE, tree_broadcast=False)
+        plan = _FanoutPlan.build(
+            flat, 9, range(8, -1, -1), False, {"t": object()}
+        )
         assert plan.degree == 9 and plan.images == {}
         assert not plan.sequential
         assert all(not plan.children(pos, 9) for pos in range(9))
 
-    def test_serial_arm_builds_the_edgeless_forest(self, monkeypatch):
-        """``RDX_TREE_BROADCAST=1`` under the serial arm: no relays (a
-        relay forwards a WR chain only the pipelined arm builds), so
-        every position is a root and the lowers run in order."""
-        monkeypatch.setattr(params, "RDX_TREE_BROADCAST", True)
-        monkeypatch.setattr(params, "RDX_TREE_DEGREE", 2)
-        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", False)
-        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {})
+    def test_serial_arm_builds_the_edgeless_forest(self):
+        """``tree_broadcast`` under the serial arm: no relays (a relay
+        forwards a WR chain only the pipelined arm builds), so every
+        position is a root and the lowers run in order."""
+        serial = replace(TREE, pipelined_deploy=False)
+        plan = _FanoutPlan.build(serial, 9, range(8, -1, -1), False, {})
         assert plan.degree == 9 and plan.sequential
         assert all(not plan.children(pos, 9) for pos in range(9))
         bed = make_testbed(
             n_hosts=9, cores_per_host=2, hooks=("ingress",),
-            with_agents=False, seed=3,
+            with_agents=False, seed=3, config=serial,
         )
         group = CodeFlowGroup(bed.codeflows)
         result = bed.sim.run_process(
@@ -360,15 +355,15 @@ class TestOneForest:
         assert all(outcome.ok for outcome in result.outcomes)
         assert group._relay_syncs == {}
 
-    def test_relays_on_gives_the_d_ary_forest(self, tree_params):
-        plan = _FanoutPlan.build(9, range(8, -1, -1), False, {})
+    def test_relays_on_gives_the_d_ary_forest(self):
+        plan = _FanoutPlan.build(TREE, 9, range(8, -1, -1), False, {})
         assert plan.degree == 2 and not plan.sequential
         assert [list(plan.children(pos, 9)) for pos in range(4)] == [
             [2, 3], [4, 5], [6, 7], [8],
         ]
         # An explicit dependency_order keeps the relayed deploys and
         # lowers one bubble at a time.
-        assert _FanoutPlan.build(9, range(9), True, {}).sequential
+        assert _FanoutPlan.build(TREE, 9, range(9), True, {}).sequential
 
 
 class TestCrossShardCommit:
@@ -378,8 +373,8 @@ class TestCrossShardCommit:
             for i in range(len(bed.codeflows))
         ]
 
-    def test_commit_when_every_shard_is_clean(self, tree_params):
-        bed = sharded_testbed(8, shards=2, cores_per_host=2, seed=5)
+    def test_commit_when_every_shard_is_clean(self):
+        bed = sharded_bed()
         result = bed.sim.run_process(
             bed.sharded.broadcast(self._programs(bed), "ingress")
         )
@@ -391,10 +386,10 @@ class TestCrossShardCommit:
         )
         assert decisions.value == 1
 
-    def test_sibling_shard_failure_aborts_clean_shard(self, tree_params):
+    def test_sibling_shard_failure_aborts_clean_shard(self):
         """All-or-nothing spans shards: shard 0's clean legs roll back
         because a target in shard 1 failed."""
-        bed = sharded_testbed(8, shards=2, cores_per_host=2, seed=5)
+        bed = sharded_bed()
         progs = self._programs(bed)
         victim = bed.codeflows[-1]  # owned by shard 1
         original = CodeFlow.deploy_prog
@@ -425,8 +420,8 @@ class TestCrossShardCommit:
         )
         assert abort.value == 1
 
-    def test_quorum_degrades_on_the_global_tally(self, tree_params):
-        bed = sharded_testbed(8, shards=2, cores_per_host=2, seed=5)
+    def test_quorum_degrades_on_the_global_tally(self):
+        bed = sharded_bed()
         progs = self._programs(bed)
         victim = bed.codeflows[-1]
         original = CodeFlow.deploy_prog
@@ -455,15 +450,13 @@ class TestCrossShardCommit:
                 assert prog.name in codeflow.deployed
 
 
-    def test_dependency_order_is_rejected_before_anything_is_journaled(
-        self, tree_params
-    ):
+    def test_dependency_order_is_rejected_before_anything_is_journaled(self):
         """A cross-shard lower order cannot be kept by K independent
         lower loops.  It used to be handed to every shard, each of
         which refused it -- after the coordinator had minted its txn,
         so an argument error left a ``shard-commit`` begin + abort in
         the lead journal and counted as an aborted decision."""
-        bed = sharded_testbed(8, shards=2, cores_per_host=2, seed=5)
+        bed = sharded_bed()
         lead = bed.planes[0]
         records = [len(plane.journal) for plane in bed.planes]
         with pytest.raises(DeployError, match="dependency_order"):
