@@ -157,35 +157,32 @@ class CacheModel:
     def cpu_write(self, addr: int, data: bytes) -> None:
         """CPU store: write-through to DRAM and refresh the snapshot."""
         self.memory.write(addr, data)
-        cursor = addr
-        remaining = len(data)
-        while remaining > 0:
-            line_addr = self._line_addr(cursor)
-            offset = cursor - line_addr
-            take = min(self.line_bytes - offset, remaining)
-            line = self._lines.get(line_addr)
-            if line is not None and self.sim.now < line.evict_at:
-                fresh = self.memory.read(line_addr, self.line_bytes)
-                line.snapshot = fresh
+        lines = self._lines
+        if not lines or not data:
+            return
+        line_bytes = self.line_bytes
+        sim = self.sim
+        read = self.memory.read
+        for line_addr in range(addr - addr % line_bytes, addr + len(data), line_bytes):
+            line = lines.get(line_addr)
+            if line is not None and sim.now < line.evict_at:
+                line.snapshot = read(line_addr, line_bytes)
                 line.stale = False
-            cursor += take
-            remaining -= take
 
     # -- RNIC / DMA side ------------------------------------------------
 
     def dma_write(self, addr: int, data: bytes) -> None:
         """One-sided RDMA write: DRAM updated, cached copies go stale."""
         self.memory.write(addr, data)
-        cursor = addr
-        remaining = len(data)
-        while remaining > 0:
-            line_addr = self._line_addr(cursor)
-            take = min(self.line_bytes - (cursor - line_addr), remaining)
-            line = self._lines.get(line_addr)
-            if line is not None and self.sim.now < line.evict_at:
+        lines = self._lines
+        if not lines or not data:
+            return
+        line_bytes = self.line_bytes
+        sim = self.sim
+        for line_addr in range(addr - addr % line_bytes, addr + len(data), line_bytes):
+            line = lines.get(line_addr)
+            if line is not None and sim.now < line.evict_at:
                 line.stale = True
-            cursor += take
-            remaining -= take
 
     def dma_read(self, addr: int, n: int) -> bytes:
         """One-sided RDMA read: always sees DRAM (write-through CPU)."""
@@ -200,12 +197,15 @@ class CacheModel:
         DMA-written bytes.  This is the local effect of
         ``rdx_cc_event`` (paper Table 1).
         """
-        cursor = self._line_addr(addr)
-        end = addr + n
-        while cursor < end:
-            if self._lines.pop(cursor, None) is not None:
-                self.stats.flushes += 1
-            cursor += self.line_bytes
+        lines = self._lines
+        if not lines or n <= 0:
+            return
+        line_bytes = self.line_bytes
+        flushed = 0
+        for line_addr in range(addr - addr % line_bytes, addr + n, line_bytes):
+            if lines.pop(line_addr, None) is not None:
+                flushed += 1
+        self.stats.flushes += flushed
 
     def flush_all(self) -> None:
         """Drop the entire cache (used between experiment trials)."""

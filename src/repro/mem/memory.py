@@ -62,7 +62,7 @@ class PhysicalMemory:
     def _check(self, addr: int, n: int) -> int:
         if n < 0:
             raise MemoryError_(f"negative access length {n}")
-        if addr < self.base or addr + n > self.end:
+        if addr < self.base or addr + n > self.base + self.size:
             raise MemoryError_(
                 f"access [{addr:#x}, {addr + n:#x}) outside "
                 f"[{self.base:#x}, {self.end:#x})"
@@ -98,19 +98,24 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr`` (bounds-checked)."""
-        off = self._check(addr, len(data))
-        cursor = off
-        index = 0
-        while index < len(data):
-            page_no, start = divmod(cursor, self.PAGE)
-            take = min(self.PAGE - start, len(data) - index)
+        n = len(data)
+        page_no, start = divmod(self._check(addr, n), self.PAGE)
+        if 0 < n <= self.PAGE - start:
             page = self._pages.get(page_no)
             if page is None:
-                page = bytearray(self.PAGE)
-                self._pages[page_no] = page
-            page[start : start + take] = data[index : index + take]
-            cursor += take
-            index += take
+                page = self._pages[page_no] = bytearray(self.PAGE)
+            page[start : start + n] = data
+        else:
+            index = 0
+            while index < n:
+                take = min(self.PAGE - start, n - index)
+                page = self._pages.get(page_no)
+                if page is None:
+                    page = self._pages[page_no] = bytearray(self.PAGE)
+                page[start : start + take] = data[index : index + take]
+                index += take
+                page_no += 1
+                start = 0
         self.write_epoch += 1
 
     def fill(self, addr: int, n: int, byte: int = 0) -> None:

@@ -39,7 +39,6 @@ class FlightRecorder:
         self.entries: deque[dict] = deque(maxlen=capacity)
         #: Entries evicted by the ring bound (drop-oldest).
         self.dropped = 0
-        self._metric_checkpoint: dict[tuple, float] = {}
 
     def _push(self, entry: dict) -> None:
         if len(self.entries) == self.capacity:
@@ -71,18 +70,16 @@ class FlightRecorder:
 
         Called at op boundaries (each journal COMMIT/ABORT); keeps the
         ring carrying "what moved lately" without hooking every
-        ``inc()`` on the hot path.  Returns the number of delta
-        entries recorded.
+        ``inc()`` on the hot path, at the cost of the counters that
+        moved.  Every mover is checkpointed, those under ``prefix`` are
+        rung.  Returns the number of delta entries recorded.
         """
         recorded = 0
         now = self.sim.now
-        for metric in registry:
-            if metric.kind != "counter" or not metric.name.startswith(prefix):
-                continue
-            key = (metric.name, metric.labels)
-            delta = metric.value - self._metric_checkpoint.get(key, 0.0)
-            self._metric_checkpoint[key] = metric.value
-            if delta:
+        for metric in registry.take_moved():
+            delta = metric.value - metric.checkpointed
+            metric.checkpointed = metric.value
+            if delta and metric.name.startswith(prefix):
                 self._push(
                     {
                         "kind": "metric",

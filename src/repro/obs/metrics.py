@@ -20,6 +20,7 @@ in microseconds); the registry itself is simulation-agnostic.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 #: A label key -> value mapping, normalized to a sorted tuple for keying.
@@ -27,7 +28,10 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, object]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    # Label names are keyword names -- strings, and distinct -- so
+    # sorting them sorts the pairs, with no frame per label.
+    names = sorted(labels)
+    return tuple(zip(names, map(str, map(labels.__getitem__, names))))
 
 
 class Counter:
@@ -39,11 +43,20 @@ class Counter:
         self.name = name
         self.labels = labels
         self.value = 0.0
+        #: ``value`` at the owning registry's last ``take_moved``.
+        self.checkpointed = 0.0
+        #: Enlists with that registry on the next ``inc``; None while
+        #: enlisted, and for a counter no registry owns.
+        self._enlist = None
 
     def inc(self, delta: float = 1.0) -> None:
         if delta < 0:
             raise ValueError(f"counter {self.name}: negative increment {delta}")
         self.value += delta
+        enlist = self._enlist
+        if enlist is not None:
+            self._enlist = None
+            enlist(self)
 
     def __repr__(self) -> str:
         return f"Counter({self.name}{dict(self.labels)}={self.value})"
@@ -157,6 +170,9 @@ class Histogram:
 
 Metric = Union[Counter, Gauge, Histogram]
 
+#: A series' registry key, read off the instrument.
+_SERIES_KEY = attrgetter("name", "labels")
+
 
 class MetricsRegistry:
     """Get-or-create home for every metric series.
@@ -167,6 +183,9 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelKey], Metric] = {}
+        #: Counters that moved since the last ``take_moved``, each once.
+        self._moved: list[Counter] = []
+        self._enlist = self._moved.append  # one bound method for all
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self._get_or_create(Counter, name, labels)
@@ -182,6 +201,8 @@ class MetricsRegistry:
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, key[1])
+            if cls is Counter:
+                metric._enlist = self._enlist
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
@@ -208,6 +229,20 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
+
+    def take_moved(self) -> list[Counter]:
+        """Checkpoint: the counters that moved since the last call, in
+        ``__iter__`` order (keys are unique, so the movers sorted alone
+        come out as a sorted walk of everything would meet them), each
+        armed to enlist again.  A counter ``drop`` retired since it
+        moved is no series any more: left out, and left disarmed."""
+        moved = []
+        for counter in sorted(self._moved, key=_SERIES_KEY):
+            if self._metrics.get(_SERIES_KEY(counter)) is counter:
+                counter._enlist = self._enlist
+                moved.append(counter)
+        self._moved.clear()
+        return moved
 
     def clear(self) -> None:
         self._metrics.clear()

@@ -118,15 +118,6 @@ class SegmentLayout:
         # Round up so segments stay cacheline-tileable.
         self.size_bytes = (offset + 63) // 64 * 64
 
-    def offset_of(self, name: str) -> int:
-        return self.fields[name][0]
-
-    def encode(self, name: str, value) -> bytes:
-        _offset, fmt = self.fields[name]
-        if fmt == "q":
-            return _U64.pack(int(value) & 0xFFFF_FFFF_FFFF_FFFF)
-        return _F64.pack(float(value))
-
     def decode_field(self, raw: bytes, name: str):
         offset, fmt = self.fields[name]
         packer = _U64 if fmt == "q" else _F64
@@ -189,8 +180,9 @@ class TelemetrySegment:
 
     Every mutation runs inside a seqlock bracket: ``seq`` goes odd,
     the slot qwords land, ``seq`` goes back even.  ``begin_update`` /
-    ``end_update`` expose the bracket so multi-slot updates (and
-    deliberately torn test schedules) cost two seq bumps total.
+    ``end_update`` (``with segment:``) expose the bracket so whatever a
+    writer stores between two yields (and deliberately torn test
+    schedules) costs two seq bumps total.
     """
 
     def __init__(self, cache: CacheModel, base_addr: int,
@@ -202,11 +194,13 @@ class TelemetrySegment:
         self._depth = 0
         self._values: dict[str, float] = {}
         self._seen_pointers: dict[str, int] = {}
+        self._seq_addr = base_addr + OFF_SEQ
+        self._fields = layout.fields
         cache.cpu_write(
             base_addr + OFF_MAGIC,
             SEGMENT_MAGIC + struct.pack("<I", SEGMENT_VERSION),
         )
-        cache.cpu_write(base_addr + OFF_SEQ, _U64.pack(0))
+        cache.cpu_write(self._seq_addr, _U64.pack(0))
         self.reset(epoch=1)
 
     @property
@@ -224,9 +218,7 @@ class TelemetrySegment:
         self._depth += 1
         if self._depth == 1:
             self._seq += 1
-            self.cache.cpu_write(
-                self.base_addr + OFF_SEQ, _U64.pack(self._seq)
-            )
+            self.cache.cpu_write(self._seq_addr, _U64.pack(self._seq))
 
     def end_update(self) -> None:
         """Close the seqlock bracket (seq -> even)."""
@@ -235,9 +227,7 @@ class TelemetrySegment:
         self._depth -= 1
         if self._depth == 0:
             self._seq += 1
-            self.cache.cpu_write(
-                self.base_addr + OFF_SEQ, _U64.pack(self._seq)
-            )
+            self.cache.cpu_write(self._seq_addr, _U64.pack(self._seq))
 
     def __enter__(self) -> "TelemetrySegment":
         self.begin_update()
@@ -249,19 +239,26 @@ class TelemetrySegment:
     # -- slot updates ------------------------------------------------------
 
     def _store(self, name: str, value) -> None:
+        """Land one slot: inside the open bracket, else in its own."""
+        offset, fmt = self._fields[name]
+        addr = self.base_addr + offset
         self._values[name] = value
-        self.cache.cpu_write(
-            self.base_addr + self.layout.offset_of(name),
-            self.layout.encode(name, value),
-        )
+        data = (_U64.pack(int(value) & 0xFFFF_FFFF_FFFF_FFFF) if fmt == "q"
+                else _F64.pack(float(value)))
+        if self._depth:
+            self.cache.cpu_write(addr, data)
+            return
+        self.begin_update()
+        try:
+            self.cache.cpu_write(addr, data)
+        finally:
+            self.end_update()
 
     def inc(self, name: str, delta: int = 1) -> None:
-        with self:
-            self._store(name, int(self._values.get(name, 0)) + delta)
+        self._store(name, int(self._values.get(name, 0)) + delta)
 
     def set_gauge(self, name: str, value) -> None:
-        with self:
-            self._store(name, value)
+        self._store(name, value)
 
     def observe(self, name: str, value_us: float) -> None:
         with self:

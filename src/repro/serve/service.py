@@ -200,7 +200,6 @@ class DeployService:
                     return
                 yield self._wake
                 continue
-            self._note_depth()
             yield from self._execute(ticket)
 
     def _execute(self, ticket: DeployTicket) -> Generator:
@@ -224,6 +223,7 @@ class DeployService:
         yield grant
         codeflow = ticket.codeflow
         codeflow.tenant = self.obs.tenant_label(ticket.tenant, ticket.class_name)
+        outcome = None
         try:
             report = yield from self.qos.inject(
                 ticket.tenant, codeflow, ticket.program, ticket.hook_name,
@@ -234,8 +234,7 @@ class DeployService:
             self.obs.counter(
                 "rdx.serve.completed", tenant_class=ticket.class_name
             ).inc()
-            if self.segment is not None:
-                self.segment.inc("deploys.completed")
+            outcome = "deploys.completed"
         except ReproError as err:
             # Persistent failure (crashed target, fence, policy): the
             # retry layer already absorbed transient faults.  Counted,
@@ -245,19 +244,23 @@ class DeployService:
             self.obs.counter(
                 "rdx.serve.failed", tenant_class=ticket.class_name
             ).inc()
-            if self.segment is not None:
-                self.segment.inc("deploys.failed")
+            outcome = "deploys.failed"
         finally:
             lock.release(grant)
             self.inflight -= 1
             self.admission.release(ticket)
-            self._note_depth()
+            if outcome is None:  # the worker was interrupted, not the deploy
+                self._note_depth()
         ticket.finished_us = self.sim.now
         self.obs.histogram(
             "rdx.serve.deploy_us", tenant_class=ticket.class_name
         ).observe(ticket.latency_us)
         if self.segment is not None:
-            self.segment.observe("deploy_us", ticket.latency_us)
+            # Nothing yielded since the outcome: one bracket for it all.
+            with self.segment as segment:
+                segment.inc(outcome)
+                self._note_depth()
+                segment.observe("deploy_us", ticket.latency_us)
         ticket.done.succeed(ticket)
 
     # -- helpers ---------------------------------------------------------------
@@ -275,8 +278,10 @@ class DeployService:
 
     def _note_depth(self) -> None:
         if self.segment is not None:
-            self.segment.set_gauge("queued", float(self.admission.pending()))
-            self.segment.set_gauge("inflight", float(self.inflight))
+            # One bracket: no scrape pairs a new queued with an old inflight.
+            with self.segment as segment:
+                segment.set_gauge("queued", float(self.admission.pending()))
+                segment.set_gauge("inflight", float(self.inflight))
 
     # -- reporting ----------------------------------------------------------------
 

@@ -129,6 +129,18 @@ class TestStats:
         cache.flush(mem.base, 8)
         assert cache.stats.flushes == 1
 
+    def test_flush_of_an_empty_range_is_a_no_op(self, setup):
+        """Like ``cpu_read(addr, 0)``: no line, aligned or not, is under
+        an empty range (it used to drop the line under ``addr``)."""
+        sim, mem, cache = setup
+        cache.cpu_read(mem.base + 8, 8)
+        cache.dma_write(mem.base + 8, b"newbytes")
+        for addr in (mem.base, mem.base + 8, mem.base + 63):
+            cache.flush(addr, 0)
+        assert sorted(cache._lines) == [mem.base]
+        assert cache.stats.flushes == 0
+        assert cache.is_stale(mem.base + 8)
+
     def test_flush_all(self, setup):
         sim, mem, cache = setup
         cache.cpu_read(mem.base, 8)

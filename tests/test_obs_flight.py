@@ -45,6 +45,48 @@ class TestRing:
         assert [e["delta"] for e in entries] == [3, 1]
         assert entries[-1]["total"] == 4
 
+    def test_a_dropped_series_is_forgotten_not_rung_negative(self, sim):
+        """The checkpoint lives on the counter, so ``registry.drop``
+        takes it along: the series the scraper re-creates after a warm
+        reboot rings its own movement (it used to ring 2 - 5 = -3 on a
+        monotone counter, and the recorder kept every retired key)."""
+        hub = Telemetry(sim)
+        labels = {"target": "node0.sb1", "epoch": "1"}
+        retired = hub.counter("rdx.scraped", **labels)
+        retired.inc(5)
+        assert hub.flight.note_metrics(hub.registry) == 1
+        assert hub.registry.drop(target="node0.sb1") == 1
+        hub.counter("rdx.scraped", **labels).inc(2)
+        retired.inc(40)  # a handle someone kept: no longer a series
+        assert hub.flight.note_metrics(hub.registry) == 1
+        assert hub.flight.entries[-1] == {
+            "kind": "metric", "t": 0.0, "name": "rdx.scraped",
+            "labels": labels, "delta": 2.0, "total": 2.0,
+        }
+
+    def test_a_series_dropped_after_it_moved_is_not_rung(self, sim):
+        hub = Telemetry(sim)
+        hub.counter("rdx.kept").inc()
+        hub.counter("rdx.gone", target="t").inc()
+        hub.registry.drop(target="t")
+        assert hub.flight.note_metrics(hub.registry) == 1
+        assert hub.flight.entries[-1]["name"] == "rdx.kept"
+
+    def test_movers_are_rung_in_series_order(self, sim):
+        """Byte-identical ring: whatever order counters moved in, they
+        are rung in the order a sorted walk of the registry meets them."""
+        hub = Telemetry(sim)
+        for name, labels in (
+            ("rdx.b", {}), ("rdx.a", {"x": "2"}), ("rdx.a", {"x": "10"}), ("rdx.a", {}),
+        ):
+            hub.counter(name, **labels).inc()
+        hub.gauge("rdx.a0").set(1.0)  # not a counter: never rung
+        hub.flight.note_metrics(hub.registry)
+        rung = [(e["name"], e["labels"]) for e in hub.flight.entries]
+        assert rung == [
+            (m.name, dict(m.labels)) for m in hub.registry if m.kind == "counter"
+        ]
+
     def test_snapshot_captures_open_spans(self, sim):
         hub = Telemetry(sim)
         span = hub.span("rdx.broadcast", group_size=3)

@@ -594,6 +594,62 @@ class TestServeSegment:
         # Accepted strictly after the bracket closed.
         assert snapshot.values["warm.hit"] == service.warm_pool.hits + 100
 
+    def test_read_between_the_two_depth_stores_is_retried(self, testbed, monkeypatch):
+        """``queued`` and ``inflight`` share one bracket: a READ that
+        lands between the two stores sees an odd seq, is retried and
+        never exported (with a bracket per gauge it was accepted, new
+        ``queued`` beside old ``inflight``); the quiesced scrape after
+        it is the service's own ledger."""
+        from repro.obs.scrape import read_segment
+        from repro.obs.segment import decode_segment
+
+        bed = testbed
+        service = _service(bed, admit_after=1)
+        segment = service.segment
+        memory, cache = bed.control.host.memory, bed.control.host.cache
+        queued_addr, inflight_addr = (
+            segment.base_addr + segment.layout.fields[name][0]
+            for name in ("queued", "inflight")
+        )
+        landed = []  # what a READ would see after each store of a depth update
+        cpu_write = cache.cpu_write
+
+        def store_then_read(addr, data):
+            cpu_write(addr, data)
+            if addr == queued_addr or (landed and landed[-1] is not None):
+                landed.append(
+                    None if addr == inflight_addr  # the update's last slot
+                    else memory.read(segment.base_addr, segment.size_bytes)
+                )
+
+        monkeypatch.setattr(cache, "cpu_write", store_then_read)
+        self._run_some_traffic(bed, service)
+        monkeypatch.undo()
+        landed = [raw for raw in landed if raw is not None]
+        assert len(landed) >= 9  # three depth updates per ticket
+        assert not any(decode_segment(raw, segment.layout).consistent for raw in landed)
+
+        image = [landed[-1]]  # what every READ sees until one is declared torn
+
+        def read(addr, size):
+            yield bed.sim.timeout(0.2)
+            if image:
+                offset = addr - segment.base_addr
+                return image[0][offset : offset + size]
+            return memory.read(addr, size)
+
+        snapshot, retries = bed.sim.run_process(
+            read_segment(read, segment.base_addr, segment.layout, on_torn=image.clear)
+        )
+        assert retries == 1
+        ledger = service.accounting()
+        values = snapshot.values
+        assert (values["queued"], values["inflight"]) == (ledger["queued"], ledger["inflight"])
+        assert values["deploys.completed"] == ledger["completed"] == 3
+        assert values["deploys.failed"] == ledger["failed"]
+        assert values["admit.accept"] == ledger["offered"] - sum(ledger["shed"].values())
+        assert values["deploy_us.count"] == ledger["completed"] + ledger["failed"]
+
     def test_exhausted_retries_raise(self, testbed):
         bed = testbed
         service = _service(bed, admit_after=1)
