@@ -66,20 +66,28 @@ class RetryPolicy:
     def run(
         self,
         sim,
-        attempt_factory: Callable[[], Generator],
-        op: str = "op",
+        post: Callable[[], object],
+        settle: Callable[[object, str], object],
+        what: str = "OP",
         rng: Optional[random.Random] = None,
+        inject: Optional[BaseException] = None,
     ) -> Generator:
-        """Drive ``attempt_factory()`` to success within the budget.
+        """Drive one operation to success within the budget.
 
-        ``attempt_factory`` is called once per attempt and must return
-        a fresh simulation-process generator.  Transient faults are
+        An attempt calls ``post()``, which starts it and returns what
+        to wait on, and hands the outcome to ``settle(outcome, what)``,
+        which returns the result or raises.  Transient faults are
         absorbed with backoff until ``max_attempts`` or ``deadline_us``
         runs out; the terminal error is then re-raised (wrapped in
         :class:`DeadlineExceeded` when the clock, not the attempt
-        count, was the binding constraint).
+        count, was the binding constraint).  ``inject`` makes the
+        *first* attempt fail with that exception after the transport
+        timeout -- the op went out, its ACK never came -- so a
+        retryable injection is absorbed like any other hiccup.
+        ``what`` names the operation in messages; the ``rdx.retry.*``
+        counters carry it lower-cased as their ``op`` label, and the
+        telemetry hub is only looked up when one of them counts.
         """
-        obs = telemetry_of(sim)
         started = sim.now
         last_fault: Optional[TransientFault] = None
         for attempt in range(1, self.max_attempts + 1):
@@ -87,15 +95,25 @@ class RetryPolicy:
                 self.deadline_us is not None
                 and sim.now - started >= self.deadline_us
             ):
-                obs.counter("rdx.retry.deadline_expired", op=op).inc()
+                op = what.lower()
+                telemetry_of(sim).counter(
+                    "rdx.retry.deadline_expired", op=op
+                ).inc()
                 raise DeadlineExceeded(
                     f"{op}: deadline {self.deadline_us}us expired after "
                     f"{attempt - 1} attempts"
                 ) from last_fault
             try:
-                result = yield from attempt_factory()
+                if inject is not None:
+                    error, inject = inject, None
+                    yield params.RDMA_RETRY_TIMEOUT_US
+                    raise error
+                outcome = yield post()
+                result = settle(outcome, what)
             except TransientFault as fault:
                 last_fault = fault
+                obs = telemetry_of(sim)
+                op = what.lower()
                 obs.counter("rdx.retry.attempts", op=op).inc()
                 if attempt == self.max_attempts:
                     obs.counter("rdx.retry.exhausted", op=op).inc()
@@ -105,6 +123,8 @@ class RetryPolicy:
                 yield sim.timeout(delay)
                 continue
             if attempt > 1:
-                obs.counter("rdx.retry.absorbed", op=op).inc()
+                telemetry_of(sim).counter(
+                    "rdx.retry.absorbed", op=what.lower()
+                ).inc()
             return result
         raise AssertionError("unreachable: loop either returns or raises")

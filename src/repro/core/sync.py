@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import partial
 from typing import Generator, Optional
 
 from repro import params
@@ -89,9 +90,9 @@ class RemoteSync:
         self.trace_span = None
 
     def _trace_event(self, category: str, **data) -> None:
+        """Stamp ``category`` under the parked span (callers check that
+        one is parked, so an op outside a deploy builds no kwargs)."""
         span = self.trace_span
-        if span is None:
-            return
         self._obs.recorder.record(
             self.sim.now, category,
             trace_id=span.trace_id, span_id=span.span_id,
@@ -105,10 +106,9 @@ class RemoteSync:
 
         Classifies control-block words by address (bubble / epoch /
         lock / doorbell) and tags the current epoch, then merges any
-        caller-supplied annotation (deploy transaction ids).
+        caller-supplied annotation (deploy transaction ids).  Only
+        called with hb checking on.
         """
-        if not self._hb:
-            return None
         out: dict = {}
         if self.hb_epoch is not None:
             out["epoch"] = self.hb_epoch
@@ -147,8 +147,37 @@ class RemoteSync:
             getattr(action, "error", None),
         )
 
-    def _attempt(self, post, what: str) -> Generator:
-        completion = yield post()
+    def _post(self, opcode: WrOpcode, addr: int, note=None, **fields):
+        """Post one fresh WR against ``addr`` and return its completion
+        event -- an op's ``post``, called once per attempt."""
+        return self.qp.post_send(WorkRequest(
+            opcode=opcode, remote_addr=addr, rkey=self.rkey,
+            hb=self._hb_note(addr, note) if self._hb else None, **fields,
+        ))
+
+    def _post_chain(self, window: "list[tuple[int, bytes]]", note=None):
+        """Post ``window`` as one chain of fresh WRITEs (one doorbell,
+        one signaled completion) and return the chain's event."""
+        return self.qp.post_send_batch([
+            WorkRequest(
+                opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
+                data=payload, hb=self._hb_note(addr, note) if self._hb else None,
+            )
+            for addr, payload in window
+        ])
+
+    def _settle(self, completion: Completion, what: str) -> Completion:
+        """One attempt's outcome: its completion, or the error to raise
+        (:class:`TransientFault` for an unACKed WR, which the retry
+        policy absorbs; :class:`RdmaError` for anything else).
+
+        Every op runs as ``self.retry.run(sim, post, self._settle, what,
+        ...)``, where ``post`` (:meth:`_post`, :meth:`_post_chain`)
+        builds and posts fresh WRs per attempt.  A failed chain retries
+        *as a whole*: torn prefixes from the failed attempt are overwritten
+        when the retry re-lands every WR (writes are idempotent), so
+        partial progress never leaks into the success path.
+        """
         # ibv_poll_cq discipline: the convenience event mirrors a CQE
         # that also landed in the CQ.  Retire one entry per completed
         # post (a chain has a single signaled CQE), or a long-lived
@@ -156,57 +185,29 @@ class RemoteSync:
         # QP) overruns the CQ -- a fatal async event -- after ``depth``
         # operations.
         self.qp.cq.poll()
-        self._check(completion, what)
-        return completion
-
-    def _faulted_attempt(self, error: BaseException) -> Generator:
-        # The op goes out but its ACK never arrives: charge the
-        # transport timeout, then surface the injected fault.
-        yield params.RDMA_RETRY_TIMEOUT_US
-        raise error
-
-    def _op(self, post, what: str, inject=None) -> Generator:
-        """One post under the retry policy (transient faults absorbed).
-
-        ``post`` builds and posts fresh WRs -- one, or a chained batch
-        -- and returns the completion event; it is called once per
-        attempt.  A failed chain retries *as a whole*: torn prefixes
-        from the failed attempt are overwritten when the retry re-lands
-        every WR (writes are idempotent), so partial progress never
-        leaks into the success path.  ``inject`` makes the *first*
-        attempt fail with that exception; retryable injections are
-        then absorbed like any other hiccup.
-        """
-        state = {"pending": inject}
-
-        def attempt():
-            if state["pending"] is not None:
-                error, state["pending"] = state["pending"], None
-                return self._faulted_attempt(error)
-            return self._attempt(post, what)
-
-        completion = yield from self.retry.run(
-            self.sim, attempt, op=what.lower(), rng=self._rng
-        )
-        return completion
+        status = completion.status
+        if status is WcStatus.SUCCESS:
+            return completion
+        if status is WcStatus.RETRY_EXC_ERROR:
+            raise TransientFault(f"{what} unACKed: {completion.error}")
+        raise RdmaError(f"{what} failed: {completion.error}")
 
     def write(self, addr: int, data: bytes, note=None) -> Generator:
-        payload, dropped, inject = self._consult_hook("write", addr, data)
-        if dropped:
-            yield params.RDX_CC_EVENT_US
-            return None
-        completion = yield from self._op(
-            lambda: self.qp.post_send(WorkRequest(
-                opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
-                data=payload, hb=self._hb_note(addr, note),
-            )),
-            "WRITE",
-            inject=inject,
+        inject = None
+        if self.fault_hook is not None:
+            data, dropped, inject = self._consult_hook("write", addr, data)
+            if dropped:
+                yield params.RDX_CC_EVENT_US
+                return None
+        completion = yield from self.retry.run(
+            self.sim, partial(self._post, WrOpcode.RDMA_WRITE, addr, note, data=data),
+            self._settle, "WRITE", self._rng, inject,
         )
-        self._trace_event(
-            "rdx.trace.write", addr=addr, length=len(payload),
-            chunks=max(1, -(-len(payload) // RNIC_MTU_BYTES)),
-        )
+        if self.trace_span is not None:
+            self._trace_event(
+                "rdx.trace.write", addr=addr, length=len(data),
+                chunks=max(1, -(-len(data) // RNIC_MTU_BYTES)),
+            )
         return completion
 
     def write_batch(self, ops: "list[tuple[int, bytes]]", note=None) -> Generator:
@@ -235,40 +236,33 @@ class RemoteSync:
         depth = params.RDX_SQ_DEPTH
         inject = None
         for attempt in range(1, self.retry.max_attempts + 1):
-            staged = []
-            redo = []
-            for addr, data in pending:
-                payload, dropped, error = self._consult_hook(
-                    "write", addr, data
-                )
-                if error is not None and inject is None:
-                    inject = error
-                if dropped:
-                    redo.append((addr, data))
-                    continue
-                staged.append((addr, payload))
+            staged, redo = pending, []
+            if self.fault_hook is not None:
+                staged = []
+                for addr, data in pending:
+                    payload, dropped, error = self._consult_hook(
+                        "write", addr, data
+                    )
+                    if error is not None and inject is None:
+                        inject = error
+                    if dropped:
+                        redo.append((addr, data))
+                        continue
+                    staged.append((addr, payload))
             for start in range(0, len(staged), depth):
                 window = staged[start : start + depth]
                 self._m_chain_wrs.observe(len(window))
                 self._m_inflight.observe(len(window))
 
-                def post_chain(window=window):
-                    return self.qp.post_send_batch([
-                        WorkRequest(
-                            opcode=WrOpcode.RDMA_WRITE, remote_addr=addr,
-                            rkey=self.rkey, data=payload,
-                            hb=self._hb_note(addr, note),
-                        )
-                        for addr, payload in window
-                    ])
-
-                completion = yield from self._op(
-                    post_chain, "WRITE_BATCH", inject=inject
+                completion = yield from self.retry.run(
+                    self.sim, partial(self._post_chain, window, note),
+                    self._settle, "WRITE_BATCH", self._rng, inject,
                 )
-                self._trace_event(
-                    "rdx.trace.chain", wrs=len(window),
-                    bytes=sum(len(payload) for _, payload in window),
-                )
+                if self.trace_span is not None:
+                    self._trace_event(
+                        "rdx.trace.chain", wrs=len(window),
+                        bytes=sum(len(payload) for _, payload in window),
+                    )
                 inject = None
             if not redo:
                 return completion
@@ -293,52 +287,43 @@ class RemoteSync:
         return completion
 
     def read(self, addr: int, length: int) -> Generator:
-        _, dropped, inject = self._consult_hook("read", addr, None)
-        if dropped:
-            # Stale read: the response carries pre-write bytes, modeled
-            # as zeros (the allocator hands out zeroed regions).
-            yield params.RDX_CC_EVENT_US
-            return bytes(length)
-        completion = yield from self._op(
-            lambda: self.qp.post_send(WorkRequest(
-                opcode=WrOpcode.RDMA_READ, remote_addr=addr, rkey=self.rkey,
-                length=length, hb=self._hb_note(addr),
-            )),
-            "READ",
-            inject=inject,
+        inject = None
+        if self.fault_hook is not None:
+            _, dropped, inject = self._consult_hook("read", addr, None)
+            if dropped:
+                # Stale read: the response carries pre-write bytes,
+                # modeled as zeros (the allocator hands out zeroed
+                # regions).
+                yield params.RDX_CC_EVENT_US
+                return bytes(length)
+        completion = yield from self.retry.run(
+            self.sim, partial(self._post, WrOpcode.RDMA_READ, addr, length=length),
+            self._settle, "READ", self._rng, inject,
         )
         return completion.result
 
     def cas(self, addr: int, compare: int, swap: int, note=None) -> Generator:
-        _, _, inject = self._consult_hook("cas", addr, None)
-        completion = yield from self._op(
-            lambda: self.qp.post_send(WorkRequest(
-                opcode=WrOpcode.COMP_SWAP, remote_addr=addr, rkey=self.rkey,
+        inject = None
+        if self.fault_hook is not None:
+            _, _, inject = self._consult_hook("cas", addr, None)
+        completion = yield from self.retry.run(
+            self.sim,
+            partial(
+                self._post, WrOpcode.COMP_SWAP, addr, note,
                 compare=compare, swap_or_add=swap,
-                hb=self._hb_note(addr, note),
-            )),
-            "CAS",
-            inject=inject,
+            ),
+            self._settle, "CAS", self._rng, inject,
         )
-        self._trace_event("rdx.trace.cas", addr=addr)
+        if self.trace_span is not None:
+            self._trace_event("rdx.trace.cas", addr=addr)
         return completion.result
 
     def fetch_add(self, addr: int, delta: int) -> Generator:
-        completion = yield from self._op(
-            lambda: self.qp.post_send(WorkRequest(
-                opcode=WrOpcode.FETCH_ADD, remote_addr=addr, rkey=self.rkey,
-                swap_or_add=delta, hb=self._hb_note(addr),
-            )),
-            "FETCH_ADD",
+        completion = yield from self.retry.run(
+            self.sim, partial(self._post, WrOpcode.FETCH_ADD, addr, swap_or_add=delta),
+            self._settle, "FETCH_ADD", self._rng,
         )
         return completion.result
-
-    @staticmethod
-    def _check(completion: Completion, what: str) -> None:
-        if completion.status is WcStatus.RETRY_EXC_ERROR:
-            raise TransientFault(f"{what} unACKed: {completion.error}")
-        if completion.status is not WcStatus.SUCCESS:
-            raise RdmaError(f"{what} failed: {completion.error}")
 
     # -- rdx_tx (§3.5 issue 1) -----------------------------------------------
 
@@ -395,11 +380,12 @@ class RemoteSync:
         effect ~:data:`repro.params.RDX_CC_EVENT_US` later and costs
         no target CPU time.
         """
-        _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
-        if dropped:
-            # Charge the time, skip the effect (DROPPED_FLUSH fault).
-            yield params.RDX_CC_EVENT_US
-            return
+        if self.fault_hook is not None:
+            _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
+            if dropped:
+                # Charge the time, skip the effect (DROPPED_FLUSH fault).
+                yield params.RDX_CC_EVENT_US
+                return
         doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
         if self._hb:
             hb.emit(
@@ -414,7 +400,8 @@ class RemoteSync:
         yield params.RDX_CC_EVENT_US
         self.sandbox.host.cache.flush(mem_addr, length)
         self.cc_count += 1
-        self._trace_event("rdx.trace.flush", addr=mem_addr, length=length)
+        if self.trace_span is not None:
+            self._trace_event("rdx.trace.flush", addr=mem_addr, length=length)
         if self._hb:
             # ``waited=True``: this generator blocks until the flush
             # effect, so anything the caller posts on this QP afterwards
@@ -451,13 +438,12 @@ class RemoteSync:
         # Seeded per (token, acquisition): deterministic across runs,
         # decorrelated across contenders.
         rng = random.Random(owner_token * 0x9E3779B1 + self.lock_acquires)
-        obs = telemetry_of(self.sim)
         for attempt in range(1, max_attempts + 1):
             prior = yield from self.cas(lock_addr, 0, owner_token)
             if prior == 0:
                 self.lock_acquires += 1
                 if attempt > 1:
-                    obs.counter("rdx.lock.contended_acquires").inc()
+                    self._obs.counter("rdx.lock.contended_acquires").inc()
                 if self._hb:
                     self._emit_lock("acquire", owner_token)
                 # Make the acquisition visible to the local CPU quickly.

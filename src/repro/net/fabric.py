@@ -63,6 +63,10 @@ class Fabric:
         self._message_ids = itertools.count(1)
         #: Severed host pairs (unordered) -- see :meth:`partition`.
         self._partitions: set[frozenset[str]] = set()
+        #: ``severed_pairs()``: how many host pairs are cut right now.
+        #: The set's own ``__len__``, so the RNIC's per-chunk "could
+        #: anything be cut?" costs no Python frame.
+        self.severed_pairs = self._partitions.__len__
         #: Extra one-way delay per host (slow/degraded link model).
         self._extra_delay_us: dict[str, float] = {}
         self.messages_sent = 0
@@ -116,9 +120,13 @@ class Fabric:
 
     def reachable(self, src: str, dst: str) -> bool:
         """Can a message currently get from ``src`` to ``dst``?"""
-        if self.host(src).crashed or self.host(dst).crashed:
-            return False
-        return frozenset((src, dst)) not in self._partitions
+        try:
+            if self._hosts[src].crashed or self._hosts[dst].crashed:
+                return False
+        except KeyError:
+            self.host(src)
+            self.host(dst)  # one of the two raises, naming the host
+        return not self._partitions or frozenset((src, dst)) not in self._partitions
 
     def extra_delay_us(self, src: str, dst: str) -> float:
         return self._extra_delay_us.get(src, 0.0) + self._extra_delay_us.get(

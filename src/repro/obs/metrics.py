@@ -174,6 +174,28 @@ Metric = Union[Counter, Gauge, Histogram]
 _SERIES_KEY = attrgetter("name", "labels")
 
 
+def _lookup(cls):
+    """``registry.<kind>(name, **labels)``: the series of that kind,
+    created on first use.  A hit is this one frame -- the key is built
+    inline (:func:`_label_key`'s), and only when there are labels -- and
+    is still resolved through the dict every call, so a series ``drop``
+    retired is never handed out again."""
+
+    def lookup(self, name: str, **labels: object):
+        if labels:
+            names = sorted(labels)
+            key = (name, tuple(zip(names, map(str, map(labels.__getitem__, names)))))
+        else:
+            key = (name, ())
+        metric = self._metrics.get(key)
+        if metric.__class__ is cls:
+            return metric
+        return self._get_or_create(cls, name, labels)
+
+    lookup.__name__ = lookup.__qualname__ = cls.kind
+    return lookup
+
+
 class MetricsRegistry:
     """Get-or-create home for every metric series.
 
@@ -187,14 +209,9 @@ class MetricsRegistry:
         self._moved: list[Counter] = []
         self._enlist = self._moved.append  # one bound method for all
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        return self._get_or_create(Histogram, name, labels)
+    counter = _lookup(Counter)
+    gauge = _lookup(Gauge)
+    histogram = _lookup(Histogram)
 
     def _get_or_create(self, cls, name: str, labels: dict) -> Metric:
         key = (name, _label_key(labels))

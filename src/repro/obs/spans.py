@@ -18,6 +18,7 @@ metrics registry: a span named ``rdx.deploy`` observes the
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -100,8 +101,9 @@ class SpanTracer:
         self.sim = sim
         self.recorder = recorder
         self.registry = registry
-        #: Finished spans, oldest first (bounded; see ``keep_finished``).
-        self.finished_spans: list[Span] = []
+        #: Finished spans, oldest first: a ring of the newest
+        #: ``keep_finished``, so a finish costs O(1) once it is full.
+        self.finished_spans: deque[Span] = deque(maxlen=keep_finished)
         self.keep_finished = keep_finished
         #: Spans evicted from ``finished_spans`` by the bound.
         self.evicted = 0
@@ -166,11 +168,9 @@ class SpanTracer:
             )
         for listener in self.on_finish:
             listener(span)
+        if len(self.finished_spans) == self.keep_finished:
+            self.evicted += 1  # the append pushes the oldest out
         self.finished_spans.append(span)
-        if len(self.finished_spans) > self.keep_finished:
-            overflow = len(self.finished_spans) - self.keep_finished
-            del self.finished_spans[:overflow]
-            self.evicted += overflow
         return span
 
     def wrap(self, generator, name: str, parent: Optional[Span] = None, **attrs):

@@ -18,7 +18,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro import params
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
 from repro.sim.trace import TraceRecorder
 
@@ -46,6 +46,11 @@ class Telemetry:
         #: breakdown (``config.obs_target_labels``) or aggregate.
         self.per_target_labels = params.config_of(sim).obs_target_labels
         self.registry = MetricsRegistry()
+        #: Metric look-ups: the registry's own, bound once, so asking
+        #: the hub costs no frame of its own.
+        self.counter = self.registry.counter
+        self.gauge = self.registry.gauge
+        self.histogram = self.registry.histogram
         #: Span events land here; bounded so background workloads
         #: cannot grow it without limit (drop-oldest, counted).
         # Explicit None check: an empty TraceRecorder is falsy (len 0).
@@ -107,17 +112,6 @@ class Telemetry:
     #: ``tenant_label(tenant, tenant_class)`` collapses to the tenant's
     #: *priority class*, a handful of values by construction.
     tenant_label = target_label
-
-    # -- metric passthroughs ----------------------------------------------
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self.registry.counter(name, **labels)
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self.registry.gauge(name, **labels)
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        return self.registry.histogram(name, **labels)
 
     # -- span passthroughs -------------------------------------------------
 

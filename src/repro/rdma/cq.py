@@ -52,8 +52,9 @@ class CompletionQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def push(self, completion: Completion) -> None:
-        """Add a completion (called by the RNIC)."""
+    def push(self, completion: Completion) -> int:
+        """Add a completion (called by the RNIC); returns the queue's
+        depth after it."""
         if len(self._entries) >= self.depth:
             # A full CQ on real hardware is a fatal async event; here we
             # surface it loudly rather than silently dropping.
@@ -63,6 +64,7 @@ class CompletionQueue:
             self._waiters.popleft().succeed(completion)
         else:
             self._entries.append(completion)
+        return len(self._entries)
 
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll: one completion or None."""

@@ -29,27 +29,10 @@ class MemoryRegionMr:
     length: int
     lkey: int
     rkey: int
-    access: AccessFlags
+    #: The granted :class:`AccessFlags` bits, as a plain int: the RNIC
+    #: checks them per WR, and an ``IntFlag`` operator is a Python call.
+    access: int
     pd_handle: int
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.length
-
-    def covers(self, addr: int, n: int) -> bool:
-        return self.addr <= addr and addr + n <= self.end
-
-    def check_remote(self, addr: int, n: int, need: AccessFlags) -> None:
-        """Validate a remote access against range and permissions."""
-        if not self.covers(addr, n):
-            raise ProtectionError(
-                f"remote access [{addr:#x},+{n}) outside MR "
-                f"[{self.addr:#x},+{self.length})"
-            )
-        if need & ~self.access:
-            raise ProtectionError(
-                f"MR rkey={self.rkey:#x} lacks {need & ~self.access!r}"
-            )
 
 
 class ProtectionDomain:
@@ -71,7 +54,7 @@ class ProtectionDomain:
             length=length,
             lkey=next(_key_source),
             rkey=next(_key_source),
-            access=access,
+            access=int(access),
             pd_handle=self.handle,
         )
         self._mrs[mr.rkey] = mr
@@ -83,6 +66,25 @@ class ProtectionDomain:
 
     def lookup_rkey(self, rkey: int) -> Optional[MemoryRegionMr]:
         return self._mrs.get(rkey)
+
+    def check_remote(self, rkey: int, addr: int, n: int, need: int) -> None:
+        """Validate a remote access of ``n`` bytes at ``addr``: ``rkey``
+        names an MR of this domain, the range lies inside it, and it
+        grants the ``need`` bits (:class:`AccessFlags`).  The RNIC's one
+        protection call per WR, all int arithmetic."""
+        mr = self._mrs.get(rkey)
+        if mr is None:
+            raise ProtectionError(f"rkey {rkey:#x} unknown at target")
+        if addr < mr.addr or addr + n > mr.addr + mr.length:
+            raise ProtectionError(
+                f"remote access [{addr:#x},+{n}) outside MR "
+                f"[{mr.addr:#x},+{mr.length})"
+            )
+        missing = need & ~mr.access
+        if missing:
+            raise ProtectionError(
+                f"MR rkey={mr.rkey:#x} lacks {AccessFlags(missing)!r}"
+            )
 
     @property
     def mr_count(self) -> int:

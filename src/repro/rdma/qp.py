@@ -37,6 +37,14 @@ class WrOpcode(enum.Enum):
     FETCH_ADD = "fetch_add"
     SEND = "send"
 
+    def __init__(self, label: str):
+        #: The value (the completion's opcode string) and the WQE
+        #: process name as plain attributes, bound once per member: the
+        #: RNIC reads them per WR, and the enum ``value`` descriptor is
+        #: a Python call.
+        self.label = label
+        self.wqe_name = f"wqe:{label}"
+
 
 @dataclass
 class WorkRequest:
@@ -63,14 +71,6 @@ class WorkRequest:
     #: label, transaction id, published range).  ``None`` in normal
     #: runs; the RNIC copies it into the ``hb.*`` trace events.
     hb: Optional[dict] = None
-
-    def wire_bytes(self) -> int:
-        """Payload bytes this WR moves on the wire (excludes headers)."""
-        if self.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.SEND):
-            return len(self.data)
-        if self.opcode is WrOpcode.RDMA_READ:
-            return self.length
-        return 8  # atomics move one qword
 
 
 class QueuePair:
@@ -155,5 +155,6 @@ class QueuePair:
             raise RdmaError(f"post_send_batch on QP in state {self.state}")
         if self.remote is None:
             raise RdmaError("QP has no connected peer")
+        done = self.rnic.submit_batch(self, wrs)  # may reject the chain
         self.posted += len(wrs)
-        return self.rnic.submit_batch(self, wrs)
+        return done

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro import params
-from repro.errors import ProtectionError, RdmaError
+from repro.errors import ProtectionError, RdmaError, ReproError
 from repro.fuzz import hooks as fuzz_hooks
 from repro.hb import events as hb
 from repro.mem.layout import pack_qword, unpack_qword
@@ -31,6 +31,12 @@ from repro.sim.resources import Resource
 
 #: Wire MTU for chunked DMA landing of large writes.
 RNIC_MTU_BYTES = 4096
+
+#: The access bits each remote op needs, as plain ints (see
+#: :meth:`repro.rdma.mr.ProtectionDomain.check_remote`).
+_REMOTE_READ = int(AccessFlags.REMOTE_READ)
+_REMOTE_WRITE = int(AccessFlags.REMOTE_WRITE)
+_REMOTE_ATOMIC = int(AccessFlags.REMOTE_ATOMIC)
 
 
 class _Unreachable(Exception):
@@ -59,10 +65,11 @@ class Rnic:
         self._plan = fuzz_hooks.plan_of(self.sim)
         # Metric handles are resolved once and cached: the WR path is
         # the simulator's hottest loop, so per-op registry lookups are
-        # kept off it.
+        # kept off it.  Per-opcode counters are keyed by the opcode's
+        # label: an enum member as a dict key pays a Python ``__hash__``.
         obs = telemetry_of(self.sim)
         self._m_verbs = {
-            opcode: obs.counter("rdma.verbs", rnic=self.name, op=opcode.value)
+            opcode.label: obs.counter("rdma.verbs", rnic=self.name, op=opcode.label)
             for opcode in WrOpcode
         }
         self._m_bytes = obs.counter("rdma.bytes_dma", rnic=self.name)
@@ -77,10 +84,19 @@ class Rnic:
         if self._hb:
             hb.emit_post(self.sim, qp, wr, chain=None, signaled=True)
         done = self.sim.event()
-        self.sim.spawn(self._process(qp, wr, done), name=f"wqe:{wr.opcode.value}")
+        self.sim.spawn(self._process(qp, wr, done), name=wr.opcode.wqe_name)
         return done
 
     def _process(self, qp: QueuePair, wr: WorkRequest, done: Event):
+        """One signaled WR, from its pipeline slot to its CQE.
+
+        Doorbell + WQE fetch at the initiator, then the opcode's remote
+        effect (``_do_*``).  A WR that fails completes with an error
+        status instead of taking the NIC down: a target that stops
+        ACKing costs the RC retransmit budget and completes retryable;
+        a protection fault, or any other fault inside the target (a DMA
+        past the end of its DRAM), moves the QP to ERROR.
+        """
         grant = self._pipeline.request()
         yield grant
         if self._plan is not None:
@@ -89,16 +105,40 @@ class Rnic:
             # true service reorder, not just added latency.
             yield from self._perturb(qp, "rnic.service")
         bytes_before = self.bytes_dma
+        label = wr.opcode.label
         try:
             if qp.state is QpState.ERROR:
                 completion = Completion(
-                    wr_id=wr.wr_id,
-                    opcode=wr.opcode.value,
-                    status=WcStatus.WR_FLUSH_ERROR,
-                    error="QP in error state",
+                    wr.wr_id, label, WcStatus.WR_FLUSH_ERROR, error="QP in error state"
                 )
             else:
-                completion = yield from self._execute(qp, wr)
+                remote_qp = qp.remote
+                assert remote_qp is not None
+                remote_host = remote_qp.rnic.host
+                # Doorbell + WQE fetch + initiator NIC processing.
+                yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
+                try:
+                    self._check_reachable(remote_host)
+                    byte_len, result = yield from self._EXECUTE[label](
+                        self, qp, wr, remote_qp, remote_host
+                    )
+                    completion = Completion(
+                        wr.wr_id, label, WcStatus.SUCCESS, byte_len, result
+                    )
+                except _Unreachable as err:
+                    # The target never ACKs: the initiator burns its RC
+                    # retransmit budget, then surfaces a retryable
+                    # completion.  The QP stays usable -- upper layers
+                    # decide whether to retry (RetryPolicy) or declare
+                    # the target dead.
+                    yield params.RDMA_RETRY_TIMEOUT_US
+                    completion = Completion(
+                        wr.wr_id, label, WcStatus.RETRY_EXC_ERROR, error=str(err)
+                    )
+                except ReproError as err:
+                    completion = Completion(
+                        wr.wr_id, label, self._fault(qp, err), error=str(err)
+                    )
         finally:
             self._pipeline.release(grant)
         if self._plan is not None:
@@ -106,17 +146,7 @@ class Rnic:
             # effect landed -- the window where "it completed" and "the
             # initiator knows it completed" diverge.
             yield from self._perturb(qp, "rnic.complete")
-        qp.completed += 1
-        self.wrs_processed += 1
-        self._m_verbs[wr.opcode].inc()
-        self._m_bytes.inc(self.bytes_dma - bytes_before)
-        if completion.status is not WcStatus.SUCCESS:
-            self._m_errors.inc()
-        qp.cq.push(completion)
-        self._m_cq_depth.observe(len(qp.cq))
-        if self._hb:
-            hb.emit_comp(self.sim, qp, wr.wr_id, status=completion.status.value)
-        done.succeed(completion)
+        self._retire(qp, completion, 1, label, bytes_before, done)
 
     def _perturb(self, qp: QueuePair, site: str):
         """A schedule-fuzz choice point: whatever the tape adds here."""
@@ -162,100 +192,8 @@ class Rnic:
     def _process_batch(
         self, qp: QueuePair, wrs: list[WorkRequest], done: Event, chain=None
     ):
-        grant = self._pipeline.request()
-        yield grant
-        if self._plan is not None:
-            # Chains perturb as one unit: the doorbell batch is a
-            # single schedulable entity (SQ FIFO inside it is fixed).
-            yield from self._perturb(qp, "rnic.service")
-        bytes_before = self.bytes_dma
-        try:
-            if qp.state is QpState.ERROR:
-                completion = Completion(
-                    wr_id=wrs[-1].wr_id,
-                    opcode=wrs[-1].opcode.value,
-                    status=WcStatus.WR_FLUSH_ERROR,
-                    error="QP in error state",
-                    chained=len(wrs),
-                )
-            else:
-                completion = yield from self._execute_chain(qp, wrs, chain)
-        finally:
-            self._pipeline.release(grant)
-        if self._plan is not None:
-            yield from self._perturb(qp, "rnic.complete")
-        qp.completed += len(wrs)
-        self.wrs_processed += len(wrs)
-        self._m_verbs[wrs[0].opcode].inc(len(wrs))
-        self._m_bytes.inc(self.bytes_dma - bytes_before)
-        self._m_chain.observe(len(wrs))
-        if completion.status is not WcStatus.SUCCESS:
-            self._m_errors.inc()
-        qp.cq.push(completion)
-        self._m_cq_depth.observe(len(qp.cq))
-        if self._hb:
-            hb.emit_comp(
-                self.sim,
-                qp,
-                completion.wr_id,
-                status=completion.status.value,
-                chain=chain,
-                chained=len(wrs),
-            )
-        done.succeed(completion)
-
-    # -- execution ---------------------------------------------------------
-
-    def _execute(self, qp: QueuePair, wr: WorkRequest):
-        remote_qp = qp.remote
-        assert remote_qp is not None
-        remote_host = remote_qp.rnic.host
-
-        # Doorbell + WQE fetch + initiator NIC processing.
-        yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
-
-        try:
-            self._check_reachable(remote_host)
-            if wr.opcode is WrOpcode.RDMA_WRITE:
-                result = yield from self._do_write(qp, wr, remote_qp, remote_host)
-            elif wr.opcode is WrOpcode.RDMA_READ:
-                result = yield from self._do_read(qp, wr, remote_qp, remote_host)
-            elif wr.opcode in (WrOpcode.COMP_SWAP, WrOpcode.FETCH_ADD):
-                result = yield from self._do_atomic(qp, wr, remote_qp, remote_host)
-            elif wr.opcode is WrOpcode.SEND:
-                result = yield from self._do_send(qp, wr, remote_qp, remote_host)
-            else:
-                raise RdmaError(f"unsupported opcode {wr.opcode}")
-        except ProtectionError as err:
-            qp.modify(QpState.ERROR)
-            return Completion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode.value,
-                status=WcStatus.REMOTE_ACCESS_ERROR,
-                error=str(err),
-            )
-        except _Unreachable as err:
-            # The target never ACKs: the initiator burns its RC
-            # retransmit budget, then surfaces a retryable completion.
-            # The QP stays usable -- upper layers decide whether to
-            # retry (RetryPolicy) or declare the target dead.
-            yield params.RDMA_RETRY_TIMEOUT_US
-            return Completion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode.value,
-                status=WcStatus.RETRY_EXC_ERROR,
-                error=str(err),
-            )
-        return Completion(
-            wr_id=wr.wr_id,
-            opcode=wr.opcode.value,
-            status=WcStatus.SUCCESS,
-            byte_len=wr.wire_bytes(),
-            result=result,
-        )
-
-    def _execute_chain(self, qp: QueuePair, wrs: list[WorkRequest], chain=None):
-        """Service a WRITE chain as one pipelined stream.
+        """A WRITE chain, from its pipeline slot to its one CQE, serviced
+        as one pipelined stream.
 
         Cost model: one doorbell + one WQE-list fetch at the initiator,
         one first-byte latency + remote NIC overhead for the stream,
@@ -263,65 +201,113 @@ class Rnic:
         signaled tail.  Torn-write semantics are preserved exactly as
         in :meth:`_do_write`: chunks land one by one, reachability is
         re-checked per chunk, and a crash mid-chain strands the prefix
-        in target DRAM while later WRs never execute.
+        in target DRAM while later WRs never execute.  A failed chain's
+        CQE names the WR it stopped at.
         """
-        remote_qp = qp.remote
-        assert remote_qp is not None
-        remote_host = remote_qp.rnic.host
-
-        # One doorbell + one WQE-list fetch covers the whole chain --
-        # the doorbell coalescing being measured.
-        yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
-        landed = 0
+        grant = self._pipeline.request()
+        yield grant
+        if self._plan is not None:
+            # Chains perturb as one unit: the doorbell batch is a
+            # single schedulable entity (SQ FIFO inside it is fixed).
+            yield from self._perturb(qp, "rnic.service")
+        bytes_before = self.bytes_dma
+        count = len(wrs)
+        label = WrOpcode.RDMA_WRITE.label
         try:
-            self._check_reachable(remote_host)
-            # First byte of the stream reaches the target once.
-            yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
-            for wr in wrs:
-                # Per-WR protection check happens when the target NIC
-                # starts placing that WR, not up front: earlier WRs in
-                # the chain have already landed by then.
-                self._check_remote(
-                    remote_qp, wr, len(wr.data), AccessFlags.REMOTE_WRITE
+            if qp.state is QpState.ERROR:
+                completion = Completion(
+                    wrs[-1].wr_id, label, WcStatus.WR_FLUSH_ERROR,
+                    error="QP in error state", chained=count,
                 )
-                offset = 0
-                while offset < len(wr.data):
-                    chunk = wr.data[offset : offset + RNIC_MTU_BYTES]
-                    yield len(chunk) / params.RDMA_BANDWIDTH_BPUS
+            else:
+                remote_qp = qp.remote
+                assert remote_qp is not None
+                remote_host = remote_qp.rnic.host
+                check_remote = remote_qp.pd.check_remote
+                # One doorbell + one WQE-list fetch covers the whole
+                # chain -- the doorbell coalescing being measured.
+                yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
+                landed = byte_len = 0
+                try:
                     self._check_reachable(remote_host)
-                    remote_host.cache.dma_write(wr.remote_addr + offset, chunk)
-                    self.bytes_dma += len(chunk)
-                    offset += len(chunk)
-                landed += 1
-                if self._hb:
-                    self._emit_write_land(qp, wr, chain)
-            # Single ACK for the signaled tail WR.
-            yield params.NET_BASE_LATENCY_US
-        except ProtectionError as err:
+                    # First byte of the stream reaches the target once.
+                    yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
+                    for wr in wrs:
+                        data = wr.data
+                        # Per-WR protection check happens when the target
+                        # NIC starts placing that WR, not up front:
+                        # earlier WRs in the chain have already landed.
+                        check_remote(wr.rkey, wr.remote_addr, len(data), _REMOTE_WRITE)
+                        offset = 0
+                        while offset < len(data):
+                            chunk = data[offset : offset + RNIC_MTU_BYTES]
+                            yield len(chunk) / params.RDMA_BANDWIDTH_BPUS
+                            self._check_reachable(remote_host)
+                            remote_host.cache.dma_write(wr.remote_addr + offset, chunk)
+                            self.bytes_dma += len(chunk)
+                            offset += len(chunk)
+                        landed += 1
+                        byte_len += len(data)
+                        if self._hb:
+                            self._emit_write_land(qp, wr, chain)
+                    # Single ACK for the signaled tail WR.
+                    yield params.NET_BASE_LATENCY_US
+                    completion = Completion(
+                        wrs[-1].wr_id, label, WcStatus.SUCCESS, byte_len, chained=count
+                    )
+                except _Unreachable as err:
+                    yield params.RDMA_RETRY_TIMEOUT_US
+                    completion = Completion(
+                        wrs[min(landed, count - 1)].wr_id, label,
+                        WcStatus.RETRY_EXC_ERROR, error=str(err), chained=count,
+                    )
+                except ReproError as err:
+                    completion = Completion(
+                        wrs[landed].wr_id, label, self._fault(qp, err),
+                        error=str(err), chained=count,
+                    )
+        finally:
+            self._pipeline.release(grant)
+        if self._plan is not None:
+            yield from self._perturb(qp, "rnic.complete")
+        self._m_chain.observe(count)
+        self._retire(qp, completion, count, label, bytes_before, done, chain)
+
+    def _retire(
+        self, qp: QueuePair, completion: Completion, count: int, label: str,
+        bytes_before: int, done: Event, chain=None,
+    ) -> None:
+        """Retire ``count`` WRs under their one CQE: counters, the CQ,
+        then the poster's event."""
+        qp.completed += count
+        self.wrs_processed += count
+        self._m_verbs[label].inc(count)
+        self._m_bytes.inc(self.bytes_dma - bytes_before)
+        if completion.status is not WcStatus.SUCCESS:
+            self._m_errors.inc()
+        self._m_cq_depth.observe(qp.cq.push(completion))
+        if self._hb:
+            hb.emit_comp(
+                self.sim,
+                qp,
+                completion.wr_id,
+                status=completion.status.value,
+                chain=chain,
+                chained=count,
+            )
+        done.succeed(completion)
+
+    @staticmethod
+    def _fault(qp: QueuePair, err: ReproError) -> WcStatus:
+        """The status of a WR a fault stopped at the target.  The QP
+        goes to ERROR, so nothing posted behind the WR executes."""
+        if qp.state is not QpState.ERROR:
             qp.modify(QpState.ERROR)
-            return Completion(
-                wr_id=wrs[landed].wr_id,
-                opcode=wrs[landed].opcode.value,
-                status=WcStatus.REMOTE_ACCESS_ERROR,
-                error=str(err),
-                chained=len(wrs),
-            )
-        except _Unreachable as err:
-            yield params.RDMA_RETRY_TIMEOUT_US
-            return Completion(
-                wr_id=wrs[min(landed, len(wrs) - 1)].wr_id,
-                opcode=wrs[0].opcode.value,
-                status=WcStatus.RETRY_EXC_ERROR,
-                error=str(err),
-                chained=len(wrs),
-            )
-        return Completion(
-            wr_id=wrs[-1].wr_id,
-            opcode=wrs[-1].opcode.value,
-            status=WcStatus.SUCCESS,
-            byte_len=sum(wr.wire_bytes() for wr in wrs),
-            chained=len(wrs),
-        )
+        if isinstance(err, ProtectionError):
+            return WcStatus.REMOTE_ACCESS_ERROR
+        return WcStatus.REMOTE_OP_ERROR
+
+    # -- execution ---------------------------------------------------------
 
     def _emit_write_land(self, qp: QueuePair, wr: WorkRequest, chain=None):
         """Record a fully landed WRITE; 8-byte writes carry the qword
@@ -332,13 +318,18 @@ class Rnic:
         hb.emit_land(self.sim, qp, wr, chain=chain, value=value)
 
     def _check_reachable(self, remote_host: Host) -> None:
-        """Raise :class:`_Unreachable` when the target cannot ACK."""
+        """Raise :class:`_Unreachable` when the target cannot ACK.
+
+        Runs per MTU chunk, so it asks the fabric only when the fabric
+        could say no: a host pair is cut, or this NIC's own host is down
+        (the target's crash flag it reads itself)."""
         if remote_host.crashed:
             raise _Unreachable(f"{remote_host.name} crashed (no ACK)")
         fabric = self.host.fabric
         if (
             fabric is not None
             and remote_host.fabric is fabric
+            and (self.host.crashed or fabric.severed_pairs())
             and not fabric.reachable(self.host.name, remote_host.name)
         ):
             raise _Unreachable(
@@ -346,24 +337,19 @@ class Rnic:
                 f"(link partitioned)"
             )
 
-    def _check_remote(
-        self, remote_qp: QueuePair, wr: WorkRequest, n: int, need: AccessFlags
-    ):
-        mr = remote_qp.pd.lookup_rkey(wr.rkey)
-        if mr is None:
-            raise ProtectionError(f"rkey {wr.rkey:#x} unknown at target")
-        mr.check_remote(wr.remote_addr, n, need)
-        return mr
+    # Each ``_do_*`` is one opcode's remote effect after the doorbell;
+    # it returns the completion's ``(byte_len, result)``.
 
     def _do_write(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
-        self._check_remote(remote_qp, wr, len(wr.data), AccessFlags.REMOTE_WRITE)
+        data = wr.data
+        remote_qp.pd.check_remote(wr.rkey, wr.remote_addr, len(data), _REMOTE_WRITE)
         # First byte arrives after one-way latency + remote NIC overhead.
         yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
         # Chunked landing: each MTU lands after its serialization time,
         # so a large object is visible *partially written* in between.
         offset = 0
-        while offset < len(wr.data):
-            chunk = wr.data[offset : offset + RNIC_MTU_BYTES]
+        while offset < len(data):
+            chunk = data[offset : offset + RNIC_MTU_BYTES]
             yield len(chunk) / params.RDMA_BANDWIDTH_BPUS
             # A crash mid-transfer loses the unACKed remainder: chunks
             # already landed stay (DMA'd DRAM survives), the rest never
@@ -376,10 +362,10 @@ class Rnic:
             self._emit_write_land(qp, wr)
         # ACK back to the initiator.
         yield params.NET_BASE_LATENCY_US
-        return None
+        return len(data), None
 
     def _do_read(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
-        self._check_remote(remote_qp, wr, wr.length, AccessFlags.REMOTE_READ)
+        remote_qp.pd.check_remote(wr.rkey, wr.remote_addr, wr.length, _REMOTE_READ)
         yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
         data = remote_host.cache.dma_read(wr.remote_addr, wr.length)
         self.bytes_dma += wr.length
@@ -388,12 +374,12 @@ class Rnic:
             hb.emit_land(self.sim, qp, wr, value=value)
         # Response serialization + return latency.
         yield wr.length / params.RDMA_BANDWIDTH_BPUS + params.NET_BASE_LATENCY_US
-        return data
+        return wr.length, data
 
     def _do_atomic(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
         if wr.remote_addr % 8:
             raise ProtectionError("atomic target must be 8-byte aligned")
-        self._check_remote(remote_qp, wr, 8, AccessFlags.REMOTE_ATOMIC)
+        remote_qp.pd.check_remote(wr.rkey, wr.remote_addr, 8, _REMOTE_ATOMIC)
         # Atomics are RTT-bound, independent of payload.
         yield params.RDMA_ATOMIC_RTT_US
         original = unpack_qword(remote_host.memory.read(wr.remote_addr, 8))
@@ -417,7 +403,7 @@ class Rnic:
                     value=original + wr.swap_or_add, success=True,
                 )
         self.bytes_dma += 8
-        return original
+        return 8, original
 
     def _do_send(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
         if not remote_qp.recv_queue:
@@ -444,4 +430,13 @@ class Rnic:
             )
         )
         yield params.NET_BASE_LATENCY_US
-        return None
+        return len(wr.data), None
+
+    #: Opcode label -> its ``_do_*``.
+    _EXECUTE = {
+        WrOpcode.RDMA_WRITE.label: _do_write,
+        WrOpcode.RDMA_READ.label: _do_read,
+        WrOpcode.COMP_SWAP.label: _do_atomic,
+        WrOpcode.FETCH_ADD.label: _do_atomic,
+        WrOpcode.SEND.label: _do_send,
+    }

@@ -159,5 +159,6 @@ def test_a_wr_chain_constructs_no_timeout(testbed):
 
     python, _builtin = profile(testbed.sim.run_process, post())
     assert completions[0].status is WcStatus.SUCCESS
-    assert python[Rnic._execute_chain.__code__] == 7  # its start and six sleeps
+    # Its start, the pipeline grant and six sleeps.
+    assert python[Rnic._process_batch.__code__] == 8
     assert python[Timeout.__init__.__code__] == 0

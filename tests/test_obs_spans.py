@@ -106,7 +106,7 @@ class TestBackwardCompat:
         bare = SpanTracer(sim)
         span = bare.start("x")
         span.finish()
-        assert bare.finished_spans == [span]
+        assert list(bare.finished_spans) == [span]
 
 
 class TestBounds:
@@ -119,6 +119,19 @@ class TestBounds:
         assert tracer.started == 25
         # Oldest evicted first.
         assert tracer.finished_spans[0].attrs["i"] == 15
+
+    def test_a_full_ring_keeps_the_newest_in_order(self, sim):
+        tracer = SpanTracer(sim)  # the default bound: 10,000
+        for i in range(20_000):
+            tracer.start("s", i=i).finish()
+        assert [span.attrs["i"] for span in tracer.finished_spans] == list(
+            range(10_000, 20_000)
+        )
+        assert tracer.evicted == 10_000
+        first = tracer.finished_spans[0]
+        assert tracer.by_name("s")[0] is first
+        assert tracer.by_trace(first.trace_id) == [first]
+        assert tracer.children_of(first) == []
 
 
 def iter_timeout(sim, delay):

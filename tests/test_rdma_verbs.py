@@ -1,9 +1,11 @@
 """Tests for the RDMA verbs layer: MRs, QPs, one-sided operations."""
 
+import re
+
 import pytest
 
 from repro import params
-from repro.errors import RdmaError
+from repro.errors import ProtectionError, RdmaError
 from repro.net.topology import Cluster
 from repro.rdma.cq import WcStatus
 from repro.rdma.mr import AccessFlags, ProtectionDomain
@@ -65,13 +67,13 @@ class TestMr:
     def test_check_remote_range(self):
         pd = ProtectionDomain("dev")
         mr = pd.reg_mr(0x1000, 64, AccessFlags.REMOTE_WRITE)
-        mr.check_remote(0x1000, 64, AccessFlags.REMOTE_WRITE)
-        from repro.errors import ProtectionError
-
-        with pytest.raises(ProtectionError):
-            mr.check_remote(0x1000, 65, AccessFlags.REMOTE_WRITE)
-        with pytest.raises(ProtectionError):
-            mr.check_remote(0x1000, 8, AccessFlags.REMOTE_ATOMIC)
+        pd.check_remote(mr.rkey, 0x1000, 64, AccessFlags.REMOTE_WRITE)
+        with pytest.raises(ProtectionError, match=r"\[0x1000,\+65\) outside MR \[0x1000,\+64\)"):
+            pd.check_remote(mr.rkey, 0x1000, 65, AccessFlags.REMOTE_WRITE)
+        with pytest.raises(ProtectionError, match="lacks <AccessFlags.REMOTE_ATOMIC: 8>"):
+            pd.check_remote(mr.rkey, 0x1000, 8, AccessFlags.REMOTE_ATOMIC)
+        with pytest.raises(ProtectionError, match="rkey 0xbad unknown at target"):
+            pd.check_remote(0xBAD, 0x1000, 8, AccessFlags.REMOTE_WRITE)
 
 
 class TestQpStateMachine:
@@ -246,6 +248,75 @@ class TestOneSidedOps:
             opcode=WrOpcode.SEND, data=b"nobody-listening",
         ))
         assert completion.status is WcStatus.REMOTE_ACCESS_ERROR
+
+
+class TestFailedWqe:
+    """A WR that fails inside the RNIC completes; it never strands its poster."""
+
+    def _past_the_end(self, host, qp_b):
+        """An MR reaching 4 KiB past the end of ``host``'s DRAM, and a
+        128-byte WRITE into it that passes the protection check and
+        then runs off the bank."""
+        end = host.memory.end
+        mr = qp_b.pd.reg_mr(end - 64, 4096, AccessFlags.REMOTE_WRITE)
+        wr = WorkRequest(
+            opcode=WrOpcode.RDMA_WRITE, remote_addr=end - 64, rkey=mr.rkey,
+            data=b"\x5a" * 128,
+        )
+        message = f"access [{end - 64:#x}, {end + 64:#x}) outside [0x1000, {end:#x})"
+        return wr, message
+
+    def test_a_dma_fault_is_a_remote_op_error_completion(self, rig):
+        sim, _a, b, qp_a, qp_b, _mr, _addr = rig
+        wr, message = self._past_the_end(b, qp_b)
+        completion = run_wr(sim, qp_a, wr)
+        assert completion.status is WcStatus.REMOTE_OP_ERROR
+        assert completion.error == message
+        assert (completion.wr_id, completion.opcode) == (wr.wr_id, "write")
+        assert qp_a.state is QpState.ERROR
+        assert (qp_a.posted, qp_a.completed) == (1, 1)
+        assert qp_a.cq.poll() is completion
+        assert not sim.failed_processes
+
+    def test_a_dma_fault_mid_chain_names_the_wr_it_hit(self, rig):
+        sim, _a, b, qp_a, qp_b, mr, addr = rig
+        wr, message = self._past_the_end(b, qp_b)
+        first = WorkRequest(
+            opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=mr.rkey, data=b"ok",
+        )
+
+        def post():
+            return (yield qp_a.post_send_batch([first, wr]))
+
+        completion = sim.run_process(post())
+        assert completion.status is WcStatus.REMOTE_OP_ERROR
+        assert (completion.wr_id, completion.chained, completion.error) == (
+            wr.wr_id, 2, message,
+        )
+        assert b.memory.read(addr, 2) == b"ok"  # the prefix landed
+        assert qp_a.state is QpState.ERROR
+        assert (qp_a.posted, qp_a.completed) == (2, 2)
+        assert not sim.failed_processes
+
+    def test_remote_sync_raises_instead_of_hanging(self, testbed):
+        sync = testbed.codeflow.sync
+        wr, message = self._past_the_end(testbed.host, sync.qp.remote)
+        sync.rkey = wr.rkey
+        with pytest.raises(RdmaError, match=re.escape(f"WRITE failed: {message}")):
+            testbed.sim.run_process(sync.write(wr.remote_addr, wr.data))
+        assert sync.qp.state is QpState.ERROR
+        # Only the poster failed -- with the error -- not the WQE.
+        assert [name for name, _err in testbed.sim.failed_processes] == ["write"]
+
+    def test_a_rejected_chain_is_not_counted_as_posted(self, rig):
+        sim, _a, _b, qp_a, _qp_b, mr, addr = rig
+        read = WorkRequest(
+            opcode=WrOpcode.RDMA_READ, remote_addr=addr, rkey=mr.rkey, length=8,
+        )
+        with pytest.raises(RdmaError, match="RDMA_WRITE only"):
+            qp_a.post_send_batch([read])
+        sim.run()
+        assert (qp_a.posted, qp_a.completed) == (0, 0)
 
 
 class TestCq:
