@@ -231,7 +231,9 @@ class CodeFlowGroup:
         yield from sync.write_batch(
             [(addr, pack_qword(value)), (doorbell, pack_qword(1))]
         )
-        flush = self._flush_bubble(codeflow, addr, sync, waited=flushes is None)
+        # ``sync`` posted the doorbell -- the codeflow's own QP or a
+        # forest relay's -- so hb attribution follows the bytes.
+        flush = sync.flush_chained([(addr, 8)], waited=flushes is None)
         if flushes is None:
             yield from flush
         else:
@@ -270,41 +272,6 @@ class CodeFlowGroup:
                 target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
         return codeflow
-
-    def _flush_bubble(
-        self, codeflow: CodeFlow, addr: int, sync: RemoteSync,
-        waited: bool = False,
-    ) -> Generator:
-        """The effect of an already-chained flush doorbell.
-
-        The doorbell WR already landed with the bubble write; the
-        event hook executes the flush ~RDX_CC_EVENT_US later.  The
-        fault hook is still consulted so DROPPED_FLUSH faults bite
-        this path exactly like the blocking one.  ``sync`` is the QP
-        that posted the doorbell -- the codeflow's own, or a forest
-        relay's -- so hb attribution follows the bytes.  ``waited``
-        marks the flush as a QP ordering point for the hb graph: True
-        on the raise path (the raise barrier blocks on this effect),
-        False on the deferred lowering path, which must order nothing.
-        """
-        _, dropped, _ = sync._consult_hook("cc_event", addr, None)
-        if self.config.hb_check and not dropped:
-            hb.emit(
-                self.sim, "hb.flush.post",
-                qp=sync.qp.qpn, node=sync.qp.rnic.host.name,
-                target=codeflow.sandbox.host.name, addr=addr, length=8,
-            )
-        yield params.RDX_CC_EVENT_US
-        if not dropped:
-            codeflow.sandbox.host.cache.flush(addr, 8)
-            sync.cc_count += 1
-            if self.config.hb_check:
-                hb.emit(
-                    self.sim, "hb.flush",
-                    qp=sync.qp.qpn, node=sync.qp.rnic.host.name,
-                    target=codeflow.sandbox.host.name, addr=addr, length=8,
-                    waited=waited,
-                )
 
     def _prepare_leg(
         self, codeflow: CodeFlow, program, span, errors: list, images: dict

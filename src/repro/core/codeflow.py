@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional, TYPE_CHECKING
 
 from repro import params
-from repro.errors import DeployError, StaleEpochError, XStateError
+from repro.errors import DeployError, ReproError, StaleEpochError, XStateError
 from repro.hb import events as hb
 from repro.ebpf.jit import JitBinary, RelocKind
 from repro.ebpf.maps import BpfMap
@@ -112,9 +112,9 @@ class DeployedProgram:
 class _DeployPlan:
     """What one deploy moves, decided before its first byte is posted.
 
-    Two shapes: a *full* plan stages the whole image into a fresh
-    extent; a *delta* plan rewrites only the dirty spans of the
-    resident baseline extent and flips the hook to it.
+    Two shapes: a *full* plan stages the whole image into a newly
+    allocated extent; a *delta* plan rewrites only the dirty spans of
+    the resident baseline extent and flips the hook to it.
     """
 
     #: Record that owns the hook now (None: the hook is empty).  The
@@ -125,7 +125,8 @@ class _DeployPlan:
     #: Ordered write set, ``(remote address, payload)``.
     writes: list[tuple[int, bytes]]
     #: ``(remote address, length)`` spans the target CPU may hold stale
-    #: lines for; flushed after the commit, *before* the hook line.
+    #: lines for -- a reused extent, or a delta's rewritten spans;
+    #: flushed after the commit, *before* the hook line.
     flush: list[tuple[int, int]]
     #: True: a fresh allocation this deploy owns -- a failed deploy
     #: frees it.  False: the baseline, borrowed -- a failed deploy may
@@ -211,7 +212,9 @@ class CodeFlow:
         self._last_link_key: Optional[tuple] = None
         #: Extents retired by the previous generation, freed only once
         #: the *next* commit CAS is visible (no in-flight exec can
-        #: still be decoding them by then).
+        #: still be decoding them by then) -- or, for the image a
+        #: rollback flipped away from, once that flip is
+        #: (:meth:`free_retired`).
         self._retired: list[int] = []
         #: The deployment epoch this handle writes under (fencing token);
         #: set by :meth:`stamp_epoch` during rdx_create_codeflow.
@@ -484,13 +487,15 @@ class CodeFlow:
         if reason is not None:
             self.obs.counter("rdx.delta.fallback", reason=reason).inc()
         if spans is None or reason is not None:
-            code_addr = self.code_allocator.alloc(len(image), align=64)
-            # Known gap (benchmarks/ledger/README.md): a reused extent
-            # may still be cached by the target CPU, so ``flush``
-            # should list the image whenever the allocator hands back
-            # a previously executed extent.
+            allocator = self.code_allocator
+            fresh = allocator.high_water
+            code_addr = allocator.alloc(len(image), align=64)
+            # An extent below the high-water mark may have run an
+            # earlier image, whose lines the target CPU can still
+            # cache: the DMA'd image is flushed before the hook.
+            flush = [(code_addr, len(image))] if code_addr < fresh else []
             return _DeployPlan(
-                existing, code_addr, [(code_addr, image)], [], owned=True
+                existing, code_addr, [(code_addr, image)], flush, owned=True
             )
         # The baseline was live (and executed) two generations ago, so
         # the target CPU may still cache its old lines, and DMA writes
@@ -514,12 +519,12 @@ class CodeFlow:
         report: DeployReport,
         fenced: bool,
     ) -> Generator:
-        """Ship one plan: fence, dispatch, write, commit, flush, record.
+        """Ship one plan: fence, dispatch, install, flush, record.
 
         The only function that posts deploy writes and the commit CAS.
-        ``config.pipelined_deploy`` picks the cost of four steps, not a
-        different sequence; the serial arm is the
-        paper-calibrated one (fig 4a):
+        ``config.pipelined_deploy`` picks the cost of each step, not a
+        different sequence; the serial arm is the paper-calibrated one
+        (fig 4a):
 
         * dispatch prepares and polls every WQE separately
           (:data:`~repro.params.RDX_DISPATCH_US`) or once for the
@@ -527,24 +532,20 @@ class CodeFlow:
         * the stub rendezvous always runs, or only when the linked
           image missed the layout-fingerprinted cache -- a hit
           certifies the Meta descriptor + GOT window already match;
-        * each write is its own signaled WR, or the write set and the
-          descriptor ride one chain (one doorbell, one CQE; torn-write
-          semantics per WR are the same, the RNIC lands MTU chunks);
-        * the commit is ``rdx_tx`` with its ordering wait, or a bare
-          CAS -- RC ordering retires every chained WR before the CAS
-          issues on the same QP, so the chain's CQE *is* the fence.
+        * the install is a signaled WR per write, ``rdx_tx`` and a
+          blocking ``cc_event`` per flush span; or ONE chain of the
+          writes, the descriptor, the fenced commit CAS and a doorbell
+          per flush span (:meth:`RemoteSync.install`), whose effects
+          :meth:`RemoteSync.flush_chained` waits for once.
 
-        That CQE orders the CAS; it promises nothing about remote
-        *CPU* visibility.  So after the commit the plan's flush spans
-        go first and the hook line last: what was written must be
-        coherent before the pointer that reaches it is.
+        The CAS commits the bytes, not their remote *CPU* visibility:
+        the plan's spans are flushed first and the hook line last.
         """
         pipelined = self.config.pipelined_deploy
         # Fence first: no byte may land on a target owned by a newer
         # control-plane epoch.  Fencing is advisory at op start either
-        # way -- the window between fence and CAS exists at any grain
-        # -- so a caller that fenced this transaction moments ago need
-        # not pay again; the serial arm always does.
+        # way, so a caller that fenced this transaction moments ago
+        # need not pay again; the serial arm always does.
         if not (fenced and pipelined):
             yield from self.check_fence()
 
@@ -586,58 +587,56 @@ class CodeFlow:
             # every write carrying the same txn id.  It publishes the
             # whole extent the flipped pointer makes reachable, not
             # just the spans written.
-            txn = (
-                hb.txn_note(publishes=(plan.code_addr, len(image)))
-                if self.config.hb_check
-                else None
-            )
-            body = {"txn": txn["txn"]} if txn else None
+            txn = None
+            if self.config.hb_check:
+                txn = hb.txn_note(publishes=(plan.code_addr, len(image)))
             ops = plan.writes + [
                 (self.manifest.metadata_addr + slot * 256, block.encode())
             ]
             mark = self.sim.now
             if pipelined:
-                yield from self.sync.write_batch(ops, note=body)
+                prior, torn = yield from self.sync.install(
+                    ops, hook_addr, expected, plan.code_addr, plan.flush,
+                    note=txn,
+                )
             else:
+                body = {"txn": txn["txn"]} if txn else None
                 for addr, payload in ops:
                     yield from self.sync.write(addr, payload, note=body)
             report.write_us = self.sim.now - mark
-        except BaseException:
-            self._unwind(plan, slot)
+        except BaseException as err:
+            # An install raises a ReproError only when its CAS never
+            # ran; anything else (an interrupt) may leave it in flight.
+            if not pipelined or isinstance(err, ReproError):
+                self._unwind(plan, slot)
             raise
 
-        # Commit: transactional pointer flip on the hook qword.  An
-        # *exception* here leaves the outcome unknown (the CAS may have
-        # executed and lost its ACK), so nothing is given back; only a
-        # CAS that answered with the wrong prior value unwinds.
-        mark = self.sim.now
-        if pipelined:
-            prior = yield from self.sync.cas(
-                hook_addr, expected, plan.code_addr, note=txn
-            )
-        else:
+        if not pipelined:
+            # rdx_tx over the staged image.  An *exception* here leaves
+            # the outcome unknown (the CAS may have executed and lost
+            # its ACK), so nothing is given back.
+            mark, torn = self.sim.now, None
             prior = yield from self.sync.tx(
-                obj_addr=plan.code_addr,
-                obj_bytes=b"",  # staged above
-                qword_addr=hook_addr,
-                new_qword=plan.code_addr,
-                expect=expected,
-                note=txn,
+                plan.code_addr, b"", hook_addr, plan.code_addr, expected, txn
             )
+            report.commit_us = self.sim.now - mark
+        # Only a CAS that answered with the wrong prior value unwinds.
         if prior != expected:
             self._unwind(plan, slot)
             raise DeployError(
                 f"{program.name}: hook {hook_name!r} CAS expected "
                 f"{expected:#x}, found {prior:#x} (concurrent update?)"
             )
-        if pipelined:
-            self.sync.tx_count += 1  # rdx_tx counts its own installs
-        report.commit_us = self.sim.now - mark
+        if torn is not None:
+            raise torn  # committed: the reconciler finishes the flushes
 
         mark = self.sim.now
-        for addr, length in plan.flush:
-            yield from self.sync.cc_event(addr, length)
-        yield from self.sync.cc_event(hook_addr, 8)
+        spans = plan.flush + [(hook_addr, 8)]
+        if pipelined:
+            yield from self.sync.flush_chained(spans)
+        else:
+            for addr, length in spans:
+                yield from self.sync.cc_event(addr, length)
         report.cc_us = self.sim.now - mark
 
         self._bookkeep(
@@ -681,14 +680,7 @@ class CodeFlow:
         image: bytes,
     ) -> None:
         """Post-commit record keeping: books, baseline roles, report."""
-        # This deploy's commit CAS (and hook flush) is now visible, so
-        # extents retired by the *previous* generation have outlived
-        # every exec that could still have been decoding them: the
-        # deferred frees drain here, never at retire time.
-        for addr in self._retired:
-            if self.code_allocator.size_of(addr) is not None:
-                self.code_allocator.free(addr)
-        self._retired.clear()
+        self.free_retired()
         existing = plan.existing
         code_addr = plan.code_addr
         record = DeployedProgram(
@@ -770,6 +762,16 @@ class CodeFlow:
             target=self.sandbox.name,
             total_us=report.total_us,
         )
+
+    def free_retired(self) -> None:
+        """Free the retired extents, once a hook flip and its flush are
+        visible: every exec that could still have been decoding one of
+        them has retired by then.  Frees drain here (a commit, a
+        rollback), never at retire time."""
+        for addr in self._retired:
+            if self.code_allocator.size_of(addr) is not None:
+                self.code_allocator.free(addr)
+        self._retired.clear()
 
     def _observe_deploy(self, report: DeployReport) -> None:
         """Feed one successful deploy into the metrics registry."""

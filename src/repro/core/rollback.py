@@ -57,6 +57,13 @@ class RollbackManager:
         record.history.remove(stable_addr)
         if record.history and record.history[-1] == from_addr:
             record.history.pop()
+        if from_addr not in record.history:
+            # Nothing refers to the faulty extent any more, and the
+            # flip's hook flush already made that visible: it is freed
+            # now, like a detached image.  A full deploy reusing it
+            # flushes it (CodeFlow._plan).
+            self.codeflow._retired.append(from_addr)
+            self.codeflow.free_retired()
         entry = RollbackRecord(
             program_name=program_name,
             target=self.codeflow.sandbox.name,

@@ -5,7 +5,9 @@ One-sided injection has three hazards, each owned by one primitive:
 * **partial reads** of large objects -> :meth:`RemoteSync.tx` stages
   the full object first, then flips a single qword (the hook pointer)
   with an atomic CAS -- the data path either sees the old object or
-  the complete new one;
+  the complete new one.  :meth:`RemoteSync.install` is the same
+  transaction as one WR chain, with the flush doorbells below riding
+  behind its fenced CAS;
 * **RNIC/CPU cache incoherence** -> :meth:`RemoteSync.cc_event` posts
   a flush descriptor to the sandbox's event hook, dropping the stale
   cache lines within ~2 us instead of waiting for eviction (Fig 5);
@@ -348,11 +350,7 @@ class RemoteSync:
         """
         if self._hb and note is None and obj_bytes:
             note = hb.txn_note(publishes=(obj_addr, len(obj_bytes)))
-        body_note = None
-        if note:
-            body_note = {
-                k: v for k, v in note.items() if k not in ("pub_addr", "pub_len")
-            }
+        body_note = self._body_note(note)
         if obj_bytes:
             yield from self.write(obj_addr, obj_bytes, note=body_note)
         yield params.RDX_TX_COMMIT_US
@@ -367,6 +365,131 @@ class RemoteSync:
         self.tx_count += 1
         return prior
 
+    def install(
+        self,
+        ops: "list[tuple[int, bytes]]",
+        qword_addr: int,
+        expect: int,
+        new_qword: int,
+        flush: "list[tuple[int, int]]",
+        note=None,
+    ) -> Generator:
+        """``rdx_tx`` and the ``rdx_cc_event`` doorbells as ONE WR chain.
+
+        The chain is ``ops`` (the staged object, ``[(addr, payload),
+        ...]``), a fenced COMP_SWAP of the qword at ``qword_addr`` from
+        ``expect`` to ``new_qword``, then one 8-byte doorbell WRITE per
+        ``flush`` span and one for the qword's line.  The fence orders
+        the CAS after every earlier WR of its chain, so the object is
+        resident before the pointer flips, and the CAS's prior value
+        comes back in the chain's one CQE.  Windows split at
+        :data:`~repro.params.RDX_SQ_DEPTH` as in :meth:`write_batch`,
+        which posts every window but the last; the CAS and the
+        doorbells ride the last.  ``note`` is the commit's hb
+        annotation; the object's WRs carry its ``txn`` only.
+
+        The fault hook bites per WR: ``write`` faults on the object
+        (a drop fails the chain's first attempt, like an injected
+        error), ``cas`` faults on the CAS; ``cc_event`` faults bite the
+        doorbells' effect in :meth:`flush_chained`.
+
+        Returns ``(prior, torn)``.  It raises only when the CAS never
+        executed, retrying the chain as a whole until then.  An
+        executed CAS is never re-issued: a chain torn after it returns
+        the error as ``torn`` -- with the right prior the install has
+        committed, and the doorbells after the tear may not have run.
+        The caller waits for the flushes with :meth:`flush_chained`.
+        """
+        depth = params.RDX_SQ_DEPTH
+        tail = 2 + len(flush)
+        cut = (len(ops) - 1) // depth * depth if ops else 0
+        if len(ops) - cut + tail > depth:
+            cut = len(ops)
+        body_note = self._body_note(note)
+        if cut:
+            yield from self.write_batch(ops[:cut], note=body_note)
+        window = ops[cut:]
+        inject = None
+        if self.fault_hook is not None:
+            staged = []
+            for addr, data in window:
+                data, dropped, error = self._consult_hook("write", addr, data)
+                if dropped and error is None:
+                    error = TransientFault(f"INSTALL: WRITE to {addr:#x} dropped")
+                inject = inject or error
+                staged.append((addr, data))
+            window = staged
+            _, _, error = self._consult_hook("cas", qword_addr, None)
+            inject = inject or error
+        wrs = len(window) + tail
+        self._m_chain_wrs.observe(wrs)
+        self._m_inflight.observe(wrs)
+        completion = yield from self.retry.run(
+            self.sim,
+            partial(
+                self._post_install, window, qword_addr, expect, new_qword,
+                tail - 1, body_note, note,
+            ),
+            self._settle_install, "INSTALL", self._rng, inject,
+        )
+        if self.trace_span is not None:
+            self._trace_event(
+                "rdx.trace.chain", wrs=wrs,
+                bytes=sum(len(payload) for _, payload in window) + 8 * tail,
+            )
+            self._trace_event("rdx.trace.cas", addr=qword_addr)
+        prior = completion.result
+        if prior == expect:
+            self.tx_count += 1
+        torn = None
+        status = completion.status
+        if status is not WcStatus.SUCCESS:
+            kind = TransientFault if status is WcStatus.RETRY_EXC_ERROR else RdmaError
+            torn = kind(f"INSTALL torn after its CAS: {completion.error}")
+        return prior, torn
+
+    def _post_install(
+        self, window, qword_addr, expect, new_qword, doorbells, body_note, note,
+    ):
+        """Post the install's last window (:meth:`install`) as one chain."""
+        hb_on = self._hb
+        doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
+        ring = (1).to_bytes(8, "little")
+        wrs = [
+            WorkRequest(
+                opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
+                data=payload, hb=self._hb_note(addr, body_note) if hb_on else None,
+            )
+            for addr, payload in window
+        ]
+        wrs.append(WorkRequest(
+            opcode=WrOpcode.COMP_SWAP, remote_addr=qword_addr, rkey=self.rkey,
+            compare=expect, swap_or_add=new_qword, fence=True,
+            hb=self._hb_note(qword_addr, note) if hb_on else None,
+        ))
+        for _ in range(doorbells):
+            wrs.append(WorkRequest(
+                opcode=WrOpcode.RDMA_WRITE, remote_addr=doorbell, rkey=self.rkey,
+                data=ring, hb=self._hb_note(doorbell) if hb_on else None,
+            ))
+        return self.qp.post_send_batch(wrs)
+
+    def _settle_install(self, completion: Completion, what: str) -> Completion:
+        """:meth:`_settle`, except that a chain whose CAS executed is
+        final, failed or not: retrying it would re-issue the CAS."""
+        if completion.result is None:
+            return self._settle(completion, what)
+        self.qp.cq.poll()
+        return completion
+
+    @staticmethod
+    def _body_note(note):
+        """A commit's hb note without the range only the commit
+        publishes: what its object's WRs carry."""
+        if not note:
+            return None
+        return {k: v for k, v in note.items() if k not in ("pub_addr", "pub_len")}
+
     # -- rdx_cc_event (§3.5 issue 2) ------------------------------------------
 
     def cc_event(self, mem_addr: int, length: int = 64) -> Generator:
@@ -374,11 +497,12 @@ class RemoteSync:
 
         Models posting a tiny cache-coherent descriptor that the
         hardware event hook executes: the target lines are clflushed,
-        so the next CPU read observes DMA-written bytes.  The doorbell
-        WQE is posted fire-and-forget (batched with the preceding
-        transaction's WQEs on real hardware); the flush itself takes
-        effect ~:data:`repro.params.RDX_CC_EVENT_US` later and costs
-        no target CPU time.
+        so the next CPU read observes DMA-written bytes.  This op posts
+        its own doorbell WQE, fire-and-forget; an install chains its
+        doorbells behind the commit CAS instead (:meth:`install`) and
+        waits for their effect with :meth:`flush_chained`.  The flush
+        takes effect ~:data:`repro.params.RDX_CC_EVENT_US` after the
+        post and costs no target CPU time.
         """
         if self.fault_hook is not None:
             _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
@@ -398,21 +522,58 @@ class RemoteSync:
             name="cc-doorbell",
         )
         yield params.RDX_CC_EVENT_US
-        self.sandbox.host.cache.flush(mem_addr, length)
+        self._flush_effect(mem_addr, length, waited=True)
+
+    def flush_chained(
+        self, spans: "list[tuple[int, int]]", waited: bool = True
+    ) -> Generator:
+        """The effect of flush doorbells that already rode a WR chain.
+
+        One doorbell per ``(addr, length)`` span landed with the chain
+        whose CQE the caller just polled (:meth:`install`, a bubble
+        write); the event hook executes them
+        ~:data:`repro.params.RDX_CC_EVENT_US` later, in order, at one
+        instant.  The fault hook is consulted per span as in
+        :meth:`cc_event`: a dropped flush still costs the wait, but has
+        no effect.  ``waited`` marks each flush as a QP ordering point
+        for the hb graph: True when the caller blocks on this generator,
+        False for a deferred one whose completion orders nothing (a
+        broadcast's bubble lowering).
+        """
+        live = []
+        for addr, length in spans:
+            if self.fault_hook is not None:
+                _, dropped, _inject = self._consult_hook("cc_event", addr, None)
+                if dropped:
+                    continue
+            if self._hb:
+                hb.emit(
+                    self.sim, "hb.flush.post",
+                    qp=self.qp.qpn, node=self.qp.rnic.host.name,
+                    target=self.sandbox.host.name, addr=addr, length=length,
+                )
+            live.append((addr, length))
+        yield params.RDX_CC_EVENT_US
+        for addr, length in live:
+            self._flush_effect(addr, length, waited)
+
+    def _flush_effect(self, addr: int, length: int, waited: bool) -> None:
+        """One remote flush taking effect on the target's cache."""
+        self.sandbox.host.cache.flush(addr, length)
         self.cc_count += 1
         if self.trace_span is not None:
-            self._trace_event("rdx.trace.flush", addr=mem_addr, length=length)
+            self._trace_event("rdx.trace.flush", addr=addr, length=length)
         if self._hb:
-            # ``waited=True``: this generator blocks until the flush
-            # effect, so anything the caller posts on this QP afterwards
-            # is causally behind it -- unlike the fire-and-forget flush
-            # in broadcast bubble-lowering, which must NOT become a QP
-            # ordering point (see HbGraph._build).
+            # ``waited=True``: the caller blocks until the flush effect,
+            # so anything it posts on this QP afterwards is causally
+            # behind it -- unlike the deferred flush of a bubble
+            # lowering, which must NOT become a QP ordering point (see
+            # HbGraph._build).
             hb.emit(
                 self.sim, "hb.flush",
                 qp=self.qp.qpn, node=self.qp.rnic.host.name,
-                target=self.sandbox.host.name, addr=mem_addr, length=length,
-                waited=True,
+                target=self.sandbox.host.name, addr=addr, length=length,
+                waited=waited,
             )
 
     # -- rdx_mutual_excl (§3.5 issue 3) ----------------------------------------

@@ -32,6 +32,10 @@ so CI can gate on it:
   commit CAS directly -- without the relay's status report there is
   no edge ordering the commit after the forwarded chunks, so the hook
   can flip onto bytes still in flight.
+* ``commit-chained-first`` -- one install chain on one QP, with the
+  fenced commit CAS chained *ahead of* the body it publishes: the
+  fence orders a WR after the WRs before it in the chain, and there
+  are none, so the hook flips before the image lands.
 * ``clean-deploy`` -- the control: inject, redeploy, and data-path
   executions through the real stack must produce zero findings.
 
@@ -43,7 +47,7 @@ Run directly for the CI gate::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Generator, Optional
 
 from repro import params
 from repro.core.control_plane import _pd_of
@@ -54,6 +58,7 @@ from repro.exp.harness import Testbed, format_table, make_testbed
 from repro.hb import checker
 from repro.hb import events as hb_events
 from repro.mem.layout import pack_qword
+from repro.rdma.qp import WorkRequest, WrOpcode
 from repro.rdma.verbs import connect_qps, open_device
 from repro.sandbox.sandbox import Sandbox
 
@@ -373,6 +378,39 @@ def _schedule_relay_commit_before_body(seed: int) -> ScheduleResult:
     )
 
 
+def commit_chained_first(sync: RemoteSync) -> Generator:
+    """Post an install chain whose fenced commit CAS rides *ahead of*
+    the ~6KB body it publishes -- the order :meth:`RemoteSync.install`
+    never uses -- and poll its CQE."""
+    sandbox = sync.sandbox
+    assert sandbox.ctx_manifest is not None
+    code_addr = sandbox.ctx_manifest.code_addr
+    body = bytes(range(256)) * 24  # ~6KB: lands in two MTU chunks
+    note = hb_events.txn_note(publishes=(code_addr, len(body)))
+    yield sync.qp.post_send_batch([
+        WorkRequest(
+            opcode=WrOpcode.COMP_SWAP, rkey=sync.rkey, fence=True,
+            remote_addr=sandbox.hook_table.slot_addr("ingress"),
+            compare=0, swap_or_add=code_addr, hb=note,
+        ),
+        WorkRequest(
+            opcode=WrOpcode.RDMA_WRITE, remote_addr=code_addr, rkey=sync.rkey,
+            data=body, hb={"txn": note["txn"]},
+        ),
+    ])
+    sync.qp.cq.poll()
+
+
+def _schedule_commit_chained_first(seed: int) -> ScheduleResult:
+    bed = _bed(seed)
+    bed.sim.run_process(commit_chained_first(bed.codeflow.sync))
+    bed.sim.run(until=bed.sim.now + 10_000)
+    return _finish(
+        bed,
+        ScheduleResult("commit-chained-first", expect="commit-before-body"),
+    )
+
+
 _SCHEDULES = (
     _schedule_clean_deploy,
     _schedule_reordered_commit,
@@ -382,6 +420,7 @@ _SCHEDULES = (
     _schedule_delta_chunk_reordered,
     _schedule_delta_stale_baseline,
     _schedule_relay_commit_before_body,
+    _schedule_commit_chained_first,
 )
 
 

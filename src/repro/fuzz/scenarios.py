@@ -9,9 +9,10 @@ Two families:
   The decision tape also picks payload faults for these
   (:data:`~repro.core.faults.FUZZ_FAULT_MENU`), so the guards are
   exercised on perturbed *and* faulted schedules.
-* **known-bad** -- guard-disabled reconstructions of the five
+* **known-bad** -- guard-disabled reconstructions of six
   ``exp/hb_schedules.py`` bug classes (sharded commit, fenceless stale
-  writer, live rewrite, bubble sweep, sharded delta chunk).  Here the
+  writer, live rewrite, bubble sweep, sharded delta chunk, a commit
+  chained ahead of its body).  Here the
   fuzzer must *rediscover* the race: concurrency is set up, but spawn
   order and op timing come from the tape, so some interleavings
   exhibit the bug and some do not.  Each carries the detector kind it
@@ -424,6 +425,23 @@ def _drive_delta_shard(sim, seed: int, plan: "SchedulePlan") -> None:
     sim.run(until=sim.now + _SETTLE_US)
 
 
+def _drive_chained_commit(sim, seed: int, plan: "SchedulePlan") -> None:
+    """``commit-chained-first``: one install chain whose fenced commit
+    CAS rides ahead of its body.  Structural, like the bubble sweep:
+    every tape trips it, the empty one included."""
+    from repro.exp.hb_schedules import commit_chained_first
+
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
+    sim.spawn(
+        _staggered(
+            sim, plan, commit_chained_first(bed.codeflow.sync),
+            "scn.chain-start", 4.0,
+        ),
+        name="fz-chain",
+    )
+    sim.run(until=sim.now + _SETTLE_US)
+
+
 _ALL = (
     Scenario("single-deploy", _drive_single_deploy),
     Scenario(
@@ -456,6 +474,10 @@ _ALL = (
         "delta-shard", _drive_delta_shard,
         expect="commit-before-body", schedule_class="delta-chunk-reordered",
         config=replace(DEFAULT, delta_deploy=True),
+    ),
+    Scenario(
+        "chained-commit", _drive_chained_commit,
+        expect="commit-before-body", schedule_class="commit-chained-first",
     ),
 )
 

@@ -11,8 +11,8 @@ Event categories and their payloads:
     A WR handed to the RNIC.  ``qp``, ``node`` (initiator), ``target``
     (remote host), ``kind`` (READ/WRITE/CAS/FADD), ``addr``/``length``
     (remote range), ``wr_id``, ``chain`` (doorbell-batch id or None),
-    ``signaled`` -- plus any sync-layer annotations (``epoch``,
-    ``label``, ``txn``, ``pub_addr``/``pub_len``).
+    ``signaled``, ``fence`` (only when set) -- plus any sync-layer
+    annotations (``epoch``, ``label``, ``txn``, ``pub_addr``/``pub_len``).
 ``hb.land``
     The WR's remote effect took place (last DMA chunk placed, atomic
     executed, read data captured).  Same keys as the post; atomics add
@@ -27,10 +27,11 @@ Event categories and their payloads:
 ``hb.flush.post`` / ``hb.flush``
     ``rdx_cc_event``: the fire-and-forget doorbell going out, and the
     remote cache-line flush actually taking effect ~2us later.  The
-    effect carries ``waited=True`` when the initiator blocked on the
-    cc CQE (the blocking ``RemoteSync.cc_event``); only waited flushes
-    act as QP ordering points in the graph -- the broadcast's deferred
-    bubble flush omits the flag and orders nothing.
+    effect carries ``waited=True`` when the initiator blocked on it
+    (the blocking ``RemoteSync.cc_event``, a deploy's chained
+    doorbells, a bubble raise); only waited flushes act as QP ordering
+    points in the graph -- the broadcast's deferred lowering flush
+    carries ``waited=False`` and orders nothing.
 ``hb.lock``
     ``rdx_mutual_excl`` transitions: ``op`` is ``acquire``/``release``,
     ``addr`` the lock word, ``token`` the owner.
@@ -130,6 +131,8 @@ def _wr_payload(
         "length": length,
         "wr_id": wr.wr_id,
     }
+    if wr.fence:
+        payload["fence"] = True
     if wr.hb:
         payload.update(wr.hb)
     return payload

@@ -8,6 +8,10 @@ ops -- see DESIGN.md §12 for the full rationale):
   order (land_i -> land_{i+1} on the same QP).  This covers chain
   order within a doorbell batch too: chained WRs are consecutive
   entries in the same send queue.
+* **fence** -- a fenced WR (the commit CAS of an install chain) lands
+  after every earlier WR of its chain landed.  This is the verbs
+  contract the install relies on, stated on its own rather than read
+  off FIFO: a CAS chained *ahead* of its body gets no edge from it.
 * **land(s) -> signaled completion** -- a CQE retires every WR it
   covers.  Only *signaled* completions exist as events: an unsignaled
   WR produces no ``hb.comp`` and therefore can never act as an
@@ -26,12 +30,16 @@ ops -- see DESIGN.md §12 for the full rationale):
   before it.  This is what gives a delta deploy its grace period: old
   executions of the baseline extent are ordered before the successor's
   commit flush, hence before delta chunks posted after it.
+* **ordering points accumulate** -- a QP's latest ordering point (a
+  completion, a waited flush, a lock op, a handoff) is after its
+  previous one: what the initiator learned stays learned.
 * **waited flush effect -> subsequent post (same QP)** -- ONLY for
-  flushes whose initiator blocked on the cc CQE (``waited=True``,
-  emitted by the blocking ``RemoteSync.cc_event``): anything posted on
-  that QP afterwards is causally behind the flush effect.  The
-  broadcast's fire-and-forget bubble flush carries no ``waited`` flag
-  and never becomes an ordering point.
+  flushes whose initiator blocked on the effect (``waited=True``: the
+  blocking ``RemoteSync.cc_event``, and ``RemoteSync.flush_chained``
+  after an install chain or a bubble raise): anything posted on that
+  QP afterwards is causally behind the flush effect.  The broadcast's
+  fire-and-forget lowering flush carries ``waited=False`` and never
+  becomes an ordering point.
 * **reads-from: installer -> exec** -- the WRITE/CAS land that put
   the observed pointer value into the hook qword happens before the
   exec that read it.
@@ -91,6 +99,7 @@ class HbGraph:
         posts: dict[int, HbEvent] = {}  # wr_id -> post
         lands: dict[int, HbEvent] = {}  # wr_id -> land
         last_land: dict[int, HbEvent] = {}  # qp -> latest land (SQ FIFO)
+        chain_lands: dict[int, list[HbEvent]] = {}  # chain -> its lands
         flush_posts: dict[tuple[int, int], HbEvent] = {}  # (qp, addr) -> post
         flushes: dict[str, dict[tuple[int, int], HbEvent]] = {}  # target
         last_release: dict[tuple[str, int], HbEvent] = {}
@@ -129,6 +138,12 @@ class HbGraph:
                 if prev is not None:
                     preds.append(prev)
                 last_land[qp] = event
+                chain = event.data.get("chain")
+                if chain is not None:
+                    earlier = chain_lands.setdefault(chain, [])
+                    if event.data.get("fence"):
+                        preds.extend(earlier)
+                    earlier.append(event)
                 if wr_id is not None:
                     lands[wr_id] = event
                 extra_clock = self._land_bookkeeping(
@@ -140,7 +155,7 @@ class HbGraph:
                 source = lands.get(wr_id) or posts.get(wr_id)
                 if source is not None:
                     preds.append(source)
-                ordering_point[qp] = event
+                self._advance(ordering_point, qp, event, preds)
 
             elif etype == "flush_post":
                 point = ordering_point.get(qp)
@@ -166,7 +181,7 @@ class HbGraph:
                 # later posts (the fire-and-forget bubble flush lands
                 # whenever it lands -- no waited flag, no edge).
                 if event.data.get("waited"):
-                    ordering_point[qp] = event
+                    self._advance(ordering_point, qp, event, preds)
 
             elif etype == "handoff":
                 # The relay command is ordered behind the sender QP's
@@ -175,12 +190,9 @@ class HbGraph:
                 point = ordering_point.get(event.data.get("from_qp"))
                 if point is not None:
                     preds.append(point)
-                ordering_point[qp] = event
+                self._advance(ordering_point, qp, event, preds)
 
             elif etype == "lock":
-                point = ordering_point.get(qp)
-                if point is not None:
-                    preds.append(point)
                 key = (event.data.get("target"), event.data["addr"])
                 if event.data.get("op") == "acquire":
                     release = last_release.get(key)
@@ -188,7 +200,7 @@ class HbGraph:
                         preds.append(release)
                 else:
                     last_release[key] = event
-                ordering_point[qp] = event
+                self._advance(ordering_point, qp, event, preds)
 
             elif etype == "exec":
                 target = event.data.get("target")
@@ -219,6 +231,17 @@ class HbGraph:
             self.index.append(index)
             if etype == "land":
                 self._feed_frontier(event, clock, frontier)
+
+    @staticmethod
+    def _advance(ordering_point: dict, qp, event: HbEvent, preds: list) -> None:
+        """Make ``event`` the QP's ordering point.  Ordering points
+        accumulate: the new one is after the previous one too, so a
+        completion polled after a waited flush (a spawned doorbell's)
+        does not hide the flush from later posts."""
+        point = ordering_point.get(qp)
+        if point is not None:
+            preds.append(point)
+        ordering_point[qp] = event
 
     def _land_bookkeeping(
         self,

@@ -157,6 +157,9 @@ class RegionAllocator:
         # Free list of (addr, size), sorted by addr, coalesced.
         self._free: list[tuple[int, int]] = [(base, size)]
         self._live: dict[int, int] = {}
+        #: End of the highest range ever handed out: below it, a range
+        #: may have had an earlier tenant; at or above it, never.
+        self.high_water = base
 
     @property
     def end(self) -> int:
@@ -200,6 +203,7 @@ class RegionAllocator:
                 pieces.append((start + size, remainder))
             self._free[index : index + 1] = pieces
             self._live[start] = size
+            self.high_water = max(self.high_water, start + size)
             return start
         raise MemoryError_(
             f"{self.label}: out of space (want {size}, free {self.bytes_free})"
@@ -225,6 +229,7 @@ class RegionAllocator:
                     pieces.append((addr + size, tail))
                 self._free[index : index + 1] = pieces
                 self._live[addr] = size
+                self.high_water = max(self.high_water, addr + size)
                 return addr
         raise MemoryError_(
             f"{self.label}: cannot reserve {addr:#x}+{size} "

@@ -14,7 +14,7 @@ Two properties matter for the paper and are modeled exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro import params
 from repro.errors import ProtectionError, RdmaError, ReproError
@@ -160,21 +160,34 @@ class Rnic:
         """Queue a chained WR list; event fires with ONE Completion.
 
         Selective signaling: the chain retires under a single CQE
-        carrying the last WR's id (``chained`` counts the batch).  Only
-        WRITE chains are supported -- the deploy fast path is all
-        one-sided WRITEs, and mixing opcodes would complicate the
-        failure model for no caller.
+        carrying the last WR's id (``chained`` counts the batch).  A
+        chain carries WRITEs and at most one COMP_SWAP, which must be
+        fenced -- the install chain of body, commit CAS and flush
+        doorbells (:meth:`repro.core.sync.RemoteSync.install`).  The
+        fence is what makes the CAS a commit: it executes only after
+        every earlier WR of its chain landed.  Anything else (a READ,
+        an unfenced or second atomic) is rejected before it is posted.
 
         Observability: per-WR remote address ranges and signaled flags
         are surfaced as ``hb.post`` events (one per chained WR, not one
         per doorbell) -- only the tail WR is signaled, so nothing but
         the chain's single CQE can be mistaken for an ordering point.
         """
+        atomics = 0
         for wr in wrs:
-            if wr.opcode is not WrOpcode.RDMA_WRITE:
+            if wr.opcode is WrOpcode.RDMA_WRITE:
+                continue
+            if wr.opcode is not WrOpcode.COMP_SWAP or atomics:
                 raise RdmaError(
-                    f"WR chains support RDMA_WRITE only, got {wr.opcode}"
+                    f"WR chains support RDMA_WRITE only, plus one fenced "
+                    f"COMP_SWAP; got {wr.opcode}"
                 )
+            if not wr.fence:
+                raise RdmaError(
+                    "an atomic in a WR chain must be fenced: unfenced, "
+                    "it may execute before the WRs it commits"
+                )
+            atomics = 1
         chain = None
         if self._hb:
             chain = hb.new_chain_id()
@@ -184,25 +197,31 @@ class Rnic:
                 )
         done = self.sim.event()
         self.sim.spawn(
-            self._process_batch(qp, wrs, done, chain),
+            self._process_batch(qp, wrs, done, chain, atomics),
             name=f"wqe-chain:{len(wrs)}",
         )
         return done
 
     def _process_batch(
-        self, qp: QueuePair, wrs: list[WorkRequest], done: Event, chain=None
+        self, qp: QueuePair, wrs: list[WorkRequest], done: Event, chain=None,
+        atomics: int = 0,
     ):
-        """A WRITE chain, from its pipeline slot to its one CQE, serviced
-        as one pipelined stream.
+        """A chain, from its pipeline slot to its one CQE, serviced as
+        one pipelined stream.
 
         Cost model: one doorbell + one WQE-list fetch at the initiator,
         one first-byte latency + remote NIC overhead for the stream,
         then pure serialization per MTU chunk, then one ACK for the
-        signaled tail.  Torn-write semantics are preserved exactly as
-        in :meth:`_do_write`: chunks land one by one, reachability is
-        re-checked per chunk, and a crash mid-chain strands the prefix
-        in target DRAM while later WRs never execute.  A failed chain's
-        CQE names the WR it stopped at.
+        signaled tail.  A fenced CAS costs the responder one more
+        :data:`~repro.params.RNIC_OP_OVERHEAD_US` once everything before
+        it landed; no second round trip.  Torn-write semantics are
+        preserved exactly as in :meth:`_do_write`: chunks land one by
+        one, reachability is re-checked per chunk and before the CAS,
+        and a crash mid-chain strands the prefix in target DRAM while
+        later WRs never execute.  A failed chain's CQE names the WR it
+        stopped at; the CQE carries the CAS's prior value as ``result``
+        whenever the CAS executed, failed chain or not -- an atomic's
+        response leaves the responder as it executes.
         """
         grant = self._pipeline.request()
         yield grant
@@ -216,7 +235,7 @@ class Rnic:
         try:
             if qp.state is QpState.ERROR:
                 completion = Completion(
-                    wrs[-1].wr_id, label, WcStatus.WR_FLUSH_ERROR,
+                    wrs[-1].wr_id, wrs[-1].opcode.label, WcStatus.WR_FLUSH_ERROR,
                     error="QP in error state", chained=count,
                 )
             else:
@@ -228,12 +247,22 @@ class Rnic:
                 # chain -- the doorbell coalescing being measured.
                 yield params.RDMA_DOORBELL_US + params.RNIC_OP_OVERHEAD_US
                 landed = byte_len = 0
+                prior = None
                 try:
                     self._check_reachable(remote_host)
                     # First byte of the stream reaches the target once.
                     yield params.NET_BASE_LATENCY_US + params.RNIC_OP_OVERHEAD_US
                     for wr in wrs:
                         data = wr.data
+                        if wr.opcode is not WrOpcode.RDMA_WRITE:
+                            # The fenced CAS: every earlier WR has landed.
+                            self._check_atomic(wr, remote_qp)
+                            yield params.RNIC_OP_OVERHEAD_US
+                            self._check_reachable(remote_host)
+                            prior = self._apply_atomic(qp, wr, remote_host, chain)
+                            landed += 1
+                            byte_len += 8
+                            continue
                         # Per-WR protection check happens when the target
                         # NIC starts placing that WR, not up front:
                         # earlier WRs in the chain have already landed.
@@ -253,35 +282,44 @@ class Rnic:
                     # Single ACK for the signaled tail WR.
                     yield params.NET_BASE_LATENCY_US
                     completion = Completion(
-                        wrs[-1].wr_id, label, WcStatus.SUCCESS, byte_len, chained=count
+                        wrs[-1].wr_id, wrs[-1].opcode.label, WcStatus.SUCCESS,
+                        byte_len, prior, chained=count,
                     )
                 except _Unreachable as err:
                     yield params.RDMA_RETRY_TIMEOUT_US
+                    wr = wrs[min(landed, count - 1)]
                     completion = Completion(
-                        wrs[min(landed, count - 1)].wr_id, label,
-                        WcStatus.RETRY_EXC_ERROR, error=str(err), chained=count,
+                        wr.wr_id, wr.opcode.label, WcStatus.RETRY_EXC_ERROR,
+                        result=prior, error=str(err), chained=count,
                     )
                 except ReproError as err:
+                    wr = wrs[landed]
                     completion = Completion(
-                        wrs[landed].wr_id, label, self._fault(qp, err),
-                        error=str(err), chained=count,
+                        wr.wr_id, wr.opcode.label, self._fault(qp, err),
+                        result=prior, error=str(err), chained=count,
                     )
         finally:
             self._pipeline.release(grant)
         if self._plan is not None:
             yield from self._perturb(qp, "rnic.complete")
         self._m_chain.observe(count)
-        self._retire(qp, completion, count, label, bytes_before, done, chain)
+        if atomics:
+            self._m_verbs[WrOpcode.COMP_SWAP.label].inc(atomics)
+        self._retire(
+            qp, completion, count, label, bytes_before, done, chain,
+            count - atomics,
+        )
 
     def _retire(
         self, qp: QueuePair, completion: Completion, count: int, label: str,
-        bytes_before: int, done: Event, chain=None,
+        bytes_before: int, done: Event, chain=None, verbs: Optional[int] = None,
     ) -> None:
         """Retire ``count`` WRs under their one CQE: counters, the CQ,
-        then the poster's event."""
+        then the poster's event.  ``verbs`` of them (default: all) count
+        as ``label`` ops; a chain counts its atomic itself."""
         qp.completed += count
         self.wrs_processed += count
-        self._m_verbs[label].inc(count)
+        self._m_verbs[label].inc(count if verbs is None else verbs)
         self._m_bytes.inc(self.bytes_dma - bytes_before)
         if completion.status is not WcStatus.SUCCESS:
             self._m_errors.inc()
@@ -377,11 +415,19 @@ class Rnic:
         return wr.length, data
 
     def _do_atomic(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
+        self._check_atomic(wr, remote_qp)
+        # Atomics are RTT-bound, independent of payload.
+        yield params.RDMA_ATOMIC_RTT_US
+        return 8, self._apply_atomic(qp, wr, remote_host)
+
+    @staticmethod
+    def _check_atomic(wr: WorkRequest, remote_qp) -> None:
         if wr.remote_addr % 8:
             raise ProtectionError("atomic target must be 8-byte aligned")
         remote_qp.pd.check_remote(wr.rkey, wr.remote_addr, 8, _REMOTE_ATOMIC)
-        # Atomics are RTT-bound, independent of payload.
-        yield params.RDMA_ATOMIC_RTT_US
+
+    def _apply_atomic(self, qp, wr: WorkRequest, remote_host: Host, chain=None):
+        """An atomic's effect on the target qword; returns its prior value."""
         original = unpack_qword(remote_host.memory.read(wr.remote_addr, 8))
         if wr.opcode is WrOpcode.COMP_SWAP:
             success = original == wr.compare
@@ -389,7 +435,7 @@ class Rnic:
                 remote_host.cache.dma_write(wr.remote_addr, pack_qword(wr.swap_or_add))
             if self._hb:
                 hb.emit_land(
-                    self.sim, qp, wr,
+                    self.sim, qp, wr, chain=chain,
                     value=wr.swap_or_add if success else None,
                     success=success,
                 )
@@ -403,7 +449,7 @@ class Rnic:
                     value=original + wr.swap_or_add, success=True,
                 )
         self.bytes_dma += 8
-        return 8, original
+        return original
 
     def _do_send(self, qp, wr: WorkRequest, remote_qp, remote_host: Host):
         if not remote_qp.recv_queue:

@@ -12,19 +12,20 @@ round 2 run the scenario's fault, round 1 runs clean in between, so an
 abort is seen both over fresh targets (detach) and over deployed ones
 (rollback).
 
-One deliberate departure from that commit, in the relay arms only: a
-forest root no longer waits on an event that was succeeded before the
-root was spawned, which was two calendar entries per root per walked
-phase.  The table keeps the parent's ``events``; the test subtracts
-:func:`root_visits` x 2 (:data:`ROOT_WAIT_EVENTS`).  Flat and serial
-rows match the parent exactly, and on the parent itself every row
-matches with ``ROOT_WAIT_EVENTS = 0``.
+The table has since been regenerated by that command twice, for
+changes that move rows on purpose:
+
+* the single fan-out: a forest root no longer waits on an event that
+  was succeeded before the root was spawned (two calendar entries per
+  root per walked phase, relay arms only);
+* the install as one chain and the rollback that frees what it drops:
+  every pipelined row is faster and has fewer events (the commit CAS
+  and the flush doorbells ride the deploy chain); the ``leak`` of every
+  aborted round returns to its pre-broadcast value, and the serial
+  ``abort`` rows pay a ``cc_event`` per leg that reuses a freed extent.
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
-descriptor slots and deployed records, summed over the targets.  What
-it found is pinned by :func:`test_abort_over_a_deployed_group_leaks_
-one_extent_per_target` -- a known defect, not fixed here (ROADMAP
-item 1).
+descriptor slots and deployed records, summed over the targets.
 """
 
 from contextlib import contextmanager
@@ -45,7 +46,6 @@ from repro.errors import (
     HostUnreachable,
 )
 from repro.exp.harness import make_testbed
-from repro.core.shard import partition
 from repro.exp.scale import sharded_testbed
 from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
@@ -55,9 +55,6 @@ from repro.sim.core import Simulator
 
 N = 13
 ROUNDS = 3
-#: Calendar entries the parent spent per forest root per walked phase
-#: (the pre-succeeded ready event, and the root's wake-up from it).
-ROOT_WAIT_EVENTS = 2
 
 
 class Arm(NamedTuple):
@@ -410,420 +407,420 @@ def rows() -> list:
 # fmt: off
 ORACLE = {
     ('flat', 'clean'): [
-        Round('', (('ok:full', 13),), ('54.794880000000376', '1313.3019200000003', '0.0', '51490.7068'), '0000000000000', 1549, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('43.37855999999965', '1301.8855999999996', '0.0', '51490.7068'), '0000000000000', 1367, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('54.7948799999067', '1313.3019199998744', '0.0', '102749.21383999997'), '0000000000000', 2656, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8855999998923', '0.0', '102749.21383999997'), '0000000000000', 2292, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('54.794879999928526', '1313.3019199998962', '0.0', '154007.72087999992'), '0000000000000', 3763, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('43.378559999968274', '1301.885599999936', '0.0', '154007.72087999992'), '0000000000000', 3217, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('45.33928000000037', '1303.8463200000003', '0.0', '51490.7068'), '0000000000000', 1458, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('40.09720000000016', '1298.6042400000001', '0.0', '51490.7068'), '0000000000000', 1276, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.339279999927385', '1303.846319999895', '0.0', '102749.21383999997'), '0000000000000', 2474, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('40.09719999995286', '1298.6042399999205', '0.0', '102749.21383999997'), '0000000000000', 2110, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.33927999994194', '1303.8463199999096', '0.0', '154007.72087999992'), '0000000000000', 3490, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('40.09719999996014', '1298.6042399999278', '0.0', '154007.72087999992'), '0000000000000', 2944, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'ordered'): [
-        Round('', (('ok:full', 13),), ('79.10640000000035', '1337.6134400000003', '0.0', '51490.7068'), '0000000000000', 1522, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('67.69007999999963', '1326.1971199999996', '0.0', '51490.7068'), '0000000000000', 1340, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('79.10639999985142', '1337.613439999819', '0.0', '102749.21383999997'), '0000000000000', 2602, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('67.69007999986934', '1326.197119999837', '0.0', '102749.21383999997'), '0000000000000', 2238, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('79.10639999987325', '1337.613439999841', '0.0', '154007.72087999992'), '0000000000000', 3682, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('67.690079999913', '1326.1971199998807', '0.0', '154007.72087999992'), '0000000000000', 3136, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('46.001520000000255', '1283.6015200000002', '0.0', '51469.79976'), '0000000000000', 1206, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('31.813679999999977', '1269.4136799999999', '0.0', '51469.79976'), '0000000000000', 1024, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('46.0015199999325', '1283.6015199999383', '0.0', '102707.39976'), '0000000000000', 1970, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('31.813679999984743', '1269.4136799999906', '0.0', '102707.39976'), '0000000000000', 1606, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('46.00151999994705', '1283.6015199999529', '0.0', '153944.99976'), '0000000000000', 2734, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('31.81367999999202', '1269.4136799999978', '0.0', '153944.99976'), '0000000000000', 2188, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('194.6767200000029', '1453.1837600000028', '142.21152000000257', '51490.7068'), '0000000000000', 1910, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('182.69800000000237', '1441.2050400000023', '142.21152000000257', '51490.7068'), '0000000000000', 1742, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('54.7948799999067', '1313.3019199998744', '0.0', '102749.21383999997'), '0000000000000', 3017, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('43.38175999991654', '1301.8887999998842', '0.0', '102749.21383999997'), '0000000000000', 2679, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('129.86519999989832', '1388.372239999866', '77.39999999996508', '154007.72087999992'), '0000000000000', 4305, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('117.88647999992827', '1376.393519999896', '77.39999999996508', '154007.72087999992'), '0000000000000', 3799, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('flat', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('52.46520000000032', '1310.9722400000003', '0.0', '51490.7068'), '0000000000000', 1514, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('40.4864799999998', '1298.9935199999998', '0.0', '51490.7068'), '0000000000000', 1346, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('54.7948799999067', '1313.3019199998744', '0.0', '102749.21383999997'), '0000000000000', 2621, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8855999998923', '0.0', '102749.21383999997'), '0000000000000', 2271, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('52.46519999993325', '1310.972239999901', '0.0', '154007.72087999992'), '0000000000000', 3693, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('40.486479999963194', '1298.9935199999309', '0.0', '154007.72087999992'), '0000000000000', 3175, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('107.38144219172386', '1417.85278813391', '0.0', '51542.67110594219'), '0000000000000', 1531, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('95.60464219172331', '1406.0759881339095', '0.0', '51542.67110594219'), '0000000000000', 1363, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('54.7948799999067', '1313.3019199998744', '0.0', '102801.17814594216'), '0000000000000', 2638, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8855999998923', '0.0', '102801.17814594216'), '0000000000000', 2288, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('106.75748371498776', '1415.0769158538897', '0.0', '154109.49757808106'), '0000000000000', 3727, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('94.98068371500995', '1403.3001158539118', '0.0', '154109.49757808106'), '0000000000000', 3209, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('54.794880000000376', '1313.3019200000003', '0.0', '51490.7068'), '0000000000000', 1549, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('43.37855999999965', '1301.8855999999996', '0.0', '51490.7068'), '0000000000000', 1367, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102749.21383999997',), '1111111111111', 2473, (39312, 13, 13),
+        Round('Interrupt', (), ('102749.21383999997',), '1111111111111', 2109, (39312, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102749.21383999997',), '1111111111111', 2475, (39312, 13, 13),
+        Round('DeployError', (), ('102749.21383999997',), '1111111111111', 2111, (39312, 13, 13),
               (),
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('78.84231999999997', '1337.34936', '0.0', '51535.63224'), '0000000000000', 1632, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102839.06471999994'), '0000000000000', 2822, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2442, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.842319999967', '1337.3493599999347', '0.0', '154142.4971999999'), '0000000000000', 4012, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3442, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('70.37943999999993', '1328.88648', '0.0', '51529.99032'), '0000000000000', 1541, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('63.78135999999972', '1322.2883999999997', '0.0', '51525.5916'), '0000000000000', 1351, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('70.37943999995332', '1328.886479999921', '0.0', '102827.78087999995'), '0000000000000', 2640, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('63.7813599999572', '1322.2883999999249', '0.0', '102818.98343999995'), '0000000000000', 2260, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('70.37943999997515', '1328.8864799999428', '0.0', '154125.5714399999'), '0000000000000', 3739, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('63.78135999997903', '1322.2883999999467', '0.0', '154112.37527999992'), '0000000000000', 3169, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('105.85511999999994', '1364.36216', '0.0', '51535.63224'), '0000000000000', 1590, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('99.25703999999973', '1357.7640799999997', '0.0', '51531.23352'), '0000000000000', 1404, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('105.85511999988375', '1364.3621599998514', '0.0', '102839.06471999994'), '0000000000000', 2738, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('99.25703999988764', '1357.7640799998553', '0.0', '102830.26727999994'), '0000000000000', 2366, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('105.85511999990558', '1364.3621599998733', '0.0', '154142.4971999999'), '0000000000000', 3886, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('99.25703999990947', '1357.7640799998771', '0.0', '154129.3010399999'), '0000000000000', 3328, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('71.43912', '1309.03912', '0.0', '51517.425839999996'), '0000000000000', 1199, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('64.8410399999998', '1302.4410399999997', '0.0', '51513.02712'), '0000000000000', 1013, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('71.43911999995908', '1309.039119999965', '0.0', '102802.65191999997'), '0000000000000', 1956, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('64.84103999996296', '1302.4410399999688', '0.0', '102793.85447999998'), '0000000000000', 1584, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('71.4391199999809', '1309.0391199999867', '0.0', '154087.87799999997'), '0000000000000', 2713, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('64.84103999998479', '1302.4410399999906', '0.0', '154074.68183999998'), '0000000000000', 2155, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('221.05384000000254', '1479.5608800000025', '142.21152000000257', '51535.63224'), '0000000000000', 1993, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('214.45576000000233', '1472.9628000000023', '142.21152000000257', '51531.23352'), '0000000000000', 1817, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102839.06471999994'), '0000000000000', 3183, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24615999994421', '1330.7531999999119', '0.0', '102830.26855999994'), '0000000000000', 2829, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('156.24231999993208', '1414.7493599998998', '77.39999999996508', '154142.4971999999'), '0000000000000', 4554, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('149.64423999993596', '1408.1512799999036', '77.39999999996508', '154129.3023199999'), '0000000000000', 4024, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('78.84231999999997', '1337.34936', '0.0', '51535.63224'), '0000000000000', 1584, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1408, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102839.06471999994'), '0000000000000', 2774, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2408, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('78.842319999967', '1337.3493599999347', '0.0', '154142.4971999999'), '0000000000000', 3916, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3374, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.26432219172352', '1454.7356681339097', '0.0', '51587.596545942186'), '0000000000000', 1608, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('137.6662421917233', '1448.1375881339095', '0.0', '51583.19782594219'), '0000000000000', 1432, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102891.02902594213'), '0000000000000', 2798, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102882.23158594214'), '0000000000000', 2432, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('143.64036371499242', '1451.9597958538943', '0.0', '154244.27389808104'), '0000000000000', 3964, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('137.0422837149963', '1445.3617158538982', '0.0', '154231.07773808105'), '0000000000000', 3422, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('78.84231999999997', '1337.34936', '0.0', '51535.63224'), '0000000000000', 1632, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102839.06471999994'), '0000000000000', 2822, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2442, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('78.842319999967', '1337.3493599999347', '0.0', '154142.4971999999'), '0000000000000', 4012, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3442, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('221.05384000000254', '1479.5608800000025', '142.21152000000257', '51535.63224'), '0000000000001', 1978, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('214.45576000000233', '1472.9628000000023', '142.21152000000257', '51531.23352'), '0000000000001', 1802, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('78.84231999994518', '1337.3493599999128', '0.0', '102839.06471999994'), '0000000000000', 3168, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24615999994421', '1330.7531999999119', '0.0', '102830.26855999994'), '0000000000000', 2814, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('156.24231999993208', '1414.7493599998998', '77.39999999996508', '154142.4971999999'), '0000000000001', 4524, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('149.64423999993596', '1408.1512799999036', '77.39999999996508', '154129.3023199999'), '0000000000001', 3994, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('78.84231999999997', '1337.34936', '0.0', '51535.63224'), '0000000000000', 1632, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102839.06471999994',), '1111111111111', 2379, (30240, 13, 13),
+        Round('Interrupt', (), ('102830.26727999994',), '1111111111111', 2087, (30240, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+7', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+6', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102839.06471999994',), '1111111111111', 2381, (30240, 13, 13),
+        Round('DeployError', (), ('102830.26727999994',), '1111111111111', 2089, (30240, 13, 13),
               (),
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('56.55024000000003', '1315.05728', '0.0', '51515.3408'), '0000000000000', 1628, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102798.48183999995'), '0000000000000', 2814, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102793.03991999995'), '0000000000000', 2418, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.550239999967744', '1315.0572799999354', '0.0', '154081.62287999992'), '0000000000000', 4000, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.9292799999821', '1309.4363199999498', '0.0', '154073.4599999999'), '0000000000000', 3406, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('49.68607999999995', '1308.19312', '0.0', '51511.99824'), '0000000000000', 1537, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('45.28735999999981', '1303.7943999999998', '0.0', '51509.79888'), '0000000000000', 1339, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('49.68607999997039', '1308.193119999938', '0.0', '102791.79671999995'), '0000000000000', 2632, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('45.28735999997298', '1303.7943999999407', '0.0', '102787.39799999996'), '0000000000000', 2236, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('49.68607999998494', '1308.1931199999526', '0.0', '154071.59519999992'), '0000000000000', 3727, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('45.28735999998753', '1303.7943999999552', '0.0', '154064.99711999993'), '0000000000000', 3133, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('86.26432', '1344.77136', '0.0', '51515.3408'), '0000000000000', 1584, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('80.6433599999998', '1339.1503999999998', '0.0', '51512.61984'), '0000000000000', 1394, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('86.26431999988563', '1344.7713599998533', '0.0', '102798.48183999995'), '0000000000000', 2726, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('80.64335999989999', '1339.1503999998677', '0.0', '102793.03991999995'), '0000000000000', 2346, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('86.26431999990018', '1344.7713599998679', '0.0', '154081.62287999992'), '0000000000000', 3868, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('80.64335999991454', '1339.1503999998822', '0.0', '154073.4599999999'), '0000000000000', 3298, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('51.84832000000006', '1289.44832', '0.0', '51497.1344'), '0000000000000', 1207, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('46.22735999999986', '1283.8273599999998', '0.0', '51494.41344'), '0000000000000', 1017, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('51.84831999996095', '1289.4483199999668', '0.0', '102762.06903999999'), '0000000000000', 1972, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('46.227359999975306', '1283.8273599999811', '0.0', '102756.62711999999'), '0000000000000', 1592, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('51.8483199999755', '1289.4483199999813', '0.0', '154027.00367999997'), '0000000000000', 2737, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('46.22735999998986', '1283.8273599999957', '0.0', '154018.8408'), '0000000000000', 2167, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('198.7617600000026', '1457.2688000000026', '142.21152000000257', '51515.3408'), '0000000000000', 1989, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('193.1408000000024', '1451.6478400000024', '142.21152000000257', '51512.61984'), '0000000000000', 1805, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102798.48183999995'), '0000000000000', 3175, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.930559999964316', '1309.437599999932', '0.0', '102793.04055999996'), '0000000000000', 2805, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('133.95023999993282', '1392.4572799999005', '77.39999999996508', '154081.62287999992'), '0000000000000', 4542, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('128.32927999994718', '1386.8363199999148', '77.39999999996508', '154073.46063999995'), '0000000000000', 3988, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('56.84960000000001', '1315.35664', '0.0', '51512.8192'), '0000000000000', 1566, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('50.929279999999835', '1309.4363199999998', '0.0', '51509.61984'), '0000000000000', 1382, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102795.96023999996'), '0000000000000', 2752, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102790.03991999995'), '0000000000000', 2370, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('56.84959999997227', '1315.35663999994', '0.0', '154076.5796799999'), '0000000000000', 3876, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('50.9292799999821', '1309.4363199999498', '0.0', '154067.4599999999'), '0000000000000', 3310, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('121.97224219172358', '1432.4435881339098', '0.0', '51564.48414594219'), '0000000000000', 1604, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('116.35128219172339', '1426.8226281339096', '0.0', '51561.584145942186'), '0000000000000', 1420, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102847.62518594213'), '0000000000000', 2790, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102842.00422594215'), '0000000000000', 2408, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('121.34828371499316', '1429.667715853895', '0.0', '154177.757658081'), '0000000000000', 3952, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('115.72732371500751', '1424.0467558539094', '0.0', '154169.23669808105'), '0000000000000', 3386, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('56.55024000000003', '1315.05728', '0.0', '51515.3408'), '0000000000000', 1628, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102798.48183999995'), '0000000000000', 2814, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102793.03991999995'), '0000000000000', 2418, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.550239999967744', '1315.0572799999354', '0.0', '154081.62287999992'), '0000000000000', 4000, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.9292799999821', '1309.4363199999498', '0.0', '154073.4599999999'), '0000000000000', 3406, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('198.7617600000026', '1457.2688000000026', '142.21152000000257', '51515.3408'), '0000000000001', 1974, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('193.1408000000024', '1451.6478400000024', '142.21152000000257', '51512.61984'), '0000000000001', 1790, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('56.55023999995319', '1315.0572799999209', '0.0', '102798.48183999995'), '0000000000000', 3160, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.930559999964316', '1309.437599999932', '0.0', '102793.04055999996'), '0000000000000', 2790, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('133.95023999993282', '1392.4572799999005', '77.39999999996508', '154081.62287999992'), '0000000000001', 4512, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('128.32927999994718', '1386.8363199999148', '77.39999999996508', '154073.46063999995'), '0000000000001', 3958, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('56.55024000000003', '1315.05728', '0.0', '51515.3408'), '0000000000000', 1628, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102794.96023999996',), '1111111111111', 2295, (27216, 13, 13),
+        Round('Interrupt', (), ('102790.03991999995',), '1111111111111', 2019, (27216, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+5', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+8', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102794.96023999996',), '1111111111111', 2297, (27216, 13, 13),
+        Round('DeployError', (), ('102790.03991999995',), '1111111111111', 2021, (27216, 13, 13),
               (),
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('55.72991999999982', '250.68183999999974', '0.0', '50451.666'), '0000000000000', 1564, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100671.13223999998'), '0000000000000', 2686, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100665.33223999999'), '0000000000000', 2226, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999996884', '250.68183999996108', '0.0', '150890.59847999996'), '0000000000000', 3808, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63055999997596', '245.5824799999682', '0.0', '150881.89847999997'), '0000000000000', 3118, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('49.38735999999983', '244.33927999999975', '0.0', '50448.1444'), '0000000000000', 1473, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('44.988639999999805', '239.94055999999972', '0.0', '50445.94504'), '0000000000000', 1243, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('49.38735999996425', '244.3392799999565', '0.0', '100664.08903999998'), '0000000000000', 2504, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('44.988639999966836', '239.94055999995908', '0.0', '100659.69031999998'), '0000000000000', 2044, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('49.3873599999788', '244.33927999997104', '0.0', '150880.03367999996'), '0000000000000', 3535, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('44.98863999998139', '239.94055999997363', '0.0', '150873.43559999997'), '0000000000000', 2845, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('48.326719999999966', '235.87671999999998', '0.0', '50444.26344'), '0000000000000', 1185, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('43.227359999999976', '230.77736', '0.0', '50441.36344'), '0000000000000', 979, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('48.32671999996819', '235.8767199999711', '0.0', '100656.32711999999'), '0000000000000', 1928, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('43.227359999975306', '230.77735999997822', '0.0', '100650.52711999998'), '0000000000000', 1516, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('48.32671999998274', '235.87671999998565', '0.0', '150868.3908'), '0000000000000', 2671, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('43.22735999998986', '230.77735999999277', '0.0', '150859.69079999998'), '0000000000000', 2053, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('114.98471999999992', '309.93663999999984', '142.21151999999967', '50451.666'), '0000000000000', 1925, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('109.88535999999976', '304.8372799999997', '142.21151999999933', '50448.766'), '0000000000000', 1709, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100671.13223999998'), '0000000000000', 3047, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.631839999958174', '245.58375999995042', '0.0', '100665.33287999997'), '0000000000000', 2613, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('87.97991999995429', '282.93183999994653', '77.39999999996508', '150890.59847999996'), '0000000000000', 4350, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('82.8805599999614', '277.83247999995365', '77.39999999996508', '150881.89911999996'), '0000000000000', 3700, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('31.91687999999982', '226.86879999999974', '0.0', '50429.85296'), '0000000000000', 1522, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.016879999999844', '223.96879999999976', '0.0', '50429.85296'), '0000000000000', 1306, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100649.31919999997'), '0000000000000', 2644, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100646.41919999997'), '0000000000000', 2198, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('31.916879999975208', '226.86879999996745', '0.0', '150846.97239999997'), '0000000000000', 3724, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.01687999998103', '223.96879999997327', '0.0', '150844.07239999995'), '0000000000000', 3062, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('150.00446813390943', '344.95638813390934', '0.0', '50487.219825942186'), '0000000000000', 1546, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390956', '342.0563881339095', '0.0', '50487.219825942186'), '0000000000000', 1332, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100706.68606594217'), '0000000000000', 2668, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100703.78606594217'), '0000000000000', 2224, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.2285958539287', '342.18051585392095', '0.0', '150959.55421808106'), '0000000000000', 3772, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '339.2805158539268', '0.0', '150956.6542180811'), '0000000000000', 3114, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('55.72991999999982', '250.68183999999974', '0.0', '50451.666'), '0000000000000', 1564, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100671.13223999998'), '0000000000000', 2686, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100665.33223999999'), '0000000000000', 2226, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('55.72991999996884', '250.68183999996108', '0.0', '150890.59847999996'), '0000000000000', 3808, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63055999997596', '245.5824799999682', '0.0', '150881.89847999997'), '0000000000000', 3118, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('79.32007999999956', '274.2719999999995', '142.21151999999915', '50451.666'), '0000100000000', 1910, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('76.42007999999959', '271.3719999999995', '142.21151999999915', '50448.766'), '0000100000000', 1694, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100671.13223999998'), '0000000000000', 3032, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63119999995979', '245.58311999995203', '0.0', '100665.33287999997'), '0000000000000', 2598, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('58.416879999960656', '253.3687999999529', '77.39999999996508', '150890.59847999996'), '0000100000000', 4320, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('55.51687999996648', '250.46879999995872', '77.39999999996508', '150881.89911999996'), '0000100000000', 3670, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'shard-forfeits'): [
-        Round('DeployError', (), ('50451.666',), '0000000000000', 1529, (0, 0, 0),
+        Round('DeployError', (), ('50448.766',), '0000000000000', 1371, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('55.72991999995429', '250.68183999994653', '0.0', '100671.13223999998'), '0000000000000', 2651, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.631839999958174', '245.58375999995042', '0.0', '100665.33287999997'), '0000000000000', 2272, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('DeployError', (), ('150890.59847999996',), '0000000000000', 3603, (33264, 13, 13),
+        Round('DeployError', (), ('150881.89911999996',), '0000000000000', 3066, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('55.72991999999982', '250.68183999999974', '0.0', '50451.666'), '0000000000000', 1564, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('87.97991999993974', '282.931839999932', '64.4999999999709', '100671.13223999998'), '0000011110000', 2695, (34776, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('82.88055999994685', '277.8324799999391', '64.4999999999709', '100665.33223999999'), '0000011110000', 2285, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+1', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+3', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('DeployError', (), ('150890.59847999996',), '0000011110000', 3638, (48384, 13, 13),
+        Round('DeployError', (), ('150881.89911999996',), '0000011110000', 3079, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+2', 'rdx.broadcast.fanout{}+2', 'rdx.broadcast.latency_us{}+2', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+9', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
@@ -875,10 +872,10 @@ ORACLE = {
         Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('336.93479999999727', '2795.339279999997', '142.2115199999971', '52690.60424'), '0000000000000', 2204, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('209.02263999991555', '2667.427119999884', '0.0', '105149.00871999997'), '0000000000000', 3621, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('209.02263999991555', '2667.427119999884', '0.0', '105149.00871999997'), '0000000000000', 3753, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('272.1232799998834', '2730.5277599998517', '77.39999999996508', '157607.41319999995'), '0000000000000', 5203, (37800, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('272.1232799998834', '2730.5277599998517', '77.39999999996508', '157607.41319999995'), '0000000000000', 5335, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
@@ -919,44 +916,8 @@ ORACLE = {
 # fmt: on
 
 
-def root_visits(arm_name: str, scenario_name: str, version: int) -> int:
-    """Forest roots started by one round's relay walks: per group and
-    walked phase, ``min(degree, positions)``.  This is the formula the
-    one permitted movement follows, spelled from the scenario -- not a
-    number read back from a run."""
-    arm, scenario = ARMS[arm_name], SCENARIOS[scenario_name]
-    if not (arm.tree and arm.pipelined):
-        return 0
-    armed = version in scenario.faulty
-    visits = 0
-    for group, members in enumerate(partition(range(N), arm.shards or 1)):
-        deploy = lower = len(members)
-        if scenario.kwargs.get("use_bbu") is False:
-            lower = 0  # no bubbles to lower
-        if "dependency_order" in scenario.kwargs:
-            lower = 0  # the sequential loop, not a walk
-        if armed and scenario_name == "host-crashed" and 11 in members:
-            deploy -= 1  # its bubble never rose: not an active leg
-        if armed and scenario_name == "stale-relayed" and group == 0:
-            lower -= 1  # a fenced target's bubble is the successor's
-        if armed and scenario_name == "shard-forfeits" and group == 1:
-            deploy = lower = 0  # died in Phase 0
-        if scenario_name == "plane-crash" and group == (1 if arm.shards else 0):
-            if version == 1:
-                lower = 0  # a dead incarnation lowers nothing
-            if version == 2:
-                deploy = lower = 0  # refused before Phase 0
-        visits += sum(
-            min(arm.degree, size) for size in (deploy, lower) if size > 1
-        )
-    return visits
-
-
 def assert_matches_parent(arm: str, scenario: str, got: list) -> None:
-    saved = 0
     for version, (have, want) in enumerate(zip(got, ORACLE[arm, scenario])):
-        saved += ROOT_WAIT_EVENTS * root_visits(arm, scenario, version)
-        want = want._replace(events=want.events - saved)
         assert have == want, f"{arm}/{scenario}/round {version}"
     assert len(got) == len(ORACLE[arm, scenario]) == ROUNDS
 
@@ -964,20 +925,6 @@ def assert_matches_parent(arm: str, scenario: str, got: list) -> None:
 @pytest.mark.parametrize("arm,scenario", rows())
 def test_three_rounds_match_parent(arm, scenario):
     assert_matches_parent(arm, scenario, run_row(arm, scenario))
-
-
-def test_the_permitted_movement_is_the_issue_numbers():
-    """-8 / -16 per clean broadcast at d=2 / d=4, half that without a
-    walked lower phase, -48 for K=3 at N=13; nothing on flat or serial."""
-    assert root_visits("tree-d2", "clean", 0) * ROOT_WAIT_EVENTS == 8
-    assert root_visits("tree-d4", "clean", 0) * ROOT_WAIT_EVENTS == 16
-    assert root_visits("tree-d2", "ordered", 0) * ROOT_WAIT_EVENTS == 4
-    assert root_visits("tree-d4", "no-bbu", 0) * ROOT_WAIT_EVENTS == 8
-    assert root_visits("sharded-k3", "clean", 0) * ROOT_WAIT_EVENTS == 48
-    for name in SCENARIOS:
-        for version in range(ROUNDS):
-            assert root_visits("flat", name, version) == 0
-            assert root_visits("serial", name, version) == 0
 
 
 def test_table_reaches_what_it_claims():
@@ -1021,43 +968,34 @@ def test_table_reaches_what_it_claims():
 EXTENT = 1512
 
 
-def test_abort_returns_slots_and_records_but_leaks_rolled_back_extents():
+def test_abort_returns_extents_slots_and_records():
     """Allocator bytes, descriptor slots and deployed records before
-    vs after every aborted round of the table.
-
-    Slots and records come back.  Bytes do not, when the abort rolls
-    back rather than detaches -- KNOWN DEFECT, pinned not fixed (see
-    the next test and ROADMAP item 1): one extent per rolled-back
-    target stays allocated with nothing referring to it.
-    """
+    vs after every aborted round of the table: all three return to
+    their pre-broadcast values, whether the abort rolled a target back
+    or detached it."""
     checked = 0
     for rounds in ORACLE.values():
         for version, round_ in enumerate(rounds):
             if round_.raised != "BroadcastAborted":
                 continue
             before = rounds[version - 1].leak if version else (0, 0, 0)
-            rolled_back = sum(
-                count for code, count in round_.outcomes if "/rb" in code
+            undone = sum(
+                count for code, count in round_.outcomes
+                if "/rb" in code or "/det" in code
             )
-            detached = sum(
-                count for code, count in round_.outcomes if "/det" in code
-            )
-            assert rolled_back + detached > 0
-            assert round_.leak[1:] == before[1:]
-            assert round_.leak[0] == before[0] + EXTENT * rolled_back
+            assert undone > 0
+            assert round_.leak == before
             checked += 1
     assert checked >= 16
 
 
-def test_abort_over_a_deployed_group_leaks_one_extent_per_target():
-    """KNOWN DEFECT (ROADMAP item 1), pinned so it cannot change
-    unnoticed: ``RollbackManager.rollback`` drops the faulty image
-    from ``history`` without putting it on ``CodeFlow._retired``, so
-    every abort over an already-deployed group strands one extent per
-    rolled-back target -- 1512 -> 3024 -> ... -> 9072 bytes after five
-    aborts, referenced by nothing.  Freeing it makes the extent
-    reusable, and re-use of an extent a sandbox has executed is the
-    unflushed path item 1 closes: the fix belongs to that PR."""
+def test_abort_over_a_deployed_group_returns_every_extent():
+    """``RollbackManager.rollback`` frees the faulty image it drops
+    from ``history``: five aborts over a deployed group leave each
+    target with its one live extent (1512 B), not 1512 -> ... -> 9072.
+    Every abort after the first deploys into the extent the previous
+    one freed, so each of those writes is a reused-extent write -- and
+    the rolled-back image still runs."""
     from repro.core.rollback import RollbackManager
 
     bed = make_testbed(
@@ -1079,20 +1017,21 @@ def test_abort_over_a_deployed_group_leaks_one_extent_per_target():
         with leg_fails(bed), pytest.raises(BroadcastAborted):
             bed.sim.run_process(group.broadcast(programs(version), "ingress"))
         live.append([cf.code_allocator.bytes_live for cf in survivors])
-    assert live == [[EXTENT * k] * 2 for k in range(1, 7)]  # should stay 1512
+        for cf in survivors:
+            cf.sandbox.run_hook("ingress", bytes(256))
+    assert live == [[EXTENT] * 2] * 6
     for index, cf in enumerate(survivors):
         record = cf.deployed[f"lk{index}"]
         assert record.history == [] and cf._retired == []
         assert len(cf._metadata_used) == 1
-    # The victim's leg never allocated, so it has nothing to leak...
+    # The same holds for a rollback with no broadcast involved.
     victim = bed.codeflows[2]
     assert victim.code_allocator.bytes_live == EXTENT
-    # ...and the leak is rollback's own, with no broadcast involved.
     bed.sim.run_process(bed.control.inject(victim, programs(6)[2], "ingress"))
     assert victim.code_allocator.bytes_live == 2 * EXTENT
     bed.sim.run_process(RollbackManager(victim).rollback("lk2"))
     assert victim.deployed["lk2"].history == [] and victim._retired == []
-    assert victim.code_allocator.bytes_live == 2 * EXTENT  # should be 1512
+    assert victim.code_allocator.bytes_live == EXTENT
 
 
 # -- the plan, model-free -----------------------------------------------------

@@ -1,5 +1,7 @@
 """CodeFlow lifecycle tests: deploy, detach, flip, XState (§3.1-§3.4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DeployError, SecurityError, VerifierError, XStateError
@@ -73,6 +75,30 @@ class TestDeploy:
         assert steady <= 3 * extent
         inject(testbed, program, retain_history=False)
         assert testbed.codeflow.code_allocator.bytes_live == steady
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_a_full_image_in_a_reused_extent_runs(self, config, pipelined):
+        """The 4-target reproducer of ``benchmarks/ledger/README.md``:
+        fresh 818-insn images, ``retain_history=False``, each executed
+        at once.  From round 6 the allocator hands back extents a
+        sandbox already executed; unless the deploy flushes the image,
+        the CPU still holds the previous tenant's lines and the exec
+        dies with ``SandboxCrash: image CRC mismatch``."""
+        bed = make_testbed(
+            n_hosts=4, cores_per_host=4, hooks=("ingress",), with_agents=False,
+            config=replace(config, pipelined_deploy=pipelined, delta_deploy=False),
+        )
+        flow, ctx = bed.codeflows[0], bytes(range(256))
+        placed = set()
+        for rnd in range(40):
+            program = make_stress_program(818, seed=100 + rnd, name="prog")
+            report = bed.sim.run_process(
+                bed.control.inject(flow, program, "ingress", retain_history=False)
+            )
+            placed.add(report.code_addr)
+            result, _ = flow.sandbox.run_hook("ingress", ctx)
+            assert result.r0 == Interpreter().run(program.insns, ctx).r0
+        assert len(placed) < 10  # ...so most rounds reused an extent
 
     def test_unknown_hook_rejected(self, testbed):
         with pytest.raises(DeployError, match="no hook"):

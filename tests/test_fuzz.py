@@ -203,8 +203,8 @@ class TestEngine:
 
 class TestFuzzLoop:
     def test_rediscovers_known_bad_classes(self):
-        # The acceptance bar: >= 3 of the 5 hb_schedules bug classes
-        # rediscovered within a bounded budget.  (All 5 fall out; the
+        # The acceptance bar: >= 3 of the 6 hb_schedules bug classes
+        # rediscovered within a bounded budget.  (All 6 fall out; the
         # assert leaves slack so a retuned simulator does not flake.)
         rediscovered = 0
         for name in KNOWN_BAD:
@@ -212,7 +212,7 @@ class TestFuzzLoop:
             report = fuzz(scenario, iterations=4, seed=0)
             if scenario.expect in report.kinds_found:
                 rediscovered += 1
-        assert rediscovered >= 3, f"only {rediscovered}/5 classes rediscovered"
+        assert rediscovered >= 3, f"only {rediscovered}/{len(KNOWN_BAD)} classes rediscovered"
 
     def test_minimized_schedule_replays_from_json(self):
         # fenceless-writer is the genuinely schedule-dependent class:
@@ -319,7 +319,7 @@ class TestRegistry:
 
     def test_known_bad_covers_hb_schedule_classes(self):
         # Each known-bad scenario names the hb_schedules class it
-        # reconstructs; all five must reference real schedule names.
+        # reconstructs; all six must reference real schedule names.
         import inspect
 
         from repro.exp import hb_schedules
@@ -328,6 +328,6 @@ class TestRegistry:
         known = {
             s.schedule_class for s in SCENARIOS.values() if s.known_bad
         }
-        assert len(known) == 5
+        assert len(known) == 6
         for schedule_class in known:
             assert f'"{schedule_class}"' in source, schedule_class

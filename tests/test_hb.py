@@ -138,6 +138,50 @@ class TestGraphEdges:
         graph = HbGraph(events)
         assert graph.happens_before(events[0], events[1])
 
+    def test_fenced_wr_lands_after_every_earlier_wr_of_its_chain(self):
+        # The fence edge on its own: the chain's earlier land is put on
+        # another QP here, so SQ FIFO cannot supply the order.
+        events = [
+            _write(0, qp=1, addr=0x9000, length=0x100, chain=4),
+            _ev(1, "land", qp=2, target="t0", kind="CAS", addr=0x20,
+                length=8, wr_id=9, chain=4, fence=True, success=True),
+            _ev(2, "land", qp=3, target="t0", kind="CAS", addr=0x28,
+                length=8, wr_id=10, chain=5, fence=True, success=True),
+        ]
+        graph = HbGraph(events)
+        assert graph.happens_before(events[0], events[1])
+        assert graph.concurrent(events[0], events[2])  # another chain
+
+    def test_ordering_points_accumulate(self):
+        # A doorbell posted before a waited flush completes after it:
+        # its completion must not hide the flush (and the exec behind
+        # it) from the QP's next post -- the reuse of an executed
+        # extent depends on that edge.
+        events = [
+            _ev(0, "post", qp=1, target="t0", kind="WRITE", addr=0x58,
+                length=8, wr_id=5, label="doorbell"),
+            _ev(1, "exec", target="t0", hook_addr=0x20, pointer=0x9000,
+                addr=0x9000, length=64),
+            _ev(2, "flush_post", qp=1, target="t0", addr=0x20, length=8),
+            _ev(3, "flush", qp=1, target="t0", addr=0x20, length=8,
+                waited=True),
+            _write(4, qp=1, addr=0x58, length=8, wr_id=5, label="doorbell"),
+            _ev(5, "comp", qp=1, wr_id=5, status="ok"),
+            _ev(6, "post", qp=1, target="t0", kind="WRITE", addr=0x9000,
+                length=64, wr_id=6),
+            _write(7, qp=1, addr=0x9000, length=64, wr_id=6),
+        ]
+        graph = HbGraph(events)
+        assert graph.happens_before(events[1], events[7])
+        assert detect_races(graph) == []
+
+    def test_unfenced_wr_gets_no_fence_edge(self):
+        events = [
+            _write(0, qp=1, addr=0x9000, length=0x100, chain=4),
+            _write(1, qp=2, addr=0xA000, length=8, chain=4),
+        ]
+        assert HbGraph(events).concurrent(events[0], events[1])
+
     def test_reads_from_installer_orders_exec(self):
         events = [
             _ev(0, "land", qp=1, target="t0", kind="WRITE", addr=0x20,
@@ -300,6 +344,31 @@ class TestInstrumentation:
         ]
         assert body, "body writes should share the commit's txn id"
 
+    @pytest.mark.arm(pipelined_deploy=True)
+    def test_install_is_one_chain_then_waited_flushes(self, config):
+        bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
+        program = make_stress_program(120, seed=3, name="hbtag")
+        start = len(bed.obs.recorder.events)  # skip testbed setup
+        bed.sim.run_process(
+            bed.control.inject(bed.codeflow, program, "ingress")
+        )
+        events = extract(list(bed.obs.recorder.events)[start:])
+        checker.consume(bed.sim)
+
+        # Body, then the fenced CAS, then the hook line's doorbell, all
+        # on one chain; the flush the initiator then waited for follows
+        # the chain's one completion.
+        (commit,) = [e for e in events if e.etype == "land" and e.kind == "CAS"]
+        chain = commit.get("chain")
+        assert chain is not None and commit.get("fence") is True
+        lands = [e for e in events if e.etype == "land" and e.get("chain") == chain]
+        assert [e.get("label") or e.kind for e in lands] == [
+            "WRITE", "WRITE", "CAS", "doorbell",
+        ]
+        (comp,) = [e for e in events if e.etype == "comp" and e.get("chain") == chain]
+        (flush,) = [e for e in events if e.etype == "flush"]
+        assert flush.get("waited") is True and flush.seq > comp.seq
+
     def test_clean_deploy_and_exec_has_no_findings(self, config):
         bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         program = make_stress_program(120, seed=4, name="hbok")
@@ -351,6 +420,14 @@ class TestSchedules:
     def test_bubble_race_fires(self):
         result = hb_schedules._schedule_bubble_race(seed=0)
         assert "bubble-race" in result.kinds
+
+    def test_commit_chained_ahead_of_its_body_fires(self):
+        result = hb_schedules._schedule_commit_chained_first(seed=0)
+        assert result.kinds == ["commit-before-body"]
+        finding = result.findings[0]
+        # Both WRs rode one chain on one QP: the CAS simply came first.
+        assert finding.first.get("chain") == finding.second.get("chain")
+        assert finding.second.get("fence") is True
 
     @pytest.mark.arm(hb_check=True)
     def test_reconciler_orphan_detach_regression(self, config):

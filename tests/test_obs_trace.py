@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import params
 from repro.core.broadcast import CodeFlowGroup
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed
@@ -15,10 +16,10 @@ from repro.params import DEFAULT
 ARM = dict(pipelined_deploy=True, obs=True, obs_target_labels=False)
 pytestmark = pytest.mark.arm(**ARM)
 
-#: PR-4 pipelined fast-path anchors (BENCH_deploy_pipeline.json): a
-#: fully-warm single-target deploy and the 8-target bubble window.
-WARM_DEPLOY_ANCHOR_US = 14.1
-BUBBLE_WINDOW_ANCHOR_US = 28.6
+#: Pipelined fast-path anchors: a fully-warm single-target deploy (one
+#: install chain, then one flush wait) and the 8-target bubble window.
+WARM_DEPLOY_ANCHOR_US = 11.2
+BUBBLE_WINDOW_ANCHOR_US = 23.2
 #: Sim-time tolerance around the anchors (deterministic sim, but the
 #: obs plane itself and unrelated PRs legitimately move these a bit).
 TOLERANCE = 0.40
@@ -101,6 +102,18 @@ class TestBroadcastTrace:
         assert len({e.data["target"] for e in flushes}) == 8
         for event in trace.events:
             assert event.data["trace_id"] == trace.trace_id
+        # The CAS rides the install chain, and its doorbells' flushes
+        # all take effect one RDX_CC_EVENT_US after the chain's CQE.
+        for commit in cas:
+            target = commit.data["target"]
+            chain = [
+                e for e in trace.events
+                if e.category == "rdx.trace.chain" and e.data["target"] == target
+            ]
+            assert chain[-1].time_us == commit.time_us
+            assert {
+                e.time_us for e in flushes if e.data["target"] == target
+            } == {commit.time_us + params.RDX_CC_EVENT_US}
 
     def test_tenant_label_rides_trace_and_registry(self, broadcast_bed):
         bed, _warm = broadcast_bed

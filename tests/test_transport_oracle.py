@@ -22,6 +22,14 @@ did on a fresh one-target testbed.  The sequences avoid the two shapes
 that commit got wrong, which ``tests/test_rdma_verbs.py`` covers: a WR
 that faults inside the target after passing its protection check (an
 MR reaching past the end of DRAM), and a WR chain the RNIC rejects.
+
+``INSTALL_ORACLE`` (same command) pins the chains that carry a commit
+CAS, ``RemoteSync.install`` + ``flush_chained``: fault-free, the target
+crashing or partitioned while each WR of the chain is being placed
+(image, descriptor, CAS, each doorbell), a CAS that finds the wrong
+prior, a CAS that faults on protection, and an unfenced atomic the RNIC
+refuses to post.  Its rows were taken from the change that introduced
+the install chain; there is no parent to take them from.
 """
 
 import hashlib
@@ -37,9 +45,10 @@ from repro.errors import ReproError, TransientFault
 from repro.exp.harness import make_testbed
 from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
+from repro.mem.layout import pack_qword
 from repro.obs import telemetry_of
 from repro.params import Config
-from repro.rdma.qp import QpState
+from repro.rdma.qp import QpState, WorkRequest, WrOpcode
 from repro.rdma.rnic import RNIC_MTU_BYTES
 
 MODES = (
@@ -187,21 +196,8 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
                 ("write_batch", [(code, b"x" * 8), (mr_end - 8, b"y" * 4100)]),
             ))
 
-        posted = []
         qp = sync.qp
-        post_send, post_send_batch = qp.post_send, qp.post_send_batch
-
-        def spy_send(wr):
-            event = post_send(wr)
-            posted.append(((wr,), event))
-            return event
-
-        def spy_batch(wrs):
-            event = post_send_batch(wrs)
-            posted.append((tuple(wrs), event))
-            return event
-
-        qp.post_send, qp.post_send_batch = spy_send, spy_batch
+        posted = _spy_posts(qp)
         start_us, start_events = sim.now, sim.processed_events
         outcomes = []
 
@@ -273,25 +269,14 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
         host.cache.is_stale(line)
         for line in range(code, code + WINDOW, 64)
     )
-    series = []
-    for metric in telemetry_of(sim).registry:
-        if metric.name.startswith(("rdma.", "rdx.retry.")):
-            if metric.kind == "histogram":
-                series.append((metric.name, metric.labels, metric.count, metric.sum, tuple(metric.samples())))
-            else:
-                series.append((metric.name, metric.labels, metric.value))
+    series = _series(sim)
     statuses = Counter(row[1][0] if row[1] else "pending" for row in completions)
     retries = sum(
         value for name, _labels, value in (s for s in series if len(s) == 3)
         if name == "rdx.retry.attempts"
     )
     died = [(name, type(err).__name__, str(err)) for name, err in sim.failed_processes]
-    hb_events = [
-        (event.time_us, event.category, sorted(event.data.items()))
-        for event in telemetry_of(sim).recorder.filter("hb.")
-    ]
-    if hb_check:
-        checker.consume(sim)  # the rows pin hb events, not race verdicts
+    hb_events = _hb_events(sim, hb_check)
     rnic = qp.rnic
     return (
         _short(repr(outcomes).encode()),
@@ -308,6 +293,47 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
         _short(repr(died).encode()) if died else "",
         _short(repr(hb_events).encode()) if hb_check else "",
     )
+
+
+def _spy_posts(qp) -> list:
+    """Record every post on ``qp``: ``(WRs, completion event)``."""
+    posted = []
+    post_send, post_send_batch = qp.post_send, qp.post_send_batch
+
+    def spy_send(wr):
+        event = post_send(wr)
+        posted.append(((wr,), event))
+        return event
+
+    def spy_batch(wrs):
+        event = post_send_batch(wrs)
+        posted.append((tuple(wrs), event))
+        return event
+
+    qp.post_send, qp.post_send_batch = spy_send, spy_batch
+    return posted
+
+
+def _series(sim) -> list:
+    """Every ``rdma.*`` / ``rdx.retry.*`` series, values included."""
+    series = []
+    for metric in telemetry_of(sim).registry:
+        if metric.name.startswith(("rdma.", "rdx.retry.")):
+            if metric.kind == "histogram":
+                series.append((metric.name, metric.labels, metric.count, metric.sum, tuple(metric.samples())))
+            else:
+                series.append((metric.name, metric.labels, metric.value))
+    return series
+
+
+def _hb_events(sim, hb_check: bool) -> list:
+    events = [
+        (event.time_us, event.category, sorted(event.data.items()))
+        for event in telemetry_of(sim).recorder.filter("hb.")
+    ]
+    if hb_check:
+        checker.consume(sim)  # the rows pin hb events, not race verdicts
+    return events
 
 
 #: (mode, seed, hb) -> (sha of each op's outcome, ops that raised, sha of
@@ -449,8 +475,208 @@ def test_the_rows_reach_every_completion_status_and_retry():
     assert any(row[11] for row in ORACLE.values())  # a fire-and-forget doorbell gave up
 
 
+# -- chains that carry the commit CAS ------------------------------------------
+
+#: The chain every install row posts, WR by WR: a two-MTU image, its
+#: descriptor, the fenced commit CAS, a doorbell for the image's span
+#: and one for the hook line.
+INSTALL_WRS = ("image", "descriptor", "cas", "span-doorbell", "hook-doorbell")
+#: (mode, the WR a crash or partition hits).  A crashed target stays
+#: down; a partition heals 30 us after the cut.
+INSTALL_CASES = (
+    [("none", "")]
+    + [(mode, wr) for mode in ("crash", "partition") for wr in INSTALL_WRS]
+    + [("wrong-prior", ""), ("cas-protection", ""), ("unfenced", "")]
+)
+
+
+def _install_bed(hb_check: bool = False):
+    bed = make_testbed(
+        n_hosts=1, cores_per_host=4, config=Config(hb_check=hb_check, obs=True),
+    )
+    manifest = bed.codeflow.manifest
+    image = bytes(range(256)) * 24
+    ops = [(manifest.code_addr, image), (manifest.metadata_addr, bytes(range(256)))]
+    return bed, ops, [(manifest.code_addr, len(image))]
+
+
+def _install(bed, ops, qword, flush):
+    """``install`` then, as ``CodeFlow`` does, ``flush_chained`` when
+    the CAS committed: what it returned or raised."""
+    sync = bed.codeflow.sync
+    try:
+        prior, torn = yield from sync.install(ops, qword, 0, ops[0][0], flush)
+    except ReproError as err:
+        return type(err).__name__, str(err)
+    if prior != 0:
+        return "wrong-prior", hex(prior)
+    if torn is not None:
+        return "torn", type(torn).__name__, str(torn)
+    yield from sync.flush_chained(flush + [(qword, 8)])
+    return "ok", prior
+
+
+def _land_offsets() -> list:
+    """When each WR of a fault-free install chain lands, after its post."""
+    with deterministic_ids():
+        bed, ops, flush = _install_bed(hb_check=True)
+        start = bed.sim.now
+        hook = bed.sandbox.hook_table.slot_addr("ingress")
+        bed.sim.run_process(_install(bed, ops, hook, flush))
+    lands = [
+        event.time_us - start
+        for event in bed.obs.recorder.filter("hb.land")
+        if event.time_us > start
+    ]
+    checker.consume(bed.sim)
+    return lands
+
+
+def _hook_value(raw: bytes, code: int) -> str:
+    value = int.from_bytes(raw, "little")
+    return "image" if value == code else hex(value)
+
+
+def run_install(mode: str, at: str, hb_check: bool = False):
+    """One install chain under ``mode``; what it left behind."""
+    offsets = _land_offsets() if at else []
+    with deterministic_ids():
+        bed, ops, flush = _install_bed(hb_check)
+        sim, sync, host = bed.sim, bed.codeflow.sync, bed.sandbox.host
+        hook = bed.sandbox.hook_table.slot_addr("ingress")
+        qword = hook + 4 if mode == "cas-protection" else hook
+        if mode == "wrong-prior":
+            sim.run_process(sync.write(hook, pack_qword(0x7E57_0000)))
+        qp = sync.qp
+        posted = _spy_posts(qp)
+        start_us, start_events = sim.now, sim.processed_events
+        if at:
+            index = INSTALL_WRS.index(at)
+            # Mid-way through WR ``at``'s own service time.
+            cut = (offsets[index] + (offsets[index - 1] if index else 0.0)) / 2
+
+            def fault():
+                yield cut
+                if mode == "crash":
+                    host.crash()
+                else:
+                    bed.cluster.fabric.partition("control", host.name)
+                    yield 30.0
+                    bed.cluster.fabric.heal("control", host.name)
+
+            sim.spawn(fault(), name="oracle-fault")
+        if mode == "unfenced":
+            try:
+                qp.post_send_batch([
+                    WorkRequest(
+                        opcode=WrOpcode.RDMA_WRITE, remote_addr=ops[0][0],
+                        rkey=sync.rkey, data=ops[0][1],
+                    ),
+                    WorkRequest(
+                        opcode=WrOpcode.COMP_SWAP, remote_addr=hook,
+                        rkey=sync.rkey, swap_or_add=ops[0][0],
+                    ),
+                ])
+            except ReproError as err:
+                outcome = (type(err).__name__, str(err))
+        else:
+            outcome = sim.run_process(_install(bed, ops, qword, flush))
+        sim.run()
+
+    completions = []
+    for wrs, event in posted:
+        done = event.value
+        named = [wr.wr_id for wr in wrs].index(done.wr_id)
+        completions.append((
+            len(wrs), done.status.value, done.opcode, INSTALL_WRS[named],
+            done.chained, done.result,
+        ))
+    code, length = flush[0]
+    series = _series(sim)
+    rnic = qp.rnic
+    return (
+        outcome,
+        tuple(completions),
+        _hook_value(host.memory.read(hook, 8), code),
+        _short(host.memory.read(code, length) + host.memory.read(ops[1][0], 256)),
+        sum(host.cache.is_stale(line) for line in range(code, code + length, 64)),
+        (qp.posted, qp.completed, rnic.wrs_processed, rnic.bytes_dma),
+        (sync.tx_count, sync.cc_count),
+        _short(repr(series).encode()),
+        sum(value for name, _labels, value in (s for s in series if len(s) == 3)
+            if name == "rdx.retry.attempts"),
+        repr(round(sim.now - start_us, 6)),
+        sim.processed_events - start_events,
+        _short(repr(sim.failed_processes).encode()) if sim.failed_processes else "",
+        _short(repr(_hb_events(sim, hb_check)).encode()) if hb_check else "",
+    )
+
+
+#: (mode, WR hit, hb) -> (what install + flush_chained returned or
+#: raised, per post (WRs, status, opcode, WR named, chained, CAS
+#: prior), the hook qword, sha of image + descriptor bytes, stale image
+#: lines, (QP posted, QP completed, RNIC WRs, RNIC bytes DMA'd),
+#: (tx_count, cc_count), sha of the rdma.* / rdx.retry.* series, retry
+#: attempts, sim-time, events, sha of the processes that died, sha of
+#: the hb.* events).
+INSTALL_ORACLE = {
+    ('none', '', False): (('ok', 0), ((5, 'success', 'write', 'hook-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6584), (1, 3), '925c0bcd57ce46f9', 0, '5.46328', 21, '', ''),
+    ('crash', 'image', False): (('TransientFault', 'INSTALL unACKed: node0 crashed (no ACK)'), ((5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None)), '0x0', '7bbba897d6a99a5f', 0, (24, 24, 24, 160), (0, 1), 'd11bcd15cb3bdbfd', 4.0, '69.068275', 39, '', ''),
+    ('crash', 'descriptor', False): (('TransientFault', 'INSTALL unACKed: node0 crashed (no ACK)'), ((5, 'retry_exc_error', 'write', 'descriptor', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None)), '0x0', '42bae6cb213b53b1', 0, (24, 24, 24, 6304), (0, 1), '1e71694191e28a07', 4.0, '69.252595', 41, '', ''),
+    ('crash', 'cas', False): (('TransientFault', 'INSTALL unACKed: node0 crashed (no ACK)'), ((5, 'retry_exc_error', 'cas', 'cas', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None)), '0x0', '0163bedf53d8deeb', 0, (24, 24, 24, 6560), (0, 1), '6fd501a090057259', 4.0, '69.502595', 42, '', ''),
+    ('crash', 'span-doorbell', False): (('torn', 'TransientFault', 'INSTALL torn after its CAS: node0 crashed (no ACK)'), ((5, 'retry_exc_error', 'write', 'span-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6568), (1, 1), '4dd62f7ccd99cc13', 0, '14.46264', 22, '', ''),
+    ('crash', 'hook-doorbell', False): (('torn', 'TransientFault', 'INSTALL torn after its CAS: node0 crashed (no ACK)'), ((5, 'retry_exc_error', 'write', 'hook-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6576), (1, 1), '065262f66fe4aacb', 0, '14.46328', 23, '', ''),
+    ('partition', 'image', False): (('ok', 0), ((5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'success', 'write', 'hook-doorbell', 5, 0)), 'image', '0163bedf53d8deeb', 0, (19, 19, 19, 6584), (1, 3), 'be1049f1e6571871', 2.0, '39.914903', 41, '', ''),
+    ('partition', 'descriptor', False): (('ok', 0), ((5, 'retry_exc_error', 'write', 'descriptor', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'success', 'write', 'hook-doorbell', 5, 0)), 'image', '0163bedf53d8deeb', 0, (19, 19, 19, 12728), (1, 3), '71d16dec82bf6c39', 2.0, '40.099223', 43, '', ''),
+    ('partition', 'cas', False): (('ok', 0), ((5, 'retry_exc_error', 'cas', 'cas', 5, None), (5, 'retry_exc_error', 'write', 'image', 5, None), (5, 'success', 'write', 'hook-doorbell', 5, 0)), 'image', '0163bedf53d8deeb', 0, (19, 19, 19, 12984), (1, 3), '61750cd819630134', 2.0, '40.349223', 44, '', ''),
+    ('partition', 'span-doorbell', False): (('torn', 'TransientFault', 'INSTALL torn after its CAS: node0 unreachable from control (link partitioned)'), ((5, 'retry_exc_error', 'write', 'span-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6568), (1, 1), '4dd62f7ccd99cc13', 0, '32.46232', 23, '', ''),
+    ('partition', 'hook-doorbell', False): (('torn', 'TransientFault', 'INSTALL torn after its CAS: node0 unreachable from control (link partitioned)'), ((5, 'retry_exc_error', 'write', 'hook-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6576), (1, 1), '065262f66fe4aacb', 0, '32.46296', 24, '', ''),
+    ('wrong-prior', '', False): (('wrong-prior', '0x7e570000'), ((5, 'success', 'write', 'hook-doorbell', 5, 2119630848),), '0x7e570000', '0163bedf53d8deeb', 0, (10, 10, 10, 6592), (0, 1), '542b500c2c8ba2ef', 0, '3.46328', 17, '', ''),
+    ('cas-protection', '', False): (('RdmaError', 'INSTALL failed: atomic target must be 8-byte aligned'), ((5, 'remote_access_error', 'cas', 'cas', 5, None),), '0x0', '0163bedf53d8deeb', 0, (9, 9, 9, 6560), (0, 1), '692fbc3cbf4462c9', 0, '2.212', 16, '', ''),
+    ('unfenced', '', False): (('RdmaError', 'an atomic in a WR chain must be fenced: unfenced, it may execute before the WRs it commits'), (), '0x0', '7bbba897d6a99a5f', 0, (4, 4, 4, 160), (0, 1), '6e82ac351a285f61', 0, '0.70064', 5, '', ''),
+    ('none', '', True): (('ok', 0), ((5, 'success', 'write', 'hook-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6584), (1, 3), '925c0bcd57ce46f9', 0, '5.46328', 21, '', 'c69627952c2c5166'),
+    ('partition', 'hook-doorbell', True): (('torn', 'TransientFault', 'INSTALL torn after its CAS: node0 unreachable from control (link partitioned)'), ((5, 'retry_exc_error', 'write', 'hook-doorbell', 5, 0),), 'image', '0163bedf53d8deeb', 0, (9, 9, 9, 6576), (1, 1), '065262f66fe4aacb', 0, '32.46296', 24, '', 'ce5f05c271a97955'),
+}
+
+INSTALL_ROWS = [(mode, at, False) for mode, at in INSTALL_CASES] + [
+    ("none", "", True), ("partition", "hook-doorbell", True),
+]
+
+
+@pytest.mark.parametrize("case", INSTALL_ROWS, ids=repr)
+def test_install_chains_match_the_table(case):
+    assert run_install(*case) == INSTALL_ORACLE[case]
+
+
+def test_the_install_rows_keep_the_failure_contract():
+    """An executed CAS is never re-issued, and a chain that dies before
+    its CAS executes leaves the hook unflipped."""
+    for (mode, at, _hb), row in INSTALL_ORACLE.items():
+        outcome, completions, hook = row[:3]
+        ran = [completion[5] is not None for completion in completions]
+        # The CAS runs at most once, and nothing is posted after it ran.
+        assert sum(ran) <= 1 and (not any(ran) or ran[-1]), (mode, at)
+        if at in ("image", "descriptor", "cas"):
+            # Died before its CAS: retried as a whole, never torn.
+            assert not ran[0]
+            assert outcome[0] == ("TransientFault" if mode == "crash" else "ok")
+            assert hook == ("0x0" if mode == "crash" else "image")
+        elif at:
+            # Died after it: committed, handed back as torn, not retried.
+            assert ran == [True]
+            assert outcome[0] == "torn" and hook == "image"
+    assert INSTALL_ORACLE["wrong-prior", "", False][2] == "0x7e570000"
+    assert "must be fenced" in INSTALL_ORACLE["unfenced", "", False][0][1]
+    unfenced = INSTALL_ORACLE["unfenced", "", False]
+    assert unfenced[1] == () and unfenced[5][0] == unfenced[5][1]  # not posted
+
+
 if __name__ == "__main__":
     print("ORACLE = {")
     for case in CASES:
         print(f"    {case!r}: {run_sequence(*case)!r},")
+    print("}")
+    print("INSTALL_ORACLE = {")
+    for case in INSTALL_ROWS:
+        print(f"    {case!r}: {run_install(*case)!r},")
     print("}")
