@@ -265,12 +265,16 @@ class CodeFlowGroup:
             )
         except ReproError:
             if sync is not None:
+                self._relay_returned(sync, codeflow.sync)
                 self._relay_fallback(codeflow, "lower")
                 return (yield from self._lower_leg(codeflow, flushes))
             self.control_plane.obs.counter(
                 "rdx.broadcast.bubble_lower_failed",
                 target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
+            return codeflow
+        if sync is not None:
+            self._relay_returned(sync, codeflow.sync)
         return codeflow
 
     def _prepare_leg(
@@ -846,12 +850,7 @@ class CodeFlowGroup:
             if via is not None:
                 codeflow.sync = direct
                 codeflow.dispatch_cpu = None
-                if self.config.hb_check:
-                    # The leg's status report (success or failure) is
-                    # the return wire message: the control plane only
-                    # acts on the outcome -- undo, fallback, commit --
-                    # after the relay told it what landed.
-                    hb.emit_handoff(self.sim, relay.qp, direct.qp)
+                self._relay_returned(relay, direct)
         return report
 
     # -- relay routes ---------------------------------------------------------
@@ -894,6 +893,14 @@ class CodeFlowGroup:
             # relay posts next.
             hb.emit_handoff(self.sim, codeflow.sync.qp, sync.qp)
         return sync
+
+    def _relay_returned(self, relay: RemoteSync, direct: RemoteSync) -> None:
+        """A relayed leg's status report (success or failure) is the
+        return wire message: the control plane only acts on the
+        outcome -- undo, fallback, commit, the next round -- after the
+        relay told it what landed."""
+        if self.config.hb_check:
+            hb.emit_handoff(self.sim, relay.qp, direct.qp)
 
     def _relay_fallback(self, codeflow, reason: str) -> None:
         self.control_plane.obs.counter(

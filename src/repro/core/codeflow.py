@@ -9,7 +9,6 @@ property the experiments measure.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Generator, Optional, TYPE_CHECKING
@@ -37,8 +36,6 @@ from repro.core.xstate import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.control_plane import RdxControlPlane
-
-_deploy_ids = itertools.count(1)
 
 
 @dataclass
@@ -418,7 +415,7 @@ class CodeFlow:
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
         report = DeployReport(
-            deploy_id=next(_deploy_ids),
+            deploy_id=next(self.sim.ids.deploy),
             program_name=program.name,
             started_us=self.sim.now,
         )
@@ -589,7 +586,7 @@ class CodeFlow:
             # just the spans written.
             txn = None
             if self.config.hb_check:
-                txn = hb.txn_note(publishes=(plan.code_addr, len(image)))
+                txn = hb.txn_note(self.sim, publishes=(plan.code_addr, len(image)))
             ops = plan.writes + [
                 (self.manifest.metadata_addr + slot * 256, block.encode())
             ]

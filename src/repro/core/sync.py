@@ -66,9 +66,8 @@ class RemoteSync:
         #: ``drop`` (skip the op) and ``error`` (exception to raise)
         #: attributes.
         self.fault_hook = None
-        #: Jitter source for retry backoff, decorrelated per target.
-        #: Seeded from the sandbox *name* (stable across test orderings,
-        #: unlike the module-global sandbox_id counter).
+        #: Jitter source for retry backoff, decorrelated per target
+        #: by the sandbox name.
         self._rng = random.Random(zlib.crc32(sandbox.name.encode()))
         self.tx_count = 0
         self.cc_count = 0
@@ -90,6 +89,8 @@ class RemoteSync:
         #: chain/land/CAS/flush below emits a causal trace event under
         #: that span's trace id.
         self.trace_span = None
+        #: Every WR posted here takes its id from this simulation.
+        self._wr_ids = sim.ids.wr
 
     def _trace_event(self, category: str, **data) -> None:
         """Stamp ``category`` under the parked span (callers check that
@@ -154,7 +155,8 @@ class RemoteSync:
         event -- an op's ``post``, called once per attempt."""
         return self.qp.post_send(WorkRequest(
             opcode=opcode, remote_addr=addr, rkey=self.rkey,
-            hb=self._hb_note(addr, note) if self._hb else None, **fields,
+            hb=self._hb_note(addr, note) if self._hb else None,
+            wr_id=next(self._wr_ids), **fields,
         ))
 
     def _post_chain(self, window: "list[tuple[int, bytes]]", note=None):
@@ -164,6 +166,7 @@ class RemoteSync:
             WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
                 data=payload, hb=self._hb_note(addr, note) if self._hb else None,
+                wr_id=next(self._wr_ids),
             )
             for addr, payload in window
         ])
@@ -349,7 +352,7 @@ class RemoteSync:
         without swapping) on mismatch.
         """
         if self._hb and note is None and obj_bytes:
-            note = hb.txn_note(publishes=(obj_addr, len(obj_bytes)))
+            note = hb.txn_note(self.sim, publishes=(obj_addr, len(obj_bytes)))
         body_note = self._body_note(note)
         if obj_bytes:
             yield from self.write(obj_addr, obj_bytes, note=body_note)
@@ -453,12 +456,14 @@ class RemoteSync:
     ):
         """Post the install's last window (:meth:`install`) as one chain."""
         hb_on = self._hb
+        wr_ids = self._wr_ids
         doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
         ring = (1).to_bytes(8, "little")
         wrs = [
             WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
                 data=payload, hb=self._hb_note(addr, body_note) if hb_on else None,
+                wr_id=next(wr_ids),
             )
             for addr, payload in window
         ]
@@ -466,11 +471,13 @@ class RemoteSync:
             opcode=WrOpcode.COMP_SWAP, remote_addr=qword_addr, rkey=self.rkey,
             compare=expect, swap_or_add=new_qword, fence=True,
             hb=self._hb_note(qword_addr, note) if hb_on else None,
+            wr_id=next(wr_ids),
         ))
         for _ in range(doorbells):
             wrs.append(WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=doorbell, rkey=self.rkey,
                 data=ring, hb=self._hb_note(doorbell) if hb_on else None,
+                wr_id=next(wr_ids),
             ))
         return self.qp.post_send_batch(wrs)
 

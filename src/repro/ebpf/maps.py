@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import XStateError
 
+#: Process-wide: a map is built with its program, before any simulation.
 _map_ids = itertools.count(1)
 
 #: bpf_map_update_elem flags (kernel ABI).

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.ebpf.insn import Insn, encode_program
 
+#: Process-wide: a program is a value that outlives any one simulation.
 _prog_ids = itertools.count(1)
 
 

@@ -160,7 +160,7 @@ def _schedule_reordered_commit(seed: int) -> ScheduleResult:
     hook_addr = sandbox.hook_table.slot_addr("ingress")
     body = bytes(range(256)) * 24  # ~6KB: lands in two MTU chunks
 
-    note = hb_events.txn_note(publishes=(code_addr, len(body)))
+    note = hb_events.txn_note(sim, publishes=(code_addr, len(body)))
     sim.spawn(
         body_sync.write(code_addr, body, note={"txn": note["txn"]}),
         name="hb-body",
@@ -258,7 +258,7 @@ def _schedule_delta_chunk_reordered(seed: int) -> ScheduleResult:
     assert record.baseline_addr is not None
     hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-    note = hb_events.txn_note(publishes=(record.baseline_addr, record.code_len))
+    note = hb_events.txn_note(sim, publishes=(record.baseline_addr, record.code_len))
     chunk_sync = sibling_sync(bed, sandbox)
     sim.spawn(
         chunk_sync.write(
@@ -362,7 +362,7 @@ def _schedule_relay_commit_before_body(seed: int) -> ScheduleResult:
     hook_addr = child.hook_table.slot_addr("ingress")
     body = bytes(range(256)) * 24  # ~6KB: lands in two MTU chunks
 
-    note = hb_events.txn_note(publishes=(code_addr, len(body)))
+    note = hb_events.txn_note(sim, publishes=(code_addr, len(body)))
     sim.spawn(
         body_sync.write(code_addr, body, note={"txn": note["txn"]}),
         name="hb-relay-body",
@@ -386,16 +386,17 @@ def commit_chained_first(sync: RemoteSync) -> Generator:
     assert sandbox.ctx_manifest is not None
     code_addr = sandbox.ctx_manifest.code_addr
     body = bytes(range(256)) * 24  # ~6KB: lands in two MTU chunks
-    note = hb_events.txn_note(publishes=(code_addr, len(body)))
+    sim = sync.sim
+    note = hb_events.txn_note(sim, publishes=(code_addr, len(body)))
     yield sync.qp.post_send_batch([
         WorkRequest(
             opcode=WrOpcode.COMP_SWAP, rkey=sync.rkey, fence=True,
             remote_addr=sandbox.hook_table.slot_addr("ingress"),
-            compare=0, swap_or_add=code_addr, hb=note,
+            compare=0, swap_or_add=code_addr, hb=note, wr_id=next(sim.ids.wr),
         ),
         WorkRequest(
             opcode=WrOpcode.RDMA_WRITE, remote_addr=code_addr, rkey=sync.rkey,
-            data=body, hb={"txn": note["txn"]},
+            data=body, hb={"txn": note["txn"]}, wr_id=next(sim.ids.wr),
         ),
     ])
     sync.qp.cq.poll()

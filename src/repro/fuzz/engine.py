@@ -17,9 +17,9 @@ plus the simulator's own failed-process ledger.  Verdicts:
     edges, so *no* verdict is sound.  Never reported as clean.
 
 Determinism contract: ``run_plan`` with the same (scenario, plan seed
-or frozen tape, workload seed) produces a byte-identical event digest
--- enforced by :func:`repro.fuzz.determinism.deterministic_ids`
-pinning every process-global id counter for the run's duration.
+or frozen tape, workload seed) produces a byte-identical event digest,
+in any process and after any other run: every id in the trace comes
+from the fresh simulator's own streams (:class:`repro.sim.core.Ids`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Callable, Optional
 from repro import params
 from repro.errors import ReproError
 from repro.fuzz import hooks
-from repro.fuzz.determinism import deterministic_ids
 from repro.fuzz.minimize import minimize_decisions
 from repro.fuzz.plan import Decision, SchedulePlan
 from repro.fuzz.scenarios import Scenario
@@ -83,27 +82,26 @@ def run_plan(
     """Execute one scenario under one tape, fully isolated.
 
     Builds a fresh simulator on the scenario's arm with hb checking
-    on, pins the id counters, binds the tape and a fresh bounded
-    recorder, drives the scenario, and unconditionally tears
-    everything down (recorder cleared, hb registry dropped) so a
-    million-iteration loop holds one trace in memory at a time.
+    on, binds the tape and a fresh bounded recorder, drives the
+    scenario, and unconditionally tears everything down (recorder
+    cleared, hb registry dropped) so a million-iteration loop holds one
+    trace in memory at a time.
     """
     plan.reset()
     sim: Optional[Simulator] = None
     recorder = None
     try:
-        with deterministic_ids():
-            sim = Simulator()
-            params.configure(sim, replace(scenario.config, hb_check=True))
-            recorder = hooks.bind(sim, plan, max_events=max_events)
-            drive_error: Optional[BaseException] = None
-            try:
-                scenario.drive(sim, workload_seed, plan)
-            except ReproError:
-                pass  # modeled failure a driver chose not to swallow
-            except Exception as exc:  # noqa: BLE001 -- classified below
-                drive_error = exc
-            report = checker.check_sim(sim)
+        sim = Simulator()
+        params.configure(sim, replace(scenario.config, hb_check=True))
+        recorder = hooks.bind(sim, plan, max_events=max_events)
+        drive_error: Optional[BaseException] = None
+        try:
+            scenario.drive(sim, workload_seed, plan)
+        except ReproError:
+            pass  # modeled failure a driver chose not to swallow
+        except Exception as exc:  # noqa: BLE001 -- classified below
+            drive_error = exc
+        report = checker.check_sim(sim)
         digest = _digest(recorder)
         failures = [
             (name, f"{type(exc).__name__}: {exc}")

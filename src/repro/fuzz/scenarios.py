@@ -3,7 +3,8 @@
 Two families:
 
 * **guarded** -- the real stack with its ordering guards *on* (single
-  deploy, delta hotpatch, 8-way broadcast, crash-recovery).  Expected
+  deploy, delta hotpatch, 8-way broadcast, 64-way tree broadcast, two
+  relayed broadcasts on one group, crash-recovery).  Expected
   finding-free under every interleaving; a finding here is a live
   ordering bug (or a hole in the HB model) and fails the fuzz run.
   The decision tape also picks payload faults for these
@@ -214,6 +215,28 @@ def _drive_broadcast_64_tree(sim, seed: int, plan: "SchedulePlan") -> None:
         injector.detach()
 
 
+def _drive_broadcast_relay_twice(sim, seed: int, plan: "SchedulePlan") -> None:
+    """Two degree-2 tree broadcasts on one five-target group: the
+    second round's raises and relayed deploys must be ordered after
+    the first round's *relayed* lowers, through the relay's return
+    handoff -- one broadcast per group never exercises that edge."""
+    from repro.core.broadcast import CodeFlowGroup
+    from repro.ebpf.stress import make_stress_program
+
+    bed = make_testbed(
+        n_hosts=5, cores_per_host=1, with_agents=False, seed=seed, sim=sim,
+    )
+    group = CodeFlowGroup(bed.codeflows)
+    for version in range(2):
+        rollout = make_stress_program(
+            200, seed=seed * 19 + version, name="fzrelay"
+        )
+        sim.run_process(
+            group.broadcast([rollout] * len(bed.codeflows), "ingress")
+        )
+    sim.run(until=sim.now + _SETTLE_US)
+
+
 def _drive_crash_recovery(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.core.broadcast import CodeFlowGroup
     from repro.core.reconcile import Reconciler, resume_control_plane
@@ -271,7 +294,7 @@ def _drive_sharded_commit(sim, seed: int, plan: "SchedulePlan") -> None:
     hook_addr = sandbox.hook_table.slot_addr("ingress")
     body = bytes(range(256)) * 24  # two MTU chunks
 
-    note = hb_events.txn_note(publishes=(code_addr, len(body)))
+    note = hb_events.txn_note(sim, publishes=(code_addr, len(body)))
     sim.spawn(
         _staggered(
             sim, plan,
@@ -398,7 +421,7 @@ def _drive_delta_shard(sim, seed: int, plan: "SchedulePlan") -> None:
     assert record.baseline_addr is not None
     hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-    note = hb_events.txn_note(publishes=(record.baseline_addr, record.code_len))
+    note = hb_events.txn_note(sim, publishes=(record.baseline_addr, record.code_len))
     chunk_sync = sibling_sync(bed, sandbox)
     sim.spawn(
         _staggered(
@@ -452,6 +475,10 @@ _ALL = (
     Scenario(
         "broadcast-64-tree", _drive_broadcast_64_tree,
         config=replace(DEFAULT, tree_broadcast=True, tree_degree=4),
+    ),
+    Scenario(
+        "broadcast-relay-twice", _drive_broadcast_relay_twice,
+        config=replace(DEFAULT, tree_broadcast=True, tree_degree=2),
     ),
     Scenario("crash-recovery", _drive_crash_recovery),
     Scenario(

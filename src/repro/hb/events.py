@@ -52,7 +52,6 @@ Event categories and their payloads:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
@@ -62,11 +61,6 @@ from repro.sim.trace import TraceEvent, TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdma.qp import QueuePair, WorkRequest
     from repro.sim.core import Simulator
-
-#: Doorbell-batch ids (one per post_send_batch call, process-global).
-_chain_ids = itertools.count(1)
-#: Transaction ids tying body writes to their commit CAS.
-_txn_ids = itertools.count(1)
 
 #: Simulators that emitted hb events and have not been checked yet.
 #: Keyed by id() so identity (not equality) dedups; insertion-ordered
@@ -89,12 +83,10 @@ def reset() -> None:
     _active.clear()
 
 
-def new_chain_id() -> int:
-    return next(_chain_ids)
-
-
 def txn_note(
-    publishes: Optional[tuple[int, int]] = None, txn: Optional[int] = None
+    sim: "Simulator",
+    publishes: Optional[tuple[int, int]] = None,
+    txn: Optional[int] = None,
 ) -> dict:
     """An annotation dict tying deploy-body writes to their commit.
 
@@ -105,7 +97,7 @@ def txn_note(
     tagging instead of pointer-value inference, so reused code pages
     from unrelated deploys never alias into the transaction.
     """
-    note: dict = {"txn": txn if txn is not None else next(_txn_ids)}
+    note: dict = {"txn": txn if txn is not None else next(sim.ids.txn)}
     if publishes is not None:
         note["pub_addr"], note["pub_len"] = publishes
     return note

@@ -8,8 +8,7 @@ is one of the contention channels between control and data paths).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro import params
@@ -17,8 +16,6 @@ from repro.errors import ReproError
 from repro.net.fabric import Fabric, Message
 from repro.net.topology import Host
 from repro.sim.core import Event
-
-_rpc_ids = itertools.count(1)
 
 
 class RpcError(ReproError):
@@ -33,7 +30,7 @@ class RpcRequest:
     args: Any
     size_bytes: int
     reply_to: str
-    rpc_id: int = field(default_factory=lambda: next(_rpc_ids))
+    rpc_id: int
 
 
 @dataclass
@@ -92,6 +89,7 @@ class RpcEndpoint:
             args=args,
             size_bytes=size_bytes,
             reply_to=self.channel,
+            rpc_id=next(self.host.sim.ids.rpc),
         )
         self._pending[request.rpc_id] = done
         message = Message(

@@ -17,7 +17,6 @@ metrics registry: a span named ``rdx.deploy`` observes the
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
@@ -26,9 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.core import Simulator
     from repro.sim.trace import TraceRecorder
-
-_span_ids = itertools.count(1)
-_trace_ids = itertools.count(1)
 
 #: Span names that root a causal deploy trace.
 TRACE_ROOTS = ("rdx.inject", "rdx.broadcast")
@@ -99,6 +95,8 @@ class SpanTracer:
         keep_finished: int = 10_000,
     ):
         self.sim = sim
+        self._span_ids = sim.ids.span
+        self._trace_ids = sim.ids.trace
         self.recorder = recorder
         self.registry = registry
         #: Finished spans, oldest first: a ring of the newest
@@ -119,12 +117,12 @@ class SpanTracer:
     ) -> Span:
         span = Span(
             name=name,
-            span_id=next(_span_ids),
+            span_id=next(self._span_ids),
             start_us=self.sim.now,
             parent_id=parent.span_id if parent is not None else None,
             trace_id=(
                 parent.trace_id if parent is not None
-                else next(_trace_ids)
+                else next(self._trace_ids)
             ),
             attrs=dict(attrs),
             _tracer=self,

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtectionError, RdmaError
 
-_key_source = itertools.count(0x1000)
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.core import Simulator
 
 
 class AccessFlags(enum.IntFlag):
@@ -38,11 +38,10 @@ class MemoryRegionMr:
 class ProtectionDomain:
     """An isolation scope for MRs and QPs (ibv_pd)."""
 
-    _handles = itertools.count(1)
-
-    def __init__(self, device_name: str):
-        self.handle = next(self._handles)
+    def __init__(self, sim: "Simulator", device_name: str):
+        self.handle = next(sim.ids.pd)
         self.device_name = device_name
+        self._keys = sim.ids.key
         self._mrs: dict[int, MemoryRegionMr] = {}
 
     def reg_mr(self, addr: int, length: int, access: AccessFlags) -> MemoryRegionMr:
@@ -52,8 +51,8 @@ class ProtectionDomain:
         mr = MemoryRegionMr(
             addr=addr,
             length=length,
-            lkey=next(_key_source),
-            rkey=next(_key_source),
+            lkey=next(self._keys),
+            rkey=next(self._keys),
             access=int(access),
             pd_handle=self.handle,
         )

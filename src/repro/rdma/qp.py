@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import RdmaError
@@ -13,9 +12,6 @@ from repro.rdma.mr import ProtectionDomain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdma.rnic import Rnic
-
-_qp_numbers = itertools.count(0x11)
-_wr_ids = itertools.count(1)
 
 
 class QpState(enum.Enum):
@@ -65,7 +61,10 @@ class WorkRequest:
     swap_or_add: int = 0
     #: When True the RNIC orders this WR after all prior WRs (fence).
     fence: bool = False
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
+    #: The caller's tag, echoed in the completion (ibv_send_wr.wr_id).
+    #: A WR the hb graph tracks needs a distinct one: the sync layer
+    #: mints ``next(sim.ids.wr)``.
+    wr_id: int = 0
     #: Happens-before annotations attached by the sync layer when
     #: ``config.hb_check`` is on (epoch tag, control-word
     #: label, transaction id, published range).  ``None`` in normal
@@ -84,12 +83,10 @@ class QueuePair:
         self.rnic = rnic
         self.pd = pd
         self.cq = cq
-        self.qpn = next(_qp_numbers)
-        #: Creation ordinal *within this RNIC*.  Unlike ``qpn`` (a
-        #: process-global stream any earlier test may have advanced),
-        #: the ordinal is a pure function of the simulation's own
-        #: construction order -- the stable identity schedule-fuzz
-        #: decision tapes key on.
+        self.qpn = next(rnic.sim.ids.qpn)
+        #: Creation ordinal *within this RNIC*: unlike ``qpn`` (one
+        #: stream per simulation), it names a QP by its host, which is
+        #: the identity schedule-fuzz decision tapes key on.
         self.ordinal = rnic.qps_created
         rnic.qps_created += 1
         self.state = QpState.RESET

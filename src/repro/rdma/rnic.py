@@ -190,7 +190,7 @@ class Rnic:
             atomics = 1
         chain = None
         if self._hb:
-            chain = hb.new_chain_id()
+            chain = next(self.sim.ids.chain)
             for wr in wrs:
                 hb.emit_post(
                     self.sim, qp, wr, chain=chain, signaled=wr is wrs[-1]

@@ -33,7 +33,7 @@ class VerbsContext:
         self._qps: list[QueuePair] = []
 
     def alloc_pd(self) -> ProtectionDomain:
-        pd = ProtectionDomain(self.rnic.name)
+        pd = ProtectionDomain(self.rnic.sim, self.rnic.name)
         self._pds.append(pd)
         return pd
 

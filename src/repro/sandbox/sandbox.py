@@ -18,7 +18,6 @@ Memory layout (all carved from the host allocator)::
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,8 +44,6 @@ from repro.sandbox.metadata import (
     SLOT_LIVE,
 )
 from repro.sandbox.xmaps import MemoryBackedMap
-
-_sandbox_ids = itertools.count(1)
 
 # Control-block field offsets.
 OFF_LOCK = 0
@@ -107,7 +104,7 @@ class Sandbox:
         scratchpad_bytes: int = params.XSTATE_SCRATCHPAD_BYTES,
     ):
         self.host = host
-        self.sandbox_id = next(_sandbox_ids)
+        self.sandbox_id = next(host.sim.ids.sandbox)
         self.name = name or f"{host.name}.sb{self.sandbox_id}"
         self.arch = arch
         self._hooks = tuple(hooks)

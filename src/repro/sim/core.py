@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 
@@ -416,6 +417,34 @@ class AnyOf(_Condition):
         self.succeed((event, event._value))
 
 
+class Ids:
+    """The id streams one simulation mints, each at its canonical start.
+
+    A QP number, WR id, rkey, sandbox id ... is only ever compared
+    within one simulation, and it lands in trace events, so it is
+    minted here: a run's ids are a pure function of its own
+    construction order, whatever ran before it in the process.
+    """
+
+    __slots__ = (
+        "qpn", "wr", "key", "pd", "chain", "txn", "span", "trace",
+        "sandbox", "rpc", "deploy",
+    )
+
+    def __init__(self):
+        self.qpn = count(0x11)  # QueuePair.qpn
+        self.wr = count(1)  # WorkRequest.wr_id
+        self.key = count(0x1000)  # MR lkeys and rkeys
+        self.pd = count(1)  # ProtectionDomain.handle
+        self.chain = count(1)  # hb doorbell-batch ids
+        self.txn = count(1)  # hb deploy-transaction ids
+        self.span = count(1)  # Span.span_id
+        self.trace = count(1)  # Span.trace_id
+        self.sandbox = count(1)  # Sandbox.sandbox_id
+        self.rpc = count(1)  # RpcRequest.rpc_id
+        self.deploy = count(1)  # DeployReport.deploy_id
+
+
 class Simulator:
     """The event calendar and virtual clock.
 
@@ -446,6 +475,8 @@ class Simulator:
         #: nothing was waiting on.  Check this when a simulation's
         #: results look mysteriously incomplete.
         self.failed_processes: list[tuple[str, BaseException]] = []
+        #: Every id this simulation mints (``next(sim.ids.wr)``).
+        self.ids = Ids()
 
     def _note_failure(self, process: "Process", err: BaseException) -> None:
         # Interrupts are cooperative cancellation, not failures.

@@ -28,6 +28,7 @@ _BINOP_TO_WOP = {
     ">>": WOp.SHR_U,
 }
 
+#: Process-wide: labels only need to be unique within one module build.
 _label_ids = itertools.count(1)
 
 

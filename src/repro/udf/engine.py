@@ -21,6 +21,7 @@ from repro.udf.expr import UdfExpr, node_count, udf_eval
 from repro.udf.validator import udf_validate
 from repro.wasm.runtime import WasmRuntime
 
+#: Process-wide: a caller builds a Query with no simulation in reach.
 _query_ids = itertools.count(1)
 
 #: Engine-side scan cost per row, microseconds.

@@ -18,6 +18,7 @@ from repro.errors import ReproError
 from repro.ebpf.program import ProgramIdentity
 
 _WINSTR = struct.Struct("<BBHi")
+#: Process-wide: a module is a value that outlives any one simulation.
 _module_ids = itertools.count(1)
 
 

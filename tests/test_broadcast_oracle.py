@@ -47,7 +47,6 @@ from repro.errors import (
 )
 from repro.exp.harness import make_testbed
 from repro.exp.scale import sharded_testbed
-from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
 from repro.mem.layout import pack_qword
 from repro.params import DEFAULT, Config, configure
@@ -388,9 +387,8 @@ def rack_rounds(rack: Rack, scenario: "Scenario"):
 
 
 def run_row(arm_name: str, scenario_name: str) -> list:
-    with deterministic_ids():
-        rack = Rack(ARMS[arm_name])
-        rounds = list(rack_rounds(rack, SCENARIOS[scenario_name]))
+    rack = Rack(ARMS[arm_name])
+    rounds = list(rack_rounds(rack, SCENARIOS[scenario_name]))
     checker.consume(rack.sim)  # epoch pokes and crashes are deliberate races
     return rounds
 

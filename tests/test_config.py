@@ -16,7 +16,6 @@ import pytest
 
 from repro import params
 from repro.exp.harness import make_testbed
-from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
 from repro.obs import telemetry_of
 from repro.params import DEFAULT, Config, config_of, configure
@@ -47,13 +46,12 @@ def test_arms_interleaved_match_the_rows_each_pins_alone():
     (broadcasts: abort, clean, abort): every step is the row that arm
     pins alone in ``test_deploy_oracle`` / ``test_broadcast_oracle``.
 
-    Each rack is *built* under its own ``deterministic_ids`` -- names
-    and keys still come from process-global counters (ROADMAP item 4 a)
-    -- and then everything runs with nothing pinned at all."""
-    racks = {}
-    for arm in ("flat", "tree-d2"):
-        with deterministic_ids():
-            racks[arm] = broadcast_oracle.Rack(broadcast_oracle.ARMS[arm])
+    Every id a rack mints comes from its own simulator, so nothing is
+    pinned around building or running any of them."""
+    racks = {
+        arm: broadcast_oracle.Rack(broadcast_oracle.ARMS[arm])
+        for arm in ("flat", "tree-d2")
+    }
     abort = broadcast_oracle.SCENARIOS["abort"]
     got = _interleaved({
         **{arm: deploy_oracle.arm_steps(arm) for arm in deploy_oracle.ARMS},

@@ -56,6 +56,7 @@ class TestWrChaining:
             WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr + i * 64,
                 rkey=sync.rkey, data=_payload(64, phase=i),
+                wr_id=next(bed.sim.ids.wr),
             )
             for i in range(3)
         ]

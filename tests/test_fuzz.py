@@ -200,6 +200,14 @@ class TestEngine:
                 result.verdict, result.kinds, result.failures
             )
 
+    def test_second_relay_broadcast_orders_after_relayed_lowers(self):
+        # Each relayed lower reports back to the control plane; without
+        # that return edge the second round's raises race the first
+        # round's relayed lowers (3 bubble-races at N=5, degree 2).
+        scenario = get("broadcast-relay-twice")
+        result = run_plan(scenario, SchedulePlan(seed=0, scenario=scenario.name))
+        assert result.verdict == "clean", (result.kinds, result.failures)
+
 
 class TestFuzzLoop:
     def test_rediscovers_known_bad_classes(self):

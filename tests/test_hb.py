@@ -23,6 +23,7 @@ from repro.hb import checker
 from repro.hb.detect import detect_races
 from repro.hb.events import HbEvent, extract, txn_note
 from repro.hb.graph import HbGraph
+from repro.sim.core import Simulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -473,7 +474,8 @@ class TestSchedules:
 
 class TestTxnNote:
     def test_txn_note_mints_unique_ids(self):
-        a, b = txn_note(), txn_note()
+        sim = Simulator()
+        a, b = txn_note(sim), txn_note(sim)
         assert a["txn"] != b["txn"]
-        c = txn_note(publishes=(0x9000, 0x80))
+        c = txn_note(sim, publishes=(0x9000, 0x80))
         assert c["pub_addr"] == 0x9000 and c["pub_len"] == 0x80

@@ -46,13 +46,13 @@ def run_wr(sim, qp, wr):
 
 class TestMr:
     def test_rkey_lookup(self):
-        pd = ProtectionDomain("dev")
+        pd = ProtectionDomain(Simulator(), "dev")
         mr = pd.reg_mr(0x1000, 64, AccessFlags.REMOTE_READ)
         assert pd.lookup_rkey(mr.rkey) is mr
         assert pd.lookup_rkey(0xBAD) is None
 
     def test_dereg(self):
-        pd = ProtectionDomain("dev")
+        pd = ProtectionDomain(Simulator(), "dev")
         mr = pd.reg_mr(0x1000, 64, AccessFlags.REMOTE_READ)
         pd.dereg_mr(mr)
         assert pd.lookup_rkey(mr.rkey) is None
@@ -60,12 +60,12 @@ class TestMr:
             pd.dereg_mr(mr)
 
     def test_zero_length_rejected(self):
-        pd = ProtectionDomain("dev")
+        pd = ProtectionDomain(Simulator(), "dev")
         with pytest.raises(RdmaError):
             pd.reg_mr(0x1000, 0, AccessFlags.REMOTE_READ)
 
     def test_check_remote_range(self):
-        pd = ProtectionDomain("dev")
+        pd = ProtectionDomain(Simulator(), "dev")
         mr = pd.reg_mr(0x1000, 64, AccessFlags.REMOTE_WRITE)
         pd.check_remote(mr.rkey, 0x1000, 64, AccessFlags.REMOTE_WRITE)
         with pytest.raises(ProtectionError, match=r"\[0x1000,\+65\) outside MR \[0x1000,\+64\)"):

@@ -43,7 +43,6 @@ import pytest
 from repro.core.retry import RetryPolicy
 from repro.errors import ReproError, TransientFault
 from repro.exp.harness import make_testbed
-from repro.fuzz.determinism import deterministic_ids
 from repro.hb import checker
 from repro.mem.layout import pack_qword
 from repro.obs import telemetry_of
@@ -128,122 +127,121 @@ class _Hook:
 def run_sequence(mode: str, seed: int, hb_check: bool = False):
     """One seeded op sequence under ``mode``; what it left behind."""
     rng = random.Random(f"{mode}/{seed}")
-    with deterministic_ids():
-        bed = make_testbed(
-            n_hosts=1, cores_per_host=4,
-            config=Config(hb_check=hb_check, obs=True),
+    bed = make_testbed(
+        n_hosts=1, cores_per_host=4,
+        config=Config(hb_check=hb_check, obs=True),
+    )
+    sim = bed.sim
+    sync = bed.codeflow.sync
+    sandbox = bed.sandbox
+    host = sandbox.host
+    code = bed.codeflow.manifest.code_addr
+    words = bed.codeflow.manifest.scratchpad_addr
+    mr_end = sandbox.mr.addr + sandbox.mr.length
+
+    def anywhere(size):
+        return code + 8 * rng.randrange((WINDOW - size) // 8 + 1)
+
+    ops = _sequence(rng, anywhere)
+    special = rng.randrange(STEPS)  # the op a per-op mode aims at
+    if mode == "dropped":
+        sync.fault_hook = _Hook("drop", {rng.randint(1, 8), rng.randint(1, 40)})
+    elif mode == "transient":
+        first = rng.randint(1, 8)
+        sync.fault_hook = _Hook("error", {first, first + 1, rng.randint(1, 40)})
+    if mode == "deadline":
+        # An op-level deadline over the same crash: 0 expires before
+        # the first attempt.
+        sync.retry = RetryPolicy(
+            max_attempts=6, deadline_us=rng.choice((0.0, 20.0, 45.0, 90.0))
         )
-        sim = bed.sim
-        sync = bed.codeflow.sync
-        sandbox = bed.sandbox
-        host = sandbox.host
-        code = bed.codeflow.manifest.code_addr
-        words = bed.codeflow.manifest.scratchpad_addr
-        mr_end = sandbox.mr.addr + sandbox.mr.length
+    if mode in ("crash", "deadline"):
+        # The target dies at a seeded instant -- mid-chain in the
+        # rows whose first op is a long batch -- and maybe returns.
+        ops[0] = ("write_batch", [
+            (code + index * RNIC_MTU_BYTES, rng.randbytes(RNIC_MTU_BYTES))
+            for index in range(rng.randint(3, 6))
+        ])
+        chunk_us = RNIC_MTU_BYTES / 12_500.0
+        # Doorbell + WQE fetch, first byte, then one MTU per chunk.
+        dies = sim.now + 0.45 + 1.25 + chunk_us * (rng.randrange(5) + 0.5)
+        back = rng.choice((20.0, 70.0, None))
 
-        def anywhere(size):
-            return code + 8 * rng.randrange((WINDOW - size) // 8 + 1)
+        def crash():
+            yield dies - sim.now
+            host.crash()
+            if back is not None:
+                yield back
+                host.recover()
 
-        ops = _sequence(rng, anywhere)
-        special = rng.randrange(STEPS)  # the op a per-op mode aims at
-        if mode == "dropped":
-            sync.fault_hook = _Hook("drop", {rng.randint(1, 8), rng.randint(1, 40)})
-        elif mode == "transient":
-            first = rng.randint(1, 8)
-            sync.fault_hook = _Hook("error", {first, first + 1, rng.randint(1, 40)})
-        if mode == "deadline":
-            # An op-level deadline over the same crash: 0 expires before
-            # the first attempt.
-            sync.retry = RetryPolicy(
-                max_attempts=6, deadline_us=rng.choice((0.0, 20.0, 45.0, 90.0))
-            )
-        if mode in ("crash", "deadline"):
-            # The target dies at a seeded instant -- mid-chain in the
-            # rows whose first op is a long batch -- and maybe returns.
-            ops[0] = ("write_batch", [
-                (code + index * RNIC_MTU_BYTES, rng.randbytes(RNIC_MTU_BYTES))
-                for index in range(rng.randint(3, 6))
-            ])
-            chunk_us = RNIC_MTU_BYTES / 12_500.0
-            # Doorbell + WQE fetch, first byte, then one MTU per chunk.
-            dies = sim.now + 0.45 + 1.25 + chunk_us * (rng.randrange(5) + 0.5)
-            back = rng.choice((20.0, 70.0, None))
+        sim.spawn(crash(), name="oracle-crash")
+    elif mode == "partition":
+        cut = rng.uniform(2.0, 120.0)
+        heal = rng.choice((10.0, 45.0, 400.0))
+        fabric = bed.cluster.fabric
 
-            def crash():
-                yield dies - sim.now
-                host.crash()
-                if back is not None:
-                    yield back
-                    host.recover()
+        def partition():
+            yield cut
+            fabric.partition("control", host.name)
+            yield heal
+            fabric.heal("control", host.name)
 
-            sim.spawn(crash(), name="oracle-crash")
-        elif mode == "partition":
-            cut = rng.uniform(2.0, 120.0)
-            heal = rng.choice((10.0, 45.0, 400.0))
-            fabric = bed.cluster.fabric
+        sim.spawn(partition(), name="oracle-partition")
+    elif mode == "outside-mr":
+        ops[special] = rng.choice((
+            ("write", mr_end - 16, rng.randbytes(64)),
+            ("read", mr_end - 8, 64),
+            ("write_batch", [(code, b"x" * 8), (mr_end - 8, b"y" * 4100)]),
+        ))
 
-            def partition():
-                yield cut
-                fabric.partition("control", host.name)
-                yield heal
-                fabric.heal("control", host.name)
+    qp = sync.qp
+    posted = _spy_posts(qp)
+    start_us, start_events = sim.now, sim.processed_events
+    outcomes = []
 
-            sim.spawn(partition(), name="oracle-partition")
-        elif mode == "outside-mr":
-            ops[special] = rng.choice((
-                ("write", mr_end - 16, rng.randbytes(64)),
-                ("read", mr_end - 8, 64),
-                ("write_batch", [(code, b"x" * 8), (mr_end - 8, b"y" * 4100)]),
-            ))
+    def drive():
+        for index, op in enumerate(ops):
+            kind = op[0]
+            rkey = sync.rkey
+            if index == special and mode == "bad-rkey":
+                sync.rkey = rkey ^ 0x5A5A
+            if index == special and mode == "qp-error":
+                qp.modify(QpState.ERROR)
+            try:
+                if kind == "write":
+                    yield from sync.write(op[1], op[2])
+                    result = None
+                elif kind == "write_batch":
+                    yield from sync.write_batch(op[1])
+                    result = None
+                elif kind == "read":
+                    result = _short((yield from sync.read(op[1], op[2])))
+                elif kind == "cas":
+                    result = yield from sync.cas(words + 8 * op[1], op[2], op[2] + 3)
+                elif kind == "fetch_add":
+                    result = yield from sync.fetch_add(words + 8 * op[1], op[2])
+                elif kind == "tx":
+                    result = yield from sync.tx(
+                        op[1], op[2], words + 8 * op[3], seed + index, expect=op[4]
+                    )
+                elif kind == "cc_event":
+                    result = yield from sync.cc_event(op[1], op[2])
+                elif kind == "lock":
+                    result = yield from sync.lock(op[1], max_attempts=4)
+                    yield from sync.unlock(op[1])
+                elif kind == "cpu_read":
+                    result = _short(host.cache.cpu_read(op[1], op[2]))
+                else:
+                    yield op[1]
+                    result = None
+                outcomes.append(("ok", result))
+            except ReproError as err:
+                outcomes.append((type(err).__name__, str(err)))
+            finally:
+                sync.rkey = rkey
 
-        qp = sync.qp
-        posted = _spy_posts(qp)
-        start_us, start_events = sim.now, sim.processed_events
-        outcomes = []
-
-        def drive():
-            for index, op in enumerate(ops):
-                kind = op[0]
-                rkey = sync.rkey
-                if index == special and mode == "bad-rkey":
-                    sync.rkey = rkey ^ 0x5A5A
-                if index == special and mode == "qp-error":
-                    qp.modify(QpState.ERROR)
-                try:
-                    if kind == "write":
-                        yield from sync.write(op[1], op[2])
-                        result = None
-                    elif kind == "write_batch":
-                        yield from sync.write_batch(op[1])
-                        result = None
-                    elif kind == "read":
-                        result = _short((yield from sync.read(op[1], op[2])))
-                    elif kind == "cas":
-                        result = yield from sync.cas(words + 8 * op[1], op[2], op[2] + 3)
-                    elif kind == "fetch_add":
-                        result = yield from sync.fetch_add(words + 8 * op[1], op[2])
-                    elif kind == "tx":
-                        result = yield from sync.tx(
-                            op[1], op[2], words + 8 * op[3], seed + index, expect=op[4]
-                        )
-                    elif kind == "cc_event":
-                        result = yield from sync.cc_event(op[1], op[2])
-                    elif kind == "lock":
-                        result = yield from sync.lock(op[1], max_attempts=4)
-                        yield from sync.unlock(op[1])
-                    elif kind == "cpu_read":
-                        result = _short(host.cache.cpu_read(op[1], op[2]))
-                    else:
-                        yield op[1]
-                        result = None
-                    outcomes.append(("ok", result))
-                except ReproError as err:
-                    outcomes.append((type(err).__name__, str(err)))
-                finally:
-                    sync.rkey = rkey
-
-        sim.spawn(drive(), name="oracle-drive")
-        sim.run()
+    sim.spawn(drive(), name="oracle-drive")
+    sim.run()
 
     first = posted[0][0][0].wr_id if posted else 0
     completions = []
@@ -518,11 +516,10 @@ def _install(bed, ops, qword, flush):
 
 def _land_offsets() -> list:
     """When each WR of a fault-free install chain lands, after its post."""
-    with deterministic_ids():
-        bed, ops, flush = _install_bed(hb_check=True)
-        start = bed.sim.now
-        hook = bed.sandbox.hook_table.slot_addr("ingress")
-        bed.sim.run_process(_install(bed, ops, hook, flush))
+    bed, ops, flush = _install_bed(hb_check=True)
+    start = bed.sim.now
+    hook = bed.sandbox.hook_table.slot_addr("ingress")
+    bed.sim.run_process(_install(bed, ops, hook, flush))
     lands = [
         event.time_us - start
         for event in bed.obs.recorder.filter("hb.land")
@@ -540,48 +537,47 @@ def _hook_value(raw: bytes, code: int) -> str:
 def run_install(mode: str, at: str, hb_check: bool = False):
     """One install chain under ``mode``; what it left behind."""
     offsets = _land_offsets() if at else []
-    with deterministic_ids():
-        bed, ops, flush = _install_bed(hb_check)
-        sim, sync, host = bed.sim, bed.codeflow.sync, bed.sandbox.host
-        hook = bed.sandbox.hook_table.slot_addr("ingress")
-        qword = hook + 4 if mode == "cas-protection" else hook
-        if mode == "wrong-prior":
-            sim.run_process(sync.write(hook, pack_qword(0x7E57_0000)))
-        qp = sync.qp
-        posted = _spy_posts(qp)
-        start_us, start_events = sim.now, sim.processed_events
-        if at:
-            index = INSTALL_WRS.index(at)
-            # Mid-way through WR ``at``'s own service time.
-            cut = (offsets[index] + (offsets[index - 1] if index else 0.0)) / 2
+    bed, ops, flush = _install_bed(hb_check)
+    sim, sync, host = bed.sim, bed.codeflow.sync, bed.sandbox.host
+    hook = bed.sandbox.hook_table.slot_addr("ingress")
+    qword = hook + 4 if mode == "cas-protection" else hook
+    if mode == "wrong-prior":
+        sim.run_process(sync.write(hook, pack_qword(0x7E57_0000)))
+    qp = sync.qp
+    posted = _spy_posts(qp)
+    start_us, start_events = sim.now, sim.processed_events
+    if at:
+        index = INSTALL_WRS.index(at)
+        # Mid-way through WR ``at``'s own service time.
+        cut = (offsets[index] + (offsets[index - 1] if index else 0.0)) / 2
 
-            def fault():
-                yield cut
-                if mode == "crash":
-                    host.crash()
-                else:
-                    bed.cluster.fabric.partition("control", host.name)
-                    yield 30.0
-                    bed.cluster.fabric.heal("control", host.name)
+        def fault():
+            yield cut
+            if mode == "crash":
+                host.crash()
+            else:
+                bed.cluster.fabric.partition("control", host.name)
+                yield 30.0
+                bed.cluster.fabric.heal("control", host.name)
 
-            sim.spawn(fault(), name="oracle-fault")
-        if mode == "unfenced":
-            try:
-                qp.post_send_batch([
-                    WorkRequest(
-                        opcode=WrOpcode.RDMA_WRITE, remote_addr=ops[0][0],
-                        rkey=sync.rkey, data=ops[0][1],
-                    ),
-                    WorkRequest(
-                        opcode=WrOpcode.COMP_SWAP, remote_addr=hook,
-                        rkey=sync.rkey, swap_or_add=ops[0][0],
-                    ),
-                ])
-            except ReproError as err:
-                outcome = (type(err).__name__, str(err))
-        else:
-            outcome = sim.run_process(_install(bed, ops, qword, flush))
-        sim.run()
+        sim.spawn(fault(), name="oracle-fault")
+    if mode == "unfenced":
+        try:
+            qp.post_send_batch([
+                WorkRequest(
+                    opcode=WrOpcode.RDMA_WRITE, remote_addr=ops[0][0],
+                    rkey=sync.rkey, data=ops[0][1],
+                ),
+                WorkRequest(
+                    opcode=WrOpcode.COMP_SWAP, remote_addr=hook,
+                    rkey=sync.rkey, swap_or_add=ops[0][0],
+                ),
+            ])
+        except ReproError as err:
+            outcome = (type(err).__name__, str(err))
+    else:
+        outcome = sim.run_process(_install(bed, ops, qword, flush))
+    sim.run()
 
     completions = []
     for wrs, event in posted:
