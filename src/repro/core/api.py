@@ -86,10 +86,11 @@ def rdx_jit_compile_code(
 def rdx_link_code(handle: CodeFlow, program: BpfProgram) -> Generator:
     """Link the program's cached binary to the remote context (Table 1).
 
-    The program must have been compiled (``rdx_JIT_compile_code`` or
-    :meth:`RdxControlPlane.prepare`); returns the linked image.
+    The image is the artifact store's, as prepared for this target
+    (:meth:`RdxControlPlane.prepare_for`), else compiled afresh
+    (``rdx_JIT_compile_code``); returns the linked image.
     """
-    binary = handle.control_plane.compiled_binary(program, handle.manifest.arch)
+    binary = handle.control_plane.artifacts.compiled_image(handle, program)
     if binary is None:
         binary = yield from rdx_jit_compile_code(handle, program)
     linked = yield from handle.link_code(binary)

@@ -137,7 +137,7 @@ class _FanoutPlan:
     #: the chained WR payload a relay forwards verbatim, so a relayed
     #: leg never touches the control plane's CPU or QPs.  Empty when
     #: relays are off: a hub-and-spoke leg goes through ``inject``,
-    #: whose linked-image cache hit skips the stub rendezvous (letting
+    #: whose link-stage hit skips the stub rendezvous (letting
     #: flat legs deploy the Phase-0 image instead was measured: the
     #: N=13 window grows 54.79 -> 61.69 us).
     images: dict
@@ -291,8 +291,8 @@ class CodeFlowGroup:
             errors.append(err)
             return
         try:
-            # Pre-link while no bubble is up: warms the linked-image
-            # cache so the in-window deploy leg skips relocation
+            # Pre-link while no bubble is up: warms the artifact
+            # store's link stage so the in-window deploy leg skips relocation
             # rewriting *and* the stub rendezvous.  Best-effort -- a
             # link error here re-surfaces inside the leg, where the
             # per-target failure machinery owns it.

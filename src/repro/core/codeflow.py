@@ -63,8 +63,9 @@ class DeployReport:
     bytes_moved: int = 0
     #: Version of the baseline image the delta was diffed against.
     delta_base_version: int = 0
-    #: True when the image came out of the warm linked-image pool --
-    #: validate+JIT+link were all skipped (see :mod:`repro.serve`).
+    #: True when the image came out of the artifact store's pin stage
+    #: -- validate+JIT+link were all skipped (see
+    #: :mod:`repro.core.artifacts`).
     warm: bool = False
 
     def phases(self) -> dict[str, float]:
@@ -94,7 +95,7 @@ class DeployedProgram:
     #: extent becomes the baseline.
     image: Optional[bytes] = None
     #: (arch, GOT-layout fingerprint) the image was linked under: the
-    #: part of the link-cache key a delta deploy must match.
+    #: part of the link-stage key a delta deploy must match.
     layout: Optional[tuple] = None
     #: Superseded-but-resident extent kept alive as the delta diff
     #: base (None when no baseline is registered).
@@ -200,10 +201,10 @@ class CodeFlow:
         #: trace roots (multi-tenant aggregation; "" = unowned).
         self.tenant = ""
         #: True when the last :meth:`link_code` was served from the
-        #: control plane's linked-image cache -- the pipelined deploy
-        #: then skips the stub rendezvous (the layout is already known).
+        #: artifact store (a link-stage hit or a pin) -- the pipelined
+        #: deploy then skips the stub rendezvous (the layout is known).
         self._last_link_cached = False
-        #: The cache key of the last :meth:`link_code` -- its
+        #: The link-stage key of the last :meth:`link_code` -- its
         #: ``(arch, fingerprint)`` tail is what certifies a delta
         #: deploy's layout assumption.  None when uncacheable.
         self._last_link_key: Optional[tuple] = None
@@ -304,8 +305,8 @@ class CodeFlow:
     ) -> Generator:
         """Link ``binary`` against this target; returns the linked image.
 
-        In the pipelined arm the control plane's linked-image cache,
-        keyed by (code CRC, arch, GOT-layout fingerprint), skips the
+        In the pipelined arm the artifact store's link stage, keyed by
+        (code CRC, arch, GOT-layout fingerprint), skips the
         per-relocation rewriting when this target resolves every symbol
         to the same addresses a previous link did.  The fingerprint
         covers the *resolved addresses*, not just the symbol names --
@@ -314,35 +315,35 @@ class CodeFlow:
         """
         self._last_link_cached = False
         plane = self.control_plane
+        store = plane.artifacts
         with self.obs.span("rdx.link", parent=parent_span, target=self.sandbox.name):
             key = (
-                self._link_cache_key(binary)
+                store.link_key(self, binary)
                 if self.config.pipelined_deploy
                 else None
             )
             self._last_link_key = key
             if key is not None:
-                cached = plane.linked_images.get(key)
+                cached = store.linked_image(key)
                 if cached is not None:
-                    # LRU touch: dict ordering is the recency list.
-                    plane.linked_images[key] = plane.linked_images.pop(key)
-                    plane.link_cache_hits += 1
-                    self.obs.counter("rdx.link.cache_hit").inc()
                     yield from plane.host.cpu.run(
                         params.RDX_LINK_CACHE_LOOKUP_US
                     )
                     self._last_link_cached = True
                     return cached
-                plane.link_cache_misses += 1
-                self.obs.counter("rdx.link.cache_miss").inc()
             linked, cost_us = self.linker.link(binary)
             yield from plane.host.cpu.run(cost_us)
             if key is not None:
-                plane.linked_images[key] = linked
-                while len(plane.linked_images) > params.RDX_LINK_CACHE_CAP:
-                    del plane.linked_images[next(iter(plane.linked_images))]
+                store.linked.put(key, linked)
         self.obs.histogram("rdx.link.cpu_us").observe(cost_us)
         return linked
+
+    def link_pinned(self, pin) -> JitBinary:
+        """Take a pinned image as this deploy's link, certified by its
+        link key exactly as a link-stage hit would be."""
+        self._last_link_cached = True
+        self._last_link_key = pin.link_key
+        return pin.linked
 
     def layout_fingerprint(self, relocs) -> Optional[int]:
         """GOT-layout fingerprint of ``relocs`` against *this* target.
@@ -352,9 +353,8 @@ class CodeFlow:
         fresh link of the same image would produce identical bytes on
         this target -- and naturally changes when layout churns (e.g.
         address reuse after a warm reboot).  Returns ``None`` when a
-        symbol does not resolve.  Both the linked-image cache and the
-        warm pool key on this; the warm pool additionally recomputes it
-        at lookup time as its staleness check.
+        symbol does not resolve.  The artifact store's link and pin
+        stages key on this, recomputed at every look-up.
         """
         parts = []
         for kind, symbol in relocs:
@@ -366,27 +366,6 @@ class CodeFlow:
                 return None
             parts.append(f"{kind.value}:{symbol}={address:x}")
         return zlib.crc32(";".join(parts).encode()) & 0xFFFFFFFF
-
-    def _link_cache_key(self, binary: JitBinary) -> Optional[tuple]:
-        """(code CRC, arch, GOT-layout fingerprint) for the image cache.
-
-        Returns ``None`` when a symbol does not resolve -- the real
-        linker then raises its precise error -- or for an image with no
-        relocations worth caching.  The fingerprint hashes
-        ``kind:symbol=address`` for every relocation, so two targets
-        share a cache entry iff a fresh link would produce identical
-        bytes on both.
-        """
-        fingerprint = self.layout_fingerprint(
-            (reloc.kind, reloc.symbol) for reloc in binary.relocations
-        )
-        if fingerprint is None:
-            return None
-        # The image's trailing 4 bytes are its own CRC32; hashing the
-        # full image would therefore yield the CRC *residue* -- the
-        # same constant for every image -- so hash the payload only.
-        content = zlib.crc32(binary.code[:-4]) & 0xFFFFFFFF
-        return (content, binary.arch, fingerprint)
 
     # -- rdx_deploy_prog ------------------------------------------------------
 
@@ -469,7 +448,7 @@ class CodeFlow:
                 or existing.layout is None
                 or existing.layout != key[1:]
             ):
-                # The link cache could not certify the (arch, GOT
+                # The link stage could not certify the (arch, GOT
                 # fingerprint) layout is unchanged: resolved addresses
                 # may have moved, so a byte diff would be meaningless.
                 reason = "layout-changed"

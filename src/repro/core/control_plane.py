@@ -4,28 +4,26 @@ Consolidates everything node-local agents used to do -- validation,
 JIT compilation, linking, state access -- onto a dedicated server,
 and drives targets exclusively through one-sided RDMA.
 
-Key property from §3.2: **validate once, deploy anywhere**.  The
-compile cache is keyed by (program tag, architecture) plus everything
-else the verdict was reached under (map names and geometry, context
-size; see :meth:`RdxControlPlane.prepare`); repeat deployments of a
-cached program skip both phases entirely, which is why RDX's injection
-path contains no verification or JIT cost (Fig 4b).
+Key property from §3.2: **validate once, deploy anywhere**.  Every
+verdict, compiled image and linked image lives in the plane's
+:class:`~repro.core.artifacts.ArtifactStore`, keyed by everything it
+was reached under; repeat deployments of a cached program skip both
+phases entirely, which is why RDX's injection path contains no
+verification or JIT cost (Fig 4b).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro import params
 from repro.errors import DeployError, SecurityError
-from repro.ebpf.jit import JitBinary, jit_compile
-from repro.ebpf.loader import LocalLoader
+from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
-from repro.ebpf.verifier import MapGeometry, VerifierStats, verify
+from repro.ebpf.verifier import MapGeometry, verify
 from repro.net.topology import Host
 from repro.obs import telemetry_of
 from repro.obs.spans import Span
@@ -33,26 +31,12 @@ from repro.rdma.mr import AccessFlags
 from repro.rdma.verbs import connect_qps, open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.trace import TraceRecorder
+from repro.core.artifacts import ArtifactStore, target_maps
 from repro.core.codeflow import CodeFlow
 from repro.core.journal import IntentJournal
 from repro.core.retry import RetryPolicy
 from repro.core.security import Principal, SecurityPolicy
 from repro.core.sync import RemoteSync
-
-
-#: What the verifier reads of a map.
-_map_geometry = operator.attrgetter("key_size", "value_size")
-
-
-@dataclass
-class RegistryEntry:
-    """One validated + compiled program in the filter/program registry."""
-
-    program: BpfProgram
-    arch: str
-    stats: VerifierStats
-    binary: JitBinary
-    deploy_count: int = 0
 
 
 class RdxControlPlane:
@@ -102,30 +86,19 @@ class RdxControlPlane:
         self._verbs = open_device(host)
         self._pd = self._verbs.alloc_pd()
         self._cq = self._verbs.create_cq()
-        #: (tag, arch, map names, map geometry, ctx size) ->
-        #: RegistryEntry; the §3.2 compile cache (see :meth:`prepare`).
-        self.registry: dict[tuple, RegistryEntry] = {}
-        #: Same key -> in-flight compile event.  Single-flight dedup:
-        #: the first miss becomes the leader and everyone else waits on
-        #: its event instead of duplicating validate+JIT.
-        self._inflight: dict[tuple, object] = {}
-        #: (code CRC, arch, GOT-layout fingerprint) -> linked JitBinary.
-        #: Targets with identical layouts skip per-relocation rewriting
-        #: entirely (see :meth:`CodeFlow.link_code`).
-        self.linked_images: dict[tuple, JitBinary] = {}
-        #: Optional warm linked-image pool (installed by
-        #: :class:`repro.serve.DeployService`).  A warm hit resolves a
-        #: deploy to a pre-linked image by (tag, arch, GOT-layout
-        #: fingerprint) alone -- validate, JIT, *and* link are skipped.
-        self.warm_pool = None
+        #: The §3.2 artifact store: compile registry, linked images and
+        #: serving pins (see :mod:`repro.core.artifacts`).
+        self.artifacts = ArtifactStore(self)
         self.codeflows: list[CodeFlow] = []
         self.validations_run = 0
         self.compiles_run = 0
-        self.cache_hits = 0
-        self.cache_evictions = 0
-        self.prepare_coalesced = 0
-        self.link_cache_hits = 0
-        self.link_cache_misses = 0
+
+    # The store's counters, under the names the ledger reads.
+    cache_hits = property(operator.attrgetter("artifacts.registry.hits"))
+    cache_evictions = property(operator.attrgetter("artifacts.registry.evictions"))
+    prepare_coalesced = property(operator.attrgetter("artifacts.prepare_coalesced"))
+    link_cache_hits = property(operator.attrgetter("artifacts.linked.hits"))
+    link_cache_misses = property(operator.attrgetter("artifacts.linked.misses"))
 
     # -- incarnation lifecycle -------------------------------------------------
 
@@ -294,92 +267,6 @@ class RdxControlPlane:
 
     # -- registry (validate once, deploy anywhere) ------------------------------------
 
-    def prepare(
-        self,
-        program: BpfProgram,
-        maps: Sequence[BpfMap] = (),
-        arch: str = "x86_64",
-        ctx_size: int = 256,
-        principal: Optional[Principal] = None,
-        parent_span: Optional[Span] = None,
-    ) -> Generator:
-        """Validate + compile with caching; returns a RegistryEntry.
-
-        Concurrent misses on one key coalesce: the first caller runs
-        validate+JIT (the *leader*); everyone else parks on the
-        in-flight event and receives the same entry -- N parallel
-        injects of one program cost exactly one compile.  The registry
-        used to be written only after the compile generator finished,
-        so two concurrent misses both paid the full pipeline.  A
-        leader failure propagates to every waiter (same error a solo
-        caller would see) and clears the in-flight slot so a later
-        retry can compile fresh.
-
-        The key is everything the result may be reused for.  The tag
-        covers the instructions only; the compiled image also depends
-        on the architecture and the map *names* (its relocation
-        symbols), the verdict also on each map's ``(key_size,
-        value_size)`` and on the readable context window.  A hit on
-        anything less would hand a target a verdict reached for
-        another target's maps.
-        """
-        key = (
-            program.tag(), arch, tuple(program.map_names),
-            tuple(map(_map_geometry, maps)), ctx_size,
-        )
-        entry = self.registry.get(key)
-        if entry is not None:
-            self.cache_hits += 1
-            self.obs.counter("rdx.cache.hit").inc()
-            # LRU touch: dict ordering doubles as the recency list.
-            self.registry[key] = self.registry.pop(key)
-            return entry
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self.prepare_coalesced += 1
-            self.obs.counter("rdx.prepare.coalesced").inc()
-            entry = yield pending
-            return entry
-        self.obs.counter("rdx.cache.miss").inc()
-        done = self.sim.event()
-        self._inflight[key] = done
-        try:
-            stats = yield from self.validate_code(
-                program, maps, ctx_size=ctx_size, principal=principal,
-                parent_span=parent_span,
-            )
-            binary = yield from self.jit_compile_code(
-                program, arch=arch, principal=principal, parent_span=parent_span
-            )
-        except BaseException as err:
-            self._inflight.pop(key, None)
-            done.fail(err)
-            raise
-        entry = RegistryEntry(program=program, arch=arch, stats=stats, binary=binary)
-        self.registry[key] = entry
-        while len(self.registry) > params.RDX_REGISTRY_CAP:
-            victim = next(iter(self.registry))
-            del self.registry[victim]
-            self.cache_evictions += 1
-            self.obs.counter("rdx.cache.evict").inc()
-        self._inflight.pop(key, None)
-        done.succeed(entry)
-        return entry
-
-    def compiled_binary(
-        self, program: BpfProgram, arch: str
-    ) -> Optional[JitBinary]:
-        """The registry's compiled image of ``program`` for ``arch``.
-
-        For callers that link without validating: the image, unlike
-        the verdict, is the same under every map geometry.
-        """
-        wanted = (program.tag(), arch, tuple(program.map_names))
-        for key, entry in self.registry.items():
-            if key[:3] == wanted:
-                return entry.binary
-        return None
-
     def prepare_for(
         self,
         codeflow: CodeFlow,
@@ -388,18 +275,16 @@ class RdxControlPlane:
         principal: Optional[Principal] = None,
         parent_span: Optional[Span] = None,
     ) -> Generator:
-        """``prepare`` with map geometry resolved against one target.
+        """Validate + compile for one target through the artifact store
+        (:meth:`~repro.core.artifacts.ArtifactStore.prepare`).
 
         Geometry comes from the XStates already deployed on the
         target (the ext_spec of rdx_create_codeflow) when the caller
         does not supply live maps.
         """
-        if not maps and getattr(program, "map_names", ()):
-            maps = [
-                _geometry_proxy(codeflow, name) for name in program.map_names
-            ]
-        entry = yield from self.prepare(
-            program, maps, arch=codeflow.manifest.arch, principal=principal,
+        entry = yield from self.artifacts.prepare(
+            program, maps or target_maps(codeflow, program),
+            codeflow.manifest.arch, principal=principal,
             parent_span=parent_span,
         )
         return entry
@@ -446,16 +331,18 @@ class RdxControlPlane:
                 "rdx.inject", parent=parent_span,
                 program=program.name, target=codeflow.sandbox.name,
             ) as span:
-                # Warm path: a pool hit hands back a pre-linked image
-                # certified (by re-fingerprinting its relocations) to
-                # be byte-correct for this target's current layout --
-                # validate+JIT+link never run, and the deploy rides the
-                # pipelined chain directly.
+                # Warm path: a pinned image certified (by
+                # re-fingerprinting its relocations) to be byte-correct
+                # for this target's current layout -- validate+JIT+link
+                # never run, and the deploy rides the pipelined chain.
                 linked = None
-                if self.warm_pool is not None and self.config.pipelined_deploy:
-                    linked = yield from self.warm_pool.lookup(
+                store = self.artifacts
+                if store.serving and self.config.pipelined_deploy:
+                    pin = yield from store.pinned.probe(
                         codeflow, program, parent_span=span
                     )
+                    if pin is not None:
+                        linked = codeflow.link_pinned(pin)
                 link_us = 0.0
                 if linked is None:
                     entry = yield from self.prepare_for(
@@ -476,10 +363,8 @@ class RdxControlPlane:
                     parent_span=span, fenced=fenced,
                 )
                 report.warm = entry is None
-                if entry is not None and self.warm_pool is not None:
-                    # Cold deploy completed: let the pool count its
-                    # key and admit it once popular.
-                    self.warm_pool.note_deploy(program, codeflow, entry.binary)
+                if entry is not None and store.serving:
+                    store.pinned.admit(codeflow, program, entry.binary)
         except BaseException as err:
             if txn is not None and not self.crashed:
                 self.journal.abort(txn, reason=str(err))
@@ -510,8 +395,6 @@ class RdxControlPlane:
             self.obs.flight.note_metrics(self.obs.registry)
         report.link_us = link_us
         report.total_us += link_us
-        if entry is not None:
-            entry.deploy_count += 1
         return report
 
     # -- teardown ----------------------------------------------------------------
@@ -539,42 +422,6 @@ class RdxControlPlane:
         self.trace.record(
             self.sim.now, "rdx.codeflow.closed", target=codeflow.sandbox.name
         )
-
-
-class _GeometryOnly:
-    """Stand-in carrying just the key/value sizes the verifier needs."""
-
-    def __init__(self, key_size: int, value_size: int):
-        self.key_size = key_size
-        self.value_size = value_size
-
-
-def _geometry_proxy(codeflow: CodeFlow, name: str) -> _GeometryOnly:
-    handle = codeflow.scratchpad.by_name(name)
-    if handle is not None:
-        return _GeometryOnly(handle.spec.key_size, handle.spec.value_size)
-    symbol = codeflow.sandbox.got.lookup(name)
-    if symbol is not None and 0 <= symbol.token < len(codeflow.sandbox.maps):
-        live = codeflow.sandbox.maps[symbol.token]
-        return _GeometryOnly(live.key_size, live.value_size)
-    raise DeployError(
-        f"program references map {name!r} but no XState of that name is "
-        f"deployed on {codeflow.sandbox.name} (deploy_xstate first)"
-    )
-
-
-def target_map_geometry(codeflow: CodeFlow, program: BpfProgram) -> tuple:
-    """``(map_names, ((key_size, value_size), ...))`` on one target.
-
-    The target-dependent part of the :meth:`RdxControlPlane.prepare`
-    key: anything that skips validation for ``program`` on
-    ``codeflow`` (the warm pool) must have matched on this first.
-    Raises :class:`DeployError` when a map is not deployed there.
-    """
-    names = tuple(getattr(program, "map_names", ()))
-    return names, tuple(
-        _map_geometry(_geometry_proxy(codeflow, name)) for name in names
-    )
 
 
 def _pd_of(sandbox: Sandbox):

@@ -46,9 +46,9 @@ class LocalLoader:
         # so re-running it on an identical image is pure waste for the
         # *host machine running the simulation*.  The simulated CPU
         # cost is still charged in full on every load -- real agents
-        # have no cross-load verifier cache.  Keyed by everything the
-        # verdict and the image depend on: tag, map names, geometry
-        # (arch and ctx_size are this loader's own).
+        # have no cross-load verifier cache.  Keyed by the control
+        # plane's verdict key: everything the verdict and the image
+        # depend on.
         self._memo: dict[tuple, LoadResult] = {}
 
     def geometry_for(self, maps: Sequence[BpfMap]) -> dict[int, MapGeometry]:
@@ -65,14 +65,13 @@ class LocalLoader:
         The returned :class:`LoadResult` carries both the functional
         artifacts and the simulated CPU costs the caller must charge.
         """
-        geometry = self.geometry_for(maps)
-        memo_key = (
-            program.tag(), tuple(program.map_names), tuple(geometry.values())
-        )
+        from repro.core.artifacts import verdict_key  # core imports ebpf
+
+        memo_key = verdict_key(program, self.arch, maps, self.ctx_size)
         cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
-        stats = verify(program, geometry, ctx_size=self.ctx_size)
+        stats = verify(program, self.geometry_for(maps), ctx_size=self.ctx_size)
         binary = jit_compile(program, arch=self.arch)
         assert program.metadata is not None
         program.metadata.verified_insns = stats.states_visited

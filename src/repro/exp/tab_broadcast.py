@@ -55,7 +55,7 @@ def run_tab_broadcast(
         # Warm the registry: validate/compile each program once.
         for program, codeflow in zip(programs, bed.codeflows):
             bed.sim.run_process(
-                bed.control.prepare(program, arch=codeflow.manifest.arch)
+                bed.control.artifacts.prepare(program, arch=codeflow.manifest.arch)
             )
         outcome = bed.sim.run_process(
             rdx_broadcast(bed.codeflows, programs, "ingress")

@@ -84,9 +84,9 @@ HEALTH_PROBE_INTERVAL_US = 5_000.0
 HEALTH_SUSPECT_MISSES = 1
 HEALTH_DEAD_MISSES = 3
 
-#: Max (tag, arch) entries the control plane's compile cache retains.
-#: LRU beyond this: long-lived reconciler loops touch many one-off
-#: programs and must not grow the registry without bound.
+#: Max verdicts the artifact store's compile registry retains.  LRU
+#: beyond this: long-lived reconciler loops touch many one-off programs
+#: and must not grow the registry without bound.
 RDX_REGISTRY_CAP = 128
 
 # --------------------------------------------------------------------
@@ -140,7 +140,7 @@ RDX_DISPATCH_FAST_US = 3.0
 #: us.  One dict probe over a precomputed fingerprint.
 RDX_LINK_CACHE_LOOKUP_US = 0.2
 
-#: Max entries the control plane's linked-image cache retains (LRU).
+#: Max entries the artifact store's link stage retains (LRU).
 #: Keyed by (code CRC, arch, GOT-layout fingerprint); one entry per
 #: distinct target layout, so this bounds memory on heterogeneous
 #: fleets.
@@ -150,6 +150,10 @@ RDX_LINK_CACHE_CAP = 256
 #: plus re-fingerprinting the entry's relocations against the target's
 #: current layout (the certification that makes a hit byte-correct).
 RDX_WARM_POOL_LOOKUP_US = 0.3
+
+#: Max linked images the artifact store keeps pinned for serving (LRU):
+#: one per popular extension per distinct target layout.
+WARM_POOL_CAP = 512
 
 #: TCP/gRPC request latency floor for control RPCs (agent path), us.
 #: Kernel network stack both sides + protobuf handling.
@@ -316,7 +320,7 @@ class Config:
     #: paper-calibrated arm everywhere (one signaled WR per doorbell,
     #: ``rdx_tx`` commit, 17 us dispatch).
     pipelined_deploy: bool = True
-    #: Delta plans: when the linked-image cache certifies an identical
+    #: Delta plans: when the artifact store's link stage certifies an identical
     #: (arch, GOT-fingerprint) layout and the superseded image is still
     #: resident as a baseline, a redeploy ships only the MTU chunks
     #: that changed (trimmed to dirty cache lines) and flips the hook

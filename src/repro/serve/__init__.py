@@ -1,9 +1,10 @@
 """Multi-tenant deploy service (paper §7 as a serving system).
 
 A service tier in front of the control plane: priority-classed
-tenants, bounded admission with counted load-shedding, a warm
-linked-image pool that serves popular extensions pre-linked, and an
-agentless telemetry segment for the whole thing.
+tenants, bounded admission with counted load-shedding, the control
+plane's artifact store serving popular extensions pre-linked (its pin
+stage, the warm pool), and an agentless telemetry segment for the
+whole thing.
 """
 
 from repro.serve.admission import (
@@ -26,7 +27,6 @@ from repro.serve.segment import (
 )
 from repro.serve.service import DeployService
 from repro.serve.tenants import PriorityClass, TenantDirectory, default_classes
-from repro.serve.warmpool import WarmImage, WarmLinkedImagePool
 
 __all__ = [
     "AdmissionController",
@@ -45,8 +45,6 @@ __all__ = [
     "SHED_UNKNOWN_TENANT",
     "ServeSegment",
     "TenantDirectory",
-    "WarmImage",
-    "WarmLinkedImagePool",
     "default_classes",
     "scrape_serve",
 ]

@@ -5,9 +5,9 @@ service*): tenants submit deploys to a :class:`DeployService`; the
 admission controller queues or sheds them; a fixed pool of worker
 processes drains the queues in strict priority order and executes
 each deploy through the :class:`~repro.core.qos.QosScheduler` (tenant
-rate + wire priority) and the control plane -- where the warm
-linked-image pool intercepts popular extensions before validate+JIT+
-link ever run.
+rate + wire priority) and the control plane -- where the artifact
+store's pin stage (the warm pool) serves popular extensions before
+validate+JIT+link ever run.
 
 Two intake modes:
 
@@ -25,7 +25,7 @@ targets the workers run fully parallel.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro import params
 from repro.core.control_plane import RdxControlPlane
@@ -40,7 +40,6 @@ from repro.serve.admission import (
 )
 from repro.serve.segment import ServeSegment
 from repro.serve.tenants import TenantDirectory, default_classes
-from repro.serve.warmpool import WarmLinkedImagePool
 from repro.sim.resources import Resource
 
 #: Deploy executors a :class:`DeployService` runs by default -- the
@@ -49,14 +48,13 @@ SERVE_WORKERS = 8
 
 
 class DeployService:
-    """Admission + queues + workers + warm pool over one control plane."""
+    """Admission + queues + workers over one control plane's store."""
 
     def __init__(
         self,
         control_plane: RdxControlPlane,
         classes=None,
         workers: int = SERVE_WORKERS,
-        warm_pool: Optional[WarmLinkedImagePool] = None,
         with_segment: bool = True,
     ):
         self.control = control_plane
@@ -78,12 +76,9 @@ class DeployService:
         self.admission = AdmissionController(
             self.sim, classes, segment=self.segment
         )
-        self.warm_pool = warm_pool or WarmLinkedImagePool(
-            control_plane, segment=self.segment
-        )
-        if self.warm_pool.segment is None:
-            self.warm_pool.segment = self.segment
-        self.warm_pool.attach()
+        #: The warm pool: the control plane's artifact store, pin stage
+        #: on, mirrored into this service's segment.
+        self.warm_pool = control_plane.artifacts.serve(self.segment)
         #: Deploys to one target serialize (hook CAS safety); the lock
         #: is priority-aware so a hotpatch overtakes queued bulk work
         #: even at the per-target gate.

@@ -60,7 +60,7 @@ class TestBroadcast:
         bed = testbed2
         for program, codeflow in zip(programs_for(bed), bed.codeflows):
             bed.sim.run_process(
-                bed.control.prepare(program, arch=codeflow.manifest.arch)
+                bed.control.artifacts.prepare(program, arch=codeflow.manifest.arch)
             )
         result = bed.sim.run_process(
             rdx_broadcast(bed.codeflows, programs_for(bed), "ingress")

@@ -109,7 +109,9 @@ class TestDeploy:
         template = BpfMap(MapType.ARRAY, 4, 8, 4, name="stress_map")
 
         def flow():
-            entry = yield from testbed.control.prepare(program, maps=[template])
+            entry = yield from testbed.control.artifacts.prepare(
+                program, maps=[template]
+            )
             yield from testbed.codeflow.deploy_prog(program, entry.binary, "ingress")
 
         process = testbed.sim.spawn(flow())
@@ -310,8 +312,9 @@ class TestControlPlane:
             bed.control.inject(bed.codeflows[1], program, "ingress")
         )
         assert bed.control.compiles_run == 2
-        x86 = bed.control.compiled_binary(program, "x86_64")
-        arm = bed.control.compiled_binary(program, "arm64")
+        store = bed.control.artifacts
+        x86 = store.compiled_image(bed.codeflows[0], program)
+        arm = store.compiled_image(bed.codeflows[1], program)
         assert (x86.arch, arm.arch) == ("x86_64", "arm64")
         result, _ = bed.sandboxes[1].run_hook("ingress", bytes(256))
         assert result is not None

@@ -276,7 +276,7 @@ class TestLinkedImageCache:
             )
             for seed in (5, 6)
         ]
-        keys = [codeflow._link_cache_key(e.binary) for e in entries]
+        keys = [bed.control.artifacts.link_key(codeflow, e.binary) for e in entries]
         assert keys[0] != keys[1]
         assert keys[0][0] != keys[1][0]  # the content CRC itself differs
 

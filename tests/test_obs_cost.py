@@ -27,7 +27,7 @@ from repro.mem.cache import CacheModel
 from repro.mem.memory import PhysicalMemory
 from repro.obs import metrics
 from repro.obs.telemetry import Telemetry
-from repro.serve import DeployService, WarmLinkedImagePool
+from repro.serve import DeployService
 from repro.sim.core import Simulator
 from tests.test_kernel_cost import profile
 
@@ -106,10 +106,7 @@ def _stores(ours):
 
 @pytest.fixture
 def service(testbed):
-    service = DeployService(
-        testbed.control, workers=2,
-        warm_pool=WarmLinkedImagePool(testbed.control, admit_after=1),
-    )
+    service = DeployService(testbed.control, workers=2)
     service.register("t", "hotpatch")
     service.start()
     return service

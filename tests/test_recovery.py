@@ -257,7 +257,7 @@ class TestRegistryCapAndClose:
             bed.sim.run_process(
                 bed.control.prepare_for(bed.codeflow, program)
             )
-        assert len(bed.control.registry) == params.RDX_REGISTRY_CAP
+        assert len(bed.control.artifacts.registry) == params.RDX_REGISTRY_CAP
         assert bed.control.cache_evictions == 5
 
     def test_lru_touch_keeps_hot_entry(self, testbed):
@@ -274,7 +274,7 @@ class TestRegistryCapAndClose:
         bed.sim.run_process(bed.control.prepare_for(bed.codeflow, hot))
         overflow = make_stress_program(60, seed=2000, name="overflow")
         bed.sim.run_process(bed.control.prepare_for(bed.codeflow, overflow))
-        tags = {key[0] for key in bed.control.registry}
+        tags = {key[0] for key in bed.control.artifacts.registry.entries}
         assert hot.tag() in tags
 
     def test_close_codeflow_releases_qps(self, testbed):
@@ -327,7 +327,9 @@ class TestTornBatchRecovery:
         finally:
             cache.dma_write = original
 
-        linked = list(bed.control.linked_images.values())[-1]
+        # The image the torn chain carried: v2 linked for this target.
+        entry = bed.sim.run_process(bed.control.prepare_for(codeflow, v2))
+        linked, _cost_us = codeflow.linker.link(entry.binary)
         assert len(linked.code) > RNIC_MTU_BYTES
         landed = bed.host.memory.read(seen["addr"], len(linked.code))
         assert landed[:RNIC_MTU_BYTES] == linked.code[:RNIC_MTU_BYTES]

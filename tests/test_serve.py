@@ -1,7 +1,8 @@
 """Tests for the multi-tenant deploy service (repro.serve).
 
-Covers the warm linked-image pool (hit semantics, warm-reboot
-invalidation, LRU, prewarm), admission control (every shed reason
+Covers the warm pool -- the artifact store's pin stage -- (hit
+semantics, warm-reboot invalidation, LRU, prewarm, recall), admission
+control (every shed reason
 counted, backpressure, the no-silent-drops ledger), the serve
 telemetry segment (one-sided scrape, torn retry, zero service CPU),
 and the QoS satellites: atomic token-bucket reservation and snapshot
@@ -32,7 +33,6 @@ from repro.serve import (
     SHED_UNKNOWN_TENANT,
     DeployService,
     PriorityClass,
-    WarmLinkedImagePool,
     default_classes,
     scrape_serve,
 )
@@ -136,24 +136,20 @@ class TestQosReporting:
 
 
 # ---------------------------------------------------------------------------
-# The warm linked-image pool
+# The warm pool (the artifact store's pin stage)
 # ---------------------------------------------------------------------------
 
 
-def _service(bed, classes=None, workers=2, **pool_kwargs):
-    pool = WarmLinkedImagePool(bed.control, **pool_kwargs)
-    service = DeployService(
-        bed.control, classes=classes, workers=workers, warm_pool=pool
-    )
-    return service
+def _service(bed, classes=None, workers=2):
+    return DeployService(bed.control, classes=classes, workers=workers)
 
 
 @pytest.mark.arm(pipelined_deploy=True)  # the warm path rides the WR chain
 class TestWarmPool:
     def test_second_deploy_is_a_warm_hit(self, testbed):
-        """Popularity admission: cold deploy #1 admits, #2 rides warm."""
+        """Cold deploy #1 pins its link, #2 rides warm."""
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
         program = make_stress_program(300, seed=3)
 
         def timed():
@@ -181,7 +177,7 @@ class TestWarmPool:
     def test_warm_hit_preserves_execution(self, testbed):
         """A warm image must run; a content change must never hit."""
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
         program = make_stress_program(200, seed=11)
         bed.sim.run_process(
             bed.control.inject(bed.codeflow, program, "ingress")
@@ -212,7 +208,7 @@ class TestWarmPool:
         """
         bed = testbed
         codeflow = bed.codeflow
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
         program = make_stress_program(600, seed=5, with_map=True,
                                       name="mapper")
         decoy = XStateSpec("decoy", MapType.ARRAY, 4, 8, 4)
@@ -253,7 +249,7 @@ class TestWarmPool:
         """
         bed = testbed
         codeflow = bed.codeflow
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
         wide = XStateSpec("stress_map", MapType.ARRAY, 4, 8, 4)
         narrow = XStateSpec("stress_map", MapType.ARRAY, 4, 2, 4)
         handle = bed.sim.run_process(codeflow.deploy_xstate(wide))
@@ -282,7 +278,8 @@ class TestWarmPool:
 
     def test_lru_eviction_at_cap(self, testbed):
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, cap=2, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
+        pool.cap = 2  # the shared Stage LRU, shrunk on this plane only
         programs = [
             make_stress_program(200, seed=20 + i, name=f"evict{i}")
             for i in range(3)
@@ -301,7 +298,7 @@ class TestWarmPool:
 
     def test_prewarm_makes_first_deploy_warm(self, testbed):
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control).attach()
+        pool = bed.control.artifacts.serve()
         program = make_stress_program(300, seed=9)
         assert bed.sim.run_process(pool.prewarm(bed.codeflow, program))
         report = bed.sim.run_process(
@@ -312,7 +309,7 @@ class TestWarmPool:
 
     def test_invalidate_counts_evictions(self, testbed):
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts.serve()
         program = make_stress_program(200, seed=13)
         bed.sim.run_process(
             bed.control.inject(bed.codeflow, program, "ingress")
@@ -320,6 +317,15 @@ class TestWarmPool:
         assert pool.invalidate(tag=program.tag()) == 1
         assert pool.evictions == 1
         assert len(pool) == 0
+        # The recall holds on the next deploy: it verifies and compiles
+        # afresh and is cold (the registry and the link stage kept the
+        # tag once, so it hit both and was pinned again).
+        compiles = bed.control.compiles_run
+        report = bed.sim.run_process(
+            bed.control.inject(bed.codeflow, program, "ingress")
+        )
+        assert bed.control.compiles_run == compiles + 1
+        assert not report.warm
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +448,7 @@ class TestAdmission:
         """offered == completed + failed + shed, even under faults."""
         bed = testbed
         service = _service(bed, classes=_tiny_classes(queue_depth=16),
-                           workers=1, admit_after=10_000)
+                           workers=1)
         service.register("t", "only")
         service.start()
         # An unverifiable program (uninitialized register) fails the
@@ -548,7 +554,7 @@ class TestServeSegment:
 
     def test_scrape_matches_service_truth(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         assert service.segment is not None
         snapshot = bed.sim.run_process(
@@ -564,7 +570,7 @@ class TestServeSegment:
 
     def test_scrape_consumes_no_control_cpu(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         cpu = bed.control.host.cpu
         before = (cpu.busy_us, cpu.tasks_run)
@@ -576,7 +582,7 @@ class TestServeSegment:
 
     def test_torn_scrape_retries_then_accepts(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         segment = service.segment
         sim = bed.sim
@@ -604,7 +610,7 @@ class TestServeSegment:
         from repro.obs.segment import decode_segment
 
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         segment = service.segment
         memory, cache = bed.control.host.memory, bed.control.host.cache
         queued_addr, inflight_addr = (
@@ -652,7 +658,7 @@ class TestServeSegment:
 
     def test_exhausted_retries_raise(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         service.segment.begin_update()  # bracket held open forever
         with pytest.raises(ReproError):
@@ -673,7 +679,7 @@ class TestServeSegment:
     def test_per_class_series_stay_bounded(self, testbed):
         """1000 tenants, O(classes) label values on serve metrics."""
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         labels = {
             tuple(sorted(row["labels"].items()))
