@@ -798,7 +798,7 @@ class CodeFlowGroup:
         self, codeflow, program, linked, hook_name, span, verify, fenced,
         via=None,
     ) -> Generator:
-        """Fence, ``deploy_prog``, verify-or-undo -- over one route.
+        """``deploy_prog``, then verify-or-undo -- over one route.
 
         ``via=None`` is the control plane's own QP and CPU.
         ``via=parent`` deploys *through* an already-updated sandbox:
@@ -806,9 +806,10 @@ class CodeFlowGroup:
         (image chunks + descriptor + commit CAS) over the cached relay
         QP and pays the dispatch on its own CPU; the control plane's
         CPU and RNIC are never touched.  Such a leg is fenced in its
-        own right (``fenced=False``) -- the 8-byte epoch read rides
-        the relay QP, so a target owned by a newer incarnation refuses
-        relayed bytes exactly as it refuses direct ones
+        own right (``fenced=False``) -- ``deploy_prog``'s 8-byte epoch
+        read rides the relay QP, under the relay host's dispatch, so a
+        target owned by a newer incarnation refuses relayed bytes
+        exactly as it refuses direct ones
         (:class:`~repro.errors.StaleEpochError`, never retried).
 
         ``linked=None`` (no Phase-0 image on the plan) goes through
@@ -832,10 +833,8 @@ class CodeFlowGroup:
             else:
                 if via is None:
                     self.control_plane._check_alive()
-                if not fenced:
-                    yield from codeflow.check_fence()
                 report = yield from codeflow.deploy_prog(
-                    program, linked, hook_name, parent_span=span, fenced=True,
+                    program, linked, hook_name, parent_span=span, fenced=fenced,
                 )
             if verify:
                 try:

@@ -389,7 +389,9 @@ class CodeFlow:
         ``fenced`` certifies the caller already ran :meth:`check_fence`
         for this operation (a broadcast leg fences when its bubble
         rises); the pipelined arm then skips the duplicate epoch read
-        -- one fence per transaction, not one per op.
+        -- one fence per transaction, not one per op.  Otherwise the
+        pipelined arm's fence overlaps the dispatch, so
+        ``report.dispatch_us`` spans both.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -502,6 +504,10 @@ class CodeFlow:
         different sequence; the serial arm is the paper-calibrated one
         (fig 4a):
 
+        * the epoch-fence READ runs before the dispatch, or while it
+          runs: the initiator CPU preps the chain's WQEs during the
+          READ's flight, and nothing is posted until the READ's value
+          is back and checked;
         * dispatch prepares and polls every WQE separately
           (:data:`~repro.params.RDX_DISPATCH_US`) or once for the
           whole chain (:data:`~repro.params.RDX_DISPATCH_FAST_US`);
@@ -518,19 +524,30 @@ class CodeFlow:
         the plan's spans are flushed first and the hook line last.
         """
         pipelined = self.config.pipelined_deploy
-        # Fence first: no byte may land on a target owned by a newer
-        # control-plane epoch.  Fencing is advisory at op start either
-        # way, so a caller that fenced this transaction moments ago
-        # need not pay again; the serial arm always does.
-        if not (fenced and pipelined):
-            yield from self.check_fence()
-
         # Dispatch: registry lookup, WQE prep, completion polling --
         # initiator CPU only (the control plane, or a relaying host).
+        cpu = self.dispatch_cpu or self.control_plane.host.cpu
+        cost_us = params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
+        # The fence: no byte may land on a target owned by a newer
+        # control-plane epoch.  Fencing is advisory at op start either
+        # way, so a caller that fenced this transaction moments ago
+        # need not pay again; the serial arm always does, first.
+        if not pipelined:
+            yield from self.check_fence()
         mark = self.sim.now
-        yield from (self.dispatch_cpu or self.control_plane.host.cpu).run(
-            params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
-        )
+        if fenced or not pipelined:
+            yield from cpu.run(cost_us)
+        else:
+            # Fence || dispatch: the WQE prep is local and mutates
+            # nothing, so it runs under the READ's flight.  A fenced-out
+            # or interrupted deploy cancels it and has claimed nothing.
+            prep = self.sim.spawn(cpu.run(cost_us), name="dispatch")
+            try:
+                yield from self.check_fence()
+                yield prep
+            except BaseException:
+                prep.interrupt("deploy abandoned")
+                raise
         if not (pipelined and self._last_link_cached):
             yield params.RDX_STUB_RENDEZVOUS_US
         report.dispatch_us = self.sim.now - mark

@@ -34,6 +34,7 @@ ORACLES = (
     "test_ebpf_interpreter.py",
     "test_jit_oracle.py",
     "test_mem_write_oracle.py",
+    "test_sim_ids.py",
     "test_sim_order_oracle.py",
     "test_transport_oracle.py",
     "test_verifier_oracle.py",

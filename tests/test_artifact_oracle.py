@@ -27,6 +27,13 @@ entry's eviction and ``inv-redeploy`` verifies, compiles and links
 afresh; on the serial arm (no link stage, no pins) only the compile
 returns.  The f62df80 values of each moved row are kept as comments
 beside it.
+
+The pipelined and delta rows were regenerated by the command above
+once more when a deploy's epoch-fence READ began to fly under its
+dispatch: ``now`` falls by 2.70064 us per deploy made so far (a fence
+round trip each; the bubble-fenced broadcast legs pay none) and
+``events`` rise by 2 per deploy (the spawned WQE prep); no counter
+moved.  The f62df80 comments predate that move.
 """
 
 from typing import NamedTuple, Optional
@@ -216,54 +223,54 @@ ORACLE = {
         'inv-again': Row(now=6717.79192, events=1975, warm=False, mode='full', outcome=None, plane=(136, 137, 12, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 137))),
     },
     'pipelined': {
-        'cold': Row(now=447.84728, events=129, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'warm': Row(now=459.06, events=152, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'patch': Row(now=853.32272, events=180, warm=False, mode='full', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarm': Row(now=1103.37272, events=186, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarmed': Row(now=1114.50544, events=209, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'map-cold': Row(now=1532.5356, events=307, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
-        'reboot-relayout': Row(now=1570.85808, events=393, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'reboot-warm': Row(now=1582.0716, events=416, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'geom-wide': Row(now=1613.24344, events=476, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-narrow': Row(now=1632.54992, events=537, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-back': Row(now=1662.77184, events=627, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'overflow': Row(now=4862.77184, events=1266, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'revisit': Row(now=4873.98456, events=1290, warm=True, mode='full', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'broadcast': Row(now=5397.9508, events=1489, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 2, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-compiled': Row(now=5398.1508, events=1492, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 2, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-fresh': Row(now=5435.7008, events=1496, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 2, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-cold': Row(now=5704.88352, events=1524, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'cold': Row(now=445.14664, events=131, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'warm': Row(now=453.65872, events=156, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'patch': Row(now=845.2208, events=186, warm=False, mode='full', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarm': Row(now=1095.2708, events=192, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarmed': Row(now=1103.70288, events=217, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'map-cold': Row(now=1519.0324, events=317, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
+        'reboot-relayout': Row(now=1554.65424, events=405, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'reboot-warm': Row(now=1563.16712, events=430, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'geom-wide': Row(now=1591.63832, events=492, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-narrow': Row(now=1610.9448, events=553, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-back': Row(now=1638.46608, events=645, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'overflow': Row(now=4838.46608, events=1284, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'revisit': Row(now=4846.97816, events=1310, warm=True, mode='full', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'broadcast': Row(now=5370.9444, events=1509, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 2, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-compiled': Row(now=5371.1444, events=1512, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 2, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-fresh': Row(now=5408.6944, events=1516, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 2, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-cold': Row(now=5675.17648, events=1546, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'invalidate': Row(now=5704.88352, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'invalidate': Row(now=5704.88352, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'invalidate': Row(now=5675.17648, events=1546, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-redeploy': Row(now=5716.21624, events=1548, warm=False, mode='full', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-redeploy': Row(now=5974.06624, events=1552, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-redeploy': Row(now=5941.65856, events=1576, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-again': Row(now=5727.34896, events=1571, warm=True, mode='full', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-again': Row(now=5985.19896, events=1575, warm=True, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-again': Row(now=5950.09064, events=1601, warm=True, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
     },
     'delta': {
-        'cold': Row(now=447.84728, events=129, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'warm': Row(now=459.06, events=152, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'patch': Row(now=853.08784, events=181, warm=False, mode='delta', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarm': Row(now=1103.13784, events=187, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarmed': Row(now=1114.27056, events=210, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'map-cold': Row(now=1532.30072, events=308, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
-        'reboot-relayout': Row(now=1570.6232, events=394, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'reboot-warm': Row(now=1581.83672, events=417, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'geom-wide': Row(now=1613.00856, events=477, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-narrow': Row(now=1632.31504, events=538, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-back': Row(now=1662.53696, events=628, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'overflow': Row(now=4862.53696, events=1267, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'revisit': Row(now=4873.50872, events=1290, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'broadcast': Row(now=5397.47496, events=1489, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 2, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-compiled': Row(now=5397.67496, events=1492, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 2, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-fresh': Row(now=5435.22496, events=1496, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 2, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-cold': Row(now=5704.40768, events=1524, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'cold': Row(now=445.14664, events=131, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'warm': Row(now=453.65872, events=156, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'patch': Row(now=844.98592, events=187, warm=False, mode='delta', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarm': Row(now=1095.03592, events=193, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarmed': Row(now=1103.468, events=218, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'map-cold': Row(now=1518.79752, events=318, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
+        'reboot-relayout': Row(now=1554.41936, events=406, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'reboot-warm': Row(now=1562.93224, events=431, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'geom-wide': Row(now=1591.40344, events=493, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-narrow': Row(now=1610.70992, events=554, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-back': Row(now=1638.2312, events=646, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'overflow': Row(now=4838.2312, events=1285, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'revisit': Row(now=4846.50232, events=1310, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'broadcast': Row(now=5370.46856, events=1509, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 2, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-compiled': Row(now=5370.66856, events=1512, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 2, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-fresh': Row(now=5408.21856, events=1516, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 2, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-cold': Row(now=5674.70064, events=1546, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'invalidate': Row(now=5704.40768, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'invalidate': Row(now=5704.40768, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'invalidate': Row(now=5674.70064, events=1546, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-redeploy': Row(now=5715.7404, events=1548, warm=False, mode='full', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-redeploy': Row(now=5973.5904, events=1552, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-redeploy': Row(now=5941.18272, events=1576, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-again': Row(now=5726.71216, events=1570, warm=True, mode='delta', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-again': Row(now=5984.56216, events=1574, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-again': Row(now=5949.45384, events=1600, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
     },
 }
 # fmt: on

@@ -12,7 +12,7 @@ round 2 run the scenario's fault, round 1 runs clean in between, so an
 abort is seen both over fresh targets (detach) and over deployed ones
 (rollback).
 
-The table has since been regenerated by that command twice, for
+The table has since been regenerated by that command three times, for
 changes that move rows on purpose:
 
 * the single fan-out: a forest root no longer waits on an event that
@@ -22,7 +22,15 @@ changes that move rows on purpose:
   every pipelined row is faster and has fewer events (the commit CAS
   and the flush doorbells ride the deploy chain); the ``leak`` of every
   aborted round returns to its pre-broadcast value, and the serial
-  ``abort`` rows pay a ``cc_event`` per leg that reuses a freed extent.
+  ``abort`` rows pay a ``cc_event`` per leg that reuses a freed extent;
+* the fence under the dispatch: a leg its bubble raise did not fence
+  (a relayed leg, or any leg without BBU) posts its epoch READ while
+  its dispatch CPU preps the chain, so each relayed level of the forest
+  is 2.70 us shorter (tree-d2 windows -5.40, tree-d4 and sharded-k3
+  -2.70, plus one level without BBU) and each such leg runs 2 more
+  events; flat ``no-bbu`` saves only 0.48 us, its legs queueing on the
+  control plane's cores.  Flat rows with BBU and every serial row are
+  unchanged.
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
 descriptor slots and deployed records, summed over the targets.
@@ -438,13 +446,13 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('31.813679999999977', '1269.4136799999999', '0.0', '51469.79976'), '0000000000000', 1024, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('31.33311999999978', '1268.9331199999997', '0.0', '51469.79976'), '0000000000000', 1052, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('31.813679999984743', '1269.4136799999906', '0.0', '102707.39976'), '0000000000000', 1606, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('31.333119999952032', '1268.9331199999579', '0.0', '102707.39976'), '0000000000000', 1662, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('31.81367999999202', '1269.4136799999978', '0.0', '153944.99976'), '0000000000000', 2188, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('31.333119999981136', '1268.933119999987', '0.0', '153944.99976'), '0000000000000', 2272, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -493,266 +501,266 @@ ORACLE = {
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.3499999999997', '0.0', '51528.53288'), '0000000000000', 1464, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2442, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.3499999999258', '0.0', '102824.86599999995'), '0000000000000', 2486, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3442, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999997994', '1325.3499999999476', '0.0', '154121.19911999992'), '0000000000000', 3508, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('63.78135999999972', '1322.2883999999997', '0.0', '51525.5916'), '0000000000000', 1351, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('58.38007999999968', '1316.8871199999996', '0.0', '51522.89096'), '0000000000000', 1373, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('63.7813599999572', '1322.2883999999249', '0.0', '102818.98343999995'), '0000000000000', 2260, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('58.380079999966256', '1316.887119999934', '0.0', '102813.58215999996'), '0000000000000', 2304, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('63.78135999997903', '1322.2883999999467', '0.0', '154112.37527999992'), '0000000000000', 3169, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('58.380079999988084', '1316.8871199999558', '0.0', '154104.27335999993'), '0000000000000', 3235, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('99.25703999999973', '1357.7640799999997', '0.0', '51531.23352'), '0000000000000', 1404, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999999969', '1352.3627999999997', '0.0', '51528.53288'), '0000000000000', 1426, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('99.25703999988764', '1357.7640799998553', '0.0', '102830.26727999994'), '0000000000000', 2366, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999989669', '1352.3627999998644', '0.0', '102824.86599999995'), '0000000000000', 2410, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('99.25703999990947', '1357.7640799998771', '0.0', '154129.3010399999'), '0000000000000', 3328, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999991852', '1352.3627999998862', '0.0', '154121.19911999992'), '0000000000000', 3394, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('64.8410399999998', '1302.4410399999997', '0.0', '51513.02712'), '0000000000000', 1013, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('56.73911999999973', '1294.3391199999996', '0.0', '51507.62584'), '0000000000000', 1039, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('64.84103999996296', '1302.4410399999688', '0.0', '102793.85447999998'), '0000000000000', 1584, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('56.73911999997654', '1294.3391199999824', '0.0', '102783.05192'), '0000000000000', 1636, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('64.84103999998479', '1302.4410399999906', '0.0', '154074.68183999998'), '0000000000000', 2155, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('56.739119999998366', '1294.3391200000042', '0.0', '154058.478'), '0000000000000', 2233, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('214.45576000000233', '1472.9628000000023', '142.21152000000257', '51531.23352'), '0000000000000', 1817, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('209.0544800000023', '1467.5615200000022', '142.21152000000257', '51528.53288'), '0000000000000', 1830, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('72.24615999994421', '1330.7531999999119', '0.0', '102830.26855999994'), '0000000000000', 2829, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84487999995326', '1325.351919999921', '0.0', '102824.86727999995'), '0000000000000', 2864, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('149.64423999993596', '1408.1512799999036', '77.39999999996508', '154129.3023199999'), '0000000000000', 4024, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('144.24295999994501', '1402.7499999999127', '77.39999999996508', '154121.2003999999'), '0000000000000', 4072, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1408, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999999972', '1325.3499999999997', '0.0', '51528.53288'), '0000000000000', 1426, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2408, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.3499999999258', '0.0', '102824.86599999995'), '0000000000000', 2448, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3374, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999997994', '1325.3499999999476', '0.0', '154121.19911999992'), '0000000000000', 3432, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('137.6662421917233', '1448.1375881339095', '0.0', '51583.19782594219'), '0000000000000', 1432, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('132.26496219172327', '1442.7363081339095', '0.0', '51580.497185942186'), '0000000000000', 1452, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102882.23158594214'), '0000000000000', 2432, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.3499999999258', '0.0', '102876.83030594213'), '0000000000000', 2474, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('137.0422837149963', '1445.3617158538982', '0.0', '154231.07773808105'), '0000000000000', 3422, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('131.64100371500535', '1439.9604358539073', '0.0', '154222.97581808103'), '0000000000000', 3484, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.3499999999997', '0.0', '51528.53288'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999994906', '1330.7512799999167', '0.0', '102830.26727999994'), '0000000000000', 2442, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.3499999999258', '0.0', '102824.86599999995'), '0000000000000', 2477, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('72.24423999997089', '1330.7512799999386', '0.0', '154129.3010399999'), '0000000000000', 3442, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999997994', '1325.3499999999476', '0.0', '154121.19911999992'), '0000000000000', 3490, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('214.45576000000233', '1472.9628000000023', '142.21152000000257', '51531.23352'), '0000000000001', 1802, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('209.0544800000023', '1467.5615200000022', '142.21152000000257', '51528.53288'), '0000000000001', 1826, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('72.24615999994421', '1330.7531999999119', '0.0', '102830.26855999994'), '0000000000000', 2814, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84487999995326', '1325.351919999921', '0.0', '102824.86727999995'), '0000000000000', 2860, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('149.64423999993596', '1408.1512799999036', '77.39999999996508', '154129.3023199999'), '0000000000001', 3994, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('144.24295999994501', '1402.7499999999127', '77.39999999996508', '154121.2003999999'), '0000000000001', 4064, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('72.24423999999976', '1330.7512799999997', '0.0', '51531.23352'), '0000000000000', 1442, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.3499999999997', '0.0', '51528.53288'), '0000000000000', 1464, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102830.26727999994',), '1111111111111', 2087, (30240, 13, 13),
+        Round('Interrupt', (), ('102824.86599999995',), '1111111111111', 2121, (30240, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+7', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+6', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102830.26727999994',), '1111111111111', 2089, (30240, 13, 13),
+        Round('DeployError', (), ('102824.86599999995',), '1111111111111', 2123, (30240, 13, 13),
               (),
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.7356799999998', '0.0', '51512.61984'), '0000000000000', 1448, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102793.03991999995'), '0000000000000', 2418, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.7356799999397', '0.0', '102793.03991999995'), '0000000000000', 2454, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.9292799999821', '1309.4363199999498', '0.0', '154073.4599999999'), '0000000000000', 3406, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999986626', '1306.7356799999543', '0.0', '154073.4599999999'), '0000000000000', 3460, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('45.28735999999981', '1303.7943999999998', '0.0', '51509.79888'), '0000000000000', 1339, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('42.58671999999979', '1301.0937599999997', '0.0', '51509.79888'), '0000000000000', 1357, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.28735999997298', '1303.7943999999407', '0.0', '102787.39799999996'), '0000000000000', 2236, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('42.586719999977504', '1301.0937599999452', '0.0', '102787.39799999996'), '0000000000000', 2272, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.28735999998753', '1303.7943999999552', '0.0', '154064.99711999993'), '0000000000000', 3133, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('42.586719999992056', '1301.0937599999597', '0.0', '154064.99711999993'), '0000000000000', 3187, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('80.6433599999998', '1339.1503999999998', '0.0', '51512.61984'), '0000000000000', 1394, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999999978', '1336.4497599999997', '0.0', '51512.61984'), '0000000000000', 1412, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('80.64335999989999', '1339.1503999998677', '0.0', '102793.03991999995'), '0000000000000', 2346, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999990451', '1336.4497599998722', '0.0', '102793.03991999995'), '0000000000000', 2382, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('80.64335999991454', '1339.1503999998822', '0.0', '154073.4599999999'), '0000000000000', 3298, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999991906', '1336.4497599998867', '0.0', '154073.4599999999'), '0000000000000', 3352, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('46.22735999999986', '1283.8273599999998', '0.0', '51494.41344'), '0000000000000', 1017, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('40.82607999999982', '1278.4260799999997', '0.0', '51491.7128'), '0000000000000', 1043, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('46.227359999975306', '1283.8273599999811', '0.0', '102756.62711999999'), '0000000000000', 1592, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('40.82607999998436', '1278.4260799999902', '0.0', '102751.22584'), '0000000000000', 1644, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('46.22735999998986', '1283.8273599999957', '0.0', '154018.8408'), '0000000000000', 2167, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('40.82607999999891', '1278.4260800000047', '0.0', '154010.73888000002'), '0000000000000', 2245, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('193.1408000000024', '1451.6478400000024', '142.21152000000257', '51512.61984'), '0000000000000', 1805, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('190.44016000000238', '1448.9472000000023', '142.21152000000257', '51512.61984'), '0000000000000', 1814, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('50.930559999964316', '1309.437599999932', '0.0', '102793.04055999996'), '0000000000000', 2805, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.22991999996884', '1306.7369599999365', '0.0', '102793.04055999996'), '0000000000000', 2832, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('128.32927999994718', '1386.8363199999148', '77.39999999996508', '154073.46063999995'), '0000000000000', 3988, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('125.6286399999517', '1384.1356799999194', '77.39999999996508', '154073.46063999995'), '0000000000000', 4024, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('50.929279999999835', '1309.4363199999998', '0.0', '51509.61984'), '0000000000000', 1382, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999999814', '1306.7356799999998', '0.0', '51509.61984'), '0000000000000', 1392, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102790.03991999995'), '0000000000000', 2370, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.7356799999397', '0.0', '102790.03991999995'), '0000000000000', 2398, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('50.9292799999821', '1309.4363199999498', '0.0', '154067.4599999999'), '0000000000000', 3310, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999986626', '1306.7356799999543', '0.0', '154067.4599999999'), '0000000000000', 3348, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('116.35128219172339', '1426.8226281339096', '0.0', '51561.584145942186'), '0000000000000', 1420, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.65064219172336', '1424.1219881339096', '0.0', '51561.584145942186'), '0000000000000', 1436, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102842.00422594215'), '0000000000000', 2408, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.7356799999397', '0.0', '102842.00422594215'), '0000000000000', 2442, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('115.72732371500751', '1424.0467558539094', '0.0', '154169.23669808105'), '0000000000000', 3386, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.02668371501204', '1421.346115853914', '0.0', '154169.23669808105'), '0000000000000', 3436, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.7356799999998', '0.0', '51512.61984'), '0000000000000', 1439, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.92927999996755', '1309.4363199999352', '0.0', '102793.03991999995'), '0000000000000', 2418, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.7356799999397', '0.0', '102793.03991999995'), '0000000000000', 2445, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.9292799999821', '1309.4363199999498', '0.0', '154073.4599999999'), '0000000000000', 3406, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999986626', '1306.7356799999543', '0.0', '154073.4599999999'), '0000000000000', 3442, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('193.1408000000024', '1451.6478400000024', '142.21152000000257', '51512.61984'), '0000000000001', 1790, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('190.44016000000238', '1448.9472000000023', '142.21152000000257', '51512.61984'), '0000000000001', 1810, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('50.930559999964316', '1309.437599999932', '0.0', '102793.04055999996'), '0000000000000', 2790, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.22991999996884', '1306.7369599999365', '0.0', '102793.04055999996'), '0000000000000', 2828, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('128.32927999994718', '1386.8363199999148', '77.39999999996508', '154073.46063999995'), '0000000000001', 3958, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('125.6286399999517', '1384.1356799999194', '77.39999999996508', '154073.46063999995'), '0000000000001', 4016, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('50.929279999999835', '1309.4363199999998', '0.0', '51512.61984'), '0000000000000', 1430, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.7356799999998', '0.0', '51512.61984'), '0000000000000', 1448, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102790.03991999995',), '1111111111111', 2019, (27216, 13, 13),
+        Round('Interrupt', (), ('102790.03991999995',), '1111111111111', 2045, (27216, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+5', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+8', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102790.03991999995',), '1111111111111', 2021, (27216, 13, 13),
+        Round('DeployError', (), ('102790.03991999995',), '1111111111111', 2047, (27216, 13, 13),
               (),
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999999987', '242.88183999999978', '0.0', '50448.766'), '0000000000000', 1336, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100665.33223999999'), '0000000000000', 2226, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999996593', '242.88183999995817', '0.0', '100665.33223999999'), '0000000000000', 2230, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.63055999997596', '245.5824799999682', '0.0', '150881.89847999997'), '0000000000000', 3118, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('47.929919999980484', '242.88183999997273', '0.0', '150881.89847999997'), '0000000000000', 3124, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('44.988639999999805', '239.94055999999972', '0.0', '50445.94504'), '0000000000000', 1243, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('42.28799999999984', '237.23991999999976', '0.0', '50445.94504'), '0000000000000', 1245, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('44.988639999966836', '239.94055999995908', '0.0', '100659.69031999998'), '0000000000000', 2044, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('42.28799999997136', '237.2399199999636', '0.0', '100659.69031999998'), '0000000000000', 2048, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('44.98863999998139', '239.94055999997363', '0.0', '150873.43559999997'), '0000000000000', 2845, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('42.287999999985914', '237.23991999997816', '0.0', '150873.43559999997'), '0000000000000', 2851, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('43.227359999999976', '230.77736', '0.0', '50441.36344'), '0000000000000', 979, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('37.82608000000005', '225.37608000000006', '0.0', '50438.6628'), '0000000000000', 1005, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('43.227359999975306', '230.77735999997822', '0.0', '100650.52711999998'), '0000000000000', 1516, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('37.82607999998436', '225.37607999998727', '0.0', '100645.12584'), '0000000000000', 1568, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('43.22735999998986', '230.77735999999277', '0.0', '150859.69079999998'), '0000000000000', 2053, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('37.82607999999891', '225.37608000000182', '0.0', '150851.58888'), '0000000000000', 2131, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('109.88535999999976', '304.8372799999997', '142.21151999999933', '50448.766'), '0000000000000', 1709, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('107.18471999999986', '302.1366399999998', '142.21151999999944', '50448.766'), '0000000000000', 1711, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('50.631839999958174', '245.58375999995042', '0.0', '100665.33287999997'), '0000000000000', 2613, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.9311999999627', '242.88311999995494', '0.0', '100665.33287999997'), '0000000000000', 2617, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('82.8805599999614', '277.83247999995365', '77.39999999996508', '150881.89911999996'), '0000000000000', 3700, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('80.17991999996593', '275.1318399999582', '77.39999999996508', '150881.89911999996'), '0000000000000', 3706, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
@@ -760,65 +768,65 @@ ORACLE = {
         Round('', (('DeployError', 1), ('ok:full', 12)), ('29.016879999999844', '223.96879999999976', '0.0', '50429.85296'), '0000000000000', 1306, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100646.41919999997'), '0000000000000', 2198, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999996593', '242.88183999995817', '0.0', '100646.41919999997'), '0000000000000', 2200, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.01687999998103', '223.96879999997327', '0.0', '150844.07239999995'), '0000000000000', 3062, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.01687999998103', '223.96879999997327', '0.0', '150844.07239999995'), '0000000000000', 3064, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390956', '342.0563881339095', '0.0', '50487.219825942186'), '0000000000000', 1332, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390956', '342.0563881339095', '0.0', '50487.219825942186'), '0000000000000', 1334, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100703.78606594217'), '0000000000000', 2224, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999996593', '242.88183999995817', '0.0', '100703.78606594217'), '0000000000000', 2228, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '339.2805158539268', '0.0', '150956.6542180811'), '0000000000000', 3114, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '339.2805158539268', '0.0', '150956.6542180811'), '0000000000000', 3120, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999999987', '242.88183999999978', '0.0', '50448.766'), '0000000000000', 1327, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.630559999961406', '245.58247999995365', '0.0', '100665.33223999999'), '0000000000000', 2226, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999996593', '242.88183999995817', '0.0', '100665.33223999999'), '0000000000000', 2221, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('50.63055999997596', '245.5824799999682', '0.0', '150881.89847999997'), '0000000000000', 3118, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('47.929919999980484', '242.88183999997273', '0.0', '150881.89847999997'), '0000000000000', 3106, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('76.42007999999959', '271.3719999999995', '142.21151999999915', '50448.766'), '0000100000000', 1694, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('76.42007999999959', '271.3719999999995', '142.21151999999915', '50448.766'), '0000100000000', 1698, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('50.63119999995979', '245.58311999995203', '0.0', '100665.33287999997'), '0000000000000', 2598, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.930559999964316', '242.88247999995656', '0.0', '100665.33287999997'), '0000000000000', 2604, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('55.51687999996648', '250.46879999995872', '77.39999999996508', '150881.89911999996'), '0000100000000', 3670, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('55.51687999996648', '250.46879999995872', '77.39999999996508', '150881.89911999996'), '0000100000000', 3680, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'shard-forfeits'): [
-        Round('DeployError', (), ('50448.766',), '0000000000000', 1371, (0, 0, 0),
+        Round('DeployError', (), ('50448.766',), '0000000000000', 1373, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('50.631839999958174', '245.58375999995042', '0.0', '100665.33287999997'), '0000000000000', 2272, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.9311999999627', '242.88311999995494', '0.0', '100665.33287999997'), '0000000000000', 2276, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('DeployError', (), ('150881.89911999996',), '0000000000000', 3066, (19656, 13, 13),
+        Round('DeployError', (), ('150881.89911999996',), '0000000000000', 3072, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('50.63055999999983', '245.58247999999975', '0.0', '50448.766'), '0000000000000', 1334, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.92991999999987', '242.88183999999978', '0.0', '50448.766'), '0000000000000', 1336, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('82.88055999994685', '277.8324799999391', '64.4999999999709', '100665.33223999999'), '0000011110000', 2285, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('80.17991999995138', '275.1318399999436', '64.4999999999709', '100665.33223999999'), '0000011110000', 2289, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+1', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+3', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('DeployError', (), ('150881.89911999996',), '0000011110000', 3079, (19656, 13, 13),
+        Round('DeployError', (), ('150881.89911999996',), '0000011110000', 3085, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+2', 'rdx.broadcast.fanout{}+2', 'rdx.broadcast.latency_us{}+2', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+9', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],

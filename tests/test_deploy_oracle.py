@@ -18,8 +18,8 @@ Two deliberate departures from that commit, both in the serial arm:
   phase, now counts as ``write`` (:data:`SERIAL_DESCRIPTOR_WRITE_US`);
   ``total_us`` is unchanged.
 
-Two later changes moved rows on purpose, and the table was regenerated
-by the command above for both:
+Three later changes moved rows on purpose, and the table was
+regenerated by the command above for each:
 
 * a full image written into a *reused* extent is flushed before the
   hook line (``heal`` and ``patch-2`` reuse one: +1 ``cc_count``, and
@@ -27,7 +27,11 @@ by the command above for both:
 * the pipelined install is one chain -- body, descriptor, fenced commit
   CAS and the flush doorbells -- so every pipelined and delta row reads
   ``commit`` 0.0, ``write`` = the chain, ``cc`` = one 2 us wait, and
-  fewer events.
+  fewer events;
+* the epoch-fence READ flies under the dispatch, so every pipelined
+  and delta ``total_us`` is one fence round trip (2.70064 us) lower
+  with ``dispatch`` unchanged, and each deploy, failed ones included,
+  runs 2 more events (the spawned WQE prep).
 """
 
 from dataclasses import replace
@@ -246,102 +250,102 @@ ORACLE = {
     },
     'pipelined': {
         'first': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 0, 0, 1, [], None),
-            State(8192, [0], 1, 2, (0, 0, 0, 0, 0, 0), 61),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
+            State(8192, [0], 1, 2, (0, 0, 0, 0, 0, 0), 63),
         ),
         'again': (
-            Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 11.52712, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
-            State(16384, [1], 2, 3, (0, 0, 0, 0, 0, 0), 85),
+            Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 8.82648, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
+            State(16384, [1], 2, 3, (0, 0, 0, 0, 0, 0), 89),
         ),
         'patch': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 16384, 0, 3, [0, 8192], 8192),
-            State(24576, [0], 3, 4, (0, 0, 0, 0, 0, 0), 113),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 16384, 0, 3, [0, 8192], 8192),
+            State(24576, [0], 3, 4, (0, 0, 0, 0, 0, 0), 119),
         ),
         'grown': (
-            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 19.76272, 'full', 13268, 0, 0, 24576, 1, 4, [0, 8192, 16384], 16384),
-            State(37588, [1], 4, 5, (0, 0, 0, 0, 0, 0), 143),
+            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 17.06208, 'full', 13268, 0, 0, 24576, 1, 4, [0, 8192, 16384], 16384),
+            State(37588, [1], 4, 5, (0, 0, 0, 0, 0, 0), 151),
         ),
         'takeover': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 37632, 0, 5, [0, 8192, 16384, 24576], 24576),
-            State(45780, [0], 5, 6, (0, 0, 0, 0, 0, 0), 171),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 37632, 0, 5, [0, 8192, 16384, 24576], 24576),
+            State(45780, [0], 5, 6, (0, 0, 0, 0, 0, 0), 181),
         ),
         'noretain-1': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 45824, 1, 6, [0, 8192, 16384, 24576], 37632),
-            State(53972, [1], 6, 7, (0, 0, 0, 0, 0, 0), 199),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 45824, 1, 6, [0, 8192, 16384, 24576], 37632),
+            State(53972, [1], 6, 7, (0, 0, 0, 0, 0, 0), 211),
         ),
         'noretain-2': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 54016, 0, 7, [0, 8192, 16384, 24576], 45824),
-            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 227),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 54016, 0, 7, [0, 8192, 16384, 24576], 45824),
+            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 241),
         ),
         'conflict': (
             'DeployError',
-            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 273),
+            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 289),
         ),
         'heal': (
-            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 19.37776, 'full', 8448, 0, 0, 62208, 1, 8, [0, 8192, 16384, 24576], 54016),
-            State(62164, [1], 8, 10, (0, 0, 0, 0, 0, 0), 303),
+            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 16.67712, 'full', 8448, 0, 0, 62208, 1, 8, [0, 8192, 16384, 24576], 54016),
+            State(62164, [1], 8, 10, (0, 0, 0, 0, 0, 0), 321),
         ),
         'patch-2': (
-            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 19.37776, 'full', 8448, 0, 0, 37632, 0, 9, [0, 8192, 16384, 24576], 62208),
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 332),
+            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 16.67712, 'full', 8448, 0, 0, 37632, 0, 9, [0, 8192, 16384, 24576], 62208),
+            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 352),
         ),
         'image-fault': (
             'RdmaError',
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 348),
+            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 370),
         ),
         'descriptor-fault': (
             'RdmaError',
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 364),
+            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 388),
         ),
     },
     'delta': {
         'first': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 0, 0, 1, [], None),
-            State(8192, [0], 1, 2, (1, 0, 0, 0, 0, 0), 61),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
+            State(8192, [0], 1, 2, (1, 0, 0, 0, 0, 0), 63),
         ),
         'again': (
-            Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 11.52712, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
-            State(16384, [1], 2, 3, (1, 1, 0, 0, 0, 0), 85),
+            Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 8.82648, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
+            State(16384, [1], 2, 3, (1, 1, 0, 0, 0, 0), 89),
         ),
         'patch': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 18.72752, 'delta', 320, 1, 1, 0, 0, 3, [8192], 8192),
-            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 113),
+            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 1, 0, 0, 3, [8192], 8192),
+            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 119),
         ),
         'grown': (
-            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 19.76272, 'full', 13268, 0, 0, 16384, 1, 4, [8192, 0], 0),
-            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 143),
+            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 17.06208, 'full', 13268, 0, 0, 16384, 1, 4, [8192, 0], 0),
+            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 151),
         ),
         'takeover': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 29440, 0, 5, [8192, 0, 16384], 16384),
-            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 171),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 29440, 0, 5, [8192, 0, 16384], 16384),
+            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 181),
         ),
         'noretain-1': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 37632, 1, 6, [8192, 0, 16384], 29440),
-            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 199),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 37632, 1, 6, [8192, 0, 16384], 29440),
+            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 211),
         ),
         'noretain-2': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 18.72752, 'delta', 320, 1, 5, 29440, 0, 7, [8192, 0, 16384], 37632),
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 227),
+            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 5, 29440, 0, 7, [8192, 0, 16384], 37632),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 241),
         ),
         'conflict': (
             'DeployError',
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 273),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 289),
         ),
         'heal': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 19.37712, 'full', 8448, 0, 0, 45824, 1, 8, [8192, 0, 16384], 29440),
-            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 302),
+            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 45824, 1, 8, [8192, 0, 16384], 29440),
+            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 320),
         ),
         'patch-2': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 18.72752, 'delta', 320, 1, 7, 29440, 0, 9, [8192, 0, 16384], 45824),
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 330),
+            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 7, 29440, 0, 9, [8192, 0, 16384], 45824),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 350),
         ),
         'image-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 346),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 368),
         ),
         'descriptor-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 362),
+            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 386),
         ),
     },
 }

@@ -16,9 +16,10 @@ from repro.params import DEFAULT
 ARM = dict(pipelined_deploy=True, obs=True, obs_target_labels=False)
 pytestmark = pytest.mark.arm(**ARM)
 
-#: Pipelined fast-path anchors: a fully-warm single-target deploy (one
-#: install chain, then one flush wait) and the 8-target bubble window.
-WARM_DEPLOY_ANCHOR_US = 11.2
+#: Pipelined fast-path anchors: a fully-warm single-target deploy (its
+#: fence READ under the dispatch, one install chain, then one flush
+#: wait) and the 8-target bubble window.
+WARM_DEPLOY_ANCHOR_US = 8.5
 BUBBLE_WINDOW_ANCHOR_US = 23.2
 #: Sim-time tolerance around the anchors (deterministic sim, but the
 #: obs plane itself and unrelated PRs legitimately move these a bit).

@@ -75,3 +75,14 @@ def test_value_ids_stay_out_of_every_corpus_digest():
     assert _replayed(entries) == before
     if DEFAULT == Config():  # the arm the corpus was recorded on
         assert before == [entry.meta["digest"] for entry in entries]
+
+
+if __name__ == "__main__":
+    # One ``file: kinds digest`` row per corpus replay, so
+    # ``python -m tests.oracles --check-against <rev>`` names each
+    # corpus schedule a change moves.
+    print("CORPUS = {")
+    for entry in corpus.load_dir(corpus.DEFAULT_DIR):
+        result, _ = corpus.replay(entry)
+        print(f"    {entry.filename!r}: {' '.join(result.kinds)} {result.digest}")
+    print("}")
