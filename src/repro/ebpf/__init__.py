@@ -19,7 +19,7 @@ from repro.ebpf.verifier import VerifierStats, verify
 from repro.ebpf.interpreter import ExecutionResult, Interpreter
 from repro.ebpf.jit import JitBinary, Relocation, RelocKind, jit_compile
 from repro.ebpf.maps import BpfMap, MapType
-from repro.ebpf.helpers import HELPERS, Helper, helper_by_id, helper_by_name
+from repro.ebpf.helpers import HELPERS, Helper, helper_by_id
 from repro.ebpf.stress import make_stress_program, STRESS_SIZES
 from repro.ebpf.loader import LocalLoader
 
@@ -44,7 +44,6 @@ __all__ = [
     "decode_program",
     "encode_program",
     "helper_by_id",
-    "helper_by_name",
     "jit_compile",
     "make_stress_program",
     "verify",

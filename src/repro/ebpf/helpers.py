@@ -118,12 +118,6 @@ HELPERS: dict[int, Helper] = {
     ),
 }
 
-_BY_NAME = {helper.name: helper for helper in HELPERS.values()}
-
 
 def helper_by_id(helper_id: int) -> Optional[Helper]:
     return HELPERS.get(helper_id)
-
-
-def helper_by_name(name: str) -> Optional[Helper]:
-    return _BY_NAME.get(name)

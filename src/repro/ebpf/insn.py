@@ -46,10 +46,6 @@ class Insn(_Fields):
         """A copy with some fields changed, range-checked like a new one."""
         return Insn(**{**self._asdict(), **changes})
 
-    @property
-    def is_lddw(self) -> bool:
-        return self.opcode == op.LDDW
-
     def encode(self) -> bytes:
         imm = self.imm if self.imm < 2**31 else self.imm - 2**32
         return _INSN.pack(self.opcode, (self.src << 4) | self.dst, self.off, imm)
@@ -60,12 +56,6 @@ class Insn(_Fields):
             raise ReproError(f"instruction must be 8 bytes, got {len(data)}")
         opcode, regs, off, imm = _INSN.unpack(data)
         return cls(opcode=opcode, dst=regs & 0xF, src=regs >> 4, off=off, imm=imm)
-
-    def __repr__(self) -> str:
-        return (
-            f"Insn(op={self.opcode:#04x}, dst=r{self.dst}, src=r{self.src}, "
-            f"off={self.off}, imm={self.imm})"
-        )
 
 
 def encode_program(insns: Iterable[Insn]) -> bytes:

@@ -12,9 +12,8 @@ and real :class:`~repro.ebpf.maps.BpfMap` objects.  Used three ways:
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import SandboxError
 from repro.ebpf import opcodes as op
@@ -35,79 +34,9 @@ _STACK_BASE = STACK_TOP - op.STACK_SIZE
 DEFAULT_INSN_BUDGET = 4_000_000
 
 
-def _signed(value: int, bits: int = 64) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
-
-
-# -- the ALU and jump operations ------------------------------------------
-#
-# Each operation is defined once, here, as a function of two operands
-# already cut to the instruction's width: the C-level ``operator``
-# function where one fits, so that executing the instruction costs no
-# Python-level call.  ``_OPERATIONS`` below spreads them over every
-# opcode that encodes them.
-
-
-def _div(value: int, divisor: int) -> int:
-    return value // divisor if divisor else 0
-
-
-def _mod(value: int, divisor: int) -> int:
-    return value % divisor if divisor else value
-
-
-def _neg(value: int, _operand: int) -> int:
-    return -value
-
-
-def _arsh(bits: int) -> Callable[[int, int], int]:
-    """The one operation whose function depends on the width."""
-    return lambda value, shift: _signed(value, bits) >> shift
-
-
-def _byte_swap(value: int, imm: int) -> int:
-    size = max(2, min(8, imm // 8)) if imm else 8
-    low = value & ((1 << (size * 8)) - 1)
-    return int.from_bytes(low.to_bytes(size, "little"), "big")
-
-
-_ALU = {
-    op.BPF_ADD: operator.add,
-    op.BPF_SUB: operator.sub,
-    op.BPF_MUL: operator.mul,
-    op.BPF_DIV: _div,
-    op.BPF_OR: operator.or_,
-    op.BPF_AND: operator.and_,
-    op.BPF_LSH: operator.lshift,
-    op.BPF_RSH: operator.rshift,
-    op.BPF_NEG: _neg,
-    op.BPF_MOD: _mod,
-    op.BPF_XOR: operator.xor,
-    op.BPF_MOV: operator.or_,  # onto a destination masked to zero
-    op.BPF_END: _byte_swap,
-}
-#: condition -> (comparison, compares as signed)
-_JUMPS = {
-    op.BPF_JEQ: (operator.eq, False),
-    op.BPF_JGT: (operator.gt, False),
-    op.BPF_JGE: (operator.ge, False),
-    op.BPF_JSET: (operator.and_, False),
-    op.BPF_JNE: (operator.ne, False),
-    op.BPF_JSGT: (operator.gt, True),
-    op.BPF_JSGE: (operator.ge, True),
-    op.BPF_JLT: (operator.lt, False),
-    op.BPF_JLE: (operator.le, False),
-    op.BPF_JSLT: (operator.lt, True),
-    op.BPF_JSLE: (operator.le, True),
-}
-
-
 def _operations() -> dict[int, tuple]:
-    """opcode -> ``(is_jump, function, operand from a register, mask of
+    """The instruction table's ALU and conditional-jump opcodes, as
+    opcode -> ``(is_jump, function, operand from a register, mask of
     the left operand, mask of the right operand, last)``.
 
     An ALU instruction is ``dst = function(dst & left, operand & right)
@@ -115,7 +44,7 @@ def _operations() -> dict[int, tuple]:
     are the width for most; a shift count is taken modulo the width,
     which is its low bits; ``MOV`` ignores the destination (masked to
     zero, then or-ed with the operand); the byte swap reads its size
-    from the raw immediate whatever the source bit says.
+    from the raw immediate.
 
     A jump is taken when ``function((dst & left) ^ last, (operand &
     right) ^ last)`` holds.  For a signed comparison ``last`` is the
@@ -123,28 +52,25 @@ def _operations() -> dict[int, tuple]:
     the results into the signed order of the operands.
     """
     table = {}
-    for cls, bits in ((op.BPF_ALU64, 64), (op.BPF_ALU, 32)):
+    for opcode, meaning in op.OPCODES.items():
+        operation, bits = meaning.operation, meaning.bits
         width = (1 << bits) - 1
-        for operation, function in {**_ALU, op.BPF_ARSH: _arsh(bits)}.items():
-            for source in (op.BPF_K, op.BPF_X):
-                from_reg, left, right = source == op.BPF_X, width, width
-                if operation in (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH):
-                    right = bits - 1
-                elif operation == op.BPF_MOV:
-                    left = 0
-                elif operation == op.BPF_END:
-                    from_reg, right = False, -1
-                table[cls | operation | source] = (
-                    False, function, from_reg, left, right, width
-                )
-    for cls, bits in ((op.BPF_JMP, 64), (op.BPF_JMP32, 32)):
-        width = (1 << bits) - 1
-        for operation, (function, signed) in _JUMPS.items():
-            for source in (op.BPF_K, op.BPF_X):
-                table[cls | operation | source] = (
-                    True, function, source == op.BPF_X, width, width,
-                    1 << (bits - 1) if signed else 0,
-                )
+        if meaning.kind == op.KIND_ALU:
+            left, right = width, width
+            if operation in op.SHIFTS:
+                right = bits - 1
+            elif operation == op.BPF_MOV:
+                left = 0
+            elif operation == op.BPF_END:
+                right = -1
+            table[opcode] = (
+                False, meaning.function, meaning.from_reg, left, right, width
+            )
+        elif meaning.kind == op.KIND_COND:
+            table[opcode] = (
+                True, meaning.function, meaning.from_reg, width, width,
+                1 << (bits - 1) if meaning.signed else 0,
+            )
     return table
 
 
@@ -211,12 +137,12 @@ class Interpreter:
         bpf_map = self._map_from_ref(map_ref)
         key = self._read_mem(key_addr, bpf_map.key_size)
         value = self._read_mem(value_addr, bpf_map.value_size * bpf_map.n_cpus)
-        return _signed(bpf_map.update(key, value, flags))
+        return bpf_map.update(key, value, flags)
 
     def map_delete(self, map_ref: int, key_addr: int) -> int:
         bpf_map = self._map_from_ref(map_ref)
         key = self._read_mem(key_addr, bpf_map.key_size)
-        return _signed(bpf_map.delete(key))
+        return bpf_map.delete(key)
 
     def ktime_ns(self) -> int:
         return self.time_ns
@@ -290,6 +216,7 @@ class Interpreter:
         ctx_end = CTX_BASE + len(ctx)
         count = len(insns)
         operation_of = _OPERATIONS.get
+        meaning_of = op.OPCODES.get
         pc = 0
         for executed in range(1, self.insn_budget + 1):
             if not 0 <= pc < count:
@@ -307,12 +234,15 @@ class Interpreter:
                     pc += off
                 continue
 
+            meaning = meaning_of(opcode)
+            if meaning is None:
+                raise SandboxError(f"unsupported opcode {opcode:#04x}")
             # Loads and stores find the context and the stack here, by
             # the bounds ``_area_for`` tests; a map value's area, and
             # every fault, is left to it.
-            cls = opcode & op.CLASS_MASK
-            if cls == op.BPF_LDX:
-                size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
+            kind = meaning.kind
+            if kind == op.KIND_LDX:
+                size = meaning.size
                 addr = (regs[src] + off) & _U64
                 end = addr + size
                 if CTX_BASE <= addr and end <= ctx_end:
@@ -322,9 +252,9 @@ class Interpreter:
                 else:
                     data = self._read_mem(addr, size)
                 regs[dst] = int.from_bytes(data, "little")
-            elif cls == op.BPF_STX or cls == op.BPF_ST:
-                size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
-                value = regs[src] if cls == op.BPF_STX else imm & _U64
+            elif kind == op.KIND_STX or kind == op.KIND_ST:
+                size = meaning.size
+                value = regs[src] if meaning.from_reg else imm & _U64
                 data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
                 addr = (regs[dst] + off) & _U64
                 end = addr + size
@@ -333,7 +263,7 @@ class Interpreter:
                     stack[addr - _STACK_BASE : end - _STACK_BASE] = data
                 else:
                     self._write_mem(addr, data)
-            elif opcode == op.LDDW:
+            elif kind == op.KIND_LDDW:
                 if pc >= count:
                     raise SandboxError("truncated LDDW")
                 if src == op.PSEUDO_MAP_FD:
@@ -341,26 +271,16 @@ class Interpreter:
                 else:
                     regs[dst] = (insns[pc][4] & _U32) << 32 | imm & _U32
                 pc += 1
-            elif cls == op.BPF_JMP or cls == op.BPF_JMP32:
-                control = opcode & op.OP_MASK
-                if control == op.BPF_EXIT:
-                    return ExecutionResult(
-                        r0=regs[op.R0],
-                        insns_executed=executed,
-                        printk_lines=self._printk,
-                    )
-                if control == op.BPF_CALL:
-                    self._call(regs, imm)
-                elif control == op.BPF_JA:
-                    pc += off
-                else:
-                    raise SandboxError(f"unsupported jump op {control:#x}")
-            elif cls == op.BPF_ALU64 or cls == op.BPF_ALU:
-                raise SandboxError(
-                    f"unsupported ALU op {opcode & op.OP_MASK:#x}"
+            elif kind == op.KIND_EXIT:
+                return ExecutionResult(
+                    r0=regs[op.R0],
+                    insns_executed=executed,
+                    printk_lines=self._printk,
                 )
-            else:
-                raise SandboxError(f"unsupported opcode {opcode:#04x}")
+            elif kind == op.KIND_CALL:
+                self._call(regs, imm)
+            else:  # KIND_JA: every ALU and conditional jump is an operation
+                pc += off
         raise SandboxError("instruction budget exhausted")
 
     def _call(self, regs: list[int], helper_id: int) -> None:

@@ -97,9 +97,6 @@ class JitBinary:
     #: symbol -> ordered operand offsets (the paper's "symbol table").
     symbols: dict[str, list[int]] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.code)
-
     @property
     def is_linked(self) -> bool:
         """True when no placeholder operands remain."""
@@ -138,9 +135,9 @@ class JitBinary:
         )
 
 
-#: Opcodes of ``call imm`` (the source bit does not matter to a call).
+#: Opcodes of ``call imm``: the instruction table's calls.
 _CALL_OPCODES = frozenset(
-    op.BPF_JMP | op.BPF_CALL | source for source in (op.BPF_K, op.BPF_X)
+    opcode for opcode, meaning in op.OPCODES.items() if meaning.kind == op.KIND_CALL
 )
 #: Opcodes whose slot is not decoded on its own: the next slot is an
 #: operand, or the second half of a 64-bit literal.
@@ -177,7 +174,7 @@ def jit_compile(program: BpfProgram, arch: str = "x86_64") -> JitBinary:
                 if lddw_tail >= len(insns):
                     raise JitError("truncated LDDW pair")
                 if src == op.PSEUDO_MAP_FD:
-                    if imm >= len(map_names):
+                    if not 0 <= imm < len(map_names):
                         raise JitError(f"map slot {imm} out of range")
                     operands.append((lddw_tail, True, RelocKind.MAP, map_names[imm]))
             else:

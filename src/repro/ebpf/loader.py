@@ -11,10 +11,10 @@ paper's agent baseline pays for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro import params
-from repro.ebpf.jit import JitBinary, Relocation, jit_compile
+from repro.ebpf.jit import JitBinary, jit_compile
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
 from repro.ebpf.verifier import MapGeometry, VerifierStats, verify
@@ -30,10 +30,6 @@ class LoadResult:
     #: Simulated host-CPU cost of each phase, microseconds.
     verify_cost_us: float = 0.0
     jit_cost_us: float = 0.0
-
-    @property
-    def total_compile_cost_us(self) -> float:
-        return self.verify_cost_us + self.jit_cost_us
 
 
 class LocalLoader:
@@ -87,10 +83,3 @@ class LocalLoader:
         )
         self._memo[memo_key] = result
         return result
-
-    @staticmethod
-    def link(
-        binary: JitBinary, resolve: Callable[[Relocation], Optional[int]]
-    ) -> JitBinary:
-        """Link against a resolver (typically a sandbox GOT lookup)."""
-        return binary.link(resolve)

@@ -151,10 +151,6 @@ class VerifierStats:
     peak_queue: int = 0
     helpers_called: tuple[str, ...] = ()
 
-    @property
-    def complexity(self) -> int:
-        return self.states_visited
-
 
 @dataclass(frozen=True)
 class MapGeometry:
@@ -188,72 +184,50 @@ class MapGeometry:
     _CTX_LOAD,  # ... and the source is the context pointer, in bounds
 ) = range(5)
 
-_SHIFTS = (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH)
-_DIVISIONS = (op.BPF_DIV, op.BPF_MOD)
-_ARITHMETIC = _SHIFTS + _DIVISIONS + (
-    op.BPF_ADD, op.BPF_SUB, op.BPF_MUL, op.BPF_OR, op.BPF_AND, op.BPF_XOR,
-    op.BPF_NEG, op.BPF_MOV, op.BPF_END,
-)
+def _facts(opcode: int) -> tuple[int, int, int]:
+    """``(rule, skip, span)`` of an opcode byte, read off its entry in
+    the instruction table: the span is the bound a skip checks, the
+    shift width or the load size."""
+    meaning = op.OPCODES.get(opcode)
+    if meaning is None:
+        # A zero byte is an LDDW's second half, which is stepped over
+        # with its first: a path that reaches one jumped into the pair.
+        return _LDDW_TAIL if opcode == 0 else _UNSUPPORTED, _NEVER, 0
+    kind = meaning.kind
+    if kind == op.KIND_LDX:
+        return _LDX, _CTX_LOAD, meaning.size
+    if kind == op.KIND_ST or kind == op.KIND_STX:
+        return _STORE, _NEVER, 0
+    if kind == op.KIND_LDDW:
+        return _LDDW, _NEVER, 0
+    if kind != op.KIND_ALU:
+        return _JMP, _NEVER, 0  # conditional, ja, call, exit
+    if meaning.from_reg:
+        skip = _SCALAR_BOTH
+    elif meaning.operation in op.SHIFTS:
+        skip = _SCALAR_SHIFT
+    elif meaning.operation in op.DIVISIONS:
+        skip = _NEVER
+    else:
+        skip = _SCALAR_DST
+    return _ALU, skip, meaning.bits
 
 
-class _Facts(NamedTuple):
-    """What an opcode byte says, whatever the rest of the instruction
-    holds."""
-
-    rule: int
-    skip: int = _NEVER
-    #: ALU and jumps: the operation, and whether its operand is a
-    #: register.  Stores: whether the value stored is one.
-    operation: int = 0
-    use_reg: bool = False
-    #: ALU: operand width in bits.
-    bits: int = 0
-    #: Loads and stores: bytes accessed, and whether the mode is the
-    #: one supported (``BPF_MEM``).
-    size: int = 0
-    mem: bool = False
+# The three facts the walk reads, as ``bytes.translate`` tables; the
+# rules look the rest up in the table itself.
+_RULE, _SKIP, _SPAN = map(bytes, zip(*map(_facts, range(256))))
 
 
-def _facts(opcode: int) -> _Facts:
+def _unsupported(opcode: int, pc: int) -> str:
+    """Why a byte the table has no entry for is rejected.  The table
+    has every size of a ``BPF_MEM`` load and store, so a reserved one
+    is named by its mode."""
     cls = opcode & op.CLASS_MASK
-    operation = opcode & op.OP_MASK
-    use_reg = bool(opcode & op.BPF_X)
-    if cls == op.BPF_ALU64 or cls == op.BPF_ALU:
-        if operation not in _ARITHMETIC:
-            skip = _NEVER
-        elif use_reg:
-            skip = _SCALAR_BOTH
-        elif operation in _SHIFTS:
-            skip = _SCALAR_SHIFT
-        elif operation in _DIVISIONS:
-            skip = _NEVER
-        else:
-            skip = _SCALAR_DST
-        bits = 64 if cls == op.BPF_ALU64 else 32
-        return _Facts(_ALU, skip, operation, use_reg, bits)
-    if cls == op.BPF_JMP or cls == op.BPF_JMP32:
-        # Call, exit and ja exist in the 64-bit class only: the JIT
-        # gives no other encoding of a call its relocation.
-        if cls == op.BPF_JMP32 and operation in (op.BPF_CALL, op.BPF_EXIT, op.BPF_JA):
-            return _Facts(_UNSUPPORTED)
-        return _Facts(_JMP, _NEVER, operation, use_reg)
-    if cls == op.BPF_LD:
-        if opcode == op.LDDW:
-            return _Facts(_LDDW)
-        return _Facts(_UNSUPPORTED if opcode else _LDDW_TAIL)
-    size = op.SIZE_BYTES[opcode & op.SIZE_MASK]
-    mem = opcode & op.MODE_MASK == op.BPF_MEM
     if cls == op.BPF_LDX:
-        return _Facts(_LDX, _CTX_LOAD if mem else _NEVER, size=size, mem=mem)
-    return _Facts(_STORE, use_reg=cls == op.BPF_STX, size=size, mem=mem)
-
-
-_FACTS = tuple(_facts(opcode) for opcode in range(256))
-# The two facts the walk itself reads, as ``bytes.translate`` tables, and
-# the bound that goes with a skip: the shift width or the load size.
-_RULE = bytes(facts.rule for facts in _FACTS)
-_SKIP = bytes(facts.skip for facts in _FACTS)
-_SPAN = bytes(facts.bits or facts.size for facts in _FACTS)
+        return f"unsupported load mode at {pc}"
+    if cls == op.BPF_ST or cls == op.BPF_STX:
+        return f"unsupported store mode at {pc}"
+    return f"unsupported opcode {opcode:#04x} at {pc}"
 
 
 class _Verifier:
@@ -384,9 +358,7 @@ class _Verifier:
                 elif rule == _LDDW_TAIL:
                     raise VerifierError(f"jump into the middle of LDDW at {pc}")
                 else:
-                    raise VerifierError(
-                        f"unsupported opcode {insn.opcode:#04x} at {pc}"
-                    )
+                    raise VerifierError(_unsupported(insn.opcode, pc))
                 regs = state.regs
         self._check_unreachable(seen)
         self.stats.states_visited = visited
@@ -433,14 +405,14 @@ class _Verifier:
 
     def _do_alu(self, pc: int, insn: Insn, state: _State) -> _State:
         opcode, dst_index, src_index, _off, imm = insn
-        facts = _FACTS[opcode]
-        operation, use_reg = facts.operation, facts.use_reg
+        meaning = op.OPCODES[opcode]
+        operation, use_reg, bits = meaning.operation, meaning.from_reg, meaning.bits
         self._check_writable(dst_index, pc)
 
         if operation == op.BPF_MOV:
             if use_reg:
                 src = self._read_reg(state, src_index, pc)
-                if facts.bits == 32 and src.type is not SCALAR:
+                if bits == 32 and src.type is not SCALAR:
                     # 32-bit mov truncates pointers into scalars.
                     src = _SCALAR_REG
                 return state.with_reg(dst_index, src)
@@ -461,14 +433,14 @@ class _Verifier:
         if use_reg:
             src_type = self._read_reg(state, src_index, pc).type
 
-        if operation in _DIVISIONS and not use_reg and imm == 0:
+        if operation in op.DIVISIONS and not use_reg and imm == 0:
             raise VerifierError(f"division by zero constant at {pc}")
-        if operation in _SHIFTS and not use_reg and not 0 <= imm < facts.bits:
+        if operation in op.SHIFTS and not use_reg and not 0 <= imm < bits:
             raise VerifierError(f"invalid shift {imm} at {pc}")
 
         # Pointer arithmetic: only +/- constant on stack/map-value ptrs.
         if dst.type in (PTR_STACK, PTR_MAP_VALUE):
-            if facts.bits != 64 or use_reg or operation not in (
+            if bits != 64 or use_reg or operation not in (
                 op.BPF_ADD,
                 op.BPF_SUB,
             ):
@@ -512,11 +484,8 @@ class _Verifier:
         return state.with_reg(insn.dst, reg)
 
     def _do_ldx(self, pc: int, insn: Insn, state: _State) -> _State:
-        facts = _FACTS[insn.opcode]
-        if not facts.mem:
-            raise VerifierError(f"unsupported load mode at {pc}")
         self._check_writable(insn.dst, pc)
-        size = facts.size
+        size = op.OPCODES[insn.opcode].size
         base = self._read_reg(state, insn.src, pc)
         if base.type is PTR_CTX:
             addr = base.off + insn.off
@@ -555,12 +524,10 @@ class _Verifier:
         )
 
     def _do_store(self, pc: int, insn: Insn, state: _State) -> _State:
-        facts = _FACTS[insn.opcode]
-        if not facts.mem:
-            raise VerifierError(f"unsupported store mode at {pc}")
-        size = facts.size
+        meaning = op.OPCODES[insn.opcode]
+        size = meaning.size
         base = self._read_reg(state, insn.dst, pc)
-        if facts.use_reg:
+        if meaning.from_reg:
             value = self._read_reg(state, insn.src, pc)
         else:
             value = _SCALAR_REG
@@ -599,20 +566,21 @@ class _Verifier:
     ) -> list[tuple[int, _State]]:
         """The ``(pc, state)`` pairs that follow, in work-stack order:
         the last is explored first, and none means the path has ended."""
-        facts = _FACTS[insn.opcode]
-        operation, use_reg = facts.operation, facts.use_reg
-        if operation == op.BPF_EXIT:
+        meaning = op.OPCODES[insn.opcode]
+        kind = meaning.kind
+        if kind == op.KIND_EXIT:
             if state.regs[op.R0].type is UNINIT:
                 raise VerifierError(f"R0 !read_ok at exit ({pc})")
             return []
-        if operation == op.BPF_CALL:
+        if kind == op.KIND_CALL:
             return [(pc + 1, self._do_call(pc, insn, state))]
         target = pc + 1 + insn.off
         self._check_forward(pc, target)
-        if operation == op.BPF_JA:
+        if kind == op.KIND_JA:
             return [(target, state)]
 
         # Conditional jump.
+        operation, use_reg = meaning.operation, meaning.from_reg
         dst = self._read_reg(state, insn.dst, pc)
         if use_reg:
             self._read_reg(state, insn.src, pc)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import JitError, SandboxCrash
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
+from repro.ebpf.insn import Insn
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.jit import (
     PLACEHOLDER,
@@ -100,6 +101,18 @@ class TestCompile:
     def test_unknown_helper_rejected(self):
         prog = BpfProgram(Asm().call(999).exit_().build())
         with pytest.raises(JitError):
+            jit_compile(prog)
+
+    def test_negative_map_slot_rejected(self):
+        """A slot below zero names no map: it must not index the names
+        from the end (slot -1 would relocate against ``"b"``)."""
+        insns = [
+            Insn(op.LDDW, dst=op.R1, src=op.PSEUDO_MAP_FD, imm=-1),
+            Insn(0),
+            *Asm().mov_imm(op.R0, 0).exit_().build(),
+        ]
+        prog = BpfProgram(insns, map_names=("a", "b"))
+        with pytest.raises(JitError, match=r"^map slot -1 out of range$"):
             jit_compile(prog)
 
 
