@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Generator, Optional, Sequence
+from typing import Generator, NamedTuple, Optional, Sequence
 
 from repro import params
 from repro.errors import DeployError, SecurityError
@@ -30,6 +30,7 @@ from repro.obs.spans import Span
 from repro.rdma.mr import AccessFlags
 from repro.rdma.verbs import connect_qps, open_device
 from repro.sandbox.sandbox import Sandbox
+from repro.sim.resources import Resource
 from repro.sim.trace import TraceRecorder
 from repro.core.artifacts import ArtifactStore, target_maps
 from repro.core.codeflow import CodeFlow
@@ -37,6 +38,18 @@ from repro.core.journal import IntentJournal
 from repro.core.retry import RetryPolicy
 from repro.core.security import Principal, SecurityPolicy
 from repro.core.sync import RemoteSync
+
+
+class InstallLock(NamedTuple):
+    """A per-target mutex :meth:`RdxControlPlane.inject` takes once the
+    artifact is staged.  It guards what reads or writes the handle's
+    per-install state: the link (``_last_link_key``), the tenant label
+    (stamped from ``tenant`` on grant), the deploy and the pin admit.
+    Lower ``priority`` is granted first."""
+
+    resource: Resource
+    priority: int = 0
+    tenant: str = ""
 
 
 class RdxControlPlane:
@@ -337,6 +350,7 @@ class RdxControlPlane:
         parent_span: Optional[Span] = None,
         record_intent: bool = True,
         fenced: bool = False,
+        install_lock: Optional[InstallLock] = None,
     ) -> Generator:
         """prepare -> link -> deploy; returns the DeployReport.
 
@@ -347,6 +361,11 @@ class RdxControlPlane:
         record the reconciler cleans up.  ``fenced`` is passed through
         to :meth:`CodeFlow.deploy_prog` -- a broadcast leg that fenced
         while raising its bubble skips the duplicate epoch read.
+
+        ``install_lock`` serializes installs on one target: the probe
+        and the compile run without it, and it is held from the link
+        through the hook flip and the pin admit (see
+        :class:`InstallLock`).
         """
         self._check_alive()
         self.policy.check(principal, "deploy", codeflow.sandbox.name)
@@ -370,36 +389,50 @@ class RdxControlPlane:
                 # re-fingerprinting its relocations) to be byte-correct
                 # for this target's current layout -- validate+JIT+link
                 # never run, and the deploy rides the pipelined chain.
-                linked = None
+                pin = None
                 store = self.artifacts
                 if store.serving and self.config.pipelined_deploy:
                     pin = yield from store.pinned.probe(
                         codeflow, program, parent_span=span
                     )
-                    if pin is not None:
-                        linked = codeflow.link_pinned(pin)
-                link_us = 0.0
-                if linked is None:
+                if pin is None:
                     entry = yield from self.prepare_for(
                         codeflow, program, maps=maps, principal=principal,
                         parent_span=span,
                     )
-                    if txn is not None:
-                        self.journal.phase(txn, "prepared")
-                    mark = self.sim.now
-                    linked = yield from codeflow.link_code(
-                        entry.binary, parent_span=span
-                    )
-                    link_us = self.sim.now - mark
-                elif txn is not None:
+                if txn is not None:
                     self.journal.phase(txn, "prepared")
-                report = yield from codeflow.deploy_prog(
-                    program, linked, hook_name, retain_history=retain_history,
-                    parent_span=span, fenced=fenced,
-                )
-                report.warm = entry is None
-                if entry is not None and store.serving:
-                    store.pinned.admit(codeflow, program, entry.binary)
+                # The probe and the compile read only this plane's GOT
+                # snapshot, so they ran unlocked.  From here on the
+                # handle's per-install state moves: the link stamps the
+                # key that deploy_prog and admit read.
+                grant = None
+                if install_lock is not None:
+                    grant = install_lock.resource.request(install_lock.priority)
+                try:
+                    if grant is not None:
+                        yield grant
+                        codeflow.tenant = install_lock.tenant
+                    link_us = 0.0
+                    if pin is not None:
+                        linked = codeflow.link_pinned(pin)
+                    else:
+                        mark = self.sim.now
+                        linked = yield from codeflow.link_code(
+                            entry.binary, parent_span=span
+                        )
+                        link_us = self.sim.now - mark
+                    report = yield from codeflow.deploy_prog(
+                        program, linked, hook_name,
+                        retain_history=retain_history, parent_span=span,
+                        fenced=fenced,
+                    )
+                    report.warm = entry is None
+                    if entry is not None and store.serving:
+                        store.pinned.admit(codeflow, program, entry.binary)
+                finally:
+                    if grant is not None:
+                        install_lock.resource.release(grant)
         except BaseException as err:
             if txn is not None and not self.crashed:
                 self.journal.abort(txn, reason=str(err))

@@ -140,10 +140,11 @@ class QosScheduler:
             usage.throttled_us += delay
             yield self.sim.timeout(delay)
 
-        # Priority lane onto the shared wire.
+        # Priority lane onto the shared wire.  The grant is awaited
+        # inside the try: a deploy interrupted while queued withdraws.
         grant = self._wire.request(priority=quota.priority)
-        yield grant
         try:
+            yield grant
             report = yield from self.control_plane.inject(
                 codeflow, program, hook_name, **kwargs
             )

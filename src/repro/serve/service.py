@@ -17,10 +17,14 @@ Two intake modes:
   would have been shed ``queue-full`` parks on the class's space
   event instead; all other shed reasons still reject.
 
-Deploys to one *target* serialize on a per-target priority mutex: the
-hook-flip CAS is a compare-and-swap against the previous image, so
-two concurrent deploys to one sandbox would abort each other; across
-targets the workers run fully parallel.
+*Installs* to one target serialize on a per-target priority mutex: the
+hook-flip CAS is a compare-and-swap against the previous image, so two
+concurrent installs on one sandbox would abort each other.  The warm
+probe and the validate+JIT run before the mutex -- they are
+target-independent (§3.2) -- so a hotpatch queues behind another
+ticket's link and hook flip, never behind its compile.  The control
+plane takes the mutex (:class:`~repro.core.control_plane.InstallLock`);
+across targets the workers run fully parallel.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro import params
-from repro.core.control_plane import RdxControlPlane
+from repro.core.control_plane import InstallLock, RdxControlPlane
 from repro.core.qos import QosScheduler
 from repro.errors import ReproError
 from repro.obs import telemetry_of
@@ -79,7 +83,7 @@ class DeployService:
         #: The warm pool: the control plane's artifact store, pin stage
         #: on, mirrored into this service's segment.
         self.warm_pool = control_plane.artifacts.serve(self.segment)
-        #: Deploys to one target serialize (hook CAS safety); the lock
+        #: Installs on one target serialize (hook CAS safety); the lock
         #: is priority-aware so a hotpatch overtakes queued bulk work
         #: even at the per-target gate.
         self._target_locks: dict[str, Resource] = {}
@@ -209,20 +213,20 @@ class DeployService:
         self.obs.histogram(
             "rdx.serve.queue_wait_us", tenant_class=ticket.class_name
         ).observe(ticket.queue_wait_us)
-        if ticket.pace_us > 0:
-            # The class bucket's reservation deficit: pacing the drain
-            # to the class rate without holding the queue slot.
-            yield self.sim.timeout(ticket.pace_us)
-        lock = self._target_lock(ticket.codeflow.sandbox.name)
-        grant = lock.request(priority=cls.priority)
-        yield grant
-        codeflow = ticket.codeflow
-        codeflow.tenant = self.obs.tenant_label(ticket.tenant, ticket.class_name)
-        outcome = None
+        fatal = None
         try:
+            if ticket.pace_us > 0:
+                # The class bucket's reservation deficit: pacing the
+                # drain to the class rate without holding the queue slot.
+                yield self.sim.timeout(ticket.pace_us)
             report = yield from self.qos.inject(
-                ticket.tenant, codeflow, ticket.program, ticket.hook_name,
-                retain_history=False,
+                ticket.tenant, ticket.codeflow, ticket.program,
+                ticket.hook_name, retain_history=False,
+                install_lock=InstallLock(
+                    self._target_lock(ticket.codeflow.sandbox.name),
+                    cls.priority,
+                    self.obs.tenant_label(ticket.tenant, ticket.class_name),
+                ),
             )
             ticket.report = report
             self.completed += 1
@@ -230,22 +234,23 @@ class DeployService:
                 "rdx.serve.completed", tenant_class=ticket.class_name
             ).inc()
             outcome = "deploys.completed"
-        except ReproError as err:
-            # Persistent failure (crashed target, fence, policy): the
-            # retry layer already absorbed transient faults.  Counted,
-            # recorded on the ticket -- never silent.
+        except BaseException as err:
+            # A ReproError is a persistent failure (crashed target,
+            # fence, policy): the retry layer already absorbed transient
+            # faults.  Anything else (an Interrupt) ends the worker, not
+            # just the deploy; it is re-raised once the ticket is
+            # closed.  Either way the ticket is counted and carries the
+            # error -- never silent, and its ``done`` fires.
+            if not isinstance(err, ReproError):
+                fatal = err
             ticket.error = err
             self.failed += 1
             self.obs.counter(
                 "rdx.serve.failed", tenant_class=ticket.class_name
             ).inc()
             outcome = "deploys.failed"
-        finally:
-            lock.release(grant)
-            self.inflight -= 1
-            self.admission.release(ticket)
-            if outcome is None:  # the worker was interrupted, not the deploy
-                self._note_depth()
+        self.inflight -= 1
+        self.admission.release(ticket)
         ticket.finished_us = self.sim.now
         self.obs.histogram(
             "rdx.serve.deploy_us", tenant_class=ticket.class_name
@@ -257,6 +262,8 @@ class DeployService:
                 self._note_depth()
                 segment.observe("deploy_us", ticket.latency_us)
         ticket.done.succeed(ticket)
+        if fatal is not None:
+            raise fatal
 
     # -- helpers ---------------------------------------------------------------
 

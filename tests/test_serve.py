@@ -36,7 +36,7 @@ from repro.serve import (
     default_classes,
     scrape_serve,
 )
-from repro.sim.core import Simulator
+from repro.sim.core import Interrupt, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,31 @@ class TestTokenBucketReserve:
         # at 1 byte/us = 800us of throttle, charged exactly once.
         assert qos.usage["t"].deploys == 2
         assert qos.usage["t"].throttled_us == pytest.approx(800.0)
+
+    def test_interrupted_while_queued_on_the_wire_withdraws(self, testbed):
+        """A deploy interrupted while it waits for a wire slot must not
+        be granted one later: nobody would ever release it."""
+        bed = testbed
+        qos = QosScheduler(bed.control, wire_slots=1)
+        qos.register_tenant(
+            TenantQuota("t", rate_bytes_per_s=1e9, burst_bytes=1e9)
+        )
+        programs = [make_stress_program(100, seed=seed) for seed in (1, 2, 3)]
+
+        def deploy(program):
+            yield from qos.inject(
+                "t", bed.codeflow, program, "ingress", retain_history=False
+            )
+
+        bed.sim.spawn(deploy(programs[0]), name="first")
+        queued = bed.sim.spawn(deploy(programs[1]), name="queued")
+        bed.sim.run(until=bed.sim.now + 1.0)
+        assert qos._wire.queue_len == 1
+        queued.interrupt("caller gone")
+        bed.sim.run()
+        assert (qos._wire.in_use, qos._wire.queue_len) == (0, 0)
+        bed.sim.run_process(deploy(programs[2]))
+        assert qos.usage["t"].deploys == 2
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +542,91 @@ class TestAdmission:
         # overtook every *queued* bulk deploy.
         finished_bulk = sorted(t.finished_us for t in bulk)
         assert hot.finished_us < finished_bulk[1]
+
+
+# ---------------------------------------------------------------------------
+# A worker interrupted mid-ticket: the ticket is counted, the target freed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.arm(pipelined_deploy=True)
+class TestWorkerInterrupt:
+    """``offered == completed + failed + shed`` survives a worker crash,
+    and the target's install lock outlives the worker holding or
+    awaiting it."""
+
+    def _setup(self, bed, workers):
+        service = _service(bed, classes=default_classes(queue_depth=8),
+                           workers=workers)
+        service.register("pager", "hotpatch")
+        service.register("dev", "standard")
+        hot = make_stress_program(60, seed=6, name="hot")
+        bed.sim.run_process(service.warm_pool.prewarm(bed.codeflow, hot))
+        service.start()
+        lock = service._target_lock(bed.codeflow.sandbox.name)
+        return service, hot, lock
+
+    @staticmethod
+    def _until(sim, condition, limit_us=10_000.0):
+        deadline = sim.now + limit_us
+        while not condition():
+            assert sim.now < deadline, "condition never held"
+            yield 0.5
+
+    def _assert_closed(self, service, ticket, lock):
+        assert ticket.done.triggered
+        assert isinstance(ticket.error, Interrupt) and not ticket.completed
+        assert (lock.in_use, lock.queue_len) == (0, 0)
+        ledger = service.accounting()
+        assert ledger["failed"] == 1
+        assert (ledger["inflight"], ledger["unaccounted"]) == (0, 0)
+
+    def test_interrupted_while_queued_on_the_target_lock(self, testbed):
+        bed = testbed
+        service, hot, lock = self._setup(bed, workers=2)
+        cold = make_stress_program(300, seed=3, name="cold")
+
+        def body():
+            installing = service.submit("dev", bed.codeflow, cold, "egress")
+            yield from self._until(bed.sim, lambda: lock.in_use == 1)
+            patch = service.submit("pager", bed.codeflow, hot, "ingress")
+            yield from self._until(bed.sim, lambda: lock.queue_len == 1)
+            waiter = lock._waiting[0][2]
+            (worker,) = [
+                proc for proc in service._worker_procs
+                if proc._waiting_on is waiter
+            ]
+            worker.interrupt("worker lost")
+            for ticket in (patch, installing):
+                yield ticket.done
+            return patch, installing
+
+        patch, installing = bed.sim.run_process(body())
+        assert installing.completed
+        self._assert_closed(service, patch, lock)
+        # The target is not wedged: the surviving worker deploys to it.
+        after = service.submit("pager", bed.codeflow, hot, "ingress")
+        bed.sim.run_process(self._until(bed.sim, lambda: after.done.triggered))
+        assert after.completed
+        assert service.accounting()["unaccounted"] == 0
+
+    def test_interrupted_mid_deploy(self, testbed):
+        bed = testbed
+        service, _hot, lock = self._setup(bed, workers=1)
+        cold = make_stress_program(300, seed=3, name="cold")
+        extents = bed.codeflow.code_allocator
+
+        def body():
+            ticket = service.submit("dev", bed.codeflow, cold, "egress")
+            before = extents.high_water
+            # The extent is claimed once the install's plan is made.
+            yield from self._until(bed.sim, lambda: extents.high_water > before)
+            service._worker_procs[0].interrupt("worker lost")
+            yield ticket.done
+            return ticket
+
+        ticket = bed.sim.run_process(body())
+        self._assert_closed(service, ticket, lock)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,174 @@
+"""Cost guard: a serve ticket's target lock guards the install, not the compile.
+
+A ticket probes the warm pool and, on a miss, validates and JITs with no
+target lock held (§3.2: both are target-independent); it queues on its
+target's :class:`~repro.core.control_plane.InstallLock` only for link ->
+deploy_prog -> pin admit.  Four checks:
+
+* a pinned hotpatch submitted while a cold compile runs on its target
+  finishes in probe + install time, not after the compile;
+* two cold tickets on one target compile concurrently, and their
+  ``deploy_prog`` intervals never overlap;
+* a hotpatch overtakes bulk tickets queued at the install gate;
+* with two tenants interleaved on one target, each tenant's
+  ``rdx.tenant.install_visible_us`` series counts only its own deploys.
+"""
+
+import pytest
+
+from repro.ebpf.stress import make_stress_program
+from repro.serve import DeployService, default_classes
+
+pytestmark = pytest.mark.arm(
+    pipelined_deploy=True, obs=True, obs_target_labels=True
+)
+
+
+def _service(bed, workers):
+    service = DeployService(
+        bed.control, classes=default_classes(queue_depth=32), workers=workers
+    )
+    service.register("pager", "hotpatch")
+    service.register("dev", "standard")
+    service.register("whale", "bulk")
+    return service
+
+
+def _until(sim, condition, limit_us=10_000.0):
+    """Process body: poll every half microsecond until ``condition()``;
+    fails once ``limit_us`` has passed."""
+    deadline = sim.now + limit_us
+    while not condition():
+        assert sim.now < deadline, "condition never held"
+        yield 0.5
+
+
+def _prewarmed(bed, service):
+    hot = make_stress_program(60, seed=6, name="hot")
+    assert bed.sim.run_process(service.warm_pool.prewarm(bed.codeflow, hot))
+    return hot
+
+
+def _intervals(bed, monkeypatch, owner, name, log):
+    """Log ``(start, end)`` of every call of process body ``owner.name``."""
+    inner = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = bed.sim.now
+        result = yield from inner(*args, **kwargs)
+        log.append((start, bed.sim.now))
+        return result
+
+    monkeypatch.setattr(owner, name, timed)
+
+
+def test_hotpatch_does_not_wait_for_a_cold_compile(testbed):
+    bed = testbed
+    service = _service(bed, workers=2)
+    hot = _prewarmed(bed, service)
+    cold = make_stress_program(300, seed=3, name="cold")
+    service.start()
+
+    def body():
+        alone = service.submit("pager", bed.codeflow, hot, "ingress")
+        yield alone.done
+        compiling = service.submit("dev", bed.codeflow, cold, "egress")
+        validations = bed.control.validations_run
+        yield 50.0  # the 300-insn verifier charge is still running
+        assert bed.control.validations_run == validations
+        patch = service.submit("pager", bed.codeflow, hot, "ingress")
+        for ticket in (patch, compiling):
+            yield ticket.done
+        return alone, patch, compiling
+
+    alone, patch, compiling = bed.sim.run_process(body())
+    assert alone.report.warm and patch.report.warm and compiling.completed
+    # Probe + install (~8.3 us), exactly as on an idle target -- not
+    # the ~300 us left of the compile.
+    assert patch.service_us == pytest.approx(alone.service_us)
+    assert patch.service_us < 20.0
+    assert patch.finished_us < compiling.finished_us
+
+
+def test_cold_tickets_compile_together_and_install_one_at_a_time(
+    testbed, monkeypatch
+):
+    bed = testbed
+    service = _service(bed, workers=2)
+    prepares, deploys = [], []
+    _intervals(bed, monkeypatch, bed.control, "prepare_for", prepares)
+    _intervals(bed, monkeypatch, bed.codeflow, "deploy_prog", deploys)
+    service.start()
+    programs = [
+        make_stress_program(300, seed=seed, name=f"cold{seed}")
+        for seed in (3, 4)
+    ]
+
+    def body():
+        tickets = [
+            service.submit("dev", bed.codeflow, program, hook)
+            for program, hook in zip(programs, ("ingress", "egress"))
+        ]
+        for ticket in tickets:
+            yield ticket.done
+        return tickets
+
+    tickets = bed.sim.run_process(body())
+    assert all(ticket.completed for ticket in tickets)
+    assert len(prepares) == len(deploys) == 2
+    # The compiles overlap ...
+    assert max(start for start, _ in prepares) < min(end for _, end in prepares)
+    # ... the installs never do.
+    first, second = sorted(deploys)
+    assert first[1] <= second[0]
+
+
+def test_hotpatch_overtakes_bulk_at_the_install_gate(testbed):
+    bed = testbed
+    service = _service(bed, workers=4)
+    hot = _prewarmed(bed, service)
+    bulk_prog = make_stress_program(2_000, seed=4, name="bulk")
+    lock = service._target_lock(bed.codeflow.sandbox.name)
+    service.start()
+
+    def body():
+        bulk = [
+            service.submit("whale", bed.codeflow, bulk_prog, "egress")
+            for _ in range(3)
+        ]
+        # One compile for the three; then one installs, two queue.
+        yield from _until(bed.sim, lambda: lock.queue_len == 2)
+        patch = service.submit("pager", bed.codeflow, hot, "ingress")
+        for ticket in [patch] + bulk:
+            yield ticket.done
+        return patch, bulk
+
+    patch, bulk = bed.sim.run_process(body())
+    assert patch.completed and all(ticket.completed for ticket in bulk)
+    assert bed.control.prepare_coalesced == 2
+    queued = sorted(ticket.finished_us for ticket in bulk)[1:]
+    assert patch.finished_us < queued[0]
+
+
+def test_each_tenant_series_counts_only_its_own_installs(testbed):
+    bed = testbed
+    service = _service(bed, workers=2)
+    hot = _prewarmed(bed, service)
+    cold = make_stress_program(300, seed=3, name="cold")
+    service.start()
+
+    def body():
+        # dev's ticket compiles while pager's installs on the same
+        # target; dev installs last.
+        compiling = service.submit("dev", bed.codeflow, cold, "egress")
+        yield 50.0
+        patch = service.submit("pager", bed.codeflow, hot, "ingress")
+        for ticket in (patch, compiling):
+            yield ticket.done
+        return patch, compiling
+
+    patch, compiling = bed.sim.run_process(body())
+    assert patch.finished_us < compiling.finished_us
+    for tenant in ("dev", "pager"):
+        series = bed.obs.histogram("rdx.tenant.install_visible_us", tenant=tenant)
+        assert series.count == 1, tenant
