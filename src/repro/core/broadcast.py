@@ -322,6 +322,7 @@ class CodeFlowGroup:
         record_intent: bool = True,
         tenant: str = "",
         coordinator=None,
+        delta: bool = False,
     ) -> Generator:
         """Deploy ``programs[i]`` to ``codeflows[i]`` transactionally.
 
@@ -362,6 +363,12 @@ class CodeFlowGroup:
         makes this group one shard of a larger cross-shard transaction:
         bubbles are held until every shard votes, and a sibling shard's
         failure aborts this shard's clean legs too.
+
+        ``delta`` lets a leg on the pipelined arm ship only the chunks
+        that differ from its target's resident baseline.  Off, every
+        leg installs its image whole, so a broadcast's legs cost the
+        same whatever versions their targets have seen -- a hook's
+        first redeploy, which has no baseline yet, included.
         """
         if len(programs) != len(self.codeflows):
             raise DeployError(
@@ -406,7 +413,7 @@ class CodeFlowGroup:
             result = yield from self._broadcast_body(
                 programs, hook_name, order, dependency_order is not None,
                 use_bbu, verify, allow_partial, deadline_us, health, result,
-                txn, tenant, coordinator,
+                txn, tenant, coordinator, delta,
             )
         except BaseException as err:
             # A crashed incarnation records nothing: the dangling INTEND
@@ -430,7 +437,7 @@ class CodeFlowGroup:
     def _broadcast_body(
         self, programs, hook_name, order, ordered, use_bbu, verify,
         allow_partial, deadline_us, health, result, txn, tenant="",
-        coordinator=None,
+        coordinator=None, delta=False,
     ) -> Generator:
         plane = self.control_plane
         obs = self.control_plane.obs
@@ -541,6 +548,7 @@ class CodeFlowGroup:
                         codeflow, programs[index], result.outcomes[index],
                         plan.images.get(codeflow.sandbox.name), via,
                         hook_name, span, verify, deadline_us, fenced=use_bbu,
+                        delta=delta,
                     )
 
                 yield from self._walk(plan, active, "deploy", deploy)
@@ -706,7 +714,7 @@ class CodeFlowGroup:
 
     def _deploy_leg(
         self, codeflow, program, outcome, linked, via, hook_name, span,
-        verify, deadline_us, fenced,
+        verify, deadline_us, fenced, delta,
     ) -> Generator:
         """One target's deploy under a deadline; never raises.
 
@@ -720,7 +728,7 @@ class CodeFlowGroup:
             inner = self.sim.spawn(
                 self._deploy_target(
                     codeflow, program, linked, via, hook_name, span, verify,
-                    fenced,
+                    fenced, delta,
                 ),
                 name=f"inject:{outcome.target}",
             )
@@ -739,6 +747,7 @@ class CodeFlowGroup:
 
     def _deploy_target(
         self, codeflow, program, linked, via, hook_name, span, verify, fenced,
+        delta,
     ) -> Generator:
         """Pick the route for one leg: through ``via`` (the forest
         parent) when there is one and it can be used, else -- and as
@@ -767,7 +776,7 @@ class CodeFlowGroup:
                         # right.
                         report = yield from self._deploy_step(
                             codeflow, program, linked, hook_name, child,
-                            verify, fenced=False, via=via,
+                            verify, fenced=False, delta=delta, via=via,
                         )
                     except RdmaError as err:
                         # The relay *path* is broken (crashed parent
@@ -780,7 +789,7 @@ class CodeFlowGroup:
             if report is None:
                 report = yield from self._deploy_step(
                     codeflow, program, linked, hook_name, child, verify,
-                    fenced,
+                    fenced, delta,
                 )
             # Delta eligibility is decided per target: each leg holds
             # its own baseline (or none -- fresh targets, post-reboot
@@ -796,7 +805,7 @@ class CodeFlowGroup:
 
     def _deploy_step(
         self, codeflow, program, linked, hook_name, span, verify, fenced,
-        via=None,
+        delta, via=None,
     ) -> Generator:
         """``deploy_prog``, then verify-or-undo -- over one route.
 
@@ -829,12 +838,14 @@ class CodeFlowGroup:
                     codeflow, program, hook_name, parent_span=span,
                     record_intent=False,  # broadcast txn owns the WAL entry
                     fenced=fenced,  # _guarded_bubble fenced this leg already
+                    delta=delta,
                 )
             else:
                 if via is None:
                     self.control_plane._check_alive()
                 report = yield from codeflow.deploy_prog(
                     program, linked, hook_name, parent_span=span, fenced=fenced,
+                    delta=delta,
                 )
             if verify:
                 try:

@@ -149,13 +149,14 @@ def _delta_ranges(old: bytes, new: bytes) -> list[tuple[int, bytes]]:
         new_chunk = new[base : base + RNIC_MTU_BYTES]
         if old_chunk == new_chunk:
             continue
-        dirty = [
-            index
-            for index in range(len(new_chunk))
-            if new_chunk[index] != old_chunk[index]
-        ]
-        lo = dirty[0] // line * line
-        hi = min(len(new_chunk), (dirty[-1] // line + 1) * line)
+        # The XOR of the two chunks as big-endian integers: its highest
+        # set bit is in the first differing byte, its lowest in the last.
+        size = len(new_chunk)
+        diff = int.from_bytes(old_chunk, "big") ^ int.from_bytes(new_chunk, "big")
+        first = size - (diff.bit_length() + 7) // 8
+        last = size - 1 - ((diff & -diff).bit_length() - 1) // 8
+        lo = first // line * line
+        hi = min(size, (last // line + 1) * line)
         ranges.append((base + lo, new_chunk[lo:hi]))
     return ranges
 
@@ -377,6 +378,7 @@ class CodeFlow:
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
         fenced: bool = False,
+        delta: bool = True,
     ) -> Generator:
         """One-sided injection of a linked image + metadata + hook flip.
 
@@ -392,6 +394,10 @@ class CodeFlow:
         -- one fence per transaction, not one per op.  Otherwise the
         pipelined arm's fence overlaps the dispatch, so
         ``report.dispatch_us`` spans both.
+
+        ``delta=False`` installs the image in full even where the
+        pipelined arm could ship a delta (as a broadcast leg does
+        unless its broadcast asks for deltas).
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -411,7 +417,8 @@ class CodeFlow:
         self.sync.trace_span = span if self.config.obs else None
         try:
             yield from self._execute(
-                program, linked, hook_name, retain_history, report, fenced
+                program, linked, hook_name, retain_history, report, fenced,
+                delta,
             )
         except BaseException as err:
             span.status = "error"
@@ -423,15 +430,18 @@ class CodeFlow:
         self._observe_deploy(report)
         return report
 
-    def _plan(self, linked: JitBinary, hook_name: str) -> _DeployPlan:
+    def _plan(
+        self, linked: JitBinary, hook_name: str, delta: bool
+    ) -> _DeployPlan:
         """Decide what this deploy moves; costs no simulated time.
 
-        A delta plan is the exception and eligibility is conservative:
-        the hook must already be owned by a record carrying a
-        registered baseline whose layout fingerprint matches the one
-        :meth:`link_code` just produced, the image size must be
-        unchanged, and the diff must be under break-even.  Anything
-        else is a full plan, with the reason counted in
+        A delta plan is the exception, the pipelined arm's only (and
+        only when ``delta`` asks for one), and eligibility is
+        conservative: the hook must already be owned by a record
+        carrying a registered baseline whose layout fingerprint
+        matches the one :meth:`link_code` just produced, the image
+        size must be unchanged, and the diff must be under break-even.
+        Anything else is a full plan, with the reason counted in
         ``rdx.delta.fallback`` -- correctness never depends on delta
         eligibility.
         """
@@ -440,7 +450,7 @@ class CodeFlow:
         image = linked.code
         key = self._last_link_key
         spans = reason = None
-        if self.config.pipelined_deploy and self.config.delta_deploy:
+        if delta and self.config.pipelined_deploy:
             if existing is None:
                 reason = "first-deploy"
             elif existing.baseline_addr is None or existing.baseline_image is None:
@@ -496,6 +506,7 @@ class CodeFlow:
         retain_history: bool,
         report: DeployReport,
         fenced: bool,
+        delta: bool,
     ) -> Generator:
         """Ship one plan: fence, dispatch, install, flush, record.
 
@@ -556,7 +567,7 @@ class CodeFlow:
         # Planned as late as costs nothing, so the hook owner it reads
         # is as fresh as local state gets and a deploy that was fenced
         # out above has claimed nothing.
-        plan = self._plan(linked, hook_name)
+        plan = self._plan(linked, hook_name, delta)
         existing = plan.existing
         expected = existing.code_addr if existing else 0
         image = linked.code

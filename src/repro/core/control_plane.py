@@ -351,6 +351,7 @@ class RdxControlPlane:
         record_intent: bool = True,
         fenced: bool = False,
         install_lock: Optional[InstallLock] = None,
+        delta: bool = True,
     ) -> Generator:
         """prepare -> link -> deploy; returns the DeployReport.
 
@@ -360,7 +361,8 @@ class RdxControlPlane:
         hook flip lands.  A crash between the two leaves an in-flight
         record the reconciler cleans up.  ``fenced`` is passed through
         to :meth:`CodeFlow.deploy_prog` -- a broadcast leg that fenced
-        while raising its bubble skips the duplicate epoch read.
+        while raising its bubble skips the duplicate epoch read -- and
+        so is ``delta``.
 
         ``install_lock`` serializes installs on one target: the probe
         and the compile run without it, and it is held from the link
@@ -425,7 +427,7 @@ class RdxControlPlane:
                     report = yield from codeflow.deploy_prog(
                         program, linked, hook_name,
                         retain_history=retain_history, parent_span=span,
-                        fenced=fenced,
+                        fenced=fenced, delta=delta,
                     )
                     report.warm = entry is None
                     if entry is not None and store.serving:

@@ -71,7 +71,7 @@ class FaultCampaignResult:
     retries_total: int = 0
     faults_injected: int = 0
     #: Deploy legs that shipped as deltas (``hotpatch=True`` rounds).
-    delta_deploys: int = 0
+    delta_legs: int = 0
     #: One-sided telemetry scrapes performed (when ``scrape=True``).
     scrapes: int = 0
     scrape_retries: int = 0
@@ -106,9 +106,9 @@ def run_fault_campaign(
 
     ``hotpatch=True`` makes every round a one-instruction variant of
     the same base program per target -- the layout fingerprint then
-    holds across rounds, so on a ``delta_deploy`` testbed
-    steady-state rounds ship as deltas and the whole fault schedule
-    lands on the delta path (fresh targets, just-rebooted
+    holds across rounds, so on the pipelined arm the broadcasts ask
+    for deltas, steady-state rounds ship them and the whole fault
+    schedule lands on the delta path (fresh targets, just-rebooted
     targets, and post-rollback rounds still fall back to full).
     """
     rng = random.Random(seed)
@@ -167,7 +167,7 @@ def run_fault_campaign(
             outcome = bed.sim.run_process(
                 group.broadcast(
                     programs(index + 2), "ingress",
-                    allow_partial=allow_partial,
+                    allow_partial=allow_partial, delta=hotpatch,
                 )
             )
             entry.committed = True
@@ -210,7 +210,7 @@ def run_fault_campaign(
     result.faults_injected = int(
         _counter_total(bed.obs, "rdx.faults.injected")
     )
-    result.delta_deploys = int(_counter_total(bed.obs, "rdx.deploy.delta"))
+    result.delta_legs = int(_counter_total(bed.obs, "rdx.deploy.delta"))
     if scrape:
         result.scrapes = int(_counter_total(bed.obs, "rdx.scrape.count"))
         result.scrape_retries = int(

@@ -72,7 +72,7 @@ def make_testbed(
 
     ``config`` is the arm this simulation runs (default: the process
     default, :data:`repro.params.DEFAULT`); an A/B is two testbeds,
-    ``make_testbed(config=replace(DEFAULT, delta_deploy=True))``.
+    ``make_testbed(config=replace(DEFAULT, pipelined_deploy=False))``.
     ``sim`` lets a caller pre-configure the simulator before any
     component touches it -- the fuzz engine uses this to install its
     decision tape and bounded trace recorder ahead of construction.

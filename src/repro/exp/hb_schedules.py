@@ -113,12 +113,11 @@ def sibling_sync(bed: Testbed, sandbox: Sandbox) -> RemoteSync:
     return RemoteSync(bed.sim, local_qp, sandbox.ctx_manifest.rkey, sandbox)
 
 
-def _bed(seed: int, n_hosts: int = 1, **arm) -> Testbed:
-    """A schedule's testbed: the default arm (plus ``arm``) with hb
-    checking on."""
+def _bed(seed: int, n_hosts: int = 1) -> Testbed:
+    """A schedule's testbed: the default arm with hb checking on."""
     return make_testbed(
         n_hosts=n_hosts, cores_per_host=4, seed=seed,
-        config=replace(params.DEFAULT, hb_check=True, **arm),
+        config=replace(params.DEFAULT, hb_check=True),
     )
 
 
@@ -247,7 +246,7 @@ def _schedule_delta_chunk_reordered(seed: int) -> ScheduleResult:
     primary: the CAS's completion says nothing about the sibling QP's
     chunk, so the published extent can go live half-patched.
     """
-    bed = _bed(seed, delta_deploy=True)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     v1 = make_stress_program(400, seed=seed + 3, name="hbdelta")
@@ -288,7 +287,7 @@ def _schedule_delta_stale_baseline(seed: int) -> ScheduleResult:
     knows as the dormant baseline.  Its precomputed dirty span then
     lands in code the data path is executing.
     """
-    bed = _bed(seed, delta_deploy=True)
+    bed = _bed(seed)
     sim = bed.sim
     sandbox = bed.sandboxes[0]
     v1 = make_stress_program(400, seed=seed + 9, name="hbstale")

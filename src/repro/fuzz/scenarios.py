@@ -4,7 +4,8 @@ Two families:
 
 * **guarded** -- the real stack with its ordering guards *on* (single
   deploy, delta hotpatch, 8-way broadcast, 64-way tree broadcast, two
-  relayed broadcasts on one group, crash-recovery).  Expected
+  relayed broadcasts on one group, three whose relayed legs ship
+  deltas, crash-recovery).  Expected
   finding-free under every interleaving; a finding here is a live
   ordering bug (or a hole in the HB model) and fails the fuzz run.
   The decision tape also picks payload faults for these
@@ -215,25 +216,73 @@ def _drive_broadcast_64_tree(sim, seed: int, plan: "SchedulePlan") -> None:
         injector.detach()
 
 
-def _drive_broadcast_relay_twice(sim, seed: int, plan: "SchedulePlan") -> None:
-    """Two degree-2 tree broadcasts on one five-target group: the
-    second round's raises and relayed deploys must be ordered after
-    the first round's *relayed* lowers, through the relay's return
-    handoff -- one broadcast per group never exercises that edge."""
+def _relay_rounds(sim, seed: int, rollouts: list, delta: bool = False):
+    """One broadcast per program of ``rollouts``, in order, on one
+    five-target group of a lean rack built on ``sim``; returns the
+    testbed."""
     from repro.core.broadcast import CodeFlowGroup
-    from repro.ebpf.stress import make_stress_program
 
     bed = make_testbed(
         n_hosts=5, cores_per_host=1, with_agents=False, seed=seed, sim=sim,
     )
     group = CodeFlowGroup(bed.codeflows)
-    for version in range(2):
-        rollout = make_stress_program(
-            200, seed=seed * 19 + version, name="fzrelay"
-        )
+    for rollout in rollouts:
         sim.run_process(
-            group.broadcast([rollout] * len(bed.codeflows), "ingress")
+            group.broadcast(
+                [rollout] * len(bed.codeflows), "ingress", delta=delta
+            )
         )
+    return bed
+
+
+def _drive_broadcast_relay_twice(sim, seed: int, plan: "SchedulePlan") -> None:
+    """Two degree-2 tree broadcasts on one five-target group: the
+    second round's raises and relayed deploys must be ordered after
+    the first round's *relayed* lowers, through the relay's return
+    handoff -- one broadcast per group never exercises that edge."""
+    from repro.ebpf.stress import make_stress_program
+
+    _relay_rounds(sim, seed, [
+        make_stress_program(200, seed=seed * 19 + version, name="fzrelay")
+        for version in range(2)
+    ])
+    sim.run(until=sim.now + _SETTLE_US)
+
+
+def _drive_broadcast_relay_delta(sim, seed: int, plan: "SchedulePlan") -> None:
+    """Three degree-2 tree broadcasts that ask for deltas, of a program
+    and two one-instruction variants, on one five-target group: the
+    third round's relayed legs diff against their resident baselines.
+    No fault is injected, so an abort, a crash, no relayed delta, an
+    image that reads back other than the full linked image, or a first
+    exec whose ``r0`` is not the interpreter's fails the run."""
+    from repro.ebpf.interpreter import Interpreter
+    from repro.ebpf.stress import make_stress_program, make_stress_variant
+    from repro.obs import telemetry_of
+
+    base = make_stress_program(200, seed=seed * 19, name="fzrelay")
+    rollouts = [base] + [make_stress_variant(base, imm) for imm in (1, 2)]
+    ctx = bytes(range(256))
+    want = Interpreter().run(rollouts[-1].insns, ctx).r0
+    try:
+        bed = _relay_rounds(sim, seed, rollouts, delta=True)
+        relayed = [
+            span.attrs["mode"]
+            for span in telemetry_of(sim).tracer.by_name("rdx.broadcast.target")
+            if span.attrs["relay"]
+        ]
+        assert "delta" in relayed, f"relayed legs shipped {relayed}"
+        for codeflow in bed.codeflows:
+            record = codeflow.deployed["fzrelay"]
+            image = sim.run_process(
+                codeflow.read_raw(record.code_addr, record.code_len)
+            )
+            name = codeflow.sandbox.name
+            assert image == record.image, f"{name}: image differs"
+            execution, _ = codeflow.sandbox.run_hook("ingress", ctx)
+            assert execution.r0 == want, f"{name}: r0 {execution.r0:#x}"
+    except ReproError as err:
+        raise AssertionError(f"{type(err).__name__}: {err}") from err
     sim.run(until=sim.now + _SETTLE_US)
 
 
@@ -469,7 +518,7 @@ _ALL = (
     Scenario("single-deploy", _drive_single_deploy),
     Scenario(
         "delta-hotpatch", _drive_delta_hotpatch,
-        config=replace(DEFAULT, delta_deploy=True),
+        config=replace(DEFAULT, pipelined_deploy=True),
     ),
     Scenario("broadcast-8", _drive_broadcast_8),
     Scenario(
@@ -479,6 +528,12 @@ _ALL = (
     Scenario(
         "broadcast-relay-twice", _drive_broadcast_relay_twice,
         config=replace(DEFAULT, tree_broadcast=True, tree_degree=2),
+    ),
+    Scenario(
+        "broadcast-relay-delta", _drive_broadcast_relay_delta,
+        config=replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        ),
     ),
     Scenario("crash-recovery", _drive_crash_recovery),
     Scenario(
@@ -500,7 +555,7 @@ _ALL = (
     Scenario(
         "delta-shard", _drive_delta_shard,
         expect="commit-before-body", schedule_class="delta-chunk-reordered",
-        config=replace(DEFAULT, delta_deploy=True),
+        config=replace(DEFAULT, pipelined_deploy=True),
     ),
     Scenario(
         "chained-commit", _drive_chained_commit,

@@ -308,24 +308,21 @@ class Config:
     """The behaviour switches of one simulation, fixed before its first
     component is built (:func:`configure`) and never changed after.
 
-    The constants above are the cost model; these seven pick the arm
+    The constants above are the cost model; these six pick the arm
     of an A/B.  Being a frozen value, an arm needs no restore step
-    (``replace(DEFAULT, delta_deploy=True)``), two arms can run side by
-    side in one process, and a component may read its switch once at
-    construction.
+    (``replace(DEFAULT, pipelined_deploy=False)``), two arms can run
+    side by side in one process, and a component may read its switch
+    once at construction.
     """
 
     #: Which costs the one deploy path pays (DESIGN.md §11): one WR
     #: chain, bare commit CAS and 3 us dispatch, or -- off -- the serial
     #: paper-calibrated arm everywhere (one signaled WR per doorbell,
-    #: ``rdx_tx`` commit, 17 us dispatch).
+    #: ``rdx_tx`` commit, 17 us dispatch).  A pipelined redeploy also
+    #: plans a delta when it can: with the superseded image resident as
+    #: a baseline under a certified-identical layout, it ships only the
+    #: MTU chunks that changed; the serial arm always installs in full.
     pipelined_deploy: bool = True
-    #: Delta plans: when the artifact store's link stage certifies an identical
-    #: (arch, GOT-fingerprint) layout and the superseded image is still
-    #: resident as a baseline, a redeploy ships only the MTU chunks
-    #: that changed (trimmed to dirty cache lines) and flips the hook
-    #: with the usual commit CAS.  Requires the pipelined arm.
-    delta_deploy: bool = False
     #: Tree broadcast: fan deploy legs out through a relay forest
     #: (already-updated sandboxes forward the chained WR list to their
     #: children) instead of hub-and-spoke from the control plane.  Off
@@ -358,7 +355,7 @@ class Config:
     def from_env(cls, env: Mapping[str, str] = os.environ) -> "Config":
         """The config ``env`` spells: ``RDX_<FIELD>`` per field, the
         field's default when unset or empty.  The only reader of those
-        seven names."""
+        six names."""
         values = {}
         for spec in fields(cls):
             raw = env.get(f"RDX_{spec.name.upper()}", "").strip().lower()

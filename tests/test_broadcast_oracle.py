@@ -81,8 +81,8 @@ class Arm(NamedTuple):
     def config(self) -> Config:
         return replace(
             DEFAULT, tree_broadcast=self.tree, tree_degree=self.degree,
-            pipelined_deploy=self.pipelined, delta_deploy=False,
-            obs=True, obs_target_labels=False,
+            pipelined_deploy=self.pipelined, obs=True,
+            obs_target_labels=False,
         )
 
 

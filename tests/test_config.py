@@ -41,8 +41,8 @@ def _interleaved(streams: dict) -> dict:
 
 
 def test_arms_interleaved_match_the_rows_each_pins_alone():
-    """Serial, pipelined and delta testbeds and a flat and a degree-2
-    tree rack, all alive at once and taking turns deploy by deploy
+    """Serial and pipelined testbeds and a flat and a degree-2 tree
+    rack, all alive at once and taking turns deploy by deploy
     (broadcasts: abort, clean, abort): every step is the row that arm
     pins alone in ``test_deploy_oracle`` / ``test_broadcast_oracle``.
 
@@ -134,7 +134,7 @@ def test_nothing_assigns_or_patches_a_params_attribute():
 
 
 def test_from_env_reads_a_mapping_not_the_process(monkeypatch):
-    monkeypatch.setenv("RDX_DELTA_DEPLOY", "1")  # must not be looked at
+    monkeypatch.setenv("RDX_OBS", "0")  # must not be looked at
     assert Config.from_env({}) == Config()
     for off in ("0", "false", "no", "off", "False", "OFF", " no "):
         assert Config.from_env(
@@ -146,7 +146,7 @@ def test_from_env_reads_a_mapping_not_the_process(monkeypatch):
         ) == Config(hb_check=True, obs_target_labels=True)
     # Unset and empty both mean the field's default, either polarity;
     # a name that is not a field (``RDX_FUZZ`` was one) is not read.
-    assert Config.from_env({"RDX_OBS": "", "RDX_DELTA_DEPLOY": ""}) == Config()
+    assert Config.from_env({"RDX_OBS": "", "RDX_HB_CHECK": ""}) == Config()
     assert Config.from_env(
         {"RDX_TREE_BROADCAST": "1", "RDX_TREE_DEGREE": "2", "RDX_FUZZ": "1"}
     ) == Config(tree_broadcast=True, tree_degree=2)
@@ -158,7 +158,7 @@ def test_from_env_reads_a_mapping_not_the_process(monkeypatch):
 
 
 def test_config_cannot_change_under_a_bound_component():
-    arm = replace(DEFAULT, delta_deploy=not DEFAULT.delta_deploy)
+    arm = replace(DEFAULT, pipelined_deploy=not DEFAULT.pipelined_deploy)
     sim = Simulator()
     telemetry_of(sim)  # the hub read its label switch: the arm is settled
     assert config_of(sim) is DEFAULT

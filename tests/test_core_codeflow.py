@@ -86,7 +86,7 @@ class TestDeploy:
         dies with ``SandboxCrash: image CRC mismatch``."""
         bed = make_testbed(
             n_hosts=4, cores_per_host=4, hooks=("ingress",), with_agents=False,
-            config=replace(config, pipelined_deploy=pipelined, delta_deploy=False),
+            config=replace(config, pipelined_deploy=pipelined),
         )
         flow, ctx = bed.codeflows[0], bytes(range(256))
         placed = set()

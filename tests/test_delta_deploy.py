@@ -6,11 +6,14 @@ fixes it leans on: dropped WRs re-entering the retry loop and the
 empty batch costing nothing.
 """
 
-from dataclasses import replace
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import params
+from repro.core.codeflow import _delta_ranges
 from repro.core.faults import FaultInjector, FaultKind, _HookAction
 from repro.core.journal import REC_COMMIT
 from repro.core.reconcile import Reconciler, resume_control_plane
@@ -20,13 +23,13 @@ from repro.exp.fault_campaign import run_fault_campaign
 from repro.exp.harness import make_testbed
 from repro.hb import checker
 from repro.mem.layout import pack_qword
+from repro.rdma.rnic import RNIC_MTU_BYTES
 
 INSNS = 400
 
 
-#: This file is about the delta plan, which needs the pipelined arm;
-#: the tests about its absence pin ``delta_deploy=False`` themselves.
-pytestmark = pytest.mark.arm(pipelined_deploy=True, delta_deploy=True)
+#: This file is about the delta plan, which only the pipelined arm makes.
+pytestmark = pytest.mark.arm(pipelined_deploy=True)
 
 
 def _counter(bed, name, **labels):
@@ -84,30 +87,57 @@ class TestDeltaEngages:
         assert again.delta_chunks == 0
         assert again.bytes_moved == 256  # just the descriptor
 
-    @pytest.mark.arm(delta_deploy=False)
-    def test_flag_off_never_deltas(self, testbed):
-        reports = _chain(testbed, 3)
-        assert all(r.mode == "full" for r in reports)
-        assert _counter(testbed, "rdx.deploy.delta") == 0
-
     def test_remote_image_matches_full_path(self, config):
-        """The delta-installed extent is byte-identical to a full
-        install of the same version, and decodes identically."""
-        payload = bytes(range(256))
-        states = {}
-        for delta in (True, False):
-            bed = make_testbed(
-                n_hosts=1, cores_per_host=4,
-                config=replace(config, delta_deploy=delta),
-            )
-            report = _chain(bed, 3)[-1]
+        """The delta-installed extent is byte-identical to a fresh
+        testbed's full install of the version, and runs the same."""
+
+        def installed(bed, report):
             record = bed.codeflow.deployed["hotpatch"]
             image = bed.sim.run_process(
                 bed.codeflow.read_raw(report.code_addr, record.code_len)
             )
-            execution, _ = bed.sandbox.run_hook("ingress", payload)
-            states[delta] = (image, execution.r0)
-        assert states[True] == states[False]
+            execution, _ = bed.sandbox.run_hook("ingress", bytes(range(256)))
+            return image, execution.r0
+
+        chained = make_testbed(n_hosts=1, cores_per_host=4, config=config)
+        delta = _chain(chained, 3)[-1]
+        fresh = make_testbed(n_hosts=1, cores_per_host=4, config=config)
+        base = make_stress_program(INSNS, seed=7, name="hotpatch")
+        full = _deploy(fresh, make_stress_variant(base, 2))
+        assert (delta.mode, full.mode) == ("delta", "full")
+        assert installed(chained, delta) == installed(fresh, full)
+
+
+def _reference_delta_ranges(old: bytes, new: bytes) -> list:
+    """:func:`_delta_ranges` as first written: every differing byte
+    of a chunk listed, to read the first and the last."""
+    line = params.CACHE_LINE_BYTES
+    ranges = []
+    for base in range(0, len(new), RNIC_MTU_BYTES):
+        old_chunk = old[base : base + RNIC_MTU_BYTES]
+        new_chunk = new[base : base + RNIC_MTU_BYTES]
+        dirty = [i for i in range(len(new_chunk)) if new_chunk[i] != old_chunk[i]]
+        if dirty:
+            lo = dirty[0] // line * line
+            hi = min(len(new_chunk), (dirty[-1] // line + 1) * line)
+            ranges.append((base + lo, new_chunk[lo:hi]))
+    return ranges
+
+
+@given(
+    size=st.integers(1, 5 * RNIC_MTU_BYTES),
+    seed=st.integers(0, 2**32),
+    edits=st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=24
+    ),
+)
+def test_delta_ranges_match_the_per_byte_scan(size, seed, edits):
+    old = random.Random(seed).randbytes(size)
+    new = bytearray(old)
+    for position, value in edits:
+        new[position % size] = value
+    new = bytes(new)
+    assert _delta_ranges(old, new) == _reference_delta_ranges(old, new)
 
 
 class TestFallbacks:
@@ -334,16 +364,5 @@ class TestFaultCampaignDelta:
             ),
         )
         assert result.stranded == 0
-        assert result.delta_deploys > 0
+        assert result.delta_legs > 0
         assert result.committed + result.aborts == result.rounds_run
-
-    @pytest.mark.arm(delta_deploy=False)
-    def test_campaign_hotpatch_full_arm(self, config):
-        result = run_fault_campaign(
-            n_hosts=2, rounds=4, seed=1, hotpatch=True,
-            testbed=make_testbed(
-                n_hosts=2, cores_per_host=8, seed=1, config=config
-            ),
-        )
-        assert result.stranded == 0
-        assert result.delta_deploys == 0

@@ -36,6 +36,10 @@ regenerated by the command above for each:
   core, so every pipelined and delta compile miss runs 3 more events
   (the spawned ``jit`` charge's start, CPU slice and end); no reported
   number moves, since a deploy's phases start after its prepare.
+
+Delta plans were once a switch with a ``delta`` column of their own;
+every pipelined redeploy now plans one when it can, so that column is
+the ``pipelined`` rows verbatim (none regenerated).
 """
 
 from dataclasses import replace
@@ -52,9 +56,8 @@ from repro.mem.layout import pack_qword
 from repro.params import DEFAULT
 
 ARMS = {
-    "serial": replace(DEFAULT, pipelined_deploy=False, delta_deploy=False),
-    "pipelined": replace(DEFAULT, pipelined_deploy=True, delta_deploy=False),
-    "delta": replace(DEFAULT, pipelined_deploy=True, delta_deploy=True),
+    "serial": replace(DEFAULT, pipelined_deploy=False),
+    "pipelined": replace(DEFAULT, pipelined_deploy=True),
 }
 FALLBACK_REASONS = (
     "first-deploy", "no-baseline", "layout-changed", "size-changed",
@@ -255,56 +258,6 @@ ORACLE = {
     'pipelined': {
         'first': (
             Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
-            State(8192, [0], 1, 2, (0, 0, 0, 0, 0, 0), 66),
-        ),
-        'again': (
-            Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 8.82648, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
-            State(16384, [1], 2, 3, (0, 0, 0, 0, 0, 0), 92),
-        ),
-        'patch': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 16384, 0, 3, [0, 8192], 8192),
-            State(24576, [0], 3, 4, (0, 0, 0, 0, 0, 0), 125),
-        ),
-        'grown': (
-            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 17.06208, 'full', 13268, 0, 0, 24576, 1, 4, [0, 8192, 16384], 16384),
-            State(37588, [1], 4, 5, (0, 0, 0, 0, 0, 0), 160),
-        ),
-        'takeover': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 37632, 0, 5, [0, 8192, 16384, 24576], 24576),
-            State(45780, [0], 5, 6, (0, 0, 0, 0, 0, 0), 193),
-        ),
-        'noretain-1': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 45824, 1, 6, [0, 8192, 16384, 24576], 37632),
-            State(53972, [1], 6, 7, (0, 0, 0, 0, 0, 0), 226),
-        ),
-        'noretain-2': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 54016, 0, 7, [0, 8192, 16384, 24576], 45824),
-            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 259),
-        ),
-        'conflict': (
-            'DeployError',
-            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 310),
-        ),
-        'heal': (
-            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 16.67712, 'full', 8448, 0, 0, 62208, 1, 8, [0, 8192, 16384, 24576], 54016),
-            State(62164, [1], 8, 10, (0, 0, 0, 0, 0, 0), 345),
-        ),
-        'patch-2': (
-            Deployed((11.0, 0.05, 3.62712, 0.0, 2.0), 16.67712, 'full', 8448, 0, 0, 37632, 0, 9, [0, 8192, 16384, 24576], 62208),
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 379),
-        ),
-        'image-fault': (
-            'RdmaError',
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 400),
-        ),
-        'descriptor-fault': (
-            'RdmaError',
-            State(62164, [0], 9, 12, (0, 0, 0, 0, 0, 0), 421),
-        ),
-    },
-    'delta': {
-        'first': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
             State(8192, [0], 1, 2, (1, 0, 0, 0, 0, 0), 66),
         ),
         'again': (
@@ -376,14 +329,14 @@ def test_scripted_sequence_matches_parent(arm):
 
 def test_script_reaches_both_plans_and_every_unwind():
     """The sequence is only an oracle if it visits what it claims to."""
-    delta = ORACLE["delta"]
+    pipelined = ORACLE["pipelined"]
     assert [
-        step for step, (outcome, _) in delta.items()
+        step for step, (outcome, _) in pipelined.items()
         if isinstance(outcome, Deployed) and outcome.mode == "delta"
     ] == ["patch", "noretain-2", "patch-2"]
     # first-deploy, no-baseline, layout-changed, size-changed,
     # past-break-even, no-savings
-    assert delta["descriptor-fault"][1].fallbacks == (1, 3, 0, 2, 0, 1)
+    assert pipelined["descriptor-fault"][1].fallbacks == (1, 3, 0, 2, 0, 1)
     for arm in ARMS:
         rows = ORACLE[arm]
         assert rows["conflict"][0] == "DeployError"
@@ -427,7 +380,7 @@ def test_failed_write_on_an_empty_target_leaks_nothing(arm, region, testbed):
     assert codeflow.deployed["app"].metadata_slot == 0
 
 
-@pytest.mark.parametrize("arm", ["delta"])
+@pytest.mark.parametrize("arm", ["pipelined"])
 def test_failed_delta_retires_and_forgets_its_baseline(arm, testbed):
     """A delta writes *into* the baseline: once a write may have landed
     the extent is neither a diff base nor a rollback target again."""

@@ -9,6 +9,7 @@ from repro.exp.fig2c import run_fig2c
 from repro.exp.fig4a import run_fig4a
 from repro.exp.fig4b import run_fig4b
 from repro.exp.fig5 import run_fig5
+from repro.exp.harness import make_testbed
 from repro.exp.tab_broadcast import run_tab_broadcast
 from repro.exp.tab_mesh import run_tab_mesh
 from repro.exp.tab_redis import run_tab_redis
@@ -75,6 +76,13 @@ class TestFig4a:
 
     def test_rdx_stays_microseconds(self, result):
         assert all(p.rdx_us < 200 for p in result.points)
+
+    def test_every_deploy_injects_the_whole_image(self):
+        """Each deploy averaged is a full injection, like the paper's
+        loop, not a zero-chunk delta against its own resident image."""
+        bed = make_testbed()
+        run_fig4a(sizes=(1_300,), repeats=3, testbed=bed)
+        assert [report.mode for report in bed.codeflow.reports] == ["full"] * 4
 
 
 class TestFig4b:

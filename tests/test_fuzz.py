@@ -208,6 +208,14 @@ class TestEngine:
         result = run_plan(scenario, SchedulePlan(seed=0, scenario=scenario.name))
         assert result.verdict == "clean", (result.kinds, result.failures)
 
+    def test_relayed_delta_lands_the_full_image(self):
+        # Relayed legs ship deltas, read back as the full linked image
+        # and first-exec to the interpreter's r0 (the driver asserts
+        # each; a failed assertion is an invariant failure).
+        scenario = get("broadcast-relay-delta")
+        result = run_plan(scenario, SchedulePlan(seed=0, scenario=scenario.name))
+        assert result.verdict == "clean", (result.kinds, result.failures)
+
 
 class TestFuzzLoop:
     def test_rediscovers_known_bad_classes(self):

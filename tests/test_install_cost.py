@@ -28,7 +28,7 @@ from repro.core.broadcast import CodeFlowGroup
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed
 
-pytestmark = pytest.mark.arm(pipelined_deploy=True, delta_deploy=False)
+pytestmark = pytest.mark.arm(pipelined_deploy=True)
 
 
 def _spawns(bed, step, log=None):

@@ -19,7 +19,6 @@ from repro.params import Config
 ENV_KNOBS = ["RDX_BENCH_DIR", "RDX_FAULT_SEED"]
 #: Read by :meth:`Config.from_env`, one per field, and nowhere else.
 CONFIG_KNOBS = [
-    "RDX_DELTA_DEPLOY",
     "RDX_HB_CHECK",
     "RDX_OBS",
     "RDX_OBS_TARGET_LABELS",
@@ -42,8 +41,8 @@ def test_env_knobs_under_src_are_exactly_the_census():
     assert sorted(
         f"RDX_{field.name.upper()}" for field in fields(Config)
     ) == CONFIG_KNOBS
-    assert len(ENV_KNOBS) + len(CONFIG_KNOBS) == 9
-    # ...and nothing else looks at the environment at all: the seven
+    assert len(ENV_KNOBS) + len(CONFIG_KNOBS) == 8
+    # ...and nothing else looks at the environment at all: the six
     # are spelled from the field names, inside ``Config.from_env`` only.
     assert sorted(
         str(path.relative_to(_SRC))
