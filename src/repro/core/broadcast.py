@@ -79,6 +79,9 @@ class BroadcastResult:
 
     group_size: int
     started_us: float
+    #: When the first raise's flush landed: the oldest bubble's birth.
+    first_raised_us: float = 0.0
+    #: When the last raise's flush landed (Phase 1 done).
     bubble_raised_us: float = 0.0
     deploys_done_us: float = 0.0
     bubble_lowered_us: float = 0.0
@@ -97,6 +100,13 @@ class BroadcastResult:
     @property
     def total_us(self) -> float:
         return self.bubble_lowered_us - self.started_us
+
+    @property
+    def bubble_hold_us(self) -> float:
+        """How long the first-raised bubble buffered requests.  The
+        window counts from the *last* raise; this counts from the first,
+        so it includes how long Phase 1 kept early bubbles waiting."""
+        return self.bubble_lowered_us - self.first_raised_us
 
     @property
     def failed_targets(self) -> list[TargetOutcome]:
@@ -121,8 +131,9 @@ def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
 class _FanoutPlan:
     """The shape of one broadcast's fan-out; costs no simulated time.
 
-    Any list of positions the broadcast walks -- the active legs of
-    the deploy phase, the lowerable bubbles of the lower phase -- is a
+    Any list of positions the broadcast walks -- the raisable bubbles
+    of the raise phase, the active legs of the deploy phase, the
+    lowerable bubbles of the lower phase -- is a
     d-ary forest: the first ``degree`` positions are roots, served by
     the control plane itself, and position ``p`` hands on to positions
     ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
@@ -351,14 +362,16 @@ class CodeFlowGroup:
         before any bubble rises, COMMIT listing exactly the legs that
         kept the new logic).
 
-        The deploy and (unordered) lower phases walk one forest of
-        the targets (:class:`_FanoutPlan`).  By default every target
+        The raise, deploy and (unordered) lower phases walk one forest
+        of the targets (:class:`_FanoutPlan`).  By default every target
         is a root, served by the control plane; with
         ``config.tree_broadcast`` set the forest has degree
-        ``config.tree_degree`` and
-        already-updated sandboxes relay the chained WR list to their
-        children, so the bubble window grows ~O(log N) instead of
-        serializing N legs through the control RNIC.  A
+        ``config.tree_degree``: a raised sandbox raises its children's
+        bubbles, and an already-updated one relays them the chained WR
+        list, so Phase 1 and the bubble window grow ~O(log N) instead
+        of serializing N raises and legs through the control RNIC.
+        ``bubble_window_us`` runs from the last raise,
+        ``bubble_hold_us`` from the first.  A
         ``coordinator`` (see :class:`repro.core.shard.ShardCoordinator`)
         makes this group one shard of a larger cross-shard transaction:
         bubbles are held until every shard votes, and a sibling shard's
@@ -499,23 +512,41 @@ class CodeFlowGroup:
                         target=self._label(outcome.target, self.shard),
                     ).inc()
 
-            # Phase 1: raise every bubble in parallel.  A target whose
-            # bubble cannot rise (crashed, partitioned) fails its leg
-            # here and is skipped by phase 2.
+            # Phase 1: raise the bubbles down the forest of the targets
+            # the lease layer kept.  A root raises over the control
+            # plane's QP; a child over its parent's relay QP, so N
+            # fence READs and flag chains stop queueing on the control
+            # RNIC.  A target whose bubble cannot rise (crashed,
+            # partitioned, fenced) fails its leg here, is skipped by
+            # phase 2, and hands None on: its subtree raises directly.
             if use_bbu:
-                raises = [
-                    self.sim.spawn(
-                        self._guarded_bubble(cf, outcome),
-                        name=f"bubble+{i}",
-                    )
-                    for i, (cf, outcome) in enumerate(
-                        zip(self.codeflows, result.outcomes)
-                    )
+                raisable = [
+                    index
+                    for index, outcome in enumerate(result.outcomes)
                     if not outcome.error
                 ]
-                if raises:
-                    yield self.sim.all_of(raises)
+
+                def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
+                    index = raisable[pos]
+                    codeflow = self.codeflows[index]
+                    sync = None
+                    if via is not None:
+                        sync = self._relay_sync(via, codeflow)
+                    elif pos >= plan.degree:
+                        self._relay_fallback(codeflow, "parent-failed")
+                    raised = yield from self._guarded_bubble(
+                        codeflow, result.outcomes[index], sync
+                    )
+                    if raised is not None and not result.first_raised_us:
+                        result.first_raised_us = self.sim.now
+                    return raised
+
+                yield from self._walk(plan, raisable, "raise", raise_)
             result.bubble_raised_us = self.sim.now
+            if not result.first_raised_us:
+                # No bubble rose (no BBU, or every raise failed): the
+                # hold is the window.
+                result.first_raised_us = result.bubble_raised_us
             if txn is not None:
                 plane.journal.phase(txn, "bubbled")
 
@@ -544,6 +575,9 @@ class CodeFlowGroup:
                         # its subtree: the children are served by the
                         # control plane instead.
                         self._relay_fallback(codeflow, "parent-failed")
+                    # ``fenced``: check_fence already ran on this
+                    # target in this broadcast -- in its bubble raise,
+                    # over the control plane's QP or a forest relay's.
                     return self._deploy_leg(
                         codeflow, programs[index], result.outcomes[index],
                         plan.images.get(codeflow.sandbox.name), via,
@@ -634,6 +668,7 @@ class CodeFlowGroup:
         # The window is only known after the span closed; stamp it onto
         # the finished span so trace reconstruction can report it.
         span.attrs["bubble_window_us"] = result.bubble_window_us
+        span.attrs["bubble_hold_us"] = result.bubble_hold_us
         # BBU buffering cost proxy: how long every target held requests.
         obs.histogram("rdx.broadcast.bubble_window_us").observe(
             result.bubble_window_us
@@ -694,17 +729,39 @@ class CodeFlowGroup:
 
     # -- per-target legs ------------------------------------------------------
 
-    def _guarded_bubble(self, codeflow, outcome) -> Generator:
+    def _guarded_bubble(
+        self, codeflow, outcome, sync: Optional[RemoteSync] = None
+    ) -> Generator:
         """Fence, then raise: an 8-byte epoch read precedes the bubble
         write so a stale control plane never raises a bubble on (let
         alone deploys to) a successor's target.  Fence failures are
         per-leg failures, feeding the normal abort/partial machinery;
-        the no-BBU path is fenced by ``CodeFlow._execute`` instead."""
+        the no-BBU path is fenced by ``CodeFlow._execute`` instead.
+
+        ``sync`` is a forest parent's relay: the READ and the flag
+        chain both ride it (``codeflow.sync`` is swapped for the
+        raise, as a relayed deploy swaps it), and the chain still
+        waits for its flush.  A broken relay *path* (:class:`RdmaError`)
+        retries once directly, the lower's rule; a stale epoch fails
+        the leg on any path.  Returns the codeflow when the bubble is
+        up, None when the leg failed."""
+        if sync is not None:
+            direct, codeflow.sync = codeflow.sync, sync
         try:
-            yield from codeflow.check_fence()
-            yield from self._write_bubble(codeflow, 1, codeflow.sync)
+            try:
+                yield from codeflow.check_fence()
+                yield from self._write_bubble(codeflow, 1, codeflow.sync)
+            finally:
+                if sync is not None:
+                    codeflow.sync = direct
+                    self._relay_returned(sync, direct)
         except ReproError as err:
-            self._leg_failed(outcome, err)
+            if sync is None or not isinstance(err, RdmaError):
+                self._leg_failed(outcome, err)
+                return None
+            self._relay_fallback(codeflow, "raise")
+            return (yield from self._guarded_bubble(codeflow, outcome))
+        return codeflow
 
     def _leg_failed(self, outcome: TargetOutcome, err: ReproError) -> None:
         outcome.fail(err)
@@ -771,9 +828,9 @@ class CodeFlowGroup:
                     self._relay_fallback(codeflow, "relay-crashed")
                 else:
                     try:
-                        # The bubble-raise fence rode the control
-                        # plane's QP; this route fences in its own
-                        # right.
+                        # The bubble-raise fence rode whichever QP
+                        # raised this bubble; this route fences in its
+                        # own right, under the relay host's dispatch.
                         report = yield from self._deploy_step(
                             codeflow, program, linked, hook_name, child,
                             verify, fenced=False, delta=delta, via=via,

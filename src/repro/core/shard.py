@@ -288,6 +288,9 @@ class ShardedGroup:
             merged.aborted = merged.aborted or result.aborted
             merged.degraded = merged.degraded or result.degraded
             merged.abort_us += result.abort_us
+        merged.first_raised_us = min(
+            result.first_raised_us for result in present
+        )
         merged.bubble_raised_us = min(
             result.bubble_raised_us for result in present
         )

@@ -323,9 +323,10 @@ class Config:
     #: a baseline under a certified-identical layout, it ships only the
     #: MTU chunks that changed; the serial arm always installs in full.
     pipelined_deploy: bool = True
-    #: Tree broadcast: fan deploy legs out through a relay forest
-    #: (already-updated sandboxes forward the chained WR list to their
-    #: children) instead of hub-and-spoke from the control plane.  Off
+    #: Tree broadcast: walk the bubble raises, the deploy legs and the
+    #: unordered lowers through a relay forest (a parent sandbox raises
+    #: and lowers its children's bubbles and forwards them the chained
+    #: WR list) instead of hub-and-spoke from the control plane.  Off
     #: by default: small groups gain nothing and the flat path is the
     #: long-soaked one.  Requires the pipelined arm.
     tree_broadcast: bool = False

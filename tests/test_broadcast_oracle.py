@@ -12,7 +12,7 @@ round 2 run the scenario's fault, round 1 runs clean in between, so an
 abort is seen both over fresh targets (detach) and over deployed ones
 (rollback).
 
-The table has since been regenerated by that command four times, for
+The table has since been regenerated by that command five times, for
 changes that move rows on purpose:
 
 * the single fan-out: a forest root no longer waits on an event that
@@ -37,7 +37,18 @@ changes that move rows on purpose:
   misses, so only the tail moves (``total_us`` -0.05 us a round, 2
   more events a miss); each K=3 shard plane finishes Phase 0 37.5 us
   sooner (3 more events a miss).  No bubble window, outcome, leak,
-  counter or journal entry moved, and every serial row is unchanged.
+  counter or journal entry moved, and every serial row is unchanged;
+* the raise down the forest: a child's bubble rises over its parent's
+  relay QP (epoch READ and flag chain), so the relay arms' raises stop
+  sharing the control RNIC's four slots.  tree-d2 ``total_us`` +1.30 us
+  (the N=13 raise is three levels deep), tree-d4 -6.10 us, sharded-k3
+  window and total +4.70 us (one shard of the 5/4/4 split gets a
+  relayed level, and the merged window runs from the earliest raise);
+  ``host-crashed`` on tree-d2 / tree-d4 +76.87 / +69.47 us, the dead
+  target tried over the relay and then directly
+  (``relay_fallback{reason=raise}``).  A round runs 11 (tree-d2), 9
+  (tree-d4) and 1 (sharded-k3) more events.  No other window, outcome,
+  leak or journal entry moved; flat and serial rows are unchanged.
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
 descriptor slots and deployed records, summed over the targets.
@@ -508,35 +519,35 @@ ORACLE = {
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.2999999999997', '0.0', '51528.482879999996'), '0000000000000', 1490, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1501, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.2999999999229', '0.0', '102824.76599999995'), '0000000000000', 2538, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2560, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999997994', '1325.2999999999447', '0.0', '154121.04911999992'), '0000000000000', 3586, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3619, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('58.38007999999968', '1316.8371199999997', '0.0', '51522.84096'), '0000000000000', 1399, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('58.38007999999968', '1318.1358399999997', '0.0', '51524.13968'), '0000000000000', 1410, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('58.380079999966256', '1316.837119999931', '0.0', '102813.48215999996'), '0000000000000', 2356, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('58.380079999966256', '1318.1358399999372', '0.0', '102816.07959999997'), '0000000000000', 2378, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('58.380079999988084', '1316.8371199999528', '0.0', '154104.1233599999'), '0000000000000', 3313, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('58.380079999988084', '1318.135839999959', '0.0', '154108.01951999994'), '0000000000000', 3346, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('93.85575999999969', '1352.3127999999997', '0.0', '51528.482879999996'), '0000000000000', 1452, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999999969', '1353.6115199999997', '0.0', '51529.7816'), '0000000000000', 1463, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('93.85575999989669', '1352.3127999998615', '0.0', '102824.76599999995'), '0000000000000', 2462, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999989669', '1353.6115199998676', '0.0', '102827.36343999996'), '0000000000000', 2484, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('93.85575999991852', '1352.3127999998833', '0.0', '154121.04911999992'), '0000000000000', 3472, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('93.85575999991852', '1353.6115199998894', '0.0', '154124.94527999993'), '0000000000000', 3505, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -552,101 +563,101 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('209.0544800000023', '1467.5115200000023', '142.21152000000257', '51528.482879999996'), '0000000000000', 1856, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('209.0544800000023', '1468.8102400000023', '142.21152000000257', '51529.7816'), '0000000000000', 1867, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('66.84487999995326', '1325.301919999918', '0.0', '102824.76727999994'), '0000000000000', 2916, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84487999995326', '1326.6006399999242', '0.0', '102827.36471999995'), '0000000000000', 2938, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('144.24295999994501', '1402.6999999999098', '77.39999999996508', '154121.0503999999'), '0000000000000', 4150, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('144.24295999994501', '1403.998719999916', '77.39999999996508', '154124.94655999992'), '0000000000000', 4183, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999999972', '1325.2999999999997', '0.0', '51528.482879999996'), '0000000000000', 1452, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1463, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.2999999999229', '0.0', '102824.76599999995'), '0000000000000', 2500, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2522, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999997994', '1325.2999999999447', '0.0', '154121.04911999992'), '0000000000000', 3510, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3543, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('132.26496219172327', '1442.6863081339095', '0.0', '51580.44718594218'), '0000000000000', 1478, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('132.26496219172327', '1519.5589340760957', '0.0', '51657.31981188437'), '0000000000000', 1516, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.2999999999229', '0.0', '102876.73030594212'), '0000000000000', 2526, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102954.90165188433'), '0000000000000', 2575, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('131.64100371500535', '1439.9104358539043', '0.0', '154222.82581808104'), '0000000000000', 3562, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('131.64100371500535', '1517.4362780455995', '0.0', '154378.52300621493'), '0000000000000', 3649, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.2999999999997', '0.0', '51528.482879999996'), '0000000000000', 1481, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1492, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1325.2999999999229', '0.0', '102824.76599999995'), '0000000000000', 2529, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2551, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999997994', '1325.2999999999447', '0.0', '154121.04911999992'), '0000000000000', 3568, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3601, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('209.0544800000023', '1467.5115200000023', '142.21152000000257', '51528.482879999996'), '0000000000001', 1852, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('209.0544800000023', '1468.8102400000023', '142.21152000000257', '51529.7816'), '0000000000001', 1863, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('66.84487999995326', '1325.301919999918', '0.0', '102824.76727999994'), '0000000000000', 2912, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84487999995326', '1326.6006399999242', '0.0', '102827.36471999995'), '0000000000000', 2934, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('144.24295999994501', '1402.6999999999098', '77.39999999996508', '154121.0503999999'), '0000000000001', 4142, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('144.24295999994501', '1403.998719999916', '77.39999999996508', '154124.94655999992'), '0000000000001', 4175, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1325.2999999999997', '0.0', '51528.482879999996'), '0000000000000', 1490, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1501, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102824.76599999995',), '1111111111111', 2173, (30240, 13, 13),
+        Round('Interrupt', (), ('102827.36343999996',), '1111111111111', 2195, (30240, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+7', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+6', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102824.76599999995',), '1111111111111', 2175, (30240, 13, 13),
+        Round('DeployError', (), ('102827.36343999996',), '1111111111111', 2197, (30240, 13, 13),
               (),
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.6856799999998', '0.0', '51512.56984'), '0000000000000', 1474, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1483, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.6856799999368', '0.0', '102792.93991999995'), '0000000000000', 2506, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102780.73351999998'), '0000000000000', 2524, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999986626', '1306.6856799999514', '0.0', '154073.3099999999'), '0000000000000', 3538, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999986626', '1300.5824799999682', '0.0', '154055.00039999996'), '0000000000000', 3565, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('42.58671999999979', '1301.0437599999998', '0.0', '51509.74888'), '0000000000000', 1383, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('42.58671999999979', '1294.9405599999998', '0.0', '51503.64568'), '0000000000000', 1392, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('42.586719999977504', '1301.0437599999423', '0.0', '102787.29799999995'), '0000000000000', 2324, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('42.586719999977504', '1294.940559999959', '0.0', '102775.09159999999'), '0000000000000', 2342, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('42.586719999992056', '1301.0437599999568', '0.0', '154064.84711999993'), '0000000000000', 3265, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('42.586719999992056', '1294.9405599999736', '0.0', '154046.53751999995'), '0000000000000', 3292, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('77.94271999999978', '1336.3997599999998', '0.0', '51512.56984'), '0000000000000', 1438, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999999978', '1330.2965599999998', '0.0', '51506.46664'), '0000000000000', 1447, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('77.94271999990451', '1336.3997599998693', '0.0', '102792.93991999995'), '0000000000000', 2434, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999990451', '1330.296559999886', '0.0', '102780.73351999998'), '0000000000000', 2452, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('77.94271999991906', '1336.3997599998838', '0.0', '154073.3099999999'), '0000000000000', 3430, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('77.94271999991906', '1330.2965599999006', '0.0', '154055.00039999996'), '0000000000000', 3457, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -662,90 +673,90 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('190.44016000000238', '1448.8972000000024', '142.21152000000257', '51512.56984'), '0000000000000', 1840, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('190.44016000000238', '1442.7940000000024', '142.21152000000257', '51506.46664'), '0000000000000', 1849, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('48.22991999996884', '1306.6869599999336', '0.0', '102792.94055999996'), '0000000000000', 2884, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.22991999996884', '1300.5837599999504', '0.0', '102780.73415999996'), '0000000000000', 2902, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('125.6286399999517', '1384.0856799999165', '77.39999999996508', '154073.31063999992'), '0000000000000', 4102, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('125.6286399999517', '1377.9824799999333', '77.39999999996508', '154055.00103999994'), '0000000000000', 4129, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999999814', '1306.6856799999998', '0.0', '51509.56984'), '0000000000000', 1418, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999999814', '1300.5824799999998', '0.0', '51503.46664'), '0000000000000', 1427, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.6856799999368', '0.0', '102789.93991999995'), '0000000000000', 2450, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102777.73351999998'), '0000000000000', 2468, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999986626', '1306.6856799999514', '0.0', '154067.3099999999'), '0000000000000', 3426, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999986626', '1300.5824799999682', '0.0', '154049.00039999996'), '0000000000000', 3453, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.65064219172336', '1424.0719881339096', '0.0', '51561.53414594218'), '0000000000000', 1462, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.65064219172336', '1493.5426940760958', '0.0', '51631.00485188437'), '0000000000000', 1498, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.6856799999368', '0.0', '102841.90422594214'), '0000000000000', 2494, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102905.27173188434'), '0000000000000', 2539, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.02668371501204', '1421.296115853911', '0.0', '154169.08669808105'), '0000000000000', 3514, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.02668371501204', '1491.4200380456168', '0.0', '154302.57812621494'), '0000000000000', 3595, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.6856799999998', '0.0', '51512.56984'), '0000000000000', 1465, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1474, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1306.6856799999368', '0.0', '102792.93991999995'), '0000000000000', 2497, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102780.73351999998'), '0000000000000', 2515, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999986626', '1306.6856799999514', '0.0', '154073.3099999999'), '0000000000000', 3520, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999986626', '1300.5824799999682', '0.0', '154055.00039999996'), '0000000000000', 3547, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('190.44016000000238', '1448.8972000000024', '142.21152000000257', '51512.56984'), '0000000000001', 1836, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('190.44016000000238', '1442.7940000000024', '142.21152000000257', '51506.46664'), '0000000000001', 1845, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('48.22991999996884', '1306.6869599999336', '0.0', '102792.94055999996'), '0000000000000', 2880, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.22991999996884', '1300.5837599999504', '0.0', '102780.73415999996'), '0000000000000', 2898, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('125.6286399999517', '1384.0856799999165', '77.39999999996508', '154073.31063999992'), '0000000000001', 4094, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('125.6286399999517', '1377.9824799999333', '77.39999999996508', '154055.00103999994'), '0000000000001', 4121, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1306.6856799999998', '0.0', '51512.56984'), '0000000000000', 1474, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1483, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102789.93991999995',), '1111111111111', 2097, (27216, 13, 13),
+        Round('Interrupt', (), ('102777.73351999998',), '1111111111111', 2115, (27216, 13, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+5', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+8', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102789.93991999995',), '1111111111111', 2099, (27216, 13, 13),
+        Round('DeployError', (), ('102777.73351999998',), '1111111111111', 2117, (27216, 13, 13),
               (),
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('47.92991999999987', '205.38183999999978', '0.0', '50411.266'), '0000000000000', 1375, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1376, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.92991999996593', '205.38183999995817', '0.0', '100590.33223999999'), '0000000000000', 2308, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100599.73351999998'), '0000000000000', 2310, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.929919999980484', '205.38183999997273', '0.0', '150769.39847999997'), '0000000000000', 3241, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63055999997596', '210.0824799999682', '0.0', '150783.50039999996'), '0000000000000', 3244, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('42.28799999999984', '199.73991999999976', '0.0', '50408.44504'), '0000000000000', 1284, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('46.988639999999805', '204.44055999999972', '0.0', '50413.14568'), '0000000000000', 1285, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('42.28799999997136', '199.7399199999636', '0.0', '100584.69031999998'), '0000000000000', 2126, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('46.988639999966836', '204.44055999995908', '0.0', '100594.09159999999'), '0000000000000', 2128, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('42.287999999985914', '199.73991999997816', '0.0', '150760.93559999997'), '0000000000000', 2968, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('46.98863999998139', '204.44055999997363', '0.0', '150775.03751999995'), '0000000000000', 2971, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
@@ -761,79 +772,79 @@ ORACLE = {
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('107.18471999999952', '264.63663999999943', '142.21151999999915', '50411.266'), '0000000000000', 1750, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('111.88535999999948', '269.3372799999994', '142.21151999999915', '50415.96664'), '0000000000000', 1751, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('47.9311999999627', '205.38311999995494', '0.0', '100590.33287999997'), '0000000000000', 2695, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.631839999958174', '210.08375999995042', '0.0', '100599.73415999996'), '0000000000000', 2697, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('80.17991999996593', '237.63183999995817', '77.39999999996508', '150769.39911999996'), '0000000000000', 3823, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('84.8805599999614', '242.33247999995365', '77.39999999996508', '150783.50103999994'), '0000000000000', 3826, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.016879999999844', '186.46879999999976', '0.0', '50392.35296'), '0000000000000', 1345, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('33.71751999999981', '191.16943999999972', '0.0', '50397.0536'), '0000000000000', 1346, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.92991999996593', '205.38183999995817', '0.0', '100571.41919999997'), '0000000000000', 2278, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100580.82047999997'), '0000000000000', 2280, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('29.01687999998103', '186.46879999997327', '0.0', '150731.57239999995'), '0000000000000', 3181, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('33.7175199999765', '191.16943999996874', '0.0', '150745.67431999993'), '0000000000000', 3184, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390934', '304.55638813390925', '0.0', '50449.719825942186'), '0000000000000', 1373, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390934', '304.55638813390925', '0.0', '50449.719825942186'), '0000000000000', 1374, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.92991999996593', '205.38183999995817', '0.0', '100628.78606594217'), '0000000000000', 2306, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100633.48670594217'), '0000000000000', 2308, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '301.7805158539268', '0.0', '150844.1542180811'), '0000000000000', 3237, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '301.7805158539268', '0.0', '150848.8548580811'), '0000000000000', 3240, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('47.92991999999987', '205.38183999999978', '0.0', '50411.266'), '0000000000000', 1366, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1367, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.92991999996593', '205.38183999995817', '0.0', '100590.33223999999'), '0000000000000', 2299, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100599.73351999998'), '0000000000000', 2301, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('47.929919999980484', '205.38183999997273', '0.0', '150769.39847999997'), '0000000000000', 3223, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63055999997596', '210.0824799999682', '0.0', '150783.50039999996'), '0000000000000', 3226, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('76.42007999999959', '233.8719999999995', '142.21151999999915', '50411.266'), '0000100000000', 1737, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('81.12071999999955', '238.57263999999947', '142.21151999999915', '50415.96664'), '0000100000000', 1738, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('47.930559999964316', '205.38247999995656', '0.0', '100590.33287999997'), '0000000000000', 2682, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63119999995979', '210.08311999995203', '0.0', '100599.73415999996'), '0000000000000', 2684, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('55.51687999996648', '212.96879999995872', '77.39999999996508', '150769.39911999996'), '0000100000000', 3797, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('60.21751999996195', '217.6694399999542', '77.39999999996508', '150783.50103999994'), '0000100000000', 3800, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'shard-forfeits'): [
-        Round('DeployError', (), ('50411.266',), '0000000000000', 1400, (0, 0, 0),
+        Round('DeployError', (), ('50415.96664',), '0000000000000', 1401, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('47.9311999999627', '205.38311999995494', '0.0', '100590.33287999997'), '0000000000000', 2342, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.631839999958174', '210.08375999995042', '0.0', '100599.73415999996'), '0000000000000', 2344, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('DeployError', (), ('150769.39911999996',), '0000000000000', 3165, (19656, 13, 13),
+        Round('DeployError', (), ('150783.50103999994',), '0000000000000', 3168, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('47.92991999999987', '205.38183999999978', '0.0', '50411.266'), '0000000000000', 1375, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1376, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('80.17991999995138', '237.63183999994362', '64.4999999999709', '100590.33223999999'), '0000011110000', 2367, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('84.88055999994685', '242.3324799999391', '64.4999999999709', '100599.73351999998'), '0000011110000', 2369, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+1', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+3', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('DeployError', (), ('150769.39911999996',), '0000011110000', 3190, (19656, 13, 13),
+        Round('DeployError', (), ('150783.50103999994',), '0000011110000', 3193, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+2', 'rdx.broadcast.fanout{}+2', 'rdx.broadcast.latency_us{}+2', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+9', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],

@@ -13,6 +13,9 @@ down is the *failure* matrix of the relay fan-out:
   :class:`~repro.errors.StaleEpochError` -- never downgraded to a
   fallback, never force-fed direct bytes, and the lowering phase
   leaves the successor's bubble alone;
+* the bubble raise walks the same forest under the same rules: a
+  broken relay path retries directly, a failed raise hands its subtree
+  to the control plane, a fenced relayed raise fails its leg;
 * the cross-shard coordinator commits/aborts/degrades on the global
   tally, and a forfeited shard never strands its siblings.
 """
@@ -220,6 +223,129 @@ class TestTreeFanout:
                 assert not codeflow.sandbox.bubble_active()
 
 
+def _fence_on_relayed_raise(victim, act):
+    """Patch ``CodeFlow.check_fence`` so that ``act(victim)`` runs just
+    before ``victim``'s fence READ whenever it is raising its bubble
+    over a relay: its sync swapped for a relay's and -- unlike a
+    relayed deploy -- no dispatch CPU borrowed.  Returns the undo."""
+    direct = victim.sync
+    original = CodeFlow.check_fence
+
+    def check_fence(self):
+        if self is victim and self.sync is not direct and self.dispatch_cpu is None:
+            act(self)
+        return original(self)
+
+    CodeFlow.check_fence = check_fence
+    return lambda: setattr(CodeFlow, "check_fence", original)
+
+
+class TestRaiseDownTheForest:
+    """Phase 1 is a walk of the forest too: a child's bubble rises over
+    its parent's relay QP -- the fence READ and the flag chain both."""
+
+    def test_broken_relay_raise_retries_directly(self, bed):
+        """The lower's rule: a relay *path* error retries once from the
+        control plane, counted ``raise``; the leg then deploys as
+        usual."""
+        victim = bed.codeflows[-1]  # position 8: raised via position 3
+
+        def dead_link(codeflow):
+            raise HostUnreachable(f"{codeflow.sandbox.name}: relay link dead")
+
+        undo = _fence_on_relayed_raise(victim, dead_link)
+        try:
+            result = bed.sim.run_process(
+                CodeFlowGroup(bed.codeflows).broadcast(
+                    programs_for(bed), "ingress"
+                )
+            )
+        finally:
+            undo()
+        assert all(outcome.ok for outcome in result.outcomes)
+        assert fallback_count(bed, "raise") == 1
+        assert fallback_count(bed, "HostUnreachable") == 0
+        out, _ = victim.sandbox.run_hook("ingress", bytes(256))
+        assert out is not None
+        assert all(not sb.bubble_active() for sb in bed.sandboxes)
+
+    def test_failed_raise_hands_its_subtree_to_the_control_plane(self, bed):
+        """An internal node (index 1; children 4 and 5 at degree 2) is
+        down: its raise fails, and its children raise directly, counted
+        ``parent-failed`` like the deploy walk -- never over the dead
+        host, never stranded."""
+        raised = []
+        original = CodeFlowGroup._write_bubble
+
+        def write_bubble(self, codeflow, value, sync, flushes=None):
+            raised.append((codeflow.sandbox.name, value, sync is codeflow.sync))
+            return original(self, codeflow, value, sync, flushes)
+
+        host = bed.codeflows[1].sandbox.host
+        host.crash()
+        CodeFlowGroup._write_bubble = write_bubble
+        try:
+            result = bed.sim.run_process(
+                CodeFlowGroup(bed.codeflows).broadcast(
+                    programs_for(bed), "ingress", allow_partial=True
+                )
+            )
+        finally:
+            CodeFlowGroup._write_bubble = original
+            host.recover()
+        assert result.degraded
+        assert not result.outcomes[1].ok
+        assert all(o.ok for i, o in enumerate(result.outcomes) if i != 1)
+        assert fallback_count(bed, "parent-failed") == 2
+        assert fallback_count(bed, "raise") == 0
+        direct_raises = {
+            name for name, value, direct in raised if value == 1 and direct
+        }
+        for index in (4, 5):
+            assert bed.codeflows[index].sandbox.name in direct_raises
+        for index, sandbox in enumerate(bed.sandboxes):
+            if index != 1:
+                assert not sandbox.bubble_active()
+
+    def test_stale_epoch_on_a_relayed_raise_fails_the_leg(self, bed):
+        """A successor owns the target before its relayed raise: the
+        fence READ over the relay sees the newer epoch, so the leg
+        fails with StaleEpochError -- no direct retry, and its bubble
+        is neither raised nor lowered by the stale plane."""
+        victim = bed.codeflows[-1]
+        written = []
+        original = CodeFlowGroup._write_bubble
+
+        def write_bubble(self, codeflow, value, sync, flushes=None):
+            written.append(codeflow)
+            return original(self, codeflow, value, sync, flushes)
+
+        def successor(codeflow):
+            codeflow.sandbox.host.cache.cpu_write(
+                codeflow.sandbox.epoch_addr, pack_qword(codeflow.epoch + 1)
+            )
+
+        undo = _fence_on_relayed_raise(victim, successor)
+        CodeFlowGroup._write_bubble = write_bubble
+        try:
+            process = bed.sim.spawn(
+                CodeFlowGroup(bed.codeflows).broadcast(
+                    programs_for(bed), "ingress"
+                )
+            )
+            bed.sim.run()
+        finally:
+            CodeFlowGroup._write_bubble = original
+            undo()
+        with pytest.raises(BroadcastAborted) as excinfo:
+            _ = process.value
+        outcome = excinfo.value.result.outcomes[-1]
+        assert outcome.error_kind == "StaleEpochError"
+        assert fallback_count(bed, "raise") == 0
+        assert victim not in written
+        assert written and all(not sb.bubble_active() for sb in bed.sandboxes)
+
+
 class TestPhaseZeroImagesBelongToTheBroadcast:
     """The Phase-0 images live on the broadcast's plan, not on the
     group: a leg can only ever forward an image this broadcast linked."""
@@ -381,6 +507,9 @@ class TestCrossShardCommit:
         assert result.group_size == 8
         assert all(outcome.ok for outcome in result.outcomes)
         assert result.bubble_window_us > 0
+        # The merged hold runs from the first bubble up in any shard.
+        assert result.started_us < result.first_raised_us
+        assert result.first_raised_us <= result.bubble_raised_us
         decisions = bed.obs.registry.counter(
             "rdx.shard.decisions", decision="commit"
         )
