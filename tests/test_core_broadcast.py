@@ -252,3 +252,47 @@ class TestBbuConsistencyInvariant:
         result = probe.result()
         assert result.probes_sent > 0
         assert result.mixed_count == 0  # the invariant
+
+    @pytest.mark.parametrize("seed, mixed, served", [(1, 6, 66), (2, 4, 63), (3, 8, 60)])
+    def test_requests_in_flight_see_mixed_logic_known_hole(self, seed, mixed, served):
+        """Known hole: BBU holds a request only at a hop whose bubble is
+        up.  A request that ran v1 at one hop reaches the next after that
+        hop's bubble dropped, and runs v2 there: a hop takes 120 us, the
+        window ~30 us.  The instant probe above never sees it; an open
+        loop of real requests does -- and exactly as often without BBU."""
+        from repro.core.api import bootstrap_sandbox
+        from repro.core.control_plane import RdxControlPlane
+        from repro.mesh.apps import AppSpec, MicroserviceApp
+        from repro.mesh.workload import OpenLoopLoad
+        from repro.net.topology import Host
+        from repro.sim.core import Simulator
+        from repro.wasm.filters import make_header_filter
+
+        def run(use_bbu):
+            sim = Simulator()
+            app = MicroserviceApp(sim, AppSpec(n_services=11, with_agents=False))
+            control_host = Host(sim, "ctl", cores=8, dram_bytes=32 * 2**20)
+            app.fabric.attach(control_host)
+            control = RdxControlPlane(control_host)
+            codeflows = []
+            for service in app.services():
+                sandbox = app.pods[service].proxy.sandbox
+                bootstrap_sandbox(sandbox)
+                codeflows.append(sim.run_process(control.create_codeflow(sandbox)))
+            group = CodeFlowGroup(codeflows)
+
+            def version(number):
+                return [make_header_filter(version=number) for _ in codeflows]
+
+            sim.run_process(group.broadcast(version(1), "filter0"))
+
+            def update():
+                yield sim.timeout(1_000)
+                yield from group.broadcast(version(2), "filter0", use_bbu=use_bbu)
+
+            sim.spawn(update())
+            stats = sim.run_process(OpenLoopLoad(app, 20_000, seed=seed).run(3_000))
+            return stats.mixed, len(stats.records)
+
+        assert run(use_bbu=True) == (mixed, served)
+        assert run(use_bbu=False) == (mixed, served)
