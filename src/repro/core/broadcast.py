@@ -131,9 +131,9 @@ def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
 class _FanoutPlan:
     """The shape of one broadcast's fan-out; costs no simulated time.
 
-    Any list of positions the broadcast walks -- the raisable bubbles
-    of the raise phase, the active legs of the deploy phase, the
-    lowerable bubbles of the lower phase -- is a
+    Any list of positions the broadcast walks -- the legs of the stage
+    phase, the staged legs of the flip phase, the lowerable bubbles of
+    the lower phase -- is a
     d-ary forest: the first ``degree`` positions are roots, served by
     the control plane itself, and position ``p`` hands on to positions
     ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
@@ -159,6 +159,12 @@ class _FanoutPlan:
     #: callees confirm new logic -- or the serial arm).  False: the
     #: caller declared no dependencies, so the lowers walk the forest.
     sequential: bool
+    #: True (the pipelined arm): a leg stages its image before the
+    #: window opens, its bubble raise riding the tail of the stage's
+    #: chain, and only its flip sits inside the window.  False (the
+    #: serial arm, paper-calibrated): raise every bubble, then run each
+    #: leg whole inside the window.
+    staged: bool
 
     @classmethod
     def build(cls, config, group_size, order, ordered, images) -> "_FanoutPlan":
@@ -170,6 +176,7 @@ class _FanoutPlan:
             images=images if relays else {},
             order=tuple(order),
             sequential=ordered or not pipelined,
+            staged=pipelined,
         )
 
     def children(self, pos: int, size: int) -> range:
@@ -204,34 +211,18 @@ class CodeFlowGroup:
     # -- bubble control -------------------------------------------------------
 
     def _write_bubble(
-        self,
-        codeflow: CodeFlow,
-        value: int,
-        sync: RemoteSync,
-        flushes: Optional[list] = None,
+        self, codeflow: CodeFlow, value: int, sync: RemoteSync, flushes: list
     ) -> Generator:
         """Set one bubble flag and flush it to the target's CPU.
 
-        The pipelined path chains the flag write and the ``cc_event``
-        doorbell into ONE WR chain (one doorbell, one completion); the
-        serial path keeps the blocking write + flush pair.  What the
-        chain buys a *raise* is WR accounting: the fire-and-forget
-        doorbell ``cc_event`` posts would otherwise still be sitting
-        in the control RNIC pipeline when the raise barrier completes
-        -- N orphan doorbells draining capacity-at-a-time *ahead of
-        the first deploy chains*, an O(N) serial term inside the very
-        window this phase exists to shrink.  Chaining write+doorbell
-        retires both before the barrier does.
-
-        ``flushes=None`` (a raise) waits for the flush effect: raising
-        must flush *synchronously* -- a data path reading a stale 0
-        mid-update is the consistency violation BBU exists to prevent
-        -- so this generator does not return until the flush has
-        landed and no deploy write can overtake a half-raised bubble.
-        Lowering is the benign direction: a stale "still raised" just
-        buffers a few extra requests for ~2us.  So a lower passes the
-        list its flush is appended to, and the flush *effect* lands
-        asynchronously while the next target's lower goes out.
+        The serial path keeps the blocking write + flush pair.  The
+        pipelined path -- a lower: its raise rides a stage chain --
+        chains the flag write and the ``cc_event`` doorbell into ONE WR
+        chain (one doorbell, one completion) and appends the flush to
+        ``flushes``: lowering is the benign direction (a stale "still
+        raised" just buffers a few extra requests for ~2us), so the
+        flush *effect* lands asynchronously while the next target's
+        lower goes out.
         """
         addr = codeflow.sandbox.bubble_addr
         if not self.config.pipelined_deploy:
@@ -244,15 +235,12 @@ class CodeFlowGroup:
         )
         # ``sync`` posted the doorbell -- the codeflow's own QP or a
         # forest relay's -- so hb attribution follows the bytes.
-        flush = sync.flush_chained([(addr, 8)], waited=flushes is None)
-        if flushes is None:
-            yield from flush
-        else:
-            flushes.append(
-                self.sim.spawn(
-                    flush, name=f"bubble-flush:{codeflow.sandbox.name}"
-                )
+        flushes.append(
+            self.sim.spawn(
+                sync.flush_chained([(addr, 8)], waited=False),
+                name=f"bubble-flush:{codeflow.sandbox.name}",
             )
+        )
 
     def _lower_leg(
         self,
@@ -512,80 +500,123 @@ class CodeFlowGroup:
                         target=self._label(outcome.target, self.shard),
                     ).inc()
 
-            # Phase 1: raise the bubbles down the forest of the targets
-            # the lease layer kept.  A root raises over the control
-            # plane's QP; a child over its parent's relay QP, so N
-            # fence READs and flag chains stop queueing on the control
-            # RNIC.  A target whose bubble cannot rise (crashed,
-            # partitioned, fenced) fails its leg here, is skipped by
-            # phase 2, and hands None on: its subtree raises directly.
-            if use_bbu:
-                raisable = [
-                    index
-                    for index, outcome in enumerate(result.outcomes)
-                    if not outcome.error
-                ]
-
-                def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
-                    index = raisable[pos]
-                    codeflow = self.codeflows[index]
-                    sync = None
-                    if via is not None:
-                        sync = self._relay_sync(via, codeflow)
-                    elif pos >= plan.degree:
-                        self._relay_fallback(codeflow, "parent-failed")
-                    raised = yield from self._guarded_bubble(
-                        codeflow, result.outcomes[index], sync
-                    )
-                    if raised is not None and not result.first_raised_us:
-                        result.first_raised_us = self.sim.now
-                    return raised
-
-                yield from self._walk(plan, raisable, "raise", raise_)
-            result.bubble_raised_us = self.sim.now
-            if not result.first_raised_us:
-                # No bubble rose (no BBU, or every raise failed): the
-                # hold is the window.
-                result.first_raised_us = result.bubble_raised_us
-            if txn is not None:
-                plane.journal.phase(txn, "bubbled")
-
-            # Phases 2-3 are exception-safe: whatever happens during
-            # the deploy fan-out, every raised bubble is lowered before
-            # an error escapes.  A bubble left raised would buffer the
+            # Phases 1-3 are exception-safe: whatever happens once a
+            # bubble may be up, every raised bubble is lowered before an
+            # error escapes.  A bubble left raised would buffer the
             # target's requests forever -- the §2.2 agent-lockout
             # pathology BBU exists to avoid.
+            live = [
+                index
+                for index, outcome in enumerate(result.outcomes)
+                if not outcome.error
+            ]
+            #: group index -> plan staged and not yet flipped.
+            staged: dict = {}
             try:
-                # Phase 2: walk the forest of active legs.  The control
-                # plane seeds the roots; each updated sandbox then
-                # relays the chained WR list to its children, so depth
-                # -- and the bubble window -- grows with log(N)
-                # instead of N/pipeline.
-                active = [
-                    index
-                    for index, outcome in enumerate(result.outcomes)
-                    if not outcome.error
-                ]
+                # Phase 1, staged: walk the forest of the legs the lease
+                # layer kept, before any window opens.  The control
+                # plane seeds the roots; each staged sandbox then relays
+                # the chained WR list to its children, so depth grows
+                # with log(N) instead of N/pipeline.  A leg lands its
+                # image where no hook points, and its bubble raise rides
+                # the tail of that chain.  Serial: raise every bubble.
+                if plan.staged:
 
-                def deploy(pos: int, via: Optional[CodeFlow]) -> Generator:
-                    index = active[pos]
-                    codeflow = self.codeflows[index]
-                    if via is None and pos >= plan.degree:
-                        # A leg that failed mid-fanout never strands
-                        # its subtree: the children are served by the
-                        # control plane instead.
-                        self._relay_fallback(codeflow, "parent-failed")
-                    # ``fenced``: check_fence already ran on this
-                    # target in this broadcast -- in its bubble raise,
-                    # over the control plane's QP or a forest relay's.
-                    return self._deploy_leg(
-                        codeflow, programs[index], result.outcomes[index],
-                        plan.images.get(codeflow.sandbox.name), via,
-                        hook_name, span, verify, deadline_us, fenced=use_bbu,
-                        delta=delta,
-                    )
+                    def stage(pos: int, via: Optional[CodeFlow]) -> Generator:
+                        index = live[pos]
+                        codeflow = self.codeflows[index]
+                        if via is None and pos >= plan.degree:
+                            # A leg that failed mid-fanout never strands
+                            # its subtree: the children are served by the
+                            # control plane instead.
+                            self._relay_fallback(codeflow, "parent-failed")
+                        raise_ = ()
+                        if use_bbu:
+                            raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
+                        staged_plan = yield from self._deploy_leg(
+                            result.outcomes[index], deadline_us,
+                            self._stage_route(
+                                codeflow, programs[index],
+                                plan.images.get(codeflow.sandbox.name), via,
+                                hook_name, span, verify, delta, raise_,
+                            ),
+                        )
+                        if staged_plan is None:
+                            return None
+                        staged[index] = staged_plan
+                        if use_bbu and not result.first_raised_us:
+                            result.first_raised_us = self.sim.now
+                        return codeflow
 
-                yield from self._walk(plan, active, "deploy", deploy)
+                    yield from self._walk(plan, live, "stage", stage)
+                elif use_bbu:
+
+                    def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
+                        index = live[pos]
+                        raised = yield from self._guarded_bubble(
+                            self.codeflows[index], result.outcomes[index]
+                        )
+                        if raised and not result.first_raised_us:
+                            result.first_raised_us = self.sim.now
+
+                    yield from self._walk(plan, live, "raise", raise_)
+                result.bubble_raised_us = self.sim.now
+                if not result.first_raised_us:
+                    # No bubble rose (no BBU, or every raise failed):
+                    # the hold is the window.
+                    result.first_raised_us = result.bubble_raised_us
+                if txn is not None:
+                    plane.journal.phase(txn, "bubbled")
+
+                # Phase 2, staged: flip the staged legs down the forest
+                # -- a fenced commit CAS and the hook line's doorbell
+                # each, shaped like a lower.  A flip's flush lands
+                # before its bubble may drop (a CQE alone is no proof
+                # the target CPU sees the pointer), so the phase joins
+                # them all.  An unsharded all-or-nothing broadcast
+                # whose stage already failed a leg flips nothing.
+                # Serial: deploy each raised leg whole, in the window.
+                if plan.staged:
+                    failed = len(live) - len(staged)
+                    if coordinator is not None or commit_rule(
+                        len(staged), failed, allow_partial
+                    ) != "abort":
+                        settles: list = []
+                        flippable = [index for index in live if index in staged]
+
+                        def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
+                            index = flippable[pos]
+                            return self._flip_leg(
+                                self.codeflows[index], staged,
+                                result.outcomes[index], index, via, settles,
+                            )
+
+                        yield from self._walk(plan, flippable, "flip", flip)
+                        if settles:
+                            yield self.sim.all_of(settles)
+                else:
+                    active = [
+                        index
+                        for index, outcome in enumerate(result.outcomes)
+                        if not outcome.error
+                    ]
+
+                    def deploy(pos: int, via: Optional[CodeFlow]) -> Generator:
+                        index = active[pos]
+                        codeflow = self.codeflows[index]
+                        outcome = result.outcomes[index]
+                        outcome.report = yield from self._deploy_leg(
+                            outcome, deadline_us,
+                            self._deploy_whole(
+                                codeflow,
+                                self._stage_route(
+                                    codeflow, programs[index], None, None,
+                                    hook_name, span, verify, delta, (),
+                                ),
+                            ),
+                        )
+
+                    yield from self._walk(plan, active, "deploy", deploy)
                 result.deploys_done_us = self.sim.now
                 if txn is not None:
                     plane.journal.phase(txn, "deployed")
@@ -615,7 +646,7 @@ class CodeFlowGroup:
                         len(survivors), len(failures), allow_partial
                     )
                 if decision == "abort":
-                    yield from self._abort(programs, result)
+                    yield from self._abort(programs, result, staged)
                 elif failures:
                     result.degraded = True
                     obs.counter("rdx.broadcast.degraded").inc()
@@ -644,11 +675,11 @@ class CodeFlowGroup:
                             )
                     else:
                         # Drop the bubbles down the same-shaped forest
-                        # the deploys used: linear lowers through the
+                        # the stages used: linear lowers through the
                         # control RNIC would hand the window right
                         # back its O(N) term.  Each lowering chain
                         # rides its parent's QP (relay syncs are
-                        # already warm from the deploy phase).
+                        # already warm from the stage phase).
 
                         def lower(pos: int, via: Optional[CodeFlow]) -> Generator:
                             codeflow = self.codeflows[lowerable[pos]]
@@ -729,38 +760,19 @@ class CodeFlowGroup:
 
     # -- per-target legs ------------------------------------------------------
 
-    def _guarded_bubble(
-        self, codeflow, outcome, sync: Optional[RemoteSync] = None
-    ) -> Generator:
-        """Fence, then raise: an 8-byte epoch read precedes the bubble
-        write so a stale control plane never raises a bubble on (let
-        alone deploys to) a successor's target.  Fence failures are
-        per-leg failures, feeding the normal abort/partial machinery;
-        the no-BBU path is fenced by ``CodeFlow._execute`` instead.
-
-        ``sync`` is a forest parent's relay: the READ and the flag
-        chain both ride it (``codeflow.sync`` is swapped for the
-        raise, as a relayed deploy swaps it), and the chain still
-        waits for its flush.  A broken relay *path* (:class:`RdmaError`)
-        retries once directly, the lower's rule; a stale epoch fails
-        the leg on any path.  Returns the codeflow when the bubble is
-        up, None when the leg failed."""
-        if sync is not None:
-            direct, codeflow.sync = codeflow.sync, sync
+    def _guarded_bubble(self, codeflow, outcome) -> Generator:
+        """Fence, then raise (the serial arm): an 8-byte epoch read
+        precedes the bubble write so a stale control plane never raises
+        a bubble on (let alone deploys to) a successor's target.  Fence
+        failures are per-leg failures, feeding the normal abort/partial
+        machinery.  Returns the codeflow when the bubble is up, None
+        when the leg failed."""
         try:
-            try:
-                yield from codeflow.check_fence()
-                yield from self._write_bubble(codeflow, 1, codeflow.sync)
-            finally:
-                if sync is not None:
-                    codeflow.sync = direct
-                    self._relay_returned(sync, direct)
+            yield from codeflow.check_fence()
+            yield from self._write_bubble(codeflow, 1, codeflow.sync, [])
         except ReproError as err:
-            if sync is None or not isinstance(err, RdmaError):
-                self._leg_failed(outcome, err)
-                return None
-            self._relay_fallback(codeflow, "raise")
-            return (yield from self._guarded_bubble(codeflow, outcome))
+            self._leg_failed(outcome, err)
+            return None
         return codeflow
 
     def _leg_failed(self, outcome: TargetOutcome, err: ReproError) -> None:
@@ -769,26 +781,16 @@ class CodeFlowGroup:
             "rdx.broadcast.target_failures", kind=type(err).__name__
         ).inc()
 
-    def _deploy_leg(
-        self, codeflow, program, outcome, linked, via, hook_name, span,
-        verify, deadline_us, fenced, delta,
-    ) -> Generator:
-        """One target's deploy under a deadline; never raises.
+    def _deploy_leg(self, outcome, deadline_us, body: Generator) -> Generator:
+        """Run one target's ``body`` under a deadline; never raises.
 
         The deadline starts when the leg is unblocked, so forest depth
-        never eats into a leg's budget.  Returns what the leg hands
-        down the forest: the codeflow, for the children to relay
-        through, when its image committed; None -- they fall back to
-        the control plane -- when it did not.
+        never eats into a leg's budget.  Returns what ``body`` returned
+        (a staged plan, or a report), or None -- after recording the
+        failure -- when it did not finish.
         """
         try:
-            inner = self.sim.spawn(
-                self._deploy_target(
-                    codeflow, program, linked, via, hook_name, span, verify,
-                    fenced, delta,
-                ),
-                name=f"inject:{outcome.target}",
-            )
+            inner = self.sim.spawn(body, name=f"inject:{outcome.target}")
             timer = self.sim.timeout(deadline_us)
             yield self.sim.any_of([inner, timer])
             if not inner.triggered:
@@ -796,28 +798,35 @@ class CodeFlowGroup:
                 raise DeadlineExceeded(
                     f"{outcome.target}: deploy leg exceeded {deadline_us}us"
                 )
-            outcome.report = inner.value
             outcome.ok = True
-            return codeflow
+            return inner.value
         except ReproError as err:
             self._leg_failed(outcome, err)
+            return None
 
-    def _deploy_target(
-        self, codeflow, program, linked, via, hook_name, span, verify, fenced,
-        delta,
+    def _deploy_whole(self, codeflow, route: Generator) -> Generator:
+        """A serial-arm leg: stage, then flip at once."""
+        staged = yield from route
+        report = yield from codeflow.flip_prog(staged)
+        return report
+
+    def _stage_route(
+        self, codeflow, program, linked, via, hook_name, span, verify, delta,
+        tail,
     ) -> Generator:
-        """Pick the route for one leg: through ``via`` (the forest
+        """Pick the route for one stage: through ``via`` (the forest
         parent) when there is one and it can be used, else -- and as
-        the fallback when the relay *path* breaks -- the same deploy
+        the fallback when the relay *path* breaks -- the same stage
         step over the control plane's own QP.  ``linked`` is the
-        plan's Phase-0 image for this target, None when it has none."""
+        plan's Phase-0 image for this target, None when it has none.
+        Returns the staged plan."""
         obs = self.control_plane.obs
         with obs.span(
             "rdx.broadcast.target", parent=span,
             target=codeflow.sandbox.name, program=program.name,
             relay=via.sandbox.name if via is not None else "",
         ) as child:
-            report = None
+            staged = None
             if via is not None:
                 if linked is None:
                     # Phase 0 never produced an image to forward (link
@@ -828,99 +837,130 @@ class CodeFlowGroup:
                     self._relay_fallback(codeflow, "relay-crashed")
                 else:
                     try:
-                        # The bubble-raise fence rode whichever QP
-                        # raised this bubble; this route fences in its
-                        # own right, under the relay host's dispatch.
-                        report = yield from self._deploy_step(
-                            codeflow, program, linked, hook_name, child,
-                            verify, fenced=False, delta=delta, via=via,
+                        staged = yield from self._relayed(
+                            codeflow, via,
+                            self._stage_step(
+                                codeflow, program, linked, hook_name, child,
+                                verify, delta, tail, relayed=True,
+                            ),
                         )
                     except RdmaError as err:
                         # The relay *path* is broken (crashed parent
                         # host, dead link): direct delivery from the
                         # shard still owes this target its update.
-                        # Deploy-semantics failures (CAS conflict,
-                        # CRC-failed verify, stale epoch) propagate --
-                        # they would fail identically on any path.
+                        # Deploy-semantics failures (CRC-failed verify,
+                        # stale epoch) propagate -- they would fail
+                        # identically on any path.
                         self._relay_fallback(codeflow, type(err).__name__)
-            if report is None:
-                report = yield from self._deploy_step(
-                    codeflow, program, linked, hook_name, child, verify,
-                    fenced, delta,
+            if staged is None:
+                staged = yield from self._stage_step(
+                    codeflow, program, linked, hook_name, child, verify, delta,
+                    tail,
                 )
             # Delta eligibility is decided per target: each leg holds
             # its own baseline (or none -- fresh targets, post-reboot
             # targets, and diverged layouts all fall back to full), so
             # one broadcast routinely mixes both modes.
+            mode = "full" if staged.owned else "delta"
             obs.counter(
                 "rdx.broadcast.legs",
-                mode=report.mode,
+                mode=mode,
                 target=self._label(codeflow.sandbox.name, self.shard),
             ).inc()
-            child.attrs["mode"] = report.mode
-        return report
+            child.attrs["mode"] = mode
+        return staged
 
-    def _deploy_step(
-        self, codeflow, program, linked, hook_name, span, verify, fenced,
-        delta, via=None,
+    def _stage_step(
+        self, codeflow, program, linked, hook_name, span, verify, delta, tail,
+        relayed=False,
     ) -> Generator:
-        """``deploy_prog``, then verify-or-undo -- over one route.
+        """``stage_prog``, then verify-or-unstage -- over one route.
 
-        ``via=None`` is the control plane's own QP and CPU.
-        ``via=parent`` deploys *through* an already-updated sandbox:
-        the parent's host forwards the pre-linked chained WR list
-        (image chunks + descriptor + commit CAS) over the cached relay
-        QP and pays the dispatch on its own CPU; the control plane's
-        CPU and RNIC are never touched.  Such a leg is fenced in its
-        own right (``fenced=False``) -- ``deploy_prog``'s 8-byte epoch
-        read rides the relay QP, under the relay host's dispatch, so a
-        target owned by a newer incarnation refuses relayed bytes
-        exactly as it refuses direct ones
-        (:class:`~repro.errors.StaleEpochError`, never retried).
+        A stage fences in its own right, under its dispatch: over a
+        relay QP (``relayed``) the 8-byte epoch read rides the relay,
+        under the relay host's dispatch, so a target owned by a newer
+        incarnation refuses relayed bytes exactly as it refuses direct
+        ones (:class:`~repro.errors.StaleEpochError`, never retried).
+        A relayed stage forwards the pre-linked chained WR list (image
+        chunks + descriptor + ``tail``) and never touches the control
+        plane's CPU or QPs.
 
         ``linked=None`` (no Phase-0 image on the plan) goes through
-        ``inject``, which links and then runs the same ``deploy_prog``.
-        Deploying the Phase-0 image as-is matters on the relay arms:
-        re-running ``inject`` would repeat validate/JIT/link *inside*
-        the bubble window whenever the prepare caches overflow
-        (N > cache capacity) -- the window must only move bytes.
+        ``stage_for``, which links and then runs the same ``stage_prog``.
+        Staging the Phase-0 image as-is matters on the relay arms:
+        linking again would repeat validate/JIT/link whenever the
+        prepare caches overflow (N > cache capacity).  A CRC-failed
+        read-back unstages: nothing ever pointed at it.
         """
-        if via is not None:
-            relay = self._relay_sync(via, codeflow)
-            direct, codeflow.sync = codeflow.sync, relay
-            codeflow.dispatch_cpu = via.sandbox.host.cpu
+        plane = self.control_plane
+        if linked is None:
+            staged = yield from plane.stage_for(
+                codeflow, program, hook_name, parent_span=span, delta=delta,
+                tail=tail,
+            )
+        else:
+            if not relayed:
+                plane._check_alive()
+            staged = yield from codeflow.stage_prog(
+                program, linked, hook_name, parent_span=span, delta=delta,
+                tail=tail,
+            )
+        if verify:
+            try:
+                yield from self._verify_image(codeflow, program, staged)
+            except ConsistencyError:
+                codeflow.unstage(staged)
+                raise
+        return staged
+
+    def _flip_leg(
+        self, codeflow, staged: dict, outcome, index, via, settles: list
+    ) -> Generator:
+        """One flip, failure-isolated: ``flip_prog`` over ``via``'s relay
+        QP, or the control plane's.  A relayed flip whose relay *path*
+        fails before its CAS ran retries once directly
+        (``reason="flip"``), the lower's rule.  Returns the codeflow
+        when the hook flipped, None when the leg failed: a plan whose
+        CAS never ran is unstaged, one the CAS refused unwound itself,
+        one committed under a torn chain is the reconciler's."""
+        plan = staged[index]
         try:
-            if linked is None:
-                report = yield from self.control_plane.inject(
-                    codeflow, program, hook_name, parent_span=span,
-                    record_intent=False,  # broadcast txn owns the WAL entry
-                    fenced=fenced,  # _guarded_bubble fenced this leg already
-                    delta=delta,
-                )
-            else:
-                if via is None:
-                    self.control_plane._check_alive()
-                report = yield from codeflow.deploy_prog(
-                    program, linked, hook_name, parent_span=span, fenced=fenced,
-                    delta=delta,
-                )
-            if verify:
+            if via is not None and not via.sandbox.host.crashed:
                 try:
-                    yield from self._verify_image(codeflow, program)
-                except ConsistencyError:
-                    # The hook flip already committed onto a corrupt
-                    # image -- undo *this* target immediately (the
-                    # abort path only reverts legs that succeeded).
-                    yield from self._undo(codeflow, program)
-                    raise
-        finally:
-            if via is not None:
-                codeflow.sync = direct
-                codeflow.dispatch_cpu = None
-                self._relay_returned(relay, direct)
-        return report
+                    yield from self._relayed(
+                        codeflow, via, codeflow.flip_prog(plan, settles=settles)
+                    )
+                except RdmaError:
+                    if plan.prior is not None:
+                        raise
+                    self._relay_fallback(codeflow, "flip")
+                    yield from codeflow.flip_prog(plan, settles=settles)
+            else:
+                yield from codeflow.flip_prog(plan, settles=settles)
+        except ReproError as err:
+            del staged[index]
+            if plan.prior is None:
+                codeflow.unstage(plan)
+            self._leg_failed(outcome, err)
+            return None
+        del staged[index]
+        outcome.report = plan.report  # complete once its settle ran
+        return codeflow
 
     # -- relay routes ---------------------------------------------------------
+
+    def _relayed(self, codeflow, via, step: Generator) -> Generator:
+        """Run ``step`` with ``codeflow``'s sync and dispatch CPU on the
+        ``via`` host -> ``codeflow`` relay, then report back."""
+        relay = self._relay_sync(via, codeflow)
+        direct, codeflow.sync = codeflow.sync, relay
+        codeflow.dispatch_cpu = via.sandbox.host.cpu
+        try:
+            return (yield from step)
+        finally:
+            codeflow.sync = direct
+            codeflow.dispatch_cpu = None
+            self._relay_returned(relay, direct)
 
     def _relay_sync(self, parent: CodeFlow, codeflow: CodeFlow) -> RemoteSync:
         """The RemoteSync carrying ``parent`` host -> ``codeflow`` target.
@@ -976,17 +1016,17 @@ class CodeFlowGroup:
             reason=reason,
         ).inc()
 
-    def _verify_image(self, codeflow, program) -> Generator:
-        """Read the installed image back and check its trailing CRC.
+    def _verify_image(self, codeflow, program, staged) -> Generator:
+        """Read the staged image back and check its trailing CRC.
 
-        Catches silent payload corruption (torn writes, bit flips) at
-        deploy time, turning it into a per-target failure the abort
-        path can undo -- instead of a data-path crash minutes later.
+        Catches silent payload corruption (torn writes, bit flips)
+        before the flip, turning it into a per-target failure that
+        nothing ever pointed at -- instead of a data-path crash minutes
+        later.
         """
-        record = codeflow.deployed.get(program.name)
-        if record is None or record.code_len < 8:
+        if len(staged.image) < 8:
             return
-        image = yield from codeflow.sync.read(record.code_addr, record.code_len)
+        image = yield from codeflow.sync.read(staged.code_addr, len(staged.image))
         stored = int.from_bytes(image[-4:], "little")
         if zlib.crc32(image[:-4]) & 0xFFFFFFFF != stored:
             self.control_plane.obs.counter(
@@ -995,7 +1035,7 @@ class CodeFlowGroup:
             ).inc()
             raise ConsistencyError(
                 f"{program.name} on {codeflow.sandbox.name}: image CRC "
-                f"mismatch after deploy (torn or corrupt write)"
+                f"mismatch after staging (torn or corrupt write)"
             )
 
     def _undo(self, codeflow, program) -> Generator:
@@ -1012,21 +1052,26 @@ class CodeFlowGroup:
 
     # -- abort path -----------------------------------------------------------
 
-    def _abort(self, programs, result: BroadcastResult) -> Generator:
+    def _abort(self, programs, result: BroadcastResult, staged: dict) -> Generator:
         """Undo every succeeded leg: all-or-nothing visibility.
 
-        A target whose hook previously ran an older image rolls back to
-        it; a fresh deploy (no history) is detached, reverting the hook
-        to 0.  Undo on an unreachable target is best-effort -- counted,
-        not fatal (its data path is down anyway).
+        A leg that staged and never flipped is unstaged: no WR, since no
+        hook ever pointed at it.  A flipped target whose hook previously
+        ran an older image rolls back to it; a fresh deploy (no history)
+        is detached, reverting the hook to 0.  Undo on an unreachable
+        target is best-effort -- counted, not fatal (its data path is
+        down anyway).
         """
         result.aborted = True
         started = self.sim.now
         obs = self.control_plane.obs
         obs.counter("rdx.broadcast.abort").inc()
-        for codeflow, program, outcome in zip(
-            self.codeflows, programs, result.outcomes
+        for index, (codeflow, program, outcome) in enumerate(
+            zip(self.codeflows, programs, result.outcomes)
         ):
+            if index in staged:
+                codeflow.unstage(staged.pop(index))
+                continue
             if not outcome.ok:
                 continue
             record = codeflow.deployed.get(program.name)

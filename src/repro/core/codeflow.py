@@ -132,6 +132,28 @@ class _DeployPlan:
     owned: bool
     #: Version the borrowed baseline shipped as (delta provenance).
     base_version: int = 0
+    #: Set by the stage, for the flip: what the descriptor and the
+    #: commit CAS name, and the hb transaction tying the body writes to
+    #: that CAS (None with hb checking off).
+    program: Optional[BpfProgram] = None
+    hook_name: str = ""
+    hook_addr: int = 0
+    image: bytes = b""
+    slot: Optional[int] = None
+    version: int = 1
+    note: Optional[dict] = None
+    report: Optional[DeployReport] = None
+    span: Optional[Span] = None
+    #: The commit CAS's answer, and the error of a chain torn after it;
+    #: None until the CAS ran (it rides the stage's chain in one
+    #: install, else the flip posts it).
+    prior: Optional[int] = None
+    torn: Optional[BaseException] = None
+
+    @property
+    def existing_addr(self) -> int:
+        """What the commit CAS expects the hook to hold."""
+        return self.existing.code_addr if self.existing else 0
 
 
 def _delta_ranges(old: bytes, new: bytes) -> list[tuple[int, bytes]]:
@@ -159,6 +181,12 @@ def _delta_ranges(old: bytes, new: bytes) -> list[tuple[int, bytes]]:
         hi = min(size, (last // line + 1) * line)
         ranges.append((base + lo, new_chunk[lo:hi]))
     return ranges
+
+
+def _fail_span(span: Span, err) -> None:
+    if not span.finished:
+        span.status = "error"
+        span.finish(error=str(err))
 
 
 class CodeFlow:
@@ -377,7 +405,6 @@ class CodeFlow:
         hook_name: str,
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
-        fenced: bool = False,
         delta: bool = True,
     ) -> Generator:
         """One-sided injection of a linked image + metadata + hook flip.
@@ -388,16 +415,37 @@ class CodeFlow:
         stays resident as a rollback target; without it, its code
         pages are freed once no exec can still be decoding them.
 
-        ``fenced`` certifies the caller already ran :meth:`check_fence`
-        for this operation (a broadcast leg fences when its bubble
-        rises); the pipelined arm then skips the duplicate epoch read
-        -- one fence per transaction, not one per op.  Otherwise the
-        pipelined arm's fence overlaps the dispatch, so
-        ``report.dispatch_us`` spans both.
+        :meth:`stage_prog` then :meth:`flip_prog`, with the commit CAS
+        riding the stage's chain: one install chain on the pipelined
+        arm.  ``delta=False`` installs the image in full even where the
+        pipelined arm could ship a delta.
+        """
+        plan = yield from self.stage_prog(
+            program, linked, hook_name, parent_span, delta, commit=True
+        )
+        report = yield from self.flip_prog(plan, retain_history)
+        return report
 
-        ``delta=False`` installs the image in full even where the
-        pipelined arm could ship a delta (as a broadcast leg does
-        unless its broadcast asks for deltas).
+    def stage_prog(
+        self,
+        program: BpfProgram,
+        linked: JitBinary,
+        hook_name: str,
+        parent_span: Optional[Span] = None,
+        delta: bool = True,
+        tail: tuple = (),
+        commit: bool = False,
+    ) -> Generator:
+        """Land an image where no hook points yet; returns the plan
+        :meth:`flip_prog` commits.
+
+        The bytes, the descriptor and the flushes of the spans the
+        target CPU may hold stale lines for all land here, so a flip
+        moves one qword.  ``tail`` is ``(addr, payload)`` control-word
+        writes that ride the stage's chain after the descriptor, each
+        flushed with the body spans before this returns -- a
+        broadcast's bubble flag.  ``commit`` chains the commit CAS too
+        (one install, :meth:`deploy_prog`); the flip then only flushes.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -410,25 +458,70 @@ class CodeFlow:
             "rdx.deploy", parent=parent_span,
             program=program.name, target=self.sandbox.name, hook=hook_name,
         )
-        # Trace context rides the sync layer for the deploy's duration
-        # (obs on): every WR chain, chunk land, commit CAS, and cc
-        # flush below is recorded under this span's trace id.
-        saved_trace = self.sync.trace_span
-        self.sync.trace_span = span if self.config.obs else None
         try:
-            yield from self._execute(
-                program, linked, hook_name, retain_history, report, fenced,
-                delta,
+            plan = yield from self._traced(
+                span, self.sync,
+                self._stage(program, linked, hook_name, report, delta, tail, commit),
             )
         except BaseException as err:
-            span.status = "error"
-            span.finish(error=str(err))
+            _fail_span(span, err)
             raise
+        plan.span = span
+        return plan
+
+    def flip_prog(
+        self,
+        plan: "_DeployPlan",
+        retain_history: bool = True,
+        settles: Optional[list] = None,
+    ) -> Generator:
+        """Point the hook at a staged image; returns its report.
+
+        A CAS that answered with the wrong prior unwinds the stage.  A
+        flip that raises a :class:`ReproError` before its CAS ran
+        (``plan.prior`` still None) may be posted again, or abandoned
+        with :meth:`unstage`.  ``settles=None`` waits for the hook
+        line's flush; a list gets the spawned flush-and-record process
+        instead, whose value is the report.
+        """
+        try:
+            yield from self._traced(plan.span, self.sync, self._flip(plan))
+        except BaseException as err:
+            if not (
+                isinstance(err, ReproError)
+                and plan.prior is None
+                and self.config.pipelined_deploy
+            ):
+                _fail_span(plan.span, err)
+            raise
+        # The flush rides the QP the flip did, also when spawned: a relay
+        # hands ``self.sync`` back the moment the flip returns.
+        sync = self.sync
+        settle = self._traced(
+            plan.span, sync, self._settle(plan, retain_history, sync)
+        )
+        if settles is None:
+            return (yield from settle)
+        settles.append(
+            self.sim.spawn(settle, name=f"settle:{self.sandbox.name}")
+        )
+        return None
+
+    def unstage(self, plan: "_DeployPlan") -> None:
+        """Give back a staged plan no flip will commit."""
+        self._unwind(plan)
+        _fail_span(plan.span, "unstaged")
+
+    def _traced(self, span: Span, sync: RemoteSync, gen: Generator) -> Generator:
+        """Run one part of a deploy with its span parked on ``sync``
+        (obs on): every WR chain, chunk land, commit CAS and cc flush
+        below is recorded under the span's trace id."""
+        saved_trace = sync.trace_span
+        sync.trace_span = span if self.config.obs else None
+        try:
+            return (yield from gen)
         finally:
-            self.sync.trace_span = saved_trace
-        span.finish(total_us=report.total_us, code_addr=report.code_addr)
-        self._observe_deploy(report)
-        return report
+            sync.trace_span = saved_trace
 
     def _plan(
         self, linked: JitBinary, hook_name: str, delta: bool
@@ -498,19 +591,20 @@ class CodeFlow:
             plan.flush.append((base + offset, len(payload)))
         return plan
 
-    def _execute(
+    def _stage(
         self,
         program: BpfProgram,
         linked: JitBinary,
         hook_name: str,
-        retain_history: bool,
         report: DeployReport,
-        fenced: bool,
         delta: bool,
+        tail: tuple,
+        commit: bool,
     ) -> Generator:
-        """Ship one plan: fence, dispatch, install, flush, record.
+        """Fence, dispatch and land one plan's bytes; returns the plan.
 
-        The only function that posts deploy writes and the commit CAS.
+        With :meth:`_flip` and :meth:`_settle`, the only code that
+        posts deploy writes and the commit CAS.
         ``config.pipelined_deploy`` picks the cost of each step, not a
         different sequence; the serial arm is the paper-calibrated one
         (fig 4a):
@@ -521,18 +615,17 @@ class CodeFlow:
           is back and checked;
         * dispatch prepares and polls every WQE separately
           (:data:`~repro.params.RDX_DISPATCH_US`) or once for the
-          whole chain (:data:`~repro.params.RDX_DISPATCH_FAST_US`);
+          whole chain (:data:`~repro.params.RDX_DISPATCH_FAST_US`) --
+          the flip's WQEs included, so a flip pays no dispatch;
         * the stub rendezvous always runs, or only when the linked
           image missed the layout-fingerprinted cache -- a hit
           certifies the Meta descriptor + GOT window already match;
-        * the install is a signaled WR per write, ``rdx_tx`` and a
-          blocking ``cc_event`` per flush span; or ONE chain of the
-          writes, the descriptor, the fenced commit CAS and a doorbell
-          per flush span (:meth:`RemoteSync.install`), whose effects
-          :meth:`RemoteSync.flush_chained` waits for once.
-
-        The CAS commits the bytes, not their remote *CPU* visibility:
-        the plan's spans are flushed first and the hook line last.
+        * the writes go out as a signaled WR each; or as ONE chain of
+          the writes, the descriptor, ``tail`` and a doorbell per flush
+          span, whose effects :meth:`RemoteSync.flush_chained` waits
+          for once -- with ``commit``, the chain is the whole install
+          (:meth:`RemoteSync.install`: the fenced commit CAS rides it
+          and the flushes wait for the flip).
         """
         pipelined = self.config.pipelined_deploy
         # Dispatch: registry lookup, WQE prep, completion polling --
@@ -540,13 +633,11 @@ class CodeFlow:
         cpu = self.dispatch_cpu or self.control_plane.host.cpu
         cost_us = params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
         # The fence: no byte may land on a target owned by a newer
-        # control-plane epoch.  Fencing is advisory at op start either
-        # way, so a caller that fenced this transaction moments ago
-        # need not pay again; the serial arm always does, first.
+        # control-plane epoch.  The serial arm fences first.
         if not pipelined:
             yield from self.check_fence()
         mark = self.sim.now
-        if fenced or not pipelined:
+        if not pipelined:
             yield from cpu.run(cost_us)
         else:
             # Fence || dispatch: the WQE prep is local and mutates
@@ -569,20 +660,20 @@ class CodeFlow:
         # out above has claimed nothing.
         plan = self._plan(linked, hook_name, delta)
         existing = plan.existing
-        expected = existing.code_addr if existing else 0
-        image = linked.code
-        slot = None
+        plan.program, plan.hook_name, plan.hook_addr = program, hook_name, hook_addr
+        plan.image, plan.report = linked.code, report
+        plan.version = existing.version + 1 if existing else 1
         try:
-            slot = self._pick_metadata_slot()
+            plan.slot = self._pick_metadata_slot()
             block = MetadataBlock(
                 state=SLOT_LIVE,
                 prog_id=program.prog_id,
                 insn_cnt=len(program.insns),
                 ref_count=1,
                 code_addr=plan.code_addr,
-                code_len=len(image),
+                code_len=len(plan.image),
                 hook_slot=self.manifest.hook_layout.get(hook_name, -1),
-                version=existing.version + 1 if existing else 1,
+                version=plan.version,
                 tag=program.tag().encode()[:16],
                 name=program.name,
             )
@@ -591,64 +682,102 @@ class CodeFlow:
             # every write carrying the same txn id.  It publishes the
             # whole extent the flipped pointer makes reachable, not
             # just the spans written.
-            txn = None
             if self.config.hb_check:
-                txn = hb.txn_note(self.sim, publishes=(plan.code_addr, len(image)))
+                plan.note = hb.txn_note(
+                    self.sim, publishes=(plan.code_addr, len(plan.image))
+                )
             ops = plan.writes + [
-                (self.manifest.metadata_addr + slot * 256, block.encode())
+                (self.manifest.metadata_addr + plan.slot * 256, block.encode())
             ]
             mark = self.sim.now
-            if pipelined:
-                prior, torn = yield from self.sync.install(
-                    ops, hook_addr, expected, plan.code_addr, plan.flush,
-                    note=txn,
+            if pipelined and commit:
+                plan.prior, plan.torn = yield from self.sync.install(
+                    ops, hook_addr, plan.existing_addr, plan.code_addr,
+                    plan.flush, note=plan.note,
+                )
+            elif pipelined:
+                yield from self.sync.install(
+                    ops, None, 0, 0, plan.flush, note=plan.note, tail=tail
                 )
             else:
-                body = {"txn": txn["txn"]} if txn else None
+                body = {"txn": plan.note["txn"]} if plan.note else None
                 for addr, payload in ops:
                     yield from self.sync.write(addr, payload, note=body)
+                for addr, payload in tail:
+                    yield from self.sync.write(addr, payload)
+                    yield from self.sync.cc_event(addr, len(payload))
             report.write_us = self.sim.now - mark
         except BaseException as err:
             # An install raises a ReproError only when its CAS never
             # ran; anything else (an interrupt) may leave it in flight.
             if not pipelined or isinstance(err, ReproError):
-                self._unwind(plan, slot)
+                self._unwind(plan)
             raise
-
-        if not pipelined:
-            # rdx_tx over the staged image.  An *exception* here leaves
-            # the outcome unknown (the CAS may have executed and lost
-            # its ACK), so nothing is given back.
-            mark, torn = self.sim.now, None
-            prior = yield from self.sync.tx(
-                plan.code_addr, b"", hook_addr, plan.code_addr, expected, txn
+        if pipelined and not commit:
+            mark = self.sim.now
+            yield from self.sync.flush_chained(
+                plan.flush + [(addr, len(payload)) for addr, payload in tail]
             )
-            report.commit_us = self.sim.now - mark
-        # Only a CAS that answered with the wrong prior value unwinds.
-        if prior != expected:
-            self._unwind(plan, slot)
+            report.cc_us = self.sim.now - mark
+            plan.flush = []  # landed: the flip flushes the hook line only
+        return plan
+
+    def _flip(self, plan: _DeployPlan) -> Generator:
+        """Post the commit CAS, unless it rode the stage's chain, and
+        check its answer: ``rdx_tx`` over the staged image (serial), or
+        a 2-WR chain of the fenced CAS and the hook line's doorbell.
+
+        An *exception* from the post leaves ``plan.prior`` None: on the
+        pipelined arm the CAS never ran; on the serial arm the outcome
+        is unknown (it may have executed and lost its ACK), so nothing
+        is given back either way.  The CAS commits the bytes, not their
+        remote *CPU* visibility: :meth:`_settle` flushes."""
+        if plan.prior is None:
+            mark = self.sim.now
+            if self.config.pipelined_deploy:
+                plan.prior, plan.torn = yield from self.sync.install(
+                    [], plan.hook_addr, plan.existing_addr, plan.code_addr, [],
+                    note=plan.note,
+                )
+            else:
+                plan.prior = yield from self.sync.tx(
+                    plan.code_addr, b"", plan.hook_addr, plan.code_addr,
+                    plan.existing_addr, plan.note,
+                )
+            plan.report.commit_us = self.sim.now - mark
+        # Only a CAS that answered with the wrong prior unwinds.
+        if plan.prior != plan.existing_addr:
+            self._unwind(plan)
             raise DeployError(
-                f"{program.name}: hook {hook_name!r} CAS expected "
-                f"{expected:#x}, found {prior:#x} (concurrent update?)"
+                f"{plan.program.name}: hook {plan.hook_name!r} CAS expected "
+                f"{plan.existing_addr:#x}, found {plan.prior:#x} "
+                f"(concurrent update?)"
             )
-        if torn is not None:
-            raise torn  # committed: the reconciler finishes the flushes
+        if plan.torn is not None:
+            raise plan.torn  # committed: the reconciler finishes the flushes
 
+    def _settle(
+        self, plan: _DeployPlan, retain_history: bool, sync: RemoteSync
+    ) -> Generator:
+        """Flush what the flip made reachable -- the plan's spans first,
+        the hook line last -- over ``sync``, then record; returns the
+        report."""
+        report = plan.report
         mark = self.sim.now
-        spans = plan.flush + [(hook_addr, 8)]
-        if pipelined:
-            yield from self.sync.flush_chained(spans)
+        spans = plan.flush + [(plan.hook_addr, 8)]
+        if self.config.pipelined_deploy:
+            yield from sync.flush_chained(spans)
         else:
             for addr, length in spans:
-                yield from self.sync.cc_event(addr, length)
-        report.cc_us = self.sim.now - mark
+                yield from sync.cc_event(addr, length)
+        report.cc_us += self.sim.now - mark
+        self._bookkeep(plan, retain_history)
+        plan.span.finish(total_us=report.total_us, code_addr=report.code_addr)
+        self._observe_deploy(report)
+        report.total_us += report.link_us  # a link that ran before the stage
+        return report
 
-        self._bookkeep(
-            program, hook_name, plan, slot, block.version, retain_history,
-            report, image,
-        )
-
-    def _unwind(self, plan: _DeployPlan, slot: Optional[int]) -> None:
+    def _unwind(self, plan: _DeployPlan) -> None:
         """Give back what a deploy claimed before its commit failed.
 
         Both the extent *and* the metadata slot go back -- a slot
@@ -659,7 +788,7 @@ class CodeFlow:
         extent retired.  Nothing points at it -- the hook never
         flipped -- so the deferred free is purely conservative.
         """
-        self._metadata_used.discard(slot)
+        self._metadata_used.discard(plan.slot)
         if plan.owned:
             self.code_allocator.free(plan.code_addr)
             return
@@ -672,19 +801,11 @@ class CodeFlow:
         existing.baseline_image = None
         existing.baseline_version = 0
 
-    def _bookkeep(
-        self,
-        program: BpfProgram,
-        hook_name: str,
-        plan: _DeployPlan,
-        slot: int,
-        version: int,
-        retain_history: bool,
-        report: DeployReport,
-        image: bytes,
-    ) -> None:
+    def _bookkeep(self, plan: _DeployPlan, retain_history: bool) -> None:
         """Post-commit record keeping: books, baseline roles, report."""
         self.free_retired()
+        program, hook_name, image = plan.program, plan.hook_name, plan.image
+        report = plan.report
         existing = plan.existing
         code_addr = plan.code_addr
         record = DeployedProgram(
@@ -692,8 +813,8 @@ class CodeFlow:
             hook_name=hook_name,
             code_addr=code_addr,
             code_len=len(image),
-            metadata_slot=slot,
-            version=version,
+            metadata_slot=plan.slot,
+            version=plan.version,
             image=image,
             layout=self._last_link_key[1:] if self._last_link_key else None,
         )

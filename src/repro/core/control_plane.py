@@ -349,7 +349,6 @@ class RdxControlPlane:
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
         record_intent: bool = True,
-        fenced: bool = False,
         install_lock: Optional[InstallLock] = None,
         delta: bool = True,
     ) -> Generator:
@@ -359,10 +358,8 @@ class RdxControlPlane:
         transaction level instead), the deploy is WAL-journaled:
         INTEND before any target byte moves, COMMIT only after the
         hook flip lands.  A crash between the two leaves an in-flight
-        record the reconciler cleans up.  ``fenced`` is passed through
-        to :meth:`CodeFlow.deploy_prog` -- a broadcast leg that fenced
-        while raising its bubble skips the duplicate epoch read -- and
-        so is ``delta``.
+        record the reconciler cleans up.  ``delta`` is passed through
+        to :meth:`CodeFlow.deploy_prog`.
 
         ``install_lock`` serializes installs on one target: the probe
         and the compile run without it, and it is held from the link
@@ -387,21 +384,9 @@ class RdxControlPlane:
                 "rdx.inject", parent=parent_span,
                 program=program.name, target=codeflow.sandbox.name,
             ) as span:
-                # Warm path: a pinned image certified (by
-                # re-fingerprinting its relocations) to be byte-correct
-                # for this target's current layout -- validate+JIT+link
-                # never run, and the deploy rides the pipelined chain.
-                pin = None
-                store = self.artifacts
-                if store.serving and self.config.pipelined_deploy:
-                    pin = yield from store.pinned.probe(
-                        codeflow, program, parent_span=span
-                    )
-                if pin is None:
-                    entry = yield from self.prepare_for(
-                        codeflow, program, maps=maps, principal=principal,
-                        parent_span=span,
-                    )
+                pin, entry = yield from self._compiled(
+                    codeflow, program, span, maps, principal
+                )
                 if txn is not None:
                     self.journal.phase(txn, "prepared")
                 # The probe and the compile read only this plane's GOT
@@ -415,23 +400,16 @@ class RdxControlPlane:
                     if grant is not None:
                         yield grant
                         codeflow.tenant = install_lock.tenant
-                    link_us = 0.0
-                    if pin is not None:
-                        linked = codeflow.link_pinned(pin)
-                    else:
-                        mark = self.sim.now
-                        linked = yield from codeflow.link_code(
-                            entry.binary, parent_span=span
-                        )
-                        link_us = self.sim.now - mark
+                    mark = self.sim.now
+                    linked = yield from self._linked(codeflow, pin, entry, span)
+                    link_us = self.sim.now - mark
                     report = yield from codeflow.deploy_prog(
                         program, linked, hook_name,
                         retain_history=retain_history, parent_span=span,
-                        fenced=fenced, delta=delta,
+                        delta=delta,
                     )
                     report.warm = entry is None
-                    if entry is not None and store.serving:
-                        store.pinned.admit(codeflow, program, entry.binary)
+                    self._admit(codeflow, program, entry)
                 finally:
                     if grant is not None:
                         install_lock.resource.release(grant)
@@ -466,6 +444,58 @@ class RdxControlPlane:
         report.link_us = link_us
         report.total_us += link_us
         return report
+
+    def stage_for(
+        self, codeflow: CodeFlow, program: BpfProgram, hook_name: str,
+        parent_span: Optional[Span] = None, delta: bool = True, tail: tuple = (),
+    ) -> Generator:
+        """:meth:`inject` up to the hook flip, unjournaled and unlocked:
+        a broadcast leg with no image of its own.  Returns the plan
+        :meth:`CodeFlow.flip_prog` commits."""
+        self._check_alive()
+        self.policy.check(None, "deploy", codeflow.sandbox.name)
+        with self.obs.span(
+            "rdx.inject", parent=parent_span,
+            program=program.name, target=codeflow.sandbox.name,
+        ) as span:
+            pin, entry = yield from self._compiled(codeflow, program, span)
+            mark = self.sim.now
+            linked = yield from self._linked(codeflow, pin, entry, span)
+            link_us = self.sim.now - mark
+            plan = yield from codeflow.stage_prog(
+                program, linked, hook_name, parent_span=span, delta=delta,
+                tail=tail,
+            )
+            plan.report.warm = entry is None
+            plan.report.link_us = link_us  # the flip adds it to the total
+            self._admit(codeflow, program, entry)
+        return plan
+
+    def _compiled(self, codeflow, program, span, maps=(), principal=None):
+        """The warm pool's pin for ``program`` on ``codeflow``, else its
+        prepared entry: ``(pin, entry)``, one of them None.  A pin is a
+        linked image certified (by re-fingerprinting its relocations)
+        to be byte-correct for this target's current layout, so
+        validate+JIT+link never run."""
+        pin = entry = None
+        store = self.artifacts
+        if store.serving and self.config.pipelined_deploy:
+            pin = yield from store.pinned.probe(codeflow, program, parent_span=span)
+        if pin is None:
+            entry = yield from self.prepare_for(
+                codeflow, program, maps=maps, principal=principal,
+                parent_span=span,
+            )
+        return pin, entry
+
+    def _linked(self, codeflow, pin, entry, span):
+        if pin is not None:
+            return codeflow.link_pinned(pin)
+        return (yield from codeflow.link_code(entry.binary, parent_span=span))
+
+    def _admit(self, codeflow, program, entry) -> None:
+        if entry is not None and self.artifacts.serving:
+            self.artifacts.pinned.admit(codeflow, program, entry.binary)
 
     # -- teardown ----------------------------------------------------------------
 

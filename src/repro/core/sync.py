@@ -371,11 +371,12 @@ class RemoteSync:
     def install(
         self,
         ops: "list[tuple[int, bytes]]",
-        qword_addr: int,
+        qword_addr: Optional[int],
         expect: int,
         new_qword: int,
         flush: "list[tuple[int, int]]",
         note=None,
+        tail: "tuple[tuple[int, bytes], ...]" = (),
     ) -> Generator:
         """``rdx_tx`` and the ``rdx_cc_event`` doorbells as ONE WR chain.
 
@@ -391,27 +392,38 @@ class RemoteSync:
         doorbells ride the last.  ``note`` is the commit's hb
         annotation; the object's WRs carry its ``txn`` only.
 
-        The fault hook bites per WR: ``write`` faults on the object
-        (a drop fails the chain's first attempt, like an injected
-        error), ``cas`` faults on the CAS; ``cc_event`` faults bite the
-        doorbells' effect in :meth:`flush_chained`.
+        ``qword_addr=None`` stages without committing: the chain is
+        ``ops``, then ``tail`` -- plain control-word writes that carry
+        no ``txn`` (a bubble flag) -- then a doorbell per ``flush``
+        span and per ``tail`` write.  Every WR of it is idempotent, so
+        it retries as a whole like :meth:`write_batch`; ``ops=[]`` and
+        ``flush=[]`` with a qword is the flip alone, the CAS and the
+        qword line's doorbell.
 
-        Returns ``(prior, torn)``.  It raises only when the CAS never
-        executed, retrying the chain as a whole until then.  An
-        executed CAS is never re-issued: a chain torn after it returns
-        the error as ``torn`` -- with the right prior the install has
-        committed, and the doorbells after the tear may not have run.
-        The caller waits for the flushes with :meth:`flush_chained`.
+        The fault hook bites per WR: ``write`` faults on the object
+        and the tail (a drop fails the chain's first attempt, like an
+        injected error), ``cas`` faults on the CAS; ``cc_event`` faults
+        bite the doorbells' effect in :meth:`flush_chained`.
+
+        Returns ``(prior, torn)`` (``(None, None)`` when staging).  It
+        raises only when the CAS never executed, retrying the chain as
+        a whole until then.  An executed CAS is never re-issued: a chain
+        torn after it returns the error as ``torn`` -- with the right
+        prior the install has committed, and the doorbells after the
+        tear may not have run.  The caller waits for the flushes with
+        :meth:`flush_chained`.
         """
         depth = params.RDX_SQ_DEPTH
-        tail = 2 + len(flush)
+        commit = qword_addr is not None
+        doorbells = len(flush) + len(tail) + commit
+        extra = len(tail) + commit + doorbells
         cut = (len(ops) - 1) // depth * depth if ops else 0
-        if len(ops) - cut + tail > depth:
+        if len(ops) - cut + extra > depth:
             cut = len(ops)
         body_note = self._body_note(note)
         if cut:
             yield from self.write_batch(ops[:cut], note=body_note)
-        window = ops[cut:]
+        window = ops[cut:] + list(tail)
         inject = None
         if self.fault_hook is not None:
             staged = []
@@ -422,25 +434,30 @@ class RemoteSync:
                 inject = inject or error
                 staged.append((addr, data))
             window = staged
-            _, _, error = self._consult_hook("cas", qword_addr, None)
-            inject = inject or error
-        wrs = len(window) + tail
+            if commit:
+                _, _, error = self._consult_hook("cas", qword_addr, None)
+                inject = inject or error
+        wrs = len(window) + commit + doorbells
         self._m_chain_wrs.observe(wrs)
         self._m_inflight.observe(wrs)
         completion = yield from self.retry.run(
             self.sim,
             partial(
-                self._post_install, window, qword_addr, expect, new_qword,
-                tail - 1, body_note, note,
+                self._post_install, window, len(tail), qword_addr, expect,
+                new_qword, doorbells, body_note, note,
             ),
             self._settle_install, "INSTALL", self._rng, inject,
         )
         if self.trace_span is not None:
             self._trace_event(
                 "rdx.trace.chain", wrs=wrs,
-                bytes=sum(len(payload) for _, payload in window) + 8 * tail,
+                bytes=sum(len(payload) for _, payload in window)
+                + 8 * (commit + doorbells),
             )
-            self._trace_event("rdx.trace.cas", addr=qword_addr)
+            if commit:
+                self._trace_event("rdx.trace.cas", addr=qword_addr)
+        if not commit:
+            return None, None
         prior = completion.result
         if prior == expect:
             self.tx_count += 1
@@ -452,27 +469,33 @@ class RemoteSync:
         return prior, torn
 
     def _post_install(
-        self, window, qword_addr, expect, new_qword, doorbells, body_note, note,
+        self, window, plain, qword_addr, expect, new_qword, doorbells,
+        body_note, note,
     ):
-        """Post the install's last window (:meth:`install`) as one chain."""
+        """Post the install's last window (:meth:`install`) as one
+        chain; its last ``plain`` writes carry no ``txn``."""
         hb_on = self._hb
         wr_ids = self._wr_ids
         doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
         ring = (1).to_bytes(8, "little")
+        body = len(window) - plain
         wrs = [
             WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
-                data=payload, hb=self._hb_note(addr, body_note) if hb_on else None,
+                data=payload,
+                hb=self._hb_note(addr, body_note if i < body else None)
+                if hb_on else None,
                 wr_id=next(wr_ids),
             )
-            for addr, payload in window
+            for i, (addr, payload) in enumerate(window)
         ]
-        wrs.append(WorkRequest(
-            opcode=WrOpcode.COMP_SWAP, remote_addr=qword_addr, rkey=self.rkey,
-            compare=expect, swap_or_add=new_qword, fence=True,
-            hb=self._hb_note(qword_addr, note) if hb_on else None,
-            wr_id=next(wr_ids),
-        ))
+        if qword_addr is not None:
+            wrs.append(WorkRequest(
+                opcode=WrOpcode.COMP_SWAP, remote_addr=qword_addr,
+                rkey=self.rkey, compare=expect, swap_or_add=new_qword,
+                fence=True, hb=self._hb_note(qword_addr, note) if hb_on else None,
+                wr_id=next(wr_ids),
+            ))
         for _ in range(doorbells):
             wrs.append(WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=doorbell, rkey=self.rkey,

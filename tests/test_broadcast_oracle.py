@@ -170,13 +170,13 @@ class Rack:
 
 def _failing_deploy(victim, error, relayed_only=False):
     def replacement(original):
-        def deploy_prog(self, program, linked, hook_name, **kwargs):
+        def stage_prog(self, program, linked, hook_name, **kwargs):
             if self is victim and (self.dispatch_cpu is not None or not relayed_only):
                 raise error
             report = yield from original(self, program, linked, hook_name, **kwargs)
             return report
-        return deploy_prog
-    return _patched(CodeFlow, "deploy_prog", replacement)
+        return stage_prog
+    return _patched(CodeFlow, "stage_prog", replacement)
 
 
 @contextmanager
@@ -255,15 +255,15 @@ def plane_crash(rack):
     doomed = rack.planes[1 if rack.sharded else 0]
 
     def replacement(original):
-        def deploy_prog(self, program, linked, hook_name, **kwargs):
+        def stage_prog(self, program, linked, hook_name, **kwargs):
             if self.control_plane is doomed and not doomed.crashed:
                 doomed.crash()
                 if not rack.sharded:
                     rack.process.interrupt("control plane fail-stop")
             return original(self, program, linked, hook_name, **kwargs)
-        return deploy_prog
+        return stage_prog
 
-    return _patched(CodeFlow, "deploy_prog", replacement)
+    return _patched(CodeFlow, "stage_prog", replacement)
 
 
 class Scenario(NamedTuple):
@@ -431,420 +431,420 @@ def rows() -> list:
 # fmt: off
 ORACLE = {
     ('flat', 'clean'): [
-        Round('', (('ok:full', 13),), ('43.37855999999965', '1301.8355999999997', '0.0', '51490.6568'), '0000000000000', 1393, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1446, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8355999998894', '0.0', '102749.11383999996'), '0000000000000', 2344, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2450, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('43.378559999968274', '1301.835599999933', '0.0', '154007.57087999993'), '0000000000000', 3295, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999346', '0.0', '153944.84976'), '0000000000000', 3454, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('40.09720000000016', '1298.5542400000002', '0.0', '51490.6568'), '0000000000000', 1302, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1291.2004000000002', '0.0', '51469.74976'), '0000000000000', 1355, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('40.09719999995286', '1298.5542399999176', '0.0', '102749.11383999996'), '0000000000000', 2162, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.200399999936', '0.0', '102707.29976'), '0000000000000', 2268, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('40.09719999996014', '1298.554239999925', '0.0', '154007.57087999993'), '0000000000000', 3022, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.2003999999433', '0.0', '153944.84976'), '0000000000000', 3181, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'ordered'): [
-        Round('', (('ok:full', 13),), ('67.69007999999963', '1326.1471199999996', '0.0', '51490.6568'), '0000000000000', 1366, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.919200000000046', '1318.5831199999998', '0.0', '51469.74976'), '0000000000000', 1419, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('67.69007999986934', '1326.147119999834', '0.0', '102749.11383999996'), '0000000000000', 2290, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998574', '0.0', '102707.29976'), '0000000000000', 2396, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('67.690079999913', '1326.1471199998778', '0.0', '154007.57087999993'), '0000000000000', 3214, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998793', '0.0', '153944.84976'), '0000000000000', 3373, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('31.33311999999978', '1268.8831199999997', '0.0', '51469.74976'), '0000000000000', 1078, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802560000000085', '1281.46264', '0.0', '51469.74976'), '0000000000000', 1236, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('31.333119999952032', '1268.883119999955', '0.0', '102707.29976'), '0000000000000', 1714, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.462639999947', '0.0', '102707.29976'), '0000000000000', 2030, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('31.333119999981136', '1268.883119999984', '0.0', '153944.84976'), '0000000000000', 2350, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.4626399999688', '0.0', '153944.84976'), '0000000000000', 2824, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('182.69800000000237', '1441.1550400000024', '142.21152000000257', '51490.6568'), '0000000000000', 1768, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999999988', '1279.6480799999997', '0.0', '51469.74976'), '0000000000000', 1232, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('43.38175999991654', '1301.8387999998813', '0.0', '102749.11383999996'), '0000000000000', 2731, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2728799999095', '0.0', '102707.29976'), '0000000000000', 2248, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('117.88647999992827', '1376.343519999893', '77.39999999996508', '154007.57087999993'), '0000000000000', 3877, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999975432', '1279.6480799999554', '0.0', '153944.84976'), '0000000000000', 3038, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('flat', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('40.4864799999998', '1298.9435199999998', '0.0', '51490.6568'), '0000000000000', 1372, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657040000000052', '1290.5217599999996', '0.0', '51469.74976'), '0000000000000', 1402, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8355999998894', '0.0', '102749.11383999996'), '0000000000000', 2323, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2406, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('40.486479999963194', '1298.943519999928', '0.0', '154007.57087999993'), '0000000000000', 3253, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657039999961853', '1290.521759999945', '0.0', '153944.84976'), '0000000000000', 3366, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('95.60464219172331', '1406.0259881339096', '0.0', '51542.621105942184'), '0000000000000', 1389, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.97520219172361', '1392.2294096412606', '0.0', '51469.74976'), '0000000000000', 1448, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('43.37855999992462', '1301.8355999998894', '0.0', '102801.07814594216'), '0000000000000', 2340, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2452, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('94.98068371500995', '1403.250115853909', '0.0', '154109.34757808107'), '0000000000000', 3287, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.3512437150057', '1388.7686369800067', '0.0', '153944.84976'), '0000000000000', 3458, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('43.37855999999965', '1301.8355999999997', '0.0', '51490.6568'), '0000000000000', 1393, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1446, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102749.11383999996',), '1111111111111', 2161, (39312, 13, 13),
+        Round('Interrupt', (), ('102707.29976',), '1111111111111', 2083, (39312, 26, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
-              (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102749.11383999996',), '1111111111111', 2163, (39312, 13, 13),
+              (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
+        Round('DeployError', (), ('102707.29976',), '1111111111111', 2085, (39312, 26, 13),
               (),
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1501, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2560, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2468, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3619, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3481, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('58.38007999999968', '1318.1358399999997', '0.0', '51524.13968'), '0000000000000', 1410, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1306.0339199999996', '0.0', '51501.4352'), '0000000000000', 1364, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('58.380079999966256', '1318.1358399999372', '0.0', '102816.07959999997'), '0000000000000', 2378, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999507', '0.0', '102770.67064'), '0000000000000', 2286, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('58.380079999988084', '1318.135839999959', '0.0', '154108.01951999994'), '0000000000000', 3346, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999726', '0.0', '154039.90608'), '0000000000000', 3208, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('93.85575999999969', '1353.6115199999997', '0.0', '51529.7816'), '0000000000000', 1463, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968560000000025', '1341.5095999999996', '0.0', '51507.07712'), '0000000000000', 1417, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('93.85575999989669', '1353.6115199998676', '0.0', '102827.36343999996'), '0000000000000', 2484, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.5095999998812', '0.0', '102781.95447999999'), '0000000000000', 2392, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('93.85575999991852', '1353.6115199998894', '0.0', '154124.94527999993'), '0000000000000', 3505, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.509599999903', '0.0', '154056.83184'), '0000000000000', 3367, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('56.73911999999973', '1294.2891199999997', '0.0', '51507.57584'), '0000000000000', 1065, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851920000000064', '1304.3891199999998', '0.0', '51507.07456'), '0000000000000', 1234, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.73911999997654', '1294.2891199999794', '0.0', '102782.95191999999'), '0000000000000', 1688, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999707', '0.0', '102781.94936'), '0000000000000', 2026, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('56.739119999998366', '1294.2891200000013', '0.0', '154058.32799999998'), '0000000000000', 2311, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999925', '0.0', '154056.82416000002'), '0000000000000', 2818, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('209.0544800000023', '1468.8102400000023', '142.21152000000257', '51529.7816'), '0000000000000', 1867, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1230, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('66.84487999995326', '1326.6006399999242', '0.0', '102827.36471999995'), '0000000000000', 2938, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2255, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('144.24295999994501', '1403.998719999916', '77.39999999996508', '154124.94655999992'), '0000000000000', 4183, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3043, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1463, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1411, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2522, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2424, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3543, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3393, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('132.26496219172327', '1519.5589340760957', '0.0', '51657.31981188437'), '0000000000000', 1516, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('86.3777621917236', '1496.1952540760958', '0.0', '51507.07712'), '0000000000000', 1485, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102954.90165188433'), '0000000000000', 2575, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2498, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('131.64100371500535', '1517.4362780455995', '0.0', '154378.52300621493'), '0000000000000', 3649, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('85.75380371499341', '1494.0725980456045', '0.0', '154056.83184'), '0000000000000', 3541, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1492, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999995811', '1326.598719999929', '0.0', '102827.36343999996'), '0000000000000', 2551, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2468, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('66.84295999997994', '1326.5987199999508', '0.0', '154124.94527999993'), '0000000000000', 3601, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3481, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('209.0544800000023', '1468.8102400000023', '142.21152000000257', '51529.7816'), '0000000000001', 1863, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1226, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('66.84487999995326', '1326.6006399999242', '0.0', '102827.36471999995'), '0000000000000', 2934, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2251, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('144.24295999994501', '1403.998719999916', '77.39999999996508', '154124.94655999992'), '0000000000001', 4175, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3035, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('66.84295999999972', '1326.5987199999997', '0.0', '51529.7816'), '0000000000000', 1501, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102827.36343999996',), '1111111111111', 2195, (30240, 13, 13),
+        Round('Interrupt', (), ('102781.95447999999',), '1011001111000', 1899, (30240, 20, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+7', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+6', 'rdx.broadcast.targets{}+13'),
-              (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102827.36343999996',), '1111111111111', 2197, (30240, 13, 13),
+              (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
+        Round('DeployError', (), ('102781.95447999999',), '1011001111000', 1901, (30240, 20, 13),
               (),
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1483, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102780.73351999998'), '0000000000000', 2524, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2468, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999986626', '1300.5824799999682', '0.0', '154055.00039999996'), '0000000000000', 3565, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3481, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('42.58671999999979', '1294.9405599999998', '0.0', '51503.64568'), '0000000000000', 1392, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1287.5392799999997', '0.0', '51488.59248'), '0000000000000', 1364, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('42.586719999977504', '1294.940559999959', '0.0', '102775.09159999999'), '0000000000000', 2342, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999681', '0.0', '102744.9852'), '0000000000000', 2286, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('42.586719999992056', '1294.9405599999736', '0.0', '154046.53751999995'), '0000000000000', 3292, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999827', '0.0', '154001.37792'), '0000000000000', 3208, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('77.94271999999978', '1330.2965599999998', '0.0', '51506.46664'), '0000000000000', 1447, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('45.017920000000004', '1322.8952799999997', '0.0', '51491.41344'), '0000000000000', 1419, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('77.94271999990451', '1330.296559999886', '0.0', '102780.73351999998'), '0000000000000', 2452, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799998951', '0.0', '102750.62711999999'), '0000000000000', 2396, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('77.94271999991906', '1330.2965599999006', '0.0', '154055.00039999996'), '0000000000000', 3457, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799999097', '0.0', '154009.8408'), '0000000000000', 3373, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('40.82607999999982', '1278.3760799999998', '0.0', '51491.6628'), '0000000000000', 1069, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012800000000425', '1285.7760799999999', '0.0', '51491.41216'), '0000000000000', 1236, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('40.82607999998436', '1278.3760799999873', '0.0', '102751.12584'), '0000000000000', 1696, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.7760799999814', '0.0', '102750.62456'), '0000000000000', 2030, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('40.82607999999891', '1278.3760800000018', '0.0', '154010.58888'), '0000000000000', 2323, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.776079999996', '0.0', '154009.83696'), '0000000000000', 2824, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('190.44016000000238', '1442.7940000000024', '142.21152000000257', '51506.46664'), '0000000000000', 1849, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1232, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('48.22991999996884', '1300.5837599999504', '0.0', '102780.73415999996'), '0000000000000', 2902, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2257, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('125.6286399999517', '1377.9824799999333', '77.39999999996508', '154055.00103999994'), '0000000000000', 4129, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3047, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999999814', '1300.5824799999998', '0.0', '51503.46664'), '0000000000000', 1427, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303840000000037', '1293.1811999999998', '0.0', '51488.41344'), '0000000000000', 1411, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102777.73351999998'), '0000000000000', 2468, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102747.62711999999'), '0000000000000', 2424, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('48.228639999986626', '1300.5824799999682', '0.0', '154049.00039999996'), '0000000000000', 3453, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303839999978663', '1293.1811999999773', '0.0', '154003.8408'), '0000000000000', 3393, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.65064219172336', '1493.5426940760958', '0.0', '51631.00485188437'), '0000000000000', 1498, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.72584219172359', '1471.879654076096', '0.0', '51491.41344'), '0000000000000', 1485, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102905.27173188434'), '0000000000000', 2539, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2498, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('113.02668371501204', '1491.4200380456168', '0.0', '154302.57812621494'), '0000000000000', 3595, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=raise,target=_all}+1', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.10188371500408', '1469.7569980456174', '0.0', '154009.8408'), '0000000000000', 3541, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1474, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999972074', '1300.5824799999536', '0.0', '102780.73351999998'), '0000000000000', 2515, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2468, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('48.228639999986626', '1300.5824799999682', '0.0', '154055.00039999996'), '0000000000000', 3547, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3481, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('StaleEpochError', 1)), ('190.44016000000238', '1442.7940000000024', '142.21152000000257', '51506.46664'), '0000000000001', 1845, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1228, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('48.22991999996884', '1300.5837599999504', '0.0', '102780.73415999996'), '0000000000000', 2898, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2253, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('StaleEpochError', 1)), ('125.6286399999517', '1377.9824799999333', '77.39999999996508', '154055.00103999994'), '0000000000001', 4121, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3039, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('48.228639999999814', '1300.5824799999998', '0.0', '51506.46664'), '0000000000000', 1483, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102777.73351999998',), '1111111111111', 2115, (27216, 13, 13),
+        Round('Interrupt', (), ('102747.62711999999',), '1000111100000', 1839, (27216, 18, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+5', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+8', 'rdx.broadcast.targets{}+13'),
-              (('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102777.73351999998',), '1111111111111', 2117, (27216, 13, 13),
+              (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
+        Round('DeployError', (), ('102747.62711999999',), '1000111100000', 1841, (27216, 18, 13),
               (),
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1376, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100599.73351999998'), '0000000000000', 2310, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2402, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.63055999997596', '210.0824799999682', '0.0', '150783.50039999996'), '0000000000000', 3244, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('33.9675199999765', '202.68119999997725', '0.0', '150738.3408'), '0000000000000', 3382, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('46.988639999999805', '204.44055999999972', '0.0', '50413.14568'), '0000000000000', 1285, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('31.146559999999795', '197.0392799999998', '0.0', '50398.09248'), '0000000000000', 1331, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('46.988639999966836', '204.44055999995908', '0.0', '100594.09159999999'), '0000000000000', 2128, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('31.14655999997194', '197.03927999996813', '0.0', '100563.9852'), '0000000000000', 2220, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('46.98863999998139', '204.44055999997363', '0.0', '150775.03751999995'), '0000000000000', 2971, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('31.146559999979218', '197.03927999998268', '0.0', '150729.87792'), '0000000000000', 3109, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('37.82608000000005', '187.87608000000006', '0.0', '50401.1628'), '0000000000000', 1044, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.563679999999977', '195.27608000000004', '0.0', '50400.91216'), '0000000000000', 1207, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('37.82607999998436', '187.87607999998727', '0.0', '100570.12584'), '0000000000000', 1646, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('26.563679999984743', '195.27607999998145', '0.0', '100569.62456'), '0000000000000', 1972, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('37.82607999999891', '187.87608000000182', '0.0', '150739.08888'), '0000000000000', 2248, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('26.56367999999202', '195.276079999996', '0.0', '150738.33696'), '0000000000000', 2737, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('111.88535999999948', '269.3372799999994', '142.21151999999915', '50415.96664'), '0000000000000', 1751, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('93.22231999999946', '261.93599999999947', '142.21151999999915', '50400.91344'), '0000000000000', 1774, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('52.631839999958174', '210.08375999995042', '0.0', '100599.73415999996'), '0000000000000', 2697, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96815999996761', '202.68247999995947', '0.0', '100569.62775999999'), '0000000000000', 2766, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('84.8805599999614', '242.33247999995365', '77.39999999996508', '150783.50103999994'), '0000000000000', 3826, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('66.21751999996195', '234.9311999999627', '77.39999999996508', '150738.34144'), '0000000000000', 3918, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('33.71751999999981', '191.16943999999972', '0.0', '50397.0536'), '0000000000000', 1346, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.353199999999845', '181.06687999999986', '0.0', '50382.24976'), '0000000000000', 1377, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100580.82047999997'), '0000000000000', 2280, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100550.96343999999'), '0000000000000', 2357, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('33.7175199999765', '191.16943999996874', '0.0', '150745.67431999993'), '0000000000000', 3184, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.35319999998319', '181.06687999998394', '0.0', '150701.01344'), '0000000000000', 3292, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('147.10446813390934', '304.55638813390925', '0.0', '50449.719825942186'), '0000000000000', 1374, (18144, 12, 12),
-              ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('121.88030813390924', '290.59398813390925', '0.0', '50400.91344'), '0000000000000', 1423, (18144, 12, 12),
+              ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100633.48670594217'), '0000000000000', 2308, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2403, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('144.32859585393453', '301.7805158539268', '0.0', '150848.8548580811'), '0000000000000', 3240, (55944, 13, 13),
-              ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+12', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('119.10443585392204', '287.8181158539228', '0.0', '150738.3408'), '0000000000000', 3384, (55944, 13, 13),
+              ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1367, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.630559999961406', '210.08247999995365', '0.0', '100599.73351999998'), '0000000000000', 2301, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2402, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('52.63055999997596', '210.0824799999682', '0.0', '150783.50039999996'), '0000000000000', 3226, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('33.9675199999765', '202.68119999997725', '0.0', '150738.3408'), '0000000000000', 3382, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('81.12071999999955', '238.57263999999947', '142.21151999999915', '50415.96664'), '0000100000000', 1738, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('59.75639999999959', '228.4700799999996', '142.21151999999915', '50400.91344'), '0000000000000', 1769, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('52.63119999995979', '210.08311999995203', '0.0', '100599.73415999996'), '0000000000000', 2684, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999996923', '202.68183999996108', '0.0', '100569.62775999999'), '0000000000000', 2761, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('60.21751999996195', '217.6694399999542', '77.39999999996508', '150783.50103999994'), '0000100000000', 3800, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('38.85319999996864', '207.5668799999694', '77.39999999996508', '150738.34144'), '0000000000000', 3908, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'shard-forfeits'): [
-        Round('DeployError', (), ('50415.96664',), '0000000000000', 1401, (0, 0, 0),
+        Round('DeployError', (), ('50400.91344',), '0000000000000', 1430, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('52.631839999958174', '210.08375999995042', '0.0', '100599.73415999996'), '0000000000000', 2344, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.968799999965995', '202.68247999995947', '0.0', '100569.62775999999'), '0000000000000', 2419, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('DeployError', (), ('150783.50103999994',), '0000000000000', 3168, (19656, 13, 13),
+        Round('DeployError', (), ('150738.34144',), '0000000000000', 3272, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('52.63055999999983', '210.08247999999975', '0.0', '50415.96664'), '0000000000000', 1376, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('84.88055999994685', '242.3324799999391', '64.4999999999709', '100599.73351999998'), '0000011110000', 2369, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('66.21751999995467', '234.93119999994815', '64.4999999999709', '100569.62711999999'), '0000010000000', 2392, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+1', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+3', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
-              (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('DeployError', (), ('150783.50103999994',), '0000011110000', 3193, (19656, 13, 13),
+              (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'bubbled deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
+        Round('DeployError', (), ('150738.34144',), '0000010000000', 3245, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+2', 'rdx.broadcast.fanout{}+2', 'rdx.broadcast.latency_us{}+2', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+9', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
@@ -966,7 +966,9 @@ def test_table_reaches_what_it_claims():
         assert not moved(arm, "stale-relayed", 0, fallback)
         stale = ORACLE[arm, "stale-relayed"][2]
         assert ("StaleEpochError", 1) in stale.outcomes
-        assert stale.bubbles.count("1") == 1  # the successor's, left alone
+        # Its stage's fence precedes its raise: the stale plane neither
+        # raises nor lowers the successor's bubble.
+        assert stale.bubbles.count("1") == 0
         assert moved(arm, "host-crashed", 0, "rdx.broadcast.bubble_lower_failed")
     assert not any(
         fallback in entry
@@ -981,9 +983,16 @@ def test_table_reaches_what_it_claims():
     for arm in UNSHARDED:
         crash, refused = ORACLE[arm, "plane-crash"][1:]
         assert crash.raised == "Interrupt" and refused.raised == "DeployError"
-        assert crash.bubbles == "1" * N  # dead processes lower nothing
-        assert crash.journal[0][1] == "INTEND prepared bubbled"  # dangling
+        assert "1" in crash.bubbles  # dead processes lower nothing
         assert refused.journal == ()
+    # The serial arm crashes as its legs start, every bubble up; a
+    # staged arm as its stages start, before Phase 1 is journaled.
+    crash = ORACLE["serial", "plane-crash"][1]
+    assert crash.bubbles == "1" * N
+    assert crash.journal[0][1] == "INTEND prepared bubbled"  # dangling
+    for arm in ("flat", "tree-d2", "tree-d4"):
+        crash = ORACLE[arm, "plane-crash"][1]
+        assert crash.journal[0][1] == "INTEND prepared"  # dangling
 
 
 # -- the abort leak check -----------------------------------------------------
@@ -995,8 +1004,8 @@ EXTENT = 1512
 def test_abort_returns_extents_slots_and_records():
     """Allocator bytes, descriptor slots and deployed records before
     vs after every aborted round of the table: all three return to
-    their pre-broadcast values, whether the abort rolled a target back
-    or detached it."""
+    their pre-broadcast values, whether the abort rolled a target back,
+    detached it or unstaged a leg that never flipped (``ok``)."""
     checked = 0
     for rounds in ORACLE.values():
         for version, round_ in enumerate(rounds):
@@ -1005,7 +1014,7 @@ def test_abort_returns_extents_slots_and_records():
             before = rounds[version - 1].leak if version else (0, 0, 0)
             undone = sum(
                 count for code, count in round_.outcomes
-                if "/rb" in code or "/det" in code
+                if code.startswith("ok")
             )
             assert undone > 0
             assert round_.leak == before
@@ -1063,7 +1072,7 @@ def test_abort_over_a_deployed_group_returns_every_extent():
 
 @given(st.integers(1, 12), st.integers(0, 300))
 def test_every_non_root_has_one_parent_and_it_comes_first(degree, size):
-    plan = _FanoutPlan(degree, {}, (), False)
+    plan = _FanoutPlan(degree, {}, (), False, True)
     parent_of = {}
     for pos in range(size):
         for child in plan.children(pos, size):

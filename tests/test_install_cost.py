@@ -15,8 +15,7 @@ RNIC is handed, so none of the following can come back unnoticed:
 * the fence READ is posted the instant the dispatch starts and flies
   under it, so no microsecond of a deploy falls outside its phases
   (fencing first left one READ round trip in no phase) -- on a relayed
-  tree leg too, where the dispatch is the relay host's, while a leg
-  its bubble raise already fenced spawns nothing to overlap.
+  tree leg's stage too, where the dispatch is the relay host's.
 """
 
 from collections import Counter
@@ -144,8 +143,8 @@ def test_a_relayed_leg_fences_under_the_relay_hosts_dispatch(config):
         n_hosts=3, cores_per_host=4, hooks=("ingress",), with_agents=False,
         config=config,
     )
-    # d=2 over three targets: positions 0 and 1 are roots, fenced by
-    # their bubble raise; position 2 is relayed through position 0.
+    # d=2 over three targets: positions 0 and 1 are roots; position 2
+    # is relayed through position 0.
     relay_cpu = bed.codeflows[0].sandbox.host.cpu
     busy = relay_cpu.busy_us
     programs = [
@@ -159,12 +158,15 @@ def test_a_relayed_leg_fences_under_the_relay_hosts_dispatch(config):
         ),
         log,
     )
-    assert names["dispatch"] == 1  # the relayed leg's; none per root
-    started = _first_spawned(log)["dispatch"]
-    assert ("wqe:read", started) in log
-    assert relay_cpu.busy_us - busy == pytest.approx(params.RDX_DISPATCH_FAST_US)
+    assert names["dispatch"] == 3  # every leg's stage fences in its own right
     relayed = result.reports[2]
-    assert relayed.started_us == started
-    assert relayed.total_us == pytest.approx(
-        relayed.dispatch_us + relayed.write_us + relayed.cc_us, abs=1e-9
+    started = relayed.started_us
+    assert ("dispatch", started) in log and ("wqe:read", started) in log
+    assert relay_cpu.busy_us - busy == pytest.approx(params.RDX_DISPATCH_FAST_US)
+    # The stage chain -- image, descriptor, bubble flag and the flag's
+    # doorbell -- goes out the instant the dispatch ends.
+    assert any(
+        name == "wqe-chain:4"
+        and now == pytest.approx(started + relayed.dispatch_us, abs=1e-9)
+        for name, now in log
     )

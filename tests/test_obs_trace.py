@@ -103,18 +103,20 @@ class TestBroadcastTrace:
         assert len({e.data["target"] for e in flushes}) == 8
         for event in trace.events:
             assert event.data["trace_id"] == trace.trace_id
-        # The CAS rides the install chain, and its doorbells' flushes
-        # all take effect one RDX_CC_EVENT_US after the chain's CQE.
+        # A leg is two chains: the stage (its doorbells flush the body
+        # spans and the bubble flag) and the flip, which the CAS rides.
+        # Each chain's flushes take effect one RDX_CC_EVENT_US after its
+        # CQE.
         for commit in cas:
             target = commit.data["target"]
             chain = [
                 e for e in trace.events
                 if e.category == "rdx.trace.chain" and e.data["target"] == target
             ]
-            assert chain[-1].time_us == commit.time_us
+            assert len(chain) == 2 and chain[-1].time_us == commit.time_us
             assert {
                 e.time_us for e in flushes if e.data["target"] == target
-            } == {commit.time_us + params.RDX_CC_EVENT_US}
+            } == {e.time_us + params.RDX_CC_EVENT_US for e in chain}
 
     def test_tenant_label_rides_trace_and_registry(self, broadcast_bed):
         bed, _warm = broadcast_bed

@@ -13,9 +13,10 @@ down is the *failure* matrix of the relay fan-out:
   :class:`~repro.errors.StaleEpochError` -- never downgraded to a
   fallback, never force-fed direct bytes, and the lowering phase
   leaves the successor's bubble alone;
-* the bubble raise walks the same forest under the same rules: a
-  broken relay path retries directly, a failed raise hands its subtree
-  to the control plane, a fenced relayed raise fails its leg;
+* the bubble raise rides the tail of each leg's stage chain, so it
+  walks the same forest under the same rules: a broken relay path
+  retries directly, a failed raise hands its subtree to the control
+  plane, a fenced relayed raise fails its leg;
 * the cross-shard coordinator commits/aborts/degrades on the global
   tally, and a forfeited shard never strands its siblings.
 """
@@ -98,16 +99,16 @@ class TestTreeFanout:
         """A dead relay link is a *path* problem, not a target problem:
         the shard still owes the target its update, delivered direct."""
         victim = bed.codeflows[-1]
-        original = CodeFlowGroup._deploy_step
+        original = CodeFlowGroup._stage_step
 
-        def broken(self, codeflow, *args, via=None, **kwargs):
-            if codeflow is victim and via is not None:
+        def broken(self, codeflow, *args, relayed=False, **kwargs):
+            if codeflow is victim and relayed:
                 raise HostUnreachable(
                     f"{codeflow.sandbox.name}: relay link dead"
                 )
-            return original(self, codeflow, *args, via=via, **kwargs)
+            return original(self, codeflow, *args, relayed=relayed, **kwargs)
 
-        CodeFlowGroup._deploy_step = broken
+        CodeFlowGroup._stage_step = broken
         try:
             result = bed.sim.run_process(
                 CodeFlowGroup(bed.codeflows).broadcast(
@@ -115,7 +116,7 @@ class TestTreeFanout:
                 )
             )
         finally:
-            CodeFlowGroup._deploy_step = original
+            CodeFlowGroup._stage_step = original
         assert all(outcome.ok for outcome in result.outcomes)
         assert fallback_count(bed, "HostUnreachable") == 1
         out, _ = victim.sandbox.run_hook("ingress", bytes(256))
@@ -126,7 +127,7 @@ class TestTreeFanout:
         on a parent that will never forward: they fall back to direct
         delivery (reason ``parent-failed``) and still succeed."""
         root = bed.codeflows[0]  # tree position 0: children are 2 and 3
-        original = CodeFlow.deploy_prog
+        original = CodeFlow.stage_prog
 
         def failing(self, program, linked, hook_name, **kwargs):
             if self is root:
@@ -136,7 +137,7 @@ class TestTreeFanout:
             )
             return report
 
-        CodeFlow.deploy_prog = failing
+        CodeFlow.stage_prog = failing
         try:
             result = bed.sim.run_process(
                 CodeFlowGroup(bed.codeflows).broadcast(
@@ -144,7 +145,7 @@ class TestTreeFanout:
                 )
             )
         finally:
-            CodeFlow.deploy_prog = original
+            CodeFlow.stage_prog = original
         assert result.degraded
         assert not result.outcomes[0].ok
         assert all(outcome.ok for outcome in result.outcomes[1:])
@@ -185,27 +186,27 @@ class TestTreeFanout:
         no more right to those bytes than the relay did)."""
         progs = programs_for(bed)
         victim = bed.codeflows[-1]  # deep in the tree: a relayed leg
-        original = CodeFlowGroup._deploy_step
+        original = CodeFlowGroup._stage_step
 
-        def fencing(self, codeflow, *args, via=None, **kwargs):
-            if codeflow is victim and via is not None:
-                # Successor bumps the fencing word between the bubble
-                # raise and the relayed deploy (write-through, so the
-                # relay QP's 8-byte fence read observes it).
+        def fencing(self, codeflow, *args, relayed=False, **kwargs):
+            if codeflow is victim and relayed:
+                # Successor bumps the fencing word before the relayed
+                # stage (write-through, so the relay QP's 8-byte fence
+                # read observes it).
                 codeflow.sandbox.host.cache.cpu_write(
                     codeflow.sandbox.epoch_addr,
                     pack_qword(codeflow.epoch + 1),
                 )
-            return original(self, codeflow, *args, via=via, **kwargs)
+            return original(self, codeflow, *args, relayed=relayed, **kwargs)
 
-        CodeFlowGroup._deploy_step = fencing
+        CodeFlowGroup._stage_step = fencing
         try:
             process = bed.sim.spawn(
                 CodeFlowGroup(bed.codeflows).broadcast(progs, "ingress")
             )
             bed.sim.run()
         finally:
-            CodeFlowGroup._deploy_step = original
+            CodeFlowGroup._stage_step = original
         with pytest.raises(BroadcastAborted) as excinfo:
             _ = process.value
         result = excinfo.value.result
@@ -225,14 +226,14 @@ class TestTreeFanout:
 
 def _fence_on_relayed_raise(victim, act):
     """Patch ``CodeFlow.check_fence`` so that ``act(victim)`` runs just
-    before ``victim``'s fence READ whenever it is raising its bubble
-    over a relay: its sync swapped for a relay's and -- unlike a
-    relayed deploy -- no dispatch CPU borrowed.  Returns the undo."""
+    before ``victim``'s fence READ whenever it is staging -- and so
+    raising its bubble -- over a relay: its sync swapped for a relay's.
+    Returns the undo."""
     direct = victim.sync
     original = CodeFlow.check_fence
 
     def check_fence(self):
-        if self is victim and self.sync is not direct and self.dispatch_cpu is None:
+        if self is victim and self.sync is not direct:
             act(self)
         return original(self)
 
@@ -242,12 +243,13 @@ def _fence_on_relayed_raise(victim, act):
 
 class TestRaiseDownTheForest:
     """Phase 1 is a walk of the forest too: a child's bubble rises over
-    its parent's relay QP -- the fence READ and the flag chain both."""
+    its parent's relay QP, on the tail of its stage chain, behind the
+    stage's fence READ."""
 
     def test_broken_relay_raise_retries_directly(self, bed):
         """The lower's rule: a relay *path* error retries once from the
-        control plane, counted ``raise``; the leg then deploys as
-        usual."""
+        control plane, counted under the error's name like any relayed
+        stage; the leg then deploys as usual."""
         victim = bed.codeflows[-1]  # position 8: raised via position 3
 
         def dead_link(codeflow):
@@ -263,8 +265,8 @@ class TestRaiseDownTheForest:
         finally:
             undo()
         assert all(outcome.ok for outcome in result.outcomes)
-        assert fallback_count(bed, "raise") == 1
-        assert fallback_count(bed, "HostUnreachable") == 0
+        assert fallback_count(bed, "HostUnreachable") == 1
+        assert fallback_count(bed, "raise") == 0
         out, _ = victim.sandbox.run_hook("ingress", bytes(256))
         assert out is not None
         assert all(not sb.bubble_active() for sb in bed.sandboxes)
@@ -275,15 +277,18 @@ class TestRaiseDownTheForest:
         ``parent-failed`` like the deploy walk -- never over the dead
         host, never stranded."""
         raised = []
-        original = CodeFlowGroup._write_bubble
+        direct = {id(codeflow.sync) for codeflow in bed.codeflows}
+        original = CodeFlow.stage_prog
 
-        def write_bubble(self, codeflow, value, sync, flushes=None):
-            raised.append((codeflow.sandbox.name, value, sync is codeflow.sync))
-            return original(self, codeflow, value, sync, flushes)
+        def stage_prog(self, program, linked, hook_name, **kwargs):
+            raised.append(
+                (self.sandbox.name, bool(kwargs["tail"]), id(self.sync) in direct)
+            )
+            return original(self, program, linked, hook_name, **kwargs)
 
         host = bed.codeflows[1].sandbox.host
         host.crash()
-        CodeFlowGroup._write_bubble = write_bubble
+        CodeFlow.stage_prog = stage_prog
         try:
             result = bed.sim.run_process(
                 CodeFlowGroup(bed.codeflows).broadcast(
@@ -291,7 +296,7 @@ class TestRaiseDownTheForest:
                 )
             )
         finally:
-            CodeFlowGroup._write_bubble = original
+            CodeFlow.stage_prog = original
             host.recover()
         assert result.degraded
         assert not result.outcomes[1].ok
@@ -299,7 +304,7 @@ class TestRaiseDownTheForest:
         assert fallback_count(bed, "parent-failed") == 2
         assert fallback_count(bed, "raise") == 0
         direct_raises = {
-            name for name, value, direct in raised if value == 1 and direct
+            name for name, raising, direct in raised if raising and direct
         }
         for index in (4, 5):
             assert bed.codeflows[index].sandbox.name in direct_raises
@@ -421,7 +426,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
         linked_by = {}  # id(image) -> broadcast round that linked it
         forwarded = []
         rounds = [0]
-        link, deploy = CodeFlow.link_code, CodeFlow.deploy_prog
+        link, deploy = CodeFlow.link_code, CodeFlow.stage_prog
 
         def linking(self, binary, **kwargs):
             image = yield from link(self, binary, **kwargs)
@@ -432,7 +437,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
             forwarded.append((rounds[0], linked_by[id(linked)]))
             return deploy(self, program, linked, hook_name, **kwargs)
 
-        CodeFlow.link_code, CodeFlow.deploy_prog = linking, deploying
+        CodeFlow.link_code, CodeFlow.stage_prog = linking, deploying
         try:
             for version in range(2):
                 rounds[0] = version
@@ -440,7 +445,7 @@ class TestPhaseZeroImagesBelongToTheBroadcast:
                     group.broadcast(self._programs(version), "ingress")
                 )
         finally:
-            CodeFlow.link_code, CodeFlow.deploy_prog = link, deploy
+            CodeFlow.link_code, CodeFlow.stage_prog = link, deploy
         assert len(forwarded) == 10
         assert all(used == linked for used, linked in forwarded)
         # ...and the group keeps no image between broadcasts: the relay
@@ -521,7 +526,7 @@ class TestCrossShardCommit:
         bed = sharded_bed()
         progs = self._programs(bed)
         victim = bed.codeflows[-1]  # owned by shard 1
-        original = CodeFlow.deploy_prog
+        original = CodeFlow.stage_prog
 
         def failing(self, program, linked, hook_name, **kwargs):
             if self is victim:
@@ -531,14 +536,14 @@ class TestCrossShardCommit:
             )
             return report
 
-        CodeFlow.deploy_prog = failing
+        CodeFlow.stage_prog = failing
         try:
             process = bed.sim.spawn(
                 bed.sharded.broadcast(progs, "ingress")
             )
             bed.sim.run()
         finally:
-            CodeFlow.deploy_prog = original
+            CodeFlow.stage_prog = original
         with pytest.raises(BroadcastAborted):
             _ = process.value
         for codeflow, prog in zip(bed.codeflows, progs):
@@ -553,7 +558,7 @@ class TestCrossShardCommit:
         bed = sharded_bed()
         progs = self._programs(bed)
         victim = bed.codeflows[-1]
-        original = CodeFlow.deploy_prog
+        original = CodeFlow.stage_prog
 
         def failing(self, program, linked, hook_name, **kwargs):
             if self is victim:
@@ -563,13 +568,13 @@ class TestCrossShardCommit:
             )
             return report
 
-        CodeFlow.deploy_prog = failing
+        CodeFlow.stage_prog = failing
         try:
             result = bed.sim.run_process(
                 bed.sharded.broadcast(progs, "ingress", allow_partial=True)
             )
         finally:
-            CodeFlow.deploy_prog = original
+            CodeFlow.stage_prog = original
         assert result.degraded
         survivors = [o for o in result.outcomes if o.ok]
         assert len(survivors) == 7
