@@ -326,6 +326,64 @@ def _drive_crash_recovery(sim, seed: int, plan: "SchedulePlan") -> None:
     sim.run(until=sim.now + _SETTLE_US)
 
 
+def _drive_crash_before_flip(sim, seed: int, plan: "SchedulePlan") -> None:
+    """``crash-before-flip``: a degree-2 tree broadcast whose control
+    plane fail-stops once every leg has staged -- each image landed and
+    each bubble raised -- and before any flip; a resumed incarnation
+    reconciles.  The staged extents are orphans (no hook ever pointed
+    at them), so the hooks must still name the first broadcast's
+    images, with every staged descriptor detached and every bubble
+    lowered."""
+    from repro.core.broadcast import CodeFlowGroup
+    from repro.core.reconcile import Reconciler, resume_control_plane
+    from repro.ebpf.stress import make_stress_program
+    from repro.sim.core import Interrupt
+
+    rollout = make_stress_program(200, seed=seed * 23, name="fzstage")
+    bed = _relay_rounds(sim, seed, [rollout])
+    live = [cf.deployed["fzstage"].code_addr for cf in bed.codeflows]
+    journal = bed.control.journal
+    record_phase = journal.phase
+
+    def phase(txn, name, *args, **kwargs):
+        record_phase(txn, name, *args, **kwargs)
+        if name == "bubbled":
+            bed.control.crash()
+            raise Interrupt("control plane fail-stop")
+
+    journal.phase = phase
+    group = CodeFlowGroup(bed.codeflows)
+    staged = make_stress_program(200, seed=seed * 23 + 1, name="fzstage")
+    doomed = sim.spawn(
+        _staggered(
+            sim, plan,
+            group.broadcast([staged] * len(bed.codeflows), "ingress"),
+            "scn.stage-start", 5.0,
+        ),
+        name="fz-doomed-broadcast",
+    )
+    sim.run()
+    try:
+        doomed.value
+    except Interrupt:
+        pass
+    else:
+        raise AssertionError("the broadcast outlived its control plane")
+    del journal.phase
+    plane, codeflows = sim.run_process(
+        resume_control_plane(
+            bed.cluster.control_host, journal, bed.sandboxes, trace=bed.trace,
+        )
+    )
+    reports = sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+    for report, codeflow, addr in zip(reports, codeflows, live):
+        kinds = sorted(action.kind for action in report.actions)
+        assert kinds == ["adopt", "detach_orphan", "lower_bubble"], kinds
+        assert codeflow.deployed["fzstage"].code_addr == addr
+        assert not codeflow.sandbox.bubble_active()
+    sim.run(until=sim.now + _SETTLE_US)
+
+
 # -- known-bad scenarios (guards off; the rediscovery targets) --------------
 
 
@@ -536,6 +594,12 @@ _ALL = (
         ),
     ),
     Scenario("crash-recovery", _drive_crash_recovery),
+    Scenario(
+        "crash-before-flip", _drive_crash_before_flip,
+        config=replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        ),
+    ),
     Scenario(
         "sharded-commit", _drive_sharded_commit,
         expect="commit-before-body", schedule_class="reordered-commit",

@@ -210,6 +210,62 @@ class TestBubbleLeak:
         # No target is stranded buffering behind a raised bubble.
         assert all(not sb.bubble_active() for sb in bed.sandboxes)
 
+    def test_a_corrupt_stage_is_caught_before_its_flip(self, testbed2, monkeypatch):
+        """A bit flipped in one target's image fails its CRC read-back
+        before its hook moves: no commit CAS reaches that target.  A
+        staged broadcast aborts before any flip, so it posts no rollback
+        CAS anywhere either (the serial arm flips and rolls back the
+        survivor).  Every hook still names its v1 image."""
+        from repro.core.faults import FaultInjector, FaultKind
+        from repro.core.sync import RemoteSync
+        from repro.errors import BroadcastAborted
+
+        bed = testbed2
+        bed.sim.run_process(
+            rdx_broadcast(bed.codeflows, programs_for(bed), "ingress")
+        )
+        hooks = {cf.sandbox.name: cf._hook_addr("ingress") for cf in bed.codeflows}
+        v1 = [cf.deployed[f"bc{i}"].code_addr for i, cf in enumerate(bed.codeflows)]
+        flips = []
+        install, tx = RemoteSync.install, RemoteSync.tx
+
+        def spy_install(self, ops, qword_addr, *args, **kwargs):
+            if qword_addr == hooks[self.sandbox.name]:
+                flips.append(self.sandbox.name)
+            return install(self, ops, qword_addr, *args, **kwargs)
+
+        def spy_tx(self, obj_addr, obj_bytes, qword_addr, *args, **kwargs):
+            if qword_addr == hooks[self.sandbox.name]:
+                flips.append(self.sandbox.name)
+            return tx(self, obj_addr, obj_bytes, qword_addr, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteSync, "install", spy_install)
+        monkeypatch.setattr(RemoteSync, "tx", spy_tx)
+        injector = FaultInjector(bed.codeflows[1], seed=7)
+        injector.arm(FaultKind.BIT_FLIP)
+        injector.attach()
+        try:
+            process = bed.sim.spawn(
+                rdx_broadcast(bed.codeflows, programs_for(bed, 101), "ingress")
+            )
+            bed.sim.run()
+        finally:
+            injector.detach()
+        with pytest.raises(BroadcastAborted) as excinfo:
+            _ = process.value
+        assert excinfo.value.result.outcomes[1].error_kind == "ConsistencyError"
+        assert bed.sandboxes[1].name not in flips
+        if bed.codeflows[0].config.pipelined_deploy:
+            assert flips == []
+        assert [
+            cf.deployed[f"bc{i}"].code_addr for i, cf in enumerate(bed.codeflows)
+        ] == v1
+        for cf, addr in zip(bed.codeflows, v1):
+            assert cf.sandbox.host.cache.cpu_read(hooks[cf.sandbox.name], 8) == (
+                addr.to_bytes(8, "little")
+            )
+        assert all(not sb.bubble_active() for sb in bed.sandboxes)
+
 
 class TestBbuConsistencyInvariant:
     def test_no_request_observes_mixed_logic(self):

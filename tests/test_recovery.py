@@ -391,3 +391,62 @@ class TestTornBatchRecovery:
         assert reports[0].audit.clean
         execution, _ = bed.sandboxes[0].run_hook("ingress", bytes(256))
         assert execution is not None
+
+
+class TestCrashBetweenStageAndFlip:
+    def test_reconciler_frees_every_staged_extent(self, monkeypatch):
+        """The control plane dies after every leg staged (and raised its
+        bubble) and before any flip.  The resumed incarnation's
+        reconciler detaches each staged descriptor as an orphan: every
+        hook still names the v1 image, and each target's allocator and
+        descriptor slots are what they were before the broadcast."""
+        from dataclasses import replace
+
+        from repro.params import DEFAULT
+        from repro.sim.core import Interrupt
+
+        config = replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        )
+        bed = make_testbed(
+            n_hosts=5, cores_per_host=2, hooks=("ingress",), with_agents=False,
+            seed=3, config=config,
+        )
+        group = CodeFlowGroup(bed.codeflows)
+        bed.sim.run_process(group.broadcast(programs_for(bed, 1), "ingress"))
+        before = [
+            (dict(cf.code_allocator._live), set(cf._metadata_used))
+            for cf in bed.codeflows
+        ]
+        hooks = [cf.deployed[f"app{i}"].code_addr for i, cf in enumerate(bed.codeflows)]
+        walk = CodeFlowGroup._walk
+
+        def crash_before_the_flips(self, plan, members, kind, visit):
+            if kind == "flip":
+                bed.control.crash()
+                raise Interrupt("control plane fail-stop")
+            return walk(self, plan, members, kind, visit)
+
+        monkeypatch.setattr(CodeFlowGroup, "_walk", crash_before_the_flips)
+        doomed = bed.sim.spawn(group.broadcast(programs_for(bed, 2), "ingress"))
+        bed.sim.run()
+        with pytest.raises(Interrupt):
+            _ = doomed.value
+        staged = [len(cf._metadata_used) - len(used) for cf, (_, used) in zip(bed.codeflows, before)]
+        assert staged == [1] * 5
+        assert all(sb.bubble_active() for sb in bed.sandboxes)  # nobody lowered
+
+        plane, codeflows = bed.sim.run_process(
+            resume_control_plane(
+                bed.cluster.control_host, bed.control.journal, bed.sandboxes
+            )
+        )
+        reports = bed.sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+        assert all(report.converged for report in reports)
+        for report in reports:
+            kinds = sorted(action.kind for action in report.actions)
+            assert kinds == ["adopt", "detach_orphan", "lower_bubble"]
+        for index, cf in enumerate(codeflows):
+            hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
+            assert int.from_bytes(hook, "little") == hooks[index]
+            assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
