@@ -4,21 +4,25 @@
 whose write set spans every target hook (inspired by RDMA distributed
 transactions).  Consistency comes from **Big Bubble Update (BBU)**:
 
-1. raise the *bubble flag* on every target (data paths buffer incoming
+1. stage every image where no hook points yet, and raise the *bubble
+   flag* on each target as its stage lands (data paths buffer incoming
    requests instead of executing mixed logic),
-2. deploy all extensions in parallel,
+2. flip every hook to its staged image -- one CAS each, in parallel,
 3. lower the flags in dependency order, releasing buffered requests.
 
-Because RDX injection is microseconds, the bubble -- and therefore the
-request buffer -- stays tiny; the same scheme under an agent baseline
-would need to buffer ~rate x window requests (§2.2 Obs 2's 1M-request
-example), which is the ablation ``bench_ablate_bbu`` quantifies.
+Only steps 2 and 3 sit inside the window, and RDX moves a hook in
+microseconds, so the bubble -- and therefore the request buffer --
+stays tiny; the same scheme under an agent baseline would need to
+buffer ~rate x window requests (§2.2 Obs 2's 1M-request example),
+which is the ablation ``bench_ablate_bbu`` quantifies.  The serial arm
+keeps the paper's order: raise, then deploy each leg whole.
 
-The transaction has an **abort path**: every target's deploy leg runs
-under its own deadline and collects its own outcome; if any leg fails
-(deploy error, CRC-failed verify readback, crashed/partitioned target,
-deadline expiry) the targets that *did* succeed are rolled back to
-their prior image -- all-or-nothing visibility -- and
+The transaction has an **abort path**: every target's stage runs under
+its own deadline and collects its own outcome; if any leg fails (deploy
+error, CRC-failed verify read-back, crashed/partitioned target,
+deadline expiry) before anything flipped, the staged images are simply
+given back; legs that *did* flip are rolled back to their prior image
+-- all-or-nothing visibility -- and
 :class:`~repro.errors.BroadcastAborted` is raised *after* every
 reachable bubble has been lowered.  ``allow_partial=True`` opts into
 quorum mode instead: surviving targets keep the new logic and the
@@ -79,7 +83,9 @@ class BroadcastResult:
 
     group_size: int
     started_us: float
-    #: When the first raise's flush landed: the oldest bubble's birth.
+    #: When the first bubble was up -- its raise's flush landed (with a
+    #: staged leg's ``verify``, its read-back too): the oldest bubble's
+    #: birth.
     first_raised_us: float = 0.0
     #: When the last raise's flush landed (Phase 1 done).
     bubble_raised_us: float = 0.0
@@ -147,7 +153,7 @@ class _FanoutPlan:
     #: target name -> image linked during this broadcast's Phase 0 --
     #: the chained WR payload a relay forwards verbatim, so a relayed
     #: leg never touches the control plane's CPU or QPs.  Empty when
-    #: relays are off: a hub-and-spoke leg goes through ``inject``,
+    #: relays are off: a hub-and-spoke leg goes through ``stage_for``,
     #: whose link-stage hit skips the stub rendezvous (letting
     #: flat legs deploy the Phase-0 image instead was measured: the
     #: N=13 window grows 54.79 -> 61.69 us).
@@ -213,17 +219,12 @@ class CodeFlowGroup:
     def _write_bubble(
         self, codeflow: CodeFlow, value: int, sync: RemoteSync, flushes: list
     ) -> Generator:
-        """Set one bubble flag and flush it to the target's CPU.
-
-        The serial path keeps the blocking write + flush pair.  The
-        pipelined path -- a lower: its raise rides a stage chain --
-        chains the flag write and the ``cc_event`` doorbell into ONE WR
-        chain (one doorbell, one completion) and appends the flush to
-        ``flushes``: lowering is the benign direction (a stale "still
-        raised" just buffers a few extra requests for ~2us), so the
-        flush *effect* lands asynchronously while the next target's
-        lower goes out.
-        """
+        """Set one bubble flag and flush it to the target's CPU: a
+        blocking write + flush (serial), or -- a lower; the pipelined
+        raise rides a stage chain -- the flag and its doorbell as ONE
+        chain whose flush joins ``flushes``.  Lowering is the benign
+        direction (a stale "still raised" buffers a few more requests
+        for ~2us), so its flush lands while the next lower goes out."""
         addr = codeflow.sandbox.bubble_addr
         if not self.config.pipelined_deploy:
             yield from sync.write(addr, pack_qword(value))
@@ -248,16 +249,12 @@ class CodeFlowGroup:
         flushes: list,
         sync: Optional[RemoteSync] = None,
     ) -> Generator:
-        """One lowering, failure-isolated: a target whose lower fails
-        (unreachable, flaky) is counted, never fatal -- and when the
-        lowers run concurrently, never strands a sibling.  A *relayed*
-        lower (``sync`` riding a forest parent's QP) that fails retries
-        once directly from the control plane before being counted --
-        a crashed relay must never leave its subtree buffering.
-        Returns the codeflow: in a forest walk the children keep
-        relaying through this target -- its QP fan-out is what spreads
-        the lowering load -- even if its own lower was counted as
-        failed."""
+        """One lowering, failure-isolated: a failed lower (unreachable,
+        flaky) is counted, never fatal, and never strands a sibling.  A
+        *relayed* lower (``sync`` riding a forest parent's QP) that
+        fails retries once directly first -- a crashed relay must never
+        leave its subtree buffering.  Returns the codeflow either way:
+        the children keep relaying through this target."""
         try:
             yield from self._write_bubble(
                 codeflow, 0, sync or codeflow.sync, flushes
@@ -290,11 +287,10 @@ class CodeFlowGroup:
             errors.append(err)
             return
         try:
-            # Pre-link while no bubble is up: warms the artifact
-            # store's link stage so the in-window deploy leg skips relocation
-            # rewriting *and* the stub rendezvous.  Best-effort -- a
-            # link error here re-surfaces inside the leg, where the
-            # per-target failure machinery owns it.
+            # Pre-link: warms the artifact store's link stage so the
+            # leg skips relocation rewriting *and* the stub rendezvous.
+            # Best-effort -- a link error here re-surfaces inside the
+            # leg, where the per-target failure machinery owns it.
             linked = yield from codeflow.link_code(entry.binary, parent_span=span)
         except ReproError:
             pass
@@ -330,14 +326,15 @@ class CodeFlowGroup:
         group order.  Programs must already be prepared (validated +
         compiled) or preparable; linking happens per target.
 
-        ``verify`` reads every installed image back and checks its
-        trailing CRC, so silent payload corruption (torn or bit-flipped
-        writes) fails the leg instead of crashing the data path later.
-        ``deadline_us`` bounds each target's leg (default
-        :data:`repro.params.BROADCAST_TARGET_DEADLINE_US`); a crashed
-        target exhausts its transport retries or hits the deadline,
-        either way becoming a per-target failure.  On any failure the
-        default is transactional abort (succeeded legs rolled back,
+        ``verify`` reads every staged image back and checks its
+        trailing CRC before its hook flips, so silent payload corruption
+        (torn or bit-flipped writes) fails the leg instead of crashing
+        the data path later.  ``deadline_us`` bounds each target's leg
+        (default :data:`repro.params.BROADCAST_TARGET_DEADLINE_US`); a
+        crashed target exhausts its transport retries or hits the
+        deadline, either way becoming a per-target failure.  On any
+        failure the default is transactional abort (staged legs given
+        back, flipped legs rolled back,
         :class:`~repro.errors.BroadcastAborted` raised after bubbles
         drop); ``allow_partial=True`` keeps surviving targets live and
         marks the result ``degraded``.
@@ -350,15 +347,15 @@ class CodeFlowGroup:
         before any bubble rises, COMMIT listing exactly the legs that
         kept the new logic).
 
-        The raise, deploy and (unordered) lower phases walk one forest
-        of the targets (:class:`_FanoutPlan`).  By default every target
-        is a root, served by the control plane; with
-        ``config.tree_broadcast`` set the forest has degree
-        ``config.tree_degree``: a raised sandbox raises its children's
-        bubbles, and an already-updated one relays them the chained WR
-        list, so Phase 1 and the bubble window grow ~O(log N) instead
-        of serializing N raises and legs through the control RNIC.
-        ``bubble_window_us`` runs from the last raise,
+        The stage (with its raise), flip and (unordered) lower phases
+        walk one forest of the targets (:class:`_FanoutPlan`).  By
+        default every target is a root, served by the control plane;
+        with ``config.tree_broadcast`` set the forest has degree
+        ``config.tree_degree``: a staged sandbox relays its children
+        the chained WR list, and the flips and lowers follow the same
+        edges, so every phase grows ~O(log N) instead of serializing N
+        legs through the control RNIC.  The window holds only the flips
+        and the lowers: ``bubble_window_us`` runs from the last raise,
         ``bubble_hold_us`` from the first.  A
         ``coordinator`` (see :class:`repro.core.shard.ShardCoordinator`)
         makes this group one shard of a larger cross-shard transaction:
@@ -505,50 +502,61 @@ class CodeFlowGroup:
             # error escapes.  A bubble left raised would buffer the
             # target's requests forever -- the §2.2 agent-lockout
             # pathology BBU exists to avoid.
-            live = [
-                index
-                for index, outcome in enumerate(result.outcomes)
-                if not outcome.error
-            ]
             #: group index -> plan staged and not yet flipped.
             staged: dict = {}
-            try:
-                # Phase 1, staged: walk the forest of the legs the lease
-                # layer kept, before any window opens.  The control
-                # plane seeds the roots; each staged sandbox then relays
-                # the chained WR list to its children, so depth grows
-                # with log(N) instead of N/pipeline.  A leg lands its
-                # image where no hook points, and its bubble raise rides
-                # the tail of that chain.  Serial: raise every bubble.
-                if plan.staged:
 
-                    def stage(pos: int, via: Optional[CodeFlow]) -> Generator:
-                        index = live[pos]
-                        codeflow = self.codeflows[index]
-                        if via is None and pos >= plan.degree:
-                            # A leg that failed mid-fanout never strands
-                            # its subtree: the children are served by the
-                            # control plane instead.
-                            self._relay_fallback(codeflow, "parent-failed")
-                        raise_ = ()
-                        if use_bbu:
-                            raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
-                        staged_plan = yield from self._deploy_leg(
-                            result.outcomes[index], deadline_us,
-                            self._stage_route(
-                                codeflow, programs[index],
-                                plan.images.get(codeflow.sandbox.name), via,
-                                hook_name, span, verify, delta, raise_,
-                            ),
-                        )
-                        if staged_plan is None:
-                            return None
-                        staged[index] = staged_plan
-                        if use_bbu and not result.first_raised_us:
-                            result.first_raised_us = self.sim.now
+            def legs(members: list):
+                """The visit that runs one leg over ``members``: staged,
+                or -- serial -- deployed whole.  It hands on the
+                codeflow, or None when the leg failed."""
+
+                def leg(pos: int, via: Optional[CodeFlow]) -> Generator:
+                    index = members[pos]
+                    codeflow = self.codeflows[index]
+                    outcome = result.outcomes[index]
+                    if via is None and pos >= plan.degree:
+                        # A leg that failed mid-fanout never strands
+                        # its subtree: the children are served by the
+                        # control plane instead.
+                        self._relay_fallback(codeflow, "parent-failed")
+                    raise_ = ()
+                    if use_bbu and plan.staged:
+                        raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
+                    body = self._stage_route(
+                        codeflow, programs[index],
+                        plan.images.get(codeflow.sandbox.name), via,
+                        hook_name, span, verify, delta, raise_,
+                    )
+                    if not plan.staged:
+                        body = self._deploy_whole(codeflow, body)
+                    done = yield from self._deploy_leg(outcome, deadline_us, body)
+                    if done is None:
+                        return None
+                    if not plan.staged:
+                        outcome.report = done
                         return codeflow
+                    staged[index] = done
+                    if raise_ and not result.first_raised_us:
+                        result.first_raised_us = self.sim.now
+                    return codeflow
 
-                    yield from self._walk(plan, live, "stage", stage)
+                return leg
+
+            try:
+                # Phase 1: walk the forest of the targets the lease
+                # layer kept.  Staged, it is the legs: the control plane
+                # seeds the roots, each staged sandbox relays the
+                # chained WR list to its children -- depth grows with
+                # log(N) -- and a leg lands its image where no hook
+                # points, its bubble raise riding the chain's tail.
+                # Serial: raise every bubble.
+                live = [
+                    index
+                    for index, outcome in enumerate(result.outcomes)
+                    if not outcome.error
+                ]
+                if plan.staged:
+                    yield from self._walk(plan, live, "stage", legs(live))
                 elif use_bbu:
 
                     def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
@@ -574,49 +582,27 @@ class CodeFlowGroup:
                 # before its bubble may drop (a CQE alone is no proof
                 # the target CPU sees the pointer), so the phase joins
                 # them all.  An unsharded all-or-nothing broadcast
-                # whose stage already failed a leg flips nothing.
-                # Serial: deploy each raised leg whole, in the window.
-                if plan.staged:
-                    failed = len(live) - len(staged)
-                    if coordinator is not None or commit_rule(
-                        len(staged), failed, allow_partial
-                    ) != "abort":
-                        settles: list = []
-                        flippable = [index for index in live if index in staged]
+                # whose stage failed a leg flips nothing.  Serial: run
+                # each raised leg whole, inside the window.
+                if not plan.staged:
+                    active = [i for i in live if not result.outcomes[i].error]
+                    yield from self._walk(plan, active, "deploy", legs(active))
+                elif coordinator is not None or commit_rule(
+                    len(staged), len(live) - len(staged), allow_partial
+                ) != "abort":
+                    settles: list = []
+                    flippable = [index for index in live if index in staged]
 
-                        def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
-                            index = flippable[pos]
-                            return self._flip_leg(
-                                self.codeflows[index], staged,
-                                result.outcomes[index], index, via, settles,
-                            )
-
-                        yield from self._walk(plan, flippable, "flip", flip)
-                        if settles:
-                            yield self.sim.all_of(settles)
-                else:
-                    active = [
-                        index
-                        for index, outcome in enumerate(result.outcomes)
-                        if not outcome.error
-                    ]
-
-                    def deploy(pos: int, via: Optional[CodeFlow]) -> Generator:
-                        index = active[pos]
-                        codeflow = self.codeflows[index]
-                        outcome = result.outcomes[index]
-                        outcome.report = yield from self._deploy_leg(
-                            outcome, deadline_us,
-                            self._deploy_whole(
-                                codeflow,
-                                self._stage_route(
-                                    codeflow, programs[index], None, None,
-                                    hook_name, span, verify, delta, (),
-                                ),
-                            ),
+                    def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
+                        index = flippable[pos]
+                        return self._flip_leg(
+                            self.codeflows[index], staged.pop(index),
+                            result.outcomes[index], via, settles,
                         )
 
-                    yield from self._walk(plan, active, "deploy", deploy)
+                    yield from self._walk(plan, flippable, "flip", flip)
+                    if settles:
+                        yield self.sim.all_of(settles)
                 result.deploys_done_us = self.sim.now
                 if txn is not None:
                     plane.journal.phase(txn, "deployed")
@@ -761,12 +747,10 @@ class CodeFlowGroup:
     # -- per-target legs ------------------------------------------------------
 
     def _guarded_bubble(self, codeflow, outcome) -> Generator:
-        """Fence, then raise (the serial arm): an 8-byte epoch read
-        precedes the bubble write so a stale control plane never raises
-        a bubble on (let alone deploys to) a successor's target.  Fence
-        failures are per-leg failures, feeding the normal abort/partial
-        machinery.  Returns the codeflow when the bubble is up, None
-        when the leg failed."""
+        """Fence, then raise (the serial arm), so a stale control plane
+        never raises a bubble on a successor's target; a failure fails
+        the leg.  Returns the codeflow when the bubble is up, else
+        None."""
         try:
             yield from codeflow.check_fence()
             yield from self._write_bubble(codeflow, 1, codeflow.sync, [])
@@ -783,12 +767,9 @@ class CodeFlowGroup:
 
     def _deploy_leg(self, outcome, deadline_us, body: Generator) -> Generator:
         """Run one target's ``body`` under a deadline; never raises.
-
         The deadline starts when the leg is unblocked, so forest depth
-        never eats into a leg's budget.  Returns what ``body`` returned
-        (a staged plan, or a report), or None -- after recording the
-        failure -- when it did not finish.
-        """
+        never eats into a leg's budget.  Returns what ``body`` returned,
+        or None -- the failure recorded -- when it did not finish."""
         try:
             inner = self.sim.spawn(body, name=f"inject:{outcome.target}")
             timer = self.sim.timeout(deadline_us)
@@ -807,19 +788,16 @@ class CodeFlowGroup:
     def _deploy_whole(self, codeflow, route: Generator) -> Generator:
         """A serial-arm leg: stage, then flip at once."""
         staged = yield from route
-        report = yield from codeflow.flip_prog(staged)
-        return report
+        return (yield from codeflow.flip_prog(staged))
 
     def _stage_route(
         self, codeflow, program, linked, via, hook_name, span, verify, delta,
         tail,
     ) -> Generator:
-        """Pick the route for one stage: through ``via`` (the forest
-        parent) when there is one and it can be used, else -- and as
-        the fallback when the relay *path* breaks -- the same stage
-        step over the control plane's own QP.  ``linked`` is the
-        plan's Phase-0 image for this target, None when it has none.
-        Returns the staged plan."""
+        """Stage one leg through ``via`` (the forest parent) when it can
+        be used, else -- and when the relay *path* breaks -- over the
+        control plane's own QP.  ``linked`` is the plan's Phase-0 image
+        for this target (None: none).  Returns the staged plan."""
         obs = self.control_plane.obs
         with obs.span(
             "rdx.broadcast.target", parent=span,
@@ -857,10 +835,8 @@ class CodeFlowGroup:
                     codeflow, program, linked, hook_name, child, verify, delta,
                     tail,
                 )
-            # Delta eligibility is decided per target: each leg holds
-            # its own baseline (or none -- fresh targets, post-reboot
-            # targets, and diverged layouts all fall back to full), so
-            # one broadcast routinely mixes both modes.
+            # Delta eligibility is decided per target (its own
+            # baseline, or none), so one broadcast may mix both modes.
             mode = "full" if staged.owned else "delta"
             obs.counter(
                 "rdx.broadcast.legs",
@@ -877,20 +853,15 @@ class CodeFlowGroup:
         """``stage_prog``, then verify-or-unstage -- over one route.
 
         A stage fences in its own right, under its dispatch: over a
-        relay QP (``relayed``) the 8-byte epoch read rides the relay,
-        under the relay host's dispatch, so a target owned by a newer
-        incarnation refuses relayed bytes exactly as it refuses direct
-        ones (:class:`~repro.errors.StaleEpochError`, never retried).
-        A relayed stage forwards the pre-linked chained WR list (image
-        chunks + descriptor + ``tail``) and never touches the control
-        plane's CPU or QPs.
-
-        ``linked=None`` (no Phase-0 image on the plan) goes through
-        ``stage_for``, which links and then runs the same ``stage_prog``.
-        Staging the Phase-0 image as-is matters on the relay arms:
-        linking again would repeat validate/JIT/link whenever the
-        prepare caches overflow (N > cache capacity).  A CRC-failed
-        read-back unstages: nothing ever pointed at it.
+        relay QP (``relayed``, forwarding the pre-linked chained WR
+        list) the epoch read rides the relay, so a target owned by a
+        newer incarnation refuses relayed bytes exactly as it refuses
+        direct ones (:class:`~repro.errors.StaleEpochError`, never
+        retried).  ``linked=None`` (no Phase-0 image on the plan) goes
+        through ``stage_for``, which links first; staging the Phase-0
+        image as-is keeps validate/JIT/link out of the walk when the
+        prepare caches overflow.  A CRC-failed read-back unstages:
+        nothing ever pointed at it.
         """
         plane = self.control_plane
         if linked is None:
@@ -913,37 +884,27 @@ class CodeFlowGroup:
                 raise
         return staged
 
-    def _flip_leg(
-        self, codeflow, staged: dict, outcome, index, via, settles: list
-    ) -> Generator:
-        """One flip, failure-isolated: ``flip_prog`` over ``via``'s relay
-        QP, or the control plane's.  A relayed flip whose relay *path*
-        fails before its CAS ran retries once directly
-        (``reason="flip"``), the lower's rule.  Returns the codeflow
-        when the hook flipped, None when the leg failed: a plan whose
-        CAS never ran is unstaged, one the CAS refused unwound itself,
-        one committed under a torn chain is the reconciler's."""
-        plan = staged[index]
+    def _flip_leg(self, codeflow, plan, outcome, via, settles: list) -> Generator:
+        """One flip, failure-isolated, over ``via``'s relay QP when it is
+        up: a relay *path* failure before the CAS ran retries once
+        directly (``reason="flip"``), the lower's rule.  Returns the
+        codeflow, or None when the leg failed -- unstaged if its CAS
+        never ran (a torn, committed chain is the reconciler's)."""
+        relayed = via is not None and not via.sandbox.host.crashed
         try:
-            if via is not None and not via.sandbox.host.crashed:
-                try:
-                    yield from self._relayed(
-                        codeflow, via, codeflow.flip_prog(plan, settles=settles)
-                    )
-                except RdmaError:
-                    if plan.prior is not None:
-                        raise
-                    self._relay_fallback(codeflow, "flip")
-                    yield from codeflow.flip_prog(plan, settles=settles)
-            else:
+            try:
+                step = codeflow.flip_prog(plan, settles=settles)
+                yield from self._relayed(codeflow, via, step) if relayed else step
+            except RdmaError:
+                if not relayed or plan.prior is not None:
+                    raise
+                self._relay_fallback(codeflow, "flip")
                 yield from codeflow.flip_prog(plan, settles=settles)
         except ReproError as err:
-            del staged[index]
             if plan.prior is None:
                 codeflow.unstage(plan)
             self._leg_failed(outcome, err)
             return None
-        del staged[index]
         outcome.report = plan.report  # complete once its settle ran
         return codeflow
 
@@ -1038,18 +999,6 @@ class CodeFlowGroup:
                 f"mismatch after staging (torn or corrupt write)"
             )
 
-    def _undo(self, codeflow, program) -> Generator:
-        """Revert one target to its pre-broadcast image."""
-        record = codeflow.deployed.get(program.name)
-        if record is None:
-            return
-        if record.history:
-            yield from RollbackManager(codeflow).rollback(program.name)
-        else:
-            # The fresh deploy never reached committed intent, so there
-            # is nothing to journal about removing it.
-            yield from codeflow.detach(program.name, record_intent=False)
-
     # -- abort path -----------------------------------------------------------
 
     def _abort(self, programs, result: BroadcastResult, staged: dict) -> Generator:
@@ -1077,11 +1026,15 @@ class CodeFlowGroup:
             record = codeflow.deployed.get(program.name)
             if record is None:
                 continue
-            had_history = bool(record.history)
             try:
-                yield from self._undo(codeflow, program)
-                outcome.rolled_back = had_history
-                outcome.detached = not had_history
+                if record.history:
+                    yield from RollbackManager(codeflow).rollback(program.name)
+                    outcome.rolled_back = True
+                else:
+                    # The fresh deploy never reached committed intent, so
+                    # there is nothing to journal about removing it.
+                    yield from codeflow.detach(program.name, record_intent=False)
+                    outcome.detached = True
             except ReproError as err:
                 obs.counter(
                     "rdx.broadcast.abort_failed",
