@@ -41,6 +41,14 @@ more events (the spawned ``jit`` charge's start, CPU slice and end); a
 rejected program (``geom-narrow``) spawns nothing; no counter moved.
 The f62df80 comments predate both moves.
 
+The ``broadcast`` rows and every row after them moved once more when
+a broadcast leg began to stage outside its bubble window: the
+pipelined 3-target broadcast ends 2.70064 us sooner and runs 13 more
+events (a stage chain and a flip chain per leg), and on the serial arm
+the CRC read-back now precedes each leg's flip, which ends it
+0.70064 us sooner with the same events.  No warm-pool or cache counter
+moved.
+
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
 the ``pipelined`` rows verbatim, f62df80 comments too (none

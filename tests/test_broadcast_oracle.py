@@ -12,7 +12,7 @@ round 2 run the scenario's fault, round 1 runs clean in between, so an
 abort is seen both over fresh targets (detach) and over deployed ones
 (rollback).
 
-The table has since been regenerated by that command five times, for
+The table has since been regenerated by that command six times, for
 changes that move rows on purpose:
 
 * the single fan-out: a forest root no longer waits on an event that
@@ -48,7 +48,25 @@ changes that move rows on purpose:
   target tried over the relay and then directly
   (``relay_fallback{reason=raise}``).  A round runs 11 (tree-d2), 9
   (tree-d4) and 1 (sharded-k3) more events.  No other window, outcome,
-  leak or journal entry moved; flat and serial rows are unchanged.
+  leak or journal entry moved; flat and serial rows are unchanged;
+* the stage outside the bubble: a pipelined leg stages (image,
+  descriptor, flushes, read-back) before the window opens, its raise
+  riding the stage chain, and the window holds the flip walk (a CAS
+  and a doorbell per target) and the lowers.  Every pipelined row
+  moved, every serial row is unchanged.  Round windows: flat
+  43.38 -> 26.61, tree-d2 66.84 -> 20.96, tree-d4 48.23 -> 15.30,
+  sharded-k3 52.63 -> 33.97 us; totals fall 7.4-12.1 us.  ``no-bbu``
+  totals rise 7.4-12.6 us (its flips now wait for every stage) while
+  its windows shrink to the flip walk.  ``abort`` and
+  ``stale-relayed`` on unsharded arms abort before any flip: the
+  survivors read ``ok`` (unstaged) instead of ``ok/det`` / ``ok/rb``,
+  ``abort_us`` is 0 and no stale bubble is left up (the stale fence
+  precedes the raise).  ``host-crashed`` counts the dead relay's
+  direct retry under ``TransientFault`` instead of ``raise``, and
+  ``rdx.broadcast.target.latency_us`` observes 13 spans (the dead
+  target's stage ran).  ``plane-crash`` now fails during the stage
+  walk: fewer bubbles up, ``INTEND prepared`` dangling, and the staged
+  descriptors are left for the reconciler (slots 13 -> 18-26).
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
 descriptor slots and deployed records, summed over the targets.
