@@ -185,16 +185,21 @@ class Rack:
 # fan-out.  A leg is *relayed* exactly while its ``dispatch_cpu`` is
 # borrowed from the parent's host.
 
+#: The ``CodeFlow`` method every broadcast leg enters: ``stage_prog``
+#: since legs stage outside the window, ``deploy_prog`` before -- so
+#: ``tests.oracles --check-against`` drives either revision.
+LEG_ENTRY = "stage_prog" if hasattr(CodeFlow, "stage_prog") else "deploy_prog"
+
 
 def _failing_deploy(victim, error, relayed_only=False):
     def replacement(original):
-        def stage_prog(self, program, linked, hook_name, **kwargs):
+        def entry(self, program, linked, hook_name, **kwargs):
             if self is victim and (self.dispatch_cpu is not None or not relayed_only):
                 raise error
             report = yield from original(self, program, linked, hook_name, **kwargs)
             return report
-        return stage_prog
-    return _patched(CodeFlow, "stage_prog", replacement)
+        return entry
+    return _patched(CodeFlow, LEG_ENTRY, replacement)
 
 
 @contextmanager
@@ -267,21 +272,21 @@ def shard_forfeits(rack):
 
 def plane_crash(rack):
     """Fail-stop a control plane (shard 1's, when sharded) as its first
-    leg starts to deploy: every bubble up, none lowered.  An unsharded
+    leg starts: none lowered (on the serial arm every bubble is up).  An unsharded
     broadcast is interrupted as its incarnation dies; a sharded one
     keeps its other shards running."""
     doomed = rack.planes[1 if rack.sharded else 0]
 
     def replacement(original):
-        def stage_prog(self, program, linked, hook_name, **kwargs):
+        def entry(self, program, linked, hook_name, **kwargs):
             if self.control_plane is doomed and not doomed.crashed:
                 doomed.crash()
                 if not rack.sharded:
                     rack.process.interrupt("control plane fail-stop")
             return original(self, program, linked, hook_name, **kwargs)
-        return stage_prog
+        return entry
 
-    return _patched(CodeFlow, "stage_prog", replacement)
+    return _patched(CodeFlow, LEG_ENTRY, replacement)
 
 
 class Scenario(NamedTuple):
