@@ -442,10 +442,11 @@ class CodeFlow:
         The bytes, the descriptor and the flushes of the spans the
         target CPU may hold stale lines for all land here, so a flip
         moves one qword.  ``tail`` is ``(addr, payload)`` control-word
-        writes that ride the stage's chain after the descriptor, each
-        flushed with the body spans before this returns -- a
-        broadcast's bubble flag.  ``commit`` chains the commit CAS too
-        (one install, :meth:`deploy_prog`); the flip then only flushes.
+        writes that ride the pipelined arm's stage chain after the
+        descriptor, each flushed with the body spans before this
+        returns -- a broadcast's bubble flag.  ``commit`` chains the
+        commit CAS too (one install, :meth:`deploy_prog`); the flip then
+        only flushes.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -636,13 +637,13 @@ class CodeFlow:
         # control-plane epoch.  The serial arm fences first.
         if not pipelined:
             yield from self.check_fence()
-        mark = self.sim.now
-        if not pipelined:
+            mark = self.sim.now
             yield from cpu.run(cost_us)
         else:
             # Fence || dispatch: the WQE prep is local and mutates
             # nothing, so it runs under the READ's flight.  A fenced-out
             # or interrupted deploy cancels it and has claimed nothing.
+            mark = self.sim.now
             prep = self.sim.spawn(cpu.run(cost_us), name="dispatch")
             try:
                 yield from self.check_fence()
@@ -703,9 +704,6 @@ class CodeFlow:
                 body = {"txn": plan.note["txn"]} if plan.note else None
                 for addr, payload in ops:
                     yield from self.sync.write(addr, payload, note=body)
-                for addr, payload in tail:
-                    yield from self.sync.write(addr, payload)
-                    yield from self.sync.cc_event(addr, len(payload))
             report.write_us = self.sim.now - mark
         except BaseException as err:
             # An install raises a ReproError only when its CAS never

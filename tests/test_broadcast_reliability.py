@@ -69,8 +69,9 @@ class TestTransactionalAbort:
     def test_abort_rolls_back_every_target_to_prior_image(self, testbed2):
         """Torn write on one target mid-upgrade: *both* targets must
         end on the v1 image.  The corrupted target's read-back fails
-        before its flip, so the abort unstages the survivor: neither
-        hook ever moved, and nothing is rolled back."""
+        before its flip.  A staged broadcast then aborts before any
+        flip and unstages the survivor; the serial arm had flipped it
+        and rolls it back."""
         bed = testbed2
         bed.sim.run_process(
             rdx_broadcast(bed.codeflows, versioned(bed, 1), "ingress")
@@ -87,8 +88,9 @@ class TestTransactionalAbort:
 
         assert err.result.aborted
         survivor = err.result.outcomes[0]
-        assert not survivor.rolled_back and not survivor.detached
-        assert survivor.report is None  # staged, never flipped
+        staged = bed.codeflows[0].config.pipelined_deploy
+        assert survivor.rolled_back is not staged and not survivor.detached
+        assert (survivor.report is None) is staged
         assert err.result.outcomes[1].error_kind == "ConsistencyError"
         # All-or-nothing: every hook points at its v1 image again.
         assert code_addrs(bed) == v1_addrs
@@ -98,9 +100,9 @@ class TestTransactionalAbort:
         assert out is not None
 
     def test_fresh_deploy_abort_detaches(self, testbed2):
-        """With no prior version, an abort before any flip leaves the
-        group exactly as it started -- nothing deployed, nothing to
-        detach."""
+        """With no prior version, abort leaves the group exactly as it
+        started -- nothing deployed: a staged broadcast aborts before
+        any flip, the serial arm detaches the survivor."""
         bed = testbed2
         injector = FaultInjector(bed.codeflows[1], seed=FAULT_SEED)
         injector.arm(FaultKind.TORN_WRITE)
@@ -111,7 +113,8 @@ class TestTransactionalAbort:
             injector.detach()
 
         survivor = err.result.outcomes[0]
-        assert not survivor.detached and not survivor.rolled_back
+        staged = bed.codeflows[0].config.pipelined_deploy
+        assert survivor.detached is not staged and not survivor.rolled_back
         assert all(not cf.deployed for cf in bed.codeflows)
         assert all(not sb.bubble_active() for sb in bed.sandboxes)
 

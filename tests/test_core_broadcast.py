@@ -309,12 +309,13 @@ class TestBbuConsistencyInvariant:
         assert result.probes_sent > 0
         assert result.mixed_count == 0  # the invariant
 
+    @pytest.mark.arm(pipelined_deploy=True, tree_broadcast=False)
     @pytest.mark.parametrize(
         "seed, mixed, unbubbled, served",
         [(1, 6, 5, 66), (2, 4, 7, 63), (3, 8, 7, 60)],
     )
     def test_requests_in_flight_see_mixed_logic_known_hole(
-        self, seed, mixed, unbubbled, served
+        self, config, seed, mixed, unbubbled, served
     ):
         """Known hole: BBU holds a request only at a hop whose bubble is
         up.  A request that ran v1 at one hop reaches the next after that
@@ -327,11 +328,13 @@ class TestBbuConsistencyInvariant:
         from repro.mesh.apps import AppSpec, MicroserviceApp
         from repro.mesh.workload import OpenLoopLoad
         from repro.net.topology import Host
+        from repro.params import configure
         from repro.sim.core import Simulator
         from repro.wasm.filters import make_header_filter
 
         def run(use_bbu):
             sim = Simulator()
+            configure(sim, config)
             app = MicroserviceApp(sim, AppSpec(n_services=11, with_agents=False))
             control_host = Host(sim, "ctl", cores=8, dram_bytes=32 * 2**20)
             app.fabric.attach(control_host)
