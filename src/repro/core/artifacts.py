@@ -82,6 +82,19 @@ class Pin(NamedTuple):
     relocs: tuple[tuple[RelocKind, str], ...]
 
 
+class Flight(NamedTuple):
+    """One registry miss in flight, as its leader left it."""
+
+    #: Fires with the :class:`RegistryEntry` -- the verdict -- or the
+    #: compile's failure.
+    done: object
+    #: Pipelined arm: the image the JIT's work produced, and its charge
+    #: process; the image may ship once that charge ran to its end,
+    #: while the verifier's still runs.  None on the serial arm.
+    binary: Optional[JitBinary] = None
+    jit: object = None
+
+
 class Stage:
     """The one LRU: a dict whose order is recency, at most ``cap``
     entries.  :meth:`put` stores in place when the key is resident;
@@ -232,8 +245,8 @@ class ArtifactStore:
         )
         self.linked = Stage(params.RDX_LINK_CACHE_CAP)
         self.pinned = PinStage(self)
-        #: Verdict key -> the leader's compile event (single flight).
-        self._inflight: dict[tuple, object] = {}
+        #: Verdict key -> the leader's :class:`Flight` (single flight).
+        self._inflight: dict[tuple, Flight] = {}
         self.prepare_coalesced = 0
         #: Set by :meth:`serve`: ``inject`` then uses the pin stage.
         self.serving = False
@@ -265,7 +278,9 @@ class ArtifactStore:
         JIT.  The serial arm then charges the verifier and the JIT one
         after the other; the pipelined arm runs the JIT's charge on a
         second control-host core under the verifier's, which claims
-        its core first -- on one core the two still add up.
+        its core first -- on one core the two still add up.  Its
+        :class:`Flight` (see :meth:`flight`) carries the image and the
+        JIT's charge while the verifier's runs.
         """
         key = verdict_key(program, arch, maps, ctx_size)
         entry = self.registry.get(key)
@@ -277,12 +292,13 @@ class ArtifactStore:
         if pending is not None:
             self.prepare_coalesced += 1
             self.obs.counter("rdx.prepare.coalesced").inc()
-            entry = yield pending
+            entry = yield pending.done
             return entry
         self.registry.misses += 1
         self.obs.counter("rdx.cache.miss").inc()
         plane = self.plane
-        done = self._inflight[key] = plane.sim.event()
+        done = plane.sim.event()
+        self._inflight[key] = Flight(done)
         try:
             if plane.config.pipelined_deploy:
                 stats, verify_charge = plane.validate(
@@ -290,6 +306,7 @@ class ArtifactStore:
                 )
                 binary, jit_charge = plane.jit(program, arch, principal, parent_span)
                 jit = plane.sim.spawn(jit_charge, name="jit")
+                self._inflight[key] = Flight(done, binary, jit)
                 try:
                     yield from verify_charge
                     yield jit
@@ -313,6 +330,10 @@ class ArtifactStore:
         self._inflight.pop(key, None)
         done.succeed(entry)
         return entry
+
+    def flight(self, key: tuple) -> Optional[Flight]:
+        """The compile in flight under verdict ``key``, or None."""
+        return self._inflight.get(key)
 
     def compiled_image(self, codeflow, program: BpfProgram) -> Optional[JitBinary]:
         """The registry's image of ``program`` as verified for

@@ -4,9 +4,11 @@
 whose write set spans every target hook (inspired by RDMA distributed
 transactions).  Consistency comes from **Big Bubble Update (BBU)**:
 
-1. stage every image where no hook points yet, and raise the *bubble
-   flag* on each target as its stage lands (data paths buffer incoming
-   requests instead of executing mixed logic),
+1. stage every image where no hook points yet -- under the verifier's
+   charge when the broadcast compiles it -- and raise the *bubble flag*
+   on each target (data paths buffer incoming requests instead of
+   executing mixed logic): as its stage lands, or, when the verdict
+   was still pending, in one fenced raise walk once it is in,
 2. flip every hook to its staged image -- one CAS each, in parallel,
 3. lower the flags in dependency order, releasing buffered requests.
 
@@ -137,11 +139,13 @@ def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
 class _FanoutPlan:
     """The shape of one broadcast's fan-out; costs no simulated time.
 
-    Any list of positions the broadcast walks -- the legs of the stage
-    phase, the staged legs of the flip phase, the lowerable bubbles of
-    the lower phase -- is a
-    d-ary forest: the first ``degree`` positions are roots, served by
-    the control plane itself, and position ``p`` hands on to positions
+    A pipelined broadcast makes three visits -- stage, flip, lower --
+    or four when a verdict is pending: stage, raise, flip, lower.  Any
+    list of positions one visit walks -- the legs of the stage phase,
+    the staged legs of the raise and flip phases, the lowerable bubbles
+    of the lower phase -- is a d-ary forest: the first ``degree``
+    positions are roots, served by the control plane itself, and
+    position ``p`` hands on to positions
     ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
     fanning out to at most ``d`` children, which is exactly what one
     sandbox host's RNIC pipeline absorbs in parallel.  Hub-and-spoke
@@ -166,8 +170,9 @@ class _FanoutPlan:
     #: caller declared no dependencies, so the lowers walk the forest.
     sequential: bool
     #: True (the pipelined arm): a leg stages its image before the
-    #: window opens, its bubble raise riding the tail of the stage's
-    #: chain, and only its flip sits inside the window.  False (the
+    #: window opens -- its bubble raise riding the tail of the stage's
+    #: chain, or, staged under a pending verdict, a raise walk of its
+    #: own -- and only its flip sits inside the window.  False (the
     #: serial arm, paper-calibrated): raise every bubble, then run each
     #: leg whole inside the window.
     staged: bool
@@ -220,11 +225,13 @@ class CodeFlowGroup:
         self, codeflow: CodeFlow, value: int, sync: RemoteSync, flushes: list
     ) -> Generator:
         """Set one bubble flag and flush it to the target's CPU: a
-        blocking write + flush (serial), or -- a lower; the pipelined
-        raise rides a stage chain -- the flag and its doorbell as ONE
-        chain whose flush joins ``flushes``.  Lowering is the benign
-        direction (a stale "still raised" buffers a few more requests
-        for ~2us), so its flush lands while the next lower goes out."""
+        blocking write + flush (serial), or the flag and its doorbell as
+        ONE chain whose flush joins ``flushes``, so the flush lands
+        while the next chain goes out.  A raise's flush is joined before
+        any hook flips (its process returns the instant it landed);
+        lowering is the benign direction -- a stale "still raised"
+        buffers a few more requests for ~2us -- so nothing waits on its
+        flush but the window's end."""
         addr = codeflow.sandbox.bubble_addr
         if not self.config.pipelined_deploy:
             yield from sync.write(addr, pack_qword(value))
@@ -236,12 +243,18 @@ class CodeFlowGroup:
         )
         # ``sync`` posted the doorbell -- the codeflow's own QP or a
         # forest relay's -- so hb attribution follows the bytes.
+        flush = sync.flush_chained([(addr, 8)], waited=bool(value))
         flushes.append(
             self.sim.spawn(
-                sync.flush_chained([(addr, 8)], waited=False),
+                self._landed(flush) if value else flush,
                 name=f"bubble-flush:{codeflow.sandbox.name}",
             )
         )
+
+    def _landed(self, flush: Generator) -> Generator:
+        """``flush``; returns the instant it landed."""
+        yield from flush
+        return self.sim.now
 
     def _lower_leg(
         self,
@@ -273,34 +286,99 @@ class CodeFlowGroup:
             self._relay_returned(sync, codeflow.sync)
         return codeflow
 
-    def _prepare_leg(
-        self, codeflow: CodeFlow, program, span, errors: list, images: dict
-    ) -> Generator:
-        """One concurrent Phase-0 prepare; collects instead of raising
-        so sibling legs are never stranded as failed background
-        processes (the first collected error aborts the broadcast)."""
+    def _compile(self, programs, span, images: dict) -> Generator:
+        """Phase 0 on the pipelined arm: one prepare -- a *verdict* --
+        spawned per distinct verdict key, and each leg's image linked
+        into ``images`` once its key's JIT charge has run to its end,
+        while the verifier's may still run.  Returns ``(verdicts,
+        errors)``: the prepare processes, and the failures they and the
+        key look-ups collect instead of raising, so no sibling is ever
+        stranded as a failed background process (:meth:`_decided`)."""
+        store = self.control_plane.artifacts
+        keys: dict = {}
+        errors: list = []
+        for index, (codeflow, program) in enumerate(zip(self.codeflows, programs)):
+            try:
+                key = store.target_key(codeflow, program)
+            except DeployError as err:
+                errors.append(err)
+                continue
+            keys.setdefault(key, []).append(index)
+        verdicts, links = [], []
+        for key, members in keys.items():
+            codeflow = self.codeflows[members[0]]
+            name = codeflow.sandbox.name
+            verdict = self.sim.spawn(
+                self._verdict(codeflow, programs[members[0]], span, errors),
+                name=f"prepare:{name}",
+            )
+            verdicts.append(verdict)
+            links.append(
+                self.sim.spawn(
+                    self._prelink(key, verdict, members, span, images),
+                    name=f"prelink:{name}",
+                )
+            )
+        if links:
+            yield self.sim.all_of(links)
+        return verdicts, errors
+
+    def _verdict(self, codeflow, program, span, errors: list) -> Generator:
         try:
-            entry = yield from self.control_plane.prepare_for(
-                codeflow, program, parent_span=span
+            return (
+                yield from self.control_plane.prepare_for(
+                    codeflow, program, parent_span=span
+                )
             )
         except ReproError as err:
             errors.append(err)
-            return
+            return None
+
+    def _prelink(self, key, verdict, members, span, images: dict) -> Generator:
+        """Link ``key``'s image for each of ``members`` as soon as it
+        may ship: when the JIT's charge in flight ends, else (a registry
+        hit, a rejected program) when ``verdict`` returns."""
+        flight = self.control_plane.artifacts.flight(key)
+        if flight is not None and flight.jit is not None:
+            yield flight.jit
+            binary = flight.binary
+        else:
+            entry = yield verdict
+            if entry is None:
+                return
+            binary = entry.binary
+        links = [
+            self.sim.spawn(
+                self._link(self.codeflows[index], binary, span, images),
+                name=f"link:{self.codeflows[index].sandbox.name}",
+            )
+            for index in members
+        ]
+        yield self.sim.all_of(links)
+
+    def _link(self, codeflow, binary, span, images: dict) -> Generator:
         try:
             # Pre-link: warms the artifact store's link stage so the
             # leg skips relocation rewriting *and* the stub rendezvous.
             # Best-effort -- a link error here re-surfaces inside the
             # leg, where the per-target failure machinery owns it.
-            linked = yield from codeflow.link_code(entry.binary, parent_span=span)
+            linked = yield from codeflow.link_code(binary, parent_span=span)
         except ReproError:
-            pass
-        else:
-            # Keep the linked image for the plan: a relayed leg
-            # forwards exactly these bytes (the chained WR list) from
-            # the parent sandbox, never re-linking on the control CPU.
-            # The images live and die with this broadcast -- a leg
-            # must never find one it did not link itself.
-            images[codeflow.sandbox.name] = linked
+            return
+        # Keep the linked image for the plan: a relayed leg forwards
+        # exactly these bytes (the chained WR list) from the parent
+        # sandbox, never re-linking on the control CPU.  The images live
+        # and die with this broadcast -- a leg must never find one it
+        # did not link itself.
+        images[codeflow.sandbox.name] = linked
+
+    def _decided(self, verdicts, errors: list) -> Generator:
+        """Wait for every verdict; the first collected failure aborts
+        the broadcast."""
+        if verdicts:
+            yield self.sim.all_of(verdicts)
+        if errors:
+            raise errors[0]
 
     # -- rdx_broadcast -----------------------------------------------------------
 
@@ -348,7 +426,10 @@ class CodeFlowGroup:
         kept the new logic).
 
         The stage (with its raise), flip and (unordered) lower phases
-        walk one forest of the targets (:class:`_FanoutPlan`).  By
+        walk one forest of the targets (:class:`_FanoutPlan`) -- four
+        visits when a verdict is pending: stage, raise, flip, lower.
+        A leg that ships its Phase-0 image stages while the verifier
+        still charges; the verdict gates the raise and the flip.  By
         default every target is a root, served by the control plane;
         with ``config.tree_broadcast`` set the forest has degree
         ``config.tree_degree``: a staged sandbox relays its children
@@ -449,26 +530,18 @@ class CodeFlowGroup:
             # Phase 0: make sure every program is validated + compiled
             # *before* any bubble rises -- the registry's "validate once,
             # deploy anywhere" keeps compilation off the consistency
-            # window entirely.  On the pipelined path the legs run
-            # concurrently on the control plane's multi-core CPU pool;
-            # single-flight dedup in ``prepare`` collapses simultaneous
-            # misses on one key to a single validate+JIT.
+            # window entirely.  The pipelined arm compiles once per
+            # verdict key and links every leg's image as soon as the
+            # JIT's charge ends (:meth:`_compile`); a leg that ships its
+            # Phase-0 image then stages under the verifier's charge,
+            # since staged bytes are where no hook points.  The verdict
+            # gates the raise and the flip, not the bytes.
             images: dict = {}
+            verdicts, errors = [], []
             if self.config.pipelined_deploy:
-                prep_errors: list[BaseException] = []
-                preps = [
-                    self.sim.spawn(
-                        self._prepare_leg(
-                            codeflow, program, span, prep_errors, images
-                        ),
-                        name=f"prepare:{codeflow.sandbox.name}",
-                    )
-                    for program, codeflow in zip(programs, self.codeflows)
-                ]
-                if preps:
-                    yield self.sim.all_of(preps)
-                if prep_errors:
-                    raise prep_errors[0]
+                verdicts, errors = yield from self._compile(programs, span, images)
+                if errors:
+                    yield from self._decided(verdicts, errors)
             else:
                 for program, codeflow in zip(programs, self.codeflows):
                     yield from self.control_plane.prepare_for(
@@ -477,7 +550,15 @@ class CodeFlowGroup:
             plan = _FanoutPlan.build(
                 self.config, len(self.codeflows), order, ordered, images
             )
-            if txn is not None:
+            if not plan.images:
+                # No leg ships a Phase-0 image (hub and spoke): each
+                # stages through ``stage_for``, whose prepare needs the
+                # verdict anyway.
+                yield from self._decided(verdicts, errors)
+            #: A verdict still pending as the stage walk starts: the
+            #: legs stage bare and a fenced raise walk follows it.
+            pending = any(verdict.is_alive for verdict in verdicts)
+            if txn is not None and not pending:
                 plane.journal.phase(txn, "prepared")
 
             # Phase 0.5: graceful degradation.  Targets whose lease is
@@ -520,7 +601,7 @@ class CodeFlowGroup:
                         # control plane instead.
                         self._relay_fallback(codeflow, "parent-failed")
                     raise_ = ()
-                    if use_bbu and plan.staged:
+                    if use_bbu and plan.staged and not pending:
                         raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
                     body = self._stage_route(
                         codeflow, programs[index],
@@ -548,21 +629,45 @@ class CodeFlowGroup:
                 # seeds the roots, each staged sandbox relays the
                 # chained WR list to its children -- depth grows with
                 # log(N) -- and a leg lands its image where no hook
-                # points, its bubble raise riding the chain's tail.
-                # Serial: raise every bubble.
+                # points, its bubble raise riding the chain's tail
+                # unless a verdict is pending.  Serial: raise every
+                # bubble.
                 live = [
                     index
                     for index, outcome in enumerate(result.outcomes)
                     if not outcome.error
                 ]
+
+                def flipping() -> bool:
+                    """An unsharded all-or-nothing broadcast whose stage
+                    (or raise) failed a leg raises and flips nothing."""
+                    return coordinator is not None or commit_rule(
+                        len(staged), len(live) - len(staged), allow_partial
+                    ) != "abort"
+
                 if plan.staged:
                     yield from self._walk(plan, live, "stage", legs(live))
+                    if pending:
+                        try:
+                            yield from self._decided(verdicts, errors)
+                        except BaseException:
+                            # No hook points at a staged image: give
+                            # them back (a crashed plane leaves them to
+                            # the reconciler).
+                            if not plane.crashed:
+                                for index in list(staged):
+                                    self.codeflows[index].unstage(staged.pop(index))
+                            raise
+                        if txn is not None:
+                            plane.journal.phase(txn, "prepared")
+                        if use_bbu and flipping():
+                            yield from self._raise_staged(plan, live, staged, result)
                 elif use_bbu:
 
                     def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
                         index = live[pos]
                         raised = yield from self._guarded_bubble(
-                            self.codeflows[index], result.outcomes[index]
+                            self.codeflows[index], result.outcomes[index], []
                         )
                         if raised and not result.first_raised_us:
                             result.first_raised_us = self.sim.now
@@ -581,15 +686,12 @@ class CodeFlowGroup:
                 # each, shaped like a lower.  A flip's flush lands
                 # before its bubble may drop (a CQE alone is no proof
                 # the target CPU sees the pointer), so the phase joins
-                # them all.  An unsharded all-or-nothing broadcast
-                # whose stage failed a leg flips nothing.  Serial: run
-                # each raised leg whole, inside the window.
+                # them all.  Serial: run each raised leg whole, inside
+                # the window.
                 if not plan.staged:
                     active = [i for i in live if not result.outcomes[i].error]
                     yield from self._walk(plan, active, "deploy", legs(active))
-                elif coordinator is not None or commit_rule(
-                    len(staged), len(live) - len(staged), allow_partial
-                ) != "abort":
+                elif flipping():
                     settles: list = []
                     flippable = [index for index in live if index in staged]
 
@@ -746,17 +848,63 @@ class CodeFlowGroup:
 
     # -- per-target legs ------------------------------------------------------
 
-    def _guarded_bubble(self, codeflow, outcome) -> Generator:
-        """Fence, then raise (the serial arm), so a stale control plane
-        never raises a bubble on a successor's target; a failure fails
-        the leg.  Returns the codeflow when the bubble is up, else
-        None."""
+    def _raise_staged(self, plan, live, staged: dict, result) -> Generator:
+        """The raise walk of legs staged under a pending verdict: a root
+        raises over the control plane's QP, a child over its parent's
+        relay QP.  Each raise fences again -- its stage's fence is up to
+        a verifier's charge old, and a successor may have taken the
+        target over since -- and a leg whose raise fails is unstaged.
+        Every raise's flush is joined before this returns, so no hook
+        flips under a bubble the target CPU cannot see yet."""
+        raisable = [index for index in live if index in staged]
+        flushes: list = []
+
+        def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
+            index = raisable[pos]
+            codeflow = self.codeflows[index]
+            sync = None
+            if via is not None and not via.sandbox.host.crashed:
+                sync = self._relay_sync(via, codeflow)
+            elif pos >= plan.degree:
+                self._relay_fallback(codeflow, "parent-failed")
+            raised = yield from self._guarded_bubble(
+                codeflow, result.outcomes[index], flushes, sync
+            )
+            if raised is None:
+                codeflow.unstage(staged.pop(index))
+            return raised
+
+        yield from self._walk(plan, raisable, "raise", raise_)
+        if flushes:
+            landed = yield self.sim.all_of(flushes)
+            result.first_raised_us = min(landed)
+
+    def _guarded_bubble(
+        self, codeflow, outcome, flushes: list,
+        sync: Optional[RemoteSync] = None,
+    ) -> Generator:
+        """Fence, then raise, so a stale control plane never raises a
+        bubble on a successor's target; a failure fails the leg.
+        ``sync`` is a forest parent's relay: the epoch READ and the flag
+        chain both ride it, and a broken relay *path*
+        (:class:`RdmaError`) retries once directly, the lower's rule.
+        Returns the codeflow when the bubble is up, else None."""
+        if sync is not None:
+            direct, codeflow.sync = codeflow.sync, sync
         try:
-            yield from codeflow.check_fence()
-            yield from self._write_bubble(codeflow, 1, codeflow.sync, [])
+            try:
+                yield from codeflow.check_fence()
+                yield from self._write_bubble(codeflow, 1, codeflow.sync, flushes)
+            finally:
+                if sync is not None:
+                    codeflow.sync = direct
+                    self._relay_returned(sync, direct)
         except ReproError as err:
-            self._leg_failed(outcome, err)
-            return None
+            if sync is None or not isinstance(err, RdmaError):
+                self._leg_failed(outcome, err)
+                return None
+            self._relay_fallback(codeflow, "raise")
+            return (yield from self._guarded_bubble(codeflow, outcome, flushes))
         return codeflow
 
     def _leg_failed(self, outcome: TargetOutcome, err: ReproError) -> None:

@@ -384,6 +384,79 @@ def _drive_crash_before_flip(sim, seed: int, plan: "SchedulePlan") -> None:
     sim.run(until=sim.now + _SETTLE_US)
 
 
+def _drive_crash_under_verify(sim, seed: int, plan: "SchedulePlan") -> None:
+    """``crash-under-verify``: a degree-2 tree broadcast whose legs
+    stage their Phase-0 image while the verifier still charges, and
+    whose control plane fail-stops once every leg has staged, before
+    the verdict is in; a resumed incarnation reconciles.  No bubble rose
+    and no hook moved, so the hooks must still name the first
+    broadcast's images, with every staged descriptor detached and no
+    bubble up.  The resumed incarnation then rolls the version out
+    itself: staged under its own verifier, raised by a fenced raise
+    walk after the verdict, flipped and lowered."""
+    from repro.core.broadcast import CodeFlowGroup
+    from repro.core.reconcile import Reconciler, resume_control_plane
+    from repro.ebpf.stress import make_stress_program
+    from repro.sim.core import Interrupt
+
+    # Two control-host cores: the JIT's charge ends under the verifier's.
+    bed = make_testbed(
+        n_hosts=5, cores_per_host=2, with_agents=False, seed=seed, sim=sim,
+    )
+    group = CodeFlowGroup(bed.codeflows)
+    rollout = make_stress_program(400, seed=seed * 37, name="fzverify")
+    sim.run_process(group.broadcast([rollout] * len(bed.codeflows), "ingress"))
+    live = [cf.deployed["fzverify"].code_addr for cf in bed.codeflows]
+    control = bed.control
+    verified = control.validations_run
+    walk = group._walk
+
+    def crash_after_the_stages(fanout, members, kind, visit):
+        yield from walk(fanout, members, kind, visit)
+        if kind == "stage":
+            assert control.validations_run == verified, "the verdict came first"
+            control.crash()
+            raise Interrupt("control plane fail-stop")
+
+    group._walk = crash_after_the_stages
+    staged = make_stress_program(400, seed=seed * 37 + 1, name="fzverify")
+    doomed = sim.spawn(
+        _staggered(
+            sim, plan,
+            group.broadcast([staged] * len(bed.codeflows), "ingress"),
+            "scn.stage-start", 5.0,
+        ),
+        name="fz-doomed-broadcast",
+    )
+    sim.run()
+    try:
+        doomed.value
+    except Interrupt:
+        pass
+    else:
+        raise AssertionError("the broadcast outlived its control plane")
+    del group._walk
+    plane, codeflows = sim.run_process(
+        resume_control_plane(
+            bed.cluster.control_host, control.journal, bed.sandboxes,
+            trace=bed.trace,
+        )
+    )
+    reports = sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+    for report, codeflow, addr in zip(reports, codeflows, live):
+        kinds = sorted(action.kind for action in report.actions)
+        assert kinds == ["adopt", "detach_orphan"], kinds
+        assert codeflow.deployed["fzverify"].code_addr == addr
+        assert not codeflow.sandbox.bubble_active()
+    result = sim.run_process(
+        CodeFlowGroup(codeflows).broadcast(
+            [staged] * len(codeflows), "ingress"
+        )
+    )
+    assert all(outcome.ok for outcome in result.outcomes)
+    sim.run(until=sim.now + _SETTLE_US)
+
+
 # -- known-bad scenarios (guards off; the rediscovery targets) --------------
 
 
@@ -596,6 +669,12 @@ _ALL = (
     Scenario("crash-recovery", _drive_crash_recovery),
     Scenario(
         "crash-before-flip", _drive_crash_before_flip,
+        config=replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        ),
+    ),
+    Scenario(
+        "crash-under-verify", _drive_crash_under_verify,
         config=replace(
             DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
         ),

@@ -15,7 +15,7 @@ each step drives the plane directly).
 The steps: cold, warm and patched deploys; a prewarmed first deploy; a
 layout change after a warm reboot; a map reshaped at the same address;
 a compile-stage overflow and a revisit past it; a 3-target broadcast
-(its Phase-0 prepares coalesce); ``rdx_link_code`` on a compiled and an
+(one Phase-0 prepare for its one verdict key); ``rdx_link_code`` on a compiled and an
 uncompiled program; and a recall (``invalidate``) followed by two
 redeploys.
 
@@ -48,6 +48,15 @@ events (a stage chain and a flip chain per leg), and on the serial arm
 the CRC read-back now precedes each leg's flip, which ends it
 0.70064 us sooner with the same events.  No warm-pool or cache counter
 moved.
+
+The pipelined ``broadcast`` row and every row after it moved once
+more when a broadcast began to compile once per verdict key and to
+link its legs when the JIT's charge ends, under the verifier's: the
+3-target broadcast ends 0.05 us sooner (its legs' concurrent links no
+longer follow the verdict), runs 6 more events (one prepare, one
+prelink and three link processes in place of three coalescing prepare
+legs) and coalesces nothing (``prepare_coalesced`` 2 -> 0, the
+``rdx.prepare.coalesced`` series gone).  No serial row moved.
 
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
@@ -254,16 +263,16 @@ ORACLE = {
         'geom-back': Row(now=1363.2312, events=658, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         'overflow': Row(now=3923.2312, events=1681, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         'revisit': Row(now=3931.50232, events=1706, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'broadcast': Row(now=4352.76792, events=1921, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 2, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-compiled': Row(now=4352.96792, events=1924, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 2, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-fresh': Row(now=4390.51792, events=1928, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 2, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-cold': Row(now=4607.0, events=1961, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'broadcast': Row(now=4352.71792, events=1927, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 0, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-compiled': Row(now=4352.91792, events=1930, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 0, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-fresh': Row(now=4390.46792, events=1934, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 0, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-cold': Row(now=4606.95, events=1967, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 0, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'invalidate': Row(now=5704.40768, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'invalidate': Row(now=4607.0, events=1961, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'invalidate': Row(now=4606.95, events=1967, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 0, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-redeploy': Row(now=5715.7404, events=1548, warm=False, mode='full', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-redeploy': Row(now=4823.48208, events=1994, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-redeploy': Row(now=4823.43208, events=2000, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-again': Row(now=5726.71216, events=1570, warm=True, mode='delta', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-again': Row(now=4831.7532, events=2018, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 2, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-again': Row(now=4831.7032, events=2024, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
     },
 }
 # fmt: on

@@ -12,7 +12,7 @@ round 2 run the scenario's fault, round 1 runs clean in between, so an
 abort is seen both over fresh targets (detach) and over deployed ones
 (rollback).
 
-The table has since been regenerated by that command six times, for
+The table has since been regenerated by that command seven times, for
 changes that move rows on purpose:
 
 * the single fan-out: a forest root no longer waits on an event that
@@ -66,7 +66,28 @@ changes that move rows on purpose:
   ``rdx.broadcast.target.latency_us`` observes 13 spans (the dead
   target's stage ran).  ``plane-crash`` now fails during the stage
   walk: fewer bubbles up, ``INTEND prepared`` dangling, and the staged
-  descriptors are left for the reconciler (slots 13 -> 18-26).
+  descriptors are left for the reconciler (slots 13 -> 18-26);
+* the stage under the verifier: Phase 0 spawns one prepare per
+  verdict key and links that key's legs once its JIT's charge ends; a
+  leg that ships its Phase-0 image stages while a verdict is still
+  pending -- bare -- and a fenced raise walk (an epoch READ and a flag
+  chain per target) follows the verdict.  Every serial row is
+  unchanged.  An unsharded plane's two cores are saturated by 13
+  concurrent misses, so every verdict is in before the last JIT ends
+  and the stages start: flat, tree-d2 and tree-d4 move in ``events``
+  only (+66, +65 and +65 a round: a prepare, a prelink and a link
+  process per key where a prepare per leg coalesced).  A K=3 shard
+  plane's verdicts are still pending when its stages start, so every
+  sharded-k3 row moved, by ~+300 events a round (the raise walk), and
+  its windows and totals fall (the merged window runs from the
+  earliest raise, and every shard now raises after its verdict):
+  clean 33.97 -> 20.71 / 202.68 -> 178.11 us, ``no-bbu``
+  26.56 -> 7.90 / 195.28 -> 157.90, ``abort`` -13.26 / -24.58,
+  ``stale-relayed`` -2.70 / -14.01 (``abort_us`` unchanged),
+  ``host-crashed`` 121.88 -> 81.43 / 290.59 -> 238.83, and
+  ``root-partial`` total 181.07 -> 169.76 (its window unchanged).  In
+  ``plane-crash`` shard 1 now dies in its stage walk before
+  ``prepared`` is journaled.
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
 descriptor slots and deployed records, summed over the targets.
@@ -454,420 +475,420 @@ def rows() -> list:
 # fmt: off
 ORACLE = {
     ('flat', 'clean'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1446, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1512, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2450, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2582, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999346', '0.0', '153944.84976'), '0000000000000', 3454, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999346', '0.0', '153944.84976'), '0000000000000', 3652, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1291.2004000000002', '0.0', '51469.74976'), '0000000000000', 1355, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1291.2004000000002', '0.0', '51469.74976'), '0000000000000', 1421, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.200399999936', '0.0', '102707.29976'), '0000000000000', 2268, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.200399999936', '0.0', '102707.29976'), '0000000000000', 2400, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.2003999999433', '0.0', '153944.84976'), '0000000000000', 3181, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.2003999999433', '0.0', '153944.84976'), '0000000000000', 3379, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'ordered'): [
-        Round('', (('ok:full', 13),), ('50.919200000000046', '1318.5831199999998', '0.0', '51469.74976'), '0000000000000', 1419, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('50.919200000000046', '1318.5831199999998', '0.0', '51469.74976'), '0000000000000', 1485, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998574', '0.0', '102707.29976'), '0000000000000', 2396, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998574', '0.0', '102707.29976'), '0000000000000', 2528, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998793', '0.0', '153944.84976'), '0000000000000', 3373, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.5831199998793', '0.0', '153944.84976'), '0000000000000', 3571, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('13.802560000000085', '1281.46264', '0.0', '51469.74976'), '0000000000000', 1236, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802560000000085', '1281.46264', '0.0', '51469.74976'), '0000000000000', 1302, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.462639999947', '0.0', '102707.29976'), '0000000000000', 2030, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.462639999947', '0.0', '102707.29976'), '0000000000000', 2162, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.4626399999688', '0.0', '153944.84976'), '0000000000000', 2824, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('13.802559999981895', '1281.4626399999688', '0.0', '153944.84976'), '0000000000000', 3022, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'abort'): [
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999999988', '1279.6480799999997', '0.0', '51469.74976'), '0000000000000', 1232, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999999988', '1279.6480799999997', '0.0', '51469.74976'), '0000000000000', 1298, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2728799999095', '0.0', '102707.29976'), '0000000000000', 2248, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2728799999095', '0.0', '102707.29976'), '0000000000000', 2380, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999975432', '1279.6480799999554', '0.0', '153944.84976'), '0000000000000', 3038, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999975432', '1279.6480799999554', '0.0', '153944.84976'), '0000000000000', 3236, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('flat', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657040000000052', '1290.5217599999996', '0.0', '51469.74976'), '0000000000000', 1402, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657040000000052', '1290.5217599999996', '0.0', '51469.74976'), '0000000000000', 1468, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2406, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2538, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657039999961853', '1290.521759999945', '0.0', '153944.84976'), '0000000000000', 3366, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657039999961853', '1290.521759999945', '0.0', '153944.84976'), '0000000000000', 3564, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.97520219172361', '1392.2294096412606', '0.0', '51469.74976'), '0000000000000', 1448, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.97520219172361', '1392.2294096412606', '0.0', '51469.74976'), '0000000000000', 1514, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2452, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.2715999999127', '0.0', '102707.29976'), '0000000000000', 2584, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.3512437150057', '1388.7686369800067', '0.0', '153944.84976'), '0000000000000', 3458, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.3512437150057', '1388.7686369800067', '0.0', '153944.84976'), '0000000000000', 3656, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1446, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.2715999999998', '0.0', '51469.74976'), '0000000000000', 1512, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102707.29976',), '1111111111111', 2083, (39312, 26, 13),
+        Round('Interrupt', (), ('102707.29976',), '1111111111111', 2215, (39312, 26, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102707.29976',), '1111111111111', 2085, (39312, 26, 13),
+        Round('DeployError', (), ('102707.29976',), '1111111111111', 2217, (39312, 26, 13),
               (),
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2468, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2598, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3481, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3676, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1306.0339199999996', '0.0', '51501.4352'), '0000000000000', 1364, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1306.0339199999996', '0.0', '51501.4352'), '0000000000000', 1429, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999507', '0.0', '102770.67064'), '0000000000000', 2286, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999507', '0.0', '102770.67064'), '0000000000000', 2416, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999726', '0.0', '154039.90608'), '0000000000000', 3208, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1306.0339199999726', '0.0', '154039.90608'), '0000000000000', 3403, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('47.968560000000025', '1341.5095999999996', '0.0', '51507.07712'), '0000000000000', 1417, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968560000000025', '1341.5095999999996', '0.0', '51507.07712'), '0000000000000', 1482, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.5095999998812', '0.0', '102781.95447999999'), '0000000000000', 2392, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.5095999998812', '0.0', '102781.95447999999'), '0000000000000', 2522, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.509599999903', '0.0', '154056.83184'), '0000000000000', 3367, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('47.968559999906574', '1341.509599999903', '0.0', '154056.83184'), '0000000000000', 3562, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('10.851920000000064', '1304.3891199999998', '0.0', '51507.07456'), '0000000000000', 1234, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851920000000064', '1304.3891199999998', '0.0', '51507.07456'), '0000000000000', 1299, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999707', '0.0', '102781.94936'), '0000000000000', 2026, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999707', '0.0', '102781.94936'), '0000000000000', 2156, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999925', '0.0', '154056.82416000002'), '0000000000000', 2818, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('10.851919999986421', '1304.3891199999925', '0.0', '154056.82416000002'), '0000000000000', 3013, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'abort'): [
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1230, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1295, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2255, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2385, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3043, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3238, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1411, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1476, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2424, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2554, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3393, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3588, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('86.3777621917236', '1496.1952540760958', '0.0', '51507.07712'), '0000000000000', 1485, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('86.3777621917236', '1496.1952540760958', '0.0', '51507.07712'), '0000000000000', 1550, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2498, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2628, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('85.75380371499341', '1494.0725980456045', '0.0', '154056.83184'), '0000000000000', 3541, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('85.75380371499341', '1494.0725980456045', '0.0', '154056.83184'), '0000000000000', 3736, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2468, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999426', '0.0', '102781.95447999999'), '0000000000000', 2598, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3481, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4967999999644', '0.0', '154056.83184'), '0000000000000', 3676, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1226, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999999991', '1303.6448799999996', '0.0', '51507.07712'), '0000000000000', 1291, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2251, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.4987199999377', '0.0', '102781.95575999998'), '0000000000000', 2381, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3035, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999981574', '1303.644879999978', '0.0', '154056.83311999997'), '0000000000000', 3230, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.4967999999997', '0.0', '51507.07712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102781.95447999999',), '1011001111000', 1899, (30240, 20, 13),
+        Round('Interrupt', (), ('102781.95447999999',), '1011001111000', 2029, (30240, 20, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+7', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+6', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102781.95447999999',), '1011001111000', 1901, (30240, 20, 13),
+        Round('DeployError', (), ('102781.95447999999',), '1011001111000', 2031, (30240, 20, 13),
               (),
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2468, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2598, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3481, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3676, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1287.5392799999997', '0.0', '51488.59248'), '0000000000000', 1364, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1287.5392799999997', '0.0', '51488.59248'), '0000000000000', 1429, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999681', '0.0', '102744.9852'), '0000000000000', 2286, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999681', '0.0', '102744.9852'), '0000000000000', 2416, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999827', '0.0', '154001.37792'), '0000000000000', 3208, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1287.5392799999827', '0.0', '154001.37792'), '0000000000000', 3403, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('45.017920000000004', '1322.8952799999997', '0.0', '51491.41344'), '0000000000000', 1419, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('45.017920000000004', '1322.8952799999997', '0.0', '51491.41344'), '0000000000000', 1484, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799998951', '0.0', '102750.62711999999'), '0000000000000', 2396, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799998951', '0.0', '102750.62711999999'), '0000000000000', 2526, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799999097', '0.0', '154009.8408'), '0000000000000', 3373, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('45.0179199999111', '1322.8952799999097', '0.0', '154009.8408'), '0000000000000', 3568, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('7.9012800000000425', '1285.7760799999999', '0.0', '51491.41216'), '0000000000000', 1236, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012800000000425', '1285.7760799999999', '0.0', '51491.41216'), '0000000000000', 1301, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.7760799999814', '0.0', '102750.62456'), '0000000000000', 2030, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.7760799999814', '0.0', '102750.62456'), '0000000000000', 2160, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.776079999996', '0.0', '154009.83696'), '0000000000000', 2824, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '1285.776079999996', '0.0', '154009.83696'), '0000000000000', 3019, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'abort'): [
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1232, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1297, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2257, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2387, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3047, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3242, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303840000000037', '1293.1811999999998', '0.0', '51488.41344'), '0000000000000', 1411, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303840000000037', '1293.1811999999998', '0.0', '51488.41344'), '0000000000000', 1476, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102747.62711999999'), '0000000000000', 2424, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102747.62711999999'), '0000000000000', 2554, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303839999978663', '1293.1811999999773', '0.0', '154003.8408'), '0000000000000', 3393, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303839999978663', '1293.1811999999773', '0.0', '154003.8408'), '0000000000000', 3588, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.72584219172359', '1471.879654076096', '0.0', '51491.41344'), '0000000000000', 1485, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.72584219172359', '1471.879654076096', '0.0', '51491.41344'), '0000000000000', 1550, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2498, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2628, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.10188371500408', '1469.7569980456174', '0.0', '154009.8408'), '0000000000000', 3541, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.10188371500408', '1469.7569980456174', '0.0', '154009.8408'), '0000000000000', 3736, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2468, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999627', '0.0', '102750.62711999999'), '0000000000000', 2598, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3481, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1811999999773', '0.0', '154009.8408'), '0000000000000', 3676, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1228, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999999994', '1285.2799199999997', '0.0', '51491.41344'), '0000000000000', 1293, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2253, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.1824799999595', '0.0', '102750.62775999999'), '0000000000000', 2383, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3039, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999987716', '1285.2799199999863', '0.0', '154009.84144'), '0000000000000', 3234, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1455, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.1811999999998', '0.0', '51491.41344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('Interrupt', (), ('102747.62711999999',), '1000111100000', 1839, (27216, 18, 13),
+        Round('Interrupt', (), ('102747.62711999999',), '1000111100000', 1969, (27216, 18, 13),
               ('rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+5', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+5', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+8', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'))),
-        Round('DeployError', (), ('102747.62711999999',), '1000111100000', 1841, (27216, 18, 13),
+        Round('DeployError', (), ('102747.62711999999',), '1000111100000', 1971, (27216, 18, 13),
               (),
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999999714', '178.10767999999962', '0.0', '50288.41216'), '0000000000000', 1744, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2402, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.62456'), '0000000000000', 3046, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.9675199999765', '202.68119999997725', '0.0', '150738.3408'), '0000000000000', 3382, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '150400.83696'), '0000000000000', 4348, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('31.146559999999795', '197.0392799999998', '0.0', '50398.09248'), '0000000000000', 1331, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999999714', '178.10767999999962', '0.0', '50285.5912'), '0000000000000', 1653, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('31.14655999997194', '197.03927999996813', '0.0', '100563.9852'), '0000000000000', 2220, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100338.98264'), '0000000000000', 2864, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('31.146559999979218', '197.03927999998268', '0.0', '150729.87792'), '0000000000000', 3109, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '150392.37408'), '0000000000000', 4075, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('26.563679999999977', '195.27608000000004', '0.0', '50400.91216'), '0000000000000', 1207, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('7.901279999999929', '157.90127999999993', '0.0', '50288.41216'), '0000000000000', 1275, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('26.563679999984743', '195.27607999998145', '0.0', '100569.62456'), '0000000000000', 1972, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '157.90127999999095', '0.0', '100344.62456'), '0000000000000', 2108, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('26.56367999999202', '195.276079999996', '0.0', '150738.33696'), '0000000000000', 2737, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('7.9012799999909475', '157.90127999999095', '0.0', '150400.83696'), '0000000000000', 2941, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('93.22231999999946', '261.93599999999947', '142.21151999999915', '50400.91344'), '0000000000000', 1774, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('79.96055999999936', '237.36247999999927', '142.21151999999915', '50288.41216'), '0000000000000', 2077, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('33.96815999996761', '202.68247999995947', '0.0', '100569.62775999999'), '0000000000000', 2766, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.6252'), '0000000000000', 3391, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('66.21751999996195', '234.9311999999627', '77.39999999996508', '150738.34144'), '0000000000000', 3918, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('52.95575999995344', '210.35767999994277', '77.39999999996508', '150400.8376'), '0000000000000', 4846, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.353199999999845', '181.06687999999986', '0.0', '50382.24976'), '0000000000000', 1377, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.353199999999845', '169.75511999999975', '0.0', '50269.74976'), '0000000000000', 1679, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100550.96343999999'), '0000000000000', 2357, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100325.96216'), '0000000000000', 2981, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.35319999998319', '181.06687999998394', '0.0', '150701.01344'), '0000000000000', 3292, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.35319999998319', '169.75511999997252', '0.0', '150363.51215999998'), '0000000000000', 4218, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('121.88030813390924', '290.59398813390925', '0.0', '50400.91344'), '0000000000000', 1423, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('81.42648219172304', '238.82840219172294', '0.0', '50288.41216'), '0000000000000', 1726, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2403, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.62456'), '0000000000000', 3028, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('119.10443585392204', '287.8181158539228', '0.0', '150738.3408'), '0000000000000', 3384, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.80252371499955', '238.20444371498888', '0.0', '150400.83696'), '0000000000000', 4312, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999999714', '178.10767999999962', '0.0', '50288.41216'), '0000000000000', 1744, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.96751999996923', '202.6811999999627', '0.0', '100569.62711999999'), '0000000000000', 2402, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.62456'), '0000000000000', 3046, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('33.9675199999765', '202.68119999997725', '0.0', '150738.3408'), '0000000000000', 3382, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '150400.83696'), '0000000000000', 4348, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'stale-relayed'): [
-        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('59.75639999999959', '228.4700799999996', '142.21151999999915', '50400.91344'), '0000000000000', 1769, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('57.05575999999962', '214.45767999999953', '142.21151999999915', '50288.41216'), '0000000000000', 2071, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('33.96751999996923', '202.68183999996108', '0.0', '100569.62775999999'), '0000000000000', 2761, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.6252'), '0000000000000', 3385, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('38.85319999996864', '207.5668799999694', '77.39999999996508', '150738.34144'), '0000000000000', 3908, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('36.152559999973164', '193.5544799999625', '77.39999999996508', '150400.8376'), '0000000000000', 4834, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'shard-forfeits'): [
-        Round('DeployError', (), ('50400.91344',), '0000000000000', 1430, (0, 0, 0),
+        Round('DeployError', (), ('50288.41216',), '0000000000000', 1662, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('33.968799999965995', '202.68247999995947', '0.0', '100569.62775999999'), '0000000000000', 2419, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999967995', '178.10767999995733', '0.0', '100344.6252'), '0000000000000', 2973, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('DeployError', (), ('150738.34144',), '0000000000000', 3272, (19656, 13, 13),
+        Round('DeployError', (), ('150400.8376',), '0000000000000', 4058, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('33.96751999999981', '202.68119999999982', '0.0', '50400.91344'), '0000000000000', 1422, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('20.705759999999714', '178.10767999999962', '0.0', '50288.41216'), '0000000000000', 1744, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('66.21751999995467', '234.93119999994815', '64.4999999999709', '100569.62711999999'), '0000010000000', 2392, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('52.95575999995344', '210.35767999994277', '64.4999999999709', '100344.62456'), '0000010000000', 2979, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+1', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+3', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
-              (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND prepared'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'bubbled deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('DeployError', (), ('150738.34144',), '0000010000000', 3245, (19656, 13, 13),
+              (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0004', 'decided-abort ABORT'), ('broadcast-1.beef0002', 'INTEND'), ('', 'FLIGHT'), ('broadcast-1.beef0002', 'prepared bubbled deployed decided-abort'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
+        Round('DeployError', (), ('150400.8376',), '0000010000000', 4055, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+2', 'rdx.broadcast.fanout{}+2', 'rdx.broadcast.latency_us{}+2', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+9', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],

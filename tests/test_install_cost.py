@@ -163,10 +163,11 @@ def test_a_relayed_leg_fences_under_the_relay_hosts_dispatch(config):
     started = relayed.started_us
     assert ("dispatch", started) in log and ("wqe:read", started) in log
     assert relay_cpu.busy_us - busy == pytest.approx(params.RDX_DISPATCH_FAST_US)
-    # The stage chain -- image, descriptor, bubble flag and the flag's
-    # doorbell -- goes out the instant the dispatch ends.
+    # The stage chain -- image and descriptor; staged under the
+    # verifier's charge, the leg's bubble rises in the raise walk --
+    # goes out the instant the dispatch ends.
     assert any(
-        name == "wqe-chain:4"
+        name == "wqe-chain:2"
         and now == pytest.approx(started + relayed.dispatch_us, abs=1e-9)
         for name, now in log
     )

@@ -450,3 +450,120 @@ class TestCrashBetweenStageAndFlip:
             hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
             assert int.from_bytes(hook, "little") == hooks[index]
             assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
+
+
+class TestCrashUnderTheVerifier:
+    def test_reconciler_frees_every_extent_staged_under_the_verifier(
+        self, monkeypatch
+    ):
+        """The control plane dies once every leg has staged its Phase-0
+        image and while the verifier still charges: no bubble rose and
+        no hook moved.  The resumed incarnation's reconciler adopts v1
+        and detaches each staged descriptor as an orphan: every hook
+        still names the v1 image, and each target's allocator and
+        descriptor slots are what they were before the broadcast."""
+        from dataclasses import replace
+
+        from repro.params import DEFAULT
+        from repro.sim.core import Interrupt
+
+        config = replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        )
+        bed = make_testbed(
+            n_hosts=5, cores_per_host=2, hooks=("ingress",), with_agents=False,
+            seed=3, config=config,
+        )
+        v1, v2 = (make_stress_program(400, seed=seed, name="app") for seed in (1, 2))
+        group = CodeFlowGroup(bed.codeflows)
+        bed.sim.run_process(group.broadcast([v1] * 5, "ingress"))
+        before = [
+            (dict(cf.code_allocator._live), set(cf._metadata_used))
+            for cf in bed.codeflows
+        ]
+        hooks = [cf.deployed["app"].code_addr for cf in bed.codeflows]
+        verified = bed.control.validations_run
+        charging = []
+        walk = CodeFlowGroup._walk
+
+        def crash_after_the_stages(self, plan, members, kind, visit):
+            yield from walk(self, plan, members, kind, visit)
+            if kind == "stage":
+                charging.append(bed.control.validations_run == verified)
+                bed.control.crash()
+                raise Interrupt("control plane fail-stop")
+
+        monkeypatch.setattr(CodeFlowGroup, "_walk", crash_after_the_stages)
+        doomed = bed.sim.spawn(group.broadcast([v2] * 5, "ingress"))
+        bed.sim.run()
+        with pytest.raises(Interrupt):
+            _ = doomed.value
+        assert charging == [True]  # the verdict was still pending
+        staged = [len(cf._metadata_used) - len(used) for cf, (_, used) in zip(bed.codeflows, before)]
+        assert staged == [1] * 5
+        assert not any(sb.bubble_active() for sb in bed.sandboxes)
+
+        plane, codeflows = bed.sim.run_process(
+            resume_control_plane(
+                bed.cluster.control_host, bed.control.journal, bed.sandboxes
+            )
+        )
+        reports = bed.sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+        assert all(report.converged for report in reports)
+        for report in reports:
+            kinds = sorted(action.kind for action in report.actions)
+            assert kinds == ["adopt", "detach_orphan"]
+        for index, cf in enumerate(codeflows):
+            hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
+            assert int.from_bytes(hook, "little") == hooks[index]
+            assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
+
+    def test_a_successor_under_the_verifier_fences_the_raise(self, monkeypatch):
+        """A successor claims one target while the verifier charges,
+        after that target staged: the raise walk's own epoch READ
+        refuses it, so the fenced-out plane neither raises its bubble
+        nor flips its hook (which the hb checker reports as a
+        ``stale-epoch-write``), and the all-or-nothing broadcast aborts
+        with every staged extent given back."""
+        from dataclasses import replace
+
+        from repro.core.control_plane import RdxControlPlane
+        from repro.errors import BroadcastAborted
+        from repro.params import DEFAULT
+
+        config = replace(
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+        )
+        bed = make_testbed(
+            n_hosts=5, cores_per_host=2, hooks=("ingress",), with_agents=False,
+            seed=3, config=config,
+        )
+        v1, v2 = (make_stress_program(400, seed=seed, name="app") for seed in (1, 2))
+        group = CodeFlowGroup(bed.codeflows)
+        bed.sim.run_process(group.broadcast([v1] * 5, "ingress"))
+        before = [
+            (dict(cf.code_allocator._live), set(cf._metadata_used))
+            for cf in bed.codeflows
+        ]
+        hooks = [cf.deployed["app"].code_addr for cf in bed.codeflows]
+        victim = bed.codeflows[4]  # relayed: its raise rides its parent's QP
+        walk = CodeFlowGroup._walk
+
+        def claim_after_the_stages(self, plan, members, kind, visit):
+            yield from walk(self, plan, members, kind, visit)
+            if kind == "stage":
+                successor = RdxControlPlane(
+                    bed.control.host, journal=bed.control.journal
+                )
+                yield from successor.create_codeflow(victim.sandbox)
+
+        monkeypatch.setattr(CodeFlowGroup, "_walk", claim_after_the_stages)
+        with pytest.raises(BroadcastAborted) as aborted:
+            bed.sim.run_process(group.broadcast([v2] * 5, "ingress"))
+        outcomes = aborted.value.result.outcomes
+        assert [o.error_kind for o in outcomes] == [""] * 4 + ["StaleEpochError"]
+        assert not any(sb.bubble_active() for sb in bed.sandboxes)
+        for index, cf in enumerate(bed.codeflows):
+            hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
+            assert int.from_bytes(hook, "little") == hooks[index]
+            assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]

@@ -1,16 +1,22 @@
 """Deterministic cost guard for where a broadcast's bytes move.
 
 A pipelined broadcast leg stages before the bubble window opens: its
-image, descriptor and body-span flushes land where no hook points, and
-its bubble raise rides the tail of that chain.  The window -- from the
-journal's ``bubbled`` phase to its ``deployed`` phase, after which only
-the decision and the lower walk remain -- holds the flips alone: a
-fenced commit CAS and the hook line's doorbell per target.  These tests
-count what the QPs carry on either side of that line, so body bytes
-cannot drift back into the window, and the stage walk keeps riding the
-relays the way the hub-and-spoke raise once did not.
+image, descriptor and body-span flushes land where no hook points.  A
+leg that ships its Phase-0 image stages while the verifier still
+charges, so its stage chain goes out bare; once the verdict is in, one
+fenced raise walk raises the bubbles down the same forest.  A leg with
+no Phase-0 image (hub and spoke) waits for the verdict and its raise
+rides the tail of its stage chain.  The window -- from the journal's
+``bubbled`` phase to its ``deployed`` phase, after which only the
+decision and the lower walk remain -- holds the flips alone: a fenced
+commit CAS and the hook line's doorbell per target.  These tests count
+what the QPs carry on either side of that line, so body bytes cannot
+drift back into the window, and the stage and raise walks keep riding
+the relays the way the hub-and-spoke raise once did not.  They also
+time every post against the end of the verifier's charge: the verdict
+gates the raise and the flip, never the bytes.
 
-They also pin what the window and the hold cost a target's requests:
+And they pin what the window and the hold cost a target's requests:
 ``bubble_hold_us`` runs from the *first* raise, ``bubble_window_us``
 from the last, so their gap is how long Phase 1 kept early bubbles up.
 """
@@ -20,6 +26,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.broadcast import CodeFlowGroup
+from repro.core.control_plane import RdxControlPlane
 from repro.core.sync import RemoteSync
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed
@@ -39,22 +46,29 @@ FLAT16_HOLD_US = 42.77776
 
 
 def _traffic(config, n, monkeypatch):
-    """One broadcast over ``n`` targets; returns (result, counts).
+    """One broadcast over ``n`` targets; returns (result, counts, times).
 
-    ``counts`` is keyed by (phase, route, what): the epoch READs and
-    stage chains posted before the journal's ``bubbled`` phase
-    ("stage"), and every WR posted from then until its ``deployed``
-    phase ("window"), by opcode -- a doorbell is an 8-byte WRITE to the
-    target's doorbell word, anything else a WRITE is a body byte."""
+    ``counts`` is keyed by (phase, route, what): the epoch READs, stage
+    chains and raise chains posted from the broadcast's start up to the
+    journal's ``bubbled`` phase ("stage"), and every WR posted from then
+    until its ``deployed`` phase ("window"), by opcode -- a doorbell is
+    an 8-byte WRITE to the target's doorbell word, anything else a
+    WRITE is a body byte.  ``times`` maps "verdict" to the instant the
+    verifier's charge ended, and "stage-chain", "cas" and "flag" to the
+    sim times every stage chain, hook CAS and bubble-flag WRITE was
+    posted at."""
     bed = make_testbed(
         n_hosts=n, cores_per_host=2, hooks=("ingress",),
         with_agents=False, seed=3, config=config,
     )
+    sim = bed.sim
     direct = {id(cf.sync) for cf in bed.codeflows}
     direct_qps = {id(cf.sync.qp) for cf in bed.codeflows}
     doorbells = {cf.sandbox.control_addr + 24 for cf in bed.codeflows}
+    flags = {cf.sandbox.bubble_addr for cf in bed.codeflows}
     counts = {}
-    phase = ["before"]
+    times = {"stage-chain": [], "cas": [], "flag": []}
+    phase = ["stage"]
 
     def count(key):
         counts[key] = counts.get(key, 0) + 1
@@ -63,6 +77,7 @@ def _traffic(config, n, monkeypatch):
         return "control" if id(sync) in direct else "relay"
 
     read, install = RemoteSync.read, RemoteSync.install
+    write_batch, charge = RemoteSync.write_batch, RdxControlPlane._charge
     post, post_batch = QueuePair.post_send, QueuePair.post_send_batch
 
     def spy_read(self, addr, length):
@@ -71,50 +86,71 @@ def _traffic(config, n, monkeypatch):
         return read(self, addr, length)
 
     def spy_install(self, ops, qword_addr, *args, **kwargs):
-        if phase[0] == "stage" and qword_addr is None:
-            count(("stage", route(self), "stage-chain"))
+        if qword_addr is None:
+            times["stage-chain"].append(sim.now)
+            if phase[0] == "stage":
+                count(("stage", route(self), "stage-chain"))
         return install(self, ops, qword_addr, *args, **kwargs)
+
+    def spy_write_batch(self, ops, *args, **kwargs):
+        if phase[0] == "stage" and ops and ops[0][0] in flags:
+            count(("stage", route(self), "raise-chain"))
+        return write_batch(self, ops, *args, **kwargs)
+
+    def spy_charge(self, stage, *args, **kwargs):
+        yield from charge(self, stage, *args, **kwargs)
+        if stage == "validate":
+            times["verdict"] = sim.now
 
     def wr_kind(wr):
         if wr.opcode is WrOpcode.COMP_SWAP:
+            times["cas"].append(sim.now)
             return "cas"
         if wr.opcode is WrOpcode.RDMA_WRITE:
+            if wr.remote_addr in flags:
+                times["flag"].append(sim.now)
             if wr.remote_addr in doorbells and len(wr.data) == 8:
                 return "doorbell"
             return "write"
         return wr.opcode.name.lower()
 
     def spy_post(self, wr):
+        kind = wr_kind(wr)
         if phase[0] == "window":
             route = "control" if id(self) in direct_qps else "relay"
-            count(("window", route, wr_kind(wr)))
+            count(("window", route, kind))
         return post(self, wr)
 
     def spy_post_batch(self, wrs):
-        if phase[0] == "window":
-            route = "control" if id(self) in direct_qps else "relay"
-            for wr in wrs:
-                count(("window", route, wr_kind(wr)))
+        for wr in wrs:
+            kind = wr_kind(wr)
+            if phase[0] == "window":
+                route = "control" if id(self) in direct_qps else "relay"
+                count(("window", route, kind))
         return post_batch(self, wrs)
 
     journal = bed.control.journal
     record_phase = journal.phase
 
     def spy_phase(txn, name, *args, **kwargs):
-        phase[0] = {"prepared": "stage", "bubbled": "window"}.get(name, "after")
+        if name in ("bubbled", "deployed"):
+            phase[0] = "window" if name == "bubbled" else "after"
         return record_phase(txn, name, *args, **kwargs)
 
     monkeypatch.setattr(RemoteSync, "read", spy_read)
     monkeypatch.setattr(RemoteSync, "install", spy_install)
+    monkeypatch.setattr(RemoteSync, "write_batch", spy_write_batch)
+    monkeypatch.setattr(RdxControlPlane, "_charge", spy_charge)
     monkeypatch.setattr(QueuePair, "post_send", spy_post)
     monkeypatch.setattr(QueuePair, "post_send_batch", spy_post_batch)
     monkeypatch.setattr(journal, "phase", spy_phase)
     program = make_stress_program(150, seed=1, name="rc")
-    result = bed.sim.run_process(
+    result = sim.run_process(
         CodeFlowGroup(bed.codeflows).broadcast([program] * n, "ingress")
     )
     assert all(outcome.ok for outcome in result.outcomes)
-    return result, counts
+    sim.run()  # a verifier's charge that outlived the broadcast ends
+    return result, counts, times
 
 
 @pytest.fixture(scope="module")
@@ -138,23 +174,38 @@ def _window(counts):
 
 
 def test_tree_stages_ride_the_relays(tree64):
-    """N=64, degree 4: the 4 roots stage (and raise) over the control
-    plane's QPs, the other 60 over their parents' relay QPs."""
-    _, counts = tree64
+    """N=64, degree 4: the 4 roots stage over the control plane's QPs,
+    the other 60 over their parents' relay QPs -- and then, the verdict
+    in, raise down the same forest, each raise fenced again: 4 control
+    and 60 relay epoch READs and raise chains on top of the stages'."""
+    _, counts, _ = tree64
     stage = {key: n for key, n in counts.items() if key[0] == "stage"}
     assert stage == {
-        ("stage", "control", "epoch-read"): 4,
+        ("stage", "control", "epoch-read"): 4 + 4,
         ("stage", "control", "stage-chain"): 4,
-        ("stage", "relay", "epoch-read"): 60,
+        ("stage", "control", "raise-chain"): 4,
+        ("stage", "relay", "epoch-read"): 60 + 60,
         ("stage", "relay", "stage-chain"): 60,
+        ("stage", "relay", "raise-chain"): 60,
     }
+
+
+def test_the_verdict_gates_the_raise_and_the_flip_not_the_bytes(tree64):
+    """Every stage chain goes out under the verifier's charge; every
+    hook CAS and every bubble-flag WRITE at or after its end."""
+    _, _, times = tree64
+    verdict = times["verdict"]
+    assert len(times["stage-chain"]) == 64
+    assert max(times["stage-chain"]) < verdict
+    assert len(times["cas"]) == 64 and min(times["cas"]) >= verdict
+    assert len(times["flag"]) == 2 * 64 and min(times["flag"]) >= verdict
 
 
 def test_the_tree_window_moves_no_body_byte(tree64):
     """Inside the window each target gets one CAS and one doorbell --
     4 flips from the control plane, 60 down the relays -- and nothing
     else: no image, descriptor or bubble byte."""
-    _, counts = tree64
+    _, counts, _ = tree64
     assert _window(counts) == {
         ("control", "cas"): 4,
         ("control", "doorbell"): 4,
@@ -164,29 +215,67 @@ def test_the_tree_window_moves_no_body_byte(tree64):
 
 
 def test_flat_stages_and_flips_stay_on_the_control_plane(flat16):
-    _, counts = flat16
+    """No Phase-0 image to ship: the stages wait for the verdict, and
+    each raise rides its stage chain's tail."""
+    _, counts, times = flat16
     assert counts[("stage", "control", "stage-chain")] == 16
+    assert ("stage", "control", "raise-chain") not in counts
+    assert min(times["stage-chain"]) >= times["verdict"]
     assert _window(counts) == {("control", "cas"): 16, ("control", "doorbell"): 16}
 
 
 def test_the_hold_is_the_window_plus_a_short_raise(tree64):
-    """The first bubble up waits for the rest of the stage walk before
+    """The first bubble up waits for the rest of the raise walk before
     the window starts; down the forest that wait is the two levels of
-    stages below the roots (46.33 us), not 64 stages queued on the
-    control RNIC.  Window 20.96 and hold 67.28 us (75.84 and 90.65
-    when each leg deployed inside the window)."""
-    result, _ = tree64
+    raises below the roots (10.80 us), not 64 raises queued on the
+    control RNIC.  Window 20.96 and hold 31.76 us (67.28 when each
+    raise rode its stage chain and the stages waited for the verdict,
+    90.65 when each leg deployed inside the window)."""
+    result, _, _ = tree64
     assert result.started_us < result.first_raised_us <= result.bubble_raised_us
     assert result.bubble_hold_us == pytest.approx(
         result.bubble_lowered_us - result.first_raised_us
     )
     assert result.bubble_window_us < 25.0
-    assert 0 < result.bubble_hold_us - result.bubble_window_us <= 50.0
+    assert 0 < result.bubble_hold_us - result.bubble_window_us <= 15.0
 
 
 def test_flat_window_and_hold(flat16):
     """Flat stages are the old spawn list; the window is the flips and
     the lowers, the hold adds the stage walk after the first leg."""
-    result, _ = flat16
+    result, _, _ = flat16
     assert result.bubble_window_us == pytest.approx(FLAT16_WINDOW_US)
     assert result.bubble_hold_us == pytest.approx(FLAT16_HOLD_US)
+
+
+def test_a_registry_hit_raises_on_the_stage_tail(monkeypatch):
+    """A second broadcast of an already-verified program finds no
+    verdict pending: no raise walk, each raise rides its stage chain's
+    tail.  Tree N=256, degree 4: total 71.58 and hold 50.74 us, as
+    before legs staged under the verifier (a raise walk after the
+    stages would read 95.19 us)."""
+    bed = make_testbed(
+        n_hosts=256, cores_per_host=4, hooks=("ingress",),
+        with_agents=False, seed=1, config=TREE,
+    )
+    group = CodeFlowGroup(bed.codeflows)
+    program = make_stress_program(402, seed=1, name="hit")
+    first = bed.sim.run_process(
+        group.broadcast([program] * 256, "ingress", verify=False)
+    )
+    kinds = []
+    walk = CodeFlowGroup._walk
+
+    def spy_walk(self, plan, members, kind, visit):
+        kinds.append(kind)
+        return walk(self, plan, members, kind, visit)
+
+    monkeypatch.setattr(CodeFlowGroup, "_walk", spy_walk)
+    second = bed.sim.run_process(
+        group.broadcast([program] * 256, "ingress", verify=False)
+    )
+    assert first.total_us == pytest.approx(452.21536)
+    assert kinds == ["stage", "flip", "lower"]
+    assert second.total_us == pytest.approx(71.58496)
+    assert second.bubble_hold_us == pytest.approx(50.74064)
+    assert second.bubble_window_us == pytest.approx(26.60768)

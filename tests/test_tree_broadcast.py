@@ -40,7 +40,7 @@ from repro.exp.scale import sharded_testbed
 from repro.hb import checker
 from repro.mem.layout import pack_qword
 from repro.params import DEFAULT, configure
-from repro.sim.core import Simulator
+from repro.sim.core import Interrupt, Simulator
 
 
 #: The tree arm with degree 2, so 9 targets give depth > 2 (roots
@@ -349,6 +349,76 @@ class TestRaiseDownTheForest:
         assert fallback_count(bed, "raise") == 0
         assert victim not in written
         assert written and all(not sb.bubble_active() for sb in bed.sandboxes)
+
+
+class TestRaiseUnderAPendingVerdict:
+    """One program for every target: its JIT's charge ends long before
+    its verifier's, so the legs stage bare under the verifier and a
+    raise walk of their own follows the verdict."""
+
+    def _program(self):
+        return make_stress_program(400, seed=7, name="shared")
+
+    def test_broken_relay_raise_retries_directly(self, bed):
+        """A relayed raise (no dispatch CPU borrowed, unlike a relayed
+        stage) whose relay path breaks retries once from the control
+        plane, counted ``raise``; the broadcast commits."""
+        victim = bed.codeflows[-1]
+
+        def dead_link(codeflow):
+            if codeflow.dispatch_cpu is None:
+                raise HostUnreachable(f"{codeflow.sandbox.name}: relay link dead")
+
+        undo = _fence_on_relayed_raise(victim, dead_link)
+        try:
+            result = bed.sim.run_process(
+                CodeFlowGroup(bed.codeflows).broadcast(
+                    [self._program()] * len(bed.codeflows), "ingress"
+                )
+            )
+        finally:
+            undo()
+        assert all(outcome.ok for outcome in result.outcomes)
+        assert fallback_count(bed, "raise") == 1
+        assert fallback_count(bed, "HostUnreachable") == 0
+        out, _ = victim.sandbox.run_hook("ingress", bytes(256))
+        assert out is not None
+        assert all(not sb.bubble_active() for sb in bed.sandboxes)
+
+    def test_an_abandoned_verdict_gives_every_stage_back(self, bed):
+        """The verdict the legs staged under belongs to another caller's
+        compile, abandoned after the stages landed: the broadcast fails
+        with it and gives back every staged extent and descriptor."""
+        sim, control = bed.sim, bed.control
+        program = self._program()
+        before = [
+            (dict(cf.code_allocator._live), set(cf._metadata_used))
+            for cf in bed.codeflows
+        ]
+
+        def abandon():
+            leader = sim.spawn(control.prepare_for(bed.codeflows[0], program))
+            yield 300.0
+            leader.interrupt("compile abandoned")
+
+        sim.spawn(abandon())
+        doomed = sim.spawn(
+            CodeFlowGroup(bed.codeflows).broadcast(
+                [program] * len(bed.codeflows), "ingress"
+            )
+        )
+        sim.run()
+        with pytest.raises(Interrupt):
+            _ = doomed.value
+        assert control.prepare_coalesced == 1
+        staged = bed.obs.registry.get("rdx.broadcast.legs", mode="full", target="_all")
+        assert staged.value == len(bed.codeflows)  # every leg had staged
+        after = [
+            (dict(cf.code_allocator._live), set(cf._metadata_used))
+            for cf in bed.codeflows
+        ]
+        assert after == before
+        assert not any(sb.bubble_active() for sb in bed.sandboxes)
 
 
 class TestPhaseZeroImagesBelongToTheBroadcast:
