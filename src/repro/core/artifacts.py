@@ -82,7 +82,7 @@ class Pin(NamedTuple):
     relocs: tuple[tuple[RelocKind, str], ...]
 
 
-class Flight(NamedTuple):
+class _Flight(NamedTuple):
     """One registry miss in flight, as its leader left it."""
 
     #: Fires with the :class:`RegistryEntry` -- the verdict -- or the
@@ -245,8 +245,8 @@ class ArtifactStore:
         )
         self.linked = Stage(params.RDX_LINK_CACHE_CAP)
         self.pinned = PinStage(self)
-        #: Verdict key -> the leader's :class:`Flight` (single flight).
-        self._inflight: dict[tuple, Flight] = {}
+        #: Verdict key -> the leader's :class:`_Flight` (single flight).
+        self._inflight: dict[tuple, _Flight] = {}
         self.prepare_coalesced = 0
         #: Set by :meth:`serve`: ``inject`` then uses the pin stage.
         self.serving = False
@@ -279,8 +279,8 @@ class ArtifactStore:
         after the other; the pipelined arm runs the JIT's charge on a
         second control-host core under the verifier's, which claims
         its core first -- on one core the two still add up.  Its
-        :class:`Flight` (see :meth:`flight`) carries the image and the
-        JIT's charge while the verifier's runs.
+        image may ship (:meth:`shippable`) once the JIT's charge ends,
+        while the verifier's still runs.
         """
         key = verdict_key(program, arch, maps, ctx_size)
         entry = self.registry.get(key)
@@ -298,15 +298,16 @@ class ArtifactStore:
         self.obs.counter("rdx.cache.miss").inc()
         plane = self.plane
         done = plane.sim.event()
-        self._inflight[key] = Flight(done)
         try:
             if plane.config.pipelined_deploy:
+                # Both charges are built before either runs, so the
+                # flight is whole before this first yields.
                 stats, verify_charge = plane.validate(
                     program, maps, ctx_size, principal, parent_span
                 )
                 binary, jit_charge = plane.jit(program, arch, principal, parent_span)
                 jit = plane.sim.spawn(jit_charge, name="jit")
-                self._inflight[key] = Flight(done, binary, jit)
+                self._inflight[key] = _Flight(done, binary, jit)
                 try:
                     yield from verify_charge
                     yield jit
@@ -314,6 +315,7 @@ class ArtifactStore:
                     jit.interrupt("compile abandoned")
                     raise
             else:
+                self._inflight[key] = _Flight(done)
                 stats = yield from plane.validate_code(
                     program, maps, ctx_size=ctx_size, principal=principal,
                     parent_span=parent_span,
@@ -331,9 +333,19 @@ class ArtifactStore:
         done.succeed(entry)
         return entry
 
-    def flight(self, key: tuple) -> Optional[Flight]:
-        """The compile in flight under verdict ``key``, or None."""
-        return self._inflight.get(key)
+    def shippable(self, key: tuple, verdict) -> Generator:
+        """Process body: the image under verdict ``key`` once it may
+        ship, or None.  A pipelined miss in flight ships when its JIT's
+        charge ends, while the verifier's may still run; anything else
+        (a registry hit, a rejected program, the serial arm) waits for
+        ``verdict`` -- a prepare of ``key`` already started -- and ships
+        its entry's image."""
+        flight = self._inflight.get(key)
+        if flight is not None and flight.jit is not None:
+            yield flight.jit
+            return flight.binary
+        entry = yield verdict
+        return None if entry is None else entry.binary
 
     def compiled_image(self, codeflow, program: BpfProgram) -> Optional[JitBinary]:
         """The registry's image of ``program`` as verified for

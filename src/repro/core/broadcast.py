@@ -335,18 +335,11 @@ class CodeFlowGroup:
             return None
 
     def _prelink(self, key, verdict, members, span, images: dict) -> Generator:
-        """Link ``key``'s image for each of ``members`` as soon as it
-        may ship: when the JIT's charge in flight ends, else (a registry
-        hit, a rejected program) when ``verdict`` returns."""
-        flight = self.control_plane.artifacts.flight(key)
-        if flight is not None and flight.jit is not None:
-            yield flight.jit
-            binary = flight.binary
-        else:
-            entry = yield verdict
-            if entry is None:
-                return
-            binary = entry.binary
+        """Link ``key``'s image for each of ``members`` as soon as the
+        artifact store says it may ship."""
+        binary = yield from self.control_plane.artifacts.shippable(key, verdict)
+        if binary is None:
+            return
         links = [
             self.sim.spawn(
                 self._link(self.codeflows[index], binary, span, images),
@@ -660,8 +653,10 @@ class CodeFlowGroup:
                             raise
                         if txn is not None:
                             plane.journal.phase(txn, "prepared")
-                        if use_bbu and flipping():
-                            yield from self._raise_staged(plan, live, staged, result)
+                        if flipping():
+                            yield from self._raise_staged(
+                                plan, live, staged, result, use_bbu
+                            )
                 elif use_bbu:
 
                     def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
@@ -848,14 +843,18 @@ class CodeFlowGroup:
 
     # -- per-target legs ------------------------------------------------------
 
-    def _raise_staged(self, plan, live, staged: dict, result) -> Generator:
+    def _raise_staged(
+        self, plan, live, staged: dict, result, use_bbu: bool
+    ) -> Generator:
         """The raise walk of legs staged under a pending verdict: a root
         raises over the control plane's QP, a child over its parent's
         relay QP.  Each raise fences again -- its stage's fence is up to
         a verifier's charge old, and a successor may have taken the
         target over since -- and a leg whose raise fails is unstaged.
-        Every raise's flush is joined before this returns, so no hook
-        flips under a bubble the target CPU cannot see yet."""
+        Without ``use_bbu`` the walk is that fence alone: the flip's CAS
+        is not checked against the epoch either.  Every raise's flush is
+        joined before this returns, so no hook flips under a bubble the
+        target CPU cannot see yet."""
         raisable = [index for index in live if index in staged]
         flushes: list = []
 
@@ -868,33 +867,39 @@ class CodeFlowGroup:
             elif pos >= plan.degree:
                 self._relay_fallback(codeflow, "parent-failed")
             raised = yield from self._guarded_bubble(
-                codeflow, result.outcomes[index], flushes, sync
+                codeflow, result.outcomes[index], flushes, sync, use_bbu
             )
             if raised is None:
                 codeflow.unstage(staged.pop(index))
             return raised
 
-        yield from self._walk(plan, raisable, "raise", raise_)
+        kind = "raise" if use_bbu else "fence"
+        yield from self._walk(plan, raisable, kind, raise_)
         if flushes:
             landed = yield self.sim.all_of(flushes)
             result.first_raised_us = min(landed)
 
     def _guarded_bubble(
         self, codeflow, outcome, flushes: list,
-        sync: Optional[RemoteSync] = None,
+        sync: Optional[RemoteSync] = None, bubble: bool = True,
     ) -> Generator:
-        """Fence, then raise, so a stale control plane never raises a
-        bubble on a successor's target; a failure fails the leg.
+        """Fence, then raise (unless not ``bubble``: the fence alone),
+        so a stale control plane never raises a bubble on a successor's
+        target; a failure fails the leg.
         ``sync`` is a forest parent's relay: the epoch READ and the flag
         chain both ride it, and a broken relay *path*
         (:class:`RdmaError`) retries once directly, the lower's rule.
-        Returns the codeflow when the bubble is up, else None."""
+        Returns the codeflow when the fence held (and the bubble is up),
+        else None."""
         if sync is not None:
             direct, codeflow.sync = codeflow.sync, sync
         try:
             try:
                 yield from codeflow.check_fence()
-                yield from self._write_bubble(codeflow, 1, codeflow.sync, flushes)
+                if bubble:
+                    yield from self._write_bubble(
+                        codeflow, 1, codeflow.sync, flushes
+                    )
             finally:
                 if sync is not None:
                     codeflow.sync = direct
@@ -904,7 +909,11 @@ class CodeFlowGroup:
                 self._leg_failed(outcome, err)
                 return None
             self._relay_fallback(codeflow, "raise")
-            return (yield from self._guarded_bubble(codeflow, outcome, flushes))
+            return (
+                yield from self._guarded_bubble(
+                    codeflow, outcome, flushes, bubble=bubble
+                )
+            )
         return codeflow
 
     def _leg_failed(self, outcome: TargetOutcome, err: ReproError) -> None:

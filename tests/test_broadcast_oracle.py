@@ -82,7 +82,10 @@ changes that move rows on purpose:
   its windows and totals fall (the merged window runs from the
   earliest raise, and every shard now raises after its verdict):
   clean 33.97 -> 20.71 / 202.68 -> 178.11 us, ``no-bbu``
-  26.56 -> 7.90 / 195.28 -> 157.90, ``abort`` -13.26 / -24.58,
+  26.56 -> 10.60 / 195.28 -> 163.30 (no bubble, but the walk still
+  runs as an epoch READ per staged leg, +121 events a round: the
+  flips must not follow a stage fence a verifier's charge old),
+  ``abort`` -13.26 / -24.58,
   ``stale-relayed`` -2.70 / -14.01 (``abort_us`` unchanged),
   ``host-crashed`` 121.88 -> 81.43 / 290.59 -> 238.83, and
   ``root-partial`` total 181.07 -> 169.76 (its window unchanged).  In
@@ -805,13 +808,13 @@ ORACLE = {
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-bbu'): [
-        Round('', (('ok:full', 13),), ('7.901279999999929', '157.90127999999993', '0.0', '50288.41216'), '0000000000000', 1275, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('10.601919999999893', '163.30255999999986', '0.0', '50288.41216'), '0000000000000', 1396, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('7.9012799999909475', '157.90127999999095', '0.0', '100344.62456'), '0000000000000', 2108, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('10.601919999986421', '163.3025599999819', '0.0', '100344.62456'), '0000000000000', 2350, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('7.9012799999909475', '157.90127999999095', '0.0', '150400.83696'), '0000000000000', 2941, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('10.601919999986421', '163.3025599999819', '0.0', '150400.83696'), '0000000000000', 3304, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],

@@ -518,21 +518,27 @@ class TestCrashUnderTheVerifier:
             assert int.from_bytes(hook, "little") == hooks[index]
             assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
 
-    def test_a_successor_under_the_verifier_fences_the_raise(self, monkeypatch):
+    @pytest.mark.parametrize("use_bbu", [True, False], ids=["bbu", "no-bbu"])
+    def test_a_successor_under_the_verifier_fences_the_raise(
+        self, monkeypatch, use_bbu
+    ):
         """A successor claims one target while the verifier charges,
         after that target staged: the raise walk's own epoch READ
-        refuses it, so the fenced-out plane neither raises its bubble
-        nor flips its hook (which the hb checker reports as a
-        ``stale-epoch-write``), and the all-or-nothing broadcast aborts
-        with every staged extent given back."""
+        refuses it -- without BBU the walk is that READ alone -- so the
+        fenced-out plane neither raises its bubble nor flips its hook
+        (which the hb checker reports as a ``stale-epoch-write``), and
+        the all-or-nothing broadcast aborts with every staged extent
+        given back."""
         from dataclasses import replace
 
         from repro.core.control_plane import RdxControlPlane
         from repro.errors import BroadcastAborted
+        from repro.hb import checker
         from repro.params import DEFAULT
 
         config = replace(
-            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2
+            DEFAULT, pipelined_deploy=True, tree_broadcast=True, tree_degree=2,
+            hb_check=True,
         )
         bed = make_testbed(
             n_hosts=5, cores_per_host=2, hooks=("ingress",), with_agents=False,
@@ -559,7 +565,9 @@ class TestCrashUnderTheVerifier:
 
         monkeypatch.setattr(CodeFlowGroup, "_walk", claim_after_the_stages)
         with pytest.raises(BroadcastAborted) as aborted:
-            bed.sim.run_process(group.broadcast([v2] * 5, "ingress"))
+            bed.sim.run_process(
+                group.broadcast([v2] * 5, "ingress", use_bbu=use_bbu)
+            )
         outcomes = aborted.value.result.outcomes
         assert [o.error_kind for o in outcomes] == [""] * 4 + ["StaleEpochError"]
         assert not any(sb.bubble_active() for sb in bed.sandboxes)
@@ -567,3 +575,4 @@ class TestCrashUnderTheVerifier:
             hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
             assert int.from_bytes(hook, "little") == hooks[index]
             assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
+        assert checker.consume(bed.sim).findings == []
