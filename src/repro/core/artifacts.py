@@ -347,6 +347,17 @@ class ArtifactStore:
         entry = yield verdict
         return None if entry is None else entry.binary
 
+    def holds_verdict(self, codeflow, program: BpfProgram) -> bool:
+        """Whether a verdict of ``program`` for ``codeflow``'s target is
+        resident -- a registry entry, or a pin under its verdict key --
+        looked up at zero sim time with no LRU touch and no count.
+        False when the program's maps do not resolve there."""
+        try:
+            key = self.target_key(codeflow, program)
+        except DeployError:
+            return False
+        return key in self.registry.entries or key in self.pinned._layouts
+
     def compiled_image(self, codeflow, program: BpfProgram) -> Optional[JitBinary]:
         """The registry's image of ``program`` as verified for
         ``codeflow``'s target (not touched), or None."""

@@ -39,6 +39,12 @@ from repro.core.retry import RetryPolicy
 from repro.core.security import Principal, SecurityPolicy
 from repro.core.sync import RemoteSync
 
+#: The control-CPU priority of a verifier or JIT charge: below install
+#: work (warm probe, link, dispatch; priority 0), so install work takes
+#: the next free core ahead of every queued compile charge.  Compiles
+#: among themselves stay FIFO: a verifier claims its core before its JIT.
+COMPILE_PRIORITY = 1
+
 
 class InstallLock(NamedTuple):
     """A per-target mutex :meth:`RdxControlPlane.inject` takes once the
@@ -303,10 +309,11 @@ class RdxControlPlane:
     def _charge(
         self, stage: str, cost_us: float, parent_span: Optional[Span], **attrs
     ) -> Generator:
-        """Process body: ``cost_us`` on one control-host core inside the
-        ``rdx.<stage>`` span; counted once it has run."""
+        """Process body: ``cost_us`` on one control-host core, requested
+        at :data:`COMPILE_PRIORITY`, inside the ``rdx.<stage>`` span;
+        counted once it has run."""
         with self.obs.span(f"rdx.{stage}", parent=parent_span, **attrs):
-            yield from self.host.cpu.run(cost_us)
+            yield from self.host.cpu.run(cost_us, COMPILE_PRIORITY)
         self.obs.histogram(f"rdx.{stage}.cpu_us").observe(cost_us)
         if stage == "validate":
             self.validations_run += 1

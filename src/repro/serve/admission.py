@@ -19,6 +19,11 @@ Backpressure is the other half of the contract: a closed-loop producer
 can wait on :meth:`AdmissionController.space_event` instead of being
 shed, so ``queue-full`` only ever sheds callers who chose open-loop
 semantics.
+
+A popped ticket whose program must first compile keeps its queue slot
+while it does (:meth:`AdmissionController.hold`), so ``queue-full``
+still sheds when compiles back up; once its verdict lands it returns
+to the head of its class queue (:meth:`AdmissionController.unhold`).
 """
 
 from __future__ import annotations
@@ -78,13 +83,15 @@ class DeployTicket:
 
     @property
     def queue_wait_us(self) -> float:
+        """Submit to the first worker's pop."""
         if self.started_us is None:
             return 0.0
         return self.started_us - self.submitted_us
 
     @property
     def service_us(self) -> float:
-        """Execution latency: dequeue to install-visible."""
+        """Execution latency: first pop to install-visible, an
+        off-worker compile and the return to the queue included."""
         if self.started_us is None or self.finished_us is None:
             return 0.0
         return self.finished_us - self.started_us
@@ -105,6 +112,8 @@ class _ClassQueue:
     #: Waiters parked by backpressure mode; fired (and replaced) when
     #: a slot frees up.
     space: Optional[object] = None
+    #: Popped tickets compiling off the workers; each holds a slot.
+    compiling: int = 0
 
 
 class AdmissionController:
@@ -140,7 +149,7 @@ class AdmissionController:
 
     def has_space(self, class_name: str) -> bool:
         queue = self._queues[class_name]
-        return len(queue.tickets) < queue.cls.queue_depth
+        return len(queue.tickets) + queue.compiling < queue.cls.queue_depth
 
     def space_event(self, class_name: str):
         """Event that fires the next time ``class_name`` frees a slot."""
@@ -163,7 +172,7 @@ class AdmissionController:
         pending = self._pending_by_tenant.get(ticket.tenant, 0)
         if pending >= cls.max_pending_per_tenant:
             return self._shed(ticket, SHED_TENANT_QUOTA)
-        if len(queue.tickets) >= cls.queue_depth:
+        if len(queue.tickets) + queue.compiling >= cls.queue_depth:
             return self._shed(ticket, SHED_QUEUE_FULL)
         class_delay = queue.bucket.delay_for(ticket.size_bytes)
         if max(class_delay, throttle_hint_us) > cls.max_throttle_us:
@@ -213,6 +222,31 @@ class AdmissionController:
                     queue.space = None
                 return ticket
         return None
+
+    def hold(self, ticket: DeployTicket) -> None:
+        """Keep a popped ticket's slot while it compiles off the workers.
+
+        :meth:`next_ready` already fired the class's space event; a
+        parked producer re-checks :meth:`has_space` and parks again.
+        """
+        self._queues[ticket.class_name].compiling += 1
+
+    def unhold(self, ticket: DeployTicket, requeue: bool) -> None:
+        """End :meth:`hold`.  With ``requeue`` the ticket goes back to
+        the head of its class queue, behind tickets that returned before
+        it; otherwise its slot frees."""
+        queue = self._queues[ticket.class_name]
+        queue.compiling -= 1
+        if requeue:
+            index = next(
+                (i for i, queued in enumerate(queue.tickets)
+                 if queued.started_us is None),
+                len(queue.tickets),
+            )
+            queue.tickets.insert(index, ticket)
+        elif queue.space is not None:
+            queue.space.succeed()
+            queue.space = None
 
     def release(self, ticket: DeployTicket) -> None:
         """Return the tenant's pending slot once its deploy finishes."""

@@ -17,14 +17,23 @@ Two intake modes:
   would have been shed ``queue-full`` parks on the class's space
   event instead; all other shed reasons still reject.
 
+The workers bound installs, not compiles.  A popped ticket whose
+program has no resident verdict (no registry entry, no pin) validates
+and JITs in its own process, through the artifact store's single
+flight, while the worker goes back to its loop; the ticket keeps its
+queue slot, tenant slot and inflight count, and once its verdict lands
+it returns to the head of its class queue for a worker to install on a
+registry hit.  On the control CPU the compile charges queue behind
+install work (:data:`~repro.core.control_plane.COMPILE_PRIORITY`).
+
 *Installs* to one target serialize on a per-target priority mutex: the
 hook-flip CAS is a compare-and-swap against the previous image, so two
 concurrent installs on one sandbox would abort each other.  The warm
-probe and the validate+JIT run before the mutex -- they are
-target-independent (§3.2) -- so a hotpatch queues behind another
-ticket's link and hook flip, never behind its compile.  The control
-plane takes the mutex (:class:`~repro.core.control_plane.InstallLock`);
-across targets the workers run fully parallel.
+probe runs before the mutex, so a hotpatch queues behind another
+ticket's link and hook flip, never behind its compile -- neither for a
+worker nor for the mutex.  The control plane takes the mutex
+(:class:`~repro.core.control_plane.InstallLock`); across targets the
+workers run fully parallel.
 """
 
 from __future__ import annotations
@@ -73,8 +82,8 @@ class DeployService:
         )
         classes = tuple(classes) if classes is not None else default_classes()
         #: The QoS layer underneath: per-tenant buckets + priority wire.
-        #: Wire width matches the worker pool so the wire orders
-        #: contention by priority without halving concurrency.
+        #: The wire is as wide as the worker pool and a worker holds at
+        #: most one slot, so it never queues a serve ticket.
         self.qos = QosScheduler(control_plane, wire_slots=self.workers)
         self.directory = TenantDirectory(self.qos, classes)
         self.admission = AdmissionController(
@@ -203,23 +212,36 @@ class DeployService:
 
     def _execute(self, ticket: DeployTicket) -> Generator:
         cls = self.directory.classes[ticket.class_name]
-        ticket.started_us = self.sim.now
+        first = ticket.started_us is None
+        if first:
+            ticket.started_us = self.sim.now
         # Claim the ticket as inflight *before* the first yield: a
         # popped ticket must be counted somewhere at every instant, or
         # the accounting identity (and drain()) has a window where it
         # is neither queued nor inflight.
         self.inflight += 1
         self._note_depth()
-        self.obs.histogram(
-            "rdx.serve.queue_wait_us", tenant_class=ticket.class_name
-        ).observe(ticket.queue_wait_us)
-        fatal = None
+        if first:
+            self.obs.histogram(
+                "rdx.serve.queue_wait_us", tenant_class=ticket.class_name
+            ).observe(ticket.queue_wait_us)
+        fatal = error = None
         try:
-            if ticket.pace_us > 0:
+            if first and ticket.pace_us > 0:
                 # The class bucket's reservation deficit: pacing the
                 # drain to the class rate without holding the queue slot.
                 yield self.sim.timeout(ticket.pace_us)
-            report = yield from self.qos.inject(
+            if first and not self.control.artifacts.holds_verdict(
+                ticket.codeflow, ticket.program
+            ):
+                # The compile is target-independent background work: it
+                # runs in its own process and the worker goes back to
+                # its loop.  The ticket keeps its queue slot, tenant
+                # slot and inflight count meanwhile.
+                self.admission.hold(ticket)
+                self.sim.spawn(self._compile(ticket), name="serve.compile")
+                return
+            ticket.report = yield from self.qos.inject(
                 ticket.tenant, ticket.codeflow, ticket.program,
                 ticket.hook_name, retain_history=False,
                 install_lock=InstallLock(
@@ -228,12 +250,6 @@ class DeployService:
                     self.obs.tenant_label(ticket.tenant, ticket.class_name),
                 ),
             )
-            ticket.report = report
-            self.completed += 1
-            self.obs.counter(
-                "rdx.serve.completed", tenant_class=ticket.class_name
-            ).inc()
-            outcome = "deploys.completed"
         except BaseException as err:
             # A ReproError is a persistent failure (crashed target,
             # fence, policy): the retry layer already absorbed transient
@@ -243,7 +259,46 @@ class DeployService:
             # error -- never silent, and its ``done`` fires.
             if not isinstance(err, ReproError):
                 fatal = err
-            ticket.error = err
+            error = err
+        self._finish(ticket, error)
+        if fatal is not None:
+            raise fatal
+
+    def _compile(self, ticket: DeployTicket) -> Generator:
+        """Process body: validate + JIT ``ticket``'s program through the
+        store's single flight, then return the ticket to its class
+        queue, where the next worker installs it on a registry hit.  A
+        rejected program fails its ticket here; after :meth:`stop` a
+        verdict sheds it ``stopped``."""
+        try:
+            yield from self.control.prepare_for(ticket.codeflow, ticket.program)
+        except BaseException as err:
+            self.admission.unhold(ticket, requeue=False)
+            self._finish(ticket, err)
+            if not isinstance(err, ReproError):
+                raise
+            return
+        self.inflight -= 1
+        self.admission.unhold(ticket, requeue=self.running)
+        if self.running:
+            self._broadcast_wake()
+        else:
+            self.admission.release(ticket)
+            self.admission.shed_explicit(ticket, SHED_STOPPED)
+            ticket.done.succeed(ticket)
+        self._note_depth()
+
+    def _finish(self, ticket: DeployTicket, error) -> None:
+        """Close an inflight ticket, counted completed or (with
+        ``error``) failed, and fire its ``done``."""
+        if error is None:
+            self.completed += 1
+            self.obs.counter(
+                "rdx.serve.completed", tenant_class=ticket.class_name
+            ).inc()
+            outcome = "deploys.completed"
+        else:
+            ticket.error = error
             self.failed += 1
             self.obs.counter(
                 "rdx.serve.failed", tenant_class=ticket.class_name
@@ -262,8 +317,6 @@ class DeployService:
                 self._note_depth()
                 segment.observe("deploy_us", ticket.latency_us)
         ticket.done.succeed(ticket)
-        if fatal is not None:
-            raise fatal
 
     # -- helpers ---------------------------------------------------------------
 

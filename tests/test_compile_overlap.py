@@ -14,7 +14,9 @@ the edges of that overlap, for eBPF and for Wasm:
 * a compile abandoned mid-charge -- running, queued, or waiting on the
   JIT -- leaves no core claimed, no in-flight key and no live charge;
 * concurrent misses on one key still run one compile, and a hit spawns
-  nothing.
+  nothing;
+* a compile's charges queue behind install work: a dispatch requested
+  after a queued verifier charge takes the core first.
 """
 
 import pytest
@@ -147,6 +149,32 @@ def test_a_saturated_plane_runs_the_verifier_before_its_jit(config):
     assert validate.end_us == pytest.approx(start + first_free_us + verify_us)
     assert jit.end_us == pytest.approx(validate.end_us + jit_us)
     assert bed.sim.now == jit.end_us
+
+
+@pytest.mark.arm(obs=True)
+def test_install_work_takes_the_core_before_a_queued_compile(config):
+    """Compile charges ask for the CPU below install work.  On one core,
+    busy when a verifier charge queues, a deploy's dispatch requested
+    after it runs first; the verifier then waits for the dispatch."""
+    bed = make_testbed(n_hosts=1, cores_per_host=1, config=config)
+    sim, cpu = bed.sim, bed.control.host.cpu
+    hot = make_stress_program(60, seed=6, name="hot")
+    entry = sim.run_process(_prepare(bed, hot))
+    linked = sim.run_process(bed.codeflow.link_code(entry.binary))
+    hog_us = 100.0
+    cpu.spawn_task(hog_us, name="hog")
+    start = sim.now
+    sim.spawn(_prepare(bed, PROGRAMS["ebpf"]()), name="compile")
+    sim.run(until=start + 1.0)
+    assert cpu.queue_len == 2  # the verifier's charge, then the JIT's
+    report = sim.run_process(bed.codeflow.deploy_prog(hot, linked, "ingress"))
+    sim.run()
+    verify_us, _ = _costs(PROGRAMS["ebpf"]())
+    validate = _spans(bed)["rdx.validate"]
+    assert report.dispatch_us < verify_us  # behind the hog, not the verifier
+    assert validate.end_us == pytest.approx(
+        start + hog_us + params.RDX_DISPATCH_FAST_US + verify_us
+    )
 
 
 def _spans(bed) -> dict:

@@ -389,6 +389,30 @@ class TestAdmission:
         ]
         assert [t.accepted for t in verdicts] == [True, True, False, False]
         assert service.admission.shed[SHED_QUEUE_FULL] == 2
+        # A ticket compiling off the workers still holds its slot: two
+        # of them fill a depth-2 queue that no ticket is waiting in.
+        bed = testbed
+        service = _service(bed, classes=_tiny_classes(queue_depth=2),
+                           workers=1)
+        service.register("t", "only")
+        service.start()
+        cold = [make_stress_program(300, seed=seed) for seed in (2, 3)]
+
+        def body():
+            compiling = [
+                service.submit("t", bed.codeflow, program, "ingress")
+                for program in cold
+            ]
+            yield 1.0
+            assert service.accounting()["queued"] == 0
+            third = service.submit("t", bed.codeflow, program, "ingress")
+            for ticket in compiling:
+                yield ticket.done
+            return compiling, third
+
+        compiling, third = bed.sim.run_process(body())
+        assert third.shed_reason == SHED_QUEUE_FULL
+        assert all(ticket.completed for ticket in compiling)
 
     def test_tenant_quota_shed(self, testbed):
         service = _service(
@@ -445,6 +469,31 @@ class TestAdmission:
         late = service.submit("t", testbed.codeflow, program, "ingress")
         assert late.shed_reason == SHED_STOPPED
 
+    def test_stop_sheds_a_compiling_ticket_when_its_verdict_lands(
+        self, testbed
+    ):
+        bed = testbed
+        service = _service(bed, classes=_tiny_classes(queue_depth=8),
+                           workers=1)
+        service.register("t", "only")
+        service.start()
+        program = make_stress_program(300, seed=2)
+
+        def body():
+            ticket = service.submit("t", bed.codeflow, program, "ingress")
+            yield 50.0  # popped; its verifier charge is running
+            assert service.stop() == 0  # nothing was queued
+            assert service.accounting()["inflight"] == 1
+            yield ticket.done
+            return ticket
+
+        ticket = bed.sim.run_process(body())
+        assert ticket.shed_reason == SHED_STOPPED and not ticket.completed
+        assert service.admission.shed[SHED_STOPPED] == 1
+        ledger = service.accounting()
+        assert (ledger["inflight"], ledger["unaccounted"]) == (0, 0)
+        assert bed.control.compiles_run == 1
+
     def test_backpressure_blocks_instead_of_shedding(self, testbed):
         """submit_wait parks on the space event; nothing is shed."""
         bed = testbed
@@ -469,9 +518,17 @@ class TestAdmission:
         assert service.admission.shed.get(SHED_QUEUE_FULL) is None
         assert service.completed == 4
 
-    def test_accounting_identity_with_failures(self, testbed):
+    def test_accounting_identity_with_failures(self, testbed, monkeypatch):
         """offered == completed + failed + shed, even under faults."""
         bed = testbed
+        validations = []
+        validate = bed.control.validate
+
+        def counted(program, *args, **kwargs):
+            validations.append(program.name)
+            return validate(program, *args, **kwargs)
+
+        monkeypatch.setattr(bed.control, "validate", counted)
         service = _service(bed, classes=_tiny_classes(queue_depth=16),
                            workers=1)
         service.register("t", "only")
@@ -493,6 +550,8 @@ class TestAdmission:
         assert not ticket.completed
         assert service.failed == 1
         assert service.accounting()["unaccounted"] == 0
+        # Rejected by its compile: failed there, with no second pass.
+        assert validations == ["bad"]
         # Under injected torn writes the retry layer heals the deploy:
         # it lands in ``completed`` -- the ledger balances either way.
         injector = FaultInjector(bed.codeflow, seed=5)
@@ -500,9 +559,15 @@ class TestAdmission:
         injector.attach()
         program = make_stress_program(300, seed=2)
 
+        ledgers = []
+
         def body2():
+            # Sampled across the compile, which holds no worker, and
+            # the install that follows it.
             ticket = service.submit("t", bed.codeflow, program, "ingress")
-            yield ticket.done
+            while not ticket.done.triggered:
+                ledgers.append(service.accounting())
+                yield 0.5
             return ticket
 
         try:
@@ -512,6 +577,12 @@ class TestAdmission:
         assert ticket.completed
         assert service.completed == 1
         assert service.accounting()["unaccounted"] == 0
+        assert len(ledgers) > 600  # each half microsecond of a ~300 us compile
+        assert all(ledger["unaccounted"] == 0 for ledger in ledgers)
+        # Queued, compiling or installing: counted once at every sample.
+        assert all(
+            ledger["queued"] + ledger["inflight"] == 1 for ledger in ledgers
+        )
 
     def test_priority_class_overtakes_bulk(self, testbed):
         """A hotpatch submitted after queued bulk work finishes first."""

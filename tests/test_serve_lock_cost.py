@@ -1,12 +1,16 @@
-"""Cost guard: a serve ticket's target lock guards the install, not the compile.
+"""Cost guard: a serve ticket's target lock and its worker guard the
+install, not the compile.
 
-A ticket probes the warm pool and, on a miss, validates and JITs with no
-target lock held (§3.2: both are target-independent); it queues on its
-target's :class:`~repro.core.control_plane.InstallLock` only for link ->
-deploy_prog -> pin admit.  Four checks:
+A ticket whose program has no verdict yet validates and JITs in its own
+process, holding neither a worker nor a target lock (§3.2: both are
+target-independent), then returns to its class queue.  A worker
+probes the warm pool and queues on the target's
+:class:`~repro.core.control_plane.InstallLock` only for link ->
+deploy_prog -> pin admit.  Five checks:
 
 * a pinned hotpatch submitted while a cold compile runs on its target
-  finishes in probe + install time, not after the compile;
+  finishes in probe + install time, not after the compile -- also when
+  the compiling ticket was popped by the only worker;
 * two cold tickets on one target compile concurrently, and their
   ``deploy_prog`` intervals never overlap;
 * a hotpatch overtakes bulk tickets queued at the install gate;
@@ -62,9 +66,10 @@ def _intervals(bed, monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, timed)
 
 
-def test_hotpatch_does_not_wait_for_a_cold_compile(testbed):
-    bed = testbed
-    service = _service(bed, workers=2)
+def _hotpatch_behind_a_compile(bed, workers):
+    """An idle hotpatch, then a cold ticket and, 50 us into its
+    compile, the same pinned hotpatch: ``(alone, patch, compiling)``."""
+    service = _service(bed, workers=workers)
     hot = _prewarmed(bed, service)
     cold = make_stress_program(300, seed=3, name="cold")
     service.start()
@@ -83,8 +88,23 @@ def test_hotpatch_does_not_wait_for_a_cold_compile(testbed):
 
     alone, patch, compiling = bed.sim.run_process(body())
     assert alone.report.warm and patch.report.warm and compiling.completed
+    return alone, patch, compiling
+
+
+def test_hotpatch_does_not_wait_for_a_cold_compile(testbed):
+    alone, patch, compiling = _hotpatch_behind_a_compile(testbed, workers=2)
     # Probe + install (~8.3 us), exactly as on an idle target -- not
     # the ~300 us left of the compile.
+    assert patch.service_us == pytest.approx(alone.service_us)
+    assert patch.service_us < 20.0
+    assert patch.finished_us < compiling.finished_us
+
+
+def test_a_compile_holds_no_worker(testbed):
+    alone, patch, compiling = _hotpatch_behind_a_compile(testbed, workers=1)
+    # The one worker went back to its loop when the compile started:
+    # the hotpatch neither queues for it nor pays for the compile.
+    assert patch.queue_wait_us == 0.0
     assert patch.service_us == pytest.approx(alone.service_us)
     assert patch.service_us < 20.0
     assert patch.finished_us < compiling.finished_us
@@ -115,7 +135,10 @@ def test_cold_tickets_compile_together_and_install_one_at_a_time(
 
     tickets = bed.sim.run_process(body())
     assert all(ticket.completed for ticket in tickets)
-    assert len(prepares) == len(deploys) == 2
+    # Each install re-enters prepare_for for a registry hit, at zero
+    # length; the compiles are the intervals that take time.
+    prepares = [(start, end) for start, end in prepares if end > start]
+    assert len(prepares) == len(deploys) == bed.control.compiles_run == 2
     # The compiles overlap ...
     assert max(start for start, _ in prepares) < min(end for _, end in prepares)
     # ... the installs never do.
