@@ -15,7 +15,7 @@ def test_bench_tab_rollback(benchmark):
             ["path", "rollback latency (us)"],
             [
                 ("agent re-inject", result.agent_rollback_us),
-                ("RDX flip+flush", result.rdx_rollback_us),
+                ("RDX fence+flip+flush", result.rdx_rollback_us),
             ],
             note=(
                 f"speedup {result.speedup:,.0f}x; paper: {PAPER['claim']}"

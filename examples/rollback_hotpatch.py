@@ -3,14 +3,13 @@
 
 A faulty extension version ships and the data path starts crashing.
 The RDX control plane rolls the hook back to the previous resident
-image with one transactional pointer flip -- microseconds, even while
-the host CPU is saturated -- then hot-patches the fixed version
-through the normal CodeFlow pipeline.
+image with an epoch fence and one transactional pointer flip --
+microseconds, even while the host CPU is saturated -- then hot-patches
+the fixed version through the normal CodeFlow pipeline.
 
 Run:  python examples/rollback_hotpatch.py
 """
 
-from repro.core.rollback import RollbackManager
 from repro.ebpf import Interpreter, make_stress_program
 from repro.errors import SandboxCrash
 from repro.exp.harness import make_testbed
@@ -53,9 +52,8 @@ def main() -> None:
     sim.run(until=sim.now + 20_000)  # let the load saturate the cores
     load = bed.host.cpu.utilization(since_us=mark)
 
-    # RDX rollback: pointer flip + flush; no host CPU on the path.
-    manager = RollbackManager(bed.codeflow)
-    record = sim.run_process(manager.rollback("policy"))
+    # RDX rollback: fence + pointer flip + flush; no host CPU on the path.
+    record = sim.run_process(bed.codeflow.rollback("policy"))
     bed.sandbox.crashed = False
     result, _ = bed.sandbox.run_hook("ingress", packet)
     expected = Interpreter().run(stable.insns, packet).r0
@@ -63,13 +61,12 @@ def main() -> None:
           f"{load * 100:.0f}% CPU load "
           f"(correct: {result.r0 == expected})")
 
-    # Hot patch v3 through the normal pipeline.
-    report = sim.run_process(manager.hot_patch(fixed))
+    # Hot patch v3 through the normal pipeline, onto the same hook.
+    report = sim.run_process(bed.control.inject(bed.codeflow, fixed, "ingress"))
     result, _ = bed.sandbox.run_hook("ingress", packet)
     expected = Interpreter().run(fixed.insns, packet).r0
     print(f"hot-patched v3 in {report.total_us:.1f} us "
           f"(correct: {result.r0 == expected})")
-    print(f"audit log: {len(manager.audit_log)} rollback(s) recorded")
 
 
 if __name__ == "__main__":

@@ -164,7 +164,7 @@ def _tab_rollback(quick: bool) -> str:
         ["path", "latency (us)"],
         [
             ("agent re-inject", result.agent_rollback_us),
-            ("RDX flip+flush", result.rdx_rollback_us),
+            ("RDX fence+flip+flush", result.rdx_rollback_us),
         ],
         note=f"speedup {result.speedup:,.0f}x",
     )

@@ -3,7 +3,8 @@
 The package implements the full CodeFlow roadmap of Fig 3:
 
 * :mod:`~repro.core.codeflow` -- CodeFlow handles bound to remote
-  sandboxes (programming model, §3.1);
+  sandboxes (programming model, §3.1), microsecond rollback included
+  (§4);
 * :mod:`~repro.core.control_plane` -- the remote control plane that
   validates, JIT-compiles (with caching: "validate once, deploy
   anywhere", §3.2), links, and deploys;
@@ -15,8 +16,6 @@ The package implements the full CodeFlow roadmap of Fig 3:
   mutual-exclusion primitives (§3.5);
 * :mod:`~repro.core.broadcast` -- Collective CodeFlow + Big Bubble
   Update (§4);
-* :mod:`~repro.core.rollback` -- microsecond rollback & hot patching
-  (§4);
 * :mod:`~repro.core.migration` -- extension live migration (§4);
 * :mod:`~repro.core.security` -- RBAC, signatures, runtime limits (§5);
 * :mod:`~repro.core.api` -- the Table 1 operations, verbatim.
@@ -39,7 +38,6 @@ from repro.core.qos import QosScheduler, TenantQuota
 from repro.core.xstate import XStateHandle, XStateHeader, XStateSpec, decode_xstate_header
 from repro.core.broadcast import BroadcastResult, CodeFlowGroup, TargetOutcome
 from repro.core.retry import RetryPolicy
-from repro.core.rollback import RollbackManager
 from repro.core.migration import MigrationManager
 from repro.core.security import Principal, Role, SecurityPolicy
 from repro.core.api import (
@@ -78,7 +76,6 @@ __all__ = [
     "RdxControlPlane",
     "RetryPolicy",
     "Role",
-    "RollbackManager",
     "TargetOutcome",
     "SecurityPolicy",
     "XStateHandle",

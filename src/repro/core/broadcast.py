@@ -54,7 +54,6 @@ from repro.mem.layout import pack_qword
 from repro.rdma.verbs import connect_qps, open_device
 from repro.core.codeflow import CodeFlow
 from repro.core.health import HealthDetector, TargetHealth
-from repro.core.rollback import RollbackManager
 from repro.core.sync import RemoteSync
 
 
@@ -1164,9 +1163,10 @@ class CodeFlowGroup:
         A leg that staged and never flipped is unstaged: no WR, since no
         hook ever pointed at it.  A flipped target whose hook previously
         ran an older image rolls back to it; a fresh deploy (no history)
-        is detached, reverting the hook to 0.  Undo on an unreachable
-        target is best-effort -- counted, not fatal (its data path is
-        down anyway).
+        is detached, reverting the hook to 0.  Both fence first, so a
+        target a newer control plane owns keeps what its owner put
+        there.  Undo on an unreachable or fenced-out target is
+        best-effort -- counted, not fatal.
         """
         result.aborted = True
         started = self.sim.now
@@ -1185,7 +1185,7 @@ class CodeFlowGroup:
                 continue
             try:
                 if record.history:
-                    yield from RollbackManager(codeflow).rollback(program.name)
+                    yield from codeflow.rollback(program.name)
                     outcome.rolled_back = True
                 else:
                     # The fresh deploy never reached committed intent, so

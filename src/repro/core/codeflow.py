@@ -107,6 +107,17 @@ class DeployedProgram:
 
 
 @dataclass
+class RollbackRecord:
+    """One completed rollback (:meth:`CodeFlow.rollback`)."""
+
+    program_name: str
+    target: str
+    from_addr: int
+    to_addr: int
+    duration_us: float
+
+
+@dataclass
 class _DeployPlan:
     """What one deploy moves, decided before its first byte is posted.
 
@@ -604,8 +615,9 @@ class CodeFlow:
     ) -> Generator:
         """Fence, dispatch and land one plan's bytes; returns the plan.
 
-        With :meth:`_flip` and :meth:`_settle`, the only code that
-        posts deploy writes and the commit CAS.
+        With :meth:`_flip` (through :meth:`commit_hook`) and
+        :meth:`_settle`, the only code that posts deploy writes and the
+        commit CAS.
         ``config.pipelined_deploy`` picks the cost of each step, not a
         different sequence; the serial arm is the paper-calibrated one
         (fig 4a):
@@ -721,38 +733,19 @@ class CodeFlow:
         return plan
 
     def _flip(self, plan: _DeployPlan) -> Generator:
-        """Post the commit CAS, unless it rode the stage's chain, and
-        check its answer: ``rdx_tx`` over the staged image (serial), or
-        a 2-WR chain of the fenced CAS and the hook line's doorbell.
-
-        An *exception* from the post leaves ``plan.prior`` None: on the
-        pipelined arm the CAS never ran; on the serial arm the outcome
-        is unknown (it may have executed and lost its ACK), so nothing
-        is given back either way.  The CAS commits the bytes, not their
-        remote *CPU* visibility: :meth:`_settle` flushes."""
-        if plan.prior is None:
-            mark = self.sim.now
-            if self.config.pipelined_deploy:
-                plan.prior, plan.torn = yield from self.sync.install(
-                    [], plan.hook_addr, plan.existing_addr, plan.code_addr, [],
-                    note=plan.note,
-                )
-            else:
-                plan.prior = yield from self.sync.tx(
-                    plan.code_addr, b"", plan.hook_addr, plan.code_addr,
-                    plan.existing_addr, plan.note,
-                )
-            plan.report.commit_us = self.sim.now - mark
-        # Only a CAS that answered with the wrong prior unwinds.
-        if plan.prior != plan.existing_addr:
-            self._unwind(plan)
-            raise DeployError(
-                f"{plan.program.name}: hook {plan.hook_name!r} CAS expected "
-                f"{plan.existing_addr:#x}, found {plan.prior:#x} "
-                f"(concurrent update?)"
+        """Commit the staged image with :meth:`commit_hook`, the CAS's
+        answer kept on the plan; a CAS that answered with the wrong
+        prior unwinds the stage.  :meth:`_settle` flushes."""
+        mark = self.sim.now
+        try:
+            yield from self.commit_hook(
+                plan.hook_name, plan.existing_addr, plan.code_addr, plan,
+                visible=False,
             )
-        if plan.torn is not None:
-            raise plan.torn  # committed: the reconciler finishes the flushes
+        except DeployError:
+            self._unwind(plan)
+            raise
+        plan.report.commit_us = self.sim.now - mark
 
     def _settle(
         self, plan: _DeployPlan, retain_history: bool, sync: RemoteSync
@@ -762,18 +755,78 @@ class CodeFlow:
         report."""
         report = plan.report
         mark = self.sim.now
-        spans = plan.flush + [(plan.hook_addr, 8)]
-        if self.config.pipelined_deploy:
-            yield from sync.flush_chained(spans)
-        else:
-            for addr, length in spans:
-                yield from sync.cc_event(addr, length)
+        yield from self._flush(plan.flush + [(plan.hook_addr, 8)], sync)
         report.cc_us += self.sim.now - mark
         self._bookkeep(plan, retain_history)
         plan.span.finish(total_us=report.total_us, code_addr=report.code_addr)
         self._observe_deploy(report)
         report.total_us += report.link_us  # a link that ran before the stage
         return report
+
+    def _flush(self, spans: list, sync: RemoteSync) -> Generator:
+        """Wait for the flush of ``spans``, in order: the effect of the
+        doorbells that rode the commit's chain (pipelined), or one
+        blocking ``rdx_cc_event`` per span (serial)."""
+        if self.config.pipelined_deploy:
+            yield from sync.flush_chained(spans)
+        else:
+            for addr, length in spans:
+                yield from sync.cc_event(addr, length)
+
+    # -- the hook commit ------------------------------------------------------
+
+    def commit_hook(
+        self,
+        hook_name: str,
+        expect: int,
+        new: int,
+        plan: Optional[_DeployPlan] = None,
+        visible: bool = True,
+    ) -> Generator:
+        """Move a hook qword from ``expect`` to ``new`` and make the move
+        visible: Table 1's ``rdx_tx``, then ``rdx_cc_event`` on the hook
+        line.  The one writer of a hook word -- a deploy's flip,
+        :meth:`detach`, :meth:`rollback`, the reconciler's rehook and
+        unhook -- each of which fences before calling it.
+
+        The commit is ``rdx_tx`` (serial arm) or a 2-WR chain of the
+        fenced CAS and the hook line's doorbell (pipelined).  A wrong
+        prior raises :class:`DeployError` naming both values; a chain
+        torn after its CAS re-raises its error -- committed, so the
+        reconciler finishes the flush.  An exception from the post
+        leaves no answer: on the pipelined arm the CAS never ran; on
+        the serial arm it may have run and lost its ACK.
+
+        ``plan`` is the deploy this commit publishes: its hb note rides
+        the CAS, and the answer is kept on it -- or read from it, when
+        the CAS rode the stage's install chain.  ``visible=False``
+        leaves the flush to the caller (:meth:`_settle` flushes a
+        deploy's spans with the hook line).
+        """
+        hook_addr = self._hook_addr(hook_name)
+        prior, torn, note = (None, None, None) if plan is None else (
+            plan.prior, plan.torn, plan.note
+        )
+        if prior is None:
+            if self.config.pipelined_deploy:
+                prior, torn = yield from self.sync.install(
+                    [], hook_addr, expect, new, [], note=note
+                )
+            else:
+                prior = yield from self.sync.tx(
+                    new, b"", hook_addr, new, expect, note
+                )
+            if plan is not None:
+                plan.prior, plan.torn = prior, torn
+        if prior != expect:
+            raise DeployError(
+                f"{self.sandbox.name}: hook {hook_name!r} CAS expected "
+                f"{expect:#x}, found {prior:#x} (concurrent update?)"
+            )
+        if torn is not None:
+            raise torn
+        if visible:
+            yield from self._flush([(hook_addr, 8)], self.sync)
 
     def _unwind(self, plan: _DeployPlan) -> None:
         """Give back what a deploy claimed before its commit failed.
@@ -942,7 +995,7 @@ class CodeFlow:
             ) from None
         return self.manifest.hook_table_addr + slot * 8
 
-    # -- detach / rollback support ----------------------------------------------
+    # -- detach / rollback -----------------------------------------------------
 
     def detach(self, program_name: str, record_intent: bool = True) -> Generator:
         """Remove the extension: hook -> 0, metadata -> detached."""
@@ -970,19 +1023,7 @@ class CodeFlow:
     def _detach_body(
         self, program_name: str, record: DeployedProgram
     ) -> Generator:
-        hook_addr = self._hook_addr(record.hook_name)
-        prior = yield from self.sync.tx(
-            obj_addr=record.code_addr,
-            obj_bytes=b"",
-            qword_addr=hook_addr,
-            new_qword=0,
-            expect=record.code_addr,
-        )
-        if prior != record.code_addr:
-            raise DeployError(
-                f"detach of {program_name}: hook moved underneath us"
-            )
-        yield from self.sync.cc_event(hook_addr, 8)
+        yield from self.commit_hook(record.hook_name, record.code_addr, 0)
         state_addr = self.manifest.metadata_addr + record.metadata_slot * 256
         yield from self.sync.write(
             state_addr, SLOT_DETACHED.to_bytes(4, "little")
@@ -1000,38 +1041,46 @@ class CodeFlow:
             del self._hook_owner[record.hook_name]
         del self.deployed[program_name]
 
-    def flip_to(self, program_name: str, code_addr: int) -> Generator:
-        """Point the hook at an already-resident image (rollback path)."""
+    def rollback(self, program_name: str) -> Generator:
+        """Point the hook back at the newest retained image (§4).
+
+        The control plane keeps superseded images resident, so a
+        rollback is the epoch-fence READ and one :meth:`commit_hook`:
+        microseconds, no target CPU, whatever the target's load.  The
+        image rolled away from leaves the rollback chain, so repeated
+        rollbacks walk backwards, and it is freed once the hook flush
+        is visible, like a detached one (a full deploy reusing the
+        extent flushes it, :meth:`_plan`).  Raises
+        :class:`DeployError` when no previous version is resident.
+        Returns the :class:`RollbackRecord`.
+        """
         record = self._record(program_name)
-        hook_addr = self._hook_addr(record.hook_name)
-        prior = yield from self.sync.tx(
-            obj_addr=code_addr,
-            obj_bytes=b"",
-            qword_addr=hook_addr,
-            new_qword=code_addr,
-            expect=record.code_addr,
-        )
-        if prior != record.code_addr:
-            raise DeployError(f"flip of {program_name}: concurrent update")
-        yield from self.sync.cc_event(hook_addr, 8)
-        record.history.append(record.code_addr)
-        record.code_addr = code_addr
-        record.version += 1
-        # Rollback breaks the delta chain: the record no longer knows
-        # the live extent's exact bytes, so the baseline pairing is
-        # void.  The baseline extent stays resident while history (or
-        # the hook itself) references it; otherwise it is retired.
-        if (
-            record.baseline_addr is not None
-            and record.baseline_addr != record.code_addr
-            and record.baseline_addr not in record.history
-        ):
+        if not record.history:
+            raise DeployError(f"{program_name!r} has no previous version")
+        started = self.sim.now
+        yield from self.check_fence()
+        from_addr, to_addr = record.code_addr, record.history[-1]
+        yield from self.commit_hook(record.hook_name, from_addr, to_addr)
+        # The record no longer knows the live extent's exact bytes, so
+        # the delta chain breaks: a baseline neither the hook nor the
+        # history still names is retired with the image rolled away from.
+        if record.baseline_addr not in (None, *record.history):
             self._retired.append(record.baseline_addr)
-        record.image = None
-        record.layout = None
-        record.baseline_addr = None
-        record.baseline_image = None
+        self._retired.append(from_addr)
+        self.free_retired()
+        record.history.pop()
+        record.code_addr = to_addr
+        record.version += 1
+        record.image = record.layout = None
+        record.baseline_addr = record.baseline_image = None
         record.baseline_version = 0
+        return RollbackRecord(
+            program_name=program_name,
+            target=self.sandbox.name,
+            from_addr=from_addr,
+            to_addr=to_addr,
+            duration_us=self.sim.now - started,
+        )
 
     def _record(self, program_name: str) -> DeployedProgram:
         record = self.deployed.get(program_name)

@@ -6,15 +6,10 @@ can deliberately produce the failure modes operators fear -- torn
 images, stale caches, flipped bits, lost flushes -- and verify that
 detection (CRC crash) and recovery (rollback) fire as designed.
 
-Two injection styles coexist:
-
-* **wrapper style** (the original API): :meth:`FaultInjector.write` /
-  :meth:`cc_event` / :meth:`read` are drop-in faulty replacements for
-  the sync primitives, used by bespoke experiments;
-* **hook style**: :meth:`FaultInjector.attach` installs a filter on
-  the CodeFlow's :class:`~repro.core.sync.RemoteSync`, so faults fire
-  inside *unmodified* deploy paths (``control_plane.inject``,
-  ``rdx_broadcast``) -- the broadcast abort tests use this.
+:meth:`FaultInjector.attach` installs the injector as a filter on the
+CodeFlow's :class:`~repro.core.sync.RemoteSync`, so an armed fault
+fires inside *unmodified* paths (``control_plane.inject``,
+``rdx_broadcast``, the plain sync ops).
 
 Beyond payload corruption, the injector drives the *environment* fault
 model: node crashes (:meth:`crash_target`), link partitions
@@ -29,7 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import ReproError, TransientFault
 from repro.obs import telemetry_of
@@ -129,7 +124,7 @@ class FaultInjector:
     def armed(self) -> Optional[FaultKind]:
         return self._armed
 
-    # -- hook-style injection (fires inside unmodified deploy paths) -----
+    # -- injection (fires inside unmodified paths) ------------------------
 
     def attach(self) -> None:
         """Install this injector as the CodeFlow's sync fault filter."""
@@ -254,57 +249,6 @@ class FaultInjector:
         else:
             fabric.heal(control.name, target.name)
 
-    # -- faulty operation wrappers ---------------------------------------
-
-    def write(self, addr: int, data: bytes) -> Generator:
-        """A write that honours an armed TORN_WRITE / BIT_FLIP."""
-        payload = data
-        if self._armed is FaultKind.TORN_WRITE:
-            payload = self._tear(data)
-        elif self._armed is FaultKind.BIT_FLIP:
-            payload = self._flip(data)
-        yield from self.codeflow.sync.write(addr, payload)
-
-    def cc_event(self, addr: int, length: int = 64) -> Generator:
-        """A flush that honours an armed DROPPED_FLUSH."""
-        if self._armed is FaultKind.DROPPED_FLUSH:
-            self._record(FaultKind.DROPPED_FLUSH, f"flush of {length}B dropped")
-            # Charge the time, skip the effect.
-            yield self.codeflow.sim.timeout(2.0)
-            return
-        yield from self.codeflow.sync.cc_event(addr, length)
-
-    def read(self, addr: int, length: int) -> Generator:
-        """A read that honours an armed STALE_READ (returns zeros)."""
-        if self._armed is FaultKind.STALE_READ:
-            self._record(FaultKind.STALE_READ, f"{length}B stale")
-            yield self.codeflow.sim.timeout(2.0)
-            return bytes(length)
-        data = yield from self.codeflow.sync.read(addr, length)
-        return data
-
-    def deploy_with_faults(self, program, linked, hook_name: str) -> Generator:
-        """Deploy ``linked`` using the faulty write for image staging.
-
-        Mirrors :meth:`CodeFlow.deploy_prog`'s stage-then-flip shape,
-        but the image write goes through :meth:`write` so an armed
-        TORN_WRITE / BIT_FLIP lands in the staged image.  Returns the
-        code address (the pointer flip still commits: the fault model
-        targets the *payload*, not the commit protocol).
-        """
-        codeflow = self.codeflow
-        code_addr = codeflow.code_allocator.alloc(len(linked.code), align=64)
-        yield from self.write(code_addr, linked.code)
-        hook_addr = codeflow.manifest.hook_table_addr + (
-            codeflow.manifest.hook_layout[hook_name] * 8
-        )
-        yield from codeflow.sync.tx(
-            obj_addr=code_addr, obj_bytes=b"", qword_addr=hook_addr,
-            new_qword=code_addr,
-        )
-        yield from self.cc_event(hook_addr, 8)
-        return code_addr
-
     def _record(self, kind: FaultKind, detail: str, armed: bool = True) -> None:
         self.injected.append(
             FaultRecord(kind=kind, target=self.codeflow.sandbox.name, detail=detail)
@@ -324,27 +268,32 @@ def crash_campaign(
 ) -> tuple[int, int]:
     """A ready-made reliability experiment.
 
-    Repeatedly deploys ``program`` with a randomly armed payload fault
-    and counts (faults injected, crashes detected by the data path).
-    A healthy system detects every payload corruption.
+    Repeatedly deploys ``program`` in full through the control plane
+    with a randomly armed payload fault and counts (faults injected,
+    crashes detected by the data path).  The fault lands in the staged
+    image, and the commit still flips the hook to it: the fault model
+    targets the *payload*, not the commit protocol.  A healthy system
+    detects every payload corruption.
     """
     from repro.errors import SandboxCrash
 
     rng = random.Random(seed)
     injector = FaultInjector(testbed.codeflow, seed=seed)
-    entry = testbed.sim.run_process(
-        testbed.control.prepare_for(testbed.codeflow, program)
-    )
-    linked = testbed.codeflow.linker.link(entry.binary)[0]
+    injector.attach()
     detected = 0
-    for _ in range(rounds):
-        injector.arm(rng.choice([FaultKind.TORN_WRITE, FaultKind.BIT_FLIP]))
-        testbed.sim.run_process(
-            injector.deploy_with_faults(program, linked, "ingress")
-        )
-        try:
-            testbed.sandbox.run_hook("ingress", bytes(256))
-        except SandboxCrash:
-            detected += 1
-            testbed.sandbox.crashed = False
+    try:
+        for _ in range(rounds):
+            injector.arm(rng.choice([FaultKind.TORN_WRITE, FaultKind.BIT_FLIP]))
+            testbed.sim.run_process(
+                testbed.control.inject(
+                    testbed.codeflow, program, "ingress", delta=False
+                )
+            )
+            try:
+                testbed.sandbox.run_hook("ingress", bytes(256))
+            except SandboxCrash:
+                detected += 1
+                testbed.sandbox.crashed = False
+    finally:
+        injector.detach()
     return len(injector.injected), detected

@@ -34,7 +34,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, Sequence
 
-from repro.errors import DeployError, ReproError
+from repro.errors import ReproError
 from repro.mem.layout import pack_qword, unpack_qword
 from repro.obs import telemetry_of
 from repro.sandbox.metadata import MetadataBlock, SLOT_DETACHED, SLOT_LIVE
@@ -296,7 +296,7 @@ class Reconciler:
             # hook, then redeploy from the artifact catalog.
             current = pointers.get(hook, 0)
             if hook and current:
-                yield from self._flip_hook(codeflow, hook, current, 0)
+                yield from codeflow.commit_hook(hook, current, 0)
                 pointers[hook] = 0
                 self._act(report, "unhook", hook, f"cleared {current:#x}")
             yield from self.plane.inject(codeflow, program, hook)
@@ -308,9 +308,7 @@ class Reconciler:
         if hook:
             current = pointers.get(hook, 0)
             if current != record.code_addr:
-                yield from self._flip_hook(
-                    codeflow, hook, current, record.code_addr
-                )
+                yield from codeflow.commit_hook(hook, current, record.code_addr)
                 pointers[hook] = record.code_addr
                 codeflow._hook_owner[hook] = name
                 self._act(
@@ -334,22 +332,6 @@ class Reconciler:
             return None
         return image
 
-    def _flip_hook(self, codeflow, hook, expect, new) -> Generator:
-        hook_addr = codeflow._hook_addr(hook)
-        prior = yield from codeflow.sync.tx(
-            obj_addr=new or expect,
-            obj_bytes=b"",
-            qword_addr=hook_addr,
-            new_qword=new,
-            expect=expect,
-        )
-        if prior != expect:
-            raise DeployError(
-                f"reconcile: hook {hook!r} moved underneath us "
-                f"({prior:#x} != {expect:#x})"
-            )
-        yield from codeflow.sync.cc_event(hook_addr, 8)
-
     def _detach_orphan(self, codeflow, report, slot, block) -> Generator:
         # Clear any hook still pointing at the orphan's image first, so
         # the data path never runs code with a dead descriptor.
@@ -368,7 +350,7 @@ class Reconciler:
             if unpack_qword(raw) == block.code_addr and block.code_addr:
                 if reused:
                     continue
-                yield from self._flip_hook(codeflow, hook, block.code_addr, 0)
+                yield from codeflow.commit_hook(hook, block.code_addr, 0)
                 self._act(report, "unhook", hook, f"orphan {block.name}")
         state_addr = manifest.metadata_addr + slot * 256
         yield from codeflow.sync.write(

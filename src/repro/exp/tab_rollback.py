@@ -6,8 +6,9 @@ faulty extension back in microseconds via a hardware-level pointer
 flip, independent of host load.
 
 Setup: the host CPU is saturated with background work.  The agent
-rollback must queue behind it; the RDX rollback is one
-``flip_to`` + flush.
+rollback must queue behind it; the RDX rollback
+(:meth:`~repro.core.codeflow.CodeFlow.rollback`) is the epoch-fence
+READ, the hook CAS and the hook line's flush.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.core.rollback import RollbackManager
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed
 
@@ -63,12 +63,9 @@ def run_tab_rollback(
     for core in range(cores * 2):
         bed.sim.spawn(burner(core), name=f"burn{core}")
 
-    # RDX rollback: transactional flip, no host CPU.
-    manager = RollbackManager(bed.codeflow)
-    start = bed.sim.now
-    record = bed.sim.run_process(manager.rollback("ext"))
+    # RDX rollback: fence, transactional flip and flush, no host CPU.
+    record = bed.sim.run_process(bed.codeflow.rollback("ext"))
     rdx_us = record.duration_us
-    del start
 
     # Agent rollback: re-inject the stable program locally, queueing
     # behind the saturated cores.

@@ -11,43 +11,43 @@ from repro.ebpf.stress import make_stress_program
 from repro.errors import ReproError, SandboxCrash, SecurityError
 
 
+def _attached(codeflow, kind=None, seed=0):
+    """An injector filtering ``codeflow``'s sync ops, ``kind`` armed."""
+    injector = FaultInjector(codeflow, seed=seed)
+    if kind is not None:
+        injector.arm(kind)
+    injector.attach()
+    return injector
+
+
 class TestFaultInjector:
-    def _linked(self, testbed, program):
-        entry = testbed.sim.run_process(
-            testbed.control.prepare_for(testbed.codeflow, program)
+    def _deploy(self, testbed, program):
+        testbed.sim.run_process(
+            testbed.control.inject(
+                testbed.codeflow, program, "ingress", delta=False
+            )
         )
-        return testbed.codeflow.linker.link(entry.binary)[0]
 
     def test_torn_write_detected(self, testbed):
         program = make_stress_program(500, seed=1)
-        linked = self._linked(testbed, program)
-        injector = FaultInjector(testbed.codeflow)
-        injector.arm(FaultKind.TORN_WRITE)
-        testbed.sim.run_process(
-            injector.deploy_with_faults(program, linked, "ingress")
-        )
+        injector = _attached(testbed.codeflow, FaultKind.TORN_WRITE)
+        self._deploy(testbed, program)
         with pytest.raises(SandboxCrash):
             testbed.sandbox.run_hook("ingress", bytes(256))
-        assert injector.injected[0].kind is FaultKind.TORN_WRITE
+        assert [f.kind for f in injector.injected] == [FaultKind.TORN_WRITE]
 
     def test_bit_flip_detected(self, testbed):
         program = make_stress_program(500, seed=1)
-        linked = self._linked(testbed, program)
-        injector = FaultInjector(testbed.codeflow, seed=7)
-        injector.arm(FaultKind.BIT_FLIP)
-        testbed.sim.run_process(
-            injector.deploy_with_faults(program, linked, "ingress")
-        )
+        injector = _attached(testbed.codeflow, FaultKind.BIT_FLIP, seed=7)
+        self._deploy(testbed, program)
         with pytest.raises(SandboxCrash):
             testbed.sandbox.run_hook("ingress", bytes(256))
+        assert [f.kind for f in injector.injected] == [FaultKind.BIT_FLIP]
 
     def test_clean_deploy_without_armed_fault(self, testbed):
         program = make_stress_program(500, seed=1)
-        linked = self._linked(testbed, program)
-        injector = FaultInjector(testbed.codeflow)
-        testbed.sim.run_process(
-            injector.deploy_with_faults(program, linked, "ingress")
-        )
+        injector = _attached(testbed.codeflow)
+        self._deploy(testbed, program)
         result, _ = testbed.sandbox.run_hook("ingress", bytes(256))
         assert result is not None
         assert injector.injected == []
@@ -55,40 +55,45 @@ class TestFaultInjector:
     def test_dropped_flush_leaves_stale_view(self, testbed):
         addr = testbed.codeflow.manifest.scratchpad_addr
         testbed.host.cache.cpu_read(addr, 8)  # cache the line
-        injector = FaultInjector(testbed.codeflow)
-        injector.arm(FaultKind.DROPPED_FLUSH)
+        sync = testbed.codeflow.sync
+        injector = _attached(testbed.codeflow, FaultKind.DROPPED_FLUSH)
 
         def flow():
-            yield from testbed.codeflow.sync.write(addr, b"FRESHDAT")
-            yield from injector.cc_event(addr, 8)
+            yield from sync.write(addr, b"FRESHDAT")
+            yield from sync.cc_event(addr, 8)
 
         testbed.sim.run_process(flow())
         # The flush was dropped, so the CPU still sees stale bytes.
         assert testbed.host.cache.cpu_read(addr, 8) == bytes(8)
+        assert [f.kind for f in injector.injected] == [FaultKind.DROPPED_FLUSH]
 
     def test_stale_read_fault(self, testbed):
-        addr = testbed.codeflow.manifest.scratchpad_addr
+        # Stale reads bite the code region only (image read-backs).
+        addr = testbed.codeflow.manifest.code_addr
         testbed.host.memory.write(addr, b"REALDATA")
-        injector = FaultInjector(testbed.codeflow)
-        injector.arm(FaultKind.STALE_READ)
+        sync = testbed.codeflow.sync
+        injector = _attached(testbed.codeflow, FaultKind.STALE_READ)
 
         def flow():
-            data = yield from injector.read(addr, 8)
+            data = yield from sync.read(addr, 8)
             return data
 
         assert testbed.sim.run_process(flow()) == bytes(8)
+        assert [f.kind for f in injector.injected] == [FaultKind.STALE_READ]
+        # One-shot: the next read sees DRAM.
+        assert testbed.sim.run_process(flow()) == b"REALDATA"
 
     def test_dropped_flush_detected_and_recovered(self, testbed):
         """A dropped flush is *detectable* (CPU view disagrees with
         DRAM) and recoverable by re-issuing the cc_event."""
         addr = testbed.codeflow.manifest.scratchpad_addr
         testbed.host.cache.cpu_read(addr, 8)  # cache the stale line
-        injector = FaultInjector(testbed.codeflow)
-        injector.arm(FaultKind.DROPPED_FLUSH)
+        sync = testbed.codeflow.sync
+        _attached(testbed.codeflow, FaultKind.DROPPED_FLUSH)
 
         def flow():
-            yield from testbed.codeflow.sync.write(addr, b"FRESHDAT")
-            yield from injector.cc_event(addr, 8)
+            yield from sync.write(addr, b"FRESHDAT")
+            yield from sync.cc_event(addr, 8)
 
         testbed.sim.run_process(flow())
         # Detection: the CPU's cached view disagrees with DRAM.
@@ -97,7 +102,7 @@ class TestFaultInjector:
 
         # Recovery: re-issue the flush (the one-shot fault is spent).
         def reflush():
-            yield from testbed.codeflow.sync.cc_event(addr, 8)
+            yield from sync.cc_event(addr, 8)
 
         testbed.sim.run_process(reflush())
         assert testbed.host.cache.cpu_read(addr, 8) == b"FRESHDAT"
@@ -106,8 +111,6 @@ class TestFaultInjector:
         """A stale readback fails the image CRC (detection); rollback
         to the previous resident image recovers the data path."""
         import zlib
-
-        from repro.core.rollback import RollbackManager
 
         name = "patchme"
         for version, (size, seed) in enumerate([(300, 2), (320, 3)], 1):
@@ -137,9 +140,7 @@ class TestFaultInjector:
         assert zlib.crc32(stale[:-4]) & 0xFFFFFFFF != stored
 
         # Recovery: one pointer flip back to the last good image.
-        testbed.sim.run_process(
-            RollbackManager(testbed.codeflow).rollback(name)
-        )
+        testbed.sim.run_process(testbed.codeflow.rollback(name))
         assert testbed.codeflow.deployed[name].code_addr == v1_addr
         out, _ = testbed.sandbox.run_hook("ingress", bytes(256))
         assert out is not None

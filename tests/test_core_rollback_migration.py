@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.migration import MigrationManager
-from repro.core.rollback import RollbackManager
 from repro.core.xstate import XStateSpec
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
@@ -15,14 +14,21 @@ def inject(bed, codeflow, program, hook="ingress"):
     return bed.sim.run_process(bed.control.inject(codeflow, program, hook))
 
 
+#: What :class:`~repro.core.sync.RemoteSync` observes per WR chain.
+CHAIN_SHAPE = ("rdx.deploy.wrs_per_doorbell", "rdx.deploy.inflight_depth")
+
+
+def rollback(bed, name):
+    return bed.sim.run_process(bed.codeflow.rollback(name))
+
+
 class TestRollback:
     def test_rollback_restores_previous_logic(self, testbed):
         stable = make_stress_program(100, seed=1, name="ext")
         faulty = make_stress_program(100, seed=2, name="ext")
         inject(testbed, testbed.codeflow, stable)
         inject(testbed, testbed.codeflow, faulty)
-        manager = RollbackManager(testbed.codeflow)
-        record = testbed.sim.run_process(manager.rollback("ext"))
+        record = rollback(testbed, "ext")
         ctx = bytes(range(256))
         result, _ = testbed.sandbox.run_hook("ingress", ctx)
         assert result.r0 == Interpreter().run(stable.insns, ctx).r0
@@ -31,15 +37,13 @@ class TestRollback:
     def test_rollback_without_history(self, testbed):
         program = make_stress_program(100, seed=1, name="solo")
         inject(testbed, testbed.codeflow, program)
-        manager = RollbackManager(testbed.codeflow)
-        process = testbed.sim.spawn(manager.rollback("solo"))
+        process = testbed.sim.spawn(testbed.codeflow.rollback("solo"))
         testbed.sim.run()
         with pytest.raises(DeployError, match="no previous version"):
             _ = process.value
 
     def test_rollback_unknown_program(self, testbed):
-        manager = RollbackManager(testbed.codeflow)
-        process = testbed.sim.spawn(manager.rollback("ghost"))
+        process = testbed.sim.spawn(testbed.codeflow.rollback("ghost"))
         testbed.sim.run()
         with pytest.raises(DeployError):
             _ = process.value
@@ -50,40 +54,57 @@ class TestRollback:
         v3 = make_stress_program(100, seed=3, name="ext")
         for version in (v1, v2, v3):
             inject(testbed, testbed.codeflow, version)
-        manager = RollbackManager(testbed.codeflow)
-        testbed.sim.run_process(manager.rollback("ext"))  # -> v2
-        testbed.sim.run_process(manager.rollback("ext"))  # -> v1
+        rollback(testbed, "ext")  # -> v2
+        rollback(testbed, "ext")  # -> v1
         ctx = bytes(range(256))
         result, _ = testbed.sandbox.run_hook("ingress", ctx)
         assert result.r0 == Interpreter().run(v1.insns, ctx).r0
 
-    def test_audit_log(self, testbed):
-        stable = make_stress_program(100, seed=1, name="ext")
-        faulty = make_stress_program(100, seed=2, name="ext")
-        inject(testbed, testbed.codeflow, stable)
-        inject(testbed, testbed.codeflow, faulty)
-        manager = RollbackManager(testbed.codeflow)
-        testbed.sim.run_process(manager.rollback("ext"))
-        assert len(manager.audit_log) == 1
-        assert manager.audit_log[0].target == testbed.sandbox.name
+    def test_rollback_returns_its_record_and_is_no_deploy(self, testbed):
+        """The record names both images; a rollback mints no deploy
+        id, span or transaction and feeds no deploy's series.  (The
+        sync layer's chain-shape histograms see its 2-WR chain, as they
+        see every chain posted.)"""
+        codeflow = testbed.codeflow
+        inject(testbed, codeflow, make_stress_program(100, seed=1, name="ext"))
+        inject(testbed, codeflow, make_stress_program(100, seed=2, name="ext"))
+        live = codeflow.deployed["ext"]
+        faulty, stable = live.code_addr, live.history[-1]
+        ids = testbed.sim.ids
+
+        def books():
+            series = [
+                row for row in testbed.obs.registry.snapshot()
+                if row["name"].startswith("rdx.deploy.")
+                and row["name"] not in CHAIN_SHAPE
+            ]
+            minted = [repr(getattr(ids, name)) for name in ids.__slots__]
+            return series, minted, len(codeflow.reports)
+
+        before = books()
+        record = rollback(testbed, "ext")
+        assert (record.program_name, record.target) == ("ext", testbed.sandbox.name)
+        assert (record.from_addr, record.to_addr) == (faulty, stable)
+        after = books()
+        assert after[0] == before[0] and after[2] == before[2]
+        # Only WR (and, hb on, doorbell-chain) ids are drawn.
+        assert {
+            name for name, old, new in zip(ids.__slots__, before[1], after[1])
+            if old != new
+        } <= {"wr", "chain"}
 
     def test_hot_patch_deploys_fix(self, testbed):
+        """A hot patch is an ordinary deploy onto the live hook; the
+        image it replaces stays resident as the rollback target."""
         buggy = make_stress_program(100, seed=4, name="svc_ext")
         fixed = make_stress_program(100, seed=5, name="svc_ext")
         inject(testbed, testbed.codeflow, buggy)
-        manager = RollbackManager(testbed.codeflow)
-        testbed.sim.run_process(manager.hot_patch(fixed))
+        buggy_addr = testbed.codeflow.deployed["svc_ext"].code_addr
+        inject(testbed, testbed.codeflow, fixed)
         ctx = bytes(range(256))
         result, _ = testbed.sandbox.run_hook("ingress", ctx)
         assert result.r0 == Interpreter().run(fixed.insns, ctx).r0
-
-    def test_hot_patch_needs_hook(self, testbed):
-        manager = RollbackManager(testbed.codeflow)
-        fresh = make_stress_program(100, seed=6, name="brand_new")
-        process = testbed.sim.spawn(manager.hot_patch(fresh))
-        testbed.sim.run()
-        with pytest.raises(DeployError, match="no hook known"):
-            _ = process.value
+        assert testbed.codeflow.deployed["svc_ext"].history == [buggy_addr]
 
 
 class TestMigration:

@@ -9,7 +9,10 @@ RNIC is handed, so none of the following can come back unnoticed:
 
 * a warm deploy is two RNIC submissions -- the epoch-fence READ and
   the install chain -- and spawns no ``cc-doorbell`` writer (posting
-  the CAS and each doorbell on its own made it four and one);
+  the CAS and each doorbell on its own made it four and one); a
+  rollback and a detach commit through the same hook commit, so each
+  is the fence READ and a 2-WR chain of the CAS and the hook line's
+  doorbell (a detach then writes its descriptor's state word);
 * a full image written into a *reused* extent is flushed, and the
   flush costs one more 8-byte WR on that chain, not a submission;
 * the fence READ is posted the instant the dispatch starts and flies
@@ -60,14 +63,35 @@ def _inject(bed, program, **kwargs):
     )
 
 
-def test_a_warm_deploy_is_a_fence_read_and_one_chain(testbed):
+#: What each warm hook commit hands the RNIC: the fence READ, then one
+#: chain ending in the CAS and the hook line's doorbell.
+WARM = {
+    # image + descriptor + CAS + doorbell
+    "deploy": {"wqe:read": 1, "wqe-chain:4": 1},
+    # CAS + doorbell
+    "rollback": {"wqe:read": 1, "wqe-chain:2": 1},
+    # CAS + doorbell, then the descriptor's state word
+    "detach": {"wqe:read": 1, "wqe-chain:2": 1, "wqe:write": 1},
+}
+
+
+@pytest.mark.parametrize("op", list(WARM))
+def test_a_warm_deploy_is_a_fence_read_and_one_chain(testbed, op):
+    codeflow = testbed.codeflow
     program = make_stress_program(818, seed=1, name="app")
     _inject(testbed, program)
-    report, names = _spawns(testbed, lambda: _inject(testbed, program))
-    # image + descriptor + CAS + the hook line's doorbell
-    assert _submissions(names) == {"wqe:read": 1, "wqe-chain:4": 1}
+    if op == "rollback":
+        _inject(testbed, make_stress_program(818, seed=2, name="app"))
+    step = {
+        "deploy": lambda: _inject(testbed, program),
+        "rollback": lambda: testbed.sim.run_process(codeflow.rollback("app")),
+        "detach": lambda: testbed.sim.run_process(codeflow.detach("app")),
+    }[op]
+    result, names = _spawns(testbed, step)
+    assert _submissions(names) == WARM[op]
     assert names["cc-doorbell"] == 0
-    assert (report.commit_us, report.cc_us) == (0.0, params.RDX_CC_EVENT_US)
+    if op == "deploy":
+        assert (result.commit_us, result.cc_us) == (0.0, params.RDX_CC_EVENT_US)
 
 
 def test_a_reused_extent_costs_one_more_doorbell(testbed):

@@ -172,7 +172,6 @@ class TestCrashContainment:
 
     def test_rollback_recovers_crashed_hook(self, testbed):
         """Deploy good, deploy corrupt (simulated), roll back, verify."""
-        from repro.core.rollback import RollbackManager
         from repro.errors import SandboxCrash
 
         good = make_stress_program(100, seed=1, name="ext")
@@ -190,8 +189,7 @@ class TestCrashContainment:
         with pytest.raises(SandboxCrash):
             testbed.sandbox.run_hook("ingress", bytes(256))
 
-        manager = RollbackManager(testbed.codeflow)
-        testbed.sim.run_process(manager.rollback("ext"))
+        testbed.sim.run_process(testbed.codeflow.rollback("ext"))
         testbed.sandbox.crashed = False
         result, _ = testbed.sandbox.run_hook("ingress", bytes(256))
         from repro.ebpf.interpreter import Interpreter

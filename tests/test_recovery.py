@@ -161,6 +161,32 @@ class TestEpochFencing:
         # either -- its cleanup must be fenced too.
         assert all(not sb.bubble_active() for sb in bed.sandboxes)
 
+    @pytest.mark.arm(hb_check=True)
+    def test_stale_rollback_is_fenced(self, testbed):
+        """A rollback fences like every hook commit: the stale plane's
+        rollback reads the successor's epoch and stands down before its
+        CAS, so the successor's hook keeps its image -- an unfenced flip
+        is an hb ``stale-epoch-write``."""
+        from repro.hb import checker
+
+        bed = testbed
+        for version in (1, 2):
+            bed.sim.run_process(bed.control.inject(
+                bed.codeflow, programs_for(bed, version)[0], "ingress"
+            ))
+        plane, codeflows = bed.sim.run_process(
+            resume_control_plane(
+                bed.cluster.control_host, bed.control.journal, bed.sandboxes
+            )
+        )
+        reports = bed.sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+        assert reports[0].converged
+        hook = bed.sandbox.hook_table.read_pointer("ingress")
+        with pytest.raises(StaleEpochError):
+            bed.sim.run_process(bed.codeflow.rollback("app0"))
+        assert bed.sandbox.hook_table.read_pointer("ingress") == hook
+        assert checker.consume(bed.sim).findings == []
+
     def test_crashed_plane_refuses_new_work(self, testbed):
         bed = testbed
         bed.control.crash()
@@ -247,6 +273,41 @@ class TestWarmRebootReconcile:
         introspector = RemoteIntrospector(codeflows[0])
         introspector.snapshot_deployed()
         assert bed.sim.run_process(introspector.audit()).clean
+
+
+    def test_a_restart_undoes_a_rollback_known_hole(self, testbed):
+        """Known hole: a rollback journals no intent, and
+        ``DeployedProgram.history`` holds bare addresses, so nothing
+        names the program a rollback restored.  A successor plane
+        converges to the last committed deploy instead: it adopts v2's
+        still-resident image, re-hooks it and detaches v1 as an orphan
+        -- ``converged``, and the hook runs the faulty v2 again."""
+        from repro.ebpf.interpreter import Interpreter
+
+        bed = testbed
+        v1, v2 = (programs_for(bed, version)[0] for version in (1, 2))
+        ctx = bytes(range(256))
+        r0 = [Interpreter().run(p.insns, ctx).r0 for p in (v1, v2)]
+        assert r0[0] != r0[1]
+        for program in (v1, v2):
+            bed.sim.run_process(bed.control.inject(
+                bed.codeflow, program, "ingress"
+            ))
+        bed.sim.run_process(bed.codeflow.rollback(v1.name))
+        assert bed.sandbox.run_hook("ingress", ctx)[0].r0 == r0[0]
+        plane, codeflows = bed.sim.run_process(
+            resume_control_plane(
+                bed.cluster.control_host, bed.control.journal, bed.sandboxes
+            )
+        )
+        (report,) = bed.sim.run_process(
+            Reconciler(plane).reconcile_all(codeflows)
+        )
+        assert [a.kind for a in report.actions] == [
+            "adopt", "rehook", "detach_orphan",
+        ]
+        assert report.converged
+        assert bed.sandbox.run_hook("ingress", ctx)[0].r0 == r0[1]
 
 
 class TestRegistryCapAndClose:
