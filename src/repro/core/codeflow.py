@@ -487,18 +487,27 @@ class CodeFlow:
         retain_history: bool = True,
         settles: Optional[list] = None,
     ) -> Generator:
-        """Point the hook at a staged image; returns its report.
+        """Point the hook at a staged image with :meth:`commit_hook`,
+        the CAS's answer kept on the plan; returns its report.
 
         A CAS that answered with the wrong prior unwinds the stage.  A
         flip that raises a :class:`ReproError` before its CAS ran
         (``plan.prior`` still None) may be posted again, or abandoned
-        with :meth:`unstage`.  ``settles=None`` waits for the hook
-        line's flush; a list gets the spawned flush-and-record process
-        instead, whose value is the report.
+        with :meth:`unstage`.  ``settles=None`` waits for the flush of
+        the plan's spans and the hook line (:meth:`_settle`); a list
+        gets the spawned flush-and-record process instead, whose value
+        is the report.
         """
+        mark = self.sim.now
+        commit = self.commit_hook(
+            plan.hook_name, plan.existing_addr, plan.code_addr, plan,
+            visible=False,
+        )
         try:
-            yield from self._traced(plan.span, self.sync, self._flip(plan))
+            yield from self._traced(plan.span, self.sync, commit)
         except BaseException as err:
+            if isinstance(err, DeployError):  # the CAS's prior was wrong
+                self._unwind(plan)
             if not (
                 isinstance(err, ReproError)
                 and plan.prior is None
@@ -506,6 +515,7 @@ class CodeFlow:
             ):
                 _fail_span(plan.span, err)
             raise
+        plan.report.commit_us = self.sim.now - mark
         # The flush rides the QP the flip did, also when spawned: a relay
         # hands ``self.sync`` back the moment the flip returns.
         sync = self.sync
@@ -615,7 +625,7 @@ class CodeFlow:
     ) -> Generator:
         """Fence, dispatch and land one plan's bytes; returns the plan.
 
-        With :meth:`_flip` (through :meth:`commit_hook`) and
+        With :meth:`flip_prog` (through :meth:`commit_hook`) and
         :meth:`_settle`, the only code that posts deploy writes and the
         commit CAS.
         ``config.pipelined_deploy`` picks the cost of each step, not a
@@ -731,21 +741,6 @@ class CodeFlow:
             report.cc_us = self.sim.now - mark
             plan.flush = []  # landed: the flip flushes the hook line only
         return plan
-
-    def _flip(self, plan: _DeployPlan) -> Generator:
-        """Commit the staged image with :meth:`commit_hook`, the CAS's
-        answer kept on the plan; a CAS that answered with the wrong
-        prior unwinds the stage.  :meth:`_settle` flushes."""
-        mark = self.sim.now
-        try:
-            yield from self.commit_hook(
-                plan.hook_name, plan.existing_addr, plan.code_addr, plan,
-                visible=False,
-            )
-        except DeployError:
-            self._unwind(plan)
-            raise
-        plan.report.commit_us = self.sim.now - mark
 
     def _settle(
         self, plan: _DeployPlan, retain_history: bool, sync: RemoteSync
