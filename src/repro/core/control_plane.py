@@ -43,6 +43,10 @@ from repro.core.sync import RemoteSync
 #: work (warm probe, link, dispatch; priority 0), so install work takes
 #: the next free core ahead of every queued compile charge.  Compiles
 #: among themselves stay FIFO: a verifier claims its core before its JIT.
+#: On a host of three or more cores a charge also holds a compile slot
+#: (:meth:`RdxControlPlane._charge`), so one core is never running a
+#: compile; the priority still orders a slot holder behind install work
+#: when that core is busy.
 COMPILE_PRIORITY = 1
 
 
@@ -109,6 +113,12 @@ class RdxControlPlane:
         #: serving pins (see :mod:`repro.core.artifacts`).
         self.artifacts = ArtifactStore(self)
         self.codeflows: list[CodeFlow] = []
+        #: Compile slots: at most ``cores - 1`` verifier/JIT charges hold
+        #: control-host cores at once, so install work always finds one
+        #: no compile can take.  At least two, to keep the verifier ‖
+        #: JIT pair, hence None (no cap) on a host of two cores or fewer.
+        cores = host.cpu.cores
+        self.compile_slots = Resource(self.sim, cores - 1) if cores > 2 else None
         self.validations_run = 0
         self.compiles_run = 0
 
@@ -310,10 +320,26 @@ class RdxControlPlane:
         self, stage: str, cost_us: float, parent_span: Optional[Span], **attrs
     ) -> Generator:
         """Process body: ``cost_us`` on one control-host core, requested
-        at :data:`COMPILE_PRIORITY`, inside the ``rdx.<stage>`` span;
-        counted once it has run."""
+        at :data:`COMPILE_PRIORITY` while holding a compile slot, inside
+        the ``rdx.<stage>`` span; counted once it has run.
+
+        A free slot is claimed without an event, the way :meth:`CPU.run`
+        claims a free core, so an uncontended charge schedules exactly
+        what it did without slots.  The ``finally`` gives the slot back
+        (or withdraws the request) when the charge is interrupted while
+        running or queued."""
+        slots = self.compile_slots
         with self.obs.span(f"rdx.{stage}", parent=parent_span, **attrs):
-            yield from self.host.cpu.run(cost_us, COMPILE_PRIORITY)
+            if slots is None:
+                yield from self.host.cpu.run(cost_us, COMPILE_PRIORITY)
+            else:
+                grant = slots.claim()
+                try:
+                    if grant is not None:
+                        yield grant
+                    yield from self.host.cpu.run(cost_us, COMPILE_PRIORITY)
+                finally:
+                    slots.unclaim(grant)
         self.obs.histogram(f"rdx.{stage}.cpu_us").observe(cost_us)
         if stage == "validate":
             self.validations_run += 1

@@ -81,9 +81,6 @@ class RemoteSync:
         self._obs = obs
         #: The switch this layer branches on per WR, read once.
         self._hb = params.config_of(sim).hb_check
-        #: Pipelined-path instrumentation (resolved once; hot path).
-        self._m_chain_wrs = obs.histogram("rdx.deploy.wrs_per_doorbell")
-        self._m_inflight = obs.histogram("rdx.deploy.inflight_depth")
         #: Trace context: while a deploy span is parked here (by
         #: :meth:`repro.core.codeflow.CodeFlow.deploy_prog`, obs on), every
         #: chain/land/CAS/flush below emits a causal trace event under
@@ -256,9 +253,6 @@ class RemoteSync:
                     staged.append((addr, payload))
             for start in range(0, len(staged), depth):
                 window = staged[start : start + depth]
-                self._m_chain_wrs.observe(len(window))
-                self._m_inflight.observe(len(window))
-
                 completion = yield from self.retry.run(
                     self.sim, partial(self._post_chain, window, note),
                     self._settle, "WRITE_BATCH", self._rng, inject,
@@ -437,9 +431,6 @@ class RemoteSync:
             if commit:
                 _, _, error = self._consult_hook("cas", qword_addr, None)
                 inject = inject or error
-        wrs = len(window) + commit + doorbells
-        self._m_chain_wrs.observe(wrs)
-        self._m_inflight.observe(wrs)
         completion = yield from self.retry.run(
             self.sim,
             partial(
@@ -450,7 +441,7 @@ class RemoteSync:
         )
         if self.trace_span is not None:
             self._trace_event(
-                "rdx.trace.chain", wrs=wrs,
+                "rdx.trace.chain", wrs=len(window) + commit + doorbells,
                 bytes=sum(len(payload) for _, payload in window)
                 + 8 * (commit + doorbells),
             )

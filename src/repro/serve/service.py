@@ -23,8 +23,11 @@ and JITs in its own process, through the artifact store's single
 flight, while the worker goes back to its loop; the ticket keeps its
 queue slot, tenant slot and inflight count, and once its verdict lands
 it returns to the head of its class queue for a worker to install on a
-registry hit.  On the control CPU the compile charges queue behind
-install work (:data:`~repro.core.control_plane.COMPILE_PRIORITY`).
+registry hit.  On the control CPU the compile charges hold at most
+all cores but one (:attr:`~repro.core.control_plane.RdxControlPlane.compile_slots`),
+so a hotpatch's probe, link and dispatch never wait for a core, and
+they queue behind install work
+(:data:`~repro.core.control_plane.COMPILE_PRIORITY`).
 
 *Installs* to one target serialize on a per-target priority mutex: the
 hook-flip CAS is a compare-and-swap against the previous image, so two

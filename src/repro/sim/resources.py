@@ -42,8 +42,8 @@ class Resource:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
-        #: Slots nobody holds: granted requests and :meth:`CPU.run`'s
-        #: eventless claims both count against it.
+        #: Slots nobody holds: granted requests and eventless claims
+        #: (:meth:`claim`, :meth:`CPU.run`) both count against it.
         self._free = capacity
         self._users: set[Event] = set()
         self._waiting: list[tuple[int, int, Event]] = []
@@ -90,6 +90,25 @@ class Resource:
                 heapify(waiting)
                 return
         raise SimulationError("release() of a slot that is not held")
+
+    def claim(self, priority: int = 0) -> Optional[Event]:
+        """Take a free slot at once, with no grant event (returns None),
+        or queue a request and return its grant event.  Pair it with
+        :meth:`unclaim` in a ``finally``, as :meth:`request` with
+        :meth:`release`."""
+        if self._free and not self._waiting:
+            self._free -= 1
+            return None
+        return self.request(priority)
+
+    def unclaim(self, grant: Optional[Event]) -> None:
+        """Undo :meth:`claim`: return the slot, or withdraw the request."""
+        if grant is not None:
+            self.release(grant)
+            return
+        self._free += 1
+        if self._waiting:
+            self._settle()
 
     def _settle(self) -> None:
         while self._waiting and self._free:

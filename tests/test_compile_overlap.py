@@ -16,7 +16,9 @@ the edges of that overlap, for eBPF and for Wasm:
 * concurrent misses on one key still run one compile, and a hit spawns
   nothing;
 * a compile's charges queue behind install work: a dispatch requested
-  after a queued verifier charge takes the core first.
+  after a queued verifier charge takes the core first;
+* on three or more cores at most ``cores - 1`` charges hold cores at
+  once, so a warm deploy dispatches at once while every slot compiles.
 """
 
 import pytest
@@ -177,6 +179,50 @@ def test_install_work_takes_the_core_before_a_queued_compile(config):
     )
 
 
+def _cold(count) -> list:
+    """``count`` distinct programs, each a registry miss."""
+    return [
+        make_stress_program(818, seed=seed, name=f"cold{seed}")
+        for seed in range(1, count + 1)
+    ]
+
+
+def test_a_warm_deploy_dispatches_while_every_slot_compiles(config):
+    """Three cold compiles -- six charges -- on four cores: three hold
+    the compile slots and one core stays free, so the warm deploy's
+    dispatch takes no longer than on an idle plane."""
+    bed = make_testbed(n_hosts=1, cores_per_host=4, config=config)
+    sim, cpu = bed.sim, bed.control.host.cpu
+    hot = make_stress_program(60, seed=6, name="hot")
+    # Deployed once, so this link is a cache hit: no stub rendezvous.
+    sim.run_process(bed.control.inject(bed.codeflow, hot, "ingress"))
+    entry = sim.run_process(_prepare(bed, hot))
+    linked = sim.run_process(bed.codeflow.link_code(entry.binary))
+    for program in _cold(3):
+        sim.spawn(_prepare(bed, program), name="compile")
+    sim.run(until=sim.now + 1.0)
+    report = sim.run_process(bed.codeflow.deploy_prog(hot, linked, "ingress"))
+    assert report.dispatch_us == pytest.approx(params.RDX_DISPATCH_FAST_US)
+    sim.run()
+    assert bed.control.compiles_run == 4 and cpu.in_use == 0
+
+
+@pytest.mark.parametrize("cores", (3, 4))
+def test_compiles_never_hold_every_core(config, cores):
+    bed = make_testbed(n_hosts=1, cores_per_host=cores, config=config)
+    sim, cpu = bed.sim, bed.control.host.cpu
+    compiles = [
+        sim.spawn(_prepare(bed, program), name="compile")
+        for program in _cold(cores)
+    ]
+    peak = 0
+    while not all(process.triggered for process in compiles):
+        peak = max(peak, cpu.in_use)
+        sim.run(until=sim.now + 5.0)
+    assert peak == cores - 1
+    assert bed.control.compiles_run == cores
+
+
 def _spans(bed) -> dict:
     """The newest finished span of each name."""
     return {span.name: span for span in telemetry_of(bed.sim).tracer.finished_spans}
@@ -249,22 +295,26 @@ def _leg(bed, program, deadline_us) -> bool:
 
 
 @both_kinds
-@pytest.mark.parametrize("cores, hogged, at, ran", [
-    (4, False, "both", ()),  # both charges running
-    (4, False, "verify", ("jit",)),  # the JIT's charge done, the verifier's running
-    (1, False, "jit", ("verify",)),  # the verifier's charge done, the JIT's running
-    (2, True, "queued", ()),  # both charges queued behind busy cores
-], ids=("both-running", "jit-done", "verify-done", "both-queued"))
+@pytest.mark.parametrize("cores, hog, at, ran", [
+    (4, None, "both", ()),  # both charges running
+    (4, None, "verify", ("jit",)),  # the JIT's charge done, the verifier's running
+    (1, None, "jit", ("verify",)),  # the verifier's charge done, the JIT's running
+    (2, "cores", "queued", ()),  # both charges queued behind busy cores
+    (4, "slots", "queued", ()),  # both charges queued behind held compile slots
+], ids=("both-running", "jit-done", "verify-done", "both-queued", "slots-queued"))
 def test_an_abandoned_compile_releases_everything(
-    config, kind, cores, hogged, at, ran
+    config, kind, cores, hog, at, ran
 ):
     bed = make_testbed(n_hosts=1, cores_per_host=cores, config=config)
     sim, control = bed.sim, bed.control
-    cpu = control.host.cpu
-    hog_us = 1e4 if hogged else 0.0
-    if hogged:
+    cpu, slots = control.host.cpu, control.compile_slots
+    hog_us = 1e4 if hog else 0.0
+    if hog == "cores":
         for _ in range(cpu.cores):
             cpu.spawn_task(hog_us, name="hog")
+    elif hog == "slots":
+        for _ in range(slots.capacity):
+            sim.spawn(slots.using(hog_us), name="hog")
     program = PROGRAMS[kind]()
     verify_us, jit_us = _costs(program)
     deadline_us = {
@@ -276,13 +326,14 @@ def test_an_abandoned_compile_releases_everything(
     assert not finished
     sim.run()  # the hogs finish; a withdrawn charge never runs
     assert (cpu.in_use, cpu.queue_len) == (0, 0)
+    assert slots is None or (slots.in_use, slots.queue_len) == (0, 0)
     assert len(charges) == 1 and not charges[0].is_alive
     assert not control.artifacts._inflight
     assert len(control.artifacts.registry) == 0
     assert sim.failed_processes == []
     # Only a charge that ran to its end is billed and counted.
     assert cpu.busy_us - busy == pytest.approx(
-        cpu.cores * hog_us
+        (hog == "cores") * cpu.cores * hog_us
         + ("verify" in ran) * verify_us + ("jit" in ran) * jit_us
     )
     assert (control.validations_run, control.compiles_run) == (

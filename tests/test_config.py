@@ -76,6 +76,8 @@ def _writes_to_params(source: str) -> list:
     """Lines that bind (assign, delete, loop into) or ``setattr`` an
     attribute of ``repro.params`` -- ``monkeypatch.setattr`` included,
     by object or by dotted string -- or import it under another name."""
+    if "params" not in source:
+        return []  # every spelling above names it; skip the parse
     lines = []
     for node in ast.walk(ast.parse(source)):
         bound = getattr(node, "targets", [getattr(node, "target", None)])

@@ -14,10 +14,6 @@ def inject(bed, codeflow, program, hook="ingress"):
     return bed.sim.run_process(bed.control.inject(codeflow, program, hook))
 
 
-#: What :class:`~repro.core.sync.RemoteSync` observes per WR chain.
-CHAIN_SHAPE = ("rdx.deploy.wrs_per_doorbell", "rdx.deploy.inflight_depth")
-
-
 def rollback(bed, name):
     return bed.sim.run_process(bed.codeflow.rollback(name))
 
@@ -62,9 +58,7 @@ class TestRollback:
 
     def test_rollback_returns_its_record_and_is_no_deploy(self, testbed):
         """The record names both images; a rollback mints no deploy
-        id, span or transaction and feeds no deploy's series.  (The
-        sync layer's chain-shape histograms see its 2-WR chain, as they
-        see every chain posted.)"""
+        id, span or transaction and feeds no deploy's series."""
         codeflow = testbed.codeflow
         inject(testbed, codeflow, make_stress_program(100, seed=1, name="ext"))
         inject(testbed, codeflow, make_stress_program(100, seed=2, name="ext"))
@@ -76,7 +70,6 @@ class TestRollback:
             series = [
                 row for row in testbed.obs.registry.snapshot()
                 if row["name"].startswith("rdx.deploy.")
-                and row["name"] not in CHAIN_SHAPE
             ]
             minted = [repr(getattr(ids, name)) for name in ids.__slots__]
             return series, minted, len(codeflow.reports)

@@ -163,8 +163,10 @@ def test_no_microsecond_of_a_warm_deploy_is_unattributed(testbed):
 
 @pytest.mark.arm(tree_broadcast=True, tree_degree=2)
 def test_a_relayed_leg_fences_under_the_relay_hosts_dispatch(config):
+    # Eight cores leave seven compile slots for the six charges of three
+    # cold programs, so the relayed leg stages under a pending verdict.
     bed = make_testbed(
-        n_hosts=3, cores_per_host=4, hooks=("ingress",), with_agents=False,
+        n_hosts=3, cores_per_host=8, hooks=("ingress",), with_agents=False,
         config=config,
     )
     # d=2 over three targets: positions 0 and 1 are roots; position 2

@@ -6,11 +6,14 @@ process, holding neither a worker nor a target lock (§3.2: both are
 target-independent), then returns to its class queue.  A worker
 probes the warm pool and queues on the target's
 :class:`~repro.core.control_plane.InstallLock` only for link ->
-deploy_prog -> pin admit.  Five checks:
+deploy_prog -> pin admit.  The checks:
 
 * a pinned hotpatch submitted while a cold compile runs on its target
   finishes in probe + install time, not after the compile -- also when
   the compiling ticket was popped by the only worker;
+* with every control core but one compiling, a hotpatch's dispatch
+  still takes ``RDX_DISPATCH_FAST_US``: compiles hold at most
+  ``cores - 1`` cores;
 * two cold tickets on one target compile concurrently, and their
   ``deploy_prog`` intervals never overlap;
 * a hotpatch overtakes bulk tickets queued at the install gate;
@@ -20,6 +23,7 @@ deploy_prog -> pin admit.  Five checks:
 
 import pytest
 
+from repro import params
 from repro.ebpf.stress import make_stress_program
 from repro.serve import DeployService, default_classes
 
@@ -108,6 +112,35 @@ def test_a_compile_holds_no_worker(testbed):
     assert patch.service_us == pytest.approx(alone.service_us)
     assert patch.service_us < 20.0
     assert patch.finished_us < compiling.finished_us
+
+
+def test_hotpatch_dispatches_on_the_core_no_compile_takes(testbed):
+    bed = testbed
+    service = _service(bed, workers=2)
+    hot = _prewarmed(bed, service)
+    cpu = bed.control.host.cpu
+    service.start()
+
+    def body():
+        # Three cold programs: six charges for the three compile slots.
+        compiling = [
+            service.submit(
+                "dev", bed.codeflow,
+                make_stress_program(300, seed=seed, name=f"cold{seed}"), "egress",
+            )
+            for seed in (3, 4, 5)
+        ]
+        yield 50.0
+        assert cpu.in_use >= cpu.cores - 1  # compiles fill every core they may
+        patch = service.submit("pager", bed.codeflow, hot, "ingress")
+        for ticket in [patch] + compiling:
+            yield ticket.done
+        return patch, compiling
+
+    patch, compiling = bed.sim.run_process(body())
+    assert patch.report.warm and all(ticket.completed for ticket in compiling)
+    assert patch.report.dispatch_us == pytest.approx(params.RDX_DISPATCH_FAST_US)
+    assert patch.finished_us < min(ticket.finished_us for ticket in compiling)
 
 
 def test_cold_tickets_compile_together_and_install_one_at_a_time(
