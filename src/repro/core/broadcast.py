@@ -9,7 +9,7 @@ transactions).  Consistency comes from **Big Bubble Update (BBU)**:
    on each target (data paths buffer incoming requests instead of
    executing mixed logic): as its stage lands, or, when the verdict
    was still pending, in one fenced raise walk once it is in,
-2. flip every hook to its staged image -- one CAS each, in parallel,
+2. flip each hook to its staged image, one CAS once its bubble is up,
 3. lower the flags in dependency order, releasing buffered requests.
 
 Only steps 2 and 3 sit inside the window, and RDX moves a hook in
@@ -88,7 +88,7 @@ class BroadcastResult:
     #: staged leg's ``verify``, its read-back too): the oldest bubble's
     #: birth.
     first_raised_us: float = 0.0
-    #: When the last raise's flush landed (Phase 1 done).
+    #: When the last raise's flush landed: the window opens.
     bubble_raised_us: float = 0.0
     deploys_done_us: float = 0.0
     bubble_lowered_us: float = 0.0
@@ -138,13 +138,13 @@ def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
 class _FanoutPlan:
     """The shape of one broadcast's fan-out; costs no simulated time.
 
-    A pipelined broadcast makes three visits -- stage, flip, lower --
-    or four when a verdict is pending: stage, raise, flip, lower.  Any
-    list of positions one visit walks -- the legs of the stage phase,
-    the staged legs of the raise and flip phases, the lowerable bubbles
-    of the lower phase -- is a d-ary forest: the first ``degree``
-    positions are roots, served by the control plane itself, and
-    position ``p`` hands on to positions
+    A pipelined broadcast makes three visits: stage, flip (under a
+    pending verdict, a raise that flips each leg once its bubble is up)
+    and lower.  Any list of positions one visit walks -- the legs of the
+    stage phase, the staged legs of the flip phase, the lowerable
+    bubbles of the lower phase -- is a d-ary forest: the first
+    ``degree`` positions are roots, served by the control plane itself,
+    and position ``p`` hands on to positions
     ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
     fanning out to at most ``d`` children, which is exactly what one
     sandbox host's RNIC pipeline absorbs in parallel.  Hub-and-spoke
@@ -169,11 +169,10 @@ class _FanoutPlan:
     #: caller declared no dependencies, so the lowers walk the forest.
     sequential: bool
     #: True (the pipelined arm): a leg stages its image before the
-    #: window opens -- its bubble raise riding the tail of the stage's
-    #: chain, or, staged under a pending verdict, a raise walk of its
-    #: own -- and only its flip sits inside the window.  False (the
-    #: serial arm, paper-calibrated): raise every bubble, then run each
-    #: leg whole inside the window.
+    #: window opens, its bubble raised on the stage chain's tail (under
+    #: a pending verdict, by the flip walk), so only its flip sits inside
+    #: the window.  False (the serial arm, paper-calibrated): raise
+    #: every bubble, then run each leg whole inside the window.
     staged: bool
 
     @classmethod
@@ -226,9 +225,8 @@ class CodeFlowGroup:
         """Set one bubble flag and flush it to the target's CPU: a
         blocking write + flush (serial), or the flag and its doorbell as
         ONE chain whose flush joins ``flushes``, so the flush lands
-        while the next chain goes out.  A raise's flush is joined before
-        any hook flips (its process returns the instant it landed);
-        lowering is the benign direction -- a stale "still raised"
+        while the next chain goes out.  A raise's flush lands before its
+        hook flips; lowering is the benign direction -- a stale "still raised"
         buffers a few more requests for ~2us -- so nothing waits on its
         flush but the window's end."""
         addr = codeflow.sandbox.bubble_addr
@@ -244,16 +242,8 @@ class CodeFlowGroup:
         # forest relay's -- so hb attribution follows the bytes.
         flush = sync.flush_chained([(addr, 8)], waited=bool(value))
         flushes.append(
-            self.sim.spawn(
-                self._landed(flush) if value else flush,
-                name=f"bubble-flush:{codeflow.sandbox.name}",
-            )
+            self.sim.spawn(flush, name=f"bubble-flush:{codeflow.sandbox.name}")
         )
-
-    def _landed(self, flush: Generator) -> Generator:
-        """``flush``; returns the instant it landed."""
-        yield from flush
-        return self.sim.now
 
     def _lower_leg(
         self,
@@ -418,18 +408,18 @@ class CodeFlowGroup:
         kept the new logic).
 
         The stage (with its raise), flip and (unordered) lower phases
-        walk one forest of the targets (:class:`_FanoutPlan`) -- four
-        visits when a verdict is pending: stage, raise, flip, lower.
-        A leg that ships its Phase-0 image stages while the verifier
-        still charges; the verdict gates the raise and the flip.  By
+        walk one forest of the targets (:class:`_FanoutPlan`).  A leg
+        that ships its Phase-0 image stages while the verifier still
+        charges; the verdict gates the raise and the flip, so then the
+        flip visit raises, and flips each leg once its raise landed.  By
         default every target is a root, served by the control plane;
         with ``config.tree_broadcast`` set the forest has degree
         ``config.tree_degree``: a staged sandbox relays its children
         the chained WR list, and the flips and lowers follow the same
         edges, so every phase grows ~O(log N) instead of serializing N
-        legs through the control RNIC.  The window holds only the flips
-        and the lowers: ``bubble_window_us`` runs from the last raise,
-        ``bubble_hold_us`` from the first.  A
+        legs through the control RNIC.  The window holds the flips
+        left at the last raise and the lowers: ``bubble_window_us``
+        runs from the last raise, ``bubble_hold_us`` from the first.  A
         ``coordinator`` (see :class:`repro.core.shard.ShardCoordinator`)
         makes this group one shard of a larger cross-shard transaction:
         bubbles are held until every shard votes, and a sibling shard's
@@ -548,7 +538,7 @@ class CodeFlowGroup:
                 # verdict anyway.
                 yield from self._decided(verdicts, errors)
             #: A verdict still pending as the stage walk starts: the
-            #: legs stage bare and a fenced raise walk follows it.
+            #: legs stage bare and a fenced raise-then-flip walk follows.
             pending = any(verdict.is_alive for verdict in verdicts)
             if txn is not None and not pending:
                 plane.journal.phase(txn, "prepared")
@@ -622,23 +612,20 @@ class CodeFlowGroup:
                 # chained WR list to its children -- depth grows with
                 # log(N) -- and a leg lands its image where no hook
                 # points, its bubble raise riding the chain's tail
-                # unless a verdict is pending.  Serial: raise every
-                # bubble.
+                # unless a verdict is pending.  Serial: raise every bubble.
                 live = [
                     index
                     for index, outcome in enumerate(result.outcomes)
                     if not outcome.error
                 ]
-
-                def flipping() -> bool:
-                    """An unsharded all-or-nothing broadcast whose stage
-                    (or raise) failed a leg raises and flips nothing."""
-                    return coordinator is not None or commit_rule(
-                        len(staged), len(live) - len(staged), allow_partial
-                    ) != "abort"
-
+                settles: list = []
                 if plan.staged:
                     yield from self._walk(plan, live, "stage", legs(live))
+                    # An unsharded all-or-nothing broadcast whose stage
+                    # failed a leg raises and flips nothing.
+                    flipping = coordinator is not None or commit_rule(
+                        len(staged), len(live) - len(staged), allow_partial
+                    ) != "abort"
                     if pending:
                         try:
                             yield from self._decided(verdicts, errors)
@@ -652,9 +639,9 @@ class CodeFlowGroup:
                             raise
                         if txn is not None:
                             plane.journal.phase(txn, "prepared")
-                        if flipping():
-                            yield from self._raise_staged(
-                                plan, live, staged, result, use_bbu
+                        if flipping:
+                            yield from self._raise_and_flip(
+                                plan, live, staged, result, use_bbu, settles
                             )
                 elif use_bbu:
 
@@ -667,7 +654,7 @@ class CodeFlowGroup:
                             result.first_raised_us = self.sim.now
 
                     yield from self._walk(plan, live, "raise", raise_)
-                result.bubble_raised_us = self.sim.now
+                result.bubble_raised_us = result.bubble_raised_us or self.sim.now
                 if not result.first_raised_us:
                     # No bubble rose (no BBU, or every raise failed):
                     # the hold is the window.
@@ -675,18 +662,16 @@ class CodeFlowGroup:
                 if txn is not None:
                     plane.journal.phase(txn, "bubbled")
 
-                # Phase 2, staged: flip the staged legs down the forest
-                # -- a fenced commit CAS and the hook line's doorbell
-                # each, shaped like a lower.  A flip's flush lands
-                # before its bubble may drop (a CQE alone is no proof
-                # the target CPU sees the pointer), so the phase joins
-                # them all.  Serial: run each raised leg whole, inside
-                # the window.
+                # Phase 2, staged: flip the legs left staged down the
+                # forest -- a fenced commit CAS and the hook line's
+                # doorbell each.  A flip's flush lands before its bubble
+                # may drop (a CQE alone is no proof the target CPU sees
+                # the pointer), so the phase joins them all.  Serial:
+                # run each raised leg whole, inside the window.
                 if not plan.staged:
                     active = [i for i in live if not result.outcomes[i].error]
                     yield from self._walk(plan, active, "deploy", legs(active))
-                elif flipping():
-                    settles: list = []
+                elif staged and flipping:
                     flippable = [index for index in live if index in staged]
 
                     def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
@@ -697,8 +682,8 @@ class CodeFlowGroup:
                         )
 
                     yield from self._walk(plan, flippable, "flip", flip)
-                    if settles:
-                        yield self.sim.all_of(settles)
+                if settles:
+                    yield self.sim.all_of(settles)
                 result.deploys_done_us = self.sim.now
                 if txn is not None:
                     plane.journal.phase(txn, "deployed")
@@ -842,20 +827,28 @@ class CodeFlowGroup:
 
     # -- per-target legs ------------------------------------------------------
 
-    def _raise_staged(
-        self, plan, live, staged: dict, result, use_bbu: bool
+    def _raise_and_flip(
+        self, plan, live, staged: dict, result, use_bbu: bool, settles: list
     ) -> Generator:
-        """The raise walk of legs staged under a pending verdict: a root
+        """The walk of legs staged under a pending verdict: a root
         raises over the control plane's QP, a child over its parent's
         relay QP.  Each raise fences again -- its stage's fence is up to
         a verifier's charge old, and a successor may have taken the
         target over since -- and a leg whose raise fails is unstaged.
-        Without ``use_bbu`` the walk is that fence alone: the flip's CAS
-        is not checked against the epoch either.  Every raise's flush is
-        joined before this returns, so no hook flips under a bubble the
-        target CPU cannot see yet."""
+        A raised leg hands its children on and flips (:meth:`_flip_leg`,
+        same route) once its *own* raise flush landed; without
+        ``use_bbu`` the raise is that fence alone."""
         raisable = [index for index in live if index in staged]
-        flushes: list = []
+        flips: list = []
+
+        def flip(index, codeflow, via, flushes: list) -> Generator:
+            if flushes:
+                yield flushes[0]  # a CQE alone is no proof it landed
+            ready = self.sim.now
+            yield from self._flip_leg(
+                codeflow, staged.pop(index), result.outcomes[index], via, settles
+            )
+            return ready
 
         def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
             index = raisable[pos]
@@ -865,18 +858,25 @@ class CodeFlowGroup:
                 sync = self._relay_sync(via, codeflow)
             elif pos >= plan.degree:
                 self._relay_fallback(codeflow, "parent-failed")
+            flushes: list = []
             raised = yield from self._guarded_bubble(
                 codeflow, result.outcomes[index], flushes, sync, use_bbu
             )
             if raised is None:
                 codeflow.unstage(staged.pop(index))
+                return None
+            leg = flip(index, codeflow, via, flushes)
+            flips.append(self.sim.spawn(leg, name=f"flip:{codeflow.sandbox.name}"))
             return raised
 
         kind = "raise" if use_bbu else "fence"
         yield from self._walk(plan, raisable, kind, raise_)
-        if flushes:
-            landed = yield self.sim.all_of(flushes)
-            result.first_raised_us = min(landed)
+        if flips:
+            # With a bubble the window opens as the last one is up;
+            # without, at the first flip, as after a stage walk.
+            ready = yield self.sim.all_of(flips)
+            result.first_raised_us = min(ready)
+            result.bubble_raised_us = max(ready) if use_bbu else min(ready)
 
     def _guarded_bubble(
         self, codeflow, outcome, flushes: list,

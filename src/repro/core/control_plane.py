@@ -27,7 +27,6 @@ from repro.ebpf.verifier import MapGeometry, verify
 from repro.net.topology import Host
 from repro.obs import telemetry_of
 from repro.obs.spans import Span
-from repro.rdma.mr import AccessFlags
 from repro.rdma.verbs import connect_qps, open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.resources import Resource

@@ -30,7 +30,6 @@ from typing import Generator, Optional
 from repro import params
 from repro.errors import ReproError
 from repro.obs import telemetry_of
-from repro.core.codeflow import CodeFlow
 from repro.core.retry import RetryPolicy
 
 

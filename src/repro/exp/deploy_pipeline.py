@@ -89,17 +89,22 @@ def _run_mode(pipelined: bool, n_targets: int, insn_size: int) -> ModeResult:
     config = replace(params.DEFAULT, pipelined_deploy=pipelined)
     mode = ModeResult(pipelined=pipelined)
 
-    # -- single-target deploy: cold (compile + link) then warm ----
+    # -- single-target inject: cold (validate + JIT + link) then warm ----
     single = make_testbed(n_hosts=1, with_agents=False, config=config)
     program = make_stress_program(insn_size, seed=7, name="pipeline")
-    cold = single.sim.run_process(
-        single.control.inject(single.codeflow, program, "ingress", retain_history=False)
-    )
-    warm = single.sim.run_process(
-        single.control.inject(single.codeflow, program, "ingress", retain_history=False)
-    )
-    mode.deploy_cold_us = cold.total_us
-    mode.deploy_warm_us = warm.total_us
+    for attr in ("deploy_cold_us", "deploy_warm_us"):
+        started = single.sim.now
+        single.sim.run_process(single.control.inject(
+            single.codeflow, program, "ingress", retain_history=False
+        ))
+        setattr(mode, attr, single.sim.now - started)
+
+    # -- single-flight compile: two targets of a fresh plane, one program ----
+    pair = make_testbed(n_hosts=2, with_agents=False, config=config)
+    for codeflow in pair.codeflows:
+        pair.sim.spawn(pair.control.prepare_for(codeflow, program))
+    pair.sim.run()
+    mode.prepare_coalesced = pair.control.prepare_coalesced
 
     # -- fleet broadcast: v1 warms every cache, v2 is measured ----
     bed = make_testbed(n_hosts=n_targets, with_agents=False, config=config)
@@ -113,7 +118,6 @@ def _run_mode(pipelined: bool, n_targets: int, insn_size: int) -> ModeResult:
     mode.bubble_window_us = outcome.bubble_window_us
     mode.broadcast_total_us = outcome.total_us
     mode.compiles_run = bed.control.compiles_run
-    mode.prepare_coalesced = bed.control.prepare_coalesced
     mode.link_cache_hits = bed.control.link_cache_hits
     mode.link_cache_misses = bed.control.link_cache_misses
     # The RNIC observes every chain it rings, whoever posted it.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.broadcast import CodeFlowGroup
 from repro.core.faults import FaultInjector, FaultKind

@@ -392,8 +392,8 @@ def _drive_crash_under_verify(sim, seed: int, plan: "SchedulePlan") -> None:
     and no hook moved, so the hooks must still name the first
     broadcast's images, with every staged descriptor detached and no
     bubble up.  The resumed incarnation then rolls the version out
-    itself: staged under its own verifier, raised by a fenced raise
-    walk after the verdict, flipped and lowered."""
+    itself: staged under its own verifier, raised by a fenced walk after
+    the verdict that flips each leg as its bubble lands, and lowered."""
     from repro.core.broadcast import CodeFlowGroup
     from repro.core.reconcile import Reconciler, resume_control_plane
     from repro.ebpf.stress import make_stress_program

@@ -13,8 +13,6 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import RdmaError
 from repro.net.topology import Host
 from repro.rdma.cq import CompletionQueue

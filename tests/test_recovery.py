@@ -584,15 +584,21 @@ class TestCrashUnderTheVerifier:
         self, monkeypatch, use_bbu
     ):
         """A successor claims one target while the verifier charges,
-        after that target staged: the raise walk's own epoch READ
-        refuses it -- without BBU the walk is that READ alone -- so the
-        fenced-out plane neither raises its bubble nor flips its hook
-        (which the hb checker reports as a ``stale-epoch-write``), and
-        the all-or-nothing broadcast aborts with every staged extent
-        given back."""
+        after that target staged: the raise's own epoch READ refuses it
+        -- without BBU the raise is that READ alone -- so the fenced-out
+        plane neither raises its bubble nor flips its hook (which the hb
+        checker would report as a ``stale-epoch-write``).  Its siblings
+        flipped as their own raises landed, so the all-or-nothing
+        broadcast aborts by rolling them back to v1: every hook names
+        v1 and every allocator is as before the broadcast, while each
+        rolled-back target's one descriptor slot is v2's (a rollback
+        never rewrites the descriptor).  A restarted plane adopts v1
+        and detaches that stale descriptor as an orphan."""
         from dataclasses import replace
 
+        from repro.core.codeflow import CodeFlow
         from repro.core.control_plane import RdxControlPlane
+        from repro.ebpf.interpreter import Interpreter
         from repro.errors import BroadcastAborted
         from repro.hb import checker
         from repro.params import DEFAULT
@@ -608,13 +614,12 @@ class TestCrashUnderTheVerifier:
         v1, v2 = (make_stress_program(400, seed=seed, name="app") for seed in (1, 2))
         group = CodeFlowGroup(bed.codeflows)
         bed.sim.run_process(group.broadcast([v1] * 5, "ingress"))
-        before = [
-            (dict(cf.code_allocator._live), set(cf._metadata_used))
-            for cf in bed.codeflows
-        ]
+        before = [dict(cf.code_allocator._live) for cf in bed.codeflows]
         hooks = [cf.deployed["app"].code_addr for cf in bed.codeflows]
         victim = bed.codeflows[4]  # relayed: its raise rides its parent's QP
         walk = CodeFlowGroup._walk
+        write_bubble, flip_prog = CodeFlowGroup._write_bubble, CodeFlow.flip_prog
+        raised, flipped = [], []
 
         def claim_after_the_stages(self, plan, members, kind, visit):
             yield from walk(self, plan, members, kind, visit)
@@ -624,16 +629,47 @@ class TestCrashUnderTheVerifier:
                 )
                 yield from successor.create_codeflow(victim.sandbox)
 
+        def spy_bubble(self, codeflow, value, *args):
+            if value:
+                raised.append(codeflow.sandbox.name)
+            return write_bubble(self, codeflow, value, *args)
+
+        def spy_flip(self, *args, **kwargs):
+            flipped.append(self.sandbox.name)
+            return flip_prog(self, *args, **kwargs)
+
         monkeypatch.setattr(CodeFlowGroup, "_walk", claim_after_the_stages)
+        monkeypatch.setattr(CodeFlowGroup, "_write_bubble", spy_bubble)
+        monkeypatch.setattr(CodeFlow, "flip_prog", spy_flip)
         with pytest.raises(BroadcastAborted) as aborted:
             bed.sim.run_process(
                 group.broadcast([v2] * 5, "ingress", use_bbu=use_bbu)
             )
         outcomes = aborted.value.result.outcomes
         assert [o.error_kind for o in outcomes] == [""] * 4 + ["StaleEpochError"]
+        assert [o.rolled_back for o in outcomes] == [True] * 4 + [False]
+        assert victim.sandbox.name not in raised + flipped
+        assert sorted(flipped) == sorted(cf.sandbox.name for cf in bed.codeflows[:4])
         assert not any(sb.bubble_active() for sb in bed.sandboxes)
         for index, cf in enumerate(bed.codeflows):
             hook = cf.sandbox.host.cache.cpu_read(cf._hook_addr("ingress"), 8)
             assert int.from_bytes(hook, "little") == hooks[index]
-            assert (dict(cf.code_allocator._live), set(cf._metadata_used)) == before[index]
+            assert dict(cf.code_allocator._live) == before[index]
+            assert len(cf._metadata_used) == 1
         assert checker.consume(bed.sim).findings == []
+
+        bed.control.crash()
+        plane, codeflows = bed.sim.run_process(
+            resume_control_plane(
+                bed.cluster.control_host, bed.control.journal, bed.sandboxes
+            )
+        )
+        reports = bed.sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+        for report in reports:
+            assert report.converged
+            assert sorted(a.kind for a in report.actions) == ["adopt", "detach_orphan"]
+        ctx = bytes(range(256))
+        r0 = Interpreter().run(v1.insns, ctx).r0
+        assert r0 != Interpreter().run(v2.insns, ctx).r0
+        for sandbox in bed.sandboxes:
+            assert sandbox.run_hook("ingress", ctx)[0].r0 == r0

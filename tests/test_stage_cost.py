@@ -4,17 +4,19 @@ A pipelined broadcast leg stages before the bubble window opens: its
 image, descriptor and body-span flushes land where no hook points.  A
 leg that ships its Phase-0 image stages while the verifier still
 charges, so its stage chain goes out bare; once the verdict is in, one
-fenced raise walk raises the bubbles down the same forest.  A leg with
-no Phase-0 image (hub and spoke) waits for the verdict and its raise
-rides the tail of its stage chain.  The window -- from the journal's
-``bubbled`` phase to its ``deployed`` phase, after which only the
-decision and the lower walk remain -- holds the flips alone: a fenced
-commit CAS and the hook line's doorbell per target.  These tests count
-what the QPs carry on either side of that line, so body bytes cannot
-drift back into the window, and the stage and raise walks keep riding
-the relays the way the hub-and-spoke raise once did not.  They also
-time every post against the end of the verifier's charge: the verdict
-gates the raise and the flip, never the bytes.
+fenced walk raises the bubbles down the same forest, and each leg
+flips -- a fenced commit CAS and the hook line's doorbell -- as soon as
+its own raise flush landed.  A leg with no Phase-0 image (hub and
+spoke) waits for the verdict, its raise rides the tail of its stage
+chain, and a flip walk follows the stages.  The window -- from the
+last raise's landing to the last lower's -- holds the flips not yet
+posted and the lowers.  These tests count what the QPs carry on
+either side of those instants, so body bytes cannot drift back into
+the window, and the stage and raise walks keep riding the relays the
+way the hub-and-spoke raise once did not.  They also time every post
+against the end of the verifier's charge (the verdict gates the raise
+and the flip, never the bytes) and each leg's flip against its own
+raise and every lower.
 
 And they pin what the window and the hold cost a target's requests:
 ``bubble_hold_us`` runs from the *first* raise, ``bubble_window_us``
@@ -48,15 +50,17 @@ FLAT16_HOLD_US = 42.77776
 def _traffic(config, n, monkeypatch):
     """One broadcast over ``n`` targets; returns (result, counts, times).
 
-    ``counts`` is keyed by (phase, route, what): the epoch READs, stage
-    chains and raise chains posted from the broadcast's start up to the
-    journal's ``bubbled`` phase ("stage"), and every WR posted from then
-    until its ``deployed`` phase ("window"), by opcode -- a doorbell is
-    an 8-byte WRITE to the target's doorbell word, anything else a
-    WRITE is a body byte.  ``times`` maps "verdict" to the instant the
-    verifier's charge ended, and "stage-chain", "cas" and "flag" to the
-    sim times every stage chain, hook CAS and bubble-flag WRITE was
-    posted at."""
+    ``counts`` is keyed by ("stage", route, what): the epoch READs,
+    stage chains and raise chains posted from the broadcast's start up
+    to the journal's ``bubbled`` phase.  ``times`` maps "verdict" to
+    the instant the verifier's charge ended; "stage-chain", "cas" and
+    "flag" to the sim times every stage chain, hook CAS and bubble-flag
+    WRITE was posted at; "posts" to ``(time, route, what)`` of every WR
+    -- a doorbell is an 8-byte WRITE to the target's doorbell word, a
+    flag one to its bubble flag, any other WRITE a body byte; and
+    "raised", "flipped" and "lowered" to ``{target: instant}`` of its
+    raise flush landing, its hook CAS posting and its lowering flag
+    WRITE posting."""
     bed = make_testbed(
         n_hosts=n, cores_per_host=2, hooks=("ingress",),
         with_agents=False, seed=3, config=config,
@@ -67,7 +71,10 @@ def _traffic(config, n, monkeypatch):
     doorbells = {cf.sandbox.control_addr + 24 for cf in bed.codeflows}
     flags = {cf.sandbox.bubble_addr for cf in bed.codeflows}
     counts = {}
-    times = {"stage-chain": [], "cas": [], "flag": []}
+    times = {
+        "stage-chain": [], "cas": [], "flag": [], "posts": [],
+        "raised": {}, "flipped": {}, "lowered": {},
+    }
     phase = ["stage"]
 
     def count(key):
@@ -78,6 +85,7 @@ def _traffic(config, n, monkeypatch):
 
     read, install = RemoteSync.read, RemoteSync.install
     write_batch, charge = RemoteSync.write_batch, RdxControlPlane._charge
+    flush_chained = RemoteSync.flush_chained
     post, post_batch = QueuePair.post_send, QueuePair.post_send_batch
 
     def spy_read(self, addr, length):
@@ -97,49 +105,58 @@ def _traffic(config, n, monkeypatch):
             count(("stage", route(self), "raise-chain"))
         return write_batch(self, ops, *args, **kwargs)
 
+    def spy_flush_chained(self, spans, waited=True):
+        yield from flush_chained(self, spans, waited)
+        if waited and spans[:1] and spans[0][0] in flags:
+            times["raised"][self.sandbox.host.name] = sim.now
+
     def spy_charge(self, stage, *args, **kwargs):
         yield from charge(self, stage, *args, **kwargs)
         if stage == "validate":
             times["verdict"] = sim.now
 
-    def wr_kind(wr):
+    def wr_kind(qp, wr):
+        target = qp.remote.rnic.host.name
         if wr.opcode is WrOpcode.COMP_SWAP:
             times["cas"].append(sim.now)
+            times["flipped"][target] = sim.now
             return "cas"
         if wr.opcode is WrOpcode.RDMA_WRITE:
             if wr.remote_addr in flags:
                 times["flag"].append(sim.now)
+                if not any(wr.data):
+                    times["lowered"][target] = sim.now
+                return "flag"
             if wr.remote_addr in doorbells and len(wr.data) == 8:
                 return "doorbell"
             return "write"
         return wr.opcode.name.lower()
 
+    def posted(qp, wrs):
+        where = "control" if id(qp) in direct_qps else "relay"
+        for wr in wrs:
+            times["posts"].append((sim.now, where, wr_kind(qp, wr)))
+
     def spy_post(self, wr):
-        kind = wr_kind(wr)
-        if phase[0] == "window":
-            route = "control" if id(self) in direct_qps else "relay"
-            count(("window", route, kind))
+        posted(self, [wr])
         return post(self, wr)
 
     def spy_post_batch(self, wrs):
-        for wr in wrs:
-            kind = wr_kind(wr)
-            if phase[0] == "window":
-                route = "control" if id(self) in direct_qps else "relay"
-                count(("window", route, kind))
+        posted(self, wrs)
         return post_batch(self, wrs)
 
     journal = bed.control.journal
     record_phase = journal.phase
 
     def spy_phase(txn, name, *args, **kwargs):
-        if name in ("bubbled", "deployed"):
-            phase[0] = "window" if name == "bubbled" else "after"
+        if name == "bubbled":
+            phase[0] = "after"
         return record_phase(txn, name, *args, **kwargs)
 
     monkeypatch.setattr(RemoteSync, "read", spy_read)
     monkeypatch.setattr(RemoteSync, "install", spy_install)
     monkeypatch.setattr(RemoteSync, "write_batch", spy_write_batch)
+    monkeypatch.setattr(RemoteSync, "flush_chained", spy_flush_chained)
     monkeypatch.setattr(RdxControlPlane, "_charge", spy_charge)
     monkeypatch.setattr(QueuePair, "post_send", spy_post)
     monkeypatch.setattr(QueuePair, "post_send_batch", spy_post_batch)
@@ -165,12 +182,13 @@ def flat16():
         return _traffic(FLAT, 16, monkeypatch)
 
 
-def _window(counts):
-    return {
-        (route, what): n
-        for (phase, route, what), n in counts.items()
-        if phase == "window"
-    }
+def _window(result, times):
+    """``{(route, what): WRs}`` posted inside the bubble window."""
+    window = {}
+    for at, route, what in times["posts"]:
+        if result.bubble_raised_us <= at <= result.bubble_lowered_us:
+            window[route, what] = window.get((route, what), 0) + 1
+    return window
 
 
 def test_tree_stages_ride_the_relays(tree64):
@@ -201,34 +219,57 @@ def test_the_verdict_gates_the_raise_and_the_flip_not_the_bytes(tree64):
     assert len(times["flag"]) == 2 * 64 and min(times["flag"]) >= verdict
 
 
+def test_each_leg_flips_once_its_own_bubble_is_up(tree64):
+    """BBU's two orderings, per target: its hook CAS posts no earlier
+    than its own raise flush landed -- a CQE alone is no proof the
+    target CPU buffers -- and no bubble drops before every hook has
+    flipped.  Nothing more: the first flips post while later raises
+    are still on their way down the forest."""
+    _, _, times = tree64
+    raised, flipped, lowered = times["raised"], times["flipped"], times["lowered"]
+    assert len(raised) == len(flipped) == len(lowered) == 64
+    assert all(raised[target] <= flipped[target] for target in flipped)
+    assert max(flipped.values()) <= min(lowered.values())
+    assert min(flipped.values()) < max(raised.values())
+
+
 def test_the_tree_window_moves_no_body_byte(tree64):
-    """Inside the window each target gets one CAS and one doorbell --
-    4 flips from the control plane, 60 down the relays -- and nothing
-    else: no image, descriptor or bubble byte."""
-    _, counts, _ = tree64
-    assert _window(counts) == {
-        ("control", "cas"): 4,
+    """The window opens as the raises of the forest's 44 leaves land,
+    all at one instant: it holds those leaves' flips (a CAS and a
+    doorbell each, down the relays) and the 64 lowers (a flag and a
+    doorbell each) -- no image or descriptor byte.  The 20 inner legs
+    flipped under the raise walk, before the window."""
+    result, _, times = tree64
+    assert _window(result, times) == {
+        ("relay", "cas"): 44,
+        ("relay", "doorbell"): 44 + 60,
+        ("relay", "flag"): 60,
         ("control", "doorbell"): 4,
-        ("relay", "cas"): 60,
-        ("relay", "doorbell"): 60,
+        ("control", "flag"): 4,
     }
 
 
 def test_flat_stages_and_flips_stay_on_the_control_plane(flat16):
-    """No Phase-0 image to ship: the stages wait for the verdict, and
-    each raise rides its stage chain's tail."""
-    _, counts, times = flat16
+    """No Phase-0 image to ship: the stages wait for the verdict, each
+    raise rides its stage chain's tail, and the window holds every flip
+    and every lower."""
+    result, counts, times = flat16
     assert counts[("stage", "control", "stage-chain")] == 16
     assert ("stage", "control", "raise-chain") not in counts
     assert min(times["stage-chain"]) >= times["verdict"]
-    assert _window(counts) == {("control", "cas"): 16, ("control", "doorbell"): 16}
+    assert _window(result, times) == {
+        ("control", "cas"): 16,
+        ("control", "doorbell"): 16 + 16,
+        ("control", "flag"): 16,
+    }
 
 
 def test_the_hold_is_the_window_plus_a_short_raise(tree64):
     """The first bubble up waits for the rest of the raise walk before
     the window starts; down the forest that wait is the two levels of
     raises below the roots (10.80 us), not 64 raises queued on the
-    control RNIC.  Window 20.96 and hold 31.76 us (67.28 when each
+    control RNIC.  Window 15.05 and hold 25.86 us (20.96 / 31.76 when
+    the flips waited for the whole raise walk, 67.28 hold when each
     raise rode its stage chain and the stages waited for the verdict,
     90.65 when each leg deployed inside the window)."""
     result, _, _ = tree64
@@ -236,8 +277,8 @@ def test_the_hold_is_the_window_plus_a_short_raise(tree64):
     assert result.bubble_hold_us == pytest.approx(
         result.bubble_lowered_us - result.first_raised_us
     )
-    assert result.bubble_window_us < 25.0
-    assert 0 < result.bubble_hold_us - result.bubble_window_us <= 15.0
+    assert result.bubble_window_us == pytest.approx(15.05448)
+    assert result.bubble_hold_us == pytest.approx(25.85832)
 
 
 def test_flat_window_and_hold(flat16):
@@ -249,20 +290,20 @@ def test_flat_window_and_hold(flat16):
 
 
 def test_a_registry_hit_raises_on_the_stage_tail(monkeypatch):
-    """A second broadcast of an already-verified program finds no
-    verdict pending: no raise walk, each raise rides its stage chain's
-    tail.  Tree N=256, degree 4: total 71.58 and hold 50.74 us, as
-    before legs staged under the verifier (a raise walk after the
-    stages would read 95.19 us)."""
+    """A first broadcast walks the forest three times -- stage, the
+    raise walk whose legs flip as they land, lower -- and so does a
+    second of the same, already-verified program, which finds no
+    verdict pending: each raise rides its stage chain's tail and a
+    flip walk follows.  Tree N=256, degree 4: the first totals 443.36
+    us (452.22 when a flip walk followed the raise walk); the second
+    71.58, hold 50.74 us, as before legs staged under the verifier (a
+    raise walk after the stages would read 95.19 us)."""
     bed = make_testbed(
         n_hosts=256, cores_per_host=4, hooks=("ingress",),
         with_agents=False, seed=1, config=TREE,
     )
     group = CodeFlowGroup(bed.codeflows)
     program = make_stress_program(402, seed=1, name="hit")
-    first = bed.sim.run_process(
-        group.broadcast([program] * 256, "ingress", verify=False)
-    )
     kinds = []
     walk = CodeFlowGroup._walk
 
@@ -271,11 +312,14 @@ def test_a_registry_hit_raises_on_the_stage_tail(monkeypatch):
         return walk(self, plan, members, kind, visit)
 
     monkeypatch.setattr(CodeFlowGroup, "_walk", spy_walk)
+    first = bed.sim.run_process(
+        group.broadcast([program] * 256, "ingress", verify=False)
+    )
     second = bed.sim.run_process(
         group.broadcast([program] * 256, "ingress", verify=False)
     )
-    assert first.total_us == pytest.approx(452.21536)
-    assert kinds == ["stage", "flip", "lower"]
+    assert first.total_us == pytest.approx(443.36344)
+    assert kinds == ["stage", "raise", "lower"] + ["stage", "flip", "lower"]
     assert second.total_us == pytest.approx(71.58496)
     assert second.bubble_hold_us == pytest.approx(50.74064)
     assert second.bubble_window_us == pytest.approx(26.60768)
