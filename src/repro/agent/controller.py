@@ -8,7 +8,7 @@ multi-node update exposes a mixed-logic window (§2.2 Obs 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro import params

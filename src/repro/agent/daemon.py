@@ -10,7 +10,7 @@ and RDX deploy *identical* data-path artifacts by different routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro import params

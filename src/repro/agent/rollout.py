@@ -10,7 +10,7 @@ The inconsistency window measured here feeds Fig 2b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import ConsistencyError
 from repro.ebpf.program import BpfProgram

@@ -16,7 +16,6 @@ from typing import Generator, Optional
 from repro import params
 from repro.errors import WorkloadError
 from repro.net.topology import Host
-from repro.sim.core import Simulator
 
 
 @dataclass

@@ -9,15 +9,14 @@ every filter locally -- seconds-scale and the bottleneck; with RDX,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Generator, Sequence
 
 from repro import params
 from repro.errors import WorkloadError
 from repro.core.codeflow import CodeFlow
 from repro.core.migration import MigrationManager
 from repro.mesh.proxy import SidecarProxy
-from repro.net.topology import Host
 from repro.sim.core import Simulator
 from repro.wasm.module import WasmModule
 

@@ -25,7 +25,6 @@ from typing import Generator, Optional, Sequence
 
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
-from repro.net.topology import Host
 from repro.rdma.verbs import open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.core.broadcast import CodeFlowGroup

@@ -88,9 +88,9 @@ class _Flight(NamedTuple):
     #: Fires with the :class:`RegistryEntry` -- the verdict -- or the
     #: compile's failure.
     done: object
-    #: Pipelined arm: the image the JIT's work produced, and its charge
-    #: process; the image may ship once that charge ran to its end,
-    #: while the verifier's still runs.  None on the serial arm.
+    #: The image the JIT's work produced, and -- JIT under the verifier
+    #: -- its charge process; the image may ship once that charge ran
+    #: to its end, while the verifier's still runs.
     binary: Optional[JitBinary] = None
     jit: object = None
 
@@ -272,15 +272,15 @@ class ArtifactStore:
         a :class:`RegistryEntry`.  Concurrent misses on one key share the
         first one's compile, and its failure.
 
-        ``config.pipelined_deploy`` picks how a miss is charged, not
-        what it runs: the verifier's work always comes first, so a
-        rejected program raises at zero sim time without entering the
-        JIT.  The serial arm then charges the verifier and the JIT one
-        after the other; the pipelined arm runs the JIT's charge on a
-        second control-host core under the verifier's, which claims
-        its core first -- on one core the two still add up.  Its
-        image may ship (:meth:`shippable`) once the JIT's charge ends,
-        while the verifier's still runs.
+        The schedule's ``jit_under_verify`` picks how a miss is
+        charged, not what it runs: the verifier's work always comes
+        first, so a rejected program raises at zero sim time without
+        entering the JIT.  Both charges are built before either runs,
+        so the flight is whole before this first yields.  The JIT's
+        then runs after the verifier's, or on a second control-host
+        core under it, which claims its core first -- on one core the
+        two still add up.  Its image may then ship (:meth:`shippable`)
+        once the JIT's charge ends, while the verifier's still runs.
         """
         key = verdict_key(program, arch, maps, ctx_size)
         entry = self.registry.get(key)
@@ -299,30 +299,24 @@ class ArtifactStore:
         plane = self.plane
         done = plane.sim.event()
         try:
-            if plane.config.pipelined_deploy:
-                # Both charges are built before either runs, so the
-                # flight is whole before this first yields.
-                stats, verify_charge = plane.validate(
-                    program, maps, ctx_size, principal, parent_span
-                )
-                binary, jit_charge = plane.jit(program, arch, principal, parent_span)
+            stats, verify_charge = plane.validate(
+                program, maps, ctx_size, principal, parent_span
+            )
+            binary, jit_charge = plane.jit(program, arch, principal, parent_span)
+            jit = None
+            if plane.config.schedule.jit_under_verify:
                 jit = plane.sim.spawn(jit_charge, name="jit")
-                self._inflight[key] = _Flight(done, binary, jit)
-                try:
-                    yield from verify_charge
+            self._inflight[key] = _Flight(done, binary, jit)
+            try:
+                yield from verify_charge
+                if jit is None:
+                    yield from jit_charge
+                else:
                     yield jit
-                except BaseException:
+            except BaseException:
+                if jit is not None:
                     jit.interrupt("compile abandoned")
-                    raise
-            else:
-                self._inflight[key] = _Flight(done)
-                stats = yield from plane.validate_code(
-                    program, maps, ctx_size=ctx_size, principal=principal,
-                    parent_span=parent_span,
-                )
-                binary = yield from plane.jit_compile_code(
-                    program, arch=arch, principal=principal, parent_span=parent_span
-                )
+                raise
         except BaseException as err:
             self._inflight.pop(key, None)
             done.fail(err)

@@ -16,8 +16,7 @@ Only steps 2 and 3 sit inside the window, and RDX moves a hook in
 microseconds, so the bubble -- and therefore the request buffer --
 stays tiny; the same scheme under an agent baseline would need to
 buffer ~rate x window requests (§2.2 Obs 2's 1M-request example),
-which is the ablation ``bench_ablate_bbu`` quantifies.  The serial arm
-keeps the paper's order: raise, then deploy each leg whole.
+which is the ablation ``bench_ablate_bbu`` quantifies.
 
 The transaction has an **abort path**: every target's stage runs under
 its own deadline and collects its own outcome; if any leg fails (deploy
@@ -138,9 +137,9 @@ def commit_rule(ok: int, failed: int, allow_partial: bool) -> str:
 class _FanoutPlan:
     """The shape of one broadcast's fan-out; costs no simulated time.
 
-    A pipelined broadcast makes three visits: stage, flip (under a
-    pending verdict, a raise that flips each leg once its bubble is up)
-    and lower.  Any list of positions one visit walks -- the legs of the
+    A broadcast makes three visits: stage, flip (under a pending
+    verdict, a raise that flips each leg once its bubble is up) and
+    lower.  Any list of positions one visit walks -- the legs of the
     stage phase, the staged legs of the flip phase, the lowerable
     bubbles of the lower phase -- is a d-ary forest: the first
     ``degree`` positions are roots, served by the control plane itself,
@@ -168,12 +167,6 @@ class _FanoutPlan:
     #: callees confirm new logic -- or the serial arm).  False: the
     #: caller declared no dependencies, so the lowers walk the forest.
     sequential: bool
-    #: True (the pipelined arm): a leg stages its image before the
-    #: window opens, its bubble raised on the stage chain's tail (under
-    #: a pending verdict, by the flip walk), so only its flip sits inside
-    #: the window.  False (the serial arm, paper-calibrated): raise
-    #: every bubble, then run each leg whole inside the window.
-    staged: bool
 
     @classmethod
     def build(cls, config, group_size, order, ordered, images) -> "_FanoutPlan":
@@ -185,7 +178,6 @@ class _FanoutPlan:
             images=images if relays else {},
             order=tuple(order),
             sequential=ordered or not pipelined,
-            staged=pipelined,
         )
 
     def children(self, pos: int, size: int) -> range:
@@ -222,24 +214,18 @@ class CodeFlowGroup:
     def _write_bubble(
         self, codeflow: CodeFlow, value: int, sync: RemoteSync, flushes: list
     ) -> Generator:
-        """Set one bubble flag and flush it to the target's CPU: a
-        blocking write + flush (serial), or the flag and its doorbell as
-        ONE chain whose flush joins ``flushes``, so the flush lands
-        while the next chain goes out.  A raise's flush lands before its
-        hook flips; lowering is the benign direction -- a stale "still raised"
-        buffers a few more requests for ~2us -- so nothing waits on its
-        flush but the window's end."""
+        """Set one bubble flag and flush it to the target's CPU: the
+        flag as an install's ``tail`` (with its doorbell, one chain)
+        whose flush joins ``flushes``, so the flush lands while the
+        next flag goes out.  A raise's flush lands before its hook
+        flips; lowering is the benign direction -- a stale "still
+        raised" buffers a few more requests for ~2us -- so nothing
+        waits on its flush but the window's end."""
         addr = codeflow.sandbox.bubble_addr
-        if not self.config.pipelined_deploy:
-            yield from sync.write(addr, pack_qword(value))
-            yield from sync.cc_event(addr, 8)
-            return
-        doorbell = codeflow.sandbox.control_addr + 24  # OFF_DOORBELL
-        yield from sync.write_batch(
-            [(addr, pack_qword(value)), (doorbell, pack_qword(1))]
-        )
-        # ``sync`` posted the doorbell -- the codeflow's own QP or a
-        # forest relay's -- so hb attribution follows the bytes.
+        flag = ((addr, pack_qword(value)),)
+        yield from sync.install([], None, 0, 0, [], tail=flag)
+        # ``sync`` posted the flag -- the codeflow's own QP or a forest
+        # relay's -- so hb attribution follows the bytes.
         flush = sync.flush_chained([(addr, 8)], waited=bool(value))
         flushes.append(
             self.sim.spawn(flush, name=f"bubble-flush:{codeflow.sandbox.name}")
@@ -567,93 +553,71 @@ class CodeFlowGroup:
             # pathology BBU exists to avoid.
             #: group index -> plan staged and not yet flipped.
             staged: dict = {}
+            live = [
+                index
+                for index, outcome in enumerate(result.outcomes)
+                if not outcome.error
+            ]
 
-            def legs(members: list):
-                """The visit that runs one leg over ``members``: staged,
-                or -- serial -- deployed whole.  It hands on the
-                codeflow, or None when the leg failed."""
-
-                def leg(pos: int, via: Optional[CodeFlow]) -> Generator:
-                    index = members[pos]
-                    codeflow = self.codeflows[index]
-                    outcome = result.outcomes[index]
-                    if via is None and pos >= plan.degree:
-                        # A leg that failed mid-fanout never strands
-                        # its subtree: the children are served by the
-                        # control plane instead.
-                        self._relay_fallback(codeflow, "parent-failed")
-                    raise_ = ()
-                    if use_bbu and plan.staged and not pending:
-                        raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
-                    body = self._stage_route(
+            def stage(pos: int, via: Optional[CodeFlow]) -> Generator:
+                """One leg's stage; hands on the codeflow, or None when
+                the leg failed."""
+                index = live[pos]
+                codeflow = self.codeflows[index]
+                if via is None and pos >= plan.degree:
+                    # A leg that failed mid-fanout never strands its
+                    # subtree: the children are served by the control
+                    # plane instead.
+                    self._relay_fallback(codeflow, "parent-failed")
+                raise_ = ()
+                if use_bbu and not pending:
+                    raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
+                done = yield from self._deploy_leg(
+                    result.outcomes[index], deadline_us,
+                    self._stage_route(
                         codeflow, programs[index],
                         plan.images.get(codeflow.sandbox.name), via,
                         hook_name, span, verify, delta, raise_,
-                    )
-                    if not plan.staged:
-                        body = self._deploy_whole(codeflow, body)
-                    done = yield from self._deploy_leg(outcome, deadline_us, body)
-                    if done is None:
-                        return None
-                    if not plan.staged:
-                        outcome.report = done
-                        return codeflow
-                    staged[index] = done
-                    if raise_ and not result.first_raised_us:
-                        result.first_raised_us = self.sim.now
-                    return codeflow
-
-                return leg
+                    ),
+                )
+                if done is None:
+                    return None
+                staged[index] = done
+                if raise_ and not result.first_raised_us:
+                    result.first_raised_us = self.sim.now
+                return codeflow
 
             try:
                 # Phase 1: walk the forest of the targets the lease
-                # layer kept.  Staged, it is the legs: the control plane
-                # seeds the roots, each staged sandbox relays the
-                # chained WR list to its children -- depth grows with
-                # log(N) -- and a leg lands its image where no hook
-                # points, its bubble raise riding the chain's tail
-                # unless a verdict is pending.  Serial: raise every bubble.
-                live = [
-                    index
-                    for index, outcome in enumerate(result.outcomes)
-                    if not outcome.error
-                ]
+                # layer kept: the control plane seeds the roots, each
+                # staged sandbox relays the chained WR list to its
+                # children -- depth grows with log(N) -- and a leg lands
+                # its image where no hook points, its bubble raise
+                # riding the stage's tail unless a verdict is pending.
                 settles: list = []
-                if plan.staged:
-                    yield from self._walk(plan, live, "stage", legs(live))
-                    # An unsharded all-or-nothing broadcast whose stage
-                    # failed a leg raises and flips nothing.
-                    flipping = coordinator is not None or commit_rule(
-                        len(staged), len(live) - len(staged), allow_partial
-                    ) != "abort"
-                    if pending:
-                        try:
-                            yield from self._decided(verdicts, errors)
-                        except BaseException:
-                            # No hook points at a staged image: give
-                            # them back (a crashed plane leaves them to
-                            # the reconciler).
-                            if not plane.crashed:
-                                for index in list(staged):
-                                    self.codeflows[index].unstage(staged.pop(index))
-                            raise
-                        if txn is not None:
-                            plane.journal.phase(txn, "prepared")
-                        if flipping:
-                            yield from self._raise_and_flip(
-                                plan, live, staged, result, use_bbu, settles
-                            )
-                elif use_bbu:
-
-                    def raise_(pos: int, via: Optional[CodeFlow]) -> Generator:
-                        index = live[pos]
-                        raised = yield from self._guarded_bubble(
-                            self.codeflows[index], result.outcomes[index], []
+                yield from self._walk(plan, live, "stage", stage)
+                # An unsharded all-or-nothing broadcast whose stage
+                # failed a leg raises and flips nothing.
+                flipping = coordinator is not None or commit_rule(
+                    len(staged), len(live) - len(staged), allow_partial
+                ) != "abort"
+                if pending:
+                    try:
+                        yield from self._decided(verdicts, errors)
+                    except BaseException:
+                        # No hook points at a staged image: give them
+                        # back (a crashed plane leaves them to the
+                        # reconciler).
+                        if not plane.crashed:
+                            for index in list(staged):
+                                self.codeflows[index].unstage(staged.pop(index))
+                        raise
+                    if txn is not None:
+                        plane.journal.phase(txn, "prepared")
+                    if flipping:
+                        yield from self._raise_and_flip(
+                            plan, live, staged, result, use_bbu, settles
                         )
-                        if raised and not result.first_raised_us:
-                            result.first_raised_us = self.sim.now
-
-                    yield from self._walk(plan, live, "raise", raise_)
                 result.bubble_raised_us = result.bubble_raised_us or self.sim.now
                 if not result.first_raised_us:
                     # No bubble rose (no BBU, or every raise failed):
@@ -662,16 +626,12 @@ class CodeFlowGroup:
                 if txn is not None:
                     plane.journal.phase(txn, "bubbled")
 
-                # Phase 2, staged: flip the legs left staged down the
-                # forest -- a fenced commit CAS and the hook line's
-                # doorbell each.  A flip's flush lands before its bubble
-                # may drop (a CQE alone is no proof the target CPU sees
-                # the pointer), so the phase joins them all.  Serial:
-                # run each raised leg whole, inside the window.
-                if not plan.staged:
-                    active = [i for i in live if not result.outcomes[i].error]
-                    yield from self._walk(plan, active, "deploy", legs(active))
-                elif staged and flipping:
+                # Phase 2: flip the legs left staged down the forest --
+                # a fenced commit CAS and the hook line's doorbell each.
+                # A flip's flush lands before its bubble may drop (a CQE
+                # alone is no proof the target CPU sees the pointer), so
+                # the phase joins them all.
+                if staged and flipping:
                     flippable = [index for index in live if index in staged]
 
                     def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
@@ -940,11 +900,6 @@ class CodeFlowGroup:
         except ReproError as err:
             self._leg_failed(outcome, err)
             return None
-
-    def _deploy_whole(self, codeflow, route: Generator) -> Generator:
-        """A serial-arm leg: stage, then flip at once."""
-        staged = yield from route
-        return (yield from codeflow.flip_prog(staged))
 
     def _stage_route(
         self, codeflow, program, linked, via, hook_name, span, verify, delta,

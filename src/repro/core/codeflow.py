@@ -214,6 +214,8 @@ class CodeFlow:
         self.sim = control_plane.sim
         self.obs = telemetry_of(self.sim)
         self.config = params.config_of(self.sim)
+        #: The install schedule this handle's deploys run under.
+        self.schedule = self.config.schedule
         self.sandbox = sandbox
         self.sync = sync
         manifest = sandbox.ctx_manifest
@@ -241,8 +243,8 @@ class CodeFlow:
         #: trace roots (multi-tenant aggregation; "" = unowned).
         self.tenant = ""
         #: True when the last :meth:`link_code` was served from the
-        #: artifact store (a link-stage hit or a pin) -- the pipelined
-        #: deploy then skips the stub rendezvous (the layout is known).
+        #: artifact store (a link-stage hit or a pin) -- the deploy
+        #: then skips the stub rendezvous (the layout is known).
         self._last_link_cached = False
         #: The link-stage key of the last :meth:`link_code` -- its
         #: ``(arch, fingerprint)`` tail is what certifies a delta
@@ -345,8 +347,8 @@ class CodeFlow:
     ) -> Generator:
         """Link ``binary`` against this target; returns the linked image.
 
-        In the pipelined arm the artifact store's link stage, keyed by
-        (code CRC, arch, GOT-layout fingerprint), skips the
+        With the schedule's ``reuse`` the artifact store's link stage,
+        keyed by (code CRC, arch, GOT-layout fingerprint), skips the
         per-relocation rewriting when this target resolves every symbol
         to the same addresses a previous link did.  The fingerprint
         covers the *resolved addresses*, not just the symbol names --
@@ -357,11 +359,7 @@ class CodeFlow:
         plane = self.control_plane
         store = plane.artifacts
         with self.obs.span("rdx.link", parent=parent_span, target=self.sandbox.name):
-            key = (
-                store.link_key(self, binary)
-                if self.config.pipelined_deploy
-                else None
-            )
+            key = store.link_key(self, binary) if self.schedule.reuse else None
             self._last_link_key = key
             if key is not None:
                 cached = store.linked_image(key)
@@ -427,15 +425,19 @@ class CodeFlow:
         pages are freed once no exec can still be decoding them.
 
         :meth:`stage_prog` then :meth:`flip_prog`, with the commit CAS
-        riding the stage's chain: one install chain on the pipelined
-        arm.  ``delta=False`` installs the image in full even where the
-        pipelined arm could ship a delta.
+        riding the stage's chain where the schedule chains WRs: one
+        install chain.  ``delta=False`` installs the image in full even
+        where a delta could ship.  A flip that raises with no answer
+        leaves its extent to the reconciler: its CAS may have run.
         """
         plan = yield from self.stage_prog(
             program, linked, hook_name, parent_span, delta, commit=True
         )
-        report = yield from self.flip_prog(plan, retain_history)
-        return report
+        try:
+            return (yield from self.flip_prog(plan, retain_history))
+        except BaseException as err:
+            _fail_span(plan.span, err)
+            raise
 
     def stage_prog(
         self,
@@ -453,11 +455,11 @@ class CodeFlow:
         The bytes, the descriptor and the flushes of the spans the
         target CPU may hold stale lines for all land here, so a flip
         moves one qword.  ``tail`` is ``(addr, payload)`` control-word
-        writes that ride the pipelined arm's stage chain after the
-        descriptor, each flushed with the body spans before this
-        returns -- a broadcast's bubble flag.  ``commit`` chains the
-        commit CAS too (one install, :meth:`deploy_prog`); the flip then
-        only flushes.
+        writes that ride the stage after the descriptor, each flushed
+        with the body spans before this returns -- a broadcast's bubble
+        flag.  ``commit`` chains the commit CAS and the flush doorbells
+        too (one install, :meth:`deploy_prog`) where the schedule
+        chains WRs; the flip then only flushes.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -508,11 +510,7 @@ class CodeFlow:
         except BaseException as err:
             if isinstance(err, DeployError):  # the CAS's prior was wrong
                 self._unwind(plan)
-            if not (
-                isinstance(err, ReproError)
-                and plan.prior is None
-                and self.config.pipelined_deploy
-            ):
+            if not (isinstance(err, ReproError) and plan.prior is None):
                 _fail_span(plan.span, err)
             raise
         plan.report.commit_us = self.sim.now - mark
@@ -550,9 +548,10 @@ class CodeFlow:
     ) -> _DeployPlan:
         """Decide what this deploy moves; costs no simulated time.
 
-        A delta plan is the exception, the pipelined arm's only (and
-        only when ``delta`` asks for one), and eligibility is
-        conservative: the hook must already be owned by a record
+        A delta plan is the exception -- only when ``delta`` asks for
+        one and the link came with a key (the schedule's ``reuse``) --
+        and eligibility is conservative: the hook must already be
+        owned by a record
         carrying a registered baseline whose layout fingerprint
         matches the one :meth:`link_code` just produced, the image
         size must be unchanged, and the diff must be under break-even.
@@ -565,16 +564,12 @@ class CodeFlow:
         image = linked.code
         key = self._last_link_key
         spans = reason = None
-        if delta and self.config.pipelined_deploy:
+        if delta and key is not None:
             if existing is None:
                 reason = "first-deploy"
             elif existing.baseline_addr is None or existing.baseline_image is None:
                 reason = "no-baseline"
-            elif (
-                key is None
-                or existing.layout is None
-                or existing.layout != key[1:]
-            ):
+            elif existing.layout is None or existing.layout != key[1:]:
                 # The link stage could not certify the (arch, GOT
                 # fingerprint) layout is unchanged: resolved addresses
                 # may have moved, so a byte diff would be meaningless.
@@ -627,53 +622,50 @@ class CodeFlow:
 
         With :meth:`flip_prog` (through :meth:`commit_hook`) and
         :meth:`_settle`, the only code that posts deploy writes and the
-        commit CAS.
-        ``config.pipelined_deploy`` picks the cost of each step, not a
-        different sequence; the serial arm is the paper-calibrated one
-        (fig 4a):
+        commit CAS -- one sequence, stage -> flip -> settle, whose
+        costs the config's :class:`~repro.params.Schedule` picks (the
+        serial one is paper-calibrated, fig 4a):
 
         * the epoch-fence READ runs before the dispatch, or while it
           runs: the initiator CPU preps the chain's WQEs during the
           READ's flight, and nothing is posted until the READ's value
           is back and checked;
-        * dispatch prepares and polls every WQE separately
-          (:data:`~repro.params.RDX_DISPATCH_US`) or once for the
-          whole chain (:data:`~repro.params.RDX_DISPATCH_FAST_US`) --
-          the flip's WQEs included, so a flip pays no dispatch;
-        * the stub rendezvous always runs, or only when the linked
-          image missed the layout-fingerprinted cache -- a hit
-          certifies the Meta descriptor + GOT window already match;
-        * the writes go out as a signaled WR each; or as ONE chain of
-          the writes, the descriptor, ``tail`` and a doorbell per flush
-          span, whose effects :meth:`RemoteSync.flush_chained` waits
-          for once -- with ``commit``, the chain is the whole install
-          (:meth:`RemoteSync.install`: the fenced commit CAS rides it
-          and the flushes wait for the flip).
+        * dispatch costs the schedule's ``dispatch_us`` -- every WQE
+          prepared and polled separately, or the whole chain once, the
+          flip's WQEs included, so a flip pays no dispatch;
+        * the stub rendezvous runs unless the linked image hit the
+          layout-fingerprinted cache -- a hit certifies the Meta
+          descriptor + GOT window already match;
+        * the writes, the descriptor and ``tail`` go out as one
+          :meth:`RemoteSync.install`, a chain or one WR at a time (the
+          schedule's depth), whose flushes
+          :meth:`RemoteSync.flush_chained` waits for -- with ``commit``
+          the install may carry the fenced commit CAS too, and the
+          flushes then wait for the flip.
         """
-        pipelined = self.config.pipelined_deploy
+        schedule = self.schedule
         # Dispatch: registry lookup, WQE prep, completion polling --
         # initiator CPU only (the control plane, or a relaying host).
         cpu = self.dispatch_cpu or self.control_plane.host.cpu
-        cost_us = params.RDX_DISPATCH_FAST_US if pipelined else params.RDX_DISPATCH_US
         # The fence: no byte may land on a target owned by a newer
-        # control-plane epoch.  The serial arm fences first.
-        if not pipelined:
+        # control-plane epoch.
+        if schedule.fence_first:
             yield from self.check_fence()
             mark = self.sim.now
-            yield from cpu.run(cost_us)
+            yield from cpu.run(schedule.dispatch_us)
         else:
             # Fence || dispatch: the WQE prep is local and mutates
             # nothing, so it runs under the READ's flight.  A fenced-out
             # or interrupted deploy cancels it and has claimed nothing.
             mark = self.sim.now
-            prep = self.sim.spawn(cpu.run(cost_us), name="dispatch")
+            prep = self.sim.spawn(cpu.run(schedule.dispatch_us), name="dispatch")
             try:
                 yield from self.check_fence()
                 yield prep
             except BaseException:
                 prep.interrupt("deploy abandoned")
                 raise
-        if not (pipelined and self._last_link_cached):
+        if not self._last_link_cached:
             yield params.RDX_STUB_RENDEZVOUS_US
         report.dispatch_us = self.sim.now - mark
 
@@ -713,27 +705,18 @@ class CodeFlow:
                 (self.manifest.metadata_addr + plan.slot * 256, block.encode())
             ]
             mark = self.sim.now
-            if pipelined and commit:
-                plan.prior, plan.torn = yield from self.sync.install(
-                    ops, hook_addr, plan.existing_addr, plan.code_addr,
-                    plan.flush, note=plan.note,
-                )
-            elif pipelined:
-                yield from self.sync.install(
-                    ops, None, 0, 0, plan.flush, note=plan.note, tail=tail
-                )
-            else:
-                body = {"txn": plan.note["txn"]} if plan.note else None
-                for addr, payload in ops:
-                    yield from self.sync.write(addr, payload, note=body)
+            plan.prior, plan.torn = yield from self.sync.install(
+                ops, hook_addr if commit else None, plan.existing_addr,
+                plan.code_addr, plan.flush, note=plan.note, tail=tail,
+            )
             report.write_us = self.sim.now - mark
         except BaseException as err:
             # An install raises a ReproError only when its CAS never
             # ran; anything else (an interrupt) may leave it in flight.
-            if not pipelined or isinstance(err, ReproError):
+            if isinstance(err, ReproError):
                 self._unwind(plan)
             raise
-        if pipelined and not commit:
+        if not commit:
             mark = self.sim.now
             yield from self.sync.flush_chained(
                 plan.flush + [(addr, len(payload)) for addr, payload in tail]
@@ -750,23 +733,13 @@ class CodeFlow:
         report."""
         report = plan.report
         mark = self.sim.now
-        yield from self._flush(plan.flush + [(plan.hook_addr, 8)], sync)
+        yield from sync.flush_chained(plan.flush + [(plan.hook_addr, 8)])
         report.cc_us += self.sim.now - mark
         self._bookkeep(plan, retain_history)
         plan.span.finish(total_us=report.total_us, code_addr=report.code_addr)
         self._observe_deploy(report)
         report.total_us += report.link_us  # a link that ran before the stage
         return report
-
-    def _flush(self, spans: list, sync: RemoteSync) -> Generator:
-        """Wait for the flush of ``spans``, in order: the effect of the
-        doorbells that rode the commit's chain (pipelined), or one
-        blocking ``rdx_cc_event`` per span (serial)."""
-        if self.config.pipelined_deploy:
-            yield from sync.flush_chained(spans)
-        else:
-            for addr, length in spans:
-                yield from sync.cc_event(addr, length)
 
     # -- the hook commit ------------------------------------------------------
 
@@ -784,13 +757,14 @@ class CodeFlow:
         :meth:`detach`, :meth:`rollback`, the reconciler's rehook and
         unhook -- each of which fences before calling it.
 
-        The commit is ``rdx_tx`` (serial arm) or a 2-WR chain of the
-        fenced CAS and the hook line's doorbell (pipelined).  A wrong
-        prior raises :class:`DeployError` naming both values; a chain
-        torn after its CAS re-raises its error -- committed, so the
-        reconciler finishes the flush.  An exception from the post
-        leaves no answer: on the pipelined arm the CAS never ran; on
-        the serial arm it may have run and lost its ACK.
+        The commit is one :meth:`RemoteSync.install` of the CAS alone:
+        a 2-WR chain of the fenced CAS and the hook line's doorbell, or
+        at depth 1 ``rdx_tx``.  A wrong prior raises
+        :class:`DeployError` naming both values; a chain torn after its
+        CAS re-raises its error -- committed, so the reconciler
+        finishes the flush.  An exception from the post leaves no
+        answer: a chain's CAS never ran; ``rdx_tx``'s may have run and
+        lost its ACK.
 
         ``plan`` is the deploy this commit publishes: its hb note rides
         the CAS, and the answer is kept on it -- or read from it, when
@@ -803,14 +777,9 @@ class CodeFlow:
             plan.prior, plan.torn, plan.note
         )
         if prior is None:
-            if self.config.pipelined_deploy:
-                prior, torn = yield from self.sync.install(
-                    [], hook_addr, expect, new, [], note=note
-                )
-            else:
-                prior = yield from self.sync.tx(
-                    new, b"", hook_addr, new, expect, note
-                )
+            prior, torn = yield from self.sync.install(
+                [], hook_addr, expect, new, [], note=note
+            )
             if plan is not None:
                 plan.prior, plan.torn = prior, torn
         if prior != expect:
@@ -821,7 +790,7 @@ class CodeFlow:
         if torn is not None:
             raise torn
         if visible:
-            yield from self._flush([(hook_addr, 8)], self.sync)
+            yield from self.sync.flush_chained([(hook_addr, 8)])
 
     def _unwind(self, plan: _DeployPlan) -> None:
         """Give back what a deploy claimed before its commit failed.

@@ -19,7 +19,7 @@ import operator
 from typing import Generator, NamedTuple, Optional, Sequence
 
 from repro import params
-from repro.errors import DeployError, SecurityError
+from repro.errors import DeployError
 from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
@@ -511,7 +511,7 @@ class RdxControlPlane:
         validate+JIT+link never run."""
         pin = entry = None
         store = self.artifacts
-        if store.serving and self.config.pipelined_deploy:
+        if store.serving and self.config.schedule.reuse:
             pin = yield from store.pinned.probe(codeflow, program, parent_span=span)
         if pin is None:
             entry = yield from self.prepare_for(

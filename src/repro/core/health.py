@@ -24,7 +24,7 @@ Consumers:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro import params

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.codeflow import CodeFlow
 from repro.core.xstate import decode_xstate_header

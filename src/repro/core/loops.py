@@ -12,8 +12,8 @@ crosses a threshold, retire it on recovery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from dataclasses import dataclass
+from typing import Generator, Optional
 
 from repro.errors import ReproError
 from repro.core.codeflow import CodeFlow

@@ -11,12 +11,12 @@ recompilation, no destination CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.errors import DeployError
 from repro.core.codeflow import CodeFlow
-from repro.core.xstate import XStateHandle, XStateSpec
+from repro.core.xstate import XStateHandle
 
 
 @dataclass

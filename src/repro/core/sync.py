@@ -79,8 +79,11 @@ class RemoteSync:
         self.hb_epoch: Optional[int] = None
         obs = telemetry_of(sim)
         self._obs = obs
+        config = params.config_of(sim)
         #: The switch this layer branches on per WR, read once.
-        self._hb = params.config_of(sim).hb_check
+        self._hb = config.hb_check
+        #: WRs per doorbell of an install (:meth:`install`).
+        self._depth = config.schedule.depth
         #: Trace context: while a deploy span is parked here (by
         #: :meth:`repro.core.codeflow.CodeFlow.deploy_prog`, obs on), every
         #: chain/land/CAS/flush below emits a causal trace event under
@@ -406,15 +409,32 @@ class RemoteSync:
         prior the install has committed, and the doorbells after the
         tear may not have run.  The caller waits for the flushes with
         :meth:`flush_chained`.
+
+        At depth 1 nothing rides: ``ops`` and ``tail`` go out as one
+        signaled :meth:`write` each, :meth:`flush_chained` rings each
+        doorbell, and a CAS behind writes is left to the caller's next
+        install (``(None, None)``: it never ran), whose ``ops=[]`` makes
+        it ``rdx_tx`` (:meth:`tx`).
         """
-        depth = params.RDX_SQ_DEPTH
+        depth = self._depth
+        body_note = self._body_note(note)
+        if depth == 1:
+            for addr, payload in ops:
+                yield from self.write(addr, payload, note=body_note)
+            for addr, payload in tail:
+                yield from self.write(addr, payload)
+            if qword_addr is None or ops:
+                return None, None
+            prior = yield from self.tx(
+                new_qword, b"", qword_addr, new_qword, expect, note
+            )
+            return prior, None
         commit = qword_addr is not None
         doorbells = len(flush) + len(tail) + commit
         extra = len(tail) + commit + doorbells
         cut = (len(ops) - 1) // depth * depth if ops else 0
         if len(ops) - cut + extra > depth:
             cut = len(ops)
-        body_note = self._body_note(note)
         if cut:
             yield from self.write_batch(ops[:cut], note=body_note)
         window = ops[cut:] + list(tail)
@@ -513,7 +533,9 @@ class RemoteSync:
 
     # -- rdx_cc_event (§3.5 issue 2) ------------------------------------------
 
-    def cc_event(self, mem_addr: int, length: int = 64) -> Generator:
+    def cc_event(
+        self, mem_addr: int, length: int = 64, waited: bool = True
+    ) -> Generator:
         """Remote cache-line flush via the sandbox's event hook.
 
         Models posting a tiny cache-coherent descriptor that the
@@ -523,7 +545,8 @@ class RemoteSync:
         doorbells behind the commit CAS instead (:meth:`install`) and
         waits for their effect with :meth:`flush_chained`.  The flush
         takes effect ~:data:`repro.params.RDX_CC_EVENT_US` after the
-        post and costs no target CPU time.
+        post and costs no target CPU time.  ``waited`` is as in
+        :meth:`flush_chained`.
         """
         if self.fault_hook is not None:
             _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
@@ -543,7 +566,7 @@ class RemoteSync:
             name="cc-doorbell",
         )
         yield params.RDX_CC_EVENT_US
-        self._flush_effect(mem_addr, length, waited=True)
+        self._flush_effect(mem_addr, length, waited)
 
     def flush_chained(
         self, spans: "list[tuple[int, int]]", waited: bool = True
@@ -560,7 +583,14 @@ class RemoteSync:
         for the hb graph: True when the caller blocks on this generator,
         False for a deferred one whose completion orders nothing (a
         broadcast's bubble lowering).
+
+        At depth 1 no doorbell rode a chain: each span is one blocking
+        :meth:`cc_event`, in order.
         """
+        if self._depth == 1:
+            for addr, length in spans:
+                yield from self.cc_event(addr, length, waited)
+            return
         live = []
         for addr, length in spans:
             if self.fault_hook is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 from repro.errors import XStateError
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro import params
 from repro.core.api import bootstrap_sandbox

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.ebpf.stress import make_stress_program, make_stress_variant
+from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import Testbed, make_testbed
 from repro.serve import DeployService, DeployTicket, default_classes
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro import params
 from repro.apps.rediskv import RedisLikeServer
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import make_testbed

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from repro.sim.rand import derive_rng
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import params
 from repro.mem.memory import PhysicalMemory

@@ -10,7 +10,7 @@ agent (the baseline) -- RDX replaces the agents with CodeFlows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.agent.daemon import NodeAgent

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import params
-from repro.errors import SandboxCrash
 from repro.net.topology import Host
 from repro.sandbox.sandbox import Sandbox
 from repro.wasm.runtime import CONTINUE, DENY, RequestContext

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from repro.sim.rand import derive_rng
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from repro import params
 from repro.errors import SandboxCrash
 from repro.mesh.apps import MicroserviceApp
-from repro.sim.core import Simulator
 from repro.wasm.runtime import DENY, RequestContext
 
 

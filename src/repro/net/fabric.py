@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro import params
 from repro.errors import HostUnreachable, ReproError

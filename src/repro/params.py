@@ -315,13 +315,9 @@ class Config:
     once at construction.
     """
 
-    #: Which costs the one deploy path pays (DESIGN.md §11): one WR
-    #: chain, bare commit CAS and 3 us dispatch, or -- off -- the serial
-    #: paper-calibrated arm everywhere (one signaled WR per doorbell,
-    #: ``rdx_tx`` commit, 17 us dispatch).  A pipelined redeploy also
-    #: plans a delta when it can: with the superseded image resident as
-    #: a baseline under a certified-identical layout, it ships only the
-    #: MTU chunks that changed; the serial arm always installs in full.
+    #: Which :class:`Schedule` the one install sequence runs under
+    #: (DESIGN.md §11): :data:`PIPELINED`, or -- off -- the serial
+    #: paper-calibrated :data:`SERIAL`.
     pipelined_deploy: bool = True
     #: Tree broadcast: walk the bubble raises, the deploy legs and the
     #: unordered lowers through a relay forest (a parent sandbox raises
@@ -365,6 +361,36 @@ class Config:
                     raw not in _OFF if spec.type == "bool" else int(raw)
                 )
         return cls(**values)
+
+    @property
+    def schedule(self) -> "Schedule":
+        """The install schedule of this config's arm."""
+        return PIPELINED if self.pipelined_deploy else SERIAL
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """How the one install sequence -- stage, flip, settle -- is posted
+    and charged: the two arms differ in these values only."""
+
+    #: WRs per doorbell (read by :class:`~repro.core.sync.RemoteSync`);
+    #: 1: each WR rings and waits alone, the commit is ``rdx_tx`` and
+    #: each flush a blocking ``rdx_cc_event``.
+    depth: int
+    #: The epoch-fence READ runs before the dispatch, not under it.
+    fence_first: bool
+    #: Initiator CPU per install (read with ``fence_first``).
+    dispatch_us: float
+    #: The JIT's charge runs under the verifier's, on a second core.
+    jit_under_verify: bool
+    #: The link cache and the warm pool serve repeat installs (and a
+    #: delta plan needs a cached link's key).
+    reuse: bool
+
+
+PIPELINED = Schedule(RDX_SQ_DEPTH, False, RDX_DISPATCH_FAST_US, True, True)
+#: Paper-calibrated (Fig 4a): one signaled WR at a time.
+SERIAL = Schedule(1, True, RDX_DISPATCH_US, False, False)
 
 
 #: The process default: what the environment said at import.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.sim.core import Event, Simulator

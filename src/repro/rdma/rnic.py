@@ -14,7 +14,7 @@ Two properties matter for the paper and are modeled exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro import params
 from repro.errors import ProtectionError, RdmaError, ReproError

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.errors import RdmaError
 from repro.net.topology import Host
 from repro.rdma.cq import CompletionQueue
-from repro.rdma.mr import AccessFlags, ProtectionDomain
+from repro.rdma.mr import ProtectionDomain
 from repro.rdma.qp import QpState, QueuePair
 from repro.rdma.rnic import Rnic
 

@@ -13,8 +13,6 @@ exactly Fig 5's incoherence window.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import SandboxError
 from repro.mem.cache import CacheModel
 from repro.mem.layout import pack_qword, unpack_qword

@@ -40,7 +40,6 @@ from repro.sandbox.metadata import (
     MetadataArray,
     MetadataBlock,
     SLOT_DETACHED,
-    SLOT_EMPTY,
     SLOT_LIVE,
 )
 from repro.sandbox.xmaps import MemoryBackedMap

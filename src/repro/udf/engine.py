@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
+from typing import Generator, Sequence
 
 from repro import params
 from repro.errors import WorkloadError
 from repro.net.topology import Host
 from repro.udf.compiler import compile_udf
-from repro.udf.expr import UdfExpr, node_count, udf_eval
+from repro.udf.expr import UdfExpr, udf_eval
 from repro.udf.validator import udf_validate
 from repro.wasm.runtime import WasmRuntime
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro import params
 from repro.agent.controller import AgentController
-from repro.agent.daemon import NodeAgent
 from repro.agent.rollout import RolloutPlan, rollout_eventual, rollout_planned
 from repro.ebpf.stress import make_stress_program
 from repro.errors import ConsistencyError

@@ -9,7 +9,6 @@ from repro.core.api import bootstrap_sandbox
 from repro.core.control_plane import RdxControlPlane
 from repro.core.migration import MigrationManager
 from repro.errors import WorkloadError
-from repro.exp.harness import make_testbed
 from repro.mesh.proxy import SidecarProxy
 from repro.net.fabric import Fabric
 from repro.net.topology import Host

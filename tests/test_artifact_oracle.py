@@ -58,6 +58,14 @@ prelink and three link processes in place of three coalescing prepare
 legs) and coalesces nothing (``prepare_coalesced`` 2 -> 0, the
 ``rdx.prepare.coalesced`` series gone).  No serial row moved.
 
+The serial ``broadcast`` row and the six after it moved once more when
+the serial arm became a schedule of the one install sequence: its legs
+stage before the bubble window like pipelined ones (one signaled WRITE
+per op, the raise flag after the descriptor, then a blocking flush),
+and each lower defers its flush as every arm's does.  The 3-target
+broadcast ends 6.65064 us sooner and runs 7 fewer events; no count,
+outcome, warm-pool or cache counter moved.
+
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
 the ``pipelined`` rows verbatim, f62df80 comments too (none
@@ -238,16 +246,16 @@ ORACLE = {
         'geom-back': Row(now=1880.16608, events=819, warm=False, mode='full', outcome=None, plane=(4, 4, 6, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 5))),
         'overflow': Row(now=5080.16608, events=1462, warm=None, mode=None, outcome=None, plane=(132, 132, 6, 4, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 133))),
         'revisit': Row(now=5495.02816, events=1508, warm=False, mode='full', outcome=None, plane=(133, 133, 6, 5, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 134))),
-        'broadcast': Row(now=6060.14504, events=1824, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'link-compiled': Row(now=6060.19504, events=1827, warm=None, mode=None, outcome=(4012, True), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'link-fresh': Row(now=6097.74504, events=1835, warm=None, mode=None, outcome=(1512, True), plane=(134, 135, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'inv-cold': Row(now=6387.52712, events=1880, warm=False, mode='full', outcome=None, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
+        'broadcast': Row(now=6053.4944, events=1817, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'link-compiled': Row(now=6053.5444, events=1820, warm=None, mode=None, outcome=(4012, True), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'link-fresh': Row(now=6091.0944, events=1828, warm=None, mode=None, outcome=(1512, True), plane=(134, 135, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'inv-cold': Row(now=6380.87648, events=1873, warm=False, mode='full', outcome=None, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
         # f62df80: 'invalidate': Row(now=6388.22776, events=1880, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
-        'invalidate': Row(now=6387.52712, events=1880, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
+        'invalidate': Row(now=6380.87648, events=1873, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
         # f62df80: 'inv-redeploy': Row(now=6428.00984, events=1926, warm=False, mode='full', outcome=None, plane=(135, 136, 12, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 136))),
-        'inv-redeploy': Row(now=6677.3092, events=1929, warm=False, mode='full', outcome=None, plane=(136, 137, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 137))),
+        'inv-redeploy': Row(now=6670.65856, events=1922, warm=False, mode='full', outcome=None, plane=(136, 137, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 137))),
         # f62df80: 'inv-again': Row(now=6467.79192, events=1972, warm=False, mode='full', outcome=None, plane=(135, 136, 13, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 13), ('rdx.cache.miss{}', 136))),
-        'inv-again': Row(now=6717.09128, events=1975, warm=False, mode='full', outcome=None, plane=(136, 137, 12, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 137))),
+        'inv-again': Row(now=6710.44064, events=1968, warm=False, mode='full', outcome=None, plane=(136, 137, 12, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 137))),
     },
     'pipelined': {
         'cold': Row(now=370.14664, events=134, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),

@@ -6,7 +6,7 @@ from repro.core.faults import FaultInjector, FaultKind, crash_campaign
 from repro.core.loops import ControlLoop, ThresholdPolicy
 from repro.core.qos import QosScheduler, TenantQuota
 from repro.core.xstate import XStateSpec
-from repro.ebpf.maps import BpfMap, MapType
+from repro.ebpf.maps import MapType
 from repro.ebpf.stress import make_stress_program
 from repro.errors import ReproError, SandboxCrash, SecurityError
 

@@ -12,7 +12,6 @@ from repro.core.orchestrator import (
     ExtensionSpec,
     Fleet,
     OrchestrationIntent,
-    Plan,
     Selector,
     Strategy,
     execute_plan,

@@ -7,7 +7,7 @@ from repro.ebpf.jit import jit_compile
 from repro.ebpf.asm import Asm
 from repro.ebpf import opcodes as op
 from repro.ebpf.program import BpfProgram
-from repro.mem.layout import pack_qword, unpack_qword
+from repro.mem.layout import unpack_qword
 
 
 class TestRawOps:

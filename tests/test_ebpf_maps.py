@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import XStateError
-from repro.ebpf.maps import BPF_ANY, BPF_EXIST, BPF_NOEXIST, BpfMap, MapType
+from repro.ebpf.maps import BPF_EXIST, BPF_NOEXIST, BpfMap, MapType
 
 
 def key(i: int) -> bytes:

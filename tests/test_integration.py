@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.api import (
-    bootstrap_sandbox,
     rdx_cc_event,
     rdx_create_codeflow,
     rdx_deploy_prog,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestCounter:

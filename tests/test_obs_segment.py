@@ -12,7 +12,6 @@ from repro.obs.segment import (
     OFF_EPOCH,
     OFF_SEQ,
     SEGMENT_MAGIC,
-    TelemetrySegment,
     bucket_of,
     decode_segment,
     segment_region,

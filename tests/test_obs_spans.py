@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.sim.core import Simulator
 from repro.sim.trace import TraceRecorder
 
 

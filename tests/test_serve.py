@@ -36,7 +36,7 @@ from repro.serve import (
     default_classes,
     scrape_serve,
 )
-from repro.sim.core import Interrupt, Simulator
+from repro.sim.core import Interrupt
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Simulator,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.core import Interrupt, Simulator, SimulationError
 
 
 class TestClockAndTimeouts:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Interrupt, SimulationError, Simulator
+from repro.sim.core import Interrupt, SimulationError
 from repro.sim.resources import CPU, Container, Mutex, Resource, Store
 
 

@@ -40,6 +40,7 @@ TREE = replace(
     obs_target_labels=False,
 )
 FLAT = replace(TREE, tree_broadcast=False)
+SERIAL = replace(FLAT, pipelined_deploy=False)
 #: The flat arm's N=16 window and hold: the flip and lower walks, and
 #: the stage walk from the first staged leg on (46.87064 / 54.97448
 #: when each leg deployed inside the window).
@@ -84,7 +85,7 @@ def _traffic(config, n, monkeypatch):
         return "control" if id(sync) in direct else "relay"
 
     read, install = RemoteSync.read, RemoteSync.install
-    write_batch, charge = RemoteSync.write_batch, RdxControlPlane._charge
+    charge = RdxControlPlane._charge
     flush_chained = RemoteSync.flush_chained
     post, post_batch = QueuePair.post_send, QueuePair.post_send_batch
 
@@ -93,17 +94,14 @@ def _traffic(config, n, monkeypatch):
             count(("stage", route(self), "epoch-read"))
         return read(self, addr, length)
 
-    def spy_install(self, ops, qword_addr, *args, **kwargs):
-        if qword_addr is None:
+    def spy_install(self, ops, qword_addr, *args, tail=(), **kwargs):
+        if qword_addr is None and ops:
             times["stage-chain"].append(sim.now)
             if phase[0] == "stage":
                 count(("stage", route(self), "stage-chain"))
-        return install(self, ops, qword_addr, *args, **kwargs)
-
-    def spy_write_batch(self, ops, *args, **kwargs):
-        if phase[0] == "stage" and ops and ops[0][0] in flags:
+        elif phase[0] == "stage" and tail and tail[0][0] in flags:
             count(("stage", route(self), "raise-chain"))
-        return write_batch(self, ops, *args, **kwargs)
+        return install(self, ops, qword_addr, *args, tail=tail, **kwargs)
 
     def spy_flush_chained(self, spans, waited=True):
         yield from flush_chained(self, spans, waited)
@@ -155,7 +153,6 @@ def _traffic(config, n, monkeypatch):
 
     monkeypatch.setattr(RemoteSync, "read", spy_read)
     monkeypatch.setattr(RemoteSync, "install", spy_install)
-    monkeypatch.setattr(RemoteSync, "write_batch", spy_write_batch)
     monkeypatch.setattr(RemoteSync, "flush_chained", spy_flush_chained)
     monkeypatch.setattr(RdxControlPlane, "_charge", spy_charge)
     monkeypatch.setattr(QueuePair, "post_send", spy_post)
@@ -261,6 +258,20 @@ def test_flat_stages_and_flips_stay_on_the_control_plane(flat16):
         ("control", "cas"): 16,
         ("control", "doorbell"): 16 + 16,
         ("control", "flag"): 16,
+    }
+
+
+def test_the_serial_window_moves_no_body_byte(monkeypatch):
+    """The serial arm stages outside the window too -- one signaled
+    WRITE per op, the raise flag after the descriptor, then a blocking
+    flush -- so its window holds what a flat one's does: per target a
+    commit CAS, the hook line's doorbell, the lowering flag and its
+    doorbell (each doorbell posted alone, by its ``rdx_cc_event``)."""
+    result, _, times = _traffic(SERIAL, 4, monkeypatch)
+    assert _window(result, times) == {
+        ("control", "cas"): 4,
+        ("control", "doorbell"): 4 + 4,
+        ("control", "flag"): 4,
     }
 
 

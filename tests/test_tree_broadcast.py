@@ -540,10 +540,13 @@ class TestOneForest:
     def test_serial_arm_builds_the_edgeless_forest(self):
         """``tree_broadcast`` under the serial arm: no relays (a relay
         forwards a WR chain only the pipelined arm builds), so every
-        position is a root and the lowers run in order."""
+        position is a root, its Phase-0 images go unused and the lowers
+        run in order."""
         serial = replace(TREE, pipelined_deploy=False)
-        plan = _FanoutPlan.build(serial, 9, range(8, -1, -1), False, {})
-        assert plan.degree == 9 and plan.sequential
+        plan = _FanoutPlan.build(
+            serial, 9, range(8, -1, -1), False, {"t": object()}
+        )
+        assert plan.degree == 9 and plan.images == {} and plan.sequential
         assert all(not plan.children(pos, 9) for pos in range(9))
         bed = make_testbed(
             n_hosts=9, cores_per_host=2, hooks=("ingress",),

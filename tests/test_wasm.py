@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import JitError, ReproError, SandboxCrash, SandboxError, VerifierError
-from repro.ebpf.jit import PLACEHOLDER
 from repro.wasm.compiler import decode_wasm_image, wasm_compile
 from repro.wasm.filters import (
     VERSION_HEADER_KEY,
