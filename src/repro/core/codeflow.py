@@ -95,7 +95,8 @@ class DeployedProgram:
     #: extent becomes the baseline.
     image: Optional[bytes] = None
     #: (arch, GOT-layout fingerprint) the image was linked under: the
-    #: part of the link-stage key a delta deploy must match.
+    #: part of the link-stage key a delta deploy must match, and what
+    #: certifies the layout for the next deploy on its hook.
     layout: Optional[tuple] = None
     #: Superseded-but-resident extent kept alive as the delta diff
     #: base (None when no baseline is registered).
@@ -243,8 +244,9 @@ class CodeFlow:
         #: trace roots (multi-tenant aggregation; "" = unowned).
         self.tenant = ""
         #: True when the last :meth:`link_code` was served from the
-        #: artifact store (a link-stage hit or a pin) -- the deploy
-        #: then skips the stub rendezvous (the layout is known).
+        #: artifact store (a link-stage hit or a pin) -- one of the two
+        #: ways a deploy's layout is certified and it skips the stub
+        #: rendezvous (:meth:`_layout_matches` is the other).
         self._last_link_cached = False
         #: The link-stage key of the last :meth:`link_code` -- its
         #: ``(arch, fingerprint)`` tail is what certifies a delta
@@ -559,17 +561,15 @@ class CodeFlow:
         ``rdx.delta.fallback`` -- correctness never depends on delta
         eligibility.
         """
-        owner_name = self._hook_owner.get(hook_name)
-        existing = self.deployed.get(owner_name) if owner_name else None
+        existing = self._owner(hook_name)
         image = linked.code
-        key = self._last_link_key
         spans = reason = None
-        if delta and key is not None:
+        if delta and self._last_link_key is not None:
             if existing is None:
                 reason = "first-deploy"
             elif existing.baseline_addr is None or existing.baseline_image is None:
                 reason = "no-baseline"
-            elif existing.layout is None or existing.layout != key[1:]:
+            elif not self._layout_matches(existing):
                 # The link stage could not certify the (arch, GOT
                 # fingerprint) layout is unchanged: resolved addresses
                 # may have moved, so a byte diff would be meaningless.
@@ -608,6 +608,28 @@ class CodeFlow:
             plan.flush.append((base + offset, len(payload)))
         return plan
 
+    def _owner(self, hook_name: str) -> Optional[DeployedProgram]:
+        """The record of the program that owns ``hook_name``, if any."""
+        owner_name = self._hook_owner.get(hook_name)
+        return self.deployed.get(owner_name) if owner_name else None
+
+    def _layout_matches(self, existing: Optional[DeployedProgram]) -> bool:
+        """True when ``existing`` was linked at the (arch, GOT
+        fingerprint) layout the last :meth:`link_code` produced.
+
+        A committed deploy records its layout; a rollback, a reboot and
+        an adoption leave none, so after any of them this is False until
+        a deploy commits again.  It is both a delta plan's layout
+        condition and, with ``_last_link_cached``, what lets a deploy
+        skip the stub rendezvous.
+        """
+        key = self._last_link_key
+        return (
+            existing is not None
+            and key is not None
+            and existing.layout == key[1:]
+        )
+
     def _stage(
         self,
         program: BpfProgram,
@@ -633,9 +655,10 @@ class CodeFlow:
         * dispatch costs the schedule's ``dispatch_us`` -- every WQE
           prepared and polled separately, or the whole chain once, the
           flip's WQEs included, so a flip pays no dispatch;
-        * the stub rendezvous runs unless the linked image hit the
-          layout-fingerprinted cache -- a hit certifies the Meta
-          descriptor + GOT window already match;
+        * the stub rendezvous runs unless the layout is certified: the
+          linked image hit the layout-fingerprinted cache, or the hook's
+          owner was linked at the same layout (:meth:`_layout_matches`)
+          -- either way the Meta descriptor + GOT window already match;
         * the writes, the descriptor and ``tail`` go out as one
           :meth:`RemoteSync.install`, a chain or one WR at a time (the
           schedule's depth), whose flushes
@@ -665,7 +688,10 @@ class CodeFlow:
             except BaseException:
                 prep.interrupt("deploy abandoned")
                 raise
-        if not self._last_link_cached:
+        if not (
+            self._last_link_cached
+            or self._layout_matches(self._owner(hook_name))
+        ):
             yield params.RDX_STUB_RENDEZVOUS_US
         report.dispatch_us = self.sim.now - mark
 
@@ -1237,13 +1263,11 @@ class CodeFlow:
     def xstate_lookup(self, handle: XStateHandle, key: bytes) -> Generator:
         """Remote map lookup via one-sided READs (no target CPU)."""
         spec = handle.spec
-        slot_bytes = spec.slot_bytes()
         image = yield from self.read_raw(handle.data_addr, spec.data_bytes())
         rebuilt = BpfMap.deserialize(
             image, spec.map_type, spec.key_size, spec.value_size,
             spec.max_entries, name=spec.name,
         )
-        del slot_bytes
         return rebuilt.lookup(key)
 
     def xstate_update(

@@ -71,9 +71,9 @@ class _TokenBucket:
 
         The debit happens immediately -- before the caller yields -- so
         two interleaved generators can never both observe the same
-        balance and overdraw the budget (the old ``delay_for`` ...
-        ``take`` two-step let exactly that happen: both passed the
-        check, both took, and the tenant got double its rate).  A
+        balance and overdraw the budget (a ``delay_for`` peek followed
+        by a separate debit let exactly that happen: both passed the
+        check, both debited, and the tenant got double its rate).  A
         negative balance is a *reservation deficit*: the returned delay
         is how long the refill stream needs to repay it, so back-to-back
         reservers serialize at precisely the configured rate.
@@ -83,15 +83,6 @@ class _TokenBucket:
         if self._tokens >= 0:
             return 0.0
         return -self._tokens / self.rate_per_us
-
-    def take(self, amount: float) -> None:
-        """Deprecated two-step spend; kept for API compatibility.
-
-        Callers should use :meth:`reserve` -- a ``delay_for``/``take``
-        pair is racy across yields.
-        """
-        self._refill()
-        self._tokens -= amount
 
 
 class QosScheduler:

@@ -212,7 +212,9 @@ CONTROLLER_BATCH_DELAY_US = 5_000.0
 #: server, not the target host.
 RDX_DISPATCH_US = 17.0
 #: Management-stub rendezvous: reading the Meta descriptor + GOT window
-#: via one-sided READs amortizes to this fixed cost per deploy, us.
+#: via one-sided READs amortizes to this fixed cost per uncertified
+#: layout, us (a deploy whose layout a link-stage hit, a pin or the
+#: hook owner's record already certifies skips it).
 RDX_STUB_RENDEZVOUS_US = 8.0
 #: Remote linking (binary rewriting) cost per relocation entry, us.
 RDX_LINK_PER_RELOC_US = 0.05

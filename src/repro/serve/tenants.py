@@ -134,7 +134,3 @@ class TenantDirectory:
     def class_of(self, tenant: str) -> Optional[PriorityClass]:
         name = self._class_of.get(tenant)
         return self.classes[name] if name is not None else None
-
-    def tenants(self) -> dict[str, str]:
-        """tenant -> class-name snapshot."""
-        return dict(self._class_of)

@@ -18,7 +18,7 @@ Two deliberate departures from that commit, both in the serial arm:
   phase, now counts as ``write`` (:data:`SERIAL_DESCRIPTOR_WRITE_US`);
   ``total_us`` is unchanged.
 
-Four later changes moved rows on purpose, and the table was
+Five later changes moved rows on purpose, and the table was
 regenerated by the command above for each:
 
 * a full image written into a *reused* extent is flushed before the
@@ -35,7 +35,10 @@ regenerated by the command above for each:
 * the JIT's charge runs under the verifier's on a second control-host
   core, so every pipelined and delta compile miss runs 3 more events
   (the spawned ``jit`` charge's start, CPU slice and end); no reported
-  number moves, since a deploy's phases start after its prepare.
+  number moves, since a deploy's phases start after its prepare;
+* a deploy onto a hook whose owner was linked at the same layout skips
+  the 8 us stub rendezvous, so every pipelined row from ``patch`` on
+  reads ``dispatch`` 3.0 where it read 11.0 and runs one event fewer.
 
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
@@ -265,44 +268,44 @@ ORACLE = {
             State(16384, [1], 2, 3, (1, 1, 0, 0, 0, 0), 92),
         ),
         'patch': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 1, 0, 0, 3, [8192], 8192),
-            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 125),
+            Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 1, 0, 0, 3, [8192], 8192),
+            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 124),
         ),
         'grown': (
-            Deployed((11.0, 0.05, 4.01208, 0.0, 2.0), 17.06208, 'full', 13268, 0, 0, 16384, 1, 4, [8192, 0], 0),
-            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 160),
+            Deployed((3.0, 0.05, 4.01208, 0.0, 2.0), 9.06208, 'full', 13268, 0, 0, 16384, 1, 4, [8192, 0], 0),
+            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 158),
         ),
         'takeover': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 29440, 0, 5, [8192, 0, 16384], 16384),
-            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 193),
+            Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 29440, 0, 5, [8192, 0, 16384], 16384),
+            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 190),
         ),
         'noretain-1': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 37632, 1, 6, [8192, 0, 16384], 29440),
-            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 226),
+            Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 37632, 1, 6, [8192, 0, 16384], 29440),
+            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 222),
         ),
         'noretain-2': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 5, 29440, 0, 7, [8192, 0, 16384], 37632),
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 259),
+            Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 5, 29440, 0, 7, [8192, 0, 16384], 37632),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 254),
         ),
         'conflict': (
             'DeployError',
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 310),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 304),
         ),
         'heal': (
-            Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 45824, 1, 8, [8192, 0, 16384], 29440),
-            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 344),
+            Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 45824, 1, 8, [8192, 0, 16384], 29440),
+            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 337),
         ),
         'patch-2': (
-            Deployed((11.0, 0.05, 2.97688, 0.0, 2.0), 16.02688, 'delta', 320, 1, 7, 29440, 0, 9, [8192, 0, 16384], 45824),
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 377),
+            Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 7, 29440, 0, 9, [8192, 0, 16384], 45824),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 369),
         ),
         'image-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 398),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 389),
         ),
         'descriptor-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 419),
+            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 409),
         ),
     },
 }

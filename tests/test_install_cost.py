@@ -18,7 +18,11 @@ RNIC is handed, so none of the following can come back unnoticed:
 * the fence READ is posted the instant the dispatch starts and flies
   under it, so no microsecond of a deploy falls outside its phases
   (fencing first left one READ round trip in no phase) -- on a relayed
-  tree leg's stage too, where the dispatch is the relay host's.
+  tree leg's stage too, where the dispatch is the relay host's;
+* a new version on a hook whose owner was linked at the same layout
+  skips the stub rendezvous, and every path that can leave the layout
+  unknown -- a first deploy, a rollback, a reboot, an adoption, a
+  moved map, the serial schedule -- still pays it.
 """
 
 from collections import Counter
@@ -27,7 +31,10 @@ import pytest
 
 from repro import params
 from repro.core.broadcast import CodeFlowGroup
-from repro.ebpf.stress import make_stress_program
+from repro.core.reconcile import Reconciler, resume_control_plane
+from repro.core.xstate import XStateSpec
+from repro.ebpf.maps import MapType
+from repro.ebpf.stress import make_stress_program, make_stress_variant
 from repro.exp.harness import make_testbed
 
 pytestmark = pytest.mark.arm(pipelined_deploy=True)
@@ -196,4 +203,110 @@ def test_a_relayed_leg_fences_under_the_relay_hosts_dispatch(config):
         name == "wqe-chain:2"
         and now == pytest.approx(started + relayed.dispatch_us, abs=1e-9)
         for name, now in log
+    )
+
+
+# -- the stub rendezvous: once per uncertified layout --------------------------
+
+
+def _rendezvous_us(codeflow, report) -> float:
+    """What ``report``'s dispatch paid beyond the schedule's WQE prep."""
+    return report.dispatch_us - codeflow.schedule.dispatch_us
+
+
+def _base():
+    return make_stress_program(400, seed=7, name="app")
+
+
+def _delta_patch(bed):
+    _inject(bed, _base())
+    return bed.codeflow, _inject(bed, make_stress_variant(_base(), 5, name="app"))
+
+
+def _cold_onto_a_same_layout_owner(bed):
+    _inject(bed, _base())
+    return bed.codeflow, _inject(bed, make_stress_program(300, seed=2, name="other"))
+
+
+def _first_deploy(bed):
+    return bed.codeflow, _inject(bed, _base())
+
+
+def _after_rollback(bed):
+    _inject(bed, _base())
+    _inject(bed, make_stress_variant(_base(), 5, name="app"))
+    bed.sim.run_process(bed.codeflow.rollback("app"))
+    return bed.codeflow, _inject(bed, make_stress_variant(_base(), 6, name="app"))
+
+
+def _after_reboot(bed):
+    codeflow = bed.codeflow
+    _inject(bed, _base())
+    bed.sandbox.warm_reboot()
+    codeflow.reset_after_reboot()
+    bed.sim.run_process(codeflow.stamp_epoch(bed.control.epoch))
+    return codeflow, _inject(bed, make_stress_variant(_base(), 5, name="app"))
+
+
+def _after_adopt(bed):
+    _inject(bed, _base())
+    plane, codeflows = bed.sim.run_process(
+        resume_control_plane(
+            bed.cluster.control_host, bed.control.journal, bed.sandboxes
+        )
+    )
+    bed.sim.run_process(Reconciler(plane).reconcile_all(codeflows))
+    assert codeflows[0].deployed["app"].layout is None
+    report = bed.sim.run_process(
+        plane.inject(
+            codeflows[0], make_stress_variant(_base(), 5, name="app"), "ingress"
+        )
+    )
+    return codeflows[0], report
+
+
+def _after_a_moved_map(bed):
+    """``stress_map`` comes back one chunk deeper, behind a decoy that
+    took its old chunk: the same program now links at another layout."""
+    codeflow, run = bed.codeflow, bed.sim.run_process
+    mapper = make_stress_program(400, seed=5, with_map=True, name="mapper")
+    state = XStateSpec("stress_map", MapType.ARRAY, 4, 8, 4)
+    handle = run(codeflow.deploy_xstate(state))
+    _inject(bed, mapper)
+    run(codeflow.destroy_xstate(handle))
+    run(codeflow.deploy_xstate(XStateSpec("decoy", MapType.ARRAY, 4, 8, 4)))
+    moved = run(codeflow.deploy_xstate(state))
+    assert moved.data_addr != handle.data_addr
+    return codeflow, _inject(bed, mapper)
+
+
+#: Case -> (what runs before the deploy under test, whether it pays).
+RENDEZVOUS = {
+    "delta-patch": (_delta_patch, False),
+    "cold-onto-a-same-layout-owner": (_cold_onto_a_same_layout_owner, False),
+    "first-deploy": (_first_deploy, True),
+    "after-rollback": (_after_rollback, True),
+    "after-reboot": (_after_reboot, True),
+    "after-adopt": (_after_adopt, True),
+    "after-a-moved-map": (_after_a_moved_map, True),
+}
+
+
+@pytest.mark.parametrize(
+    "step, paid",
+    [pytest.param(*case, id=name) for name, case in RENDEZVOUS.items()]
+    + [
+        pytest.param(
+            _delta_patch, True, id="serial",
+            marks=pytest.mark.arm(pipelined_deploy=False),
+        )
+    ],
+)
+def test_the_stub_rendezvous_is_paid_once_per_uncertified_layout(
+    testbed, step, paid
+):
+    codeflow, report = step(testbed)
+    assert codeflow.control_plane.link_cache_hits == 0  # every link is new
+    assert _rendezvous_us(codeflow, report) == pytest.approx(
+        params.RDX_STUB_RENDEZVOUS_US if paid else 0.0, abs=1e-9
     )

@@ -17,6 +17,9 @@ deploy_prog -> pin admit.  The checks:
 * two cold tickets on one target compile concurrently, and their
   ``deploy_prog`` intervals never overlap;
 * a hotpatch overtakes bulk tickets queued at the install gate;
+* a cold ticket whose hook owner was linked at the same layout holds
+  the lock for its link, dispatch, install and settle -- no stub
+  rendezvous -- so a hotpatch queued behind it waits that long only;
 * with two tenants interleaved on one target, each tenant's
   ``rdx.tenant.install_visible_us`` series counts only its own deploys.
 """
@@ -204,6 +207,57 @@ def test_hotpatch_overtakes_bulk_at_the_install_gate(testbed):
     assert bed.control.prepare_coalesced == 2
     queued = sorted(ticket.finished_us for ticket in bulk)[1:]
     assert patch.finished_us < queued[0]
+
+
+def test_a_same_layout_cold_install_holds_the_lock_without_a_rendezvous(
+    testbed, monkeypatch
+):
+    bed = testbed
+    codeflow = bed.codeflow
+    service = _service(bed, workers=2)
+    hot = _prewarmed(bed, service)
+    granted = {}
+    link_code = codeflow.link_code
+
+    def linked_under_the_lock(binary, parent_span=None):
+        # Only a cold ticket links; it does so the instant its lock is
+        # granted.  The second one's hotpatch queues behind it.
+        if "owner" in granted:
+            granted["cold"] = bed.sim.now
+            granted["patch"] = service.submit("pager", codeflow, hot, "ingress")
+        return (yield from link_code(binary, parent_span))
+
+    monkeypatch.setattr(codeflow, "link_code", linked_under_the_lock)
+    service.start()
+
+    def body():
+        alone = service.submit("pager", codeflow, hot, "ingress")
+        yield alone.done
+        owner = service.submit(
+            "dev", codeflow, make_stress_program(300, seed=3, name="cold"), "egress"
+        )
+        yield owner.done
+        granted["owner"] = owner
+        cold = service.submit(
+            "dev", codeflow, make_stress_program(300, seed=4, name="cold"), "egress"
+        )
+        yield cold.done
+        yield granted["patch"].done
+        return alone, cold, granted["patch"]
+
+    alone, cold, patch = bed.sim.run_process(body())
+    report = cold.report
+    assert not report.warm and report.mode == "full"
+    assert report.dispatch_us == pytest.approx(params.RDX_DISPATCH_FAST_US)
+    # The lock is held for link + dispatch + install + settle, and the
+    # hotpatch installs the instant it is released.
+    held = report.link_us + report.dispatch_us + report.write_us + report.cc_us
+    assert patch.finished_us == pytest.approx(
+        granted["cold"] + held + patch.report.total_us
+    )
+    # Its idle service time plus what is left of that hold after its
+    # own warm probe (~8.0 us; a hold paying the rendezvous left ~16).
+    assert patch.service_us <= alone.service_us + 8.1
 
 
 def test_each_tenant_series_counts_only_its_own_installs(testbed):
