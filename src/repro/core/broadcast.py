@@ -10,7 +10,8 @@ transactions).  Consistency comes from **Big Bubble Update (BBU)**:
    executing mixed logic): as its stage lands, or, when the verdict
    was still pending, in one fenced raise walk once it is in,
 2. flip each hook to its staged image, one CAS once its bubble is up,
-3. lower the flags in dependency order, releasing buffered requests.
+3. decide on the CAS answers, then lower the flags -- each once its
+   own hook line is flushed -- releasing buffered requests.
 
 Only steps 2 and 3 sit inside the window, and RDX moves a hook in
 microseconds, so the bubble -- and therefore the request buffer --
@@ -89,6 +90,8 @@ class BroadcastResult:
     first_raised_us: float = 0.0
     #: When the last raise's flush landed: the window opens.
     bubble_raised_us: float = 0.0
+    #: When every flip's CQE was in: the commit decision is taken here,
+    #: while the flips' hook-line flushes may still be landing.
     deploys_done_us: float = 0.0
     bubble_lowered_us: float = 0.0
     #: The consistency-critical window during which requests buffer.
@@ -140,8 +143,8 @@ class _FanoutPlan:
     A broadcast makes three visits: stage, flip (under a pending
     verdict, a raise that flips each leg once its bubble is up) and
     lower.  Any list of positions one visit walks -- the legs of the
-    stage phase, the staged legs of the flip phase, the lowerable
-    bubbles of the lower phase -- is a d-ary forest: the first
+    stage phase, the staged legs of the flip phase, the legs still ok
+    at the lower phase -- is a d-ary forest: the first
     ``degree`` positions are roots, served by the control plane itself,
     and position ``p`` hands on to positions
     ``[(p+1)*d, (p+2)*d)`` -- depth ceil(log_d N) with every parent
@@ -160,7 +163,8 @@ class _FanoutPlan:
     #: flat legs deploy the Phase-0 image instead was measured: the
     #: N=13 window grows 54.79 -> 61.69 us).
     images: dict
-    #: Group indices in the order their bubbles are lowered.
+    #: Group indices in the order sequential lowers drop their
+    #: bubbles; an unordered lower walks the forest in group order.
     order: tuple
     #: True: lower one bubble at a time, in ``order`` (an explicit
     #: dependency_order -- a caller's bubble only drops once its
@@ -236,22 +240,29 @@ class CodeFlowGroup:
         codeflow: CodeFlow,
         flushes: list,
         sync: Optional[RemoteSync] = None,
+        after=None,
     ) -> Generator:
         """One lowering, failure-isolated: a failed lower (unreachable,
         flaky) is counted, never fatal, and never strands a sibling.  A
         *relayed* lower (``sync`` riding a forest parent's QP) that
         fails retries once directly first -- a crashed relay must never
-        leave its subtree buffering.  Returns the codeflow either way:
-        the children keep relaying through this target."""
+        leave its subtree buffering.  ``after`` is the leg's settle: the
+        target runs unbuffered only once its own hook line was flushed,
+        and a settle that failed leaves the bubble up, counted as a
+        failed lower.  Returns the codeflow either way: the children
+        keep relaying through this target."""
         try:
+            if after is not None and not after.ok:
+                yield after  # still flushing, or failed: then it raises
             yield from self._write_bubble(
                 codeflow, 0, sync or codeflow.sync, flushes
             )
         except ReproError:
             if sync is not None:
                 self._relay_returned(sync, codeflow.sync)
-                self._relay_fallback(codeflow, "lower")
-                return (yield from self._lower_leg(codeflow, flushes))
+                if after is None or after.ok:
+                    self._relay_fallback(codeflow, "lower")
+                    return (yield from self._lower_leg(codeflow, flushes))
             self.control_plane.obs.counter(
                 "rdx.broadcast.bubble_lower_failed",
                 target=self._label(codeflow.sandbox.name, self.shard),
@@ -368,9 +379,11 @@ class CodeFlowGroup:
         """Deploy ``programs[i]`` to ``codeflows[i]`` transactionally.
 
         ``dependency_order`` lists group indices in the order bubbles
-        must be lowered (callees before callers); default is reverse
-        group order.  Programs must already be prepared (validated +
-        compiled) or preparable; linking happens per target.
+        must be lowered, one at a time (callees before callers); the
+        serial arm lowers in reverse group order, and without an order
+        the pipelined arm's lowers walk the forest.  Programs must
+        already be prepared (validated + compiled) or preparable;
+        linking happens per target.
 
         ``verify`` reads every staged image back and checks its
         trailing CRC before its hook flips, so silent payload corruption
@@ -403,9 +416,13 @@ class CodeFlowGroup:
         ``config.tree_degree``: a staged sandbox relays its children
         the chained WR list, and the flips and lowers follow the same
         edges, so every phase grows ~O(log N) instead of serializing N
-        legs through the control RNIC.  The window holds the flips
-        left at the last raise and the lowers: ``bubble_window_us``
-        runs from the last raise, ``bubble_hold_us`` from the first.  A
+        legs through the control RNIC.  The commit decision needs only
+        the flips' CAS answers, so it is taken as the last CQE is in;
+        each lower then waits only for its own leg's hook-line flush,
+        and a failed leg is lowered directly, beside the walk.  The
+        window holds the flips left at the last raise and the lowers:
+        ``bubble_window_us`` runs from the last raise,
+        ``bubble_hold_us`` from the first.  A
         ``coordinator`` (see :class:`repro.core.shard.ShardCoordinator`)
         makes this group one shard of a larger cross-shard transaction:
         bubbles are held until every shard votes, and a sibling shard's
@@ -594,7 +611,8 @@ class CodeFlowGroup:
                 # children -- depth grows with log(N) -- and a leg lands
                 # its image where no hook points, its bubble raise
                 # riding the stage's tail unless a verdict is pending.
-                settles: list = []
+                #: group index -> the spawned flush of its hook line.
+                settles: dict = {}
                 yield from self._walk(plan, live, "stage", stage)
                 # An unsharded all-or-nothing broadcast whose stage
                 # failed a leg raises and flips nothing.
@@ -628,22 +646,21 @@ class CodeFlowGroup:
 
                 # Phase 2: flip the legs left staged down the forest --
                 # a fenced commit CAS and the hook line's doorbell each.
-                # A flip's flush lands before its bubble may drop (a CQE
-                # alone is no proof the target CPU sees the pointer), so
-                # the phase joins them all.
+                # The decision needs only the CAS answers, so it is
+                # taken as the last CQE is in; each flip's flush runs on
+                # as its settle, which its own lower waits for (a CQE
+                # alone is no proof the target CPU sees the pointer).
                 if staged and flipping:
                     flippable = [index for index in live if index in staged]
 
                     def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
                         index = flippable[pos]
                         return self._flip_leg(
-                            self.codeflows[index], staged.pop(index),
-                            result.outcomes[index], via, settles,
+                            index, staged.pop(index), result.outcomes[index],
+                            via, settles,
                         )
 
                     yield from self._walk(plan, flippable, "flip", flip)
-                if settles:
-                    yield self.sim.all_of(settles)
                 result.deploys_done_us = self.sim.now
                 if txn is not None:
                     plane.journal.phase(txn, "deployed")
@@ -673,6 +690,9 @@ class CodeFlowGroup:
                         len(survivors), len(failures), allow_partial
                     )
                 if decision == "abort":
+                    if settles:
+                        # Rollback reads what each settle records.
+                        yield self.sim.all_of(settles.values())
                     yield from self._abort(programs, result, staged)
                 elif failures:
                     result.degraded = True
@@ -686,41 +706,66 @@ class CodeFlowGroup:
                 # it strands are the reconciler's to repair.
                 if use_bbu and not plane.crashed:
                     flushes = []
-                    lowerable = [
+                    # A leg the lease layer skipped posted no WR, and a
+                    # fenced leg never raised its bubble (a stale writer
+                    # has no business lowering the successor's).
+                    lowerable = {
                         index
-                        for index in plan.order
-                        # A fenced leg never raised its bubble, and a
-                        # stale writer has no business lowering the
-                        # successor's.
+                        for index in live
                         if result.outcomes[index].error_kind
                         != "StaleEpochError"
-                    ]
+                    }
                     if plan.sequential:
-                        for index in lowerable:
-                            yield from self._lower_leg(
-                                self.codeflows[index], flushes
-                            )
+                        for index in plan.order:
+                            if index in lowerable:
+                                yield from self._lower_leg(
+                                    self.codeflows[index], flushes,
+                                    after=settles.get(index),
+                                )
                     else:
-                        # Drop the bubbles down the same-shaped forest
-                        # the stages used: linear lowers through the
-                        # control RNIC would hand the window right
-                        # back its O(N) term.  Each lowering chain
-                        # rides its parent's QP (relay syncs are
-                        # already warm from the stage phase).
+                        # Drop the bubbles down the forest the stages,
+                        # raises and flips walked: linear lowers through
+                        # the control RNIC would hand the window right
+                        # back its O(N) term.  Its roots flipped first,
+                        # and each lowering chain rides the relay QP its
+                        # leg's flip used.  A failed leg is no node: the
+                        # control plane lowers it beside the walk, so a
+                        # dead host's retry budget holds up no subtree.
+                        forest = [
+                            index for index in live if result.outcomes[index].ok
+                        ]
+                        beside = [
+                            self.sim.spawn(
+                                self._lower_leg(self.codeflows[index], flushes),
+                                name=f"lower:{self.codeflows[index].sandbox.name}",
+                            )
+                            for index in live
+                            if index in lowerable and not result.outcomes[index].ok
+                        ]
 
                         def lower(pos: int, via: Optional[CodeFlow]) -> Generator:
-                            codeflow = self.codeflows[lowerable[pos]]
+                            index = forest[pos]
+                            codeflow = self.codeflows[index]
                             sync = None
                             if via is not None and not via.sandbox.host.crashed:
                                 sync = self._relay_sync(via, codeflow)
-                            return self._lower_leg(codeflow, flushes, sync)
+                            return self._lower_leg(
+                                codeflow, flushes, sync, settles.get(index)
+                            )
 
-                        yield from self._walk(plan, lowerable, "lower", lower)
+                        yield from self._walk(plan, forest, "lower", lower)
+                        if beside:
+                            yield self.sim.all_of(beside)
                     if flushes:
                         # The trailing flushes overlap the lowering
                         # writes; only the last target's ~2us flush can
                         # extend the window past its lowering write.
                         yield self.sim.all_of(flushes)
+            if settles and not result.aborted:
+                # Every report is complete on return.  Each lower waited
+                # for its own settle, so only without a bubble does this
+                # wait at all.
+                yield self.sim.all_of(settles.values())
         result.bubble_lowered_us = self.sim.now
         result.bubble_window_us = result.bubble_lowered_us - result.bubble_raised_us
         # The window is only known after the span closed; stamp it onto
@@ -788,7 +833,7 @@ class CodeFlowGroup:
     # -- per-target legs ------------------------------------------------------
 
     def _raise_and_flip(
-        self, plan, live, staged: dict, result, use_bbu: bool, settles: list
+        self, plan, live, staged: dict, result, use_bbu: bool, settles: dict
     ) -> Generator:
         """The walk of legs staged under a pending verdict: a root
         raises over the control plane's QP, a child over its parent's
@@ -801,12 +846,12 @@ class CodeFlowGroup:
         raisable = [index for index in live if index in staged]
         flips: list = []
 
-        def flip(index, codeflow, via, flushes: list) -> Generator:
+        def flip(index, via, flushes: list) -> Generator:
             if flushes:
                 yield flushes[0]  # a CQE alone is no proof it landed
             ready = self.sim.now
             yield from self._flip_leg(
-                codeflow, staged.pop(index), result.outcomes[index], via, settles
+                index, staged.pop(index), result.outcomes[index], via, settles
             )
             return ready
 
@@ -825,7 +870,7 @@ class CodeFlowGroup:
             if raised is None:
                 codeflow.unstage(staged.pop(index))
                 return None
-            leg = flip(index, codeflow, via, flushes)
+            leg = flip(index, via, flushes)
             flips.append(self.sim.spawn(leg, name=f"flip:{codeflow.sandbox.name}"))
             return raised
 
@@ -995,27 +1040,33 @@ class CodeFlowGroup:
                 raise
         return staged
 
-    def _flip_leg(self, codeflow, plan, outcome, via, settles: list) -> Generator:
-        """One flip, failure-isolated, over ``via``'s relay QP when it is
-        up: a relay *path* failure before the CAS ran retries once
-        directly (``reason="flip"``), the lower's rule.  Returns the
-        codeflow, or None when the leg failed -- unstaged if its CAS
-        never ran (a torn, committed chain is the reconciler's)."""
+    def _flip_leg(self, index, plan, outcome, via, settles: dict) -> Generator:
+        """Flip group member ``index``, failure-isolated, over ``via``'s
+        relay QP when it is up: a relay *path* failure before the CAS
+        ran retries once directly (``reason="flip"``), the lower's rule.
+        The CAS's answer is the leg's vote; the flush of its hook line
+        runs on as ``settles[index]``, which only its own lower waits
+        for.  Returns the codeflow, or None when the leg failed --
+        unstaged if its CAS never ran (a torn, committed chain is the
+        reconciler's)."""
+        codeflow = self.codeflows[index]
         relayed = via is not None and not via.sandbox.host.crashed
+        settle: list = []
         try:
             try:
-                step = codeflow.flip_prog(plan, settles=settles)
+                step = codeflow.flip_prog(plan, settles=settle)
                 yield from self._relayed(codeflow, via, step) if relayed else step
             except RdmaError:
                 if not relayed or plan.prior is not None:
                     raise
                 self._relay_fallback(codeflow, "flip")
-                yield from codeflow.flip_prog(plan, settles=settles)
+                yield from codeflow.flip_prog(plan, settles=settle)
         except ReproError as err:
             if plan.prior is None:
                 codeflow.unstage(plan)
             self._leg_failed(outcome, err)
             return None
+        settles[index] = settle[0]
         outcome.report = plan.report  # complete once its settle ran
         return codeflow
 

@@ -143,11 +143,26 @@ changes that move rows on purpose:
   -24, tree-d4 -8 or -16), sharded totals do not move.  No window,
   outcome, leak, counter or journal entry moved; flat and serial rows
   are unchanged.
+* each bubble lowered behind its own flip: the commit decision is
+  taken as the last flip's CQE is in, each lower waits only for its
+  own leg's hook-line flush, and the lowers walk the forest the
+  stages and flips walked, in group order, with a failed leg lowered
+  by the control plane beside the walk.  Every committing round of
+  every pipelined arm sheds 2.00 us of window and total; ``host-crashed``
+  on tree-d2 / tree-d4 sheds 9.40 / 6.70 us (the dead target is no
+  longer an interior node of the lower forest).  Aborting rounds keep
+  their times.  ``events`` moved only on rounds with a failed leg
+  (flat ``abort``, ``root-partial`` and ``host-crashed``, sharded-k3
+  ``abort`` and ``host-crashed``: +1 a failed round, the spawned
+  beside-lower).  No outcome, bubble,
+  leak, counter or journal entry moved; every serial and ``no-bbu``
+  row is unchanged.
 
 The ``leak`` column is the abort leak check: live code bytes, claimed
 descriptor slots and deployed records, summed over the targets.
 """
 
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
@@ -293,9 +308,9 @@ def root_fails(rack):
 
 @contextmanager
 def host_crashed(rack):
-    # Index 11: a leaf of the deploy forest, but position 1 of the
-    # (reversed) lower order -- a root whose children must not lower
-    # through a dead host.
+    # Index 11: a leaf of the deploy forest whose stage fails, so it is
+    # no node of the lower forest either: the control plane lowers it
+    # beside the walk, and its retry budget holds up no subtree.
     host = rack.codeflows[11].sandbox.host
     host.crash()
     try:
@@ -529,35 +544,35 @@ def rows() -> list:
 # fmt: off
 ORACLE = {
     ('flat', 'clean'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.3715999999997', '0.0', '51469.84976'), '0000000000000', 1512, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607680000000073', '1292.3715999999997', '0.0', '51469.84976'), '0000000000000', 1512, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.3715999999185', '0.0', '102707.49976'), '0000000000000', 2582, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1292.3715999999185', '0.0', '102707.49976'), '0000000000000', 2582, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.3715999999404', '0.0', '153945.14976'), '0000000000000', 3652, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1292.3715999999404', '0.0', '153945.14976'), '0000000000000', 3652, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1291.3004', '0.0', '51469.84976'), '0000000000000', 1421, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607680000000073', '1289.3004', '0.0', '51469.84976'), '0000000000000', 1421, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.3003999999419', '0.0', '102707.49976'), '0000000000000', 2400, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1289.3003999999419', '0.0', '102707.49976'), '0000000000000', 2400, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1291.3003999999491', '0.0', '153945.14976'), '0000000000000', 3379, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1289.3003999999491', '0.0', '153945.14976'), '0000000000000', 3379, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'ordered'): [
-        Round('', (('ok:full', 13),), ('50.919200000000046', '1318.6831199999997', '0.0', '51469.84976'), '0000000000000', 1485, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('48.919200000000046', '1316.6831199999997', '0.0', '51469.84976'), '0000000000000', 1485, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.6831199998633', '0.0', '102707.49976'), '0000000000000', 2528, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('48.91919999990205', '1316.6831199998633', '0.0', '102707.49976'), '0000000000000', 2528, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('50.91919999990205', '1318.683119999885', '0.0', '153945.14976'), '0000000000000', 3571, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('48.91919999990205', '1316.683119999885', '0.0', '153945.14976'), '0000000000000', 3571, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -573,40 +588,40 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'abort'): [
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999999988', '1279.7480799999996', '0.0', '51469.84976'), '0000000000000', 1298, (0, 0, 0),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999999988', '1279.7480799999996', '0.0', '51469.84976'), '0000000000000', 1299, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.3728799999153', '0.0', '102707.49976'), '0000000000000', 2380, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1292.3728799999153', '0.0', '102707.49976'), '0000000000000', 2381, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999975432', '1279.7480799999612', '0.0', '153945.14976'), '0000000000000', 3236, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('12.805119999975432', '1279.7480799999612', '0.0', '153945.14976'), '0000000000000', 3238, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('flat', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657040000000052', '1290.6217599999995', '0.0', '51469.84976'), '0000000000000', 1468, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('21.657040000000052', '1288.6217599999995', '0.0', '51469.84976'), '0000000000000', 1469, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.3715999999185', '0.0', '102707.49976'), '0000000000000', 2538, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1292.3715999999185', '0.0', '102707.49976'), '0000000000000', 2539, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('23.657039999961853', '1290.6217599999509', '0.0', '153945.14976'), '0000000000000', 3564, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('21.657039999961853', '1288.6217599999509', '0.0', '153945.14976'), '0000000000000', 3566, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.97520219172361', '1392.3294096412606', '0.0', '51469.84976'), '0000000000000', 1514, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('76.97520219172361', '1390.3294096412606', '0.0', '51469.84976'), '0000000000000', 1515, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('26.607679999957327', '1294.3715999999185', '0.0', '102707.49976'), '0000000000000', 2584, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607679999957327', '1292.3715999999185', '0.0', '102707.49976'), '0000000000000', 2585, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.3512437150057', '1388.8686369800125', '0.0', '153945.14976'), '0000000000000', 3656, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('76.3512437150057', '1386.8686369800125', '0.0', '153945.14976'), '0000000000000', 3658, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('flat', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('26.607680000000073', '1294.3715999999997', '0.0', '51469.84976'), '0000000000000', 1512, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('24.607680000000073', '1292.3715999999997', '0.0', '51469.84976'), '0000000000000', 1512, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('Interrupt', (), ('102707.49976',), '1111111111111', 2215, (39312, 26, 13),
@@ -617,35 +632,35 @@ ORACLE = {
               ()),
     ],
     ('tree-d2', 'clean'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955760000000055', '1312.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1290.5967999999484', '0.0', '102766.15448'), '0000000000000', 2585, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1288.5967999999484', '0.0', '102766.15448'), '0000000000000', 2585, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1290.5967999999702', '0.0', '154025.13184'), '0000000000000', 3650, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1288.5967999999702', '0.0', '154025.13184'), '0000000000000', 3650, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1306.1339199999995', '0.0', '51501.5352'), '0000000000000', 1429, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955760000000055', '1304.1339199999995', '0.0', '51501.5352'), '0000000000000', 1429, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1282.1339199999566', '0.0', '102754.87064'), '0000000000000', 2403, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1280.1339199999566', '0.0', '102754.87064'), '0000000000000', 2403, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1282.1339199999784', '0.0', '154008.20608'), '0000000000000', 3377, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1280.1339199999784', '0.0', '154008.20608'), '0000000000000', 3377, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'ordered'): [
-        Round('', (('ok:full', 13),), ('47.968560000000025', '1341.6095999999995', '0.0', '51507.17712'), '0000000000000', 1482, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('45.968560000000025', '1339.6095999999995', '0.0', '51507.17712'), '0000000000000', 1482, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('47.968559999906574', '1317.609599999887', '0.0', '102766.15448'), '0000000000000', 2509, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('45.968559999906574', '1315.609599999887', '0.0', '102766.15448'), '0000000000000', 2509, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('47.968559999906574', '1317.6095999999088', '0.0', '154025.13184'), '0000000000000', 3536, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('45.968559999906574', '1315.6095999999088', '0.0', '154025.13184'), '0000000000000', 3536, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -664,7 +679,7 @@ ORACLE = {
         Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999999991', '1303.7448799999995', '0.0', '51507.17712'), '0000000000000', 1295, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.5987199999436', '0.0', '102782.15576'), '0000000000000', 2385, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1312.5987199999436', '0.0', '102782.15576'), '0000000000000', 2385, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('10.103839999981574', '1279.7448799999838', '0.0', '154041.13312'), '0000000000000', 3226, (19656, 13, 13),
@@ -672,35 +687,35 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955760000000055', '1314.5967999999996', '0.0', '51507.17712'), '0000000000000', 1476, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('18.955760000000055', '1312.5967999999996', '0.0', '51507.17712'), '0000000000000', 1476, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1298.5967999999484', '0.0', '102774.15448'), '0000000000000', 2542, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1296.5967999999484', '0.0', '102774.15448'), '0000000000000', 2542, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('20.955759999967995', '1290.5967999999702', '0.0', '154033.13184'), '0000000000000', 3564, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('18.955759999967995', '1288.5967999999702', '0.0', '154033.13184'), '0000000000000', 3564, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+2', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('86.3777621917236', '1496.2952540760957', '0.0', '51507.17712'), '0000000000000', 1550, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('76.97520219172361', '1486.8926940760957', '0.0', '51507.17712'), '0000000000000', 1550, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1298.5967999999484', '0.0', '102766.15448'), '0000000000000', 2616, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1296.5967999999484', '0.0', '102766.15448'), '0000000000000', 2616, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('85.75380371499341', '1478.1725980456104', '0.0', '154025.13184'), '0000000000000', 3712, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('76.3512437150057', '1468.7700380456226', '0.0', '154025.13184'), '0000000000000', 3712, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d2', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955760000000055', '1312.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1290.5967999999484', '0.0', '102766.15448'), '0000000000000', 2585, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1288.5967999999484', '0.0', '102766.15448'), '0000000000000', 2585, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1290.5967999999702', '0.0', '154025.13184'), '0000000000000', 3650, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1288.5967999999702', '0.0', '154025.13184'), '0000000000000', 3650, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -708,7 +723,7 @@ ORACLE = {
         Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999999991', '1303.7448799999995', '0.0', '51507.17712'), '0000000000000', 1291, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('20.955759999967995', '1314.5987199999436', '0.0', '102782.15576'), '0000000000000', 2381, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955759999967995', '1312.5987199999436', '0.0', '102782.15576'), '0000000000000', 2381, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('10.103839999981574', '1279.7448799999838', '0.0', '154041.13312'), '0000000000000', 3218, (19656, 13, 13),
@@ -716,7 +731,7 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d2', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('20.955760000000055', '1314.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('18.955760000000055', '1312.5967999999996', '0.0', '51507.17712'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('Interrupt', (), ('102766.15448',), '1011001111000', 2022, (30240, 20, 13),
@@ -727,35 +742,35 @@ ORACLE = {
               ()),
     ],
     ('tree-d4', 'clean'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303840000000037', '1291.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1277.2811999999685', '0.0', '102742.82712'), '0000000000000', 2585, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1275.2811999999685', '0.0', '102742.82712'), '0000000000000', 2585, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1277.281199999983', '0.0', '153994.1408'), '0000000000000', 3650, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1275.281199999983', '0.0', '153994.1408'), '0000000000000', 3650, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1287.6392799999996', '0.0', '51488.69248'), '0000000000000', 1429, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303840000000037', '1285.6392799999996', '0.0', '51488.69248'), '0000000000000', 1429, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1271.639279999974', '0.0', '102737.1852'), '0000000000000', 2403, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1269.639279999974', '0.0', '102737.1852'), '0000000000000', 2403, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1271.6392799999885', '0.0', '153985.67792000002'), '0000000000000', 3377, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1269.6392799999885', '0.0', '153985.67792000002'), '0000000000000', 3377, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'ordered'): [
-        Round('', (('ok:full', 13),), ('45.017920000000004', '1322.9952799999996', '0.0', '51491.51344'), '0000000000000', 1484, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('43.017920000000004', '1320.9952799999996', '0.0', '51491.51344'), '0000000000000', 1484, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.0179199999111', '1306.995279999901', '0.0', '102742.82712'), '0000000000000', 2513, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('43.0179199999111', '1304.995279999901', '0.0', '102742.82712'), '0000000000000', 2513, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('45.0179199999111', '1306.9952799999155', '0.0', '153994.1408'), '0000000000000', 3542, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('43.0179199999111', '1304.9952799999155', '0.0', '153994.1408'), '0000000000000', 3542, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -774,7 +789,7 @@ ORACLE = {
         Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999999994', '1285.3799199999996', '0.0', '51491.51344'), '0000000000000', 1297, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.2824799999653', '0.0', '102750.82776'), '0000000000000', 2387, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1291.2824799999653', '0.0', '102750.82776'), '0000000000000', 2387, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('BroadcastAborted', (('ok', 12), ('DeployError', 1)), ('7.402559999987716', '1269.3799199999921', '0.0', '154002.14144'), '0000000000000', 3230, (19656, 13, 13),
@@ -782,35 +797,35 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303840000000037', '1293.2811999999997', '0.0', '51488.51344'), '0000000000000', 1476, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('13.303840000000037', '1291.2811999999997', '0.0', '51488.51344'), '0000000000000', 1476, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1285.2811999999685', '0.0', '102744.82712'), '0000000000000', 2542, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1283.2811999999685', '0.0', '102744.82712'), '0000000000000', 2542, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('15.303839999978663', '1277.281199999983', '0.0', '153995.54207999998'), '0000000000000', 3564, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('13.303839999978663', '1275.281199999983', '0.0', '153995.54207999998'), '0000000000000', 3564, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=_all}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.72584219172359', '1471.9796540760958', '0.0', '51491.51344'), '0000000000000', 1550, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('74.02456219172359', '1465.2783740760958', '0.0', '51491.51344'), '0000000000000', 1550, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1285.2811999999685', '0.0', '102742.82712'), '0000000000000', 2616, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1283.2811999999685', '0.0', '102742.82712'), '0000000000000', 2616, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('80.10188371500408', '1461.8569980456232', '0.0', '153994.1408'), '0000000000000', 3712, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('73.40060371501022', '1455.1557180456293', '0.0', '153994.1408'), '0000000000000', 3712, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=_all}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.relay_fallback{reason=TransientFault,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
     ('tree-d4', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303840000000037', '1291.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1277.2811999999685', '0.0', '102742.82712'), '0000000000000', 2585, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1275.2811999999685', '0.0', '102742.82712'), '0000000000000', 2585, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1277.281199999983', '0.0', '153994.1408'), '0000000000000', 3650, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1275.281199999983', '0.0', '153994.1408'), '0000000000000', 3650, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=_all}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed COMMIT'),)),
     ],
@@ -818,7 +833,7 @@ ORACLE = {
         Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999999994', '1285.3799199999996', '0.0', '51491.51344'), '0000000000000', 1293, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+1', 'rdx.broadcast.abort{}+1', 'rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+12', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed ABORT'),)),
-        Round('', (('ok:full', 13),), ('15.303839999978663', '1293.2824799999653', '0.0', '102750.82776'), '0000000000000', 2383, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303839999978663', '1291.2824799999653', '0.0', '102750.82776'), '0000000000000', 2383, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('BroadcastAborted', (('ok', 12), ('StaleEpochError', 1)), ('7.402559999987716', '1269.3799199999921', '0.0', '154002.14144'), '0000000000000', 3222, (19656, 13, 13),
@@ -826,7 +841,7 @@ ORACLE = {
               (('broadcast-1.beef0003', 'INTEND prepared bubbled deployed ABORT'),)),
     ],
     ('tree-d4', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('15.303840000000037', '1293.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('13.303840000000037', '1291.2811999999997', '0.0', '51491.51344'), '0000000000000', 1520, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+1', 'rdx.broadcast.count{}+1', 'rdx.broadcast.fanout{}+1', 'rdx.broadcast.latency_us{}+1', 'rdx.broadcast.legs{mode=full,target=_all}+13', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13'),
               (('broadcast-1.beef0001', 'INTEND prepared bubbled deployed COMMIT'),)),
         Round('Interrupt', (), ('102739.82712',), '1000111100000', 1964, (27216, 18, 13),
@@ -837,24 +852,24 @@ ORACLE = {
               ()),
     ],
     ('sharded-k3', 'clean'): [
-        Round('', (('ok:full', 13),), ('17.75511999999975', '175.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.75511999999975', '173.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100336.62456'), '0000000000000', 3025, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100336.62456'), '0000000000000', 3025, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '150384.83696'), '0000000000000', 4310, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '150384.83696'), '0000000000000', 4310, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'no-verify'): [
-        Round('', (('ok:full', 13),), ('17.75511999999975', '175.15703999999965', '0.0', '50285.5912'), '0000000000000', 1649, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.75511999999975', '173.15703999999965', '0.0', '50285.5912'), '0000000000000', 1649, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100330.98264'), '0000000000000', 2843, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100330.98264'), '0000000000000', 2843, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '150376.37408'), '0000000000000', 4037, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '150376.37408'), '0000000000000', 4037, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
@@ -870,46 +885,46 @@ ORACLE = {
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
     ('sharded-k3', 'abort'): [
-        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('69.51311999999928', '226.91503999999918', '124.21919999999886', '50288.41216'), '0000000000000', 1977, (0, 0, 0),
+        Round('BroadcastAborted', (('ok/det:full', 12), ('DeployError', 1)), ('69.51311999999928', '226.91503999999918', '124.21919999999886', '50288.41216'), '0000000000000', 1978, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100344.6252'), '0000000000000', 3287, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100344.6252'), '0000000000000', 3288, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('56.01151999992726', '213.4134399999166', '91.81535999989137', '150392.8376'), '0000000000000', 4714, (19656, 13, 13),
+        Round('BroadcastAborted', (('ok/rb:full', 12), ('DeployError', 1)), ('56.01151999992726', '213.4134399999166', '91.81535999989137', '150392.8376'), '0000000000000', 4716, (19656, 13, 13),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'root-partial'): [
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.353199999999845', '169.75511999999975', '0.0', '50269.74976'), '0000000000000', 1676, (18144, 12, 12),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('10.353199999999845', '167.75511999999975', '0.0', '50269.74976'), '0000000000000', 1676, (18144, 12, 12),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100325.96216'), '0000000000000', 2962, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100325.96216'), '0000000000000', 2962, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('DeployError', 1), ('ok:full', 12)), ('12.35319999998319', '169.75511999997252', '0.0', '150363.51215999998'), '0000000000000', 4184, (55944, 13, 13),
+        Round('', (('DeployError', 1), ('ok:full', 12)), ('10.35319999998319', '167.75511999997252', '0.0', '150363.51215999998'), '0000000000000', 4184, (55944, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=parent-failed,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=DeployError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'host-crashed'): [
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('78.47584219172307', '235.87776219172298', '0.0', '50288.41216'), '0000000000000', 1722, (18144, 12, 12),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('76.47584219172307', '233.87776219172298', '0.0', '50288.41216'), '0000000000000', 1723, (18144, 12, 12),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100336.62456'), '0000000000000', 3008, (37800, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100336.62456'), '0000000000000', 3009, (37800, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('77.85188371500408', '235.2538037149934', '0.0', '150384.83696'), '0000000000000', 4276, (55944, 13, 13),
+        Round('', (('ok:full', 11), ('TransientFault', 1), ('ok:full', 1)), ('75.85188371500408', '233.2538037149934', '0.0', '150384.83696'), '0000000000000', 4278, (55944, 13, 13),
               ('rdx.broadcast.bubble_lower_failed{target=shard2}+1', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.degraded{}+1', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+3', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=TransientFault}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=degraded}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-degraded COMMIT'))),
     ],
     ('sharded-k3', 'relay-broken'): [
-        Round('', (('ok:full', 13),), ('17.75511999999975', '175.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.75511999999975', '173.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100336.62456'), '0000000000000', 3025, (39312, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100336.62456'), '0000000000000', 3025, (39312, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '150384.83696'), '0000000000000', 4310, (58968, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '150384.83696'), '0000000000000', 4310, (58968, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.relay_fallback{reason=HostUnreachable,target=shard0}+1', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND COMMIT'), ('broadcast-1.beef0006', 'decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
     ],
@@ -917,7 +932,7 @@ ORACLE = {
         Round('BroadcastAborted', (('ok/det:full', 4), ('StaleEpochError', 1), ('ok/det:full', 8)), ('51.058319999999526', '208.46023999999943', '124.21919999999886', '50288.41216'), '0000000000000', 1972, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+3', 'rdx.broadcast.abort{}+3', 'rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+4', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.target_failures{kind=StaleEpochError}+1', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100344.6252'), '0000000000000', 3282, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100344.6252'), '0000000000000', 3282, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
         Round('BroadcastAborted', (('ok/rb:full', 4), ('StaleEpochError', 1), ('ok/rb:full', 8)), ('40.25703999995312', '197.65895999994245', '91.81535999989137', '150392.8376'), '0000000000000', 4704, (19656, 13, 13),
@@ -928,7 +943,7 @@ ORACLE = {
         Round('DeployError', (), ('50288.41216',), '0000000000000', 1587, (0, 0, 0),
               ('rdx.broadcast.abort_us{}+2', 'rdx.broadcast.abort{}+2', 'rdx.broadcast.bubble_window_us{}+2', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+9', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=abort}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0002', 'decided-abort ABORT'), ('broadcast-1.beef0001', 'INTEND ABORT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
-        Round('', (('ok:full', 13),), ('17.75511999997252', '175.15703999996185', '0.0', '100344.6252'), '0000000000000', 2894, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.755119999972521', '173.15703999996185', '0.0', '100344.6252'), '0000000000000', 2894, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0004', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0003', 'INTEND COMMIT'), ('broadcast-1.beef0004', 'decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0002', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
         Round('DeployError', (), ('150392.8376',), '0000000000000', 3958, (19656, 13, 13),
@@ -936,7 +951,7 @@ ORACLE = {
               (('broadcast-1.beef0006', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0005', 'INTEND ABORT'), ('broadcast-1.beef0006', 'decided-abort ABORT'), ('broadcast-1.beef0003', 'INTEND ABORT'), ('broadcast-1.beef0003', 'INTEND prepared bubbled deployed decided-abort ABORT'))),
     ],
     ('sharded-k3', 'plane-crash'): [
-        Round('', (('ok:full', 13),), ('17.75511999999975', '175.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
+        Round('', (('ok:full', 13),), ('15.75511999999975', '173.15703999999965', '0.0', '50288.41216'), '0000000000000', 1740, (19656, 13, 13),
               ('rdx.broadcast.bubble_window_us{}+3', 'rdx.broadcast.count{}+3', 'rdx.broadcast.fanout{}+3', 'rdx.broadcast.latency_us{}+3', 'rdx.broadcast.legs{mode=full,target=shard0}+5', 'rdx.broadcast.legs{mode=full,target=shard1}+4', 'rdx.broadcast.legs{mode=full,target=shard2}+4', 'rdx.broadcast.target.latency_us{}+13', 'rdx.broadcast.targets{}+13', 'rdx.shard.decisions{decision=commit}+1'),
               (('broadcast-1.beef0002', 'INTEND prepared bubbled deployed'), ('shard-commit-1.beef0001', 'INTEND COMMIT'), ('broadcast-1.beef0002', 'decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'), ('broadcast-1.beef0001', 'INTEND prepared bubbled deployed decided-commit COMMIT'))),
         Round('BroadcastAborted', (('ok/rb:full', 6), ('DeployError', 3), ('ok/rb:full', 4)), ('56.01151999992726', '213.4134399999166', '76.51279999990948', '100336.62456'), '0000010000000', 2951, (19656, 13, 13),
@@ -1088,6 +1103,100 @@ def test_table_reaches_what_it_claims():
     for arm in ("flat", "tree-d2", "tree-d4", "serial"):
         crash = ORACLE[arm, "plane-crash"][1]
         assert crash.journal[0][1] == "INTEND prepared"  # dangling
+
+
+# -- shape and schedule are timing --------------------------------------------
+
+#: The columns a fan-out's shape or schedule may not move: what a round
+#: did to the targets, the journal and the counters.  ``times`` and
+#: ``events`` are the fan-out's own.
+INVARIANT = ("raised", "outcomes", "bubbles", "leak", "journal", "counters")
+_ITEM13 = (
+    "ROADMAP item 13: a shard flips before it votes, so an abort "
+    "detaches or rolls back legs an unsharded arm unstages"
+)
+_PROGRESS = (
+    "walk progress at the crash instant; ROADMAP item 16 adds the "
+    "reconcile step that makes it comparable"
+)
+_SHARD_CRASH = (
+    "one shard's plane dies and the coordinator aborts the others; an "
+    "unsharded plane's broadcast is interrupted"
+)
+#: ``(scenario, column) -> (arms exempt, cause)``: every known
+#: divergence across arms, and why it is shape or which item removes it.
+EXCEPTIONS = {
+    ("abort", "outcomes"): (("sharded-k3",), _ITEM13),
+    ("stale-relayed", "outcomes"): (("sharded-k3",), _ITEM13),
+    ("plane-crash", "raised"): (("sharded-k3",), _SHARD_CRASH),
+    ("plane-crash", "outcomes"): (("sharded-k3",), _SHARD_CRASH),
+    ("plane-crash", "bubbles"): (tuple(ARMS), _PROGRESS),
+    ("plane-crash", "leak"): (tuple(ARMS), _PROGRESS),
+    ("plane-crash", "counters"): (tuple(ARMS), _PROGRESS),
+}
+#: Series a sharded broadcast observes once per shard's group.
+_PER_GROUP = (
+    "rdx.broadcast.count{", "rdx.broadcast.fanout{",
+    "rdx.broadcast.latency_us{", "rdx.broadcast.bubble_window_us{",
+    "rdx.broadcast.abort{", "rdx.broadcast.abort_us{",
+    "rdx.broadcast.degraded{",
+)
+
+
+def _invariant(rounds: list, column: str, sharded: bool) -> tuple:
+    """``column`` of each round with what is shape by construction
+    taken out: relay fallbacks follow the relay topology, and -- when
+    ``sharded`` is compared -- ``rdx.shard.*`` series and per-group
+    observations follow the shards, whose per-shard labels sum to the
+    aggregate ``_all``."""
+    if column != "counters":
+        return tuple(getattr(round_, column) for round_ in rounds)
+    merged = []
+    for round_ in rounds:
+        series: dict = {}
+        for entry in round_.counters:
+            if "relay_fallback{" in entry or entry.startswith("rdx.shard."):
+                continue
+            if sharded and entry.startswith(_PER_GROUP):
+                continue
+            name, delta = entry.rsplit("+", 1)
+            name = re.sub(r"target=shard\d+", "target=_all", name)
+            series[name] = series.get(name, 0) + int(delta)
+        merged.append(tuple(sorted(series.items())))
+    return tuple(merged)
+
+
+def test_every_arm_does_the_same_to_the_targets():
+    """Read from the table, no simulation: every arm that runs a
+    scenario agrees in every invariant column, round by round, but for
+    the listed exceptions (the journal is compared across unsharded
+    arms only: a sharded round adds its 2PC records)."""
+    for scenario, spec in SCENARIOS.items():
+        for column in INVARIANT:
+            exempt = EXCEPTIONS.get((scenario, column), ((), ""))[0]
+            arms = [
+                arm for arm in spec.arms
+                if arm not in exempt
+                and (column != "journal" or not ARMS[arm].shards)
+            ]
+            for arm in arms[1:]:
+                sharded = bool(ARMS[arm].shards or ARMS[arms[0]].shards)
+                want = _invariant(ORACLE[arms[0], scenario], column, sharded)
+                have = _invariant(ORACLE[arm, scenario], column, sharded)
+                assert have == want, (
+                    f"{scenario}/{column}: {arm} differs from {arms[0]}"
+                )
+
+
+def test_each_exception_is_a_divergence_the_table_shows():
+    """No stale entry: every exempt column really differs for its arms."""
+    for (scenario, column), (_, cause) in EXCEPTIONS.items():
+        assert cause
+        values = {
+            _invariant(ORACLE[arm, scenario], column, sharded=True)
+            for arm in SCENARIOS[scenario].arms
+        }
+        assert len(values) > 1, (scenario, column)
 
 
 # -- the abort leak check -----------------------------------------------------

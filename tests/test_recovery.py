@@ -214,7 +214,9 @@ class TestHealthLeases:
         bed = testbed2
         group = CodeFlowGroup(bed.codeflows)
         detector = HealthDetector(bed.codeflows)
-        bed.sim.run_process(group.broadcast(programs_for(bed, 1), "ingress"))
+        healthy = bed.sim.run_process(
+            group.broadcast(programs_for(bed, 1), "ingress")
+        )
         bed.sandboxes[1].host.crash()
         for _ in range(detector.dead_after):
             bed.sim.run_process(detector.probe_all())
@@ -227,6 +229,15 @@ class TestHealthLeases:
         assert result.degraded
         assert result.outcomes[0].ok
         assert result.outcomes[1].error_kind == "HostUnreachable"
+        # The skipped leg posted no WR, so no lower burns the dead
+        # host's retry budget inside the window: it is the healthy
+        # rack's (one sequential lower shorter on the serial arm), not
+        # 74 us.
+        assert result.bubble_window_us <= healthy.bubble_window_us + 1e-9
+        assert not any(
+            metric.name == "rdx.broadcast.bubble_lower_failed"
+            for metric in bed.obs.registry
+        )
 
 
 class TestWarmRebootReconcile:

@@ -10,13 +10,15 @@ its own raise flush landed.  A leg with no Phase-0 image (hub and
 spoke) waits for the verdict, its raise rides the tail of its stage
 chain, and a flip walk follows the stages.  The window -- from the
 last raise's landing to the last lower's -- holds the flips not yet
-posted and the lowers.  These tests count what the QPs carry on
-either side of those instants, so body bytes cannot drift back into
-the window, and the stage and raise walks keep riding the relays the
-way the hub-and-spoke raise once did not.  They also time every post
-against the end of the verifier's charge (the verdict gates the raise
-and the flip, never the bytes) and each leg's flip against its own
-raise and every lower.
+posted and the lowers.  The lowers start as the last flip's CQE is
+in, down the same forest, and each waits only for its own leg's
+hook-line flush.  These tests count what the QPs carry on either side
+of those instants, so body bytes cannot drift back into the window,
+and the stage and raise walks keep riding the relays the way the
+hub-and-spoke raise once did not.  They also time every post against
+the end of the verifier's charge (the verdict gates the raise and the
+flip, never the bytes) and each leg's flip against its own raise, and
+its lower against its own hook-line flush.
 
 And they pin what the window and the hold cost a target's requests:
 ``bubble_hold_us`` runs from the *first* raise, ``bubble_window_us``
@@ -42,10 +44,11 @@ TREE = replace(
 FLAT = replace(TREE, tree_broadcast=False)
 SERIAL = replace(FLAT, pipelined_deploy=False)
 #: The flat arm's N=16 window and hold: the flip and lower walks, and
-#: the stage walk from the first staged leg on (46.87064 / 54.97448
-#: when each leg deployed inside the window).
-FLAT16_WINDOW_US = 26.60768
-FLAT16_HOLD_US = 42.77776
+#: the stage walk from the first staged leg on (26.60768 / 42.77776
+#: when every bubble waited for every hook-line flush, 46.87064 /
+#: 54.97448 when each leg deployed inside the window).
+FLAT16_WINDOW_US = 24.60768
+FLAT16_HOLD_US = 40.77776
 
 
 def _traffic(config, n, monkeypatch):
@@ -59,9 +62,10 @@ def _traffic(config, n, monkeypatch):
     WRITE was posted at; "posts" to ``(time, route, what)`` of every WR
     -- a doorbell is an 8-byte WRITE to the target's doorbell word, a
     flag one to its bubble flag, any other WRITE a body byte; and
-    "raised", "flipped" and "lowered" to ``{target: instant}`` of its
-    raise flush landing, its hook CAS posting and its lowering flag
-    WRITE posting."""
+    "raised", "flipped", "settled" and "lowered" to ``{target:
+    instant}`` of its raise flush landing, its hook CAS posting, its
+    hook-line flush taking effect and its lowering flag WRITE
+    posting."""
     bed = make_testbed(
         n_hosts=n, cores_per_host=2, hooks=("ingress",),
         with_agents=False, seed=3, config=config,
@@ -71,10 +75,11 @@ def _traffic(config, n, monkeypatch):
     direct_qps = {id(cf.sync.qp) for cf in bed.codeflows}
     doorbells = {cf.sandbox.control_addr + 24 for cf in bed.codeflows}
     flags = {cf.sandbox.bubble_addr for cf in bed.codeflows}
+    hooks = {cf._hook_addr("ingress") for cf in bed.codeflows}
     counts = {}
     times = {
         "stage-chain": [], "cas": [], "flag": [], "posts": [],
-        "raised": {}, "flipped": {}, "lowered": {},
+        "raised": {}, "flipped": {}, "settled": {}, "lowered": {},
     }
     phase = ["stage"]
 
@@ -107,6 +112,8 @@ def _traffic(config, n, monkeypatch):
         yield from flush_chained(self, spans, waited)
         if waited and spans[:1] and spans[0][0] in flags:
             times["raised"][self.sandbox.host.name] = sim.now
+        if spans and spans[-1][0] in hooks:
+            times["settled"][self.sandbox.host.name] = sim.now
 
     def spy_charge(self, stage, *args, **kwargs):
         yield from charge(self, stage, *args, **kwargs)
@@ -230,6 +237,18 @@ def test_each_leg_flips_once_its_own_bubble_is_up(tree64):
     assert min(flipped.values()) < max(raised.values())
 
 
+def test_each_bubble_drops_once_its_own_hook_line_is_flushed(tree64):
+    """A target runs unbuffered only once the flush of its own hook
+    line took effect; nothing more.  The decision needs the CAS answers
+    alone, so the forest's roots lower while the leaves' flushes are
+    still on their way."""
+    _, _, times = tree64
+    settled, lowered = times["settled"], times["lowered"]
+    assert len(settled) == len(lowered) == 64
+    assert all(settled[target] <= lowered[target] for target in lowered)
+    assert min(lowered.values()) < max(settled.values())
+
+
 def test_the_tree_window_moves_no_body_byte(tree64):
     """The window opens as the raises of the forest's 44 leaves land,
     all at one instant: it holds those leaves' flips (a CAS and a
@@ -279,7 +298,8 @@ def test_the_hold_is_the_window_plus_a_short_raise(tree64):
     """The first bubble up waits for the rest of the raise walk before
     the window starts; down the forest that wait is the two levels of
     raises below the roots (10.80 us), not 64 raises queued on the
-    control RNIC.  Window 15.05 and hold 25.86 us (20.96 / 31.76 when
+    control RNIC.  Window 13.05 and hold 23.86 us (15.05 / 25.86 when
+    every bubble waited for every hook-line flush, 20.96 / 31.76 when
     the flips waited for the whole raise walk, 67.28 hold when each
     raise rode its stage chain and the stages waited for the verdict,
     90.65 when each leg deployed inside the window)."""
@@ -288,8 +308,8 @@ def test_the_hold_is_the_window_plus_a_short_raise(tree64):
     assert result.bubble_hold_us == pytest.approx(
         result.bubble_lowered_us - result.first_raised_us
     )
-    assert result.bubble_window_us == pytest.approx(15.05448)
-    assert result.bubble_hold_us == pytest.approx(25.85832)
+    assert result.bubble_window_us == pytest.approx(13.05448)
+    assert result.bubble_hold_us == pytest.approx(23.85832)
 
 
 def test_flat_window_and_hold(flat16):
@@ -305,10 +325,14 @@ def test_a_registry_hit_raises_on_the_stage_tail(monkeypatch):
     raise walk whose legs flip as they land, lower -- and so does a
     second of the same, already-verified program, which finds no
     verdict pending: each raise rides its stage chain's tail and a
-    flip walk follows.  Tree N=256, degree 4: the first totals 443.36
-    us (452.22 when a flip walk followed the raise walk); the second
-    71.58, hold 50.74 us, as before legs staged under the verifier (a
-    raise walk after the stages would read 95.19 us)."""
+    flip walk follows.  Tree N=256, degree 4: the first totals 441.36
+    us (443.36 when every bubble waited for every hook-line flush,
+    452.22 when a flip walk followed the raise walk); the second 69.58,
+    hold 48.74 us (71.58 / 50.74 with every flush waited for; a raise
+    walk after the stages would read 95.19 us total).  All six walks
+    ride one forest: its 256 - 4 edges are every relay QP the group
+    builds (504 when the lowers walked a reversed forest of their
+    own)."""
     bed = make_testbed(
         n_hosts=256, cores_per_host=4, hooks=("ingress",),
         with_agents=False, seed=1, config=TREE,
@@ -329,8 +353,10 @@ def test_a_registry_hit_raises_on_the_stage_tail(monkeypatch):
     second = bed.sim.run_process(
         group.broadcast([program] * 256, "ingress", verify=False)
     )
-    assert first.total_us == pytest.approx(443.36344)
+    assert first.total_us == pytest.approx(441.36344)
+    assert len(group._relay_syncs) == 256 - 4
     assert kinds == ["stage", "raise", "lower"] + ["stage", "flip", "lower"]
-    assert second.total_us == pytest.approx(71.58496)
-    assert second.bubble_hold_us == pytest.approx(50.74064)
-    assert second.bubble_window_us == pytest.approx(26.60768)
+    assert second.total_us == pytest.approx(69.58496)
+    assert second.bubble_hold_us == pytest.approx(48.74064)
+    assert second.bubble_window_us == pytest.approx(24.60768)
+    assert len(group._relay_syncs) == 256 - 4

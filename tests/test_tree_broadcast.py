@@ -153,6 +153,46 @@ class TestTreeFanout:
         # subtrees relayed through them as usual.
         assert fallback_count(bed, "parent-failed") == 2
 
+    def test_relay_crashed_after_its_flip_lowers_its_subtree_directly(
+        self, bed
+    ):
+        """The lowers walk the forest the flips did, so a relay that
+        flipped is an interior node of it.  Its host dies between its
+        flip and its lower (index 2: lowered via 0, relaying 6 and 7):
+        its own lower fails over the relay and once directly, counted
+        once, and its children lower over the control plane's QPs --
+        every other bubble comes down."""
+        victim = bed.codeflows[2]
+        routes = {}
+        original = CodeFlowGroup._lower_leg
+
+        def lower_leg(self, codeflow, flushes, sync=None, after=None):
+            if codeflow is victim and not victim.sandbox.host.crashed:
+                victim.sandbox.host.crash()
+            routes.setdefault(codeflow, sync)
+            return original(self, codeflow, flushes, sync, after)
+
+        CodeFlowGroup._lower_leg = lower_leg
+        try:
+            result = bed.sim.run_process(
+                CodeFlowGroup(bed.codeflows).broadcast(
+                    programs_for(bed), "ingress"
+                )
+            )
+        finally:
+            CodeFlowGroup._lower_leg = original
+        assert all(outcome.ok for outcome in result.outcomes)
+        assert routes[victim] is not None  # relayed, then retried directly
+        assert fallback_count(bed, "lower") == 1
+        metric = bed.obs.registry.get(
+            "rdx.broadcast.bubble_lower_failed", target="_all"
+        )
+        assert metric.value == 1
+        for index in (6, 7):
+            assert routes[bed.codeflows[index]] is None
+        raised = [i for i, sb in enumerate(bed.sandboxes) if sb.bubble_active()]
+        assert raised == [2]
+
     def test_abort_rolls_back_reached_subtrees(self, bed):
         """A torn image on one leaf aborts the round after most of the
         tree already deployed: every reached subtree must roll back
