@@ -161,6 +161,11 @@ class _DeployPlan:
     #: install, else the flip posts it).
     prior: Optional[int] = None
     torn: Optional[BaseException] = None
+    #: What the settle records that the next grant rewrites on the
+    #: handle, taken at stage time: the link's (arch, GOT fingerprint)
+    #: layout and the tenant label.
+    layout: Optional[tuple] = None
+    tenant: str = ""
 
     @property
     def existing_addr(self) -> int:
@@ -258,6 +263,10 @@ class CodeFlow:
         #: rollback flipped away from, once that flip is
         #: (:meth:`free_retired`).
         self._retired: list[int] = []
+        #: The flush-and-record process of the last flip that settles in
+        #: its own process (:meth:`flip_prog`): the next stage joins it
+        #: before it reads hook-owner state.
+        self._settling = None
         #: The deployment epoch this handle writes under (fencing token);
         #: set by :meth:`stamp_epoch` during rdx_create_codeflow.
         self.epoch = 0
@@ -417,14 +426,17 @@ class CodeFlow:
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
         delta: bool = True,
+        settles: Optional[list] = None,
     ) -> Generator:
         """One-sided injection of a linked image + metadata + hook flip.
 
-        Returns a :class:`DeployReport`.  The hook flip is a
-        transactional qword swap followed by a cache-coherence event on
-        the hook line.  With ``retain_history`` the previous image
-        stays resident as a rollback target; without it, its code
-        pages are freed once no exec can still be decoding them.
+        Returns a :class:`DeployReport`; given a ``settles`` list it
+        returns at the commit CAS's answer instead (:meth:`flip_prog`).
+        The hook flip is a transactional qword swap followed by a
+        cache-coherence event on the hook line.  With
+        ``retain_history`` the previous image stays resident as a
+        rollback target; without it, its code pages are freed once no
+        exec can still be decoding them.
 
         :meth:`stage_prog` then :meth:`flip_prog`, with the commit CAS
         riding the stage's chain where the schedule chains WRs: one
@@ -436,7 +448,7 @@ class CodeFlow:
             program, linked, hook_name, parent_span, delta, commit=True
         )
         try:
-            return (yield from self.flip_prog(plan, retain_history))
+            return (yield from self.flip_prog(plan, retain_history, settles))
         except BaseException as err:
             _fail_span(plan.span, err)
             raise
@@ -500,7 +512,7 @@ class CodeFlow:
         with :meth:`unstage`.  ``settles=None`` waits for the flush of
         the plan's spans and the hook line (:meth:`_settle`); a list
         gets the spawned flush-and-record process instead, whose value
-        is the report.
+        is the report, and the handle's next stage joins it.
         """
         mark = self.sim.now
         commit = self.commit_hook(
@@ -524,9 +536,10 @@ class CodeFlow:
         )
         if settles is None:
             return (yield from settle)
-        settles.append(
-            self.sim.spawn(settle, name=f"settle:{self.sandbox.name}")
+        self._settling = self.sim.spawn(
+            settle, name=f"settle:{self.sandbox.name}"
         )
+        settles.append(self._settling)
         return None
 
     def unstage(self, plan: "_DeployPlan") -> None:
@@ -655,6 +668,8 @@ class CodeFlow:
         * dispatch costs the schedule's ``dispatch_us`` -- every WQE
           prepared and polled separately, or the whole chain once, the
           flip's WQEs included, so a flip pays no dispatch;
+        * a settle still in flight (:meth:`flip_prog`) is joined before
+          anything reads the hook owner, the slots or the extents;
         * the stub rendezvous runs unless the layout is certified: the
           linked image hit the layout-fingerprinted cache, or the hook's
           owner was linked at the same layout (:meth:`_layout_matches`)
@@ -688,6 +703,12 @@ class CodeFlow:
             except BaseException:
                 prep.interrupt("deploy abandoned")
                 raise
+        # The previous flip's settle records the hook owner, the slots
+        # and the extents this deploy plans from: the fence and the WQE
+        # prep above ran under its flush, nothing below may.
+        settling = self._settling
+        if settling is not None and settling.is_alive:
+            yield settling
         if not (
             self._last_link_cached
             or self._layout_matches(self._owner(hook_name))
@@ -704,6 +725,8 @@ class CodeFlow:
         plan.program, plan.hook_name, plan.hook_addr = program, hook_name, hook_addr
         plan.image, plan.report = linked.code, report
         plan.version = existing.version + 1 if existing else 1
+        key = self._last_link_key
+        plan.layout, plan.tenant = (key[1:] if key else None), self.tenant
         try:
             plan.slot = self._pick_metadata_slot()
             block = MetadataBlock(
@@ -763,7 +786,7 @@ class CodeFlow:
         report.cc_us += self.sim.now - mark
         self._bookkeep(plan, retain_history)
         plan.span.finish(total_us=report.total_us, code_addr=report.code_addr)
-        self._observe_deploy(report)
+        self._observe_deploy(report, plan.tenant)
         report.total_us += report.link_us  # a link that ran before the stage
         return report
 
@@ -857,7 +880,7 @@ class CodeFlow:
             metadata_slot=plan.slot,
             version=plan.version,
             image=image,
-            layout=self._last_link_key[1:] if self._last_link_key else None,
+            layout=plan.layout,
         )
         if existing:
             # The superseded descriptor slot is reusable either way.
@@ -939,8 +962,9 @@ class CodeFlow:
                 self.code_allocator.free(addr)
         self._retired.clear()
 
-    def _observe_deploy(self, report: DeployReport) -> None:
-        """Feed one successful deploy into the metrics registry."""
+    def _observe_deploy(self, report: DeployReport, tenant: str) -> None:
+        """Feed one successful deploy of ``tenant`` into the metrics
+        registry."""
         self.obs.counter("rdx.deploy.count").inc()
         self.obs.counter("rdx.deploy.bytes_written").inc(report.bytes_moved)
         if report.mode == "delta":
@@ -963,10 +987,10 @@ class CodeFlow:
             target=self.obs.target_label(
                 self.sandbox.name, self.control_plane.shard
             ),
-            tenant=self.tenant,
+            tenant=tenant,
         ).observe(report.total_us)
         self.obs.histogram(
-            "rdx.tenant.install_visible_us", tenant=self.tenant
+            "rdx.tenant.install_visible_us", tenant=tenant
         ).observe(report.total_us)
 
     def _pick_metadata_slot(self) -> int:

@@ -51,10 +51,12 @@ COMPILE_PRIORITY = 1
 
 class InstallLock(NamedTuple):
     """A per-target mutex :meth:`RdxControlPlane.inject` takes once the
-    artifact is staged.  It guards what reads or writes the handle's
-    per-install state: the link (``_last_link_key``), the tenant label
-    (stamped from ``tenant`` on grant), the deploy and the pin admit.
-    Lower ``priority`` is granted first."""
+    artifact is staged and releases at the commit CAS's answer.  It
+    guards what reads or writes the handle's per-install state: the
+    link (``_last_link_key``), the tenant label (stamped from
+    ``tenant`` on grant), the stage, the commit and the pin admit.  The
+    settle runs after the release; the next holder's stage joins it
+    before it plans.  Lower ``priority`` is granted first."""
 
     resource: Resource
     priority: int = 0
@@ -394,9 +396,11 @@ class RdxControlPlane:
         to :meth:`CodeFlow.deploy_prog`.
 
         ``install_lock`` serializes installs on one target: the probe
-        and the compile run without it, and it is held from the link
-        through the hook flip and the pin admit (see
-        :class:`InstallLock`).
+        and the compile run without it, and it is held from the link to
+        the commit CAS's answer and the pin admit (see
+        :class:`InstallLock`).  The settle -- the hook-line flush and
+        the record keeping -- runs in its own process after the
+        release, and the deploy returns once it has: at install-visible.
         """
         self._check_alive()
         self.policy.check(principal, "deploy", codeflow.sandbox.name)
@@ -428,6 +432,7 @@ class RdxControlPlane:
                 grant = None
                 if install_lock is not None:
                     grant = install_lock.resource.request(install_lock.priority)
+                settles = []
                 try:
                     if grant is not None:
                         yield grant
@@ -435,16 +440,21 @@ class RdxControlPlane:
                     mark = self.sim.now
                     linked = yield from self._linked(codeflow, pin, entry, span)
                     link_us = self.sim.now - mark
-                    report = yield from codeflow.deploy_prog(
+                    yield from codeflow.deploy_prog(
                         program, linked, hook_name,
                         retain_history=retain_history, parent_span=span,
-                        delta=delta,
+                        delta=delta, settles=settles,
                     )
-                    report.warm = entry is None
                     self._admit(codeflow, program, entry)
                 finally:
                     if grant is not None:
                         install_lock.resource.release(grant)
+                # The CAS has answered: the next install links, fences
+                # and preps under this one's flush, and its stage joins
+                # the settle before it plans.  This one ends at
+                # install-visible.
+                report = yield settles[0]
+                report.warm = entry is None
         except BaseException as err:
             if txn is not None and not self.crashed:
                 self.journal.abort(txn, reason=str(err))

@@ -33,8 +33,9 @@ they queue behind install work
 hook-flip CAS is a compare-and-swap against the previous image, so two
 concurrent installs on one sandbox would abort each other.  The warm
 probe runs before the mutex, so a hotpatch queues behind another
-ticket's link and hook flip, never behind its compile -- neither for a
-worker nor for the mutex.  The control plane takes the mutex
+ticket's link, stage and commit CAS, never behind its compile (neither
+for a worker nor for the mutex) nor behind its hook-line flush, which
+runs after the release.  The control plane takes the mutex
 (:class:`~repro.core.control_plane.InstallLock`); across targets the
 workers run fully parallel.
 """

@@ -72,6 +72,14 @@ began to skip the 8 us stub rendezvous: ``now`` falls by 8 us and
 ``events`` by one per such deploy so far.  No count, outcome,
 warm-pool or cache counter moved, and no serial row.
 
+Every row from ``cold`` on moved once more when an ``inject``'s
+settle (the hook-line flush and the record keeping after its commit
+CAS) began to run in a process of its own, so that the install lock is
+released at the CAS's answer: ``events`` rise by 2 per committed
+``inject`` so far, on both arms (a prewarm, ``rdx_link_code`` and a
+broadcast leg spawn no new process).  No clock, count, warm-pool or cache counter
+moved.
+
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
 the ``pipelined`` rows verbatim, f62df80 comments too (none
@@ -239,57 +247,139 @@ def test_arms_match_the_three_cache_table():
 # fmt: off
 ORACLE = {
     'serial': {
-        'cold': Row(now=468.44664, events=146, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.miss{}', 1),)),
-        'warm': Row(now=508.30872, events=192, warm=False, mode='full', outcome=None, plane=(1, 1, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 1))),
-        'patch': Row(now=923.1708, events=241, warm=False, mode='full', outcome=None, plane=(2, 2, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 2))),
-        'prewarm': Row(now=1173.2208, events=251, warm=None, mode=None, outcome=False, plane=(3, 3, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 3))),
-        'prewarmed': Row(now=1213.00288, events=293, warm=False, mode='full', outcome=None, plane=(3, 3, 2, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 3))),
-        'map-cold': Row(now=1651.6324, events=412, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4))),
-        'reboot-relayout': Row(now=1710.55424, events=519, warm=False, mode='full', outcome=None, plane=(4, 4, 3, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 3), ('rdx.cache.miss{}', 4))),
-        'reboot-warm': Row(now=1750.46712, events=565, warm=False, mode='full', outcome=None, plane=(4, 4, 4, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 4), ('rdx.cache.miss{}', 4))),
-        'geom-wide': Row(now=1802.23832, events=646, warm=False, mode='full', outcome=None, plane=(4, 4, 5, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 4))),
-        'geom-narrow': Row(now=1821.2448, events=710, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 5, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 5))),
-        'geom-back': Row(now=1880.16608, events=819, warm=False, mode='full', outcome=None, plane=(4, 4, 6, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 5))),
-        'overflow': Row(now=5080.16608, events=1462, warm=None, mode=None, outcome=None, plane=(132, 132, 6, 4, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 133))),
-        'revisit': Row(now=5495.02816, events=1508, warm=False, mode='full', outcome=None, plane=(133, 133, 6, 5, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 134))),
-        'broadcast': Row(now=6053.4944, events=1817, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'link-compiled': Row(now=6053.5444, events=1820, warm=None, mode=None, outcome=(4012, True), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'link-fresh': Row(now=6091.0944, events=1828, warm=None, mode=None, outcome=(1512, True), plane=(134, 135, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
-        'inv-cold': Row(now=6380.87648, events=1873, warm=False, mode='full', outcome=None, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
+        'cold': Row(now=468.44664, events=148, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.miss{}', 1),)),
+        'warm': Row(now=508.30872, events=196, warm=False, mode='full', outcome=None, plane=(1, 1, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 1))),
+        'patch': Row(now=923.1708, events=247, warm=False, mode='full', outcome=None, plane=(2, 2, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 2))),
+        'prewarm': Row(now=1173.2208, events=257, warm=None, mode=None, outcome=False, plane=(3, 3, 1, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 3))),
+        'prewarmed': Row(now=1213.00288, events=301, warm=False, mode='full', outcome=None, plane=(3, 3, 2, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 3))),
+        'map-cold': Row(now=1651.6324, events=422, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4))),
+        'reboot-relayout': Row(now=1710.55424, events=531, warm=False, mode='full', outcome=None, plane=(4, 4, 3, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 3), ('rdx.cache.miss{}', 4))),
+        'reboot-warm': Row(now=1750.46712, events=579, warm=False, mode='full', outcome=None, plane=(4, 4, 4, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 4), ('rdx.cache.miss{}', 4))),
+        'geom-wide': Row(now=1802.23832, events=662, warm=False, mode='full', outcome=None, plane=(4, 4, 5, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 4))),
+        'geom-narrow': Row(now=1821.2448, events=726, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 5, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 5))),
+        'geom-back': Row(now=1880.16608, events=837, warm=False, mode='full', outcome=None, plane=(4, 4, 6, 0, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 5))),
+        'overflow': Row(now=5080.16608, events=1480, warm=None, mode=None, outcome=None, plane=(132, 132, 6, 4, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 133))),
+        'revisit': Row(now=5495.02816, events=1528, warm=False, mode='full', outcome=None, plane=(133, 133, 6, 5, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 134))),
+        'broadcast': Row(now=6053.4944, events=1837, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'link-compiled': Row(now=6053.5444, events=1840, warm=None, mode=None, outcome=(4012, True), plane=(134, 134, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'link-fresh': Row(now=6091.0944, events=1848, warm=None, mode=None, outcome=(1512, True), plane=(134, 135, 11, 6, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 135))),
+        'inv-cold': Row(now=6380.87648, events=1895, warm=False, mode='full', outcome=None, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
         # f62df80: 'invalidate': Row(now=6388.22776, events=1880, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
-        'invalidate': Row(now=6380.87648, events=1873, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
+        'invalidate': Row(now=6380.87648, events=1895, warm=None, mode=None, outcome=0, plane=(135, 136, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 136))),
         # f62df80: 'inv-redeploy': Row(now=6428.00984, events=1926, warm=False, mode='full', outcome=None, plane=(135, 136, 12, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 136))),
-        'inv-redeploy': Row(now=6670.65856, events=1922, warm=False, mode='full', outcome=None, plane=(136, 137, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 137))),
+        'inv-redeploy': Row(now=6670.65856, events=1946, warm=False, mode='full', outcome=None, plane=(136, 137, 11, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 11), ('rdx.cache.miss{}', 137))),
         # f62df80: 'inv-again': Row(now=6467.79192, events=1972, warm=False, mode='full', outcome=None, plane=(135, 136, 13, 7, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 13), ('rdx.cache.miss{}', 136))),
-        'inv-again': Row(now=6710.44064, events=1968, warm=False, mode='full', outcome=None, plane=(136, 137, 12, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 137))),
+        'inv-again': Row(now=6710.44064, events=1994, warm=False, mode='full', outcome=None, plane=(136, 137, 12, 8, 0, 0, 0), pool=(0, 0, 0, 0, ()), series=(('rdx.cache.evict{}', 8), ('rdx.cache.hit{}', 12), ('rdx.cache.miss{}', 137))),
     },
     'pipelined': {
-        'cold': Row(now=370.14664, events=134, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'warm': Row(now=378.65872, events=159, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
-        'patch': Row(now=686.98592, events=192, warm=False, mode='delta', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarm': Row(now=887.03592, events=201, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'prewarmed': Row(now=895.468, events=226, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'map-cold': Row(now=1235.79752, events=329, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
-        'reboot-relayout': Row(now=1271.41936, events=417, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'reboot-warm': Row(now=1279.93224, events=442, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'geom-wide': Row(now=1308.40344, events=504, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-narrow': Row(now=1327.70992, events=565, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-back': Row(now=1355.2312, events=657, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'overflow': Row(now=3915.2312, events=1680, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'revisit': Row(now=3923.50232, events=1705, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'broadcast': Row(now=4344.71792, events=1926, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 0, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-compiled': Row(now=4344.91792, events=1929, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 0, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-fresh': Row(now=4382.46792, events=1933, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 0, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-cold': Row(now=4590.95, events=1965, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 0, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'cold': Row(now=370.14664, events=136, warm=False, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(0, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'warm': Row(now=378.65872, events=163, warm=True, mode='full', outcome=None, plane=(1, 1, 0, 0, 0, 0, 1), pool=(1, 1, 0, 1, (('absent', 1),)), series=(('rdx.cache.miss{}', 1), ('rdx.link.cache_miss{}', 1), ('rdx.serve.warm.admit{}', 1), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 1))),
+        'patch': Row(now=686.98592, events=198, warm=False, mode='delta', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarm': Row(now=887.03592, events=207, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'prewarmed': Row(now=895.468, events=234, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
+        'map-cold': Row(now=1235.79752, events=339, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
+        'reboot-relayout': Row(now=1271.41936, events=429, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'reboot-warm': Row(now=1279.93224, events=456, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'geom-wide': Row(now=1308.40344, events=520, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-narrow': Row(now=1327.70992, events=581, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-back': Row(now=1355.2312, events=675, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'overflow': Row(now=3915.2312, events=1698, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'revisit': Row(now=3923.50232, events=1725, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'broadcast': Row(now=4344.71792, events=1946, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 0, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-compiled': Row(now=4344.91792, events=1949, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 0, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-fresh': Row(now=4382.46792, events=1953, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 0, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-cold': Row(now=4590.95, events=1987, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 0, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'invalidate': Row(now=5704.40768, events=1524, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 6, 2, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'invalidate': Row(now=4590.95, events=1965, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 0, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'invalidate': Row(now=4590.95, events=1987, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 0, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-redeploy': Row(now=5715.7404, events=1548, warm=False, mode='full', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-redeploy': Row(now=4799.43208, events=1997, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-redeploy': Row(now=4799.43208, events=2021, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
         # f62df80: 'inv-again': Row(now=5726.71216, events=1570, warm=True, mode='delta', outcome=None, plane=(134, 135, 6, 6, 2, 5, 11), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 6), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 5), ('rdx.link.cache_miss{}', 11), ('rdx.prepare.coalesced{}', 2), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-again': Row(now=4807.7032, events=2021, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-again': Row(now=4807.7032, events=2047, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
     },
 }
 # fmt: on
+
+
+# -- the schedule is timing ----------------------------------------------------
+
+#: Columns both schedules must agree in, step by step: ``now`` and
+#: ``events`` are the schedule's own, and ``pool`` and the link and pin
+#: counters belong to the stages only a schedule with reuse runs.  The
+#: registry's counters compare by what each step added to them.
+COMPARED = ("warm", "mode", "outcome", "plane", "series")
+#: The registry's counters among :data:`PLANE_COUNTERS`.
+REGISTRY = PLANE_COUNTERS[: PLANE_COUNTERS.index("link_cache_hits")]
+_NO_PINS = "reuse=False: the serial schedule has no pin stage"
+_PIN_HITS = ("warm", "prewarmed", "reboot-warm", "geom-back", "revisit", "inv-again")
+#: ``columns -> (steps, cause)``: every known way the serial rows
+#: differ from the pipelined ones in :data:`COMPARED`.
+EXCEPTIONS = {
+    ("warm",): (_PIN_HITS, _NO_PINS + ", so every one of its deploys links"),
+    ("mode",): (
+        ("patch", "revisit", "inv-again"),
+        "reuse=False: the serial schedule links with no link key, so it "
+        "ships each pipelined delta in full",
+    ),
+    ("outcome",): (
+        ("prewarm", "invalidate"),
+        _NO_PINS + ": a prewarm pins nothing and a recall drops no pin",
+    ),
+    ("plane", "series"): (
+        _PIN_HITS + ("broadcast",),
+        _NO_PINS + ": where a pin serves the pipelined deploy its registry "
+        "is not asked (and the evicted revisit not compiled again); and "
+        "a serial broadcast prepares leg by leg in Phase 0 and again as "
+        "each leg stages",
+    ),
+}
+
+
+def _invariant(table: dict, step: str, column: str):
+    """``column`` of ``table[step]``; for ``plane`` and ``series`` the
+    registry's counters only, as what the step added to them."""
+    if column not in ("plane", "series"):
+        return getattr(table[step], column)
+    steps = list(table)
+    index = steps.index(step)
+    rows = [table[name] for name in steps[max(index - 1, 0) : index + 1]]
+    if column == "plane":
+        counts = [dict(zip(PLANE_COUNTERS, row.plane)) for row in rows]
+    else:
+        counts = [dict(row.series) for row in rows]
+    now, before = counts[-1], counts[0] if index else {}
+    return {
+        name: value - before.get(name, 0)
+        for name, value in now.items()
+        if value != before.get(name, 0)
+        and (name in REGISTRY or name.startswith(("rdx.cache.", "rdx.prepare.")))
+    }
+
+
+def _diverges(step: str, column: str) -> bool:
+    return _invariant(ORACLE["serial"], step, column) != _invariant(
+        ORACLE["pipelined"], step, column
+    )
+
+
+def test_serial_and_pipelined_schedules_do_the_same():
+    """Read from the table, no simulation: step by step both schedules
+    agree in every compared column but for the listed exceptions."""
+    for step in ORACLE["serial"]:
+        for column in COMPARED:
+            exempt = any(
+                column in columns and step in steps
+                for columns, (steps, _) in EXCEPTIONS.items()
+            )
+            assert exempt or not _diverges(step, column), f"serial {step}/{column}"
+
+
+def test_each_schedule_exception_is_a_divergence_the_table_shows():
+    """No stale entry: each exempt column differs on every step it lists."""
+    for columns, (steps, cause) in EXCEPTIONS.items():
+        assert cause
+        for column in columns:
+            for step in steps:
+                assert _diverges(step, column), (step, column)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Two deliberate departures from that commit, both in the serial arm:
   phase, now counts as ``write`` (:data:`SERIAL_DESCRIPTOR_WRITE_US`);
   ``total_us`` is unchanged.
 
-Five later changes moved rows on purpose, and the table was
+Six later changes moved rows on purpose, and the table was
 regenerated by the command above for each:
 
 * a full image written into a *reused* extent is flushed before the
@@ -38,7 +38,12 @@ regenerated by the command above for each:
   number moves, since a deploy's phases start after its prepare;
 * a deploy onto a hook whose owner was linked at the same layout skips
   the 8 us stub rendezvous, so every pipelined row from ``patch`` on
-  reads ``dispatch`` 3.0 where it read 11.0 and runs one event fewer.
+  reads ``dispatch`` 3.0 where it read 11.0 and runs one event fewer;
+* an ``inject``'s settle -- the hook-line flush and the record keeping
+  after its commit CAS -- runs in a process of its own, so the install
+  lock can be released at the CAS's answer: each committed ``inject``
+  runs 2 more events (the spawned settle's start and end), a failed one
+  spawns nothing, and no reported number moves.
 
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
@@ -211,101 +216,101 @@ ORACLE = {
     'serial': {
         'first': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
-            State(8192, [0], 1, 2, (0, 0, 0, 0, 0, 0), 79),
+            State(8192, [0], 1, 2, (0, 0, 0, 0, 0, 0), 81),
         ),
         'again': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
-            State(16384, [1], 2, 3, (0, 0, 0, 0, 0, 0), 126),
+            State(16384, [1], 2, 3, (0, 0, 0, 0, 0, 0), 130),
         ),
         'patch': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 16384, 0, 3, [0, 8192], 8192),
-            State(24576, [0], 3, 4, (0, 0, 0, 0, 0, 0), 176),
+            State(24576, [0], 3, 4, (0, 0, 0, 0, 0, 0), 182),
         ),
         'grown': (
             Deployed((25.0, 0.05, 3.74096, 4.45, 2.0), 40.66208, 'full', 13268, 0, 0, 24576, 1, 4, [0, 8192, 16384], 16384),
-            State(37588, [1], 4, 5, (0, 0, 0, 0, 0, 0), 228),
+            State(37588, [1], 4, 5, (0, 0, 0, 0, 0, 0), 236),
         ),
         'takeover': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 37632, 0, 5, [0, 8192, 16384, 24576], 24576),
-            State(45780, [0], 5, 6, (0, 0, 0, 0, 0, 0), 278),
+            State(45780, [0], 5, 6, (0, 0, 0, 0, 0, 0), 288),
         ),
         'noretain-1': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 45824, 1, 6, [0, 8192, 16384, 24576], 37632),
-            State(53972, [1], 6, 7, (0, 0, 0, 0, 0, 0), 328),
+            State(53972, [1], 6, 7, (0, 0, 0, 0, 0, 0), 340),
         ),
         'noretain-2': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 2.0), 40.27648, 'full', 8448, 0, 0, 54016, 0, 7, [0, 8192, 16384, 24576], 45824),
-            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 378),
+            State(62164, [0], 7, 8, (0, 0, 0, 0, 0, 0), 392),
         ),
         'conflict': (
             'DeployError',
-            State(62164, [0], 8, 8, (0, 0, 0, 0, 0, 0), 440),
+            State(62164, [0], 8, 8, (0, 0, 0, 0, 0, 0), 454),
         ),
         'heal': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 4.0), 42.27648, 'full', 8448, 0, 0, 62208, 1, 8, [0, 8192, 16384, 24576], 54016),
-            State(62164, [1], 9, 10, (0, 0, 0, 0, 0, 0), 498),
+            State(62164, [1], 9, 10, (0, 0, 0, 0, 0, 0), 514),
         ),
         'patch-2': (
             Deployed((25.0, 0.05, 3.35536, 4.45, 4.0), 42.27648, 'full', 8448, 0, 0, 37632, 0, 9, [0, 8192, 16384, 24576], 62208),
-            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 559),
+            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 577),
         ),
         'image-fault': (
             'RdmaError',
-            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 579),  # 09041c8: 70356
+            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 597),  # 09041c8: 70356
         ),
         'descriptor-fault': (
             'RdmaError',
-            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 604),  # 09041c8: 78548, [0, 1]
+            State(62164, [0], 10, 12, (0, 0, 0, 0, 0, 0), 622),  # 09041c8: 78548, [0, 1]
         ),
     },
     'pipelined': {
         'first': (
             Deployed((11.0, 0.05, 3.62648, 0.0, 2.0), 16.67648, 'full', 8448, 0, 0, 0, 0, 1, [], None),
-            State(8192, [0], 1, 2, (1, 0, 0, 0, 0, 0), 66),
+            State(8192, [0], 1, 2, (1, 0, 0, 0, 0, 0), 68),
         ),
         'again': (
             Deployed((3.0, 0.2, 3.62648, 0.0, 2.0), 8.82648, 'full', 8448, 0, 0, 8192, 1, 2, [0], 0),
-            State(16384, [1], 2, 3, (1, 1, 0, 0, 0, 0), 92),
+            State(16384, [1], 2, 3, (1, 1, 0, 0, 0, 0), 96),
         ),
         'patch': (
             Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 1, 0, 0, 3, [8192], 8192),
-            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 124),
+            State(16384, [0], 3, 5, (1, 1, 0, 0, 0, 0), 130),
         ),
         'grown': (
             Deployed((3.0, 0.05, 4.01208, 0.0, 2.0), 9.06208, 'full', 13268, 0, 0, 16384, 1, 4, [8192, 0], 0),
-            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 158),
+            State(29396, [1], 4, 6, (1, 1, 0, 1, 0, 0), 166),
         ),
         'takeover': (
             Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 29440, 0, 5, [8192, 0, 16384], 16384),
-            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 190),
+            State(37588, [0], 5, 7, (1, 1, 0, 1, 0, 1), 200),
         ),
         'noretain-1': (
             Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 37632, 1, 6, [8192, 0, 16384], 29440),
-            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 222),
+            State(45780, [1], 6, 8, (1, 1, 0, 2, 0, 1), 234),
         ),
         'noretain-2': (
             Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 5, 29440, 0, 7, [8192, 0, 16384], 37632),
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 254),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 268),
         ),
         'conflict': (
             'DeployError',
-            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 304),
+            State(45780, [0], 7, 10, (1, 1, 0, 2, 0, 1), 318),
         ),
         'heal': (
             Deployed((3.0, 0.05, 3.62648, 0.0, 2.0), 8.67648, 'full', 8448, 0, 0, 45824, 1, 8, [8192, 0, 16384], 29440),
-            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 337),
+            State(45780, [1], 8, 11, (1, 2, 0, 2, 0, 1), 353),
         ),
         'patch-2': (
             Deployed((3.0, 0.05, 2.97688, 0.0, 2.0), 8.02688, 'delta', 320, 1, 7, 29440, 0, 9, [8192, 0, 16384], 45824),
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 369),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 387),
         ),
         'image-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 389),
+            State(45780, [0], 9, 13, (1, 2, 0, 2, 0, 1), 407),
         ),
         'descriptor-fault': (
             'RdmaError',
-            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 409),
+            State(45780, [0], 9, 13, (1, 3, 0, 2, 0, 1), 427),
         ),
     },
 }
@@ -350,6 +355,74 @@ def test_script_reaches_both_plans_and_every_unwind():
         for step in ("image-fault", "descriptor-fault"):
             assert rows[step][1].slots_used == rows["patch-2"][1].slots_used
             assert rows[step][1].bytes_live == rows["patch-2"][1].bytes_live
+
+
+# -- the schedule is timing ----------------------------------------------------
+
+#: Columns only the schedule moves: the clock, and how many events,
+#: committed CASes and flushes it took to do the same thing.
+TIMING = ("phases", "total_us", "events", "tx_count", "cc_count")
+_NO_DELTA = (
+    "reuse=False: the serial schedule links with no link key, so it "
+    "never weighs a delta plan"
+)
+#: ``columns -> (steps, cause)``: every known way the serial rows
+#: differ from the pipelined ones outside :data:`TIMING`.
+EXCEPTIONS = {
+    ("fallbacks",): (tuple(ORACLE["serial"]), _NO_DELTA + " or counts a fallback"),
+    ("mode", "bytes_moved", "delta_chunks", "delta_base_version"): (
+        ("patch", "noretain-2", "patch-2"),
+        _NO_DELTA + ": it ships each pipelined delta in full",
+    ),
+    ("code_off", "history", "baseline_off", "bytes_live"): (
+        tuple(ORACLE["serial"])[2:],
+        "a delta rewrites the baseline extent where a full deploy takes "
+        "a fresh one, so from the first delta on the extents differ",
+    ),
+}
+
+
+def _columns(row) -> dict:
+    """Every column of ``(outcome, state)`` by name; a failed step's
+    outcome is its error's name."""
+    outcome, state = row
+    columns = state._asdict()
+    if isinstance(outcome, Deployed):
+        columns.update(outcome._asdict())
+    else:
+        columns["outcome"] = outcome
+    return columns
+
+
+def _exempt(step: str, column: str) -> bool:
+    return any(
+        column in columns and step in steps
+        for columns, (steps, _) in EXCEPTIONS.items()
+    )
+
+
+def test_serial_and_pipelined_schedules_do_the_same():
+    """Read from the table, no simulation: step by step both schedules
+    agree in every column but the schedule's own and the listed
+    exceptions."""
+    for step, serial in ORACLE["serial"].items():
+        want, have = _columns(ORACLE["pipelined"][step]), _columns(serial)
+        assert have.keys() == want.keys(), step
+        for column in have.keys() - set(TIMING):
+            if not _exempt(step, column):
+                assert have[column] == want[column], f"serial {step}/{column}"
+
+
+def test_each_schedule_exception_is_a_divergence_the_table_shows():
+    """No stale entry: each exempt column differs on a step it lists."""
+    for columns, (steps, cause) in EXCEPTIONS.items():
+        assert cause
+        for column in columns:
+            assert any(
+                _columns(ORACLE["serial"][step]).get(column)
+                != _columns(ORACLE["pipelined"][step]).get(column)
+                for step in steps
+            ), column
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from repro.core.qos import QosScheduler, TenantQuota, _TokenBucket
 from repro.core.xstate import XStateSpec
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
+from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import MapType
 from repro.ebpf.program import BpfProgram
 from repro.ebpf.stress import make_stress_program, make_stress_variant
@@ -680,6 +681,46 @@ class TestWorkerInterrupt:
         bed.sim.run_process(self._until(bed.sim, lambda: after.done.triggered))
         assert after.completed
         assert service.accounting()["unaccounted"] == 0
+
+    def test_interrupted_between_commit_and_settle(self, testbed):
+        bed = testbed
+        service, hot, lock = self._setup(bed, workers=2)
+        codeflow = bed.codeflow
+
+        def settling():
+            settle = codeflow._settling
+            return settle is not None and settle.is_alive
+
+        def body():
+            ticket = service.submit("pager", codeflow, hot, "ingress")
+            # The commit CAS has answered and the lock is free; the
+            # hook-line flush still runs.
+            yield from self._until(bed.sim, settling)
+            assert (lock.in_use, lock.queue_len) == (0, 0)
+            (worker,) = [
+                proc for proc in service._worker_procs
+                if proc._waiting_on is codeflow._settling
+            ]
+            worker.interrupt("worker lost")
+            yield ticket.done
+            return ticket
+
+        ticket = bed.sim.run_process(body())
+        self._assert_closed(service, ticket, lock)
+        # The settle ran on without its worker: the next ticket on the
+        # hook joins it, finds the interrupted one's image as the CAS's
+        # expected owner, and lands its own.
+        after = make_stress_program(60, seed=7, name="after")
+        nxt = service.submit("dev", codeflow, after, "ingress")
+        bed.sim.run_process(self._until(bed.sim, lambda: nxt.done.triggered))
+        assert nxt.completed
+        ctx = bytes(256)
+        result, _ = bed.sandbox.run_hook("ingress", ctx)
+        assert result.r0 == Interpreter().run(after.insns, ctx).r0
+        ledger = service.accounting()
+        assert ledger["offered"] == (
+            ledger["completed"] + ledger["failed"] + sum(ledger["shed"].values())
+        )
 
     def test_interrupted_mid_deploy(self, testbed):
         bed = testbed

@@ -5,8 +5,9 @@ A ticket whose program has no verdict yet validates and JITs in its own
 process, holding neither a worker nor a target lock (§3.2: both are
 target-independent), then returns to its class queue.  A worker
 probes the warm pool and queues on the target's
-:class:`~repro.core.control_plane.InstallLock` only for link ->
-deploy_prog -> pin admit.  The checks:
+:class:`~repro.core.control_plane.InstallLock` only for link -> stage
+-> commit CAS -> pin admit; the settle (the hook-line flush and the
+record keeping) runs after the release.  The checks:
 
 * a pinned hotpatch submitted while a cold compile runs on its target
   finishes in probe + install time, not after the compile -- also when
@@ -14,20 +15,32 @@ deploy_prog -> pin admit.  The checks:
 * with every control core but one compiling, a hotpatch's dispatch
   still takes ``RDX_DISPATCH_FAST_US``: compiles hold at most
   ``cores - 1`` cores;
-* two cold tickets on one target compile concurrently, and their
-  ``deploy_prog`` intervals never overlap;
+* two cold tickets on one target compile concurrently, and their lock
+  intervals -- grant to commit CAS's answer -- never overlap; the
+  second is granted under the first's settle yet posts no WR before
+  that settle recorded, also when the flush outlasts its dispatch;
 * a hotpatch overtakes bulk tickets queued at the install gate;
 * a cold ticket whose hook owner was linked at the same layout holds
-  the lock for its link, dispatch, install and settle -- no stub
-  rendezvous -- so a hotpatch queued behind it waits that long only;
+  the lock for its link, dispatch and install -- no stub rendezvous,
+  no flush -- so a hotpatch queued behind it waits that long only;
 * with two tenants interleaved on one target, each tenant's
-  ``rdx.tenant.install_visible_us`` series counts only its own deploys.
+  ``rdx.tenant.install_visible_us`` series counts only its own deploys;
+* a settle records its own install's layout and tenant, though the
+  next install was granted -- its tenant stamped, its layout linked --
+  while it ran;
+* two hotpatches granted back to back leave the race checker nothing
+  to report, unflushed execs included.
 """
 
 import pytest
 
 from repro import params
+from repro.ebpf import opcodes as op
+from repro.ebpf.asm import Asm
+from repro.ebpf.interpreter import Interpreter
+from repro.ebpf.program import BpfProgram
 from repro.ebpf.stress import make_stress_program
+from repro.hb import checker
 from repro.serve import DeployService, default_classes
 
 pytestmark = pytest.mark.arm(
@@ -146,14 +159,58 @@ def test_hotpatch_dispatches_on_the_core_no_compile_takes(testbed):
     assert patch.finished_us < min(ticket.finished_us for ticket in compiling)
 
 
-def test_cold_tickets_compile_together_and_install_one_at_a_time(
-    testbed, monkeypatch
-):
-    bed = testbed
+def _lock_intervals(bed, monkeypatch, lock, log):
+    """Log ``(grant, release)`` of every request ``lock`` granted."""
+    request, release = lock.request, lock.release
+    granted = {}
+
+    def logged_request(priority=0):
+        grant = request(priority)
+        grant.callbacks.append(
+            lambda event: granted.setdefault(event, bed.sim.now)
+        )
+        return grant
+
+    def logged_release(grant):
+        if grant in granted:
+            log.append((granted.pop(grant), bed.sim.now))
+        release(grant)
+
+    monkeypatch.setattr(lock, "request", logged_request)
+    monkeypatch.setattr(lock, "release", logged_release)
+
+
+def _two_cold_installs(bed, monkeypatch, flush_delay_us=0.0):
+    """Two cold tickets on one target, two workers: logs the compiles,
+    the flips (each returns at its commit CAS's answer), the lock's
+    holds, the settles' records and the install chains' posts."""
+    codeflow = bed.codeflow
+    sync = codeflow.sync
     service = _service(bed, workers=2)
-    prepares, deploys = [], []
-    _intervals(bed, monkeypatch, bed.control, "prepare_for", prepares)
-    _intervals(bed, monkeypatch, bed.codeflow, "deploy_prog", deploys)
+    log = {name: [] for name in ("prepares", "flips", "held", "recorded", "posted")}
+    _intervals(bed, monkeypatch, bed.control, "prepare_for", log["prepares"])
+    _intervals(bed, monkeypatch, codeflow, "flip_prog", log["flips"])
+    _lock_intervals(
+        bed, monkeypatch, service._target_lock(codeflow.sandbox.name), log["held"]
+    )
+    bookkeep, install, flush = codeflow._bookkeep, sync.install, sync.flush_chained
+
+    def logged_bookkeep(*args):
+        log["recorded"].append(bed.sim.now)
+        bookkeep(*args)
+
+    def logged_install(*args, **kwargs):
+        log["posted"].append(bed.sim.now)
+        return (yield from install(*args, **kwargs))
+
+    def slowed_flush(spans, waited=True):
+        yield flush_delay_us
+        yield from flush(spans, waited)
+
+    monkeypatch.setattr(codeflow, "_bookkeep", logged_bookkeep)
+    monkeypatch.setattr(sync, "install", logged_install)
+    if flush_delay_us:
+        monkeypatch.setattr(sync, "flush_chained", slowed_flush)
     service.start()
     programs = [
         make_stress_program(300, seed=seed, name=f"cold{seed}")
@@ -162,7 +219,7 @@ def test_cold_tickets_compile_together_and_install_one_at_a_time(
 
     def body():
         tickets = [
-            service.submit("dev", bed.codeflow, program, hook)
+            service.submit("dev", codeflow, program, hook)
             for program, hook in zip(programs, ("ingress", "egress"))
         ]
         for ticket in tickets:
@@ -171,15 +228,40 @@ def test_cold_tickets_compile_together_and_install_one_at_a_time(
 
     tickets = bed.sim.run_process(body())
     assert all(ticket.completed for ticket in tickets)
+    assert len(log["held"]) == len(log["recorded"]) == len(log["posted"]) == 2
+    return log
+
+
+def test_cold_tickets_compile_together_and_install_one_at_a_time(
+    testbed, monkeypatch
+):
+    log = _two_cold_installs(testbed, monkeypatch)
     # Each install re-enters prepare_for for a registry hit, at zero
     # length; the compiles are the intervals that take time.
-    prepares = [(start, end) for start, end in prepares if end > start]
-    assert len(prepares) == len(deploys) == bed.control.compiles_run == 2
+    prepares = [(start, end) for start, end in log["prepares"] if end > start]
+    assert len(prepares) == testbed.control.compiles_run == 2
     # The compiles overlap ...
     assert max(start for start, _ in prepares) < min(end for _, end in prepares)
-    # ... the installs never do.
-    first, second = sorted(deploys)
+    # ... the installs hold the lock one at a time, each up to its
+    # commit CAS's answer ...
+    first, second = sorted(log["held"])
     assert first[1] <= second[0]
+    assert [end for _, end in sorted(log["held"])] == [
+        end for _, end in sorted(log["flips"])
+    ]
+    # ... so the second is granted while the first's settle runs, yet
+    # posts no WR before that settle has recorded.
+    assert second[0] < log["recorded"][0] <= log["posted"][1]
+
+
+def test_the_next_install_joins_a_settle_that_outlasts_its_dispatch(
+    testbed, monkeypatch
+):
+    # A flush 10 us slower than the next install's dispatch, as a fuzzed
+    # delay makes it: the join, not the timing, keeps the order.
+    log = _two_cold_installs(testbed, monkeypatch, flush_delay_us=10.0)
+    _, second = sorted(log["held"])
+    assert second[0] < log["recorded"][0] <= log["posted"][1]
 
 
 def test_hotpatch_overtakes_bulk_at_the_install_gate(testbed):
@@ -249,15 +331,17 @@ def test_a_same_layout_cold_install_holds_the_lock_without_a_rendezvous(
     report = cold.report
     assert not report.warm and report.mode == "full"
     assert report.dispatch_us == pytest.approx(params.RDX_DISPATCH_FAST_US)
-    # The lock is held for link + dispatch + install + settle, and the
-    # hotpatch installs the instant it is released.
-    held = report.link_us + report.dispatch_us + report.write_us + report.cc_us
+    # The lock is held for link + dispatch + install, up to the commit
+    # CAS's answer -- the hook-line flush runs after the release -- and
+    # the hotpatch installs the instant it is released.
+    held = report.link_us + report.dispatch_us + report.write_us
     assert patch.finished_us == pytest.approx(
         granted["cold"] + held + patch.report.total_us
     )
     # Its idle service time plus what is left of that hold after its
-    # own warm probe (~8.0 us; a hold paying the rendezvous left ~16).
-    assert patch.service_us <= alone.service_us + 8.1
+    # own warm probe (~6.0 us; a hold through the flush left ~8.0, one
+    # paying the rendezvous too ~16).
+    assert patch.service_us <= alone.service_us + 6.1
 
 
 def test_each_tenant_series_counts_only_its_own_installs(testbed):
@@ -282,3 +366,83 @@ def test_each_tenant_series_counts_only_its_own_installs(testbed):
     for tenant in ("dev", "pager"):
         series = bed.obs.histogram("rdx.tenant.install_visible_us", tenant=tenant)
         assert series.count == 1, tenant
+
+
+def test_a_settle_records_what_its_own_install_staged(testbed, monkeypatch):
+    bed = testbed
+    codeflow = bed.codeflow
+    service = _service(bed, workers=2)
+    # Two layouts: a helper call resolves through the GOT, the stress
+    # program resolves nothing.
+    helper = BpfProgram(
+        Asm().call(7).mov_imm(op.R0, 5).exit_().build(), name="helper"
+    )
+    hot = make_stress_program(60, seed=6, name="hot")
+    layouts = {}
+    for program in (helper, hot):
+        assert bed.sim.run_process(service.warm_pool.prewarm(codeflow, program))
+        layouts[program.name] = codeflow._last_link_key[1:]
+    assert layouts["helper"] != layouts["hot"]
+    linked = []
+    link_pinned = codeflow.link_pinned
+
+    def linked_under_a_settle(pin):
+        settling = codeflow._settling
+        linked.append((codeflow.tenant, settling is not None and settling.is_alive))
+        return link_pinned(pin)
+
+    monkeypatch.setattr(codeflow, "link_pinned", linked_under_a_settle)
+    service.start()
+
+    def body():
+        tickets = [
+            service.submit("dev", codeflow, helper, "egress"),
+            service.submit("pager", codeflow, hot, "ingress"),
+        ]
+        for ticket in tickets:
+            yield ticket.done
+        return tickets
+
+    tickets = bed.sim.run_process(body())
+    assert all(ticket.completed and ticket.report.warm for ticket in tickets)
+    # The hotpatch installs first; dev's grant stamps its tenant and
+    # links its own layout while the hotpatch's settle still runs.
+    assert linked == [("pager", False), ("dev", True)]
+    # Each record carries its own link's layout, and each tenant's
+    # series counts its own deploy only.
+    for program in (helper, hot):
+        assert codeflow.deployed[program.name].layout == layouts[program.name]
+    for tenant in ("dev", "pager"):
+        series = bed.obs.histogram("rdx.tenant.install_visible_us", tenant=tenant)
+        assert series.count == 1, tenant
+
+
+@pytest.mark.arm(hb_check=True)
+def test_back_to_back_hotpatches_are_ordered_for_the_race_checker(testbed):
+    bed = testbed
+    codeflow = bed.codeflow
+    service = _service(bed, workers=2)
+    first = _prewarmed(bed, service)
+    second = make_stress_program(60, seed=7, name="hot2")
+    assert bed.sim.run_process(service.warm_pool.prewarm(codeflow, second))
+    service.start()
+
+    def body():
+        tickets = [
+            service.submit("pager", codeflow, program, "ingress")
+            for program in (first, second)
+        ]
+        for ticket in tickets:
+            yield ticket.done
+        return tickets
+
+    tickets = bed.sim.run_process(body())
+    assert all(ticket.completed for ticket in tickets)
+    # The second install's stage starts under the first one's flush.
+    assert tickets[1].report.started_us < tickets[0].finished_us
+    ctx = bytes(256)
+    result, _ = bed.sandbox.run_hook("ingress", ctx)
+    assert result.r0 == Interpreter().run(second.insns, ctx).r0
+    # Its chain still follows that flush: no race, no unflushed exec.
+    report = checker.check_sim(bed.sim, check_unflushed_exec=True)
+    assert report.events and report.clean, checker.format_findings(report.findings)
