@@ -11,6 +11,7 @@ The bench alternates between two same-length images under heavy cache
 pressure (CPKI 60) and counts data-path crashes per scheme.
 """
 
+from repro.core.api import rdx_cc_event, rdx_tx
 from repro.ebpf.stress import make_stress_program
 from repro.errors import SandboxCrash
 from repro.exp.harness import format_table, make_testbed
@@ -62,13 +63,10 @@ def run_mode(use_tx: bool) -> tuple[int, int]:
                 # Staged write + pointer flip (the rdx_tx discipline).
                 new_addr = bed.codeflow.code_allocator.alloc(len(image.code), 64)
                 hook_addr = bed.sandbox.hook_table.slot_addr("ingress")
-                yield from bed.codeflow.sync.tx(
-                    obj_addr=new_addr,
-                    obj_bytes=image.code,
-                    qword_addr=hook_addr,
-                    new_qword=new_addr,
+                yield from rdx_tx(
+                    bed.codeflow, image.code, new_addr, hook_addr, new_addr
                 )
-                yield from bed.codeflow.sync.cc_event(hook_addr, 8)
+                yield from rdx_cc_event(bed.codeflow, hook_addr, 8)
             else:
                 # Vanilla: overwrite the live image in place; the CPU
                 # picks the change up line by line as eviction refills.

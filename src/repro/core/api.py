@@ -25,6 +25,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
+from repro.hb import events as hb
 from repro.rdma.verbs import open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.core.broadcast import CodeFlowGroup
@@ -130,16 +131,37 @@ def rdx_tx(
     new_qword: int,
     expect: Optional[int] = None,
 ) -> Generator:
-    """Transactionally update a remote qword-guarded object (Table 1)."""
-    prior = yield from handle.sync.tx(
-        obj_addr, inter_obj, qword_addr, new_qword, expect=expect
-    )
+    """Transactionally update a remote qword-guarded object (Table 1).
+
+    One :meth:`~repro.core.sync.RemoteSync.install` of the object and
+    then the flip, which lands only once the object has; returns the
+    qword's prior value.  With ``expect`` the flip is a fenced CAS that
+    aborts on a mismatch; without it, a WRITE of the qword behind the
+    object, and the prior is what a READ found first.
+    """
+    sync = handle.sync
+    ops, note = [], None
+    if inter_obj:
+        ops.append((obj_addr, inter_obj))
+        if handle.config.hb_check:
+            note = hb.txn_note(handle.sim, publishes=(obj_addr, len(inter_obj)))
+    if expect is None:
+        prior = int.from_bytes((yield from sync.read(qword_addr, 8)), "little")
+        ops.append((qword_addr, new_qword.to_bytes(8, "little")))
+        yield from sync.install(ops, None, 0, 0, [], note)
+        return prior
+    flip = (qword_addr, expect, new_qword, [], note)
+    prior, torn = yield from sync.install(ops, *flip)
+    if prior is None:  # depth 1: the flip is an install of its own
+        prior, torn = yield from sync.install([], *flip)
+    if torn is not None:
+        raise torn
     return prior
 
 
 def rdx_cc_event(handle: CodeFlow, mem_addr: int, length: int = 64) -> Generator:
     """Flush remote cache lines via the event hook (Table 1)."""
-    yield from handle.sync.cc_event(mem_addr, length)
+    yield from handle.sync.flush_chained([(mem_addr, length)], chained=False)
 
 
 def rdx_mutual_excl(handle: CodeFlow, owner_token: int) -> "_LockContext":

@@ -71,6 +71,9 @@ class TargetOutcome:
     #: Abort-path disposition for a leg that had succeeded.
     rolled_back: bool = False
     detached: bool = False
+    #: The leg's bubble raise was posted, so it may be up: only such a
+    #: leg is lowered.
+    raised: bool = False
 
     def fail(self, err: BaseException) -> None:
         self.ok = False
@@ -404,7 +407,8 @@ class CodeFlowGroup:
         host the lease layer already knows is sick.  ``record_intent``
         journals the whole broadcast as one WAL transaction (INTEND
         before any bubble rises, COMMIT listing exactly the legs that
-        kept the new logic).
+        kept the new logic).  ``tenant`` labels the trace root and each
+        leg's deploy metrics.
 
         The stage (with its raise), flip and (unordered) lower phases
         walk one forest of the targets (:class:`_FanoutPlan`).  A leg
@@ -419,7 +423,8 @@ class CodeFlowGroup:
         legs through the control RNIC.  The commit decision needs only
         the flips' CAS answers, so it is taken as the last CQE is in;
         each lower then waits only for its own leg's hook-line flush,
-        and a failed leg is lowered directly, beside the walk.  The
+        and a failed leg whose raise was posted is lowered directly,
+        beside the walk.  The
         window holds the flips left at the last raise and the lowers:
         ``bubble_window_us`` runs from the last raise,
         ``bubble_hold_us`` from the first.  A
@@ -586,19 +591,22 @@ class CodeFlowGroup:
                     # subtree: the children are served by the control
                     # plane instead.
                     self._relay_fallback(codeflow, "parent-failed")
-                raise_ = ()
+                outcome = result.outcomes[index]
+                raise_, posted = (), []
                 if use_bbu and not pending:
                     raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
                 done = yield from self._deploy_leg(
-                    result.outcomes[index], deadline_us,
+                    outcome, deadline_us,
                     self._stage_route(
                         codeflow, programs[index],
                         plan.images.get(codeflow.sandbox.name), via,
-                        hook_name, span, verify, delta, raise_,
+                        hook_name, span, verify, delta, raise_, posted,
                     ),
                 )
+                outcome.raised = bool(raise_ and posted)
                 if done is None:
                     return None
+                done.tenant = tenant
                 staged[index] = done
                 if raise_ and not result.first_raised_us:
                     result.first_raised_us = self.sim.now
@@ -706,14 +714,14 @@ class CodeFlowGroup:
                 # it strands are the reconciler's to repair.
                 if use_bbu and not plane.crashed:
                     flushes = []
-                    # A leg the lease layer skipped posted no WR, and a
-                    # fenced leg never raised its bubble (a stale writer
-                    # has no business lowering the successor's).
+                    # Only a posted raise can have landed: a leg the
+                    # lease layer skipped, a fenced one (a stale writer
+                    # has no business lowering the successor's) and one
+                    # whose stage failed before its install went out
+                    # raised nothing, and lowering a dead host's would
+                    # spend its retry budget inside the window.
                     lowerable = {
-                        index
-                        for index in live
-                        if result.outcomes[index].error_kind
-                        != "StaleEpochError"
+                        index for index in live if result.outcomes[index].raised
                     }
                     if plan.sequential:
                         for index in plan.order:
@@ -901,6 +909,7 @@ class CodeFlowGroup:
             try:
                 yield from codeflow.check_fence()
                 if bubble:
+                    outcome.raised = True
                     yield from self._write_bubble(
                         codeflow, 1, codeflow.sync, flushes
                     )
@@ -948,12 +957,13 @@ class CodeFlowGroup:
 
     def _stage_route(
         self, codeflow, program, linked, via, hook_name, span, verify, delta,
-        tail,
+        tail, posted,
     ) -> Generator:
         """Stage one leg through ``via`` (the forest parent) when it can
         be used, else -- and when the relay *path* breaks -- over the
         control plane's own QP.  ``linked`` is the plan's Phase-0 image
-        for this target (None: none).  Returns the staged plan."""
+        for this target (None: none); ``tail`` and ``posted`` are
+        :meth:`CodeFlow.stage_prog`'s.  Returns the staged plan."""
         obs = self.control_plane.obs
         with obs.span(
             "rdx.broadcast.target", parent=span,
@@ -975,7 +985,7 @@ class CodeFlowGroup:
                             codeflow, via,
                             self._stage_step(
                                 codeflow, program, linked, hook_name, child,
-                                verify, delta, tail, relayed=True,
+                                verify, delta, tail, posted, relayed=True,
                             ),
                         )
                     except RdmaError as err:
@@ -989,7 +999,7 @@ class CodeFlowGroup:
             if staged is None:
                 staged = yield from self._stage_step(
                     codeflow, program, linked, hook_name, child, verify, delta,
-                    tail,
+                    tail, posted,
                 )
             # Delta eligibility is decided per target (its own
             # baseline, or none), so one broadcast may mix both modes.
@@ -1004,7 +1014,7 @@ class CodeFlowGroup:
 
     def _stage_step(
         self, codeflow, program, linked, hook_name, span, verify, delta, tail,
-        relayed=False,
+        posted, relayed=False,
     ) -> Generator:
         """``stage_prog``, then verify-or-unstage -- over one route.
 
@@ -1023,14 +1033,14 @@ class CodeFlowGroup:
         if linked is None:
             staged = yield from plane.stage_for(
                 codeflow, program, hook_name, parent_span=span, delta=delta,
-                tail=tail,
+                tail=tail, posted=posted,
             )
         else:
             if not relayed:
                 plane._check_alive()
             staged = yield from codeflow.stage_prog(
                 program, linked, hook_name, parent_span=span, delta=delta,
-                tail=tail,
+                tail=tail, posted=posted,
             )
         if verify:
             try:

@@ -161,9 +161,10 @@ class _DeployPlan:
     #: install, else the flip posts it).
     prior: Optional[int] = None
     torn: Optional[BaseException] = None
-    #: What the settle records that the next grant rewrites on the
-    #: handle, taken at stage time: the link's (arch, GOT fingerprint)
-    #: layout and the tenant label.
+    #: What the settle records, fixed before the next grant can move
+    #: it: the link's (arch, GOT fingerprint) layout, taken at stage
+    #: time, and the tenant label its caller gives (install lock or
+    #: broadcast; "" = unowned).
     layout: Optional[tuple] = None
     tenant: str = ""
 
@@ -245,9 +246,6 @@ class CodeFlow:
         self._hook_owner: dict[str, str] = {}
         self.reports: list[DeployReport] = []
         self._lock_token = 0xC0DE_0000 + sandbox.sandbox_id
-        #: Tenant label stamped on this target's deploy metrics and
-        #: trace roots (multi-tenant aggregation; "" = unowned).
-        self.tenant = ""
         #: True when the last :meth:`link_code` was served from the
         #: artifact store (a link-stage hit or a pin) -- one of the two
         #: ways a deploy's layout is certified and it skips the stub
@@ -304,7 +302,9 @@ class CodeFlow:
             if prior != current:
                 self._fenced(prior)
             self.sync.hb_epoch = epoch
-            yield from self.sync.cc_event(self.sandbox.epoch_addr, 8)
+            yield from self.sync.flush_chained(
+                [(self.sandbox.epoch_addr, 8)], chained=False
+            )
         self.epoch = epoch
         self.sync.hb_epoch = epoch
 
@@ -427,11 +427,13 @@ class CodeFlow:
         parent_span: Optional[Span] = None,
         delta: bool = True,
         settles: Optional[list] = None,
+        tenant: str = "",
     ) -> Generator:
         """One-sided injection of a linked image + metadata + hook flip.
 
         Returns a :class:`DeployReport`; given a ``settles`` list it
         returns at the commit CAS's answer instead (:meth:`flip_prog`).
+        ``tenant`` labels the deploy's metrics ("" = unowned).
         The hook flip is a transactional qword swap followed by a
         cache-coherence event on the hook line.  With
         ``retain_history`` the previous image stays resident as a
@@ -447,6 +449,7 @@ class CodeFlow:
         plan = yield from self.stage_prog(
             program, linked, hook_name, parent_span, delta, commit=True
         )
+        plan.tenant = tenant
         try:
             return (yield from self.flip_prog(plan, retain_history, settles))
         except BaseException as err:
@@ -462,6 +465,7 @@ class CodeFlow:
         delta: bool = True,
         tail: tuple = (),
         commit: bool = False,
+        posted: Optional[list] = None,
     ) -> Generator:
         """Land an image where no hook points yet; returns the plan
         :meth:`flip_prog` commits.
@@ -471,9 +475,11 @@ class CodeFlow:
         moves one qword.  ``tail`` is ``(addr, payload)`` control-word
         writes that ride the stage after the descriptor, each flushed
         with the body spans before this returns -- a broadcast's bubble
-        flag.  ``commit`` chains the commit CAS and the flush doorbells
-        too (one install, :meth:`deploy_prog`) where the schedule
-        chains WRs; the flip then only flushes.
+        flag.  A ``posted`` list gets the plan as its install is posted,
+        so a caller knows its tail may have landed even when the stage
+        then fails.  ``commit`` chains the commit CAS and the flush
+        doorbells too (one install, :meth:`deploy_prog`) where the
+        schedule chains WRs; the flip then only flushes.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -489,7 +495,10 @@ class CodeFlow:
         try:
             plan = yield from self._traced(
                 span, self.sync,
-                self._stage(program, linked, hook_name, report, delta, tail, commit),
+                self._stage(
+                    program, linked, hook_name, report, delta, tail, commit,
+                    posted,
+                ),
             )
         except BaseException as err:
             _fail_span(span, err)
@@ -652,6 +661,7 @@ class CodeFlow:
         delta: bool,
         tail: tuple,
         commit: bool,
+        posted: Optional[list],
     ) -> Generator:
         """Fence, dispatch and land one plan's bytes; returns the plan.
 
@@ -726,7 +736,7 @@ class CodeFlow:
         plan.image, plan.report = linked.code, report
         plan.version = existing.version + 1 if existing else 1
         key = self._last_link_key
-        plan.layout, plan.tenant = (key[1:] if key else None), self.tenant
+        plan.layout = key[1:] if key else None
         try:
             plan.slot = self._pick_metadata_slot()
             block = MetadataBlock(
@@ -754,6 +764,8 @@ class CodeFlow:
                 (self.manifest.metadata_addr + plan.slot * 256, block.encode())
             ]
             mark = self.sim.now
+            if posted is not None:
+                posted.append(plan)
             plan.prior, plan.torn = yield from self.sync.install(
                 ops, hook_addr if commit else None, plan.existing_addr,
                 plan.code_addr, plan.flush, note=plan.note, tail=tail,
@@ -808,11 +820,11 @@ class CodeFlow:
 
         The commit is one :meth:`RemoteSync.install` of the CAS alone:
         a 2-WR chain of the fenced CAS and the hook line's doorbell, or
-        at depth 1 ``rdx_tx``.  A wrong prior raises
+        at depth 1 the CAS alone.  A wrong prior raises
         :class:`DeployError` naming both values; a chain torn after its
         CAS re-raises its error -- committed, so the reconciler
         finishes the flush.  An exception from the post leaves no
-        answer: a chain's CAS never ran; ``rdx_tx``'s may have run and
+        answer: a chain's CAS never ran; a lone CAS may have run and
         lost its ACK.
 
         ``plan`` is the deploy this commit publishes: its hb note rides
@@ -1228,28 +1240,35 @@ class CodeFlow:
                 f"{spec.name}: initial image is {len(image)} bytes, "
                 f"spec wants {spec.data_bytes()}"
             )
+        header = handle.header_addr
+        body = encode_xstate_header(spec) + image
+        meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
+        # The data path adopts the map by its header, never through the
+        # meta slot: the header span is the flush it waits for.
+        flush = [(header, params.XSTATE_HEADER_BYTES)]
+        note = None
+        if self.config.hb_check:
+            note = hb.txn_note(self.sim, publishes=(header, len(body)))
         with self.obs.span(
             "rdx.xstate.deploy", xstate=spec.name, target=self.sandbox.name
         ):
-            yield from self.sync.write(
-                handle.header_addr, encode_xstate_header(spec) + image
+            # The deploy shape: header + image, then the meta slot's
+            # commit CAS from 0 (at depth 1 an install of its own).
+            prior, torn = yield from self.sync.install(
+                [(header, body)], meta_addr, 0, header, flush, note=note
             )
-            meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
-            prior = yield from self.sync.tx(
-                obj_addr=handle.header_addr,
-                obj_bytes=b"",
-                qword_addr=meta_addr,
-                new_qword=handle.header_addr,
-                expect=0,
-            )
+            if prior is None:
+                prior, torn = yield from self.sync.install(
+                    [], meta_addr, 0, header, [], note=note
+                )
             if prior != 0:
                 self.scratchpad.release(handle)
                 raise XStateError(
                     f"{spec.name}: meta slot {handle.meta_index} already taken"
                 )
-            yield from self.sync.cc_event(
-                handle.header_addr, params.XSTATE_HEADER_BYTES
-            )
+            if torn is not None:
+                raise torn
+            yield from self.sync.flush_chained(flush)
         self.obs.counter("rdx.xstate.bytes_written").inc(
             params.XSTATE_HEADER_BYTES + len(image)
         )
@@ -1278,8 +1297,11 @@ class CodeFlow:
         if prior != handle.header_addr:
             raise XStateError(f"{handle.name}: meta entry changed underneath us")
         # Poison the header magic so stale pointers cannot re-adopt it.
-        yield from self.sync.write(handle.header_addr, b"\x00")
-        yield from self.sync.cc_event(handle.header_addr, params.XSTATE_HEADER_BYTES)
+        flush = [(handle.header_addr, params.XSTATE_HEADER_BYTES)]
+        yield from self.sync.install(
+            [(handle.header_addr, b"\x00")], None, 0, 0, flush
+        )
+        yield from self.sync.flush_chained(flush)
         self.scratchpad.release(handle)
 
     # -- XState access (inspector APIs) ---------------------------------------------
@@ -1318,8 +1340,9 @@ class CodeFlow:
             raise XStateError(f"{handle.name}: map full")
         slot_addr = handle.data_addr + target_slot * slot_bytes
         payload = b"\x01" + bytes(7) + key + value
-        yield from self.sync.write(slot_addr, payload)
-        yield from self.sync.cc_event(slot_addr, len(payload))
+        flush = [(slot_addr, len(payload))]
+        yield from self.sync.install([(slot_addr, payload)], None, 0, 0, flush)
+        yield from self.sync.flush_chained(flush)
 
     def read_raw(self, addr: int, length: int) -> Generator:
         """One-sided READ helper."""

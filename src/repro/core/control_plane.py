@@ -53,10 +53,10 @@ class InstallLock(NamedTuple):
     """A per-target mutex :meth:`RdxControlPlane.inject` takes once the
     artifact is staged and releases at the commit CAS's answer.  It
     guards what reads or writes the handle's per-install state: the
-    link (``_last_link_key``), the tenant label (stamped from
-    ``tenant`` on grant), the stage, the commit and the pin admit.  The
-    settle runs after the release; the next holder's stage joins it
-    before it plans.  Lower ``priority`` is granted first."""
+    link (``_last_link_key``), the stage, the commit and the pin admit.
+    The settle runs after the release; the next holder's stage joins it
+    before it plans.  Lower ``priority`` is granted first; ``tenant``
+    labels the holder's deploy."""
 
     resource: Resource
     priority: int = 0
@@ -436,7 +436,6 @@ class RdxControlPlane:
                 try:
                     if grant is not None:
                         yield grant
-                        codeflow.tenant = install_lock.tenant
                     mark = self.sim.now
                     linked = yield from self._linked(codeflow, pin, entry, span)
                     link_us = self.sim.now - mark
@@ -444,6 +443,7 @@ class RdxControlPlane:
                         program, linked, hook_name,
                         retain_history=retain_history, parent_span=span,
                         delta=delta, settles=settles,
+                        tenant=install_lock.tenant if install_lock else "",
                     )
                     self._admit(codeflow, program, entry)
                 finally:
@@ -490,6 +490,7 @@ class RdxControlPlane:
     def stage_for(
         self, codeflow: CodeFlow, program: BpfProgram, hook_name: str,
         parent_span: Optional[Span] = None, delta: bool = True, tail: tuple = (),
+        posted: Optional[list] = None,
     ) -> Generator:
         """:meth:`inject` up to the hook flip, unjournaled and unlocked:
         a broadcast leg with no image of its own.  Returns the plan
@@ -506,7 +507,7 @@ class RdxControlPlane:
             link_us = self.sim.now - mark
             plan = yield from codeflow.stage_prog(
                 program, linked, hook_name, parent_span=span, delta=delta,
-                tail=tail,
+                tail=tail, posted=posted,
             )
             plan.report.warm = entry is None
             plan.report.link_us = link_us  # the flip adds it to the total

@@ -84,8 +84,11 @@ class MigrationManager:
             if existing is None:
                 yield from dst.deploy_xstate(xstate.spec, initial=live)
             else:
-                yield from dst.sync.write(existing.data_addr, snapshot)
-                yield from dst.sync.cc_event(existing.data_addr, len(snapshot))
+                flush = [(existing.data_addr, len(snapshot))]
+                yield from dst.sync.install(
+                    [(existing.data_addr, snapshot)], None, 0, 0, flush
+                )
+                yield from dst.sync.flush_chained(flush)
         report.xstate_copied_us = self.sim.now - report.started_us
 
         # Re-link the cached binary for the destination and deploy.

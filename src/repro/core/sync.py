@@ -2,19 +2,23 @@
 
 One-sided injection has three hazards, each owned by one primitive:
 
-* **partial reads** of large objects -> :meth:`RemoteSync.tx` stages
-  the full object first, then flips a single qword (the hook pointer)
-  with an atomic CAS -- the data path either sees the old object or
-  the complete new one.  :meth:`RemoteSync.install` is the same
-  transaction as one WR chain, with the flush doorbells below riding
-  behind its fenced CAS;
-* **RNIC/CPU cache incoherence** -> :meth:`RemoteSync.cc_event` posts
-  a flush descriptor to the sandbox's event hook, dropping the stale
-  cache lines within ~2 us instead of waiting for eviction (Fig 5);
+* **partial reads** of large objects -> :meth:`RemoteSync.install`
+  stages the full object first, then flips a single qword (the hook
+  pointer) with a fenced CAS in the same WR chain -- the data path
+  either sees the old object or the complete new one;
+* **RNIC/CPU cache incoherence** -> :meth:`RemoteSync.flush_chained`
+  has the sandbox's event hook drop the stale cache lines within ~2 us
+  instead of waiting for eviction (Fig 5), its doorbells riding an
+  install chain or rung on their own;
 * **CPU vs RNIC races** -> :meth:`RemoteSync.lock` /
   :meth:`RemoteSync.unlock` implement a sandbox-level mutex over an
   RDMA CAS word that the local CPU honours through
   :meth:`repro.sandbox.sandbox.Sandbox.cpu_try_lock`.
+
+``install`` is the only call that posts a publication and
+``flush_chained`` the only code that applies a flush's effect; Table
+1's ``rdx_tx`` and ``rdx_cc_event`` (:mod:`repro.core.api`) are thin
+wrappers of the two.
 
 All raw one-sided ops run under a :class:`~repro.core.retry.RetryPolicy`:
 a transient transport failure (flaky link, unACKed WR against a host
@@ -69,6 +73,8 @@ class RemoteSync:
         #: Jitter source for retry backoff, decorrelated per target
         #: by the sandbox name.
         self._rng = random.Random(zlib.crc32(sandbox.name.encode()))
+        #: Commit CASes that found their expected prior, and flushes
+        #: that took effect.
         self.tx_count = 0
         self.cc_count = 0
         self.lock_acquires = 0
@@ -159,25 +165,13 @@ class RemoteSync:
             wr_id=next(self._wr_ids), **fields,
         ))
 
-    def _post_chain(self, window: "list[tuple[int, bytes]]", note=None):
-        """Post ``window`` as one chain of fresh WRITEs (one doorbell,
-        one signaled completion) and return the chain's event."""
-        return self.qp.post_send_batch([
-            WorkRequest(
-                opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
-                data=payload, hb=self._hb_note(addr, note) if self._hb else None,
-                wr_id=next(self._wr_ids),
-            )
-            for addr, payload in window
-        ])
-
     def _settle(self, completion: Completion, what: str) -> Completion:
         """One attempt's outcome: its completion, or the error to raise
         (:class:`TransientFault` for an unACKed WR, which the retry
         policy absorbs; :class:`RdmaError` for anything else).
 
         Every op runs as ``self.retry.run(sim, post, self._settle, what,
-        ...)``, where ``post`` (:meth:`_post`, :meth:`_post_chain`)
+        ...)``, where ``post`` (:meth:`_post`, :meth:`_post_window`)
         builds and posts fresh WRs per attempt.  A failed chain retries
         *as a whole*: torn prefixes from the failed attempt are overwritten
         when the retry re-lands every WR (writes are idempotent), so
@@ -213,79 +207,6 @@ class RemoteSync:
                 "rdx.trace.write", addr=addr, length=len(data),
                 chunks=max(1, -(-len(data) // RNIC_MTU_BYTES)),
             )
-        return completion
-
-    def write_batch(self, ops: "list[tuple[int, bytes]]", note=None) -> Generator:
-        """Pipelined multi-write: chained WRs, selective signaling.
-
-        ``ops`` is ``[(addr, payload), ...]``.  Up to
-        :data:`repro.params.RDX_SQ_DEPTH` WRs go out per chain (one
-        doorbell, one signaled completion); larger batches issue
-        multiple chains back to back.  The fault hook is consulted per
-        op, exactly as :meth:`write` does -- an armed fault can mangle
-        or drop any WR in the batch, and an injected transport error
-        fails the whole chain's first attempt (the batch then retries
-        as a whole under the RetryPolicy).  A *dropped* WR re-enters
-        the retry loop like a transport error: from the initiator it is
-        indistinguishable from an unACKed write, so it is charged the
-        transport timeout and re-sent (with backoff) until it lands or
-        the retry budget runs out -- the batch never reports success
-        with a chunk missing.  An empty ``ops`` list is a no-op with
-        zero simulated cost (no chain, no doorbell, nothing to charge).
-        Returns the last chain's completion.
-        """
-        pending = list(ops)
-        if not pending:
-            return None
-        completion = None
-        depth = params.RDX_SQ_DEPTH
-        inject = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            staged, redo = pending, []
-            if self.fault_hook is not None:
-                staged = []
-                for addr, data in pending:
-                    payload, dropped, error = self._consult_hook(
-                        "write", addr, data
-                    )
-                    if error is not None and inject is None:
-                        inject = error
-                    if dropped:
-                        redo.append((addr, data))
-                        continue
-                    staged.append((addr, payload))
-            for start in range(0, len(staged), depth):
-                window = staged[start : start + depth]
-                completion = yield from self.retry.run(
-                    self.sim, partial(self._post_chain, window, note),
-                    self._settle, "WRITE_BATCH", self._rng, inject,
-                )
-                if self.trace_span is not None:
-                    self._trace_event(
-                        "rdx.trace.chain", wrs=len(window),
-                        bytes=sum(len(payload) for _, payload in window),
-                    )
-                inject = None
-            if not redo:
-                return completion
-            # Dropped WRs went out but never ACKed: charge the
-            # transport timeout like any lost op, then back off and
-            # re-send only the missing writes (writes are idempotent,
-            # and the hook is consulted again so one-shot faults heal).
-            yield params.RDMA_RETRY_TIMEOUT_US
-            self._obs.counter("rdx.retry.attempts", op="write_batch").inc()
-            if attempt == self.retry.max_attempts:
-                self._obs.counter(
-                    "rdx.retry.exhausted", op="write_batch"
-                ).inc()
-                raise TransientFault(
-                    f"WRITE_BATCH: {len(redo)} WR(s) dropped in-flight "
-                    f"after {attempt} attempts"
-                )
-            delay = self.retry.backoff_us(attempt, self._rng)
-            self._obs.histogram("rdx.retry.backoff_us").observe(delay)
-            yield delay
-            pending = redo
         return completion
 
     def read(self, addr: int, length: int) -> Generator:
@@ -327,43 +248,7 @@ class RemoteSync:
         )
         return completion.result
 
-    # -- rdx_tx (§3.5 issue 1) -----------------------------------------------
-
-    def tx(
-        self,
-        obj_addr: int,
-        obj_bytes: bytes,
-        qword_addr: int,
-        new_qword: int,
-        expect: Optional[int] = None,
-        note=None,
-    ) -> Generator:
-        """Transactional install: stage the object, then flip one qword.
-
-        The object is fully resident before the qword swap executes
-        (RC ordering: the WRITE completion precedes the CAS issue), so
-        a concurrent data-path reader can never observe a partial
-        object through the new pointer.  Returns the qword's prior
-        value.  When ``expect`` is given the flip is a compare-and-swap
-        and the transaction *aborts* (returns the observed value
-        without swapping) on mismatch.
-        """
-        if self._hb and note is None and obj_bytes:
-            note = hb.txn_note(self.sim, publishes=(obj_addr, len(obj_bytes)))
-        body_note = self._body_note(note)
-        if obj_bytes:
-            yield from self.write(obj_addr, obj_bytes, note=body_note)
-        yield params.RDX_TX_COMMIT_US
-        if expect is not None:
-            prior = yield from self.cas(qword_addr, expect, new_qword, note=note)
-        else:
-            prior = yield from self.read(qword_addr, 8)
-            prior = int.from_bytes(prior, "little")
-            yield from self.write(
-                qword_addr, new_qword.to_bytes(8, "little"), note=body_note
-            )
-        self.tx_count += 1
-        return prior
+    # -- rdx_tx and rdx_cc_event (§3.5 issues 1 and 2) -------------------------
 
     def install(
         self,
@@ -375,100 +260,92 @@ class RemoteSync:
         note=None,
         tail: "tuple[tuple[int, bytes], ...]" = (),
     ) -> Generator:
-        """``rdx_tx`` and the ``rdx_cc_event`` doorbells as ONE WR chain.
+        """Publish an object: Table 1's ``rdx_tx`` with its
+        ``rdx_cc_event`` doorbells, and the one call that posts a
+        publication.
 
         The chain is ``ops`` (the staged object, ``[(addr, payload),
-        ...]``), a fenced COMP_SWAP of the qword at ``qword_addr`` from
-        ``expect`` to ``new_qword``, then one 8-byte doorbell WRITE per
-        ``flush`` span and one for the qword's line.  The fence orders
-        the CAS after every earlier WR of its chain, so the object is
-        resident before the pointer flips, and the CAS's prior value
-        comes back in the chain's one CQE.  Windows split at
-        :data:`~repro.params.RDX_SQ_DEPTH` as in :meth:`write_batch`,
-        which posts every window but the last; the CAS and the
-        doorbells ride the last.  ``note`` is the commit's hb
-        annotation; the object's WRs carry its ``txn`` only.
+        ...]``), then ``tail`` -- plain control-word writes that carry
+        no ``txn`` (a bubble flag) -- then, given a ``qword_addr``, a
+        fenced COMP_SWAP of that qword from ``expect`` to ``new_qword``,
+        then one 8-byte doorbell WRITE per ``flush`` span, per ``tail``
+        write and for the qword's line.  The fence orders the CAS after
+        every earlier WR, so the object is resident before the pointer
+        flips, and the CAS's prior value comes back in the chain's one
+        CQE.  The WRITEs go out in windows of
+        :data:`~repro.params.RDX_SQ_DEPTH` (one doorbell, one signaled
+        completion each); the CAS and the doorbells ride the last.
+        ``note`` is the commit's hb annotation; the object's WRs carry
+        its ``txn`` only.  Nothing to post costs nothing.
 
-        ``qword_addr=None`` stages without committing: the chain is
-        ``ops``, then ``tail`` -- plain control-word writes that carry
-        no ``txn`` (a bubble flag) -- then a doorbell per ``flush``
-        span and per ``tail`` write.  Every WR of it is idempotent, so
-        it retries as a whole like :meth:`write_batch`; ``ops=[]`` and
-        ``flush=[]`` with a qword is the flip alone, the CAS and the
-        qword line's doorbell.
+        A window retries as a whole: its WRITEs are idempotent, so a
+        retry overwrites a torn prefix.  The fault hook bites per WR:
+        ``write`` faults on the WRITEs -- a dropped one fails its
+        window's first attempt, like an injected error -- ``cas``
+        faults on the CAS, ``cc_event`` faults on the doorbells' effect
+        in :meth:`flush_chained`.
 
-        The fault hook bites per WR: ``write`` faults on the object
-        and the tail (a drop fails the chain's first attempt, like an
-        injected error), ``cas`` faults on the CAS; ``cc_event`` faults
-        bite the doorbells' effect in :meth:`flush_chained`.
+        Returns ``(prior, torn)`` (``(None, None)`` without a commit).
+        It raises only when the CAS never executed.  An executed CAS is
+        never re-issued: a chain torn after it returns the error as
+        ``torn`` -- with the right prior the install has committed, and
+        the doorbells after the tear may not have run.  The caller
+        waits for the flushes with :meth:`flush_chained`.
 
-        Returns ``(prior, torn)`` (``(None, None)`` when staging).  It
-        raises only when the CAS never executed, retrying the chain as
-        a whole until then.  An executed CAS is never re-issued: a chain
-        torn after it returns the error as ``torn`` -- with the right
-        prior the install has committed, and the doorbells after the
-        tear may not have run.  The caller waits for the flushes with
-        :meth:`flush_chained`.
-
-        At depth 1 nothing rides: ``ops`` and ``tail`` go out as one
-        signaled :meth:`write` each, :meth:`flush_chained` rings each
-        doorbell, and a CAS behind writes is left to the caller's next
-        install (``(None, None)``: it never ran), whose ``ops=[]`` makes
-        it ``rdx_tx`` (:meth:`tx`).
+        At depth 1 nothing rides: each WRITE is a window of its own,
+        posted and waited alone, and no doorbell rings.  The commit
+        runs inline, ``RDX_TX_COMMIT_US`` and then the CAS, when there
+        are no ``ops``; a CAS behind writes is left to the caller's
+        next install (``(None, None)``: it never ran).
         """
         depth = self._depth
+        body = len(ops)
+        wrs = [*ops, *tail]
+        commit = qword_addr is not None and depth > 1
+        doorbells = len(flush) + len(tail) + commit if depth > 1 else 0
+        cut = len(wrs)
+        if depth > 1:
+            cut = (body - 1) // depth * depth if body else 0
+            if len(wrs) - cut + commit + doorbells > depth:
+                cut = body
+        starts = list(range(0, cut, depth))
+        if cut < len(wrs) or doorbells:
+            starts.append(cut)  # the last window: the CAS and doorbells ride it
         body_note = self._body_note(note)
-        if depth == 1:
-            for addr, payload in ops:
-                yield from self.write(addr, payload, note=body_note)
-            for addr, payload in tail:
-                yield from self.write(addr, payload)
+        completion = None
+        for lo in starts:
+            last = lo == cut
+            hi = len(wrs) if last else min(lo + depth, cut)
+            window = wrs[lo:hi]
+            qword = qword_addr if last and commit else None
+            ring = doorbells if last else 0
+            inject = None
+            if self.fault_hook is not None:
+                window, inject = self._consult_window(window, qword)
+            completion = yield from self.retry.run(
+                self.sim,
+                partial(
+                    self._post_window, window, min(hi, body) - lo, qword,
+                    expect, new_qword, ring, body_note, note,
+                ),
+                self._settle_install, "INSTALL", self._rng, inject,
+            )
+            if self.trace_span is not None:
+                extra = (qword is not None) + ring
+                self._trace_event(
+                    "rdx.trace.chain", wrs=len(window) + extra,
+                    bytes=sum(len(payload) for _, payload in window) + 8 * extra,
+                )
+                if qword is not None:
+                    self._trace_event("rdx.trace.cas", addr=qword)
+        if not commit:  # depth 1 runs a CAS inline, unless writes precede it
             if qword_addr is None or ops:
                 return None, None
-            prior = yield from self.tx(
-                new_qword, b"", qword_addr, new_qword, expect, note
-            )
+            yield params.RDX_TX_COMMIT_US
+            prior = yield from self.cas(qword_addr, expect, new_qword, note=note)
+            if prior == expect:
+                self.tx_count += 1
             return prior, None
-        commit = qword_addr is not None
-        doorbells = len(flush) + len(tail) + commit
-        extra = len(tail) + commit + doorbells
-        cut = (len(ops) - 1) // depth * depth if ops else 0
-        if len(ops) - cut + extra > depth:
-            cut = len(ops)
-        if cut:
-            yield from self.write_batch(ops[:cut], note=body_note)
-        window = ops[cut:] + list(tail)
-        inject = None
-        if self.fault_hook is not None:
-            staged = []
-            for addr, data in window:
-                data, dropped, error = self._consult_hook("write", addr, data)
-                if dropped and error is None:
-                    error = TransientFault(f"INSTALL: WRITE to {addr:#x} dropped")
-                inject = inject or error
-                staged.append((addr, data))
-            window = staged
-            if commit:
-                _, _, error = self._consult_hook("cas", qword_addr, None)
-                inject = inject or error
-        completion = yield from self.retry.run(
-            self.sim,
-            partial(
-                self._post_install, window, len(tail), qword_addr, expect,
-                new_qword, doorbells, body_note, note,
-            ),
-            self._settle_install, "INSTALL", self._rng, inject,
-        )
-        if self.trace_span is not None:
-            self._trace_event(
-                "rdx.trace.chain", wrs=len(window) + commit + doorbells,
-                bytes=sum(len(payload) for _, payload in window)
-                + 8 * (commit + doorbells),
-            )
-            if commit:
-                self._trace_event("rdx.trace.cas", addr=qword_addr)
-        if not commit:
-            return None, None
         prior = completion.result
         if prior == expect:
             self.tx_count += 1
@@ -479,17 +356,32 @@ class RemoteSync:
             torn = kind(f"INSTALL torn after its CAS: {completion.error}")
         return prior, torn
 
-    def _post_install(
-        self, window, plain, qword_addr, expect, new_qword, doorbells,
+    def _consult_window(self, window, qword_addr):
+        """A window's WRITEs as the fault hook leaves them, and the error
+        its first attempt fails with: an injected one, or a
+        :class:`TransientFault` for a dropped WR."""
+        staged, inject = [], None
+        for addr, data in window:
+            data, dropped, error = self._consult_hook("write", addr, data)
+            if dropped and error is None:
+                error = TransientFault(f"INSTALL: WRITE to {addr:#x} dropped")
+            inject = inject or error
+            staged.append((addr, data))
+        if qword_addr is not None:
+            _, _, error = self._consult_hook("cas", qword_addr, None)
+            inject = inject or error
+        return staged, inject
+
+    def _post_window(
+        self, window, body, qword_addr, expect, new_qword, doorbells,
         body_note, note,
     ):
-        """Post the install's last window (:meth:`install`) as one
-        chain; its last ``plain`` writes carry no ``txn``."""
+        """Post one window of an install (:meth:`install`): its first
+        ``body`` WRITEs carry the object's ``txn``, then the CAS and the
+        doorbells, if any ride it.  At depth 1 its one WRITE rings
+        alone."""
         hb_on = self._hb
         wr_ids = self._wr_ids
-        doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
-        ring = (1).to_bytes(8, "little")
-        body = len(window) - plain
         wrs = [
             WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=addr, rkey=self.rkey,
@@ -500,6 +392,8 @@ class RemoteSync:
             )
             for i, (addr, payload) in enumerate(window)
         ]
+        if self._depth == 1:
+            return self.qp.post_send(wrs[0])
         if qword_addr is not None:
             wrs.append(WorkRequest(
                 opcode=WrOpcode.COMP_SWAP, remote_addr=qword_addr,
@@ -507,6 +401,8 @@ class RemoteSync:
                 fence=True, hb=self._hb_note(qword_addr, note) if hb_on else None,
                 wr_id=next(wr_ids),
             ))
+        doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
+        ring = (1).to_bytes(8, "little")
         for _ in range(doorbells):
             wrs.append(WorkRequest(
                 opcode=WrOpcode.RDMA_WRITE, remote_addr=doorbell, rkey=self.rkey,
@@ -531,71 +427,38 @@ class RemoteSync:
             return None
         return {k: v for k, v in note.items() if k not in ("pub_addr", "pub_len")}
 
-    # -- rdx_cc_event (§3.5 issue 2) ------------------------------------------
-
-    def cc_event(
-        self, mem_addr: int, length: int = 64, waited: bool = True
-    ) -> Generator:
-        """Remote cache-line flush via the sandbox's event hook.
-
-        Models posting a tiny cache-coherent descriptor that the
-        hardware event hook executes: the target lines are clflushed,
-        so the next CPU read observes DMA-written bytes.  This op posts
-        its own doorbell WQE, fire-and-forget; an install chains its
-        doorbells behind the commit CAS instead (:meth:`install`) and
-        waits for their effect with :meth:`flush_chained`.  The flush
-        takes effect ~:data:`repro.params.RDX_CC_EVENT_US` after the
-        post and costs no target CPU time.  ``waited`` is as in
-        :meth:`flush_chained`.
-        """
-        if self.fault_hook is not None:
-            _, dropped, _inject = self._consult_hook("cc_event", mem_addr, None)
-            if dropped:
-                # Charge the time, skip the effect (DROPPED_FLUSH fault).
-                yield params.RDX_CC_EVENT_US
-                return
-        doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
-        if self._hb:
-            hb.emit(
-                self.sim, "hb.flush.post",
-                qp=self.qp.qpn, node=self.qp.rnic.host.name,
-                target=self.sandbox.host.name, addr=mem_addr, length=length,
-            )
-        self.sim.spawn(
-            self.write(doorbell, (1).to_bytes(8, "little")),
-            name="cc-doorbell",
-        )
-        yield params.RDX_CC_EVENT_US
-        self._flush_effect(mem_addr, length, waited)
-
     def flush_chained(
-        self, spans: "list[tuple[int, int]]", waited: bool = True
+        self, spans: "list[tuple[int, int]]", waited: bool = True,
+        chained: bool = True,
     ) -> Generator:
-        """The effect of flush doorbells that already rode a WR chain.
+        """Wait for the remote flush of each ``(addr, length)`` span:
+        the one routine that applies a flush's effect.
 
-        One doorbell per ``(addr, length)`` span landed with the chain
-        whose CQE the caller just polled (:meth:`install`, a bubble
-        write); the event hook executes them
-        ~:data:`repro.params.RDX_CC_EVENT_US` later, in order, at one
-        instant.  The fault hook is consulted per span as in
-        :meth:`cc_event`: a dropped flush still costs the wait, but has
-        no effect.  ``waited`` marks each flush as a QP ordering point
-        for the hb graph: True when the caller blocks on this generator,
-        False for a deferred one whose completion orders nothing (a
-        broadcast's bubble lowering).
+        A flush is a cache-coherent descriptor the sandbox's event hook
+        executes once its doorbell rings: the lines are clflushed, so
+        the next CPU read observes DMA-written bytes, at no target CPU
+        cost.  With ``chained`` the doorbells rode the install chain
+        whose CQE the caller just polled (:meth:`install`); the hook
+        executes them ~:data:`repro.params.RDX_CC_EVENT_US` later, in
+        order, at one instant.  Otherwise -- ``chained=False``, or
+        depth 1, where nothing rides -- each span rings its own
+        doorbell, fire-and-forget, and takes effect
+        ``RDX_CC_EVENT_US`` after that post, one span after the other.
 
-        At depth 1 no doorbell rode a chain: each span is one blocking
-        :meth:`cc_event`, in order.
+        The fault hook is consulted per span (``cc_event``): a dropped
+        flush still costs its wait, but has no effect.  ``waited`` marks
+        each flush as a QP ordering point for the hb graph: True when
+        the caller blocks on this generator, False for a deferred one
+        whose completion orders nothing (a broadcast's bubble lowering).
         """
-        if self._depth == 1:
-            for addr, length in spans:
-                yield from self.cc_event(addr, length, waited)
-            return
+        rang = chained and self._depth > 1
         live = []
         for addr, length in spans:
             if self.fault_hook is not None:
                 _, dropped, _inject = self._consult_hook("cc_event", addr, None)
                 if dropped:
+                    if not rang:
+                        yield params.RDX_CC_EVENT_US
                     continue
             if self._hb:
                 hb.emit(
@@ -603,10 +466,19 @@ class RemoteSync:
                     qp=self.qp.qpn, node=self.qp.rnic.host.name,
                     target=self.sandbox.host.name, addr=addr, length=length,
                 )
-            live.append((addr, length))
-        yield params.RDX_CC_EVENT_US
-        for addr, length in live:
+            if rang:
+                live.append((addr, length))
+                continue
+            doorbell = self.sandbox.control_addr + 24  # OFF_DOORBELL
+            self.sim.spawn(
+                self.write(doorbell, (1).to_bytes(8, "little")), name="cc-doorbell"
+            )
+            yield params.RDX_CC_EVENT_US
             self._flush_effect(addr, length, waited)
+        if rang:
+            yield params.RDX_CC_EVENT_US
+            for addr, length in live:
+                self._flush_effect(addr, length, waited)
 
     def _flush_effect(self, addr: int, length: int, waited: bool) -> None:
         """One remote flush taking effect on the target's cache."""
@@ -659,7 +531,7 @@ class RemoteSync:
                 if self._hb:
                     self._emit_lock("acquire", owner_token)
                 # Make the acquisition visible to the local CPU quickly.
-                yield from self.cc_event(lock_addr, 8)
+                yield from self.flush_chained([(lock_addr, 8)], chained=False)
                 return attempt
             yield policy.backoff_us(attempt, rng)
         raise RdmaError(
@@ -676,7 +548,7 @@ class RemoteSync:
             )
         if self._hb:
             self._emit_lock("release", owner_token)
-        yield from self.cc_event(lock_addr, 8)
+        yield from self.flush_chained([(lock_addr, 8)], chained=False)
 
     def _emit_lock(self, op: str, owner_token: int) -> None:
         hb.emit(

@@ -17,7 +17,7 @@ from typing import Generator, Sequence
 
 from repro.exp.harness import median
 from repro.core.control_plane import RdxControlPlane
-from repro.core.api import bootstrap_sandbox
+from repro.core.api import bootstrap_sandbox, rdx_cc_event, rdx_tx
 from repro.mem.layout import unpack_qword
 from repro.net.topology import Cluster
 from repro.sandbox.sandbox import Sandbox
@@ -90,14 +90,9 @@ def _trials(
 
         def injector() -> Generator:
             if use_rdx:
-                yield from codeflow.sync.tx(
-                    obj_addr=hook_addr,
-                    obj_bytes=b"",
-                    qword_addr=hook_addr,
-                    new_qword=new_value,
-                )
+                yield from rdx_tx(codeflow, b"", hook_addr, hook_addr, new_value)
                 landed["t"] = sim.now
-                yield from codeflow.sync.cc_event(hook_addr, 8)
+                yield from rdx_cc_event(codeflow, hook_addr, 8)
             else:
                 yield from codeflow.sync.write(
                     hook_addr, new_value.to_bytes(8, "little")

@@ -28,10 +28,10 @@ Event categories and their payloads:
     ``rdx_cc_event``: the fire-and-forget doorbell going out, and the
     remote cache-line flush actually taking effect ~2us later.  The
     effect carries ``waited=True`` when the initiator blocked on it
-    (the blocking ``RemoteSync.cc_event``, a deploy's chained
-    doorbells, a bubble raise); only waited flushes act as QP ordering
-    points in the graph -- the broadcast's deferred lowering flush
-    carries ``waited=False`` and orders nothing.
+    (``RemoteSync.flush_chained`` after a deploy's chained doorbells,
+    a bubble raise or a doorbell of its own); only waited flushes act
+    as QP ordering points in the graph -- the broadcast's deferred
+    lowering flush carries ``waited=False`` and orders nothing.
 ``hb.lock``
     ``rdx_mutual_excl`` transitions: ``op`` is ``acquire``/``release``,
     ``addr`` the lock word, ``token`` the owner.

@@ -34,9 +34,9 @@ ops -- see DESIGN.md §12 for the full rationale):
   completion, a waited flush, a lock op, a handoff) is after its
   previous one: what the initiator learned stays learned.
 * **waited flush effect -> subsequent post (same QP)** -- ONLY for
-  flushes whose initiator blocked on the effect (``waited=True``: the
-  blocking ``RemoteSync.cc_event``, and ``RemoteSync.flush_chained``
-  after an install chain or a bubble raise): anything posted on that
+  flushes whose initiator blocked on the effect (``waited=True``:
+  ``RemoteSync.flush_chained`` after an install chain, a bubble raise
+  or a doorbell of its own): anything posted on that
   QP afterwards is causally behind the flush effect.  The broadcast's
   fire-and-forget lowering flush carries ``waited=False`` and never
   becomes an ordering point.

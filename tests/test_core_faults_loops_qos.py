@@ -60,7 +60,7 @@ class TestFaultInjector:
 
         def flow():
             yield from sync.write(addr, b"FRESHDAT")
-            yield from sync.cc_event(addr, 8)
+            yield from sync.flush_chained([(addr, 8)], chained=False)
 
         testbed.sim.run_process(flow())
         # The flush was dropped, so the CPU still sees stale bytes.
@@ -85,7 +85,7 @@ class TestFaultInjector:
 
     def test_dropped_flush_detected_and_recovered(self, testbed):
         """A dropped flush is *detectable* (CPU view disagrees with
-        DRAM) and recoverable by re-issuing the cc_event."""
+        DRAM) and recoverable by re-issuing the flush."""
         addr = testbed.codeflow.manifest.scratchpad_addr
         testbed.host.cache.cpu_read(addr, 8)  # cache the stale line
         sync = testbed.codeflow.sync
@@ -93,7 +93,7 @@ class TestFaultInjector:
 
         def flow():
             yield from sync.write(addr, b"FRESHDAT")
-            yield from sync.cc_event(addr, 8)
+            yield from sync.flush_chained([(addr, 8)], chained=False)
 
         testbed.sim.run_process(flow())
         # Detection: the CPU's cached view disagrees with DRAM.
@@ -102,7 +102,7 @@ class TestFaultInjector:
 
         # Recovery: re-issue the flush (the one-shot fault is spent).
         def reflush():
-            yield from sync.cc_event(addr, 8)
+            yield from sync.flush_chained([(addr, 8)], chained=False)
 
         testbed.sim.run_process(reflush())
         assert testbed.host.cache.cpu_read(addr, 8) == b"FRESHDAT"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import rdx_cc_event, rdx_tx
 from repro.errors import RdmaError
 from repro.ebpf.jit import jit_compile
 from repro.ebpf.asm import Asm
@@ -72,14 +73,11 @@ class TestRdxTx:
 
         def injector():
             yield sim.timeout(5)
-            yield from testbed.codeflow.sync.tx(
-                obj_addr=code_addr,
-                obj_bytes=linked.code,
-                qword_addr=hook_addr,
-                new_qword=code_addr,
+            yield from rdx_tx(
+                testbed.codeflow, linked.code, code_addr, hook_addr, code_addr,
                 expect=0,
             )
-            yield from testbed.codeflow.sync.cc_event(hook_addr, 8)
+            yield from rdx_cc_event(testbed.codeflow, hook_addr, 8)
 
         sim.spawn(poller(), name="poller")
         sim.run_process(injector())
@@ -93,24 +91,24 @@ class TestRdxTx:
         qword = testbed.sandbox.bubble_addr
 
         def flow():
-            prior = yield from testbed.codeflow.sync.tx(
-                obj_addr=addr, obj_bytes=b"x", qword_addr=qword,
-                new_qword=0x42, expect=999,
+            prior = yield from rdx_tx(
+                testbed.codeflow, b"x", addr, qword, 0x42, expect=999
             )
             return prior
 
         prior = testbed.sim.run_process(flow())
         assert prior == 0  # observed value returned
-        # And the swap did NOT happen.
+        # And the swap did NOT happen, nor counts as a transaction.
         assert unpack_qword(testbed.host.memory.read(qword, 8)) == 0
+        assert testbed.codeflow.sync.tx_count == 0
 
     def test_tx_counts(self, testbed):
         addr = testbed.codeflow.manifest.scratchpad_addr
 
         def flow():
-            yield from testbed.codeflow.sync.tx(
-                obj_addr=addr, obj_bytes=b"y", qword_addr=testbed.sandbox.bubble_addr,
-                new_qword=1, expect=0,
+            yield from rdx_tx(
+                testbed.codeflow, b"y", addr, testbed.sandbox.bubble_addr, 1,
+                expect=0,
             )
 
         testbed.sim.run_process(flow())
@@ -127,7 +125,7 @@ class TestCcEvent:
         def flow():
             yield from testbed.codeflow.sync.write(addr, b"NEWBYTES")
             stale = sandbox.host.cache.cpu_read(addr, 8)
-            yield from testbed.codeflow.sync.cc_event(addr, 8)
+            yield from rdx_cc_event(testbed.codeflow, addr, 8)
             fresh = sandbox.host.cache.cpu_read(addr, 8)
             return stale, fresh
 
@@ -140,7 +138,7 @@ class TestCcEvent:
 
         def flow():
             start = testbed.sim.now
-            yield from testbed.codeflow.sync.cc_event(addr, 64)
+            yield from rdx_cc_event(testbed.codeflow, addr, 64)
             return testbed.sim.now - start
 
         assert testbed.sim.run_process(flow()) < 5.0
@@ -151,7 +149,7 @@ class TestCcEvent:
 
         def flow():
             yield from testbed.codeflow.sync.write(addr, b"z" * 4096)
-            yield from testbed.codeflow.sync.cc_event(addr, 4096)
+            yield from rdx_cc_event(testbed.codeflow, addr, 4096)
 
         testbed.sim.run_process(flow())
         testbed.sim.run()

@@ -18,7 +18,7 @@ from repro.core.faults import FaultInjector, FaultKind, _HookAction
 from repro.core.journal import REC_COMMIT
 from repro.core.reconcile import Reconciler, resume_control_plane
 from repro.ebpf.stress import make_stress_program, make_stress_variant
-from repro.errors import DeployError, TransientFault
+from repro.errors import DeployError
 from repro.exp.fault_campaign import run_fault_campaign
 from repro.exp.harness import make_testbed
 from repro.hb import checker
@@ -258,16 +258,19 @@ class TestBaselineLifetime:
 class TestWriteBatchFaultPaths:
     def test_empty_batch_is_free(self, testbed):
         """Regression: an empty batch used to charge RDX_CC_EVENT_US;
-        it must return immediately at zero simulated cost."""
+        an install with nothing to post must return at zero simulated
+        cost."""
         sync = testbed.codeflow.sync
         before = testbed.sim.now
-        assert testbed.sim.run_process(sync.write_batch([])) is None
+        done = testbed.sim.run_process(sync.install([], None, 0, 0, []))
+        assert done == (None, None)
         assert testbed.sim.now == before
 
     def test_dropped_wr_reenters_retry_loop(self, testbed):
         """Regression: a dropped WR was silently skipped and the batch
-        reported success with a chunk missing.  It must be charged the
-        transport timeout, re-sent, and land."""
+        reported success with a chunk missing.  It fails its window's
+        first attempt instead, after the transport timeout, and the
+        retry re-sends the window and lands it."""
         sync = testbed.codeflow.sync
         addr = testbed.codeflow.manifest.scratchpad_addr
         ops = [(addr, b"\xaa" * 64), (addr + 64, b"\xbb" * 64)]
@@ -282,7 +285,7 @@ class TestWriteBatchFaultPaths:
         sync.fault_hook = hook
         before = testbed.sim.now
         try:
-            testbed.sim.run_process(sync.write_batch(ops))
+            testbed.sim.run_process(sync.install(ops, None, 0, 0, []))
         finally:
             sync.fault_hook = None
         landed = testbed.sim.run_process(sync.read(addr, 128))
@@ -290,28 +293,28 @@ class TestWriteBatchFaultPaths:
         # The lost WR is indistinguishable from an unACKed write: it
         # costs a transport timeout before the re-send.
         assert testbed.sim.now - before >= params.RDMA_RETRY_TIMEOUT_US
-        assert _counter(testbed, "rdx.retry.attempts", op="write_batch") == 1
+        assert _counter(testbed, "rdx.retry.attempts", op="install") == 1
 
-    def test_all_dropped_exhausts_retry_budget(self, testbed):
+    def test_every_wr_dropped_fails_one_attempt(self, testbed):
+        """The one drop contract: however many WRs of a window drop,
+        they fail its first attempt once, like an injected error, and
+        the retry re-sends the whole window."""
         sync = testbed.codeflow.sync
         addr = testbed.codeflow.manifest.scratchpad_addr
+        ops = [(addr, b"\xcc" * 64), (addr + 64, b"\xdd" * 64)]
 
         def hook(op, target, data):
             return _HookAction(drop=True) if op == "write" else None
 
         sync.fault_hook = hook
         try:
-            with pytest.raises(TransientFault):
-                testbed.sim.run_process(
-                    sync.write_batch([(addr, b"\xcc" * 64)])
-                )
+            testbed.sim.run_process(sync.install(ops, None, 0, 0, []))
         finally:
             sync.fault_hook = None
-        assert _counter(testbed, "rdx.retry.exhausted", op="write_batch") == 1
-        assert (
-            _counter(testbed, "rdx.retry.attempts", op="write_batch")
-            == sync.retry.max_attempts
-        )
+        landed = testbed.sim.run_process(sync.read(addr, 128))
+        assert landed == b"\xcc" * 64 + b"\xdd" * 64
+        assert _counter(testbed, "rdx.retry.attempts", op="install") == 1
+        assert _counter(testbed, "rdx.retry.exhausted", op="install") == 0
 
     def test_delta_rides_out_transient_fault(self, testbed):
         """A flaky link during the delta's WR chain is absorbed by the

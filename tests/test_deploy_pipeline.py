@@ -4,8 +4,8 @@ Covers the pipelined deploy machinery layer by layer:
 
 * RNIC chain execution -- selective signaling (one CQE per doorbell),
   per-WR protection checks mid-chain, crash-torn MTU prefixes;
-* ``RemoteSync.write_batch`` -- fault-hook integration and whole-batch
-  retry under the RetryPolicy;
+* ``RemoteSync.install`` without a commit -- fault-hook integration
+  and whole-window retry under the RetryPolicy;
 * the linked-image cache -- content keying (the CRC-residue trap),
   cross-target hits, and invalidation when address reuse after a warm
   reboot changes the GOT layout;
@@ -47,6 +47,7 @@ def _payload(length, phase=0):
     return bytes((index + phase) % 255 + 1 for index in range(length))
 
 
+@pytest.mark.arm(pipelined_deploy=True)
 class TestWrChaining:
     def test_chain_retires_under_one_cqe(self, testbed):
         bed = testbed
@@ -84,7 +85,7 @@ class TestWrChaining:
         bed.sim.run()
 
         mark = bed.sim.now
-        bed.sim.run_process(sync.write_batch(ops))
+        bed.sim.run_process(sync.install(ops, None, 0, 0, []))
         batched_us = bed.sim.now - mark
 
         mark = bed.sim.now
@@ -165,7 +166,9 @@ class TestWrChaining:
             )
             bed.host.crash()
 
-        proc = bed.sim.spawn(sync.write_batch([(addr, payload)]), name="torn")
+        proc = bed.sim.spawn(
+            sync.install([(addr, payload)], None, 0, 0, []), name="torn"
+        )
         bed.sim.spawn(crasher(), name="crasher")
         bed.sim.run()
 
@@ -181,10 +184,11 @@ class TestWrChaining:
 
         # Whole-batch retry after recovery overwrites the torn prefix.
         bed.host.recover()
-        bed.sim.run_process(sync.write_batch([(addr, payload)]))
+        bed.sim.run_process(sync.install([(addr, payload)], None, 0, 0, []))
         assert bed.host.memory.read(addr, total) == payload
 
 
+@pytest.mark.arm(pipelined_deploy=True)
 class TestWriteBatchFaults:
     def test_transient_fault_retries_whole_batch(self, testbed):
         bed = testbed
@@ -198,7 +202,7 @@ class TestWriteBatchFaults:
 
         mark = bed.sim.now
         try:
-            bed.sim.run_process(codeflow.sync.write_batch(ops))
+            bed.sim.run_process(codeflow.sync.install(ops, None, 0, 0, []))
         finally:
             injector.detach()
 
@@ -221,7 +225,9 @@ class TestWriteBatchFaults:
         bed.sim.run()
 
         try:
-            bed.sim.run_process(codeflow.sync.write_batch([(addr, payload)]))
+            bed.sim.run_process(
+                codeflow.sync.install([(addr, payload)], None, 0, 0, [])
+            )
         finally:
             injector.detach()
 

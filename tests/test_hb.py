@@ -298,6 +298,7 @@ class TestDetectorsSynthetic:
 
 @pytest.mark.arm(hb_check=True)
 class TestInstrumentation:
+    @pytest.mark.arm(pipelined_deploy=True)
     def test_batch_posts_carry_ranges_and_selective_signaling(self, config):
         bed = make_testbed(n_hosts=1, cores_per_host=2, config=config)
         sandbox = bed.sandboxes[0]
@@ -306,7 +307,7 @@ class TestInstrumentation:
         ops = [(base, b"a" * 64), (base + 64, b"b" * 32),
                (base + 96, b"c" * 8)]
         start = len(bed.obs.recorder.events)  # skip testbed setup
-        bed.sim.run_process(bed.codeflow.sync.write_batch(ops))
+        bed.sim.run_process(bed.codeflow.sync.install(ops, None, 0, 0, []))
         events = extract(list(bed.obs.recorder.events)[start:])
         checker.consume(bed.sim)  # clean teardown under RDX_HB_CHECK=1
 

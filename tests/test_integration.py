@@ -151,7 +151,7 @@ class TestIncoherenceWindow:
             yield from testbed.codeflow.sync.write(
                 hook_addr, (0x5678).to_bytes(8, "little")
             )
-            yield from testbed.codeflow.sync.cc_event(hook_addr, 8)
+            yield from rdx_cc_event(testbed.codeflow, hook_addr, 8)
 
         testbed.sim.run_process(flow())
         assert sandbox.hook_table.read_pointer("ingress") == 0x5678

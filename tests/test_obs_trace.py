@@ -42,8 +42,6 @@ def broadcast_bed():
         n_hosts=8, cores_per_host=8, config=replace(DEFAULT, **ARM)
     )
     group = CodeFlowGroup(bed.codeflows)
-    for codeflow in bed.codeflows:
-        codeflow.tenant = "team-a"
     programs = _programs(8, 1)
     bed.sim.run_process(group.broadcast(programs, "ingress", tenant="team-a"))
     warm = bed.sim.run_process(

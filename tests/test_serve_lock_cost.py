@@ -26,8 +26,9 @@ record keeping) runs after the release.  The checks:
 * with two tenants interleaved on one target, each tenant's
   ``rdx.tenant.install_visible_us`` series counts only its own deploys;
 * a settle records its own install's layout and tenant, though the
-  next install was granted -- its tenant stamped, its layout linked --
-  while it ran;
+  next install was granted -- its layout linked -- while it ran, and
+  a tenant labels its own ticket's deploy only, not a later unlocked
+  one on that target;
 * two hotpatches granted back to back leave the race checker nothing
   to report, unflushed execs included.
 """
@@ -35,6 +36,7 @@ record keeping) runs after the release.  The checks:
 import pytest
 
 from repro import params
+from repro.core.broadcast import CodeFlowGroup
 from repro.ebpf import opcodes as op
 from repro.ebpf.asm import Asm
 from repro.ebpf.interpreter import Interpreter
@@ -388,7 +390,7 @@ def test_a_settle_records_what_its_own_install_staged(testbed, monkeypatch):
 
     def linked_under_a_settle(pin):
         settling = codeflow._settling
-        linked.append((codeflow.tenant, settling is not None and settling.is_alive))
+        linked.append((pin.link_key[1:], settling is not None and settling.is_alive))
         return link_pinned(pin)
 
     monkeypatch.setattr(codeflow, "link_pinned", linked_under_a_settle)
@@ -405,9 +407,9 @@ def test_a_settle_records_what_its_own_install_staged(testbed, monkeypatch):
 
     tickets = bed.sim.run_process(body())
     assert all(ticket.completed and ticket.report.warm for ticket in tickets)
-    # The hotpatch installs first; dev's grant stamps its tenant and
-    # links its own layout while the hotpatch's settle still runs.
-    assert linked == [("pager", False), ("dev", True)]
+    # The hotpatch installs first; dev is granted and links its own
+    # layout while the hotpatch's settle still runs.
+    assert linked == [(layouts["hot"], False), (layouts["helper"], True)]
     # Each record carries its own link's layout, and each tenant's
     # series counts its own deploy only.
     for program in (helper, hot):
@@ -415,6 +417,31 @@ def test_a_settle_records_what_its_own_install_staged(testbed, monkeypatch):
     for tenant in ("dev", "pager"):
         series = bed.obs.histogram("rdx.tenant.install_visible_us", tenant=tenant)
         assert series.count == 1, tenant
+
+
+def test_a_tenant_labels_its_own_tickets_deploy_only(testbed2):
+    """A pager hotpatch on one target, then a 2-target broadcast that
+    takes no install lock: its legs are unowned, the first target's
+    included, not counted under the last ticket's tenant."""
+    bed = testbed2
+    service = _service(bed, workers=1)
+    hot = _prewarmed(bed, service)
+    service.start()
+    legs = [make_stress_program(60, seed=8 + i, name=f"leg{i}") for i in range(2)]
+
+    def body():
+        ticket = service.submit("pager", bed.codeflow, hot, "ingress")
+        yield ticket.done
+        yield from CodeFlowGroup(bed.codeflows).broadcast(legs, "egress")
+
+    bed.sim.run_process(body())
+    counts = {
+        tenant: bed.obs.histogram(
+            "rdx.tenant.install_visible_us", tenant=tenant
+        ).count
+        for tenant in ("pager", "")
+    }
+    assert counts == {"pager": 1, "": 2}
 
 
 @pytest.mark.arm(hb_check=True)

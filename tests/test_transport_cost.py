@@ -79,21 +79,21 @@ def test_an_8_byte_write_makes_at_most_40_calls(testbed):
 
 
 def test_each_extra_chained_wr_costs_at_most_10_calls(testbed):
-    one = _op_calls(testbed, "write_batch", _chain(testbed, 1))
-    eleven = _op_calls(testbed, "write_batch", _chain(testbed, 11))
+    one = _op_calls(testbed, "install", _chain(testbed, 1), None, 0, 0, [])
+    eleven = _op_calls(testbed, "install", _chain(testbed, 11), None, 0, 0, [])
     extra = eleven - one
     assert sum(extra.values()) <= 10 * 10, extra
     # ... of which the DMA into target memory is three: it is the work.
     assert extra["mem/cache.dma_write"] == 10
 
 
-@pytest.mark.parametrize("op", ("write", "write_batch", "read", "cas", "fetch_add"))
+@pytest.mark.parametrize("op", ("write", "install", "read", "cas", "fetch_add"))
 def test_no_op_calls_enum_the_host_table_or_an_unrecorded_note(testbed, op):
     sandbox = testbed.sandbox
     big = bytes(range(256)) * (RNIC_MTU_BYTES // 128)  # two MTUs
     args = {
         "write": (testbed.codeflow.manifest.code_addr, big),
-        "write_batch": (_chain(testbed, 3),),
+        "install": (_chain(testbed, 3), None, 0, 0, []),
         "read": (testbed.codeflow.manifest.code_addr, len(big)),
         "cas": (sandbox.bubble_addr, 0, 1),
         "fetch_add": (sandbox.bubble_addr, 2),

@@ -16,12 +16,24 @@ fault mode (none, a dropped WR, an injected transient error, the target
 crashing mid-chain, a partition that heals, an unknown rkey, an access
 outside the MR, the QP in ERROR, an op deadline over a crash) and seed,
 what a seeded sequence of ``write`` /
-``write_batch`` (1-20 WRs, payloads over one MTU included) / ``read`` /
-``cas`` / ``fetch_add`` / ``tx`` / ``cc_event`` / ``lock``+``unlock``
-did on a fresh one-target testbed.  The sequences avoid the two shapes
+``install`` without a commit (1-20 WRs, payloads over one MTU
+included) / ``read`` / ``cas`` / ``fetch_add`` / Table 1's ``rdx_tx``
+and ``rdx_cc_event`` / ``lock``+``unlock`` did on a fresh one-target
+testbed.  The sequences avoid the two shapes
 that commit got wrong, which ``tests/test_rdma_verbs.py`` covers: a WR
 that faults inside the target after passing its protection check (an
 MR reaching past the end of DRAM), and a WR chain the RNIC rejects.
+
+``ORACLE`` was regenerated by the command above when ``install``
+became the one publisher (``write_batch``, ``tx`` and ``cc_event``
+left ``RemoteSync``).  Rows whose sequence holds an ``rdx_tx`` moved:
+its object and fenced CAS are one chain, and without ``expect`` the
+flip is a CAS from what a READ found.  ``dropped`` rows whose drop hit
+an ``install`` WR moved: a drop fails the window's first attempt and
+the retry re-sends the whole window.  Rows whose error or retry hit
+the first 16-WR window of a 17- or 20-WR ``install`` moved in its
+error text and ``rdx.retry.*`` label only (``write_batch`` ->
+``install``).  No ``INSTALL_ORACLE`` row moved.
 
 ``INSTALL_ORACLE`` (same command) pins the chains that carry a commit
 CAS, ``RemoteSync.install`` + ``flush_chained``: fault-free, the target
@@ -40,6 +52,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.api import rdx_cc_event, rdx_tx
 from repro.core.retry import RetryPolicy
 from repro.errors import ReproError, TransientFault
 from repro.exp.harness import make_testbed
@@ -60,8 +73,8 @@ STEPS = 12
 WINDOW = 32 * 1024
 
 _KINDS = (
-    ["write"] * 4 + ["write_batch"] * 4 + ["read"] * 3 + ["cas"] * 2
-    + ["fetch_add"] * 2 + ["tx"] * 2 + ["cc_event"] * 2 + ["lock"]
+    ["write"] * 4 + ["install"] * 4 + ["read"] * 3 + ["cas"] * 2
+    + ["fetch_add"] * 2 + ["rdx_tx"] * 2 + ["rdx_cc_event"] * 2 + ["lock"]
     + ["cpu_read"] + ["advance"]
 )
 _SIZES = (8, 8, 64, 200, RNIC_MTU_BYTES, RNIC_MTU_BYTES + 1, 9000)
@@ -79,7 +92,7 @@ def _sequence(rng: random.Random, where) -> list:
         if kind == "write":
             size = rng.choice(_SIZES)
             ops.append((kind, where(size), rng.randbytes(size)))
-        elif kind == "write_batch":
+        elif kind == "install":
             count = rng.choice((1, 2, 3, 5, 16, 17, 20))
             ops.append((kind, [
                 (where(size), rng.randbytes(size))
@@ -90,13 +103,13 @@ def _sequence(rng: random.Random, where) -> list:
             ops.append((kind, where(size), size))
         elif kind in ("cas", "fetch_add"):
             ops.append((kind, rng.randrange(8), rng.choice((0, 0, 1, 7))))
-        elif kind == "tx":
+        elif kind == "rdx_tx":
             size = rng.choice((0, 8, 300, RNIC_MTU_BYTES + 100))
             ops.append((
                 kind, where(size), rng.randbytes(size), rng.randrange(8),
                 rng.choice((None, 0, 5)),
             ))
-        elif kind == "cc_event":
+        elif kind == "rdx_cc_event":
             ops.append((kind, where(64), rng.choice((8, 64, 4096))))
         elif kind == "lock":
             ops.append((kind, rng.randrange(1, 1 << 16)))
@@ -158,7 +171,7 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
     if mode in ("crash", "deadline"):
         # The target dies at a seeded instant -- mid-chain in the
         # rows whose first op is a long batch -- and maybe returns.
-        ops[0] = ("write_batch", [
+        ops[0] = ("install", [
             (code + index * RNIC_MTU_BYTES, rng.randbytes(RNIC_MTU_BYTES))
             for index in range(rng.randint(3, 6))
         ])
@@ -191,7 +204,7 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
         ops[special] = rng.choice((
             ("write", mr_end - 16, rng.randbytes(64)),
             ("read", mr_end - 8, 64),
-            ("write_batch", [(code, b"x" * 8), (mr_end - 8, b"y" * 4100)]),
+            ("install", [(code, b"x" * 8), (mr_end - 8, b"y" * 4100)]),
         ))
 
     qp = sync.qp
@@ -211,8 +224,8 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
                 if kind == "write":
                     yield from sync.write(op[1], op[2])
                     result = None
-                elif kind == "write_batch":
-                    yield from sync.write_batch(op[1])
+                elif kind == "install":
+                    yield from sync.install(op[1], None, 0, 0, [])
                     result = None
                 elif kind == "read":
                     result = _short((yield from sync.read(op[1], op[2])))
@@ -220,12 +233,13 @@ def run_sequence(mode: str, seed: int, hb_check: bool = False):
                     result = yield from sync.cas(words + 8 * op[1], op[2], op[2] + 3)
                 elif kind == "fetch_add":
                     result = yield from sync.fetch_add(words + 8 * op[1], op[2])
-                elif kind == "tx":
-                    result = yield from sync.tx(
-                        op[1], op[2], words + 8 * op[3], seed + index, expect=op[4]
+                elif kind == "rdx_tx":
+                    result = yield from rdx_tx(
+                        bed.codeflow, op[2], op[1], words + 8 * op[3],
+                        seed + index, expect=op[4],
                     )
-                elif kind == "cc_event":
-                    result = yield from sync.cc_event(op[1], op[2])
+                elif kind == "rdx_cc_event":
+                    result = yield from rdx_cc_event(bed.codeflow, op[1], op[2])
                 elif kind == "lock":
                     result = yield from sync.lock(op[1], max_attempts=4)
                     yield from sync.unlock(op[1])
@@ -342,97 +356,97 @@ def _hb_events(sim, hb_check: bool) -> list:
 #: sha of the hb.* events).
 ORACLE = {
     ('none', 0, False): ('9c8ce96ba64c32d1', 0, 'e6b2d0f010537f39', (('success', 14),), 'ad321dfc21e30d17', 0, (58, 58, 58, 135608), '19b251486f23889d', 0, '46.48264', 183, '', ''),
-    ('none', 1, False): ('a5283d42af32d896', 0, '3eaf9532374a960a', (('success', 12),), '518af92b08f82b9c', 2, (37, 37, 37, 75869), '8ac01a297fae29a9', 0, '39.00416', 136, '', ''),
+    ('none', 1, False): ('a5283d42af32d896', 0, 'f1ae473a62e57c95', (('success', 11),), '518af92b08f82b9c', 2, (38, 38, 38, 75877), '6af8a194f97c5d59', 0, '34.8048', 131, '', ''),
     ('none', 2, False): ('8dc9ae8dd8833a5a', 0, 'a6d65279ff4a839a', (('success', 13),), '97702291c81e172b', 0, (51, 51, 51, 134792), 'fe8560a8a49d0d48', 0, '44.66864', 164, '', ''),
-    ('none', 3, False): ('445cb387af4d74e3', 0, '8886e3a48e787be5', (('success', 16),), '8a3d1533d1d4e5f4', 0, (45, 45, 45, 87092), '9046aacd434637fb', 0, '53.40264', 166, '', ''),
+    ('none', 3, False): ('445cb387af4d74e3', 0, '389f39e50ae677b0', (('success', 14),), '8a3d1533d1d4e5f4', 0, (46, 46, 46, 87100), '6a036975973457d2', 0, '44.50328', 153, '', ''),
     ('none', 4, False): ('62bdb86af58c1f08', 0, '1d69a4e309086ae3', (('success', 12),), '73914ca0ec57a805', 0, (20, 20, 20, 35257), 'cc63235153551efa', 0, '33.05456', 107, '', ''),
-    ('none', 5, False): ('8c5b6607c430354b', 0, 'eac4e36c4b4b7829', (('success', 14),), 'e0768a077032f2df', 2, (35, 35, 35, 51907), 'dd5834bc34fa1575', 0, '46.4872', 142, '', ''),
+    ('none', 5, False): ('8c5b6607c430354b', 0, 'f399fbfb8a2bd0e8', (('success', 12),), 'e0768a077032f2df', 2, (37, 37, 37, 51923), '45c5419738a53d8d', 0, '36.08848', 131, '', ''),
     ('none', 6, False): ('b521c24d66b2db9a', 0, '92c56bcd2bbc7777', (('success', 13),), 'ce855dec0b95b5ac', 0, (51, 51, 51, 140837), '70ccc0bdc777a62a', 0, '123.95032', 167, '', ''),
-    ('none', 7, False): ('47e7d3bc77d4993f', 0, '09afdd9a5a2413aa', (('success', 17),), '87a9f8503ad6d2fb', 0, (21, 21, 21, 13668), '9248f4c4982a7779', 0, '46.22424', 149, '', ''),
-    ('dropped', 0, False): ('ec1831f326480193', 0, '627cb049600285b6', (('success', 16),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), '7028b3a7c346f9b5', 2.0, '96.255529', 220, '', ''),
-    ('dropped', 1, False): ('817b8fe0c1079026', 0, '4612444df7218b0d', (('success', 20),), '3816203420288816', 0, (45, 45, 45, 74869), 'ae216cb433cfc5ec', 2.0, '85.637049', 205, '', ''),
+    ('none', 7, False): ('47e7d3bc77d4993f', 0, '5274f20579f7e81f', (('success', 16),), '87a9f8503ad6d2fb', 0, (22, 22, 22, 13676), '9ef0932f6c76b4ee', 0, '40.02488', 143, '', ''),
+    ('dropped', 0, False): ('ec1831f326480193', 0, '2a77d1434ffccdb2', (('success', 15),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), 'd76bb8023d67f2f8', 2.0, '93.555529', 213, '', ''),
+    ('dropped', 1, False): ('817b8fe0c1079026', 0, '998cd31ccff23287', (('success', 18),), '50884e1ce78e3597', 0, (45, 45, 45, 74869), 'c6ce67b7af4a138b', 2.0, '80.237049', 191, '', ''),
     ('dropped', 2, False): ('bb870933cc582b2c', 0, '777d6bd8c86b7384', (('success', 14),), '2a197be90e4129bc', 2, (18, 18, 18, 520), '7412f059de3e5547', 0, '37.27176', 117, '', ''),
-    ('dropped', 3, False): ('6d833b17d09f4bda', 0, 'fa8b27d268c7f85d', (('success', 14),), 'da62b0651f2fe508', 3, (54, 54, 54, 95891), 'fb71ab02ce943042', 2.0, '75.272009', 173, '', ''),
+    ('dropped', 3, False): ('6d833b17d09f4bda', 0, 'd4b2d5763f883118', (('success', 12),), 'da62b0651f2fe508', 3, (55, 55, 55, 95899), '6419ec1adf01e917', 2.0, '68.372649', 161, '', ''),
     ('dropped', 4, False): ('f4e6b42b3b2d883d', 0, '0c8f45d42074b965', (('success', 14),), '0caaf5550ff9a000', 0, (34, 34, 34, 43955), '384c3992761c5362', 0, '120.14784', 138, '', ''),
-    ('dropped', 5, False): ('38e479ade411e529', 0, 'b9daa34fb0b9c57f', (('success', 12),), 'cf56b273e214c204', 0, (30, 30, 30, 46652), '9501dbfc2cc8c2fc', 1.0, '63.273756', 123, '', ''),
-    ('dropped', 6, False): ('5308eaa61c97d5d4', 0, 'ed76c1f316ee2b94', (('success', 14),), '84e2965227285416', 0, (67, 67, 67, 127504), '03c12fbb0dba03dc', 1.0, '61.193196', 199, '', ''),
-    ('dropped', 7, False): ('498c8ebc39ebb84d', 0, '1561a660effb2e89', (('success', 12),), '987c5bed50824d21', 0, (21, 21, 21, 30794), 'f15b3c59f79cd798', 0, '37.14752', 112, '', ''),
-    ('transient', 0, False): ('de1a81a11e5c955d', 0, '8aac4f90d09745f3', (('success', 10),), '848ee612e95180e0', 0, (32, 32, 32, 60924), 'a92332c1073fc954', 1.0, '127.918076', 114, '', ''),
-    ('transient', 1, False): ('675f2b7707ca2589', 0, 'dd81c972b29c5315', (('success', 12),), '5521eef21e736d23', 0, (41, 41, 41, 95032), 'f0749e022b9f9a61', 1.0, '135.095436', 145, '', ''),
-    ('transient', 2, False): ('dfe2a1b3cf57b838', 0, '127f6594ff60b1f6', (('success', 18),), 'bd541c21541971b3', 0, (41, 41, 41, 77944), '80c36d29c442b0a3', 2.0, '84.831129', 189, '', ''),
-    ('transient', 3, False): ('10c3184c48f6f9f4', 0, '7671d8b2bb560200', (('success', 14),), '4288b0fefac1c20c', 56, (48, 48, 48, 99150), 'f04d2fe604d5f4e5', 1.0, '55.971036', 167, '', ''),
-    ('transient', 4, False): ('0ad9c879237abd60', 0, '4a2aa8b941ec244e', (('success', 15),), '16a8db49c12a674e', 0, (19, 19, 19, 8750), 'f4b9360a53040bc4', 1.0, '40.38208', 139, '', ''),
-    ('transient', 5, False): ('71cda03d58be0449', 0, '83e4252d16e7eb99', (('success', 12),), '3af2b9ddc07cceeb', 2, (19, 19, 19, 17945), '0d1e5c3292ea04b9', 2.0, '64.086329', 104, '', ''),
-    ('transient', 6, False): ('ac45fba2df0f84b5', 0, '82bded52f6960aa4', (('success', 16),), 'd31f2fa4d9e9cfe9', 0, (35, 35, 35, 62484), '9b7ab5c4838756fb', 2.0, '80.198809', 156, '', ''),
-    ('transient', 7, False): ('60d1fa9cd4004a8d', 0, '6936ee6fd4fc3ca5', (('success', 14),), '1c4244ed5fc63ddd', 0, (42, 42, 42, 78876), '905a10a01882b972', 1.0, '59.453596', 157, '', ''),
-    ('crash', 0, False): ('6293da64dd81b7c7', 1, '424752801e6000e1', (('retry_exc_error', 5), ('success', 11)), 'a258aa41ed52e920', 0, (55, 55, 55, 59590), 'cf840ec98fba193e', 5.0, '232.105878', 166, '', ''),
-    ('crash', 1, False): ('73150cc42d84a075', 11, 'ec9a5f84ef653096', (('retry_exc_error', 44),), '8d4a814e270cff5a', 0, (184, 184, 184, 16544), '34247b23ffeba931', 44.0, '817.710109', 314, '', ''),
-    ('crash', 2, False): ('15f3ea3e54adcf85', 11, '35803ad8440adb8f', (('retry_exc_error', 44),), '874f8f17cab647b9', 0, (96, 96, 96, 4256), 'ea75a1423fdadb49', 44.0, '736.727069', 310, '', ''),
-    ('crash', 3, False): ('7edfe3058c536110', 1, 'a7c21ba768f50769', (('retry_exc_error', 5), ('success', 16)), '941dab1395a52271', 0, (49, 49, 49, 43380), '10233fa1d317719d', 5.0, '130.155878', 190, '', ''),
-    ('crash', 4, False): ('968ed1a1cf89e87d', 1, '26fd4cb9e01661ba', (('retry_exc_error', 5), ('success', 12)), 'db2c9f983baffa8c', 0, (56, 56, 56, 47915), '966ba6165a635ea3', 5.0, '121.470598', 167, '', ''),
-    ('crash', 5, False): ('bb9ee68747183030', 12, 'ac460fd559f0bf0b', (('retry_exc_error', 48),), 'b9da01cf54a80ef0', 0, (148, 148, 148, 4256), '192e197e00aaa480', 48.0, '802.184099', 337, '', ''),
-    ('crash', 6, False): ('b975fb3b96ac0428', 12, 'cf777bbddc68aff9', (('retry_exc_error', 48),), '0ad3ed153e7bf8d3', 0, (140, 140, 140, 4256), '8d22c712bbbb369c', 48.0, '804.184099', 338, '', ''),
-    ('crash', 7, False): ('9b5650e67af0f895', 1, '0765c463ddcbe962', (('retry_exc_error', 5), ('success', 13)), '993b931447b0f275', 0, (49, 49, 49, 69699), 'b350746cf8f19c28', 5.0, '126.565238', 184, '', ''),
+    ('dropped', 5, False): ('38e479ade411e529', 0, '652c2b58c6132f21', (('success', 11),), 'f1497a2d506959ad', 0, (30, 30, 30, 46652), '8fb9e5d473f30e1d', 1.0, '60.573756', 116, '', ''),
+    ('dropped', 6, False): ('5308eaa61c97d5d4', 0, '98cec10bec128a50', (('success', 13),), '84e2965227285416', 0, (67, 67, 67, 127504), 'ce6f2e56a2baa664', 2.0, '73.201049', 194, '', ''),
+    ('dropped', 7, False): ('498c8ebc39ebb84d', 0, 'e0ab7e6afb20ba34', (('success', 11),), '987c5bed50824d21', 0, (23, 23, 23, 30810), '09cb298730f87294', 0, '31.4488', 109, '', ''),
+    ('transient', 0, False): ('de1a81a11e5c955d', 0, 'b98136e918dd8955', (('success', 10),), '848ee612e95180e0', 0, (33, 33, 33, 60932), '74a9696677560222', 1.0, '126.418716', 116, '', ''),
+    ('transient', 1, False): ('675f2b7707ca2589', 0, '8c61dcda37baafd4', (('success', 12),), '5521eef21e736d23', 0, (42, 42, 42, 95040), '36240769ec2b71aa', 1.0, '133.596076', 147, '', ''),
+    ('transient', 2, False): ('dfe2a1b3cf57b838', 0, '66f7e49a3eb4a1fb', (('success', 15),), 'bd541c21541971b3', 0, (44, 44, 44, 77968), '25249baed537ed71', 2.0, '72.233049', 174, '', ''),
+    ('transient', 3, False): ('10c3184c48f6f9f4', 0, '7671d8b2bb560200', (('success', 14),), '4288b0fefac1c20c', 56, (48, 48, 48, 99150), '9adb66af62723bb8', 1.0, '55.971036', 167, '', ''),
+    ('transient', 4, False): ('0ad9c879237abd60', 0, 'bc8c78fc850989f3', (('success', 14),), '16a8db49c12a674e', 0, (20, 20, 20, 8758), '47ce771215b157f9', 1.0, '36.18272', 134, '', ''),
+    ('transient', 5, False): ('71cda03d58be0449', 0, '83e4252d16e7eb99', (('success', 12),), '3af2b9ddc07cceeb', 2, (19, 19, 19, 17945), '6bc8830f42908013', 2.0, '62.086329', 103, '', ''),
+    ('transient', 6, False): ('ac45fba2df0f84b5', 0, 'a5a9dd374c3fd719', (('success', 14),), 'd31f2fa4d9e9cfe9', 0, (36, 36, 36, 62492), 'ff90da46c58d3914', 2.0, '71.299449', 143, '', ''),
+    ('transient', 7, False): ('60d1fa9cd4004a8d', 0, 'a1c1fefdfd9a45e6', (('success', 13),), '1c4244ed5fc63ddd', 0, (42, 42, 42, 78876), 'e5816bb096e57ed8', 1.0, '54.753596', 149, '', ''),
+    ('crash', 0, False): ('6cad46ac169a49b4', 1, '5ced8a9b45b19458', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (56, 56, 56, 59598), 'a1faefee32e4c1dd', 5.0, '225.906518', 160, '', ''),
+    ('crash', 1, False): ('f94583fd79d73c14', 11, 'ec9a5f84ef653096', (('retry_exc_error', 44),), '8d4a814e270cff5a', 0, (184, 184, 184, 16544), 'd22e4cf2e39c98b4', 44.0, '817.710109', 314, '', ''),
+    ('crash', 2, False): ('823d8bf276d39efb', 11, 'd451f99d5414834f', (('retry_exc_error', 44),), '874f8f17cab647b9', 0, (104, 104, 104, 4256), '156612c13f94252f', 44.0, '736.727069', 310, '', ''),
+    ('crash', 3, False): ('7a3cfebb62a47f7f', 1, 'dce87c25efc228cf', (('retry_exc_error', 5), ('success', 15)), '941dab1395a52271', 0, (49, 49, 49, 43380), 'c08a7bb63910c001', 5.0, '125.455878', 182, '', ''),
+    ('crash', 4, False): ('54ffacb4bd2edc7b', 1, '26fd4cb9e01661ba', (('retry_exc_error', 5), ('success', 12)), 'db2c9f983baffa8c', 0, (56, 56, 56, 47915), '5b85937f812caedc', 5.0, '119.470598', 166, '', ''),
+    ('crash', 5, False): ('6f2bfe93bb80b49a', 12, '2b806d19df0f2e4b', (('retry_exc_error', 48),), 'b9da01cf54a80ef0', 0, (156, 156, 156, 4256), 'abd2ded575fd5c3d', 48.0, '802.184099', 337, '', ''),
+    ('crash', 6, False): ('f5c7a57fef1ccc4f', 12, 'eed04fea40f50511', (('retry_exc_error', 48),), '0ad3ed153e7bf8d3', 0, (156, 156, 156, 4256), 'd426b579979670fd', 48.0, '802.184099', 337, '', ''),
+    ('crash', 7, False): ('942dafea27d7c306', 1, 'fe6ca1835ccedf90', (('retry_exc_error', 5), ('success', 12)), '993b931447b0f275', 0, (49, 49, 49, 69699), 'ab6947054419c257', 5.0, '121.865238', 176, '', ''),
     ('partition', 0, False): ('4d85e9451bcd5d76', 0, '439309ce3b60b4a6', (('retry_exc_error', 3), ('success', 14)), 'f3822b5d1efc8ebf', 2, (36, 36, 36, 43906), '0fd7ff3bf0d6e813', 3.0, '94.562835', 167, '', ''),
     ('partition', 1, False): ('6fb163fee9db9df5', 0, '6a91a477b4a7def7', (('retry_exc_error', 3), ('success', 12)), 'a4e42d601fb8c8e2', 10, (37, 37, 37, 47861), '3ba510a30204948a', 3.0, '89.302835', 146, '', ''),
-    ('partition', 2, False): ('c79aac4381b882d3', 0, '1c0a6cb00f434cb1', (('success', 15),), '93db07077cf667d4', 0, (45, 45, 45, 70877), 'a8d9ce3e0a6571ce', 0, '140.99837', 161, '', ''),
-    ('partition', 3, False): ('ca722c8f6fa35307', 0, '8a8580dd103db1c3', (('retry_exc_error', 2), ('success', 10)), 'aaf9ebbbdef07c95', 0, (17, 17, 17, 12953), '4e51add167839102', 2.0, '142.695463', 105, '', ''),
-    ('partition', 4, False): ('f5fe419353dab972', 0, '356c2ab47cf2f027', (('retry_exc_error', 3), ('success', 14)), '4c8ef51ab035801e', 0, (97, 97, 97, 181628), '80db24fb13f4e0b2', 3.0, '110.183795', 214, '', ''),
-    ('partition', 5, False): ('096ac4458d10ec18', 0, '078c043866daf55f', (('success', 13),), 'a0584a2539036c02', 0, (36, 36, 36, 78328), 'e9adaadf707da4e8', 0, '485.366505', 142, '', ''),
-    ('partition', 6, False): ('79ba219d5835a6fb', 5, '049db8034d2634e1', (('retry_exc_error', 21), ('success', 6)), '0317de9e0cca5f39', 0, (244, 244, 244, 47949), '3e2a5e4619d5fd58', 21.0, '466.645036', 223, '', ''),
-    ('partition', 7, False): ('433b68a30b5e9637', 0, '1ddffdc936caeb3f', (('success', 16),), '0a4884d0436ee27c', 0, (53, 53, 53, 120709), 'c1f82e4cf6847ffa', 0, '490.601788', 190, '', ''),
+    ('partition', 2, False): ('c79aac4381b882d3', 0, '496d4be4b2225218', (('success', 13),), '93db07077cf667d4', 0, (47, 47, 47, 70893), '936e96b71a1aa5d7', 0, '140.99837', 151, '', ''),
+    ('partition', 3, False): ('ca722c8f6fa35307', 0, '7ec5d629f7ca9d72', (('retry_exc_error', 2), ('success', 10)), 'aaf9ebbbdef07c95', 0, (18, 18, 18, 12961), '2f7ce5d11996b6b4', 2.0, '141.196103', 107, '', ''),
+    ('partition', 4, False): ('f5fe419353dab972', 0, 'bdeab1ac0f04dc34', (('retry_exc_error', 3), ('success', 13)), '4c8ef51ab035801e', 0, (53, 53, 53, 137314), '2818f858d0f6d2c1', 3.0, '100.860995', 185, '', ''),
+    ('partition', 5, False): ('096ac4458d10ec18', 0, 'fb53e95f7762b08b', (('success', 12),), 'a0584a2539036c02', 0, (37, 37, 37, 78336), '4e8cf6917a56bb4e', 0, '485.366505', 137, '', ''),
+    ('partition', 6, False): ('9f629af4ea22eb77', 5, '049db8034d2634e1', (('retry_exc_error', 21), ('success', 6)), '0317de9e0cca5f39', 0, (244, 244, 244, 47949), '3fe352c9e673915c', 21.0, '466.645036', 223, '', ''),
+    ('partition', 7, False): ('433b68a30b5e9637', 0, 'a6746e3541a8283a', (('success', 14),), '0a4884d0436ee27c', 0, (55, 55, 55, 120725), 'd363756efa7de7ed', 0, '490.601788', 179, '', ''),
     ('bad-rkey', 0, False): ('97b4f3acf76540de', 1, 'ead5a5f6f43c7b7d', (('remote_access_error', 1), ('success', 12)), '9ce171da754e0abf', 0, (51, 51, 51, 105739), 'd833e3a2ddb8b569', 0, '38.94376', 160, '', ''),
-    ('bad-rkey', 1, False): ('ab0efb97f959f049', 1, '3a69089e332173c8', (('remote_access_error', 1), ('success', 14)), '5cba993142b9cf5f', 0, (53, 53, 53, 62729), '6415d25cf13edc6b', 0, '41.85104', 148, '', ''),
-    ('bad-rkey', 2, False): ('b1afea99814b391d', 3, 'be9985607024d9b5', (('remote_access_error', 1), ('success', 8), ('wr_flush_error', 3)), '0c6eea0acfb81645', 0, (31, 31, 31, 8458), 'b75ab9781252cd95', 0, '28.76256', 89, '8d3f0bb22c7d1eae', ''),
-    ('bad-rkey', 3, False): ('a7690607b8d8a77a', 8, 'a9c79ad3c105b032', (('remote_access_error', 1), ('wr_flush_error', 9)), 'b75f27aace98a6b6', 0, (29, 29, 29, 160), 'd96ff7e54dd75ed7', 0, '86.45', 56, '4e0972dc1e5d674d', ''),
-    ('bad-rkey', 4, False): ('9145c85b75dce3f2', 5, 'b42d0fdaf30ac8e3', (('remote_access_error', 1), ('success', 8), ('wr_flush_error', 4)), 'c637a9635cbffa1f', 0, (32, 32, 32, 43410), '336e7bb7ea834db2', 0, '24.10872', 118, '', ''),
-    ('bad-rkey', 5, False): ('d61114eb090a8fed', 9, '2ac32085e0561442', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), 'aeca4cd31cd3236c', 0, (23, 23, 23, 8768), 'c35723f1fcddd63d', 0, '21.288', 63, '', ''),
-    ('bad-rkey', 6, False): ('3da4d43a5de8d7c7', 10, '3c139c0f0a9c284e', (('remote_access_error', 1), ('success', 1), ('wr_flush_error', 9)), '420668709ab83da3', 0, (38, 38, 38, 4256), 'fc99956a6f09cc14', 0, '83.47768', 57, '', ''),
+    ('bad-rkey', 1, False): ('2d2d52391e5a3273', 1, '3a69089e332173c8', (('remote_access_error', 1), ('success', 14)), '5cba993142b9cf5f', 0, (53, 53, 53, 62729), '6415d25cf13edc6b', 0, '41.85104', 148, '', ''),
+    ('bad-rkey', 2, False): ('62288ce865319548', 3, '617c77f6fb136a6e', (('remote_access_error', 1), ('success', 7), ('wr_flush_error', 3)), '0c6eea0acfb81645', 0, (32, 32, 32, 8466), '21dbccf477c2a8ad', 0, '22.5632', 83, '8d3f0bb22c7d1eae', ''),
+    ('bad-rkey', 3, False): ('088b6f33e922eefa', 8, 'eac7cfc301281b7b', (('remote_access_error', 1), ('wr_flush_error', 9)), 'b75f27aace98a6b6', 0, (32, 32, 32, 160), '12d40eaf3947206c', 0, '85.7', 56, '4e0972dc1e5d674d', ''),
+    ('bad-rkey', 4, False): ('5486f87243561bf6', 5, 'ab8d4d0a20dca8d1', (('remote_access_error', 1), ('success', 8), ('wr_flush_error', 4)), 'c637a9635cbffa1f', 0, (32, 32, 32, 43410), '3ec65e6ec3e17640', 0, '24.10872', 118, '', ''),
+    ('bad-rkey', 5, False): ('498ecc19f74c2ebe', 9, '2ac32085e0561442', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), 'aeca4cd31cd3236c', 0, (23, 23, 23, 8768), 'c35723f1fcddd63d', 0, '21.288', 63, '', ''),
+    ('bad-rkey', 6, False): ('3607d24d650a6df0', 10, 'ef03bf77d7256b98', (('remote_access_error', 1), ('success', 1), ('wr_flush_error', 9)), '420668709ab83da3', 0, (40, 40, 40, 4256), '84df8651d90c4cdc', 0, '83.47768', 57, '', ''),
     ('bad-rkey', 7, False): ('e4a399bc65e2d06e', 4, '1a3251ec4cbbbf24', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 4)), 'bf0b6f6e9bf957a8', 0, (12, 12, 12, 4328), '9aafe7efc24fc13a', 0, '106.6328', 55, 'f76da5605b7f4408', ''),
-    ('outside-mr', 0, False): ('2a2bab3a411db6d5', 4, 'eb9569aef8b56269', (('remote_access_error', 1), ('success', 11), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (34, 34, 34, 78437), 'f24d9648c41cec27', 0, '41.15896', 130, '', ''),
-    ('outside-mr', 1, False): ('f5aaff1098734b8b', 4, '2c5245cf691be74a', (('remote_access_error', 1), ('success', 7), ('wr_flush_error', 3)), 'ce73a25c75f4c965', 0, (34, 34, 34, 272), '2a86804e90685858', 0, '180.15704', 81, '', ''),
-    ('outside-mr', 2, False): ('075fb22c37289001', 1, 'c720f5c46c6c0f21', (('remote_access_error', 1), ('success', 17)), '61cedb1d867e295e', 0, (62, 62, 62, 83212), 'e7523b59e1cc5a29', 0, '51.88968', 201, '', ''),
-    ('outside-mr', 3, False): ('4533088c2c294e5a', 6, 'e94d3b2e1073a758', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 6)), 'b4eac00c3276a92f', 0, (30, 30, 30, 192), '3aaf083aa50a29ca', 0, '27.15064', 71, 'f76da5605b7f4408', ''),
-    ('outside-mr', 4, False): ('cdb92695299c5b70', 6, 'd9d54310e86d9b52', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 5)), '3d11701964daf7d3', 0, (13, 13, 13, 432), '494b55b710e2d960', 0, '169.32112', 56, '', ''),
-    ('outside-mr', 5, False): ('95a2b90b8509b2b7', 8, '0f419caa8cec3b35', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 8)), '9d84374eec179c86', 0, (32, 32, 32, 4436), 'cd8495a3e1bfe0c9', 0, '93.89144', 73, 'f76da5605b7f4408', ''),
+    ('outside-mr', 0, False): ('947502341aa7ad0c', 4, '92a1bffeddfd7a15', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (36, 36, 36, 78445), '9f4514e41e976e51', 0, '32.9596', 123, '', ''),
+    ('outside-mr', 1, False): ('655a32a00bea5289', 4, '1cd3f7a63ac38e3a', (('remote_access_error', 1), ('success', 6), ('wr_flush_error', 3)), 'ce73a25c75f4c965', 0, (34, 34, 34, 272), '5874fdd4efb900b0', 0, '175.45704', 73, '', ''),
+    ('outside-mr', 2, False): ('075fb22c37289001', 1, '723053906b859fd3', (('remote_access_error', 1), ('success', 16)), '61cedb1d867e295e', 0, (62, 62, 62, 83212), 'e5198886a867a644', 0, '47.18968', 193, '', ''),
+    ('outside-mr', 3, False): ('3d4501936e8eaec4', 6, 'dcc0215de26ad15b', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 6)), 'b4eac00c3276a92f', 0, (31, 31, 31, 200), 'f3152f40c0d5c440', 0, '25.65128', 73, 'f76da5605b7f4408', ''),
+    ('outside-mr', 4, False): ('fedf853dcc36f5bf', 6, '6486fc3714ad16a6', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 5)), '3d11701964daf7d3', 0, (15, 15, 15, 432), 'b3a578a530dfe6af', 0, '169.32112', 56, '', ''),
+    ('outside-mr', 5, False): ('c273acb654351e50', 8, '5873383a5226aad0', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), '9d84374eec179c86', 0, (35, 35, 35, 4444), '2ee96ec1af99a02f', 0, '89.69208', 68, 'f76da5605b7f4408', ''),
     ('outside-mr', 6, False): ('7e0a48e5ed496aef', 4, '2485e494b0c1f4ed', (('remote_access_error', 1), ('success', 5), ('wr_flush_error', 4)), 'fe78de6f143da286', 0, (14, 14, 14, 9248), '8762de5d73a87d40', 0, '16.72576', 72, 'f76da5605b7f4408', ''),
-    ('outside-mr', 7, False): ('6a87d0bcf4e81ef4', 6, 'bc77d467ace3f680', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 7)), '086689d26026c6ed', 0, (15, 15, 15, 432), '6289504a4aa4fe7c', 0, '9.87176', 63, '4e0972dc1e5d674d', ''),
+    ('outside-mr', 7, False): ('e9c5880114e975b2', 6, 'c4e63b0be95cf235', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 7)), '086689d26026c6ed', 0, (17, 17, 17, 432), 'f19f9fd1be03770e', 0, '9.87176', 63, '4e0972dc1e5d674d', ''),
     ('qp-error', 0, False): ('5e74b8cf6f908fa3', 7, '533cfdfc0331dd69', (('success', 5), ('wr_flush_error', 7)), '56800de4e5d946cd', 0, (33, 33, 33, 53378), '2eb9917dee796aa5', 0, '18.75744', 102, '', ''),
-    ('qp-error', 1, False): ('5d5e70c2f3165e07', 10, '27d0dce798ae68fd', (('success', 1), ('wr_flush_error', 11)), 'dbc90f0fb73386e1', 0, (32, 32, 32, 168), '4674a24a8f0fcdd2', 0, '4.70064', 62, 'f76da5605b7f4408', ''),
-    ('qp-error', 2, False): ('e05b1756fa61d488', 2, '1f4aa757781ef5b2', (('success', 10), ('wr_flush_error', 2)), 'a0764d8c177e0936', 0, (51, 51, 51, 88105), '43119acd46a27b81', 0, '34.08432', 128, '', ''),
-    ('qp-error', 3, False): ('6e806a0879d3d811', 1, '52d78b08c1729910', (('success', 8), ('wr_flush_error', 2)), 'a2284f4107dfa7ab', 0, (14, 14, 14, 8400), 'ae9f0436895298e7', 0, '108.05728', 81, 'f76da5605b7f4408', ''),
-    ('qp-error', 4, False): ('4f8cb115a66b72cf', 9, '79f3e1da4baa128c', (('wr_flush_error', 10),), 'b75f27aace98a6b6', 0, (15, 15, 15, 160), '35645f2d462c0e17', 0, '2.0', 50, 'f76da5605b7f4408', ''),
-    ('qp-error', 5, False): ('94ea8bfbf837462b', 2, 'f446ec4801651048', (('success', 10), ('wr_flush_error', 3)), '45df569a3cddcc6c', 2, (20, 20, 20, 18240), 'e3e75e76e2563020', 0, '32.54384', 108, 'f76da5605b7f4408', ''),
-    ('qp-error', 6, False): ('32b18574c1790261', 7, '6442a5b3e0d87165', (('success', 4), ('wr_flush_error', 7)), '0784e208afb418c6', 0, (61, 61, 61, 48227), 'ca3966a88fab8103', 0, '14.64536', 91, '', ''),
-    ('qp-error', 7, False): ('fc8cc3a07036c455', 9, '34d1ff5762f4ba26', (('wr_flush_error', 12),), 'b75f27aace98a6b6', 0, (32, 32, 32, 160), '41fff6ac38d47781', 0, '6.0', 64, 'dab8fe364f35ef47', ''),
-    ('deadline', 0, False): ('71e70e7e3fb1af9b', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), '8dd4daf0f684f0fd', 4.0, '183.759431', 175, '', ''),
-    ('deadline', 1, False): ('1c0691285f5d1745', 9, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), '0fcc63c30fdf46e6', 0, '86.0', 18, 'f8b63224914b97ab', ''),
-    ('deadline', 2, False): ('efb26440c6b69c2a', 0, '4e66c2a0546cece2', (('retry_exc_error', 2), ('success', 15)), '7ec13d0783c16a7d', 0, (33, 33, 33, 38121), '4c3143168b79d253', 2.0, '74.382743', 146, '', ''),
-    ('deadline', 3, False): ('87886aef9c37e8a5', 2, 'b3ca0f5c5227b4b9', (('retry_exc_error', 5), ('success', 8)), '8d4483b8daad02a5', 0, (59, 59, 59, 112886), 'c663298ec7dac430', 5.0, '271.809383', 166, '', ''),
-    ('deadline', 4, False): ('6cb870455d93c376', 10, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), '520b323c2628e448', 0, '72.84688', 14, 'b4458369ba0ce9cb', ''),
-    ('deadline', 5, False): ('7cbceb86e58255e3', 1, 'a3a1929448bdf692', (('retry_exc_error', 4), ('success', 16)), '78514801fc096c87', 0, (62, 62, 62, 87746), '39d623ea64db4dea', 4.0, '144.100377', 208, '', ''),
-    ('deadline', 6, False): ('c5835616cacf016a', 11, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), '774f8e73c9a65735', 0, '23.17456', 11, '', ''),
-    ('deadline', 7, False): ('17778e989ad81365', 0, 'f24b03032f56c360', (('retry_exc_error', 2), ('success', 15)), 'ba344fc0d9e580aa', 56, (90, 90, 90, 131254), 'f8f7173796d071de', 2.0, '95.756983', 207, '', ''),
+    ('qp-error', 1, False): ('32560768964f1ab0', 10, '50e08aa38055f5a4', (('success', 1), ('wr_flush_error', 11)), 'dbc90f0fb73386e1', 0, (34, 34, 34, 168), '380e819eeae4b1a4', 0, '4.70064', 62, 'f76da5605b7f4408', ''),
+    ('qp-error', 2, False): ('ad0a4c73d1f6756e', 2, '1f4aa757781ef5b2', (('success', 10), ('wr_flush_error', 2)), 'a0764d8c177e0936', 0, (51, 51, 51, 88105), '43119acd46a27b81', 0, '34.08432', 128, '', ''),
+    ('qp-error', 3, False): ('6e806a0879d3d811', 1, 'fb5230907ec59b8b', (('success', 8), ('wr_flush_error', 2)), 'a2284f4107dfa7ab', 0, (15, 15, 15, 8408), '3838d6614e87f845', 0, '104.55792', 82, 'f76da5605b7f4408', ''),
+    ('qp-error', 4, False): ('34b6498437bfe001', 9, '44cb07fc29467428', (('wr_flush_error', 10),), 'b75f27aace98a6b6', 0, (15, 15, 15, 160), 'd19670057369ea17', 0, '2.0', 50, 'f76da5605b7f4408', ''),
+    ('qp-error', 5, False): ('a2c5f448dc68cf75', 2, 'bef202ac6fdea75d', (('success', 9), ('wr_flush_error', 3)), '45df569a3cddcc6c', 2, (21, 21, 21, 18248), 'b3723bf53393be0f', 0, '26.34448', 102, 'f76da5605b7f4408', ''),
+    ('qp-error', 6, False): ('a47d5d4bcf117611', 7, '6442a5b3e0d87165', (('success', 4), ('wr_flush_error', 7)), '0784e208afb418c6', 0, (61, 61, 61, 48227), 'ca3966a88fab8103', 0, '14.64536', 91, '', ''),
+    ('qp-error', 7, False): ('bd5cb7d03e891880', 9, 'bdd5cdb14766897e', (('wr_flush_error', 12),), 'b75f27aace98a6b6', 0, (32, 32, 32, 160), '44aca0678fb532ce', 0, '6.0', 64, 'dab8fe364f35ef47', ''),
+    ('deadline', 0, False): ('90c306f677fbeeb9', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), 'eab9487e07f157f4', 4.0, '183.759431', 175, '', ''),
+    ('deadline', 1, False): ('e833edfbb14aae81', 9, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), '715bf6e94eb90e55', 0, '84.0', 17, 'f8b63224914b97ab', ''),
+    ('deadline', 2, False): ('efb26440c6b69c2a', 0, '4e66c2a0546cece2', (('retry_exc_error', 2), ('success', 15)), '7ec13d0783c16a7d', 0, (33, 33, 33, 38121), '564e5d6ca9799cf9', 2.0, '74.382743', 146, '', ''),
+    ('deadline', 3, False): ('15ed676b8b958bc1', 2, 'b3ca0f5c5227b4b9', (('retry_exc_error', 5), ('success', 8)), '8d4483b8daad02a5', 0, (59, 59, 59, 112886), 'cafd2d8e8386e759', 5.0, '271.809383', 166, '', ''),
+    ('deadline', 4, False): ('591e884cb6671a25', 10, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), 'c1013a304d61c67c', 0, '72.84688', 14, 'b4458369ba0ce9cb', ''),
+    ('deadline', 5, False): ('294ee486aab099bf', 1, 'b25821e962fdb531', (('retry_exc_error', 4), ('success', 14)), '78514801fc096c87', 0, (62, 62, 62, 87746), '5a77598410d45bcf', 4.0, '134.700377', 192, '', ''),
+    ('deadline', 6, False): ('7f1550b9866ff1b4', 11, '4f53cda18c2baa0c', (), 'b75f27aace98a6b6', 0, (4, 4, 4, 160), 'cf834ed3a5daa200', 0, '23.17456', 11, '', ''),
+    ('deadline', 7, False): ('17778e989ad81365', 0, 'f24b03032f56c360', (('retry_exc_error', 2), ('success', 15)), 'ba344fc0d9e580aa', 56, (90, 90, 90, 131254), '9f38833eefc8c8b4', 2.0, '95.756983', 207, '', ''),
     ('none', 0, True): ('9c8ce96ba64c32d1', 0, 'e6b2d0f010537f39', (('success', 14),), 'ad321dfc21e30d17', 0, (58, 58, 58, 135608), '19b251486f23889d', 0, '46.48264', 183, '', 'b1d4cf5ffbcef2b5'),
-    ('dropped', 0, True): ('ec1831f326480193', 0, '627cb049600285b6', (('success', 16),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), '7028b3a7c346f9b5', 2.0, '96.255529', 220, '', '2f3c49bcde9f8a48'),
-    ('transient', 0, True): ('de1a81a11e5c955d', 0, '8aac4f90d09745f3', (('success', 10),), '848ee612e95180e0', 0, (32, 32, 32, 60924), 'a92332c1073fc954', 1.0, '127.918076', 114, '', 'f72323e39788c176'),
-    ('crash', 0, True): ('6293da64dd81b7c7', 1, '424752801e6000e1', (('retry_exc_error', 5), ('success', 11)), 'a258aa41ed52e920', 0, (55, 55, 55, 59590), 'cf840ec98fba193e', 5.0, '232.105878', 166, '', '85fa88b3d0830ccc'),
+    ('dropped', 0, True): ('ec1831f326480193', 0, '2a77d1434ffccdb2', (('success', 15),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), 'd76bb8023d67f2f8', 2.0, '93.555529', 213, '', 'd9bf7c6220a9301b'),
+    ('transient', 0, True): ('de1a81a11e5c955d', 0, 'b98136e918dd8955', (('success', 10),), '848ee612e95180e0', 0, (33, 33, 33, 60932), '74a9696677560222', 1.0, '126.418716', 116, '', '9110425e3323e151'),
+    ('crash', 0, True): ('6cad46ac169a49b4', 1, '5ced8a9b45b19458', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (56, 56, 56, 59598), 'a1faefee32e4c1dd', 5.0, '225.906518', 160, '', '76bacd9954297432'),
     ('partition', 0, True): ('4d85e9451bcd5d76', 0, '439309ce3b60b4a6', (('retry_exc_error', 3), ('success', 14)), 'f3822b5d1efc8ebf', 2, (36, 36, 36, 43906), '0fd7ff3bf0d6e813', 3.0, '94.562835', 167, '', 'd0f38cea9133f709'),
     ('bad-rkey', 0, True): ('97b4f3acf76540de', 1, 'ead5a5f6f43c7b7d', (('remote_access_error', 1), ('success', 12)), '9ce171da754e0abf', 0, (51, 51, 51, 105739), 'd833e3a2ddb8b569', 0, '38.94376', 160, '', 'e669f0334216b22c'),
-    ('outside-mr', 0, True): ('2a2bab3a411db6d5', 4, 'eb9569aef8b56269', (('remote_access_error', 1), ('success', 11), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (34, 34, 34, 78437), 'f24d9648c41cec27', 0, '41.15896', 130, '', '77d54f0f292d13f3'),
+    ('outside-mr', 0, True): ('947502341aa7ad0c', 4, '92a1bffeddfd7a15', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (36, 36, 36, 78445), '9f4514e41e976e51', 0, '32.9596', 123, '', '7a385c0c8f6749d9'),
     ('qp-error', 0, True): ('5e74b8cf6f908fa3', 7, '533cfdfc0331dd69', (('success', 5), ('wr_flush_error', 7)), '56800de4e5d946cd', 0, (33, 33, 33, 53378), '2eb9917dee796aa5', 0, '18.75744', 102, '', '42e6fa2cd16398bc'),
-    ('deadline', 0, True): ('71e70e7e3fb1af9b', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), '8dd4daf0f684f0fd', 4.0, '183.759431', 175, '', '4f3ddf53e464a049'),
-    ('dropped', 8, False): ('4674567d43a49b81', 0, '29769c071f1738df', (('success', 15),), '1887b280275a7efd', 0, (48, 48, 48, 93155), '8236742b23b5f9fd', 1.0, '61.843356', 169, '', ''),
-    ('dropped', 9, False): ('20b43f427e5c45fa', 0, '6711aae398f9de47', (('success', 17),), '61d42bab923ab00c', 0, (21, 21, 21, 12662), 'e6b3bf1bbe8cf627', 0, '60.64248', 151, '', ''),
-    ('dropped', 10, False): ('ea7967edf41d6309', 0, 'e9caf647fb1ede2a', (('success', 12),), '2248d8739d367536', 0, (18, 18, 18, 35965), 'f9708b755c2aa3c1', 0, '38.81184', 108, '', ''),
-    ('transient', 8, False): ('895d0546df673502', 0, '83938baf2e08a0ee', (('success', 16),), '0277bfa2caffba88', 0, (57, 57, 57, 87758), 'e8810f409b442461', 2.0, '76.118809', 189, '', ''),
-    ('transient', 9, False): ('bbc5853115c7fd82', 0, '75771b3014f24331', (('success', 17),), 'ed77b6c7ca8f72da', 0, (36, 36, 36, 52915), '02fbbe8788192b3d', 3.0, '80.581369', 176, '', ''),
-    ('transient', 10, False): ('2af22693375fdcd4', 0, '58c1c2c7ba2e8023', (('success', 14),), 'a04575f696a94de5', 0, (37, 37, 37, 65041), 'b936a9e44d64e3d0', 3.0, '158.988452', 146, '', ''),
-    ('crash', 8, False): ('00acbf85ee3b17d0', 10, 'cd1c0fc5446eebf1', (('retry_exc_error', 48),), 'b75f27aace98a6b6', 0, (196, 196, 196, 160), '3ab79d7f37ad0f15', 48.0, '672.326599', 342, 'bf714577b8e0157f', ''),
-    ('crash', 9, False): ('8f79353f1736b047', 0, 'dc6ee88b7ec387c4', (('retry_exc_error', 2), ('success', 19)), '23297c5dd648573d', 0, (33, 33, 33, 33149), '63b025e67085cf4c', 2.0, '87.007943', 184, '', ''),
-    ('crash', 10, False): ('b3899ce3db2db995', 0, '32b21ccd381a0dc1', (('retry_exc_error', 2), ('success', 18)), 'd31f4806262c7632', 0, (78, 78, 78, 178085), 'd56457fe172584bb', 2.0, '95.731143', 257, '', ''),
+    ('deadline', 0, True): ('90c306f677fbeeb9', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), 'eab9487e07f157f4', 4.0, '183.759431', 175, '', '4f3ddf53e464a049'),
+    ('dropped', 8, False): ('4674567d43a49b81', 0, '4bbf004c95f2cf6a', (('success', 14),), '1887b280275a7efd', 0, (48, 48, 48, 93155), '75a90d50b47f9064', 1.0, '59.143356', 162, '', ''),
+    ('dropped', 9, False): ('20b43f427e5c45fa', 0, '5ed98847c07acbb8', (('success', 16),), '61d42bab923ab00c', 0, (22, 22, 22, 12670), '58be18d35b71f189', 0, '56.44312', 146, '', ''),
+    ('dropped', 10, False): ('ea7967edf41d6309', 0, '959dc60dc3c8b2c0', (('success', 11),), '2248d8739d367536', 0, (18, 18, 18, 35965), '5ff483d9b620e495', 0, '34.11184', 100, '', ''),
+    ('transient', 8, False): ('895d0546df673502', 0, '83938baf2e08a0ee', (('success', 16),), '0277bfa2caffba88', 0, (57, 57, 57, 87758), 'a6b870593731d823', 2.0, '76.118809', 189, '', ''),
+    ('transient', 9, False): ('bbc5853115c7fd82', 0, '2d901ee9bd5375ab', (('success', 16),), 'ed77b6c7ca8f72da', 0, (36, 36, 36, 52915), '9e0ae0abd9f9b683', 2.0, '59.173516', 165, '', ''),
+    ('transient', 10, False): ('2af22693375fdcd4', 0, 'b8d7dc9f625a4052', (('success', 13),), 'a04575f696a94de5', 0, (37, 37, 37, 65041), 'd7196b864eecc1e5', 3.0, '154.288452', 138, '', ''),
+    ('crash', 8, False): ('50ed317921a65886', 10, 'cd1c0fc5446eebf1', (('retry_exc_error', 48),), 'b75f27aace98a6b6', 0, (196, 196, 196, 160), '3abcf2b27ea8ce7b', 48.0, '672.326599', 342, 'bf714577b8e0157f', ''),
+    ('crash', 9, False): ('8f79353f1736b047', 0, '7b08c53ceb465507', (('retry_exc_error', 2), ('success', 17)), '23297c5dd648573d', 0, (33, 33, 33, 33149), '85568148b61dfa6b', 2.0, '77.607943', 168, '', ''),
+    ('crash', 10, False): ('b3899ce3db2db995', 0, 'eaa7de92686914e0', (('retry_exc_error', 2), ('success', 17)), 'd31f4806262c7632', 0, (79, 79, 79, 178093), 'dd8618dbfcd3f590', 2.0, '91.531783', 252, '', ''),
     ('partition', 8, False): ('d9e680ff188c5010', 0, '5cafd59d87050ef5', (('retry_exc_error', 1), ('success', 14)), '7a0e516d50086acc', 58, (40, 40, 40, 77526), '9b8cc0e3c7032839', 1.0, '55.997516', 174, '', ''),
-    ('partition', 9, False): ('2f1ea806ef3569df', 0, '1cccc9bca92eef1f', (('retry_exc_error', 3), ('success', 15)), '81b1590fa625ba40', 0, (37, 37, 37, 30518), '92bbc2c2d01183f7', 3.0, '100.716035', 160, '', ''),
+    ('partition', 9, False): ('2f1ea806ef3569df', 0, '1129feb81b531e89', (('retry_exc_error', 3), ('success', 13)), '81b1590fa625ba40', 0, (39, 39, 39, 30534), '7902148ec6641936', 3.0, '92.317315', 150, '', ''),
     ('partition', 10, False): ('a2cbc5e77e05392c', 0, '161f16fa653fa762', (('success', 11),), 'e84477a6bad59ef9', 2, (17, 17, 17, 17625), '4be7722c5ef5e5ec', 0, '76.634768', 93, '', ''),
 }
 
