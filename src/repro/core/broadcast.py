@@ -230,7 +230,7 @@ class CodeFlowGroup:
         waits on its flush but the window's end."""
         addr = codeflow.sandbox.bubble_addr
         flag = ((addr, pack_qword(value)),)
-        yield from sync.install([], None, 0, 0, [], tail=flag)
+        yield from sync.install([], None, 0, 0, [(addr, 8)], tail=flag)
         # ``sync`` posted the flag -- the codeflow's own QP or a forest
         # relay's -- so hb attribution follows the bytes.
         flush = sync.flush_chained([(addr, 8)], waited=bool(value))

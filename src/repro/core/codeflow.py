@@ -766,9 +766,11 @@ class CodeFlow:
             mark = self.sim.now
             if posted is not None:
                 posted.append(plan)
+            flush = plan.flush + [(addr, len(payload)) for addr, payload in tail]
             plan.prior, plan.torn = yield from self.sync.install(
                 ops, hook_addr if commit else None, plan.existing_addr,
-                plan.code_addr, plan.flush, note=plan.note, tail=tail,
+                plan.code_addr, flush + [(hook_addr, 8)] if commit else flush,
+                note=plan.note, tail=tail,
             )
             report.write_us = self.sim.now - mark
         except BaseException as err:
@@ -779,9 +781,7 @@ class CodeFlow:
             raise
         if not commit:
             mark = self.sim.now
-            yield from self.sync.flush_chained(
-                plan.flush + [(addr, len(payload)) for addr, payload in tail]
-            )
+            yield from self.sync.flush_chained(flush)
             report.cc_us = self.sim.now - mark
             plan.flush = []  # landed: the flip flushes the hook line only
         return plan
@@ -839,7 +839,7 @@ class CodeFlow:
         )
         if prior is None:
             prior, torn = yield from self.sync.install(
-                [], hook_addr, expect, new, [], note=note
+                [], hook_addr, expect, new, [(hook_addr, 8)], note=note
             )
             if plan is not None:
                 plan.prior, plan.torn = prior, torn

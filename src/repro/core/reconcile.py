@@ -228,9 +228,10 @@ class Reconciler:
         # target's requests forever -- lower it.
         bubble_raw = yield from sync.read(codeflow.sandbox.bubble_addr, 8)
         if unpack_qword(bubble_raw) != 0:
-            flag = ((codeflow.sandbox.bubble_addr, pack_qword(0)),)
-            yield from sync.install([], None, 0, 0, [], tail=flag)
-            yield from sync.flush_chained([(codeflow.sandbox.bubble_addr, 8)])
+            addr = codeflow.sandbox.bubble_addr
+            flag = ((addr, pack_qword(0)),)
+            yield from sync.install([], None, 0, 0, [(addr, 8)], tail=flag)
+            yield from sync.flush_chained([(addr, 8)])
             self._act(report, "lower_bubble", report.target, "stranded flag")
 
         # Phase 6: the closing audit, plus an exact intent match.

@@ -268,8 +268,10 @@ class RemoteSync:
         ...]``), then ``tail`` -- plain control-word writes that carry
         no ``txn`` (a bubble flag) -- then, given a ``qword_addr``, a
         fenced COMP_SWAP of that qword from ``expect`` to ``new_qword``,
-        then one 8-byte doorbell WRITE per ``flush`` span, per ``tail``
-        write and for the qword's line.  The fence orders the CAS after
+        then one 8-byte doorbell WRITE per ``flush`` span -- the list
+        the caller then hands :meth:`flush_chained`, so every doorbell
+        has its flush (a ``tail`` write's span and the qword's line are
+        the caller's to name).  The fence orders the CAS after
         every earlier WR, so the object is resident before the pointer
         flips, and the CAS's prior value comes back in the chain's one
         CQE.  The WRITEs go out in windows of
@@ -302,14 +304,14 @@ class RemoteSync:
         body = len(ops)
         wrs = [*ops, *tail]
         commit = qword_addr is not None and depth > 1
-        doorbells = len(flush) + len(tail) + commit if depth > 1 else 0
+        doorbells = len(flush) if depth > 1 else 0
         cut = len(wrs)
         if depth > 1:
             cut = (body - 1) // depth * depth if body else 0
             if len(wrs) - cut + commit + doorbells > depth:
                 cut = body
         starts = list(range(0, cut, depth))
-        if cut < len(wrs) or doorbells:
+        if cut < len(wrs) or commit or doorbells:
             starts.append(cut)  # the last window: the CAS and doorbells ride it
         body_note = self._body_note(note)
         completion = None

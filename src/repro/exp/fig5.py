@@ -86,28 +86,28 @@ def _trials(
         # Ensure the CPU has the line cached (and therefore stale-able).
         sandbox.hook_table.read_pointer("ingress")
 
-        landed = {"t": None}
+        landed = sim.event()
 
         def injector() -> Generator:
             if use_rdx:
                 yield from rdx_tx(codeflow, b"", hook_addr, hook_addr, new_value)
-                landed["t"] = sim.now
-                yield from rdx_cc_event(codeflow, hook_addr, 8)
             else:
                 yield from codeflow.sync.write(
                     hook_addr, new_value.to_bytes(8, "little")
                 )
-                landed["t"] = sim.now
+            landed.succeed(sim.now)
+            if use_rdx:
+                yield from rdx_cc_event(codeflow, hook_addr, 8)
 
         inject_proc = sim.spawn(injector(), name=f"inject{trial}")
-        # Poll until the CPU observes the new value.
-        while True:
-            seen = unpack_qword(target.cache.cpu_read(hook_addr, 8))
-            if seen == new_value:
-                break
+        # Poll from the landing instant until the CPU observes the new
+        # value: the window is the flush's (or the eviction's), not
+        # the poll's phase against how long the injection took.
+        landed_us = yield landed
+        while unpack_qword(target.cache.cpu_read(hook_addr, 8)) != new_value:
             yield sim.timeout(poll_interval_us)
         yield inject_proc  # ensure the injector finished
-        windows.append(sim.now - landed["t"])
+        windows.append(sim.now - landed_us)
         # Reset: flush so the next trial starts from a fresh fill.
         target.cache.flush(hook_addr, 8)
 

@@ -10,9 +10,9 @@ fuzz --scenario all --iterations 2``, ``cli fuzz --replay``,
 function or method defined under ``src/repro`` whose code never ran,
 as ``path:line qualname``, and how many of how many that is.
 
-``sys.settrace`` and not ``sys.setprofile``: the ``test_*_cost.py``
-guards install a profile hook of their own, which would replace this
-one for the rest of the run.  Nothing from ``repro`` is imported before
+``sys.settrace`` and not ``sys.setprofile``: the cost table
+(``tests/test_cost_oracle.py``) counts calls with a profile hook of
+its own, which would replace this one for the rest of the run.  Nothing from ``repro`` is imported before
 the hook is in place, so what runs at import is counted too.
 """
 

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLES = (
     "test_artifact_oracle.py",
     "test_broadcast_oracle.py",
+    "test_cost_oracle.py",
     "test_decode_oracle.py",
     "test_deploy_oracle.py",
     "test_ebpf_interpreter.py",

@@ -89,6 +89,13 @@ poison and doorbell are one chain), and ``events`` fall 14 per deploy
 and 5 to 13 per destroy.  No count, outcome, warm-pool or cache
 counter moved, and no serial row.
 
+The same pipelined rows moved once more when an install began to ring
+exactly the doorbells its flush names: an xstate deploy's chain lost
+the 8-byte doorbell of the meta slot's line, which no flush applied.
+``now`` falls 0.00064 us and ``events`` by one per xstate deploy so
+far.  No count, outcome, warm-pool or cache counter moved, and no
+serial row.
+
 Delta plans were once a switch with a ``delta`` column of their own;
 every pipelined redeploy now plans one when it can, so that column is
 the ``pipelined`` rows verbatim, f62df80 comments too (none
@@ -283,21 +290,21 @@ ORACLE = {
         'patch': Row(now=686.98592, events=198, warm=False, mode='delta', outcome=None, plane=(2, 2, 0, 0, 0, 0, 2), pool=(1, 2, 0, 2, (('absent', 2),)), series=(('rdx.cache.miss{}', 2), ('rdx.link.cache_miss{}', 2), ('rdx.serve.warm.admit{}', 2), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
         'prewarm': Row(now=887.03592, events=207, warm=None, mode=None, outcome=True, plane=(3, 3, 0, 0, 0, 0, 3), pool=(1, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 1), ('rdx.serve.warm.miss{reason=absent}', 2))),
         'prewarmed': Row(now=895.468, events=234, warm=True, mode='full', outcome=None, plane=(3, 3, 0, 0, 0, 0, 3), pool=(2, 2, 0, 3, (('absent', 2),)), series=(('rdx.cache.miss{}', 3), ('rdx.link.cache_miss{}', 3), ('rdx.serve.warm.admit{}', 3), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 2))),
-        'map-cold': Row(now=1227.40008, events=311, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
-        'reboot-relayout': Row(now=1258.8232, events=387, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'reboot-warm': Row(now=1267.33608, events=414, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
-        'geom-wide': Row(now=1291.60856, events=464, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-narrow': Row(now=1306.71696, events=506, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'geom-back': Row(now=1330.04016, events=573, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'overflow': Row(now=3890.04016, events=1596, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'revisit': Row(now=3898.31128, events=1623, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'broadcast': Row(now=4319.52688, events=1844, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 0, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-compiled': Row(now=4319.72688, events=1847, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 0, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'link-fresh': Row(now=4357.27688, events=1851, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 0, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-cold': Row(now=4565.75896, events=1885, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 0, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'invalidate': Row(now=4565.75896, events=1885, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 0, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-redeploy': Row(now=4774.24104, events=1919, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
-        'inv-again': Row(now=4782.51216, events=1945, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'map-cold': Row(now=1227.3988, events=309, warm=False, mode='full', outcome=None, plane=(4, 4, 0, 0, 0, 0, 4), pool=(2, 3, 0, 4, (('absent', 3),)), series=(('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 4), ('rdx.serve.warm.admit{}', 4), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3))),
+        'reboot-relayout': Row(now=1258.82128, events=384, warm=False, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(2, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 2), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'reboot-warm': Row(now=1267.33416, events=411, warm=True, mode='full', outcome=None, plane=(4, 4, 1, 0, 0, 0, 5), pool=(3, 4, 0, 5, (('absent', 3), ('layout-changed', 1))), series=(('rdx.cache.hit{}', 1), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 5), ('rdx.serve.warm.admit{}', 5), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 1))),
+        'geom-wide': Row(now=1291.606, events=460, warm=False, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 5, 0, 6, (('absent', 3), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 4), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 3), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-narrow': Row(now=1306.71376, events=501, warm=None, mode=None, outcome='VerifierError', plane=(4, 4, 2, 0, 0, 0, 6), pool=(3, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 3), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'geom-back': Row(now=1330.03632, events=567, warm=True, mode='full', outcome=None, plane=(4, 4, 2, 0, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 5), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'overflow': Row(now=3890.03632, events=1590, warm=None, mode=None, outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(4, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 4), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'revisit': Row(now=3898.30744, events=1617, warm=True, mode='delta', outcome=None, plane=(132, 132, 2, 4, 0, 0, 6), pool=(5, 6, 0, 6, (('absent', 4), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 4), ('rdx.cache.hit{}', 2), ('rdx.cache.miss{}', 133), ('rdx.link.cache_miss{}', 6), ('rdx.serve.warm.admit{}', 6), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 4), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'broadcast': Row(now=4319.52304, events=1838, warm=None, mode=None, outcome=('full', 'full', 'full'), plane=(133, 133, 5, 5, 0, 3, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 3), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-compiled': Row(now=4319.72304, events=1841, warm=None, mode=None, outcome=(4012, True), plane=(133, 133, 5, 5, 0, 4, 9), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 9), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'link-fresh': Row(now=4357.27304, events=1845, warm=None, mode=None, outcome=(1512, True), plane=(133, 134, 5, 5, 0, 4, 10), pool=(5, 9, 0, 7, (('absent', 7), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 5), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 134), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 10), ('rdx.serve.warm.admit{}', 7), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 7), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-cold': Row(now=4565.75512, events=1879, warm=False, mode='full', outcome=None, plane=(134, 135, 5, 6, 0, 4, 11), pool=(5, 10, 0, 8, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 6), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'invalidate': Row(now=4565.75512, events=1879, warm=None, mode=None, outcome=1, plane=(134, 135, 5, 7, 0, 4, 11), pool=(5, 10, 1, 7, (('absent', 8), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 135), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 11), ('rdx.serve.warm.admit{}', 8), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 8), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-redeploy': Row(now=4774.2372, events=1913, warm=False, mode='full', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(5, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 5), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
+        'inv-again': Row(now=4782.50832, events=1939, warm=True, mode='delta', outcome=None, plane=(135, 136, 5, 7, 0, 4, 12), pool=(6, 11, 1, 8, (('absent', 9), ('layout-changed', 2))), series=(('rdx.cache.evict{}', 7), ('rdx.cache.hit{}', 5), ('rdx.cache.miss{}', 136), ('rdx.link.cache_hit{}', 4), ('rdx.link.cache_miss{}', 12), ('rdx.serve.warm.admit{}', 9), ('rdx.serve.warm.evict{}', 1), ('rdx.serve.warm.hit{}', 6), ('rdx.serve.warm.miss{reason=absent}', 9), ('rdx.serve.warm.miss{reason=layout-changed}', 2))),
     },
 }
 # fmt: on

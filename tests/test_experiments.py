@@ -3,6 +3,8 @@ paper's qualitative claims (who wins, direction of trends)."""
 
 import pytest
 
+from repro.core.api import rdx_tx
+from repro.exp import fig5
 from repro.exp.fig2a import run_fig2a
 from repro.exp.fig2b import run_fig2b
 from repro.exp.fig2c import run_fig2c
@@ -14,6 +16,7 @@ from repro.exp.tab_broadcast import run_tab_broadcast
 from repro.exp.tab_mesh import run_tab_mesh
 from repro.exp.tab_redis import run_tab_redis
 from repro.exp.tab_rollback import run_tab_rollback
+from repro.params import RDX_CC_EVENT_US
 
 
 class TestFig2a:
@@ -117,6 +120,21 @@ class TestFig5:
     def test_orders_of_magnitude_gap_at_low_cpki(self, result):
         low = result.points[0]
         assert low.vanilla_median_us > 50 * low.rdx_median_us
+
+    @pytest.mark.parametrize("expect", (False, True))
+    def test_rdx_window_is_the_flush_for_either_tx_shape(self, monkeypatch, expect):
+        """READ-then-WRITE or a fenced CAS chain: the flip takes its own
+        time, and the window measured from its landing is the flush."""
+        def tx(handle, obj, obj_addr, qword_addr, new_qword):
+            prior = handle.sandbox.host.memory.read(qword_addr, 8)
+            return rdx_tx(
+                handle, obj, obj_addr, qword_addr, new_qword,
+                int.from_bytes(prior, "little") if expect else None,
+            )
+
+        monkeypatch.setattr(fig5, "rdx_tx", tx)
+        result = run_fig5(cpki_levels=(5, 20, 40), trials=3)
+        assert [p.rdx_median_us for p in result.points] == [RDX_CC_EVENT_US] * 3
 
 
 class TestTables:

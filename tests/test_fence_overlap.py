@@ -27,9 +27,17 @@ from repro.hb.events import extract
 from repro.hb.graph import HbGraph
 from repro.obs import telemetry_of
 from repro.rdma.rnic import Rnic
-from tests.test_install_cost import _linked_again, _spawns, _warm_deploy
+from tests.test_cost_oracle import kinds, spawns
 
 pytestmark = pytest.mark.arm(pipelined_deploy=True)
+
+
+def _linked_again(bed, program):
+    """Deploy ``program`` once, then link it again for a warm deploy
+    (a link-stage hit, so no stub rendezvous)."""
+    bed.sim.run_process(bed.control.inject(bed.codeflow, program, "ingress"))
+    entry = bed.sim.run_process(bed.control.prepare_for(bed.codeflow, program))
+    return bed.sim.run_process(bed.codeflow.link_code(entry.binary))
 
 
 def _target_bytes(bed) -> tuple:
@@ -75,11 +83,13 @@ def test_a_fenced_out_warm_deploy_posts_and_claims_nothing(testbed):
         except StaleEpochError as err:
             raised.append(err)
 
-    _, names = _spawns(bed, lambda: bed.sim.run_process(stale_deploy()))
+    with spawns(bed.sim) as log:
+        bed.sim.run_process(stale_deploy())
+    names = kinds(log)
     bed.sim.run()
     assert len(raised) == 1
-    assert names["dispatch"] == 1  # the overlap ran ...
-    assert names["wqe:read"] == 1
+    assert names.get("dispatch") == 1  # the overlap ran ...
+    assert names.get("wqe:read") == 1
     assert not [name for name in names if name.startswith("wqe-chain")]
     assert _target_bytes(bed) == before  # ... and nothing landed
     assert _claims(codeflow) == claims
@@ -145,7 +155,9 @@ def test_a_leg_interrupted_on_its_dispatch_charge_posts_nothing(config, monkeypa
 @pytest.mark.arm(hb_check=True)
 def test_the_chain_is_posted_after_the_fence_reads_completion(testbed):
     bed = testbed
-    report, _ = _warm_deploy(bed)
+    program = make_stress_program(818, seed=1, name="app")
+    linked = _linked_again(bed, program)
+    report = bed.sim.run_process(bed.codeflow.deploy_prog(program, linked, "ingress"))
     events = extract(telemetry_of(bed.sim).recorder)
     graph = HbGraph(events)
     fresh = [e for e in events if e.time_us >= report.started_us]

@@ -35,6 +35,12 @@ the first 16-WR window of a 17- or 20-WR ``install`` moved in its
 error text and ``rdx.retry.*`` label only (``write_batch`` ->
 ``install``).  No ``INSTALL_ORACLE`` row moved.
 
+``ORACLE`` was regenerated once more when an ``install`` began to
+ring exactly the doorbells its ``flush`` names: 37 of the 39 rows
+whose sequence calls an ``rdx_tx`` with ``expect`` moved (its chain
+lost an 8-byte doorbell no flush applied; nothing ``('deadline', 1)``
+or ``('deadline', 6)`` records changed), and no other row.
+
 ``INSTALL_ORACLE`` (same command) pins the chains that carry a commit
 CAS, ``RemoteSync.install`` + ``flush_chained``: fault-free, the target
 crashing or partitioned while each WR of the chain is being placed
@@ -356,67 +362,67 @@ def _hb_events(sim, hb_check: bool) -> list:
 #: sha of the hb.* events).
 ORACLE = {
     ('none', 0, False): ('9c8ce96ba64c32d1', 0, 'e6b2d0f010537f39', (('success', 14),), 'ad321dfc21e30d17', 0, (58, 58, 58, 135608), '19b251486f23889d', 0, '46.48264', 183, '', ''),
-    ('none', 1, False): ('a5283d42af32d896', 0, 'f1ae473a62e57c95', (('success', 11),), '518af92b08f82b9c', 2, (38, 38, 38, 75877), '6af8a194f97c5d59', 0, '34.8048', 131, '', ''),
+    ('none', 1, False): ('a5283d42af32d896', 0, '8d7ac80f52625561', (('success', 11),), '518af92b08f82b9c', 2, (37, 37, 37, 75869), '6e5ac87086fc6f3c', 0, '34.80416', 130, '', ''),
     ('none', 2, False): ('8dc9ae8dd8833a5a', 0, 'a6d65279ff4a839a', (('success', 13),), '97702291c81e172b', 0, (51, 51, 51, 134792), 'fe8560a8a49d0d48', 0, '44.66864', 164, '', ''),
-    ('none', 3, False): ('445cb387af4d74e3', 0, '389f39e50ae677b0', (('success', 14),), '8a3d1533d1d4e5f4', 0, (46, 46, 46, 87100), '6a036975973457d2', 0, '44.50328', 153, '', ''),
+    ('none', 3, False): ('445cb387af4d74e3', 0, 'cb917faf0758516e', (('success', 14),), '8a3d1533d1d4e5f4', 0, (45, 45, 45, 87092), '48381a0b377eb14c', 0, '44.50264', 152, '', ''),
     ('none', 4, False): ('62bdb86af58c1f08', 0, '1d69a4e309086ae3', (('success', 12),), '73914ca0ec57a805', 0, (20, 20, 20, 35257), 'cc63235153551efa', 0, '33.05456', 107, '', ''),
-    ('none', 5, False): ('8c5b6607c430354b', 0, 'f399fbfb8a2bd0e8', (('success', 12),), 'e0768a077032f2df', 2, (37, 37, 37, 51923), '45c5419738a53d8d', 0, '36.08848', 131, '', ''),
+    ('none', 5, False): ('8c5b6607c430354b', 0, '2eeaf45b416b1d61', (('success', 12),), 'e0768a077032f2df', 2, (35, 35, 35, 51907), '9352cc1381156424', 0, '36.0872', 129, '', ''),
     ('none', 6, False): ('b521c24d66b2db9a', 0, '92c56bcd2bbc7777', (('success', 13),), 'ce855dec0b95b5ac', 0, (51, 51, 51, 140837), '70ccc0bdc777a62a', 0, '123.95032', 167, '', ''),
-    ('none', 7, False): ('47e7d3bc77d4993f', 0, '5274f20579f7e81f', (('success', 16),), '87a9f8503ad6d2fb', 0, (22, 22, 22, 13676), '9ef0932f6c76b4ee', 0, '40.02488', 143, '', ''),
+    ('none', 7, False): ('47e7d3bc77d4993f', 0, '11e27166edacb678', (('success', 16),), '87a9f8503ad6d2fb', 0, (21, 21, 21, 13668), '9b9e68a2a0699a56', 0, '40.02424', 142, '', ''),
     ('dropped', 0, False): ('ec1831f326480193', 0, '2a77d1434ffccdb2', (('success', 15),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), 'd76bb8023d67f2f8', 2.0, '93.555529', 213, '', ''),
     ('dropped', 1, False): ('817b8fe0c1079026', 0, '998cd31ccff23287', (('success', 18),), '50884e1ce78e3597', 0, (45, 45, 45, 74869), 'c6ce67b7af4a138b', 2.0, '80.237049', 191, '', ''),
     ('dropped', 2, False): ('bb870933cc582b2c', 0, '777d6bd8c86b7384', (('success', 14),), '2a197be90e4129bc', 2, (18, 18, 18, 520), '7412f059de3e5547', 0, '37.27176', 117, '', ''),
-    ('dropped', 3, False): ('6d833b17d09f4bda', 0, 'd4b2d5763f883118', (('success', 12),), 'da62b0651f2fe508', 3, (55, 55, 55, 95899), '6419ec1adf01e917', 2.0, '68.372649', 161, '', ''),
+    ('dropped', 3, False): ('6d833b17d09f4bda', 0, '4d249efda6b3f864', (('success', 12),), 'da62b0651f2fe508', 3, (54, 54, 54, 95891), '8a35155490c24ebb', 2.0, '68.372009', 160, '', ''),
     ('dropped', 4, False): ('f4e6b42b3b2d883d', 0, '0c8f45d42074b965', (('success', 14),), '0caaf5550ff9a000', 0, (34, 34, 34, 43955), '384c3992761c5362', 0, '120.14784', 138, '', ''),
     ('dropped', 5, False): ('38e479ade411e529', 0, '652c2b58c6132f21', (('success', 11),), 'f1497a2d506959ad', 0, (30, 30, 30, 46652), '8fb9e5d473f30e1d', 1.0, '60.573756', 116, '', ''),
     ('dropped', 6, False): ('5308eaa61c97d5d4', 0, '98cec10bec128a50', (('success', 13),), '84e2965227285416', 0, (67, 67, 67, 127504), 'ce6f2e56a2baa664', 2.0, '73.201049', 194, '', ''),
-    ('dropped', 7, False): ('498c8ebc39ebb84d', 0, 'e0ab7e6afb20ba34', (('success', 11),), '987c5bed50824d21', 0, (23, 23, 23, 30810), '09cb298730f87294', 0, '31.4488', 109, '', ''),
-    ('transient', 0, False): ('de1a81a11e5c955d', 0, 'b98136e918dd8955', (('success', 10),), '848ee612e95180e0', 0, (33, 33, 33, 60932), '74a9696677560222', 1.0, '126.418716', 116, '', ''),
-    ('transient', 1, False): ('675f2b7707ca2589', 0, '8c61dcda37baafd4', (('success', 12),), '5521eef21e736d23', 0, (42, 42, 42, 95040), '36240769ec2b71aa', 1.0, '133.596076', 147, '', ''),
-    ('transient', 2, False): ('dfe2a1b3cf57b838', 0, '66f7e49a3eb4a1fb', (('success', 15),), 'bd541c21541971b3', 0, (44, 44, 44, 77968), '25249baed537ed71', 2.0, '72.233049', 174, '', ''),
+    ('dropped', 7, False): ('498c8ebc39ebb84d', 0, '855729085aaff73a', (('success', 11),), '987c5bed50824d21', 0, (21, 21, 21, 30794), 'fbcad471f97d9be3', 0, '31.44752', 107, '', ''),
+    ('transient', 0, False): ('de1a81a11e5c955d', 0, '8aac4f90d09745f3', (('success', 10),), '848ee612e95180e0', 0, (32, 32, 32, 60924), '5916af45b88c01cd', 1.0, '126.418076', 115, '', ''),
+    ('transient', 1, False): ('675f2b7707ca2589', 0, 'dd81c972b29c5315', (('success', 12),), '5521eef21e736d23', 0, (41, 41, 41, 95032), '0fcb43b9b144796c', 1.0, '133.595436', 146, '', ''),
+    ('transient', 2, False): ('dfe2a1b3cf57b838', 0, 'd79f3b7d3d0acd52', (('success', 15),), 'bd541c21541971b3', 0, (41, 41, 41, 77944), '6dd42370876e0d7d', 2.0, '72.231129', 171, '', ''),
     ('transient', 3, False): ('10c3184c48f6f9f4', 0, '7671d8b2bb560200', (('success', 14),), '4288b0fefac1c20c', 56, (48, 48, 48, 99150), '9adb66af62723bb8', 1.0, '55.971036', 167, '', ''),
-    ('transient', 4, False): ('0ad9c879237abd60', 0, 'bc8c78fc850989f3', (('success', 14),), '16a8db49c12a674e', 0, (20, 20, 20, 8758), '47ce771215b157f9', 1.0, '36.18272', 134, '', ''),
+    ('transient', 4, False): ('0ad9c879237abd60', 0, '55df9fd9abcd71dc', (('success', 14),), '16a8db49c12a674e', 0, (19, 19, 19, 8750), 'b433eb98db9a148f', 1.0, '36.18208', 133, '', ''),
     ('transient', 5, False): ('71cda03d58be0449', 0, '83e4252d16e7eb99', (('success', 12),), '3af2b9ddc07cceeb', 2, (19, 19, 19, 17945), '6bc8830f42908013', 2.0, '62.086329', 103, '', ''),
-    ('transient', 6, False): ('ac45fba2df0f84b5', 0, 'a5a9dd374c3fd719', (('success', 14),), 'd31f2fa4d9e9cfe9', 0, (36, 36, 36, 62492), 'ff90da46c58d3914', 2.0, '71.299449', 143, '', ''),
+    ('transient', 6, False): ('ac45fba2df0f84b5', 0, '3d7cc13c85602d75', (('success', 14),), 'd31f2fa4d9e9cfe9', 0, (35, 35, 35, 62484), 'd1a8cb37eab2d4f4', 2.0, '71.298809', 142, '', ''),
     ('transient', 7, False): ('60d1fa9cd4004a8d', 0, 'a1c1fefdfd9a45e6', (('success', 13),), '1c4244ed5fc63ddd', 0, (42, 42, 42, 78876), 'e5816bb096e57ed8', 1.0, '54.753596', 149, '', ''),
-    ('crash', 0, False): ('6cad46ac169a49b4', 1, '5ced8a9b45b19458', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (56, 56, 56, 59598), 'a1faefee32e4c1dd', 5.0, '225.906518', 160, '', ''),
+    ('crash', 0, False): ('6cad46ac169a49b4', 1, 'cc1694db263c91c8', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (55, 55, 55, 59590), '00cf591be0982b09', 5.0, '225.905878', 159, '', ''),
     ('crash', 1, False): ('f94583fd79d73c14', 11, 'ec9a5f84ef653096', (('retry_exc_error', 44),), '8d4a814e270cff5a', 0, (184, 184, 184, 16544), 'd22e4cf2e39c98b4', 44.0, '817.710109', 314, '', ''),
-    ('crash', 2, False): ('823d8bf276d39efb', 11, 'd451f99d5414834f', (('retry_exc_error', 44),), '874f8f17cab647b9', 0, (104, 104, 104, 4256), '156612c13f94252f', 44.0, '736.727069', 310, '', ''),
+    ('crash', 2, False): ('823d8bf276d39efb', 11, 'f4ff1fefa60f32ce', (('retry_exc_error', 44),), '874f8f17cab647b9', 0, (100, 100, 100, 4256), '17594c1728c45010', 44.0, '736.727069', 310, '', ''),
     ('crash', 3, False): ('7a3cfebb62a47f7f', 1, 'dce87c25efc228cf', (('retry_exc_error', 5), ('success', 15)), '941dab1395a52271', 0, (49, 49, 49, 43380), 'c08a7bb63910c001', 5.0, '125.455878', 182, '', ''),
     ('crash', 4, False): ('54ffacb4bd2edc7b', 1, '26fd4cb9e01661ba', (('retry_exc_error', 5), ('success', 12)), 'db2c9f983baffa8c', 0, (56, 56, 56, 47915), '5b85937f812caedc', 5.0, '119.470598', 166, '', ''),
-    ('crash', 5, False): ('6f2bfe93bb80b49a', 12, '2b806d19df0f2e4b', (('retry_exc_error', 48),), 'b9da01cf54a80ef0', 0, (156, 156, 156, 4256), 'abd2ded575fd5c3d', 48.0, '802.184099', 337, '', ''),
-    ('crash', 6, False): ('f5c7a57fef1ccc4f', 12, 'eed04fea40f50511', (('retry_exc_error', 48),), '0ad3ed153e7bf8d3', 0, (156, 156, 156, 4256), 'd426b579979670fd', 48.0, '802.184099', 337, '', ''),
+    ('crash', 5, False): ('6f2bfe93bb80b49a', 12, '09a8b015d2a96398', (('retry_exc_error', 48),), 'b9da01cf54a80ef0', 0, (152, 152, 152, 4256), '1eaa15e3dbf7717d', 48.0, '802.184099', 337, '', ''),
+    ('crash', 6, False): ('f5c7a57fef1ccc4f', 12, '29e4d6177cbc0259', (('retry_exc_error', 48),), '0ad3ed153e7bf8d3', 0, (148, 148, 148, 4256), '3ea59a579a26d783', 48.0, '802.184099', 337, '', ''),
     ('crash', 7, False): ('942dafea27d7c306', 1, 'fe6ca1835ccedf90', (('retry_exc_error', 5), ('success', 12)), '993b931447b0f275', 0, (49, 49, 49, 69699), 'ab6947054419c257', 5.0, '121.865238', 176, '', ''),
     ('partition', 0, False): ('4d85e9451bcd5d76', 0, '439309ce3b60b4a6', (('retry_exc_error', 3), ('success', 14)), 'f3822b5d1efc8ebf', 2, (36, 36, 36, 43906), '0fd7ff3bf0d6e813', 3.0, '94.562835', 167, '', ''),
     ('partition', 1, False): ('6fb163fee9db9df5', 0, '6a91a477b4a7def7', (('retry_exc_error', 3), ('success', 12)), 'a4e42d601fb8c8e2', 10, (37, 37, 37, 47861), '3ba510a30204948a', 3.0, '89.302835', 146, '', ''),
-    ('partition', 2, False): ('c79aac4381b882d3', 0, '496d4be4b2225218', (('success', 13),), '93db07077cf667d4', 0, (47, 47, 47, 70893), '936e96b71a1aa5d7', 0, '140.99837', 151, '', ''),
-    ('partition', 3, False): ('ca722c8f6fa35307', 0, '7ec5d629f7ca9d72', (('retry_exc_error', 2), ('success', 10)), 'aaf9ebbbdef07c95', 0, (18, 18, 18, 12961), '2f7ce5d11996b6b4', 2.0, '141.196103', 107, '', ''),
-    ('partition', 4, False): ('f5fe419353dab972', 0, 'bdeab1ac0f04dc34', (('retry_exc_error', 3), ('success', 13)), '4c8ef51ab035801e', 0, (53, 53, 53, 137314), '2818f858d0f6d2c1', 3.0, '100.860995', 185, '', ''),
-    ('partition', 5, False): ('096ac4458d10ec18', 0, 'fb53e95f7762b08b', (('success', 12),), 'a0584a2539036c02', 0, (37, 37, 37, 78336), '4e8cf6917a56bb4e', 0, '485.366505', 137, '', ''),
+    ('partition', 2, False): ('c79aac4381b882d3', 0, 'a60c13011da25405', (('success', 13),), '93db07077cf667d4', 0, (45, 45, 45, 70877), '850d024a18673e0e', 0, '140.99837', 149, '', ''),
+    ('partition', 3, False): ('ca722c8f6fa35307', 0, '8a8580dd103db1c3', (('retry_exc_error', 2), ('success', 10)), 'aaf9ebbbdef07c95', 0, (17, 17, 17, 12953), 'e1d20acedc3ddd17', 2.0, '141.195463', 106, '', ''),
+    ('partition', 4, False): ('f5fe419353dab972', 0, '865de4f103564c6f', (('retry_exc_error', 3), ('success', 13)), '4c8ef51ab035801e', 0, (52, 52, 52, 137306), '8e3ba3031addc7c2', 3.0, '100.860355', 184, '', ''),
+    ('partition', 5, False): ('096ac4458d10ec18', 0, '145367d2ae98e637', (('success', 12),), 'a0584a2539036c02', 0, (36, 36, 36, 78328), '5fd5cb68fea6977d', 0, '485.366505', 136, '', ''),
     ('partition', 6, False): ('9f629af4ea22eb77', 5, '049db8034d2634e1', (('retry_exc_error', 21), ('success', 6)), '0317de9e0cca5f39', 0, (244, 244, 244, 47949), '3fe352c9e673915c', 21.0, '466.645036', 223, '', ''),
-    ('partition', 7, False): ('433b68a30b5e9637', 0, 'a6746e3541a8283a', (('success', 14),), '0a4884d0436ee27c', 0, (55, 55, 55, 120725), 'd363756efa7de7ed', 0, '490.601788', 179, '', ''),
+    ('partition', 7, False): ('433b68a30b5e9637', 0, '0a150908c21edb41', (('success', 14),), '0a4884d0436ee27c', 0, (53, 53, 53, 120709), '812b766f6d4dede0', 0, '490.601788', 177, '', ''),
     ('bad-rkey', 0, False): ('97b4f3acf76540de', 1, 'ead5a5f6f43c7b7d', (('remote_access_error', 1), ('success', 12)), '9ce171da754e0abf', 0, (51, 51, 51, 105739), 'd833e3a2ddb8b569', 0, '38.94376', 160, '', ''),
     ('bad-rkey', 1, False): ('2d2d52391e5a3273', 1, '3a69089e332173c8', (('remote_access_error', 1), ('success', 14)), '5cba993142b9cf5f', 0, (53, 53, 53, 62729), '6415d25cf13edc6b', 0, '41.85104', 148, '', ''),
-    ('bad-rkey', 2, False): ('62288ce865319548', 3, '617c77f6fb136a6e', (('remote_access_error', 1), ('success', 7), ('wr_flush_error', 3)), '0c6eea0acfb81645', 0, (32, 32, 32, 8466), '21dbccf477c2a8ad', 0, '22.5632', 83, '8d3f0bb22c7d1eae', ''),
-    ('bad-rkey', 3, False): ('088b6f33e922eefa', 8, 'eac7cfc301281b7b', (('remote_access_error', 1), ('wr_flush_error', 9)), 'b75f27aace98a6b6', 0, (32, 32, 32, 160), '12d40eaf3947206c', 0, '85.7', 56, '4e0972dc1e5d674d', ''),
+    ('bad-rkey', 2, False): ('62288ce865319548', 3, '025dbae0a2b07459', (('remote_access_error', 1), ('success', 7), ('wr_flush_error', 3)), '0c6eea0acfb81645', 0, (31, 31, 31, 8458), 'cd3f3c84d9556c23', 0, '22.56256', 82, '8d3f0bb22c7d1eae', ''),
+    ('bad-rkey', 3, False): ('088b6f33e922eefa', 8, '561a047889106938', (('remote_access_error', 1), ('wr_flush_error', 9)), 'b75f27aace98a6b6', 0, (30, 30, 30, 160), '116a3dc2e0a81190', 0, '85.7', 56, '4e0972dc1e5d674d', ''),
     ('bad-rkey', 4, False): ('5486f87243561bf6', 5, 'ab8d4d0a20dca8d1', (('remote_access_error', 1), ('success', 8), ('wr_flush_error', 4)), 'c637a9635cbffa1f', 0, (32, 32, 32, 43410), '3ec65e6ec3e17640', 0, '24.10872', 118, '', ''),
     ('bad-rkey', 5, False): ('498ecc19f74c2ebe', 9, '2ac32085e0561442', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), 'aeca4cd31cd3236c', 0, (23, 23, 23, 8768), 'c35723f1fcddd63d', 0, '21.288', 63, '', ''),
-    ('bad-rkey', 6, False): ('3607d24d650a6df0', 10, 'ef03bf77d7256b98', (('remote_access_error', 1), ('success', 1), ('wr_flush_error', 9)), '420668709ab83da3', 0, (40, 40, 40, 4256), '84df8651d90c4cdc', 0, '83.47768', 57, '', ''),
+    ('bad-rkey', 6, False): ('3607d24d650a6df0', 10, '1ac2090e7e45f9e0', (('remote_access_error', 1), ('success', 1), ('wr_flush_error', 9)), '420668709ab83da3', 0, (39, 39, 39, 4256), '00be32887e96cc3a', 0, '83.47768', 57, '', ''),
     ('bad-rkey', 7, False): ('e4a399bc65e2d06e', 4, '1a3251ec4cbbbf24', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 4)), 'bf0b6f6e9bf957a8', 0, (12, 12, 12, 4328), '9aafe7efc24fc13a', 0, '106.6328', 55, 'f76da5605b7f4408', ''),
-    ('outside-mr', 0, False): ('947502341aa7ad0c', 4, '92a1bffeddfd7a15', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (36, 36, 36, 78445), '9f4514e41e976e51', 0, '32.9596', 123, '', ''),
+    ('outside-mr', 0, False): ('947502341aa7ad0c', 4, '26d78871a8ccc64d', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (34, 34, 34, 78437), 'f28b9789269694f4', 0, '32.95896', 122, '', ''),
     ('outside-mr', 1, False): ('655a32a00bea5289', 4, '1cd3f7a63ac38e3a', (('remote_access_error', 1), ('success', 6), ('wr_flush_error', 3)), 'ce73a25c75f4c965', 0, (34, 34, 34, 272), '5874fdd4efb900b0', 0, '175.45704', 73, '', ''),
     ('outside-mr', 2, False): ('075fb22c37289001', 1, '723053906b859fd3', (('remote_access_error', 1), ('success', 16)), '61cedb1d867e295e', 0, (62, 62, 62, 83212), 'e5198886a867a644', 0, '47.18968', 193, '', ''),
-    ('outside-mr', 3, False): ('3d4501936e8eaec4', 6, 'dcc0215de26ad15b', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 6)), 'b4eac00c3276a92f', 0, (31, 31, 31, 200), 'f3152f40c0d5c440', 0, '25.65128', 73, 'f76da5605b7f4408', ''),
-    ('outside-mr', 4, False): ('fedf853dcc36f5bf', 6, '6486fc3714ad16a6', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 5)), '3d11701964daf7d3', 0, (15, 15, 15, 432), 'b3a578a530dfe6af', 0, '169.32112', 56, '', ''),
-    ('outside-mr', 5, False): ('c273acb654351e50', 8, '5873383a5226aad0', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), '9d84374eec179c86', 0, (35, 35, 35, 4444), '2ee96ec1af99a02f', 0, '89.69208', 68, 'f76da5605b7f4408', ''),
+    ('outside-mr', 3, False): ('3d4501936e8eaec4', 6, 'e94d3b2e1073a758', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 6)), 'b4eac00c3276a92f', 0, (30, 30, 30, 192), '0206add41913df8e', 0, '25.65064', 72, 'f76da5605b7f4408', ''),
+    ('outside-mr', 4, False): ('fedf853dcc36f5bf', 6, '67786034dc3e9388', (('remote_access_error', 1), ('success', 3), ('wr_flush_error', 5)), '3d11701964daf7d3', 0, (14, 14, 14, 432), '9def83f97b09d337', 0, '169.32112', 56, '', ''),
+    ('outside-mr', 5, False): ('c273acb654351e50', 8, 'f17e21ff9a8bbb8e', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 8)), '9d84374eec179c86', 0, (33, 33, 33, 4436), '3fd6be90829fefe7', 0, '89.69144', 67, 'f76da5605b7f4408', ''),
     ('outside-mr', 6, False): ('7e0a48e5ed496aef', 4, '2485e494b0c1f4ed', (('remote_access_error', 1), ('success', 5), ('wr_flush_error', 4)), 'fe78de6f143da286', 0, (14, 14, 14, 9248), '8762de5d73a87d40', 0, '16.72576', 72, 'f76da5605b7f4408', ''),
-    ('outside-mr', 7, False): ('e9c5880114e975b2', 6, 'c4e63b0be95cf235', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 7)), '086689d26026c6ed', 0, (17, 17, 17, 432), 'f19f9fd1be03770e', 0, '9.87176', 63, '4e0972dc1e5d674d', ''),
+    ('outside-mr', 7, False): ('e9c5880114e975b2', 6, '56042a3cef883161', (('remote_access_error', 1), ('success', 2), ('wr_flush_error', 7)), '086689d26026c6ed', 0, (16, 16, 16, 432), '249e53f241e56a07', 0, '9.87176', 63, '4e0972dc1e5d674d', ''),
     ('qp-error', 0, False): ('5e74b8cf6f908fa3', 7, '533cfdfc0331dd69', (('success', 5), ('wr_flush_error', 7)), '56800de4e5d946cd', 0, (33, 33, 33, 53378), '2eb9917dee796aa5', 0, '18.75744', 102, '', ''),
-    ('qp-error', 1, False): ('32560768964f1ab0', 10, '50e08aa38055f5a4', (('success', 1), ('wr_flush_error', 11)), 'dbc90f0fb73386e1', 0, (34, 34, 34, 168), '380e819eeae4b1a4', 0, '4.70064', 62, 'f76da5605b7f4408', ''),
+    ('qp-error', 1, False): ('32560768964f1ab0', 10, '9bd788b38f517156', (('success', 1), ('wr_flush_error', 11)), 'dbc90f0fb73386e1', 0, (33, 33, 33, 168), '4af4f02f4141a155', 0, '4.70064', 62, 'f76da5605b7f4408', ''),
     ('qp-error', 2, False): ('ad0a4c73d1f6756e', 2, '1f4aa757781ef5b2', (('success', 10), ('wr_flush_error', 2)), 'a0764d8c177e0936', 0, (51, 51, 51, 88105), '43119acd46a27b81', 0, '34.08432', 128, '', ''),
-    ('qp-error', 3, False): ('6e806a0879d3d811', 1, 'fb5230907ec59b8b', (('success', 8), ('wr_flush_error', 2)), 'a2284f4107dfa7ab', 0, (15, 15, 15, 8408), '3838d6614e87f845', 0, '104.55792', 82, 'f76da5605b7f4408', ''),
+    ('qp-error', 3, False): ('6e806a0879d3d811', 1, '52d78b08c1729910', (('success', 8), ('wr_flush_error', 2)), 'a2284f4107dfa7ab', 0, (14, 14, 14, 8400), 'd864b235668e52db', 0, '104.55728', 81, 'f76da5605b7f4408', ''),
     ('qp-error', 4, False): ('34b6498437bfe001', 9, '44cb07fc29467428', (('wr_flush_error', 10),), 'b75f27aace98a6b6', 0, (15, 15, 15, 160), 'd19670057369ea17', 0, '2.0', 50, 'f76da5605b7f4408', ''),
-    ('qp-error', 5, False): ('a2c5f448dc68cf75', 2, 'bef202ac6fdea75d', (('success', 9), ('wr_flush_error', 3)), '45df569a3cddcc6c', 2, (21, 21, 21, 18248), 'b3723bf53393be0f', 0, '26.34448', 102, 'f76da5605b7f4408', ''),
+    ('qp-error', 5, False): ('a2c5f448dc68cf75', 2, 'f243d0a87d64fca8', (('success', 9), ('wr_flush_error', 3)), '45df569a3cddcc6c', 2, (20, 20, 20, 18240), 'abb452bbaf0f0d3a', 0, '26.34384', 101, 'f76da5605b7f4408', ''),
     ('qp-error', 6, False): ('a47d5d4bcf117611', 7, '6442a5b3e0d87165', (('success', 4), ('wr_flush_error', 7)), '0784e208afb418c6', 0, (61, 61, 61, 48227), 'ca3966a88fab8103', 0, '14.64536', 91, '', ''),
     ('qp-error', 7, False): ('bd5cb7d03e891880', 9, 'bdd5cdb14766897e', (('wr_flush_error', 12),), 'b75f27aace98a6b6', 0, (32, 32, 32, 160), '44aca0678fb532ce', 0, '6.0', 64, 'dab8fe364f35ef47', ''),
     ('deadline', 0, False): ('90c306f677fbeeb9', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), 'eab9487e07f157f4', 4.0, '183.759431', 175, '', ''),
@@ -429,24 +435,24 @@ ORACLE = {
     ('deadline', 7, False): ('17778e989ad81365', 0, 'f24b03032f56c360', (('retry_exc_error', 2), ('success', 15)), 'ba344fc0d9e580aa', 56, (90, 90, 90, 131254), '9f38833eefc8c8b4', 2.0, '95.756983', 207, '', ''),
     ('none', 0, True): ('9c8ce96ba64c32d1', 0, 'e6b2d0f010537f39', (('success', 14),), 'ad321dfc21e30d17', 0, (58, 58, 58, 135608), '19b251486f23889d', 0, '46.48264', 183, '', 'b1d4cf5ffbcef2b5'),
     ('dropped', 0, True): ('ec1831f326480193', 0, '2a77d1434ffccdb2', (('success', 15),), '4b470d27bbab682c', 0, (70, 70, 70, 148834), 'd76bb8023d67f2f8', 2.0, '93.555529', 213, '', 'd9bf7c6220a9301b'),
-    ('transient', 0, True): ('de1a81a11e5c955d', 0, 'b98136e918dd8955', (('success', 10),), '848ee612e95180e0', 0, (33, 33, 33, 60932), '74a9696677560222', 1.0, '126.418716', 116, '', '9110425e3323e151'),
-    ('crash', 0, True): ('6cad46ac169a49b4', 1, '5ced8a9b45b19458', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (56, 56, 56, 59598), 'a1faefee32e4c1dd', 5.0, '225.906518', 160, '', '76bacd9954297432'),
+    ('transient', 0, True): ('de1a81a11e5c955d', 0, '8aac4f90d09745f3', (('success', 10),), '848ee612e95180e0', 0, (32, 32, 32, 60924), '5916af45b88c01cd', 1.0, '126.418076', 115, '', '27b18dcccf1814c9'),
+    ('crash', 0, True): ('6cad46ac169a49b4', 1, 'cc1694db263c91c8', (('retry_exc_error', 5), ('success', 10)), 'a258aa41ed52e920', 0, (55, 55, 55, 59590), '00cf591be0982b09', 5.0, '225.905878', 159, '', 'f284858ef5826cb0'),
     ('partition', 0, True): ('4d85e9451bcd5d76', 0, '439309ce3b60b4a6', (('retry_exc_error', 3), ('success', 14)), 'f3822b5d1efc8ebf', 2, (36, 36, 36, 43906), '0fd7ff3bf0d6e813', 3.0, '94.562835', 167, '', 'd0f38cea9133f709'),
     ('bad-rkey', 0, True): ('97b4f3acf76540de', 1, 'ead5a5f6f43c7b7d', (('remote_access_error', 1), ('success', 12)), '9ce171da754e0abf', 0, (51, 51, 51, 105739), 'd833e3a2ddb8b569', 0, '38.94376', 160, '', 'e669f0334216b22c'),
-    ('outside-mr', 0, True): ('947502341aa7ad0c', 4, '92a1bffeddfd7a15', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (36, 36, 36, 78445), '9f4514e41e976e51', 0, '32.9596', 123, '', '7a385c0c8f6749d9'),
+    ('outside-mr', 0, True): ('947502341aa7ad0c', 4, '26d78871a8ccc64d', (('remote_access_error', 1), ('success', 10), ('wr_flush_error', 3)), '184ea84f30ea66ac', 0, (34, 34, 34, 78437), 'f28b9789269694f4', 0, '32.95896', 122, '', '95f9ee4111bfd48e'),
     ('qp-error', 0, True): ('5e74b8cf6f908fa3', 7, '533cfdfc0331dd69', (('success', 5), ('wr_flush_error', 7)), '56800de4e5d946cd', 0, (33, 33, 33, 53378), '2eb9917dee796aa5', 0, '18.75744', 102, '', '42e6fa2cd16398bc'),
     ('deadline', 0, True): ('90c306f677fbeeb9', 2, '430552f5606dabf1', (('retry_exc_error', 4), ('success', 15)), '4f0e9dd91a5c6d3c', 0, (31, 31, 31, 20994), 'eab9487e07f157f4', 4.0, '183.759431', 175, '', '4f3ddf53e464a049'),
     ('dropped', 8, False): ('4674567d43a49b81', 0, '4bbf004c95f2cf6a', (('success', 14),), '1887b280275a7efd', 0, (48, 48, 48, 93155), '75a90d50b47f9064', 1.0, '59.143356', 162, '', ''),
-    ('dropped', 9, False): ('20b43f427e5c45fa', 0, '5ed98847c07acbb8', (('success', 16),), '61d42bab923ab00c', 0, (22, 22, 22, 12670), '58be18d35b71f189', 0, '56.44312', 146, '', ''),
+    ('dropped', 9, False): ('20b43f427e5c45fa', 0, '8626f0241eebc423', (('success', 16),), '61d42bab923ab00c', 0, (21, 21, 21, 12662), '5a86dea4bf213ff5', 0, '56.44248', 145, '', ''),
     ('dropped', 10, False): ('ea7967edf41d6309', 0, '959dc60dc3c8b2c0', (('success', 11),), '2248d8739d367536', 0, (18, 18, 18, 35965), '5ff483d9b620e495', 0, '34.11184', 100, '', ''),
     ('transient', 8, False): ('895d0546df673502', 0, '83938baf2e08a0ee', (('success', 16),), '0277bfa2caffba88', 0, (57, 57, 57, 87758), 'a6b870593731d823', 2.0, '76.118809', 189, '', ''),
     ('transient', 9, False): ('bbc5853115c7fd82', 0, '2d901ee9bd5375ab', (('success', 16),), 'ed77b6c7ca8f72da', 0, (36, 36, 36, 52915), '9e0ae0abd9f9b683', 2.0, '59.173516', 165, '', ''),
     ('transient', 10, False): ('2af22693375fdcd4', 0, 'b8d7dc9f625a4052', (('success', 13),), 'a04575f696a94de5', 0, (37, 37, 37, 65041), 'd7196b864eecc1e5', 3.0, '154.288452', 138, '', ''),
     ('crash', 8, False): ('50ed317921a65886', 10, 'cd1c0fc5446eebf1', (('retry_exc_error', 48),), 'b75f27aace98a6b6', 0, (196, 196, 196, 160), '3abcf2b27ea8ce7b', 48.0, '672.326599', 342, 'bf714577b8e0157f', ''),
     ('crash', 9, False): ('8f79353f1736b047', 0, '7b08c53ceb465507', (('retry_exc_error', 2), ('success', 17)), '23297c5dd648573d', 0, (33, 33, 33, 33149), '85568148b61dfa6b', 2.0, '77.607943', 168, '', ''),
-    ('crash', 10, False): ('b3899ce3db2db995', 0, 'eaa7de92686914e0', (('retry_exc_error', 2), ('success', 17)), 'd31f4806262c7632', 0, (79, 79, 79, 178093), 'dd8618dbfcd3f590', 2.0, '91.531783', 252, '', ''),
+    ('crash', 10, False): ('b3899ce3db2db995', 0, '6e5575abf5e7dbb4', (('retry_exc_error', 2), ('success', 17)), 'd31f4806262c7632', 0, (78, 78, 78, 178085), 'e72e101eb185a92e', 2.0, '91.531143', 251, '', ''),
     ('partition', 8, False): ('d9e680ff188c5010', 0, '5cafd59d87050ef5', (('retry_exc_error', 1), ('success', 14)), '7a0e516d50086acc', 58, (40, 40, 40, 77526), '9b8cc0e3c7032839', 1.0, '55.997516', 174, '', ''),
-    ('partition', 9, False): ('2f1ea806ef3569df', 0, '1129feb81b531e89', (('retry_exc_error', 3), ('success', 13)), '81b1590fa625ba40', 0, (39, 39, 39, 30534), '7902148ec6641936', 3.0, '92.317315', 150, '', ''),
+    ('partition', 9, False): ('2f1ea806ef3569df', 0, 'b9f053f54f9320a3', (('retry_exc_error', 3), ('success', 13)), '81b1590fa625ba40', 0, (37, 37, 37, 30518), 'fcde291b97e532a1', 3.0, '92.316035', 148, '', ''),
     ('partition', 10, False): ('a2cbc5e77e05392c', 0, '161f16fa653fa762', (('success', 11),), 'e84477a6bad59ef9', 2, (17, 17, 17, 17625), '4be7722c5ef5e5ec', 0, '76.634768', 93, '', ''),
 }
 
@@ -513,9 +519,11 @@ def _install_bed(hb_check: bool = False):
 
 
 def _install(bed, ops, qword, flush):
-    """``install`` then, as ``CodeFlow`` does, ``flush_chained`` when
-    the CAS committed: what it returned or raised."""
+    """``install`` then, as ``CodeFlow`` does, ``flush_chained`` of the
+    same spans -- the hook line's last -- when the CAS committed: what
+    it returned or raised."""
     sync = bed.codeflow.sync
+    flush = flush + [(qword, 8)]
     try:
         prior, torn = yield from sync.install(ops, qword, 0, ops[0][0], flush)
     except ReproError as err:
@@ -524,7 +532,7 @@ def _install(bed, ops, qword, flush):
         return "wrong-prior", hex(prior)
     if torn is not None:
         return "torn", type(torn).__name__, str(torn)
-    yield from sync.flush_chained(flush + [(qword, 8)])
+    yield from sync.flush_chained(flush)
     return "ok", prior
 
 
@@ -598,7 +606,8 @@ def run_install(mode: str, at: str, hb_check: bool = False):
         done = event.value
         named = [wr.wr_id for wr in wrs].index(done.wr_id)
         completions.append((
-            len(wrs), done.status.value, done.opcode, INSTALL_WRS[named],
+            len(wrs), done.status.value, done.opcode,
+            INSTALL_WRS[named] if named < len(INSTALL_WRS) else f"wr{named}",
             done.chained, done.result,
         ))
     code, length = flush[0]
