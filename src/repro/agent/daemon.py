@@ -38,16 +38,6 @@ class AgentStats:
     fixed_cpu_us: float = 0.0
     poll_cpu_us: float = 0.0
 
-    @property
-    def total_cpu_us(self) -> float:
-        return (
-            self.verify_cpu_us
-            + self.jit_cpu_us
-            + self.attach_cpu_us
-            + self.fixed_cpu_us
-            + self.poll_cpu_us
-        )
-
 
 @dataclass
 class InjectionBreakdown:

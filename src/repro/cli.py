@@ -301,13 +301,14 @@ def _faults(
     if telemetry_out:
         import os
 
-        from repro.obs import export_jsonl, export_prometheus
+        from repro.obs import export_prometheus, to_jsonl
 
         os.makedirs(telemetry_out, exist_ok=True)
         with open(os.path.join(telemetry_out, "snap.prom"), "w") as fh:
             fh.write(export_prometheus(bed.obs))
+        # export_prometheus refreshed the health gauges for both files.
         with open(os.path.join(telemetry_out, "snap.jsonl"), "w") as fh:
-            fh.write(export_jsonl(bed.obs))
+            fh.write(to_jsonl(bed.obs.registry))
     rows = [
         (
             r.index,

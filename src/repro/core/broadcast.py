@@ -374,7 +374,6 @@ class CodeFlowGroup:
         allow_partial: bool = False,
         deadline_us: Optional[float] = None,
         health: Optional[HealthDetector] = None,
-        record_intent: bool = True,
         tenant: str = "",
         coordinator=None,
         delta: bool = False,
@@ -404,11 +403,10 @@ class CodeFlowGroup:
         With a ``health`` detector attached, targets whose lease is
         SUSPECT or DEAD fail their legs *immediately* -- no bubble
         rises on them and no per-leg deadline burns down waiting on a
-        host the lease layer already knows is sick.  ``record_intent``
-        journals the whole broadcast as one WAL transaction (INTEND
-        before any bubble rises, COMMIT listing exactly the legs that
-        kept the new logic).  ``tenant`` labels the trace root and each
-        leg's deploy metrics.
+        host the lease layer already knows is sick.  The whole broadcast
+        is one WAL transaction (INTEND before any bubble rises, COMMIT
+        listing exactly the legs that kept the new logic).  ``tenant``
+        labels the trace root and each leg's deploy metrics.
 
         The stage (with its raise), flip and (unordered) lower phases
         walk one forest of the targets (:class:`_FanoutPlan`).  A leg
@@ -461,346 +459,310 @@ class CodeFlowGroup:
             for cf, prog in zip(self.codeflows, programs)
         ]
 
-        txn = None
-        if record_intent:
-            legs = []
-            for codeflow, program in zip(self.codeflows, programs):
-                plane.journal.record_program(program)
-                legs.append(
-                    {
-                        "target": codeflow.sandbox.name,
-                        "hook": hook_name,
-                        "name": program.name,
-                        "tag": program.tag(),
-                    }
-                )
-            txn = plane._mint_txn("broadcast")
-            plane.journal.begin(
-                txn, "broadcast", plane.epoch, hook=hook_name, legs=legs
+        legs = []
+        for codeflow, program in zip(self.codeflows, programs):
+            plane.journal.record_program(program)
+            legs.append(
+                {
+                    "target": codeflow.sandbox.name,
+                    "hook": hook_name,
+                    "name": program.name,
+                    "tag": program.tag(),
+                }
             )
-        try:
-            result = yield from self._broadcast_body(
-                programs, hook_name, order, dependency_order is not None,
-                use_bbu, verify, allow_partial, deadline_us, health, result,
-                txn, tenant, coordinator, delta,
-            )
-        except BaseException as err:
-            # A crashed incarnation records nothing: the dangling INTEND
-            # is exactly what tells the reconciler this work may be
-            # half-applied.
-            if txn is not None and not plane.crashed:
-                plane.journal.abort(txn, reason=str(err))
-            raise
-        if txn is not None:
-            plane.journal.commit(
-                txn,
-                hook=hook_name,
-                legs=[
-                    leg
-                    for leg, outcome in zip(legs, result.outcomes)
-                    if outcome.ok
-                ],
-            )
-        return result
-
-    def _broadcast_body(
-        self, programs, hook_name, order, ordered, use_bbu, verify,
-        allow_partial, deadline_us, health, result, txn, tenant="",
-        coordinator=None, delta=False,
-    ) -> Generator:
-        plane = self.control_plane
-        obs = self.control_plane.obs
-        obs.counter("rdx.broadcast.count").inc()
-        obs.counter("rdx.broadcast.targets").inc(len(self.codeflows))
-        obs.histogram("rdx.broadcast.fanout").observe(len(self.codeflows))
-        with obs.span(
-            "rdx.broadcast", group_size=len(self.codeflows), bbu=use_bbu,
-            tenant=tenant,
-        ) as span:
-            # Phase 0: make sure every program is validated + compiled
-            # *before* any bubble rises -- the registry's "validate once,
-            # deploy anywhere" keeps compilation off the consistency
-            # window entirely.  The pipelined arm compiles once per
-            # verdict key and links every leg's image as soon as the
-            # JIT's charge ends (:meth:`_compile`); a leg that ships its
-            # Phase-0 image then stages under the verifier's charge,
-            # since staged bytes are where no hook points.  The verdict
-            # gates the raise and the flip, not the bytes.
-            images: dict = {}
-            verdicts, errors = [], []
-            if self.config.pipelined_deploy:
-                verdicts, errors = yield from self._compile(programs, span, images)
-                if errors:
-                    yield from self._decided(verdicts, errors)
-            else:
-                for program, codeflow in zip(programs, self.codeflows):
-                    yield from self.control_plane.prepare_for(
-                        codeflow, program, parent_span=span
-                    )
-            plan = _FanoutPlan.build(
-                self.config, len(self.codeflows), order, ordered, images
-            )
-            if not plan.images:
-                # No leg ships a Phase-0 image (hub and spoke): each
-                # stages through ``stage_for``, whose prepare needs the
-                # verdict anyway.
-                yield from self._decided(verdicts, errors)
-            #: A verdict still pending as the stage walk starts: the
-            #: legs stage bare and a fenced raise-then-flip walk follows.
-            pending = any(verdict.is_alive for verdict in verdicts)
-            if txn is not None and not pending:
-                plane.journal.phase(txn, "prepared")
-
-            # Phase 0.5: graceful degradation.  Targets whose lease is
-            # not ALIVE fail here, for free -- no per-leg timeout is
-            # ever paid for a host the detector already suspects.
-            # Lease state is local, so this phase costs zero time.
-            for codeflow, outcome in zip(self.codeflows, result.outcomes):
-                lease = health.leases.get(outcome.target) if health else None
-                if lease is not None and lease.health is not TargetHealth.ALIVE:
-                    outcome.fail(
-                        HostUnreachable(
-                            f"{outcome.target}: lease is {lease.health.value}"
-                        )
-                    )
-                    obs.counter(
-                        "rdx.broadcast.lease_skips",
-                        target=self._label(outcome.target, self.shard),
-                    ).inc()
-
-            # Phases 1-3 are exception-safe: whatever happens once a
-            # bubble may be up, every raised bubble is lowered before an
-            # error escapes.  A bubble left raised would buffer the
-            # target's requests forever -- the §2.2 agent-lockout
-            # pathology BBU exists to avoid.
-            #: group index -> plan staged and not yet flipped.
-            staged: dict = {}
-            live = [
-                index
-                for index, outcome in enumerate(result.outcomes)
-                if not outcome.error
-            ]
-
-            def stage(pos: int, via: Optional[CodeFlow]) -> Generator:
-                """One leg's stage; hands on the codeflow, or None when
-                the leg failed."""
-                index = live[pos]
-                codeflow = self.codeflows[index]
-                if via is None and pos >= plan.degree:
-                    # A leg that failed mid-fanout never strands its
-                    # subtree: the children are served by the control
-                    # plane instead.
-                    self._relay_fallback(codeflow, "parent-failed")
-                outcome = result.outcomes[index]
-                raise_, posted = (), []
-                if use_bbu and not pending:
-                    raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
-                done = yield from self._deploy_leg(
-                    outcome, deadline_us,
-                    self._stage_route(
-                        codeflow, programs[index],
-                        plan.images.get(codeflow.sandbox.name), via,
-                        hook_name, span, verify, delta, raise_, posted,
-                    ),
-                )
-                outcome.raised = bool(raise_ and posted)
-                if done is None:
-                    return None
-                done.tenant = tenant
-                staged[index] = done
-                if raise_ and not result.first_raised_us:
-                    result.first_raised_us = self.sim.now
-                return codeflow
-
-            try:
-                # Phase 1: walk the forest of the targets the lease
-                # layer kept: the control plane seeds the roots, each
-                # staged sandbox relays the chained WR list to its
-                # children -- depth grows with log(N) -- and a leg lands
-                # its image where no hook points, its bubble raise
-                # riding the stage's tail unless a verdict is pending.
-                #: group index -> the spawned flush of its hook line.
-                settles: dict = {}
-                yield from self._walk(plan, live, "stage", stage)
-                # An unsharded all-or-nothing broadcast whose stage
-                # failed a leg raises and flips nothing.
-                flipping = coordinator is not None or commit_rule(
-                    len(staged), len(live) - len(staged), allow_partial
-                ) != "abort"
-                if pending:
-                    try:
+        ordered = dependency_order is not None
+        obs = plane.obs
+        with plane.intent("broadcast", hook=hook_name, legs=legs) as txn:
+            obs.counter("rdx.broadcast.count").inc()
+            obs.counter("rdx.broadcast.targets").inc(len(self.codeflows))
+            obs.histogram("rdx.broadcast.fanout").observe(len(self.codeflows))
+            with obs.span(
+                "rdx.broadcast", group_size=len(self.codeflows), bbu=use_bbu,
+                tenant=tenant,
+            ) as span:
+                # Phase 0: make sure every program is validated + compiled
+                # *before* any bubble rises -- the registry's "validate once,
+                # deploy anywhere" keeps compilation off the consistency
+                # window entirely.  The pipelined arm compiles once per
+                # verdict key and links every leg's image as soon as the
+                # JIT's charge ends (:meth:`_compile`); a leg that ships its
+                # Phase-0 image then stages under the verifier's charge,
+                # since staged bytes are where no hook points.  The verdict
+                # gates the raise and the flip, not the bytes.
+                images: dict = {}
+                verdicts, errors = [], []
+                if self.config.pipelined_deploy:
+                    verdicts, errors = yield from self._compile(programs, span, images)
+                    if errors:
                         yield from self._decided(verdicts, errors)
-                    except BaseException:
-                        # No hook points at a staged image: give them
-                        # back (a crashed plane leaves them to the
-                        # reconciler).
-                        if not plane.crashed:
-                            for index in list(staged):
-                                self.codeflows[index].unstage(staged.pop(index))
-                        raise
-                    if txn is not None:
-                        plane.journal.phase(txn, "prepared")
-                    if flipping:
-                        yield from self._raise_and_flip(
-                            plan, live, staged, result, use_bbu, settles
+                else:
+                    for program, codeflow in zip(programs, self.codeflows):
+                        yield from self.control_plane.prepare_for(
+                            codeflow, program, parent_span=span
                         )
-                result.bubble_raised_us = result.bubble_raised_us or self.sim.now
-                if not result.first_raised_us:
-                    # No bubble rose (no BBU, or every raise failed):
-                    # the hold is the window.
-                    result.first_raised_us = result.bubble_raised_us
-                if txn is not None:
-                    plane.journal.phase(txn, "bubbled")
+                plan = _FanoutPlan.build(
+                    self.config, len(self.codeflows), order, ordered, images
+                )
+                if not plan.images:
+                    # No leg ships a Phase-0 image (hub and spoke): each
+                    # stages through ``stage_for``, whose prepare needs the
+                    # verdict anyway.
+                    yield from self._decided(verdicts, errors)
+                #: A verdict still pending as the stage walk starts: the
+                #: legs stage bare and a fenced raise-then-flip walk follows.
+                pending = any(verdict.is_alive for verdict in verdicts)
+                if not pending:
+                    txn.phase("prepared")
 
-                # Phase 2: flip the legs left staged down the forest --
-                # a fenced commit CAS and the hook line's doorbell each.
-                # The decision needs only the CAS answers, so it is
-                # taken as the last CQE is in; each flip's flush runs on
-                # as its settle, which its own lower waits for (a CQE
-                # alone is no proof the target CPU sees the pointer).
-                if staged and flipping:
-                    flippable = [index for index in live if index in staged]
-
-                    def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
-                        index = flippable[pos]
-                        return self._flip_leg(
-                            index, staged.pop(index), result.outcomes[index],
-                            via, settles,
+                # Phase 0.5: graceful degradation.  Targets whose lease is
+                # not ALIVE fail here, for free -- no per-leg timeout is
+                # ever paid for a host the detector already suspects.
+                # Lease state is local, so this phase costs zero time.
+                for codeflow, outcome in zip(self.codeflows, result.outcomes):
+                    lease = health.leases.get(outcome.target) if health else None
+                    if lease is not None and lease.health is not TargetHealth.ALIVE:
+                        outcome.fail(
+                            HostUnreachable(
+                                f"{outcome.target}: lease is {lease.health.value}"
+                            )
                         )
+                        obs.counter(
+                            "rdx.broadcast.lease_skips",
+                            target=self._label(outcome.target, self.shard),
+                        ).inc()
 
-                    yield from self._walk(plan, flippable, "flip", flip)
-                result.deploys_done_us = self.sim.now
-                if txn is not None:
-                    plane.journal.phase(txn, "deployed")
-                result.reports = [
-                    outcome.report
-                    for outcome in result.outcomes
-                    if outcome.report is not None
+                # Phases 1-3 are exception-safe: whatever happens once a
+                # bubble may be up, every raised bubble is lowered before an
+                # error escapes.  A bubble left raised would buffer the
+                # target's requests forever -- the §2.2 agent-lockout
+                # pathology BBU exists to avoid.
+                #: group index -> plan staged and not yet flipped.
+                staged: dict = {}
+                live = [
+                    index
+                    for index, outcome in enumerate(result.outcomes)
+                    if not outcome.error
                 ]
 
-                failures = result.failed_targets
-                survivors = [o.target for o in result.outcomes if o.ok]
-                if coordinator is not None:
-                    # Cross-shard 2PC: report this shard's tally and
-                    # hold every bubble until the coordinator's
-                    # verdict.  All-or-nothing must span shards -- a
-                    # shard whose legs are all clean still rolls back
-                    # when a sibling shard failed.
-                    decision = yield from coordinator.vote(
-                        self.shard or "shard0",
-                        ok=survivors,
-                        failed=[o.target for o in failures],
+                def stage(pos: int, via: Optional[CodeFlow]) -> Generator:
+                    """One leg's stage; hands on the codeflow, or None when
+                    the leg failed."""
+                    index = live[pos]
+                    codeflow = self.codeflows[index]
+                    if via is None and pos >= plan.degree:
+                        # A leg that failed mid-fanout never strands its
+                        # subtree: the children are served by the control
+                        # plane instead.
+                        self._relay_fallback(codeflow, "parent-failed")
+                    outcome = result.outcomes[index]
+                    raise_, posted = (), []
+                    if use_bbu and not pending:
+                        raise_ = ((codeflow.sandbox.bubble_addr, pack_qword(1)),)
+                    done = yield from self._deploy_leg(
+                        outcome, deadline_us,
+                        self._stage_route(
+                            codeflow, programs[index],
+                            plan.images.get(codeflow.sandbox.name), via,
+                            hook_name, span, verify, delta, raise_, posted,
+                        ),
                     )
-                    if txn is not None:
-                        plane.journal.phase(txn, f"decided-{decision}")
-                else:
-                    decision = commit_rule(
-                        len(survivors), len(failures), allow_partial
-                    )
-                if decision == "abort":
-                    if settles:
-                        # Rollback reads what each settle records.
-                        yield self.sim.all_of(settles.values())
-                    yield from self._abort(programs, result, staged)
-                elif failures:
-                    result.degraded = True
-                    obs.counter("rdx.broadcast.degraded").inc()
-            finally:
-                # Phase 3: lower the bubbles.  Runs on the failure path
-                # too, so no reachable target is left buffering; a
-                # crashed target's lower is best-effort and counted.
-                # A crashed *control plane* runs no cleanup at all --
-                # dead processes do not lower bubbles; the raised flags
-                # it strands are the reconciler's to repair.
-                if use_bbu and not plane.crashed:
-                    flushes = []
-                    # Only a posted raise can have landed: a leg the
-                    # lease layer skipped, a fenced one (a stale writer
-                    # has no business lowering the successor's) and one
-                    # whose stage failed before its install went out
-                    # raised nothing, and lowering a dead host's would
-                    # spend its retry budget inside the window.
-                    lowerable = {
-                        index for index in live if result.outcomes[index].raised
-                    }
-                    if plan.sequential:
-                        for index in plan.order:
-                            if index in lowerable:
-                                yield from self._lower_leg(
-                                    self.codeflows[index], flushes,
-                                    after=settles.get(index),
-                                )
+                    outcome.raised = bool(raise_ and posted)
+                    if done is None:
+                        return None
+                    done.tenant = tenant
+                    staged[index] = done
+                    if raise_ and not result.first_raised_us:
+                        result.first_raised_us = self.sim.now
+                    return codeflow
+
+                try:
+                    # Phase 1: walk the forest of the targets the lease
+                    # layer kept: the control plane seeds the roots, each
+                    # staged sandbox relays the chained WR list to its
+                    # children -- depth grows with log(N) -- and a leg lands
+                    # its image where no hook points, its bubble raise
+                    # riding the stage's tail unless a verdict is pending.
+                    #: group index -> the spawned flush of its hook line.
+                    settles: dict = {}
+                    yield from self._walk(plan, live, "stage", stage)
+                    # An unsharded all-or-nothing broadcast whose stage
+                    # failed a leg raises and flips nothing.
+                    flipping = coordinator is not None or commit_rule(
+                        len(staged), len(live) - len(staged), allow_partial
+                    ) != "abort"
+                    if pending:
+                        try:
+                            yield from self._decided(verdicts, errors)
+                        except BaseException:
+                            # No hook points at a staged image: give them
+                            # back (a crashed plane leaves them to the
+                            # reconciler).
+                            if not plane.crashed:
+                                for index in list(staged):
+                                    self.codeflows[index].unstage(staged.pop(index))
+                            raise
+                        txn.phase("prepared")
+                        if flipping:
+                            yield from self._raise_and_flip(
+                                plan, live, staged, result, use_bbu, settles
+                            )
+                    result.bubble_raised_us = result.bubble_raised_us or self.sim.now
+                    if not result.first_raised_us:
+                        # No bubble rose (no BBU, or every raise failed):
+                        # the hold is the window.
+                        result.first_raised_us = result.bubble_raised_us
+                    txn.phase("bubbled")
+
+                    # Phase 2: flip the legs left staged down the forest --
+                    # a fenced commit CAS and the hook line's doorbell each.
+                    # The decision needs only the CAS answers, so it is
+                    # taken as the last CQE is in; each flip's flush runs on
+                    # as its settle, which its own lower waits for (a CQE
+                    # alone is no proof the target CPU sees the pointer).
+                    if staged and flipping:
+                        flippable = [index for index in live if index in staged]
+
+                        def flip(pos: int, via: Optional[CodeFlow]) -> Generator:
+                            index = flippable[pos]
+                            return self._flip_leg(
+                                index, staged.pop(index), result.outcomes[index],
+                                via, settles,
+                            )
+
+                        yield from self._walk(plan, flippable, "flip", flip)
+                    result.deploys_done_us = self.sim.now
+                    txn.phase("deployed")
+                    result.reports = [
+                        outcome.report
+                        for outcome in result.outcomes
+                        if outcome.report is not None
+                    ]
+
+                    failures = result.failed_targets
+                    survivors = [o.target for o in result.outcomes if o.ok]
+                    if coordinator is not None:
+                        # Cross-shard 2PC: report this shard's tally and
+                        # hold every bubble until the coordinator's
+                        # verdict.  All-or-nothing must span shards -- a
+                        # shard whose legs are all clean still rolls back
+                        # when a sibling shard failed.
+                        decision = yield from coordinator.vote(
+                            self.shard or "shard0",
+                            ok=survivors,
+                            failed=[o.target for o in failures],
+                        )
+                        txn.phase(f"decided-{decision}")
                     else:
-                        # Drop the bubbles down the forest the stages,
-                        # raises and flips walked: linear lowers through
-                        # the control RNIC would hand the window right
-                        # back its O(N) term.  Its roots flipped first,
-                        # and each lowering chain rides the relay QP its
-                        # leg's flip used.  A failed leg is no node: the
-                        # control plane lowers it beside the walk, so a
-                        # dead host's retry budget holds up no subtree.
-                        forest = [
-                            index for index in live if result.outcomes[index].ok
-                        ]
-                        beside = [
-                            self.sim.spawn(
-                                self._lower_leg(self.codeflows[index], flushes),
-                                name=f"lower:{self.codeflows[index].sandbox.name}",
-                            )
-                            for index in live
-                            if index in lowerable and not result.outcomes[index].ok
-                        ]
+                        decision = commit_rule(
+                            len(survivors), len(failures), allow_partial
+                        )
+                    if decision == "abort":
+                        if settles:
+                            # Rollback reads what each settle records.
+                            yield self.sim.all_of(settles.values())
+                        yield from self._abort(programs, result, staged)
+                    elif failures:
+                        result.degraded = True
+                        obs.counter("rdx.broadcast.degraded").inc()
+                finally:
+                    # Phase 3: lower the bubbles.  Runs on the failure path
+                    # too, so no reachable target is left buffering; a
+                    # crashed target's lower is best-effort and counted.
+                    # A crashed *control plane* runs no cleanup at all --
+                    # dead processes do not lower bubbles; the raised flags
+                    # it strands are the reconciler's to repair.
+                    if use_bbu and not plane.crashed:
+                        flushes = []
+                        # Only a posted raise can have landed: a leg the
+                        # lease layer skipped, a fenced one (a stale writer
+                        # has no business lowering the successor's) and one
+                        # whose stage failed before its install went out
+                        # raised nothing, and lowering a dead host's would
+                        # spend its retry budget inside the window.
+                        lowerable = {
+                            index for index in live if result.outcomes[index].raised
+                        }
+                        if plan.sequential:
+                            for index in plan.order:
+                                if index in lowerable:
+                                    yield from self._lower_leg(
+                                        self.codeflows[index], flushes,
+                                        after=settles.get(index),
+                                    )
+                        else:
+                            # Drop the bubbles down the forest the stages,
+                            # raises and flips walked: linear lowers through
+                            # the control RNIC would hand the window right
+                            # back its O(N) term.  Its roots flipped first,
+                            # and each lowering chain rides the relay QP its
+                            # leg's flip used.  A failed leg is no node: the
+                            # control plane lowers it beside the walk, so a
+                            # dead host's retry budget holds up no subtree.
+                            forest = [
+                                index for index in live if result.outcomes[index].ok
+                            ]
+                            beside = [
+                                self.sim.spawn(
+                                    self._lower_leg(self.codeflows[index], flushes),
+                                    name=f"lower:{self.codeflows[index].sandbox.name}",
+                                )
+                                for index in live
+                                if index in lowerable and not result.outcomes[index].ok
+                            ]
 
-                        def lower(pos: int, via: Optional[CodeFlow]) -> Generator:
-                            index = forest[pos]
-                            codeflow = self.codeflows[index]
-                            sync = None
-                            if via is not None and not via.sandbox.host.crashed:
-                                sync = self._relay_sync(via, codeflow)
-                            return self._lower_leg(
-                                codeflow, flushes, sync, settles.get(index)
-                            )
+                            def lower(pos: int, via: Optional[CodeFlow]) -> Generator:
+                                index = forest[pos]
+                                codeflow = self.codeflows[index]
+                                sync = None
+                                if via is not None and not via.sandbox.host.crashed:
+                                    sync = self._relay_sync(via, codeflow)
+                                return self._lower_leg(
+                                    codeflow, flushes, sync, settles.get(index)
+                                )
 
-                        yield from self._walk(plan, forest, "lower", lower)
-                        if beside:
-                            yield self.sim.all_of(beside)
-                    if flushes:
-                        # The trailing flushes overlap the lowering
-                        # writes; only the last target's ~2us flush can
-                        # extend the window past its lowering write.
-                        yield self.sim.all_of(flushes)
-            if settles and not result.aborted:
-                # Every report is complete on return.  Each lower waited
-                # for its own settle, so only without a bubble does this
-                # wait at all.
-                yield self.sim.all_of(settles.values())
-        result.bubble_lowered_us = self.sim.now
-        result.bubble_window_us = result.bubble_lowered_us - result.bubble_raised_us
-        # The window is only known after the span closed; stamp it onto
-        # the finished span so trace reconstruction can report it.
-        span.attrs["bubble_window_us"] = result.bubble_window_us
-        span.attrs["bubble_hold_us"] = result.bubble_hold_us
-        # BBU buffering cost proxy: how long every target held requests.
-        obs.histogram("rdx.broadcast.bubble_window_us").observe(
-            result.bubble_window_us
-        )
-        if result.aborted:
-            failures = result.failed_targets
-            if failures:
-                first = failures[0]
-                detail = (
-                    f"(first: {first.target}: "
-                    f"{first.error_kind}: {first.error})"
-                )
-            else:
-                # Every local leg was clean; the coordinator aborted
-                # on a sibling shard's behalf.
-                detail = "(cross-shard abort: a sibling shard failed)"
-            raise BroadcastAborted(
-                f"broadcast aborted: {len(failures)}/{result.group_size} "
-                f"targets failed {detail}",
-                result=result,
+                            yield from self._walk(plan, forest, "lower", lower)
+                            if beside:
+                                yield self.sim.all_of(beside)
+                        if flushes:
+                            # The trailing flushes overlap the lowering
+                            # writes; only the last target's ~2us flush can
+                            # extend the window past its lowering write.
+                            yield self.sim.all_of(flushes)
+                if settles and not result.aborted:
+                    # Every report is complete on return.  Each lower waited
+                    # for its own settle, so only without a bubble does this
+                    # wait at all.
+                    yield self.sim.all_of(settles.values())
+            result.bubble_lowered_us = self.sim.now
+            result.bubble_window_us = result.bubble_lowered_us - result.bubble_raised_us
+            # The window is only known after the span closed; stamp it onto
+            # the finished span so trace reconstruction can report it.
+            span.attrs["bubble_window_us"] = result.bubble_window_us
+            span.attrs["bubble_hold_us"] = result.bubble_hold_us
+            # BBU buffering cost proxy: how long every target held requests.
+            obs.histogram("rdx.broadcast.bubble_window_us").observe(
+                result.bubble_window_us
             )
+            if result.aborted:
+                failures = result.failed_targets
+                if failures:
+                    first = failures[0]
+                    detail = (
+                        f"(first: {first.target}: "
+                        f"{first.error_kind}: {first.error})"
+                    )
+                else:
+                    # Every local leg was clean; the coordinator aborted
+                    # on a sibling shard's behalf.
+                    detail = "(cross-shard abort: a sibling shard failed)"
+                raise BroadcastAborted(
+                    f"broadcast aborted: {len(failures)}/{result.group_size} "
+                    f"targets failed {detail}",
+                    result=result,
+                )
+            txn.detail["legs"] = [
+                leg for leg, outcome in zip(legs, result.outcomes) if outcome.ok
+            ]
         return result
 
     # -- the fan-out ----------------------------------------------------------
@@ -1206,7 +1168,8 @@ class CodeFlowGroup:
                 else:
                     # The fresh deploy never reached committed intent, so
                     # there is nothing to journal about removing it.
-                    yield from codeflow.detach(program.name, record_intent=False)
+                    yield from codeflow.check_fence()
+                    yield from codeflow._detach_body(program.name, record)
                     outcome.detached = True
             except ReproError as err:
                 obs.counter(

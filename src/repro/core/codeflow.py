@@ -1023,28 +1023,14 @@ class CodeFlow:
 
     # -- detach / rollback -----------------------------------------------------
 
-    def detach(self, program_name: str, record_intent: bool = True) -> Generator:
+    def detach(self, program_name: str) -> Generator:
         """Remove the extension: hook -> 0, metadata -> detached."""
         record = self._record(program_name)
         yield from self.check_fence()
-        txn = None
-        if record_intent:
-            plane = self.control_plane
-            txn = plane._mint_txn("detach")
-            plane.journal.begin(
-                txn, "detach", plane.epoch,
-                target=self.sandbox.name, name=program_name,
-            )
-        try:
+        with self.control_plane.intent(
+            "detach", target=self.sandbox.name, name=program_name
+        ):
             yield from self._detach_body(program_name, record)
-        except BaseException as err:
-            if txn is not None and not self.control_plane.crashed:
-                self.control_plane.journal.abort(txn, reason=str(err))
-            raise
-        if txn is not None:
-            self.control_plane.journal.commit(
-                txn, target=self.sandbox.name, name=program_name
-            )
 
     def _detach_body(
         self, program_name: str, record: DeployedProgram
@@ -1184,10 +1170,7 @@ class CodeFlow:
     # -- rdx_deploy_xstate (§3.4) -------------------------------------------------
 
     def deploy_xstate(
-        self,
-        spec: XStateSpec,
-        initial: Optional[BpfMap] = None,
-        record_intent: bool = True,
+        self, spec: XStateSpec, initial: Optional[BpfMap] = None
     ) -> Generator:
         """Allocate + inject one XState; returns an :class:`XStateHandle`.
 
@@ -1199,110 +1182,81 @@ class CodeFlow:
         from repro.core.journal import xstate_spec_detail
 
         yield from self.check_fence()
-        txn = None
-        if record_intent:
-            plane = self.control_plane
-            txn = plane._mint_txn("xstate")
-            plane.journal.begin(
-                txn, "xstate", plane.epoch,
-                target=self.sandbox.name, spec=xstate_spec_detail(spec),
-            )
-        try:
-            handle = yield from self._deploy_xstate_body(spec, initial)
-        except BaseException as err:
-            if txn is not None and not self.control_plane.crashed:
-                self.control_plane.journal.abort(txn, reason=str(err))
-            raise
-        if txn is not None:
-            # Placement rides along in the COMMIT record so a restarted
-            # control plane can adopt the chunk where it already lives.
-            placed = dict(xstate_spec_detail(spec))
-            placed["meta_index"] = handle.meta_index
-            placed["header_addr"] = handle.header_addr
-            self.control_plane.journal.commit(
-                txn, target=self.sandbox.name, spec=placed
-            )
-        return handle
-
-    def _deploy_xstate_body(
-        self, spec: XStateSpec, initial: Optional[BpfMap]
-    ) -> Generator:
-        handle = self.scratchpad.allocate(spec)
-        if initial is None:
-            initial = BpfMap(
-                spec.map_type, spec.key_size, spec.value_size, spec.max_entries,
-                name=spec.name,
-            )
-        image = initial.serialize()
-        if len(image) != spec.data_bytes():
-            self.scratchpad.release(handle)
-            raise XStateError(
-                f"{spec.name}: initial image is {len(image)} bytes, "
-                f"spec wants {spec.data_bytes()}"
-            )
-        header = handle.header_addr
-        body = encode_xstate_header(spec) + image
-        meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
-        # The data path adopts the map by its header, never through the
-        # meta slot: the header span is the flush it waits for.
-        flush = [(header, params.XSTATE_HEADER_BYTES)]
-        note = None
-        if self.config.hb_check:
-            note = hb.txn_note(self.sim, publishes=(header, len(body)))
-        with self.obs.span(
-            "rdx.xstate.deploy", xstate=spec.name, target=self.sandbox.name
-        ):
-            # The deploy shape: header + image, then the meta slot's
-            # commit CAS from 0 (at depth 1 an install of its own).
-            prior, torn = yield from self.sync.install(
-                [(header, body)], meta_addr, 0, header, flush, note=note
-            )
-            if prior is None:
-                prior, torn = yield from self.sync.install(
-                    [], meta_addr, 0, header, [], note=note
+        with self.control_plane.intent(
+            "xstate", target=self.sandbox.name, spec=xstate_spec_detail(spec)
+        ) as txn:
+            handle = self.scratchpad.allocate(spec)
+            if initial is None:
+                initial = BpfMap(
+                    spec.map_type, spec.key_size, spec.value_size,
+                    spec.max_entries, name=spec.name,
                 )
-            if prior != 0:
+            image = initial.serialize()
+            if len(image) != spec.data_bytes():
                 self.scratchpad.release(handle)
                 raise XStateError(
-                    f"{spec.name}: meta slot {handle.meta_index} already taken"
+                    f"{spec.name}: initial image is {len(image)} bytes, "
+                    f"spec wants {spec.data_bytes()}"
                 )
-            if torn is not None:
-                raise torn
-            yield from self.sync.flush_chained(flush)
-        self.obs.counter("rdx.xstate.bytes_written").inc(
-            params.XSTATE_HEADER_BYTES + len(image)
-        )
+            header = handle.header_addr
+            body = encode_xstate_header(spec) + image
+            meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
+            # The data path adopts the map by its header, never through
+            # the meta slot: the header span is the flush it waits for.
+            flush = [(header, params.XSTATE_HEADER_BYTES)]
+            note = None
+            if self.config.hb_check:
+                note = hb.txn_note(self.sim, publishes=(header, len(body)))
+            with self.obs.span(
+                "rdx.xstate.deploy", xstate=spec.name, target=self.sandbox.name
+            ):
+                # The deploy shape: header + image, then the meta slot's
+                # commit CAS from 0 (at depth 1 an install of its own).
+                prior, torn = yield from self.sync.install(
+                    [(header, body)], meta_addr, 0, header, flush, note=note
+                )
+                if prior is None:
+                    prior, torn = yield from self.sync.install(
+                        [], meta_addr, 0, header, [], note=note
+                    )
+                if prior != 0:
+                    self.scratchpad.release(handle)
+                    raise XStateError(
+                        f"{spec.name}: meta slot {handle.meta_index} already taken"
+                    )
+                if torn is not None:
+                    raise torn
+                yield from self.sync.flush_chained(flush)
+            self.obs.counter("rdx.xstate.bytes_written").inc(
+                params.XSTATE_HEADER_BYTES + len(image)
+            )
+            # Placement rides along in the COMMIT record so a restarted
+            # control plane can adopt the chunk where it already lives.
+            txn.detail["spec"] = dict(
+                txn.detail["spec"], meta_index=handle.meta_index,
+                header_addr=handle.header_addr,
+            )
         return handle
 
-    def destroy_xstate(
-        self, handle: XStateHandle, record_intent: bool = True
-    ) -> Generator:
+    def destroy_xstate(self, handle: XStateHandle) -> Generator:
         """Clear the meta entry and free the chunk."""
-        if record_intent:
-            plane = self.control_plane
-            txn = plane._mint_txn("xstate_destroy")
-            plane.journal.begin(
-                txn, "xstate_destroy", plane.epoch,
-                target=self.sandbox.name, name=handle.name,
+        yield from self.check_fence()
+        with self.control_plane.intent(
+            "xstate_destroy", target=self.sandbox.name, name=handle.name
+        ):
+            meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
+            prior = yield from self.sync.cas(meta_addr, handle.header_addr, 0)
+            if prior != handle.header_addr:
+                raise XStateError(
+                    f"{handle.name}: meta entry changed underneath us"
+                )
+            # Poison the header magic so stale pointers cannot re-adopt it.
+            flush = [(handle.header_addr, params.XSTATE_HEADER_BYTES)]
+            yield from self.sync.install(
+                [(handle.header_addr, b"\x00")], None, 0, 0, flush
             )
-        yield from self._destroy_xstate_body(handle)
-        if record_intent:
-            plane.journal.commit(
-                txn, target=self.sandbox.name, name=handle.name
-            )
-
-    def _destroy_xstate_body(self, handle: XStateHandle) -> Generator:
-        meta_addr = self.scratchpad.meta_entry_addr(handle.meta_index)
-        prior = yield from self.sync.cas(meta_addr, handle.header_addr, 0)
-        if prior != handle.header_addr:
-            raise XStateError(f"{handle.name}: meta entry changed underneath us")
-        # Poison the header magic so stale pointers cannot re-adopt it.
-        flush = [(handle.header_addr, params.XSTATE_HEADER_BYTES)]
-        yield from self.sync.install(
-            [(handle.header_addr, b"\x00")], None, 0, 0, flush
-        )
-        yield from self.sync.flush_chained(flush)
-        self.scratchpad.release(handle)
+            yield from self.sync.flush_chained(flush)
+            self.scratchpad.release(handle)
 
     # -- XState access (inspector APIs) ---------------------------------------------
 
@@ -1323,6 +1277,7 @@ class CodeFlow:
         spec = handle.spec
         if len(key) != spec.key_size or len(value) != spec.value_size:
             raise XStateError(f"{handle.name}: bad key/value geometry")
+        yield from self.check_fence()
         slot_bytes = spec.slot_bytes()
         image = yield from self.read_raw(handle.data_addr, spec.data_bytes())
         target_slot = None

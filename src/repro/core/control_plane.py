@@ -63,6 +63,43 @@ class InstallLock(NamedTuple):
     tenant: str = ""
 
 
+class Intent:
+    """One journaled operation's WAL transaction, from
+    :meth:`RdxControlPlane.intent`: entering mints the txn id and writes
+    INTEND with ``detail`` before any target byte moves; :meth:`phase`
+    writes PHASE records; a clean exit writes COMMIT with :attr:`detail`
+    as the body left it (replace a nested value, never mutate it: the
+    INTEND record shares them), an exception ABORT with its text.  A
+    crashed plane records nothing: the dangling INTEND is what tells
+    the reconciler the work may be half-applied."""
+
+    __slots__ = ("plane", "op", "detail", "txn")
+
+    def __init__(self, plane: "RdxControlPlane", op: str, detail: dict):
+        self.plane = plane
+        self.op = op
+        self.detail = detail
+        self.txn = ""
+
+    def __enter__(self) -> "Intent":
+        plane = self.plane
+        self.txn = plane._mint_txn(self.op)
+        plane.journal.begin(self.txn, self.op, plane.epoch, **self.detail)
+        return self
+
+    def phase(self, name: str, **detail) -> None:
+        # Looked up per call: the crash-before-flip fuzz scenario
+        # patches the journal's ``phase`` to fail-stop the plane.
+        self.plane.journal.phase(self.txn, name, **detail)
+
+    def __exit__(self, kind, err, tb) -> bool:
+        if kind is None:
+            self.plane.journal.commit(self.txn, **self.detail)
+        elif not self.plane.crashed:
+            self.plane.journal.abort(self.txn, reason=str(err))
+        return False
+
+
 class RdxControlPlane:
     """The centralized authority overseeing extension lifecycles."""
 
@@ -135,6 +172,11 @@ class RdxControlPlane:
     def _mint_txn(self, op: str) -> str:
         """Journal transaction token, unique across incarnations."""
         return f"{op}-{self.epoch}.{next(self._token_source):x}"
+
+    def intent(self, op: str, **detail) -> Intent:
+        """``with plane.intent(op, **detail) as txn:`` -- the one WAL
+        bracket every journaled operation runs its body in."""
+        return Intent(self, op, detail)
 
     def _check_alive(self) -> None:
         if self.crashed:
@@ -382,18 +424,16 @@ class RdxControlPlane:
         principal: Optional[Principal] = None,
         retain_history: bool = True,
         parent_span: Optional[Span] = None,
-        record_intent: bool = True,
         install_lock: Optional[InstallLock] = None,
         delta: bool = True,
     ) -> Generator:
         """prepare -> link -> deploy; returns the DeployReport.
 
-        Unless ``record_intent`` is off (broadcast journals at the
-        transaction level instead), the deploy is WAL-journaled:
-        INTEND before any target byte moves, COMMIT only after the
-        hook flip lands.  A crash between the two leaves an in-flight
-        record the reconciler cleans up.  ``delta`` is passed through
-        to :meth:`CodeFlow.deploy_prog`.
+        The deploy is WAL-journaled (:meth:`intent`): INTEND before
+        any target byte moves, COMMIT only after the hook flip lands.
+        A crash between the two leaves an in-flight record the
+        reconciler cleans up.  ``delta`` is passed through to
+        :meth:`CodeFlow.deploy_prog`.
 
         ``install_lock`` serializes installs on one target: the probe
         and the compile run without it, and it is held from the link to
@@ -404,80 +444,61 @@ class RdxControlPlane:
         """
         self._check_alive()
         self.policy.check(principal, "deploy", codeflow.sandbox.name)
-        txn = None
-        tag = program.tag()
-        if record_intent:
-            self.journal.record_program(program)
-            txn = self._mint_txn("deploy")
-            self.journal.begin(
-                txn, "deploy", self.epoch,
-                target=codeflow.sandbox.name, hook=hook_name,
-                name=program.name, tag=tag,
+        self.journal.record_program(program)
+        with self.intent(
+            "deploy", target=codeflow.sandbox.name, hook=hook_name,
+            name=program.name, tag=program.tag(),
+        ) as txn, self.obs.span(
+            "rdx.inject", parent=parent_span,
+            program=program.name, target=codeflow.sandbox.name,
+        ) as span:
+            pin, entry = yield from self._compiled(
+                codeflow, program, span, maps, principal
             )
-        entry = None
-        try:
-            with self.obs.span(
-                "rdx.inject", parent=parent_span,
-                program=program.name, target=codeflow.sandbox.name,
-            ) as span:
-                pin, entry = yield from self._compiled(
-                    codeflow, program, span, maps, principal
+            txn.phase("prepared")
+            # The probe and the compile read only this plane's GOT
+            # snapshot, so they ran unlocked.  From here on the
+            # handle's per-install state moves: the link stamps the
+            # key that deploy_prog and admit read.
+            grant = None
+            if install_lock is not None:
+                grant = install_lock.resource.request(install_lock.priority)
+            settles = []
+            try:
+                if grant is not None:
+                    yield grant
+                mark = self.sim.now
+                linked = yield from self._linked(codeflow, pin, entry, span)
+                link_us = self.sim.now - mark
+                yield from codeflow.deploy_prog(
+                    program, linked, hook_name,
+                    retain_history=retain_history, parent_span=span,
+                    delta=delta, settles=settles,
+                    tenant=install_lock.tenant if install_lock else "",
                 )
-                if txn is not None:
-                    self.journal.phase(txn, "prepared")
-                # The probe and the compile read only this plane's GOT
-                # snapshot, so they ran unlocked.  From here on the
-                # handle's per-install state moves: the link stamps the
-                # key that deploy_prog and admit read.
-                grant = None
-                if install_lock is not None:
-                    grant = install_lock.resource.request(install_lock.priority)
-                settles = []
-                try:
-                    if grant is not None:
-                        yield grant
-                    mark = self.sim.now
-                    linked = yield from self._linked(codeflow, pin, entry, span)
-                    link_us = self.sim.now - mark
-                    yield from codeflow.deploy_prog(
-                        program, linked, hook_name,
-                        retain_history=retain_history, parent_span=span,
-                        delta=delta, settles=settles,
-                        tenant=install_lock.tenant if install_lock else "",
-                    )
-                    self._admit(codeflow, program, entry)
-                finally:
-                    if grant is not None:
-                        install_lock.resource.release(grant)
-                # The CAS has answered: the next install links, fences
-                # and preps under this one's flush, and its stage joins
-                # the settle before it plans.  This one ends at
-                # install-visible.
-                report = yield settles[0]
-                report.warm = entry is None
-        except BaseException as err:
-            if txn is not None and not self.crashed:
-                self.journal.abort(txn, reason=str(err))
-            raise
-        if txn is not None:
-            detail = dict(
-                target=codeflow.sandbox.name, hook=hook_name,
-                name=program.name, tag=tag,
-            )
+                self._admit(codeflow, program, entry)
+            finally:
+                if grant is not None:
+                    install_lock.resource.release(grant)
+            # The CAS has answered: the next install links, fences
+            # and preps under this one's flush, and its stage joins
+            # the settle before it plans.  This one ends at
+            # install-visible.
+            report = yield settles[0]
+            report.warm = entry is None
             if report.mode == "delta":
                 # Provenance: which resident image the delta was
                 # computed against.  A restarted control plane (or an
                 # auditor) can tell a delta-written extent from a
                 # fully staged one -- the bytes at code_addr are only
                 # as good as the baseline they were diffed over.
-                detail["deploy"] = {
+                txn.detail["deploy"] = {
                     "mode": "delta",
                     "base_addr": report.code_addr,
                     "base_version": report.delta_base_version,
                     "chunks": report.delta_chunks,
                     "bytes_moved": report.bytes_moved,
                 }
-            self.journal.commit(txn, **detail)
         if self.config.obs:
             # Checkpoint metric deltas into the flight ring at commit
             # boundaries, so a later crash snapshot carries the counter

@@ -12,8 +12,9 @@ fires inside *unmodified* paths (``control_plane.inject``,
 ``rdx_broadcast``, the plain sync ops).
 
 Beyond payload corruption, the injector drives the *environment* fault
-model: node crashes (:meth:`crash_target`), link partitions
-(:meth:`partition_target`) and added delay (:meth:`delay_target`),
+model: node crashes (:meth:`crash_target`), link partitions (an armed
+``LINK_PARTITION``, :meth:`heal_partition`) and added delay
+(:meth:`delay_target`),
 implemented by :class:`~repro.net.topology.Host` /
 :class:`~repro.net.fabric.Fabric` state that both the message fabric
 and the RNIC honour.
@@ -120,10 +121,6 @@ class FaultInjector:
             self.arm(kind)
         return kind
 
-    @property
-    def armed(self) -> Optional[FaultKind]:
-        return self._armed
-
     # -- injection (fires inside unmodified paths) ------------------------
 
     def attach(self) -> None:
@@ -212,11 +209,6 @@ class FaultInjector:
         if reboot:
             self.codeflow.sandbox.warm_reboot()
             self.codeflow.reset_after_reboot()
-
-    def partition_target(self) -> None:
-        """Sever the control-plane <-> target link (both directions)."""
-        self._record(FaultKind.LINK_PARTITION, "link severed", armed=False)
-        self._set_partition(True)
 
     def heal_partition(self) -> None:
         self._set_partition(False)

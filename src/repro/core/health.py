@@ -57,7 +57,9 @@ class LeaseState:
 class HealthDetector:
     """Per-target ALIVE -> SUSPECT -> DEAD lease tracking.
 
-    ``suspect_after`` / ``dead_after`` are consecutive-miss thresholds;
+    ``suspect_after`` / ``dead_after`` are the consecutive-miss
+    thresholds :data:`repro.params.HEALTH_SUSPECT_MISSES` /
+    :data:`~repro.params.HEALTH_DEAD_MISSES`;
     the probe itself is bounded by a tight retry policy (one transport
     attempt -- the *lease*, not the transport layer, owns patience
     here, so a probe against a dead host costs one RDMA timeout, not a
@@ -68,15 +70,8 @@ class HealthDetector:
         self,
         codeflows,
         interval_us: float = params.HEALTH_PROBE_INTERVAL_US,
-        suspect_after: int = params.HEALTH_SUSPECT_MISSES,
-        dead_after: int = params.HEALTH_DEAD_MISSES,
         scraper=None,
     ):
-        if suspect_after < 1 or dead_after < suspect_after:
-            raise ValueError(
-                f"need 1 <= suspect_after <= dead_after, got "
-                f"{suspect_after}/{dead_after}"
-            )
         self.codeflows = {cf.sandbox.name: cf for cf in codeflows}
         #: target -> owning shard (metric aggregation key when
         #: per-target labels are off; see Telemetry.target_label).
@@ -87,8 +82,8 @@ class HealthDetector:
         self.sim = next(iter(self.codeflows.values())).sim
         self.obs = telemetry_of(self.sim)
         self.interval_us = interval_us
-        self.suspect_after = suspect_after
-        self.dead_after = dead_after
+        self.suspect_after = params.HEALTH_SUSPECT_MISSES
+        self.dead_after = params.HEALTH_DEAD_MISSES
         self.leases: dict[str, LeaseState] = {
             name: LeaseState(target=name, renewed_us=self.sim.now)
             for name in self.codeflows
@@ -108,20 +103,6 @@ class HealthDetector:
 
     def lease_of(self, target: str) -> LeaseState:
         return self.leases[target]
-
-    def alive(self) -> list[str]:
-        return sorted(
-            name
-            for name, lease in self.leases.items()
-            if lease.health is TargetHealth.ALIVE
-        )
-
-    def unhealthy(self) -> list[str]:
-        return sorted(
-            name
-            for name, lease in self.leases.items()
-            if lease.health is not TargetHealth.ALIVE
-        )
 
     # -- probing ---------------------------------------------------------
 
@@ -240,17 +221,6 @@ class HealthDetector:
             outcomes[name] = True
         finally:
             codeflow.sync.retry = saved_retry
-
-    def monitor(
-        self, duration_us: float, interval_us: Optional[float] = None
-    ) -> Generator:
-        """Background lease loop: probe every target each interval."""
-        interval = interval_us or self.interval_us
-        end = self.sim.now + duration_us
-        while self.sim.now < end:
-            yield self.sim.timeout(interval)
-            yield from self.probe_all()
-        return {name: lease.health for name, lease in self.leases.items()}
 
     # -- lease mechanics -------------------------------------------------
 

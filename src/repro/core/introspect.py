@@ -78,10 +78,6 @@ class RemoteIntrospector:
         #: deploy time by :meth:`record_expected`.
         self._expected_hash: dict[str, str] = {}
 
-    def record_expected(self, program_name: str, image: bytes) -> None:
-        """Register the shipped image's hash (call after deploy)."""
-        self._expected_hash[program_name] = hashlib.sha256(image).hexdigest()
-
     def snapshot_deployed(self) -> None:
         """Capture expected hashes for everything currently deployed."""
         for name, record in self.codeflow.deployed.items():

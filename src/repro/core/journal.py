@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.ebpf.maps import MapType
 from repro.errors import ReproError
@@ -305,9 +304,7 @@ class IntentJournal:
         return "\n".join(record.to_json() for record in self.records)
 
     @classmethod
-    def from_jsonl(
-        cls, text: str, catalog: Optional[dict] = None
-    ) -> "IntentJournal":
+    def from_jsonl(cls, text: str) -> "IntentJournal":
         journal = cls()
         max_lsn = 0
         for line in text.splitlines():
@@ -319,8 +316,6 @@ class IntentJournal:
         journal._lsn = itertools.count(max_lsn + 1)
         for txn in journal.in_flight():
             journal._open[txn.txn] = txn.intend
-        if catalog:
-            journal.catalog.update(catalog)
         return journal
 
 

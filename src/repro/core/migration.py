@@ -84,6 +84,7 @@ class MigrationManager:
             if existing is None:
                 yield from dst.deploy_xstate(xstate.spec, initial=live)
             else:
+                yield from dst.check_fence()
                 flush = [(existing.data_addr, len(snapshot))]
                 yield from dst.sync.install(
                     [(existing.data_addr, snapshot)], None, 0, 0, flush

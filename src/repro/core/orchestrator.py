@@ -146,10 +146,6 @@ class PlanOutcome:
     intent_name: str
     waves: list[WaveOutcome] = field(default_factory=list)
 
-    @property
-    def total_window_us(self) -> float:
-        return sum(w.window_us for w in self.waves)
-
 
 def plan_intent(intent: OrchestrationIntent, fleet: Fleet) -> Plan:
     """Compile an intent against the fleet into ordered waves.

@@ -420,7 +420,6 @@ def resume_control_plane(
     host,
     journal: IntentJournal,
     sandboxes: Sequence[Sandbox],
-    health_codeflows: bool = False,
     **plane_kwargs,
 ) -> Generator:
     """Bring up a fresh control-plane incarnation over an old journal.
@@ -437,5 +436,4 @@ def resume_control_plane(
     for sandbox in sandboxes:
         codeflow = yield from plane.create_codeflow(sandbox)
         codeflows.append(codeflow)
-    del health_codeflows
     return plane, codeflows

@@ -503,9 +503,7 @@ class RemoteSync:
 
     # -- rdx_mutual_excl (§3.5 issue 3) ----------------------------------------
 
-    def lock(
-        self, owner_token: int, max_attempts: int = 64, backoff_us: float = 2.0
-    ) -> Generator:
+    def lock(self, owner_token: int, max_attempts: int = 64) -> Generator:
         """Acquire the sandbox lock with bounded, jittered CAS retries.
 
         Backoff grows geometrically and carries seeded jitter derived
@@ -517,8 +515,8 @@ class RemoteSync:
         lock_addr = self.sandbox.lock_addr
         policy = RetryPolicy(
             max_attempts=max_attempts,
-            backoff_base_us=backoff_us,
-            backoff_max_us=backoff_us * 16,
+            backoff_base_us=2.0,
+            backoff_max_us=32.0,
             jitter_frac=0.5,
         )
         # Seeded per (token, acquisition): deterministic across runs,

@@ -97,7 +97,7 @@ def txn_note(
     tagging instead of pointer-value inference, so reused code pages
     from unrelated deploys never alias into the transaction.
     """
-    note: dict = {"txn": txn if txn is not None else next(sim.ids.txn)}
+    note: dict = {"txn": next(sim.ids.txn) if txn is None else txn}
     if publishes is not None:
         note["pub_addr"], note["pub_len"] = publishes
     return note

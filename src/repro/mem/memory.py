@@ -162,10 +162,6 @@ class RegionAllocator:
         self.high_water = base
 
     @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    @property
     def bytes_free(self) -> int:
         return sum(size for _addr, size in self._free)
 

@@ -202,7 +202,3 @@ class Fabric:
             if hasattr(result, "send") and hasattr(result, "throw"):
                 self.sim.spawn(result, name=f"handler:{message.channel}")
         done.succeed(message)
-
-    def one_way_delay_us(self, size_bytes: int) -> float:
-        """Closed-form minimum delivery time for a message (no queueing)."""
-        return self.base_latency_us + size_bytes / self.bandwidth_bpus

@@ -46,7 +46,6 @@ from repro.obs.spans import (
 from repro.obs.telemetry import (
     UNSHARDED,
     Telemetry,
-    export_jsonl,
     export_prometheus,
     telemetry_of,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "UNSHARDED",
     "decode_segment",
     "escape_label_value",
-    "export_jsonl",
     "export_prometheus",
     "format_blackbox",
     "from_jsonl",

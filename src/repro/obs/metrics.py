@@ -261,9 +261,6 @@ class MetricsRegistry:
         self._moved.clear()
         return moved
 
-    def clear(self) -> None:
-        self._metrics.clear()
-
     def drop(self, name: Optional[str] = None, **labels: object) -> int:
         """Remove every series matching ``name`` and/or a label subset.
 

@@ -173,20 +173,6 @@ class TelemetryScraper:
         self.results.append(result)
         return result
 
-    def scrape_all(self):
-        """Process body: scrape every registered target, in name order.
-
-        Torn targets are skipped (already counted); the return value
-        maps target -> ScrapeResult for the targets that were accepted.
-        """
-        accepted: dict[str, ScrapeResult] = {}
-        for target in sorted(self.codeflows):
-            try:
-                accepted[target] = yield from self.scrape(target)
-            except ReproError:
-                continue
-        return accepted
-
     # -- registry publication ---------------------------------------------
 
     def _publish(self, result: ScrapeResult) -> None:

@@ -234,12 +234,6 @@ class DeployTrace:
     def total_us(self) -> float:
         return self.root.duration_us
 
-    def target_named(self, target: str) -> Optional[TargetTrace]:
-        for leg in self.targets:
-            if leg.target == target:
-                return leg
-        return None
-
 
 def _first_exec_index(recorder) -> dict[tuple[str, int], float]:
     """(target, code_addr) -> earliest first-exec time, from the recorder."""

@@ -118,12 +118,6 @@ class Telemetry:
     def span(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> Span:
         return self.tracer.span(name, parent=parent, **attrs)
 
-    def wrap(self, generator, name: str, parent: Optional[Span] = None, **attrs):
-        return self.tracer.wrap(generator, name, parent=parent, **attrs)
-
-    def snapshot(self) -> list[dict]:
-        return self.registry.snapshot()
-
 
 def export_prometheus(hub: Telemetry) -> str:
     """Prometheus text for the hub, with health gauges refreshed.
@@ -136,14 +130,6 @@ def export_prometheus(hub: Telemetry) -> str:
 
     hub.sync_health_metrics()
     return to_prometheus(hub.registry)
-
-
-def export_jsonl(hub: Telemetry) -> str:
-    """JSON-lines for the hub, with health gauges refreshed."""
-    from repro.obs.exporters import to_jsonl
-
-    hub.sync_health_metrics()
-    return to_jsonl(hub.registry)
 
 
 def telemetry_of(sim: "Simulator") -> Telemetry:

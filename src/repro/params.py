@@ -290,13 +290,6 @@ def rdma_transfer_us(n_bytes: int) -> float:
     return RDMA_SMALL_OP_RTT_US + n_bytes / RDMA_BANDWIDTH_BPUS
 
 
-def rpc_transfer_us(n_bytes: int) -> float:
-    """Wire + stack time for an ``n_bytes`` control RPC (agent path)."""
-    if n_bytes < 0:
-        raise ValueError("negative transfer size")
-    return RPC_BASE_LATENCY_US + n_bytes / RPC_BANDWIDTH_BPUS
-
-
 # --------------------------------------------------------------------
 # Configuration: which arm a simulation runs
 # --------------------------------------------------------------------

@@ -84,7 +84,3 @@ class ProtectionDomain:
             raise ProtectionError(
                 f"MR rkey={mr.rkey:#x} lacks {AccessFlags(missing)!r}"
             )
-
-    @property
-    def mr_count(self) -> int:
-        return len(self._mrs)

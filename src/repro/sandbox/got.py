@@ -49,10 +49,6 @@ class GlobalContext:
         self._index: dict[str, int] = {}
         self._by_address: dict[int, Symbol] = {}
 
-    @property
-    def size_bytes(self) -> int:
-        return self.capacity * 8
-
     def define(self, name: str, kind: SymbolKind, address: int, token: int = 0) -> Symbol:
         """Add (or re-point) a symbol and persist its address qword."""
         if name in self._index:
@@ -96,13 +92,6 @@ class GlobalContext:
         """name -> GOT index; the static part shared with the control plane."""
         return dict(self._index)
 
-    def export_addresses(self) -> dict[str, int]:
-        """name -> address snapshot (what a remote GOT read yields)."""
-        return {name: sym.address for name, sym in self._symbols.items()}
-
     def read_remote_qword(self, index: int) -> int:
         """Interpret one GOT slot as the control plane would via RDMA."""
         return unpack_qword(self.memory.read(self.base_addr + index * 8, 8))
-
-    def __len__(self) -> int:
-        return len(self._symbols)

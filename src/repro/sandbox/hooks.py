@@ -27,10 +27,6 @@ class HookTable:
         self.slots = slots
         self._names: dict[str, int] = {}
 
-    @property
-    def size_bytes(self) -> int:
-        return self.slots * 8
-
     def declare(self, hook_name: str) -> int:
         """Reserve a slot for ``hook_name``; returns its index."""
         if hook_name in self._names:

@@ -113,10 +113,6 @@ class MetadataArray:
         self.base_addr = base_addr
         self.slots = slots
 
-    @property
-    def size_bytes(self) -> int:
-        return self.slots * METADATA_SLOT_BYTES
-
     def slot_addr(self, index: int) -> int:
         if not 0 <= index < self.slots:
             raise SandboxError(f"metadata slot {index} out of range")

@@ -141,14 +141,6 @@ class MemoryBackedMap(BpfMap):
         self._clear_slot(index)
         return 0
 
-    def keys(self) -> list[bytes]:
-        found = []
-        for index in range(self.max_entries):
-            used, key, _value = self._read_slot(index)
-            if used:
-                found.append(key)
-        return found
-
     def serialize(self) -> bytes:
         """Snapshot straight from DRAM (what a remote READ returns)."""
         return self.cache.memory.read(self.base_addr, self.image_bytes())

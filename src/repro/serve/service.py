@@ -72,7 +72,6 @@ class DeployService:
         control_plane: RdxControlPlane,
         classes=None,
         workers: int = SERVE_WORKERS,
-        with_segment: bool = True,
     ):
         self.control = control_plane
         self.sim = control_plane.sim
@@ -81,7 +80,7 @@ class DeployService:
         #: Serve-plane telemetry segment (one-sided scrape surface).
         self.segment = (
             ServeSegment(control_plane.host)
-            if with_segment and params.config_of(self.sim).obs
+            if params.config_of(self.sim).obs
             else None
         )
         classes = tuple(classes) if classes is not None else default_classes()

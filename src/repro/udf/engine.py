@@ -46,10 +46,6 @@ class QueryResult:
     inject_us: float
     scan_us: float
 
-    @property
-    def total_us(self) -> float:
-        return self.inject_us + self.scan_us
-
 
 class QueryEngine:
     """Executes queries on one host; injection mode is pluggable."""

@@ -1,15 +1,16 @@
-"""Named cost regressions that the cost table must catch.
+"""Named regressions that the cost table or a named test must catch.
 
     python -m tests.mutants [-v] [NAME ...]
 
 Each mutant is a source patch -- exact replacements in ``src/repro`` --
-that takes back one saving the cost table pins, and names the claim of
-``tests/test_cost_oracle.py`` that must catch it.  The working tree's
-``src/`` and ``tests/`` are copied into a temporary directory; there the
-claim is checked in a fresh interpreter once as is, where it must hold,
-and once with the patch applied, where it must fail.  Exits 1 when a
-mutant survives, its claim fails unpatched, its patch no longer applies
-or a check crashes; ``-v`` prints the crash.
+that takes back one saving or one guard, and names its claim: a claim
+of ``tests/test_cost_oracle.py``, or a pytest node id (``path::test``).
+The working tree's ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied into a temporary directory; there the claim is checked in a
+fresh interpreter once as is, where it must hold (a node id: pass), and
+once with the patch applied, where it must fail.  Exits 1 when a mutant
+survives, its claim fails unpatched, its patch no longer applies or a
+check crashes; ``-v`` prints the crash.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 class Mutant(NamedTuple):
     what: str
+    #: A cost-table claim, or a pytest node id when it holds ``::``.
     claim: str
     #: ``(file under src/repro, old text, new text)`` each.
     patch: tuple
@@ -81,6 +83,27 @@ MUTANTS = {
         (("core/sync.py", "doorbells = len(flush) if depth > 1 else 0",
           "doorbells = len(flush) + commit if depth > 1 else 0"),),
     ),
+    "intent-never-aborts": Mutant(
+        "the intent bracket's exit leaves a failed operation's INTEND open",
+        "tests/test_core_codeflow.py::TestXState::test_destroy_after_its_meta_entry_moved_aborts",
+        (("core/control_plane.py", "        elif not self.plane.crashed:\n",
+          "        elif False:\n"),),
+    ),
+    "xstate-destroy-unfenced": Mutant(
+        "destroy_xstate posts its CAS without the epoch-fence read",
+        "tests/test_core_codeflow.py::TestXState::test_destroy_is_fenced",
+        (("core/codeflow.py", '''"""Clear the meta entry and free the chunk."""
+        yield from self.check_fence()''', '''"""Clear the meta entry and free the chunk."""'''),),
+    ),
+    "lower-failure-escapes": Mutant(
+        "a failed bubble lower re-raises instead of being counted",
+        "tests/test_core_broadcast.py::TestBubbleLeak::"
+        "test_target_dead_under_its_raised_bubble_is_counted_not_raised",
+        (("core/broadcast.py", '''            self.control_plane.obs.counter(
+                "rdx.broadcast.bubble_lower_failed",''', '''            raise
+            self.control_plane.obs.counter(
+                "rdx.broadcast.bubble_lower_failed",'''),),
+    ),
 }
 
 _CHECK = (
@@ -92,13 +115,22 @@ _CHECK = (
 
 
 def check(tree: Path, claim: str) -> tuple[int, str]:
-    """``(exit code, last stderr line)`` of ``claim`` against ``tree``:
+    """``(exit code, last output line)`` of ``claim`` against ``tree``:
     0 it holds, 3 it fails, anything else a crash."""
+    if "::" in claim:
+        argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", claim]
+    else:
+        argv = ["-c", _CHECK, claim]
     result = subprocess.run(
-        [sys.executable, "-c", _CHECK, claim], cwd=tree, capture_output=True, text=True,
+        [sys.executable, *argv], cwd=tree, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{tree}"},
     )
-    return result.returncode, (result.stderr.strip().splitlines() or [""])[-1]
+    code = result.returncode
+    if "::" in claim:
+        # pytest: 0 passed, 1 a test failed; the rest are crashes.
+        code = {0: 0, 1: 3}.get(code, 2)
+    output = result.stderr.strip() or result.stdout.strip()
+    return code, (output.splitlines() or [""])[-1]
 
 
 def verdict(tree: Path, mutant: Mutant) -> tuple[str, str]:
@@ -134,6 +166,7 @@ def main(argv=None) -> int:
         tree = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
         for name in args.names or MUTANTS:
             mutant = MUTANTS[name]
             result, detail = verdict(tree, mutant)

@@ -182,6 +182,36 @@ class TestBubbleLeak:
         # ... and no bubble flag stays raised on any target.
         assert all(not sb.bubble_active() for sb in bed.sandboxes)
 
+    def test_target_dead_under_its_raised_bubble_is_counted_not_raised(
+        self, testbed2, monkeypatch
+    ):
+        """A target dies after its stage posted the bubble raise and
+        before the lower walk (at the ``bubbled`` phase): its lower
+        fails, is counted once and never escapes, the sibling's bubble
+        still comes down, and the broadcast returns."""
+        bed = testbed2
+        victim = bed.sandboxes[1]
+        journal = bed.control.journal
+        record_phase = journal.phase
+
+        def phase(txn, name, **detail):
+            record_phase(txn, name, **detail)
+            if name == "bubbled":
+                victim.host.crash()
+
+        monkeypatch.setattr(journal, "phase", phase)
+        result = bed.sim.run_process(
+            rdx_broadcast(
+                bed.codeflows, programs_for(bed), "ingress", allow_partial=True
+            )
+        )
+        assert result.outcomes[1].raised
+        assert sum(
+            metric.value for metric in bed.obs.registry
+            if metric.name == "rdx.broadcast.bubble_lower_failed"
+        ) == 1
+        assert not bed.sandboxes[0].bubble_active()
+
     def test_torn_write_aborts_and_lowers_every_bubble(self, testbed2):
         """The headline scenario: one target's image write is torn
         in-flight.  The CRC verify readback must surface it (a

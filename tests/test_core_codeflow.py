@@ -4,18 +4,31 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import DeployError, SecurityError, VerifierError, XStateError
+from repro.errors import (
+    DeployError,
+    SecurityError,
+    StaleEpochError,
+    VerifierError,
+    XStateError,
+)
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.stress import make_stress_program
 from repro.core.xstate import XStateSpec
 from repro.exp.harness import make_testbed
+from repro.mem.layout import pack_qword, unpack_qword
 
 
 def inject(testbed, program, hook="ingress", **kwargs):
     return testbed.sim.run_process(
         testbed.control.inject(testbed.codeflow, program, hook, **kwargs)
     )
+
+
+def supersede(codeflow):
+    """Stamp a successor's epoch into the target's fencing word."""
+    sandbox = codeflow.sandbox
+    sandbox.host.memory.write(sandbox.epoch_addr, pack_qword(codeflow.epoch + 1))
 
 
 class TestDeploy:
@@ -156,8 +169,6 @@ class TestXState:
     def test_deploy_writes_meta_entry(self, testbed):
         handle = self.deploy_xstate(testbed)
         meta_addr = testbed.codeflow.scratchpad.meta_entry_addr(handle.meta_index)
-        from repro.mem.layout import unpack_qword
-
         stored = unpack_qword(testbed.host.memory.read(meta_addr, 8))
         assert stored == handle.header_addr
 
@@ -212,6 +223,46 @@ class TestXState:
         assert testbed.codeflow.scratchpad.live_count == 0
         # Redeploy under the same name is now fine.
         self.deploy_xstate(testbed)
+
+    def test_destroy_after_its_meta_entry_moved_aborts(self, testbed):
+        """A destroy whose meta entry changed underneath it raises and
+        closes its transaction with ABORT: no INTEND is left open on a
+        live plane for the reconciler to mistake for a crash."""
+        handle = self.deploy_xstate(testbed)
+        meta_addr = testbed.codeflow.scratchpad.meta_entry_addr(handle.meta_index)
+        testbed.host.memory.write(meta_addr, pack_qword(handle.header_addr + 64))
+        with pytest.raises(XStateError, match="changed underneath"):
+            testbed.sim.run_process(testbed.codeflow.destroy_xstate(handle))
+        journal = testbed.control.journal
+        last = journal.records[-1]
+        assert (last.rec, last.op) == ("ABORT", "xstate_destroy")
+        assert "changed underneath" in last.detail["reason"]
+        assert journal.in_flight() == []
+
+    def test_destroy_is_fenced(self, testbed):
+        """A successor's epoch on the target stops a destroy before its
+        CAS clears the successor's Meta-XState entry."""
+        handle = self.deploy_xstate(testbed)
+        meta_addr = testbed.codeflow.scratchpad.meta_entry_addr(handle.meta_index)
+        supersede(testbed.codeflow)
+        with pytest.raises(StaleEpochError):
+            testbed.sim.run_process(testbed.codeflow.destroy_xstate(handle))
+        assert unpack_qword(testbed.host.memory.read(meta_addr, 8)) == (
+            handle.header_addr
+        )
+
+    def test_update_is_fenced(self, testbed):
+        handle = self.deploy_xstate(testbed)
+        length = handle.spec.data_bytes()
+        image = testbed.host.memory.read(handle.data_addr, length)
+        supersede(testbed.codeflow)
+        with pytest.raises(StaleEpochError):
+            testbed.sim.run_process(
+                testbed.codeflow.xstate_update(
+                    handle, (5).to_bytes(4, "little"), (99).to_bytes(8, "little")
+                )
+            )
+        assert testbed.host.memory.read(handle.data_addr, length) == image
 
     def test_data_path_adopts_remote_xstate(self, testbed):
         """The §3.4 payoff: extension code uses a map the control

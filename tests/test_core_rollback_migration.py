@@ -7,7 +7,8 @@ from repro.core.xstate import XStateSpec
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
 from repro.ebpf.stress import make_stress_program
-from repro.errors import DeployError
+from repro.errors import DeployError, StaleEpochError
+from repro.mem.layout import pack_qword
 
 
 def inject(bed, codeflow, program, hook="ingress"):
@@ -148,6 +149,33 @@ class TestMigration:
         template.update((0).to_bytes(4, "little"), (777).to_bytes(8, "little"))
         expected = Interpreter(maps=[template]).run(program.insns, ctx).r0
         assert dst_result.r0 == expected
+
+    def test_copy_into_a_deployed_xstate_is_fenced(self, testbed2):
+        """The live-state copy into an XState already on the destination
+        fences first: a destination a successor owns keeps its map."""
+        bed = testbed2
+        spec = XStateSpec("stress_map", MapType.ARRAY, 4, 8, 4)
+        initial = BpfMap(MapType.ARRAY, 4, 8, 4, name="stress_map")
+        initial.update((0).to_bytes(4, "little"), (42).to_bytes(8, "little"))
+        src_handle = bed.sim.run_process(
+            bed.codeflows[0].deploy_xstate(spec, initial=initial)
+        )
+        dst_handle = bed.sim.run_process(bed.codeflows[1].deploy_xstate(spec))
+        inject(bed, bed.codeflows[0], make_stress_program(100, seed=1, name="mig"))
+        dst = bed.sandboxes[1]
+        before = dst.host.memory.read(dst_handle.data_addr, spec.data_bytes())
+        dst.host.memory.write(
+            dst.epoch_addr, pack_qword(bed.codeflows[1].epoch + 1)
+        )
+        with pytest.raises(StaleEpochError):
+            bed.sim.run_process(
+                MigrationManager(bed.control).migrate(
+                    bed.codeflows[0], bed.codeflows[1], "mig", xstate=src_handle
+                )
+            )
+        assert dst.host.memory.read(dst_handle.data_addr, spec.data_bytes()) == (
+            before
+        )
 
     def test_migrate_unknown_program(self, testbed2):
         bed = testbed2

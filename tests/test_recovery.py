@@ -22,6 +22,8 @@ from repro.core.health import HealthDetector, TargetHealth
 from repro.core.introspect import RemoteIntrospector
 from repro.core.journal import IntentJournal
 from repro.core.reconcile import Reconciler, resume_control_plane
+from repro.core.xstate import XStateSpec
+from repro.ebpf.maps import MapType
 from repro.ebpf.stress import make_stress_program
 from repro.errors import (
     BroadcastAborted,
@@ -111,6 +113,69 @@ class TestIntentJournal:
         second = journal.claim_epoch()
         assert second == first + 1
         assert journal.latest_epoch() == second
+
+
+class TestIntentBracket:
+    """``RdxControlPlane.intent`` is the one bracket every journaled
+    operation runs in: a body that raises closes its transaction with
+    ABORT and the error's text, unless the plane has crashed."""
+
+    def test_a_raising_body_aborts(self, testbed):
+        journal = testbed.control.journal
+        with pytest.raises(DeployError):
+            with testbed.control.intent("detach", target="node0") as txn:
+                txn.phase("prepared")
+                raise DeployError("boom")
+        assert [(r.rec, r.detail.get("phase")) for r in journal.records[-3:]] == [
+            ("INTEND", None), ("PHASE", "prepared"), ("ABORT", None)
+        ]
+        assert journal.records[-1].detail == {"reason": "boom"}
+        assert journal.in_flight() == []
+
+    def test_a_crashed_plane_leaves_its_intend_open(self, testbed):
+        plane = testbed.control
+        with pytest.raises(DeployError):
+            with plane.intent("detach", target="node0"):
+                plane.crash()
+                raise DeployError("fail-stop")
+        assert [txn.op for txn in plane.journal.in_flight()] == ["detach"]
+
+    @pytest.mark.parametrize(
+        "op", ["deploy", "broadcast", "detach", "xstate", "xstate_destroy"]
+    )
+    def test_every_operation_aborts_when_its_writes_fail(
+        self, testbed, monkeypatch, op
+    ):
+        bed = testbed
+        codeflow = bed.codeflow
+        program = programs_for(bed)[0]
+        spec = XStateSpec("kv", MapType.HASH, 4, 8, 8)
+        if op == "detach":
+            bed.sim.run_process(bed.control.inject(codeflow, program, "ingress"))
+        elif op == "xstate_destroy":
+            handle = bed.sim.run_process(codeflow.deploy_xstate(spec))
+
+        def install(*args, **kwargs):
+            raise TransientFault("install refused")
+
+        monkeypatch.setattr(codeflow.sync, "install", install)
+        body = {
+            "deploy": lambda: bed.control.inject(codeflow, program, "ingress"),
+            "broadcast": lambda: CodeFlowGroup([codeflow]).broadcast(
+                [program], "ingress"
+            ),
+            "detach": lambda: codeflow.detach(program.name),
+            "xstate": lambda: codeflow.deploy_xstate(spec),
+            "xstate_destroy": lambda: codeflow.destroy_xstate(handle),
+        }[op]
+        process = bed.sim.spawn(body())
+        bed.sim.run()
+        assert not process.ok
+        journal = bed.control.journal
+        last = journal.records[-1]
+        assert (last.rec, last.op) == ("ABORT", op)
+        assert last.detail["reason"]
+        assert journal.in_flight() == []
 
 
 class TestEpochFencing:
